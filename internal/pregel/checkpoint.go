@@ -64,23 +64,26 @@ func (en *engine) writeCheckpoint() error {
 		e.PutVarint(int64(id))
 		e.PutUvarint(uint64(movedParts[i]))
 	}
-	// The ID scratch slice is shared across partitions and message
-	// shards: sorting dominates, so reusing the backing array keeps the
-	// encode path allocation-free once it has grown.
-	var scratch []VertexID
+	// Slot order is not ID order once vertices were added or migrated,
+	// and the format is ascending vertex ID; the scratch slices are
+	// shared across partitions and message shards.
+	var live []*Vertex
 	for _, p := range en.parts {
-		scratch = scratch[:0]
-		for id := range p.verts {
-			scratch = append(scratch, id)
+		live = live[:0]
+		for _, v := range p.slots {
+			if v != nil {
+				live = append(live, v)
+			}
 		}
-		sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
-		e.PutUvarint(uint64(len(scratch)))
-		for _, id := range scratch {
-			p.verts[id].encode(e)
+		sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
+		e.PutUvarint(uint64(len(live)))
+		for _, v := range live {
+			v.encode(e)
 		}
 	}
-	for i := range en.parts {
-		scratch = en.cur.encode(i, e, scratch)
+	var scratch []int
+	for _, p := range en.parts {
+		scratch = en.cur.encode(p, e, scratch)
 	}
 
 	path := en.checkpointPath(en.superstep)
@@ -283,9 +286,10 @@ type checkpointState struct {
 	// (ascending ID) order; owners point at placeholder partitions and
 	// are rewritten on install.
 	parts [][]*Vertex
-	// cur is the undelivered-message store feeding the checkpointed
-	// superstep, sharded by checkpoint-time routing.
-	cur *messageStore
+	// inbox holds the undelivered messages feeding the checkpointed
+	// superstep, keyed by vertex ID; install and confined recovery
+	// deliver them to slots under the routing they restore.
+	inbox []inboxEntry
 }
 
 func (en *engine) restore(raw []byte) error {
@@ -353,9 +357,9 @@ func (en *engine) decodeCheckpoint(raw []byte) (*checkpointState, error) {
 		}
 		st.parts[i] = vs
 	}
-	st.cur = newMessageStore(numParts, en.cfg.Combiner, en.cfg.MessagePlane, en.pool)
 	for i := 0; i < numParts; i++ {
-		if err := st.cur.decodeInto(i, d); err != nil {
+		var err error
+		if st.inbox, err = decodeInbox(d, st.inbox); err != nil {
 			return nil, err
 		}
 	}
@@ -368,26 +372,26 @@ func (en *engine) decodeCheckpoint(raw []byte) (*checkpointState, error) {
 // install replaces the engine's whole state with a decoded checkpoint:
 // the full-restart path.
 func (en *engine) install(st *checkpointState) {
-	numParts := len(st.parts)
-	parts := make([]*partition, numParts)
-	for i := range parts {
-		p := &partition{idx: i, verts: make(map[VertexID]*Vertex)}
-		for _, v := range st.parts[i] {
-			v.owner = p
-			p.verts[v.id] = v
-			p.ids = append(p.ids, v.id)
-			p.edges += int64(len(v.edges))
+	for i, vs := range st.parts {
+		p := en.newPartition(i)
+		for _, v := range vs {
+			p.add(v)
 		}
-		parts[i] = p
+		en.parts[i] = p
 	}
-	en.parts = parts
-	en.cur = st.cur
-	en.next = newMessageStore(numParts, en.cfg.Combiner, en.cfg.MessagePlane, en.pool)
 	en.broadcast = st.broadcast
 	en.superstep = st.superstep
 	en.assign = st.assign
 	en.edgeCutDirty = true
 	en.recountActive()
+	en.cur.reset()
+	en.next.reset()
+	for _, ent := range st.inbox {
+		part := en.parts[en.partitionFor(ent.id)]
+		for _, m := range ent.msgs {
+			en.cur.replayDeliver(part, ent.id, m)
+		}
+	}
 
 	// Re-point the input graph at the restored vertex objects; the
 	// pre-failure ones are stale and must not be what callers read
@@ -395,9 +399,9 @@ func (en *engine) install(st *checkpointState) {
 	// those left the computation before the checkpoint (RemoveVertexRequest),
 	// and their graph entry holds their preserved final state — often
 	// the algorithm's output, e.g. matching partners in MWM.
-	for _, p := range parts {
-		for id, v := range p.verts {
-			en.job.graph.vertices[id] = v
+	for _, vs := range st.parts {
+		for _, v := range vs {
+			en.job.graph.vertices[v.id] = v
 		}
 	}
 

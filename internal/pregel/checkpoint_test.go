@@ -166,8 +166,8 @@ func TestCheckpointRoundTripWithMessagesInFlight(t *testing.T) {
 	en.broadcast["a"] = NewLong(42)
 	en.superstep = 3
 	// Seed some undelivered messages.
-	en.cur.deliver(0, []msgEntry{{to: 0, msg: NewLong(9)}})
-	en.cur.deliver(1, []msgEntry{{to: 1, msg: NewLong(8)}, {to: 1, msg: NewLong(7)}})
+	en.cur.deliver(en.parts[en.partitionFor(0)], []msgEntry{{to: 0, msg: NewLong(9)}})
+	en.cur.deliver(en.parts[en.partitionFor(1)], []msgEntry{{to: 1, msg: NewLong(8)}, {to: 1, msg: NewLong(7)}})
 	if err := en.writeCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,9 @@ func TestCheckpointRoundTripWithMessagesInFlight(t *testing.T) {
 	if got := en2.cur.total(); got != 3 {
 		t.Errorf("restored pending messages = %d, want 3", got)
 	}
-	if msgs := en2.cur.take(1, 1); len(msgs) != 2 {
+	owner := en2.parts[en2.partitionFor(1)]
+	slot, _ := owner.index.lookup(1)
+	if msgs := en2.cur.take(owner.idx, slot); len(msgs) != 2 {
 		t.Errorf("restored inbox of vertex 1 = %d messages, want 2", len(msgs))
 	}
 	nv, ne := en2.totals()

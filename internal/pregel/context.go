@@ -86,7 +86,7 @@ func (c *workerCtx) SendMessage(to VertexID, msg Value) {
 	}
 	c.out[p] = append(c.out[p], msgEntry{to: to, msg: msg})
 	if len(c.out[p]) >= c.flushBatch {
-		c.en.next.deliver(p, c.out[p])
+		c.en.next.deliver(c.en.parts[p], c.out[p])
 		c.out[p] = c.out[p][:0]
 	}
 }
@@ -196,8 +196,8 @@ func (c *workerCtx) flushAll() {
 	}
 	for p := range c.out {
 		if len(c.out[p]) > 0 {
-			c.en.next.deliver(p, c.out[p])
-			c.out[p] = nil
+			c.en.next.deliver(c.en.parts[p], c.out[p])
+			c.out[p] = c.out[p][:0]
 		}
 	}
 }

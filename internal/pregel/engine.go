@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -303,12 +304,6 @@ type Config struct {
 	// aggregators, checkpoints, recovery and rebalancing are
 	// mode-independent.
 	ComputeMode ComputeMode
-	// NoPartitionSkip disables the halted-partition fast path: normally
-	// a partition with zero active vertices and no pending messages is
-	// skipped in the superstep scan (its worker would only iterate
-	// halted vertices and find empty inboxes). The escape hatch exists
-	// so tests can prove the fast path changes no observable behavior.
-	NoPartitionSkip bool
 	// WorkerPool, if non-nil, is a global worker budget shared across
 	// jobs: each worker goroutine holds one slot for its superstep scan,
 	// so a session running many jobs concurrently bounds its total
@@ -326,8 +321,8 @@ type aggEntry struct {
 // of the graph: values and topology are mutated in place, so callers
 // that reuse a dataset across runs must pass graph.Clone().
 type Job struct {
-	cfg   Config
-	comp  Computation
+	cfg  Config
+	comp Computation
 	// scomp is the ModeSubgraph program (nil in vertex mode); set by
 	// NewSubgraphJob.
 	scomp    SubgraphComputation
@@ -386,47 +381,6 @@ func (j *Job) RunContext(ctx context.Context) (*Stats, error) {
 	return en.run(start)
 }
 
-// partition is the set of vertices owned by one worker.
-type partition struct {
-	idx     int
-	verts   map[VertexID]*Vertex
-	ids     []VertexID // iteration order; may contain removed IDs
-	removed int        // stale entries in ids
-	edges   int64      // current out-edge count of the partition
-	// edgeDelta accumulates Vertex.AddEdge/RemoveEdges deltas during a
-	// superstep; only the owning worker writes it, and the coordinator
-	// folds it into edges at the barrier.
-	edgeDelta int
-	// subs caches the partition's weakly-connected components for
-	// ModeSubgraph (nil until first discovery). subsDirty flags that
-	// membership may have changed — topology mutation, vertex
-	// add/remove, migration, recovery — so the owning worker rediscovers
-	// before its next subgraph scan.
-	subs      []*Subgraph
-	subsDirty bool
-}
-
-func (p *partition) compactIfNeeded() {
-	if p.removed <= len(p.ids)/2 || p.removed == 0 {
-		return
-	}
-	p.rebuildIDs()
-}
-
-// rebuildIDs regenerates the iteration order from the live vertex set,
-// purging stale entries. Besides compaction, the rebalancer needs it to
-// keep ids duplicate-free when a vertex moves into a partition that
-// still lists it from before an earlier migration or removal.
-func (p *partition) rebuildIDs() {
-	ids := make([]VertexID, 0, len(p.verts))
-	for id := range p.verts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	p.ids = ids
-	p.removed = 0
-}
-
 type vertexAddition struct {
 	id    VertexID
 	value Value
@@ -454,10 +408,18 @@ type workerResult struct {
 }
 
 type engine struct {
-	job        *Job
-	cfg        *Config
-	parts      []*partition
-	cur, next  *messageStore
+	job       *Job
+	cfg       *Config
+	parts     []*partition
+	cur, next *messageStore
+	// wctx[w] is worker w's Context, built on its first superstep and
+	// reset for each later one.
+	wctx []*workerCtx
+	// idBase/idSpan is the vertex ID range at load time, over which every
+	// partition's slot index is dense (span 0: IDs too scattered, the
+	// indexes are sparse-only).
+	idBase     VertexID
+	idSpan     int
 	broadcast  map[string]Value
 	superstep  int
 	stats      Stats
@@ -474,12 +436,11 @@ type engine struct {
 	// recomputes it lazily — static graphs pay the O(E) scan once.
 	edgeCut      int64
 	edgeCutDirty bool
-	// partActive[w] is the number of non-halted vertices in partition w,
-	// maintained at the barrier (worker results, mutations, missing-
-	// vertex creation, migration, recovery). Together with the message
-	// store's per-shard pending check it lets the superstep scan skip
-	// partitions that provably have no work — on convergence-tail
-	// workloads most of the cluster is halted most of the time.
+	// partActive[w] is the number of non-halted vertices in partition w
+	// (the population of its awake bitmap), maintained at the barrier
+	// (worker results, mutations, missing-vertex creation, migration,
+	// recovery). A partition with none and an empty inbox shard has an
+	// empty frontier, and no worker is launched for it.
 	partActive []int64
 	// laneCombineOff[w][p] records that worker w's traffic to partition
 	// p missed the sender-side combining index too often to keep paying
@@ -526,10 +487,19 @@ func newEngine(j *Job) *engine {
 		en.flushBatch = msgFlushBatch
 	}
 	w := j.cfg.NumWorkers
+	ids := j.graph.VertexIDs()
+	if n := len(ids); n > 0 {
+		// Dense indexes only when the ID range is at least 25% occupied
+		// (the assignTable's rule); scattered IDs fall back to the map.
+		if span := uint64(ids[n-1]-ids[0]) + 1; span <= 4*uint64(n) {
+			en.idBase, en.idSpan = ids[0], int(span)
+		}
+	}
 	en.parts = make([]*partition, w)
 	for i := range en.parts {
-		en.parts[i] = &partition{idx: i, verts: make(map[VertexID]*Vertex)}
+		en.parts[i] = en.newPartition(i)
 	}
+	en.wctx = make([]*workerCtx, w)
 	en.edgeCutDirty = true
 	if j.cfg.Partitioner == PartitionLocality {
 		// The placement table must exist before the distribution loop
@@ -538,13 +508,8 @@ func newEngine(j *Job) *engine {
 		// replay — agrees on the locality placement from superstep 0.
 		en.assign = localityPlacement(j.graph, w)
 	}
-	for _, id := range j.graph.VertexIDs() {
-		v := j.graph.vertices[id]
-		p := en.parts[en.partitionFor(id)]
-		v.owner = p
-		p.verts[id] = v
-		p.ids = append(p.ids, id)
-		p.edges += int64(len(v.edges))
+	for _, id := range ids {
+		en.parts[en.partitionFor(id)].add(j.graph.vertices[id])
 	}
 	en.partActive = make([]int64, w)
 	en.recountActive()
@@ -572,6 +537,13 @@ func (en *engine) newStore() *messageStore {
 	return newMessageStore(len(en.parts), en.cfg.Combiner, en.cfg.MessagePlane, en.pool)
 }
 
+// swapStores advances the message plane by one superstep: what was sent
+// becomes what is delivered, and the drained store takes the sends.
+func (en *engine) swapStores() {
+	en.cur, en.next = en.next, en.cur
+	en.next.reset()
+}
+
 // partitionFor maps a vertex ID to a worker: the explicit assignment
 // table first (locality placement, rebalancer migrations), Fibonacci
 // hashing otherwise. Both paths are allocation-free; hash-pure jobs
@@ -593,7 +565,10 @@ func (en *engine) partitionFor(id VertexID) int {
 func (en *engine) computeEdgeCut() int64 {
 	var cut int64
 	for _, p := range en.parts {
-		for _, v := range p.verts {
+		for _, v := range p.slots {
+			if v == nil {
+				continue
+			}
 			for i := range v.edges {
 				if en.partitionFor(v.edges[i].Target) != p.idx {
 					cut++
@@ -604,25 +579,19 @@ func (en *engine) computeEdgeCut() int64 {
 	return cut
 }
 
-// recountActive rebuilds partActive from the partitions' vertex halted
-// flags — the ground truth after bulk state swaps (engine construction,
-// checkpoint recovery), where incremental bookkeeping has nothing to
-// increment from.
+// recountActive rebuilds every awake bitmap and partActive from the
+// vertices' halted flags — the ground truth after bulk state swaps
+// (engine construction, recovery), where incremental bookkeeping has
+// nothing to increment from.
 func (en *engine) recountActive() {
 	for i, p := range en.parts {
-		var n int64
-		for _, v := range p.verts {
-			if !v.halted {
-				n++
-			}
-		}
-		en.partActive[i] = n
+		en.partActive[i] = p.syncAwake()
 	}
 }
 
 func (en *engine) totals() (nv, ne int64) {
 	for _, p := range en.parts {
-		nv += int64(len(p.verts))
+		nv += int64(p.live)
 		ne += p.edges
 	}
 	return nv, ne
@@ -651,7 +620,7 @@ func (en *engine) run(start time.Time) (*Stats, error) {
 		en.stats.Partitioner = en.cfg.Partitioner
 		en.stats.PartitionSizes = make([]int64, len(en.parts))
 		for i, p := range en.parts {
-			en.stats.PartitionSizes[i] = int64(len(p.verts))
+			en.stats.PartitionSizes[i] = int64(p.live)
 		}
 		if err == nil && !en.cfg.DisableMetrics {
 			if en.edgeCutDirty {
@@ -768,13 +737,12 @@ func (en *engine) run(start time.Time) (*Stats, error) {
 		errs := make([]error, len(en.parts))
 		var wg sync.WaitGroup
 		for w := range en.parts {
-			// Fast path: a partition whose vertices are all halted and
-			// whose inbox shard is empty would only scan halted vertices
-			// against empty inboxes — its worker result is identically
-			// zero, so skip launching it. (Lanes into this shard were
-			// merged by integrateMissing at the previous barrier, so the
-			// shard check is complete.)
-			if !en.cfg.NoPartitionSkip && en.partActive[w] == 0 && !en.cur.hasPending(w) {
+			// An empty frontier — nobody awake, nothing pending — yields an
+			// identically zero worker result, so no goroutine is spawned
+			// for it. (Lanes into this shard were merged by
+			// integrateMissing at the previous barrier, so the shard check
+			// is complete.)
+			if en.partActive[w] == 0 && !en.cur.hasPending(w) {
 				continue
 			}
 			wg.Add(1)
@@ -942,8 +910,7 @@ func (en *engine) run(start time.Time) (*Stats, error) {
 							break
 						}
 					}
-					en.cur = en.next
-					en.next = en.newStore()
+					en.swapStores()
 					en.superstep++
 					if alive == 0 && !pendingAny {
 						en.stats.Reason = ReasonConverged
@@ -976,8 +943,7 @@ func (en *engine) run(start time.Time) (*Stats, error) {
 		}
 
 		pending := en.next.total() - droppedNow
-		en.cur = en.next
-		en.next = en.newStore()
+		en.swapStores()
 		en.superstep++
 		if active == 0 && pending == 0 {
 			en.stats.Reason = ReasonConverged
@@ -1003,37 +969,44 @@ func (en *engine) safeMasterCompute(mctx *masterCtx) (err error) {
 	return nil
 }
 
-// newWorkerCtx builds the per-superstep Context for one worker, with
-// the send buffers matching the configured message plane.
-func (en *engine) newWorkerCtx(w int, nv, ne int64) *workerCtx {
-	ctx := &workerCtx{
-		en:          en,
-		worker:      w,
-		superstep:   en.superstep,
-		numVertices: nv,
-		numEdges:    ne,
-		flushBatch:  en.flushBatch,
-		aggPartial:  map[string]Value{},
-	}
-	if en.cfg.MessagePlane == PlaneLanes {
-		ctx.lane = make([]*msgBatch, len(en.parts))
-		if en.cfg.Combiner != nil {
-			ctx.laneIdx = make([]map[VertexID]int, len(en.parts))
-			for i := range ctx.laneIdx {
-				if !en.laneCombineOff[w][i] {
-					ctx.laneIdx[i] = make(map[VertexID]int)
-				}
+// workerCtx returns worker w's Context reset for this superstep, with
+// the send buffers matching the configured message plane. The context,
+// its aggregation map and its lane buffers are built once and reused:
+// everything a superstep hands the barrier (aggregator partials,
+// mutation requests) is consumed before the next one starts.
+func (en *engine) workerCtx(w int, nv, ne int64) *workerCtx {
+	ctx := en.wctx[w]
+	if ctx == nil {
+		ctx = &workerCtx{en: en, worker: w, flushBatch: en.flushBatch, aggPartial: map[string]Value{}}
+		if en.cfg.MessagePlane == PlaneLanes {
+			ctx.lane = make([]*msgBatch, len(en.parts))
+			if en.cfg.Combiner != nil {
+				ctx.laneIdx = make([]map[VertexID]int, len(en.parts))
 			}
+		} else {
+			ctx.out = make([][]msgEntry, len(en.parts))
 		}
-	} else {
-		ctx.out = make([][]msgEntry, len(en.parts))
+		en.wctx[w] = ctx
+	}
+	ctx.superstep, ctx.numVertices, ctx.numEdges = en.superstep, nv, ne
+	ctx.sent = 0
+	clear(ctx.aggPartial)
+	ctx.removals, ctx.additions = ctx.removals[:0], ctx.additions[:0]
+	for p := range ctx.laneIdx {
+		switch {
+		case en.laneCombineOff[w][p]:
+			ctx.laneIdx[p] = nil
+		case ctx.laneIdx[p] == nil:
+			ctx.laneIdx[p] = make(map[VertexID]int)
+		default:
+			clear(ctx.laneIdx[p])
+		}
 	}
 	return ctx
 }
 
 func (en *engine) runWorker(w int, nv, ne int64) (workerResult, error) {
 	var res workerResult
-	part := en.parts[w]
 	collect := !en.cfg.DisableMetrics
 	var t0 time.Time
 	var capReporter CaptureTimeReporter
@@ -1045,36 +1018,9 @@ func (en *engine) runWorker(w int, nv, ne int64) (workerResult, error) {
 			capBefore = ctr.CaptureNanos(w)
 		}
 	}
-	ctx := en.newWorkerCtx(w, nv, ne)
-	for i := 0; i < len(part.ids); i++ {
-		// Poll for cancellation every 64 vertices so a Job.Cancel lands
-		// mid-superstep instead of after a full partition scan; the
-		// coordinator still drives every worker to the barrier, so the
-		// shutdown stays barrier-consistent.
-		if i&63 == 0 {
-			if err := en.ctx.Err(); err != nil {
-				return res, fmt.Errorf("pregel: worker %d canceled in superstep %d: %w", w, en.superstep, err)
-			}
-		}
-		v, ok := part.verts[part.ids[i]]
-		if !ok {
-			continue
-		}
-		msgs := en.cur.take(w, v.id)
-		if v.halted {
-			if len(msgs) == 0 {
-				continue
-			}
-			v.halted = false
-		}
-		res.vertices++
-		res.received += int64(len(msgs))
-		if err := en.safeCompute(ctx, v, msgs); err != nil {
-			return res, err
-		}
-		if !v.halted {
-			res.active++
-		}
+	ctx := en.workerCtx(w, nv, ne)
+	if err := en.computeFrontier(ctx, en.parts[w], en.cur, &res); err != nil {
+		return res, err
 	}
 	ctx.flushAll()
 	res.sent = ctx.sent
@@ -1088,6 +1034,51 @@ func (en *engine) runWorker(w int, nv, ne int64) (workerResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// computeFrontier runs one superstep of vertex computes over part: the
+// vertices that are awake or have mail in inbox's shard, found by
+// walking the set bits of awake|pending a word at a time. Bits come out
+// in ascending slot order, so the visit order is the one a scan of
+// every slot would produce, whatever share of the partition is live.
+// Live supersteps and confined replay both run through here.
+func (en *engine) computeFrontier(ctx *workerCtx, part *partition, inbox *messageStore, res *workerResult) error {
+	sh := &inbox.shards[part.idx]
+	inbox.ensure(sh, len(part.slots))
+	for wi := range part.awake {
+		word := part.awake[wi] | sh.pending[wi]
+		if word == 0 {
+			continue
+		}
+		// Poll for cancellation once per live word — at most 64 computes
+		// apart — so a Job.Cancel lands mid-superstep; the coordinator
+		// still drives every worker to the barrier, so the shutdown stays
+		// barrier-consistent.
+		if err := en.ctx.Err(); err != nil {
+			return fmt.Errorf("pregel: worker %d canceled in superstep %d: %w", ctx.worker, ctx.superstep, err)
+		}
+		for ; word != 0; word &= word - 1 {
+			slot := wi<<6 + bits.TrailingZeros64(word)
+			v := part.slots[slot]
+			var msgs []Value
+			if sh.pending.test(slot) {
+				msgs = inbox.takeCell(sh, slot)
+				v.halted = false
+			}
+			res.vertices++
+			res.received += int64(len(msgs))
+			if err := en.safeCompute(ctx, v, msgs); err != nil {
+				return err
+			}
+			if v.halted {
+				part.awake.clear(slot)
+			} else {
+				part.awake.set(slot)
+				res.active++
+			}
+		}
+	}
+	return nil
 }
 
 // foldTelemetry folds the per-worker collectors into the superstep's
@@ -1199,10 +1190,10 @@ func (en *engine) safeCompute(ctx *workerCtx, v *Vertex, msgs []Value) (err erro
 }
 
 // integrateMissing merges each lane-matrix column into its shard (in
-// PlaneLanes mode) and resolves messages addressed to vertices that do
-// not exist, at the barrier (Giraph's default vertex resolver): with
-// CreateMissingVertices the vertex is created so it computes next
-// superstep; otherwise the messages are removed from the store and
+// PlaneLanes mode) and resolves the orphans — messages addressed to
+// vertices that do not exist — at the barrier (Giraph's default vertex
+// resolver): with CreateMissingVertices the vertex is created so it
+// computes next superstep; otherwise the messages are discarded and
 // counted as dropped. Each partition is handled by its own goroutine —
 // the post-barrier single reader the lane design relies on; the
 // coordinator then mirrors the created vertices into the input graph
@@ -1215,37 +1206,60 @@ func (en *engine) integrateMissing() int64 {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			en.next.mergeLane(w)
-			part := en.parts[w]
-			for _, id := range en.next.pendingIDs(w, part.verts) {
-				if en.cfg.CreateMissingVertices {
-					var val Value
-					if en.cfg.DefaultVertexValue != nil {
-						val = en.cfg.DefaultVertexValue()
-					}
-					v := &Vertex{id: id, value: val, owner: part}
-					part.verts[id] = v
-					part.ids = append(part.ids, id)
-					part.subsDirty = true
-					created[w] = append(created[w], v)
-				} else {
-					dropped[w] += int64(len(en.next.take(w, id)))
-				}
-			}
+			en.next.mergeLane(en.parts[w])
+			created[w], dropped[w] = en.resolveOrphans(en.next, en.parts[w])
 		}(w)
 	}
 	wg.Wait()
+	var total int64
 	for w, vs := range created {
 		en.partActive[w] += int64(len(vs)) // resolver-created vertices start active
 		for _, v := range vs {
 			en.job.graph.vertices[v.id] = v
 		}
-	}
-	var total int64
-	for _, d := range dropped {
-		total += d
+		total += dropped[w]
 	}
 	return total
+}
+
+// resolveOrphans empties the orphans of part's shard in ascending ID
+// order. An ID that has gained a slot since delivery (an
+// AddVertexRequest applied at this barrier) simply receives its mail;
+// otherwise the vertex is created at the end of the slot array
+// (CreateMissingVertices) or the messages are discarded. Returns the
+// created vertices and the number of discarded entries.
+func (en *engine) resolveOrphans(store *messageStore, part *partition) (created []*Vertex, dropped int64) {
+	sh := &store.shards[part.idx]
+	for _, id := range sh.orphanIDs() {
+		msgs := sh.orphans[id]
+		slot, ok := part.index.lookup(id)
+		if !ok {
+			if !en.cfg.CreateMissingVertices {
+				dropped += int64(len(msgs))
+				continue
+			}
+			var val Value
+			if en.cfg.DefaultVertexValue != nil {
+				val = en.cfg.DefaultVertexValue()
+			}
+			v := &Vertex{id: id, value: val}
+			slot = part.add(v)
+			created = append(created, v)
+		}
+		store.ensure(sh, len(part.slots))
+		for _, m := range msgs {
+			store.put(sh, slot, id, m)
+		}
+	}
+	clear(sh.orphans)
+	return created, dropped
+}
+
+// compact rebuilds a partition's slot array and carries the pending
+// next-superstep inbox along.
+func (en *engine) compact(p *partition) {
+	perm := p.rebuild()
+	en.next.remap(p.idx, perm, len(p.slots))
 }
 
 // applyMutations resolves queued vertex removals and additions on the
@@ -1262,18 +1276,16 @@ func (en *engine) applyMutations(results []workerResult) {
 		sort.Slice(removals, func(i, j int) bool { return removals[i] < removals[j] })
 		for _, id := range removals {
 			p := en.parts[en.partitionFor(id)]
-			if v, ok := p.verts[id]; ok {
-				p.edges -= int64(len(v.edges))
-				if !v.halted {
+			if slot, ok := p.index.lookup(id); ok {
+				if !p.slots[slot].halted {
 					en.partActive[p.idx]--
 				}
 				// Removed vertices leave the computation but stay
 				// reachable through the input graph: their final state
 				// is often the algorithm's output (matching partners
 				// in MWM).
-				delete(p.verts, id)
-				p.removed++
-				p.subsDirty = true
+				en.next.orphanCell(p.idx, slot, id)
+				p.remove(slot)
 			}
 		}
 	}
@@ -1282,28 +1294,27 @@ func (en *engine) applyMutations(results []workerResult) {
 		var dirty []*partition
 		for _, add := range additions {
 			p := en.parts[en.partitionFor(add.id)]
-			if _, exists := p.verts[add.id]; exists {
+			if p.vertex(add.id) != nil {
 				continue
 			}
 			val := add.value
 			if val == nil && en.cfg.DefaultVertexValue != nil {
 				val = en.cfg.DefaultVertexValue()
 			}
-			v := &Vertex{id: add.id, value: val, owner: p}
-			p.verts[add.id] = v
-			p.ids = append(p.ids, add.id)
-			p.subsDirty = true
+			v := &Vertex{id: add.id, value: val}
+			p.add(v)
 			en.partActive[p.idx]++ // new vertices start active
 			if p.removed > 0 {
-				// p.ids may still hold a stale entry for this ID from an
-				// earlier removal; rebuild below so it is not computed twice.
+				// A vertex appended behind tombstones would make the
+				// iteration order depend on removal history; rebuild
+				// below restores ascending-ID order.
 				dirty = append(dirty, p)
 			}
 			en.job.graph.vertices[add.id] = v
 		}
 		for _, p := range dirty {
 			if p.removed > 0 {
-				p.rebuildIDs()
+				en.compact(p)
 			}
 		}
 	}
@@ -1316,7 +1327,9 @@ func (en *engine) applyMutations(results []workerResult) {
 		}
 		p.edges += int64(p.edgeDelta)
 		p.edgeDelta = 0
-		p.compactIfNeeded()
+		if p.needsCompaction() {
+			en.compact(p)
+		}
 	}
 }
 

@@ -12,8 +12,8 @@ const (
 	// PlaneLanes is the lock-free plane: each worker appends pooled
 	// batches to its own row of a numWorkers × numWorkers lane matrix
 	// (single writer, no synchronization), and the owning worker merges
-	// its column into the shard map after the superstep barrier (single
-	// reader, ordered by the barrier). With a combiner installed,
+	// its column into the slot-addressed shard after the superstep
+	// barrier (single reader, ordered by the barrier). With a combiner installed,
 	// senders additionally pre-combine per destination vertex before
 	// flushing. This is the default.
 	PlaneLanes PlaneMode = iota
@@ -85,13 +85,15 @@ type msgLane struct {
 }
 
 // messageStore holds the messages sent during one superstep for
-// delivery at the next. It is sharded by destination partition. In
+// delivery at the next. It is sharded by destination partition, and
+// each shard is addressed by the destination partition's slots. In
 // PlaneMutex mode, writes from any worker lock the destination shard.
 // In PlaneLanes mode, writes go to the per-sender lane matrix without
-// synchronization and mergeLane folds each column into its shard map
-// at the barrier; reads during the next superstep are done exclusively
-// by the shard's owning worker and need no locking either way (the
-// superstep barrier orders them).
+// synchronization and mergeLane folds each column into its shard at
+// the barrier; reads during the next superstep are done exclusively by
+// the shard's owning worker and need no locking either way (the
+// superstep barrier orders them). The engine keeps two stores and
+// swaps them at every barrier.
 type messageStore struct {
 	combiner Combiner
 	mode     PlaneMode
@@ -100,12 +102,23 @@ type messageStore struct {
 	pool     *batchPool  // shared across the engine's stores; nil in PlaneMutex mode
 }
 
+// msgShard is the inbox of one partition, indexed by the partition's
+// slots: cell s belongs to the vertex in slot s, and pending has a bit
+// for every non-empty cell. The superstep scan drains exactly the
+// pending cells, so a drained shard is all-nil again and is reused as
+// it stands.
 type msgShard struct {
 	mu sync.Mutex
 	// Exactly one of m/c is used, depending on whether a combiner is
 	// installed.
-	m map[VertexID][]Value
-	c map[VertexID]Value
+	m       [][]Value
+	c       []Value
+	pending bitmap
+	// orphans holds messages addressed to IDs that had no slot when
+	// they were delivered. integrateMissing resolves them at the barrier
+	// (create the vertex, or drop); under a combiner each list has one
+	// combined element.
+	orphans map[VertexID][]Value
 	// n counts messages received (pre-combining), for stats.
 	n int64
 	// combined counts messages merged away by the combiner (at the
@@ -117,11 +130,7 @@ type msgShard struct {
 func newMessageStore(numShards int, combiner Combiner, mode PlaneMode, pool *batchPool) *messageStore {
 	s := &messageStore{combiner: combiner, mode: mode, shards: make([]msgShard, numShards)}
 	for i := range s.shards {
-		if combiner != nil {
-			s.shards[i].c = make(map[VertexID]Value)
-		} else {
-			s.shards[i].m = make(map[VertexID][]Value)
-		}
+		s.shards[i].orphans = make(map[VertexID][]Value)
 	}
 	if mode == PlaneLanes {
 		s.pool = pool
@@ -133,25 +142,69 @@ func newMessageStore(numShards int, combiner Combiner, mode PlaneMode, pool *bat
 	return s
 }
 
+// ensure grows a shard's cells and pending bitmap to cover n slots.
+func (s *messageStore) ensure(sh *msgShard, n int) {
+	sh.pending = sh.pending.grown(n)
+	if s.combiner != nil {
+		if n > len(sh.c) {
+			sh.c = append(sh.c, make([]Value, n-len(sh.c))...)
+		}
+	} else if n > len(sh.m) {
+		sh.m = append(sh.m, make([][]Value, n-len(sh.m))...)
+	}
+}
+
+// put adds one message to cell `slot`, combining if a combiner is
+// installed. The shard must already cover the slot.
+func (s *messageStore) put(sh *msgShard, slot int, to VertexID, msg Value) {
+	if s.combiner != nil {
+		if sh.pending.test(slot) {
+			sh.c[slot] = s.combiner.Combine(to, sh.c[slot], msg)
+			sh.combined++
+			return
+		}
+		sh.c[slot] = msg
+	} else {
+		sh.m[slot] = append(sh.m[slot], msg)
+		if len(sh.m[slot]) > 1 {
+			return
+		}
+	}
+	sh.pending.set(slot)
+}
+
+// orphan files a message whose destination has no slot.
+func (s *messageStore) orphan(sh *msgShard, to VertexID, msg Value) {
+	if cur := sh.orphans[to]; s.combiner != nil && len(cur) > 0 {
+		cur[0] = s.combiner.Combine(to, cur[0], msg)
+		sh.combined++
+		return
+	}
+	sh.orphans[to] = append(sh.orphans[to], msg)
+}
+
+// deliverTo routes one message into part's shard: one index read, then
+// a slot write. The caller must be the only goroutine touching the
+// shard (or hold its lock) and must have called ensure.
+func (s *messageStore) deliverTo(part *partition, sh *msgShard, to VertexID, msg Value) {
+	if slot, ok := part.index.lookup(to); ok {
+		s.put(sh, slot, to, msg)
+	} else {
+		s.orphan(sh, to, msg)
+	}
+}
+
 // deliver appends a batch of messages to the destination shard under
-// its lock (the PlaneMutex write path).
-func (s *messageStore) deliver(shard int, entries []msgEntry) {
-	sh := &s.shards[shard]
+// its lock (the PlaneMutex write path). The destination's index is
+// only read: partitions change shape at the barrier, never during the
+// compute phase.
+func (s *messageStore) deliver(part *partition, entries []msgEntry) {
+	sh := &s.shards[part.idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if s.combiner != nil {
-		for _, en := range entries {
-			if cur, ok := sh.c[en.to]; ok {
-				sh.c[en.to] = s.combiner.Combine(en.to, cur, en.msg)
-				sh.combined++
-			} else {
-				sh.c[en.to] = en.msg
-			}
-		}
-	} else {
-		for _, en := range entries {
-			sh.m[en.to] = append(sh.m[en.to], en.msg)
-		}
+	s.ensure(sh, len(part.slots))
+	for _, en := range entries {
+		s.deliverTo(part, sh, en.to, en.msg)
 	}
 	sh.n += int64(len(entries))
 }
@@ -166,146 +219,163 @@ func (s *messageStore) laneAppend(sender, dest int, b *msgBatch) {
 	ln.combined += b.combined
 }
 
-// mergeLane folds column `shard` of the lane matrix into the shard
-// map and returns the batches to the pool. It must run after the
-// superstep barrier, with exactly one goroutine touching the shard
-// (the destination's owning worker). Senders are merged in worker
-// order and batches in flush order, so the merged inbox order is
-// deterministic — unlike the mutex plane, where it depends on lock
-// acquisition order.
-func (s *messageStore) mergeLane(shard int) {
+// mergeLane folds part's column of the lane matrix into its shard and
+// returns the batches to the pool. It must run after the superstep
+// barrier, with exactly one goroutine touching the shard (the
+// destination's owning worker). Senders are merged in worker order and
+// batches in flush order, so the merged inbox order is deterministic —
+// unlike the mutex plane, where it depends on lock acquisition order.
+func (s *messageStore) mergeLane(part *partition) {
 	if s.mode != PlaneLanes {
 		return
 	}
-	sh := &s.shards[shard]
+	sh := &s.shards[part.idx]
+	s.ensure(sh, len(part.slots))
 	for sender := range s.lanes {
-		ln := &s.lanes[sender][shard]
+		ln := &s.lanes[sender][part.idx]
 		if ln.n == 0 && len(ln.batches) == 0 {
 			continue
 		}
 		for _, b := range ln.batches {
-			if s.combiner != nil {
-				for _, en := range b.entries {
-					if cur, ok := sh.c[en.to]; ok {
-						sh.c[en.to] = s.combiner.Combine(en.to, cur, en.msg)
-						sh.combined++
-					} else {
-						sh.c[en.to] = en.msg
-					}
-				}
-			} else {
-				for _, en := range b.entries {
-					sh.m[en.to] = append(sh.m[en.to], en.msg)
-				}
+			for _, en := range b.entries {
+				s.deliverTo(part, sh, en.to, en.msg)
 			}
 			s.pool.put(b)
 		}
 		sh.n += ln.n
 		sh.combined += ln.combined
-		ln.batches = nil
+		clear(ln.batches) // the pool owns them now; do not pin them here
+		ln.batches = ln.batches[:0]
 		ln.n, ln.combined = 0, 0
 	}
 }
 
-// resetShard clears one shard to its freshly constructed state.
-// Confined recovery uses it to discard a failed partition's
-// next-superstep inbox before rebuilding it from the outbox logs. The
-// caller must be the only goroutine touching the store (the
-// coordinator, inside the recovery path).
+// resetShard empties one shard: every pending cell, the orphans and
+// the counters. The caller must be the only goroutine touching the
+// store.
 func (s *messageStore) resetShard(shard int) {
 	sh := &s.shards[shard]
-	if s.combiner != nil {
-		sh.c = make(map[VertexID]Value)
-	} else {
-		sh.m = make(map[VertexID][]Value)
-	}
+	sh.pending.forEach(func(slot int) {
+		if s.combiner != nil {
+			sh.c[slot] = nil
+		} else {
+			sh.m[slot] = nil
+		}
+	})
+	clear(sh.pending)
+	clear(sh.orphans)
 	sh.n, sh.combined = 0, 0
 }
 
-// replayDeliver delivers one replayed message straight into a shard
-// map, combining like mergeLane does. Coordinator-only (no locking):
-// confined recovery rebuilds inboxes on a single goroutine, in the
-// deterministic sender-major order the lane merge would have used.
-func (s *messageStore) replayDeliver(shard int, to VertexID, msg Value) {
-	sh := &s.shards[shard]
-	if s.combiner != nil {
-		if cur, ok := sh.c[to]; ok {
-			sh.c[to] = s.combiner.Combine(to, cur, msg)
-			sh.combined++
-		} else {
-			sh.c[to] = msg
-		}
-	} else {
-		sh.m[to] = append(sh.m[to], msg)
+// reset empties every shard so the store can take the next superstep's
+// messages. After a normal superstep the scan has already drained every
+// pending cell, so this is one pass over the (all-zero) bitmaps.
+func (s *messageStore) reset() {
+	for i := range s.shards {
+		s.resetShard(i)
 	}
+}
+
+// replayDeliver delivers one message straight into part's shard,
+// combining like mergeLane does. Coordinator-only (no locking):
+// checkpoint restore and confined recovery rebuild inboxes on a single
+// goroutine, in the deterministic sender-major order the lane merge
+// would have used.
+func (s *messageStore) replayDeliver(part *partition, to VertexID, msg Value) {
+	sh := &s.shards[part.idx]
+	s.ensure(sh, len(part.slots))
+	s.deliverTo(part, sh, to, msg)
 	sh.n++
 }
 
-// migrate moves the pending inbox of one vertex between shards, for
-// the skew rebalancer. Both shards must be merged and quiescent (the
-// coordinator calls it at the barrier).
-func (s *messageStore) migrate(from, to int, id VertexID) {
-	fs, ts := &s.shards[from], &s.shards[to]
+// takeCell empties a pending cell and returns its messages.
+func (s *messageStore) takeCell(sh *msgShard, slot int) []Value {
+	sh.pending.clear(slot)
 	if s.combiner != nil {
-		if v, ok := fs.c[id]; ok {
-			delete(fs.c, id)
-			ts.c[id] = v
-		}
+		v := sh.c[slot]
+		sh.c[slot] = nil
+		return []Value{v}
+	}
+	msgs := sh.m[slot]
+	sh.m[slot] = nil
+	return msgs
+}
+
+// take removes and returns the messages for the vertex in `slot`. Only
+// the shard's owning worker may call it, after the sending superstep's
+// barrier (and, in PlaneLanes mode, after mergeLane).
+func (s *messageStore) take(shard, slot int) []Value {
+	sh := &s.shards[shard]
+	if slot>>6 >= len(sh.pending) || !sh.pending.test(slot) {
+		return nil
+	}
+	return s.takeCell(sh, slot)
+}
+
+// migrate moves the pending inbox of one vertex between shards, for
+// the rebalancer. Both shards must be merged and quiescent (the
+// coordinator calls it at the barrier).
+func (s *messageStore) migrate(from, fromSlot int, to *partition, toSlot int) {
+	msgs := s.take(from, fromSlot)
+	if msgs == nil {
 		return
 	}
-	if msgs, ok := fs.m[id]; ok {
-		delete(fs.m, id)
-		ts.m[id] = msgs
+	ts := &s.shards[to.idx]
+	s.ensure(ts, len(to.slots))
+	if s.combiner != nil {
+		ts.c[toSlot] = msgs[0]
+	} else {
+		ts.m[toSlot] = msgs
 	}
+	ts.pending.set(toSlot)
+}
+
+// orphanCell moves the pending inbox of a slot whose vertex is being
+// removed into the orphans, so the resolver decides its fate under the
+// vertex's ID. Only the mutex plane can have delivered anything by the
+// time mutations apply; lanes are still unmerged.
+func (s *messageStore) orphanCell(shard, slot int, id VertexID) {
+	if msgs := s.take(shard, slot); msgs != nil {
+		s.shards[shard].orphans[id] = msgs
+	}
+}
+
+// remap follows a partition rebuild: cell perm[s] of the rebuilt shard
+// is the old cell s.
+func (s *messageStore) remap(shard int, perm []int32, newLen int) {
+	sh := &s.shards[shard]
+	oldC, oldM, oldPending := sh.c, sh.m, sh.pending
+	sh.c, sh.m, sh.pending = nil, nil, nil
+	s.ensure(sh, newLen)
+	oldPending.forEach(func(slot int) {
+		ns := int(perm[slot])
+		if s.combiner != nil {
+			sh.c[ns] = oldC[slot]
+		} else {
+			sh.m[ns] = oldM[slot]
+		}
+		sh.pending.set(ns)
+	})
 }
 
 // hasPending reports whether the shard holds any undelivered messages.
 // Valid only after every lane column has been merged into the shards
 // (integrateMissing does this at each barrier, and checkpoint recovery
-// decodes straight into shards), which is when the engine's partition
+// delivers straight into shards), which is when the engine's partition
 // skip consults it.
 func (s *messageStore) hasPending(shard int) bool {
-	sh := &s.shards[shard]
-	return len(sh.c) > 0 || len(sh.m) > 0
+	return s.shards[shard].pending.any()
 }
 
-// take removes and returns the messages for one vertex. Only the
-// shard's owning worker may call it, after the sending superstep's
-// barrier (and, in PlaneLanes mode, after mergeLane).
-func (s *messageStore) take(shard int, id VertexID) []Value {
-	sh := &s.shards[shard]
-	if s.combiner != nil {
-		if v, ok := sh.c[id]; ok {
-			delete(sh.c, id)
-			return []Value{v}
-		}
+// orphanIDs returns, in ascending order, the IDs in the shard's
+// orphans.
+func (sh *msgShard) orphanIDs() []VertexID {
+	if len(sh.orphans) == 0 {
 		return nil
 	}
-	if msgs, ok := sh.m[id]; ok {
-		delete(sh.m, id)
-		return msgs
-	}
-	return nil
-}
-
-// pendingIDs returns, in ascending order, the IDs in the shard that
-// are not in exclude. The owning worker uses it to find messages
-// addressed to vertices that do not exist yet.
-func (s *messageStore) pendingIDs(shard int, exclude map[VertexID]*Vertex) []VertexID {
-	sh := &s.shards[shard]
-	var ids []VertexID
-	if s.combiner != nil {
-		for id := range sh.c {
-			if _, ok := exclude[id]; !ok {
-				ids = append(ids, id)
-			}
-		}
-	} else {
-		for id := range sh.m {
-			if _, ok := exclude[id]; !ok {
-				ids = append(ids, id)
-			}
-		}
+	ids := make([]VertexID, 0, len(sh.orphans))
+	for id := range sh.orphans {
+		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
@@ -363,66 +433,53 @@ func (s *messageStore) combinedTotal() int64 {
 	return n
 }
 
-// encode serializes the undelivered messages of one shard, for
+// encode serializes the undelivered messages of part's shard, for
 // checkpoints. Entries are written in ascending vertex order. The
-// scratch slice is reused across shards (and checkpoints) to avoid
-// allocating a fresh ID slice per shard; the possibly-grown slice is
-// returned for the next call.
-func (s *messageStore) encode(shard int, e *Encoder, scratch []VertexID) []VertexID {
-	sh := &s.shards[shard]
-	ids := scratch[:0]
-	if s.combiner != nil {
-		for id := range sh.c {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		e.PutUvarint(uint64(len(ids)))
-		for _, id := range ids {
-			e.PutVarint(int64(id))
+// scratch slice (pending slots) is reused across shards and
+// checkpoints; the possibly-grown slice is returned for the next call.
+func (s *messageStore) encode(part *partition, e *Encoder, scratch []int) []int {
+	sh := &s.shards[part.idx]
+	slots := scratch[:0]
+	sh.pending.forEach(func(slot int) { slots = append(slots, slot) })
+	sort.Slice(slots, func(i, j int) bool { return part.slots[slots[i]].id < part.slots[slots[j]].id })
+	e.PutUvarint(uint64(len(slots)))
+	for _, slot := range slots {
+		e.PutVarint(int64(part.slots[slot].id))
+		if s.combiner != nil {
 			e.PutUvarint(1)
-			EncodeTyped(e, sh.c[id])
+			EncodeTyped(e, sh.c[slot])
+			continue
 		}
-		return ids
-	}
-	for id := range sh.m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.PutUvarint(uint64(len(ids)))
-	for _, id := range ids {
-		e.PutVarint(int64(id))
-		msgs := sh.m[id]
+		msgs := sh.m[slot]
 		e.PutUvarint(uint64(len(msgs)))
 		for _, m := range msgs {
 			EncodeTyped(e, m)
 		}
 	}
-	return ids
+	return slots
 }
 
-// decodeInto restores one shard from its encoded form.
-func (s *messageStore) decodeInto(shard int, d *Decoder) error {
-	sh := &s.shards[shard]
+// inboxEntry is one decoded checkpoint inbox: the undelivered messages
+// of one vertex, not yet routed to a slot.
+type inboxEntry struct {
+	id   VertexID
+	msgs []Value
+}
+
+// decodeInbox decodes one shard's encoded form.
+func decodeInbox(d *Decoder, into []inboxEntry) ([]inboxEntry, error) {
 	nIDs := d.Uvarint()
 	for i := uint64(0); i < nIDs && d.Err() == nil; i++ {
-		id := VertexID(d.Varint())
+		ent := inboxEntry{id: VertexID(d.Varint())}
 		nMsgs := d.Uvarint()
 		for j := uint64(0); j < nMsgs && d.Err() == nil; j++ {
 			v, err := DecodeTyped(d)
 			if err != nil {
-				return err
+				return into, err
 			}
-			if s.combiner != nil {
-				if cur, ok := sh.c[id]; ok {
-					sh.c[id] = s.combiner.Combine(id, cur, v)
-				} else {
-					sh.c[id] = v
-				}
-			} else {
-				sh.m[id] = append(sh.m[id], v)
-			}
-			sh.n++
+			ent.msgs = append(ent.msgs, v)
 		}
+		into = append(into, ent)
 	}
-	return d.Err()
+	return into, d.Err()
 }

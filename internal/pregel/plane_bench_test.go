@@ -12,6 +12,9 @@ import (
 // phase. It is the microscope behind graft-bench -engine: run with
 //
 //	go test ./internal/pregel -run '^$' -bench BenchmarkMessagePlane
+//
+// Its thin-superstep counterpart, BenchmarkThinSuperstep, is in
+// thin_bench_test.go.
 func benchPlaneRoundTrip(b *testing.B, mode PlaneMode, combiner Combiner) {
 	const (
 		workers  = 4
@@ -33,7 +36,7 @@ func benchPlaneRoundTrip(b *testing.B, mode PlaneMode, combiner Combiner) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				ctx := en.newWorkerCtx(w, nVerts, 0)
+				ctx := en.workerCtx(w, nVerts, 0)
 				for k := 0; k < perWorkr; k++ {
 					// Skewed fan-in: a quarter of the traffic hits one hot
 					// vertex, the rest spreads round-robin — the mix where
@@ -55,16 +58,14 @@ func benchPlaneRoundTrip(b *testing.B, mode PlaneMode, combiner Combiner) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				en.next.mergeLane(w)
-				for id := 0; id < nVerts; id++ {
-					if en.partitionFor(VertexID(id)) == w {
-						en.next.take(w, VertexID(id))
-					}
+				en.next.mergeLane(en.parts[w])
+				for slot := range en.parts[w].slots {
+					en.next.take(w, slot)
 				}
 			}(w)
 		}
 		wg.Wait()
-		en.next = en.newStore()
+		en.next.reset()
 	}
 }
 
@@ -102,18 +103,18 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 	en := newEngine(job)
 	for id := 0; id < nVerts; id++ {
 		sh := en.partitionFor(VertexID(id))
-		en.cur.deliver(sh, []msgEntry{
+		en.cur.deliver(en.parts[sh], []msgEntry{
 			{to: VertexID(id), msg: NewLong(int64(id))},
 			{to: VertexID(id), msg: NewLong(int64(id) + 1)},
 		})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var scratch []VertexID
+	var scratch []int
 	for i := 0; i < b.N; i++ {
 		e := NewEncoder()
-		for s := 0; s < workers; s++ {
-			scratch = en.cur.encode(s, e, scratch)
+		for _, p := range en.parts {
+			scratch = en.cur.encode(p, e, scratch)
 		}
 	}
 }

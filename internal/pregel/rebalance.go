@@ -29,7 +29,7 @@ func (en *engine) rebalance(ss *SuperstepStats, v anomaly.SkewVerdict) {
 	}
 	from, skew := v.Worker, v.Skew
 	src := en.parts[from]
-	if len(src.verts) < 2 {
+	if src.live < 2 {
 		return
 	}
 
@@ -52,30 +52,35 @@ func (en *engine) rebalance(ss *SuperstepStats, v anomaly.SkewVerdict) {
 	// so the excess fraction is 1 - 1/skew). Halving damps oscillation:
 	// the hottest vertices go first, so load moves faster than the
 	// vertex count suggests.
-	budget := int(float64(len(src.verts)) * (1 - 1/skew) / 2)
+	budget := int(float64(src.live) * (1 - 1/skew) / 2)
 	if max := en.rebalanceMaxMoves(); budget > max {
 		budget = max
 	}
-	if budget >= len(src.verts) {
-		budget = len(src.verts) - 1
+	if budget >= src.live {
+		budget = src.live - 1
 	}
 	if budget < 1 {
 		budget = 1
 	}
 
-	ids := make([]VertexID, 0, len(src.verts))
-	for id := range src.verts {
-		ids = append(ids, id)
+	hot := make([]*Vertex, 0, src.live)
+	for _, v := range src.slots {
+		if v != nil {
+			hot = append(hot, v)
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		di, dj := len(src.verts[ids[i]].edges), len(src.verts[ids[j]].edges)
-		if di != dj {
+	sort.Slice(hot, func(i, j int) bool {
+		if di, dj := len(hot[i].edges), len(hot[j].edges); di != dj {
 			return di > dj
 		}
-		return ids[i] < ids[j]
+		return hot[i].id < hot[j].id
 	})
+	ids := make([]VertexID, budget)
+	for i := range ids {
+		ids[i] = hot[i].id
+	}
 
-	movedEdges := en.migrateVertices(from, to, ids[:budget])
+	movedEdges := en.migrateVertices(from, to, ids)
 
 	ev := MigrationEvent{From: from, To: to, Vertices: int64(budget), Edges: movedEdges, Skew: skew}
 	ss.Migrations = append(ss.Migrations, ev)
@@ -94,34 +99,30 @@ func (en *engine) migrateVertices(from, to int, ids []VertexID) int64 {
 	}
 	var movedEdges int64
 	for _, id := range ids {
-		v := src.verts[id]
-		delete(src.verts, id)
-		src.removed++
-		src.edges -= int64(len(v.edges))
+		// add and remove flag both partitions' cached subgraph membership
+		// stale: the moved vertices' components must dissolve out of src
+		// and re-form (possibly merging) in dst before the next
+		// ModeSubgraph scan.
+		fromSlot, _ := src.index.lookup(id)
+		v := src.slots[fromSlot]
+		toSlot := dst.add(v)
+		en.next.migrate(from, fromSlot, dst, toSlot)
+		src.remove(fromSlot)
 		if !v.halted {
 			en.partActive[from]--
 			en.partActive[to]++
 		}
-		dst.verts[id] = v
-		dst.ids = append(dst.ids, id)
-		dst.edges += int64(len(v.edges))
-		v.owner = dst
 		en.assign.set(id, to)
-		en.next.migrate(from, to, id)
 		movedEdges += int64(len(v.edges))
 	}
-	// A migration changes both partitions' contents, so their cached
-	// subgraph membership is stale: the moved vertices' components must
-	// dissolve out of src and re-form (possibly merging) in dst before
-	// the next ModeSubgraph scan.
-	src.subsDirty = true
-	dst.subsDirty = true
-	src.compactIfNeeded()
+	if src.needsCompaction() {
+		en.compact(src)
+	}
 	if dst.removed > 0 {
-		// dst may still list a moved-in vertex from before an earlier
-		// migration or removal; rebuilding keeps ids duplicate-free so
-		// no vertex computes twice.
-		dst.rebuildIDs()
+		// Vertices appended behind tombstones would make dst's iteration
+		// order depend on its removal history; rebuilding restores
+		// ascending-ID order.
+		en.compact(dst)
 	}
 	en.stats.Rebalances++
 	en.stats.VerticesMigrated += int64(len(ids))
@@ -175,7 +176,7 @@ func (en *engine) rebalanceEdgeCut(ss *SuperstepStats) {
 		return
 	}
 	src := en.parts[bestFrom]
-	if len(src.verts) < 2 {
+	if src.live < 2 {
 		return
 	}
 
@@ -188,7 +189,10 @@ func (en *engine) rebalanceEdgeCut(ss *SuperstepStats) {
 		gain int
 	}
 	var cands []candidate
-	for id, v := range src.verts {
+	for _, v := range src.slots {
+		if v == nil {
+			continue
+		}
 		toDst, toSrc := 0, 0
 		for i := range v.edges {
 			switch en.partitionFor(v.edges[i].Target) {
@@ -199,7 +203,7 @@ func (en *engine) rebalanceEdgeCut(ss *SuperstepStats) {
 			}
 		}
 		if toDst > toSrc {
-			cands = append(cands, candidate{id: id, gain: toDst - toSrc})
+			cands = append(cands, candidate{id: v.id, gain: toDst - toSrc})
 		}
 	}
 	if len(cands) == 0 {
@@ -215,8 +219,8 @@ func (en *engine) rebalanceEdgeCut(ss *SuperstepStats) {
 	if budget > len(cands) {
 		budget = len(cands)
 	}
-	if budget >= len(src.verts) {
-		budget = len(src.verts) - 1
+	if budget >= src.live {
+		budget = src.live - 1
 	}
 	if budget < 1 {
 		return

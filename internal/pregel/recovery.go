@@ -264,45 +264,32 @@ func (en *engine) replayOnce(st *checkpointState, C, S int, failed map[int]bool,
 	// have changed since C if the rebalancer migrated vertices, and
 	// current placement is what survivors' state reflects.
 	for p := range failed {
-		en.parts[p] = &partition{idx: p, verts: make(map[VertexID]*Vertex)}
+		en.parts[p] = en.newPartition(p)
 	}
+	var rolled []*Vertex
 	for _, vs := range st.parts {
 		for _, v := range vs {
-			p := en.partitionFor(v.id)
-			if !failed[p] {
-				continue
+			if failed[en.partitionFor(v.id)] {
+				rolled = append(rolled, v)
 			}
-			part := en.parts[p]
-			v.owner = part
-			part.verts[v.id] = v
-			part.ids = append(part.ids, v.id)
-			part.edges += int64(len(v.edges))
-			en.job.graph.vertices[v.id] = v
 		}
 	}
-	for p := range failed {
-		part := en.parts[p]
-		sort.Slice(part.ids, func(i, j int) bool { return part.ids[i] < part.ids[j] })
+	// Checkpoint partitions are each in ascending ID order, but routing
+	// may have regrouped them; slots fill in ascending ID order overall.
+	sort.Slice(rolled, func(i, j int) bool { return rolled[i].id < rolled[j].id })
+	for _, v := range rolled {
+		en.parts[en.partitionFor(v.id)].add(v)
+		en.job.graph.vertices[v.id] = v
 	}
 
 	// Inbox for superstep C comes from the checkpoint itself (its
 	// resolver-created vertices are already in the vertex lists, so no
 	// resolution pass here).
 	inbox := en.newStore()
-	for shard := range st.cur.shards {
-		sh := &st.cur.shards[shard]
-		for id, v := range sh.c {
-			if p := en.partitionFor(id); failed[p] {
-				inbox.replayDeliver(p, id, v)
-			}
-		}
-		for id, msgs := range sh.m {
-			p := en.partitionFor(id)
-			if !failed[p] {
-				continue
-			}
-			for _, v := range msgs {
-				inbox.replayDeliver(p, id, v)
+	for _, ent := range st.inbox {
+		if p := en.partitionFor(ent.id); failed[p] {
+			for _, v := range ent.msgs {
+				inbox.replayDeliver(en.parts[p], ent.id, v)
 			}
 		}
 	}
@@ -368,12 +355,10 @@ func (en *engine) replayStep(t int, snap stepSnapshot, inbox *messageStore, fail
 	return nil
 }
 
-func (en *engine) replayWorker(p, t int, snap stepSnapshot, inbox *messageStore) error {
-	if en.cfg.ComputeMode == ModeSubgraph {
-		return en.replaySubgraphWorker(p, t, snap, inbox)
-	}
-	part := en.parts[p]
-	ctx := &workerCtx{
+// replayCtx builds the Context of one replayed worker superstep:
+// outputs suppressed, aggregates read from the snapshot.
+func (en *engine) replayCtx(p, t int, snap stepSnapshot) *workerCtx {
+	return &workerCtx{
 		en:          en,
 		worker:      p,
 		superstep:   t,
@@ -383,23 +368,14 @@ func (en *engine) replayWorker(p, t int, snap stepSnapshot, inbox *messageStore)
 		replay:      true,
 		bcast:       snap.aggs,
 	}
-	for i := 0; i < len(part.ids); i++ {
-		v, ok := part.verts[part.ids[i]]
-		if !ok {
-			continue
-		}
-		msgs := inbox.take(p, v.id)
-		if v.halted {
-			if len(msgs) == 0 {
-				continue
-			}
-			v.halted = false
-		}
-		if err := en.safeCompute(ctx, v, msgs); err != nil {
-			return err
-		}
+}
+
+func (en *engine) replayWorker(p, t int, snap stepSnapshot, inbox *messageStore) error {
+	if en.cfg.ComputeMode == ModeSubgraph {
+		return en.replaySubgraphWorker(p, t, snap, inbox)
 	}
-	return nil
+	var res workerResult
+	return en.computeFrontier(en.replayCtx(p, t, snap), en.parts[p], inbox, &res)
 }
 
 // replayInto routes logged entries into the store's failed shards,
@@ -424,7 +400,7 @@ func (en *engine) replayInto(store *messageStore, lst *loggedStep, failed map[in
 				}
 				// Clone: the decoded log is shared across nested replay
 				// attempts, and a combiner may mutate delivered values.
-				store.replayDeliver(p, ent.to, CloneValue(ent.msg))
+				store.replayDeliver(en.parts[p], ent.to, CloneValue(ent.msg))
 				msgs++
 				delivered = true
 			}
@@ -452,11 +428,8 @@ func (en *engine) applyLoggedMutations(removals []VertexID, additions []vertexAd
 	sort.Slice(rem, func(i, j int) bool { return rem[i] < rem[j] })
 	for _, id := range rem {
 		p := en.parts[en.partitionFor(id)]
-		if v, ok := p.verts[id]; ok {
-			p.edges -= int64(len(v.edges))
-			delete(p.verts, id)
-			p.removed++
-			p.subsDirty = true
+		if slot, ok := p.index.lookup(id); ok {
+			p.remove(slot)
 		}
 	}
 	var adds []vertexAddition
@@ -469,7 +442,7 @@ func (en *engine) applyLoggedMutations(removals []VertexID, additions []vertexAd
 	var dirty []*partition
 	for _, add := range adds {
 		p := en.parts[en.partitionFor(add.id)]
-		if _, exists := p.verts[add.id]; exists {
+		if p.vertex(add.id) != nil {
 			continue
 		}
 		val := add.value
@@ -478,18 +451,18 @@ func (en *engine) applyLoggedMutations(removals []VertexID, additions []vertexAd
 		} else if en.cfg.DefaultVertexValue != nil {
 			val = en.cfg.DefaultVertexValue()
 		}
-		v := &Vertex{id: add.id, value: val, owner: p}
-		p.verts[add.id] = v
-		p.ids = append(p.ids, add.id)
-		p.subsDirty = true
+		v := &Vertex{id: add.id, value: val}
+		p.add(v)
 		if p.removed > 0 {
 			dirty = append(dirty, p)
 		}
 		en.job.graph.vertices[add.id] = v
 	}
+	// Replayed inboxes are rebuilt after each replayed barrier, so no
+	// slot-addressed state has to follow these rebuilds.
 	for _, p := range dirty {
 		if p.removed > 0 {
-			p.rebuildIDs()
+			p.rebuild()
 		}
 	}
 }
@@ -502,7 +475,9 @@ func (en *engine) foldReplayEdgeDeltas(failed map[int]bool) {
 		part := en.parts[p]
 		part.edges += int64(part.edgeDelta)
 		part.edgeDelta = 0
-		part.compactIfNeeded()
+		if part.needsCompaction() {
+			part.rebuild()
+		}
 	}
 }
 
@@ -515,21 +490,9 @@ func (en *engine) foldReplayEdgeDeltas(failed map[int]bool) {
 // already counted them).
 func (en *engine) resolveReplayMissing(store *messageStore, failed map[int]bool) {
 	for p := range failed {
-		part := en.parts[p]
-		for _, id := range store.pendingIDs(p, part.verts) {
-			if en.cfg.CreateMissingVertices {
-				var val Value
-				if en.cfg.DefaultVertexValue != nil {
-					val = en.cfg.DefaultVertexValue()
-				}
-				v := &Vertex{id: id, value: val, owner: part}
-				part.verts[id] = v
-				part.ids = append(part.ids, id)
-				part.subsDirty = true
-				en.job.graph.vertices[id] = v
-			} else {
-				store.take(p, id)
-			}
+		created, _ := en.resolveOrphans(store, en.parts[p])
+		for _, v := range created {
+			en.job.graph.vertices[v.id] = v
 		}
 	}
 }

@@ -103,6 +103,9 @@ type Subgraph struct {
 	id      VertexID
 	members []*Vertex
 	index   map[VertexID]int
+	// slots[i] is members[i]'s slot in the owning partition, addressing
+	// its inbox cell and awake bit; nil for detached subgraphs.
+	slots []int32
 	// inbox[i] holds the messages delivered to members[i] this
 	// superstep; owned by the engine and valid only during the
 	// ComputeSubgraph call.
@@ -215,17 +218,20 @@ func (p *partition) ensureSubgraphs() {
 // ID with members sorted by ID, so the result is a pure function of
 // the partition's content — the determinism the trace digests pin.
 func discoverSubgraphs(p *partition) []*Subgraph {
-	ids := make([]VertexID, 0, len(p.verts))
-	for id := range p.verts {
-		ids = append(ids, id)
+	// order[i] is the slot of the i-th live vertex by ascending ID;
+	// rank is its inverse, so an edge target resolves to its union-find
+	// element with one index read.
+	order := make([]int32, 0, p.live)
+	for s, v := range p.slots {
+		if v != nil {
+			order = append(order, int32(s))
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	idx := make(map[VertexID]int, len(ids))
-	for i, id := range ids {
-		idx[id] = i
-	}
-	parent := make([]int, len(ids))
-	for i := range parent {
+	sort.Slice(order, func(i, j int) bool { return p.slots[order[i]].id < p.slots[order[j]].id })
+	rank := make([]int32, len(p.slots))
+	parent := make([]int, len(order))
+	for i, s := range order {
+		rank[s] = int32(i)
 		parent[i] = i
 	}
 	find := func(x int) int {
@@ -235,12 +241,12 @@ func discoverSubgraphs(p *partition) []*Subgraph {
 		}
 		return x
 	}
-	for i, id := range ids {
-		for _, e := range p.verts[id].edges {
-			if j, ok := idx[e.Target]; ok {
-				ri, rj := find(i), find(j)
+	for i, s := range order {
+		for _, e := range p.slots[s].edges {
+			if ts, ok := p.index.lookup(e.Target); ok {
+				ri, rj := find(i), find(int(rank[ts]))
 				if ri != rj {
-					if ri > rj { // root at the smaller slot = smaller ID
+					if ri > rj { // root at the smaller element = smaller ID
 						ri, rj = rj, ri
 					}
 					parent[rj] = ri
@@ -248,19 +254,26 @@ func discoverSubgraphs(p *partition) []*Subgraph {
 			}
 		}
 	}
-	groups := make(map[int][]*Vertex)
+	groups := make(map[int][]int32)
 	roots := make([]int, 0)
-	for i, id := range ids {
+	for i, s := range order {
 		r := find(i)
 		if _, seen := groups[r]; !seen {
 			roots = append(roots, r)
 		}
-		groups[r] = append(groups[r], p.verts[id])
+		groups[r] = append(groups[r], s)
 	}
-	sort.Ints(roots) // root slot order == minimum-member-ID order
+	sort.Ints(roots) // root element order == minimum-member-ID order
 	subs := make([]*Subgraph, 0, len(roots))
 	for _, r := range roots {
-		subs = append(subs, newSubgraph(groups[r]))
+		slots := groups[r]
+		members := make([]*Vertex, len(slots))
+		for i, s := range slots {
+			members[i] = p.slots[s]
+		}
+		sg := newSubgraph(members)
+		sg.slots = slots
+		subs = append(subs, sg)
 	}
 	return subs
 }
@@ -275,14 +288,14 @@ type subgraphCtx struct {
 	iterations int64
 }
 
-func (c *subgraphCtx) Superstep() int              { return c.w.superstep }
-func (c *subgraphCtx) TotalNumVertices() int64     { return c.w.numVertices }
-func (c *subgraphCtx) TotalNumEdges() int64        { return c.w.numEdges }
-func (c *subgraphCtx) WorkerID() int               { return c.w.worker }
+func (c *subgraphCtx) Superstep() int               { return c.w.superstep }
+func (c *subgraphCtx) TotalNumVertices() int64      { return c.w.numVertices }
+func (c *subgraphCtx) TotalNumEdges() int64         { return c.w.numEdges }
+func (c *subgraphCtx) WorkerID() int                { return c.w.worker }
 func (c *subgraphCtx) GetAggregated(n string) Value { return c.w.GetAggregated(n) }
-func (c *subgraphCtx) Aggregate(n string, v Value) { c.w.Aggregate(n, v) }
-func (c *subgraphCtx) VoteToHalt()                 { c.halt = true }
-func (c *subgraphCtx) AddIterations(n int64)       { c.iterations += n }
+func (c *subgraphCtx) Aggregate(n string, v Value)  { c.w.Aggregate(n, v) }
+func (c *subgraphCtx) VoteToHalt()                  { c.halt = true }
+func (c *subgraphCtx) AddIterations(n int64)        { c.iterations += n }
 
 func (c *subgraphCtx) SendMessage(from, to VertexID, msg Value) {
 	_ = from // sender attribution is consumed by the trace instrumentation wrapper
@@ -299,14 +312,9 @@ func NewSubgraphJob(g *Graph, scomp SubgraphComputation, cfg Config) *Job {
 }
 
 // runSubgraphWorker is the ModeSubgraph counterpart of runWorker: it
-// scans the partition's subgraphs instead of its vertices. A subgraph
-// computes when any member is active; a message to any member wakes
-// the whole subgraph; VoteToHalt halts every member together. Active
-// counting stays per-vertex, so convergence and the partition-skip
-// fast path are mode-independent.
+// scans the partition's subgraphs instead of its vertices.
 func (en *engine) runSubgraphWorker(w int, nv, ne int64) (workerResult, error) {
 	var res workerResult
-	part := en.parts[w]
 	collect := !en.cfg.DisableMetrics
 	var t0 time.Time
 	var capReporter CaptureTimeReporter
@@ -318,59 +326,14 @@ func (en *engine) runSubgraphWorker(w int, nv, ne int64) (workerResult, error) {
 			capBefore = ctr.CaptureNanos(w)
 		}
 	}
-	part.ensureSubgraphs()
-	ctx := en.newWorkerCtx(w, nv, ne)
+	ctx := en.workerCtx(w, nv, ne)
 	sctx := &subgraphCtx{w: ctx}
-	for si, sg := range part.subs {
-		if si&15 == 0 {
-			if err := en.ctx.Err(); err != nil {
-				return res, fmt.Errorf("pregel: worker %d canceled in superstep %d: %w", w, en.superstep, err)
-			}
-		}
-		active := false
-		for i, v := range sg.members {
-			msgs := en.cur.take(w, v.id)
-			sg.inbox[i] = msgs
-			if len(msgs) > 0 {
-				res.received += int64(len(msgs))
-				v.halted = false // message-wake, subgraph-wide below
-			}
-			if !v.halted {
-				active = true
-			}
-		}
-		if !active {
-			for i := range sg.inbox {
-				sg.inbox[i] = nil
-			}
-			continue
-		}
-		// The subgraph computes as a unit: every member participates in
-		// the sequential pass, halted or not.
-		for _, v := range sg.members {
-			v.halted = false
-		}
-		res.vertices += int64(len(sg.members))
-		res.subgraphs++
-		sctx.halt = false
-		err := en.safeComputeSubgraph(sctx, sg)
-		for i := range sg.inbox {
-			sg.inbox[i] = nil
-		}
-		if err != nil {
-			res.iterations = sctx.iterations
-			return res, err
-		}
-		if sctx.halt {
-			for _, v := range sg.members {
-				v.halted = true
-			}
-		} else {
-			res.active += int64(len(sg.members))
-		}
+	err := en.computeSubgraphs(sctx, en.parts[w], en.cur, &res)
+	res.iterations = sctx.iterations
+	if err != nil {
+		return res, err
 	}
 	ctx.flushAll()
-	res.iterations = sctx.iterations
 	res.sent = ctx.sent
 	res.aggPartial = ctx.aggPartial
 	res.removals = ctx.removals
@@ -384,61 +347,75 @@ func (en *engine) runSubgraphWorker(w int, nv, ne int64) (workerResult, error) {
 	return res, nil
 }
 
-// replaySubgraphWorker is the confined-recovery counterpart of
-// replayWorker for ModeSubgraph: it re-runs superstep t's subgraph
-// computes against the snapshot aggregates with sends, aggregation and
-// mutations suppressed, rebuilding member state (and re-emitting
-// instrumentation captures) exactly as the original superstep did.
-func (en *engine) replaySubgraphWorker(p, t int, snap stepSnapshot, inbox *messageStore) error {
-	part := en.parts[p]
+// computeSubgraphs runs one superstep of subgraph computes over part,
+// taking each member's mail from inbox by slot. A subgraph computes
+// when any member is active; a message to any member wakes the whole
+// subgraph; VoteToHalt halts every member together. Active counting
+// and the awake bitmap stay per-vertex, so convergence and the empty-
+// frontier skip are mode-independent. Live supersteps and confined
+// replay both run through here.
+func (en *engine) computeSubgraphs(sctx *subgraphCtx, part *partition, inbox *messageStore, res *workerResult) error {
 	part.ensureSubgraphs()
-	ctx := &workerCtx{
-		en:          en,
-		worker:      p,
-		superstep:   t,
-		numVertices: snap.nv,
-		numEdges:    snap.ne,
-		aggPartial:  map[string]Value{},
-		replay:      true,
-		bcast:       snap.aggs,
-	}
-	sctx := &subgraphCtx{w: ctx}
-	for _, sg := range part.subs {
+	for si, sg := range part.subs {
+		if si&15 == 0 {
+			if err := en.ctx.Err(); err != nil {
+				return fmt.Errorf("pregel: worker %d canceled in superstep %d: %w", part.idx, sctx.w.superstep, err)
+			}
+		}
 		active := false
 		for i, v := range sg.members {
-			msgs := inbox.take(p, v.id)
+			msgs := inbox.take(part.idx, int(sg.slots[i]))
 			sg.inbox[i] = msgs
 			if len(msgs) > 0 {
-				v.halted = false
+				res.received += int64(len(msgs))
+				v.halted = false // message-wake, subgraph-wide below
 			}
 			if !v.halted {
 				active = true
 			}
 		}
 		if !active {
-			for i := range sg.inbox {
-				sg.inbox[i] = nil
-			}
 			continue
 		}
+		// The subgraph computes as a unit: every member participates in
+		// the sequential pass, halted or not.
 		for _, v := range sg.members {
 			v.halted = false
 		}
+		res.vertices += int64(len(sg.members))
+		res.subgraphs++
 		sctx.halt = false
 		err := en.safeComputeSubgraph(sctx, sg)
-		for i := range sg.inbox {
-			sg.inbox[i] = nil
-		}
+		clear(sg.inbox)
 		if err != nil {
 			return err
 		}
-		if sctx.halt {
-			for _, v := range sg.members {
+		for i, v := range sg.members {
+			if sctx.halt {
 				v.halted = true
 			}
+			if v.halted {
+				part.awake.clear(int(sg.slots[i]))
+			} else {
+				part.awake.set(int(sg.slots[i]))
+			}
+		}
+		if !sctx.halt {
+			res.active += int64(len(sg.members))
 		}
 	}
 	return nil
+}
+
+// replaySubgraphWorker is the confined-recovery counterpart of
+// replayWorker for ModeSubgraph: it re-runs superstep t's subgraph
+// computes against the snapshot aggregates with sends, aggregation and
+// mutations suppressed, rebuilding member state (and re-emitting
+// instrumentation captures) exactly as the original superstep did.
+func (en *engine) replaySubgraphWorker(p, t int, snap stepSnapshot, inbox *messageStore) error {
+	var res workerResult
+	sctx := &subgraphCtx{w: en.replayCtx(p, t, snap)}
+	return en.computeSubgraphs(sctx, en.parts[p], inbox, &res)
 }
 
 func (en *engine) safeComputeSubgraph(ctx *subgraphCtx, sg *Subgraph) (err error) {

@@ -6,16 +6,13 @@ import (
 
 func subgraphTestPartition(t *testing.T, edges map[VertexID][]VertexID, ids ...VertexID) *partition {
 	t.Helper()
-	p := &partition{verts: make(map[VertexID]*Vertex, len(ids))}
+	p := &partition{}
 	for _, id := range ids {
-		v := NewDetachedVertex(id, NewLong(int64(id)))
-		v.owner = p
-		p.verts[id] = v
-		p.ids = append(p.ids, id)
+		p.add(NewDetachedVertex(id, NewLong(int64(id))))
 	}
 	for from, tos := range edges {
 		for _, to := range tos {
-			p.verts[from].edges = append(p.verts[from].edges, Edge{Target: to})
+			p.vertex(from).edges = append(p.vertex(from).edges, Edge{Target: to})
 		}
 	}
 	return p
@@ -71,7 +68,7 @@ func TestSubgraphsDirtyAfterMutation(t *testing.T) {
 		t.Fatalf("got %d subgraphs, want 2", len(p.subs))
 	}
 	// Bridging 2-3 through the vertex API must flag a recompute.
-	p.verts[2].AddEdge(Edge{Target: 3})
+	p.vertex(2).AddEdge(Edge{Target: 3})
 	if !p.subsDirty {
 		t.Fatal("AddEdge did not mark subgraphs dirty")
 	}
@@ -81,7 +78,7 @@ func TestSubgraphsDirtyAfterMutation(t *testing.T) {
 			len(p.subs), p.subs[0].NumMembers())
 	}
 	// Cutting the bridge splits it again.
-	p.verts[2].RemoveEdges(3)
+	p.vertex(2).RemoveEdges(3)
 	if !p.subsDirty {
 		t.Fatal("RemoveEdges did not mark subgraphs dirty")
 	}
