@@ -118,6 +118,14 @@ type Aggregator interface {
 // Combiner merges messages addressed to the same vertex before
 // delivery, Giraph's MessageCombiner. It must be commutative and
 // associative, and may mutate and return a.
+//
+// The standard combiners (MinLongCombiner, MaxLongCombiner,
+// SumLongCombiner, SumDoubleCombiner, MinDoubleCombiner) are recognised
+// by the engine: on the lane plane their messages travel unboxed, and
+// the receiver is handed a freshly boxed LongValue or DoubleValue.
+// SendMessage under one of them therefore requires the matching value
+// type — *LongValue for the Long combiners, *DoubleValue for the Double
+// ones — and anything else fails the sending Compute.
 type Combiner interface {
 	Combine(to VertexID, a, b Value) Value
 }

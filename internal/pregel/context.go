@@ -23,10 +23,20 @@ type workerCtx struct {
 	// lane is the PlaneLanes send buffer: the open pooled batch per
 	// destination partition, handed to the lane matrix when full.
 	lane []*msgBatch
-	// laneIdx maps destination vertex to its entry index in the open
-	// batch, for sender-side combining. Non-nil only in PlaneLanes mode
-	// with a combiner installed.
-	laneIdx []map[VertexID]int
+	// laneIdx is the sender-side combining index, non-nil only in
+	// PlaneLanes mode with a combiner installed: laneIdx[p][s] holds
+	// generation<<32 | position for the destination in slot s of partition
+	// p (partition indexes are read-only during the compute phase), and
+	// says that the destination already has an entry at that position of
+	// the open batch — if the generation is laneGen[p], the number of that
+	// batch. Handing a batch to the lane bumps the generation, which
+	// outdates every stamp at once, so nothing is cleared between batches
+	// or supersteps.
+	laneIdx [][]uint64
+	laneGen []uint32
+	// scalar is the store's scalar combiner: when set, sends go out as
+	// unboxed rows.
+	scalar scalarCombiner
 
 	sent       int64
 	aggPartial map[string]Value
@@ -78,6 +88,10 @@ func (c *workerCtx) SendMessage(to VertexID, msg Value) {
 		// delivered from there; re-sending would double it.
 		return
 	}
+	if c.scalar != 0 {
+		c.sendBits(to, c.scalar.bits(msg))
+		return
+	}
 	c.sent++
 	p := c.en.partitionFor(to)
 	if c.lane != nil {
@@ -91,51 +105,107 @@ func (c *workerCtx) SendMessage(to VertexID, msg Value) {
 	}
 }
 
-// laneSend buffers one message on the PlaneLanes path. With a combiner
-// installed it combines at the sender: messages to a destination
-// already in the open batch merge in place, so the lane (and the
-// merge at the barrier) sees pre-combined traffic.
-//
-// Sender-side combining is adaptive per destination partition. The
-// index lookup costs one map operation per send while the savings are
-// one merge-time map operation per hit, so the index only pays for
-// itself on concentrated fan-in (hub-heavy graphs, where nearly every
-// send collapses in place); on spread-out traffic it is pure overhead
-// on top of the merge-time combine that happens anyway. Each flushed
-// batch votes: a batch whose sends mostly missed the index turns it
-// off for this partition for the rest of the superstep.
-func (c *workerCtx) laneSend(p int, to VertexID, msg Value) {
+// openBatch returns lane p's open batch, taking one from the pool when
+// the last was handed off.
+func (c *workerCtx) openBatch(p int) *msgBatch {
 	b := c.lane[p]
 	if b == nil {
-		b = c.en.pool.get()
+		b = c.en.pool.get(c.scalar != 0)
 		c.lane[p] = b
 	}
-	if c.laneIdx != nil && c.laneIdx[p] != nil {
-		if i, ok := c.laneIdx[p][to]; ok {
+	return b
+}
+
+// combinePos is the sender-side combining probe: the position in lane
+// p's open batch already holding a message for `to`, or -1 after
+// stamping `next` — where the caller is about to append one — as that
+// position. Destinations without a slot are never stamped: their
+// messages meet in the shard's orphans instead.
+func (c *workerCtx) combinePos(p int, to VertexID, next int) int {
+	slot, ok := c.en.parts[p].index.lookup(to)
+	if !ok {
+		return -1
+	}
+	idx := c.laneIdx[p]
+	if slot >= len(idx) { // first use, or the partition grew at a barrier
+		idx = append(idx, make([]uint64, len(c.en.parts[p].slots)-len(idx))...)
+		c.laneIdx[p] = idx
+	}
+	gen := c.laneGen[p]
+	if cell := idx[slot]; uint32(cell>>32) == gen {
+		return int(uint32(cell))
+	}
+	idx[slot] = uint64(gen)<<32 | uint64(next)
+	return -1
+}
+
+// flushLane hands lane p's open batch to the lane matrix and starts a
+// new generation of the combining index.
+func (c *workerCtx) flushLane(p int) {
+	c.en.next.laneAppend(c.worker, p, c.lane[p])
+	c.lane[p] = nil
+	if c.laneGen != nil {
+		c.laneGen[p]++
+		if c.laneGen[p] == 0 {
+			// 2³² batches on: stamps of the previous lap would read as
+			// current. Generation 0 stays unused — it is what the zeroed
+			// cells of a fresh index carry.
+			clear(c.laneIdx[p])
+			c.laneGen[p] = 1
+		}
+	}
+}
+
+// laneSend buffers one boxed message on the PlaneLanes path. With a
+// combiner installed it combines at the sender: a message to a
+// destination already in the open batch merges in place, so the lane
+// (and the merge at the barrier) sees pre-combined traffic.
+func (c *workerCtx) laneSend(p int, to VertexID, msg Value) {
+	b := c.openBatch(p)
+	b.n++
+	if c.laneIdx != nil {
+		if i := c.combinePos(p, to, len(b.entries)); i >= 0 {
 			b.entries[i].msg = c.en.cfg.Combiner.Combine(to, b.entries[i].msg, msg)
-			b.n++
 			b.combined++
 			return
 		}
-		c.laneIdx[p][to] = len(b.entries)
 	}
 	b.entries = append(b.entries, msgEntry{to: to, msg: msg})
-	b.n++
 	if len(b.entries) >= c.flushBatch {
-		if c.laneIdx != nil && c.laneIdx[p] != nil {
-			if b.combined*4 >= b.n*3 {
-				clear(c.laneIdx[p])
-			} else {
-				c.laneIdx[p] = nil
-				c.en.laneCombineOff[c.worker][p] = true
-			}
-		}
-		c.en.next.laneAppend(c.worker, p, b)
-		c.lane[p] = nil
+		c.flushLane(p)
+	}
+}
+
+// sendBits is laneSend for a message already unboxed under the scalar
+// combiner: the same batching and sender-side combining, over rows.
+func (c *workerCtx) sendBits(to VertexID, bits uint64) {
+	c.sent++
+	p := c.en.partitionFor(to)
+	b := c.openBatch(p)
+	b.n++
+	if i := c.combinePos(p, to, len(b.rows)); i >= 0 {
+		b.rows[i].bits = c.scalar.fold(b.rows[i].bits, bits)
+		b.combined++
+		return
+	}
+	b.rows = append(b.rows, scalarRow{to: to, bits: bits})
+	if len(b.rows) >= c.flushBatch {
+		c.flushLane(p)
 	}
 }
 
 func (c *workerCtx) SendMessageToAllEdges(v *Vertex, msg Value) {
+	if c.replay {
+		return // see SendMessage
+	}
+	// Rows are copies by construction: unbox once, send to every edge.
+	if c.scalar != 0 {
+		bits := c.scalar.bits(msg)
+		for i := range v.edges {
+			c.sendBits(v.edges[i].Target, bits)
+		}
+		return
+	}
 	// Each recipient normally gets its own Value: a combiner is allowed
 	// to mutate stored messages, so sharing one object across inboxes
 	// would corrupt them. Values that declare themselves immutable can
@@ -185,12 +255,7 @@ func (c *workerCtx) flushAll() {
 			if b == nil {
 				continue
 			}
-			if len(b.entries) > 0 {
-				c.en.next.laneAppend(c.worker, p, b)
-			} else {
-				c.en.pool.put(b)
-			}
-			c.lane[p] = nil
+			c.flushLane(p)
 		}
 		return
 	}

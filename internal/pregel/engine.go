@@ -442,13 +442,6 @@ type engine struct {
 	// recovery). A partition with none and an empty inbox shard has an
 	// empty frontier, and no worker is launched for it.
 	partActive []int64
-	// laneCombineOff[w][p] records that worker w's traffic to partition
-	// p missed the sender-side combining index too often to keep paying
-	// for it; the verdict is sticky across supersteps because the
-	// fan-in pattern is a property of the graph, not of one superstep.
-	// Row w is written only by worker w (and read when building its
-	// next context, after the barrier), so no synchronization.
-	laneCombineOff [][]bool
 
 	lastCheckpoint int // superstep of the last written checkpoint, -1 if none
 
@@ -513,12 +506,6 @@ func newEngine(j *Job) *engine {
 	}
 	en.partActive = make([]int64, w)
 	en.recountActive()
-	if j.cfg.MessagePlane == PlaneLanes && j.cfg.Combiner != nil {
-		en.laneCombineOff = make([][]bool, w)
-		for i := range en.laneCombineOff {
-			en.laneCombineOff[i] = make([]bool, w)
-		}
-	}
 	if !j.cfg.DisableMetrics && j.cfg.AnomalyWindow >= 0 {
 		en.anom = anomaly.New(anomaly.Config{Window: j.cfg.AnomalyWindow})
 	}
@@ -809,7 +796,10 @@ func (en *engine) run(start time.Time) (*Stats, error) {
 		if collect && en.anom != nil {
 			traffic = en.next.trafficMatrix()
 		}
-		droppedNow := en.integrateMissing()
+		droppedNow, err := en.integrateMissing()
+		if err != nil {
+			return finish(err)
+		}
 		en.stats.MessagesDropped += droppedNow
 		ss := SuperstepStats{Superstep: en.superstep, ActiveAtEnd: active, MessagesSent: sent, Straggler: -1}
 		ss.MessagesCombined = en.next.combinedTotal()
@@ -980,8 +970,13 @@ func (en *engine) workerCtx(w int, nv, ne int64) *workerCtx {
 		ctx = &workerCtx{en: en, worker: w, flushBatch: en.flushBatch, aggPartial: map[string]Value{}}
 		if en.cfg.MessagePlane == PlaneLanes {
 			ctx.lane = make([]*msgBatch, len(en.parts))
+			ctx.scalar = en.next.scalar
 			if en.cfg.Combiner != nil {
-				ctx.laneIdx = make([]map[VertexID]int, len(en.parts))
+				ctx.laneIdx = make([][]uint64, len(en.parts))
+				ctx.laneGen = make([]uint32, len(en.parts))
+				for p := range ctx.laneGen {
+					ctx.laneGen[p] = 1 // 0 is the stamp of a never-written cell
+				}
 			}
 		} else {
 			ctx.out = make([][]msgEntry, len(en.parts))
@@ -992,16 +987,6 @@ func (en *engine) workerCtx(w int, nv, ne int64) *workerCtx {
 	ctx.sent = 0
 	clear(ctx.aggPartial)
 	ctx.removals, ctx.additions = ctx.removals[:0], ctx.additions[:0]
-	for p := range ctx.laneIdx {
-		switch {
-		case en.laneCombineOff[w][p]:
-			ctx.laneIdx[p] = nil
-		case ctx.laneIdx[p] == nil:
-			ctx.laneIdx[p] = make(map[VertexID]int)
-		default:
-			clear(ctx.laneIdx[p])
-		}
-	}
 	return ctx
 }
 
@@ -1197,20 +1182,38 @@ func (en *engine) safeCompute(ctx *workerCtx, v *Vertex, msgs []Value) (err erro
 // counted as dropped. Each partition is handled by its own goroutine —
 // the post-barrier single reader the lane design relies on; the
 // coordinator then mirrors the created vertices into the input graph
-// so callers observe them after the run.
-func (en *engine) integrateMissing() int64 {
+// so callers observe them after the run. A user combiner that panics
+// while messages meet here fails the job like a panicking Compute does.
+func (en *engine) integrateMissing() (int64, error) {
 	dropped := make([]int64, len(en.parts))
 	created := make([][]*Vertex, len(en.parts))
+	errs := make([]error, len(en.parts))
 	var wg sync.WaitGroup
 	for w := range en.parts {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					errs[w] = &ComputeError{
+						VertexID:  en.next.shards[w].merging,
+						Superstep: en.superstep,
+						Worker:    w,
+						Panic:     p,
+						Stack:     string(debug.Stack()),
+					}
+				}
+			}()
 			en.next.mergeLane(en.parts[w])
 			created[w], dropped[w] = en.resolveOrphans(en.next, en.parts[w])
 		}(w)
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return 0, err
+		}
+	}
 	var total int64
 	for w, vs := range created {
 		en.partActive[w] += int64(len(vs)) // resolver-created vertices start active
@@ -1219,7 +1222,7 @@ func (en *engine) integrateMissing() int64 {
 		}
 		total += dropped[w]
 	}
-	return total
+	return total, nil
 }
 
 // resolveOrphans empties the orphans of part's shard in ascending ID
@@ -1232,6 +1235,7 @@ func (en *engine) resolveOrphans(store *messageStore, part *partition) (created 
 	sh := &store.shards[part.idx]
 	for _, id := range sh.orphanIDs() {
 		msgs := sh.orphans[id]
+		sh.merging = id
 		slot, ok := part.index.lookup(id)
 		if !ok {
 			if !en.cfg.CreateMissingVertices {

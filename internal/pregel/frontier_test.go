@@ -18,6 +18,10 @@ import (
 //	awake          == {live slots whose vertex has not halted}
 //	partActive[w]  == popcount(awake)
 //	pending        == {slots with a non-empty inbox cell}, all live
+//	                  (a cs cell has no empty state: its pending bit is
+//	                  what makes it one, so there the check is that the
+//	                  column covers every bit and the boxed columns stay
+//	                  unused)
 //	orphans        == {} once integrateMissing has run
 //
 // plus the slot index agreeing with the slot array and the routing
@@ -30,6 +34,7 @@ type frontierChecker struct {
 	lastSeat   map[VertexID][2]int // partition and slot at the previous check
 	tombstones bool
 	compacted  bool
+	sawRows    bool // audited at least one scalar (cs) shard
 }
 
 func (c *frontierChecker) JobStarted(JobInfo)        {}
@@ -87,14 +92,28 @@ func (c *frontierChecker) check(where string, full, drained *messageStore) {
 		}
 
 		sh := &full.shards[p.idx]
-		cells := max(len(sh.c), len(sh.m))
+		if full.scalar != 0 {
+			c.sawRows = true
+			if len(sh.c) != 0 || len(sh.m) != 0 {
+				c.t.Errorf("%s: scalar shard also has %d boxed and %d list cells", at, len(sh.c), len(sh.m))
+			}
+		} else if len(sh.cs) != 0 {
+			c.t.Errorf("%s: boxed shard also has %d scalar cells", at, len(sh.cs))
+		}
+		cells := max(len(sh.c), len(sh.m), len(sh.cs), len(sh.pending)<<6)
 		pending := 0
 		for s := 0; s < cells; s++ {
 			nonEmpty := false
-			if full.combiner != nil {
-				nonEmpty = sh.c[s] != nil
-			} else {
-				nonEmpty = len(sh.m[s]) > 0
+			switch {
+			case full.scalar != 0:
+				nonEmpty = sh.pending.test(s)
+				if nonEmpty && s >= len(sh.cs) {
+					c.t.Errorf("%s: pending bit %d beyond the %d scalar cells", at, s, len(sh.cs))
+				}
+			case full.combiner != nil:
+				nonEmpty = s < len(sh.c) && sh.c[s] != nil
+			default:
+				nonEmpty = s < len(sh.m) && len(sh.m[s]) > 0
 			}
 			if sh.pending.test(s) != nonEmpty {
 				c.t.Errorf("%s: cell %d non-empty=%v but pending bit=%v", at, s, nonEmpty, sh.pending.test(s))
@@ -118,7 +137,29 @@ func (c *frontierChecker) check(where string, full, drained *messageStore) {
 	}
 }
 
-// runChecked runs the job with a frontierChecker attached.
+// boxed hides a standard combiner inside a CombineFunc: the same
+// reduction, of a type the engine does not recognise, so its messages
+// stay boxed on every plane.
+func boxed(std Combiner) Combiner {
+	return CombineFunc(func(to VertexID, a, b Value) Value { return std.Combine(to, a, b) })
+}
+
+// inboxColumns are the three layouts an inbox shard can have, as subtest
+// suffixes: message lists (no combiner), boxed cells (a combiner the
+// engine does not recognise) and, on the lane plane, the unboxed cs
+// column (a standard combiner). Every test message here is a LongValue
+// folded by min, so all three run the same job.
+var inboxColumns = []struct {
+	suffix   string
+	combiner Combiner
+}{
+	{"", nil},
+	{"/boxed", boxed(MinLongCombiner)},
+	{"/rows", MinLongCombiner},
+}
+
+// runChecked runs the job with a frontierChecker attached. A job that
+// should have travelled as rows must have had its cs column audited.
 func runChecked(t *testing.T, job *Job) (*Stats, *frontierChecker) {
 	t.Helper()
 	c := &frontierChecker{t: t}
@@ -129,6 +170,10 @@ func runChecked(t *testing.T, job *Job) (*Stats, *frontierChecker) {
 	stats, err := en.run(time.Now())
 	if err != nil {
 		t.Fatal(err)
+	}
+	_, rows := job.cfg.Combiner.(scalarCombiner)
+	if rows = rows && job.cfg.MessagePlane == PlaneLanes; rows != c.sawRows {
+		t.Errorf("job should use the scalar column = %v, checker saw one = %v", rows, c.sawRows)
 	}
 	return stats, c
 }
@@ -217,38 +262,41 @@ func ringGraph(t *testing.T, n int) *Graph {
 func TestFrontierInvariantsAcrossMutations(t *testing.T) {
 	for _, plane := range []PlaneMode{PlaneLanes, PlaneMutex} {
 		for _, create := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%v/create=%v", plane, create), func(t *testing.T) {
-				g := ringGraph(t, 40)
-				stats, c := runChecked(t, NewJob(g, churnCompute, Config{
-					NumWorkers:            3,
-					MessagePlane:          plane,
-					CreateMissingVertices: create,
-					DefaultVertexValue:    func() Value { return NewLong(-1) },
-				}))
-				if !c.tombstones || !c.compacted {
-					t.Errorf("tombstones seen=%v, compaction seen=%v; the case exercised neither", c.tombstones, c.compacted)
-				}
-				if (stats.MessagesDropped > 0) == create {
-					t.Errorf("CreateMissingVertices=%v but MessagesDropped=%d", create, stats.MessagesDropped)
-				}
-				if g.Vertex(1000) == nil || g.Vertex(1000).Value().(*LongValue).Get() != 100 {
-					t.Errorf("vertex 1000 was not added beyond the load-time ID range")
-				}
-				if got := g.Vertex(4).Value().(*LongValue).Get(); got != 100 {
-					t.Errorf("vertex 4 removed and added in one superstep has value %d, want the added 100", got)
-				}
-				// Mail to the never-existing 2000 creates it only under the
-				// resolver; mail to the just-removed ring members re-creates
-				// them with the default value.
-				if (g.Vertex(2000) != nil) != create {
-					t.Errorf("vertex 2000 exists=%v with CreateMissingVertices=%v", g.Vertex(2000) != nil, create)
-				}
-				if got := g.Vertex(1).Value().(*LongValue).Get(); create && got != -1 {
-					t.Errorf("vertex 1 re-created by the resolver has value %d, want the default -1", got)
-				} else if !create && got != 100 {
-					t.Errorf("vertex 1 re-added by request has value %d, want 100", got)
-				}
-			})
+			for _, col := range inboxColumns {
+				t.Run(fmt.Sprintf("%v/create=%v%s", plane, create, col.suffix), func(t *testing.T) {
+					g := ringGraph(t, 40)
+					stats, c := runChecked(t, NewJob(g, churnCompute, Config{
+						NumWorkers:            3,
+						MessagePlane:          plane,
+						Combiner:              col.combiner,
+						CreateMissingVertices: create,
+						DefaultVertexValue:    func() Value { return NewLong(-1) },
+					}))
+					if !c.tombstones || !c.compacted {
+						t.Errorf("tombstones seen=%v, compaction seen=%v; the case exercised neither", c.tombstones, c.compacted)
+					}
+					if (stats.MessagesDropped > 0) == create {
+						t.Errorf("CreateMissingVertices=%v but MessagesDropped=%d", create, stats.MessagesDropped)
+					}
+					if g.Vertex(1000) == nil || g.Vertex(1000).Value().(*LongValue).Get() != 100 {
+						t.Errorf("vertex 1000 was not added beyond the load-time ID range")
+					}
+					if got := g.Vertex(4).Value().(*LongValue).Get(); got != 100 {
+						t.Errorf("vertex 4 removed and added in one superstep has value %d, want the added 100", got)
+					}
+					// Mail to the never-existing 2000 creates it only under the
+					// resolver; mail to the just-removed ring members re-creates
+					// them with the default value.
+					if (g.Vertex(2000) != nil) != create {
+						t.Errorf("vertex 2000 exists=%v with CreateMissingVertices=%v", g.Vertex(2000) != nil, create)
+					}
+					if got := g.Vertex(1).Value().(*LongValue).Get(); create && got != -1 {
+						t.Errorf("vertex 1 re-created by the resolver has value %d, want the default -1", got)
+					} else if !create && got != 100 {
+						t.Errorf("vertex 1 re-added by request has value %d, want 100", got)
+					}
+				})
+			}
 		}
 	}
 }
@@ -332,18 +380,22 @@ func TestFrontierInvariantsAcrossMigrationAndRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range []ComputeMode{ModeVertex, ModeSubgraph} {
-			t.Run(fmt.Sprintf("%s/%v", tc.name, mode), func(t *testing.T) {
-				g := tc.graph(t)
-				job := NewJob(g, ccCompute, tc.cfg())
-				if mode == ModeSubgraph {
-					job = NewSubgraphJob(g, ccSubgraph, tc.cfg())
-				}
-				stats, _ := runChecked(t, job)
-				tc.check(t, stats)
-				if g.ValuesDigest() != want.ValuesDigest() {
-					t.Error("labels differ from the undisturbed vertex-mode run")
-				}
-			})
+			for _, col := range inboxColumns {
+				t.Run(fmt.Sprintf("%s/%v%s", tc.name, mode, col.suffix), func(t *testing.T) {
+					g := tc.graph(t)
+					cfg := tc.cfg()
+					cfg.Combiner = col.combiner
+					job := NewJob(g, ccCompute, cfg)
+					if mode == ModeSubgraph {
+						job = NewSubgraphJob(g, ccSubgraph, cfg)
+					}
+					stats, _ := runChecked(t, job)
+					tc.check(t, stats)
+					if g.ValuesDigest() != want.ValuesDigest() {
+						t.Error("labels differ from the undisturbed vertex-mode run")
+					}
+				})
+			}
 		}
 	}
 }
@@ -353,39 +405,40 @@ func TestFrontierInvariantsAcrossMigrationAndRecovery(t *testing.T) {
 // an inbox would lose deliveries.
 func TestFrontierInvariantsAcrossSkewMigration(t *testing.T) {
 	const spokes, rounds = 400, 6
-	t.Run("vertex", func(t *testing.T) {
-		var got atomic.Int64
-		stats, _ := runChecked(t, NewJob(starGraph(t, spokes), pulseCompute(rounds, &got),
-			Config{NumWorkers: 4, RebalanceSkew: 1.5}))
-		if stats.VerticesMigrated == 0 {
-			t.Fatalf("rebalancer never triggered: %+v", stats)
-		}
-		if got.Load() != spokes*rounds {
-			t.Errorf("delivered %d messages, want %d", got.Load(), spokes*rounds)
-		}
-	})
-	t.Run("subgraph", func(t *testing.T) {
-		var got atomic.Int64
-		pulse := SubgraphFunc(func(ctx SubgraphContext, sg *Subgraph) error {
-			for i := range sg.Members() {
-				got.Add(int64(len(sg.Messages(i))))
+	for _, col := range inboxColumns {
+		cfg := Config{NumWorkers: 4, RebalanceSkew: 1.5, Combiner: col.combiner}
+		t.Run("vertex"+col.suffix, func(t *testing.T) {
+			var got atomic.Int64
+			stats, _ := runChecked(t, NewJob(starGraph(t, spokes), pulseCompute(rounds, &got), cfg))
+			if stats.VerticesMigrated == 0 {
+				t.Fatalf("rebalancer never triggered: %+v", stats)
 			}
-			if hub, ok := sg.Index(0); ok && ctx.Superstep() < rounds {
-				for _, e := range sg.Member(hub).Edges() {
-					ctx.SendMessage(0, e.Target, NewLong(int64(ctx.Superstep())))
-				}
-				return nil
+			if got.Load() != spokes*rounds {
+				t.Errorf("delivered %d messages, want %d", got.Load(), spokes*rounds)
 			}
-			ctx.VoteToHalt()
-			return nil
 		})
-		stats, _ := runChecked(t, NewSubgraphJob(starGraph(t, spokes), pulse,
-			Config{NumWorkers: 4, RebalanceSkew: 1.5}))
-		if stats.VerticesMigrated == 0 {
-			t.Fatalf("rebalancer never triggered: %+v", stats)
-		}
-		if got.Load() != spokes*rounds {
-			t.Errorf("delivered %d messages, want %d", got.Load(), spokes*rounds)
-		}
-	})
+		t.Run("subgraph"+col.suffix, func(t *testing.T) {
+			var got atomic.Int64
+			pulse := SubgraphFunc(func(ctx SubgraphContext, sg *Subgraph) error {
+				for i := range sg.Members() {
+					got.Add(int64(len(sg.Messages(i))))
+				}
+				if hub, ok := sg.Index(0); ok && ctx.Superstep() < rounds {
+					for _, e := range sg.Member(hub).Edges() {
+						ctx.SendMessage(0, e.Target, NewLong(int64(ctx.Superstep())))
+					}
+					return nil
+				}
+				ctx.VoteToHalt()
+				return nil
+			})
+			stats, _ := runChecked(t, NewSubgraphJob(starGraph(t, spokes), pulse, cfg))
+			if stats.VerticesMigrated == 0 {
+				t.Fatalf("rebalancer never triggered: %+v", stats)
+			}
+			if got.Load() != spokes*rounds {
+				t.Errorf("delivered %d messages, want %d", got.Load(), spokes*rounds)
+			}
+		})
+	}
 }

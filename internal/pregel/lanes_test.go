@@ -1,7 +1,9 @@
 package pregel
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -178,10 +180,20 @@ func TestSenderSideCombining(t *testing.T) {
 // but with duplicate parallel edges to one target the combiner mutates
 // the stored original in place between sends, so later clones copied
 // the partially-combined value and the fold doubled instead of summed.
+// On the lane plane the standard combiner travels as rows, which cannot
+// alias; "lanes-boxed" keeps the boxed path under the same test.
 func TestDuplicateEdgesMutatingCombiner(t *testing.T) {
 	const dup = 5
-	for _, mode := range []PlaneMode{PlaneLanes, PlaneMutex} {
-		t.Run(fmt.Sprintf("%v", mode), func(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		mode     PlaneMode
+		combiner Combiner
+	}{
+		{"lanes", PlaneLanes, SumDoubleCombiner},
+		{"lanes-boxed", PlaneLanes, boxed(SumDoubleCombiner)},
+		{"mutex", PlaneMutex, SumDoubleCombiner},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			g := NewGraph()
 			g.AddVertex(0, NewDouble(0))
 			g.AddVertex(1, NewDouble(0))
@@ -204,11 +216,141 @@ func TestDuplicateEdgesMutatingCombiner(t *testing.T) {
 				v.VoteToHalt()
 				return nil
 			})
-			cfg := Config{NumWorkers: 2, Combiner: SumDoubleCombiner, MessagePlane: mode}
+			cfg := Config{NumWorkers: 2, Combiner: tc.combiner, MessagePlane: tc.mode}
 			if _, err := NewJob(g, comp, cfg).Run(); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestCombinerPanicAtBarrierFailsJob: four workers each send vertex 0
+// one message, so nothing meets at a sender and the combiner first runs
+// in the barrier's merge goroutines. A panic there must fail the job
+// with a ComputeError, not take the process down.
+func TestCombinerPanicAtBarrierFailsJob(t *testing.T) {
+	g := NewGraph()
+	for i := 0; i < 4; i++ {
+		g.AddVertex(VertexID(i), NewLong(0))
+	}
+	comp := ComputeFunc(func(ctx Context, v *Vertex, _ []Value) error {
+		if ctx.Superstep() == 0 {
+			ctx.SendMessage(0, NewLong(1))
+		}
+		v.VoteToHalt()
+		return nil
+	})
+	boom := CombineFunc(func(VertexID, Value, Value) Value { panic("boom") })
+	_, err := NewJob(g, comp, Config{NumWorkers: 4, Combiner: boom}).Run()
+	var ce *ComputeError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err = %v, want a *ComputeError", err)
+	}
+	if ce.Panic != "boom" || ce.Superstep != 0 || ce.VertexID != 0 {
+		t.Errorf("ComputeError = %+v, want panic boom for vertex 0 at superstep 0", ce)
+	}
+}
+
+// TestScalarCombinerRejectsWrongType: under a standard combiner a
+// message is unboxed when it is sent, so one of the wrong type fails in
+// the Compute that sent it.
+func TestScalarCombinerRejectsWrongType(t *testing.T) {
+	g := NewGraph()
+	g.AddVertex(0, NewLong(0))
+	g.AddVertex(1, NewLong(0))
+	comp := ComputeFunc(func(ctx Context, v *Vertex, _ []Value) error {
+		if v.ID() == 1 {
+			ctx.SendMessage(0, NewLong(1))
+		}
+		v.VoteToHalt()
+		return nil
+	})
+	_, err := NewJob(g, comp, Config{NumWorkers: 2, Combiner: SumDoubleCombiner}).Run()
+	var ce *ComputeError
+	if !errors.As(err, &ce) || ce.Panic == nil || ce.VertexID != 1 {
+		t.Fatalf("err = %v, want a *ComputeError for the panic in vertex 1's Compute", err)
+	}
+}
+
+// TestLaneGenerationWrap drives a lane's generation counter through its
+// 2³² wrap. A stamp left by the generation that comes round again must
+// not be read as current: here vertex 8 is stamped at position 0 of
+// generation 1, and after the wrap vertex 4 takes position 0 of the new
+// generation 1, so a surviving stamp would fold 8's message into 4's.
+func TestLaneGenerationWrap(t *testing.T) {
+	for _, col := range inboxColumns[1:] {
+		t.Run(col.suffix[1:], func(t *testing.T) {
+			g := NewGraph()
+			for i := 0; i < 12; i++ {
+				g.AddVertex(VertexID(i), NewLong(0))
+			}
+			noop := ComputeFunc(func(Context, *Vertex, []Value) error { return nil })
+			en := newEngine(NewJob(g, noop, Config{NumWorkers: 1, Combiner: col.combiner, MsgFlushBatch: 2}))
+			ctx := en.workerCtx(0, 12, 0)
+			send := func(to VertexID, min int64) { ctx.SendMessage(to, NewLong(min)) }
+			send(8, 100) // generation 1, position 0
+			send(9, 90)  // fills the batch: flushed
+			ctx.laneGen[0] = math.MaxUint32
+			send(1, 10)
+			send(2, 20) // flushed: the generation wraps
+			if ctx.laneGen[0] != 1 {
+				t.Fatalf("generation after the wrap = %d, want 1", ctx.laneGen[0])
+			}
+			send(4, 50) // the new generation 1, position 0
+			send(8, 7)  // must open position 1, not fold into 4's
+			send(4, 40)
+			send(8, 8)
+			ctx.flushAll()
+			en.next.mergeLane(en.parts[0])
+			want := map[VertexID]int64{1: 10, 2: 20, 4: 40, 8: 7, 9: 90}
+			for id := VertexID(0); id < 12; id++ {
+				slot, _ := en.parts[0].index.lookup(id)
+				msgs := en.next.take(0, slot)
+				if w, ok := want[id]; !ok {
+					if msgs != nil {
+						t.Errorf("vertex %d got %v, want nothing", id, msgs)
+					}
+				} else if len(msgs) != 1 || msgs[0].(*LongValue).Get() != w {
+					t.Errorf("vertex %d got %v, want [%d]", id, msgs, w)
+				}
+			}
+		})
+	}
+}
+
+// TestScalarPlaneAllocations is the allocation gate for the row path,
+// independent of the clock: in steady state, sending 65,536 messages
+// under a standard combiner, flushing and merging them allocates next to
+// nothing — at most 0.01 allocations per message — until take boxes the
+// delivered cells.
+func TestScalarPlaneAllocations(t *testing.T) {
+	const workers, nVerts, perWorker = 4, 1024, 16384
+	g := NewGraph()
+	for i := 0; i < nVerts; i++ {
+		g.AddVertex(VertexID(i), NewLong(0))
+	}
+	noop := ComputeFunc(func(Context, *Vertex, []Value) error { return nil })
+	en := newEngine(NewJob(g, noop, Config{NumWorkers: workers, Combiner: SumLongCombiner}))
+	msg := NewLong(1)
+	superstep := func() {
+		for w := 0; w < workers; w++ {
+			ctx := en.workerCtx(w, nVerts, 0)
+			for k := 0; k < perWorker; k++ {
+				ctx.SendMessage(VertexID((w*perWorker+k*7)%nVerts), msg)
+			}
+			ctx.flushAll()
+		}
+		for w := 0; w < workers; w++ {
+			en.next.mergeLane(en.parts[w])
+		}
+		if en.next.total() != workers*perWorker {
+			t.Fatalf("merged %d messages, want %d", en.next.total(), workers*perWorker)
+		}
+		en.next.reset()
+	}
+	perMsg := testing.AllocsPerRun(5, superstep) / (workers * perWorker)
+	if perMsg > 0.01 {
+		t.Errorf("send → flush → merge allocates %.4f allocs/message, want at most 0.01", perMsg)
 	}
 }
 

@@ -15,7 +15,8 @@ const (
 	// its column into the slot-addressed shard after the superstep
 	// barrier (single reader, ordered by the barrier). With a combiner installed,
 	// senders additionally pre-combine per destination vertex before
-	// flushing. This is the default.
+	// flushing, and under one of the standard combiners messages travel
+	// as unboxed rows. This is the default.
 	PlaneLanes PlaneMode = iota
 	// PlaneMutex is the original shard-mutex plane: every flushed batch
 	// takes the destination shard's lock and combines at the receiver.
@@ -40,36 +41,49 @@ type msgEntry struct {
 	msg Value
 }
 
-// msgBatch is one flushed batch of entries plus the logical message
-// counts behind them: n counts SendMessage calls, combined counts the
-// ones the sender merged away before flushing (n - combined == number
-// of entries surviving to the lane).
+// scalarRow is one in-flight message under a scalarCombiner: the
+// message's bits, unboxed. Like an entry it carries the destination ID
+// and is resolved to a slot at merge time, after the barrier's
+// mutations.
+type scalarRow struct {
+	to   VertexID
+	bits uint64
+}
+
+// msgBatch is one flushed batch of entries (or, on the scalar path,
+// rows — never both) plus the logical message counts behind them: n
+// counts SendMessage calls, combined counts the ones the sender merged
+// away before flushing (n - combined == number of entries or rows
+// surviving to the lane).
 type msgBatch struct {
 	entries  []msgEntry
+	rows     []scalarRow
 	n        int64
 	combined int64
 }
 
 // batchPool recycles msgBatch objects across flushes and supersteps so
 // the steady-state message plane allocates nothing the GC has to mark,
-// mirroring the pooled-batch design trace.Sink uses.
+// mirroring the pooled-batch design trace.Sink uses. All of an engine's
+// batches hold the same kind of record, so a new batch is given only
+// that array.
 type batchPool struct {
 	p sync.Pool
 }
 
-func (bp *batchPool) get() *msgBatch {
+func (bp *batchPool) get(rows bool) *msgBatch {
 	if b, ok := bp.p.Get().(*msgBatch); ok {
 		return b
+	}
+	if rows {
+		return &msgBatch{rows: make([]scalarRow, 0, msgFlushBatch)}
 	}
 	return &msgBatch{entries: make([]msgEntry, 0, msgFlushBatch)}
 }
 
 func (bp *batchPool) put(b *msgBatch) {
-	// Zero the entries so the pool does not retain Value pointers.
-	for i := range b.entries {
-		b.entries[i] = msgEntry{}
-	}
-	b.entries = b.entries[:0]
+	clear(b.entries) // so the pool does not retain Value pointers; rows hold none
+	b.entries, b.rows = b.entries[:0], b.rows[:0]
 	b.n, b.combined = 0, 0
 	bp.p.Put(b)
 }
@@ -96,10 +110,14 @@ type msgLane struct {
 // swaps them at every barrier.
 type messageStore struct {
 	combiner Combiner
-	mode     PlaneMode
-	shards   []msgShard
-	lanes    [][]msgLane // [sender][dest]; nil in PlaneMutex mode
-	pool     *batchPool  // shared across the engine's stores; nil in PlaneMutex mode
+	// scalar is the combiner when it is one of the standard ones and the
+	// plane is PlaneLanes: lanes then carry rows and shards fold them into
+	// cs, and boxes exist only at the edges (takeCell, encode, orphans).
+	scalar scalarCombiner
+	mode   PlaneMode
+	shards []msgShard
+	lanes  [][]msgLane // [sender][dest]; nil in PlaneMutex mode
+	pool   *batchPool  // shared across the engine's stores; nil in PlaneMutex mode
 }
 
 // msgShard is the inbox of one partition, indexed by the partition's
@@ -109,10 +127,12 @@ type messageStore struct {
 // it stands.
 type msgShard struct {
 	mu sync.Mutex
-	// Exactly one of m/c is used, depending on whether a combiner is
-	// installed.
+	// Exactly one of m/c/cs is used: m without a combiner, cs under a
+	// scalar one on the lane plane, c under any other. A cs cell means
+	// something only while its pending bit is set.
 	m       [][]Value
 	c       []Value
+	cs      []uint64
 	pending bitmap
 	// orphans holds messages addressed to IDs that had no slot when
 	// they were delivered. integrateMissing resolves them at the barrier
@@ -125,6 +145,9 @@ type msgShard struct {
 	// sender or the receiver), for the telemetry layer (n - combined
 	// messages survive to delivery).
 	combined int64
+	// merging is the destination of the boxed entry mergeLane is
+	// delivering, for the report when a user combiner panics on it.
+	merging VertexID
 }
 
 func newMessageStore(numShards int, combiner Combiner, mode PlaneMode, pool *batchPool) *messageStore {
@@ -133,6 +156,7 @@ func newMessageStore(numShards int, combiner Combiner, mode PlaneMode, pool *bat
 		s.shards[i].orphans = make(map[VertexID][]Value)
 	}
 	if mode == PlaneLanes {
+		s.scalar, _ = combiner.(scalarCombiner)
 		s.pool = pool
 		s.lanes = make([][]msgLane, numShards)
 		for i := range s.lanes {
@@ -145,18 +169,38 @@ func newMessageStore(numShards int, combiner Combiner, mode PlaneMode, pool *bat
 // ensure grows a shard's cells and pending bitmap to cover n slots.
 func (s *messageStore) ensure(sh *msgShard, n int) {
 	sh.pending = sh.pending.grown(n)
-	if s.combiner != nil {
+	switch {
+	case s.scalar != 0:
+		if n > len(sh.cs) {
+			sh.cs = append(sh.cs, make([]uint64, n-len(sh.cs))...)
+		}
+	case s.combiner != nil:
 		if n > len(sh.c) {
 			sh.c = append(sh.c, make([]Value, n-len(sh.c))...)
 		}
-	} else if n > len(sh.m) {
+	case n > len(sh.m):
 		sh.m = append(sh.m, make([][]Value, n-len(sh.m))...)
 	}
+}
+
+// putBits folds one unboxed message into cell `slot`.
+func (s *messageStore) putBits(sh *msgShard, slot int, bits uint64) {
+	if sh.pending.test(slot) {
+		sh.cs[slot] = s.scalar.fold(sh.cs[slot], bits)
+		sh.combined++
+		return
+	}
+	sh.cs[slot] = bits
+	sh.pending.set(slot)
 }
 
 // put adds one message to cell `slot`, combining if a combiner is
 // installed. The shard must already cover the slot.
 func (s *messageStore) put(sh *msgShard, slot int, to VertexID, msg Value) {
+	if s.scalar != 0 {
+		s.putBits(sh, slot, s.scalar.bits(msg))
+		return
+	}
 	if s.combiner != nil {
 		if sh.pending.test(slot) {
 			sh.c[slot] = s.combiner.Combine(to, sh.c[slot], msg)
@@ -237,7 +281,15 @@ func (s *messageStore) mergeLane(part *partition) {
 			continue
 		}
 		for _, b := range ln.batches {
+			for _, r := range b.rows {
+				if slot, ok := part.index.lookup(r.to); ok {
+					s.putBits(sh, slot, r.bits)
+				} else {
+					s.orphan(sh, r.to, s.scalar.box(r.bits))
+				}
+			}
 			for _, en := range b.entries {
+				sh.merging = en.to
 				s.deliverTo(part, sh, en.to, en.msg)
 			}
 			s.pool.put(b)
@@ -255,13 +307,15 @@ func (s *messageStore) mergeLane(part *partition) {
 // store.
 func (s *messageStore) resetShard(shard int) {
 	sh := &s.shards[shard]
-	sh.pending.forEach(func(slot int) {
-		if s.combiner != nil {
-			sh.c[slot] = nil
-		} else {
-			sh.m[slot] = nil
-		}
-	})
+	if s.scalar == 0 { // cs cells hold no pointers and die with their bits
+		sh.pending.forEach(func(slot int) {
+			if s.combiner != nil {
+				sh.c[slot] = nil
+			} else {
+				sh.m[slot] = nil
+			}
+		})
+	}
 	clear(sh.pending)
 	clear(sh.orphans)
 	sh.n, sh.combined = 0, 0
@@ -288,9 +342,14 @@ func (s *messageStore) replayDeliver(part *partition, to VertexID, msg Value) {
 	sh.n++
 }
 
-// takeCell empties a pending cell and returns its messages.
+// takeCell empties a pending cell and returns its messages. A cs cell
+// is boxed here, freshly each time: Compute may keep the Value (as its
+// vertex value, say), so a reused box would alias across vertices.
 func (s *messageStore) takeCell(sh *msgShard, slot int) []Value {
 	sh.pending.clear(slot)
+	if s.scalar != 0 {
+		return []Value{s.scalar.box(sh.cs[slot])}
+	}
 	if s.combiner != nil {
 		v := sh.c[slot]
 		sh.c[slot] = nil
@@ -322,9 +381,12 @@ func (s *messageStore) migrate(from, fromSlot int, to *partition, toSlot int) {
 	}
 	ts := &s.shards[to.idx]
 	s.ensure(ts, len(to.slots))
-	if s.combiner != nil {
+	switch {
+	case s.scalar != 0:
+		ts.cs[toSlot] = s.scalar.bits(msgs[0])
+	case s.combiner != nil:
 		ts.c[toSlot] = msgs[0]
-	} else {
+	default:
 		ts.m[toSlot] = msgs
 	}
 	ts.pending.set(toSlot)
@@ -344,14 +406,17 @@ func (s *messageStore) orphanCell(shard, slot int, id VertexID) {
 // is the old cell s.
 func (s *messageStore) remap(shard int, perm []int32, newLen int) {
 	sh := &s.shards[shard]
-	oldC, oldM, oldPending := sh.c, sh.m, sh.pending
-	sh.c, sh.m, sh.pending = nil, nil, nil
+	oldC, oldM, oldCS, oldPending := sh.c, sh.m, sh.cs, sh.pending
+	sh.c, sh.m, sh.cs, sh.pending = nil, nil, nil, nil
 	s.ensure(sh, newLen)
 	oldPending.forEach(func(slot int) {
 		ns := int(perm[slot])
-		if s.combiner != nil {
+		switch {
+		case s.scalar != 0:
+			sh.cs[ns] = oldCS[slot]
+		case s.combiner != nil:
 			sh.c[ns] = oldC[slot]
-		} else {
+		default:
 			sh.m[ns] = oldM[slot]
 		}
 		sh.pending.set(ns)
@@ -443,8 +508,18 @@ func (s *messageStore) encode(part *partition, e *Encoder, scratch []int) []int 
 	sh.pending.forEach(func(slot int) { slots = append(slots, slot) })
 	sort.Slice(slots, func(i, j int) bool { return part.slots[slots[i]].id < part.slots[slots[j]].id })
 	e.PutUvarint(uint64(len(slots)))
+	var box Value // cs cells are encoded through one scratch box
+	if s.scalar != 0 {
+		box = s.scalar.box(0)
+	}
 	for _, slot := range slots {
 		e.PutVarint(int64(part.slots[slot].id))
+		if s.scalar != 0 {
+			s.scalar.setBox(box, sh.cs[slot])
+			e.PutUvarint(1)
+			EncodeTyped(e, box)
+			continue
+		}
 		if s.combiner != nil {
 			e.PutUvarint(1)
 			EncodeTyped(e, sh.c[slot])

@@ -33,9 +33,11 @@ import (
 //
 //	messages (kind 1): kind, uvarint superstep, uvarint destination
 //	  partition, uvarint entry count, then per entry the zig-zag
-//	  varint vertex ID and the typed message value. One frame per
-//	  flushed msgBatch, in flush order, so replay can reproduce
-//	  mergeLane's deterministic combine order.
+//	  varint vertex ID and the typed message value (an unboxed row is
+//	  written as the Value it stands for, so the bytes do not depend on
+//	  how the message travelled). One frame per flushed msgBatch, in
+//	  flush order, so replay can reproduce mergeLane's deterministic
+//	  combine order.
 //	mutations (kind 2): kind, uvarint superstep, uvarint removal
 //	  count + zig-zag varint IDs, uvarint addition count + per
 //	  addition the zig-zag varint ID, a has-value byte and the typed
@@ -113,6 +115,10 @@ func (l *msgLog) logSuperstep(step int, store *messageStore, results []workerRes
 		go func(sender int) {
 			defer wg.Done()
 			w, e := l.writers[sender], l.encs[sender]
+			var box Value // rows are encoded through one scratch box
+			if store.scalar != 0 {
+				box = store.scalar.box(0)
+			}
 			fail := func(err error) {
 				if errs[sender] == nil {
 					errs[sender] = err
@@ -124,17 +130,23 @@ func (l *msgLog) logSuperstep(step int, store *messageStore, results []workerRes
 					e.PutRaw([]byte{msgLogFrameMessages})
 					e.PutUvarint(uint64(step))
 					e.PutUvarint(uint64(dest))
-					e.PutUvarint(uint64(len(b.entries)))
+					n := len(b.entries) + len(b.rows) // one of the two is empty
+					e.PutUvarint(uint64(n))
 					for _, ent := range b.entries {
 						e.PutVarint(int64(ent.to))
 						EncodeTyped(e, ent.msg)
+					}
+					for _, r := range b.rows {
+						e.PutVarint(int64(r.to))
+						store.scalar.setBox(box, r.bits)
+						EncodeTyped(e, box)
 					}
 					appendLogCRC(e)
 					ent := segio.Entry{Kind: msgLogFrameMessages, Step: step, ID: int64(dest)}
 					if err := w.AppendRecord(e.Bytes(), ent); err != nil {
 						fail(err)
 					}
-					msgs[sender] += int64(len(b.entries))
+					msgs[sender] += int64(n)
 					bytes[sender] += int64(e.Len())
 				}
 			}

@@ -13,9 +13,14 @@ import (
 //
 //	go test ./internal/pregel -run '^$' -bench BenchmarkMessagePlane
 //
+// With fresh set, every send boxes its own NewLong, as a Compute would;
+// without it all sends share one pre-built Value, which only a plane that
+// unboxes at the send can take, and which leaves the plane's own
+// allocations as the whole count.
+//
 // Its thin-superstep counterpart, BenchmarkThinSuperstep, is in
 // thin_bench_test.go.
-func benchPlaneRoundTrip(b *testing.B, mode PlaneMode, combiner Combiner) {
+func benchPlaneRoundTrip(b *testing.B, mode PlaneMode, combiner Combiner, fresh bool) {
 	const (
 		workers  = 4
 		nVerts   = 1024
@@ -28,6 +33,7 @@ func benchPlaneRoundTrip(b *testing.B, mode PlaneMode, combiner Combiner) {
 	noop := ComputeFunc(func(Context, *Vertex, []Value) error { return nil })
 	job := NewJob(g, noop, Config{NumWorkers: workers, Combiner: combiner, MessagePlane: mode})
 	en := newEngine(job)
+	shared := NewLong(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,7 +51,11 @@ func benchPlaneRoundTrip(b *testing.B, mode PlaneMode, combiner Combiner) {
 					if k%4 == 0 {
 						to = 0
 					}
-					ctx.SendMessage(to, NewLong(int64(k)))
+					msg := shared
+					if fresh {
+						msg = NewLong(int64(k))
+					}
+					ctx.SendMessage(to, msg)
 				}
 				ctx.flushAll()
 			}(w)
@@ -79,10 +89,18 @@ func BenchmarkMessagePlane(b *testing.B) {
 			{"plain", nil},
 		} {
 			b.Run(fmt.Sprintf("%v/%s", mode, tc.name), func(b *testing.B) {
-				benchPlaneRoundTrip(b, mode, tc.combiner)
+				benchPlaneRoundTrip(b, mode, tc.combiner, true)
 			})
 		}
 	}
+	// The row path alone, and the boxed combining path it left behind
+	// for user combiners.
+	b.Run("lanes/scalar", func(b *testing.B) {
+		benchPlaneRoundTrip(b, PlaneLanes, SumLongCombiner, false)
+	})
+	b.Run("lanes/func", func(b *testing.B) {
+		benchPlaneRoundTrip(b, PlaneLanes, boxed(SumLongCombiner), true)
+	})
 }
 
 // BenchmarkCheckpointEncode measures the message-store encode path the

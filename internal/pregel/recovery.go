@@ -169,6 +169,14 @@ func (en *engine) confinedRecover(failedParts []int, ev *RecoveryEvent) error {
 	if C < 0 {
 		return ErrNoCheckpoint
 	}
+	if en.cfg.ComputeMode == ModeSubgraph && en.lastMigration >= C {
+		// A subgraph superstep's sends depend on which vertices share a
+		// partition. The logs hold what the placement of the time sent;
+		// replaying the failed partitions under the placement of today
+		// computes something else, and the sends that would reconcile the
+		// two are the ones replay suppresses.
+		return fmt.Errorf("%w: subgraph components migrated since checkpoint %d", errReplayUnusable, C)
+	}
 
 	// Load and verify every logged frame the replay will need, up
 	// front: a hole discovered mid-replay would leave the failed

@@ -389,3 +389,52 @@ func TestRunValidationTyped(t *testing.T) {
 }
 
 var _ = trace.Digest // keep the import if assertions above change
+
+// TestSessionSurvivesCombinerPanic: a combiner that panics where
+// messages meet at the barrier fails its own job and nothing else — the
+// session (under graft serve, the process and every other job in it)
+// goes on to run the next job.
+func TestSessionSurvivesCombinerPanic(t *testing.T) {
+	sess, err := NewSession(SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	g := NewGraph()
+	for i := 0; i < 4; i++ {
+		g.AddVertex(VertexID(i), NewLong(0))
+	}
+	// One message per worker to vertex 0: nothing meets at a sender, so
+	// the combiner first runs in the barrier's merge.
+	comp := ComputeFunc(func(ctx Context, v *Vertex, _ []Value) error {
+		if ctx.Superstep() == 0 {
+			ctx.SendMessage(0, NewLong(1))
+		}
+		v.VoteToHalt()
+		return nil
+	})
+	boom := pregel.CombineFunc(func(VertexID, Value, Value) Value { panic("boom") })
+	bad, err := sess.Submit(context.Background(), g, comp, RunOptions{
+		Engine: EngineConfig{NumWorkers: 4, Combiner: boom},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ce *pregel.ComputeError
+	if _, err := bad.Wait(context.Background()); !errors.As(err, &ce) || ce.Panic != "boom" {
+		t.Fatalf("job with a panicking combiner: err = %v, want a ComputeError carrying the panic", err)
+	}
+	if bad.State() != JobFailed {
+		t.Errorf("state = %v, want failed", bad.State())
+	}
+
+	good, err := sess.SubmitAlgorithm(context.Background(), graphgen.RegularBipartite(40, 3),
+		algorithms.NewConnectedComponents(), RunOptions{Engine: EngineConfig{NumWorkers: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := good.Wait(context.Background()); err != nil {
+		t.Fatalf("job after the failed one: %v", err)
+	}
+}
