@@ -796,8 +796,8 @@ func cmdTraceCheck(args []string) error {
 			if n := cold.SegmentReads(); n > 1 {
 				return fmt.Errorf("trace-check: cold single-vertex lookup read %d segments, want at most 1", n)
 			}
-			fmt.Printf("cold lookup: vertex %d @ superstep %d served from %d segment read(s)\n",
-				id, step, cold.SegmentReads())
+			fmt.Printf("cold lookup: vertex %d @ superstep %d served from %d segment read(s), index loaded from %d part(s)\n",
+				id, step, cold.SegmentReads(), cold.IndexParts())
 		}
 	}
 	fmt.Printf("trace-check ok: %s — %d supersteps, %d captures, lazy view matches eager load\n",

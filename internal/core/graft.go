@@ -372,6 +372,14 @@ func (ic *instrumentedComputation) Compute(ctx pregel.Context, v *pregel.Vertex,
 	}
 	capStart := time.Now()
 
+	worker := ctx.WorkerID()
+	if worker >= len(g.rcs) {
+		panic(fmt.Sprintf("core: job runs with at least %d workers but Attach was told %d; "+
+			"Options.NumWorkers must match pregel.Config.NumWorkers", worker+1, len(g.rcs)))
+	}
+	rec := &g.rcs[worker]
+	rec.reset(ctx, g, v)
+
 	staticReason := g.reasons[v.ID()]
 	needPre := staticReason != 0 || g.cfg.CaptureAllActive
 	// The pre-compute value is snapshotted only when a capture might
@@ -381,22 +389,16 @@ func (ic *instrumentedComputation) Compute(ctx pregel.Context, v *pregel.Vertex,
 	// predicted, so — like the Java Graft, which logs the context only
 	// when compute finishes — their ValueBefore is unavailable (nil)
 	// and replay starts from the value at capture time.
-	var valueBefore pregel.Value
+	//
+	// A snapshot is the value's encoding, written into the worker's
+	// scratch: as immune to what compute does next as a clone, and
+	// already in the form the record stores.
 	if needPre || g.cfg.hasDynamicConstraints() {
-		valueBefore = pregel.CloneValue(v.Value())
+		pregel.EncodeTyped(&rec.before, v.Value())
 	}
-	var edgesBefore []pregel.Edge
 	if needPre {
-		edgesBefore = cloneEdges(v.Edges())
+		trace.PutEdges(&rec.edges, v.Edges())
 	}
-
-	worker := ctx.WorkerID()
-	if worker >= len(g.rcs) {
-		panic(fmt.Sprintf("core: job runs with at least %d workers but Attach was told %d; "+
-			"Options.NumWorkers must match pregel.Config.NumWorkers", worker+1, len(g.rcs)))
-	}
-	rec := &g.rcs[worker]
-	rec.reset(ctx, g, v)
 
 	// The §7 extension: message constraints that depend on the value
 	// of the destination vertex, checked at delivery time where that
@@ -463,17 +465,18 @@ func (ic *instrumentedComputation) Compute(ctx pregel.Context, v *pregel.Vertex,
 		reasons |= trace.ReasonException
 	}
 	if reasons != 0 {
-		g.capture(ctx, v, msgs, rec, reasons, valueBefore, edgesBefore, exc)
+		g.capture(v, msgs, rec, reasons, needPre, exc)
 	}
 	return err
 }
 
 // capture writes one vertex capture record, respecting the MaxCaptures
-// safety net. Values are deep-copied here — only for vertices that are
-// actually captured — so the record is immune to later mutation.
-func (g *Graft) capture(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Value,
-	rec *recordingContext, reasons trace.Reason,
-	valueBefore pregel.Value, edgesBefore []pregel.Edge, exc *trace.ExceptionInfo) {
+// safety net. The record is assembled from the snapshots rec already
+// holds as bytes and from live values — the value after, the incoming
+// messages — that the sink encodes before it returns (see
+// trace.RecordSink), so nothing is cloned and no record object built.
+func (g *Graft) capture(v *pregel.Vertex, msgs []pregel.Value, rec *recordingContext,
+	reasons trace.Reason, edgesPreCompute bool, exc *trace.ExceptionInfo) {
 
 	// A canceled job is shutting down at the next barrier; its remaining
 	// computes still run (barrier consistency) but their captures would
@@ -493,42 +496,29 @@ func (g *Graft) capture(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Valu
 		g.captures.Add(1)
 	}
 
-	c := &trace.VertexCapture{
-		Superstep:   ctx.Superstep(),
-		Worker:      ctx.WorkerID(),
-		ID:          v.ID(),
-		Reasons:     reasons,
-		ValueBefore: valueBefore,
-		ValueAfter:  pregel.CloneValue(v.Value()),
-		HaltedAfter: v.Halted(),
-		Violations:  rec.violations,
-		Exception:   exc,
+	if !edgesPreCompute {
+		trace.PutEdges(&rec.edges, v.Edges())
 	}
-	if edgesBefore != nil {
-		c.Edges = edgesBefore
-		c.EdgesPreCompute = true
-	} else {
-		c.Edges = cloneEdges(v.Edges())
+	worker := rec.Context.WorkerID()
+	rec.frame = trace.VertexFrame{
+		Superstep:       rec.Context.Superstep(),
+		Worker:          worker,
+		ID:              v.ID(),
+		Reasons:         reasons,
+		ValueBefore:     rec.before.Bytes(),
+		ValueAfter:      v.Value(),
+		Edges:           rec.edges.Bytes(),
+		EdgesPreCompute: edgesPreCompute,
+		Incoming:        msgs,
+		Outgoing:        rec.out.Bytes(),
+		NumOutgoing:     rec.numOut,
+		HaltedAfter:     v.Halted(),
+		Violations:      rec.violations,
+		Exception:       exc,
 	}
-	c.Incoming = make([]pregel.Value, len(msgs))
-	for i, m := range msgs {
-		c.Incoming[i] = pregel.CloneValue(m)
-	}
-	// Values in rec.outgoing are already private clones (made at send
-	// time); only the slice header is reused across vertices.
-	c.Outgoing = make([]trace.OutMsg, len(rec.outgoing))
-	copy(c.Outgoing, rec.outgoing)
 	// The sink owns drop accounting: Drop-policy discards and failed
 	// segment commits are counted there, without poisoning Err().
-	_ = g.workerSinks[ctx.WorkerID()].WriteVertexCapture(c)
-}
-
-func cloneEdges(edges []pregel.Edge) []pregel.Edge {
-	out := make([]pregel.Edge, len(edges))
-	for i, e := range edges {
-		out[i] = pregel.Edge{Target: e.Target, Value: pregel.CloneValue(e.Value)}
-	}
-	return out
+	_ = g.workerSinks[worker].WriteVertexFrame(&rec.frame)
 }
 
 // recordingContext intercepts message sends to check the message
@@ -539,15 +529,27 @@ type recordingContext struct {
 	g *Graft
 	v *pregel.Vertex
 
-	outgoing        []trace.OutMsg
+	// before, edges and out are the vertex's snapshots in record form:
+	// the typed pre-compute value, trace.PutEdges of the edge list, and
+	// one trace.PutOutMsg per send (numOut of them).
+	before, edges, out pregel.Encoder
+	numOut             int
+	// frame is where capture assembles the record: handing the sink a
+	// pointer into this context instead of to a local costs no
+	// allocation.
+	frame trace.VertexFrame
+
 	violations      []trace.Violation
 	sawMsgViolation bool
 }
 
 func (c *recordingContext) reset(ctx pregel.Context, g *Graft, v *pregel.Vertex) {
 	c.Context, c.g, c.v = ctx, g, v
-	c.outgoing = c.outgoing[:0]
-	c.violations = nil // retained by the capture record, so never reused
+	c.before.Reset()
+	c.edges.Reset()
+	c.out.Reset()
+	c.numOut = 0
+	c.violations = c.violations[:0] // the sink has encoded the last vertex's
 	c.sawMsgViolation = false
 }
 
@@ -564,11 +566,12 @@ func (c *recordingContext) SendMessage(to pregel.VertexID, msg pregel.Value) {
 			Value: pregel.CloneValue(msg),
 		})
 	}
-	// The record must clone at send time: once msg reaches the plane a
+	// The record must snapshot at send time: once msg reaches the plane a
 	// combiner may mutate it in place (sender-side combining folds later
 	// sends into stored entries during this same compute call), which
 	// would retroactively rewrite the recorded value.
-	c.outgoing = append(c.outgoing, trace.OutMsg{To: to, Value: pregel.CloneValue(msg)})
+	trace.PutOutMsg(&c.out, to, msg)
+	c.numOut++
 	c.Context.SendMessage(to, msg)
 }
 

@@ -165,6 +165,8 @@ func (is *instrumentedSubgraph) ComputeSubgraph(ctx pregel.SubgraphContext, sg *
 // captureSubgraph writes one VertexCapture per member plus the
 // SubgraphCapture summary, respecting the MaxCaptures safety net
 // (each member record counts toward the limit, like vertex mode).
+// Post-compute state goes to the sink live, not cloned: the sink has
+// encoded a record by the time its Write returns.
 func (g *Graft) captureSubgraph(ctx pregel.SubgraphContext, sg *pregel.Subgraph,
 	rsc *recordingSubgraphContext, valuesBefore []pregel.Value, edgesBefore [][]pregel.Edge,
 	violations map[pregel.VertexID][]trace.Violation, exc *trace.ExceptionInfo) {
@@ -224,7 +226,7 @@ func (g *Graft) captureSubgraph(ctx pregel.SubgraphContext, sg *pregel.Subgraph,
 			Worker:      worker,
 			ID:          v.ID(),
 			Reasons:     reasons,
-			ValueAfter:  pregel.CloneValue(v.Value()),
+			ValueAfter:  v.Value(),
 			HaltedAfter: rsc.halted,
 			Violations:  violations[v.ID()],
 			Exception:   memberExc,
@@ -236,13 +238,9 @@ func (g *Graft) captureSubgraph(ctx pregel.SubgraphContext, sg *pregel.Subgraph,
 			c.Edges = edgesBefore[i]
 			c.EdgesPreCompute = true
 		} else {
-			c.Edges = cloneEdges(v.Edges())
+			c.Edges = v.Edges()
 		}
-		in := sg.Messages(i)
-		c.Incoming = make([]pregel.Value, len(in))
-		for j, m := range in {
-			c.Incoming[j] = pregel.CloneValue(m)
-		}
+		c.Incoming = sg.Messages(i)
 		c.Outgoing = rsc.outgoing[v.ID()]
 		_ = sink.WriteVertexCapture(c)
 	}
@@ -257,6 +255,14 @@ func (g *Graft) captureSubgraph(ctx pregel.SubgraphContext, sg *pregel.Subgraph,
 		HaltedAfter:  rsc.halted,
 		Digest:       sg.ValuesDigest(),
 	})
+}
+
+func cloneEdges(edges []pregel.Edge) []pregel.Edge {
+	out := make([]pregel.Edge, len(edges))
+	for i, e := range edges {
+		out[i] = pregel.Edge{Target: e.Target, Value: pregel.CloneValue(e.Value)}
+	}
+	return out
 }
 
 // recordingSubgraphContext intercepts the subgraph context's sends (to

@@ -22,11 +22,12 @@ import (
 // store (internal/segio): one lane per sending worker,
 //
 //	<prefix>msglog/worker_NN/seg_000000.seg
-//	<prefix>msglog/worker_NN.idx
+//	<prefix>msglog/worker_NN/idx_000000.idx
 //
-// flushed — sealed and indexed — at every barrier, so the log is
-// consistent to the last completed superstep, exactly like the
-// checkpoints it complements.
+// flushed — sealed, and indexed by one new part — at every barrier, so
+// the log is consistent to the last completed superstep, exactly like
+// the checkpoints it complements, and a barrier costs what it appends
+// however many supersteps came before.
 //
 // Each frame is one record with a trailing CRC32 (IEEE, little-endian,
 // over all preceding payload bytes):
@@ -70,6 +71,9 @@ type msgLog struct {
 	fs      FileSystem
 	writers []*segio.Writer
 	encs    []*Encoder
+	// parts[sender] is the lane's committed index, as its writer's
+	// flushes returned it: what recovery reads back and gc prunes.
+	parts [][]segio.Part
 	// broken is set on the first write failure: the log can no longer
 	// prove completeness, so confined recovery refuses to use it and
 	// falls back to checkpoint restart.
@@ -81,6 +85,7 @@ func newMsgLog(fs FileSystem, prefix string, segSize, numWorkers int) *msgLog {
 		fs:      fs,
 		writers: make([]*segio.Writer, numWorkers),
 		encs:    make([]*Encoder, numWorkers),
+		parts:   make([][]segio.Part, numWorkers),
 	}
 	dir := prefix + "msglog"
 	for i := range l.writers {
@@ -174,8 +179,12 @@ func (l *msgLog) logSuperstep(step int, store *messageStore, results []workerRes
 				}
 				bytes[sender] += int64(e.Len())
 			}
-			if err := w.Flush(); err != nil {
+			part, err := w.Flush()
+			if err != nil {
 				fail(err)
+			}
+			if len(part.Segments) > 0 {
+				l.parts[sender] = append(l.parts[sender], part)
 			}
 		}(sender)
 	}
@@ -200,8 +209,8 @@ func (l *msgLog) logSuperstep(step int, store *messageStore, results []workerRes
 // which no recovery can ever need to replay. Best-effort: a failed
 // prune leaves extra segments behind, never a hole.
 func (l *msgLog) gc(oldestNeeded int) {
-	for _, w := range l.writers {
-		w.Prune(func(seg segio.SegmentIndex) bool {
+	for i, w := range l.writers {
+		l.parts[i], _ = w.Prune(l.parts[i], func(seg segio.SegmentIndex) bool {
 			for _, ent := range seg.Entries {
 				if ent.Step >= oldestNeeded {
 					return true
@@ -269,39 +278,41 @@ func (l *msgLog) loadLoggedSteps(lo, hi int) (map[int]*loggedStep, error) {
 	}
 	for sender, w := range l.writers {
 		prevStep := -1
-		for _, seg := range w.Sealed() {
-			var raw []byte
-			for _, ent := range seg.Entries {
-				if ent.Step != prevStep {
-					// New contiguous group for this superstep: discard
-					// anything an earlier (pre-restart) execution of the
-					// same superstep logged in this lane.
-					if ent.Step >= lo && ent.Step <= hi {
-						st := get(ent.Step)
-						st.batches[sender] = nil
-						st.senderRemovals[sender] = nil
-						st.senderAdditions[sender] = nil
+		for _, part := range l.parts[sender] {
+			for _, seg := range part.Segments {
+				var raw []byte
+				for _, ent := range seg.Entries {
+					if ent.Step != prevStep {
+						// New contiguous group for this superstep: discard
+						// anything an earlier (pre-restart) execution of the
+						// same superstep logged in this lane.
+						if ent.Step >= lo && ent.Step <= hi {
+							st := get(ent.Step)
+							st.batches[sender] = nil
+							st.senderRemovals[sender] = nil
+							st.senderAdditions[sender] = nil
+						}
+						prevStep = ent.Step
 					}
-					prevStep = ent.Step
-				}
-				if ent.Step < lo || ent.Step > hi {
-					continue
-				}
-				if raw == nil {
-					var err error
-					raw, err = segio.ReadFile(l.fs, w.SegmentPath(seg.Name))
-					if err != nil {
+					if ent.Step < lo || ent.Step > hi {
+						continue
+					}
+					if raw == nil {
+						var err error
+						raw, err = segio.ReadFile(l.fs, w.Path(seg.Name))
+						if err != nil {
+							return nil, fmt.Errorf("pregel: outbox log segment %s: %w", seg.Name, err)
+						}
+						if err := segio.CheckSegment(raw); err != nil {
+							return nil, fmt.Errorf("pregel: outbox log segment %s: %w", seg.Name, err)
+						}
+					}
+					if ent.Offset < 0 || ent.Offset+ent.Length > len(raw) {
+						return nil, fmt.Errorf("pregel: outbox log segment %s: entry out of range", seg.Name)
+					}
+					if err := decodeLogFrame(raw[ent.Offset:ent.Offset+ent.Length], sender, get(ent.Step)); err != nil {
 						return nil, fmt.Errorf("pregel: outbox log segment %s: %w", seg.Name, err)
 					}
-					if err := segio.CheckSegment(raw); err != nil {
-						return nil, fmt.Errorf("pregel: outbox log segment %s: %w", seg.Name, err)
-					}
-				}
-				if ent.Offset < 0 || ent.Offset+ent.Length > len(raw) {
-					return nil, fmt.Errorf("pregel: outbox log segment %s: entry out of range", seg.Name)
-				}
-				if err := decodeLogFrame(raw[ent.Offset:ent.Offset+ent.Length], sender, get(ent.Step)); err != nil {
-					return nil, fmt.Errorf("pregel: outbox log segment %s: %w", seg.Name, err)
 				}
 			}
 		}

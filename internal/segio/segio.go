@@ -1,11 +1,12 @@
 // Package segio implements the append-only segment+index container
 // format introduced by the trace store and reused by the engine's
-// sender-side outbox logs. A lane is a directory of segment files plus
-// an index sidecar:
+// sender-side outbox logs. A lane is a directory of segment files and
+// index parts:
 //
 //	<dir>/<lane>/seg_000000.seg
 //	<dir>/<lane>/seg_000001.seg
-//	<dir>/<lane>.idx
+//	<dir>/<lane>/idx_000000.idx
+//	<dir>/<lane>/idx_000001.idx
 //
 // A segment file is the magic "GRFTSEG1" followed by framed records
 // (uvarint payload length ++ payload). Segments are sealed — committed
@@ -13,12 +14,21 @@
 // and at every flush, which is what makes the format crash-consistent:
 // everything up to the last completed flush is durable.
 //
-// The index sidecar is the magic "GRFTIDX1" followed by, per sealed
-// segment, its file name and one (kind, step, id, offset, length)
-// entry per record, where offset/length locate the record's payload
-// inside the segment file. The byte layout is identical to the trace
-// store's original GRFTIDX1 encoding, so existing sidecars remain
-// readable.
+// An index part is the magic "GRFTIDX1" followed by, per segment it
+// names, the file name and one (kind, step, id, offset, length) entry
+// per record, where offset/length locate the record's payload inside
+// the segment file. The index is append-only: each flush writes one new
+// part naming only the segments sealed since the previous part, so a
+// flush costs the bytes it adds however long the lane already is. A
+// segment is always committed before the part that names it; a reader
+// that finds a segment no part names (a crash, or a failed part write,
+// in between) recovers its entries by scanning the segment, and the
+// writer's next part covers it. The parts of a lane, read in name
+// order, list its segments in seal order. The byte layout is the trace
+// store's original GRFTIDX1 encoding, in which a lane had one
+// "<dir>/<lane>.idx" rewritten whole at every flush: such a file is
+// simply a lane with a single part, and a reader that loads every
+// "*.idx" it lists in name order reads both.
 //
 // The package is deliberately a leaf: it depends only on the standard
 // library, so both the trace layer (which imports the engine) and the
@@ -32,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 const (
@@ -83,10 +94,20 @@ type SegmentIndex struct {
 	Entries []Entry
 }
 
+// Part is one committed index part: its file name (relative to the
+// writer's directory, like SegmentIndex.Name) and the segments it
+// names, in seal order.
+type Part struct {
+	Name     string
+	Segments []SegmentIndex
+}
+
 // Writer owns one lane: it buffers the current segment in memory,
-// seals it to a segment file when full or on Flush, and rewrites the
-// lane's index sidecar. Not safe for concurrent use; each lane must
-// have exactly one writing goroutine.
+// seals it to a segment file when full or on Flush, and appends index
+// parts. It keeps no record of what it has indexed; a caller that reads
+// its own lane back (the outbox log) keeps the Parts Flush returns.
+// Not safe for concurrent use; each lane must have exactly one writing
+// goroutine.
 type Writer struct {
 	fs      FS
 	dir     string
@@ -96,13 +117,16 @@ type Writer struct {
 	// discarded when a segment cannot be committed.
 	onDrop func(n int)
 
-	hdr    [binary.MaxVarintLen64]byte
-	buf    bytes.Buffer // current open segment, magic included
-	cur    []Entry
-	sealed []SegmentIndex
-	segSeq int
-	recs   int64
-	dirty  bool // records or seals since the last index rewrite
+	hdr [binary.MaxVarintLen64]byte
+	buf bytes.Buffer // current open segment, magic included
+	cur []Entry
+	// pending holds the segments sealed since the last committed part:
+	// the watermark a failed part write leaves in place for the next.
+	pending []SegmentIndex
+	idx     []byte // part encoding scratch
+	segSeq  int
+	partSeq int
+	recs    int64
 }
 
 // NewWriter creates a writer for one lane under dir. Segments are
@@ -113,20 +137,12 @@ func NewWriter(fs FS, dir, lane string, segSize int, onDrop func(n int)) *Writer
 	return w
 }
 
-// IndexPath returns the path of the lane's index sidecar.
-func (w *Writer) IndexPath() string { return w.dir + "/" + w.lane + ".idx" }
-
-// SegmentPath resolves a sealed segment's index-relative name (as in
-// SegmentIndex.Name) to its full path.
-func (w *Writer) SegmentPath(name string) string { return w.dir + "/" + name }
+// Path resolves a segment's or part's directory-relative name (as in
+// SegmentIndex.Name and Part.Name) to its full path.
+func (w *Writer) Path(name string) string { return w.dir + "/" + name }
 
 // Records returns how many records have been appended.
 func (w *Writer) Records() int64 { return w.recs }
-
-// Sealed returns the sealed segments in seal order. The slice and its
-// entries are owned by the writer; callers must treat them as
-// read-only and must not retain them across Prune.
-func (w *Writer) Sealed() []SegmentIndex { return w.sealed }
 
 // AppendRecord frames payload (uvarint length ++ payload) into the
 // open segment and records an index entry with ent's Kind/Step/ID
@@ -140,7 +156,6 @@ func (w *Writer) AppendRecord(payload []byte, ent Entry) error {
 	w.buf.Write(payload)
 	w.cur = append(w.cur, ent)
 	w.recs++
-	w.dirty = true
 	if w.buf.Len() >= w.segSize {
 		return w.Seal()
 	}
@@ -161,7 +176,6 @@ func (w *Writer) AppendFramed(frames []byte, entries []Entry) error {
 		w.cur = append(w.cur, ent)
 	}
 	w.recs += int64(len(entries))
-	w.dirty = true
 	if w.buf.Len() >= w.segSize {
 		return w.Seal()
 	}
@@ -178,13 +192,13 @@ func (w *Writer) Seal() error {
 		return nil
 	}
 	name := fmt.Sprintf("%s/seg_%06d.seg", w.lane, w.segSeq)
-	err := writeFile(w.fs, w.dir+"/"+name, w.buf.Bytes())
+	err := writeFile(w.fs, w.Path(name), w.buf.Bytes())
 	if err != nil {
 		if w.onDrop != nil {
 			w.onDrop(len(w.cur))
 		}
 	} else {
-		w.sealed = append(w.sealed, SegmentIndex{Name: name, Entries: w.cur})
+		w.pending = append(w.pending, SegmentIndex{Name: name, Entries: w.cur})
 		w.segSeq++
 	}
 	w.cur = nil
@@ -193,59 +207,89 @@ func (w *Writer) Seal() error {
 	return err
 }
 
-// Flush seals the open segment and rewrites the lane's index sidecar.
-// After Flush returns nil, every record appended so far is durable and
-// indexed (or has been reported dropped).
-func (w *Writer) Flush() error {
-	if !w.dirty {
-		return nil
-	}
+// Flush seals the open segment and commits one index part naming the
+// segments sealed since the previous part, which it returns; with
+// nothing new it writes no file and returns the zero Part. After Flush
+// returns nil, every record appended so far is durable and indexed (or
+// has been reported dropped). If the part cannot be written its
+// segments stay pending — durable, found by a reader's segment scan —
+// and the next Flush's part names them. A failed seal is reported with
+// the part that was still written for the segments before it.
+func (w *Writer) Flush() (Part, error) {
 	err := w.Seal()
-	if ierr := writeFile(w.fs, w.IndexPath(), EncodeIndex(w.sealed)); ierr != nil && err == nil {
-		err = ierr
+	if len(w.pending) == 0 {
+		return Part{}, err
 	}
-	if err == nil {
-		w.dirty = false
+	part := Part{Name: fmt.Sprintf("%s/idx_%06d.idx", w.lane, w.partSeq), Segments: w.pending}
+	w.idx = appendIndex(w.idx[:0], part.Segments)
+	if ierr := writeFile(w.fs, w.Path(part.Name), w.idx); ierr != nil {
+		if err == nil {
+			err = ierr
+		}
+		return Part{}, err
 	}
-	return err
+	w.partSeq++
+	w.pending = nil
+	return part, err
 }
 
-// Prune drops sealed segments for which keep returns false: the index
-// sidecar is rewritten first (so no live index references a removed
-// file), then the segment files are deleted. Used by retention GC.
-func (w *Writer) Prune(keep func(SegmentIndex) bool) error {
-	kept := make([]SegmentIndex, 0, len(w.sealed))
-	var drop []string
-	for _, seg := range w.sealed {
-		if keep(seg) {
-			kept = append(kept, seg)
-		} else {
-			drop = append(drop, seg.Name)
-		}
-	}
-	if len(drop) == 0 {
-		return nil
-	}
-	w.sealed = kept
-	if err := writeFile(w.fs, w.IndexPath(), EncodeIndex(w.sealed)); err != nil {
-		return err
-	}
+// Prune deletes, from parts this writer returned, the segments for
+// which keep returns false, and returns what is left. A part losing
+// every segment is removed and one losing some is rewritten before any
+// of its segment files goes, so no part ever names a missing file. A
+// part whose update fails is returned unchanged with its files intact.
+// Used by retention GC.
+func (w *Writer) Prune(parts []Part, keep func(SegmentIndex) bool) ([]Part, error) {
+	kept := make([]Part, 0, len(parts))
 	var firstErr error
-	for _, name := range drop {
-		if err := w.fs.Remove(w.dir + "/" + name); err != nil && firstErr == nil {
+	note := func(err error) {
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	return firstErr
+	for _, p := range parts {
+		var live, dead []SegmentIndex
+		for _, seg := range p.Segments {
+			if keep(seg) {
+				live = append(live, seg)
+			} else {
+				dead = append(dead, seg)
+			}
+		}
+		if len(dead) == 0 {
+			kept = append(kept, p)
+			continue
+		}
+		var err error
+		if len(live) == 0 {
+			err = w.fs.Remove(w.Path(p.Name))
+		} else {
+			err = writeFile(w.fs, w.Path(p.Name), EncodeIndex(live))
+		}
+		if err != nil {
+			note(err)
+			kept = append(kept, p)
+			continue
+		}
+		if len(live) > 0 {
+			kept = append(kept, Part{Name: p.Name, Segments: live})
+		}
+		for _, seg := range dead {
+			note(w.fs.Remove(w.Path(seg.Name)))
+		}
+	}
+	return kept, firstErr
 }
 
-// EncodeIndex serializes sealed-segment indexes in the GRFTIDX1
-// layout: the magic, a uvarint segment count, then per segment its
-// length-prefixed name, a uvarint entry count and per entry the
-// uvarint kind, uvarint step, zig-zag varint ID, uvarint offset and
-// uvarint length.
-func EncodeIndex(segs []SegmentIndex) []byte {
-	b := []byte(IdxMagic)
+// EncodeIndex serializes segment indexes in the GRFTIDX1 layout: the
+// magic, a uvarint segment count, then per segment its length-prefixed
+// name, a uvarint entry count and per entry the uvarint kind, uvarint
+// step, zig-zag varint ID, uvarint offset and uvarint length.
+func EncodeIndex(segs []SegmentIndex) []byte { return appendIndex(nil, segs) }
+
+// appendIndex appends EncodeIndex(segs) to b.
+func appendIndex(b []byte, segs []SegmentIndex) []byte {
+	b = append(b, IdxMagic...)
 	b = binary.AppendUvarint(b, uint64(len(segs)))
 	for _, seg := range segs {
 		b = binary.AppendUvarint(b, uint64(len(seg.Name)))
@@ -262,32 +306,34 @@ func EncodeIndex(segs []SegmentIndex) []byte {
 	return b
 }
 
-// DecodeIndex parses an index sidecar produced by EncodeIndex.
+// DecodeIndex parses an index part (or an old whole-lane sidecar)
+// produced by EncodeIndex. Counts are checked against the bytes that
+// remain — a segment takes at least 2 and an entry at least 5 — before
+// anything is allocated for them.
 func DecodeIndex(raw []byte) ([]SegmentIndex, error) {
 	if len(raw) < len(IdxMagic) || string(raw[:len(IdxMagic)]) != IdxMagic {
 		return nil, ErrBadMagic
 	}
 	d := decoder{b: raw[len(IdxMagic):]}
-	nSegs := d.uvarint()
+	nSegs := d.count(2)
 	if d.err != nil {
 		return nil, d.err
 	}
 	segs := make([]SegmentIndex, 0, nSegs)
 	for i := uint64(0); i < nSegs; i++ {
 		seg := SegmentIndex{Name: d.str()}
-		nEnts := d.uvarint()
+		nEnts := d.count(5)
 		if d.err != nil {
 			return nil, d.err
 		}
 		seg.Entries = make([]Entry, 0, nEnts)
 		for j := uint64(0); j < nEnts; j++ {
-			seg.Entries = append(seg.Entries, Entry{
-				Kind:   uint8(d.uvarint()),
-				Step:   int(d.uvarint()),
-				ID:     d.varint(),
-				Offset: int(d.uvarint()),
-				Length: int(d.uvarint()),
-			})
+			kind, step, id := d.uvarint(), d.uvarint(), d.varint()
+			off, ln := d.uvarint(), d.uvarint()
+			if kind > math.MaxUint8 || step > math.MaxInt32 || off > math.MaxInt32 || ln > math.MaxInt32 {
+				d.fail() // no segment is that large; keeps Offset+Length from wrapping
+			}
+			seg.Entries = append(seg.Entries, Entry{Kind: uint8(kind), Step: int(step), ID: id, Offset: int(off), Length: int(ln)})
 		}
 		if d.err != nil {
 			return nil, d.err
@@ -353,6 +399,17 @@ func (d *decoder) uvarint() uint64 {
 	}
 	d.off += n
 	return x
+}
+
+// count reads an element count and fails if that many elements of at
+// least minBytes each cannot fit in what is left.
+func (d *decoder) count(minBytes int) uint64 {
+	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.b)-d.off)/uint64(minBytes) {
+		d.fail()
+		return 0
+	}
+	return n
 }
 
 func (d *decoder) varint() int64 {

@@ -63,6 +63,14 @@ func (w *Writer) WriteVertexCapture(c *VertexCapture) error {
 	return w.frame()
 }
 
+// WriteVertexFrame appends one vertex capture record from its
+// pre-encoded form.
+func (w *Writer) WriteVertexFrame(f *VertexFrame) error {
+	w.e.Reset()
+	encodeVertexFramePayload(w.e, f)
+	return w.frame()
+}
+
 // WriteMasterCapture appends one master capture record.
 func (w *Writer) WriteMasterCapture(c *MasterCapture) error {
 	w.e.Reset()
@@ -89,6 +97,8 @@ func (w *Writer) WriteSubgraphCapture(c *SubgraphCapture) error {
 // files and segment files; only the container around them differs.
 func encodeRecordPayload(e *pregel.Encoder, rec any) error {
 	switch r := rec.(type) {
+	case *VertexFrame:
+		encodeVertexFramePayload(e, r)
 	case *VertexCapture:
 		encodeVertexCapturePayload(e, r)
 	case *MasterCapture:
@@ -103,38 +113,81 @@ func encodeRecordPayload(e *pregel.Encoder, rec any) error {
 	return nil
 }
 
+// encodeVertexCapturePayload is the definition of a vertex capture
+// record's layout. encodeVertexFramePayload writes the same bytes from
+// pieces encoded earlier by the same part encoders.
 func encodeVertexCapturePayload(e *pregel.Encoder, c *VertexCapture) {
-	e.PutUvarint(uint64(kindVertexCapture))
-	e.PutUvarint(uint64(c.Superstep))
-	e.PutUvarint(uint64(c.Worker))
-	e.PutVarint(int64(c.ID))
-	e.PutUvarint(uint64(c.Reasons))
+	putCaptureHead(e, c.Superstep, c.Worker, c.ID, c.Reasons)
 	pregel.EncodeTyped(e, c.ValueBefore)
 	pregel.EncodeTyped(e, c.ValueAfter)
 	e.PutBool(c.EdgesPreCompute)
-	e.PutUvarint(uint64(len(c.Edges)))
-	for _, ed := range c.Edges {
+	PutEdges(e, c.Edges)
+	putCaptureIncoming(e, c.Incoming)
+	e.PutUvarint(uint64(len(c.Outgoing)))
+	for _, m := range c.Outgoing {
+		PutOutMsg(e, m.To, m.Value)
+	}
+	putCaptureTail(e, c.HaltedAfter, c.Violations, c.Exception)
+}
+
+func encodeVertexFramePayload(e *pregel.Encoder, f *VertexFrame) {
+	putCaptureHead(e, f.Superstep, f.Worker, f.ID, f.Reasons)
+	if len(f.ValueBefore) == 0 {
+		pregel.EncodeTyped(e, nil)
+	} else {
+		e.PutRaw(f.ValueBefore)
+	}
+	pregel.EncodeTyped(e, f.ValueAfter)
+	e.PutBool(f.EdgesPreCompute)
+	e.PutRaw(f.Edges)
+	putCaptureIncoming(e, f.Incoming)
+	e.PutUvarint(uint64(f.NumOutgoing))
+	e.PutRaw(f.Outgoing)
+	putCaptureTail(e, f.HaltedAfter, f.Violations, f.Exception)
+}
+
+// PutEdges appends the edge list of a vertex capture record: the count,
+// then each edge's target and typed value. It is VertexFrame.Edges.
+func PutEdges(e *pregel.Encoder, edges []pregel.Edge) {
+	e.PutUvarint(uint64(len(edges)))
+	for _, ed := range edges {
 		e.PutVarint(int64(ed.Target))
 		pregel.EncodeTyped(e, ed.Value)
 	}
-	e.PutUvarint(uint64(len(c.Incoming)))
-	for _, m := range c.Incoming {
+}
+
+// PutOutMsg appends one outgoing message of a vertex capture record:
+// VertexFrame.Outgoing is NumOutgoing of these.
+func PutOutMsg(e *pregel.Encoder, to pregel.VertexID, v pregel.Value) {
+	e.PutVarint(int64(to))
+	pregel.EncodeTyped(e, v)
+}
+
+func putCaptureHead(e *pregel.Encoder, superstep, worker int, id pregel.VertexID, reasons Reason) {
+	e.PutUvarint(uint64(kindVertexCapture))
+	e.PutUvarint(uint64(superstep))
+	e.PutUvarint(uint64(worker))
+	e.PutVarint(int64(id))
+	e.PutUvarint(uint64(reasons))
+}
+
+func putCaptureIncoming(e *pregel.Encoder, msgs []pregel.Value) {
+	e.PutUvarint(uint64(len(msgs)))
+	for _, m := range msgs {
 		pregel.EncodeTyped(e, m)
 	}
-	e.PutUvarint(uint64(len(c.Outgoing)))
-	for _, m := range c.Outgoing {
-		e.PutVarint(int64(m.To))
-		pregel.EncodeTyped(e, m.Value)
-	}
-	e.PutBool(c.HaltedAfter)
-	e.PutUvarint(uint64(len(c.Violations)))
-	for _, v := range c.Violations {
+}
+
+func putCaptureTail(e *pregel.Encoder, halted bool, violations []Violation, exc *ExceptionInfo) {
+	e.PutBool(halted)
+	e.PutUvarint(uint64(len(violations)))
+	for _, v := range violations {
 		e.PutUvarint(uint64(v.Kind))
 		e.PutVarint(int64(v.SrcID))
 		e.PutVarint(int64(v.DstID))
 		pregel.EncodeTyped(e, v.Value)
 	}
-	encodeException(e, c.Exception)
+	encodeException(e, exc)
 }
 
 func encodeMasterCapturePayload(e *pregel.Encoder, c *MasterCapture) {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -10,6 +11,7 @@ import (
 
 	"graft/internal/dfs"
 	"graft/internal/pregel"
+	"graft/internal/segio"
 )
 
 // View is the read surface shared by the lazy Reader and the eager DB:
@@ -101,6 +103,7 @@ type Reader struct {
 	cacheBytes int
 	cacheLimit int
 	segReads   atomic.Int64
+	indexParts int
 	err        error
 }
 
@@ -142,9 +145,10 @@ func (s *Store) OpenReader(jobID string) (*Reader, error) {
 	return r, nil
 }
 
-// loadIndex reads every lane's index sidecar, then scans any segment
-// files the sidecars do not cover (sealed after the last barrier's
-// index rewrite, e.g. by a crash) to synthesize their entries.
+// loadIndex reads every index file of the job in name order — a lane's
+// parts in the new layout, its one whole sidecar in the old — then
+// scans any segment files none of them names (committed without their
+// part, by a crash or a failed part write) to synthesize their entries.
 func (r *Reader) loadIndex() error {
 	files, err := r.store.FS.List(r.dir + "/")
 	if err != nil {
@@ -167,13 +171,17 @@ func (r *Reader) loadIndex() error {
 	sort.Strings(idxFiles)
 	sort.Strings(segFiles)
 
+	r.indexParts = len(idxFiles)
 	indexed := map[string]bool{}
 	for _, idxPath := range idxFiles {
 		raw, err := dfs.ReadFile(r.store.FS, idxPath)
 		if err != nil {
 			return err
 		}
-		segs, err := decodeIndex(raw)
+		segs, err := segio.DecodeIndex(raw)
+		if errors.Is(err, segio.ErrBadMagic) {
+			err = ErrBadMagic
+		}
 		if err != nil {
 			return fmt.Errorf("trace: %s: %w", idxPath, err)
 		}
@@ -211,38 +219,38 @@ func (r *Reader) loadIndex() error {
 	return nil
 }
 
-func (r *Reader) place(ent indexEntry, seg string) {
+func (r *Reader) place(ent segio.Entry, seg string) {
 	loc := recordLoc{seg: seg, off: ent.Offset, ln: ent.Length}
-	switch ent.Kind {
+	switch recordKind(ent.Kind) {
 	case kindSuperstepMeta:
-		r.metaLoc[ent.Superstep] = loc
+		r.metaLoc[ent.Step] = loc
 	case kindMasterCapture:
-		r.masterLoc[ent.Superstep] = loc
+		r.masterLoc[ent.Step] = loc
 	case kindVertexCapture:
-		m := r.vertexLoc[ent.Superstep]
+		m := r.vertexLoc[ent.Step]
 		if m == nil {
 			m = map[pregel.VertexID]recordLoc{}
-			r.vertexLoc[ent.Superstep] = m
+			r.vertexLoc[ent.Step] = m
 		}
-		m[ent.VertexID] = loc
+		m[pregel.VertexID(ent.ID)] = loc
 	case kindSubgraphCapture:
-		m := r.subgraphLoc[ent.Superstep]
+		m := r.subgraphLoc[ent.Step]
 		if m == nil {
 			m = map[pregel.VertexID]recordLoc{}
-			r.subgraphLoc[ent.Superstep] = m
+			r.subgraphLoc[ent.Step] = m
 		}
-		m[ent.VertexID] = loc
+		m[pregel.VertexID(ent.ID)] = loc
 	}
 }
 
 // scanSegmentEntries walks a segment's frames and synthesizes index
 // entries, decoding only each record's envelope (kind, superstep,
 // vertex ID).
-func scanSegmentEntries(data []byte) ([]indexEntry, error) {
+func scanSegmentEntries(data []byte) ([]segio.Entry, error) {
 	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
 		return nil, ErrBadMagic
 	}
-	var ents []indexEntry
+	var ents []segio.Entry
 	off := len(segMagic)
 	for off < len(data) {
 		d := pregel.NewDecoder(data[off:])
@@ -253,15 +261,15 @@ func scanSegmentEntries(data []byte) ([]indexEntry, error) {
 		off = len(data) - d.Remaining() // frame end
 		payloadOff := off - len(payload)
 		pd := pregel.NewDecoder(payload)
-		ent := indexEntry{
-			Kind:      recordKind(pd.Uvarint()),
-			Superstep: int(pd.Uvarint()),
-			Offset:    payloadOff,
-			Length:    len(payload),
+		ent := segio.Entry{
+			Kind:   uint8(pd.Uvarint()),
+			Step:   int(pd.Uvarint()),
+			Offset: payloadOff,
+			Length: len(payload),
 		}
-		if ent.Kind == kindVertexCapture || ent.Kind == kindSubgraphCapture {
+		if k := recordKind(ent.Kind); k == kindVertexCapture || k == kindSubgraphCapture {
 			pd.Uvarint() // worker
-			ent.VertexID = pregel.VertexID(pd.Varint())
+			ent.ID = pd.Varint()
 		}
 		if pd.Err() != nil {
 			return nil, pd.Err()
@@ -344,6 +352,11 @@ func (r *Reader) Err() error {
 // storage (cache misses): what the single-segment-lookup acceptance
 // check measures.
 func (r *Reader) SegmentReads() int64 { return r.segReads.Load() }
+
+// IndexParts returns how many index files the Reader loaded on open:
+// one per lane per flushed barrier, or one per lane for a trace in the
+// old whole-sidecar layout.
+func (r *Reader) IndexParts() int { return r.indexParts }
 
 // JobMeta implements View.
 func (r *Reader) JobMeta() JobMeta { return r.meta }

@@ -153,6 +153,40 @@ type VertexCapture struct {
 	Exception   *ExceptionInfo
 }
 
+// VertexFrame is a VertexCapture on its way to a RecordSink with the
+// pieces that compute or the message plane may change afterwards — the
+// value before, the edges, each message sent — already encoded, each at
+// the moment a clone would have been taken, into buffers the capturing
+// worker reuses from one vertex to the next. ValueAfter, Incoming and
+// Violations are live values the sink encodes before it returns. A
+// frame never reaches a reader: it is stored as, and read back as, the
+// VertexCapture record it describes.
+type VertexFrame struct {
+	Superstep int
+	Worker    int
+	ID        pregel.VertexID
+	Reasons   Reason
+
+	// ValueBefore is pregel.EncodeTyped of the pre-compute value; empty
+	// when none was snapshotted (a nil VertexCapture.ValueBefore).
+	ValueBefore []byte
+	ValueAfter  pregel.Value
+	// Edges is PutEdges of the edge list; see VertexCapture for
+	// EdgesPreCompute.
+	Edges           []byte
+	EdgesPreCompute bool
+
+	Incoming []pregel.Value
+	// Outgoing is NumOutgoing messages, each written by PutOutMsg when
+	// it was sent.
+	Outgoing    []byte
+	NumOutgoing int
+
+	HaltedAfter bool
+	Violations  []Violation
+	Exception   *ExceptionInfo
+}
+
 // SubgraphCapture summarizes one ComputeSubgraph call over a captured
 // component in subgraph mode: its membership, how many internal
 // iterations the sequential algorithm ran, and a digest of the member

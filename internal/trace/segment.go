@@ -10,13 +10,13 @@ import (
 )
 
 // Segmented trace layout. Each lane (one per worker, one for the
-// master) is a directory of segment files plus an index sidecar:
+// master) is a directory of segment files and index parts:
 //
 //	<root>/<jobID>/worker_NN/seg_000000.seg
 //	<root>/<jobID>/worker_NN/seg_000001.seg
-//	<root>/<jobID>/worker_NN.idx
+//	<root>/<jobID>/worker_NN/idx_000000.idx
 //	<root>/<jobID>/master/seg_000000.seg
-//	<root>/<jobID>/master.idx
+//	<root>/<jobID>/master/idx_000000.idx
 //
 // A segment file is the magic "GRFTSEG1" followed by the same framed
 // records legacy .trace files hold (uvarint length ++ payload), so a
@@ -26,85 +26,26 @@ import (
 // crash and chaos runs replayable: everything up to the last completed
 // barrier is durable.
 //
-// The index sidecar is the magic "GRFTIDX1" followed by, per sealed
-// segment, its file name and one (kind, superstep, vertexID, offset,
+// An index part is the magic "GRFTIDX1" followed by, per segment it
+// names, the file name and one (kind, superstep, vertexID, offset,
 // length) entry per record, where offset/length locate the record's
-// payload inside the segment file. It is rewritten atomically at each
-// barrier; a reader that finds segment files missing from the index
-// (crash between a segment commit and the index rewrite) falls back to
-// scanning just those segments.
+// payload inside the segment file. Each barrier appends one part per
+// lane naming only the segments sealed since the lane's previous part,
+// after those segments are committed, so a barrier writes what the
+// superstep captured and nothing it wrote before. A reader loads every
+// "*.idx" of the job in name order and scans the segments none of them
+// names (a crash, or a failed part write, between a segment's commit
+// and its part's). Traces written before parts have one
+// "<root>/<jobID>/<lane>.idx" per lane, rewritten whole at each
+// barrier: the same bytes under another name, sorting in the same lane
+// order, so the reader opens them unchanged.
 //
 // The container mechanics — framing, sealing, index encoding — live in
 // the dependency-free segio package so the engine's outbox logs can
-// share them; this file binds them to trace record types. The exported
-// aliases below are the reuse surface the redesign promised: external
-// code gets the writer and the index codec without knowing segio
-// exists.
-const (
-	segMagic = segio.SegMagic
-	idxMagic = segio.IdxMagic
-)
-
-// SegmentWriter is the generic segment+index lane writer, re-exported
-// for reuse outside the trace store (the engine's outbox logs use the
-// same container). See segio.Writer for the format contract.
-type SegmentWriter = segio.Writer
-
-// SegmentIndex is one sealed segment's index: file name plus entries
-// in record order.
-type SegmentIndex = segio.SegmentIndex
-
-// SegmentEntry locates one record inside a segment file.
-type SegmentEntry = segio.Entry
-
-// NewSegmentWriter constructs a generic segment lane writer (see
-// SegmentWriter).
-var NewSegmentWriter = segio.NewWriter
-
-// EncodeSegmentIndex and DecodeSegmentIndex are the GRFTIDX1 sidecar
-// codec, re-exported for external readers of trace or outbox-log
-// indexes.
-var (
-	EncodeSegmentIndex = segio.EncodeIndex
-	DecodeSegmentIndex = segio.DecodeIndex
-)
-
-// indexEntry locates one record's payload inside a segment file, with
-// trace-typed coordinates.
-type indexEntry struct {
-	Kind      recordKind
-	Superstep int
-	VertexID  pregel.VertexID // 0 unless Kind is kindVertexCapture or kindSubgraphCapture
-	Offset    int             // payload start within the segment file
-	Length    int             // payload length
-}
-
-// segmentIndex is the index of one sealed segment: its file name
-// (relative to the job directory) and the entries in record order.
-type segmentIndex struct {
-	Name    string
-	Entries []indexEntry
-}
-
-func toSegioEntry(ent indexEntry) segio.Entry {
-	return segio.Entry{
-		Kind:   uint8(ent.Kind),
-		Step:   ent.Superstep,
-		ID:     int64(ent.VertexID),
-		Offset: ent.Offset,
-		Length: ent.Length,
-	}
-}
-
-func fromSegioEntry(ent segio.Entry) indexEntry {
-	return indexEntry{
-		Kind:      recordKind(ent.Kind),
-		Superstep: ent.Step,
-		VertexID:  pregel.VertexID(ent.ID),
-		Offset:    ent.Offset,
-		Length:    ent.Length,
-	}
-}
+// share them; this file binds them to trace record types. An index
+// entry's coordinates are (record kind, superstep, vertex or subgraph
+// ID — 0 for master records).
+const segMagic = segio.SegMagic
 
 // segmentWriter owns one lane: the generic segio writer plus the trace
 // record codec and drop accounting. Not safe for concurrent use; each
@@ -115,36 +56,30 @@ type segmentWriter struct {
 	// committed; shared with the owning sink's DroppedRecords.
 	dropped *atomic.Int64
 
-	e, hdr *pregel.Encoder // payload and frame-length scratch
+	e *pregel.Encoder // payload scratch
 }
 
 func newSegmentWriter(fs dfs.FileSystem, jobDir, lane string, segSize int, dropped *atomic.Int64) *segmentWriter {
-	sw := &segmentWriter{
-		dropped: dropped,
-		e:       pregel.NewEncoder(), hdr: pregel.NewEncoder(),
-	}
-	if sw.dropped == nil {
-		sw.dropped = new(atomic.Int64)
-	}
+	sw := &segmentWriter{dropped: dropped, e: pregel.NewEncoder()}
 	sw.w = segio.NewWriter(fs, jobDir, lane, segSize, func(n int) { sw.dropped.Add(int64(n)) })
 	return sw
 }
 
-func (sw *segmentWriter) indexPath() string { return sw.w.IndexPath() }
-
 // entryFor builds a record's index coordinates from its payload and
 // concrete type.
-func entryFor(rec any, payload []byte) indexEntry {
-	ent := indexEntry{Kind: recordKind(payload[0]), Length: len(payload)}
+func entryFor(rec any, payload []byte) segio.Entry {
+	ent := segio.Entry{Kind: payload[0], Length: len(payload)}
 	switch r := rec.(type) {
+	case *VertexFrame:
+		ent.Step, ent.ID = r.Superstep, int64(r.ID)
 	case *VertexCapture:
-		ent.Superstep, ent.VertexID = r.Superstep, r.ID
+		ent.Step, ent.ID = r.Superstep, int64(r.ID)
 	case *SubgraphCapture:
-		ent.Superstep, ent.VertexID = r.Superstep, r.ID
+		ent.Step, ent.ID = r.Superstep, int64(r.ID)
 	case *MasterCapture:
-		ent.Superstep = r.Superstep
+		ent.Step = r.Superstep
 	case *SuperstepMeta:
-		ent.Superstep = r.Superstep
+		ent.Step = r.Superstep
 	}
 	return ent
 }
@@ -153,10 +88,10 @@ func entryFor(rec any, payload []byte) indexEntry {
 // using e and hdr as scratch, and returns the record's index entry
 // with Offset relative to buf's start. On an encode failure buf is
 // left untouched.
-func encodeFrame(e, hdr *pregel.Encoder, buf *bytes.Buffer, rec any) (indexEntry, error) {
+func encodeFrame(e, hdr *pregel.Encoder, buf *bytes.Buffer, rec any) (segio.Entry, error) {
 	e.Reset()
 	if err := encodeRecordPayload(e, rec); err != nil {
-		return indexEntry{}, err
+		return segio.Entry{}, err
 	}
 	payload := e.Bytes()
 	hdr.Reset()
@@ -177,61 +112,14 @@ func (sw *segmentWriter) append(rec any) error {
 		return err
 	}
 	payload := sw.e.Bytes()
-	return sw.w.AppendRecord(payload, toSegioEntry(entryFor(rec, payload)))
+	return sw.w.AppendRecord(payload, entryFor(rec, payload))
 }
 
-// appendFramed copies a batch of pre-framed records — frames as laid
-// out by encodeFrame, entries with Offsets relative to the start of
-// frames — into the open segment, then applies the size threshold.
-// The async pipeline's producers frame records at the source so the
-// drainer's per-record work is this bulk copy.
-func (sw *segmentWriter) appendFramed(frames []byte, entries []indexEntry) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	conv := make([]segio.Entry, len(entries))
-	for i, ent := range entries {
-		conv[i] = toSegioEntry(ent)
-	}
-	return sw.w.AppendFramed(frames, conv)
-}
-
-// seal commits the open segment as its own file (see segio.Writer.Seal
-// for the drop-on-failure contract).
-func (sw *segmentWriter) seal() error { return sw.w.Seal() }
-
-// flush seals the open segment and rewrites the lane's index sidecar:
+// flush seals the open segment and commits the lane's next index part:
 // the barrier hook. After flush returns, every record appended so far
-// is durable and indexed (or counted as dropped).
-func (sw *segmentWriter) flush() error { return sw.w.Flush() }
-
-func encodeIndex(segs []segmentIndex) []byte {
-	conv := make([]segio.SegmentIndex, len(segs))
-	for i, seg := range segs {
-		ents := make([]segio.Entry, len(seg.Entries))
-		for j, ent := range seg.Entries {
-			ents[j] = toSegioEntry(ent)
-		}
-		conv[i] = segio.SegmentIndex{Name: seg.Name, Entries: ents}
-	}
-	return segio.EncodeIndex(conv)
-}
-
-func decodeIndex(raw []byte) ([]segmentIndex, error) {
-	segs, err := segio.DecodeIndex(raw)
-	if err != nil {
-		if err == segio.ErrBadMagic {
-			return nil, ErrBadMagic
-		}
-		return nil, err
-	}
-	conv := make([]segmentIndex, len(segs))
-	for i, seg := range segs {
-		ents := make([]indexEntry, len(seg.Entries))
-		for j, ent := range seg.Entries {
-			ents[j] = fromSegioEntry(ent)
-		}
-		conv[i] = segmentIndex{Name: seg.Name, Entries: ents}
-	}
-	return conv, nil
+// is durable and indexed (or counted as dropped). The part itself is
+// not kept: only a reader needs the index, and it loads the files.
+func (sw *segmentWriter) flush() error {
+	_, err := sw.w.Flush()
+	return err
 }

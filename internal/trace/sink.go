@@ -10,6 +10,7 @@ import (
 
 	"graft/internal/dfs"
 	"graft/internal/pregel"
+	"graft/internal/segio"
 )
 
 // FormatSegments marks jobs written through Store.NewSink: segmented
@@ -132,8 +133,20 @@ func WithSynchronous() Option {
 // master). A lane is single-producer: each worker sink is used only by
 // its worker goroutine, the master sink only by the engine
 // coordinator. The legacy *Writer satisfies this interface too.
+//
+// A record is fully encoded to bytes before Write* returns and the sink
+// keeps no reference to it or to anything it points at — in the
+// asynchronous pipeline as much as under WithSynchronous, since the
+// producer frames at the source and only bytes are queued. A caller may
+// therefore pass live values (a vertex's current value, the engine's
+// message slice) without cloning them, and reuse the record and its
+// slices as soon as the call returns.
 type RecordSink interface {
 	WriteVertexCapture(*VertexCapture) error
+	// WriteVertexFrame writes a vertex capture whose snapshot-sensitive
+	// pieces are already bytes; the record stored is the one
+	// WriteVertexCapture stores for the equivalent VertexCapture.
+	WriteVertexFrame(*VertexFrame) error
 	WriteMasterCapture(*MasterCapture) error
 	WriteSuperstepMeta(*SuperstepMeta) error
 	WriteSubgraphCapture(*SubgraphCapture) error
@@ -144,8 +157,8 @@ type RecordSink interface {
 // records into indexed segment files. Create one with Store.NewSink.
 //
 // Lifecycle: WorkerSink/MasterSink during the run, BarrierFlush at
-// every superstep barrier (seals open segments and rewrites the index
-// sidecars, making everything so far durable), CloseFiles once the job
+// every superstep barrier (seals open segments and appends an index
+// part per lane, making everything so far durable), CloseFiles once the job
 // stops, Finish to write the job result.
 type Sink interface {
 	// WorkerSink returns lane i's record sink.
@@ -217,7 +230,8 @@ func (s *Store) NewSink(meta JobMeta, opts ...Option) (Sink, error) {
 			if depth < 1 {
 				depth = 1
 			}
-			l.ch = make(chan laneMsg, depth)
+			l.ch = make(chan *laneBatch, depth)
+			l.ack = make(chan error, 1)
 			l.free = make(chan *laneBatch, depth+1)
 			l.done = make(chan struct{})
 			go l.drain()
@@ -293,17 +307,15 @@ func (js *jobSink) BarrierFlush(superstep int) error {
 		}
 		return first
 	}
-	acks := make([]chan error, len(js.lanes))
-	for i, l := range js.lanes {
-		acks[i] = make(chan error, 1)
+	for _, l := range js.lanes {
 		l.mu.Lock()
 		l.sendLocked() // push the partial batch ahead of the token
 		l.mu.Unlock()
-		l.ch <- laneMsg{flush: acks[i]}
+		l.ch <- nil // flush token
 	}
 	var first error
-	for _, ack := range acks {
-		if err := <-ack; err != nil && first == nil {
+	for _, l := range js.lanes {
+		if err := <-l.ack; err != nil && first == nil {
 			first = err
 		}
 	}
@@ -365,20 +377,12 @@ func (js *jobSink) Finish(res JobResult) error {
 // steady-state pipeline allocates nothing per batch.
 type laneBatch struct {
 	buf     bytes.Buffer
-	entries []indexEntry
+	entries []segio.Entry
 }
 
 func (b *laneBatch) reset() {
 	b.buf.Reset()
 	b.entries = b.entries[:0]
-}
-
-// laneMsg is one queue element: a batch to append, or (when flush is
-// non-nil) a flush token the drainer acknowledges after sealing and
-// indexing everything before it.
-type laneMsg struct {
-	batch *laneBatch
-	flush chan error
 }
 
 // sinkLane is one worker's (or the master's) capture queue plus the
@@ -398,7 +402,14 @@ type laneMsg struct {
 type sinkLane struct {
 	sink *jobSink
 	sw   *segmentWriter
-	ch   chan laneMsg
+	// ch carries full batches to the drainer; a nil batch is a flush
+	// token, acknowledged on ack once everything before it is sealed and
+	// indexed.
+	ch chan *laneBatch
+	// BarrierFlush has one caller (the coordinator) and at most one
+	// token per lane in flight, so one buffered slot per lane serves
+	// every barrier.
+	ack  chan error
 	done chan struct{}
 	// free recycles consumed batches from the drainer back to the
 	// producer.
@@ -417,20 +428,20 @@ type sinkLane struct {
 // records acknowledges only once those records are sealed.
 func (l *sinkLane) drain() {
 	defer close(l.done)
-	for msg := range l.ch {
-		if msg.flush != nil {
-			msg.flush <- l.sw.flush()
+	for b := range l.ch {
+		if b == nil {
+			l.ack <- l.sw.flush()
 			continue
 		}
 		// Drop accounting happens inside the segment writer: a failed
 		// seal counts every record of the discarded segment.
-		if err := l.sw.appendFramed(msg.batch.buf.Bytes(), msg.batch.entries); err != nil {
+		if err := l.sw.w.AppendFramed(b.buf.Bytes(), b.entries); err != nil {
 			l.sink.recordErr(err)
 		}
-		l.queued.Add(int64(-len(msg.batch.entries)))
-		msg.batch.reset()
+		l.queued.Add(int64(-len(b.entries)))
+		b.reset()
 		select {
-		case l.free <- msg.batch:
+		case l.free <- b:
 		default:
 		}
 	}
@@ -474,7 +485,7 @@ func (l *sinkLane) sendLocked() {
 	}
 	if l.sink.opt.policy == Drop {
 		select {
-		case l.ch <- laneMsg{batch: b}:
+		case l.ch <- b:
 			l.queued.Add(int64(len(b.entries)))
 		default:
 			// Queue full: the whole batch is dropped, and its storage
@@ -485,7 +496,7 @@ func (l *sinkLane) sendLocked() {
 		}
 	} else {
 		l.queued.Add(int64(len(b.entries)))
-		l.ch <- laneMsg{batch: b}
+		l.ch <- b
 	}
 	select {
 	case l.cur = <-l.free:
@@ -495,6 +506,7 @@ func (l *sinkLane) sendLocked() {
 }
 
 func (l *sinkLane) WriteVertexCapture(c *VertexCapture) error     { return l.submit(c) }
+func (l *sinkLane) WriteVertexFrame(f *VertexFrame) error         { return l.submit(f) }
 func (l *sinkLane) WriteMasterCapture(c *MasterCapture) error     { return l.submit(c) }
 func (l *sinkLane) WriteSuperstepMeta(m *SuperstepMeta) error     { return l.submit(m) }
 func (l *sinkLane) WriteSubgraphCapture(c *SubgraphCapture) error { return l.submit(c) }

@@ -3,13 +3,16 @@ package trace
 import (
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"graft/internal/dfs"
+	"graft/internal/faults"
 	"graft/internal/pregel"
+	"graft/internal/segio"
 )
 
 // writeSinkJob writes a small deterministic job through a Sink: three
@@ -65,8 +68,9 @@ func TestSinkSegmentedRoundTrip(t *testing.T) {
 	store := NewStore(fs, "t")
 	writeSinkJob(t, store, "job1")
 
-	// The on-disk layout is segments plus index sidecars, no legacy
-	// .trace files.
+	// The on-disk layout is segments plus one index part per lane per
+	// barrier, each in its lane's directory, no legacy .trace files and
+	// no whole-lane sidecar.
 	names, err := fs.List("t/job1/")
 	if err != nil {
 		t.Fatal(err)
@@ -78,17 +82,23 @@ func TestSinkSegmentedRoundTrip(t *testing.T) {
 			segs++
 		case strings.HasSuffix(n, ".idx"):
 			idxs++
+			if !strings.Contains(strings.TrimPrefix(n, "t/job1/"), "/idx_") {
+				t.Errorf("index file %q is not a part in a lane directory", n)
+			}
 		case strings.HasSuffix(n, ".trace"):
 			t.Errorf("legacy trace file %q in a segmented job", n)
 		}
 	}
-	if segs == 0 || idxs != 3 {
-		t.Fatalf("layout: %d segments, %d index sidecars (want 3), files=%v", segs, idxs, names)
+	if segs != 9 || idxs != 9 {
+		t.Fatalf("layout: %d segments, %d index parts (want 9 and 9: 3 lanes x 3 barriers), files=%v", segs, idxs, names)
 	}
 
 	r, err := store.OpenReader("job1")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := r.IndexParts(); got != idxs {
+		t.Errorf("IndexParts() = %d, %d index files on disk", got, idxs)
 	}
 	if got := r.JobMeta(); got.Format != FormatSegments || got.Algorithm != "gc" {
 		t.Errorf("meta = %+v", got)
@@ -350,7 +360,7 @@ func TestSinkBarrierFlushRace(t *testing.T) {
 	}
 }
 
-// TestSinkUnindexedSegmentRecovery kills the index sidecar the way a
+// TestSinkUnindexedSegmentRecovery kills the index parts the way a
 // crash between a seal and the next barrier would, and expects the
 // reader to scan the orphaned segments back into view.
 func TestSinkUnindexedSegmentRecovery(t *testing.T) {
@@ -378,7 +388,7 @@ func TestSinkUnindexedSegmentRecovery(t *testing.T) {
 		}
 	}
 	if removed == 0 {
-		t.Fatal("no index sidecars to remove")
+		t.Fatal("no index parts to remove")
 	}
 
 	after, err := store.OpenReader("job1")
@@ -487,4 +497,162 @@ func TestNewSinkRejectsNegativeOptions(t *testing.T) {
 		t.Fatalf("zero options rejected: %v", err)
 	}
 	_ = sink.CloseFiles()
+}
+
+// TestReaderOldAndNewIndexLayouts opens the same job in the layout
+// written before index parts — one <lane>.idx naming all of a lane's
+// segments — and in the part layout, and expects one view.
+func TestReaderOldAndNewIndexLayouts(t *testing.T) {
+	fs := dfs.NewMemFS()
+	store := NewStore(fs, "t")
+	writeSinkJob(t, store, "new", WithSegmentSize(64))
+	writeSinkJob(t, store, "old", WithSegmentSize(64))
+
+	// Fold each lane's parts into the sidecar an older writer's last
+	// barrier would have left.
+	names, err := fs.List("t/old/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes := map[string][]segio.SegmentIndex{}
+	for _, n := range names {
+		if !strings.HasSuffix(n, ".idx") {
+			continue
+		}
+		raw, err := dfs.ReadFile(fs, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs, err := segio.DecodeIndex(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lane := n[:strings.LastIndex(n, "/")]
+		lanes[lane] = append(lanes[lane], segs...)
+		if err := fs.Remove(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for lane, segs := range lanes {
+		if err := dfs.WriteFile(fs, lane+".idx", segio.EncodeIndex(segs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	oldR, err := store.OpenReader("old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	newR, err := store.OpenReader("new")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oldR.IndexParts() != 3 || newR.IndexParts() != 9 {
+		t.Fatalf("index files: old layout %d (want 3), new layout %d (want 9)", oldR.IndexParts(), newR.IndexParts())
+	}
+	if oldR.SegmentReads() != 0 || newR.SegmentReads() != 0 {
+		t.Errorf("a fully indexed trace was scanned on open: %d and %d segment reads", oldR.SegmentReads(), newR.SegmentReads())
+	}
+	if a, b := Digest(oldR), Digest(newR); a != b {
+		t.Errorf("digest differs between layouts: old %s, new %s", a, b)
+	}
+	if oldR.TotalCaptures() != 6 || !reflect.DeepEqual(oldR.segOrder, newR.segOrder) {
+		t.Errorf("old layout: %d captures, segment order %v vs %v", oldR.TotalCaptures(), oldR.segOrder, newR.segOrder)
+	}
+	if err := oldR.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSinkFailedIndexPartWrite fails exactly one Create of an index
+// part. The segment it would have named is already committed, so a
+// reader opening before the next barrier finds its records by scanning
+// it, and the next barrier's part names it: nothing is lost, nothing is
+// indexed twice, nothing is counted as dropped.
+func TestSinkFailedIndexPartWrite(t *testing.T) {
+	for _, mode := range []string{"async", "synchronous"} {
+		t.Run(mode, func(t *testing.T) {
+			mem := dfs.NewMemFS()
+			// One lane ever writes (the master lane gets no records), so
+			// the Creates are job.meta, seg_000000, idx_000000, ...: the
+			// third is the first part.
+			ffs := faults.NewFaultFS(mem, faults.Plan{FailNth: map[faults.Op]int{faults.OpCreate: 3}})
+			store := NewStore(ffs, "t")
+			var opts []Option
+			if mode == "synchronous" {
+				opts = append(opts, WithSynchronous())
+			}
+			sink, err := store.NewSink(JobMeta{JobID: "job1", NumWorkers: 1}, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			write := func(step, n int) {
+				for i := 0; i < n; i++ {
+					c := sampleVertexCapture()
+					c.Superstep, c.Worker, c.ID = step, 0, pregel.VertexID(i)
+					if err := sink.WorkerSink(0).WriteVertexCapture(c); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			write(0, 5)
+			if err := sink.BarrierFlush(0); !errors.Is(err, faults.ErrInjected) || !strings.Contains(err.Error(), ".idx") {
+				t.Fatalf("first barrier: err = %v, want the injected fault on the .idx Create", err)
+			}
+
+			between, err := NewStore(mem, "t").OpenReader("job1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if between.IndexParts() != 0 || between.TotalCaptures() != 5 || between.SegmentReads() != 1 {
+				t.Errorf("reader between the barriers: %d parts, %d captures, %d segments scanned; want 0, 5, 1",
+					between.IndexParts(), between.TotalCaptures(), between.SegmentReads())
+			}
+
+			write(1, 4)
+			if err := sink.BarrierFlush(1); err != nil {
+				t.Fatalf("second barrier: %v", err)
+			}
+			if err := sink.Finish(JobResult{Supersteps: 2, Captures: 9}); err != nil {
+				t.Fatal(err)
+			}
+			if n := sink.DroppedRecords(); n != 0 {
+				t.Errorf("DroppedRecords = %d, want 0: the records are on disk", n)
+			}
+			if ffs.FaultStats().Injected != 1 {
+				t.Errorf("%d faults injected, want exactly 1", ffs.FaultStats().Injected)
+			}
+
+			// Exactly one part, naming both segments, every record once.
+			raw, err := dfs.ReadFile(mem, "t/job1/worker_00/idx_000000.idx")
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs, err := segio.DecodeIndex(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[[2]int64]bool{}
+			for _, seg := range segs {
+				for _, ent := range seg.Entries {
+					key := [2]int64{int64(ent.Step), ent.ID}
+					if seen[key] {
+						t.Errorf("record %v indexed twice", key)
+					}
+					seen[key] = true
+				}
+			}
+			if len(segs) != 2 || len(seen) != 9 {
+				t.Errorf("part names %d segments and %d records, want 2 and 9", len(segs), len(seen))
+			}
+			after, err := NewStore(mem, "t").OpenReader("job1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.IndexParts() != 1 || after.TotalCaptures() != 9 || after.SegmentReads() != 0 {
+				t.Errorf("reader after the job: %d parts, %d captures, %d segments scanned; want 1, 9, 0",
+					after.IndexParts(), after.TotalCaptures(), after.SegmentReads())
+			}
+		})
+	}
 }
