@@ -11,7 +11,6 @@
 //	graft-bench -metrics -scale 0.0005 -reps 5 -out BENCH_metrics.json
 //	graft-bench -profiler -scale 0.0005 -reps 5 -out BENCH_profiler.json
 //	graft-bench -capture -scale 0.0005 -reps 5 -out BENCH_capture.json
-//	graft-bench -engine -scale 0.0002 -reps 5 -out BENCH_engine.json
 //	graft-bench -dfs -reps 5 -out BENCH_dfs.json
 //	graft-bench -recovery -scale 0.0002 -reps 5 -out BENCH_recovery.json
 //	graft-bench -serve -scale 0.0002 -reps 5 -out BENCH_serve.json
@@ -38,13 +37,12 @@ func main() {
 	metricsBench := flag.Bool("metrics", false, "measure the telemetry layer's own overhead and phase breakdowns")
 	profilerBench := flag.Bool("profiler", false, "measure the profiler layer's overhead (traffic matrices + anomaly detectors) and check the traffic invariant")
 	captureBench := flag.Bool("capture", false, "compare the async capture pipeline against synchronous trace writes")
-	engineBench := flag.Bool("engine", false, "compare the lock-free lane message plane against the mutex-sharded plane")
 	dfsBench := flag.Bool("dfs", false, "compare the pipelined streaming DFS data path against the seed serial path")
 	recoveryBench := flag.Bool("recovery", false, "compare log-based confined recovery against full checkpoint restart")
 	serveBench := flag.Bool("serve", false, "compare N debugged jobs run back to back against the same jobs sharing a concurrent session")
 	subgraphBench := flag.Bool("subgraph", false, "compare subgraph-centric compute against the vertex-centric baseline on traversal workloads")
 	partitionBench := flag.Bool("partition", false, "compare the streaming locality placer against hash partitioning on communication and convergence")
-	out := flag.String("out", "", "output file for the -metrics / -capture / -engine report (default BENCH_<kind>.json)")
+	out := flag.String("out", "", "output file for the -metrics / -capture report (default BENCH_<kind>.json)")
 	faultP := flag.Float64("fault-p", 0.3, "per-operation fault probability for -chaos")
 	chaosRecovery := flag.String("chaos-recovery", "log", "how the -chaos crash recovers: log (confined replay) or checkpoint (full restart)")
 	scale := flag.Float64("scale", 0.0002, "dataset scale against paper sizes")
@@ -199,43 +197,6 @@ func main() {
 				fmt.Println("capture check: OK (async beats sync at equal capture counts; lazy lookups read <= 1 segment)")
 			} else {
 				fmt.Println("capture check deviations:")
-				for _, p := range problems {
-					fmt.Println("  -", p)
-				}
-			}
-		}
-	case *engineBench:
-		workloads := harness.EngineWorkloads(*scale, *seed, *workers)
-		if *out == "" {
-			*out = "BENCH_engine.json"
-		}
-		fmt.Printf("Message plane: mutex-sharded vs lock-free lanes, combiner on/off, skewed vs uniform graphs (scale %g, %d reps, %d workers)\n",
-			*scale, *reps, *workers)
-		es, err := harness.RunEngineBench(workloads, harness.Options{
-			Reps: *reps, Seed: *seed, Progress: os.Stderr,
-		})
-		if err != nil {
-			log.Fatalf("graft-bench: %v", err)
-		}
-		fmt.Println()
-		harness.PrintEngineBench(os.Stdout, es)
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatalf("graft-bench: %v", err)
-		}
-		if err := harness.WriteEngineBenchJSON(f, es); err != nil {
-			log.Fatalf("graft-bench: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("graft-bench: %v", err)
-		}
-		fmt.Printf("\nwrote %s\n", *out)
-		if *check {
-			problems := harness.CheckEngineBench(es)
-			if len(problems) == 0 {
-				fmt.Println("engine check: OK (lane plane beats mutex plane on combiner-enabled PageRank)")
-			} else {
-				fmt.Println("engine check deviations:")
 				for _, p := range problems {
 					fmt.Println("  -", p)
 				}

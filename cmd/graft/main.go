@@ -74,7 +74,7 @@ jobs        lists traced jobs
 show        dumps the captures of a job
 repro       generates a context-reproduction Go test
 diff        compares the captures of two jobs (e.g. buggy vs fixed)
-trace-check verifies a trace: lazy indexed reads vs the eager full load`)
+trace-check verifies a trace: its index against a scan of its segments`)
 }
 
 func openStore(dir string) (*trace.Store, error) {
@@ -156,7 +156,6 @@ func cmdRun(args []string) error {
 	backpressure := fs.String("backpressure", "block", "capture queue policy when full: block or drop")
 	queueCap := fs.Int("capture-queue", trace.DefaultQueueCapacity, "per-worker capture queue depth")
 	syncCapture := fs.Bool("sync-capture", false, "write trace records inline instead of through the async pipeline")
-	msgPlane := fs.String("msg-plane", "lanes", "message plane: lanes (lock-free per-sender lanes) or mutex (sharded locks)")
 	msgBatch := fs.Int("msg-batch", 0, "messages buffered per destination partition before flushing (0: default 1024)")
 	partitioner := fs.String("partitioner", "hash", "vertex placement: hash (stateless modulo) or locality (streaming neighbor-affinity placer)")
 	rebalanceSkew := fs.Float64("rebalance-skew", 0, "migrate hot vertices off stragglers when compute/message skew exceeds this ratio (0 disables)")
@@ -166,15 +165,6 @@ func cmdRun(args []string) error {
 	anomalyOut := fs.String("anomaly-out", "", "write detected anomaly events to this file as JSON Lines")
 	fs.Parse(args)
 
-	var plane pregel.PlaneMode
-	switch *msgPlane {
-	case "lanes":
-		plane = pregel.PlaneLanes
-	case "mutex":
-		plane = pregel.PlaneMutex
-	default:
-		return fmt.Errorf("unknown -msg-plane %q (lanes, mutex)", *msgPlane)
-	}
 	var placer pregel.PartitionerMode
 	switch *partitioner {
 	case "hash":
@@ -231,7 +221,6 @@ func cmdRun(args []string) error {
 		Master:             a.Master,
 		MaxSupersteps:      a.MaxSupersteps,
 		DisableMetrics:     *noMetrics,
-		MessagePlane:       plane,
 		MsgFlushBatch:      *msgBatch,
 		Partitioner:        placer,
 		RebalanceSkew:      *rebalanceSkew,
@@ -725,10 +714,9 @@ func cmdRepro(args []string) error {
 	return nil
 }
 
-// cmdTraceCheck cross-checks the two read paths over one trace: the
-// lazy indexed Reader must serve exactly the view the eager LoadDB
-// builds, and a cold single-vertex lookup must touch at most one
-// segment per lane. CI runs this after the capture-smoke job.
+// cmdTraceCheck checks a trace's index against its segments
+// (Reader.Verify) and that a cold single-vertex lookup touches at most
+// one segment. CI runs this after the capture-smoke job.
 func cmdTraceCheck(args []string) error {
 	fs := flag.NewFlagSet("trace-check", flag.ExitOnError)
 	traceDir := fs.String("trace-dir", "graft-traces", "trace directory")
@@ -741,66 +729,40 @@ func cmdTraceCheck(args []string) error {
 	if err != nil {
 		return err
 	}
-	lazy, err := store.OpenReader(*jobID)
+	r, err := store.OpenReader(*jobID)
 	if err != nil {
 		return err
 	}
-	eager, err := store.LoadDB(*jobID)
-	if err != nil {
-		return err
-	}
-
-	if l, e := lazy.MaxSuperstep(), eager.MaxSuperstep(); l != e {
-		return fmt.Errorf("trace-check: max superstep: lazy=%d eager=%d", l, e)
-	}
-	if l, e := lazy.TotalCaptures(), eager.TotalCaptures(); l != e {
-		return fmt.Errorf("trace-check: total captures: lazy=%d eager=%d", l, e)
-	}
-	diff := trace.DiffJobs(lazy, eager)
-	if n := len(diff.OnlyA) + len(diff.OnlyB); n > 0 {
-		return fmt.Errorf("trace-check: %d vertices captured in only one view (lazy-only %v, eager-only %v)",
-			n, diff.OnlyA, diff.OnlyB)
-	}
-	if len(diff.StatusDiffs) > 0 {
-		return fmt.Errorf("trace-check: M/V/E status differs at supersteps %v", diff.StatusDiffs)
-	}
-	if len(diff.Divergences) > 0 {
-		d := diff.FirstDivergence()
-		return fmt.Errorf("trace-check: %d capture divergences between lazy and eager views; first at superstep %d vertex %d (%v)",
-			len(diff.Divergences), d.Superstep, d.ID, d.Fields)
-	}
-	if err := lazy.Err(); err != nil {
-		return fmt.Errorf("trace-check: lazy reader: %w", err)
+	if err := r.Verify(); err != nil {
+		return fmt.Errorf("trace-check: %w", err)
 	}
 
 	// Cold lookup cost: reopen so the segment cache is empty, fetch one
 	// captured vertex, and count the segment files actually read.
-	ids := eager.CapturedVertexIDs()
-	steps := eager.Supersteps()
-	if len(ids) > 0 && len(steps) > 0 {
-		id, step := ids[len(ids)/2], -1
-		for _, s := range steps {
-			if eager.Capture(s, id) != nil {
-				step = s
-				break
-			}
+	if ids := r.CapturedVertexIDs(); len(ids) > 0 {
+		id := ids[len(ids)/2]
+		history := r.CapturesOf(id)
+		if len(history) == 0 {
+			return fmt.Errorf("trace-check: vertex %d is indexed but unreadable: %v", id, r.Err())
 		}
-		if step >= 0 {
-			cold, err := store.OpenReader(*jobID)
-			if err != nil {
-				return err
-			}
-			if cold.Capture(step, id) == nil {
-				return fmt.Errorf("trace-check: cold lookup of vertex %d at superstep %d returned nothing", id, step)
-			}
-			if n := cold.SegmentReads(); n > 1 {
-				return fmt.Errorf("trace-check: cold single-vertex lookup read %d segments, want at most 1", n)
-			}
-			fmt.Printf("cold lookup: vertex %d @ superstep %d served from %d segment read(s), index loaded from %d part(s)\n",
-				id, step, cold.SegmentReads(), cold.IndexParts())
+		step := history[0].Superstep
+		cold, err := store.OpenReader(*jobID)
+		if err != nil {
+			return err
 		}
+		if cold.Capture(step, id) == nil {
+			return fmt.Errorf("trace-check: cold lookup of vertex %d at superstep %d returned nothing", id, step)
+		}
+		if n := cold.SegmentReads(); n > 1 {
+			return fmt.Errorf("trace-check: cold single-vertex lookup read %d segments, want at most 1", n)
+		}
+		fmt.Printf("cold lookup: vertex %d @ superstep %d served from %d segment read(s), index loaded from %d part(s)\n",
+			id, step, cold.SegmentReads(), cold.IndexParts())
 	}
-	fmt.Printf("trace-check ok: %s — %d supersteps, %d captures, lazy view matches eager load\n",
-		*jobID, len(steps), eager.TotalCaptures())
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("trace-check: %w", err)
+	}
+	fmt.Printf("trace-check ok: %s — %d supersteps, %d captures, index matches segments\n",
+		*jobID, len(r.Supersteps()), r.TotalCaptures())
 	return nil
 }

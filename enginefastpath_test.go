@@ -160,9 +160,16 @@ func (r *refBSP) run(t *testing.T, g *Graph) (steps []refStep) {
 
 // requireMatchesReference runs alg over build() once on the engine and
 // once on the reference interpreter and requires identical final
-// values, superstep count, message totals and per-superstep
-// VerticesProcessed/ActiveAtEnd/MessagesSent.
+// values (doubles to sameValue's tolerance), superstep count, message
+// totals and per-superstep VerticesProcessed/ActiveAtEnd/MessagesSent.
 func requireMatchesReference(t *testing.T, build func() *Graph, alg func() *algorithms.Algorithm, cfg EngineConfig, crashAt int) *Stats {
+	t.Helper()
+	return requireMatchesReferenceBy(t, sameValue, build, alg, cfg, crashAt)
+}
+
+// requireMatchesReferenceBy is requireMatchesReference with the caller's
+// notion of equal final values.
+func requireMatchesReferenceBy(t *testing.T, same func(a, b Value) bool, build func() *Graph, alg func() *algorithms.Algorithm, cfg EngineConfig, crashAt int) *Stats {
 	t.Helper()
 	if crashAt >= 0 {
 		cfg.CheckpointEvery = 2
@@ -209,7 +216,7 @@ func requireMatchesReference(t *testing.T, build func() *Graph, alg func() *algo
 		t.Fatalf("vertices: engine=%d reference=%d", got.NumVertices(), len(ref.verts))
 	}
 	for id, v := range ref.verts {
-		if a, b := got.Vertex(id).Value(), v.Value(); !sameValue(a, b) {
+		if a, b := got.Vertex(id).Value(), v.Value(); !same(a, b) {
 			t.Fatalf("vertex %d: engine=%s reference=%s", id, ValueString(a), ValueString(b))
 		}
 	}

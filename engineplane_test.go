@@ -2,6 +2,7 @@ package graft
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"graft/internal/algorithms"
@@ -14,13 +15,8 @@ import (
 // tracedPlaneRun executes one fully-captured job and returns its trace
 // view. crashAt >= 0 injects a single simulated worker crash at that
 // superstep, with checkpointing every 2 supersteps.
-func tracedPlaneRun(t *testing.T, g *Graph, alg *algorithms.Algorithm, stripCombiner bool, engine EngineConfig, crashAt int) (trace.View, *Stats) {
+func tracedPlaneRun(t *testing.T, g *Graph, alg *algorithms.Algorithm, engine EngineConfig, crashAt int) (trace.View, *Stats) {
 	t.Helper()
-	if stripCombiner {
-		copy := *alg
-		copy.Combiner = nil
-		alg = &copy
-	}
 	if crashAt >= 0 {
 		engine.CheckpointEvery = 2
 		engine.CheckpointFS = dfs.NewMemFS()
@@ -64,12 +60,26 @@ func requireNoDiff(t *testing.T, label string, a, b trace.View) {
 	}
 }
 
-// TestPlaneEquivalenceProperty is the cross-plane property test: for
-// order-insensitive reductions (min-based combiners and min folds in
-// compute), the lane-matrix plane must produce bit-identical traces to
-// the seed mutex plane — same values, same halt states, same message
-// multisets — across algorithms, random graph seeds, combiner on/off,
-// and chaos (simulated crash + checkpoint recovery).
+// withCombiner returns alg's constructor, with the combiner stripped
+// when combine is false.
+func withCombiner(alg func() *algorithms.Algorithm, combine bool) func() *algorithms.Algorithm {
+	return func() *algorithms.Algorithm {
+		a := alg()
+		if !combine {
+			a.Combiner = nil
+		}
+		return a
+	}
+}
+
+// TestPlaneEquivalenceProperty checks the message plane against the
+// reference interpreter, which has none: for order-insensitive
+// reductions (min-based combiners and min folds in compute) the engine
+// must end on the reference's values with the reference's per-superstep
+// processed, active and sent counts — across algorithms, random graph
+// seeds, combiner on/off (rows and message lists), and chaos (simulated
+// crash + checkpoint recovery). The reference used to be a second
+// message plane; the name stayed.
 func TestPlaneEquivalenceProperty(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -93,15 +103,8 @@ func TestPlaneEquivalenceProperty(t *testing.T) {
 				for _, crashAt := range []int{-1, 1} {
 					label := fmt.Sprintf("%s/combiner=%v/seed=%d/crash=%d", tc.name, combine, seed, crashAt)
 					t.Run(label, func(t *testing.T) {
-						laneView, laneStats := tracedPlaneRun(t, tc.build(seed), tc.alg(), !combine,
-							EngineConfig{NumWorkers: 4, MessagePlane: pregel.PlaneLanes}, crashAt)
-						mutexView, mutexStats := tracedPlaneRun(t, tc.build(seed), tc.alg(), !combine,
-							EngineConfig{NumWorkers: 4, MessagePlane: pregel.PlaneMutex}, crashAt)
-						requireNoDiff(t, label, laneView, mutexView)
-						if laneStats.TotalMessages != mutexStats.TotalMessages {
-							t.Errorf("TotalMessages: lanes %d, mutex %d",
-								laneStats.TotalMessages, mutexStats.TotalMessages)
-						}
+						requireMatchesReference(t, func() *Graph { return tc.build(seed) },
+							withCombiner(tc.alg, combine), EngineConfig{NumWorkers: 4}, crashAt)
 					})
 				}
 			}
@@ -110,30 +113,31 @@ func TestPlaneEquivalenceProperty(t *testing.T) {
 }
 
 // TestPlaneEquivalencePageRankSingleWorker covers the order-sensitive
-// float case. With one worker both planes deliver in exact send order,
-// so even IEEE-addition-order-sensitive PageRank must be bit-identical
-// across planes, with and without its sum combiner.
+// float case. With one worker the plane delivers in exact send order —
+// ascending sender ID, the order the reference interpreter sums in — so
+// even IEEE-addition-order-sensitive PageRank must match the reference
+// bit for bit, with and without its sum combiner.
 func TestPlaneEquivalencePageRankSingleWorker(t *testing.T) {
+	sameBits := func(a, b Value) bool {
+		return math.Float64bits(a.(*pregel.DoubleValue).Get()) == math.Float64bits(b.(*pregel.DoubleValue).Get())
+	}
 	for _, combine := range []bool{true, false} {
 		t.Run(fmt.Sprintf("combiner=%v", combine), func(t *testing.T) {
-			build := func() *Graph { return graphgen.WebGraph(150, 4, 9) }
-			laneView, _ := tracedPlaneRun(t, build(), algorithms.NewPageRank(8, 0.85), !combine,
-				EngineConfig{NumWorkers: 1, MessagePlane: pregel.PlaneLanes}, -1)
-			mutexView, _ := tracedPlaneRun(t, build(), algorithms.NewPageRank(8, 0.85), !combine,
-				EngineConfig{NumWorkers: 1, MessagePlane: pregel.PlaneMutex}, -1)
-			requireNoDiff(t, "pagerank-1w", laneView, mutexView)
+			requireMatchesReferenceBy(t, sameBits,
+				func() *Graph { return graphgen.WebGraph(150, 4, 9) },
+				withCombiner(func() *algorithms.Algorithm { return algorithms.NewPageRank(8, 0.85) }, combine),
+				EngineConfig{NumWorkers: 1}, -1)
 		})
 	}
 }
 
 // TestLanePlaneRunToRunDeterminism: the lane plane merges inboxes in
 // canonical sender order, so even multi-worker float PageRank is
-// bit-reproducible run to run — the property the mutex plane cannot
-// offer. Verified via the canonical trace digest.
+// bit-reproducible run to run. Verified via the canonical trace digest.
 func TestLanePlaneRunToRunDeterminism(t *testing.T) {
 	run := func() string {
-		view, _ := tracedPlaneRun(t, graphgen.WebGraph(200, 5, 4), algorithms.NewPageRank(6, 0.85), false,
-			EngineConfig{NumWorkers: 4, MessagePlane: pregel.PlaneLanes}, -1)
+		view, _ := tracedPlaneRun(t, graphgen.WebGraph(200, 5, 4), algorithms.NewPageRank(6, 0.85),
+			EngineConfig{NumWorkers: 4}, -1)
 		return trace.Digest(view)
 	}
 	first := run()
@@ -173,12 +177,12 @@ func broomGraph(spokes, tail int) *Graph {
 // trace digest, because placement must never leak into computation.
 func TestRebalanceDigestDeterminism(t *testing.T) {
 	run := func(rebalance bool) (string, *Stats) {
-		cfg := EngineConfig{NumWorkers: 4, MessagePlane: pregel.PlaneLanes}
+		cfg := EngineConfig{NumWorkers: 4}
 		if rebalance {
 			cfg.RebalanceSkew = 1.3
 			cfg.RebalanceMaxMoves = 64
 		}
-		view, stats := tracedPlaneRun(t, broomGraph(300, 40), algorithms.NewConnectedComponents(), false, cfg, -1)
+		view, stats := tracedPlaneRun(t, broomGraph(300, 40), algorithms.NewConnectedComponents(), cfg, -1)
 		return trace.Digest(view), stats
 	}
 	offDigest, offStats := run(false)
@@ -205,13 +209,13 @@ func TestRebalanceDigestDeterminism(t *testing.T) {
 // exactly, with and without migrations.
 func TestSubgraphRebalanceDigestDeterminism(t *testing.T) {
 	run := func(mode pregel.ComputeMode, rebalance bool) (string, *Stats) {
-		cfg := EngineConfig{NumWorkers: 4, MessagePlane: pregel.PlaneLanes, ComputeMode: mode}
+		cfg := EngineConfig{NumWorkers: 4, ComputeMode: mode}
 		if rebalance {
 			cfg.RebalanceSkew = 1.3
 			cfg.RebalanceMaxMoves = 64
 		}
 		g := broomGraph(300, 40)
-		_, stats := tracedPlaneRun(t, g, algorithms.NewConnectedComponents(), false, cfg, -1)
+		_, stats := tracedPlaneRun(t, g, algorithms.NewConnectedComponents(), cfg, -1)
 		return g.ValuesDigest(), stats
 	}
 	vertexDigest, vertexStats := run(pregel.ModeVertex, false)
@@ -255,12 +259,12 @@ func TestSubgraphRebalanceDigestDeterminism(t *testing.T) {
 // route exactly like the pre-crash one.
 func TestRebalanceDigestDeterminismUnderChaos(t *testing.T) {
 	run := func(rebalance bool) (string, *Stats) {
-		cfg := EngineConfig{NumWorkers: 4, MessagePlane: pregel.PlaneLanes}
+		cfg := EngineConfig{NumWorkers: 4}
 		if rebalance {
 			cfg.RebalanceSkew = 1.3
 			cfg.RebalanceMaxMoves = 64
 		}
-		view, stats := tracedPlaneRun(t, broomGraph(300, 40), algorithms.NewConnectedComponents(), false, cfg, 3)
+		view, stats := tracedPlaneRun(t, broomGraph(300, 40), algorithms.NewConnectedComponents(), cfg, 3)
 		return trace.Digest(view), stats
 	}
 	offDigest, _ := run(false)

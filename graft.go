@@ -87,19 +87,8 @@ type (
 	DebugConfig = core.DebugConfig
 	// Store lays trace files out in a file system.
 	Store = trace.Store
-	// TraceDB is the eager in-memory index over one job's trace.
-	//
-	// Deprecated: TraceDB (and Store.LoadDB, which builds it) loads
-	// every trace segment up front. Open traces with OpenTrace /
-	// Store.OpenReader instead and program against TraceView — the
-	// interface both satisfy — so lookups read only the segments they
-	// touch. TraceDB remains for whole-trace scans (e.g. cross-checking
-	// the lazy reader, as `graft trace-check` does) and for traces in
-	// the legacy non-segmented layout.
-	TraceDB = trace.DB
-	// TraceView is the read API shared by the eager TraceDB and the
-	// lazy TraceReader: everything the GUI and the Context Reproducer
-	// need from a trace.
+	// TraceView is the read API of a trace, implemented by TraceReader:
+	// everything the GUI and the Context Reproducer need from one.
 	TraceView = trace.View
 	// TraceReader is the lazy, index-driven trace reader: it seeks
 	// through the segment index and reads only the segments a lookup
@@ -140,9 +129,6 @@ type (
 	Combiner = pregel.Combiner
 	// FaultStats aggregates storage-resilience counters for one job.
 	FaultStats = pregel.FaultStats
-	// MessagePlaneMode selects the engine's message delivery path
-	// (PlaneLanes or PlaneMutex) via EngineConfig.MessagePlane.
-	MessagePlaneMode = pregel.PlaneMode
 	// ImmutableValue marks values that are never mutated after
 	// creation, letting SendMessageToAllEdges skip per-edge clones
 	// when no combiner is installed.
@@ -195,17 +181,6 @@ const (
 // reproduction tests use to rebuild a captured component.
 var NewDetachedSubgraph = pregel.NewDetachedSubgraph
 
-// Message-plane modes for EngineConfig.MessagePlane.
-const (
-	// PlaneLanes is the default lock-free plane: per-sender inbox
-	// lanes with sender-side combining, merged by the owning worker
-	// after the superstep barrier in deterministic sender order.
-	PlaneLanes = pregel.PlaneLanes
-	// PlaneMutex is the seed mutex-sharded plane, kept as the
-	// benchmark baseline.
-	PlaneMutex = pregel.PlaneMutex
-)
-
 // Recovery modes for EngineConfig.Recovery.
 const (
 	// RecoveryCheckpoint rolls the whole job back to the newest intact
@@ -214,7 +189,7 @@ const (
 	RecoveryCheckpoint = pregel.RecoveryCheckpoint
 	// RecoveryLog is log-based confined recovery: only failed
 	// partitions roll back and recompute, fed by the sender-side
-	// outbox logs, while survivors stay live. Requires PlaneLanes and
+	// outbox logs, while survivors stay live. Requires
 	// EngineConfig.MsgLogFS; degrades to a checkpoint restart when the
 	// logs cannot drive a replay.
 	RecoveryLog = pregel.RecoveryLog
@@ -243,8 +218,7 @@ const (
 	ObjectiveSkew = pregel.ObjectiveSkew
 	// ObjectiveEdgeCut migrates boundary vertices toward their heaviest
 	// communication partner when the traffic matrix shows a dominant
-	// cross-partition lane, shrinking the edge cut. Requires PlaneLanes
-	// and telemetry.
+	// cross-partition lane, shrinking the edge cut. Requires telemetry.
 	ObjectiveEdgeCut = pregel.ObjectiveEdgeCut
 )
 
@@ -336,19 +310,19 @@ var CorruptReplicas = faults.CorruptReplicas
 
 // NewStore returns a trace store rooted at root within fs.
 //
-// Migration note: the historical pairing of NewStore with
-// Store.NewJobWriter on the write side and Store.LoadDB on the read
-// side is deprecated. Jobs now write through Store.NewSink (async,
-// segmented, indexed — what Run uses internally) and read through
+// Migration note: jobs write through Store.NewSink (async, segmented,
+// indexed — what Run uses internally) and read through
 // Store.OpenReader / OpenTrace, which serve lookups from the segment
-// index instead of loading the whole trace. LoadDB remains as an
-// eager compatibility wrapper and understands both layouts.
+// index instead of loading the whole trace. The whole-file job writer
+// and the eager in-memory trace load that preceded them are gone, and
+// a trace in the whole-file layout is rejected with
+// trace.ErrUnsupportedLayout rather than read; Reader.Verify is the
+// whole-trace consistency check.
 func NewStore(fs dfs.FileSystem, root string) *Store { return trace.NewStore(fs, root) }
 
 // OpenTrace opens a job's trace lazily: lookups go through the
 // segment index and read only the segments they touch. The returned
-// Reader implements TraceView, the same query surface as the eager
-// TraceDB.
+// Reader implements TraceView.
 func OpenTrace(store *Store, jobID string) (*TraceReader, error) {
 	return store.OpenReader(jobID)
 }

@@ -39,7 +39,7 @@ type closableBuffer struct{ bytes.Buffer }
 
 func (*closableBuffer) Close() error { return nil }
 
-// recordBytes returns the legacy-container file holding the one record
+// recordBytes returns the reference Writer's stream for the one record
 // write emits: the magic and the record's frame.
 func recordBytes(t *testing.T, write func(*trace.Writer) error) []byte {
 	t.Helper()

@@ -533,3 +533,19 @@ func TestValueColorStable(t *testing.T) {
 		t.Error("different values collide (unlucky hash); pick different test values")
 	}
 }
+
+// TestLegacyLayoutIsOneLineError: a job left by a build that wrote
+// whole-file traces is refused by name, in one line, not half-rendered.
+func TestLegacyLayoutIsOneLineError(t *testing.T) {
+	ts, srv := newTestServer(t)
+	manifest := `{"job_id": "old", "algorithm": "sp", "num_workers": 1}`
+	if err := dfs.WriteFile(srv.store.FS, "traces/old/job.meta", []byte(manifest)); err != nil {
+		t.Fatal(err)
+	}
+	code, body := get(t, ts, "/job/old/tabular")
+	body = strings.TrimSpace(body)
+	if code != 404 || !strings.Contains(body, "unsupported trace layout") || !strings.Contains(body, `"old"`) ||
+		strings.Contains(body, "\n") {
+		t.Errorf("legacy job: status %d, body %q; want one line naming the job and the layout", code, body)
+	}
+}

@@ -106,8 +106,7 @@ func timelineSVG(steps []pregel.SuperstepStats, workers, selected int) template.
 func heatmapSVG(traffic [][]int64) template.HTML {
 	n := len(traffic)
 	if n == 0 {
-		return template.HTML(`<p class="muted">No traffic matrix was captured for this superstep (lane-based
-message plane with the anomaly layer enabled is required).</p>`)
+		return template.HTML(`<p class="muted">No traffic matrix was captured for this superstep (the anomaly layer must be enabled).</p>`)
 	}
 	var max int64
 	for _, row := range traffic {

@@ -62,9 +62,8 @@ func (s *Server) specFor(algorithm string) repro.GenSpec {
 	return s.specs[algorithm]
 }
 
-// db opens (and caches) a job's trace view. Segmented traces come
-// back as a lazy trace.Reader that fetches only the segments a page
-// touches; legacy traces are loaded eagerly via LoadDB.
+// db opens (and caches) a job's trace view: a lazy trace.Reader that
+// fetches only the segments a page touches.
 func (s *Server) db(jobID string) (trace.View, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -131,7 +130,7 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// jobView adapts a handler that needs a loaded trace DB.
+// jobView adapts a handler that needs an open trace.
 func (s *Server) jobView(h func(http.ResponseWriter, *http.Request, trace.View)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		db, err := s.db(r.PathValue("id"))

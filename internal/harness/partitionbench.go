@@ -111,10 +111,9 @@ func partitionModeRun(wl PartitionWorkload, base *pregel.Graph, placer pregel.Pa
 	runtime.GC()
 	g := base.Clone()
 	cfg := pregel.Config{
-		NumWorkers:   wl.Workers,
-		MessagePlane: pregel.PlaneLanes,
-		ComputeMode:  wl.Mode,
-		Partitioner:  placer,
+		NumWorkers:  wl.Workers,
+		ComputeMode: wl.Mode,
+		Partitioner: placer,
 	}
 	stats, err := wl.Make().Configure(g, cfg).Run()
 	if err != nil {

@@ -123,7 +123,6 @@ func recoveryRun(wl RecoveryWorkload, base *pregel.Graph, mode pregel.RecoveryMo
 	g := base.Clone()
 	cfg := pregel.Config{
 		NumWorkers:         wl.Workers,
-		MessagePlane:       pregel.PlaneLanes,
 		CheckpointEvery:    RecoveryBenchCheckpointEvery,
 		CheckpointFS:       dfs.NewMemFS(),
 		Recovery:           mode,
@@ -156,8 +155,7 @@ func RunRecoveryBench(workloads []RecoveryWorkload, opts Options) ([]RecoveryBen
 		base := wl.Build()
 		refGraph := base.Clone()
 		refStats, err := wl.Make().Configure(refGraph, pregel.Config{
-			NumWorkers:   wl.Workers,
-			MessagePlane: pregel.PlaneLanes,
+			NumWorkers: wl.Workers,
 		}).Run()
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s reference: %w", wl.Label, err)

@@ -95,9 +95,8 @@ func subgraphModeRun(wl SubgraphWorkload, base *pregel.Graph, mode pregel.Comput
 	runtime.GC()
 	g := base.Clone()
 	cfg := pregel.Config{
-		NumWorkers:   wl.Workers,
-		MessagePlane: pregel.PlaneLanes,
-		ComputeMode:  mode,
+		NumWorkers:  wl.Workers,
+		ComputeMode: mode,
 	}
 	stats, err := wl.Make().Configure(g, cfg).Run()
 	if err != nil {

@@ -227,8 +227,8 @@ type SuperstepStats struct {
 	// superstep: Traffic[s][d] counts the messages partition s sent to
 	// partition d (pre-combine, so the matrix sums to MessagesSent). It
 	// is snapshotted from the lane matrix at the barrier, before the
-	// lanes merge into the shards. Nil under PlaneMutex, when telemetry
-	// is disabled, or when Config.AnomalyWindow is negative.
+	// lanes merge into the shards. Nil when telemetry is disabled or
+	// Config.AnomalyWindow is negative.
 	Traffic [][]int64 `json:"traffic,omitempty"`
 	// LocalMessages counts the messages of this superstep whose sender
 	// and receiver partitions coincide: the diagonal of Traffic. Zero

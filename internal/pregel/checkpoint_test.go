@@ -166,8 +166,9 @@ func TestCheckpointRoundTripWithMessagesInFlight(t *testing.T) {
 	en.broadcast["a"] = NewLong(42)
 	en.superstep = 3
 	// Seed some undelivered messages.
-	en.cur.deliver(en.parts[en.partitionFor(0)], []msgEntry{{to: 0, msg: NewLong(9)}})
-	en.cur.deliver(en.parts[en.partitionFor(1)], []msgEntry{{to: 1, msg: NewLong(8)}, {to: 1, msg: NewLong(7)}})
+	en.cur.replayDeliver(en.parts[en.partitionFor(0)], 0, NewLong(9))
+	en.cur.replayDeliver(en.parts[en.partitionFor(1)], 1, NewLong(8))
+	en.cur.replayDeliver(en.parts[en.partitionFor(1)], 1, NewLong(7))
 	if err := en.writeCheckpoint(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,7 @@ import "fmt"
 
 // msgFlushBatch is the default for Config.MsgFlushBatch: how many
 // outgoing messages a worker buffers per destination partition before
-// handing them to the message plane (a lane append in PlaneLanes mode,
-// a shard-lock acquisition in PlaneMutex mode).
+// appending the batch to its lane.
 const msgFlushBatch = 1024
 
 // workerCtx implements Context for one worker during one superstep.
@@ -17,14 +16,12 @@ type workerCtx struct {
 	numEdges    int64
 	flushBatch  int
 
-	// out is the PlaneMutex send buffer, one slice per destination
-	// partition.
-	out [][]msgEntry
-	// lane is the PlaneLanes send buffer: the open pooled batch per
-	// destination partition, handed to the lane matrix when full.
+	// lane is the send buffer: the open pooled batch per destination
+	// partition, handed to the lane matrix when full. Nil on a replay
+	// context, which sends nothing.
 	lane []*msgBatch
-	// laneIdx is the sender-side combining index, non-nil only in
-	// PlaneLanes mode with a combiner installed: laneIdx[p][s] holds
+	// laneIdx is the sender-side combining index, non-nil only with a
+	// combiner installed: laneIdx[p][s] holds
 	// generation<<32 | position for the destination in slot s of partition
 	// p (partition indexes are read-only during the compute phase), and
 	// says that the destination already has an entry at that position of
@@ -93,16 +90,7 @@ func (c *workerCtx) SendMessage(to VertexID, msg Value) {
 		return
 	}
 	c.sent++
-	p := c.en.partitionFor(to)
-	if c.lane != nil {
-		c.laneSend(p, to, msg)
-		return
-	}
-	c.out[p] = append(c.out[p], msgEntry{to: to, msg: msg})
-	if len(c.out[p]) >= c.flushBatch {
-		c.en.next.deliver(c.en.parts[p], c.out[p])
-		c.out[p] = c.out[p][:0]
-	}
+	c.laneSend(c.en.partitionFor(to), to, msg)
 }
 
 // openBatch returns lane p's open batch, taking one from the pool when
@@ -156,10 +144,10 @@ func (c *workerCtx) flushLane(p int) {
 	}
 }
 
-// laneSend buffers one boxed message on the PlaneLanes path. With a
-// combiner installed it combines at the sender: a message to a
-// destination already in the open batch merges in place, so the lane
-// (and the merge at the barrier) sees pre-combined traffic.
+// laneSend buffers one boxed message. With a combiner installed it
+// combines at the sender: a message to a destination already in the
+// open batch merges in place, so the lane (and the merge at the
+// barrier) sees pre-combined traffic.
 func (c *workerCtx) laneSend(p int, to VertexID, msg Value) {
 	b := c.openBatch(p)
 	b.n++
@@ -250,19 +238,9 @@ func (c *workerCtx) AddVertexRequest(id VertexID, value Value) {
 }
 
 func (c *workerCtx) flushAll() {
-	if c.lane != nil {
-		for p, b := range c.lane {
-			if b == nil {
-				continue
-			}
+	for p, b := range c.lane {
+		if b != nil {
 			c.flushLane(p)
-		}
-		return
-	}
-	for p := range c.out {
-		if len(c.out[p]) > 0 {
-			c.en.next.deliver(c.en.parts[p], c.out[p])
-			c.out[p] = c.out[p][:0]
 		}
 	}
 }

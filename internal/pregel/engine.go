@@ -234,7 +234,7 @@ type Config struct {
 	// RecoveryCheckpoint (the zero value) restarts the whole job from
 	// the latest checkpoint; RecoveryLog confines recomputation to the
 	// failed partitions, replaying their inboxes from the sender-side
-	// outbox logs. RecoveryLog requires PlaneLanes and MsgLogFS.
+	// outbox logs. RecoveryLog requires MsgLogFS.
 	Recovery RecoveryMode
 	// MsgLogFS is where RecoveryLog's outbox logs are written. Required
 	// when Recovery is RecoveryLog.
@@ -254,13 +254,8 @@ type Config struct {
 	// a handful of clock reads per worker per superstep; the switch
 	// exists so graft-bench can measure exactly what it costs.
 	DisableMetrics bool
-	// MessagePlane selects the message transport. The zero value is
-	// PlaneLanes, the lock-free per-sender lane matrix with sender-side
-	// combining; PlaneMutex is the legacy shard-lock path kept as the
-	// benchmark baseline.
-	MessagePlane PlaneMode
 	// MsgFlushBatch is how many outgoing messages a worker buffers per
-	// destination partition before flushing to the message plane; 0
+	// destination partition before appending the batch to its lane; 0
 	// means the default (1024).
 	MsgFlushBatch int
 	// RebalanceSkew enables skew-driven adaptive repartitioning: when a
@@ -278,9 +273,9 @@ type Config struct {
 	// RebalanceSkew. ObjectiveEdgeCut migrates boundary vertices toward
 	// their heaviest communication partner whenever the traffic matrix
 	// shows a dominant cross-partition lane; it is self-enabling
-	// (RebalanceSkew is not consulted) and requires PlaneLanes,
-	// telemetry and a non-negative AnomalyWindow, since the traffic
-	// matrix feeds the decision.
+	// (RebalanceSkew is not consulted) and requires telemetry and a
+	// non-negative AnomalyWindow, since the traffic matrix feeds the
+	// decision.
 	RebalanceObjective RebalanceObjective
 	// Partitioner selects the initial vertex placement: PartitionHash
 	// (the zero value) is Fibonacci hashing, byte-compatible with
@@ -470,6 +465,8 @@ type engine struct {
 	// ctx carries the job's cancellation signal; never nil after run
 	// starts (Background for Job.Run).
 	ctx context.Context
+	// started is when Run was called, for Stats.Runtime.
+	started time.Time
 }
 
 func newEngine(j *Job) *engine {
@@ -518,17 +515,9 @@ func newEngine(j *Job) *engine {
 	return en
 }
 
-// newStore builds a message store in the engine's configured plane
-// mode, sharing the engine-wide batch pool.
+// newStore builds a message store sharing the engine-wide batch pool.
 func (en *engine) newStore() *messageStore {
-	return newMessageStore(len(en.parts), en.cfg.Combiner, en.cfg.MessagePlane, en.pool)
-}
-
-// swapStores advances the message plane by one superstep: what was sent
-// becomes what is delivered, and the drained store takes the sends.
-func (en *engine) swapStores() {
-	en.cur, en.next = en.next, en.cur
-	en.next.reset()
+	return newMessageStore(len(en.parts), en.cfg.Combiner, en.pool)
 }
 
 // partitionFor maps a vertex ID to a worker: the explicit assignment
@@ -592,354 +581,428 @@ func (en *engine) cloneAggSnapshot() map[string]Value {
 	return m
 }
 
+// step is what one superstep's phases hand each other: the totals the
+// superstep started with, what its workers returned, and the stats row
+// the barrier builds from them.
+type step struct {
+	start   time.Time
+	nv, ne  int64
+	results []workerResult
+	wall    time.Duration // of the worker phase
+	ss      SuperstepStats
+}
+
 func (en *engine) run(start time.Time) (*Stats, error) {
+	en.started = start
 	if en.ctx == nil {
 		en.ctx = context.Background()
 	}
-	listener := en.cfg.Listener
-	nv, ne := en.totals()
-	if listener != nil {
-		listener.JobStarted(JobInfo{NumWorkers: len(en.parts), NumVertices: nv, NumEdges: ne})
+	if l := en.cfg.Listener; l != nil {
+		nv, ne := en.totals()
+		l.JobStarted(JobInfo{NumWorkers: len(en.parts), NumVertices: nv, NumEdges: ne})
 	}
-	finish := func(err error) (*Stats, error) {
-		en.stats.Supersteps = en.superstep
-		en.stats.Runtime = time.Since(start)
-		en.stats.Partitioner = en.cfg.Partitioner
-		en.stats.PartitionSizes = make([]int64, len(en.parts))
-		for i, p := range en.parts {
-			en.stats.PartitionSizes[i] = int64(p.live)
-		}
-		if err == nil && !en.cfg.DisableMetrics {
-			if en.edgeCutDirty {
-				en.edgeCut = en.computeEdgeCut()
-				en.edgeCutDirty = false
-			}
-			en.stats.EdgeCut = en.edgeCut
-		}
-		// A canceled job never resumes, so its recovery artifacts —
-		// checkpoints and outbox-log segments — are dead weight; GC them
-		// before listeners observe the stats, so CheckpointsDeleted
-		// reflects the cleanup.
-		canceled := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-		if canceled {
-			en.cleanupCanceled()
-		}
-		// Fold in the checkpoint file system's resilience counters
-		// before listeners observe the stats; Graft's listener adds the
-		// trace file system's own on top.
-		if p, ok := en.cfg.CheckpointFS.(FaultStatsProvider); ok {
-			en.stats.Faults.Add(p.FaultStats())
-		}
-		if listener != nil {
-			listener.JobFinished(&en.stats, err)
-		}
-		if err != nil {
-			if canceled {
-				// Cancellation is barrier-consistent: everything up to the
-				// last completed superstep is valid, so — unlike a compute
-				// failure — the partial stats are returned with the error.
-				return &en.stats, err
-			}
-			return nil, err
-		}
-		return &en.stats, nil
-	}
-
 	if err := en.cfg.Validate(); err != nil {
-		return finish(err)
+		return en.finish(err)
 	}
 	// Mode↔computation consistency is a Job property, so it is checked
 	// here rather than in Config.Validate.
 	if en.cfg.ComputeMode == ModeSubgraph && en.job.scomp == nil {
-		return finish(invalidf("ComputeMode = subgraph without a SubgraphComputation (build the job with NewSubgraphJob)"))
+		return en.finish(invalidf("ComputeMode = subgraph without a SubgraphComputation (build the job with NewSubgraphJob)"))
 	}
 	if en.cfg.ComputeMode == ModeVertex && en.job.comp == nil {
-		return finish(invalidf("ComputeMode = vertex without a Computation"))
+		return en.finish(invalidf("ComputeMode = vertex without a Computation"))
 	}
-
 	if en.cfg.Recovery == RecoveryLog {
 		en.msglog = newMsgLog(en.cfg.MsgLogFS, en.cfg.MsgLogPrefix, en.msgLogSegmentSize(), len(en.parts))
 		en.history = make(map[int]stepSnapshot)
 	}
 
 	for {
-		stepStart := time.Now()
+		st := step{start: time.Now()}
 		if err := en.ctx.Err(); err != nil {
-			return finish(fmt.Errorf("pregel: job canceled before superstep %d: %w", en.superstep, err))
+			return en.finish(fmt.Errorf("pregel: job canceled before superstep %d: %w", en.superstep, err))
 		}
 		if en.cfg.MaxSupersteps > 0 && en.superstep >= en.cfg.MaxSupersteps {
 			en.stats.Reason = ReasonMaxSupersteps
-			return finish(nil)
+			return en.finish(nil)
 		}
-		nv, ne = en.totals()
-
-		// Checkpoint the pre-superstep state (graph, undelivered
-		// messages, merged aggregators) before the master can mutate
-		// anything.
-		if en.cfg.CheckpointEvery > 0 && en.superstep%en.cfg.CheckpointEvery == 0 &&
-			en.superstep != en.lastCheckpoint {
-			if err := en.writeCheckpoint(); err != nil {
-				return finish(fmt.Errorf("pregel: checkpoint at superstep %d: %w", en.superstep, err))
-			}
-			en.lastCheckpoint = en.superstep
-			en.gcCheckpoints()
+		st.nv, st.ne = en.totals()
+		if err := en.checkpointPhase(); err != nil {
+			return en.finish(err)
 		}
-
-		// Master phase: runs at the beginning of the superstep with
-		// the aggregator values merged from the previous one.
-		if en.cfg.Master != nil {
-			mctx := &masterCtx{en: en, numVertices: nv, numEdges: ne}
-			if err := en.safeMasterCompute(mctx); err != nil {
-				return finish(err)
-			}
-			if mctx.halted {
-				en.stats.Reason = ReasonMasterHalted
-				return finish(nil)
-			}
-		}
-
-		info := SuperstepInfo{
-			Superstep:   en.superstep,
-			NumVertices: nv,
-			NumEdges:    ne,
-			Aggregated:  en.cloneAggSnapshot(),
-		}
-		if listener != nil {
-			listener.SuperstepStarted(en.superstep, info)
-		}
-		// Confined replay re-runs a superstep's computes without
-		// re-running the master phase, so it needs this superstep's
-		// post-master aggregate broadcast and totals as they were.
-		if en.msglog != nil {
-			en.history[en.superstep] = stepSnapshot{nv: nv, ne: ne, aggs: en.cloneAggSnapshot()}
-		}
-
-		// Worker phase.
-		collect := !en.cfg.DisableMetrics
-		var phaseStart time.Time
-		if collect {
-			phaseStart = time.Now()
-		}
-		results := make([]workerResult, len(en.parts))
-		errs := make([]error, len(en.parts))
-		var wg sync.WaitGroup
-		for w := range en.parts {
-			// An empty frontier — nobody awake, nothing pending — yields an
-			// identically zero worker result, so no goroutine is spawned
-			// for it. (Lanes into this shard were merged by
-			// integrateMissing at the previous barrier, so the shard check
-			// is complete.)
-			if en.partActive[w] == 0 && !en.cur.hasPending(w) {
-				continue
-			}
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				// Under a session-wide budget each worker holds one pool
-				// slot for its scan; a slot is always released at the
-				// barrier, so the gate serializes but cannot deadlock.
-				if pool := en.cfg.WorkerPool; pool != nil {
-					if err := pool.acquire(en.ctx); err != nil {
-						errs[w] = fmt.Errorf("pregel: worker %d canceled awaiting pool slot: %w", w, err)
-						return
-					}
-					defer pool.release()
-				}
-				if en.cfg.ComputeMode == ModeSubgraph {
-					results[w], errs[w] = en.runSubgraphWorker(w, nv, ne)
-				} else {
-					results[w], errs[w] = en.runWorker(w, nv, ne)
-				}
-			}(w)
-		}
-		wg.Wait()
-		var phaseWall time.Duration
-		if collect {
-			phaseWall = time.Since(phaseStart)
-		}
-		for _, err := range errs {
-			if err != nil {
-				return finish(err)
-			}
-		}
-
-		// Sender-side outbox logging: persist this superstep's outgoing
-		// batches and mutation requests before the lanes are merged away
-		// (mergeLane recycles the batches), so confined recovery can
-		// replay them. A log write failure is non-fatal — the log is
-		// marked broken and recovery falls back to checkpoint restart.
-		if en.msglog != nil {
-			logged, bytes, err := en.msglog.logSuperstep(en.superstep, en.next, results)
-			en.stats.MessagesLogged += logged
-			en.stats.BytesLogged += bytes
-			if err != nil {
-				en.stats.Faults.CorruptLogSegments++
-			}
-		}
-
-		// Barrier: fold results, apply mutations, merge aggregators.
-		var active int64
-		for w := range results {
-			active += results[w].active
-			// Skipped workers report zero, which is exactly their count.
-			en.partActive[w] = results[w].active
-		}
-		en.applyMutations(results)
-		en.mergeAggregators(results)
-		sent := en.next.total()
-		en.stats.TotalMessages += sent
-		// The traffic matrix must be read before integrateMissing merges
-		// the lanes into the shards (and zeroes the lane counters); at
-		// this point the next store's shards are still empty, so the
-		// matrix provably sums to MessagesSent.
-		var traffic [][]int64
-		if collect && en.anom != nil {
-			traffic = en.next.trafficMatrix()
-		}
-		droppedNow, err := en.integrateMissing()
+		halted, err := en.masterPhase(&st)
 		if err != nil {
-			return finish(err)
+			return en.finish(err)
 		}
-		en.stats.MessagesDropped += droppedNow
-		ss := SuperstepStats{Superstep: en.superstep, ActiveAtEnd: active, MessagesSent: sent, Straggler: -1}
-		ss.MessagesCombined = en.next.combinedTotal()
-		if collect {
-			en.foldTelemetry(&ss, results, phaseWall)
-			ss.Traffic = traffic
-			if traffic != nil {
-				for w := range traffic {
-					ss.LocalMessages += traffic[w][w]
-				}
-			}
-			if en.anom != nil || en.cfg.RebalanceSkew > 0 {
-				sample := en.anomalySample(&ss)
-				if en.anom != nil {
-					ss.Anomalies = en.anom.Observe(sample)
-					en.stats.Anomalies = append(en.stats.Anomalies, ss.Anomalies...)
-				}
-				if en.cfg.RebalanceSkew > 0 && en.cfg.RebalanceObjective == ObjectiveSkew {
-					en.rebalance(&ss, anomaly.EvaluateSkew(sample, en.cfg.RebalanceSkew))
-				}
-			}
-			if en.cfg.RebalanceObjective == ObjectiveEdgeCut {
-				en.rebalanceEdgeCut(&ss)
-			}
-			// Edge cut is recorded after rebalancing so the superstep's
-			// row reflects the placement the next superstep runs under.
-			if en.edgeCutDirty {
-				en.edgeCut = en.computeEdgeCut()
-				en.edgeCutDirty = false
-			}
-			ss.EdgeCut = en.edgeCut
+		if halted {
+			en.stats.Reason = ReasonMasterHalted
+			return en.finish(nil)
 		}
-		// Barrier flush: listeners with an async capture pipeline drain
-		// and commit it here, so everything captured up to this barrier
-		// is durable before the superstep is announced as finished.
-		if bf, ok := listener.(BarrierFlusher); ok {
-			if qr, ok := listener.(CaptureQueueReporter); ok {
-				ss.CaptureQueueDepth = qr.CaptureQueueDepth()
-			}
-			flushStart := time.Now()
-			if err := bf.BarrierFlush(en.superstep); err != nil {
-				return finish(fmt.Errorf("pregel: trace flush at superstep %d: %w", en.superstep, err))
-			}
-			ss.FlushTime = time.Since(flushStart)
+		if err := en.workerPhase(&st); err != nil {
+			return en.finish(err)
 		}
-		en.stats.PerSuperstep = append(en.stats.PerSuperstep, ss)
-		if listener != nil {
-			listener.SuperstepFinished(en.superstep, ss)
+		en.logPhase(&st)
+		if err := en.barrierPhase(&st); err != nil {
+			return en.finish(err)
 		}
-
-		// Supersteps below the recovery frontier are re-execution after
-		// a checkpoint restart; charge their wall time to the recovery
-		// that rewound the job, so RecoveryTime reflects the real cost
-		// of restarting (restore plus recompute), comparable with
-		// confined replay's.
-		if en.recoveryFrontier > 0 {
-			if en.superstep < en.recoveryFrontier {
-				d := time.Since(stepStart)
-				en.stats.RecoveryTime += d
-				if en.openRecovery >= 0 {
-					ev := &en.stats.RecoveryEvents[en.openRecovery]
-					ev.Duration += d
-					ev.SuperstepsReplayed++
-				}
-			}
-			if en.superstep+1 >= en.recoveryFrontier {
-				en.recoveryFrontier = 0
-				en.openRecovery = -1
-			}
+		en.rebalancePhase(&st)
+		if err := en.flushPhase(&st); err != nil {
+			return en.finish(err)
 		}
-
-		// Simulated worker failure and recovery.
-		if failedParts, failed := en.checkFailure(en.superstep); failed {
-			recStart := time.Now()
-			if err := en.consumeRecoveryBudget(); err != nil {
-				en.stats.RecoveryTime += time.Since(recStart)
-				return finish(err)
-			}
-			ev := RecoveryEvent{Superstep: en.superstep, Partitions: failedParts}
-			if en.cfg.Recovery == RecoveryLog {
-				err := en.confinedRecover(failedParts, &ev)
-				if err == nil {
-					ev.Mode = "log"
-					ev.Duration = time.Since(recStart)
-					en.stats.RecoveryTime += ev.Duration
-					en.stats.RecoveryEvents = append(en.stats.RecoveryEvents, ev)
-					// Replay rebuilt the failed partitions' next-superstep
-					// inbox shards; resume exactly as the normal path
-					// would have.
-					var alive int64
-					for _, n := range en.partActive {
-						alive += n
-					}
-					pendingAny := false
-					for w := range en.parts {
-						if en.next.hasPending(w) {
-							pendingAny = true
-							break
-						}
-					}
-					en.swapStores()
-					en.superstep++
-					if alive == 0 && !pendingAny {
-						en.stats.Reason = ReasonConverged
-						return finish(nil)
-					}
-					continue
-				}
-				if !errors.Is(err, errReplayUnusable) {
-					en.stats.RecoveryTime += time.Since(recStart)
-					return finish(err)
-				}
-				// The outbox logs cannot drive a confined replay
-				// (corrupt segment, missing history, broken writer):
-				// degrade to a full checkpoint restart.
-			}
-			failedAt := en.superstep
-			if err := en.restoreNewestIntact(); err != nil {
-				en.stats.RecoveryTime += time.Since(recStart)
-				return finish(err)
-			}
-			ev.Mode = "checkpoint"
-			ev.CheckpointSuperstep = en.superstep
-			ev.PartitionsRecomputed = len(en.parts)
-			ev.Duration = time.Since(recStart)
-			en.stats.RecoveryTime += ev.Duration
-			en.recoveryFrontier = failedAt + 1
-			en.openRecovery = len(en.stats.RecoveryEvents)
-			en.stats.RecoveryEvents = append(en.stats.RecoveryEvents, ev)
-			continue
+		rewound, err := en.failurePhase(&st)
+		if err != nil {
+			return en.finish(err)
 		}
-
-		pending := en.next.total() - droppedNow
-		en.swapStores()
-		en.superstep++
-		if active == 0 && pending == 0 {
+		if rewound {
+			continue // re-run from the restored checkpoint's superstep
+		}
+		if en.advance() {
 			en.stats.Reason = ReasonConverged
-			return finish(nil)
+			return en.finish(nil)
 		}
 	}
+}
+
+// finish closes the job's stats, tells the listener, and shapes Run's
+// return values.
+func (en *engine) finish(err error) (*Stats, error) {
+	en.stats.Supersteps = en.superstep
+	en.stats.Runtime = time.Since(en.started)
+	en.stats.Partitioner = en.cfg.Partitioner
+	en.stats.PartitionSizes = make([]int64, len(en.parts))
+	for i, p := range en.parts {
+		en.stats.PartitionSizes[i] = int64(p.live)
+	}
+	if err == nil && !en.cfg.DisableMetrics {
+		en.stats.EdgeCut = en.currentEdgeCut()
+	}
+	// A canceled job never resumes, so its recovery artifacts —
+	// checkpoints and outbox-log segments — are dead weight; GC them
+	// before listeners observe the stats, so CheckpointsDeleted
+	// reflects the cleanup.
+	canceled := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	if canceled {
+		en.cleanupCanceled()
+	}
+	// Fold in the checkpoint file system's resilience counters
+	// before listeners observe the stats; Graft's listener adds the
+	// trace file system's own on top.
+	if p, ok := en.cfg.CheckpointFS.(FaultStatsProvider); ok {
+		en.stats.Faults.Add(p.FaultStats())
+	}
+	if l := en.cfg.Listener; l != nil {
+		l.JobFinished(&en.stats, err)
+	}
+	if err != nil && !canceled {
+		return nil, err
+	}
+	// Cancellation is barrier-consistent: everything up to the last
+	// completed superstep is valid, so — unlike a compute failure — the
+	// partial stats are returned with the error.
+	return &en.stats, err
+}
+
+// currentEdgeCut returns the cross-partition edge count under the
+// current placement, rescanning only if placement or topology changed
+// since the last scan.
+func (en *engine) currentEdgeCut() int64 {
+	if en.edgeCutDirty {
+		en.edgeCut = en.computeEdgeCut()
+		en.edgeCutDirty = false
+	}
+	return en.edgeCut
+}
+
+// checkpointPhase writes the pre-superstep state (graph, undelivered
+// messages, merged aggregators) before the master can mutate anything.
+func (en *engine) checkpointPhase() error {
+	if en.cfg.CheckpointEvery <= 0 || en.superstep%en.cfg.CheckpointEvery != 0 ||
+		en.superstep == en.lastCheckpoint {
+		return nil
+	}
+	if err := en.writeCheckpoint(); err != nil {
+		return fmt.Errorf("pregel: checkpoint at superstep %d: %w", en.superstep, err)
+	}
+	en.lastCheckpoint = en.superstep
+	en.gcCheckpoints()
+	return nil
+}
+
+// masterPhase runs master.compute at the beginning of the superstep,
+// with the aggregator values merged from the previous one, and — unless
+// the master halted the job — announces the superstep with the
+// aggregates as the master left them.
+func (en *engine) masterPhase(st *step) (halted bool, err error) {
+	if en.cfg.Master != nil {
+		mctx := &masterCtx{en: en, numVertices: st.nv, numEdges: st.ne}
+		if err := en.safeMasterCompute(mctx); err != nil {
+			return false, err
+		}
+		if mctx.halted {
+			return true, nil
+		}
+	}
+	if l := en.cfg.Listener; l != nil {
+		l.SuperstepStarted(en.superstep, SuperstepInfo{
+			Superstep:   en.superstep,
+			NumVertices: st.nv,
+			NumEdges:    st.ne,
+			Aggregated:  en.cloneAggSnapshot(),
+		})
+	}
+	// Confined replay re-runs a superstep's computes without
+	// re-running the master phase, so it needs this superstep's
+	// post-master aggregate broadcast and totals as they were.
+	if en.msglog != nil {
+		en.history[en.superstep] = stepSnapshot{nv: st.nv, ne: st.ne, aggs: en.cloneAggSnapshot()}
+	}
+	return false, nil
+}
+
+// workerPhase runs every partition with a non-empty frontier on its own
+// goroutine and waits for all of them.
+func (en *engine) workerPhase(st *step) error {
+	phaseStart := time.Now()
+	st.results = make([]workerResult, len(en.parts))
+	errs := make([]error, len(en.parts))
+	var wg sync.WaitGroup
+	for w := range en.parts {
+		// An empty frontier — nobody awake, nothing pending — yields an
+		// identically zero worker result, so no goroutine is spawned
+		// for it. (Lanes into this shard were merged by
+		// integrateMissing at the previous barrier, so the shard check
+		// is complete.)
+		if en.partActive[w] == 0 && !en.cur.hasPending(w) {
+			continue
+		}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Under a session-wide budget each worker holds one pool
+			// slot for its scan; a slot is always released at the
+			// barrier, so the gate serializes but cannot deadlock.
+			if pool := en.cfg.WorkerPool; pool != nil {
+				if err := pool.acquire(en.ctx); err != nil {
+					errs[w] = fmt.Errorf("pregel: worker %d canceled awaiting pool slot: %w", w, err)
+					return
+				}
+				defer pool.release()
+			}
+			if en.cfg.ComputeMode == ModeSubgraph {
+				st.results[w], errs[w] = en.runSubgraphWorker(w, st.nv, st.ne)
+			} else {
+				st.results[w], errs[w] = en.runWorker(w, st.nv, st.ne)
+			}
+		}(w)
+	}
+	wg.Wait()
+	st.wall = time.Since(phaseStart)
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// logPhase is sender-side outbox logging: it persists this superstep's
+// outgoing batches and mutation requests before the lanes are merged
+// away (mergeLane recycles the batches), so confined recovery can
+// replay them. A log write failure is non-fatal — the log is marked
+// broken and recovery falls back to checkpoint restart.
+func (en *engine) logPhase(st *step) {
+	if en.msglog == nil {
+		return
+	}
+	logged, bytes, err := en.msglog.logSuperstep(en.superstep, en.next, st.results)
+	en.stats.MessagesLogged += logged
+	en.stats.BytesLogged += bytes
+	if err != nil {
+		en.stats.Faults.CorruptLogSegments++
+	}
+}
+
+// barrierPhase folds the workers' results into engine state — active
+// counts, mutations, aggregators, the lanes into the next superstep's
+// inboxes — and into the superstep's stats row.
+func (en *engine) barrierPhase(st *step) error {
+	var active int64
+	for w := range st.results {
+		active += st.results[w].active
+		// Skipped workers report zero, which is exactly their count.
+		en.partActive[w] = st.results[w].active
+	}
+	en.applyMutations(st.results)
+	en.mergeAggregators(st.results)
+	sent := en.next.total()
+	en.stats.TotalMessages += sent
+	// The traffic matrix must be read before integrateMissing merges
+	// the lanes into the shards (and zeroes the lane counters); at
+	// this point the next store's shards are still empty, so the
+	// matrix provably sums to MessagesSent.
+	collect := !en.cfg.DisableMetrics
+	var traffic [][]int64
+	if collect && en.anom != nil {
+		traffic = en.next.trafficMatrix()
+	}
+	dropped, err := en.integrateMissing()
+	if err != nil {
+		return err
+	}
+	en.stats.MessagesDropped += dropped
+	st.ss = SuperstepStats{Superstep: en.superstep, ActiveAtEnd: active, MessagesSent: sent, Straggler: -1}
+	st.ss.MessagesCombined = en.next.combinedTotal()
+	if collect {
+		en.foldTelemetry(&st.ss, st.results, st.wall)
+		st.ss.Traffic = traffic
+		for w := range traffic {
+			st.ss.LocalMessages += traffic[w][w]
+		}
+	}
+	return nil
+}
+
+// rebalancePhase acts on the superstep's folded telemetry: the anomaly
+// detectors observe it, and the rebalancer the job is configured with
+// migrates vertices on what they (or the traffic matrix) show. Nothing
+// here runs without telemetry.
+func (en *engine) rebalancePhase(st *step) {
+	if en.cfg.DisableMetrics {
+		return
+	}
+	ss := &st.ss
+	if en.anom != nil || en.cfg.RebalanceSkew > 0 {
+		sample := en.anomalySample(ss)
+		if en.anom != nil {
+			ss.Anomalies = en.anom.Observe(sample)
+			en.stats.Anomalies = append(en.stats.Anomalies, ss.Anomalies...)
+		}
+		if en.cfg.RebalanceSkew > 0 && en.cfg.RebalanceObjective == ObjectiveSkew {
+			en.rebalance(ss, anomaly.EvaluateSkew(sample, en.cfg.RebalanceSkew))
+		}
+	}
+	if en.cfg.RebalanceObjective == ObjectiveEdgeCut {
+		en.rebalanceEdgeCut(ss)
+	}
+	// Edge cut is recorded after rebalancing so the superstep's
+	// row reflects the placement the next superstep runs under.
+	ss.EdgeCut = en.currentEdgeCut()
+}
+
+// flushPhase is the barrier flush: listeners with an async capture
+// pipeline drain and commit it here, so everything captured up to this
+// barrier is durable before the superstep is announced as finished.
+func (en *engine) flushPhase(st *step) error {
+	listener := en.cfg.Listener
+	if bf, ok := listener.(BarrierFlusher); ok {
+		if qr, ok := listener.(CaptureQueueReporter); ok {
+			st.ss.CaptureQueueDepth = qr.CaptureQueueDepth()
+		}
+		flushStart := time.Now()
+		if err := bf.BarrierFlush(en.superstep); err != nil {
+			return fmt.Errorf("pregel: trace flush at superstep %d: %w", en.superstep, err)
+		}
+		st.ss.FlushTime = time.Since(flushStart)
+	}
+	en.stats.PerSuperstep = append(en.stats.PerSuperstep, st.ss)
+	if listener != nil {
+		listener.SuperstepFinished(en.superstep, st.ss)
+	}
+	return nil
+}
+
+// failurePhase consults the failure-injection hooks for this barrier
+// and recovers from what they report. After a confined replay the
+// failed partitions are back at this barrier, their next-superstep
+// inboxes rebuilt, and the job advances as if nothing had failed;
+// rewound reports a checkpoint restart, which has put en.superstep and
+// the stores back to the checkpoint's, so the caller must not advance.
+func (en *engine) failurePhase(st *step) (rewound bool, err error) {
+	en.chargeReexecution(st)
+	failedParts, failed := en.checkFailure(en.superstep)
+	if !failed {
+		return false, nil
+	}
+	recStart := time.Now()
+	if err := en.consumeRecoveryBudget(); err != nil {
+		en.stats.RecoveryTime += time.Since(recStart)
+		return false, err
+	}
+	ev := RecoveryEvent{Superstep: en.superstep, Partitions: failedParts}
+	if en.cfg.Recovery == RecoveryLog {
+		err := en.confinedRecover(failedParts, &ev)
+		if err == nil {
+			ev.Mode = "log"
+			ev.Duration = time.Since(recStart)
+			en.stats.RecoveryTime += ev.Duration
+			en.stats.RecoveryEvents = append(en.stats.RecoveryEvents, ev)
+			return false, nil
+		}
+		if !errors.Is(err, errReplayUnusable) {
+			en.stats.RecoveryTime += time.Since(recStart)
+			return false, err
+		}
+		// The outbox logs cannot drive a confined replay
+		// (corrupt segment, missing history, broken writer):
+		// degrade to a full checkpoint restart.
+	}
+	failedAt := en.superstep
+	if err := en.restoreNewestIntact(); err != nil {
+		en.stats.RecoveryTime += time.Since(recStart)
+		return false, err
+	}
+	ev.Mode = "checkpoint"
+	ev.CheckpointSuperstep = en.superstep
+	ev.PartitionsRecomputed = len(en.parts)
+	ev.Duration = time.Since(recStart)
+	en.stats.RecoveryTime += ev.Duration
+	en.recoveryFrontier = failedAt + 1
+	en.openRecovery = len(en.stats.RecoveryEvents)
+	en.stats.RecoveryEvents = append(en.stats.RecoveryEvents, ev)
+	return true, nil
+}
+
+// chargeReexecution charges a superstep below the recovery frontier —
+// re-execution after a checkpoint restart — to the recovery that
+// rewound the job, so RecoveryTime reflects the real cost of restarting
+// (restore plus recompute), comparable with confined replay's.
+func (en *engine) chargeReexecution(st *step) {
+	if en.recoveryFrontier == 0 {
+		return
+	}
+	if en.superstep < en.recoveryFrontier {
+		d := time.Since(st.start)
+		en.stats.RecoveryTime += d
+		if en.openRecovery >= 0 {
+			ev := &en.stats.RecoveryEvents[en.openRecovery]
+			ev.Duration += d
+			ev.SuperstepsReplayed++
+		}
+	}
+	if en.superstep+1 >= en.recoveryFrontier {
+		en.recoveryFrontier = 0
+		en.openRecovery = -1
+	}
+}
+
+// advance ends the superstep: what was sent becomes what is delivered,
+// the drained store takes the next sends, and the superstep number
+// moves on. It reports convergence — no vertex awake in any partition
+// and no inbox with mail. The awake counts are partActive, not the
+// workers' own, so a vertex created at this barrier keeps the job
+// running until it has computed.
+func (en *engine) advance() (converged bool) {
+	converged = true
+	for w := range en.parts {
+		if en.partActive[w] > 0 || en.next.hasPending(w) {
+			converged = false
+			break
+		}
+	}
+	en.cur, en.next = en.next, en.cur
+	en.next.reset()
+	en.superstep++
+	return converged
 }
 
 func (en *engine) safeMasterCompute(mctx *masterCtx) (err error) {
@@ -959,27 +1022,23 @@ func (en *engine) safeMasterCompute(mctx *masterCtx) (err error) {
 	return nil
 }
 
-// workerCtx returns worker w's Context reset for this superstep, with
-// the send buffers matching the configured message plane. The context,
-// its aggregation map and its lane buffers are built once and reused:
+// workerCtx returns worker w's Context reset for this superstep. The
+// context, its aggregation map and its lane buffers are built once and
+// reused:
 // everything a superstep hands the barrier (aggregator partials,
 // mutation requests) is consumed before the next one starts.
 func (en *engine) workerCtx(w int, nv, ne int64) *workerCtx {
 	ctx := en.wctx[w]
 	if ctx == nil {
 		ctx = &workerCtx{en: en, worker: w, flushBatch: en.flushBatch, aggPartial: map[string]Value{}}
-		if en.cfg.MessagePlane == PlaneLanes {
-			ctx.lane = make([]*msgBatch, len(en.parts))
-			ctx.scalar = en.next.scalar
-			if en.cfg.Combiner != nil {
-				ctx.laneIdx = make([][]uint64, len(en.parts))
-				ctx.laneGen = make([]uint32, len(en.parts))
-				for p := range ctx.laneGen {
-					ctx.laneGen[p] = 1 // 0 is the stamp of a never-written cell
-				}
+		ctx.lane = make([]*msgBatch, len(en.parts))
+		ctx.scalar = en.next.scalar
+		if en.cfg.Combiner != nil {
+			ctx.laneIdx = make([][]uint64, len(en.parts))
+			ctx.laneGen = make([]uint32, len(en.parts))
+			for p := range ctx.laneGen {
+				ctx.laneGen[p] = 1 // 0 is the stamp of a never-written cell
 			}
-		} else {
-			ctx.out = make([][]msgEntry, len(en.parts))
 		}
 		en.wctx[w] = ctx
 	}
@@ -1174,8 +1233,8 @@ func (en *engine) safeCompute(ctx *workerCtx, v *Vertex, msgs []Value) (err erro
 	return nil
 }
 
-// integrateMissing merges each lane-matrix column into its shard (in
-// PlaneLanes mode) and resolves the orphans — messages addressed to
+// integrateMissing merges each lane-matrix column into its shard and
+// resolves the orphans — messages addressed to
 // vertices that do not exist — at the barrier (Giraph's default vertex
 // resolver): with CreateMissingVertices the vertex is created so it
 // computes next superstep; otherwise the messages are discarded and
@@ -1226,30 +1285,26 @@ func (en *engine) integrateMissing() (int64, error) {
 }
 
 // resolveOrphans empties the orphans of part's shard in ascending ID
-// order. An ID that has gained a slot since delivery (an
-// AddVertexRequest applied at this barrier) simply receives its mail;
-// otherwise the vertex is created at the end of the slot array
-// (CreateMissingVertices) or the messages are discarded. Returns the
-// created vertices and the number of discarded entries.
+// order: each vertex is created at the end of the slot array and given
+// its mail (CreateMissingVertices), or the messages are discarded.
+// Orphans are filed by the merge that runs just before, after the
+// barrier's mutations, so none of them has gained a slot since. Returns
+// the created vertices and the number of discarded entries.
 func (en *engine) resolveOrphans(store *messageStore, part *partition) (created []*Vertex, dropped int64) {
 	sh := &store.shards[part.idx]
 	for _, id := range sh.orphanIDs() {
 		msgs := sh.orphans[id]
-		sh.merging = id
-		slot, ok := part.index.lookup(id)
-		if !ok {
-			if !en.cfg.CreateMissingVertices {
-				dropped += int64(len(msgs))
-				continue
-			}
-			var val Value
-			if en.cfg.DefaultVertexValue != nil {
-				val = en.cfg.DefaultVertexValue()
-			}
-			v := &Vertex{id: id, value: val}
-			slot = part.add(v)
-			created = append(created, v)
+		if !en.cfg.CreateMissingVertices {
+			dropped += int64(len(msgs))
+			continue
 		}
+		var val Value
+		if en.cfg.DefaultVertexValue != nil {
+			val = en.cfg.DefaultVertexValue()
+		}
+		v := &Vertex{id: id, value: val}
+		slot := part.add(v)
+		created = append(created, v)
 		store.ensure(sh, len(part.slots))
 		for _, m := range msgs {
 			store.put(sh, slot, id, m)
@@ -1287,8 +1342,8 @@ func (en *engine) applyMutations(results []workerResult) {
 				// Removed vertices leave the computation but stay
 				// reachable through the input graph: their final state
 				// is often the algorithm's output (matching partners
-				// in MWM).
-				en.next.orphanCell(p.idx, slot, id)
+				// in MWM). The lanes are still unmerged, so the slot's
+				// next-superstep cell is empty.
 				p.remove(slot)
 			}
 		}

@@ -3,6 +3,7 @@ package pregel
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
@@ -557,6 +558,29 @@ func TestAddVertexRequest(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("expected 2 vertices at superstep 1; infos: %+v", listener.superstepInfos)
+	}
+
+	// A vertex added at a barrier where everyone else has halted and no
+	// mail is pending starts active, so the job must run it once.
+	g = NewGraph()
+	g.AddVertex(0, NewLong(0))
+	var ran99 atomic.Bool
+	lone := ComputeFunc(func(ctx Context, v *Vertex, msgs []Value) error {
+		if v.ID() == 99 {
+			ran99.Store(true)
+		} else if ctx.Superstep() == 0 {
+			ctx.AddVertexRequest(99, NewLong(1))
+		}
+		v.VoteToHalt()
+		return nil
+	})
+	stats, err := NewJob(g, lone, Config{}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ran99.Load() || stats.Supersteps != 2 {
+		t.Errorf("vertex 99 computed = %v, supersteps = %d; want it to compute in a second superstep",
+			ran99.Load(), stats.Supersteps)
 	}
 }
 

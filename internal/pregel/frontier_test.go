@@ -139,15 +139,15 @@ func (c *frontierChecker) check(where string, full, drained *messageStore) {
 
 // boxed hides a standard combiner inside a CombineFunc: the same
 // reduction, of a type the engine does not recognise, so its messages
-// stay boxed on every plane.
+// stay boxed.
 func boxed(std Combiner) Combiner {
 	return CombineFunc(func(to VertexID, a, b Value) Value { return std.Combine(to, a, b) })
 }
 
 // inboxColumns are the three layouts an inbox shard can have, as subtest
 // suffixes: message lists (no combiner), boxed cells (a combiner the
-// engine does not recognise) and, on the lane plane, the unboxed cs
-// column (a standard combiner). Every test message here is a LongValue
+// engine does not recognise) and the unboxed cs column (a standard
+// combiner). Every test message here is a LongValue
 // folded by min, so all three run the same job.
 var inboxColumns = []struct {
 	suffix   string
@@ -171,8 +171,7 @@ func runChecked(t *testing.T, job *Job) (*Stats, *frontierChecker) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rows := job.cfg.Combiner.(scalarCombiner)
-	if rows = rows && job.cfg.MessagePlane == PlaneLanes; rows != c.sawRows {
+	if _, rows := job.cfg.Combiner.(scalarCombiner); rows != c.sawRows {
 		t.Errorf("job should use the scalar column = %v, checker saw one = %v", rows, c.sawRows)
 	}
 	return stats, c
@@ -260,43 +259,40 @@ func ringGraph(t *testing.T, n int) *Graph {
 }
 
 func TestFrontierInvariantsAcrossMutations(t *testing.T) {
-	for _, plane := range []PlaneMode{PlaneLanes, PlaneMutex} {
-		for _, create := range []bool{true, false} {
-			for _, col := range inboxColumns {
-				t.Run(fmt.Sprintf("%v/create=%v%s", plane, create, col.suffix), func(t *testing.T) {
-					g := ringGraph(t, 40)
-					stats, c := runChecked(t, NewJob(g, churnCompute, Config{
-						NumWorkers:            3,
-						MessagePlane:          plane,
-						Combiner:              col.combiner,
-						CreateMissingVertices: create,
-						DefaultVertexValue:    func() Value { return NewLong(-1) },
-					}))
-					if !c.tombstones || !c.compacted {
-						t.Errorf("tombstones seen=%v, compaction seen=%v; the case exercised neither", c.tombstones, c.compacted)
-					}
-					if (stats.MessagesDropped > 0) == create {
-						t.Errorf("CreateMissingVertices=%v but MessagesDropped=%d", create, stats.MessagesDropped)
-					}
-					if g.Vertex(1000) == nil || g.Vertex(1000).Value().(*LongValue).Get() != 100 {
-						t.Errorf("vertex 1000 was not added beyond the load-time ID range")
-					}
-					if got := g.Vertex(4).Value().(*LongValue).Get(); got != 100 {
-						t.Errorf("vertex 4 removed and added in one superstep has value %d, want the added 100", got)
-					}
-					// Mail to the never-existing 2000 creates it only under the
-					// resolver; mail to the just-removed ring members re-creates
-					// them with the default value.
-					if (g.Vertex(2000) != nil) != create {
-						t.Errorf("vertex 2000 exists=%v with CreateMissingVertices=%v", g.Vertex(2000) != nil, create)
-					}
-					if got := g.Vertex(1).Value().(*LongValue).Get(); create && got != -1 {
-						t.Errorf("vertex 1 re-created by the resolver has value %d, want the default -1", got)
-					} else if !create && got != 100 {
-						t.Errorf("vertex 1 re-added by request has value %d, want 100", got)
-					}
-				})
-			}
+	for _, create := range []bool{true, false} {
+		for _, col := range inboxColumns {
+			t.Run(fmt.Sprintf("lanes/create=%v%s", create, col.suffix), func(t *testing.T) {
+				g := ringGraph(t, 40)
+				stats, c := runChecked(t, NewJob(g, churnCompute, Config{
+					NumWorkers:            3,
+					Combiner:              col.combiner,
+					CreateMissingVertices: create,
+					DefaultVertexValue:    func() Value { return NewLong(-1) },
+				}))
+				if !c.tombstones || !c.compacted {
+					t.Errorf("tombstones seen=%v, compaction seen=%v; the case exercised neither", c.tombstones, c.compacted)
+				}
+				if (stats.MessagesDropped > 0) == create {
+					t.Errorf("CreateMissingVertices=%v but MessagesDropped=%d", create, stats.MessagesDropped)
+				}
+				if g.Vertex(1000) == nil || g.Vertex(1000).Value().(*LongValue).Get() != 100 {
+					t.Errorf("vertex 1000 was not added beyond the load-time ID range")
+				}
+				if got := g.Vertex(4).Value().(*LongValue).Get(); got != 100 {
+					t.Errorf("vertex 4 removed and added in one superstep has value %d, want the added 100", got)
+				}
+				// Mail to the never-existing 2000 creates it only under the
+				// resolver; mail to the just-removed ring members re-creates
+				// them with the default value.
+				if (g.Vertex(2000) != nil) != create {
+					t.Errorf("vertex 2000 exists=%v with CreateMissingVertices=%v", g.Vertex(2000) != nil, create)
+				}
+				if got := g.Vertex(1).Value().(*LongValue).Get(); create && got != -1 {
+					t.Errorf("vertex 1 re-created by the resolver has value %d, want the default -1", got)
+				} else if !create && got != 100 {
+					t.Errorf("vertex 1 re-added by request has value %d, want 100", got)
+				}
+			})
 		}
 	}
 }

@@ -5,35 +5,6 @@ import (
 	"sync"
 )
 
-// PlaneMode selects the message-plane implementation.
-type PlaneMode int
-
-const (
-	// PlaneLanes is the lock-free plane: each worker appends pooled
-	// batches to its own row of a numWorkers × numWorkers lane matrix
-	// (single writer, no synchronization), and the owning worker merges
-	// its column into the slot-addressed shard after the superstep
-	// barrier (single reader, ordered by the barrier). With a combiner installed,
-	// senders additionally pre-combine per destination vertex before
-	// flushing, and under one of the standard combiners messages travel
-	// as unboxed rows. This is the default.
-	PlaneLanes PlaneMode = iota
-	// PlaneMutex is the original shard-mutex plane: every flushed batch
-	// takes the destination shard's lock and combines at the receiver.
-	// Kept as the baseline the engine benchmark compares against.
-	PlaneMutex
-)
-
-func (m PlaneMode) String() string {
-	switch m {
-	case PlaneLanes:
-		return "lanes"
-	case PlaneMutex:
-		return "mutex"
-	}
-	return "unknown"
-}
-
 // msgEntry is one in-flight message. With sender-side combining a
 // single entry may stand for many logical sends.
 type msgEntry struct {
@@ -100,24 +71,24 @@ type msgLane struct {
 
 // messageStore holds the messages sent during one superstep for
 // delivery at the next. It is sharded by destination partition, and
-// each shard is addressed by the destination partition's slots. In
-// PlaneMutex mode, writes from any worker lock the destination shard.
-// In PlaneLanes mode, writes go to the per-sender lane matrix without
-// synchronization and mergeLane folds each column into its shard at
-// the barrier; reads during the next superstep are done exclusively by
-// the shard's owning worker and need no locking either way (the
-// superstep barrier orders them). The engine keeps two stores and
-// swaps them at every barrier.
+// each shard is addressed by the destination partition's slots. Writes
+// go to the lane matrix without synchronization: each worker appends
+// pooled batches to its own row (single writer), and mergeLane folds
+// each column into its shard at the barrier (single reader, ordered by
+// the barrier). Reads during the next superstep are done exclusively by
+// the shard's owning worker and need no locking either. With a combiner
+// installed senders pre-combine per destination vertex before flushing,
+// and under one of the standard combiners messages travel as unboxed
+// rows. The engine keeps two stores and swaps them at every barrier.
 type messageStore struct {
 	combiner Combiner
-	// scalar is the combiner when it is one of the standard ones and the
-	// plane is PlaneLanes: lanes then carry rows and shards fold them into
-	// cs, and boxes exist only at the edges (takeCell, encode, orphans).
+	// scalar is the combiner when it is one of the standard ones: lanes
+	// then carry rows and shards fold them into cs, and boxes exist only
+	// at the edges (takeCell, encode, orphans).
 	scalar scalarCombiner
-	mode   PlaneMode
 	shards []msgShard
-	lanes  [][]msgLane // [sender][dest]; nil in PlaneMutex mode
-	pool   *batchPool  // shared across the engine's stores; nil in PlaneMutex mode
+	lanes  [][]msgLane // [sender][dest]
+	pool   *batchPool  // shared across the engine's stores
 }
 
 // msgShard is the inbox of one partition, indexed by the partition's
@@ -126,9 +97,8 @@ type messageStore struct {
 // pending cells, so a drained shard is all-nil again and is reused as
 // it stands.
 type msgShard struct {
-	mu sync.Mutex
 	// Exactly one of m/c/cs is used: m without a combiner, cs under a
-	// scalar one on the lane plane, c under any other. A cs cell means
+	// scalar one, c under any other. A cs cell means
 	// something only while its pending bit is set.
 	m       [][]Value
 	c       []Value
@@ -150,18 +120,13 @@ type msgShard struct {
 	merging VertexID
 }
 
-func newMessageStore(numShards int, combiner Combiner, mode PlaneMode, pool *batchPool) *messageStore {
-	s := &messageStore{combiner: combiner, mode: mode, shards: make([]msgShard, numShards)}
+func newMessageStore(numShards int, combiner Combiner, pool *batchPool) *messageStore {
+	s := &messageStore{combiner: combiner, pool: pool, shards: make([]msgShard, numShards)}
+	s.scalar, _ = combiner.(scalarCombiner)
+	s.lanes = make([][]msgLane, numShards)
 	for i := range s.shards {
 		s.shards[i].orphans = make(map[VertexID][]Value)
-	}
-	if mode == PlaneLanes {
-		s.scalar, _ = combiner.(scalarCombiner)
-		s.pool = pool
-		s.lanes = make([][]msgLane, numShards)
-		for i := range s.lanes {
-			s.lanes[i] = make([]msgLane, numShards)
-		}
+		s.lanes[i] = make([]msgLane, numShards)
 	}
 	return s
 }
@@ -229,28 +194,13 @@ func (s *messageStore) orphan(sh *msgShard, to VertexID, msg Value) {
 
 // deliverTo routes one message into part's shard: one index read, then
 // a slot write. The caller must be the only goroutine touching the
-// shard (or hold its lock) and must have called ensure.
+// shard and must have called ensure.
 func (s *messageStore) deliverTo(part *partition, sh *msgShard, to VertexID, msg Value) {
 	if slot, ok := part.index.lookup(to); ok {
 		s.put(sh, slot, to, msg)
 	} else {
 		s.orphan(sh, to, msg)
 	}
-}
-
-// deliver appends a batch of messages to the destination shard under
-// its lock (the PlaneMutex write path). The destination's index is
-// only read: partitions change shape at the barrier, never during the
-// compute phase.
-func (s *messageStore) deliver(part *partition, entries []msgEntry) {
-	sh := &s.shards[part.idx]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s.ensure(sh, len(part.slots))
-	for _, en := range entries {
-		s.deliverTo(part, sh, en.to, en.msg)
-	}
-	sh.n += int64(len(entries))
 }
 
 // laneAppend hands one flushed batch to lane [sender][dest]. Only
@@ -267,12 +217,8 @@ func (s *messageStore) laneAppend(sender, dest int, b *msgBatch) {
 // returns the batches to the pool. It must run after the superstep
 // barrier, with exactly one goroutine touching the shard (the
 // destination's owning worker). Senders are merged in worker order and
-// batches in flush order, so the merged inbox order is deterministic —
-// unlike the mutex plane, where it depends on lock acquisition order.
+// batches in flush order, so the merged inbox order is deterministic.
 func (s *messageStore) mergeLane(part *partition) {
-	if s.mode != PlaneLanes {
-		return
-	}
 	sh := &s.shards[part.idx]
 	s.ensure(sh, len(part.slots))
 	for sender := range s.lanes {
@@ -362,7 +308,7 @@ func (s *messageStore) takeCell(sh *msgShard, slot int) []Value {
 
 // take removes and returns the messages for the vertex in `slot`. Only
 // the shard's owning worker may call it, after the sending superstep's
-// barrier (and, in PlaneLanes mode, after mergeLane).
+// barrier and mergeLane.
 func (s *messageStore) take(shard, slot int) []Value {
 	sh := &s.shards[shard]
 	if slot>>6 >= len(sh.pending) || !sh.pending.test(slot) {
@@ -390,16 +336,6 @@ func (s *messageStore) migrate(from, fromSlot int, to *partition, toSlot int) {
 		ts.m[toSlot] = msgs
 	}
 	ts.pending.set(toSlot)
-}
-
-// orphanCell moves the pending inbox of a slot whose vertex is being
-// removed into the orphans, so the resolver decides its fate under the
-// vertex's ID. Only the mutex plane can have delivered anything by the
-// time mutations apply; lanes are still unmerged.
-func (s *messageStore) orphanCell(shard, slot int, id VertexID) {
-	if msgs := s.take(shard, slot); msgs != nil {
-		s.shards[shard].orphans[id] = msgs
-	}
 }
 
 // remap follows a partition rebuild: cell perm[s] of the rebuilt shard
@@ -450,12 +386,8 @@ func (sh *msgShard) orphanIDs() []VertexID {
 // element [s][d] is the number of messages (pre-combine) worker s sent
 // toward partition d this superstep. It must be read at the barrier
 // before mergeLane folds the columns away; at that point a fresh
-// store's shards are empty, so the matrix sums to total(). Returns nil
-// in PlaneMutex mode, which has no per-sender accounting.
+// store's shards are empty, so the matrix sums to total().
 func (s *messageStore) trafficMatrix() [][]int64 {
-	if s.mode != PlaneLanes {
-		return nil
-	}
 	m := make([][]int64, len(s.lanes))
 	for i := range s.lanes {
 		row := make([]int64, len(s.lanes[i]))

@@ -163,10 +163,9 @@ func TestLocalityPlacementReducesEdgeCut(t *testing.T) {
 	run := func(p PartitionerMode) (*Stats, string) {
 		g := clusteredGraph(t, 16, 40, 9)
 		stats, err := NewJob(g, ccCompute, Config{
-			NumWorkers:   4,
-			MessagePlane: PlaneLanes,
-			Partitioner:  p,
-			Combiner:     MinLongCombiner,
+			NumWorkers:  4,
+			Partitioner: p,
+			Combiner:    MinLongCombiner,
 		}).Run()
 		if err != nil {
 			t.Fatal(err)
@@ -203,7 +202,6 @@ func TestEdgeCutRebalancerMigrates(t *testing.T) {
 		g := clusteredGraph(t, 24, 30, 5)
 		stats, err := NewJob(g, ccCompute, Config{
 			NumWorkers:         4,
-			MessagePlane:       PlaneLanes,
 			RebalanceObjective: objective,
 		}).Run()
 		if err != nil {
@@ -256,7 +254,6 @@ func TestCheckpointRestoresLocalityAssignments(t *testing.T) {
 		g := clusteredGraph(t, 16, 40, 9)
 		cfg := Config{
 			NumWorkers:      4,
-			MessagePlane:    PlaneLanes,
 			Partitioner:     PartitionLocality,
 			CheckpointEvery: 2,
 			CheckpointFS:    dfs.NewMemFS(),

@@ -1,15 +1,14 @@
 package pregel
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 )
 
 // benchPlaneRoundTrip measures the full SendMessage → flush → merge →
 // take round trip of one superstep's worth of messages through the
-// selected message plane, with concurrent senders like the real worker
-// phase. It is the microscope behind graft-bench -engine: run with
+// message plane, with concurrent senders like the real worker phase.
+// Run with
 //
 //	go test ./internal/pregel -run '^$' -bench BenchmarkMessagePlane
 //
@@ -20,7 +19,7 @@ import (
 //
 // Its thin-superstep counterpart, BenchmarkThinSuperstep, is in
 // thin_bench_test.go.
-func benchPlaneRoundTrip(b *testing.B, mode PlaneMode, combiner Combiner, fresh bool) {
+func benchPlaneRoundTrip(b *testing.B, combiner Combiner, fresh bool) {
 	const (
 		workers  = 4
 		nVerts   = 1024
@@ -31,7 +30,7 @@ func benchPlaneRoundTrip(b *testing.B, mode PlaneMode, combiner Combiner, fresh 
 		g.AddVertex(VertexID(i), NewLong(0))
 	}
 	noop := ComputeFunc(func(Context, *Vertex, []Value) error { return nil })
-	job := NewJob(g, noop, Config{NumWorkers: workers, Combiner: combiner, MessagePlane: mode})
+	job := NewJob(g, noop, Config{NumWorkers: workers, Combiner: combiner})
 	en := newEngine(job)
 	shared := NewLong(1)
 	b.ReportAllocs()
@@ -46,7 +45,7 @@ func benchPlaneRoundTrip(b *testing.B, mode PlaneMode, combiner Combiner, fresh 
 				for k := 0; k < perWorkr; k++ {
 					// Skewed fan-in: a quarter of the traffic hits one hot
 					// vertex, the rest spreads round-robin — the mix where
-					// sender-side combining and lock-freedom both matter.
+					// sender-side combining matters.
 					to := VertexID((w*perWorkr + k*7) % nVerts)
 					if k%4 == 0 {
 						to = 0
@@ -80,26 +79,19 @@ func benchPlaneRoundTrip(b *testing.B, mode PlaneMode, combiner Combiner, fresh 
 }
 
 func BenchmarkMessagePlane(b *testing.B) {
-	for _, mode := range []PlaneMode{PlaneLanes, PlaneMutex} {
-		for _, tc := range []struct {
-			name     string
-			combiner Combiner
-		}{
-			{"combiner", SumLongCombiner},
-			{"plain", nil},
-		} {
-			b.Run(fmt.Sprintf("%v/%s", mode, tc.name), func(b *testing.B) {
-				benchPlaneRoundTrip(b, mode, tc.combiner, true)
-			})
-		}
-	}
+	b.Run("lanes/combiner", func(b *testing.B) {
+		benchPlaneRoundTrip(b, SumLongCombiner, true)
+	})
+	b.Run("lanes/plain", func(b *testing.B) {
+		benchPlaneRoundTrip(b, nil, true)
+	})
 	// The row path alone, and the boxed combining path it left behind
 	// for user combiners.
 	b.Run("lanes/scalar", func(b *testing.B) {
-		benchPlaneRoundTrip(b, PlaneLanes, SumLongCombiner, false)
+		benchPlaneRoundTrip(b, SumLongCombiner, false)
 	})
 	b.Run("lanes/func", func(b *testing.B) {
-		benchPlaneRoundTrip(b, PlaneLanes, boxed(SumLongCombiner), true)
+		benchPlaneRoundTrip(b, boxed(SumLongCombiner), true)
 	})
 }
 
@@ -117,14 +109,12 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 		g.AddVertex(VertexID(i), NewLong(0))
 	}
 	noop := ComputeFunc(func(Context, *Vertex, []Value) error { return nil })
-	job := NewJob(g, noop, Config{NumWorkers: workers, MessagePlane: PlaneMutex})
+	job := NewJob(g, noop, Config{NumWorkers: workers})
 	en := newEngine(job)
 	for id := 0; id < nVerts; id++ {
-		sh := en.partitionFor(VertexID(id))
-		en.cur.deliver(en.parts[sh], []msgEntry{
-			{to: VertexID(id), msg: NewLong(int64(id))},
-			{to: VertexID(id), msg: NewLong(int64(id) + 1)},
-		})
+		part := en.parts[en.partitionFor(VertexID(id))]
+		en.cur.replayDeliver(part, VertexID(id), NewLong(int64(id)))
+		en.cur.replayDeliver(part, VertexID(id), NewLong(int64(id)+1))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

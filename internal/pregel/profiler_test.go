@@ -127,20 +127,6 @@ func TestAnomalyWindowNegativeDisablesCapture(t *testing.T) {
 	}
 }
 
-func TestTrafficNilUnderMutexPlane(t *testing.T) {
-	g := pathGraph(t, 64)
-	job := NewJob(g, ccCompute, Config{NumWorkers: 4, MessagePlane: PlaneMutex})
-	stats, err := job.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ss := range stats.PerSuperstep {
-		if ss.Traffic != nil {
-			t.Errorf("superstep %d: traffic matrix captured under PlaneMutex", ss.Superstep)
-		}
-	}
-}
-
 // TestTrafficConsistentAcrossRecovery makes sure the invariant holds on
 // supersteps surrounding a confined log recovery, where inbox shards
 // are rebuilt outside the normal lane path.

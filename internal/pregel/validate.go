@@ -52,9 +52,6 @@ func (c *Config) Validate() error {
 		return invalidf("RebalanceObjective = %d, must be ObjectiveSkew or ObjectiveEdgeCut", int(c.RebalanceObjective))
 	}
 	if c.RebalanceObjective == ObjectiveEdgeCut {
-		if c.MessagePlane != PlaneLanes {
-			return invalidf("RebalanceObjective = edgecut requires the lane message plane (MessagePlane = PlaneLanes)")
-		}
 		if c.DisableMetrics {
 			return invalidf("RebalanceObjective = edgecut requires telemetry (DisableMetrics must be false)")
 		}
@@ -65,13 +62,8 @@ func (c *Config) Validate() error {
 	if c.CheckpointEvery > 0 && c.CheckpointFS == nil {
 		return invalidf("CheckpointEvery = %d without CheckpointFS", c.CheckpointEvery)
 	}
-	if c.Recovery == RecoveryLog {
-		if c.MessagePlane != PlaneLanes {
-			return invalidf("Recovery = log requires the lane message plane (MessagePlane = PlaneLanes)")
-		}
-		if c.MsgLogFS == nil {
-			return invalidf("Recovery = log requires MsgLogFS")
-		}
+	if c.Recovery == RecoveryLog && c.MsgLogFS == nil {
+		return invalidf("Recovery = log requires MsgLogFS")
 	}
 	return nil
 }

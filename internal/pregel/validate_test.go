@@ -31,12 +31,8 @@ func TestValidateRejectsNegatives(t *testing.T) {
 }
 
 func TestValidateRejectsContradictions(t *testing.T) {
-	// RecoveryLog needs the lane plane and an outbox-log file system.
-	cfg := Config{Recovery: RecoveryLog, MessagePlane: PlaneMutex}
-	if err := cfg.Validate(); !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("RecoveryLog+PlaneMutex: err = %v", err)
-	}
-	cfg = Config{Recovery: RecoveryLog, MessagePlane: PlaneLanes}
+	// RecoveryLog needs an outbox-log file system.
+	cfg := Config{Recovery: RecoveryLog}
 	if err := cfg.Validate(); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("RecoveryLog without MsgLogFS: err = %v", err)
 	}

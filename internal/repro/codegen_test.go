@@ -15,9 +15,9 @@ import (
 	"graft/internal/trace"
 )
 
-// gcTraceDB builds a buggy-GC trace with a handful of captures, shared
+// gcTrace builds a buggy-GC trace with a handful of captures, shared
 // by the codegen tests.
-func gcTraceDB(t *testing.T) (trace.View, *algorithms.Algorithm) {
+func gcTrace(t *testing.T) (trace.View, *algorithms.Algorithm) {
 	t.Helper()
 	alg := algorithms.NewBuggyGraphColoring(42)
 	g := graphgen.RegularBipartite(40, 3)
@@ -31,7 +31,7 @@ func gcTraceDB(t *testing.T) (trace.View, *algorithms.Algorithm) {
 }
 
 func TestGenerateVertexTestContents(t *testing.T) {
-	db, _ := gcTraceDB(t)
+	db, _ := gcTrace(t)
 	s := db.Supersteps()[1] // a CONFLICT-RESOLUTION superstep
 	code, err := GenerateVertexTest(db, s, 2, GenSpec{
 		ComputationExpr: "algorithms.NewBuggyGraphColoring(42).Compute",
@@ -60,7 +60,7 @@ func TestGenerateVertexTestContents(t *testing.T) {
 }
 
 func TestGenerateVertexTestPlaceholder(t *testing.T) {
-	db, _ := gcTraceDB(t)
+	db, _ := gcTrace(t)
 	code, err := GenerateVertexTest(db, 0, 2, GenSpec{})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestGenerateVertexTestPlaceholder(t *testing.T) {
 }
 
 func TestGenerateVertexTestErrors(t *testing.T) {
-	db, _ := gcTraceDB(t)
+	db, _ := gcTrace(t)
 	if _, err := GenerateVertexTest(db, 0, 999, GenSpec{}); err == nil {
 		t.Error("expected error for missing capture")
 	}
@@ -121,7 +121,7 @@ func TestValueExprForms(t *testing.T) {
 }
 
 func TestGenerateVertexSuite(t *testing.T) {
-	db, _ := gcTraceDB(t)
+	db, _ := gcTrace(t)
 	code, err := GenerateVertexSuite(db, 2, GenSpec{
 		ComputationExpr: "algorithms.NewBuggyGraphColoring(42).Compute",
 		ExtraImports:    []string{"graft/internal/algorithms"},
@@ -150,7 +150,7 @@ func TestGenerateVertexSuite(t *testing.T) {
 }
 
 func TestGenerateMasterTestContents(t *testing.T) {
-	db, _ := gcTraceDB(t)
+	db, _ := gcTrace(t)
 	code, err := GenerateMasterTest(db, 1, GenSpec{
 		MasterExpr:   "algorithms.NewGraphColoring(42).Master",
 		ExtraImports: []string{"graft/internal/algorithms"},
@@ -215,7 +215,7 @@ func TestGeneratedTestCompilesAndPasses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db, _ := gcTraceDB(t)
+	db, _ := gcTrace(t)
 	s := db.Supersteps()[1]
 	code, err := GenerateVertexTest(db, s, 2, GenSpec{
 		Package:         "reprogen",

@@ -49,9 +49,9 @@ func subgraphCaptureRun(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph
 	return db
 }
 
-// wccSubgraphTraceDB captures a subgraph-mode WCC run with every
+// wccSubgraphTrace captures a subgraph-mode WCC run with every
 // active component recorded, shared by the subgraph codegen tests.
-func wccSubgraphTraceDB(t *testing.T) trace.View {
+func wccSubgraphTrace(t *testing.T) trace.View {
 	t.Helper()
 	return subgraphCaptureRun(t, algorithms.NewConnectedComponents(),
 		graphgen.RegularBipartite(40, 3),
@@ -72,7 +72,7 @@ func firstSubgraph(t *testing.T, db trace.View) (int, *trace.SubgraphCapture) {
 }
 
 func TestGenerateSubgraphTestContents(t *testing.T) {
-	db := wccSubgraphTraceDB(t)
+	db := wccSubgraphTrace(t)
 	s, sc := firstSubgraph(t, db)
 	code, err := GenerateSubgraphTest(db, s, sc.ID, GenSpec{
 		SubgraphExpr: "algorithms.NewConnectedComponents().Subgraph",
@@ -99,7 +99,7 @@ func TestGenerateSubgraphTestContents(t *testing.T) {
 }
 
 func TestGenerateSubgraphTestPlaceholder(t *testing.T) {
-	db := wccSubgraphTraceDB(t)
+	db := wccSubgraphTrace(t)
 	s, sc := firstSubgraph(t, db)
 	code, err := GenerateSubgraphTest(db, s, sc.ID, GenSpec{})
 	if err != nil {
@@ -113,7 +113,7 @@ func TestGenerateSubgraphTestPlaceholder(t *testing.T) {
 // TestGenerateSubgraphTestByMember asks for a non-representative member
 // and must get the component containing it.
 func TestGenerateSubgraphTestByMember(t *testing.T) {
-	db := wccSubgraphTraceDB(t)
+	db := wccSubgraphTrace(t)
 	s, sc := firstSubgraph(t, db)
 	if len(sc.Members) < 2 {
 		t.Skip("first component has a single member")
@@ -129,7 +129,7 @@ func TestGenerateSubgraphTestByMember(t *testing.T) {
 }
 
 func TestGenerateSubgraphTestErrors(t *testing.T) {
-	db := wccSubgraphTraceDB(t)
+	db := wccSubgraphTrace(t)
 	if _, err := GenerateSubgraphTest(db, 0, 99999, GenSpec{}); err == nil {
 		t.Error("expected an error for an uncaptured vertex")
 	}
@@ -153,7 +153,7 @@ func TestGeneratedSubgraphTestCompilesAndPasses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db := wccSubgraphTraceDB(t)
+	db := wccSubgraphTrace(t)
 	s, sc := firstSubgraph(t, db)
 	code, err := GenerateSubgraphTest(db, s, sc.ID, GenSpec{
 		Package:      "reprosggen",

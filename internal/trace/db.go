@@ -1,220 +1,16 @@
 package trace
 
 import (
-	"fmt"
-	"io"
-	"sort"
 	"strings"
 
-	"graft/internal/dfs"
 	"graft/internal/pregel"
 )
 
-// DB is an in-memory index over one job's trace files: what the Graft
-// GUI and the Context Reproducer query. Load it with Store.LoadDB.
-type DB struct {
-	Meta   JobMeta
-	Result *JobResult // nil if the job has not written job.done
+// This file holds what the Reader's views are computed with: violation
+// rows, the M/V/E status fold, search matching and the post-hoc pair
+// check.
 
-	metas     map[int]*SuperstepMeta
-	captures  map[int]map[pregel.VertexID]*VertexCapture
-	masters   map[int]*MasterCapture
-	subgraphs map[int]map[pregel.VertexID]*SubgraphCapture
-
-	supersteps []int // sorted superstep numbers that have a meta record
-}
-
-// LoadDB reads and indexes every trace record of a job eagerly: the
-// compatibility wrapper around the lazy path. New code that does not
-// need the whole trace in memory should use Store.OpenReader, which
-// fetches only the segments a lookup touches.
-func (s *Store) LoadDB(jobID string) (*DB, error) {
-	meta, err := s.ReadMeta(jobID)
-	if err != nil {
-		return nil, err
-	}
-	if meta.Format == FormatSegments {
-		r, err := s.OpenReader(jobID)
-		if err != nil {
-			return nil, err
-		}
-		return r.materialize()
-	}
-	db := &DB{
-		Meta:     meta,
-		metas:    map[int]*SuperstepMeta{},
-		captures: map[int]map[pregel.VertexID]*VertexCapture{},
-		masters:  map[int]*MasterCapture{},
-	}
-	if res, done, err := s.ReadResult(jobID); err != nil {
-		return nil, err
-	} else if done {
-		db.Result = &res
-	}
-	dir := s.jobDir(jobID)
-	files, err := s.FS.List(dir + "/")
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range files {
-		if !strings.HasSuffix(name, ".trace") {
-			continue
-		}
-		raw, err := dfs.ReadFile(s.FS, name)
-		if err != nil {
-			return nil, err
-		}
-		r, err := NewRecordReader(raw)
-		if err != nil {
-			return nil, fmt.Errorf("trace: %s: %w", name, err)
-		}
-		for {
-			rec, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("trace: %s: %w", name, err)
-			}
-			db.add(rec)
-		}
-	}
-	for s := range db.metas {
-		db.supersteps = append(db.supersteps, s)
-	}
-	sort.Ints(db.supersteps)
-	return db, nil
-}
-
-func (db *DB) add(rec any) {
-	switch r := rec.(type) {
-	case *SuperstepMeta:
-		db.metas[r.Superstep] = r
-	case *MasterCapture:
-		db.masters[r.Superstep] = r
-	case *VertexCapture:
-		m := db.captures[r.Superstep]
-		if m == nil {
-			m = map[pregel.VertexID]*VertexCapture{}
-			db.captures[r.Superstep] = m
-		}
-		m[r.ID] = r
-	case *SubgraphCapture:
-		if db.subgraphs == nil {
-			db.subgraphs = map[int]map[pregel.VertexID]*SubgraphCapture{}
-		}
-		m := db.subgraphs[r.Superstep]
-		if m == nil {
-			m = map[pregel.VertexID]*SubgraphCapture{}
-			db.subgraphs[r.Superstep] = m
-		}
-		m[r.ID] = r
-	}
-}
-
-// JobMeta implements View.
-func (db *DB) JobMeta() JobMeta { return db.Meta }
-
-// JobResult implements View.
-func (db *DB) JobResult() *JobResult { return db.Result }
-
-// Supersteps returns the sorted superstep numbers that have metadata.
-func (db *DB) Supersteps() []int { return db.supersteps }
-
-// MaxSuperstep returns the largest recorded superstep, or -1 for an
-// empty trace.
-func (db *DB) MaxSuperstep() int {
-	if len(db.supersteps) == 0 {
-		return -1
-	}
-	return db.supersteps[len(db.supersteps)-1]
-}
-
-// MetaAt returns the superstep metadata, or nil.
-func (db *DB) MetaAt(superstep int) *SuperstepMeta { return db.metas[superstep] }
-
-// MasterAt returns the master capture of a superstep, or nil.
-func (db *DB) MasterAt(superstep int) *MasterCapture { return db.masters[superstep] }
-
-// Capture returns the capture of one vertex at one superstep, or nil.
-func (db *DB) Capture(superstep int, id pregel.VertexID) *VertexCapture {
-	return db.captures[superstep][id]
-}
-
-// CapturesAt returns all captures of a superstep sorted by vertex ID.
-func (db *DB) CapturesAt(superstep int) []*VertexCapture {
-	m := db.captures[superstep]
-	out := make([]*VertexCapture, 0, len(m))
-	for _, c := range m {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// CapturesOf returns every capture of one vertex across supersteps, in
-// superstep order: the data behind stepping a vertex through time in
-// the GUI.
-func (db *DB) CapturesOf(id pregel.VertexID) []*VertexCapture {
-	var out []*VertexCapture
-	for _, m := range db.captures {
-		if c, ok := m[id]; ok {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Superstep < out[j].Superstep })
-	return out
-}
-
-// CapturedVertexIDs returns the sorted IDs of every vertex captured in
-// any superstep.
-func (db *DB) CapturedVertexIDs() []pregel.VertexID {
-	seen := map[pregel.VertexID]bool{}
-	for _, m := range db.captures {
-		for id := range m {
-			seen[id] = true
-		}
-	}
-	out := make([]pregel.VertexID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// TotalCaptures returns the number of vertex capture records.
-func (db *DB) TotalCaptures() int64 {
-	var n int64
-	for _, m := range db.captures {
-		n += int64(len(m))
-	}
-	return n
-}
-
-// SubgraphsAt returns a superstep's subgraph captures sorted by
-// subgraph ID. Empty for vertex-mode jobs.
-func (db *DB) SubgraphsAt(superstep int) []*SubgraphCapture {
-	m := db.subgraphs[superstep]
-	out := make([]*SubgraphCapture, 0, len(m))
-	for _, c := range m {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// SubgraphAt returns the subgraph capture containing vertex id at one
-// superstep, or nil.
-func (db *DB) SubgraphAt(superstep int, id pregel.VertexID) *SubgraphCapture {
-	if c, ok := db.subgraphs[superstep][id]; ok {
-		return c
-	}
-	return findMemberSubgraph(db.SubgraphsAt(superstep), id)
-}
-
-// findMemberSubgraph resolves a non-ID member to its subgraph capture
-// (shared by DB and Reader).
+// findMemberSubgraph resolves a non-ID member to its subgraph capture.
 func findMemberSubgraph(caps []*SubgraphCapture, id pregel.VertexID) *SubgraphCapture {
 	for _, c := range caps {
 		for _, m := range c.Members {
@@ -241,14 +37,8 @@ type ViolationRow struct {
 	Stack string // exception stack, if any
 }
 
-// ViolationsAt returns the violations-and-exceptions rows of one
-// superstep, sorted by vertex ID.
-func (db *DB) ViolationsAt(superstep int) []ViolationRow {
-	return violationRows(superstep, db.CapturesAt(superstep))
-}
-
 // violationRows builds the Violations view rows from one superstep's
-// captures (shared by DB and Reader).
+// captures, in the captures' order.
 func violationRows(superstep int, caps []*VertexCapture) []ViolationRow {
 	var rows []ViolationRow
 	for _, c := range caps {
@@ -275,16 +65,6 @@ func violationRows(superstep int, caps []*VertexCapture) []ViolationRow {
 	return rows
 }
 
-// AllViolations returns every violation row across supersteps, in
-// (superstep, vertex) order.
-func (db *DB) AllViolations() []ViolationRow {
-	var rows []ViolationRow
-	for _, s := range db.supersteps {
-		rows = append(rows, db.ViolationsAt(s)...)
-	}
-	return rows
-}
-
 // Status is the state of the GUI's M/V/E boxes for one superstep:
 // false means green (no violation), true means red.
 type Status struct {
@@ -293,18 +73,7 @@ type Status struct {
 	Exception        bool // E
 }
 
-// StatusAt computes the M/V/E status of one superstep.
-func (db *DB) StatusAt(superstep int) Status {
-	m := db.captures[superstep]
-	caps := make([]*VertexCapture, 0, len(m))
-	for _, c := range m {
-		caps = append(caps, c)
-	}
-	return statusOf(caps)
-}
-
-// statusOf folds one superstep's captures into the M/V/E boxes
-// (shared by DB and Reader).
+// statusOf folds one superstep's captures into the M/V/E boxes.
 func statusOf(caps []*VertexCapture) Status {
 	var st Status
 	for _, c := range caps {
@@ -337,9 +106,8 @@ type PairViolation struct {
 // captured vertices (a, b) where a has an edge to b and both were
 // captured in the same superstep, returning the violating pairs. Use
 // CaptureAllActive (or by-ID with neighbors) to make the check
-// complete over the region of interest. It works over any View — the
-// lazy Reader included, which loads each superstep's segments once per
-// pass.
+// complete over the region of interest. The Reader loads each
+// superstep's segments once per pass.
 func CheckAdjacentPairs(v View, ok func(a, b *VertexCapture) bool) []PairViolation {
 	var out []PairViolation
 	for _, s := range v.Supersteps() {
@@ -365,12 +133,6 @@ func CheckAdjacentPairs(v View, ok func(a, b *VertexCapture) bool) []PairViolati
 	return out
 }
 
-// CheckAdjacentPairs is the View-based CheckAdjacentPairs bound to the
-// eager DB, kept for compatibility.
-func (db *DB) CheckAdjacentPairs(ok func(a, b *VertexCapture) bool) []PairViolation {
-	return CheckAdjacentPairs(db, ok)
-}
-
 // Query selects captures for the Tabular view's search box. Zero
 // fields match everything; set fields are ANDed.
 type Query struct {
@@ -386,23 +148,6 @@ type Query struct {
 	// MessageContains substring-matches any incoming or outgoing
 	// message's display form.
 	MessageContains string
-}
-
-// Search returns matching captures ordered by (superstep, vertex ID).
-func (db *DB) Search(q Query) []*VertexCapture {
-	var out []*VertexCapture
-	steps := db.supersteps
-	if q.Superstep >= 0 {
-		steps = []int{q.Superstep}
-	}
-	for _, s := range steps {
-		for _, c := range db.CapturesAt(s) {
-			if q.matches(c) {
-				out = append(out, c)
-			}
-		}
-	}
-	return out
 }
 
 func (q Query) matches(c *VertexCapture) bool {

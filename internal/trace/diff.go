@@ -43,8 +43,7 @@ func (d *JobDiff) FirstDivergence() *CaptureDivergence {
 	return &d.Divergences[0]
 }
 
-// DiffJobs compares the captures of two trace views (eager DBs or
-// lazy Readers in any combination).
+// DiffJobs compares the captures of two trace views.
 func DiffJobs(a, b View) *JobDiff {
 	diff := &JobDiff{}
 	aIDs := a.CapturedVertexIDs()

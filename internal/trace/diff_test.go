@@ -8,32 +8,17 @@ import (
 )
 
 // buildDiffJob writes a tiny trace with the given captures.
-func buildDiffJob(t *testing.T, store *Store, jobID string, captures []*VertexCapture) *DB {
+func buildDiffJob(t *testing.T, store *Store, jobID string, captures []*VertexCapture) *Reader {
 	t.Helper()
-	jw, err := store.NewJobWriter(JobMeta{JobID: jobID, Algorithm: "x", NumWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var metas []*SuperstepMeta
 	seen := map[int]bool{}
 	for _, c := range captures {
 		if !seen[c.Superstep] {
 			seen[c.Superstep] = true
-			if err := jw.Master().WriteSuperstepMeta(&SuperstepMeta{Superstep: c.Superstep}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := jw.Worker(0).WriteVertexCapture(c); err != nil {
-			t.Fatal(err)
+			metas = append(metas, &SuperstepMeta{Superstep: c.Superstep})
 		}
 	}
-	if err := jw.Finish(JobResult{}); err != nil {
-		t.Fatal(err)
-	}
-	db, err := store.LoadDB(jobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
+	return writeJob(t, store, JobMeta{JobID: jobID, Algorithm: "x", NumWorkers: 1}, metas, captures, JobResult{})
 }
 
 func cap0(superstep int, id pregel.VertexID, val int64, out ...int64) *VertexCapture {

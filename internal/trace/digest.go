@@ -72,9 +72,9 @@ func Digest(v View) string {
 				writeInt(int64(e.Target))
 				writeVal(e.Value)
 			}
-			// Incoming order depends on which worker's lane drained
-			// first (or on lock order, in the mutex plane); the multiset
-			// is the deterministic quantity.
+			// Incoming order follows the senders' worker numbers, so it
+			// depends on placement; the multiset is the deterministic
+			// quantity.
 			in := make([][]byte, len(c.Incoming))
 			for i, msg := range c.Incoming {
 				in[i] = pregel.MarshalValue(msg)

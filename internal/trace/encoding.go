@@ -28,8 +28,11 @@ const (
 // expected header.
 var ErrBadMagic = errors.New("trace: bad file magic")
 
-// Writer writes framed records to an underlying file. It is not safe
-// for concurrent use; Graft gives each worker its own Writer.
+// Writer writes framed records to one stream, each record encoded from
+// its object form. No job is written through it any more (Store.NewSink
+// writes segments); it is the reference encoder the capture path's
+// encode-at-source frames are compared against byte for byte. Not safe
+// for concurrent use.
 type Writer struct {
 	wc  io.WriteCloser
 	bw  *bufio.Writer
@@ -93,8 +96,8 @@ func (w *Writer) WriteSubgraphCapture(c *SubgraphCapture) error {
 }
 
 // encodeRecordPayload appends the framed payload of rec (kind byte
-// first) to e. The payload bytes are identical between legacy .trace
-// files and segment files; only the container around them differs.
+// first) to e. The payload bytes are the same in a Writer's stream and
+// in a segment file; only the container around them differs.
 func encodeRecordPayload(e *pregel.Encoder, rec any) error {
 	switch r := rec.(type) {
 	case *VertexFrame:
@@ -310,23 +313,18 @@ func decodeAggMap(d *pregel.Decoder) (map[string]pregel.Value, error) {
 	return m, d.Err()
 }
 
-// RecordReader iterates the framed records of one trace or segment
-// file's byte contents. For random access over an indexed trace use
-// Reader (Store.OpenReader) instead.
+// RecordReader iterates the framed records of one Writer stream: the
+// reference decoder beside the reference encoder. Traces are read with
+// Reader (Store.OpenReader).
 type RecordReader struct {
 	data []byte
 	off  int
 }
 
-// NewRecordReader validates the header of data (legacy .trace or
-// segment magic) and positions at the first record.
+// NewRecordReader validates the header of data and positions at the
+// first record.
 func NewRecordReader(data []byte) (*RecordReader, error) {
-	if len(data) < len(fileMagic) {
-		return nil, ErrBadMagic
-	}
-	switch string(data[:len(fileMagic)]) {
-	case fileMagic, segMagic:
-	default:
+	if len(data) < len(fileMagic) || string(data[:len(fileMagic)]) != fileMagic {
 		return nil, ErrBadMagic
 	}
 	return &RecordReader{data: data, off: len(fileMagic)}, nil

@@ -3,7 +3,7 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"io"
+	"hash/maphash"
 	"sort"
 	"strings"
 	"sync"
@@ -14,8 +14,8 @@ import (
 	"graft/internal/segio"
 )
 
-// View is the read surface shared by the lazy Reader and the eager DB:
-// everything the GUI pages and the Context Reproducer ask of a trace.
+// View is the read surface of a trace: everything the GUI pages and the
+// Context Reproducer ask of one. Reader implements it.
 type View interface {
 	// JobMeta returns the job manifest.
 	JobMeta() JobMeta
@@ -56,10 +56,13 @@ type View interface {
 	SubgraphAt(superstep int, id pregel.VertexID) *SubgraphCapture
 }
 
-var (
-	_ View = (*DB)(nil)
-	_ View = (*Reader)(nil)
-)
+var _ View = (*Reader)(nil)
+
+// ErrUnsupportedLayout is the sentinel wrapped by OpenReader for a job
+// whose manifest does not declare the segmented layout (FormatSegments):
+// a whole-file trace from a build that predates the Sink, or a format
+// this build does not know. The message names the job and the layout.
+var ErrUnsupportedLayout = errors.New("trace: unsupported trace layout")
 
 // recordLoc locates one record: segment name relative to the job
 // directory plus the payload's offset and length inside it.
@@ -69,24 +72,18 @@ type recordLoc struct {
 	ln  int
 }
 
-// Reader is the lazy, index-driven read half of the redesigned trace
-// API. Open with Store.OpenReader. It loads only the index sidecars up
-// front; record payloads are fetched segment by segment as views ask
-// for them, through a bounded segment cache — a GUI page or a replay
-// reads only the segments holding what it renders.
-//
-// For legacy-format jobs (no index) the Reader transparently falls
-// back to an eager DB scan.
+// Reader is the lazy, index-driven read half of the trace API. Open
+// with Store.OpenReader. It loads only the index files up front; record
+// payloads are fetched segment by segment as views ask for them,
+// through a bounded segment cache — a GUI page or a replay reads only
+// the segments holding what it renders.
 //
 // Reader is safe for concurrent use.
 type Reader struct {
 	store *Store
-	jobID string
 	dir   string
 	meta  JobMeta
 	res   *JobResult
-
-	legacy *DB // non-nil for legacy whole-file traces
 
 	metaLoc     map[int]recordLoc
 	masterLoc   map[int]recordLoc
@@ -94,7 +91,7 @@ type Reader struct {
 	subgraphLoc map[int]map[pregel.VertexID]recordLoc
 	steps       []int
 	// segOrder lists every segment in lane+sequence order: the scan
-	// order under which last-record-wins matches legacy LoadDB.
+	// order, under which the last record of a key is the one indexed.
 	segOrder []string
 
 	mu         sync.Mutex
@@ -110,17 +107,23 @@ type Reader struct {
 // maxSegmentCacheBytes bounds the Reader's in-memory segment cache.
 const maxSegmentCacheBytes = 32 << 20
 
-// OpenReader opens a job's trace for lazy, indexed reads. Segmented
-// jobs (written by Store.NewSink) are served straight from their index
-// sidecars; legacy jobs fall back to an eager whole-file scan.
+// OpenReader opens a job's trace for lazy, indexed reads. A job not
+// written by Store.NewSink is rejected with ErrUnsupportedLayout.
 func (s *Store) OpenReader(jobID string) (*Reader, error) {
 	meta, err := s.ReadMeta(jobID)
 	if err != nil {
 		return nil, err
 	}
+	if meta.Format != FormatSegments {
+		layout := meta.Format
+		if layout == "" {
+			layout = "whole-file .trace (no format in job.meta)"
+		}
+		return nil, fmt.Errorf("%w: job %q is in layout %s, this build reads only %s",
+			ErrUnsupportedLayout, jobID, layout, FormatSegments)
+	}
 	r := &Reader{
 		store:      s,
-		jobID:      jobID,
 		dir:        s.jobDir(jobID),
 		meta:       meta,
 		cache:      map[string][]byte{},
@@ -130,14 +133,6 @@ func (s *Store) OpenReader(jobID string) (*Reader, error) {
 		return nil, err
 	} else if done {
 		r.res = &res
-	}
-	if meta.Format != FormatSegments {
-		db, err := s.LoadDB(jobID)
-		if err != nil {
-			return nil, err
-		}
-		r.legacy = db
-		return r, nil
 	}
 	if err := r.loadIndex(); err != nil {
 		return nil, err
@@ -312,8 +307,7 @@ func (r *Reader) segmentBytes(name string) ([]byte, error) {
 }
 
 // record fetches and decodes the record at loc, recording (not
-// returning) errors so View accessors can stay nil-on-missing like the
-// eager DB's.
+// returning) errors so View accessors can stay nil-on-missing.
 func (r *Reader) record(loc recordLoc) any {
 	seg, err := r.segmentBytes(loc.seg)
 	if err != nil {
@@ -363,25 +357,16 @@ func (r *Reader) JobMeta() JobMeta { return r.meta }
 
 // JobResult implements View.
 func (r *Reader) JobResult() *JobResult {
-	if r.legacy != nil {
-		return r.legacy.Result
-	}
 	return r.res
 }
 
 // Supersteps implements View.
 func (r *Reader) Supersteps() []int {
-	if r.legacy != nil {
-		return r.legacy.Supersteps()
-	}
 	return r.steps
 }
 
 // MaxSuperstep implements View.
 func (r *Reader) MaxSuperstep() int {
-	if r.legacy != nil {
-		return r.legacy.MaxSuperstep()
-	}
 	if len(r.steps) == 0 {
 		return -1
 	}
@@ -390,9 +375,6 @@ func (r *Reader) MaxSuperstep() int {
 
 // MetaAt implements View.
 func (r *Reader) MetaAt(superstep int) *SuperstepMeta {
-	if r.legacy != nil {
-		return r.legacy.MetaAt(superstep)
-	}
 	loc, ok := r.metaLoc[superstep]
 	if !ok {
 		return nil
@@ -403,9 +385,6 @@ func (r *Reader) MetaAt(superstep int) *SuperstepMeta {
 
 // MasterAt implements View.
 func (r *Reader) MasterAt(superstep int) *MasterCapture {
-	if r.legacy != nil {
-		return r.legacy.MasterAt(superstep)
-	}
 	loc, ok := r.masterLoc[superstep]
 	if !ok {
 		return nil
@@ -416,9 +395,6 @@ func (r *Reader) MasterAt(superstep int) *MasterCapture {
 
 // Capture implements View: one index lookup, one segment fetch.
 func (r *Reader) Capture(superstep int, id pregel.VertexID) *VertexCapture {
-	if r.legacy != nil {
-		return r.legacy.Capture(superstep, id)
-	}
 	loc, ok := r.vertexLoc[superstep][id]
 	if !ok {
 		return nil
@@ -429,9 +405,6 @@ func (r *Reader) Capture(superstep int, id pregel.VertexID) *VertexCapture {
 
 // CapturesAt implements View.
 func (r *Reader) CapturesAt(superstep int) []*VertexCapture {
-	if r.legacy != nil {
-		return r.legacy.CapturesAt(superstep)
-	}
 	m := r.vertexLoc[superstep]
 	out := make([]*VertexCapture, 0, len(m))
 	for _, loc := range m {
@@ -445,9 +418,6 @@ func (r *Reader) CapturesAt(superstep int) []*VertexCapture {
 
 // CapturesOf implements View.
 func (r *Reader) CapturesOf(id pregel.VertexID) []*VertexCapture {
-	if r.legacy != nil {
-		return r.legacy.CapturesOf(id)
-	}
 	var out []*VertexCapture
 	for _, m := range r.vertexLoc {
 		if loc, ok := m[id]; ok {
@@ -462,9 +432,6 @@ func (r *Reader) CapturesOf(id pregel.VertexID) []*VertexCapture {
 
 // CapturedVertexIDs implements View, answered from the index alone.
 func (r *Reader) CapturedVertexIDs() []pregel.VertexID {
-	if r.legacy != nil {
-		return r.legacy.CapturedVertexIDs()
-	}
 	seen := map[pregel.VertexID]bool{}
 	for _, m := range r.vertexLoc {
 		for id := range m {
@@ -481,9 +448,6 @@ func (r *Reader) CapturedVertexIDs() []pregel.VertexID {
 
 // TotalCaptures implements View, answered from the index alone.
 func (r *Reader) TotalCaptures() int64 {
-	if r.legacy != nil {
-		return r.legacy.TotalCaptures()
-	}
 	var n int64
 	for _, m := range r.vertexLoc {
 		n += int64(len(m))
@@ -493,17 +457,11 @@ func (r *Reader) TotalCaptures() int64 {
 
 // ViolationsAt implements View.
 func (r *Reader) ViolationsAt(superstep int) []ViolationRow {
-	if r.legacy != nil {
-		return r.legacy.ViolationsAt(superstep)
-	}
 	return violationRows(superstep, r.CapturesAt(superstep))
 }
 
 // AllViolations implements View.
 func (r *Reader) AllViolations() []ViolationRow {
-	if r.legacy != nil {
-		return r.legacy.AllViolations()
-	}
 	var rows []ViolationRow
 	for _, s := range r.steps {
 		rows = append(rows, r.ViolationsAt(s)...)
@@ -513,17 +471,11 @@ func (r *Reader) AllViolations() []ViolationRow {
 
 // StatusAt implements View.
 func (r *Reader) StatusAt(superstep int) Status {
-	if r.legacy != nil {
-		return r.legacy.StatusAt(superstep)
-	}
 	return statusOf(r.CapturesAt(superstep))
 }
 
 // SubgraphsAt implements View.
 func (r *Reader) SubgraphsAt(superstep int) []*SubgraphCapture {
-	if r.legacy != nil {
-		return r.legacy.SubgraphsAt(superstep)
-	}
 	m := r.subgraphLoc[superstep]
 	out := make([]*SubgraphCapture, 0, len(m))
 	for _, loc := range m {
@@ -538,9 +490,6 @@ func (r *Reader) SubgraphsAt(superstep int) []*SubgraphCapture {
 // SubgraphAt implements View. The index is keyed by subgraph ID, so a
 // non-ID member costs a scan of the superstep's subgraph captures.
 func (r *Reader) SubgraphAt(superstep int, id pregel.VertexID) *SubgraphCapture {
-	if r.legacy != nil {
-		return r.legacy.SubgraphAt(superstep, id)
-	}
 	if loc, ok := r.subgraphLoc[superstep][id]; ok {
 		if c, _ := r.record(loc).(*SubgraphCapture); c != nil {
 			return c
@@ -551,9 +500,6 @@ func (r *Reader) SubgraphAt(superstep int, id pregel.VertexID) *SubgraphCapture 
 
 // Search implements View.
 func (r *Reader) Search(q Query) []*VertexCapture {
-	if r.legacy != nil {
-		return r.legacy.Search(q)
-	}
 	var out []*VertexCapture
 	steps := r.steps
 	if q.Superstep >= 0 {
@@ -569,43 +515,89 @@ func (r *Reader) Search(q Query) []*VertexCapture {
 	return out
 }
 
-// materialize builds an eager DB from the segments in scan order: the
-// compatibility path behind LoadDB for segmented jobs. Unlike the
-// nil-on-missing View accessors, it surfaces corruption as an error.
-func (r *Reader) materialize() (*DB, error) {
-	if r.legacy != nil {
-		return r.legacy, nil
+// recordKey is what the index files a record under.
+type recordKey struct {
+	kind recordKind
+	step int
+	id   pregel.VertexID
+}
+
+// eachLoc calls fn for every record the index names.
+func (r *Reader) eachLoc(fn func(recordKey, recordLoc)) {
+	for s, loc := range r.metaLoc {
+		fn(recordKey{kind: kindSuperstepMeta, step: s}, loc)
 	}
-	db := &DB{
-		Meta:     r.meta,
-		Result:   r.res,
-		metas:    map[int]*SuperstepMeta{},
-		captures: map[int]map[pregel.VertexID]*VertexCapture{},
-		masters:  map[int]*MasterCapture{},
+	for s, loc := range r.masterLoc {
+		fn(recordKey{kind: kindMasterCapture, step: s}, loc)
 	}
+	for s, m := range r.vertexLoc {
+		for id, loc := range m {
+			fn(recordKey{kindVertexCapture, s, id}, loc)
+		}
+	}
+	for s, m := range r.subgraphLoc {
+		for id, loc := range m {
+			fn(recordKey{kindSubgraphCapture, s, id}, loc)
+		}
+	}
+}
+
+// Verify checks the index against the segments without trusting either:
+// it reads every segment once, in scan order, walks its frames the way
+// the unindexed-segment scan does, decodes each record, and keeps the
+// hash of the last payload seen under each (kind, superstep, id); the
+// index must then name exactly those keys, and the bytes at each
+// indexed location must hash to the same value. It is what graft
+// trace-check runs.
+func (r *Reader) Verify() error {
+	type entry struct {
+		key recordKey
+		loc recordLoc
+	}
+	bySeg := map[string][]entry{}
+	r.eachLoc(func(k recordKey, loc recordLoc) {
+		bySeg[loc.seg] = append(bySeg[loc.seg], entry{k, loc})
+	})
+	seed := maphash.MakeSeed()
+	scanned := map[recordKey]uint64{}
+	indexed := map[recordKey]uint64{}
 	for _, name := range r.segOrder {
-		raw, err := r.segmentBytes(name)
+		raw, err := dfs.ReadFile(r.store.FS, r.dir+"/"+name)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rr, err := NewRecordReader(raw)
+		ents, err := scanSegmentEntries(raw)
 		if err != nil {
-			return nil, fmt.Errorf("trace: %s: %w", name, err)
+			return fmt.Errorf("trace: %s: %w", name, err)
 		}
-		for {
-			rec, err := rr.Next()
-			if err == io.EOF {
-				break
+		for _, ent := range ents {
+			payload := raw[ent.Offset : ent.Offset+ent.Length]
+			if _, err := decodeRecordPayload(payload); err != nil {
+				return fmt.Errorf("trace: %s: record at offset %d: %w", name, ent.Offset, err)
 			}
-			if err != nil {
-				return nil, fmt.Errorf("trace: %s: %w", name, err)
+			k := recordKey{recordKind(ent.Kind), ent.Step, pregel.VertexID(ent.ID)}
+			scanned[k] = maphash.Bytes(seed, payload)
+		}
+		for _, e := range bySeg[name] {
+			if e.loc.off < 0 || e.loc.ln < 0 || e.loc.off+e.loc.ln > len(raw) {
+				return fmt.Errorf("trace: %s: index entry for %+v points outside the segment", name, e.key)
 			}
-			db.add(rec)
+			indexed[e.key] = maphash.Bytes(seed, raw[e.loc.off:e.loc.off+e.loc.ln])
 		}
 	}
-	for s := range db.metas {
-		db.supersteps = append(db.supersteps, s)
+	for k, h := range scanned {
+		ih, ok := indexed[k]
+		if !ok {
+			return fmt.Errorf("trace: record %+v is in the segments but not in the index", k)
+		}
+		if ih != h {
+			return fmt.Errorf("trace: index entry for %+v does not locate the record the segments hold", k)
+		}
 	}
-	sort.Ints(db.supersteps)
-	return db, nil
+	for k := range indexed {
+		if _, ok := scanned[k]; !ok {
+			return fmt.Errorf("trace: index names record %+v, which no segment holds", k)
+		}
+	}
+	return nil
 }

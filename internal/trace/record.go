@@ -255,8 +255,8 @@ type JobMeta struct {
 	// ones. `graft repro` keys its codegen off this.
 	ComputeMode string `json:"compute_mode,omitempty"`
 	// Format identifies the on-disk trace layout: FormatSegments for
-	// jobs written through Store.NewSink, empty for legacy whole-file
-	// traces written through the deprecated NewJobWriter.
+	// jobs written through Store.NewSink, empty in the manifests of
+	// whole-file traces from older builds (which OpenReader rejects).
 	Format string `json:"format,omitempty"`
 }
 

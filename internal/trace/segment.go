@@ -19,7 +19,7 @@ import (
 //	<root>/<jobID>/master/idx_000000.idx
 //
 // A segment file is the magic "GRFTSEG1" followed by the same framed
-// records legacy .trace files hold (uvarint length ++ payload), so a
+// records a Writer stream holds (uvarint length ++ payload), so a
 // segment remains scannable without its index. Segments are sealed —
 // committed whole through the atomic-on-close file system — at the
 // configured size and at every superstep barrier, which is what makes

@@ -13,9 +13,9 @@ import (
 	"graft/internal/segio"
 )
 
-// FormatSegments marks jobs written through Store.NewSink: segmented
-// files plus index sidecars. Jobs without a format marker are legacy
-// whole-file traces.
+// FormatSegments marks jobs written through Store.NewSink: segment
+// files plus index parts. It is the only layout Store.OpenReader reads;
+// a job.meta without it is a whole-file trace from an older build.
 const FormatSegments = "segments/v1"
 
 // BackpressurePolicy decides what a full capture queue does to the
@@ -132,7 +132,7 @@ func WithSynchronous() Option {
 // RecordSink accepts capture records for one lane (one worker, or the
 // master). A lane is single-producer: each worker sink is used only by
 // its worker goroutine, the master sink only by the engine
-// coordinator. The legacy *Writer satisfies this interface too.
+// coordinator. The reference *Writer satisfies this interface too.
 //
 // A record is fully encoded to bytes before Write* returns and the sink
 // keeps no reference to it or to anything it points at — in the
@@ -185,9 +185,8 @@ type Sink interface {
 }
 
 // NewSink writes the job manifest and returns a Sink for the job's
-// NumWorkers+1 lanes. This is the successor of NewJobWriter: records
-// land in segmented, indexed files (FormatSegments) that
-// Store.OpenReader can seek into lazily.
+// NumWorkers+1 lanes. Records land in segmented, indexed files
+// (FormatSegments) that Store.OpenReader can seek into lazily.
 func (s *Store) NewSink(meta JobMeta, opts ...Option) (Sink, error) {
 	if meta.JobID == "" {
 		return nil, fmt.Errorf("trace: empty job ID")

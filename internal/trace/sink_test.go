@@ -69,8 +69,8 @@ func TestSinkSegmentedRoundTrip(t *testing.T) {
 	writeSinkJob(t, store, "job1")
 
 	// The on-disk layout is segments plus one index part per lane per
-	// barrier, each in its lane's directory, no legacy .trace files and
-	// no whole-lane sidecar.
+	// barrier, each in its lane's directory, no whole-file .trace and no
+	// whole-lane sidecar.
 	names, err := fs.List("t/job1/")
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestSinkSegmentedRoundTrip(t *testing.T) {
 				t.Errorf("index file %q is not a part in a lane directory", n)
 			}
 		case strings.HasSuffix(n, ".trace"):
-			t.Errorf("legacy trace file %q in a segmented job", n)
+			t.Errorf("whole-file trace %q in a segmented job", n)
 		}
 	}
 	if segs != 9 || idxs != 9 {
@@ -403,69 +403,7 @@ func TestSinkUnindexedSegmentRecovery(t *testing.T) {
 	}
 }
 
-// TestOpenReaderLegacyFallback opens a job written by the legacy
-// whole-file writer through the new Reader and expects the same view.
-func TestOpenReaderLegacyFallback(t *testing.T) {
-	store := NewStore(dfs.NewMemFS(), "t")
-	jw, err := store.NewJobWriter(JobMeta{JobID: "old", Algorithm: "sp", NumWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta := sampleMeta()
-	meta.Superstep = 0
-	if err := jw.Master().WriteSuperstepMeta(meta); err != nil {
-		t.Fatal(err)
-	}
-	c := sampleVertexCapture()
-	c.Superstep, c.ID, c.Worker = 0, 7, 0
-	if err := jw.Worker(0).WriteVertexCapture(c); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Finish(JobResult{Supersteps: 1, Captures: 1}); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := store.OpenReader("old")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.JobMeta().Format == FormatSegments {
-		t.Errorf("legacy job reports format %q", r.JobMeta().Format)
-	}
-	if n := r.TotalCaptures(); n != 1 {
-		t.Errorf("total captures = %d", n)
-	}
-	if got := r.Capture(0, 7); got == nil || got.Worker != 0 {
-		t.Errorf("capture(0, 7) = %+v", got)
-	}
-	if res := r.JobResult(); res == nil || res.Captures != 1 {
-		t.Errorf("result = %+v", res)
-	}
-}
-
-// TestLoadDBReadsSegmentedJob pins the compatibility wrapper: LoadDB
-// on a segmented job materializes the same view the lazy reader serves.
-func TestLoadDBReadsSegmentedJob(t *testing.T) {
-	store := NewStore(dfs.NewMemFS(), "t")
-	writeSinkJob(t, store, "job1", WithSegmentSize(64))
-	db, err := store.LoadDB("job1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := store.OpenReader("job1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := DiffJobs(db, r)
-	if d := diff.FirstDivergence(); d != nil || len(diff.OnlyA) != 0 || len(diff.OnlyB) != 0 {
-		t.Errorf("LoadDB and OpenReader views differ: %+v", diff)
-	}
-	if db.TotalCaptures() != r.TotalCaptures() {
-		t.Errorf("captures: db=%d reader=%d", db.TotalCaptures(), r.TotalCaptures())
-	}
-}
-
-// TestSinkValidation mirrors the legacy writer's constructor checks.
+// TestSinkValidation pins the constructor checks.
 func TestSinkValidation(t *testing.T) {
 	store := NewStore(dfs.NewMemFS(), "t")
 	if _, err := store.NewSink(JobMeta{JobID: "", NumWorkers: 1}); err == nil {
@@ -499,18 +437,12 @@ func TestNewSinkRejectsNegativeOptions(t *testing.T) {
 	_ = sink.CloseFiles()
 }
 
-// TestReaderOldAndNewIndexLayouts opens the same job in the layout
-// written before index parts — one <lane>.idx naming all of a lane's
-// segments — and in the part layout, and expects one view.
-func TestReaderOldAndNewIndexLayouts(t *testing.T) {
-	fs := dfs.NewMemFS()
-	store := NewStore(fs, "t")
-	writeSinkJob(t, store, "new", WithSegmentSize(64))
-	writeSinkJob(t, store, "old", WithSegmentSize(64))
-
-	// Fold each lane's parts into the sidecar an older writer's last
-	// barrier would have left.
-	names, err := fs.List("t/old/")
+// foldIndexParts rewrites a job's index in the layout written before
+// parts: each lane's parts folded into the one <lane>.idx sidecar an
+// older writer's last barrier would have left.
+func foldIndexParts(t *testing.T, fs dfs.FileSystem, jobDir string) {
+	t.Helper()
+	names, err := fs.List(jobDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,6 +470,18 @@ func TestReaderOldAndNewIndexLayouts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestReaderOldAndNewIndexLayouts opens the same job in the layout
+// written before index parts — one <lane>.idx naming all of a lane's
+// segments — and in the part layout, and expects one view.
+func TestReaderOldAndNewIndexLayouts(t *testing.T) {
+	fs := dfs.NewMemFS()
+	store := NewStore(fs, "t")
+	writeSinkJob(t, store, "new", WithSegmentSize(64))
+	writeSinkJob(t, store, "old", WithSegmentSize(64))
+
+	foldIndexParts(t, fs, "t/old/")
 
 	oldR, err := store.OpenReader("old")
 	if err != nil {
@@ -652,6 +596,83 @@ func TestSinkFailedIndexPartWrite(t *testing.T) {
 			if after.IndexParts() != 1 || after.TotalCaptures() != 9 || after.SegmentReads() != 0 {
 				t.Errorf("reader after the job: %d parts, %d captures, %d segments scanned; want 1, 9, 0",
 					after.IndexParts(), after.TotalCaptures(), after.SegmentReads())
+			}
+		})
+	}
+}
+
+// TestReaderVerify damages a trace the two ways an index and its
+// segments can come to disagree — one offset in one index file, one
+// frame in one segment — and requires Verify to refuse each and to pass
+// the trace before the damage and after its repair, in the part layout
+// and in the older whole-sidecar one.
+func TestReaderVerify(t *testing.T) {
+	for _, layout := range []string{"parts", "sidecar"} {
+		t.Run(layout, func(t *testing.T) {
+			fs := dfs.NewMemFS()
+			store := NewStore(fs, "t")
+			writeSinkJob(t, store, "job1", WithSegmentSize(64))
+			if layout == "sidecar" {
+				foldIndexParts(t, fs, "t/job1/")
+			}
+			verify := func() error {
+				r, err := store.OpenReader("job1")
+				if err != nil {
+					return err
+				}
+				return r.Verify()
+			}
+			if err := verify(); err != nil {
+				t.Fatalf("untouched trace: %v", err)
+			}
+
+			names, err := fs.List("t/job1/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var idxPath string
+			for _, n := range names {
+				if strings.HasSuffix(n, ".idx") && strings.Contains(n, "worker_01") {
+					idxPath = n
+					break
+				}
+			}
+			idxRaw, err := dfs.ReadFile(fs, idxPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs, err := segio.DecodeIndex(idxRaw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			good := segs[0].Entries[0]
+			segs[0].Entries[0].Offset++
+			if err := dfs.WriteFile(fs, idxPath, segio.EncodeIndex(segs)); err != nil {
+				t.Fatal(err)
+			}
+			if err := verify(); err == nil {
+				t.Errorf("Verify passed with %s locating a record one byte off", idxPath)
+			}
+			if err := dfs.WriteFile(fs, idxPath, idxRaw); err != nil {
+				t.Fatal(err)
+			}
+			if err := verify(); err != nil {
+				t.Fatalf("index restored: %v", err)
+			}
+
+			// The first byte of a payload is the record's kind.
+			segPath := "t/job1/" + segs[0].Name
+			segRaw, err := dfs.ReadFile(fs, segPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := append([]byte(nil), segRaw...)
+			bad[good.Offset] = 0x7f
+			if err := dfs.WriteFile(fs, segPath, bad); err != nil {
+				t.Fatal(err)
+			}
+			if err := verify(); err == nil {
+				t.Errorf("Verify passed with a damaged frame in %s", segPath)
 			}
 		})
 	}

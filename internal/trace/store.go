@@ -13,11 +13,11 @@ import (
 // Store lays traces out in a file system the way Graft lays them out
 // in HDFS:
 //
-//	<root>/<jobID>/job.meta        JSON manifest
-//	<root>/<jobID>/worker_NN.trace per-worker vertex captures
-//	<root>/<jobID>/master.trace    superstep metas + master captures
-//	<root>/<jobID>/job.done        JSON result, written at job end
-//	<root>/<jobID>/job.metrics     per-superstep telemetry (internal/metrics)
+//	<root>/<jobID>/job.meta    JSON manifest
+//	<root>/<jobID>/worker_NN/  per-worker vertex captures (see segment.go)
+//	<root>/<jobID>/master/     superstep metas + master captures
+//	<root>/<jobID>/job.done    JSON result, written at job end
+//	<root>/<jobID>/job.metrics per-superstep telemetry (internal/metrics)
 type Store struct {
 	FS   dfs.FileSystem
 	Root string
@@ -65,122 +65,6 @@ func (s *Store) ListJobs() ([]string, error) {
 	}
 	sort.Strings(jobs)
 	return jobs, nil
-}
-
-// JobWriter owns the open trace files of one instrumented job. Each
-// worker writer is used only by its worker goroutine; the master
-// writer only by the engine coordinator (listener callbacks).
-//
-// Deprecated: JobWriter writes the legacy whole-file layout and
-// exposes per-writer internals. New code should use Store.NewSink,
-// which hides the lanes behind the Sink interface and writes the
-// segmented, indexed format that Store.OpenReader can seek into.
-type JobWriter struct {
-	store       *Store
-	jobID       string
-	workers     []*Writer
-	master      *Writer
-	closed      bool
-	filesClosed bool
-	closeErr    error
-}
-
-// NewJobWriter writes the manifest and opens all trace files.
-//
-// Deprecated: use Store.NewSink, which batches records through
-// background drainers into indexed segment files.
-func (s *Store) NewJobWriter(meta JobMeta) (*JobWriter, error) {
-	if meta.JobID == "" {
-		return nil, fmt.Errorf("trace: empty job ID")
-	}
-	if meta.NumWorkers <= 0 {
-		return nil, fmt.Errorf("trace: job %q has %d workers", meta.JobID, meta.NumWorkers)
-	}
-	dir := s.jobDir(meta.JobID)
-	metaJSON, err := json.MarshalIndent(meta, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := dfs.WriteFile(s.FS, dir+"/job.meta", metaJSON); err != nil {
-		return nil, err
-	}
-	jw := &JobWriter{store: s, jobID: meta.JobID}
-	fail := func(err error) (*JobWriter, error) {
-		jw.closeAll()
-		return nil, err
-	}
-	for i := 0; i < meta.NumWorkers; i++ {
-		f, err := s.FS.Create(fmt.Sprintf("%s/worker_%02d.trace", dir, i))
-		if err != nil {
-			return fail(err)
-		}
-		w, err := NewWriter(f)
-		if err != nil {
-			return fail(err)
-		}
-		jw.workers = append(jw.workers, w)
-	}
-	f, err := s.FS.Create(dir + "/master.trace")
-	if err != nil {
-		return fail(err)
-	}
-	if jw.master, err = NewWriter(f); err != nil {
-		return fail(err)
-	}
-	return jw, nil
-}
-
-// Worker returns the trace writer for one worker.
-func (jw *JobWriter) Worker(i int) *Writer { return jw.workers[i] }
-
-// Master returns the master/meta trace writer.
-func (jw *JobWriter) Master() *Writer { return jw.master }
-
-func (jw *JobWriter) closeAll() error {
-	var first error
-	for _, w := range jw.workers {
-		if w != nil {
-			if err := w.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	if jw.master != nil {
-		if err := jw.master.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// CloseFiles closes every trace file (committing them in
-// atomic-on-close file systems) without writing the job result.
-// Callers that inspect storage state between the file commits and
-// job.done — Graft reads the fallback layer's degradation record —
-// call this first; Finish is otherwise enough. Idempotent.
-func (jw *JobWriter) CloseFiles() error {
-	if jw.filesClosed {
-		return jw.closeErr
-	}
-	jw.filesClosed = true
-	jw.closeErr = jw.closeAll()
-	return jw.closeErr
-}
-
-// Finish closes every trace file and writes the job result.
-func (jw *JobWriter) Finish(res JobResult) error {
-	if jw.closed {
-		return nil
-	}
-	jw.closed = true
-	if err := jw.CloseFiles(); err != nil {
-		return err
-	}
-	resJSON, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return dfs.WriteFile(jw.store.FS, jw.store.jobDir(jw.jobID)+"/job.done", resJSON)
 }
 
 // ReadMeta loads a job's manifest.

@@ -72,8 +72,8 @@ func TestSubgraphCaptureRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFindMemberSubgraph exercises the member-to-component lookup both
-// read paths (indexed Reader and eager DB) share.
+// TestFindMemberSubgraph exercises the member-to-component lookup
+// behind Reader.SubgraphAt.
 func TestFindMemberSubgraph(t *testing.T) {
 	caps := []*SubgraphCapture{
 		{ID: 1, Members: []pregel.VertexID{1, 2, 3}},

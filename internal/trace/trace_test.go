@@ -3,6 +3,8 @@ package trace
 import (
 	"errors"
 	"io"
+	"reflect"
+	"strings"
 	"testing"
 
 	"graft/internal/dfs"
@@ -189,52 +191,65 @@ func TestReaderRejectsCorruptRecord(t *testing.T) {
 	}
 }
 
-func TestStoreLayoutAndDB(t *testing.T) {
-	fs := dfs.NewMemFS()
-	store := NewStore(fs, "graft/traces")
-	jw, err := store.NewJobWriter(JobMeta{
-		JobID: "job1", Algorithm: "gc", NumWorkers: 2, NumVertices: 4, NumEdges: 6,
-	})
+// writeJob writes one trace through a Sink — the metas on the master
+// lane, each capture on its Worker's lane, then the result — and opens
+// it.
+func writeJob(t *testing.T, store *Store, meta JobMeta, metas []*SuperstepMeta, captures []*VertexCapture, res JobResult) *Reader {
+	t.Helper()
+	sink, err := store.NewSink(meta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := sampleMeta()
-	meta.Superstep = 0
-	if err := jw.Master().WriteSuperstepMeta(meta); err != nil {
+	for _, m := range metas {
+		if err := sink.MasterSink().WriteSuperstepMeta(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range captures {
+		if err := sink.WorkerSink(c.Worker).WriteVertexCapture(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Finish(res); err != nil {
 		t.Fatal(err)
 	}
+	r, err := store.OpenReader(meta.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func TestStoreLayoutAndDB(t *testing.T) {
+	fs := dfs.NewMemFS()
+	store := NewStore(fs, "graft/traces")
+	meta := sampleMeta()
+	meta.Superstep = 0
 	c1 := sampleVertexCapture()
 	c1.Superstep, c1.ID, c1.Worker = 0, 1, 0
 	c2 := sampleVertexCapture()
 	c2.Superstep, c2.ID, c2.Worker = 0, 2, 1
 	c2.Exception = nil
 	c2.Violations = nil
-	if err := jw.Worker(0).WriteVertexCapture(c1); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Worker(1).WriteVertexCapture(c2); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Finish(JobResult{Supersteps: 1, Reason: "converged", Captures: 2}); err != nil {
-		t.Fatal(err)
-	}
+	r := writeJob(t, store,
+		JobMeta{JobID: "job1", Algorithm: "gc", NumWorkers: 2, NumVertices: 4, NumEdges: 6},
+		[]*SuperstepMeta{meta}, []*VertexCapture{c1, c2},
+		JobResult{Supersteps: 1, Reason: "converged", Captures: 2})
 
-	// Layout check.
+	// Layout check: one segment and one index part per lane that wrote.
 	names, _ := fs.List("graft/traces/job1/")
 	wantFiles := []string{
 		"graft/traces/job1/job.done",
 		"graft/traces/job1/job.meta",
-		"graft/traces/job1/master.trace",
-		"graft/traces/job1/worker_00.trace",
-		"graft/traces/job1/worker_01.trace",
+		"graft/traces/job1/master/idx_000000.idx",
+		"graft/traces/job1/master/seg_000000.seg",
+		"graft/traces/job1/worker_00/idx_000000.idx",
+		"graft/traces/job1/worker_00/seg_000000.seg",
+		"graft/traces/job1/worker_01/idx_000000.idx",
+		"graft/traces/job1/worker_01/seg_000000.seg",
 	}
-	if len(names) != len(wantFiles) {
-		t.Fatalf("files = %v", names)
-	}
-	for i := range names {
-		if names[i] != wantFiles[i] {
-			t.Errorf("file %d = %q, want %q", i, names[i], wantFiles[i])
-		}
+	if !reflect.DeepEqual(names, wantFiles) {
+		t.Fatalf("files = %v, want %v", names, wantFiles)
 	}
 
 	jobs, err := store.ListJobs()
@@ -242,32 +257,41 @@ func TestStoreLayoutAndDB(t *testing.T) {
 		t.Fatalf("jobs = %v, %v", jobs, err)
 	}
 
-	db, err := store.LoadDB("job1")
-	if err != nil {
-		t.Fatal(err)
+	if got := r.JobMeta(); got.Algorithm != "gc" || got.NumWorkers != 2 {
+		t.Errorf("meta = %+v", got)
 	}
-	if db.Meta.Algorithm != "gc" || db.Meta.NumWorkers != 2 {
-		t.Errorf("meta = %+v", db.Meta)
+	if res := r.JobResult(); res == nil || res.Captures != 2 {
+		t.Errorf("result = %+v", res)
 	}
-	if db.Result == nil || db.Result.Captures != 2 {
-		t.Errorf("result = %+v", db.Result)
+	if r.TotalCaptures() != 2 {
+		t.Errorf("captures = %d", r.TotalCaptures())
 	}
-	if db.TotalCaptures() != 2 {
-		t.Errorf("captures = %d", db.TotalCaptures())
-	}
-	caps := db.CapturesAt(0)
+	caps := r.CapturesAt(0)
 	if len(caps) != 2 || caps[0].ID != 1 || caps[1].ID != 2 {
 		t.Errorf("captures at 0 = %+v", caps)
 	}
-	if got := db.CapturesOf(1); len(got) != 1 {
+	if got := r.CapturesOf(1); len(got) != 1 {
 		t.Errorf("CapturesOf(1) = %d", len(got))
 	}
-	if db.MaxSuperstep() != 0 {
-		t.Errorf("max superstep = %d", db.MaxSuperstep())
+	if r.MaxSuperstep() != 0 {
+		t.Errorf("max superstep = %d", r.MaxSuperstep())
 	}
-	st := db.StatusAt(0)
+	st := r.StatusAt(0)
 	if !st.MessageViolation || !st.Exception || st.VertexViolation {
 		t.Errorf("status = %+v", st)
+	}
+	// One row per violation plus one for the exception, all on vertex 1.
+	rows := r.ViolationsAt(0)
+	if want := len(c1.Violations) + 1; len(rows) != want || len(r.AllViolations()) != want {
+		t.Errorf("violation rows = %d at superstep 0, %d overall, want %d", len(rows), len(r.AllViolations()), want)
+	}
+	for _, row := range rows {
+		if row.VertexID != 1 || row.Superstep != 0 {
+			t.Errorf("violation row = %+v, want vertex 1 at superstep 0", row)
+		}
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
 	}
 
 	if err := store.RemoveJob("job1"); err != nil {
@@ -278,21 +302,13 @@ func TestStoreLayoutAndDB(t *testing.T) {
 	}
 }
 
-func TestJobWriterValidation(t *testing.T) {
-	store := NewStore(dfs.NewMemFS(), "t")
-	if _, err := store.NewJobWriter(JobMeta{JobID: "", NumWorkers: 1}); err == nil {
-		t.Error("empty job ID accepted")
-	}
-	if _, err := store.NewJobWriter(JobMeta{JobID: "x", NumWorkers: 0}); err == nil {
-		t.Error("zero workers accepted")
-	}
-}
-
 func TestReadResultUnfinished(t *testing.T) {
 	store := NewStore(dfs.NewMemFS(), "t")
-	if _, err := store.NewJobWriter(JobMeta{JobID: "x", NumWorkers: 1}); err != nil {
+	sink, err := store.NewSink(JobMeta{JobID: "x", NumWorkers: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer sink.CloseFiles()
 	_, done, err := store.ReadResult("x")
 	if err != nil || done {
 		t.Fatalf("unfinished job: done=%v err=%v", done, err)
@@ -300,12 +316,7 @@ func TestReadResultUnfinished(t *testing.T) {
 }
 
 func TestSearchQueries(t *testing.T) {
-	fs := dfs.NewMemFS()
-	store := NewStore(fs, "t")
-	jw, err := store.NewJobWriter(JobMeta{JobID: "q", Algorithm: "x", NumWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := NewStore(dfs.NewMemFS(), "t")
 	mk := func(superstep int, id pregel.VertexID, val string, edgeTo pregel.VertexID, outVal string) *VertexCapture {
 		return &VertexCapture{
 			Superstep:  superstep,
@@ -315,27 +326,13 @@ func TestSearchQueries(t *testing.T) {
 			Outgoing:   []OutMsg{{To: edgeTo, Value: pregel.NewText(outVal)}},
 		}
 	}
-	for s := 0; s < 2; s++ {
-		if err := jw.Master().WriteSuperstepMeta(&SuperstepMeta{Superstep: s}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := jw.Worker(0).WriteVertexCapture(mk(0, 1, "RED", 2, "hello")); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Worker(0).WriteVertexCapture(mk(0, 2, "BLUE", 3, "world")); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Worker(0).WriteVertexCapture(mk(1, 1, "GREEN", 2, "hello again")); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Finish(JobResult{}); err != nil {
-		t.Fatal(err)
-	}
-	db, err := store.LoadDB("q")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := writeJob(t, store, JobMeta{JobID: "q", Algorithm: "x", NumWorkers: 1},
+		[]*SuperstepMeta{{Superstep: 0}, {Superstep: 1}},
+		[]*VertexCapture{
+			mk(0, 1, "RED", 2, "hello"),
+			mk(0, 2, "BLUE", 3, "world"),
+			mk(1, 1, "GREEN", 2, "hello again"),
+		}, JobResult{})
 
 	id1 := pregel.VertexID(1)
 	nbr2 := pregel.VertexID(2)
@@ -354,62 +351,111 @@ func TestSearchQueries(t *testing.T) {
 		{"no match", Query{Superstep: -1, ValueContains: "PURPLE"}, 0},
 	}
 	for _, c := range cases {
-		if got := len(db.Search(c.q)); got != c.want {
+		if got := len(r.Search(c.q)); got != c.want {
 			t.Errorf("%s: got %d matches, want %d", c.name, got, c.want)
 		}
 	}
 }
 
-func TestLoadDBRejectsCorruptTraceFile(t *testing.T) {
+// TestReaderRejectsCorruptSegment truncates a segment mid-record and
+// then replaces it with garbage. The index still names the records, so
+// the job opens; the damage surfaces from the nil-on-missing accessors
+// through Err, from Verify, and — once the index is gone and the
+// segment has to be scanned — from OpenReader itself.
+func TestReaderRejectsCorruptSegment(t *testing.T) {
 	fs := dfs.NewMemFS()
 	store := NewStore(fs, "t")
-	jw, err := store.NewJobWriter(JobMeta{JobID: "bad", Algorithm: "x", NumWorkers: 1})
+	c := sampleVertexCapture()
+	c.Worker = 0
+	writeJob(t, store, JobMeta{JobID: "bad", Algorithm: "x", NumWorkers: 1},
+		nil, []*VertexCapture{c}, JobResult{})
+	const seg = "t/bad/worker_00/seg_000000.seg"
+	raw, err := dfs.ReadFile(fs, seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jw.Worker(0).WriteVertexCapture(sampleVertexCapture()); err != nil {
+	open := func() *Reader {
+		t.Helper()
+		r, err := store.OpenReader("bad")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	if err := dfs.WriteFile(fs, seg, raw[:len(raw)-5]); err != nil {
 		t.Fatal(err)
 	}
-	if err := jw.Finish(JobResult{}); err != nil {
+	r := open()
+	if caps := r.CapturesAt(c.Superstep); len(caps) != 0 || r.Err() == nil {
+		t.Errorf("truncated segment served %d captures, Err() = %v", len(caps), r.Err())
+	}
+	if err := r.Verify(); err == nil {
+		t.Error("Verify accepted a truncated segment")
+	}
+
+	// And a file that is not a segment at all.
+	if err := dfs.WriteFile(fs, seg, []byte("garbage!")); err != nil {
 		t.Fatal(err)
 	}
-	// Truncate the worker trace mid-record.
-	raw, err := dfs.ReadFile(fs, "t/bad/worker_00.trace")
-	if err != nil {
+	r = open()
+	if got := r.Capture(c.Superstep, c.ID); got != nil || !errors.Is(r.Err(), ErrBadMagic) {
+		t.Errorf("garbage segment: capture = %v, Err() = %v, want nil and bad magic", got, r.Err())
+	}
+	if err := r.Verify(); !errors.Is(err, ErrBadMagic) {
+		t.Errorf("Verify on a garbage segment: %v, want bad magic", err)
+	}
+	if err := fs.Remove("t/bad/worker_00/idx_000000.idx"); err != nil {
 		t.Fatal(err)
 	}
-	if err := dfs.WriteFile(fs, "t/bad/worker_00.trace", raw[:len(raw)-5]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.LoadDB("bad"); err == nil {
-		t.Fatal("corrupt trace accepted")
-	}
-	// And a file that is not a trace at all.
-	if err := dfs.WriteFile(fs, "t/bad/worker_00.trace", []byte("garbage")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.LoadDB("bad"); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("err = %v, want bad magic", err)
+	if _, err := store.OpenReader("bad"); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("OpenReader scanning a garbage segment: err = %v, want bad magic", err)
 	}
 }
 
-func TestLoadDBMissingJob(t *testing.T) {
+func TestOpenReaderMissingJob(t *testing.T) {
 	store := NewStore(dfs.NewMemFS(), "t")
-	if _, err := store.LoadDB("ghost"); err == nil {
-		t.Fatal("missing job accepted")
+	if _, err := store.OpenReader("ghost"); !errors.Is(err, dfs.ErrNotExist) {
+		t.Fatalf("missing job: err = %v, want not-exist", err)
+	}
+}
+
+// TestOpenReaderRejectsLegacyLayout hand-writes the manifest an older
+// build's whole-file writer left (no format field) and one naming a
+// format this build does not know: both are refused by name, not read.
+func TestOpenReaderRejectsLegacyLayout(t *testing.T) {
+	fs := dfs.NewMemFS()
+	store := NewStore(fs, "t")
+	for jobID, manifest := range map[string]string{
+		"old":    `{"job_id": "old", "algorithm": "sp", "num_workers": 1, "num_vertices": 4, "num_edges": 6}`,
+		"future": `{"job_id": "future", "algorithm": "sp", "num_workers": 1, "format": "columns/v9"}`,
+	} {
+		if err := dfs.WriteFile(fs, "t/"+jobID+"/job.meta", []byte(manifest)); err != nil {
+			t.Fatal(err)
+		}
+		if err := dfs.WriteFile(fs, "t/"+jobID+"/worker_00.trace", []byte(fileMagic)); err != nil {
+			t.Fatal(err)
+		}
+		_, err := store.OpenReader(jobID)
+		if !errors.Is(err, ErrUnsupportedLayout) {
+			t.Fatalf("%s: err = %v, want ErrUnsupportedLayout", jobID, err)
+		}
+		if !strings.Contains(err.Error(), `"`+jobID+`"`) {
+			t.Errorf("%s: error %q does not name the job", jobID, err)
+		}
+	}
+	_, err := store.OpenReader("old")
+	if !strings.Contains(err.Error(), ".trace") {
+		t.Errorf("error %q does not name the whole-file layout", err)
+	}
+	_, err = store.OpenReader("future")
+	if !strings.Contains(err.Error(), "columns/v9") {
+		t.Errorf("error %q does not name the unknown format", err)
 	}
 }
 
 func TestCheckAdjacentPairsDirect(t *testing.T) {
-	fs := dfs.NewMemFS()
-	store := NewStore(fs, "t")
-	jw, err := store.NewJobWriter(JobMeta{JobID: "pairs", Algorithm: "x", NumWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Master().WriteSuperstepMeta(&SuperstepMeta{Superstep: 0}); err != nil {
-		t.Fatal(err)
-	}
+	store := NewStore(dfs.NewMemFS(), "t")
 	mk := func(id pregel.VertexID, color int64, edges ...pregel.VertexID) *VertexCapture {
 		c := &VertexCapture{Superstep: 0, ID: id, ValueAfter: pregel.NewLong(color)}
 		for _, e := range edges {
@@ -419,23 +465,10 @@ func TestCheckAdjacentPairsDirect(t *testing.T) {
 	}
 	// 1-2 same color (violation), 2-3 different (ok), 1-9 where 9 is
 	// uncaptured (skipped).
-	for _, c := range []*VertexCapture{
-		mk(1, 5, 2, 9),
-		mk(2, 5, 1, 3),
-		mk(3, 6, 2),
-	} {
-		if err := jw.Worker(0).WriteVertexCapture(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := jw.Finish(JobResult{}); err != nil {
-		t.Fatal(err)
-	}
-	db, err := store.LoadDB("pairs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := db.CheckAdjacentPairs(func(a, b *VertexCapture) bool {
+	r := writeJob(t, store, JobMeta{JobID: "pairs", Algorithm: "x", NumWorkers: 1},
+		[]*SuperstepMeta{{Superstep: 0}},
+		[]*VertexCapture{mk(1, 5, 2, 9), mk(2, 5, 1, 3), mk(3, 6, 2)}, JobResult{})
+	got := CheckAdjacentPairs(r, func(a, b *VertexCapture) bool {
 		return !pregel.ValuesEqual(a.ValueAfter, b.ValueAfter)
 	})
 	if len(got) != 1 || got[0].A.ID != 1 || got[0].B.ID != 2 {

@@ -37,10 +37,10 @@ func TestPartitionerDigestEquivalence(t *testing.T) {
 			for _, crashAt := range []int{-1, 1} {
 				label := fmt.Sprintf("%s/seed=%d/crash=%d", tc.name, seed, crashAt)
 				t.Run(label, func(t *testing.T) {
-					hashView, hashStats := tracedPlaneRun(t, tc.build(seed), tc.alg(), false,
-						EngineConfig{NumWorkers: 4, MessagePlane: pregel.PlaneLanes, Partitioner: PartitionHash}, crashAt)
-					locView, locStats := tracedPlaneRun(t, tc.build(seed), tc.alg(), false,
-						EngineConfig{NumWorkers: 4, MessagePlane: pregel.PlaneLanes, Partitioner: PartitionLocality}, crashAt)
+					hashView, hashStats := tracedPlaneRun(t, tc.build(seed), tc.alg(),
+						EngineConfig{NumWorkers: 4, Partitioner: PartitionHash}, crashAt)
+					locView, locStats := tracedPlaneRun(t, tc.build(seed), tc.alg(),
+						EngineConfig{NumWorkers: 4, Partitioner: PartitionLocality}, crashAt)
 					requireNoDiff(t, label, hashView, locView)
 					if trace.Digest(hashView) != trace.Digest(locView) {
 						t.Errorf("trace digests diverged across placements")
@@ -68,8 +68,8 @@ func TestPartitionerDigestEquivalence(t *testing.T) {
 func TestPartitionerSubgraphValuesEquivalence(t *testing.T) {
 	run := func(mode pregel.ComputeMode, p PartitionerMode) (string, *Stats) {
 		g := graphgen.ChainedCommunities(600, 12, 4, 7)
-		_, stats := tracedPlaneRun(t, g, algorithms.NewConnectedComponents(), false,
-			EngineConfig{NumWorkers: 4, MessagePlane: pregel.PlaneLanes, ComputeMode: mode, Partitioner: p}, -1)
+		_, stats := tracedPlaneRun(t, g, algorithms.NewConnectedComponents(),
+			EngineConfig{NumWorkers: 4, ComputeMode: mode, Partitioner: p}, -1)
 		return g.ValuesDigest(), stats
 	}
 	vertexDigest, _ := run(pregel.ModeVertex, PartitionHash)
@@ -96,7 +96,7 @@ func TestPartitionerConfinedRecoveryEquivalence(t *testing.T) {
 	const crashAt, victim = 3, 1
 	build := func() *Graph { return graphgen.ChainedCommunities(480, 8, 4, 7) }
 	engine := func(p PartitionerMode) EngineConfig {
-		return EngineConfig{NumWorkers: 4, MessagePlane: pregel.PlaneLanes, Partitioner: p}
+		return EngineConfig{NumWorkers: 4, Partitioner: p}
 	}
 	hashView, _ := tracedRecoveryRun(t, build(), algorithms.NewConnectedComponents(),
 		engine(PartitionHash), RecoveryLog, crashAt, victim)
@@ -126,8 +126,8 @@ func TestPartitionerConfinedRecoveryEquivalence(t *testing.T) {
 func TestPartitionerWithEdgeCutRebalancer(t *testing.T) {
 	run := func(p PartitionerMode, objective RebalanceObjective) (trace.View, *Stats) {
 		return tracedPlaneRun(t, graphgen.ChainedCommunities(600, 12, 4, 7),
-			algorithms.NewConnectedComponents(), false,
-			EngineConfig{NumWorkers: 4, MessagePlane: pregel.PlaneLanes,
+			algorithms.NewConnectedComponents(),
+			EngineConfig{NumWorkers: 4,
 				Partitioner: p, RebalanceObjective: objective}, -1)
 	}
 	baseView, _ := run(PartitionHash, ObjectiveSkew)

@@ -7,7 +7,6 @@ import (
 	"graft/internal/algorithms"
 	"graft/internal/dfs"
 	"graft/internal/graphgen"
-	"graft/internal/pregel"
 	"graft/internal/trace"
 )
 
@@ -66,7 +65,7 @@ func TestRecoveryDigestEquivalence(t *testing.T) {
 	const crashAt, victim = 3, 1
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			engine := EngineConfig{NumWorkers: 4, MessagePlane: pregel.PlaneLanes}
+			engine := EngineConfig{NumWorkers: 4}
 			cleanView, _ := tracedRecoveryRun(t, tc.build(), tc.alg(), engine, RecoveryCheckpoint, -1, 0)
 			clean := trace.Digest(cleanView)
 
@@ -104,7 +103,6 @@ func TestRecoveryDigestEquivalenceWithRebalancer(t *testing.T) {
 	alg := algorithms.NewConnectedComponents
 	engine := EngineConfig{
 		NumWorkers:        4,
-		MessagePlane:      pregel.PlaneLanes,
 		RebalanceSkew:     1.3,
 		RebalanceMaxMoves: 64,
 	}
@@ -139,7 +137,7 @@ func TestRecoverySeededChaosVictim(t *testing.T) {
 	if victim < 0 || victim >= workers {
 		t.Fatalf("PickPartition out of range: %d", victim)
 	}
-	engine := EngineConfig{NumWorkers: workers, MessagePlane: pregel.PlaneLanes}
+	engine := EngineConfig{NumWorkers: workers}
 	build := func() *Graph { return graphgen.SocialGraph(200, 5, 11) }
 	cleanView, _ := tracedRecoveryRun(t, build(), algorithms.NewConnectedComponents(), engine, RecoveryCheckpoint, -1, 0)
 	view, stats := tracedRecoveryRun(t, build(), algorithms.NewConnectedComponents(), engine, RecoveryLog, 2, victim)

@@ -61,9 +61,9 @@ func TestSubgraphCrashRecoveryDigestEquivalence(t *testing.T) {
 
 // TestSubgraphTraceEndToEnd runs a debugged subgraph-mode job through
 // the public API and checks the whole trace surface: the manifest's
-// compute mode, subgraph captures served identically by the lazy
-// indexed reader and the eager DB load, and member-to-component
-// resolution.
+// compute mode, subgraph captures whose members all have vertex
+// captures, member-to-component resolution, and an index that agrees
+// with a scan of the segments on subgraph records too.
 func TestSubgraphTraceEndToEnd(t *testing.T) {
 	g := graphgen.RegularBipartite(80, 4)
 	store := NewStore(NewMemFS(), "traces")
@@ -81,39 +81,27 @@ func TestSubgraphTraceEndToEnd(t *testing.T) {
 		t.Fatal("no captures recorded")
 	}
 
-	lazy, err := store.OpenReader("sg-e2e")
+	r, err := store.OpenReader("sg-e2e")
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager, err := store.LoadDB("sg-e2e")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mode := lazy.JobMeta().ComputeMode; mode != "subgraph" {
+	if mode := r.JobMeta().ComputeMode; mode != "subgraph" {
 		t.Fatalf("manifest compute_mode = %q, want subgraph", mode)
+	}
+	if err := r.Verify(); err != nil {
+		t.Fatal(err)
 	}
 
 	sawSubgraph := false
-	for _, s := range eager.Supersteps() {
-		le, ee := lazy.SubgraphsAt(s), eager.SubgraphsAt(s)
-		if len(le) != len(ee) {
-			t.Fatalf("superstep %d: lazy has %d subgraph captures, eager %d", s, len(le), len(ee))
-		}
-		for i, ec := range ee {
+	for _, s := range r.Supersteps() {
+		for _, sc := range r.SubgraphsAt(s) {
 			sawSubgraph = true
-			lc := le[i]
-			if lc.ID != ec.ID || lc.Digest != ec.Digest || len(lc.Members) != len(ec.Members) {
-				t.Fatalf("superstep %d: lazy/eager subgraph mismatch: %+v vs %+v", s, lc, ec)
-			}
-			for _, m := range ec.Members {
-				if eager.Capture(s, m) == nil {
-					t.Fatalf("superstep %d: member %d of subgraph %d has no vertex capture", s, m, ec.ID)
+			for _, m := range sc.Members {
+				if r.Capture(s, m) == nil {
+					t.Fatalf("superstep %d: member %d of subgraph %d has no vertex capture", s, m, sc.ID)
 				}
-				if got := lazy.SubgraphAt(s, m); got == nil || got.ID != ec.ID {
-					t.Fatalf("superstep %d: lazy SubgraphAt(%d) = %+v, want component %d", s, m, got, ec.ID)
-				}
-				if got := eager.SubgraphAt(s, m); got == nil || got.ID != ec.ID {
-					t.Fatalf("superstep %d: eager SubgraphAt(%d) = %+v, want component %d", s, m, got, ec.ID)
+				if got := r.SubgraphAt(s, m); got == nil || got.ID != sc.ID || got.Digest != sc.Digest {
+					t.Fatalf("superstep %d: SubgraphAt(%d) = %+v, want component %d", s, m, got, sc.ID)
 				}
 			}
 		}
@@ -121,7 +109,7 @@ func TestSubgraphTraceEndToEnd(t *testing.T) {
 	if !sawSubgraph {
 		t.Fatal("trace contains no subgraph captures")
 	}
-	if err := lazy.Err(); err != nil {
+	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
 }
