@@ -119,3 +119,59 @@ func TestCLIWorkflow(t *testing.T) {
 	run(true, "show", "-trace-dir", traceDir)                    // no -job
 	run(true, "diff", "-trace-dir", traceDir, "-a", "cli-gc")    // no -b
 }
+
+// TestCLIShowFlagsNondeterministicCapture: `graft show` says, in one
+// line under the vertex, when a capture's recording re-run did not end
+// as the job's own compute did.
+func TestCLIShowFlagsNondeterministicCapture(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go toolchain")
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	traceDir := t.TempDir()
+	fs, err := NewLocalFS(traceDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGraph()
+	for id := VertexID(0); id < 4; id++ {
+		g.AddVertex(id, nil)
+	}
+	calls := map[VertexID]int{} // one worker
+	comp := ComputeFunc(func(_ Context, v *Vertex, _ []Value) error {
+		calls[v.ID()]++
+		v.SetValue(NewLong(int64(v.ID())))
+		if calls[v.ID()] == 1 || v.ID() != 3 { // vertex 3 stays awake when run again
+			v.VoteToHalt()
+		}
+		return nil
+	})
+	if _, err := Run(g, comp, RunOptions{
+		JobID: "fickle", Algorithm: "fickle", Engine: EngineConfig{NumWorkers: 1}, Store: NewStore(fs, ""),
+		Debug: &DebugConfig{VertexValueConstraint: func(v Value, _ VertexID, _ int) bool { return v.String() < "2" }},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(goBin, "run", "./cmd/graft", "show", "-trace-dir", traceDir, "-job", "fickle")
+	cmd.Dir = repoRoot(t)
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("graft show: %v\n%s", err, out)
+	}
+	lines := strings.Split(string(out), "\n")
+	flagged := 0
+	for i, line := range lines {
+		if strings.Contains(line, "NONDETERMINISTIC:") {
+			flagged++
+			if i == 0 || !strings.Contains(lines[i-1], "vertex 3") || !strings.Contains(lines[i-1], "[vertex-constraint+nondeterministic]") {
+				t.Errorf("flag line follows %q, want vertex 3's capture", lines[i-1])
+			}
+		}
+	}
+	if flagged != 1 || !strings.Contains(string(out), "vertex 2 ") {
+		t.Errorf("show flags %d captures, want vertex 3 alone beside an unflagged vertex 2:\n%s", flagged, out)
+	}
+}

@@ -587,6 +587,9 @@ func cmdShow(args []string) error {
 			if c.Exception != nil {
 				fmt.Printf("    EXCEPTION: %s\n", strings.Split(c.Exception.Message, "\n")[0])
 			}
+			if c.Reasons.Has(trace.ReasonNondeterministic) {
+				fmt.Printf("    NONDETERMINISTIC: re-running this compute for the record ended differently; out= may not be what the job sent\n")
+			}
 		}
 		for _, sc := range db.SubgraphsAt(s) {
 			fmt.Printf("  subgraph %-6d members=%d iters=%d sent=%d halted=%v digest=%.12s\n",

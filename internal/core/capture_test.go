@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -32,6 +33,11 @@ func (c *stubContext) SendMessage(_ pregel.VertexID, msg pregel.Value) {
 		m.Set(-999)
 	case *algorithms.GCMessage:
 		m.Priority++
+	}
+}
+func (c *stubContext) SendMessageToAllEdges(v *pregel.Vertex, msg pregel.Value) {
+	for range v.Edges() {
+		c.SendMessage(0, msg.Clone())
 	}
 }
 
@@ -90,6 +96,49 @@ func randomValue(rng *rand.Rand, allowNil bool) pregel.Value {
 	return &algorithms.GCMessage{Type: uint8(rng.Intn(2)), From: pregel.VertexID(rng.Intn(100)), Priority: rng.Uint64()}
 }
 
+// frameCase is everything one TestFrameMatchesObjectEncoder compute
+// does, drawn up front from (seed, vertex, superstep): the instrumenter
+// may run a Compute a second time to obtain its record, and a
+// re-runnable Compute does the same thing both times.
+type frameCase struct {
+	sends     []trace.OutMsg // SendMessage calls, in order
+	newValue  pregel.Value   // replaces a value that cannot change in place
+	addEdge   *pregel.Edge   // appended, whatever edges there are
+	touchEdge bool           // the first edge loses 5 in place, or is removed
+	toAll     pregel.Value   // SendMessageToAllEdges payload, nil for none
+	halt      bool
+	failure   int // 0: return an error, 1: panic
+}
+
+func drawFrameCase(seed int64, id pregel.VertexID, superstep int) frameCase {
+	rng := rand.New(rand.NewSource(seed<<20 ^ int64(id)<<8 ^ int64(superstep)))
+	target := func() pregel.VertexID { return pregel.VertexID(100 + rng.Intn(6)) }
+	var fc frameCase
+	for i, n := 0, rng.Intn(4); i < n; i++ {
+		fc.sends = append(fc.sends, trace.OutMsg{To: target(), Value: randomValue(rng, false)})
+	}
+	fc.newValue = randomValue(rng, true)
+	if rng.Intn(2) == 0 {
+		fc.addEdge = &pregel.Edge{Target: target(), Value: randomValue(rng, true)}
+	}
+	fc.touchEdge = rng.Intn(2) == 0
+	if rng.Intn(2) == 0 {
+		fc.toAll = randomValue(rng, false)
+	}
+	fc.halt, fc.failure = rng.Intn(2) == 0, rng.Intn(6)
+	return fc
+}
+
+// judged is a constraint verdict that depends on nothing but the
+// value's bytes, so a message judged bad is bad again when a re-run
+// sends its twin.
+func judged(salt byte, v pregel.Value) bool {
+	h := fnv.New32a()
+	h.Write([]byte{salt})
+	h.Write(pregel.MarshalValue(v))
+	return h.Sum32()%3 == 0
+}
+
 // TestFrameMatchesObjectEncoder drives the instrumented computation
 // over random vertices, debug configurations and compute behaviours —
 // values replaced and mutated in place, edges added, removed and
@@ -97,9 +146,12 @@ func randomValue(rng *rand.Rand, allowNil bool) pregel.Value {
 // violations of all three kinds, errors and panics — and checks that
 // the frame it hands the sink is, byte for byte, the record the object
 // encoder writes for the VertexCapture built the old way: by cloning
-// each piece at the moment it was current.
+// each piece at the moment it was current. Whether the instrumenter
+// recorded that compute as it ran or re-ran it for the record is its
+// business: the bytes are the same, and no capture carries
+// ReasonNondeterministic.
 func TestFrameMatchesObjectEncoder(t *testing.T) {
-	captured, skipped := 0, 0
+	captured, skipped, reran := 0, 0, 0
 	for seed := int64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		const id = pregel.VertexID(17)
@@ -115,7 +167,6 @@ func TestFrameMatchesObjectEncoder(t *testing.T) {
 
 		allActive, byID := rng.Intn(3) == 0, rng.Intn(3) == 0
 		badValue, catchExc := rng.Intn(3) == 0, rng.Intn(2) == 0
-		badOut, badIn := map[pregel.Value]bool{}, map[pregel.Value]bool{}
 		dc := DebugConfig{CaptureAllActive: allActive, CaptureExceptions: catchExc}
 		if byID {
 			dc.CaptureIDs = []pregel.VertexID{id}
@@ -124,29 +175,20 @@ func TestFrameMatchesObjectEncoder(t *testing.T) {
 			dc.VertexValueConstraint = func(pregel.Value, pregel.VertexID, int) bool { return !badValue }
 		}
 		if rng.Intn(2) == 0 {
-			dc.MessageConstraint = func(m pregel.Value, _, _ pregel.VertexID, _ int) bool { return !badOut[m] }
+			dc.MessageConstraint = func(m pregel.Value, _, _ pregel.VertexID, _ int) bool { return !judged('o', m) }
 		}
 		if rng.Intn(2) == 0 {
-			dc.IncomingMessageConstraint = func(m, _ pregel.Value, _ pregel.VertexID, _ int) bool { return !badIn[m] }
+			dc.IncomingMessageConstraint = func(m, _ pregel.Value, _ pregel.VertexID, _ int) bool { return !judged('i', m) }
 		}
 
 		msgs := make([]pregel.Value, rng.Intn(4))
 		for i := range msgs {
 			msgs[i] = randomValue(rng, false)
-			badIn[msgs[i]] = rng.Intn(3) == 0
 		}
 		ctx := &stubContext{superstep: rng.Intn(40), worker: rng.Intn(3)}
-		static := allActive || byID
 		want := &trace.VertexCapture{
 			Superstep: ctx.superstep, Worker: ctx.worker, ID: id,
-			EdgesPreCompute: static,
-			Incoming:        make([]pregel.Value, len(msgs)),
-		}
-		if static || dc.hasDynamicConstraints() {
-			want.ValueBefore = pregel.CloneValue(v.Value())
-		}
-		if static {
-			want.Edges = cloneEdges(v.Edges())
+			Incoming: make([]pregel.Value, len(msgs)),
 		}
 		if byID {
 			want.Reasons |= trace.ReasonByID
@@ -156,28 +198,40 @@ func TestFrameMatchesObjectEncoder(t *testing.T) {
 		}
 		for i, m := range msgs {
 			want.Incoming[i] = pregel.CloneValue(m)
-			if dc.IncomingMessageConstraint != nil && badIn[m] {
+			if dc.IncomingMessageConstraint != nil && judged('i', m) {
 				want.Reasons |= trace.ReasonIncomingConstraint
 				want.Violations = append(want.Violations, trace.Violation{
 					Kind: trace.IncomingMessageViolation, SrcID: -1, DstID: id, Value: pregel.CloneValue(m)})
 			}
 		}
+		// What is known before compute decides the path, the pre-compute
+		// edge snapshot with it; the value before is in every record.
+		static := allActive || byID
+		want.EdgesPreCompute = static
+		want.ValueBefore = pregel.CloneValue(v.Value())
+		if static {
+			want.Edges = cloneEdges(v.Edges())
+		}
 
-		failure := rng.Intn(6) // 0: return an error, 1: panic
+		calls := 0
 		user := pregel.ComputeFunc(func(c pregel.Context, v *pregel.Vertex, _ []pregel.Value) error {
-			send := func(to pregel.VertexID, m pregel.Value) {
+			fc := drawFrameCase(seed, v.ID(), c.Superstep())
+			first := calls == 0 // want is the live run's; a re-run adds nothing to it
+			calls++
+			sent := func(to pregel.VertexID, m pregel.Value) {
+				if !first {
+					return
+				}
 				want.Outgoing = append(want.Outgoing, trace.OutMsg{To: to, Value: pregel.CloneValue(m)})
-				if dc.MessageConstraint != nil && badOut[m] {
+				if dc.MessageConstraint != nil && judged('o', m) {
 					want.Reasons |= trace.ReasonMessageConstraint
 					want.Violations = append(want.Violations, trace.Violation{
 						Kind: trace.MessageViolation, SrcID: id, DstID: to, Value: pregel.CloneValue(m)})
 				}
 			}
-			for i, n := 0, rng.Intn(4); i < n; i++ {
-				m, to := randomValue(rng, false), pregel.VertexID(100+rng.Intn(6))
-				badOut[m] = rng.Intn(3) == 0
-				send(to, m)
-				c.SendMessage(to, m)
+			for _, m := range fc.sends {
+				sent(m.To, m.Value)
+				c.SendMessage(m.To, m.Value)
 			}
 			switch old := v.Value().(type) { // in place where the type allows
 			case *pregel.LongValue:
@@ -185,36 +239,31 @@ func TestFrameMatchesObjectEncoder(t *testing.T) {
 			case *algorithms.GCValue:
 				old.Color++
 			default:
-				v.SetValue(randomValue(rng, true))
+				v.SetValue(fc.newValue)
 			}
-			if rng.Intn(2) == 0 {
-				v.AddEdge(pregel.Edge{Target: pregel.VertexID(100 + rng.Intn(6)), Value: randomValue(rng, true)})
+			// Edge changes come between the sends, and running them twice
+			// over the same edges would not leave what running them once
+			// does: a re-run has to start from the edges of before.
+			if fc.addEdge != nil {
+				v.AddEdge(*fc.addEdge)
 			}
-			if edges := v.Edges(); len(edges) > 0 && rng.Intn(2) == 0 {
+			if edges := v.Edges(); len(edges) > 0 && fc.touchEdge {
 				if l, ok := edges[0].Value.(*pregel.LongValue); ok {
 					l.Set(l.Get() - 5)
 				} else {
 					v.RemoveEdges(edges[0].Target)
 				}
 			}
-			if rng.Intn(2) == 0 {
-				m := randomValue(rng, false)
-				badOut[m] = rng.Intn(3) == 0
-				for i, e := range v.Edges() {
-					// recordingContext sends clones on all but the last edge; a
-					// clone is never in badOut.
-					if i == len(v.Edges())-1 {
-						send(e.Target, m)
-					} else {
-						want.Outgoing = append(want.Outgoing, trace.OutMsg{To: e.Target, Value: pregel.CloneValue(m)})
-					}
+			if fc.toAll != nil {
+				for _, e := range v.Edges() {
+					sent(e.Target, fc.toAll)
 				}
-				c.SendMessageToAllEdges(v, m)
+				c.SendMessageToAllEdges(v, fc.toAll)
 			}
-			if rng.Intn(2) == 0 {
+			if fc.halt {
 				v.VoteToHalt()
 			}
-			switch failure {
+			switch fc.failure {
 			case 0:
 				return errors.New("compute failed")
 			case 1:
@@ -222,6 +271,7 @@ func TestFrameMatchesObjectEncoder(t *testing.T) {
 			}
 			return nil
 		})
+		failure := drawFrameCase(seed, id, ctx.superstep).failure
 
 		session, err := Attach(trace.NewStore(dfs.NewMemFS(), "t"), Options{JobID: "j", NumWorkers: 3}, g, dc)
 		if err != nil {
@@ -250,6 +300,16 @@ func TestFrameMatchesObjectEncoder(t *testing.T) {
 		if err != nil && catchExc {
 			want.Reasons |= trace.ReasonException
 		}
+		// Only a vertex nothing selected before compute, captured for what
+		// its compute did, runs twice.
+		wantCalls := 1
+		if want.Reasons != 0 && !static && !want.Reasons.Has(trace.ReasonIncomingConstraint) {
+			wantCalls = 2
+			reran++
+		}
+		if calls != wantCalls {
+			t.Fatalf("seed %d: compute ran %d time(s), want %d (reasons %v)", seed, calls, wantCalls, want.Reasons)
+		}
 		if want.Reasons == 0 {
 			if sink.got != nil {
 				t.Fatalf("seed %d: a capture was written without a reason", seed)
@@ -269,8 +329,8 @@ func TestFrameMatchesObjectEncoder(t *testing.T) {
 		}
 		captured++
 	}
-	if captured < 200 || skipped == 0 {
-		t.Errorf("%d captures compared, %d computes correctly uncaptured; the generator should produce plenty of the first and some of the second", captured, skipped)
+	if captured < 200 || skipped == 0 || reran < 50 {
+		t.Errorf("%d captures compared (%d from a re-run), %d computes correctly uncaptured; the generator should produce plenty of the first two and some of the third", captured, reran, skipped)
 	}
 }
 
@@ -406,6 +466,88 @@ func BenchmarkCapture(b *testing.B) {
 		if i%4096 == 4095 {
 			ctx.superstep++
 			session.BarrierFlush(ctx.superstep)
+		}
+	}
+	b.StopTimer()
+	session.JobFinished(nil, nil)
+}
+
+// quietContext is an engine that does nothing with what it is sent, so
+// that what a benchmark over it measures is the interceptor.
+type quietContext struct{ stubContext }
+
+func (*quietContext) SendMessage(pregel.VertexID, pregel.Value)          {}
+func (*quietContext) SendMessageToAllEdges(*pregel.Vertex, pregel.Value) {}
+
+// checkOnlyFixture is one worker's steady state on pr-web-dcfull: a
+// PageRank-shaped vertex of degree 8 that nothing selects — it sums its
+// mail into its value and sends a share along every edge, allocating
+// nothing itself — under Table 3's DC-full.
+func checkOnlyFixture(tb testing.TB) (comp pregel.Computation, ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Value, session *Graft) {
+	g := pregel.NewGraph()
+	for id := pregel.VertexID(0); id < 20; id++ {
+		g.AddVertex(id, pregel.NewDouble(0.05))
+	}
+	for k := pregel.VertexID(1); k <= 8; k++ {
+		g.AddEdge(19, 9+k, nil)
+	}
+	session, err := Attach(trace.NewStore(dfs.NewMemFS(), "t"), Options{JobID: "j", NumWorkers: 1}, g, DebugConfig{
+		CaptureIDs:            []pregel.VertexID{1, 2, 3, 4, 5, 6, 7, 8, 9},
+		CaptureNeighbors:      true,
+		MessageConstraint:     NonNegativeMessages,
+		VertexValueConstraint: func(val pregel.Value, id pregel.VertexID, s int) bool { return NonNegativeMessages(val, id, id, s) },
+		CaptureExceptions:     true,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	share := pregel.NewDouble(0)
+	user := pregel.ComputeFunc(func(c pregel.Context, v *pregel.Vertex, msgs []pregel.Value) error {
+		sum := 0.0
+		for _, m := range msgs {
+			sum += m.(*pregel.DoubleValue).Get()
+		}
+		v.Value().(*pregel.DoubleValue).Set(0.15/20 + 0.85*sum)
+		share.Set(sum / float64(v.NumEdges()))
+		c.SendMessageToAllEdges(v, share)
+		return nil
+	})
+	msgs = []pregel.Value{pregel.NewDouble(0.01), pregel.NewDouble(0.02), pregel.NewDouble(0.03)}
+	return session.Instrument(user), &quietContext{stubContext{superstep: 3}}, g.Vertex(19), msgs, session
+}
+
+// TestCheckOnlyAllocations gates the check-only path: a vertex that is
+// not a capture target and violates nothing computes under DC-full
+// without one allocation — the value snapshot goes into the worker's
+// scratch, and no message is cloned or encoded.
+func TestCheckOnlyAllocations(t *testing.T) {
+	comp, ctx, v, msgs, session := checkOnlyFixture(t)
+	defer session.JobFinished(nil, nil)
+	allocs := testing.AllocsPerRun(20000, func() {
+		if err := comp.Compute(ctx, v, msgs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%.2f allocations per check-only compute, want 0", allocs)
+	}
+	if session.Captures() != 0 {
+		t.Errorf("%d captures written; the fixture's vertex should be nobody's target", session.Captures())
+	}
+}
+
+// BenchmarkIntercept is the interception hot path alone: one op is one
+// check-only compute of the degree-8 vertex — a value snapshot, eight
+// message-constraint calls, one value-constraint call — over an engine
+// that does nothing, so ns/op is what DC-full adds to a PageRank vertex
+// and allocs/op must read 0.
+func BenchmarkIntercept(b *testing.B) {
+	comp, ctx, v, msgs, session := checkOnlyFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := comp.Compute(ctx, v, msgs); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.StopTimer()

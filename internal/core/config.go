@@ -125,12 +125,13 @@ func (c *DebugConfig) maxCaptures() int64 {
 	return c.MaxCaptures
 }
 
-// hasDynamicConstraints reports whether any per-vertex constraint is
-// configured; the instrumenter then snapshots value-before for every
-// vertex so a constraint-triggered capture has complete context.
-func (c *DebugConfig) hasDynamicConstraints() bool {
-	return c.VertexValueConstraint != nil || c.MessageConstraint != nil ||
-		c.IncomingMessageConstraint != nil
+// capturesPostHoc reports whether a vertex can become a capture target
+// only once it has computed — by what it sent, the value it ended with,
+// or failing. The instrumenter then snapshots every vertex before
+// compute, so such a capture can be re-run from there and records the
+// transition.
+func (c *DebugConfig) capturesPostHoc() bool {
+	return c.VertexValueConstraint != nil || c.MessageConstraint != nil || c.CaptureExceptions
 }
 
 // observes reports whether capturing applies to the given superstep.

@@ -33,13 +33,13 @@ type Graft struct {
 	workerSinks []trace.RecordSink
 	masterSink  trace.RecordSink
 	reasons     map[pregel.VertexID]trace.Reason
-	// rcs holds one reusable recording context per worker: a worker
-	// executes its vertices sequentially, so per-compute-call state can
-	// be recycled instead of allocated, keeping the instrumentation
-	// overhead near the paper's.
-	rcs []recordingContext
-	// capNanos accumulates per-worker time spent in capture
-	// instrumentation. Slots are cache-line padded: each worker writes
+	// workers holds each worker's reusable interception contexts: a
+	// worker executes its vertices sequentially, so per-compute-call
+	// state can be recycled instead of allocated, keeping the
+	// instrumentation overhead near the paper's.
+	workers []workerState
+	// capNanos accumulates per-worker time spent building capture
+	// records. Slots are cache-line padded: each worker writes
 	// only its own, the engine reads it at the barrier
 	// (pregel.CaptureTimeReporter).
 	capNanos []paddedNanos
@@ -96,7 +96,7 @@ func Attach(store *trace.Store, opts Options, graph *pregel.Graph, cfg DebugConf
 		jobID:    opts.JobID,
 		store:    store,
 		reasons:  selectTargets(graph, &cfg),
-		rcs:      make([]recordingContext, opts.NumWorkers),
+		workers:  make([]workerState, opts.NumWorkers),
 		capNanos: make([]paddedNanos, opts.NumWorkers),
 		start:    time.Now(),
 		ctx:      opts.Context,
@@ -122,6 +122,9 @@ func Attach(store *trace.Store, opts Options, graph *pregel.Graph, cfg DebugConf
 		g.workerSinks[i] = sink.WorkerSink(i)
 	}
 	g.masterSink = sink.MasterSink()
+	for i := range g.workers {
+		g.workers[i].check.msgOK, g.workers[i].rec.g = cfg.MessageConstraint, g
+	}
 	return g, nil
 }
 
@@ -344,18 +347,74 @@ type paddedNanos struct {
 	_ [120]byte
 }
 
+// workerState is what one worker's interception reuses from vertex to
+// vertex: the check-only context most computes run under, and the
+// recording context (with the mute base of its re-runs) the captured
+// ones do.
+type workerState struct {
+	check checkContext
+	rec   recordingContext
+	mute  muteContext
+	// edgesBefore is a check-only vertex's edge list as it was before
+	// compute: what its re-run starts from, never part of the record.
+	edgesBefore edgeSnapshot
+}
+
+// edgeSnapshot holds an edge list immune to what compute does to the
+// vertex next: the targets by copy, and the values that are not nil —
+// compute may change one in place — by their encoding. It holds no
+// pointer, so taking one costs the collector nothing.
+type edgeSnapshot struct {
+	targets []pregel.VertexID
+	valued  []int32 // indexes of the edges whose value is not nil
+	values  pregel.Encoder
+}
+
+func (s *edgeSnapshot) take(edges []pregel.Edge) {
+	s.targets, s.valued = s.targets[:0], s.valued[:0]
+	s.values.Reset()
+	for i := range edges {
+		s.targets = append(s.targets, edges[i].Target)
+		if edges[i].Value != nil {
+			s.valued = append(s.valued, int32(i))
+			pregel.EncodeTyped(&s.values, edges[i].Value)
+		}
+	}
+}
+
+// restore gives v the snapshotted edges, each value a fresh decode.
+func (s *edgeSnapshot) restore(v *pregel.Vertex) error {
+	d := pregel.NewDecoder(s.values.Bytes())
+	valued := s.valued
+	for i, target := range s.targets {
+		e := pregel.Edge{Target: target}
+		if len(valued) > 0 && int(valued[0]) == i {
+			valued = valued[1:]
+			var err error
+			if e.Value, err = pregel.DecodeTyped(d); err != nil {
+				return err
+			}
+		}
+		v.AddEdge(e)
+	}
+	return nil
+}
+
 // instrumentedComputation is the wrapper the Instrumenter installs
-// around the user's Computation (paper §3.1): it calls the original
-// compute with a recording context, then decides whether to capture.
+// around the user's Computation (paper §3.1). A vertex known before it
+// computes to be captured runs under a recording context; every other
+// vertex runs check-only, and the few of those a constraint or an
+// exception picks afterwards get their record from a recording re-run
+// (DESIGN.md §9).
 type instrumentedComputation struct {
 	g    *Graft
 	user pregel.Computation
 }
 
 // CaptureNanos implements pregel.CaptureTimeReporter: cumulative time
-// worker w spent in Graft's capture instrumentation. Each worker
-// updates only its own slot, and the engine reads it from the same
-// goroutine around the worker's compute loop, so plain loads suffice.
+// worker w spent building capture records. Each worker updates only
+// its own slot, and the engine reads it from the same goroutine around
+// the worker's compute loop, so plain loads suffice.
 func (ic *instrumentedComputation) CaptureNanos(w int) int64 {
 	if w >= len(ic.g.capNanos) {
 		return 0
@@ -370,45 +429,27 @@ func (ic *instrumentedComputation) Compute(ctx pregel.Context, v *pregel.Vertex,
 	if !g.cfg.observes(superstep) {
 		return ic.user.Compute(ctx, v, msgs)
 	}
-	capStart := time.Now()
-
 	worker := ctx.WorkerID()
-	if worker >= len(g.rcs) {
+	if worker >= len(g.workers) {
 		panic(fmt.Sprintf("core: job runs with at least %d workers but Attach was told %d; "+
-			"Options.NumWorkers must match pregel.Config.NumWorkers", worker+1, len(g.rcs)))
+			"Options.NumWorkers must match pregel.Config.NumWorkers", worker+1, len(g.workers)))
 	}
-	rec := &g.rcs[worker]
-	rec.reset(ctx, g, v)
+	w := &g.workers[worker]
 
-	staticReason := g.reasons[v.ID()]
-	needPre := staticReason != 0 || g.cfg.CaptureAllActive
-	// The pre-compute value is snapshotted only when a capture might
-	// need it: for statically selected vertices, capture-all-active,
-	// and whenever constraints could trigger a capture of any vertex.
-	// Exception-triggered captures of other vertices cannot be
-	// predicted, so — like the Java Graft, which logs the context only
-	// when compute finishes — their ValueBefore is unavailable (nil)
-	// and replay starts from the value at capture time.
-	//
-	// A snapshot is the value's encoding, written into the worker's
-	// scratch: as immune to what compute does next as a clone, and
-	// already in the form the record stores.
-	if needPre || g.cfg.hasDynamicConstraints() {
-		pregel.EncodeTyped(&rec.before, v.Value())
-	}
-	if needPre {
-		trace.PutEdges(&rec.edges, v.Edges())
-	}
-
-	// The §7 extension: message constraints that depend on the value
+	// What is known before compute: static selection, capture-all-active,
+	// and the §7 extension — message constraints that depend on the value
 	// of the destination vertex, checked at delivery time where that
 	// value is known.
-	sawIncomingViolation := false
+	reasons := g.reasons[v.ID()]
+	if g.cfg.CaptureAllActive {
+		reasons |= trace.ReasonAllActive
+	}
+	w.rec.violations = w.rec.violations[:0] // the sink has encoded the last vertex's
 	if g.cfg.IncomingMessageConstraint != nil {
 		for _, m := range msgs {
 			if !g.cfg.IncomingMessageConstraint(m, v.Value(), v.ID(), superstep) {
-				sawIncomingViolation = true
-				rec.violations = append(rec.violations, trace.Violation{
+				reasons |= trace.ReasonIncomingConstraint
+				w.rec.violations = append(w.rec.violations, trace.Violation{
 					Kind:  trace.IncomingMessageViolation,
 					SrcID: -1,
 					DstID: v.ID(),
@@ -417,62 +458,187 @@ func (ic *instrumentedComputation) Compute(ctx pregel.Context, v *pregel.Vertex,
 			}
 		}
 	}
+	if reasons != 0 {
+		return ic.record(ctx, w, v, msgs, reasons)
+	}
+	return ic.check(ctx, w, v, msgs, superstep)
+}
 
-	// Attribute instrumentation time (snapshotting, constraint checks,
-	// capture writes) to this worker's slot, excluding the user compute
-	// itself, so the engine can report capture overhead per superstep.
-	capSlot := &g.capNanos[worker]
-	capSlot.n += time.Since(capStart).Nanoseconds()
-
-	var exc *trace.ExceptionInfo
-	err := func() (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				stack := string(debug.Stack())
-				exc = &trace.ExceptionInfo{Message: fmt.Sprint(p), Stack: stack}
-				err = &PanicError{Value: p, Stack: stack}
-			}
-		}()
-		return ic.user.Compute(rec, v, msgs)
+// compute runs the user's Compute, turning a panic into a PanicError
+// and any failure into the record's exception.
+func (ic *instrumentedComputation) compute(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Value) (exc *trace.ExceptionInfo, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			stack := string(debug.Stack())
+			exc = &trace.ExceptionInfo{Message: fmt.Sprint(p), Stack: stack}
+			err = &PanicError{Value: p, Stack: stack}
+		}
 	}()
-	capStart = time.Now()
-	defer func() { capSlot.n += time.Since(capStart).Nanoseconds() }()
-	if err != nil && exc == nil {
+	if err = ic.user.Compute(ctx, v, msgs); err != nil {
 		exc = &trace.ExceptionInfo{Message: err.Error()}
 	}
+	return exc, err
+}
 
-	reasons := staticReason
-	if g.cfg.CaptureAllActive {
-		reasons |= trace.ReasonAllActive
+// record is the recording path, for a vertex that will be captured
+// whatever its compute does: every piece of the record is snapshotted
+// where it is current.
+func (ic *instrumentedComputation) record(ctx pregel.Context, w *workerState, v *pregel.Vertex,
+	msgs []pregel.Value, reasons trace.Reason) error {
+
+	g := ic.g
+	capStart := time.Now()
+	rec := &w.rec
+	rec.reset(ctx, v)
+	// A snapshot is the value's encoding, written into the worker's
+	// scratch: as immune to what compute does next as a clone, and
+	// already in the form the record stores. A vertex here only for what
+	// it received keeps the post-compute edge list every other
+	// dynamically triggered capture stores.
+	rec.snapshot(v)
+	edgesPreCompute := reasons != trace.ReasonIncomingConstraint
+	if edgesPreCompute {
+		trace.PutEdges(&rec.edges, v.Edges())
 	}
-	if err == nil && g.cfg.VertexValueConstraint != nil &&
-		!g.cfg.VertexValueConstraint(v.Value(), v.ID(), superstep) {
-		reasons |= trace.ReasonVertexConstraint
-		rec.violations = append(rec.violations, trace.Violation{
-			Kind:  trace.VertexValueViolation,
-			SrcID: v.ID(),
-			DstID: v.ID(),
-			Value: pregel.CloneValue(v.Value()),
-		})
+
+	// Attribute record building (snapshotting, the capture write) to this
+	// worker's slot, excluding the user compute itself, so the engine can
+	// report capture overhead per superstep.
+	capSlot := &g.capNanos[rec.worker]
+	capSlot.n += time.Since(capStart).Nanoseconds()
+	exc, err := ic.compute(rec, v, msgs)
+	capStart = time.Now()
+
+	reasons |= g.verdict(v, rec.superstep, rec.sawMsgViolation, err)
+	if !edgesPreCompute {
+		trace.PutEdges(&rec.edges, v.Edges())
 	}
-	if rec.sawMsgViolation {
-		reasons |= trace.ReasonMessageConstraint
+	g.capture(v, msgs, rec, reasons, edgesPreCompute, exc)
+	capSlot.n += time.Since(capStart).Nanoseconds()
+	return err
+}
+
+// check is the check-only path, for a vertex nothing has selected yet:
+// the constraints see every message and the value it ends with, and
+// nothing is recorded but what a re-run would start from — the
+// pre-compute value and edge list, encoded into the worker's scratch.
+// No clone, no message encode, no clock read.
+func (ic *instrumentedComputation) check(ctx pregel.Context, w *workerState, v *pregel.Vertex, msgs []pregel.Value, superstep int) error {
+	g := ic.g
+	chk := &w.check
+	chk.Context, chk.v, chk.superstep = ctx, v, superstep
+	chk.numOut, chk.sawMsgViolation = 0, false
+	if g.cfg.capturesPostHoc() {
+		w.rec.snapshot(v)
+		w.edgesBefore.take(v.Edges())
 	}
-	if sawIncomingViolation {
-		reasons |= trace.ReasonIncomingConstraint
-	}
-	if err != nil && g.cfg.CaptureExceptions {
-		reasons |= trace.ReasonException
-	}
-	if reasons != 0 {
-		g.capture(v, msgs, rec, reasons, needPre, exc)
+	exc, err := ic.compute(chk, v, msgs)
+
+	reasons := g.verdict(v, chk.superstep, chk.sawMsgViolation, err)
+	// Once the capture limit has engaged or the job is canceled, capture
+	// would discard the record: don't build it.
+	if reasons != 0 && !g.limitHit.Load() && g.ctx.Err() == nil {
+		ic.rerun(w, v, msgs, reasons, exc)
 	}
 	return err
 }
 
+// verdict is what a finished compute adds to its vertex's capture
+// reasons: the value it left (judged only if compute succeeded), a
+// violating send, a failure.
+func (g *Graft) verdict(v *pregel.Vertex, superstep int, sawMsgViolation bool, err error) trace.Reason {
+	var reasons trace.Reason
+	if err == nil && g.cfg.VertexValueConstraint != nil &&
+		!g.cfg.VertexValueConstraint(v.Value(), v.ID(), superstep) {
+		reasons |= trace.ReasonVertexConstraint
+	}
+	if sawMsgViolation {
+		reasons |= trace.ReasonMessageConstraint
+	}
+	if err != nil && g.cfg.CaptureExceptions {
+		reasons |= trace.ReasonException
+	}
+	return reasons
+}
+
+// rerun builds the record of a vertex the check-only path found, after
+// its compute, to be captured: a detached copy of the vertex as it was
+// before — the snapshotted value and edges — runs the user's Compute
+// once more under the recording context, over a base that passes reads
+// through and swallows every output. What the vertex sent and which
+// sends violated come from that run; everything else in the record is
+// the live first run's, which the re-run never touches. If the two runs
+// ended differently the capture says so (trace.ReasonNondeterministic)
+// instead of recording messages the job may not have sent.
+func (ic *instrumentedComputation) rerun(w *workerState, v *pregel.Vertex, msgs []pregel.Value,
+	reasons trace.Reason, exc *trace.ExceptionInfo) {
+
+	g := ic.g
+	capStart := time.Now()
+	chk, rec := &w.check, &w.rec
+	w.mute.Context = chk.Context
+	same := false
+	before, err := pregel.UnmarshalValue(rec.before.Bytes())
+	twin := pregel.NewDetachedVertex(v.ID(), before)
+	if err == nil {
+		err = w.edgesBefore.restore(twin)
+	}
+	if err == nil {
+		again := make([]pregel.Value, len(msgs))
+		for i, m := range msgs {
+			again[i] = pregel.CloneValue(m)
+		}
+		rec.reset(&w.mute, twin)
+		_, rerr := ic.compute(rec, twin, again)
+		// The received messages are the one input there is no snapshot
+		// of: a compute that changed them was re-run on what it left.
+		same = pregel.ValuesEqual(twin.Value(), v.Value()) && twin.Halted() == v.Halted() &&
+			edgesEqual(twin.Edges(), v.Edges()) && valuesEqual(again, msgs) &&
+			rec.numOut == chk.numOut && rec.sawMsgViolation == chk.sawMsgViolation &&
+			(rerr != nil) == (exc != nil)
+	} else {
+		// The vertex does not decode from its own encoding: there is
+		// nothing to re-run from.
+		rec.reset(&w.mute, v)
+	}
+	if !same {
+		reasons |= trace.ReasonNondeterministic
+	}
+	trace.PutEdges(&rec.edges, v.Edges())
+	g.capture(v, msgs, rec, reasons, false, exc)
+	g.capNanos[rec.worker].n += time.Since(capStart).Nanoseconds()
+}
+
+func valuesEqual(a, b []pregel.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !pregel.ValuesEqual(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// edgesEqual reports whether two edge lists hold the same targets and
+// values in the same order.
+func edgesEqual(a, b []pregel.Edge) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Target != b[i].Target || !pregel.ValuesEqual(a[i].Value, b[i].Value) {
+			return false
+		}
+	}
+	return true
+}
+
 // capture writes one vertex capture record, respecting the MaxCaptures
 // safety net. The record is assembled from the snapshots rec already
-// holds as bytes and from live values — the value after, the incoming
+// holds as bytes (edgesPreCompute says which edge list the caller
+// encoded) and from live values — the value after, the incoming
 // messages — that the sink encodes before it returns (see
 // trace.RecordSink), so nothing is cloned and no record object built.
 func (g *Graft) capture(v *pregel.Vertex, msgs []pregel.Value, rec *recordingContext,
@@ -496,13 +662,17 @@ func (g *Graft) capture(v *pregel.Vertex, msgs []pregel.Value, rec *recordingCon
 		g.captures.Add(1)
 	}
 
-	if !edgesPreCompute {
-		trace.PutEdges(&rec.edges, v.Edges())
+	if reasons.Has(trace.ReasonVertexConstraint) {
+		rec.violations = append(rec.violations, trace.Violation{
+			Kind:  trace.VertexValueViolation,
+			SrcID: v.ID(),
+			DstID: v.ID(),
+			Value: pregel.CloneValue(v.Value()),
+		})
 	}
-	worker := rec.Context.WorkerID()
 	rec.frame = trace.VertexFrame{
-		Superstep:       rec.Context.Superstep(),
-		Worker:          worker,
+		Superstep:       rec.superstep,
+		Worker:          rec.worker,
 		ID:              v.ID(),
 		Reasons:         reasons,
 		ValueBefore:     rec.before.Bytes(),
@@ -518,16 +688,70 @@ func (g *Graft) capture(v *pregel.Vertex, msgs []pregel.Value, rec *recordingCon
 	}
 	// The sink owns drop accounting: Drop-policy discards and failed
 	// segment commits are counted there, without poisoning Err().
-	_ = g.workerSinks[worker].WriteVertexFrame(&rec.frame)
+	_ = g.workerSinks[rec.worker].WriteVertexFrame(&rec.frame)
 }
+
+// checkContext is the context of the check-only path: it evaluates the
+// message constraint on each message as it is sent, counts the sends,
+// and forwards them untouched, SendMessageToAllEdges as the one call it
+// was, so the engine keeps its once-per-vertex path.
+type checkContext struct {
+	pregel.Context
+	// msgOK is DebugConfig.MessageConstraint, nil for none.
+	msgOK     func(msg pregel.Value, src, dst pregel.VertexID, superstep int) bool
+	v         *pregel.Vertex
+	superstep int
+
+	numOut          int
+	sawMsgViolation bool
+}
+
+// SendMessage implements pregel.Context.
+func (c *checkContext) SendMessage(to pregel.VertexID, msg pregel.Value) {
+	if c.msgOK != nil && !c.msgOK(msg, c.v.ID(), to, c.superstep) {
+		c.sawMsgViolation = true
+	}
+	c.numOut++
+	c.Context.SendMessage(to, msg)
+}
+
+// SendMessageToAllEdges implements pregel.Context. The constraint takes
+// the destination, so it is evaluated once per edge.
+func (c *checkContext) SendMessageToAllEdges(v *pregel.Vertex, msg pregel.Value) {
+	edges := v.Edges()
+	if c.msgOK != nil {
+		src := c.v.ID()
+		for i := range edges {
+			if !c.msgOK(msg, src, edges[i].Target, c.superstep) {
+				c.sawMsgViolation = true
+			}
+		}
+	}
+	c.numOut += len(edges)
+	c.Context.SendMessageToAllEdges(v, msg)
+}
+
+// muteContext is the base context of a recording re-run: reads
+// (superstep, worker, totals, aggregator broadcast) come from the live
+// context, and everything a compute emits is swallowed — the first run
+// already sent it.
+type muteContext struct{ pregel.Context }
+
+func (*muteContext) SendMessage(pregel.VertexID, pregel.Value)          {}
+func (*muteContext) SendMessageToAllEdges(*pregel.Vertex, pregel.Value) {}
+func (*muteContext) Aggregate(string, pregel.Value)                     {}
+func (*muteContext) RemoveVertexRequest(pregel.VertexID)                {}
+func (*muteContext) AddVertexRequest(pregel.VertexID, pregel.Value)     {}
 
 // recordingContext intercepts message sends to check the message
 // constraint and to remember what a captured vertex sent. Instances
 // are recycled per worker; reset prepares one for the next vertex.
 type recordingContext struct {
 	pregel.Context
-	g *Graft
-	v *pregel.Vertex
+	g         *Graft
+	v         *pregel.Vertex
+	superstep int
+	worker    int
 
 	// before, edges and out are the vertex's snapshots in record form:
 	// the typed pre-compute value, trace.PutEdges of the edge list, and
@@ -543,21 +767,29 @@ type recordingContext struct {
 	sawMsgViolation bool
 }
 
-func (c *recordingContext) reset(ctx pregel.Context, g *Graft, v *pregel.Vertex) {
-	c.Context, c.g, c.v = ctx, g, v
-	c.before.Reset()
+// reset prepares the context for v's compute. The pre-compute value is
+// snapshot's to replace, and the violation list Compute's, which has
+// judged the incoming messages by now: a re-run resets after both.
+func (c *recordingContext) reset(ctx pregel.Context, v *pregel.Vertex) {
+	c.Context, c.v = ctx, v
+	c.superstep, c.worker = ctx.Superstep(), ctx.WorkerID()
 	c.edges.Reset()
 	c.out.Reset()
 	c.numOut = 0
-	c.violations = c.violations[:0] // the sink has encoded the last vertex's
 	c.sawMsgViolation = false
+}
+
+// snapshot records v's value as the record's ValueBefore.
+func (c *recordingContext) snapshot(v *pregel.Vertex) {
+	c.before.Reset()
+	pregel.EncodeTyped(&c.before, v.Value())
 }
 
 // SendMessage implements pregel.Context.
 func (c *recordingContext) SendMessage(to pregel.VertexID, msg pregel.Value) {
 	g := c.g
 	if g.cfg.MessageConstraint != nil &&
-		!g.cfg.MessageConstraint(msg, c.v.ID(), to, c.Context.Superstep()) {
+		!g.cfg.MessageConstraint(msg, c.v.ID(), to, c.superstep) {
 		c.sawMsgViolation = true
 		c.violations = append(c.violations, trace.Violation{
 			Kind:  trace.MessageViolation,

@@ -56,7 +56,8 @@ func (is *instrumentedSubgraph) ComputeSubgraph(ctx pregel.SubgraphContext, sg *
 	// subgraph granularity: one member's static selection captures the
 	// whole component, so every member's pre-state is snapshotted.
 	var valuesBefore []pregel.Value
-	if needPre || g.cfg.hasDynamicConstraints() {
+	if needPre || g.cfg.VertexValueConstraint != nil || g.cfg.MessageConstraint != nil ||
+		g.cfg.IncomingMessageConstraint != nil {
 		valuesBefore = make([]pregel.Value, len(members))
 		for i, v := range members {
 			valuesBefore[i] = pregel.CloneValue(v.Value())

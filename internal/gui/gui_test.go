@@ -549,3 +549,51 @@ func TestLegacyLayoutIsOneLineError(t *testing.T) {
 		t.Errorf("legacy job: status %d, body %q; want one line naming the job and the layout", code, body)
 	}
 }
+
+// TestNondeterministicCaptureIsSurfaced: a capture whose recording
+// re-run did not end as the job's own compute did carries
+// trace.ReasonNondeterministic; the vertex page shows it as a badge and
+// the replay check marks the row.
+func TestNondeterministicCaptureIsSurfaced(t *testing.T) {
+	store := trace.NewStore(dfs.NewMemFS(), "traces")
+	g := graphgen.RegularBipartite(12, 2)
+	calls := map[pregel.VertexID]int{} // one worker
+	comp := pregel.ComputeFunc(func(ctx pregel.Context, v *pregel.Vertex, _ []pregel.Value) error {
+		calls[v.ID()]++
+		v.SetValue(pregel.NewLong(int64(v.ID())))
+		if calls[v.ID()] == 1 || v.ID() != 4 { // vertex 4 stays awake when run again
+			v.VoteToHalt()
+		}
+		return nil
+	})
+	session, err := core.Attach(store, core.Options{JobID: "fickle", Algorithm: "fickle", NumWorkers: 1}, g,
+		core.DebugConfig{VertexValueConstraint: func(v pregel.Value, _ pregel.VertexID, _ int) bool {
+			return v.(*pregel.LongValue).Get() < 4
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pregel.NewJob(g, session.Instrument(comp), pregel.Config{NumWorkers: 1, Listener: session}).Run(); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(store)
+	srv.RegisterComputation("fickle", comp)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	const badge = `title="the outgoing messages below come from a re-run`
+	code, body := get(t, ts, "/job/fickle/vertex?superstep=0&id=4")
+	if code != 200 {
+		t.Fatalf("status %d", code)
+	}
+	mustContain(t, body, "vertex-constraint&#43;nondeterministic", badge)
+	_, body = get(t, ts, "/job/fickle/vertex?superstep=0&id=5")
+	if strings.Contains(body, "nondeterministic") {
+		t.Error("vertex 5 re-ran the same way and must not be flagged")
+	}
+
+	_, body = get(t, ts, "/job/fickle/replaycheck?superstep=0")
+	if got := strings.Count(body, "(captured nondeterministic)"); got != 1 {
+		t.Errorf("replay check marks %d rows, want vertex 4 alone:\n%s", got, body)
+	}
+}

@@ -46,7 +46,7 @@ cluster execution.</p>
 {{range .Rows}}
 <tr>
 <td><a href="/job/{{$.JobID}}/vertex?superstep={{$.Superstep}}&id={{.ID}}">{{.ID}}</a></td>
-<td>{{if .OK}}OK{{else}}DIVERGED{{end}}</td>
+<td>{{if .OK}}OK{{else}}DIVERGED{{end}}{{if .Flagged}} (captured nondeterministic){{end}}</td>
 <td>{{.Diffs}}</td>
 </tr>
 {{end}}
@@ -64,6 +64,9 @@ func (s *Server) handleReplayCheck(w http.ResponseWriter, r *http.Request, db tr
 		ID    pregel.VertexID
 		OK    bool
 		Diffs string
+		// Flagged: the capture already said its compute does not re-run
+		// the same way (trace.ReasonNondeterministic).
+		Flagged bool
 	}
 	data := struct {
 		Nav       template.HTML
@@ -87,9 +90,10 @@ func (s *Server) handleReplayCheck(w http.ResponseWriter, r *http.Request, db tr
 				data.OKCount++
 			}
 			data.Rows = append(data.Rows, row{
-				ID:    c.ID,
-				OK:    len(diffs) == 0,
-				Diffs: strings.Join(diffs, "; "),
+				ID:      c.ID,
+				OK:      len(diffs) == 0,
+				Diffs:   strings.Join(diffs, "; "),
+				Flagged: c.Reasons.Has(trace.ReasonNondeterministic),
 			})
 			data.Total++
 		}

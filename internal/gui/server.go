@@ -422,6 +422,7 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request, db trace.V
 		Superstep                    int
 		PrevSuperstep, NextSuperstep int
 		Reasons, Before, After       string
+		Nondeterministic             bool
 		Halted                       bool
 		Worker                       int
 		Exception, Stack             string
@@ -432,10 +433,11 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request, db trace.V
 	}{
 		Nav: nav, JobID: db.JobMeta().JobID, ID: c.ID, Superstep: superstep,
 		PrevSuperstep: superstep - 1, NextSuperstep: superstep + 1,
-		Reasons: c.Reasons.String(),
-		Before:  pregel.ValueString(c.ValueBefore),
-		After:   pregel.ValueString(c.ValueAfter),
-		Halted:  c.HaltedAfter, Worker: c.Worker,
+		Reasons:          c.Reasons.String(),
+		Nondeterministic: c.Reasons.Has(trace.ReasonNondeterministic),
+		Before:           pregel.ValueString(c.ValueBefore),
+		After:            pregel.ValueString(c.ValueAfter),
+		Halted:           c.HaltedAfter, Worker: c.Worker,
 	}
 	if c.Exception != nil {
 		data.Exception, data.Stack = c.Exception.Message, c.Exception.Stack

@@ -19,6 +19,7 @@ th { background: #f0f0f0; }
 .status { display: inline-block; width: 1.6em; text-align: center; font-weight: bold;
           border-radius: 3px; padding: 0.15em 0; margin-right: 0.3em; color: white; }
 .green { background: #2a2; } .red { background: #c33; }
+.status.flag { width: auto; padding: 0.15em 0.5em; }
 .nav a, .nav span { margin-right: 0.8em; }
 .aggs { float: right; border: 1px solid #ccc; padding: 0.5em 0.8em; font-size: 0.9em; background: #fafafa; }
 .muted { color: #888; }
@@ -122,7 +123,8 @@ var vertexTmpl = template.Must(template.New("vertex").Parse(`
 <h2>Vertex {{.ID}} at superstep {{.Superstep}}
 (<a href="/job/{{.JobID}}/history?id={{.ID}}">full history</a>)</h2>
 <table>
-<tr><th>Captured because</th><td>{{.Reasons}}</td></tr>
+<tr><th>Captured because</th><td>{{.Reasons}}{{if .Nondeterministic}}
+<span class="status red flag" title="the outgoing messages below come from a re-run of this compute that ended differently from the job's own run">nondeterministic</span>{{end}}</td></tr>
 <tr><th>Value before compute</th><td>{{.Before}}</td></tr>
 <tr><th>Value after compute</th><td>{{.After}}</td></tr>
 <tr><th>Voted to halt</th><td>{{.Halted}}</td></tr>

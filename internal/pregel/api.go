@@ -18,7 +18,9 @@ import (
 // aggregators), or context reproduction cannot replay them faithfully
 // (the limitation discussed in §7 of the paper). Randomized algorithms
 // should derive randomness deterministically from (seed, vertex ID,
-// superstep).
+// superstep). Confined recovery, repro.Replay and Graft's recording
+// re-run each execute a Compute a second time and rely on this
+// (DESIGN.md §9).
 type Computation interface {
 	Compute(ctx Context, v *Vertex, msgs []Value) error
 }
@@ -195,8 +197,12 @@ type SuperstepStats struct {
 	// workers of (slowest worker's compute time - own compute time). It
 	// is the capacity lost to stragglers this superstep.
 	BarrierWait time.Duration `json:"barrier_ns"`
-	// CaptureTime is the total time workers spent inside Graft's trace
-	// capture instrumentation (zero for undebugged runs).
+	// CaptureTime is the total time workers spent building Graft's
+	// capture records: snapshotting and writing the contexts of the
+	// vertices that are captured, and re-running the ones a constraint or
+	// an exception picked after they computed. Evaluating the constraint
+	// predicates on every other vertex is part of ComputeTime. Zero for
+	// undebugged runs.
 	CaptureTime time.Duration `json:"capture_ns"`
 	// ComputeSkew is max/mean worker compute time (1.0 = perfectly
 	// balanced; values well above 1 indicate a straggler).
@@ -298,13 +304,13 @@ type CaptureQueueReporter interface {
 }
 
 // CaptureTimeReporter is implemented by instrumented computations
-// (internal/core) that account, per worker, the time spent capturing
-// debugger state. The engine samples it around each worker's compute
-// loop to attribute capture overhead in SuperstepStats; each worker
-// only reads its own slot, so implementations need no locking beyond
-// per-worker storage.
+// (internal/core) that account, per worker, the time spent building
+// capture records (see SuperstepStats.CaptureTime). The engine samples
+// it around each worker's compute loop to attribute capture overhead in
+// SuperstepStats; each worker only reads its own slot, so
+// implementations need no locking beyond per-worker storage.
 type CaptureTimeReporter interface {
-	// CaptureNanos returns the cumulative nanoseconds worker w spent in
-	// capture instrumentation since the job started.
+	// CaptureNanos returns the cumulative nanoseconds worker w spent
+	// building capture records since the job started.
 	CaptureNanos(w int) int64
 }

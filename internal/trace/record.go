@@ -40,6 +40,13 @@ const (
 	// destination-value-dependent constraints the paper lists as
 	// future work in §7).
 	ReasonIncomingConstraint
+	// ReasonNondeterministic is not a reason to capture but a verdict on
+	// one: the capture was triggered after the vertex computed, its
+	// outgoing messages come from a recording re-run of that compute,
+	// and the re-run did not end as the first run did (value, halt vote,
+	// number of sends, failure). The messages recorded may not be the
+	// ones the job sent.
+	ReasonNondeterministic
 )
 
 var reasonNames = []struct {
@@ -54,6 +61,7 @@ var reasonNames = []struct {
 	{ReasonException, "exception"},
 	{ReasonAllActive, "all-active"},
 	{ReasonIncomingConstraint, "incoming-constraint"},
+	{ReasonNondeterministic, "nondeterministic"},
 }
 
 // Has reports whether all bits of x are set.

@@ -488,3 +488,28 @@ func TestReasonString(t *testing.T) {
 		t.Error("Has wrong")
 	}
 }
+
+// TestNondeterministicFlagIsInTheDigest: the verdict a recording re-run
+// attaches to a capture is a new bit above the eight reasons — no
+// existing record's bytes change — and two traces that differ only in
+// it do not digest alike.
+func TestNondeterministicFlagIsInTheDigest(t *testing.T) {
+	if ReasonNondeterministic != 1<<8 {
+		t.Fatalf("ReasonNondeterministic = %#x: a stored bit moved", uint32(ReasonNondeterministic))
+	}
+	if got := (ReasonVertexConstraint | ReasonNondeterministic).String(); got != "vertex-constraint+nondeterministic" {
+		t.Errorf("Reason string = %q", got)
+	}
+	digest := func(extra Reason) string {
+		c := sampleVertexCapture()
+		c.Superstep, c.Worker = 0, 0
+		c.Reasons |= extra
+		meta := sampleMeta()
+		meta.Superstep = 0
+		return Digest(writeJob(t, NewStore(dfs.NewMemFS(), "t"), JobMeta{JobID: "j", NumWorkers: 1},
+			[]*SuperstepMeta{meta}, []*VertexCapture{c}, JobResult{Supersteps: 1, Captures: 1}))
+	}
+	if digest(0) != digest(0) || digest(0) == digest(ReasonNondeterministic) {
+		t.Error("the digest must separate a flagged capture from the same capture unflagged, and nothing else")
+	}
+}

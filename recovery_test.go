@@ -2,11 +2,13 @@ package graft
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"graft/internal/algorithms"
 	"graft/internal/dfs"
 	"graft/internal/graphgen"
+	"graft/internal/pregel"
 	"graft/internal/trace"
 )
 
@@ -14,6 +16,13 @@ import (
 // recovery mode, optionally failing one partition at crashAt, and
 // returns the trace view and stats.
 func tracedRecoveryRun(t *testing.T, g *Graph, alg *algorithms.Algorithm, engine EngineConfig, mode RecoveryMode, crashAt, partition int) (trace.View, *Stats) {
+	t.Helper()
+	return tracedRecoveryRunUnder(t, &DebugConfig{CaptureAllActive: true, MaxCaptures: -1}, g, alg, engine, mode, crashAt, partition)
+}
+
+// tracedRecoveryRunUnder is tracedRecoveryRun with the DebugConfig
+// chosen by the caller.
+func tracedRecoveryRunUnder(t *testing.T, debug *DebugConfig, g *Graph, alg *algorithms.Algorithm, engine EngineConfig, mode RecoveryMode, crashAt, partition int) (trace.View, *Stats) {
 	t.Helper()
 	engine.CheckpointEvery = 2
 	engine.CheckpointFS = dfs.NewMemFS()
@@ -26,7 +35,7 @@ func tracedRecoveryRun(t *testing.T, g *Graph, alg *algorithms.Algorithm, engine
 	res, err := RunAlgorithm(g, alg, RunOptions{
 		JobID:  "job",
 		Engine: engine,
-		Debug:  &DebugConfig{CaptureAllActive: true, MaxCaptures: -1},
+		Debug:  debug,
 		Store:  store,
 	})
 	if err != nil {
@@ -91,6 +100,57 @@ func TestRecoveryDigestEquivalence(t *testing.T) {
 				t.Errorf("log-recovered digest diverged:\nclean: %s\ngot:   %s", clean, got)
 			}
 		})
+	}
+}
+
+// TestRecoveryDigestEquivalenceUnderConstraints is the same property
+// where every capture is triggered after the fact — a fifth of the
+// messages and of the values violate — so each record comes from a
+// recording re-run. Confined replay re-executes computes with their
+// outputs swallowed, the re-run does it once more over a copy, and the
+// recovered trace is still the uncrashed one.
+func TestRecoveryDigestEquivalenceUnderConstraints(t *testing.T) {
+	scattered := func(v Value, id VertexID) bool {
+		h := fnv.New32a()
+		h.Write(pregel.MarshalValue(v))
+		h.Write([]byte{byte(id), byte(id >> 8)})
+		return h.Sum32()%5 != 0
+	}
+	debug := func() *DebugConfig {
+		return &DebugConfig{
+			MessageConstraint:     func(m Value, _, dst VertexID, _ int) bool { return scattered(m, dst) },
+			VertexValueConstraint: func(v Value, id VertexID, _ int) bool { return scattered(v, id) },
+			CaptureExceptions:     true,
+		}
+	}
+	const crashAt, victim = 3, 1
+	engine := EngineConfig{NumWorkers: 4}
+	build := func() *Graph { return graphgen.WebGraph(240, 5, 7) }
+	alg := func() *algorithms.Algorithm { return algorithms.NewPageRank(8, 0.85) }
+
+	cleanView, _ := tracedRecoveryRunUnder(t, debug(), build(), alg(), engine, RecoveryCheckpoint, -1, 0)
+	clean := trace.Digest(cleanView)
+	if n := cleanView.TotalCaptures(); n < 100 {
+		t.Fatalf("only %d constraint-triggered captures; the property needs a populated trace", n)
+	}
+	for _, s := range cleanView.Supersteps() {
+		for _, c := range cleanView.CapturesAt(s) {
+			if c.Reasons.Has(trace.ReasonNondeterministic) || c.Reasons&(trace.ReasonVertexConstraint|trace.ReasonMessageConstraint) == 0 {
+				t.Fatalf("superstep %d vertex %d: reasons %v", s, c.ID, c.Reasons)
+			}
+		}
+	}
+	for _, mode := range []RecoveryMode{RecoveryCheckpoint, RecoveryLog} {
+		view, stats := tracedRecoveryRunUnder(t, debug(), build(), alg(), engine, mode, crashAt, victim)
+		if stats.Recoveries != 1 {
+			t.Fatalf("%s run recoveries = %d, want 1", mode, stats.Recoveries)
+		}
+		if mode == RecoveryLog && (len(stats.RecoveryEvents) != 1 || stats.RecoveryEvents[0].Mode != "log") {
+			t.Fatalf("log run recovery events = %+v, want one log-mode event", stats.RecoveryEvents)
+		}
+		if got := trace.Digest(view); got != clean {
+			t.Errorf("%s-recovered digest diverged:\nclean: %s\ngot:   %s", mode, clean, got)
+		}
 	}
 }
 
