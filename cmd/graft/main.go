@@ -570,17 +570,18 @@ func cmdShow(args []string) error {
 		if meta == nil {
 			continue
 		}
-		st := db.StatusAt(s)
+		captures := db.CapturesAt(s)
+		st := trace.StatusOf(captures)
 		fmt.Printf("superstep %d: %d vertices, %d edges, M=%s V=%s E=%s\n",
 			s, meta.NumVertices, meta.NumEdges, redGreen(st.MessageViolation),
 			redGreen(st.VertexViolation), redGreen(st.Exception))
 		if *violations {
-			for _, row := range db.ViolationsAt(s) {
+			for _, row := range trace.ViolationRows(s, captures) {
 				fmt.Printf("  VIOLATION vertex %d: %s %s (-> %d)\n", row.VertexID, row.Kind, row.Detail, row.DstID)
 			}
 			continue
 		}
-		for _, c := range db.CapturesAt(s) {
+		for _, c := range captures {
 			fmt.Printf("  vertex %-8d [%s] %s -> %s  in=%d out=%d halted=%v\n",
 				c.ID, c.Reasons, pregel.ValueString(c.ValueBefore), pregel.ValueString(c.ValueAfter),
 				len(c.Incoming), len(c.Outgoing), c.HaltedAfter)
@@ -740,8 +741,10 @@ func cmdTraceCheck(args []string) error {
 		return fmt.Errorf("trace-check: %w", err)
 	}
 
-	// Cold lookup cost: reopen so the segment cache is empty, fetch one
-	// captured vertex, and count the segment files actually read.
+	// Cold lookup cost: reopen so nothing is cached or checked yet, fetch
+	// one captured vertex, and count what was actually read for it. A
+	// point lookup fetches the record (and its segment's magic), never a
+	// segment.
 	if ids := r.CapturedVertexIDs(); len(ids) > 0 {
 		id := ids[len(ids)/2]
 		history := r.CapturesOf(id)
@@ -754,13 +757,15 @@ func cmdTraceCheck(args []string) error {
 			return err
 		}
 		if cold.Capture(step, id) == nil {
-			return fmt.Errorf("trace-check: cold lookup of vertex %d at superstep %d returned nothing", id, step)
+			return fmt.Errorf("trace-check: cold lookup of vertex %d at superstep %d returned nothing: %v", id, step, cold.Err())
 		}
-		if n := cold.SegmentReads(); n > 1 {
-			return fmt.Errorf("trace-check: cold single-vertex lookup read %d segments, want at most 1", n)
+		segs, ranges, bytes := cold.SegmentReads(), cold.RangeReads(), cold.BytesRead()
+		if segs > 0 || bytes > 2*dfs.DefaultBlockSize {
+			return fmt.Errorf("trace-check: cold single-vertex lookup read %d whole segment(s) and %d bytes, want 0 segments and at most %d bytes",
+				segs, bytes, 2*dfs.DefaultBlockSize)
 		}
-		fmt.Printf("cold lookup: vertex %d @ superstep %d served from %d segment read(s), index loaded from %d part(s)\n",
-			id, step, cold.SegmentReads(), cold.IndexParts())
+		fmt.Printf("cold lookup: vertex %d @ superstep %d served from %d whole segment(s), %d ranged read(s), %d bytes; index loaded from %d part(s)\n",
+			id, step, segs, ranges, bytes, cold.IndexParts())
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("trace-check: %w", err)

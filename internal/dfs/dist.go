@@ -539,11 +539,14 @@ func (c *Cluster) release(ver *fileVersion) {
 	c.mu.Unlock()
 }
 
-// Open implements FileSystem. The returned reader streams the file
-// block by block over a snapshot of the block list taken at Open time:
-// an overwrite committed mid-read does not disturb it. A background
-// read-ahead keeps the next block in flight while the caller consumes
-// the current one, and replica selection rotates across live nodes.
+// Open implements FileSystem. The returned handle works over a snapshot
+// of the block list and block sizes taken at Open time: an overwrite
+// committed mid-read does not disturb it. Read streams the file block
+// by block, a background read-ahead (started by the first Read) keeping
+// the next block in flight while the caller consumes the current one;
+// ReadAt fetches only the blocks covering its range. Both go through
+// readBlock, so every block served is checksum-verified and replica
+// selection rotates across live nodes.
 func (c *Cluster) Open(path string) (io.ReadCloser, error) {
 	c.mu.Lock()
 	ver, ok := c.files[path]
@@ -566,17 +569,15 @@ func (c *Cluster) Open(path string) (io.ReadCloser, error) {
 		}
 		return io.NopCloser(&buf), nil
 	}
+	ends := make([]int64, len(blocks))
+	var size int64
+	for i, b := range blocks {
+		size += int64(c.blocks[b].size)
+		ends[i] = size
+	}
 	ver.refs++
 	c.mu.Unlock()
-	r := &clusterReader{
-		c:       c,
-		ver:     ver,
-		path:    path,
-		fetched: make(chan blockFetch, 1),
-		stop:    make(chan struct{}),
-	}
-	go r.fetch(blocks)
-	return r, nil
+	return &clusterReader{c: c, ver: ver, path: path, blocks: blocks, ends: ends}, nil
 }
 
 // readBlock fetches one block, verifying each candidate replica's
@@ -643,25 +644,67 @@ type blockFetch struct {
 	err  error
 }
 
-// clusterReader streams a file's blocks with single-block read-ahead:
-// while the caller consumes block k, the fetcher is already pulling
-// block k+1 from a replica, overlapping replica round trips with
-// consumption.
+// clusterReader is an open Cluster file. Sequential Reads stream its
+// blocks with single-block read-ahead: while the caller consumes block
+// k, the fetcher is already pulling block k+1 from a replica,
+// overlapping replica round trips with consumption. ReadAt is
+// independent of the stream and safe for concurrent use.
 type clusterReader struct {
-	c       *Cluster
-	ver     *fileVersion
-	path    string
+	c      *Cluster
+	ver    *fileVersion
+	path   string
+	blocks []BlockID
+	ends   []int64 // ends[i] is the file offset one past block i
+	closed bool
+
+	// Streaming state; fetched is nil until the first Read starts the
+	// read-ahead goroutine.
 	cur     []byte
 	fetched chan blockFetch
 	stop    chan struct{}
-	closed  bool
 	done    bool
 	err     error
 }
 
-func (r *clusterReader) fetch(blocks []BlockID) {
+// Size returns the file's length.
+func (r *clusterReader) Size() int64 {
+	if len(r.ends) == 0 {
+		return 0
+	}
+	return r.ends[len(r.ends)-1]
+}
+
+// ReadAt implements io.ReaderAt, fetching only the blocks that cover
+// [off, off+len(p)).
+func (r *clusterReader) ReadAt(p []byte, off int64) (int, error) {
+	if r.closed {
+		return 0, io.ErrClosedPipe
+	}
+	if off < 0 {
+		return 0, fmt.Errorf("dfs: negative offset %d reading %q", off, r.path)
+	}
+	if len(p) == 0 {
+		return 0, nil
+	}
+	n := 0
+	first := sort.Search(len(r.ends), func(i int) bool { return r.ends[i] > off })
+	for i := first; n < len(p) && i < len(r.blocks); i++ {
+		data, ok := r.c.readBlock(r.blocks[i], true)
+		if !ok {
+			return n, fmt.Errorf("%w: block %d of %q", ErrBlockUnavailable, r.blocks[i], r.path)
+		}
+		start := r.ends[i] - int64(len(data))
+		n += copy(p[n:], data[off+int64(n)-start:])
+	}
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+func (r *clusterReader) fetch() {
 	defer close(r.fetched)
-	for _, b := range blocks {
+	for _, b := range r.blocks {
 		data, ok := r.c.readBlock(b, true)
 		f := blockFetch{data: data}
 		if !ok {
@@ -684,6 +727,11 @@ func (r *clusterReader) Read(p []byte) (int, error) {
 	}
 	if r.err != nil {
 		return 0, r.err
+	}
+	if r.fetched == nil {
+		r.fetched = make(chan blockFetch, 1)
+		r.stop = make(chan struct{})
+		go r.fetch()
 	}
 	for len(r.cur) == 0 {
 		if r.done {
@@ -720,10 +768,12 @@ func (r *clusterReader) Close() error {
 		return nil
 	}
 	r.closed = true
-	close(r.stop)
-	// Drain until the fetcher closes the channel, so its goroutine has
-	// exited before the version is unpinned.
-	for range r.fetched {
+	if r.fetched != nil {
+		close(r.stop)
+		// Drain until the fetcher closes the channel, so its goroutine
+		// has exited before the version is unpinned.
+		for range r.fetched {
+		}
 	}
 	r.c.release(r.ver)
 	return nil

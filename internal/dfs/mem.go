@@ -27,7 +27,8 @@ func (fs *MemFS) Create(path string) (io.WriteCloser, error) {
 	return &memWriter{fs: fs, path: path}, nil
 }
 
-// Open implements FileSystem.
+// Open implements FileSystem. The handle is the file's bytes.Reader, so
+// it also serves ReadAt and reports Size.
 func (fs *MemFS) Open(path string) (io.ReadCloser, error) {
 	fs.mu.RLock()
 	data, ok := fs.files[path]
@@ -35,8 +36,12 @@ func (fs *MemFS) Open(path string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, ErrNotExist
 	}
-	return io.NopCloser(bytes.NewReader(data)), nil
+	return memFile{bytes.NewReader(data)}, nil
 }
+
+type memFile struct{ *bytes.Reader }
+
+func (memFile) Close() error { return nil }
 
 // List implements FileSystem.
 func (fs *MemFS) List(prefix string) ([]string, error) {

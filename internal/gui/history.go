@@ -44,7 +44,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, db trace.
 		http.Error(w, fmt.Sprintf("vertex %d was never captured", id), http.StatusNotFound)
 		return
 	}
-	nav, err := navHTML(db, history[0].Superstep)
+	nav, err := navHTML(db, history[0].Superstep, db.StatusAt(history[0].Superstep))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

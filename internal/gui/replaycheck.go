@@ -55,7 +55,8 @@ cluster execution.</p>
 
 func (s *Server) handleReplayCheck(w http.ResponseWriter, r *http.Request, db trace.View) {
 	superstep := superstepOf(r, db)
-	nav, err := navHTML(db, superstep)
+	captures := db.CapturesAt(superstep)
+	nav, err := navHTML(db, superstep, trace.StatusOf(captures))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -83,7 +84,7 @@ func (s *Server) handleReplayCheck(w http.ResponseWriter, r *http.Request, db tr
 	if comp != nil {
 		data.Available = true
 		meta := db.MetaAt(superstep)
-		for _, c := range db.CapturesAt(superstep) {
+		for _, c := range captures {
 			out := repro.ReplayCapture(c, meta, comp)
 			diffs := repro.Fidelity(c, out)
 			if len(diffs) == 0 {

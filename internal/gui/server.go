@@ -177,8 +177,10 @@ func superstepOf(r *http.Request, db trace.View) int {
 type aggRow struct{ Name, Value string }
 
 // navHTML renders the shared superstep navigation bar with the M/V/E
-// status boxes and the aggregator panel.
-func navHTML(db trace.View, superstep int) (template.HTML, error) {
+// status boxes and the aggregator panel. A page that holds the
+// superstep's captures passes trace.StatusOf of them; the others pass
+// db.StatusAt, which fetches and decodes the superstep to compute it.
+func navHTML(db trace.View, superstep int, status trace.Status) (template.HTML, error) {
 	meta := db.MetaAt(superstep)
 	var aggs []aggRow
 	var nv, ne int64
@@ -221,7 +223,7 @@ func navHTML(db trace.View, superstep int) (template.HTML, error) {
 		Max:       db.MaxSuperstep(),
 		Prev:      prev, Next: next,
 		HasPrev: prev >= 0, HasNext: next >= 0,
-		Status:      db.StatusAt(superstep),
+		Status:      status,
 		NumVertices: nv, NumEdges: ne,
 		Aggregators: aggs,
 	})
@@ -274,12 +276,13 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleNodeLink(w http.ResponseWriter, r *http.Request, db trace.View) {
 	superstep := superstepOf(r, db)
-	nav, err := navHTML(db, superstep)
+	captures := db.CapturesAt(superstep)
+	nav, err := navHTML(db, superstep, trace.StatusOf(captures))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	svg := nodeLinkSVG(db, superstep)
+	svg := nodeLinkSVG(db.JobMeta().JobID, superstep, captures)
 	body, err := renderSub(nodeLinkTmpl, struct {
 		Nav template.HTML
 		SVG template.HTML
@@ -303,7 +306,7 @@ type tabRow struct {
 
 func (s *Server) handleTabular(w http.ResponseWriter, r *http.Request, db trace.View) {
 	superstep := superstepOf(r, db)
-	nav, err := navHTML(db, superstep)
+	nav, err := navHTML(db, superstep, db.StatusAt(superstep))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -360,7 +363,8 @@ func (s *Server) handleTabular(w http.ResponseWriter, r *http.Request, db trace.
 func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request, db trace.View) {
 	superstep := superstepOf(r, db)
 	all := r.FormValue("all") != ""
-	nav, err := navHTML(db, superstep)
+	captures := db.CapturesAt(superstep)
+	nav, err := navHTML(db, superstep, trace.StatusOf(captures))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -369,7 +373,7 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request, db tra
 	if all {
 		rows = db.AllViolations()
 	} else {
-		rows = db.ViolationsAt(superstep)
+		rows = trace.ViolationRows(superstep, captures)
 	}
 	body, err := renderSub(violationsTmpl, struct {
 		Nav           template.HTML
@@ -398,7 +402,7 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request, db trace.V
 		http.Error(w, fmt.Sprintf("vertex %d was not captured at superstep %d", id, superstep), http.StatusNotFound)
 		return
 	}
-	nav, err := navHTML(db, superstep)
+	nav, err := navHTML(db, superstep, db.StatusAt(superstep))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -466,7 +470,7 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request, db trace.V
 
 func (s *Server) handleMaster(w http.ResponseWriter, r *http.Request, db trace.View) {
 	superstep := superstepOf(r, db)
-	nav, err := navHTML(db, superstep)
+	nav, err := navHTML(db, superstep, db.StatusAt(superstep))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -604,7 +608,8 @@ func (s *Server) apiSuperstep(w http.ResponseWriter, r *http.Request, db trace.V
 		aggs[name] = pregel.ValueString(v)
 	}
 	var rows []apiCaptureRow
-	for _, c := range db.CapturesAt(n) {
+	captures := db.CapturesAt(n)
+	for _, c := range captures {
 		rows = append(rows, apiCaptureRow{
 			ID:     int64(c.ID),
 			Before: pregel.ValueString(c.ValueBefore),
@@ -615,7 +620,7 @@ func (s *Server) apiSuperstep(w http.ResponseWriter, r *http.Request, db trace.V
 			HasError: c.Exception != nil,
 		})
 	}
-	st := db.StatusAt(n)
+	st := trace.StatusOf(captures)
 	out := map[string]any{
 		"superstep":         n,
 		"num_vertices":      meta.NumVertices,

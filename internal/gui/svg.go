@@ -20,15 +20,14 @@ const maxNodeLinkNodes = 48
 // RenderNodeLink exposes the node-link diagram for embedding and
 // benchmarks.
 func RenderNodeLink(db trace.View, superstep int) template.HTML {
-	return nodeLinkSVG(db, superstep)
+	return nodeLinkSVG(db.JobMeta().JobID, superstep, db.CapturesAt(superstep))
 }
 
 // nodeLinkSVG renders the Figure 3 view for one superstep: captured
 // vertices as large labelled circles (dimmed when halted), uncaptured
 // neighbors as small ID-only circles, and links for the edges between
 // drawn nodes, with edge values when present.
-func nodeLinkSVG(db trace.View, superstep int) template.HTML {
-	captures := db.CapturesAt(superstep)
+func nodeLinkSVG(jobID string, superstep int, captures []*trace.VertexCapture) template.HTML {
 	truncated := false
 	if len(captures) > maxNodeLinkNodes {
 		captures = captures[:maxNodeLinkNodes]
@@ -113,7 +112,7 @@ func nodeLinkSVG(db trace.View, superstep int) template.HTML {
 			stroke = "#c33"
 		}
 		fmt.Fprintf(&b, `<a href="/job/%s/vertex?superstep=%d&amp;id=%d"><g opacity="%.2f">`,
-			template.URLQueryEscaper(db.JobMeta().JobID), superstep, int64(c.ID), opacity)
+			template.URLQueryEscaper(jobID), superstep, int64(c.ID), opacity)
 		fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="26" fill="%s" stroke="%s" stroke-width="2"/>`,
 			p.x, p.y, fill, stroke)
 		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-size="11" text-anchor="middle" font-weight="bold">%d</text>`,

@@ -70,9 +70,9 @@ type CaptureBench struct {
 	MaxQueueDepth int `json:"max_queue_depth"`
 	// DroppedRecords must stay 0 under the default Block policy.
 	DroppedRecords int64 `json:"dropped_records"`
-	// LazySegmentReads is the number of segment files a cold
-	// single-vertex lookup read through the index (at most one per
-	// worker file; typically exactly 1).
+	// LazySegmentReads is the number of whole segment files a cold
+	// single-vertex lookup fetched: 0 since point lookups read the
+	// record with a ranged read (1 in results from older builds).
 	LazySegmentReads int64 `json:"lazy_segment_reads"`
 }
 
@@ -183,9 +183,9 @@ func fastest(times []time.Duration) time.Duration {
 }
 
 // lazyLookupCost reopens a trace cold and fetches one captured vertex
-// through the segment index, returning how many segment files the
-// lookup read. Misses while probing for the vertex's superstep are
-// index-only and cost nothing.
+// through the segment index, returning how many whole segment files
+// the lookup fetched. Misses while probing for the vertex's superstep
+// are index-only and cost nothing.
 func lazyLookupCost(store *trace.Store, jobID string) (int64, error) {
 	r, err := store.OpenReader(jobID)
 	if err != nil {

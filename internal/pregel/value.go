@@ -67,9 +67,13 @@ func NewValueOf(name string) (Value, error) {
 	f, ok := valueRegistry.factories[name]
 	valueRegistry.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("pregel: unregistered value type %q", name)
+		return nil, errUnregistered(name)
 	}
 	return f(), nil
+}
+
+func errUnregistered(name string) error {
+	return fmt.Errorf("pregel: unregistered value type %q", name)
 }
 
 // RegisteredValueTypes returns the sorted names of all registered value
@@ -99,17 +103,21 @@ func EncodeTyped(e *Encoder, v Value) {
 // DecodeTyped reads a value written by EncodeTyped, returning nil for a
 // nil-encoded value.
 func DecodeTyped(d *Decoder) (Value, error) {
-	name := d.String()
+	name := d.Bytes()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if name == "" {
+	if len(name) == 0 {
 		return nil, nil
 	}
-	v, err := NewValueOf(name)
-	if err != nil {
-		return nil, err
+	// Looked up by the name's bytes in place: no string is made per value.
+	valueRegistry.RLock()
+	f, ok := valueRegistry.factories[string(name)]
+	valueRegistry.RUnlock()
+	if !ok {
+		return nil, errUnregistered(string(name))
 	}
+	v := f()
 	if err := v.Decode(d); err != nil {
 		return nil, err
 	}

@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"math"
 )
 
@@ -351,14 +352,28 @@ func CheckSegment(raw []byte) error {
 	return nil
 }
 
-// ReadFile reads the whole file at path through fs.
+// ReadFile reads the whole file at path through fs, into a buffer
+// allocated once when the handle reports its length (dfs handles do,
+// through Size or Stat) and grown as the stream arrives otherwise.
 func ReadFile(fs FS, path string) ([]byte, error) {
 	r, err := fs.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	return io.ReadAll(r)
+	var size int64
+	switch h := r.(type) {
+	case interface{ Size() int64 }:
+		size = h.Size()
+	case interface{ Stat() (iofs.FileInfo, error) }:
+		if fi, err := h.Stat(); err == nil {
+			size = fi.Size()
+		}
+	}
+	var buf bytes.Buffer
+	buf.Grow(int(size) + bytes.MinRead)
+	_, err = buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // writeFile writes data to path in one create/write/close cycle.

@@ -37,9 +37,10 @@ type ViolationRow struct {
 	Stack string // exception stack, if any
 }
 
-// violationRows builds the Violations view rows from one superstep's
-// captures, in the captures' order.
-func violationRows(superstep int, caps []*VertexCapture) []ViolationRow {
+// ViolationRows builds the Violations view rows from one superstep's
+// captures, in the captures' order: what ViolationsAt returns, for a
+// caller that already holds the superstep's CapturesAt.
+func ViolationRows(superstep int, caps []*VertexCapture) []ViolationRow {
 	var rows []ViolationRow
 	for _, c := range caps {
 		for _, v := range c.Violations {
@@ -73,8 +74,10 @@ type Status struct {
 	Exception        bool // E
 }
 
-// statusOf folds one superstep's captures into the M/V/E boxes.
-func statusOf(caps []*VertexCapture) Status {
+// StatusOf folds one superstep's captures into the M/V/E boxes: what
+// StatusAt returns, for a caller that already holds the superstep's
+// CapturesAt.
+func StatusOf(caps []*VertexCapture) Status {
 	var st Status
 	for _, c := range caps {
 		for _, v := range c.Violations {

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -64,19 +66,80 @@ var _ View = (*Reader)(nil)
 // this build does not know. The message names the job and the layout.
 var ErrUnsupportedLayout = errors.New("trace: unsupported trace layout")
 
-// recordLoc locates one record: segment name relative to the job
-// directory plus the payload's offset and length inside it.
+// recordLoc locates one record: the segment's number (its position in
+// Reader.segOrder) plus the payload's offset and length inside it. id is
+// the vertex or subgraph ID the index files the record under. 24 bytes,
+// no pointers.
 type recordLoc struct {
-	seg string
-	off int
-	ln  int
+	id  pregel.VertexID
+	off int64
+	seg uint32
+	ln  uint32
+}
+
+// stepIndex is one superstep's share of the vertex or subgraph index:
+// a flat slice appended in scan order at open and, on first use,
+// stable-sorted by ID with the last entry of a duplicate key kept — the
+// scan order puts a recovery re-execution's record after the one it
+// replaces. Lookups are binary searches.
+type stepIndex struct {
+	ents []recordLoc
+	// inOrder stays true while entries arrive strictly ascending by ID,
+	// in which case there is nothing to sort or drop.
+	inOrder bool
+	once    sync.Once
+}
+
+func (x *stepIndex) add(loc recordLoc) {
+	if n := len(x.ents); n == 0 {
+		x.inOrder = true
+	} else if loc.id <= x.ents[n-1].id {
+		x.inOrder = false
+	}
+	x.ents = append(x.ents, loc)
+}
+
+// sorted returns the entries in ID order, one per ID. Safe for
+// concurrent use once the Reader is open; a nil index is empty.
+func (x *stepIndex) sorted() []recordLoc {
+	if x == nil {
+		return nil
+	}
+	x.once.Do(func() {
+		if x.inOrder {
+			return
+		}
+		slices.SortStableFunc(x.ents, func(a, b recordLoc) int { return cmp.Compare(a.id, b.id) })
+		out := x.ents[:0]
+		for i, e := range x.ents {
+			if i+1 < len(x.ents) && x.ents[i+1].id == e.id {
+				continue // a later record of the same key wins
+			}
+			out = append(out, e)
+		}
+		x.ents = out
+	})
+	return x.ents
+}
+
+func (x *stepIndex) find(id pregel.VertexID) (recordLoc, bool) {
+	ents := x.sorted()
+	i, ok := slices.BinarySearchFunc(ents, id, func(e recordLoc, id pregel.VertexID) int { return cmp.Compare(e.id, id) })
+	if !ok {
+		return recordLoc{}, false
+	}
+	return ents[i], true
 }
 
 // Reader is the lazy, index-driven read half of the trace API. Open
-// with Store.OpenReader. It loads only the index files up front; record
-// payloads are fetched segment by segment as views ask for them,
-// through a bounded segment cache — a GUI page or a replay reads only
-// the segments holding what it renders.
+// with Store.OpenReader. It loads only the index files up front and
+// reads records in one of two shapes. A point view (Capture,
+// CapturesOf, MetaAt, MasterAt, SubgraphAt's direct hit) fetches
+// exactly the record's bytes with a ranged read, after checking the
+// segment's magic once; a scan-shaped view (CapturesAt and everything
+// built on it, SubgraphsAt, Verify) fetches whole segments through a
+// bounded cache, which point views also serve from when the segment is
+// resident.
 //
 // Reader is safe for concurrent use.
 type Reader struct {
@@ -87,21 +150,27 @@ type Reader struct {
 
 	metaLoc     map[int]recordLoc
 	masterLoc   map[int]recordLoc
-	vertexLoc   map[int]map[pregel.VertexID]recordLoc
-	subgraphLoc map[int]map[pregel.VertexID]recordLoc
+	vertexLoc   map[int]*stepIndex
+	subgraphLoc map[int]*stepIndex
 	steps       []int
+	// vertexSteps lists vertexLoc's supersteps in ascending order.
+	vertexSteps []int
 	// segOrder lists every segment in lane+sequence order: the scan
 	// order, under which the last record of a key is the one indexed.
 	segOrder []string
 
 	mu         sync.Mutex
-	cache      map[string][]byte
-	cacheOrder []string
+	cache      map[uint32][]byte
+	cacheOrder []uint32
 	cacheBytes int
 	cacheLimit int
-	segReads   atomic.Int64
-	indexParts int
+	magicOK    map[uint32]bool // segments whose magic has been checked
 	err        error
+
+	segReads   atomic.Int64
+	rangeReads atomic.Int64
+	bytesRead  atomic.Int64
+	indexParts int
 }
 
 // maxSegmentCacheBytes bounds the Reader's in-memory segment cache.
@@ -126,8 +195,9 @@ func (s *Store) OpenReader(jobID string) (*Reader, error) {
 		store:      s,
 		dir:        s.jobDir(jobID),
 		meta:       meta,
-		cache:      map[string][]byte{},
+		cache:      map[uint32][]byte{},
 		cacheLimit: maxSegmentCacheBytes,
+		magicOK:    map[uint32]bool{},
 	}
 	if res, done, err := s.ReadResult(jobID); err != nil {
 		return nil, err
@@ -151,8 +221,8 @@ func (r *Reader) loadIndex() error {
 	}
 	r.metaLoc = map[int]recordLoc{}
 	r.masterLoc = map[int]recordLoc{}
-	r.vertexLoc = map[int]map[pregel.VertexID]recordLoc{}
-	r.subgraphLoc = map[int]map[pregel.VertexID]recordLoc{}
+	r.vertexLoc = map[int]*stepIndex{}
+	r.subgraphLoc = map[int]*stepIndex{}
 
 	var idxFiles, segFiles []string
 	for _, name := range files {
@@ -182,9 +252,9 @@ func (r *Reader) loadIndex() error {
 		}
 		for _, seg := range segs {
 			indexed[seg.Name] = true
-			r.segOrder = append(r.segOrder, seg.Name)
+			num := r.addSegment(seg.Name)
 			for _, ent := range seg.Entries {
-				r.place(ent, seg.Name)
+				r.place(ent, num)
 			}
 		}
 	}
@@ -194,7 +264,8 @@ func (r *Reader) loadIndex() error {
 		if indexed[name] {
 			continue
 		}
-		raw, err := r.segmentBytes(name)
+		num := r.addSegment(name)
+		raw, err := r.segmentBytes(num)
 		if err != nil {
 			return err
 		}
@@ -202,47 +273,57 @@ func (r *Reader) loadIndex() error {
 		if err != nil {
 			return fmt.Errorf("trace: %s: %w", name, err)
 		}
-		r.segOrder = append(r.segOrder, name)
 		for _, ent := range ents {
-			r.place(ent, name)
+			r.place(ent, num)
 		}
 	}
 	for s := range r.metaLoc {
 		r.steps = append(r.steps, s)
 	}
 	sort.Ints(r.steps)
+	for s := range r.vertexLoc {
+		r.vertexSteps = append(r.vertexSteps, s)
+	}
+	sort.Ints(r.vertexSteps)
 	return nil
 }
 
-func (r *Reader) place(ent segio.Entry, seg string) {
-	loc := recordLoc{seg: seg, off: ent.Offset, ln: ent.Length}
+// addSegment gives the next segment in scan order its number.
+func (r *Reader) addSegment(name string) uint32 {
+	r.segOrder = append(r.segOrder, name)
+	return uint32(len(r.segOrder) - 1)
+}
+
+func (r *Reader) place(ent segio.Entry, seg uint32) {
+	// segio.DecodeIndex lets through no offset or length over MaxInt32,
+	// and a scanned segment's frames were walked in memory.
+	loc := recordLoc{id: pregel.VertexID(ent.ID), seg: seg, off: int64(ent.Offset), ln: uint32(ent.Length)}
 	switch recordKind(ent.Kind) {
 	case kindSuperstepMeta:
 		r.metaLoc[ent.Step] = loc
 	case kindMasterCapture:
 		r.masterLoc[ent.Step] = loc
 	case kindVertexCapture:
-		m := r.vertexLoc[ent.Step]
-		if m == nil {
-			m = map[pregel.VertexID]recordLoc{}
-			r.vertexLoc[ent.Step] = m
-		}
-		m[pregel.VertexID(ent.ID)] = loc
+		stepIndexOf(r.vertexLoc, ent.Step).add(loc)
 	case kindSubgraphCapture:
-		m := r.subgraphLoc[ent.Step]
-		if m == nil {
-			m = map[pregel.VertexID]recordLoc{}
-			r.subgraphLoc[ent.Step] = m
-		}
-		m[pregel.VertexID(ent.ID)] = loc
+		stepIndexOf(r.subgraphLoc, ent.Step).add(loc)
 	}
+}
+
+func stepIndexOf(m map[int]*stepIndex, step int) *stepIndex {
+	x := m[step]
+	if x == nil {
+		x = &stepIndex{}
+		m[step] = x
+	}
+	return x
 }
 
 // scanSegmentEntries walks a segment's frames and synthesizes index
 // entries, decoding only each record's envelope (kind, superstep,
 // vertex ID).
 func scanSegmentEntries(data []byte) ([]segio.Entry, error) {
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
+	if !hasSegMagic(data) {
 		return nil, ErrBadMagic
 	}
 	var ents []segio.Entry
@@ -274,26 +355,30 @@ func scanSegmentEntries(data []byte) ([]segio.Entry, error) {
 	return ents, nil
 }
 
-// segmentBytes returns a segment's contents through the bounded cache.
-func (r *Reader) segmentBytes(name string) ([]byte, error) {
+// segmentBytes returns a whole segment through the bounded cache: the
+// scan-shaped read.
+func (r *Reader) segmentBytes(seg uint32) ([]byte, error) {
 	r.mu.Lock()
-	if b, ok := r.cache[name]; ok {
-		r.mu.Unlock()
+	b, ok := r.cache[seg]
+	r.mu.Unlock()
+	if ok {
 		return b, nil
 	}
-	r.mu.Unlock()
+	name := r.segOrder[seg]
 	raw, err := dfs.ReadFile(r.store.FS, r.dir+"/"+name)
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < len(segMagic) || string(raw[:len(segMagic)]) != segMagic {
+	if !hasSegMagic(raw) {
 		return nil, fmt.Errorf("trace: %s: %w", name, ErrBadMagic)
 	}
 	r.segReads.Add(1)
+	r.bytesRead.Add(int64(len(raw)))
 	r.mu.Lock()
-	if _, ok := r.cache[name]; !ok {
-		r.cache[name] = raw
-		r.cacheOrder = append(r.cacheOrder, name)
+	r.magicOK[seg] = true
+	if _, ok := r.cache[seg]; !ok {
+		r.cache[seg] = raw
+		r.cacheOrder = append(r.cacheOrder, seg)
 		r.cacheBytes += len(raw)
 		for r.cacheBytes > r.cacheLimit && len(r.cacheOrder) > 1 {
 			old := r.cacheOrder[0]
@@ -306,21 +391,97 @@ func (r *Reader) segmentBytes(name string) ([]byte, error) {
 	return raw, nil
 }
 
+func hasSegMagic(b []byte) bool {
+	return len(b) >= len(segMagic) && string(b[:len(segMagic)]) == segMagic
+}
+
+// payload returns the bytes of the record at loc. With whole set (a
+// scan-shaped view, about to ask for the segment's other records too)
+// or when the segment is already resident, they are a slice of the
+// cached segment; otherwise they are fetched with one ranged read,
+// after the segment's magic has been checked once for this Reader.
+func (r *Reader) payload(loc recordLoc, whole bool) ([]byte, error) {
+	name := r.segOrder[loc.seg]
+	var seg []byte
+	var resident bool
+	if whole {
+		var err error
+		if seg, err = r.segmentBytes(loc.seg); err != nil {
+			return nil, err
+		}
+		resident = true
+	} else {
+		r.mu.Lock()
+		seg, resident = r.cache[loc.seg]
+		r.mu.Unlock()
+	}
+	if resident {
+		if !loc.within(len(seg)) {
+			return nil, fmt.Errorf("trace: %s: index entry out of range", name)
+		}
+		return seg[loc.off : loc.off+int64(loc.ln)], nil
+	}
+	if err := r.checkMagic(loc.seg); err != nil {
+		return nil, fmt.Errorf("trace: %s: %w", name, err)
+	}
+	b, err := r.readRange(r.dir+"/"+name, loc.off, int64(loc.ln))
+	if errors.Is(err, dfs.ErrRange) {
+		return nil, fmt.Errorf("trace: %s: index entry out of range", name)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("trace: %s: %w", name, err)
+	}
+	return b, nil
+}
+
+// within reports whether the record lies inside a segment of segLen
+// bytes.
+func (loc recordLoc) within(segLen int) bool {
+	return loc.off >= 0 && loc.off <= int64(segLen) && int64(loc.ln) <= int64(segLen)-loc.off
+}
+
+// checkMagic makes, once per segment per Reader, the check a whole
+// fetch makes: the file starts with the segment magic.
+func (r *Reader) checkMagic(seg uint32) error {
+	r.mu.Lock()
+	checked := r.magicOK[seg]
+	r.mu.Unlock()
+	if checked {
+		return nil
+	}
+	magic, err := r.readRange(r.dir+"/"+r.segOrder[seg], 0, int64(len(segMagic)))
+	if errors.Is(err, dfs.ErrRange) || err == nil && !hasSegMagic(magic) {
+		err = ErrBadMagic
+	}
+	if err != nil {
+		return err
+	}
+	r.mu.Lock()
+	r.magicOK[seg] = true
+	r.mu.Unlock()
+	return nil
+}
+
+func (r *Reader) readRange(path string, off, n int64) ([]byte, error) {
+	b, err := dfs.ReadRange(r.store.FS, path, off, n)
+	if err == nil {
+		r.rangeReads.Add(1)
+		r.bytesRead.Add(n)
+	}
+	return b, err
+}
+
 // record fetches and decodes the record at loc, recording (not
 // returning) errors so View accessors can stay nil-on-missing.
-func (r *Reader) record(loc recordLoc) any {
-	seg, err := r.segmentBytes(loc.seg)
+func (r *Reader) record(loc recordLoc, whole bool) any {
+	b, err := r.payload(loc, whole)
 	if err != nil {
 		r.setErr(err)
 		return nil
 	}
-	if loc.off < 0 || loc.off+loc.ln > len(seg) {
-		r.setErr(fmt.Errorf("trace: %s: index entry out of range", loc.seg))
-		return nil
-	}
-	rec, err := decodeRecordPayload(seg[loc.off : loc.off+loc.ln])
+	rec, err := decodeRecordPayload(b)
 	if err != nil {
-		r.setErr(fmt.Errorf("trace: %s: %w", loc.seg, err))
+		r.setErr(fmt.Errorf("trace: %s: %w", r.segOrder[loc.seg], err))
 		return nil
 	}
 	return rec
@@ -342,10 +503,18 @@ func (r *Reader) Err() error {
 	return r.err
 }
 
-// SegmentReads returns how many segment files have been fetched from
-// storage (cache misses): what the single-segment-lookup acceptance
-// check measures.
+// SegmentReads returns how many whole segment files have been fetched
+// from storage (cache misses of the scan-shaped reads).
 func (r *Reader) SegmentReads() int64 { return r.segReads.Load() }
+
+// RangeReads returns how many ranged reads — a record's payload, or a
+// segment's magic — point views have issued.
+func (r *Reader) RangeReads() int64 { return r.rangeReads.Load() }
+
+// BytesRead returns how many bytes the Reader has asked storage for
+// since open, whole segments and ranges together; index files are not
+// counted.
+func (r *Reader) BytesRead() int64 { return r.bytesRead.Load() }
 
 // IndexParts returns how many index files the Reader loaded on open:
 // one per lane per flushed barrier, or one per lane for a trace in the
@@ -379,7 +548,7 @@ func (r *Reader) MetaAt(superstep int) *SuperstepMeta {
 	if !ok {
 		return nil
 	}
-	m, _ := r.record(loc).(*SuperstepMeta)
+	m, _ := r.record(loc, false).(*SuperstepMeta)
 	return m
 }
 
@@ -389,75 +558,67 @@ func (r *Reader) MasterAt(superstep int) *MasterCapture {
 	if !ok {
 		return nil
 	}
-	c, _ := r.record(loc).(*MasterCapture)
+	c, _ := r.record(loc, false).(*MasterCapture)
 	return c
 }
 
-// Capture implements View: one index lookup, one segment fetch.
+// Capture implements View: one binary search, one ranged read.
 func (r *Reader) Capture(superstep int, id pregel.VertexID) *VertexCapture {
-	loc, ok := r.vertexLoc[superstep][id]
+	loc, ok := r.vertexLoc[superstep].find(id)
 	if !ok {
 		return nil
 	}
-	c, _ := r.record(loc).(*VertexCapture)
+	c, _ := r.record(loc, false).(*VertexCapture)
 	return c
 }
 
 // CapturesAt implements View.
 func (r *Reader) CapturesAt(superstep int) []*VertexCapture {
-	m := r.vertexLoc[superstep]
-	out := make([]*VertexCapture, 0, len(m))
-	for _, loc := range m {
-		if c, _ := r.record(loc).(*VertexCapture); c != nil {
+	ents := r.vertexLoc[superstep].sorted()
+	out := make([]*VertexCapture, 0, len(ents))
+	for _, loc := range ents {
+		if c, _ := r.record(loc, true).(*VertexCapture); c != nil {
 			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // CapturesOf implements View.
 func (r *Reader) CapturesOf(id pregel.VertexID) []*VertexCapture {
 	var out []*VertexCapture
-	for _, m := range r.vertexLoc {
-		if loc, ok := m[id]; ok {
-			if c, _ := r.record(loc).(*VertexCapture); c != nil {
-				out = append(out, c)
-			}
+	for _, s := range r.vertexSteps {
+		if c := r.Capture(s, id); c != nil {
+			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Superstep < out[j].Superstep })
 	return out
 }
 
 // CapturedVertexIDs implements View, answered from the index alone.
 func (r *Reader) CapturedVertexIDs() []pregel.VertexID {
-	seen := map[pregel.VertexID]bool{}
-	for _, m := range r.vertexLoc {
-		for id := range m {
-			seen[id] = true
+	var out []pregel.VertexID
+	for _, x := range r.vertexLoc {
+		for _, e := range x.sorted() {
+			out = append(out, e.id)
 		}
 	}
-	out := make([]pregel.VertexID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // TotalCaptures implements View, answered from the index alone.
 func (r *Reader) TotalCaptures() int64 {
 	var n int64
-	for _, m := range r.vertexLoc {
-		n += int64(len(m))
+	for _, x := range r.vertexLoc {
+		n += int64(len(x.sorted()))
 	}
 	return n
 }
 
 // ViolationsAt implements View.
 func (r *Reader) ViolationsAt(superstep int) []ViolationRow {
-	return violationRows(superstep, r.CapturesAt(superstep))
+	return ViolationRows(superstep, r.CapturesAt(superstep))
 }
 
 // AllViolations implements View.
@@ -471,27 +632,26 @@ func (r *Reader) AllViolations() []ViolationRow {
 
 // StatusAt implements View.
 func (r *Reader) StatusAt(superstep int) Status {
-	return statusOf(r.CapturesAt(superstep))
+	return StatusOf(r.CapturesAt(superstep))
 }
 
 // SubgraphsAt implements View.
 func (r *Reader) SubgraphsAt(superstep int) []*SubgraphCapture {
-	m := r.subgraphLoc[superstep]
-	out := make([]*SubgraphCapture, 0, len(m))
-	for _, loc := range m {
-		if c, _ := r.record(loc).(*SubgraphCapture); c != nil {
+	ents := r.subgraphLoc[superstep].sorted()
+	out := make([]*SubgraphCapture, 0, len(ents))
+	for _, loc := range ents {
+		if c, _ := r.record(loc, true).(*SubgraphCapture); c != nil {
 			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // SubgraphAt implements View. The index is keyed by subgraph ID, so a
 // non-ID member costs a scan of the superstep's subgraph captures.
 func (r *Reader) SubgraphAt(superstep int, id pregel.VertexID) *SubgraphCapture {
-	if loc, ok := r.subgraphLoc[superstep][id]; ok {
-		if c, _ := r.record(loc).(*SubgraphCapture); c != nil {
+	if loc, ok := r.subgraphLoc[superstep].find(id); ok {
+		if c, _ := r.record(loc, false).(*SubgraphCapture); c != nil {
 			return c
 		}
 	}
@@ -530,14 +690,14 @@ func (r *Reader) eachLoc(fn func(recordKey, recordLoc)) {
 	for s, loc := range r.masterLoc {
 		fn(recordKey{kind: kindMasterCapture, step: s}, loc)
 	}
-	for s, m := range r.vertexLoc {
-		for id, loc := range m {
-			fn(recordKey{kindVertexCapture, s, id}, loc)
+	for s, x := range r.vertexLoc {
+		for _, loc := range x.sorted() {
+			fn(recordKey{kindVertexCapture, s, loc.id}, loc)
 		}
 	}
-	for s, m := range r.subgraphLoc {
-		for id, loc := range m {
-			fn(recordKey{kindSubgraphCapture, s, id}, loc)
+	for s, x := range r.subgraphLoc {
+		for _, loc := range x.sorted() {
+			fn(recordKey{kindSubgraphCapture, s, loc.id}, loc)
 		}
 	}
 }
@@ -554,14 +714,14 @@ func (r *Reader) Verify() error {
 		key recordKey
 		loc recordLoc
 	}
-	bySeg := map[string][]entry{}
+	bySeg := make([][]entry, len(r.segOrder))
 	r.eachLoc(func(k recordKey, loc recordLoc) {
 		bySeg[loc.seg] = append(bySeg[loc.seg], entry{k, loc})
 	})
 	seed := maphash.MakeSeed()
 	scanned := map[recordKey]uint64{}
 	indexed := map[recordKey]uint64{}
-	for _, name := range r.segOrder {
+	for num, name := range r.segOrder {
 		raw, err := dfs.ReadFile(r.store.FS, r.dir+"/"+name)
 		if err != nil {
 			return err
@@ -578,11 +738,11 @@ func (r *Reader) Verify() error {
 			k := recordKey{recordKind(ent.Kind), ent.Step, pregel.VertexID(ent.ID)}
 			scanned[k] = maphash.Bytes(seed, payload)
 		}
-		for _, e := range bySeg[name] {
-			if e.loc.off < 0 || e.loc.ln < 0 || e.loc.off+e.loc.ln > len(raw) {
+		for _, e := range bySeg[num] {
+			if !e.loc.within(len(raw)) {
 				return fmt.Errorf("trace: %s: index entry for %+v points outside the segment", name, e.key)
 			}
-			indexed[e.key] = maphash.Bytes(seed, raw[e.loc.off:e.loc.off+e.loc.ln])
+			indexed[e.key] = maphash.Bytes(seed, raw[e.loc.off:e.loc.off+int64(e.loc.ln)])
 		}
 	}
 	for k, h := range scanned {
