@@ -28,7 +28,6 @@ import (
 	"graft/internal/faults"
 	"graft/internal/graphgen"
 	"graft/internal/graphio"
-	"graft/internal/harness"
 	"graft/internal/metrics"
 	"graft/internal/pregel"
 	"graft/internal/repro"
@@ -105,28 +104,6 @@ func buildGraph(dataset string, scale float64, seed int64) (*pregel.Graph, error
 	return graphio.ReadAdjacency(f)
 }
 
-// buildDebugConfig resolves -debug: a Table 3 preset name, "fig2",
-// "all-active", or "none".
-func buildDebugConfig(preset string, seed int64) (*core.DebugConfig, error) {
-	if preset == "" || preset == "none" {
-		return nil, nil
-	}
-	if preset == "fig2" {
-		dc := core.Fig2Config(seed)
-		return &dc, nil
-	}
-	if preset == "all-active" {
-		return &core.DebugConfig{CaptureAllActive: true, CaptureExceptions: true}, nil
-	}
-	for _, c := range harness.StandardConfigs(seed) {
-		if c.Name == preset && c.Make != nil {
-			dc := c.Make()
-			return &dc, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown debug preset %q (DC-sp, DC-sp+nbr, DC-msg, DC-vv, DC-full, fig2, all-active, none)", preset)
-}
-
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	alg := fs.String("alg", "cc", "algorithm to run")
@@ -151,7 +128,6 @@ func cmdRun(args []string) error {
 	metricsOut := fs.String("metrics-out", "", "stream metrics events to this file as JSON Lines")
 	metricsLinger := fs.Duration("metrics-linger", 0, "keep the -metrics-addr server alive this long after the job ends")
 	pprofOn := fs.Bool("pprof", false, "also mount net/http/pprof on -metrics-addr")
-	noMetrics := fs.Bool("no-metrics", false, "disable per-superstep telemetry collection")
 	segmentSize := fs.Int("segment-size", trace.DefaultSegmentSize, "trace segment size in bytes before sealing")
 	backpressure := fs.String("backpressure", "block", "capture queue policy when full: block or drop")
 	queueCap := fs.Int("capture-queue", trace.DefaultQueueCapacity, "per-worker capture queue depth")
@@ -206,7 +182,7 @@ func cmdRun(args []string) error {
 	}
 	fmt.Printf("dataset %s: %d vertices, %d directed edges\n", *dataset, g.NumVertices(), g.NumEdges())
 
-	dc, err := buildDebugConfig(*debug, *seed)
+	dc, err := core.PresetConfig(*debug, *seed)
 	if err != nil {
 		return err
 	}
@@ -220,7 +196,6 @@ func cmdRun(args []string) error {
 		Combiner:           a.Combiner,
 		Master:             a.Master,
 		MaxSupersteps:      a.MaxSupersteps,
-		DisableMetrics:     *noMetrics,
 		MsgFlushBatch:      *msgBatch,
 		Partitioner:        placer,
 		RebalanceSkew:      *rebalanceSkew,
@@ -228,18 +203,12 @@ func cmdRun(args []string) error {
 		RebalanceMaxMoves:  *rebalanceMaxMoves,
 		AnomalyWindow:      *anomalyWindow,
 	}
-	if *anomalyOut != "" && (*noMetrics || *anomalyWindow < 0) {
-		return fmt.Errorf("-anomaly-out needs the anomaly layer (drop -no-metrics and use a non-negative -anomaly-window)")
+	if *anomalyOut != "" && *anomalyWindow < 0 {
+		return fmt.Errorf("-anomaly-out needs the anomaly layer (use a non-negative -anomaly-window)")
 	}
 
-	var reg *metrics.Registry
-	if !*noMetrics {
-		reg = metrics.NewRegistry(id, a.Name)
-	}
+	reg := metrics.NewRegistry(id, a.Name)
 	if *metricsOut != "" {
-		if reg == nil {
-			return fmt.Errorf("-metrics-out needs telemetry (drop -no-metrics)")
-		}
 		f, err := os.Create(*metricsOut)
 		if err != nil {
 			return err
@@ -253,9 +222,6 @@ func cmdRun(args []string) error {
 		reg.SetSink(sink)
 	}
 	if *metricsAddr != "" {
-		if reg == nil {
-			return fmt.Errorf("-metrics-addr needs telemetry (drop -no-metrics)")
-		}
 		ln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
 			return err
@@ -280,7 +246,7 @@ func cmdRun(args []string) error {
 				ShortWrites:  true,
 			}
 			ckptFS = faults.NewRetryFS(faults.NewFaultFS(ckptFS, plan), *chaosSeed)
-			if p, ok := ckptFS.(pregel.FaultStatsProvider); ok && reg != nil {
+			if p, ok := ckptFS.(pregel.FaultStatsProvider); ok {
 				// Live /metrics exposes the chaos counters mid-run, before
 				// the engine folds them into the final Stats.
 				reg.AddFaultSource(p)
@@ -369,12 +335,10 @@ func cmdRun(args []string) error {
 		}
 		engCfg.Master = session.InstrumentMaster(engCfg.Master)
 		engCfg.Listener = session
-		if reg != nil {
-			session.Chain(reg)
-			reg.AddFaultSource(session)
-		}
+		session.Chain(reg)
+		reg.AddFaultSource(session)
 		fmt.Printf("debugging with %s, traces under %s/%s\n", *debug, *traceDir, id)
-	} else if reg != nil {
+	} else {
 		engCfg.Listener = reg
 	}
 
@@ -388,7 +352,7 @@ func cmdRun(args []string) error {
 		job.RegisterAggregator(spec.Name, spec.Agg, spec.Persistent)
 	}
 	stats, runErr := job.Run()
-	if reg != nil && store != nil {
+	if store != nil {
 		// Persist next to the trace so the GUI dashboard renders this
 		// run after the process exits.
 		if err := metrics.WriteJobMetrics(store.FS, store.MetricsPath(id), reg.Snapshot()); err != nil {
@@ -556,7 +520,7 @@ func cmdShow(args []string) error {
 		return err
 	}
 	// Placement summary from the persisted job metrics, when the run
-	// recorded them (older traces and -no-metrics runs have none).
+	// recorded them (older traces have none).
 	if jm, err := metrics.ReadJobMetrics(store.FS, store.MetricsPath(*jobID)); err == nil && jm.Partitioner != "" {
 		fmt.Printf("placement: partitioner=%s edge-cut=%d local-msgs=%.1f%% vertices/worker=%v\n",
 			jm.Partitioner, jm.EdgeCut, jm.Totals.LocalMessageRatio(jm.TrafficTotal())*100, jm.PartitionSizes)

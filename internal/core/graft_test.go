@@ -401,6 +401,40 @@ func TestFig2ConfigShape(t *testing.T) {
 	}
 }
 
+// TestPresetConfig: every name `graft run -debug` and a serve
+// submission accept resolves, and an unknown one lists them all.
+func TestPresetConfig(t *testing.T) {
+	for _, name := range []string{"", "none"} {
+		if dc, err := PresetConfig(name, 1); dc != nil || err != nil {
+			t.Errorf("PresetConfig(%q) = %+v, %v; want nil, nil", name, dc, err)
+		}
+	}
+	for _, name := range []string{"DC-sp", "DC-sp+nbr", "DC-msg", "DC-vv", "DC-full", "fig2", "all-active"} {
+		dc, err := PresetConfig(name, 7)
+		if err != nil || dc == nil || !dc.CaptureExceptions {
+			t.Errorf("PresetConfig(%q) = %+v, %v", name, dc, err)
+		}
+	}
+	full, _ := PresetConfig("DC-full", 7)
+	if len(full.CaptureIDs) != 10 || full.CaptureIDs[0] != 1 || full.CaptureIDs[9] != 10 || !full.CaptureNeighbors ||
+		full.MessageConstraint == nil || full.VertexValueConstraint == nil || full.RandomSeed != 7 {
+		t.Errorf("DC-full = %+v", full)
+	}
+	if full.VertexValueConstraint(pregel.NewDouble(-1), 1, 0) || !full.VertexValueConstraint(pregel.NewText("x"), 1, 0) {
+		t.Error("DC-full's vertex constraint: negative doubles fail, non-numeric values pass")
+	}
+	if fig2, _ := PresetConfig("fig2", 7); fig2.NumRandomCaptures != 5 || fig2.RandomSeed != 7 {
+		t.Errorf("fig2 = %+v", fig2)
+	}
+	if all, _ := PresetConfig("all-active", 7); !all.CaptureAllActive {
+		t.Errorf("all-active = %+v", all)
+	}
+	_, err := PresetConfig("DC-bogus", 1)
+	if err == nil || !strings.Contains(err.Error(), "(DC-sp, DC-sp+nbr, DC-msg, DC-vv, DC-full, fig2, all-active, none)") {
+		t.Errorf("unknown preset: err = %v", err)
+	}
+}
+
 func TestValidateRejectsNegativeRandom(t *testing.T) {
 	dc := DebugConfig{NumRandomCaptures: -1}
 	if err := dc.Validate(); err == nil {

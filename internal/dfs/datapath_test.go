@@ -303,35 +303,6 @@ func TestScrubFindsCorruptionReadsMiss(t *testing.T) {
 	}
 }
 
-// TestSerialDataPathConformance: the seed-compatible serial mode (the
-// graft-bench baseline) must still satisfy the FileSystem contract —
-// multi-block round trips, replication, overwrite.
-func TestSerialDataPathConformance(t *testing.T) {
-	c := NewCluster(3, 2, 16)
-	c.SetSerialDataPath(true)
-	want := payload(1, 5)
-	if err := WriteFile(c, "f", want); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := ReadFile(c, "f"); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("serial round trip failed: %v", err)
-	}
-	want2 := payload(2, 2)
-	if err := WriteFile(c, "f", want2); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := ReadFile(c, "f"); err != nil || !bytes.Equal(got, want2) {
-		t.Fatalf("serial overwrite failed: %v", err)
-	}
-	total := 0
-	for i := 0; i < c.NumNodes(); i++ {
-		total += c.Node(i).NumBlocks()
-	}
-	if want := 2 * 2; total != want {
-		t.Fatalf("serial overwrite left %d replicas, want %d", total, want)
-	}
-}
-
 // TestStreamingReaderOverwriteChurn races streaming readers against
 // overwriting writers on a shared set of paths. Under -race this is a
 // data-race detector for the snapshot/refcount path; functionally,

@@ -288,6 +288,23 @@ func TestClusterOverwriteFreesOldBlocks(t *testing.T) {
 	if got := c.Node(0).NumBlocks() + c.Node(1).NumBlocks(); got != 1 {
 		t.Errorf("blocks after overwrite = %d, want 1", got)
 	}
+
+	// Replicated: an overwrite leaves exactly blocks x replication
+	// replicas of the new version and none of the old.
+	c = NewCluster(3, 2, 16)
+	if err := WriteFile(c, "f", make([]byte, 5*16)); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(c, "f", make([]byte, 2*16)); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for i := 0; i < c.NumNodes(); i++ {
+		total += c.Node(i).NumBlocks()
+	}
+	if want := 2 * 2; total != want {
+		t.Errorf("replicas after overwrite = %d, want %d", total, want)
+	}
 }
 
 func TestClusterReplicationClamped(t *testing.T) {

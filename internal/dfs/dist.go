@@ -46,8 +46,7 @@ type Cluster struct {
 	replication int
 	blockSize   int
 	nextBlock   BlockID
-	nextNode    int  // round-robin placement cursor
-	serial      bool // seed-compatible serial data path (benchmark baseline)
+	nextNode    int // round-robin placement cursor
 
 	// rotor rotates the replica a read starts from, spreading load
 	// across live nodes instead of always hammering the first holder.
@@ -226,17 +225,6 @@ func (c *Cluster) SetNodeDelay(d time.Duration) {
 	}
 }
 
-// SetSerialDataPath switches the cluster onto the seed-era data path:
-// every replica put of every block happens sequentially under the
-// global namenode lock, and Open assembles whole files eagerly from
-// the first live replica. Kept as the graft-bench -dfs baseline; do
-// not enable outside benchmarks. Configure before issuing I/O.
-func (c *Cluster) SetSerialDataPath(serial bool) {
-	c.mu.Lock()
-	c.serial = serial
-	c.mu.Unlock()
-}
-
 // Node returns the i-th datanode for failure injection in tests, or
 // nil when i is out of range. DataNode query methods treat a nil
 // receiver as a dead, empty node, so chained calls like
@@ -380,9 +368,6 @@ func (c *Cluster) Create(path string) (io.WriteCloser, error) {
 func (c *Cluster) placeBlock(data []byte) (BlockID, error) {
 	crc := crc32.ChecksumIEEE(data)
 	c.mu.Lock()
-	if c.serial {
-		return c.placeBlockSerialLocked(data, crc)
-	}
 	id := c.nextBlock
 	c.nextBlock++
 	// Candidate order: round-robin from the placement cursor, extended
@@ -446,43 +431,6 @@ func (c *Cluster) placeBlock(data []byte) (BlockID, error) {
 		c.degradedWrites.Add(1)
 	}
 	c.bytesWritten.Add(int64(len(data)) * int64(len(locs)))
-	return id, nil
-}
-
-// placeBlockSerialLocked is the seed-era placement, kept as the
-// graft-bench -dfs baseline: every replica put happens sequentially
-// while the global namenode lock is held. Caller holds c.mu; the lock
-// is released on return.
-func (c *Cluster) placeBlockSerialLocked(data []byte, crc uint32) (BlockID, error) {
-	id := c.nextBlock
-	c.nextBlock++
-	meta := &blockMeta{size: len(data), crc: crc}
-	placed := 0
-	for try := 0; try < len(c.nodes) && placed < c.replication; try++ {
-		n := c.nodes[c.nextNode%len(c.nodes)]
-		c.nextNode++
-		if n.put(id, data) {
-			meta.locations = append(meta.locations, n.id)
-			placed++
-		} else {
-			c.writeRetries.Add(1)
-		}
-	}
-	if placed > 0 {
-		sort.Ints(meta.locations)
-		c.blocks[id] = meta
-		if placed < c.replication {
-			c.suspect[id] = struct{}{}
-		}
-	}
-	c.mu.Unlock()
-	if placed == 0 {
-		return 0, ErrNoDataNodes
-	}
-	if placed < c.replication {
-		c.degradedWrites.Add(1)
-	}
-	c.bytesWritten.Add(int64(len(data)) * int64(placed))
 	return id, nil
 }
 
@@ -555,20 +503,6 @@ func (c *Cluster) Open(path string) (io.ReadCloser, error) {
 		return nil, ErrNotExist
 	}
 	blocks := append([]BlockID(nil), ver.blocks...)
-	if c.serial {
-		c.mu.Unlock()
-		// Seed-era eager assembly, kept as the benchmark baseline: the
-		// whole file is copied into memory before Read returns a byte.
-		var buf bytes.Buffer
-		for _, b := range blocks {
-			data, ok := c.readBlock(b, false)
-			if !ok {
-				return nil, fmt.Errorf("%w: block %d of %q", ErrBlockUnavailable, b, path)
-			}
-			buf.Write(data)
-		}
-		return io.NopCloser(&buf), nil
-	}
 	ends := make([]int64, len(blocks))
 	var size int64
 	for i, b := range blocks {
@@ -582,10 +516,9 @@ func (c *Cluster) Open(path string) (io.ReadCloser, error) {
 
 // readBlock fetches one block, verifying each candidate replica's
 // CRC-32 against the namenode's golden checksum. A corrupt replica is
-// quarantined and the read falls through to the next one. With rotate
-// set, the starting replica rotates so repeated reads spread across
-// live holders.
-func (c *Cluster) readBlock(b BlockID, rotate bool) ([]byte, bool) {
+// quarantined and the read falls through to the next one. The starting
+// replica rotates so repeated reads spread across live holders.
+func (c *Cluster) readBlock(b BlockID) ([]byte, bool) {
 	c.mu.RLock()
 	meta := c.blocks[b]
 	var locs []int
@@ -596,10 +529,7 @@ func (c *Cluster) readBlock(b BlockID, rotate bool) ([]byte, bool) {
 	if meta == nil || len(locs) == 0 {
 		return nil, false
 	}
-	start := 0
-	if rotate {
-		start = int((c.rotor.Add(1) - 1) % int64(len(locs)))
-	}
+	start := int((c.rotor.Add(1) - 1) % int64(len(locs)))
 	for i := 0; i < len(locs); i++ {
 		nid := locs[(start+i)%len(locs)]
 		data, ok := c.nodes[nid].get(b)
@@ -689,7 +619,7 @@ func (r *clusterReader) ReadAt(p []byte, off int64) (int, error) {
 	n := 0
 	first := sort.Search(len(r.ends), func(i int) bool { return r.ends[i] > off })
 	for i := first; n < len(p) && i < len(r.blocks); i++ {
-		data, ok := r.c.readBlock(r.blocks[i], true)
+		data, ok := r.c.readBlock(r.blocks[i])
 		if !ok {
 			return n, fmt.Errorf("%w: block %d of %q", ErrBlockUnavailable, r.blocks[i], r.path)
 		}
@@ -705,7 +635,7 @@ func (r *clusterReader) ReadAt(p []byte, off int64) (int, error) {
 func (r *clusterReader) fetch() {
 	defer close(r.fetched)
 	for _, b := range r.blocks {
-		data, ok := r.c.readBlock(b, true)
+		data, ok := r.c.readBlock(b)
 		f := blockFetch{data: data}
 		if !ok {
 			f.err = fmt.Errorf("%w: block %d of %q", ErrBlockUnavailable, b, r.path)

@@ -13,69 +13,82 @@ import (
 	"graft/internal/trace"
 )
 
+// Chaos is `graft-bench -chaos`: every workload must survive the abuse
+// with the values of its fault-free run.
+var Chaos = NewExperiment("chaos",
+	"Chaos sweep: the Figure 8 workloads under seeded storage faults, a datanode kill and one partition crash",
+	func(p Params) ([]ChaosMeasurement, error) {
+		opts := ChaosOptions{Seed: p.Seed, FaultP: p.FaultP, Progress: p.Progress}
+		switch p.ChaosRecovery {
+		case "log":
+			opts.Recovery = pregel.RecoveryLog
+		case "checkpoint":
+			opts.Recovery = pregel.RecoveryCheckpoint
+		default:
+			return nil, fmt.Errorf("unknown -chaos-recovery %q (log, checkpoint)", p.ChaosRecovery)
+		}
+		return RunChaos(StandardWorkloads(p.Scale, p.Seed, p.Workers), opts)
+	},
+	PrintChaos,
+	func(ms []ChaosMeasurement) []string {
+		var problems []string
+		for _, m := range ms {
+			if !m.Match {
+				problems = append(problems, m.Workload+": diverged from its fault-free run")
+			}
+		}
+		return problems
+	})
+
+// The chaos run checkpoints every chaosCheckpointEvery supersteps and
+// crashes one partition, once, after superstep chaosCrashAt.
+const (
+	chaosCheckpointEvery = 2
+	chaosCrashAt         = 3
+)
+
 // ChaosOptions tunes a RunChaos sweep: each workload runs once on
 // healthy storage (the reference) and once with seeded faults injected
 // into the checkpoint file system, the trace file system and one
-// datanode, a worker crash forcing checkpoint recovery mid-job.
+// datanode, a partition crash forcing recovery mid-job.
 type ChaosOptions struct {
 	// Seed drives the dataset, the injectors and the retry jitter.
 	Seed int64
-	// CheckpointEvery is the checkpoint interval (default 2).
-	CheckpointEvery int
-	// CrashAt is the superstep after which a worker crash is injected
-	// once (default 3).
-	CrashAt int
 	// FaultP is the per-operation fault probability injected into
-	// storage writes (default 0.3).
+	// storage writes.
 	FaultP float64
 	// Recovery selects how the injected crash is recovered:
 	// RecoveryCheckpoint (the zero value) restarts the whole job,
 	// RecoveryLog confines the recomputation to the seed-picked victim
 	// partition and replays its inbox from the outbox logs.
 	Recovery pregel.RecoveryMode
-	// WholeJobCrash reverts to the pre-confinement crash shape: the
-	// whole job fails instead of one seed-picked victim partition.
-	WholeJobCrash bool
 	// Progress, if non-nil, receives one line per finished workload.
 	Progress io.Writer
-}
-
-func (o *ChaosOptions) defaults() {
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 2
-	}
-	if o.CrashAt <= 0 {
-		o.CrashAt = 3
-	}
-	if o.FaultP <= 0 {
-		o.FaultP = 0.3
-	}
 }
 
 // ChaosMeasurement is one row of the chaos table: how much abuse one
 // workload absorbed and whether its output still matched the
 // fault-free reference run.
 type ChaosMeasurement struct {
-	Workload   string
-	Supersteps int
-	Recoveries int
-	// Victim is the seed-picked partition the crash takes down, or -1
-	// for a whole-job crash.
-	Victim int
+	Workload   string `json:"workload"`
+	Supersteps int    `json:"supersteps"`
+	Recoveries int    `json:"recoveries"`
+	// Victim is the seed-picked partition the crash takes down.
+	Victim int `json:"victim"`
 	// RecoveryMode is the mode the engine actually recovered in ("log",
 	// "checkpoint", or "" when no recovery ran) — a broken log degrades
 	// to "checkpoint", and the table makes that visible.
-	RecoveryMode string
-	Faults       pregel.FaultStats
+	RecoveryMode string            `json:"recovery_mode"`
+	Faults       pregel.FaultStats `json:"faults"`
 	// NodeWriteRetries counts block placements retried on another
 	// datanode inside the simulated DFS.
-	NodeWriteRetries int64
+	NodeWriteRetries int64 `json:"node_write_retries"`
 	// Captures written by the debugged chaos run.
-	Captures int64
+	Captures int64 `json:"captures"`
 	// Match reports whether every vertex value equals the fault-free
 	// run's.
-	Match   bool
-	Runtime time.Duration
+	Match   bool          `json:"match"`
+	Runtime time.Duration `json:"runtime_ns"`
 }
 
 // chaosPlan builds the injection plan for one storage role. Faults per
@@ -94,7 +107,6 @@ func chaosPlan(seed int64, p float64) faults.Plan {
 // datanode kill/revive and one worker crash, comparing final vertex
 // values against a fault-free run of the same seeded dataset.
 func RunChaos(workloads []Workload, opts ChaosOptions) ([]ChaosMeasurement, error) {
-	opts.defaults()
 	var out []ChaosMeasurement
 	for _, wl := range workloads {
 		m, err := runChaosCell(wl, opts)
@@ -115,18 +127,8 @@ func runChaosCell(wl Workload, opts ChaosOptions) (ChaosMeasurement, error) {
 	base := wl.Dataset.Build()
 
 	// Reference: the same graph and algorithm on healthy storage.
-	ref := base.Clone()
-	refAlg := wl.Algorithm()
-	refJob := pregel.NewJob(ref, refAlg.Compute, pregel.Config{
-		NumWorkers:    wl.Workers,
-		Combiner:      refAlg.Combiner,
-		Master:        refAlg.Master,
-		MaxSupersteps: refAlg.MaxSupersteps,
-	})
-	for _, spec := range refAlg.Aggregators {
-		refJob.RegisterAggregator(spec.Name, spec.Agg, spec.Persistent)
-	}
-	if _, err := refJob.Run(); err != nil {
+	_, ref, err := wl.run(base, pregel.Config{})
+	if err != nil {
 		return m, err
 	}
 
@@ -139,11 +141,9 @@ func runChaosCell(wl Workload, opts ChaosOptions) (ChaosMeasurement, error) {
 		faults.NewRetryFS(faults.NewFaultFS(cluster, chaosPlan(opts.Seed+1, opts.FaultP)), opts.Seed+1),
 		dfs.NewMemFS(),
 	)
-	store := trace.NewStore(traceFS, "chaos")
-
 	g := base.Clone()
 	alg := wl.Algorithm()
-	session, err := core.Attach(store, core.Options{
+	session, err := core.Attach(trace.NewStore(traceFS, "chaos"), core.Options{
 		JobID:      fmt.Sprintf("chaos-%s", wl.Label),
 		Algorithm:  alg.Name,
 		NumWorkers: wl.Workers,
@@ -158,11 +158,9 @@ func runChaosCell(wl Workload, opts ChaosOptions) (ChaosMeasurement, error) {
 	crashed := false
 	cfg := pregel.Config{
 		NumWorkers:       wl.Workers,
-		Combiner:         alg.Combiner,
 		Master:           session.InstrumentMaster(alg.Master),
-		MaxSupersteps:    alg.MaxSupersteps,
 		Listener:         session,
-		CheckpointEvery:  opts.CheckpointEvery,
+		CheckpointEvery:  chaosCheckpointEvery,
 		CheckpointFS:     ckptFS,
 		CheckpointPrefix: "chaos-ckpt/",
 		Recovery:         opts.Recovery,
@@ -174,47 +172,27 @@ func runChaosCell(wl Workload, opts ChaosOptions) (ChaosMeasurement, error) {
 		// run to checkpoint restart.
 		cfg.MsgLogFS = dfs.NewMemFS()
 	}
-	// The default crash is confined to a seed-picked victim partition;
-	// either way the crash takes datanode 0 down with it and the next
-	// barrier revives it, triggering re-replication.
+	// The crash is confined to a seed-picked victim partition; it takes
+	// datanode 0 down with it and the next barrier revives it,
+	// triggering re-replication.
 	m.Victim = faults.PickPartition(opts.Seed, wl.Workers)
-	if opts.WholeJobCrash {
-		m.Victim = -1
-		cfg.FailureAt = func(superstep int) bool {
-			if superstep == opts.CrashAt && !crashed {
-				crashed = true
-				cluster.Kill(0)
-				return true
-			}
-			if crashed && superstep == opts.CrashAt+1 && !cluster.Node(0).Alive() {
-				cluster.Revive(0)
-			}
-			return false
+	cfg.PartitionFailureAt = func(superstep int) []int {
+		if superstep == chaosCrashAt && !crashed {
+			crashed = true
+			cluster.Kill(0)
+			return []int{m.Victim}
 		}
-	} else {
-		victim := m.Victim
-		cfg.PartitionFailureAt = func(superstep int) []int {
-			if superstep == opts.CrashAt && !crashed {
-				crashed = true
-				cluster.Kill(0)
-				return []int{victim}
-			}
-			if crashed && superstep == opts.CrashAt+1 && !cluster.Node(0).Alive() {
-				cluster.Revive(0)
-			}
-			return nil
+		if crashed && superstep == chaosCrashAt+1 && !cluster.Node(0).Alive() {
+			cluster.Revive(0)
 		}
+		return nil
 	}
-	job := pregel.NewJob(g, session.Instrument(alg.Compute), cfg)
-	for _, spec := range alg.Aggregators {
-		job.RegisterAggregator(spec.Name, spec.Agg, spec.Persistent)
-	}
-	start := time.Now()
-	stats, err := job.Run()
+	alg.Compute = session.Instrument(alg.Compute)
+	stats, err := alg.Configure(g, cfg).Run()
 	if err != nil {
 		return m, err
 	}
-	m.Runtime = time.Since(start)
+	m.Runtime = stats.Runtime
 	m.Supersteps = stats.Supersteps
 	m.Recoveries = stats.Recoveries
 	if len(stats.RecoveryEvents) > 0 {

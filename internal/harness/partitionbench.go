@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"text/tabwriter"
 	"time"
 
@@ -53,15 +51,13 @@ type PartitionBench struct {
 	Match bool `json:"match"`
 }
 
-// PartitionWorkload is one algorithm/graph point of the placement grid.
-type PartitionWorkload struct {
-	Label     string
-	Algorithm string
-	Mode      pregel.ComputeMode
-	Make      func() *algorithms.Algorithm
-	Build     func() *pregel.Graph
-	Workers   int
-}
+// Partition is `graft-bench -partition`.
+var Partition = NewExperiment("partition",
+	"Placement: hash partitioning vs the streaming locality placer on communication and convergence",
+	func(p Params) ([]PartitionBench, error) {
+		return RunPartitionBench(PartitionWorkloads(p.Scale, p.Seed, p.Workers), p.Options)
+	},
+	PrintPartitionBench, CheckPartitionBench)
 
 // PartitionWorkloads returns the placement grid. CC-web is the
 // communication cell: connected components on a host-local web graph
@@ -72,141 +68,70 @@ type PartitionWorkload struct {
 // subgraph-centric mode on chained communities, where supersteps track
 // partition-boundary crossings along the chain; a placement that keeps
 // communities whole crosses per partition instead of per hop.
-func PartitionWorkloads(scale float64, seed int64, workers int) []PartitionWorkload {
-	nWeb := int(20_000_000 * scale)
-	if nWeb < 4000 {
-		nWeb = 4000
-	}
-	nChain := int(10_000_000 * scale)
-	if nChain < 3000 {
-		nChain = 3000
-	}
-	// Subgraph-mode convergence depends on the partition count, so the
-	// chain cell pins 4 partitions for a stable superstep contrast; the
-	// web cell keeps the caller's worker count (the reduction holds at
-	// any k since host blocks are much smaller than partitions).
-	chainWorkers := 4
-	if workers < chainWorkers {
-		chainWorkers = workers
-	}
-	return []PartitionWorkload{
+//
+// Subgraph-mode convergence depends on the partition count, so the
+// chain cell pins 4 partitions for a stable superstep contrast; the web
+// cell keeps the caller's worker count (the reduction holds at any k
+// since host blocks are much smaller than partitions).
+func PartitionWorkloads(scale float64, seed int64, workers int) []Workload {
+	nWeb := max(int(20_000_000*scale), 4000)
+	nChain := max(int(10_000_000*scale), 3000)
+	return []Workload{
 		{
-			Label: "CC-web", Algorithm: "cc", Mode: pregel.ModeVertex,
-			Make:    algorithms.NewConnectedComponents,
-			Build:   func() *pregel.Graph { return graphgen.WebHostGraph(nWeb, 30, 8, 0.8, seed) },
-			Workers: workers,
+			Label: "CC-web", Algorithm: algorithms.NewConnectedComponents, Workers: workers,
+			Dataset: graphgen.Dataset{Name: "web-host", Build: func() *pregel.Graph { return graphgen.WebHostGraph(nWeb, 30, 8, 0.8, seed) }},
 		},
 		{
-			Label: "BFS-chain", Algorithm: "bfs", Mode: pregel.ModeSubgraph,
-			Make:    func() *algorithms.Algorithm { return algorithms.NewBFS(0) },
-			Build:   func() *pregel.Graph { return graphgen.ChainedCommunities(nChain, 48, 4, seed) },
-			Workers: chainWorkers,
+			Label: "BFS-chain", Algorithm: func() *algorithms.Algorithm { return algorithms.NewBFS(0) }, Workers: min(workers, 4),
+			Dataset: graphgen.Dataset{Name: "chain", Build: func() *pregel.Graph { return graphgen.ChainedCommunities(nChain, 48, 4, seed) }},
+			Mode:    pregel.ModeSubgraph,
 		},
 	}
-}
-
-// partitionModeRun executes one repetition under the given placement
-// and returns the stats and the final-values digest.
-func partitionModeRun(wl PartitionWorkload, base *pregel.Graph, placer pregel.PartitionerMode) (*pregel.Stats, string, error) {
-	runtime.GC()
-	g := base.Clone()
-	cfg := pregel.Config{
-		NumWorkers:  wl.Workers,
-		ComputeMode: wl.Mode,
-		Partitioner: placer,
-	}
-	stats, err := wl.Make().Configure(g, cfg).Run()
-	if err != nil {
-		return nil, "", err
-	}
-	return stats, valuesDigest(g), nil
 }
 
 // RunPartitionBench measures the locality placer against the hash
-// baseline across the workload grid, interleaving repetitions
-// (hash/locality alternating first) so neither placement systematically
-// benefits from a warm heap.
-func RunPartitionBench(workloads []PartitionWorkload, opts Options) ([]PartitionBench, error) {
-	if opts.Reps <= 0 {
-		opts.Reps = 5
-	}
+// baseline across the workload grid.
+func RunPartitionBench(workloads []Workload, opts Options) ([]PartitionBench, error) {
 	var out []PartitionBench
 	for _, wl := range workloads {
-		base := wl.Build()
-		mode := "vertex"
-		if wl.Mode == pregel.ModeSubgraph {
-			mode = "subgraph"
-		}
+		base := wl.Dataset.Build()
 		row := PartitionBench{
 			Workload:  wl.Label,
-			Algorithm: wl.Algorithm,
-			Mode:      mode,
+			Algorithm: wl.Algorithm().Name,
+			Mode:      wl.Mode.String(),
 			Vertices:  base.NumVertices(),
 			Edges:     base.NumEdges(),
 			Workers:   wl.Workers,
-			Reps:      opts.Reps,
 			Match:     true,
 		}
-		var hashTimes, locTimes []time.Duration
-		var hashDigest, locDigest string
-		for rep := -1; rep < opts.Reps; rep++ {
-			var ht, lt time.Duration
-			runHash := func() error {
-				stats, digest, err := partitionModeRun(wl, base, pregel.PartitionHash)
+		var refDigest string // of the first run; every later run must agree
+		cell := func(placer pregel.PartitionerMode, supersteps *int, remote, edgeCut *int64) Cell {
+			return Cell{Name: placer.String(), Run: func() (time.Duration, error) {
+				stats, g, err := wl.run(base, pregel.Config{ComputeMode: wl.Mode, Partitioner: placer})
 				if err != nil {
-					return fmt.Errorf("harness: %s hash: %w", wl.Label, err)
+					return 0, err
 				}
-				ht = stats.Runtime
-				row.HashSupersteps = stats.Supersteps
-				row.HashRemote = stats.RemoteMessages()
-				row.HashEdgeCut = stats.EdgeCut
-				hashDigest = digest
-				return nil
-			}
-			runLocality := func() error {
-				stats, digest, err := partitionModeRun(wl, base, pregel.PartitionLocality)
-				if err != nil {
-					return fmt.Errorf("harness: %s locality: %w", wl.Label, err)
-				}
-				lt = stats.Runtime
-				row.LocalitySupersteps = stats.Supersteps
-				row.LocalityRemote = stats.RemoteMessages()
-				row.LocalityEdgeCut = stats.EdgeCut
-				locDigest = digest
-				return nil
-			}
-			first, second := runHash, runLocality
-			if rep%2 != 0 {
-				first, second = runLocality, runHash
-			}
-			if err := first(); err != nil {
-				return nil, err
-			}
-			if err := second(); err != nil {
-				return nil, err
-			}
-			if hashDigest != locDigest {
-				row.Match = false
-			}
-			if rep < 0 {
-				continue // warmup
-			}
-			hashTimes = append(hashTimes, ht)
-			locTimes = append(locTimes, lt)
+				*supersteps, *remote, *edgeCut = stats.Supersteps, stats.RemoteMessages(), stats.EdgeCut
+				row.Match = row.Match && sameValues(&refDigest, g)
+				return stats.Runtime, nil
+			}}
 		}
-		hashBest, locBest := fastest(hashTimes), fastest(locTimes)
-		row.HashNanos = hashBest.Nanoseconds()
-		row.LocalityNanos = locBest.Nanoseconds()
+		sum, err := RunPaired(Pair{
+			Name:   "partition " + wl.Label,
+			A:      cell(pregel.PartitionHash, &row.HashSupersteps, &row.HashRemote, &row.HashEdgeCut),
+			B:      cell(pregel.PartitionLocality, &row.LocalitySupersteps, &row.LocalityRemote, &row.LocalityEdgeCut),
+			Blocks: opts.Reps, Progress: opts.Progress,
+		})
+		if err != nil {
+			return nil, err
+		}
+		row.Reps = sum.Blocks
+		row.HashNanos = sum.FastestA.Nanoseconds()
+		row.LocalityNanos = sum.FastestB.Nanoseconds()
 		if row.HashRemote > 0 {
 			row.RemoteReduction = 1 - float64(row.LocalityRemote)/float64(row.HashRemote)
 		}
 		out = append(out, row)
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "%-10s remote %9d -> %-9d (-%.1f%%)  edge-cut %8d -> %-8d  supersteps %3d -> %-3d  match=%v\n",
-				wl.Label, row.HashRemote, row.LocalityRemote, row.RemoteReduction*100,
-				row.HashEdgeCut, row.LocalityEdgeCut,
-				row.HashSupersteps, row.LocalitySupersteps, row.Match)
-		}
 	}
 	return out, nil
 }
@@ -223,18 +148,6 @@ func PrintPartitionBench(w io.Writer, rs []PartitionBench) {
 			time.Duration(r.LocalityNanos).Round(time.Microsecond), r.Match)
 	}
 	tw.Flush()
-}
-
-// WritePartitionBenchJSON writes the rows as indented JSON (the
-// BENCH_partition.json artifact).
-func WritePartitionBenchJSON(w io.Writer, rs []PartitionBench) error {
-	b, err := json.MarshalIndent(rs, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
 }
 
 // CheckPartitionBench verifies the acceptance claims: both placements

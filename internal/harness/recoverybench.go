@@ -1,13 +1,8 @@
 package harness
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
-	"sort"
 	"text/tabwriter"
 	"time"
 
@@ -64,81 +59,28 @@ type RecoveryBench struct {
 	LogMatch        bool `json:"log_match"`
 }
 
-// RecoveryWorkload is one algorithm/graph point of the recovery grid.
-type RecoveryWorkload struct {
-	Label     string
-	Algorithm string
-	Make      func() *algorithms.Algorithm
-	Build     func() *pregel.Graph
-	Workers   int
-}
+// Recovery is `graft-bench -recovery`.
+var Recovery = NewExperiment("recovery",
+	"Recovery: confined log replay vs full checkpoint restart, failing early and late between checkpoints",
+	func(p Params) ([]RecoveryBench, error) {
+		return RunRecoveryBench(RecoveryWorkloads(p.Scale, p.Seed, p.Workers), p.Options)
+	},
+	PrintRecoveryBench, CheckRecoveryBench)
 
 // RecoveryWorkloads returns the recovery grid: a long fixed-length
 // PageRank (many supersteps, so failures can land far from a
 // checkpoint) over the skewed preferential-attachment web graph, and
 // connected components over a chained-communities graph whose
 // diameter keeps label propagation running for ~25 supersteps.
-func RecoveryWorkloads(scale float64, seed int64, workers int) []RecoveryWorkload {
-	n := int(30_000_000 * scale)
-	if n < 2000 {
-		n = 2000
-	}
-	web := func() *pregel.Graph { return graphgen.WebGraph(n, 8, seed) }
-	chain := func() *pregel.Graph { return graphgen.ChainedCommunities(n, 24, 6, seed) }
+func RecoveryWorkloads(scale float64, seed int64, workers int) []Workload {
+	n := max(int(30_000_000*scale), 2000)
+	web := graphgen.Dataset{Name: "web", Build: func() *pregel.Graph { return graphgen.WebGraph(n, 8, seed) }}
+	chain := graphgen.Dataset{Name: "chain", Build: func() *pregel.Graph { return graphgen.ChainedCommunities(n, 24, 6, seed) }}
 	pr := func() *algorithms.Algorithm { return algorithms.NewPageRank(24, 0.85) }
-	cc := algorithms.NewConnectedComponents
-	return []RecoveryWorkload{
-		{Label: "PR-web", Algorithm: "pagerank", Make: pr, Build: web, Workers: workers},
-		{Label: "CC-chain", Algorithm: "cc", Make: cc, Build: chain, Workers: workers},
+	return []Workload{
+		{Label: "PR-web", Algorithm: pr, Dataset: web, Workers: workers},
+		{Label: "CC-chain", Algorithm: algorithms.NewConnectedComponents, Dataset: chain, Workers: workers},
 	}
-}
-
-// valuesDigest hashes the final vertex values in canonical ID order:
-// the cheap stand-in for the full trace digest at benchmark scale.
-func valuesDigest(g *pregel.Graph) string {
-	type kv struct {
-		id  pregel.VertexID
-		val []byte
-	}
-	var all []kv
-	g.Each(func(v *pregel.Vertex) {
-		all = append(all, kv{id: v.ID(), val: pregel.MarshalValue(v.Value())})
-	})
-	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
-	h := sha256.New()
-	e := pregel.NewEncoder()
-	for _, x := range all {
-		e.Reset()
-		e.PutVarint(int64(x.id))
-		e.PutBytes(x.val)
-		h.Write(e.Bytes())
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// recoveryRun executes one repetition: the workload crashed once at
-// failAt (partition victim) and recovered in the given mode.
-func recoveryRun(wl RecoveryWorkload, base *pregel.Graph, mode pregel.RecoveryMode, failAt, victim int) (*pregel.Stats, string, error) {
-	runtime.GC()
-	g := base.Clone()
-	cfg := pregel.Config{
-		NumWorkers:         wl.Workers,
-		CheckpointEvery:    RecoveryBenchCheckpointEvery,
-		CheckpointFS:       dfs.NewMemFS(),
-		Recovery:           mode,
-		PartitionFailureAt: faults.FailPartitionAt(failAt, victim),
-	}
-	if mode == pregel.RecoveryLog {
-		cfg.MsgLogFS = dfs.NewMemFS()
-	}
-	stats, err := wl.Make().Configure(g, cfg).Run()
-	if err != nil {
-		return nil, "", err
-	}
-	if stats.Recoveries != 1 {
-		return nil, "", fmt.Errorf("recoveries = %d, want 1", stats.Recoveries)
-	}
-	return stats, valuesDigest(g), nil
 }
 
 // RunRecoveryBench measures confined log recovery against full
@@ -146,17 +88,11 @@ func recoveryRun(wl RecoveryWorkload, base *pregel.Graph, mode pregel.RecoveryMo
 // in each run. A failure-free reference run per workload learns the
 // superstep count (for placing the failures) and the canonical final
 // values every recovered run must reproduce.
-func RunRecoveryBench(workloads []RecoveryWorkload, opts Options) ([]RecoveryBench, error) {
-	if opts.Reps <= 0 {
-		opts.Reps = 5
-	}
+func RunRecoveryBench(workloads []Workload, opts Options) ([]RecoveryBench, error) {
 	var out []RecoveryBench
 	for _, wl := range workloads {
-		base := wl.Build()
-		refGraph := base.Clone()
-		refStats, err := wl.Make().Configure(refGraph, pregel.Config{
-			NumWorkers: wl.Workers,
-		}).Run()
+		base := wl.Dataset.Build()
+		refStats, refGraph, err := wl.run(base, pregel.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s reference: %w", wl.Label, err)
 		}
@@ -186,92 +122,75 @@ func RunRecoveryBench(workloads []RecoveryWorkload, opts Options) ([]RecoveryBen
 		if early >= late {
 			early = late / 2
 		}
-		if early < 1 {
-			early = 1
-		}
-		cells := []struct {
+		early = max(early, 1)
+		for _, at := range []struct {
 			name   string
 			failAt int
-		}{
-			{"early", early},
-			{"late", late},
-		}
-		for _, cell := range cells {
+		}{{"early", early}, {"late", late}} {
 			row := RecoveryBench{
 				Workload:        wl.Label,
-				Algorithm:       wl.Algorithm,
-				FailAt:          cell.name,
-				FailSuperstep:   cell.failAt,
+				Algorithm:       wl.Algorithm().Name,
+				FailAt:          at.name,
+				FailSuperstep:   at.failAt,
 				Victim:          victim,
-				Reps:            opts.Reps,
 				Workers:         wl.Workers,
 				Supersteps:      total,
 				CheckpointMatch: true,
 				LogMatch:        true,
 			}
-			var ckptTimes, logTimes []time.Duration
-			for rep := -1; rep < opts.Reps; rep++ {
-				var ct, lt time.Duration
-				runCkpt := func() error {
-					stats, digest, err := recoveryRun(wl, base, pregel.RecoveryCheckpoint, cell.failAt, victim)
+			// cell crashes partition victim once at the barrier and
+			// recovers in the given mode; its sample is RecoveryTime.
+			cell := func(mode pregel.RecoveryMode, match *bool) Cell {
+				return Cell{Name: mode.String(), Run: func() (time.Duration, error) {
+					cfg := pregel.Config{
+						CheckpointEvery:    RecoveryBenchCheckpointEvery,
+						CheckpointFS:       dfs.NewMemFS(),
+						Recovery:           mode,
+						PartitionFailureAt: faults.FailPartitionAt(at.failAt, victim),
+					}
+					if mode == pregel.RecoveryLog {
+						cfg.MsgLogFS = dfs.NewMemFS()
+					}
+					stats, g, err := wl.run(base, cfg)
 					if err != nil {
-						return fmt.Errorf("harness: %s/%s checkpoint: %w", wl.Label, cell.name, err)
+						return 0, err
 					}
-					ct = stats.RecoveryTime
-					if digest != refDigest {
-						row.CheckpointMatch = false
+					if stats.Recoveries != 1 {
+						return 0, fmt.Errorf("recoveries = %d, want 1", stats.Recoveries)
 					}
-					return nil
-				}
-				runLog := func() error {
-					stats, digest, err := recoveryRun(wl, base, pregel.RecoveryLog, cell.failAt, victim)
-					if err != nil {
-						return fmt.Errorf("harness: %s/%s log: %w", wl.Label, cell.name, err)
+					if valuesDigest(g) != refDigest {
+						*match = false
 					}
-					lt = stats.RecoveryTime
-					if digest != refDigest {
-						row.LogMatch = false
-					}
-					if len(stats.RecoveryEvents) == 1 {
-						ev := stats.RecoveryEvents[0]
-						if ev.Mode != "log" {
-							return fmt.Errorf("harness: %s/%s: recovery degraded to %s", wl.Label, cell.name, ev.Mode)
+					if mode == pregel.RecoveryLog {
+						if len(stats.RecoveryEvents) == 1 {
+							ev := stats.RecoveryEvents[0]
+							if ev.Mode != "log" {
+								return 0, fmt.Errorf("recovery degraded to %s", ev.Mode)
+							}
+							row.PartitionsRecomputed = ev.PartitionsRecomputed
+							row.MessagesReplayed = ev.MessagesReplayed
 						}
-						row.PartitionsRecomputed = ev.PartitionsRecomputed
-						row.MessagesReplayed = ev.MessagesReplayed
+						row.BytesLogged = stats.BytesLogged
 					}
-					row.BytesLogged = stats.BytesLogged
-					return nil
-				}
-				first, second := runCkpt, runLog
-				if rep%2 != 0 {
-					first, second = runLog, runCkpt
-				}
-				if err := first(); err != nil {
-					return nil, err
-				}
-				if err := second(); err != nil {
-					return nil, err
-				}
-				if rep < 0 {
-					continue // warmup
-				}
-				ckptTimes = append(ckptTimes, ct)
-				logTimes = append(logTimes, lt)
+					return stats.RecoveryTime, nil
+				}}
 			}
-			ckptBest, logBest := fastest(ckptTimes), fastest(logTimes)
-			row.CheckpointRecoveryNanos = ckptBest.Nanoseconds()
-			row.LogRecoveryNanos = logBest.Nanoseconds()
-			if logBest > 0 {
-				row.Speedup = float64(ckptBest) / float64(logBest)
+			sum, err := RunPaired(Pair{
+				Name:   fmt.Sprintf("recovery %s/%s@%d", wl.Label, at.name, at.failAt),
+				A:      cell(pregel.RecoveryCheckpoint, &row.CheckpointMatch),
+				B:      cell(pregel.RecoveryLog, &row.LogMatch),
+				Blocks: opts.Reps, Progress: opts.Progress,
+			})
+			if err != nil {
+				return nil, err
+			}
+			row.Reps = sum.Blocks
+			row.CheckpointRecoveryNanos = sum.FastestA.Nanoseconds()
+			row.LogRecoveryNanos = sum.FastestB.Nanoseconds()
+			if sum.FastestB > 0 {
+				row.Speedup = float64(sum.FastestA) / float64(sum.FastestB)
 			}
 			out = append(out, row)
-			if opts.Progress != nil {
-				fmt.Fprintf(opts.Progress, "%-10s fail=%-5s@%-3d ckpt=%8.2fms log=%8.2fms speedup=%.2fx confined=%d/%d\n",
-					wl.Label, cell.name, cell.failAt,
-					float64(ckptBest.Microseconds())/1000, float64(logBest.Microseconds())/1000,
-					row.Speedup, row.PartitionsRecomputed, wl.Workers)
-			}
 		}
 	}
 	return out, nil
@@ -293,18 +212,6 @@ func PrintRecoveryBench(w io.Writer, rs []RecoveryBench) {
 			r.Speedup, r.PartitionsRecomputed, r.Workers, r.MessagesReplayed, match)
 	}
 	tw.Flush()
-}
-
-// WriteRecoveryBenchJSON writes the rows as indented JSON (the
-// BENCH_recovery.json artifact).
-func WriteRecoveryBenchJSON(w io.Writer, rs []RecoveryBench) error {
-	b, err := json.MarshalIndent(rs, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
 }
 
 // CheckRecoveryBench verifies the acceptance claims: every recovered

@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"text/tabwriter"
 	"time"
 
@@ -47,15 +45,13 @@ type SubgraphBench struct {
 	Match bool `json:"match"`
 }
 
-// SubgraphWorkload is one algorithm/graph point of the compute-mode
-// grid.
-type SubgraphWorkload struct {
-	Label     string
-	Algorithm string
-	Make      func() *algorithms.Algorithm
-	Build     func() *pregel.Graph
-	Workers   int
-}
+// Subgraph is `graft-bench -subgraph`.
+var Subgraph = NewExperiment("subgraph",
+	"Compute mode: vertex-centric vs subgraph-centric on traversal workloads",
+	func(p Params) ([]SubgraphBench, error) {
+		return RunSubgraphBench(SubgraphWorkloads(p.Scale, p.Seed, p.Workers), p.Options)
+	},
+	PrintSubgraphBench, CheckSubgraphBench)
 
 // SubgraphWorkloads returns the compute-mode grid. CC-bp is the
 // paper's pathological scenario: connected components on a regular
@@ -73,121 +69,66 @@ type SubgraphWorkload struct {
 // crossings along shortest paths (which hash partitioning cannot
 // shorten much), so its win comes from halving barrier count while
 // finer partitions keep the per-superstep internal refinement cheap.
-func SubgraphWorkloads(scale float64, seed int64, workers int) []SubgraphWorkload {
-	n := int(30_000_000 * scale)
-	if n < 2000 {
-		n = 2000
+func SubgraphWorkloads(scale float64, seed int64, workers int) []Workload {
+	n := max(int(30_000_000*scale), 2000)
+	bp := graphgen.Dataset{Name: "bp", Build: func() *pregel.Graph { return graphgen.RegularBipartite(n, 8) }}
+	return []Workload{
+		{Label: "CC-bp", Algorithm: algorithms.NewConnectedComponents, Dataset: bp, Workers: min(workers, 4)},
+		{Label: "BFS-bp", Algorithm: func() *algorithms.Algorithm { return algorithms.NewBFS(0) }, Dataset: bp, Workers: workers},
 	}
-	bp := func() *pregel.Graph { return graphgen.RegularBipartite(n, 8) }
-	ccWorkers := 4
-	if workers < ccWorkers {
-		ccWorkers = workers
-	}
-	return []SubgraphWorkload{
-		{Label: "CC-bp", Algorithm: "cc", Make: algorithms.NewConnectedComponents, Build: bp, Workers: ccWorkers},
-		{Label: "BFS-bp", Algorithm: "bfs", Make: func() *algorithms.Algorithm { return algorithms.NewBFS(0) }, Build: bp, Workers: workers},
-	}
-}
-
-// subgraphModeRun executes one repetition in the given compute mode
-// and returns the stats and the final-values digest.
-func subgraphModeRun(wl SubgraphWorkload, base *pregel.Graph, mode pregel.ComputeMode) (*pregel.Stats, string, error) {
-	runtime.GC()
-	g := base.Clone()
-	cfg := pregel.Config{
-		NumWorkers:  wl.Workers,
-		ComputeMode: mode,
-	}
-	stats, err := wl.Make().Configure(g, cfg).Run()
-	if err != nil {
-		return nil, "", err
-	}
-	return stats, valuesDigest(g), nil
 }
 
 // RunSubgraphBench measures the subgraph-centric mode against the
-// vertex-centric baseline across the workload grid, interleaving
-// repetitions (vertex/subgraph alternating first) so neither mode
-// systematically benefits from a warm heap.
-func RunSubgraphBench(workloads []SubgraphWorkload, opts Options) ([]SubgraphBench, error) {
-	if opts.Reps <= 0 {
-		opts.Reps = 5
-	}
+// vertex-centric baseline across the workload grid.
+func RunSubgraphBench(workloads []Workload, opts Options) ([]SubgraphBench, error) {
 	var out []SubgraphBench
 	for _, wl := range workloads {
-		base := wl.Build()
+		base := wl.Dataset.Build()
 		row := SubgraphBench{
 			Workload:  wl.Label,
-			Algorithm: wl.Algorithm,
+			Algorithm: wl.Algorithm().Name,
 			Vertices:  base.NumVertices(),
 			Workers:   wl.Workers,
-			Reps:      opts.Reps,
 			Match:     true,
 		}
-		var vertexTimes, subgraphTimes []time.Duration
-		var vertexDigest, subgraphDigest string
-		for rep := -1; rep < opts.Reps; rep++ {
-			var vt, st time.Duration
-			runVertex := func() error {
-				stats, digest, err := subgraphModeRun(wl, base, pregel.ModeVertex)
+		var refDigest string // of the first run; every later run must agree
+		cell := func(name string, mode pregel.ComputeMode, supersteps *int) Cell {
+			return Cell{Name: name, Run: func() (time.Duration, error) {
+				stats, g, err := wl.run(base, pregel.Config{ComputeMode: mode})
 				if err != nil {
-					return fmt.Errorf("harness: %s vertex: %w", wl.Label, err)
+					return 0, err
 				}
-				vt = stats.Runtime
-				row.VertexSupersteps = stats.Supersteps
-				vertexDigest = digest
-				return nil
-			}
-			runSubgraph := func() error {
-				stats, digest, err := subgraphModeRun(wl, base, pregel.ModeSubgraph)
-				if err != nil {
-					return fmt.Errorf("harness: %s subgraph: %w", wl.Label, err)
+				*supersteps = stats.Supersteps
+				row.Match = row.Match && sameValues(&refDigest, g)
+				if mode == pregel.ModeSubgraph {
+					row.SubgraphsComputed, row.InternalIterations = 0, 0
+					for _, ss := range stats.PerSuperstep {
+						row.SubgraphsComputed += ss.SubgraphsComputed
+						row.InternalIterations += ss.InternalIterations
+					}
 				}
-				st = stats.Runtime
-				row.SubgraphSupersteps = stats.Supersteps
-				subgraphDigest = digest
-				row.SubgraphsComputed, row.InternalIterations = 0, 0
-				for _, ss := range stats.PerSuperstep {
-					row.SubgraphsComputed += ss.SubgraphsComputed
-					row.InternalIterations += ss.InternalIterations
-				}
-				return nil
-			}
-			first, second := runVertex, runSubgraph
-			if rep%2 != 0 {
-				first, second = runSubgraph, runVertex
-			}
-			if err := first(); err != nil {
-				return nil, err
-			}
-			if err := second(); err != nil {
-				return nil, err
-			}
-			if vertexDigest != subgraphDigest {
-				row.Match = false
-			}
-			if rep < 0 {
-				continue // warmup
-			}
-			vertexTimes = append(vertexTimes, vt)
-			subgraphTimes = append(subgraphTimes, st)
+				return stats.Runtime, nil
+			}}
 		}
-		vertexBest, subgraphBest := fastest(vertexTimes), fastest(subgraphTimes)
-		row.VertexNanos = vertexBest.Nanoseconds()
-		row.SubgraphNanos = subgraphBest.Nanoseconds()
-		if subgraphBest > 0 {
-			row.Speedup = float64(vertexBest) / float64(subgraphBest)
+		sum, err := RunPaired(Pair{
+			Name:   "subgraph " + wl.Label,
+			A:      cell("vertex", pregel.ModeVertex, &row.VertexSupersteps),
+			B:      cell("subgraph", pregel.ModeSubgraph, &row.SubgraphSupersteps),
+			Blocks: opts.Reps, Progress: opts.Progress,
+		})
+		if err != nil {
+			return nil, err
+		}
+		row.Reps = sum.Blocks
+		row.VertexNanos = sum.FastestA.Nanoseconds()
+		row.SubgraphNanos = sum.FastestB.Nanoseconds()
+		if sum.FastestB > 0 {
+			row.Speedup = float64(sum.FastestA) / float64(sum.FastestB)
 		}
 		if row.VertexSupersteps > 0 {
 			row.SuperstepRatio = float64(row.SubgraphSupersteps) / float64(row.VertexSupersteps)
 		}
 		out = append(out, row)
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "%-8s supersteps %4d -> %-3d (%.1f%%)  wall %8.2fms -> %8.2fms (%.2fx)  match=%v\n",
-				wl.Label, row.VertexSupersteps, row.SubgraphSupersteps, row.SuperstepRatio*100,
-				float64(vertexBest.Microseconds())/1000, float64(subgraphBest.Microseconds())/1000,
-				row.Speedup, row.Match)
-		}
 	}
 	return out, nil
 }
@@ -204,18 +145,6 @@ func PrintSubgraphBench(w io.Writer, rs []SubgraphBench) {
 			r.Speedup, r.SubgraphsComputed, r.InternalIterations, r.Match)
 	}
 	tw.Flush()
-}
-
-// WriteSubgraphBenchJSON writes the rows as indented JSON (the
-// BENCH_subgraph.json artifact).
-func WriteSubgraphBenchJSON(w io.Writer, rs []SubgraphBench) error {
-	b, err := json.MarshalIndent(rs, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
 }
 
 // CheckSubgraphBench verifies the acceptance claims: both modes land

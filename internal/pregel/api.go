@@ -176,8 +176,7 @@ type SuperstepInfo struct {
 // accounting (active vertices, messages) it carries the telemetry the
 // engine folds from its per-worker collectors at the barrier: wall
 // times for the compute phase, barrier idling and trace capture, and
-// the straggler/skew indicators derived from them. Telemetry fields
-// are zero when Config.DisableMetrics is set.
+// the straggler/skew indicators derived from them.
 type SuperstepStats struct {
 	Superstep    int   `json:"superstep"`
 	ActiveAtEnd  int64 `json:"active"`

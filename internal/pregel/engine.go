@@ -249,11 +249,6 @@ type Config struct {
 	// successful write and counted in FaultStats.CheckpointsDeleted).
 	// 0 means the default of 2; negative disables GC entirely.
 	CheckpointRetain int
-	// DisableMetrics turns off the per-worker superstep telemetry
-	// (compute/barrier/capture timings, skew indicators). Collection is
-	// a handful of clock reads per worker per superstep; the switch
-	// exists so graft-bench can measure exactly what it costs.
-	DisableMetrics bool
 	// MsgFlushBatch is how many outgoing messages a worker buffers per
 	// destination partition before appending the batch to its lane; 0
 	// means the default (1024).
@@ -262,8 +257,7 @@ type Config struct {
 	// superstep's ComputeSkew or MessageSkew reaches this threshold
 	// (max/mean; 1.0 is perfectly balanced), the hottest vertices
 	// migrate off the straggler partition at the barrier. 0 disables
-	// rebalancing. Requires telemetry, so it is ignored when
-	// DisableMetrics is set.
+	// rebalancing.
 	RebalanceSkew float64
 	// RebalanceMaxMoves caps the vertices migrated per rebalance; 0
 	// means the default (1024).
@@ -273,9 +267,8 @@ type Config struct {
 	// RebalanceSkew. ObjectiveEdgeCut migrates boundary vertices toward
 	// their heaviest communication partner whenever the traffic matrix
 	// shows a dominant cross-partition lane; it is self-enabling
-	// (RebalanceSkew is not consulted) and requires telemetry and a
-	// non-negative AnomalyWindow, since the traffic matrix feeds the
-	// decision.
+	// (RebalanceSkew is not consulted) and requires a non-negative
+	// AnomalyWindow, since the traffic matrix feeds the decision.
 	RebalanceObjective RebalanceObjective
 	// Partitioner selects the initial vertex placement: PartitionHash
 	// (the zero value) is Fibonacci hashing, byte-compatible with
@@ -289,8 +282,7 @@ type Config struct {
 	// AnomalyWindow is the sliding-window size (in supersteps) of the
 	// anomaly detectors; 0 means the default (anomaly.DefaultWindow).
 	// A negative value disables detection and the traffic-matrix
-	// capture that feeds it. Detection requires telemetry, so it is
-	// also off when DisableMetrics is set.
+	// capture that feeds it.
 	AnomalyWindow int
 	// ComputeMode selects the unit of computation: ModeVertex (the zero
 	// value) runs Computation.Compute per vertex; ModeSubgraph runs
@@ -389,8 +381,7 @@ type workerResult struct {
 	additions  []vertexAddition
 	// Telemetry, written only by the owning worker goroutine and read
 	// by the coordinator after the barrier — the lock-free per-worker
-	// collector the metrics layer folds from. Zero when
-	// Config.DisableMetrics is set.
+	// collector the metrics layer folds from.
 	vertices     int64
 	received     int64
 	computeNanos int64
@@ -503,7 +494,7 @@ func newEngine(j *Job) *engine {
 	}
 	en.partActive = make([]int64, w)
 	en.recountActive()
-	if !j.cfg.DisableMetrics && j.cfg.AnomalyWindow >= 0 {
+	if j.cfg.AnomalyWindow >= 0 {
 		en.anom = anomaly.New(anomaly.Config{Window: j.cfg.AnomalyWindow})
 	}
 	en.cur = en.newStore()
@@ -673,7 +664,7 @@ func (en *engine) finish(err error) (*Stats, error) {
 	for i, p := range en.parts {
 		en.stats.PartitionSizes[i] = int64(p.live)
 	}
-	if err == nil && !en.cfg.DisableMetrics {
+	if err == nil {
 		en.stats.EdgeCut = en.currentEdgeCut()
 	}
 	// A canceled job never resumes, so its recovery artifacts —
@@ -840,9 +831,8 @@ func (en *engine) barrierPhase(st *step) error {
 	// the lanes into the shards (and zeroes the lane counters); at
 	// this point the next store's shards are still empty, so the
 	// matrix provably sums to MessagesSent.
-	collect := !en.cfg.DisableMetrics
 	var traffic [][]int64
-	if collect && en.anom != nil {
+	if en.anom != nil {
 		traffic = en.next.trafficMatrix()
 	}
 	dropped, err := en.integrateMissing()
@@ -852,24 +842,18 @@ func (en *engine) barrierPhase(st *step) error {
 	en.stats.MessagesDropped += dropped
 	st.ss = SuperstepStats{Superstep: en.superstep, ActiveAtEnd: active, MessagesSent: sent, Straggler: -1}
 	st.ss.MessagesCombined = en.next.combinedTotal()
-	if collect {
-		en.foldTelemetry(&st.ss, st.results, st.wall)
-		st.ss.Traffic = traffic
-		for w := range traffic {
-			st.ss.LocalMessages += traffic[w][w]
-		}
+	en.foldTelemetry(&st.ss, st.results, st.wall)
+	st.ss.Traffic = traffic
+	for w := range traffic {
+		st.ss.LocalMessages += traffic[w][w]
 	}
 	return nil
 }
 
 // rebalancePhase acts on the superstep's folded telemetry: the anomaly
 // detectors observe it, and the rebalancer the job is configured with
-// migrates vertices on what they (or the traffic matrix) show. Nothing
-// here runs without telemetry.
+// migrates vertices on what they (or the traffic matrix) show.
 func (en *engine) rebalancePhase(st *step) {
-	if en.cfg.DisableMetrics {
-		return
-	}
 	ss := &st.ss
 	if en.anom != nil || en.cfg.RebalanceSkew > 0 {
 		sample := en.anomalySample(ss)
@@ -1051,16 +1035,11 @@ func (en *engine) workerCtx(w int, nv, ne int64) *workerCtx {
 
 func (en *engine) runWorker(w int, nv, ne int64) (workerResult, error) {
 	var res workerResult
-	collect := !en.cfg.DisableMetrics
-	var t0 time.Time
-	var capReporter CaptureTimeReporter
+	t0 := time.Now()
+	capReporter, _ := en.job.comp.(CaptureTimeReporter)
 	var capBefore int64
-	if collect {
-		t0 = time.Now()
-		if ctr, ok := en.job.comp.(CaptureTimeReporter); ok {
-			capReporter = ctr
-			capBefore = ctr.CaptureNanos(w)
-		}
+	if capReporter != nil {
+		capBefore = capReporter.CaptureNanos(w)
 	}
 	ctx := en.workerCtx(w, nv, ne)
 	if err := en.computeFrontier(ctx, en.parts[w], en.cur, &res); err != nil {
@@ -1071,11 +1050,9 @@ func (en *engine) runWorker(w int, nv, ne int64) (workerResult, error) {
 	res.aggPartial = ctx.aggPartial
 	res.removals = ctx.removals
 	res.additions = ctx.additions
-	if collect {
-		res.computeNanos = time.Since(t0).Nanoseconds()
-		if capReporter != nil {
-			res.captureNanos = capReporter.CaptureNanos(w) - capBefore
-		}
+	res.computeNanos = time.Since(t0).Nanoseconds()
+	if capReporter != nil {
+		res.captureNanos = capReporter.CaptureNanos(w) - capBefore
 	}
 	return res, nil
 }

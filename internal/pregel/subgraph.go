@@ -315,16 +315,11 @@ func NewSubgraphJob(g *Graph, scomp SubgraphComputation, cfg Config) *Job {
 // scans the partition's subgraphs instead of its vertices.
 func (en *engine) runSubgraphWorker(w int, nv, ne int64) (workerResult, error) {
 	var res workerResult
-	collect := !en.cfg.DisableMetrics
-	var t0 time.Time
-	var capReporter CaptureTimeReporter
+	t0 := time.Now()
+	capReporter, _ := en.job.scomp.(CaptureTimeReporter)
 	var capBefore int64
-	if collect {
-		t0 = time.Now()
-		if ctr, ok := en.job.scomp.(CaptureTimeReporter); ok {
-			capReporter = ctr
-			capBefore = ctr.CaptureNanos(w)
-		}
+	if capReporter != nil {
+		capBefore = capReporter.CaptureNanos(w)
 	}
 	ctx := en.workerCtx(w, nv, ne)
 	sctx := &subgraphCtx{w: ctx}
@@ -338,11 +333,9 @@ func (en *engine) runSubgraphWorker(w int, nv, ne int64) (workerResult, error) {
 	res.aggPartial = ctx.aggPartial
 	res.removals = ctx.removals
 	res.additions = ctx.additions
-	if collect {
-		res.computeNanos = time.Since(t0).Nanoseconds()
-		if capReporter != nil {
-			res.captureNanos = capReporter.CaptureNanos(w) - capBefore
-		}
+	res.computeNanos = time.Since(t0).Nanoseconds()
+	if capReporter != nil {
+		res.captureNanos = capReporter.CaptureNanos(w) - capBefore
 	}
 	return res, nil
 }

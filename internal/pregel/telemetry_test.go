@@ -123,31 +123,6 @@ func TestCombinerTelemetryAccountsMergedMessages(t *testing.T) {
 	}
 }
 
-func TestDisableMetricsSkipsTelemetry(t *testing.T) {
-	g := pathGraph(t, 32)
-	l := &telemetryListener{}
-	job := NewJob(g, ccCompute, Config{NumWorkers: 4, Listener: l, DisableMetrics: true})
-	stats, err := job.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(l.steps) == 0 {
-		t.Fatal("listener saw no supersteps")
-	}
-	for i, ss := range l.steps {
-		if len(ss.Workers) != 0 || ss.ComputeTime != 0 || ss.VerticesProcessed != 0 || ss.ComputeSkew != 0 {
-			t.Errorf("step %d: telemetry collected despite DisableMetrics: %+v", i, ss)
-		}
-		// The pre-existing counters still work.
-		if i == 0 && ss.MessagesSent == 0 {
-			t.Error("superstep 0 sent no messages")
-		}
-	}
-	if compute, barrier, capture := stats.PhaseTotals(); compute != 0 || barrier != 0 || capture != 0 {
-		t.Errorf("PhaseTotals = %v/%v/%v with metrics disabled", compute, barrier, capture)
-	}
-}
-
 func TestStatsStringAndRecoveryRuntime(t *testing.T) {
 	fs := dfs.NewMemFS()
 	failed := false

@@ -51,13 +51,8 @@ func (c *Config) Validate() error {
 	if c.RebalanceObjective != ObjectiveSkew && c.RebalanceObjective != ObjectiveEdgeCut {
 		return invalidf("RebalanceObjective = %d, must be ObjectiveSkew or ObjectiveEdgeCut", int(c.RebalanceObjective))
 	}
-	if c.RebalanceObjective == ObjectiveEdgeCut {
-		if c.DisableMetrics {
-			return invalidf("RebalanceObjective = edgecut requires telemetry (DisableMetrics must be false)")
-		}
-		if c.AnomalyWindow < 0 {
-			return invalidf("RebalanceObjective = edgecut requires the traffic matrix (AnomalyWindow must be >= 0)")
-		}
+	if c.RebalanceObjective == ObjectiveEdgeCut && c.AnomalyWindow < 0 {
+		return invalidf("RebalanceObjective = edgecut requires the traffic matrix (AnomalyWindow must be >= 0)")
 	}
 	if c.CheckpointEvery > 0 && c.CheckpointFS == nil {
 		return invalidf("CheckpointEvery = %d without CheckpointFS", c.CheckpointEvery)

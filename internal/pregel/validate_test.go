@@ -31,14 +31,27 @@ func TestValidateRejectsNegatives(t *testing.T) {
 }
 
 func TestValidateRejectsContradictions(t *testing.T) {
-	// RecoveryLog needs an outbox-log file system.
-	cfg := Config{Recovery: RecoveryLog}
-	if err := cfg.Validate(); !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("RecoveryLog without MsgLogFS: err = %v", err)
+	cases := []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"RecoveryLog without MsgLogFS", Config{Recovery: RecoveryLog}, false},
+		{"CheckpointEvery without CheckpointFS", Config{CheckpointEvery: 2}, false},
+		// The edge-cut objective reads the traffic matrix, so a
+		// non-negative AnomalyWindow is the only thing it needs.
+		{"edgecut with the default window", Config{RebalanceObjective: ObjectiveEdgeCut}, true},
+		{"edgecut with an explicit window", Config{RebalanceObjective: ObjectiveEdgeCut, AnomalyWindow: 4}, true},
+		{"edgecut with detection off", Config{RebalanceObjective: ObjectiveEdgeCut, AnomalyWindow: -1}, false},
 	}
-	cfg = Config{CheckpointEvery: 2}
-	if err := cfg.Validate(); !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("CheckpointEvery without CheckpointFS: err = %v", err)
+	for _, tc := range cases {
+		err := tc.cfg.Validate()
+		if tc.ok && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: err = %v, want ErrInvalidConfig", tc.name, err)
+		}
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"graft/internal/core"
 	"graft/internal/graphgen"
 	"graft/internal/gui"
-	"graft/internal/harness"
 	"graft/internal/metrics"
 )
 
@@ -135,7 +134,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	dc, err := buildDebugConfig(req.Debug, req.Seed)
+	dc, err := core.PresetConfig(req.Debug, req.Seed)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -236,26 +235,4 @@ func buildGraph(dataset string, scale float64, seed int64) (*graft.Graph, error)
 		return nil, err
 	}
 	return ds.Build(), nil
-}
-
-// buildDebugConfig resolves a debug preset name, mirroring the CLI's
-// -debug flag.
-func buildDebugConfig(preset string, seed int64) (*core.DebugConfig, error) {
-	if preset == "" || preset == "none" {
-		return nil, nil
-	}
-	if preset == "fig2" {
-		dc := core.Fig2Config(seed)
-		return &dc, nil
-	}
-	if preset == "all-active" {
-		return &core.DebugConfig{CaptureAllActive: true, CaptureExceptions: true}, nil
-	}
-	for _, c := range harness.StandardConfigs(seed) {
-		if c.Name == preset && c.Make != nil {
-			dc := c.Make()
-			return &dc, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown debug preset %q (DC-sp, DC-sp+nbr, DC-msg, DC-vv, DC-full, fig2, all-active, none)", preset)
 }

@@ -1,11 +1,13 @@
+// Package servebench is graft-bench's -serve experiment. It lives apart
+// from internal/harness because it drives the root graft package's
+// Session, whose own benchmarks import the harness.
 package servebench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
+	"maps"
 	"text/tabwriter"
 	"time"
 
@@ -61,11 +63,17 @@ type ServeBench struct {
 	DigestsMatch bool `json:"digests_match"`
 }
 
+// Serve is `graft-bench -serve`.
+var Serve = harness.NewExperiment("serve",
+	fmt.Sprintf("Serving mode: %d debugged PageRank jobs back to back vs sharing a concurrent session (%d worker(s)/job, store latency %v/op)",
+		ServeBenchJobs, ServeBenchWorkers, ServeBenchStoreLatency),
+	func(p harness.Params) (*ServeBench, error) { return RunServeBench(p.Scale, p.Options) },
+	PrintServeBench, CheckServeBench)
+
 // serveBenchRun executes the N-job batch through one session with the
 // given number of concurrency slots and returns the batch wall time
 // plus each job's trace digest.
 func serveBenchRun(base *graft.Graph, slots int, seed int64) (time.Duration, map[string]string, error) {
-	runtime.GC()
 	store := graft.NewStore(dfs.NewLatencyFS(graft.NewMemFS(), ServeBenchStoreLatency), "traces")
 	sess, err := graft.NewSession(graft.SessionConfig{
 		Store:             store,
@@ -116,99 +124,44 @@ func serveBenchRun(base *graft.Graph, slots int, seed int64) (time.Duration, map
 // RunServeBench measures the serving-mode win: N debugged jobs back
 // to back versus the same N jobs sharing a session with N slots.
 func RunServeBench(scale float64, opts harness.Options) (*ServeBench, error) {
-	if opts.Reps <= 0 {
-		opts.Reps = 5
-	}
-	n := int(30_000_000 * scale)
-	if n < 1000 {
-		n = 1000
-	}
-	base := graphgen.WebGraph(n, 8, opts.Seed)
-
+	base := graphgen.WebGraph(max(int(30_000_000*scale), 1000), 8, opts.Seed)
 	row := &ServeBench{
 		Jobs:         ServeBenchJobs,
 		Workers:      ServeBenchWorkers,
 		Supersteps:   ServeBenchSupersteps,
 		Vertices:     int(base.NumVertices()),
-		Reps:         opts.Reps,
 		LatencyNS:    ServeBenchStoreLatency.Nanoseconds(),
 		DigestsMatch: true,
 	}
-	var seqTimes, conTimes []time.Duration
-	var refDigests map[string]string
-	for rep := -1; rep < opts.Reps; rep++ {
-		var st, ct time.Duration
-		runSeq := func() error {
-			t, digests, err := serveBenchRun(base, 1, opts.Seed)
-			if err != nil {
-				return fmt.Errorf("harness: sequential: %w", err)
-			}
-			st = t
+	var refDigests map[string]string // of the first batch; every later one must agree
+	cell := func(name string, slots int) harness.Cell {
+		return harness.Cell{Name: name, Run: func() (time.Duration, error) {
+			t, digests, err := serveBenchRun(base, slots, opts.Seed)
 			if refDigests == nil {
 				refDigests = digests
-			} else if !sameDigests(refDigests, digests) {
-				row.DigestsMatch = false
 			}
-			return nil
-		}
-		runCon := func() error {
-			t, digests, err := serveBenchRun(base, ServeBenchJobs, opts.Seed)
-			if err != nil {
-				return fmt.Errorf("harness: concurrent: %w", err)
-			}
-			ct = t
-			if refDigests == nil {
-				refDigests = digests
-			} else if !sameDigests(refDigests, digests) {
-				row.DigestsMatch = false
-			}
-			return nil
-		}
-		first, second := runSeq, runCon
-		if rep%2 != 0 {
-			first, second = runCon, runSeq
-		}
-		if err := first(); err != nil {
-			return nil, err
-		}
-		if err := second(); err != nil {
-			return nil, err
-		}
-		if rep < 0 {
-			continue // warmup
-		}
-		seqTimes = append(seqTimes, st)
-		conTimes = append(conTimes, ct)
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "rep %d: sequential=%8.2fms concurrent=%8.2fms\n",
-				rep, float64(st.Microseconds())/1000, float64(ct.Microseconds())/1000)
-		}
+			row.DigestsMatch = row.DigestsMatch && maps.Equal(refDigests, digests)
+			return t, err
+		}}
 	}
-	seqBest, conBest := fastest(seqTimes), fastest(conTimes)
-	row.SequentialNanos = seqBest.Nanoseconds()
-	row.ConcurrentNanos = conBest.Nanoseconds()
-	if seqBest > 0 {
-		row.SequentialJobsPerSec = float64(ServeBenchJobs) / seqBest.Seconds()
+	sum, err := harness.RunPaired(harness.Pair{
+		Name: "serve", A: cell("sequential", 1), B: cell("concurrent", ServeBenchJobs),
+		Blocks: opts.Reps, Progress: opts.Progress,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if conBest > 0 {
-		row.ConcurrentJobsPerSec = float64(ServeBenchJobs) / conBest.Seconds()
-		row.Speedup = float64(seqBest) / float64(conBest)
+	row.Reps = sum.Blocks
+	row.SequentialNanos = sum.FastestA.Nanoseconds()
+	row.ConcurrentNanos = sum.FastestB.Nanoseconds()
+	if sum.FastestA > 0 {
+		row.SequentialJobsPerSec = float64(ServeBenchJobs) / sum.FastestA.Seconds()
+	}
+	if sum.FastestB > 0 {
+		row.ConcurrentJobsPerSec = float64(ServeBenchJobs) / sum.FastestB.Seconds()
+		row.Speedup = float64(sum.FastestA) / float64(sum.FastestB)
 	}
 	return row, nil
-}
-
-// sameDigests reports whether both runs produced identical per-job
-// trace digests.
-func sameDigests(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // PrintServeBench renders the row as a table.
@@ -227,18 +180,6 @@ func PrintServeBench(w io.Writer, r *ServeBench) {
 	tw.Flush()
 }
 
-// WriteServeBenchJSON writes the row as indented JSON (the
-// BENCH_serve.json artifact).
-func WriteServeBenchJSON(w io.Writer, r *ServeBench) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
 // CheckServeBench verifies the serving-mode claims: concurrent jobs
 // against the shared store deliver at least 1.3x the aggregate
 // throughput of the same jobs run back to back, without perturbing a
@@ -253,18 +194,4 @@ func CheckServeBench(r *ServeBench) []string {
 		problems = append(problems, "per-job trace digests diverged between sequential and concurrent runs")
 	}
 	return problems
-}
-
-// fastest returns the minimum of times (0 if empty).
-func fastest(times []time.Duration) time.Duration {
-	if len(times) == 0 {
-		return 0
-	}
-	best := times[0]
-	for _, t := range times[1:] {
-		if t < best {
-			best = t
-		}
-	}
-	return best
 }
