@@ -1,4 +1,4 @@
-package graft
+package graft_test
 
 // Benchmarks regenerating the paper's evaluation artifacts. One bench
 // target exists for every table and figure (EXPERIMENTS.md maps them),

@@ -9,6 +9,9 @@ package graft
 // cleanly — and do all of it identically on every run of the same seed.
 
 import (
+	"errors"
+	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -253,5 +256,41 @@ func TestChaosTraceDegradesToSecondary(t *testing.T) {
 				t.Errorf("degraded-trace replay diverged at superstep %d vertex %d: %v", superstep, c.ID, fid)
 			}
 		}
+	}
+}
+
+// segmentFaults routes segment files through the FaultFS and everything
+// else (the manifest, job.done, index parts) to the healthy file system
+// under it, so a job attaches cleanly and then cannot write a capture.
+type segmentFaults struct{ *faults.FaultFS }
+
+func (f segmentFaults) Create(path string) (io.WriteCloser, error) {
+	if strings.HasSuffix(path, ".seg") {
+		return f.FaultFS.Create(path)
+	}
+	return f.FaultFS.FS.Create(path)
+}
+
+// TestTraceWriteFailureSurfaces: a job whose every trace segment fails
+// to write still runs to the end — Graft never aborts the job it
+// debugs — but RunAlgorithm reports it, with the stats, instead of
+// returning a clean result over a trace that is not there. `graft run`
+// exits 1 on exactly this error (see cli_test.go).
+func TestTraceWriteFailureSurfaces(t *testing.T) {
+	fs := segmentFaults{faults.NewFaultFS(dfs.NewMemFS(), faults.Plan{P: map[faults.Op]float64{faults.OpCreate: 1}})}
+	res, err := RunAlgorithm(graphgen.SocialGraph(200, 4, 7), algorithms.NewConnectedComponents(), RunOptions{
+		JobID:  "unwritable",
+		Store:  trace.NewStore(fs, "traces"),
+		Debug:  &DebugConfig{CaptureIDs: []pregel.VertexID{1, 2, 3}},
+		Engine: pregel.Config{NumWorkers: 2},
+	})
+	if err == nil || !strings.Contains(err.Error(), "trace write") || !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("err = %v, want a trace write error wrapping the injected fault", err)
+	}
+	if res == nil || res.Stats == nil || res.Stats.Supersteps == 0 || res.Stats.Reason != pregel.ReasonConverged {
+		t.Fatalf("result = %+v, want the finished job's stats beside the error", res)
+	}
+	if res.Captures == 0 {
+		t.Error("no captures counted: the job was debugged, only the writes failed")
 	}
 }

@@ -1,21 +1,312 @@
 package graft
 
 import (
+	"bufio"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// graftBin is cmd/graft built once per test run (removed by TestMain).
+var graftBin struct {
+	once sync.Once
+	dir  string
+	path string
+	err  error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if graftBin.dir != "" {
+		os.RemoveAll(graftBin.dir)
+	}
+	os.Exit(code)
+}
+
+// buildGraft returns the path of the graft binary, skipping the test
+// under -short or without a toolchain.
+func buildGraft(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("spawns the go toolchain")
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	graftBin.once.Do(func() {
+		if graftBin.dir, graftBin.err = os.MkdirTemp("", "graft-cli-"); graftBin.err != nil {
+			return
+		}
+		graftBin.path = filepath.Join(graftBin.dir, "graft")
+		cmd := exec.Command(goBin, "build", "-o", graftBin.path, "./cmd/graft")
+		cmd.Dir = repoRoot(t)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			graftBin.err = fmt.Errorf("go build ./cmd/graft: %v\n%s", err, out)
+		}
+	})
+	if graftBin.err != nil {
+		t.Fatal(graftBin.err)
+	}
+	return graftBin.path
+}
+
+// readJSON decodes one JSON file under dir.
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+}
+
+// readJSONL decodes every line of a JSON Lines file.
+func readJSONL(t *testing.T, path string) []map[string]any {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if line == "" {
+			continue
+		}
+		var v map[string]any
+		if err := json.Unmarshal([]byte(line), &v); err != nil {
+			t.Fatalf("%s: %v in %q", path, err, line)
+		}
+		lines = append(lines, v)
+	}
+	return lines
+}
+
+func sum(row any) float64 {
+	var n float64
+	for _, x := range row.([]any) {
+		n += x.(float64)
+	}
+	return n
+}
+
+// TestCLISmoke is what CI's per-feature smoke jobs used to be: each row
+// is one `graft` invocation with the substrings its output must (and
+// must not) hold and an optional check of the files it left. Rows run
+// in order in one directory, so a later row may read an earlier row's
+// trace.
+func TestCLISmoke(t *testing.T) {
+	bin := buildGraft(t)
+	dir := t.TempDir()
+	pr := []string{"run", "-alg", "pagerank", "-dataset", "soc-Epinions", "-scale", "0.001", "-supersteps", "5"}
+	with := func(base []string, more ...string) []string { return append(append([]string{}, base...), more...) }
+	// A lane directory that is a file: the manifest is written, no
+	// segment can be.
+	if err := os.MkdirAll(filepath.Join(dir, "traces", "unwritable"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "traces", "unwritable", "worker_00"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rows := []struct {
+		name  string
+		args  []string
+		fail  bool // want a non-zero exit
+		wants []string
+		never []string
+		check func(t *testing.T, out string)
+	}{
+		{name: "rebalancer", args: []string{"run", "-alg", "cc", "-dataset", "soc-Epinions", "-scale", "0.001", "-debug", "none", "-rebalance-skew", "1.2"},
+			wants: []string{"finished:", "placement: partitioner=hash"}},
+		{name: "locality partitioner", args: []string{"run", "-alg", "cc", "-dataset", "web-BS", "-scale", "0.002", "-debug", "none", "-partitioner", "locality"},
+			wants: []string{"finished:", "placement: partitioner=locality"}},
+		{name: "async capture", args: with(pr, "-debug", "DC-sp", "-trace-dir", "traces", "-job", "pr-capture"),
+			wants: []string{"finished:", "captures:"}, never: []string{"dropped"},
+			check: func(t *testing.T, _ string) {
+				var jm struct{ Supersteps []any }
+				if readJSON(t, filepath.Join(dir, "traces", "pr-capture", "job.metrics"), &jm); len(jm.Supersteps) == 0 {
+					t.Error("job.metrics has no supersteps")
+				}
+			}},
+		{name: "trace-check", args: []string{"trace-check", "-trace-dir", "traces", "-job", "pr-capture"},
+			wants: []string{"trace-check ok"},
+			check: func(t *testing.T, out string) {
+				shape := regexp.MustCompile(`served from 0 whole segment\(s\), [1-9][0-9]* ranged read\(s\), [1-9][0-9]* bytes; index loaded from [1-9][0-9]* part\(s\)`)
+				if !shape.MatchString(out) {
+					t.Errorf("cold-lookup line has the wrong shape:\n%s", out)
+				}
+			}},
+		{name: "drop backpressure", args: with(pr, "-debug", "DC-sp", "-trace-dir", "traces", "-job", "pr-drop", "-backpressure", "drop", "-capture-queue", "64"),
+			wants: []string{"finished:"}},
+		{name: "trace-check after drop", args: []string{"trace-check", "-trace-dir", "traces", "-job", "pr-drop"}, wants: []string{"trace-check ok"}},
+		{name: "profiler feed", args: with(pr, "-debug", "none", "-workers", "4", "-metrics-out", "metrics.jsonl", "-anomaly-out", "anomalies.jsonl"),
+			wants: []string{"finished:"},
+			check: func(t *testing.T, _ string) {
+				events := readJSONL(t, filepath.Join(dir, "metrics.jsonl"))
+				if n := len(events); n < 3 || events[0]["event"] != "job_start" || events[n-1]["event"] != "job_end" {
+					t.Fatalf("metrics.jsonl is not job_start … job_end: %d events", len(events))
+				}
+				for _, s := range events[1 : len(events)-1] {
+					traffic, _ := s["traffic"].([]any)
+					if s["event"] != "superstep" || len(traffic) == 0 {
+						t.Fatalf("superstep line without a traffic matrix: %v", s)
+					}
+					var total float64
+					for w, row := range traffic {
+						total += sum(row)
+						if worker := s["workers"].([]any)[w].(map[string]any); sum(row) != worker["sent"] {
+							t.Errorf("superstep %v worker %d: traffic row sums to %v, sent %v", s["superstep"], w, sum(row), worker["sent"])
+						}
+					}
+					if total != s["sent"] {
+						t.Errorf("superstep %v: traffic sums to %v, sent %v", s["superstep"], total, s["sent"])
+					}
+				}
+				for _, ev := range readJSONL(t, filepath.Join(dir, "anomalies.jsonl")) {
+					if ev["kind"] == nil || ev["superstep"] == nil {
+						t.Errorf("anomaly event without kind/superstep: %v", ev)
+					}
+				}
+			}},
+		{name: "confined recovery", args: []string{"run", "-alg", "pagerank", "-dataset", "web-BS", "-scale", "0.001", "-workers", "8", "-supersteps", "10",
+			"-debug", "none", "-checkpoint-every", "2", "-crash-at", "3", "-crash-partition", "-2", "-recovery", "log"},
+			wants: []string{"finished:", "mode=log", "outbox log:"}},
+		{name: "chaos on the checkpoint store", args: with(pr, "-debug", "none", "-checkpoint-every", "2", "-crash-at", "3", "-chaos", "0.2"),
+			wants: []string{"finished:", "resilience: recoveries=1"}},
+		{name: "vertex mode", args: []string{"run", "-alg", "cc", "-dataset", "bipartite-1M-3M", "-scale", "0.001", "-workers", "8", "-debug", "none", "-mode", "vertex"},
+			wants: []string{"finished:"}, never: []string{"subgraph mode:"}},
+		{name: "subgraph mode", args: []string{"run", "-alg", "cc", "-dataset", "bipartite-1M-3M", "-scale", "0.001", "-workers", "8",
+			"-debug", "DC-sp", "-trace-dir", "traces", "-job", "cc-sg", "-mode", "subgraph"},
+			wants: []string{"finished:", "subgraph mode:"},
+			check: func(t *testing.T, _ string) {
+				var meta struct {
+					ComputeMode string `json:"compute_mode"`
+				}
+				if readJSON(t, filepath.Join(dir, "traces", "cc-sg", "job.meta"), &meta); meta.ComputeMode != "subgraph" {
+					t.Errorf("job.meta records compute_mode %q, want subgraph", meta.ComputeMode)
+				}
+			}},
+		{name: "no subgraph port", args: []string{"run", "-alg", "rw", "-dataset", "web-BS", "-scale", "0.001", "-mode", "subgraph"},
+			fail: true, wants: []string{"no subgraph-mode port"}},
+		// A compute failure is the exception scenarios' expected outcome
+		// and exits 0; a run whose trace could not be written exits 1.
+		{name: "compute failure exits 0", args: []string{"run", "-alg", "rw16", "-dataset", "web-BS", "-scale", "0.003", "-debug", "fig2",
+			"-trace-dir", "traces", "-job", "rw-fail", "-supersteps", "8"},
+			wants: []string{"captures"}},
+		{name: "trace write failure exits 1", args: with(pr, "-debug", "DC-sp", "-trace-dir", "traces", "-job", "unwritable", "-workers", "1"),
+			fail: true, wants: []string{"finished:", "trace write"}},
+		{name: "-msg-batch is gone", args: with(pr, "-msg-batch", "256"), fail: true, wants: []string{"flag provided but not defined"}},
+		{name: "-checkpoint-retain is gone", args: with(pr, "-checkpoint-retain", "1"), fail: true, wants: []string{"flag provided but not defined"}},
+		{name: "-msg-log-dir is gone", args: with(pr, "-msg-log-dir", "x"), fail: true, wants: []string{"flag provided but not defined"}},
+	}
+	for _, row := range rows {
+		cmd := exec.Command(bin, row.args...)
+		cmd.Dir = dir
+		raw, err := cmd.CombinedOutput()
+		out := string(raw)
+		if (err != nil) != row.fail {
+			t.Fatalf("%s: graft %s: err=%v, want failure=%v\n%s", row.name, strings.Join(row.args, " "), err, row.fail, out)
+		}
+		for _, want := range row.wants {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: output lacks %q:\n%s", row.name, want, out)
+			}
+		}
+		for _, never := range row.never {
+			if strings.Contains(out, never) {
+				t.Errorf("%s: output holds %q:\n%s", row.name, never, out)
+			}
+		}
+		if row.check != nil && !t.Failed() {
+			row.check(t, out)
+		}
+	}
+}
+
+// TestCLILiveMetrics: `graft run -metrics-addr` on an ephemeral port
+// serves the job's per-superstep telemetry on /metrics and the flat
+// counters on /debug/vars while it lingers.
+func TestCLILiveMetrics(t *testing.T) {
+	bin := buildGraft(t)
+	cmd := exec.Command(bin, "run", "-alg", "pagerank", "-dataset", "soc-Epinions", "-scale", "0.001", "-supersteps", "5",
+		"-debug", "DC-sp", "-trace-dir", "traces", "-job", "pr-live", "-metrics-addr", "127.0.0.1:0", "-metrics-linger", "1m")
+	cmd.Dir = t.TempDir()
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	}()
+	// The address line comes before the job, the linger line after it.
+	var base string
+	addrLine := regexp.MustCompile(`^metrics: (http://[^/]+)/metrics`)
+	lines := bufio.NewScanner(stdout)
+	for lines.Scan() {
+		if m := addrLine.FindStringSubmatch(lines.Text()); m != nil {
+			base = m[1]
+		}
+		if strings.HasPrefix(lines.Text(), "metrics: serving for another") {
+			break
+		}
+	}
+	if base == "" {
+		t.Fatal("graft run never printed its metrics address and linger line")
+	}
+	fetch := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != 200 || json.Unmarshal(body, v) != nil {
+			t.Fatalf("GET %s = %d, not JSON: %s", path, resp.StatusCode, body)
+		}
+	}
+	var doc struct {
+		JobID      string           `json:"job_id"`
+		Supersteps []map[string]any `json:"supersteps"`
+		Totals     map[string]any   `json:"totals"`
+	}
+	fetch("/metrics", &doc)
+	if doc.JobID != "pr-live" || len(doc.Supersteps) == 0 || doc.Totals["vertices_processed"].(float64) <= 0 {
+		t.Fatalf("/metrics = job %q, %d supersteps, totals %v", doc.JobID, len(doc.Supersteps), doc.Totals)
+	}
+	for _, key := range []string{"compute_ns", "barrier_ns", "compute_skew", "straggler", "workers"} {
+		if _, ok := doc.Supersteps[0][key]; !ok {
+			t.Errorf("/metrics superstep telemetry lacks %q", key)
+		}
+	}
+	var vars map[string]any
+	fetch("/debug/vars", &vars)
+	if vars["graft.job_id"] != "pr-live" || vars["runtime.goroutines"] == nil {
+		t.Errorf("/debug/vars = %v", vars)
+	}
+}
 
 // TestCLIWorkflow drives the graft command-line tool through the whole
 // debugging workflow on disk: generate a dataset, run an algorithm
 // under a DebugConfig, list jobs, dump the trace, and generate
 // reproduction code — the CLI equivalent of a user session.
 func TestCLIWorkflow(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns the go toolchain")
-	}
+	bin := buildGraft(t)
 	goBin, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go toolchain not on PATH")
@@ -26,9 +317,7 @@ func TestCLIWorkflow(t *testing.T) {
 
 	run := func(wantErr bool, args ...string) string {
 		t.Helper()
-		cmd := exec.Command(goBin, append([]string{"run", "./cmd/graft"}, args...)...)
-		cmd.Dir = root
-		out, err := cmd.CombinedOutput()
+		out, err := exec.Command(bin, args...).CombinedOutput()
 		if (err != nil) != wantErr {
 			t.Fatalf("graft %s: err=%v\n%s", strings.Join(args, " "), err, out)
 		}
@@ -124,13 +413,7 @@ func TestCLIWorkflow(t *testing.T) {
 // line under the vertex, when a capture's recording re-run did not end
 // as the job's own compute did.
 func TestCLIShowFlagsNondeterministicCapture(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns the go toolchain")
-	}
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
+	bin := buildGraft(t)
 	traceDir := t.TempDir()
 	fs, err := NewLocalFS(traceDir)
 	if err != nil {
@@ -155,9 +438,7 @@ func TestCLIShowFlagsNondeterministicCapture(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(goBin, "run", "./cmd/graft", "show", "-trace-dir", traceDir, "-job", "fickle")
-	cmd.Dir = repoRoot(t)
-	out, err := cmd.CombinedOutput()
+	out, err := exec.Command(bin, "show", "-trace-dir", traceDir, "-job", "fickle").CombinedOutput()
 	if err != nil {
 		t.Fatalf("graft show: %v\n%s", err, out)
 	}

@@ -21,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"graft"
 	"graft/internal/algorithms"
 	"graft/internal/anomaly"
 	"graft/internal/core"
@@ -60,7 +61,7 @@ func main() {
 		os.Exit(2)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "graft:", err)
+		fmt.Fprintln(os.Stderr, "graft:", strings.TrimPrefix(err.Error(), "graft: "))
 		os.Exit(1)
 	}
 }
@@ -84,17 +85,11 @@ func openStore(dir string) (*trace.Store, error) {
 	return trace.NewStore(fs, ""), nil
 }
 
-// buildAlgorithm resolves the -alg flag.
-func buildAlgorithm(name string, seed int64, supersteps int) (*algorithms.Algorithm, error) {
-	return algorithms.ByName(name, seed, supersteps)
-}
-
 // buildGraph resolves -dataset: a Table 1/2 name (scaled) or a local
 // adjacency-list file.
 func buildGraph(dataset string, scale float64, seed int64) (*pregel.Graph, error) {
-	all := append(graphgen.Table1Datasets(scale, seed), graphgen.Table2Datasets(scale, seed)...)
-	if ds, err := graphgen.FindDataset(all, dataset); err == nil {
-		return ds.Build(), nil
+	if g, err := graphgen.BuildDataset(dataset, scale, seed); err == nil {
+		return g, nil
 	}
 	f, err := os.Open(dataset)
 	if err != nil {
@@ -104,15 +99,18 @@ func buildGraph(dataset string, scale float64, seed int64) (*pregel.Graph, error
 	return graphio.ReadAdjacency(f)
 }
 
+// cmdRun maps its flags onto one graft.RunOptions and runs it through
+// graft.RunAlgorithm; what it keeps for itself is the telemetry
+// plumbing (-metrics-*, -anomaly-out, job.metrics) and the summary.
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	alg := fs.String("alg", "cc", "algorithm to run")
 	mode := fs.String("mode", "vertex", "compute mode: vertex (classic, per-vertex) or subgraph (per connected component of a partition)")
 	dataset := fs.String("dataset", "soc-Epinions", "dataset name (Table 1/2) or adjacency-list file")
 	scale := fs.Float64("scale", 0.01, "dataset scale factor against the paper sizes")
-	seed := fs.Int64("seed", 42, "random seed")
+	seed := fs.Int64("seed", algorithms.DefaultSeed, "random seed")
 	workers := fs.Int("workers", 4, "worker goroutines")
-	supersteps := fs.Int("supersteps", 10, "superstep budget for fixed-length algorithms")
+	supersteps := fs.Int("supersteps", algorithms.DefaultSupersteps, "superstep budget for fixed-length algorithms")
 	debug := fs.String("debug", "DC-sp", "debug preset or none")
 	traceDir := fs.String("trace-dir", "graft-traces", "trace directory")
 	jobID := fs.String("job", "", "job ID (default: <alg>-<timestamp>)")
@@ -120,8 +118,6 @@ func cmdRun(args []string) error {
 	crashAt := fs.Int("crash-at", -1, "simulate a worker crash after this superstep (requires -checkpoint-every)")
 	crashPartition := fs.Int("crash-partition", -1, "with -crash-at, fail only this partition instead of the whole job (-2: seeded pick)")
 	recovery := fs.String("recovery", "checkpoint", "recovery mode for injected failures: checkpoint (full restart) or log (confined replay from sender-side outbox logs)")
-	msgLogDir := fs.String("msg-log-dir", "", "directory prefix for the -recovery=log outbox logs (in-memory, like checkpoints)")
-	checkpointRetain := fs.Int("checkpoint-retain", 0, "checkpoints retention GC keeps (0: default 2, negative: keep all)")
 	chaos := fs.Float64("chaos", 0, "per-operation storage fault probability injected into the checkpoint FS")
 	chaosSeed := fs.Int64("chaos-seed", 0, "seed for fault injection and retry jitter (default: -seed)")
 	metricsAddr := fs.String("metrics-addr", "", "serve live /metrics and /debug/vars on this address (e.g. :8090)")
@@ -132,7 +128,6 @@ func cmdRun(args []string) error {
 	backpressure := fs.String("backpressure", "block", "capture queue policy when full: block or drop")
 	queueCap := fs.Int("capture-queue", trace.DefaultQueueCapacity, "per-worker capture queue depth")
 	syncCapture := fs.Bool("sync-capture", false, "write trace records inline instead of through the async pipeline")
-	msgBatch := fs.Int("msg-batch", 0, "messages buffered per destination partition before flushing (0: default 1024)")
 	partitioner := fs.String("partitioner", "hash", "vertex placement: hash (stateless modulo) or locality (streaming neighbor-affinity placer)")
 	rebalanceSkew := fs.Float64("rebalance-skew", 0, "migrate hot vertices off stragglers when compute/message skew exceeds this ratio (0 disables)")
 	rebalanceObjective := fs.String("rebalance-objective", "skew", "what the rebalancer optimizes: skew (straggler load) or edgecut (cross-partition traffic)")
@@ -141,30 +136,30 @@ func cmdRun(args []string) error {
 	anomalyOut := fs.String("anomaly-out", "", "write detected anomaly events to this file as JSON Lines")
 	fs.Parse(args)
 
-	var placer pregel.PartitionerMode
+	eng := pregel.Config{
+		NumWorkers:        *workers,
+		RebalanceSkew:     *rebalanceSkew,
+		RebalanceMaxMoves: *rebalanceMaxMoves,
+		AnomalyWindow:     *anomalyWindow,
+	}
 	switch *partitioner {
 	case "hash":
-		placer = pregel.PartitionHash
 	case "locality":
-		placer = pregel.PartitionLocality
+		eng.Partitioner = pregel.PartitionLocality
 	default:
 		return fmt.Errorf("unknown -partitioner %q (hash, locality)", *partitioner)
 	}
-	var objective pregel.RebalanceObjective
 	switch *rebalanceObjective {
 	case "skew":
-		objective = pregel.ObjectiveSkew
 	case "edgecut":
-		objective = pregel.ObjectiveEdgeCut
+		eng.RebalanceObjective = pregel.ObjectiveEdgeCut
 	default:
 		return fmt.Errorf("unknown -rebalance-objective %q (skew, edgecut)", *rebalanceObjective)
 	}
-
-	a, err := buildAlgorithm(*alg, *seed, *supersteps)
+	a, err := algorithms.ByName(*alg, *seed, *supersteps)
 	if err != nil {
 		return err
 	}
-	var computeMode pregel.ComputeMode
 	switch *mode {
 	case "vertex":
 	case "subgraph":
@@ -172,7 +167,7 @@ func cmdRun(args []string) error {
 			return fmt.Errorf("algorithm %q has no subgraph-mode port (available in -mode subgraph: %s)",
 				a.Name, strings.Join(algorithms.SubgraphNames(), ", "))
 		}
-		computeMode = pregel.ModeSubgraph
+		eng.ComputeMode = pregel.ModeSubgraph
 	default:
 		return fmt.Errorf("unknown -mode %q (vertex, subgraph)", *mode)
 	}
@@ -190,24 +185,12 @@ func cmdRun(args []string) error {
 	if id == "" {
 		id = fmt.Sprintf("%s-%d", a.Name, time.Now().UnixNano())
 	}
-	engCfg := pregel.Config{
-		NumWorkers:         *workers,
-		ComputeMode:        computeMode,
-		Combiner:           a.Combiner,
-		Master:             a.Master,
-		MaxSupersteps:      a.MaxSupersteps,
-		MsgFlushBatch:      *msgBatch,
-		Partitioner:        placer,
-		RebalanceSkew:      *rebalanceSkew,
-		RebalanceObjective: objective,
-		RebalanceMaxMoves:  *rebalanceMaxMoves,
-		AnomalyWindow:      *anomalyWindow,
-	}
 	if *anomalyOut != "" && *anomalyWindow < 0 {
 		return fmt.Errorf("-anomaly-out needs the anomaly layer (use a non-negative -anomaly-window)")
 	}
 
 	reg := metrics.NewRegistry(id, a.Name)
+	eng.Listener = reg
 	if *metricsOut != "" {
 		f, err := os.Create(*metricsOut)
 		if err != nil {
@@ -239,29 +222,20 @@ func cmdRun(args []string) error {
 			// Seeded faults on checkpoint writes, absorbed by bounded
 			// retries — the run exercises the resilient storage path and
 			// reports what it survived in the resilience line below.
-			plan := faults.Plan{
-				Seed:         *chaosSeed,
-				P:            map[faults.Op]float64{faults.OpWrite: *chaos, faults.OpCreate: *chaos / 2, faults.OpClose: *chaos / 2},
-				MaxPerPathOp: 2,
-				ShortWrites:  true,
-			}
-			ckptFS = faults.NewRetryFS(faults.NewFaultFS(ckptFS, plan), *chaosSeed)
-			if p, ok := ckptFS.(pregel.FaultStatsProvider); ok {
-				// Live /metrics exposes the chaos counters mid-run, before
-				// the engine folds them into the final Stats.
-				reg.AddFaultSource(p)
-			}
+			retry := faults.NewRetryFS(faults.NewFaultFS(ckptFS, faults.ChaosPlan(*chaosSeed, *chaos)), *chaosSeed)
+			// Live /metrics exposes the chaos counters mid-run, before
+			// the engine folds them into the final Stats.
+			reg.AddFaultSource(retry)
+			ckptFS = retry
 		}
-		engCfg.CheckpointEvery = *checkpointEvery
-		engCfg.CheckpointFS = ckptFS
-		engCfg.CheckpointPrefix = "ckpt/"
-		engCfg.CheckpointRetain = *checkpointRetain
+		eng.CheckpointEvery = *checkpointEvery
+		eng.CheckpointFS = ckptFS
+		eng.CheckpointPrefix = "ckpt/"
 		switch *recovery {
 		case "checkpoint":
 		case "log":
-			engCfg.Recovery = pregel.RecoveryLog
-			engCfg.MsgLogFS = dfs.NewMemFS()
-			engCfg.MsgLogPrefix = *msgLogDir
+			eng.Recovery = pregel.RecoveryLog
+			eng.MsgLogFS = dfs.NewMemFS()
 		default:
 			return fmt.Errorf("unknown -recovery %q (checkpoint, log)", *recovery)
 		}
@@ -272,10 +246,10 @@ func cmdRun(args []string) error {
 					victim = faults.PickPartition(*chaosSeed, *workers)
 					fmt.Printf("crash: seeded victim partition %d of %d\n", victim, *workers)
 				}
-				engCfg.PartitionFailureAt = faults.FailPartitionAt(*crashAt, victim)
+				eng.PartitionFailureAt = faults.FailPartitionAt(*crashAt, victim)
 			} else {
 				crashed := false
-				engCfg.FailureAt = func(superstep int) bool {
+				eng.FailureAt = func(superstep int) bool {
 					if superstep == *crashAt && !crashed {
 						crashed = true
 						return true
@@ -287,75 +261,41 @@ func cmdRun(args []string) error {
 	} else if *recovery != "checkpoint" {
 		return fmt.Errorf("-recovery=%s requires -checkpoint-every (confined replay rolls the failed partitions back to a checkpoint)", *recovery)
 	}
-	comp := a.Compute
-	scomp := a.Subgraph
 
-	traceOpts := []trace.Option{
-		trace.WithSegmentSize(*segmentSize),
-		trace.WithQueueCapacity(*queueCap),
+	opts := graft.RunOptions{
+		JobID:       id,
+		Description: fmt.Sprintf("dataset=%s scale=%g debug=%s mode=%s", *dataset, *scale, *debug, *mode),
+		Engine:      eng,
+		Debug:       dc,
+		Trace:       []trace.Option{trace.WithSegmentSize(*segmentSize), trace.WithQueueCapacity(*queueCap)},
 	}
 	switch *backpressure {
 	case "block":
-		traceOpts = append(traceOpts, trace.WithBackpressure(trace.Block))
+		opts.Trace = append(opts.Trace, trace.WithBackpressure(trace.Block))
 	case "drop":
-		traceOpts = append(traceOpts, trace.WithBackpressure(trace.Drop))
+		opts.Trace = append(opts.Trace, trace.WithBackpressure(trace.Drop))
 	default:
 		return fmt.Errorf("run: -backpressure must be block or drop, got %q", *backpressure)
 	}
 	if *syncCapture {
-		traceOpts = append(traceOpts, trace.WithSynchronous())
+		opts.Trace = append(opts.Trace, trace.WithSynchronous())
 	}
-
-	var session *core.Graft
-	var store *trace.Store
 	if dc != nil {
-		store, err = openStore(*traceDir)
-		if err != nil {
+		if opts.Store, err = openStore(*traceDir); err != nil {
 			return err
 		}
-		metaMode := ""
-		if computeMode == pregel.ModeSubgraph {
-			metaMode = "subgraph"
-		}
-		session, err = core.Attach(store, core.Options{
-			JobID:       id,
-			Algorithm:   a.Name,
-			Description: fmt.Sprintf("dataset=%s scale=%g debug=%s mode=%s", *dataset, *scale, *debug, *mode),
-			NumWorkers:  *workers,
-			Trace:       traceOpts,
-			ComputeMode: metaMode,
-		}, g, *dc)
-		if err != nil {
-			return err
-		}
-		if computeMode == pregel.ModeSubgraph {
-			scomp = session.InstrumentSubgraph(scomp)
-		} else {
-			comp = session.Instrument(comp)
-		}
-		engCfg.Master = session.InstrumentMaster(engCfg.Master)
-		engCfg.Listener = session
-		session.Chain(reg)
-		reg.AddFaultSource(session)
 		fmt.Printf("debugging with %s, traces under %s/%s\n", *debug, *traceDir, id)
-	} else {
-		engCfg.Listener = reg
 	}
 
-	var job *pregel.Job
-	if computeMode == pregel.ModeSubgraph {
-		job = pregel.NewSubgraphJob(g, scomp, engCfg)
-	} else {
-		job = pregel.NewJob(g, comp, engCfg)
+	res, runErr := graft.RunAlgorithm(g, a, opts)
+	if res == nil {
+		return runErr // rejected before a superstep ran: bad options, or the trace could not be opened
 	}
-	for _, spec := range a.Aggregators {
-		job.RegisterAggregator(spec.Name, spec.Agg, spec.Persistent)
-	}
-	stats, runErr := job.Run()
-	if store != nil {
+	stats := res.Stats
+	if opts.Store != nil {
 		// Persist next to the trace so the GUI dashboard renders this
 		// run after the process exits.
-		if err := metrics.WriteJobMetrics(store.FS, store.MetricsPath(id), reg.Snapshot()); err != nil {
+		if err := metrics.WriteJobMetrics(opts.Store.FS, opts.Store.MetricsPath(id), reg.Snapshot()); err != nil {
 			fmt.Fprintln(os.Stderr, "graft: writing job.metrics:", err)
 		}
 	}
@@ -364,16 +304,31 @@ func cmdRun(args []string) error {
 			fmt.Fprintln(os.Stderr, "graft: anomaly-out:", err)
 		}
 	}
-	if runErr != nil {
+	// The one place the two kinds of failure part ways. A job the engine
+	// gave up on (no Stats: a Compute error or panic) is the expected
+	// outcome of the exception scenarios — the capture is the product, so
+	// report it and exit 0. A job that ran to the end while its trace
+	// writes failed has Stats and an error: print the summary, then exit
+	// 1, because the trace the user asked for cannot be trusted.
+	if stats == nil {
 		fmt.Printf("job FAILED: %v\n", runErr)
-		if session != nil {
-			fmt.Printf("the failing context was captured (%d captures); inspect with graft show / graft-gui\n", session.Captures())
+		if dc != nil {
+			fmt.Printf("the failing context was captured (%d captures); inspect with graft show / graft serve\n", res.Captures)
 		}
 		linger(*metricsAddr, *metricsLinger)
-		return nil // the failure is the expected outcome of exception scenarios
+		return nil
 	}
+	printSummary(res, &opts.Engine)
+	linger(*metricsAddr, *metricsLinger)
+	return runErr
+}
+
+// printSummary prints the lines of a finished run, each only when the
+// run has something to say under it.
+func printSummary(res *graft.RunResult, eng *pregel.Config) {
+	stats := res.Stats
 	fmt.Printf("finished: %s\n", stats.String())
-	if computeMode == pregel.ModeSubgraph {
+	if eng.ComputeMode == pregel.ModeSubgraph {
 		var subs, iters int64
 		for _, ss := range stats.PerSuperstep {
 			subs += ss.SubgraphsComputed
@@ -400,7 +355,7 @@ func cmdRun(args []string) error {
 	}
 	if stats.Rebalances > 0 {
 		fmt.Printf("rebalancer: %d migrations moved %d vertices (objective: %s)\n",
-			stats.Rebalances, stats.VerticesMigrated, objective)
+			stats.Rebalances, stats.VerticesMigrated, eng.RebalanceObjective)
 	}
 	if len(stats.PartitionSizes) > 0 {
 		fmt.Printf("placement: partitioner=%s sizes=%v edge-cut=%d local-msgs=%.1f%%\n",
@@ -409,14 +364,13 @@ func cmdRun(args []string) error {
 	if len(stats.Anomalies) > 0 {
 		fmt.Printf("anomalies: %d events (%s)\n", len(stats.Anomalies), anomalySummary(stats.Anomalies))
 	}
-	if session != nil {
-		fmt.Printf("captures: %d (limit hit: %v)\n", session.Captures(), session.LimitHit())
-		if n := session.DroppedRecords(); n > 0 {
+	if res.JobID != "" {
+		fmt.Printf("captures: %d (limit hit: %v)\n", res.Captures, res.LimitHit)
+		// The session is the only source of dropped records in Faults.
+		if n := stats.Faults.DroppedRecords; n > 0 {
 			fmt.Printf("capture pipeline dropped %d records under backpressure\n", n)
 		}
 	}
-	linger(*metricsAddr, *metricsLinger)
-	return nil
 }
 
 // anomalySummary rolls an event feed up into "kind: n" pairs, sorted

@@ -9,8 +9,8 @@
 //     Run the job; Graft writes their full per-superstep contexts to
 //     per-worker trace files in a (simulated) distributed file system.
 //  2. Visualize — open the trace with OpenTrace (lazy, index-driven)
-//     and step through it with the HTTP GUI (internal/gui via
-//     cmd/graft-gui), or query it programmatically.
+//     and step through it with the HTTP GUI (internal/gui, served by
+//     `graft serve`), or query it programmatically.
 //  3. Reproduce — generate a standalone Go test that rebuilds the
 //     exact context of one vertex at one superstep and calls the
 //     user's Compute, for line-by-line debugging.
@@ -30,7 +30,6 @@ package graft
 
 import (
 	"context"
-	"time"
 
 	"graft/internal/algorithms"
 	"graft/internal/core"
@@ -327,12 +326,6 @@ func OpenTrace(store *Store, jobID string) (*TraceReader, error) {
 	return store.OpenReader(jobID)
 }
 
-// NewLatencyFS wraps fs with a fixed per-operation delay, modeling a
-// remote store's round-trip cost (what the capture benchmark uses).
-func NewLatencyFS(fs dfs.FileSystem, delay time.Duration) dfs.FileSystem {
-	return dfs.NewLatencyFS(fs, delay)
-}
-
 // NewFaultFS wraps fs with a deterministic, seed-driven fault injector.
 func NewFaultFS(fs dfs.FileSystem, plan FaultPlan) *FaultFS { return faults.NewFaultFS(fs, plan) }
 
@@ -415,8 +408,5 @@ func RunAlgorithm(g *Graph, alg *Algorithm, opts RunOptions) (*RunResult, error)
 func RunSubgraph(g *Graph, scomp SubgraphComputation, opts RunOptions) (*RunResult, error) {
 	opts.Engine.ComputeMode = pregel.ModeSubgraph
 	opts.Subgraph = scomp
-	if err := validateRunOptions(&opts); err != nil {
-		return nil, err
-	}
-	return runJob(context.Background(), g, nil, opts, nil)
+	return Run(g, nil, opts)
 }

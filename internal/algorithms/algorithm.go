@@ -48,11 +48,10 @@ type Algorithm struct {
 // port.
 func (a *Algorithm) SupportsSubgraph() bool { return a.Subgraph != nil }
 
-// Configure fills an engine config with the algorithm's master and
-// combiner and returns a job with its aggregators registered. Fields
-// the caller already set (Listener, NumWorkers, checkpointing...) are
-// preserved; an explicit MaxSupersteps wins over the suggestion.
-func (a *Algorithm) Configure(g *pregel.Graph, cfg pregel.Config) *pregel.Job {
+// ApplyDefaults fills the master, combiner and superstep bound of an
+// engine config from the algorithm's, leaving what the caller set: the
+// one defaulting rule under Configure and graft.RunAlgorithm.
+func (a *Algorithm) ApplyDefaults(cfg *pregel.Config) {
 	if cfg.Master == nil {
 		cfg.Master = a.Master
 	}
@@ -62,6 +61,14 @@ func (a *Algorithm) Configure(g *pregel.Graph, cfg pregel.Config) *pregel.Job {
 	if cfg.MaxSupersteps == 0 {
 		cfg.MaxSupersteps = a.MaxSupersteps
 	}
+}
+
+// Configure fills an engine config with the algorithm's master and
+// combiner and returns a job with its aggregators registered. Fields
+// the caller already set (Listener, NumWorkers, checkpointing...) are
+// preserved; an explicit MaxSupersteps wins over the suggestion.
+func (a *Algorithm) Configure(g *pregel.Graph, cfg pregel.Config) *pregel.Job {
+	a.ApplyDefaults(&cfg)
 	var job *pregel.Job
 	if cfg.ComputeMode == pregel.ModeSubgraph {
 		// A nil a.Subgraph is rejected by the engine with a typed

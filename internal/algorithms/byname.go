@@ -57,3 +57,31 @@ func ByName(name string, seed int64, supersteps int) (*Algorithm, error) {
 	}
 	return nil, fmt.Errorf("unknown algorithm %q (available: %s)", name, strings.Join(Names(), ", "))
 }
+
+// The seed and superstep budget `graft run` and the serve daemon
+// default to. A trace's manifest does not record either, so the GUI
+// reproduces and replay-checks a job as if it ran with these.
+const (
+	DefaultSeed       = 42
+	DefaultSupersteps = 10
+)
+
+// reproExprs gives, per algorithm, the Go expression that generated
+// reproduction tests construct it with: ByName(name, DefaultSeed,
+// DefaultSupersteps) spelled as source.
+var reproExprs = map[string]string{
+	"gc":       "algorithms.NewGraphColoring(42)",
+	"gc-buggy": "algorithms.NewBuggyGraphColoring(42)",
+	"rw":       "algorithms.NewRandomWalk(42, 10)",
+	"rw16":     "algorithms.NewRandomWalk16(42, 10)",
+	"mwm":      "algorithms.NewMaximumWeightMatching(1000)",
+	"cc":       "algorithms.NewConnectedComponents()",
+	"pagerank": "algorithms.NewPageRank(10, 0.85)",
+	"sssp":     "algorithms.NewSSSP(0)",
+}
+
+// ReproExpr returns the constructor expression for the named algorithm
+// at the defaults ("" when generated tests have none and leave a
+// placeholder); append ".Compute" or ".Master" to it, and import
+// graft/internal/algorithms.
+func ReproExpr(name string) string { return reproExprs[name] }

@@ -16,26 +16,15 @@ import (
 // Byte transfer is left instant: the wrapper models round-trip count,
 // not bandwidth.
 type LatencyFS struct {
-	fs    FileSystem
-	delay time.Duration
-}
-
-// NewLatencyFS wraps fs so every operation costs delay.
-func NewLatencyFS(fs FileSystem, delay time.Duration) *LatencyFS {
-	return &LatencyFS{fs: fs, delay: delay}
-}
-
-func (l *LatencyFS) pause() {
-	if l.delay > 0 {
-		time.Sleep(l.delay)
-	}
+	FS    FileSystem
+	Delay time.Duration
 }
 
 // Create implements FileSystem: one delay to open the remote file, one
 // more when the returned writer commits on Close.
 func (l *LatencyFS) Create(path string) (io.WriteCloser, error) {
-	l.pause()
-	w, err := l.fs.Create(path)
+	time.Sleep(l.Delay)
+	w, err := l.FS.Create(path)
 	if err != nil {
 		return nil, err
 	}
@@ -44,20 +33,20 @@ func (l *LatencyFS) Create(path string) (io.WriteCloser, error) {
 
 // Open implements FileSystem.
 func (l *LatencyFS) Open(path string) (io.ReadCloser, error) {
-	l.pause()
-	return l.fs.Open(path)
+	time.Sleep(l.Delay)
+	return l.FS.Open(path)
 }
 
 // List implements FileSystem.
 func (l *LatencyFS) List(prefix string) ([]string, error) {
-	l.pause()
-	return l.fs.List(prefix)
+	time.Sleep(l.Delay)
+	return l.FS.List(prefix)
 }
 
 // Remove implements FileSystem.
 func (l *LatencyFS) Remove(path string) error {
-	l.pause()
-	return l.fs.Remove(path)
+	time.Sleep(l.Delay)
+	return l.FS.Remove(path)
 }
 
 type latencyWriter struct {
@@ -68,6 +57,6 @@ type latencyWriter struct {
 func (w *latencyWriter) Write(p []byte) (int, error) { return w.w.Write(p) }
 
 func (w *latencyWriter) Close() error {
-	w.fs.pause()
+	time.Sleep(w.fs.Delay)
 	return w.w.Close()
 }

@@ -256,7 +256,7 @@ func TestReadRangeAcrossFileSystems(t *testing.T) {
 	want := payload(9, 40) // 640 bytes
 	for name, fs := range map[string]FileSystem{
 		"mem": NewMemFS(), "local": local, "cluster": NewCluster(3, 2, 16),
-		"latency": NewLatencyFS(NewMemFS(), 0),
+		"latency": &LatencyFS{FS: NewMemFS()},
 	} {
 		if err := WriteFile(fs, "d/f", want); err != nil {
 			t.Fatal(err)

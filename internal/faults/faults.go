@@ -83,6 +83,20 @@ type Plan struct {
 	Latency time.Duration
 }
 
+// ChaosPlan is the write-path abuse `graft run -chaos` and the chaos
+// sweep inject: writes fail with probability p, creates and closes with
+// p/2, short writes on. Faults per (path, op) are capped below the
+// retry budget so a bounded retry loop always converges — the run is
+// abused, not doomed.
+func ChaosPlan(seed int64, p float64) Plan {
+	return Plan{
+		Seed:         seed,
+		P:            map[Op]float64{OpWrite: p, OpCreate: p / 2, OpClose: p / 2},
+		MaxPerPathOp: 2,
+		ShortWrites:  true,
+	}
+}
+
 // Injector makes deterministic fault decisions for one or more
 // FaultFS wrappers. Safe for concurrent use.
 type Injector struct {
@@ -92,7 +106,6 @@ type Injector struct {
 	globalOp [numOps]int64
 	paths    map[string]*pathState
 	injected int64
-	byOp     [numOps]int64
 }
 
 type pathState struct {
@@ -113,16 +126,6 @@ func (in *Injector) Injected() int64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.injected
-}
-
-// InjectedByOp returns how many faults were injected for one op kind.
-func (in *Injector) InjectedByOp(op Op) int64 {
-	if in == nil || op >= numOps {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.byOp[op]
 }
 
 // splitmix64 is the SplitMix64 finalizer: a cheap, high-quality bit
@@ -186,7 +189,6 @@ func (in *Injector) decide(op Op, path string) error {
 	}
 	st.faults[op]++
 	in.injected++
-	in.byOp[op]++
 	return fmt.Errorf("%w: %s %q (op #%d)", ErrInjected, op, path, n+1)
 }
 

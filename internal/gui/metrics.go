@@ -13,16 +13,6 @@ import (
 	"graft/internal/pregel"
 )
 
-// AttachMetrics mounts a live metrics registry into the GUI: the
-// /metrics and /debug/vars endpoints serve from it, and the dashboard
-// page of the matching job prefers the live snapshot over the
-// persisted file while the job is running. Call before Handler.
-func (s *Server) AttachMetrics(reg *metrics.Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.metricsReg = reg
-}
-
 // AttachMetricsSource mounts a per-job registry resolver: what a
 // multi-job daemon (graft serve) uses so each live job's dashboard and
 // profiler render from that job's own registry. The source returns nil
@@ -34,15 +24,9 @@ func (s *Server) AttachMetricsSource(src func(jobID string) *metrics.Registry) {
 	s.metricsSrc = src
 }
 
-func (s *Server) liveMetrics() *metrics.Registry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.metricsReg
-}
-
 // jobMetrics resolves a job's metrics: a live per-job registry first
 // (so a running job's dashboard refreshes every superstep), then the
-// persisted job.metrics, then the legacy single attached registry.
+// persisted job.metrics.
 func (s *Server) jobMetrics(jobID string) (metrics.JobMetrics, error) {
 	s.mu.Lock()
 	src := s.metricsSrc
@@ -52,16 +36,7 @@ func (s *Server) jobMetrics(jobID string) (metrics.JobMetrics, error) {
 			return reg.Snapshot(), nil
 		}
 	}
-	jm, err := metrics.ReadJobMetrics(s.store.FS, s.store.MetricsPath(jobID))
-	if err == nil {
-		return jm, nil
-	}
-	if reg := s.liveMetrics(); reg != nil {
-		if snap := reg.Snapshot(); snap.JobID == jobID {
-			return snap, nil
-		}
-	}
-	return jm, err
+	return metrics.ReadJobMetrics(s.store.FS, s.store.MetricsPath(jobID))
 }
 
 // handleMetricsJSON serves one job's metrics snapshot as JSON — the

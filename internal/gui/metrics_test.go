@@ -82,38 +82,43 @@ func TestMetricsDashboardWithoutMetricsFile(t *testing.T) {
 	}
 }
 
+// TestAttachMetricsMountsLiveEndpoints: with a metrics source attached,
+// a running job's per-job endpoints serve from its live registry before
+// any job.metrics file exists.
 func TestAttachMetricsMountsLiveEndpoints(t *testing.T) {
 	store := trace.NewStore(dfs.NewMemFS(), "traces")
 	srv := NewServer(store)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Without a registry the endpoints answer 404.
-	if code, _ := get(t, ts, "/metrics"); code != 404 {
-		t.Errorf("GET /metrics without registry = %d, want 404", code)
+	// Without a source (and no persisted file) there is nothing to serve.
+	if code, _ := get(t, ts, "/job/live-job/metrics.json"); code != 404 {
+		t.Errorf("GET metrics.json without a source = %d, want 404", code)
 	}
 
 	reg := metrics.NewRegistry("live-job", "cc")
 	reg.JobStarted(pregel.JobInfo{NumWorkers: 2})
-	srv.AttachMetrics(reg)
+	srv.AttachMetricsSource(func(jobID string) *metrics.Registry {
+		if jobID == "live-job" {
+			return reg
+		}
+		return nil
+	})
 
-	code, body := get(t, ts, "/metrics")
+	code, body := get(t, ts, "/job/live-job/metrics.json")
 	if code != 200 {
-		t.Fatalf("GET /metrics = %d", code)
+		t.Fatalf("GET metrics.json = %d", code)
 	}
 	var jm metrics.JobMetrics
 	if err := json.Unmarshal([]byte(body), &jm); err != nil || jm.JobID != "live-job" {
-		t.Errorf("live /metrics = %q err=%v", body, err)
+		t.Errorf("live metrics.json = %q err=%v", body, err)
 	}
-	if code, _ := get(t, ts, "/debug/vars"); code != 200 {
-		t.Errorf("GET /debug/vars = %d", code)
-	}
-
-	// The dashboard page falls back to the live registry for the
-	// running job that has no persisted file yet.
 	code, body = get(t, ts, "/job/live-job/metrics")
 	if code != 200 || !strings.Contains(body, "running") {
 		t.Errorf("live dashboard = %d\n%s", code, body)
+	}
+	if code, _ := get(t, ts, "/job/other/metrics.json"); code != 404 {
+		t.Errorf("GET metrics.json of a job the source does not know = %d, want 404", code)
 	}
 }
 

@@ -31,7 +31,6 @@ type Server struct {
 	offline    map[string]*pregel.Graph
 	specs      map[string]repro.GenSpec
 	comps      map[string]pregel.Computation
-	metricsReg *metrics.Registry
 	metricsSrc func(jobID string) *metrics.Registry
 }
 
@@ -78,13 +77,6 @@ func (s *Server) db(jobID string) (trace.View, error) {
 	return v, nil
 }
 
-// InvalidateCache drops cached trace views so re-run jobs reload.
-func (s *Server) InvalidateCache() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.views = map[string]trace.View{}
-}
-
 // Handler returns the GUI's routing handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -102,22 +94,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /job/{id}/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /job/{id}/metrics.json", s.handleMetricsJSON)
 	mux.HandleFunc("GET /job/{id}/profiler", s.handleProfiler)
-
-	// Live metrics endpoints, active once AttachMetrics has been called.
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		if reg := s.liveMetrics(); reg != nil {
-			reg.ServeMetrics(w, r)
-			return
-		}
-		http.Error(w, "no metrics registry attached", http.StatusNotFound)
-	})
-	mux.HandleFunc("GET /debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		if reg := s.liveMetrics(); reg != nil {
-			reg.ServeVars(w, r)
-			return
-		}
-		http.Error(w, "no metrics registry attached", http.StatusNotFound)
-	})
 
 	mux.HandleFunc("GET /diff", s.handleDiff)
 

@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"graft"
 	"graft/internal/core"
 	"graft/internal/dfs"
 	"graft/internal/faults"
@@ -91,18 +92,6 @@ type ChaosMeasurement struct {
 	Runtime time.Duration `json:"runtime_ns"`
 }
 
-// chaosPlan builds the injection plan for one storage role. Faults per
-// (path, op) are capped below the retry budget so a bounded retry loop
-// always converges — the run is abused, not doomed.
-func chaosPlan(seed int64, p float64) faults.Plan {
-	return faults.Plan{
-		Seed:         seed,
-		P:            map[faults.Op]float64{faults.OpWrite: p, faults.OpCreate: p / 2, faults.OpClose: p / 2},
-		MaxPerPathOp: 2,
-		ShortWrites:  true,
-	}
-}
-
 // RunChaos executes each workload under injected storage faults, a
 // datanode kill/revive and one worker crash, comparing final vertex
 // values against a fault-free run of the same seeded dataset.
@@ -136,30 +125,14 @@ func runChaosCell(wl Workload, opts ChaosOptions) (ChaosMeasurement, error) {
 	// fault injector and retry layer on each path, a memory fallback
 	// for traces, one worker crash and one datanode kill/revive.
 	cluster := dfs.NewCluster(4, 2, 8<<10)
-	ckptFS := faults.NewRetryFS(faults.NewFaultFS(cluster, chaosPlan(opts.Seed, opts.FaultP)), opts.Seed)
+	ckptFS := faults.NewRetryFS(faults.NewFaultFS(cluster, faults.ChaosPlan(opts.Seed, opts.FaultP)), opts.Seed)
 	traceFS := faults.NewFallbackFS(
-		faults.NewRetryFS(faults.NewFaultFS(cluster, chaosPlan(opts.Seed+1, opts.FaultP)), opts.Seed+1),
+		faults.NewRetryFS(faults.NewFaultFS(cluster, faults.ChaosPlan(opts.Seed+1, opts.FaultP)), opts.Seed+1),
 		dfs.NewMemFS(),
 	)
-	g := base.Clone()
-	alg := wl.Algorithm()
-	session, err := core.Attach(trace.NewStore(traceFS, "chaos"), core.Options{
-		JobID:      fmt.Sprintf("chaos-%s", wl.Label),
-		Algorithm:  alg.Name,
-		NumWorkers: wl.Workers,
-	}, g, core.DebugConfig{
-		CaptureIDs:        []pregel.VertexID{1, 2, 3, 4, 5},
-		CaptureExceptions: true,
-	})
-	if err != nil {
-		return m, err
-	}
-
 	crashed := false
 	cfg := pregel.Config{
 		NumWorkers:       wl.Workers,
-		Master:           session.InstrumentMaster(alg.Master),
-		Listener:         session,
 		CheckpointEvery:  chaosCheckpointEvery,
 		CheckpointFS:     ckptFS,
 		CheckpointPrefix: "chaos-ckpt/",
@@ -187,11 +160,20 @@ func runChaosCell(wl Workload, opts ChaosOptions) (ChaosMeasurement, error) {
 		}
 		return nil
 	}
-	alg.Compute = session.Instrument(alg.Compute)
-	stats, err := alg.Configure(g, cfg).Run()
+	g := base.Clone()
+	res, err := graft.RunAlgorithm(g, wl.Algorithm(), graft.RunOptions{
+		JobID:  fmt.Sprintf("chaos-%s", wl.Label),
+		Engine: cfg,
+		Store:  trace.NewStore(traceFS, "chaos"),
+		Debug: &core.DebugConfig{
+			CaptureIDs:        []pregel.VertexID{1, 2, 3, 4, 5},
+			CaptureExceptions: true,
+		},
+	})
 	if err != nil {
 		return m, err
 	}
+	stats := res.Stats
 	m.Runtime = stats.Runtime
 	m.Supersteps = stats.Supersteps
 	m.Recoveries = stats.Recoveries
@@ -200,15 +182,9 @@ func runChaosCell(wl Workload, opts ChaosOptions) (ChaosMeasurement, error) {
 	}
 	m.Faults = stats.Faults
 	m.NodeWriteRetries = cluster.WriteRetries()
-	m.Captures = session.Captures()
+	m.Captures = res.Captures
 
-	m.Match = true
-	ref.Each(func(v *pregel.Vertex) {
-		got := g.Vertex(v.ID())
-		if got == nil || !pregel.ValuesEqual(v.Value(), got.Value()) {
-			m.Match = false
-		}
-	})
+	m.Match = g.ValuesDigest() == ref.ValuesDigest()
 	return m, nil
 }
 

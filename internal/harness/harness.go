@@ -12,8 +12,6 @@
 package harness
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
@@ -22,6 +20,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"graft"
 	"graft/internal/algorithms"
 	"graft/internal/core"
 	"graft/internal/dfs"
@@ -74,37 +73,17 @@ type Workload struct {
 func (wl Workload) run(base *pregel.Graph, cfg pregel.Config) (*pregel.Stats, *pregel.Graph, error) {
 	g := base.Clone()
 	cfg.NumWorkers = wl.Workers
-	stats, err := wl.Algorithm().Configure(g, cfg).Run()
-	return stats, g, err
-}
-
-// valuesDigest hashes the final vertex values in canonical ID order:
-// the cheap stand-in for the full trace digest at benchmark scale.
-func valuesDigest(g *pregel.Graph) string {
-	type kv struct {
-		id  pregel.VertexID
-		val []byte
+	res, err := graft.RunAlgorithm(g, wl.Algorithm(), graft.RunOptions{Engine: cfg})
+	if err != nil {
+		return nil, g, err
 	}
-	var all []kv
-	g.Each(func(v *pregel.Vertex) {
-		all = append(all, kv{id: v.ID(), val: pregel.MarshalValue(v.Value())})
-	})
-	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
-	h := sha256.New()
-	e := pregel.NewEncoder()
-	for _, x := range all {
-		e.Reset()
-		e.PutVarint(int64(x.id))
-		e.PutBytes(x.val)
-		h.Write(e.Bytes())
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return res.Stats, g, nil
 }
 
 // sameValues reports whether g's final values digest to *ref, which it
 // sets from the first graph it is shown.
 func sameValues(ref *string, g *pregel.Graph) bool {
-	d := valuesDigest(g)
+	d := g.ValuesDigest()
 	if *ref == "" {
 		*ref = d
 	}
@@ -196,36 +175,27 @@ func runCell(wl Workload, base *pregel.Graph, cfg NamedConfig, opts Options) (Me
 	times := make([]time.Duration, 0, opts.Reps)
 	for rep := -1; rep < opts.Reps; rep++ {
 		runtime.GC()
-		g := base.Clone()
-		alg := wl.Algorithm()
-		engCfg := pregel.Config{NumWorkers: wl.Workers}
-		var session *core.Graft
+		run := graft.RunOptions{Engine: pregel.Config{NumWorkers: wl.Workers}}
 		var fs *dfs.MemFS
 		if cfg.Make != nil {
 			fs = dfs.NewMemFS()
-			var err error
-			session, err = core.Attach(trace.NewStore(fs, "bench"), core.Options{
-				JobID:      fmt.Sprintf("%s-%s-%d", wl.Label, cfg.Name, rep),
-				Algorithm:  alg.Name,
-				NumWorkers: wl.Workers,
-			}, g, cfg.Make())
-			if err != nil {
-				return m, err
-			}
-			alg.Compute = session.Instrument(alg.Compute)
-			engCfg.Master = session.InstrumentMaster(alg.Master)
-			engCfg.Listener = session
+			dc := cfg.Make()
+			run.JobID = fmt.Sprintf("%s-%s-%d", wl.Label, cfg.Name, rep)
+			run.Store = trace.NewStore(fs, "bench")
+			run.Debug = &dc
 		}
+		g := base.Clone()
 		start := time.Now()
-		if _, err := alg.Configure(g, engCfg).Run(); err != nil {
+		res, err := graft.RunAlgorithm(g, wl.Algorithm(), run)
+		if err != nil {
 			return m, err
 		}
 		if rep < 0 {
 			continue // warmup run
 		}
 		times = append(times, time.Since(start))
-		if session != nil {
-			m.Captures = session.Captures()
+		if fs != nil {
+			m.Captures = res.Captures
 			m.TraceSize = fs.TotalBytes()
 		}
 	}

@@ -96,7 +96,7 @@ func RunRecoveryBench(workloads []Workload, opts Options) ([]RecoveryBench, erro
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s reference: %w", wl.Label, err)
 		}
-		refDigest := valuesDigest(refGraph)
+		refDigest := refGraph.ValuesDigest()
 		total := refStats.Supersteps
 		if total < 4 {
 			return nil, fmt.Errorf("harness: %s converged in %d supersteps, too short to crash meaningfully", wl.Label, total)
@@ -158,7 +158,7 @@ func RunRecoveryBench(workloads []Workload, opts Options) ([]RecoveryBench, erro
 					if stats.Recoveries != 1 {
 						return 0, fmt.Errorf("recoveries = %d, want 1", stats.Recoveries)
 					}
-					if valuesDigest(g) != refDigest {
+					if g.ValuesDigest() != refDigest {
 						*match = false
 					}
 					if mode == pregel.RecoveryLog {

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"graft/internal/pregel"
@@ -166,7 +165,7 @@ func NormalizeJSONL(data []byte) ([]byte, error) {
 			return nil, fmt.Errorf("metrics: line %d: %w", i+1, err)
 		}
 		scrubVolatile(v)
-		b, err := marshalSorted(v)
+		b, err := json.Marshal(v) // map keys come out sorted at every depth
 		if err != nil {
 			return nil, err
 		}
@@ -194,53 +193,5 @@ func scrubVolatile(v any) {
 		for _, e := range vv {
 			scrubVolatile(e)
 		}
-	}
-}
-
-// marshalSorted renders a decoded JSON value with sorted object keys,
-// so normalized output is stable. encoding/json already sorts map
-// keys, but nested arrays of maps need the recursion.
-func marshalSorted(v any) ([]byte, error) {
-	switch vv := v.(type) {
-	case map[string]any:
-		keys := make([]string, 0, len(vv))
-		for k := range vv {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var b bytes.Buffer
-		b.WriteByte('{')
-		for i, k := range keys {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			kb, _ := json.Marshal(k)
-			b.Write(kb)
-			b.WriteByte(':')
-			eb, err := marshalSorted(vv[k])
-			if err != nil {
-				return nil, err
-			}
-			b.Write(eb)
-		}
-		b.WriteByte('}')
-		return b.Bytes(), nil
-	case []any:
-		var b bytes.Buffer
-		b.WriteByte('[')
-		for i, e := range vv {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			eb, err := marshalSorted(e)
-			if err != nil {
-				return nil, err
-			}
-			b.Write(eb)
-		}
-		b.WriteByte(']')
-		return b.Bytes(), nil
-	default:
-		return json.Marshal(v)
 	}
 }

@@ -106,15 +106,6 @@ func (en *engine) writeCheckpoint() error {
 	return nil
 }
 
-// maxRecoveries returns the effective recovery budget: the configured
-// value, or the default of 3 for configurations built without NewJob.
-func (en *engine) maxRecoveries() int {
-	if en.cfg.MaxRecoveries > 0 {
-		return en.cfg.MaxRecoveries
-	}
-	return 3
-}
-
 // listCheckpoints returns the superstep numbers of every checkpoint
 // file under the configured prefix, newest first.
 func (en *engine) listCheckpoints() ([]int, error) {
@@ -138,15 +129,9 @@ func (en *engine) listCheckpoints() ([]int, error) {
 	return nums, nil
 }
 
-// checkpointRetain is the effective retention-GC depth: the newest K
-// checkpoints kept after each successful write. 0 means the default of
-// 2; negative means unlimited (GC disabled).
-func (en *engine) checkpointRetain() int {
-	if en.cfg.CheckpointRetain != 0 {
-		return en.cfg.CheckpointRetain
-	}
-	return 2
-}
+// checkpointRetain is the retention-GC depth: the newest K checkpoints
+// kept after each successful write.
+const checkpointRetain = 2
 
 // gcCheckpoints deletes all but the newest K checkpoints after a
 // successful write, so long chaos runs stop accumulating unbounded
@@ -157,20 +142,16 @@ func (en *engine) checkpointRetain() int {
 // FaultStats.CheckpointsDeleted. Best-effort: listing or deletion
 // failures leave extra files behind, never fewer.
 func (en *engine) gcCheckpoints() {
-	retain := en.checkpointRetain()
-	if retain < 0 {
-		return
-	}
 	nums, err := en.listCheckpoints()
 	if err != nil || len(nums) == 0 {
 		return
 	}
-	for _, n := range nums[min(retain, len(nums)):] {
+	for _, n := range nums[min(checkpointRetain, len(nums)):] {
 		if en.cfg.CheckpointFS.Remove(en.checkpointPath(n)) == nil {
 			en.stats.Faults.CheckpointsDeleted++
 		}
 	}
-	oldest := nums[min(retain, len(nums))-1]
+	oldest := nums[min(checkpointRetain, len(nums))-1]
 	if en.msglog != nil {
 		en.msglog.gc(oldest)
 		for t := range en.history {

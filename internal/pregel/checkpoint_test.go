@@ -87,7 +87,6 @@ func TestTooManyRecoveries(t *testing.T) {
 	_, err := NewJob(g, ccCompute, Config{
 		CheckpointEvery: 1,
 		CheckpointFS:    fs,
-		MaxRecoveries:   2,
 		FailureAt:       func(superstep int) bool { return true }, // crash every superstep
 	}).Run()
 	if !errors.Is(err, ErrTooManyRecoveries) {

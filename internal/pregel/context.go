@@ -2,9 +2,8 @@ package pregel
 
 import "fmt"
 
-// msgFlushBatch is the default for Config.MsgFlushBatch: how many
-// outgoing messages a worker buffers per destination partition before
-// appending the batch to its lane.
+// msgFlushBatch is how many outgoing messages a worker buffers per
+// destination partition before appending the batch to its lane.
 const msgFlushBatch = 1024
 
 // workerCtx implements Context for one worker during one superstep.

@@ -228,8 +228,6 @@ type Config struct {
 	// partitions roll back and replay; under RecoveryCheckpoint any
 	// failure still restarts the whole job from the latest checkpoint.
 	PartitionFailureAt func(superstep int) []int
-	// MaxRecoveries bounds recovery attempts (default 3).
-	MaxRecoveries int
 	// Recovery selects the recovery strategy for injected failures.
 	// RecoveryCheckpoint (the zero value) restarts the whole job from
 	// the latest checkpoint; RecoveryLog confines recomputation to the
@@ -239,20 +237,6 @@ type Config struct {
 	// MsgLogFS is where RecoveryLog's outbox logs are written. Required
 	// when Recovery is RecoveryLog.
 	MsgLogFS FileSystem
-	// MsgLogPrefix prefixes the outbox-log directory name.
-	MsgLogPrefix string
-	// MsgLogSegmentSize is the outbox-log segment size threshold; 0
-	// means the default (256 KiB).
-	MsgLogSegmentSize int
-	// CheckpointRetain is how many of the newest successfully written
-	// checkpoints retention GC keeps (older ones are deleted after each
-	// successful write and counted in FaultStats.CheckpointsDeleted).
-	// 0 means the default of 2; negative disables GC entirely.
-	CheckpointRetain int
-	// MsgFlushBatch is how many outgoing messages a worker buffers per
-	// destination partition before appending the batch to its lane; 0
-	// means the default (1024).
-	MsgFlushBatch int
 	// RebalanceSkew enables skew-driven adaptive repartitioning: when a
 	// superstep's ComputeSkew or MessageSkew reaches this threshold
 	// (max/mean; 1.0 is perfectly balanced), the hottest vertices
@@ -322,9 +306,6 @@ type Job struct {
 func NewJob(g *Graph, comp Computation, cfg Config) *Job {
 	if cfg.NumWorkers <= 0 {
 		cfg.NumWorkers = DefaultNumWorkers
-	}
-	if cfg.MaxRecoveries == 0 {
-		cfg.MaxRecoveries = 3
 	}
 	return &Job{cfg: cfg, comp: comp, graph: g, aggs: map[string]aggEntry{}}
 }
@@ -462,11 +443,7 @@ type engine struct {
 
 func newEngine(j *Job) *engine {
 	en := &engine{job: j, cfg: &j.cfg, lastCheckpoint: -1, pool: &batchPool{},
-		openRecovery: -1, lastMigration: -1}
-	en.flushBatch = j.cfg.MsgFlushBatch
-	if en.flushBatch <= 0 {
-		en.flushBatch = msgFlushBatch
-	}
+		openRecovery: -1, lastMigration: -1, flushBatch: msgFlushBatch}
 	w := j.cfg.NumWorkers
 	ids := j.graph.VertexIDs()
 	if n := len(ids); n > 0 {
@@ -604,7 +581,7 @@ func (en *engine) run(start time.Time) (*Stats, error) {
 		return en.finish(invalidf("ComputeMode = vertex without a Computation"))
 	}
 	if en.cfg.Recovery == RecoveryLog {
-		en.msglog = newMsgLog(en.cfg.MsgLogFS, en.cfg.MsgLogPrefix, en.msgLogSegmentSize(), len(en.parts))
+		en.msglog = newMsgLog(en.cfg.MsgLogFS, len(en.parts))
 		en.history = make(map[int]stepSnapshot)
 	}
 

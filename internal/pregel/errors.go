@@ -45,6 +45,6 @@ func (e *ComputeError) Unwrap() error { return e.Err }
 // and no checkpoint is available to recover from.
 var ErrNoCheckpoint = errors.New("pregel: worker failed and no checkpoint is available")
 
-// ErrTooManyRecoveries is returned when failure injection exceeds
-// Config.MaxRecoveries.
+// ErrTooManyRecoveries is returned when failure injection exceeds the
+// engine's recovery budget (3 attempts per job).
 var ErrTooManyRecoveries = errors.New("pregel: exceeded maximum recovery attempts")

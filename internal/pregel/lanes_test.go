@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"graft/internal/dfs"
 )
@@ -300,7 +301,8 @@ func TestLaneGenerationWrap(t *testing.T) {
 				g.AddVertex(VertexID(i), NewLong(0))
 			}
 			noop := ComputeFunc(func(Context, *Vertex, []Value) error { return nil })
-			en := newEngine(NewJob(g, noop, Config{NumWorkers: 1, Combiner: col.combiner, MsgFlushBatch: 2}))
+			en := newEngine(NewJob(g, noop, Config{NumWorkers: 1, Combiner: col.combiner}))
+			en.flushBatch = 2
 			ctx := en.workerCtx(0, 12, 0)
 			send := func(to VertexID, min int64) { ctx.SendMessage(to, NewLong(min)) }
 			send(8, 100) // generation 1, position 0
@@ -369,9 +371,10 @@ func TestScalarPlaneAllocations(t *testing.T) {
 	}
 }
 
-// TestMsgFlushBatchConfigurable forces a tiny flush batch through the
-// Config knob and checks nothing is lost.
-func TestMsgFlushBatchConfigurable(t *testing.T) {
+// TestTinyFlushBatchLosesNothing forces a tiny flush batch (the
+// engine's unexported field; jobs always run at msgFlushBatch) and
+// checks nothing is lost.
+func TestTinyFlushBatchLosesNothing(t *testing.T) {
 	for _, batch := range []int{1, 3} {
 		t.Run(fmt.Sprintf("lanes-batch%d", batch), func(t *testing.T) {
 			const fanout = 200
@@ -396,7 +399,9 @@ func TestMsgFlushBatchConfigurable(t *testing.T) {
 				v.VoteToHalt()
 				return nil
 			})
-			stats, err := NewJob(g, comp, Config{NumWorkers: 4, MsgFlushBatch: batch}).Run()
+			en := newEngine(NewJob(g, comp, Config{NumWorkers: 4}))
+			en.flushBatch = batch
+			stats, err := en.run(time.Now())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -51,17 +51,11 @@ const (
 	msgLogFrameMessages  = 1
 	msgLogFrameMutations = 2
 
-	// defaultMsgLogSegmentSize is used when Config.MsgLogSegmentSize
-	// is 0.
-	defaultMsgLogSegmentSize = 256 << 10
+	// msgLogSegmentSize is the outbox-log segment size threshold.
+	msgLogSegmentSize = 256 << 10
+	// msgLogDir is the outbox-log directory within Config.MsgLogFS.
+	msgLogDir = "msglog"
 )
-
-func (en *engine) msgLogSegmentSize() int {
-	if en.cfg.MsgLogSegmentSize > 0 {
-		return en.cfg.MsgLogSegmentSize
-	}
-	return defaultMsgLogSegmentSize
-}
 
 // msgLog is the engine's outbox log: one segment-lane writer per
 // sending worker. The coordinator drives it at the barrier; the
@@ -80,16 +74,15 @@ type msgLog struct {
 	broken bool
 }
 
-func newMsgLog(fs FileSystem, prefix string, segSize, numWorkers int) *msgLog {
+func newMsgLog(fs FileSystem, numWorkers int) *msgLog {
 	l := &msgLog{
 		fs:      fs,
 		writers: make([]*segio.Writer, numWorkers),
 		encs:    make([]*Encoder, numWorkers),
 		parts:   make([][]segio.Part, numWorkers),
 	}
-	dir := prefix + "msglog"
 	for i := range l.writers {
-		l.writers[i] = segio.NewWriter(fs, dir, fmt.Sprintf("worker_%02d", i), segSize, nil)
+		l.writers[i] = segio.NewWriter(fs, msgLogDir, fmt.Sprintf("worker_%02d", i), msgLogSegmentSize, nil)
 		l.encs[i] = NewEncoder()
 	}
 	return l

@@ -115,10 +115,13 @@ func (en *engine) checkFailure(superstep int) ([]int, bool) {
 	return parts, true
 }
 
+// maxRecoveries bounds the recovery attempts of one job.
+const maxRecoveries = 3
+
 // consumeRecoveryBudget charges one recovery attempt against
-// Config.MaxRecoveries.
+// maxRecoveries.
 func (en *engine) consumeRecoveryBudget() error {
-	if en.stats.Recoveries >= en.maxRecoveries() {
+	if en.stats.Recoveries >= maxRecoveries {
 		return ErrTooManyRecoveries
 	}
 	en.stats.Recoveries++

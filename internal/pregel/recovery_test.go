@@ -259,26 +259,6 @@ func TestCheckpointRetentionGC(t *testing.T) {
 	}
 }
 
-func TestCheckpointRetentionDisabled(t *testing.T) {
-	fs := dfs.NewMemFS()
-	_, err := NewJob(pathGraph(t, 12), ccCompute, Config{
-		NumWorkers:       2,
-		CheckpointEvery:  1,
-		CheckpointFS:     fs,
-		CheckpointRetain: -1,
-	}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	names, err := fs.List("checkpoint_")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) < 5 {
-		t.Errorf("checkpoints on disk with GC disabled = %d, want every one kept", len(names))
-	}
-}
-
 func TestConfinedRecoveryPersistentAggregators(t *testing.T) {
 	// Confined replay suppresses Aggregate calls — the live barrier at
 	// the failed superstep already merged every partition's

@@ -24,15 +24,6 @@ func (c *Config) Validate() error {
 	if c.MaxSupersteps < 0 {
 		return invalidf("MaxSupersteps = %d, must be >= 0 (0 means unlimited)", c.MaxSupersteps)
 	}
-	if c.MsgFlushBatch < 0 {
-		return invalidf("MsgFlushBatch = %d, must be >= 0 (0 means the default)", c.MsgFlushBatch)
-	}
-	if c.MsgLogSegmentSize < 0 {
-		return invalidf("MsgLogSegmentSize = %d, must be >= 0 (0 means the default)", c.MsgLogSegmentSize)
-	}
-	if c.MaxRecoveries < 0 {
-		return invalidf("MaxRecoveries = %d, must be >= 0 (0 means the default)", c.MaxRecoveries)
-	}
 	if c.CheckpointEvery < 0 {
 		return invalidf("CheckpointEvery = %d, must be >= 0 (0 disables checkpointing)", c.CheckpointEvery)
 	}

@@ -11,9 +11,6 @@ func TestValidateRejectsNegatives(t *testing.T) {
 		cfg  Config
 	}{
 		{"MaxSupersteps", Config{MaxSupersteps: -1}},
-		{"MsgFlushBatch", Config{MsgFlushBatch: -5}},
-		{"MsgLogSegmentSize", Config{MsgLogSegmentSize: -1}},
-		{"MaxRecoveries", Config{MaxRecoveries: -2}},
 		{"CheckpointEvery", Config{CheckpointEvery: -3}},
 		{"RebalanceSkew", Config{RebalanceSkew: -0.5}},
 		{"RebalanceMaxMoves", Config{RebalanceMaxMoves: -1}},

@@ -20,6 +20,7 @@ import (
 	"graft/internal/graphgen"
 	"graft/internal/gui"
 	"graft/internal/metrics"
+	"graft/internal/repro"
 )
 
 // Daemon wraps one graft.Session in HTTP.
@@ -46,6 +47,23 @@ func New(sess *graft.Session) (*Daemon, error) {
 		}
 		return nil
 	})
+	// Reproduce Context and the replay check need each packaged
+	// algorithm as source and as a live function, at the defaults
+	// handleSubmit fills in.
+	for _, name := range algorithms.Names() {
+		alg, err := algorithms.ByName(name, algorithms.DefaultSeed, algorithms.DefaultSupersteps)
+		if err != nil {
+			return nil, err
+		}
+		d.gui.RegisterComputation(name, alg.Compute)
+		if expr := algorithms.ReproExpr(name); expr != "" {
+			spec := repro.GenSpec{ComputationExpr: expr + ".Compute", ExtraImports: []string{"graft/internal/algorithms"}, Assert: true}
+			if alg.Master != nil {
+				spec.MasterExpr = expr + ".Master"
+			}
+			d.gui.RegisterReproSpec(name, spec)
+		}
+	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", d.handleHealth)
@@ -112,13 +130,13 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		req.Scale = 0.001
 	}
 	if req.Seed == 0 {
-		req.Seed = 42
+		req.Seed = algorithms.DefaultSeed
 	}
 	if req.Workers == 0 {
 		req.Workers = 4
 	}
 	if req.Supersteps == 0 {
-		req.Supersteps = 10
+		req.Supersteps = algorithms.DefaultSupersteps
 	}
 	if req.Debug == "" {
 		req.Debug = "DC-sp"
@@ -129,7 +147,9 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	g, err := buildGraph(req.Dataset, req.Scale, req.Seed)
+	// Submissions name datasets, never paths: unlike the CLI, the daemon
+	// does not read local files.
+	g, err := graphgen.BuildDataset(req.Dataset, req.Scale, req.Seed)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -223,16 +243,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-// buildGraph resolves a dataset name against the paper's Table 1/2
-// stand-ins. Unlike the CLI, the daemon does not read local files —
-// submissions name datasets, never paths.
-func buildGraph(dataset string, scale float64, seed int64) (*graft.Graph, error) {
-	all := append(graphgen.Table1Datasets(scale, seed), graphgen.Table2Datasets(scale, seed)...)
-	ds, err := graphgen.FindDataset(all, dataset)
-	if err != nil {
-		return nil, err
-	}
-	return ds.Build(), nil
 }

@@ -74,7 +74,7 @@ var Serve = harness.NewExperiment("serve",
 // given number of concurrency slots and returns the batch wall time
 // plus each job's trace digest.
 func serveBenchRun(base *graft.Graph, slots int, seed int64) (time.Duration, map[string]string, error) {
-	store := graft.NewStore(dfs.NewLatencyFS(graft.NewMemFS(), ServeBenchStoreLatency), "traces")
+	store := graft.NewStore(&dfs.LatencyFS{FS: graft.NewMemFS(), Delay: ServeBenchStoreLatency}, "traces")
 	sess, err := graft.NewSession(graft.SessionConfig{
 		Store:             store,
 		MaxConcurrentJobs: slots,

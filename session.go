@@ -443,33 +443,30 @@ func mergeAlgorithm(opts *RunOptions, alg *Algorithm) {
 	if opts.Algorithm == "" {
 		opts.Algorithm = alg.Name
 	}
-	if opts.Engine.Master == nil {
-		opts.Engine.Master = alg.Master
-	}
-	if opts.Engine.Combiner == nil {
-		opts.Engine.Combiner = alg.Combiner
-	}
-	if opts.Engine.MaxSupersteps == 0 {
-		opts.Engine.MaxSupersteps = alg.MaxSupersteps
-	}
+	alg.ApplyDefaults(&opts.Engine)
 	if opts.Subgraph == nil {
 		opts.Subgraph = alg.Subgraph
 	}
 	opts.Aggregators = append(opts.Aggregators, alg.Aggregators...)
 }
 
-// runJob is the single execution path under both Run and
-// Session.Submit: attach Graft if asked, wire listeners, run the engine
-// under ctx.
+// faultSink is a listener that wants a job's resilient storage layers
+// as live counter sources (metrics.Registry's AddFaultSource).
+type faultSink interface {
+	AddFaultSource(pregel.FaultStatsProvider)
+}
+
+// runJob is the only place a job is assembled — under Run,
+// RunAlgorithm, Session.Submit, `graft run`, `graft serve` and the
+// harness alike: attach Graft if asked, wire listeners, run the engine
+// under ctx, and turn a failed trace write into the job's error.
 func runJob(ctx context.Context, g *Graph, comp Computation, opts RunOptions, extra pregel.JobListener) (*RunResult, error) {
 	cfg := opts.Engine
 	scomp := opts.Subgraph
 	res := &RunResult{}
 	var session *core.Graft
+	cfg.Listener = tee(extra, cfg.Listener)
 	if opts.Debug != nil {
-		if cfg.NumWorkers <= 0 {
-			cfg.NumWorkers = pregel.DefaultNumWorkers
-		}
 		mode := ""
 		if cfg.ComputeMode == pregel.ModeSubgraph {
 			mode = "subgraph"
@@ -493,15 +490,15 @@ func runJob(ctx context.Context, g *Graph, comp Computation, opts RunOptions, ex
 			comp = session.Instrument(comp)
 		}
 		cfg.Master = session.InstrumentMaster(cfg.Master)
-		cfg.Listener = session.Chain(tee(extra, cfg.Listener))
-		if reg, ok := extra.(*metrics.Registry); ok {
-			// Live /metrics should expose trace-write resilience counters
-			// mid-run, before the engine folds them into the final Stats.
-			reg.AddFaultSource(session)
+		// Live /metrics should expose trace-write resilience counters
+		// mid-run, before the engine folds them into the final Stats.
+		for _, l := range []pregel.JobListener{extra, opts.Engine.Listener} {
+			if sink, ok := l.(faultSink); ok {
+				sink.AddFaultSource(session)
+			}
 		}
+		cfg.Listener = session.Chain(cfg.Listener)
 		res.JobID = opts.JobID
-	} else {
-		cfg.Listener = tee(extra, cfg.Listener)
 	}
 
 	var job *pregel.Job
