@@ -17,7 +17,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -265,6 +264,8 @@ func cmdRun(args []string) error {
 	opts := graft.RunOptions{
 		JobID:       id,
 		Description: fmt.Sprintf("dataset=%s scale=%g debug=%s mode=%s", *dataset, *scale, *debug, *mode),
+		Seed:        *seed,
+		Supersteps:  *supersteps,
 		Engine:      eng,
 		Debug:       dc,
 		Trace:       []trace.Option{trace.WithSegmentSize(*segmentSize), trace.WithQueueCapacity(*queueCap)},
@@ -318,51 +319,27 @@ func cmdRun(args []string) error {
 		linger(*metricsAddr, *metricsLinger)
 		return nil
 	}
-	printSummary(res, &opts.Engine)
+	printSummary(res)
 	linger(*metricsAddr, *metricsLinger)
 	return runErr
 }
 
-// printSummary prints the lines of a finished run, each only when the
-// run has something to say under it.
-func printSummary(res *graft.RunResult, eng *pregel.Config) {
+// printSummary prints the lines of a finished run: the headline, what
+// each recovery did, the metric table's summary lines (each only when
+// the run has something to say under it) and the capture count.
+func printSummary(res *graft.RunResult) {
 	stats := res.Stats
-	fmt.Printf("finished: %s\n", stats.String())
-	if eng.ComputeMode == pregel.ModeSubgraph {
-		var subs, iters int64
-		for _, ss := range stats.PerSuperstep {
-			subs += ss.SubgraphsComputed
-			iters += ss.InternalIterations
+	fmt.Printf("finished: %s\n", stats)
+	for _, ev := range stats.RecoveryEvents {
+		fmt.Printf("  recovery @%d: mode=%s partitions=%v from-ckpt=%d steps-replayed=%d msgs-replayed=%d took=%v\n",
+			ev.Superstep, ev.Mode, ev.Partitions, ev.CheckpointSuperstep,
+			ev.SuperstepsReplayed, ev.MessagesReplayed, ev.Duration.Round(time.Microsecond))
+	}
+	jm := metrics.FromStats(stats)
+	for _, s := range metrics.Sections(&jm) {
+		if s.Name != "" { // the unnamed section repeats the headline
+			fmt.Println(s)
 		}
-		fmt.Printf("subgraph mode: %d subgraph computations, %d internal iterations across %d supersteps\n",
-			subs, iters, stats.Supersteps)
-	}
-	if compute, barrier, capture := stats.PhaseTotals(); compute > 0 {
-		fmt.Printf("phases: compute=%v barrier=%v capture=%v max-compute-skew=%.2f\n",
-			compute.Round(time.Millisecond), barrier.Round(time.Millisecond),
-			capture.Round(time.Millisecond), stats.MaxComputeSkew())
-	}
-	if stats.Recoveries > 0 || stats.Faults.Any() {
-		fmt.Printf("resilience: recoveries=%d %s\n", stats.Recoveries, stats.Faults)
-		for _, ev := range stats.RecoveryEvents {
-			fmt.Printf("  recovery @%d: mode=%s partitions=%v from-ckpt=%d steps-replayed=%d msgs-replayed=%d took=%v\n",
-				ev.Superstep, ev.Mode, ev.Partitions, ev.CheckpointSuperstep,
-				ev.SuperstepsReplayed, ev.MessagesReplayed, ev.Duration.Round(time.Microsecond))
-		}
-	}
-	if stats.MessagesLogged > 0 {
-		fmt.Printf("outbox log: %d messages logged (%d bytes)\n", stats.MessagesLogged, stats.BytesLogged)
-	}
-	if stats.Rebalances > 0 {
-		fmt.Printf("rebalancer: %d migrations moved %d vertices (objective: %s)\n",
-			stats.Rebalances, stats.VerticesMigrated, eng.RebalanceObjective)
-	}
-	if len(stats.PartitionSizes) > 0 {
-		fmt.Printf("placement: partitioner=%s sizes=%v edge-cut=%d local-msgs=%.1f%%\n",
-			stats.Partitioner, stats.PartitionSizes, stats.EdgeCut, stats.LocalMessageRatio()*100)
-	}
-	if len(stats.Anomalies) > 0 {
-		fmt.Printf("anomalies: %d events (%s)\n", len(stats.Anomalies), anomalySummary(stats.Anomalies))
 	}
 	if res.JobID != "" {
 		fmt.Printf("captures: %d (limit hit: %v)\n", res.Captures, res.LimitHit)
@@ -371,25 +348,6 @@ func printSummary(res *graft.RunResult, eng *pregel.Config) {
 			fmt.Printf("capture pipeline dropped %d records under backpressure\n", n)
 		}
 	}
-}
-
-// anomalySummary rolls an event feed up into "kind: n" pairs, sorted
-// by kind, for the run summary line.
-func anomalySummary(evs []anomaly.Event) string {
-	counts := map[string]int{}
-	for _, ev := range evs {
-		counts[string(ev.Kind)]++
-	}
-	kinds := make([]string, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	parts := make([]string, len(kinds))
-	for i, k := range kinds {
-		parts[i] = fmt.Sprintf("%s: %d", k, counts[k])
-	}
-	return strings.Join(parts, ", ")
 }
 
 // writeAnomalyJSONL writes one JSON object per detected anomaly event,
@@ -475,9 +433,12 @@ func cmdShow(args []string) error {
 	}
 	// Placement summary from the persisted job metrics, when the run
 	// recorded them (older traces have none).
-	if jm, err := metrics.ReadJobMetrics(store.FS, store.MetricsPath(*jobID)); err == nil && jm.Partitioner != "" {
-		fmt.Printf("placement: partitioner=%s edge-cut=%d local-msgs=%.1f%% vertices/worker=%v\n",
-			jm.Partitioner, jm.EdgeCut, jm.Totals.LocalMessageRatio(jm.TrafficTotal())*100, jm.PartitionSizes)
+	if jm, err := metrics.ReadJobMetrics(store.FS, store.MetricsPath(*jobID)); err == nil {
+		for _, s := range metrics.Sections(&jm) {
+			if s.Name == "placement" {
+				fmt.Println(s)
+			}
+		}
 	}
 	steps := db.Supersteps()
 	if *superstep >= 0 {

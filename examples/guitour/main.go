@@ -47,11 +47,13 @@ func main() {
 	fmt.Printf("traced job gc-tour: %d supersteps, %d captures\n", res.Stats.Supersteps, res.Captures)
 
 	srv := gui.NewServer(store)
-	srv.RegisterReproSpec("gc-buggy", repro.GenSpec{
-		ComputationExpr: "algorithms.NewBuggyGraphColoring(42).Compute",
-		MasterExpr:      "algorithms.NewBuggyGraphColoring(42).Master",
-		ExtraImports:    []string{"graft/internal/algorithms"},
-		Assert:          true,
+	srv.AttachAlgorithms(func(trace.JobMeta) (graft.Computation, repro.GenSpec) {
+		return algorithms.NewBuggyGraphColoring(42).Compute, repro.GenSpec{
+			ComputationExpr: "algorithms.NewBuggyGraphColoring(42).Compute",
+			MasterExpr:      "algorithms.NewBuggyGraphColoring(42).Master",
+			ExtraImports:    []string{"graft/internal/algorithms"},
+			Assert:          true,
+		}
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -247,7 +247,7 @@ const (
 )
 
 // ErrInvalidTraceOption is the sentinel wrapped by trace-pipeline
-// option failures (negative queue capacities, segment or batch sizes),
+// option failures (negative queue capacities or segment sizes),
 // surfaced through Run/Submit when the sink is created.
 var ErrInvalidTraceOption = trace.ErrInvalidOption
 
@@ -260,9 +260,6 @@ var (
 	// WithQueueCapacity sets the per-lane capture queue depth, in
 	// records.
 	WithQueueCapacity = trace.WithQueueCapacity
-	// WithBatchSize sets how many records a lane batches per handoff
-	// to its background writer.
-	WithBatchSize = trace.WithBatchSize
 	// WithBackpressure selects the full-queue policy (Block or Drop).
 	WithBackpressure = trace.WithBackpressure
 	// WithSynchronous disables the background writers: records are
@@ -346,6 +343,12 @@ type RunOptions struct {
 	Algorithm string
 	// Description optionally records dataset/parameters.
 	Description string
+	// Seed and Supersteps are recorded in the manifest as the arguments
+	// the packaged algorithm was built with, so `graft serve` reproduces
+	// and replay-checks the job with the same ones. Metadata only: no
+	// code path of the run reads them.
+	Seed       int64
+	Supersteps int
 	// Engine configures the BSP engine (workers, master, combiner...).
 	Engine EngineConfig
 	// Subgraph is the subgraph-centric program, required when

@@ -59,29 +59,36 @@ func ByName(name string, seed int64, supersteps int) (*Algorithm, error) {
 }
 
 // The seed and superstep budget `graft run` and the serve daemon
-// default to. A trace's manifest does not record either, so the GUI
-// reproduces and replay-checks a job as if it ran with these.
+// default to, and what the GUI assumes for a trace whose manifest
+// records neither.
 const (
 	DefaultSeed       = 42
 	DefaultSupersteps = 10
 )
 
-// reproExprs gives, per algorithm, the Go expression that generated
-// reproduction tests construct it with: ByName(name, DefaultSeed,
-// DefaultSupersteps) spelled as source.
-var reproExprs = map[string]string{
-	"gc":       "algorithms.NewGraphColoring(42)",
-	"gc-buggy": "algorithms.NewBuggyGraphColoring(42)",
-	"rw":       "algorithms.NewRandomWalk(42, 10)",
-	"rw16":     "algorithms.NewRandomWalk16(42, 10)",
-	"mwm":      "algorithms.NewMaximumWeightMatching(1000)",
-	"cc":       "algorithms.NewConnectedComponents()",
-	"pagerank": "algorithms.NewPageRank(10, 0.85)",
-	"sssp":     "algorithms.NewSSSP(0)",
-}
-
-// ReproExpr returns the constructor expression for the named algorithm
-// at the defaults ("" when generated tests have none and leave a
-// placeholder); append ".Compute" or ".Master" to it, and import
+// ReproExpr returns ByName(name, seed, supersteps) spelled as source —
+// the constructor expression generated reproduction tests build the
+// algorithm with ("" when they have none and leave a placeholder);
+// append ".Compute" or ".Master" to it, and import
 // graft/internal/algorithms.
-func ReproExpr(name string) string { return reproExprs[name] }
+func ReproExpr(name string, seed int64, supersteps int) string {
+	switch name {
+	case "gc":
+		return fmt.Sprintf("algorithms.NewGraphColoring(%d)", seed)
+	case "gc-buggy":
+		return fmt.Sprintf("algorithms.NewBuggyGraphColoring(%d)", seed)
+	case "rw":
+		return fmt.Sprintf("algorithms.NewRandomWalk(%d, %d)", seed, supersteps)
+	case "rw16":
+		return fmt.Sprintf("algorithms.NewRandomWalk16(%d, %d)", seed, supersteps)
+	case "mwm":
+		return fmt.Sprintf("algorithms.NewMaximumWeightMatching(%d)", supersteps*100)
+	case "cc":
+		return "algorithms.NewConnectedComponents()"
+	case "pagerank":
+		return fmt.Sprintf("algorithms.NewPageRank(%d, 0.85)", supersteps)
+	case "sssp":
+		return "algorithms.NewSSSP(0)"
+	}
+	return ""
+}

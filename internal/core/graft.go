@@ -69,6 +69,10 @@ type Options struct {
 	// "subgraph"); it lands in the trace manifest so `graft repro`
 	// generates the matching harness. Empty means vertex.
 	ComputeMode string
+	// Seed and Supersteps land in the manifest as metadata (see
+	// trace.JobMeta); the session does not read them.
+	Seed       int64
+	Supersteps int
 	// Trace configures the capture pipeline (trace.WithSegmentSize,
 	// trace.WithBackpressure, trace.WithQueueCapacity,
 	// trace.WithSynchronous). The default is the asynchronous pipeline
@@ -112,6 +116,8 @@ func Attach(store *trace.Store, opts Options, graph *pregel.Graph, cfg DebugConf
 		NumVertices: graph.NumVertices(),
 		NumEdges:    graph.NumEdges(),
 		ComputeMode: opts.ComputeMode,
+		Seed:        opts.Seed,
+		Supersteps:  opts.Supersteps,
 	}, opts.Trace...)
 	if err != nil {
 		return nil, err

@@ -53,11 +53,16 @@ func newTestServer(t *testing.T) (*httptest.Server, *Server) {
 		core.DebugConfig{MessageConstraint: algorithms.NonNegativeRWMessages})
 
 	srv := NewServer(store)
-	srv.RegisterReproSpec("gc-buggy", repro.GenSpec{
-		ComputationExpr: "algorithms.NewBuggyGraphColoring(42).Compute",
-		MasterExpr:      "algorithms.NewBuggyGraphColoring(42).Master",
-		ExtraImports:    []string{"graft/internal/algorithms"},
-		Assert:          true,
+	srv.AttachAlgorithms(func(meta trace.JobMeta) (pregel.Computation, repro.GenSpec) {
+		if meta.Algorithm != "gc-buggy" {
+			return nil, repro.GenSpec{}
+		}
+		return algorithms.NewBuggyGraphColoring(42).Compute, repro.GenSpec{
+			ComputationExpr: "algorithms.NewBuggyGraphColoring(42).Compute",
+			MasterExpr:      "algorithms.NewBuggyGraphColoring(42).Master",
+			ExtraImports:    []string{"graft/internal/algorithms"},
+			Assert:          true,
+		}
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -302,7 +307,6 @@ func TestHistoryView(t *testing.T) {
 
 func TestReplayCheckView(t *testing.T) {
 	ts, srv := newTestServer(t)
-	srv.RegisterComputation("gc-buggy", algorithms.NewBuggyGraphColoring(42).Compute)
 
 	code, body := get(t, ts, "/job/gc-demo/replaycheck?superstep=1")
 	if code != 200 {
@@ -577,7 +581,7 @@ func TestNondeterministicCaptureIsSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(store)
-	srv.RegisterComputation("fickle", comp)
+	srv.AttachAlgorithms(func(trace.JobMeta) (pregel.Computation, repro.GenSpec) { return comp, repro.GenSpec{} })
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 

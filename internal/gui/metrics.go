@@ -6,7 +6,6 @@ import (
 	"html/template"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"graft/internal/metrics"
@@ -51,106 +50,19 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, jm)
 }
 
-// migrationSummary renders a superstep's rebalancer migrations for the
-// dashboard table.
-func migrationSummary(ms []pregel.MigrationEvent) string {
-	if len(ms) == 0 {
-		return "—"
-	}
-	parts := make([]string, len(ms))
-	for i, m := range ms {
-		parts[i] = fmt.Sprintf("%d→%d: %d", m.From, m.To, m.Vertices)
-	}
-	return strings.Join(parts, ", ")
-}
-
-// partitionSizesSummary renders the per-worker vertex counts the job
-// finished with ("w0: 120, w1: 118, ..."), or "—" when the job did not
-// record them.
-func partitionSizesSummary(sizes []int64) string {
-	if len(sizes) == 0 {
-		return "—"
-	}
-	parts := make([]string, len(sizes))
-	for i, n := range sizes {
-		parts[i] = fmt.Sprintf("w%d: %d", i, n)
-	}
-	return strings.Join(parts, ", ")
-}
-
-// ms renders a duration as fractional milliseconds.
-func ms(d time.Duration) string {
-	return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000)
-}
-
 // skewHot is the straggler threshold: a worker running 1.5x the mean
 // marks the superstep as skewed in the dashboard.
 const skewHot = 1.5
 
-type metricsStepRow struct {
-	Superstep                 int
-	Vertices, Active          int64
-	Sent, Combined, Received  int64
-	Compute, Barrier, Capture string
-	Flush                     string
-	QueueDepth                int
-	ComputeSkew, MessageSkew  string
-	Straggler                 string
-	Hot                       bool
-	// Migrated summarizes the rebalancer's migrations at this barrier
-	// ("from→to: n vertices"), or "—" when none happened.
-	Migrated string
-}
-
-type metricsWorkerRow struct {
-	Worker                    int
-	Vertices, Sent, Received  int64
-	Compute, Barrier, Capture string
-	Straggler                 bool
-}
-
-type metricsRecoveryRow struct {
-	Superstep, FromCheckpoint int
-	Mode, Partitions          string
-	StepsReplayed             int
-	MsgsReplayed              int64
-	Duration                  string
-}
-
-// recoveryRows renders the per-recovery breakdown for the dashboard:
-// which partitions rolled back, the checkpoint they restarted from and
-// how much confined replay it took to catch them back up.
-func recoveryRows(evs []pregel.RecoveryEvent) []metricsRecoveryRow {
-	rows := make([]metricsRecoveryRow, 0, len(evs))
-	for _, ev := range evs {
-		parts := "all"
-		if len(ev.Partitions) > 0 {
-			strs := make([]string, len(ev.Partitions))
-			for i, p := range ev.Partitions {
-				strs[i] = strconv.Itoa(p)
-			}
-			parts = strings.Join(strs, ", ")
-		}
-		rows = append(rows, metricsRecoveryRow{
-			Superstep:      ev.Superstep,
-			FromCheckpoint: ev.CheckpointSuperstep,
-			Mode:           ev.Mode,
-			Partitions:     parts,
-			StepsReplayed:  ev.SuperstepsReplayed,
-			MsgsReplayed:   ev.MessagesReplayed,
-			Duration:       ms(ev.Duration) + " ms",
-		})
-	}
-	return rows
-}
-
-// dfsSummary renders the distributed-store data-path counters for the
-// dashboard's DFS row ("" when no DFS source was registered).
-func dfsSummary(jm metrics.JobMetrics) string {
-	if jm.DFS == nil {
-		return ""
-	}
-	return jm.DFS.String()
+// metricsRow is one line of the per-superstep or per-worker table: the
+// metric table's cells for it, whether it is flagged (a skewed
+// superstep, the straggling worker) and, per superstep, what the
+// rebalancer moved at its barrier.
+type metricsRow struct {
+	ID         int
+	Cells      []metrics.Item
+	Hot        bool
+	Migrations []pregel.MigrationEvent
 }
 
 // handleMetrics renders the GiViP-style per-job dashboard: job-level
@@ -170,28 +82,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var rows []metricsStepRow
+	var rows, workerRows []metricsRow
 	computeMs := make([]float64, 0, len(jm.Supersteps))
 	sentVals := make([]float64, 0, len(jm.Supersteps))
 	skewVals := make([]float64, 0, len(jm.Supersteps))
-	for _, ss := range jm.Supersteps {
-		straggler := "—"
-		if ss.Straggler >= 0 {
-			straggler = strconv.Itoa(ss.Straggler)
-		}
-		rows = append(rows, metricsStepRow{
-			Superstep: ss.Superstep,
-			Vertices:  ss.VerticesProcessed, Active: ss.ActiveAtEnd,
-			Sent: ss.MessagesSent, Combined: ss.MessagesCombined, Received: ss.MessagesReceived,
-			Compute: ms(ss.ComputeTime), Barrier: ms(ss.BarrierWait), Capture: ms(ss.CaptureTime),
-			Flush:       ms(ss.FlushTime),
-			QueueDepth:  ss.CaptureQueueDepth,
-			ComputeSkew: fmt.Sprintf("%.2f", ss.ComputeSkew),
-			MessageSkew: fmt.Sprintf("%.2f", ss.MessageSkew),
-			Straggler:   straggler,
-			Hot:         ss.ComputeSkew >= skewHot,
-			Migrated:    migrationSummary(ss.Migrations),
-		})
+	for i := range jm.Supersteps {
+		ss := &jm.Supersteps[i]
+		rows = append(rows, metricsRow{ID: ss.Superstep, Cells: metrics.Items(ss), Hot: ss.ComputeSkew >= skewHot, Migrations: ss.Migrations})
 		computeMs = append(computeMs, float64(ss.ComputeTime.Microseconds())/1000)
 		sentVals = append(sentVals, float64(ss.MessagesSent))
 		skewVals = append(skewVals, ss.ComputeSkew)
@@ -212,18 +109,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	var workerRows []metricsWorkerRow
 	for _, ss := range jm.Supersteps {
 		if ss.Superstep != sel {
 			continue
 		}
-		for _, ws := range ss.Workers {
-			workerRows = append(workerRows, metricsWorkerRow{
-				Worker:   ws.Worker,
-				Vertices: ws.VerticesProcessed, Sent: ws.MessagesSent, Received: ws.MessagesReceived,
-				Compute: ms(ws.ComputeTime), Barrier: ms(ws.BarrierWait), Capture: ms(ws.CaptureTime),
-				Straggler: ws.Worker == ss.Straggler && ss.ComputeSkew >= skewHot,
-			})
+		for i := range ss.Workers {
+			ws := &ss.Workers[i]
+			workerRows = append(workerRows, metricsRow{ID: ws.Worker, Cells: metrics.Items(ws),
+				Hot: ws.Worker == ss.Straggler && ss.ComputeSkew >= skewHot})
 		}
 	}
 
@@ -233,76 +126,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	} else if jm.Error != "" {
 		status = "failed: " + jm.Error
 	}
-	overhead := jm.Totals.CaptureOverhead()
 	data := struct {
 		JobID, Algorithm, Status           string
-		Workers                            int
-		Runtime, Recovery                  string
-		ComputeTotal, BarrierTotal         string
-		CaptureTotal, CaptureOverhead      string
-		FlushTotal                         string
-		MaxCaptureQueue                    int
-		MaxComputeSkew, MaxMessageSkew     string
-		Rebalances                         int
-		Migrated                           int64
-		HasMigrations                      bool
-		Partitioner                        string
-		PartitionSizes                     string
-		EdgeCut                            int64
-		LocalRatio                         string
-		HasPlacement                       bool
-		Subgraphs, InternalIters           int64
-		HasSubgraphs                       bool
-		Sent, Combined, Received, Vertices int64
-		Recoveries                         int
-		Faults                             string
-		HasFaults                          bool
-		OutboxLog                          string
-		HasOutboxLog                       bool
-		RecoveryRows                       []metricsRecoveryRow
-		DFS                                string
-		HasDFS                             bool
+		Sections                           []metrics.Section
+		Recoveries                         []pregel.RecoveryEvent
 		ComputeSpark, SentSpark, SkewSpark template.HTML
-		Rows                               []metricsStepRow
+		StepHead, WorkerHead               []metrics.Item
+		Rows, WorkerRows                   []metricsRow
 		SelectedSuperstep                  int
-		WorkerRows                         []metricsWorkerRow
 	}{
 		JobID: jm.JobID, Algorithm: jm.Algorithm, Status: status,
-		Workers:         jm.NumWorkers,
-		Runtime:         ms(time.Duration(jm.RuntimeNanos)) + " ms",
-		Recovery:        ms(time.Duration(jm.RecoveryNanos)) + " ms",
-		ComputeTotal:    ms(time.Duration(jm.Totals.ComputeNanos)) + " ms",
-		BarrierTotal:    ms(time.Duration(jm.Totals.BarrierNanos)) + " ms",
-		CaptureTotal:    ms(time.Duration(jm.Totals.CaptureNanos)) + " ms",
-		CaptureOverhead: fmt.Sprintf("%.2f%%", overhead*100),
-		FlushTotal:      ms(time.Duration(jm.Totals.FlushNanos)) + " ms",
-		MaxCaptureQueue: jm.Totals.MaxCaptureQueueDepth,
-		MaxComputeSkew:  fmt.Sprintf("%.2f", jm.Totals.MaxComputeSkew),
-		MaxMessageSkew:  fmt.Sprintf("%.2f", jm.Totals.MaxMessageSkew),
-		Rebalances:      jm.Totals.Rebalances,
-		Migrated:        jm.Totals.VerticesMigrated,
-		HasMigrations:   jm.Totals.Rebalances > 0,
-		Partitioner:     jm.Partitioner,
-		PartitionSizes:  partitionSizesSummary(jm.PartitionSizes),
-		EdgeCut:         jm.EdgeCut,
-		LocalRatio:      fmt.Sprintf("%.1f%%", jm.Totals.LocalMessageRatio(jm.TrafficTotal())*100),
-		HasPlacement:    jm.Partitioner != "",
-		Subgraphs:       jm.Totals.SubgraphsComputed,
-		InternalIters:   jm.Totals.InternalIterations,
-		HasSubgraphs:    jm.Totals.SubgraphsComputed > 0,
-		Sent:            jm.Totals.MessagesSent, Combined: jm.Totals.MessagesCombined,
-		Received: jm.Totals.MessagesReceived, Vertices: jm.Totals.VerticesProcessed,
-		Recoveries:        jm.Recoveries,
-		Faults:            jm.Faults.String(),
-		HasFaults:         jm.Faults.Any() || jm.Recoveries > 0,
-		OutboxLog:         fmt.Sprintf("%d messages (%d bytes)", jm.MessagesLogged, jm.BytesLogged),
-		HasOutboxLog:      jm.MessagesLogged > 0,
-		RecoveryRows:      recoveryRows(jm.RecoveryEvents),
-		DFS:               dfsSummary(jm),
-		HasDFS:            jm.DFS != nil && jm.DFS.Any(),
-		ComputeSpark:      sparklineSVG(computeMs, 260, 48, "#246"),
-		SentSpark:         sparklineSVG(sentVals, 260, 48, "#2a2"),
-		SkewSpark:         sparklineSVG(skewVals, 260, 48, "#c33"),
+		Sections:     metrics.Sections(&jm),
+		Recoveries:   jm.RecoveryEvents,
+		ComputeSpark: sparklineSVG(computeMs, 260, 48, "#246"),
+		SentSpark:    sparklineSVG(sentVals, 260, 48, "#2a2"),
+		SkewSpark:    sparklineSVG(skewVals, 260, 48, "#c33"),
+		// Column headers are the labels of the same rows, read off a zero value.
+		StepHead:          metrics.Items(&pregel.SuperstepStats{}),
+		WorkerHead:        metrics.Items(&pregel.WorkerStepStats{}),
 		Rows:              rows,
 		SelectedSuperstep: sel,
 		WorkerRows:        workerRows,

@@ -2,6 +2,7 @@ package gui
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -132,5 +133,39 @@ func TestSparklineSVG(t *testing.T) {
 	}
 	if one := string(sparklineSVG([]float64{5}, 100, 30, "#246")); !strings.Contains(one, "<circle") {
 		t.Errorf("single-point sparkline = %q", one)
+	}
+}
+
+// TestOneRowReachesEverySurface is the "one line per counter" claim as
+// an assertion: a throw-away row appended to the metric table shows on
+// /debug/vars, the dashboard and the run summary with no other edit.
+func TestOneRowReachesEverySurface(t *testing.T) {
+	saved := metrics.Table
+	defer func() { metrics.Table = saved }()
+	metrics.Table = append(saved[:len(saved):len(saved)],
+		metrics.Metric{Key: "scratch_vertices", Label: "Scratch vertices", Line: "scratch", Job: "NumVertices", Step: "ActiveAtEnd"})
+
+	jm := seedMetrics("demo")
+	store := trace.NewStore(dfs.NewMemFS(), "traces")
+	if err := metrics.WriteJobMetrics(store.FS, store.MetricsPath("demo"), jm); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(store).Handler())
+	defer ts.Close()
+	if _, body := get(t, ts, "/job/demo/metrics"); !strings.Contains(body, "<th>Scratch vertices</th><td>50</td>") ||
+		!strings.Contains(body, "<th>Scratch vertices</th><th>Migrated</th>") {
+		t.Errorf("dashboard lacks the row's summary cell or its per-superstep column:\n%s", body)
+	}
+
+	if summary := fmt.Sprint(metrics.Sections(&jm)); !strings.Contains(summary, "scratch: scratch-vertices=50") {
+		t.Errorf("run summary lacks the row:\n%s", summary)
+	}
+
+	reg := metrics.NewRegistry("demo", "cc")
+	reg.JobStarted(pregel.JobInfo{NumVertices: 50})
+	vs := httptest.NewServer(metrics.NewMux(reg, metrics.MuxOptions{}))
+	defer vs.Close()
+	if _, body := get(t, vs, "/debug/vars"); !strings.Contains(body, `"graft.scratch_vertices": 50`) {
+		t.Errorf("/debug/vars lacks the row:\n%s", body)
 	}
 }

@@ -88,9 +88,9 @@ func timelineSVG(steps []pregel.SuperstepStats, workers, selected int) template.
 				if sw <= 0 {
 					continue
 				}
-				fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s"><title>superstep %d worker %d: compute %s ms, barrier %s ms, capture %s ms</title></rect>`,
+				fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s"><title>superstep %d worker %d: compute %v, barrier %v, capture %v</title></rect>`,
 					sx, y, sw, laneH-6, timelineColors[si],
-					ss.Superstep, ws.Worker, ms(ws.ComputeTime), ms(ws.BarrierWait), ms(ws.CaptureTime))
+					ss.Superstep, ws.Worker, ws.ComputeTime, ws.BarrierWait, ws.CaptureTime)
 				sx += sw
 			}
 		}
@@ -243,8 +243,7 @@ profile. Re-run with the metrics layer enabled (the default for graft run).</p>`
 	var (
 		traffic           [][]int64
 		trafficSum        int64
-		localSum          int64
-		edgeCut           int64
+		placement         []metrics.Item
 		prev, next        int
 		hasPrev, hasNext  bool
 		selectedAnomalies []anomalyRow
@@ -254,8 +253,11 @@ profile. Re-run with the metrics layer enabled (the default for graft run).</p>`
 		ss := jm.Supersteps[selIdx]
 		selected = ss.Superstep
 		traffic = ss.Traffic
-		localSum = ss.LocalMessages
-		edgeCut = ss.EdgeCut
+		for _, it := range metrics.Items(&ss) {
+			if it.Line == "placement" && !it.Zero {
+				placement = append(placement, it)
+			}
+		}
 		for _, row := range traffic {
 			for _, v := range row {
 				trafficSum += v
@@ -281,9 +283,7 @@ profile. Re-run with the metrics layer enabled (the default for graft run).</p>`
 		TrafficSum        int64
 		SelectedSent      int64
 		HasTraffic        bool
-		LocalRatio        string
-		EdgeCut           int64
-		Partitioner       string
+		Placement         []metrics.Item
 		SelectedAnomalies []anomalyRow
 		Anomalies         []anomalyRow
 		AnomalyCounts     map[string]int
@@ -297,17 +297,13 @@ profile. Re-run with the metrics layer enabled (the default for graft run).</p>`
 		HasPrev: hasPrev, HasNext: hasNext,
 		TrafficSum:        trafficSum,
 		HasTraffic:        len(traffic) > 0,
-		EdgeCut:           edgeCut,
-		Partitioner:       jm.Partitioner,
+		Placement:         placement,
 		SelectedAnomalies: selectedAnomalies,
 		Anomalies:         anomalyRows(jm.Anomalies),
 		AnomalyCounts:     jm.AnomalyCounts,
 	}
 	if selIdx >= 0 {
 		data.SelectedSent = jm.Supersteps[selIdx].MessagesSent
-	}
-	if trafficSum > 0 {
-		data.LocalRatio = fmt.Sprintf("%.1f%%", float64(localSum)/float64(trafficSum)*100)
 	}
 	body, err := renderSub(profilerTmpl, data)
 	if err != nil {

@@ -16,22 +16,6 @@ import (
 // replay matches the cluster execution — a live determinism audit of
 // the trace, and the programmatic face of the Reproduce step.
 
-// RegisterComputation associates a live computation with an algorithm
-// name, enabling the replay-check view for its jobs. (The reproduce
-// buttons only need the GenSpec; replaying in-process needs the actual
-// function.)
-func (s *Server) RegisterComputation(algorithm string, comp pregel.Computation) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.comps[algorithm] = comp
-}
-
-func (s *Server) computationFor(algorithm string) pregel.Computation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.comps[algorithm]
-}
-
 var replayCheckTmpl = template.Must(template.New("replaycheck").Parse(`
 {{.Nav}}
 <h2>Replay check — superstep {{.Superstep}}</h2>
@@ -80,8 +64,7 @@ func (s *Server) handleReplayCheck(w http.ResponseWriter, r *http.Request, db tr
 		Rows      []row
 	}{Nav: nav, JobID: db.JobMeta().JobID, Algorithm: db.JobMeta().Algorithm, Superstep: superstep}
 
-	comp := s.computationFor(db.JobMeta().Algorithm)
-	if comp != nil {
+	if comp, _ := s.algorithmOf(db); comp != nil {
 		data.Available = true
 		meta := db.MetaAt(superstep)
 		for _, c := range captures {

@@ -29,8 +29,7 @@ type Server struct {
 	mu         sync.Mutex
 	views      map[string]trace.View
 	offline    map[string]*pregel.Graph
-	specs      map[string]repro.GenSpec
-	comps      map[string]pregel.Computation
+	algorithms func(trace.JobMeta) (pregel.Computation, repro.GenSpec)
 	metricsSrc func(jobID string) *metrics.Registry
 }
 
@@ -40,25 +39,30 @@ func NewServer(store *trace.Store) *Server {
 		store:   store,
 		views:   map[string]trace.View{},
 		offline: map[string]*pregel.Graph{},
-		specs:   map[string]repro.GenSpec{},
-		comps:   map[string]pregel.Computation{},
 	}
 }
 
-// RegisterReproSpec associates a code-generation spec with an
-// algorithm name, so Reproduce Context buttons emit tests that call
-// the right constructor. Without a spec the generated test contains a
-// TODO placeholder.
-func (s *Server) RegisterReproSpec(algorithm string, spec repro.GenSpec) {
+// AttachAlgorithms tells the server how to rebuild a job's algorithm
+// from its manifest (name, seed, superstep budget): the live
+// computation the replay-check view re-executes captures with, and the
+// code-generation spec that makes Reproduce Context buttons emit tests
+// calling the right constructor. Without it, or for a job it returns
+// zero values for, the replay check is unavailable and generated tests
+// hold a TODO placeholder. Call before Handler.
+func (s *Server) AttachAlgorithms(resolve func(trace.JobMeta) (pregel.Computation, repro.GenSpec)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.specs[algorithm] = spec
+	s.algorithms = resolve
 }
 
-func (s *Server) specFor(algorithm string) repro.GenSpec {
+func (s *Server) algorithmOf(db trace.View) (pregel.Computation, repro.GenSpec) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.specs[algorithm]
+	resolve := s.algorithms
+	s.mu.Unlock()
+	if resolve == nil {
+		return nil, repro.GenSpec{}
+	}
+	return resolve(db.JobMeta())
 }
 
 // db opens (and caches) a job's trace view: a lazy trace.Reader that
@@ -500,7 +504,8 @@ func (s *Server) handleReproduce(w http.ResponseWriter, r *http.Request, db trac
 		http.Error(w, "bad vertex id", http.StatusBadRequest)
 		return
 	}
-	code, err := repro.GenerateVertexTest(db, superstep, pregel.VertexID(id), s.specFor(db.JobMeta().Algorithm))
+	_, spec := s.algorithmOf(db)
+	code, err := repro.GenerateVertexTest(db, superstep, pregel.VertexID(id), spec)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
@@ -517,7 +522,8 @@ func (s *Server) handleReproduceSuite(w http.ResponseWriter, r *http.Request, db
 		http.Error(w, "bad vertex id", http.StatusBadRequest)
 		return
 	}
-	code, err := repro.GenerateVertexSuite(db, pregel.VertexID(id), s.specFor(db.JobMeta().Algorithm))
+	_, spec := s.algorithmOf(db)
+	code, err := repro.GenerateVertexSuite(db, pregel.VertexID(id), spec)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
@@ -528,7 +534,8 @@ func (s *Server) handleReproduceSuite(w http.ResponseWriter, r *http.Request, db
 
 func (s *Server) handleReproduceMaster(w http.ResponseWriter, r *http.Request, db trace.View) {
 	superstep := superstepOf(r, db)
-	code, err := repro.GenerateMasterTest(db, superstep, s.specFor(db.JobMeta().Algorithm))
+	_, spec := s.algorithmOf(db)
+	code, err := repro.GenerateMasterTest(db, superstep, spec)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return

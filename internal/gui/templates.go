@@ -173,37 +173,17 @@ indicators (max/mean ratios; a superstep is flagged when a worker runs
 &ge;1.5&times; the mean). The <a href="/job/{{.JobID}}/profiler">profiler view</a>
 has the per-worker timeline, the traffic heatmap and the anomaly feed.</p>
 <table>
-<tr><th>Algorithm</th><td>{{.Algorithm}}</td><th>Status</th><td>{{.Status}}</td>
-<th>Workers</th><td>{{.Workers}}</td><th>Runtime</th><td>{{.Runtime}}</td></tr>
-<tr><th>Compute</th><td>{{.ComputeTotal}}</td><th>Barrier</th><td>{{.BarrierTotal}}</td>
-<th>Capture</th><td>{{.CaptureTotal}} ({{.CaptureOverhead}} of compute)</td>
-<th>Recovery</th><td>{{.Recovery}}</td></tr>
-<tr><th>Trace flush</th><td>{{.FlushTotal}}</td>
-<th>Max capture queue</th><td>{{.MaxCaptureQueue}}</td><th></th><td></td><th></th><td></td></tr>
-<tr><th>Vertices processed</th><td>{{.Vertices}}</td><th>Msgs sent</th><td>{{.Sent}}</td>
-<th>combined / received</th><td>{{.Combined}} / {{.Received}}</td>
-<th>Max skew (compute / msg)</th><td>{{.MaxComputeSkew}} / {{.MaxMessageSkew}}</td></tr>
-{{if .HasFaults}}<tr><th>Recoveries</th><td>{{.Recoveries}}</td>
-<th>Faults</th><td colspan="5">{{.Faults}}</td></tr>{{end}}
-{{if .HasOutboxLog}}<tr><th>Outbox log</th><td colspan="7">{{.OutboxLog}}</td></tr>{{end}}
-{{if .HasPlacement}}<tr><th>Partitioner</th><td>{{.Partitioner}}</td>
-<th>Edge cut</th><td>{{.EdgeCut}}</td>
-<th>Local messages</th><td>{{.LocalRatio}}</td>
-<th>Vertices / worker</th><td>{{.PartitionSizes}}</td></tr>{{end}}
-{{if .HasMigrations}}<tr><th>Rebalances</th><td>{{.Rebalances}}</td>
-<th>Vertices migrated</th><td colspan="5">{{.Migrated}}</td></tr>{{end}}
-{{if .HasSubgraphs}}<tr><th>Subgraphs computed</th><td>{{.Subgraphs}}</td>
-<th>Internal iterations</th><td colspan="5">{{.InternalIters}}</td></tr>{{end}}
-{{if .HasDFS}}<tr><th>DFS traffic</th><td colspan="7">{{.DFS}}</td></tr>{{end}}
-</table>
-{{if .RecoveryRows}}
+<tr><th></th><th>Algorithm</th><td>{{.Algorithm}}</td><th>Status</th><td>{{.Status}}</td></tr>
+{{range .Sections}}<tr><th>{{or .Name "job"}}</th>{{range .Items}}<th>{{.Label}}{{if .Fold}} ({{.Fold}}){{end}}</th><td>{{.Value}}</td>{{end}}</tr>
+{{end}}</table>
+{{if .Recoveries}}
 <h2>Recoveries</h2>
 <table>
 <tr><th>Superstep</th><th>Mode</th><th>Partitions</th><th>From checkpoint</th>
 <th>Steps replayed</th><th>Msgs replayed</th><th>Duration</th></tr>
-{{range .RecoveryRows}}
-<tr><td>{{.Superstep}}</td><td>{{.Mode}}</td><td>{{.Partitions}}</td><td>{{.FromCheckpoint}}</td>
-<td>{{.StepsReplayed}}</td><td>{{.MsgsReplayed}}</td><td>{{.Duration}}</td></tr>
+{{range .Recoveries}}
+<tr><td>{{.Superstep}}</td><td>{{.Mode}}</td><td>{{or .Partitions "all"}}</td><td>{{.CheckpointSuperstep}}</td>
+<td>{{.SuperstepsReplayed}}</td><td>{{.MessagesReplayed}}</td><td>{{.Duration}}</td></tr>
 {{end}}
 </table>
 {{end}}
@@ -214,30 +194,22 @@ has the per-worker timeline, the traffic heatmap and the anomaly feed.</p>
 </tr></table>
 <h2>Supersteps</h2>
 <table>
-<tr><th>Superstep</th><th>Vertices</th><th>Active after</th><th>Sent</th><th>Combined</th>
-<th>Received</th><th>Compute (ms)</th><th>Barrier (ms)</th><th>Capture (ms)</th>
-<th>Flush (ms)</th><th>Queue</th>
-<th>Compute skew</th><th>Msg skew</th><th>Straggler</th><th>Migrated</th></tr>
+<tr><th>Superstep</th>{{range .StepHead}}<th>{{.Label}}</th>{{end}}<th>Migrated</th></tr>
 {{range .Rows}}
 <tr{{if .Hot}} style="background:#fee"{{end}}>
-<td><a href="?superstep={{.Superstep}}">{{.Superstep}}</a></td>
-<td>{{.Vertices}}</td><td>{{.Active}}</td><td>{{.Sent}}</td><td>{{.Combined}}</td>
-<td>{{.Received}}</td><td>{{.Compute}}</td><td>{{.Barrier}}</td><td>{{.Capture}}</td>
-<td>{{.Flush}}</td><td>{{.QueueDepth}}</td>
-<td>{{.ComputeSkew}}</td><td>{{.MessageSkew}}</td><td>{{.Straggler}}</td><td>{{.Migrated}}</td>
+<td><a href="?superstep={{.ID}}">{{.ID}}</a></td>
+{{range .Cells}}<td>{{.Value}}</td>{{end}}<td>{{range .Migrations}}{{.From}}&rarr;{{.To}}: {{.Vertices}} {{else}}&mdash;{{end}}</td>
 </tr>
 {{end}}
 </table>
 {{if .WorkerRows}}
 <h2>Workers at superstep {{.SelectedSuperstep}}</h2>
 <table>
-<tr><th>Worker</th><th>Vertices</th><th>Sent</th><th>Received</th>
-<th>Compute (ms)</th><th>Barrier wait (ms)</th><th>Capture (ms)</th></tr>
+<tr><th>Worker</th>{{range .WorkerHead}}<th>{{.Label}}</th>{{end}}</tr>
 {{range .WorkerRows}}
-<tr{{if .Straggler}} style="background:#fee"{{end}}>
-<td>{{.Worker}}{{if .Straggler}} &#9888; straggler{{end}}</td>
-<td>{{.Vertices}}</td><td>{{.Sent}}</td><td>{{.Received}}</td>
-<td>{{.Compute}}</td><td>{{.Barrier}}</td><td>{{.Capture}}</td>
+<tr{{if .Hot}} style="background:#fee"{{end}}>
+<td>{{.ID}}{{if .Hot}} &#9888; straggler{{end}}</td>
+{{range .Cells}}<td>{{.Value}}</td>{{end}}
 </tr>
 {{end}}
 </table>
@@ -259,9 +231,7 @@ the sender&#8594;receiver traffic heatmap of one superstep, and the anomaly feed
 <strong>Superstep {{.Selected}}</strong>
 {{if .HasNext}}<a href="?superstep={{.Next}}">Next superstep &raquo;</a>{{else}}<span class="muted">Next superstep &raquo;</span>{{end}}
 {{if .HasTraffic}}| {{.TrafficSum}} messages in the matrix ({{.SelectedSent}} sent this superstep){{end}}
-{{if .LocalRatio}}| {{.LocalRatio}} stayed worker-local{{end}}
-{{if .EdgeCut}}| edge cut {{.EdgeCut}}{{end}}
-{{if .Partitioner}}| partitioner: {{.Partitioner}}{{end}}
+{{range .Placement}}| {{.Label}}: {{.Value}} {{end}}
 </div>
 {{.Heatmap}}
 {{if .SelectedAnomalies}}

@@ -111,7 +111,8 @@ func RunPartitionBench(workloads []Workload, opts Options) ([]PartitionBench, er
 				if err != nil {
 					return 0, err
 				}
-				*supersteps, *remote, *edgeCut = stats.Supersteps, stats.RemoteMessages(), stats.EdgeCut
+				t := stats.Totals()
+				*supersteps, *remote, *edgeCut = stats.Supersteps, t.MessagesSent-t.LocalMessages, stats.EdgeCut
 				row.Match = row.Match && sameValues(&refDigest, g)
 				return stats.Runtime, nil
 			}}

@@ -101,11 +101,8 @@ func RunSubgraphBench(workloads []Workload, opts Options) ([]SubgraphBench, erro
 				*supersteps = stats.Supersteps
 				row.Match = row.Match && sameValues(&refDigest, g)
 				if mode == pregel.ModeSubgraph {
-					row.SubgraphsComputed, row.InternalIterations = 0, 0
-					for _, ss := range stats.PerSuperstep {
-						row.SubgraphsComputed += ss.SubgraphsComputed
-						row.InternalIterations += ss.InternalIterations
-					}
+					t := stats.Totals()
+					row.SubgraphsComputed, row.InternalIterations = t.SubgraphsComputed, t.InternalIterations
 				}
 				return stats.Runtime, nil
 			}}

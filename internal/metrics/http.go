@@ -18,60 +18,24 @@ func (r *Registry) ServeMetrics(w http.ResponseWriter, req *http.Request) {
 }
 
 // ServeVars handles GET /debug/vars: an expvar-style flat map of the
-// headline gauges plus Go runtime counters, for scrapers that want
+// table's rows plus Go runtime counters, for scrapers that want
 // key/value pairs rather than the nested document.
 func (r *Registry) ServeVars(w http.ResponseWriter, req *http.Request) {
 	snap := r.Snapshot()
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
 	vars := map[string]any{
-		"graft.job_id":              snap.JobID,
-		"graft.running":             snap.Running,
-		"graft.num_workers":         snap.NumWorkers,
-		"graft.supersteps":          len(snap.Supersteps),
-		"graft.vertices_processed":  snap.Totals.VerticesProcessed,
-		"graft.messages_sent":       snap.Totals.MessagesSent,
-		"graft.messages_received":   snap.Totals.MessagesReceived,
-		"graft.messages_combined":   snap.Totals.MessagesCombined,
-		"graft.compute_ns":          snap.Totals.ComputeNanos,
-		"graft.barrier_ns":          snap.Totals.BarrierNanos,
-		"graft.capture_ns":          snap.Totals.CaptureNanos,
-		"graft.capture_overhead":    snap.Totals.CaptureOverhead(),
-		"graft.flush_ns":            snap.Totals.FlushNanos,
-		"graft.max_capture_queue":   snap.Totals.MaxCaptureQueueDepth,
-		"graft.subgraphs_computed":  snap.Totals.SubgraphsComputed,
-		"graft.internal_iterations": snap.Totals.InternalIterations,
-		"graft.max_compute_skew":    snap.Totals.MaxComputeSkew,
-		"graft.max_message_skew":    snap.Totals.MaxMessageSkew,
-		"graft.recoveries":          snap.Recoveries,
-		"graft.messages_logged":     snap.MessagesLogged,
-		"graft.bytes_logged":        snap.BytesLogged,
-		"graft.faults.injected":     snap.Faults.Injected,
-		"graft.faults.retries":      snap.Faults.Retries,
-		"graft.faults.backoff_ns":   snap.Faults.Backoff.Nanoseconds(),
-		"graft.faults.fallbacks":    snap.Faults.Fallbacks,
-		"graft.faults.dropped":      snap.Faults.DroppedRecords,
-		"graft.faults.corrupt_ckpt": snap.Faults.CorruptCheckpoints,
-		"graft.traffic_messages":    snap.TrafficTotal(),
-		"graft.local_messages":      snap.Totals.LocalMessages,
-		"graft.local_ratio":         snap.Totals.LocalMessageRatio(snap.TrafficTotal()),
-		"graft.edge_cut":            snap.EdgeCut,
-		"graft.partitioner":         snap.Partitioner,
-		"graft.anomalies":           len(snap.Anomalies),
-		"runtime.goroutines":        runtime.NumGoroutine(),
-		"runtime.heap_alloc":        mem.HeapAlloc,
-		"runtime.num_gc":            mem.NumGC,
+		"runtime.goroutines": runtime.NumGoroutine(),
+		"runtime.heap_alloc": mem.HeapAlloc,
+		"runtime.num_gc":     mem.NumGC,
+	}
+	for _, it := range Items(&snap) {
+		if it.Raw != nil && !it.NoVars {
+			vars["graft."+it.Key] = it.Raw
+		}
 	}
 	for kind, n := range snap.AnomalyCounts {
 		vars["graft.anomalies."+kind] = n
-	}
-	if snap.DFS != nil {
-		vars["graft.dfs.bytes_written"] = snap.DFS.BytesWritten
-		vars["graft.dfs.bytes_read"] = snap.DFS.BytesRead
-		vars["graft.dfs.prefetches"] = snap.DFS.Prefetches
-		vars["graft.dfs.corrupt_reads"] = snap.DFS.CorruptReads
-		vars["graft.dfs.write_retries"] = snap.DFS.WriteRetries
-		vars["graft.dfs.degraded_writes"] = snap.DFS.DegradedWrites
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -85,10 +49,9 @@ type MuxOptions struct {
 	Pprof bool
 }
 
-// NewMux returns the standalone metrics mux `graft run -metrics-addr`
-// serves: /metrics, /debug/vars, a liveness root, and optionally the
-// pprof profiler. The GUI server mounts the same handlers into its own
-// mux instead.
+// NewMux returns the metrics mux `graft run -metrics-addr` serves:
+// /metrics, /debug/vars, a liveness root, and optionally the pprof
+// profiler.
 func NewMux(r *Registry, opts MuxOptions) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", r.ServeMetrics)

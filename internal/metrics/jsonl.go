@@ -13,9 +13,8 @@ import (
 
 // JSONLSink streams metrics events as JSON Lines: one `job_start`
 // line, one `superstep` line per barrier, one `job_end` line. The
-// format is what `graft run -metrics-out` writes and graft-bench's
-// overhead reports consume; it is append-only and valid mid-run, so a
-// crashed job still leaves a parseable prefix.
+// format is what `graft run -metrics-out` writes; it is append-only and
+// valid mid-run, so a crashed job still leaves a parseable prefix.
 type JSONLSink struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
@@ -129,18 +128,6 @@ func (s *JSONLSink) Err() error {
 	return s.err
 }
 
-// volatileKeys are the JSONL fields that vary run-to-run on identical
-// inputs (wall-clock measurements and everything derived from them).
-// NormalizeJSONL zeroes them so two runs of the same job can be
-// compared byte-for-byte; the golden-file test relies on it.
-var volatileKeys = map[string]bool{
-	"compute_ns": true, "barrier_ns": true, "capture_ns": true,
-	"runtime_ns": true, "recovery_ns": true, "backoff_ns": true,
-	"flush_ns": true, "capture_queue": true, "max_capture_queue": true,
-	"compute_skew": true, "message_skew": true, "straggler": true,
-	"max_compute_skew": true, "max_message_skew": true,
-}
-
 // volatileDropKeys are fields whose very presence varies run-to-run:
 // anomaly events derive from timing-based skew, so one run may emit
 // them where another stays quiet. Zeroing is not enough — the key is
@@ -151,11 +138,14 @@ var volatileDropKeys = map[string]bool{
 }
 
 // NormalizeJSONL rewrites a JSONL metrics stream with every
-// timing-derived field zeroed and object keys sorted, leaving only the
-// deterministic structure (supersteps, message counts, vertices,
-// reasons, fault counters).
+// timing-derived field (the table's Duration, Ratio and Gauge rows)
+// zeroed and object keys sorted, leaving only the deterministic
+// structure (supersteps, message counts, vertices, reasons, fault
+// counters), so two runs of the same job compare byte-for-byte; the
+// golden-file test relies on it.
 func NormalizeJSONL(data []byte) ([]byte, error) {
 	var out bytes.Buffer
+	volatile := volatileKeys()
 	for i, line := range bytes.Split(data, []byte("\n")) {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
@@ -164,7 +154,7 @@ func NormalizeJSONL(data []byte) ([]byte, error) {
 		if err := json.Unmarshal(line, &v); err != nil {
 			return nil, fmt.Errorf("metrics: line %d: %w", i+1, err)
 		}
-		scrubVolatile(v)
+		scrubVolatile(v, volatile)
 		b, err := json.Marshal(v) // map keys come out sorted at every depth
 		if err != nil {
 			return nil, err
@@ -175,11 +165,11 @@ func NormalizeJSONL(data []byte) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-func scrubVolatile(v any) {
+func scrubVolatile(v any, volatile map[string]bool) {
 	switch vv := v.(type) {
 	case map[string]any:
 		for k, val := range vv {
-			if volatileKeys[k] {
+			if volatile[k] {
 				vv[k] = 0
 				continue
 			}
@@ -187,11 +177,11 @@ func scrubVolatile(v any) {
 				delete(vv, k)
 				continue
 			}
-			scrubVolatile(val)
+			scrubVolatile(val, volatile)
 		}
 	case []any:
 		for _, e := range vv {
-			scrubVolatile(e)
+			scrubVolatile(e, volatile)
 		}
 	}
 }

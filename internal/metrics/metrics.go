@@ -5,12 +5,16 @@
 // surfaces:
 //
 //   - a live HTTP endpoint (/metrics JSON plus an expvar-style
-//     /debug/vars and optional pprof), served standalone by
-//     `graft run -metrics-addr` and mounted into the GUI server,
+//     /debug/vars and optional pprof), served by `graft run
+//     -metrics-addr`; `graft serve` serves each job's registry under
+//     /job/{id}/metrics[.json] instead,
 //   - a structured JSONL event stream (`graft run -metrics-out`),
-//     consumed by graft-bench for capture-overhead breakdowns,
 //   - a per-job metrics file persisted next to the trace, which the
 //     GUI's dashboard page renders offline.
+//
+// What a job's numbers are called, how they print and where they show
+// is declared once, in Table (table.go); pregel.Totals.Add is the one
+// fold from supersteps to job totals.
 //
 // The hot path stays lock-free: workers record into their own padded
 // slots inside the engine and the coordinator folds them at the
@@ -22,7 +26,6 @@ package metrics
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"graft/internal/anomaly"
 	"graft/internal/dfs"
@@ -30,97 +33,7 @@ import (
 )
 
 // Totals is the job-level rollup of the per-superstep telemetry.
-type Totals struct {
-	// VerticesProcessed counts Compute invocations over the whole job.
-	VerticesProcessed int64 `json:"vertices_processed"`
-	// MessagesSent counts messages sent (pre-combining).
-	MessagesSent int64 `json:"messages_sent"`
-	// MessagesReceived counts messages delivered to vertices.
-	MessagesReceived int64 `json:"messages_received"`
-	// MessagesCombined counts messages merged away by the combiner.
-	MessagesCombined int64 `json:"messages_combined"`
-	// ComputeNanos sums the worker-phase wall time across supersteps.
-	ComputeNanos int64 `json:"compute_ns"`
-	// BarrierNanos sums worker idle time lost to stragglers.
-	BarrierNanos int64 `json:"barrier_ns"`
-	// CaptureNanos sums time spent inside Graft's trace capture.
-	CaptureNanos int64 `json:"capture_ns"`
-	// FlushNanos sums the coordinator time spent draining the capture
-	// pipeline at superstep barriers (zero for undebugged runs and for
-	// synchronous sinks, where writes happen inline).
-	FlushNanos int64 `json:"flush_ns,omitempty"`
-	// MaxCaptureQueueDepth is the deepest the capture pipeline's queues
-	// got at any barrier: how far trace writing lagged compute.
-	MaxCaptureQueueDepth int `json:"max_capture_queue,omitempty"`
-	// MaxComputeSkew is the worst per-superstep max/mean compute ratio.
-	MaxComputeSkew float64 `json:"max_compute_skew"`
-	// MaxMessageSkew is the worst per-superstep message imbalance.
-	MaxMessageSkew float64 `json:"max_message_skew"`
-	// SubgraphsComputed counts ComputeSubgraph invocations over the
-	// whole job (absent in vertex mode).
-	SubgraphsComputed int64 `json:"subgraphs_computed,omitempty"`
-	// InternalIterations sums the local sweeps subgraph computations
-	// reported via AddIterations — the work the collapsed supersteps
-	// moved inside the components (absent in vertex mode).
-	InternalIterations int64 `json:"internal_iterations,omitempty"`
-	// Rebalances counts barriers at which the skew rebalancer migrated
-	// vertices (absent unless adaptive repartitioning is enabled).
-	Rebalances int `json:"rebalances,omitempty"`
-	// VerticesMigrated counts vertices the rebalancer moved between
-	// partitions over the job.
-	VerticesMigrated int64 `json:"vertices_migrated,omitempty"`
-	// LocalMessages counts messages whose sender and receiver lived on
-	// the same worker, over the supersteps with a captured traffic
-	// matrix (absent when the matrix was never captured).
-	LocalMessages int64 `json:"local_messages,omitempty"`
-}
-
-// LocalMessageRatio is the fraction of the job's traffic-accounted
-// messages that stayed worker-local — the placement-quality headline.
-func (t Totals) LocalMessageRatio(trafficTotal int64) float64 {
-	if trafficTotal == 0 {
-		return 0
-	}
-	return float64(t.LocalMessages) / float64(trafficTotal)
-}
-
-// add folds one superstep into the rollup.
-func (t *Totals) add(ss pregel.SuperstepStats) {
-	t.VerticesProcessed += ss.VerticesProcessed
-	t.MessagesSent += ss.MessagesSent
-	t.MessagesReceived += ss.MessagesReceived
-	t.MessagesCombined += ss.MessagesCombined
-	t.ComputeNanos += ss.ComputeTime.Nanoseconds()
-	t.BarrierNanos += ss.BarrierWait.Nanoseconds()
-	t.CaptureNanos += ss.CaptureTime.Nanoseconds()
-	t.FlushNanos += ss.FlushTime.Nanoseconds()
-	t.SubgraphsComputed += ss.SubgraphsComputed
-	t.InternalIterations += ss.InternalIterations
-	if ss.CaptureQueueDepth > t.MaxCaptureQueueDepth {
-		t.MaxCaptureQueueDepth = ss.CaptureQueueDepth
-	}
-	if ss.ComputeSkew > t.MaxComputeSkew {
-		t.MaxComputeSkew = ss.ComputeSkew
-	}
-	if ss.MessageSkew > t.MaxMessageSkew {
-		t.MaxMessageSkew = ss.MessageSkew
-	}
-	t.LocalMessages += ss.LocalMessages
-	for _, m := range ss.Migrations {
-		t.Rebalances++
-		t.VerticesMigrated += m.Vertices
-	}
-}
-
-// CaptureOverhead returns the fraction of worker compute wall time
-// spent inside trace capture — the live equivalent of the paper's
-// Figure 8 overhead measurement.
-func (t Totals) CaptureOverhead() float64 {
-	if t.ComputeNanos == 0 {
-		return 0
-	}
-	return float64(t.CaptureNanos) / float64(t.ComputeNanos)
-}
+type Totals = pregel.Totals
 
 // JobMetrics is the full observable state of one job: identity, the
 // per-superstep telemetry, the rollup, and the resilience counters.
@@ -281,7 +194,7 @@ func (r *Registry) SuperstepFinished(superstep int, ss pregel.SuperstepStats) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.jm.Supersteps = append(r.jm.Supersteps, ss)
-	r.jm.Totals.add(ss)
+	r.jm.Totals.Add(ss)
 	if len(ss.Anomalies) > 0 {
 		r.jm.Anomalies = append(r.jm.Anomalies, ss.Anomalies...)
 		if r.jm.AnomalyCounts == nil {
@@ -303,16 +216,8 @@ func (r *Registry) JobFinished(stats *pregel.Stats, err error) {
 	r.jm.Running = false
 	if stats != nil {
 		r.jm.Reason = stats.Reason.String()
-		r.jm.RuntimeNanos = stats.Runtime.Nanoseconds()
-		r.jm.RecoveryNanos = stats.RecoveryTime.Nanoseconds()
-		r.jm.Recoveries = stats.Recoveries
 		r.jm.RecoveryEvents = stats.RecoveryEvents
-		r.jm.MessagesLogged = stats.MessagesLogged
-		r.jm.BytesLogged = stats.BytesLogged
-		r.jm.Faults = stats.Faults
-		r.jm.Partitioner = stats.Partitioner.String()
-		r.jm.PartitionSizes = stats.PartitionSizes
-		r.jm.EdgeCut = stats.EdgeCut
+		finish(&r.jm, stats)
 	}
 	if err != nil {
 		r.jm.Error = err.Error()
@@ -358,9 +263,17 @@ func (r *Registry) Snapshot() JobMetrics {
 // String summarizes the registry for logs.
 func (r *Registry) String() string {
 	snap := r.Snapshot()
-	return fmt.Sprintf("metrics[%s: supersteps=%d compute=%v barrier=%v capture=%v]",
-		snap.JobID, len(snap.Supersteps),
-		time.Duration(snap.Totals.ComputeNanos).Round(time.Microsecond),
-		time.Duration(snap.Totals.BarrierNanos).Round(time.Microsecond),
-		time.Duration(snap.Totals.CaptureNanos).Round(time.Microsecond))
+	return fmt.Sprintf("metrics[%s %v]", snap.JobID, Sections(&snap))
+}
+
+// FromStats is the JobMetrics of a finished run as its Stats tell it:
+// PerSuperstep replayed through a registry, so rows a checkpoint
+// restart truncated are not counted (see pregel.Stats.Totals).
+func FromStats(stats *pregel.Stats) JobMetrics {
+	var r Registry
+	for _, ss := range stats.PerSuperstep {
+		r.SuperstepFinished(ss.Superstep, ss)
+	}
+	r.JobFinished(stats, nil)
+	return r.jm
 }

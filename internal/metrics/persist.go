@@ -8,7 +8,7 @@ import (
 )
 
 // ErrNoMetrics is returned by ReadJobMetrics when a job was traced
-// without the metrics layer (older traces, or metrics disabled).
+// without the metrics layer (older traces).
 var ErrNoMetrics = errors.New("metrics: job has no metrics file")
 
 // WriteJobMetrics persists a job's metrics next to its trace files

@@ -209,7 +209,7 @@ type SuperstepStats struct {
 	// MessageSkew is max/mean messages sent per worker.
 	MessageSkew float64 `json:"message_skew"`
 	// Straggler is the worker with the largest compute time this
-	// superstep, or -1 when telemetry is disabled.
+	// superstep, or -1 when no worker ran.
 	Straggler int `json:"straggler"`
 	// FlushTime is the wall time the coordinator spent in the
 	// listener's BarrierFlush — draining and committing the capture
@@ -232,16 +232,15 @@ type SuperstepStats struct {
 	// superstep: Traffic[s][d] counts the messages partition s sent to
 	// partition d (pre-combine, so the matrix sums to MessagesSent). It
 	// is snapshotted from the lane matrix at the barrier, before the
-	// lanes merge into the shards. Nil when telemetry is disabled or
-	// Config.AnomalyWindow is negative.
+	// lanes merge into the shards. Nil when Config.AnomalyWindow is
+	// negative.
 	Traffic [][]int64 `json:"traffic,omitempty"`
 	// LocalMessages counts the messages of this superstep whose sender
 	// and receiver partitions coincide: the diagonal of Traffic. Zero
 	// whenever Traffic is nil.
 	LocalMessages int64 `json:"local,omitempty"`
 	// EdgeCut is the number of directed edges crossing partitions after
-	// this superstep's barrier (post-migration placement). Zero when
-	// telemetry is disabled.
+	// this superstep's barrier (post-migration placement).
 	EdgeCut int64 `json:"edge_cut,omitempty"`
 	// Anomalies holds the events the anomaly detectors emitted at this
 	// superstep's barrier (empty unless detection is enabled).
@@ -250,6 +249,109 @@ type SuperstepStats struct {
 	// at this superstep's barrier (empty unless rebalancing triggered).
 	Migrations []MigrationEvent `json:"migrations,omitempty"`
 }
+
+// Totals is the job-level fold of SuperstepStats: what Stats' derived
+// methods return and what internal/metrics serves, persists and
+// describes (its table names each field once; the JSON tags are the
+// job.metrics / JSONL / /metrics schema).
+type Totals struct {
+	// VerticesProcessed counts Compute invocations over the whole job.
+	VerticesProcessed int64 `json:"vertices_processed"`
+	// MessagesSent counts messages sent (pre-combining).
+	MessagesSent int64 `json:"messages_sent"`
+	// MessagesReceived counts messages delivered to vertices.
+	MessagesReceived int64 `json:"messages_received"`
+	// MessagesCombined counts messages merged away by the combiner.
+	MessagesCombined int64 `json:"messages_combined"`
+	// ComputeNanos sums the worker-phase wall time across supersteps.
+	ComputeNanos int64 `json:"compute_ns"`
+	// BarrierNanos sums worker idle time lost to stragglers.
+	BarrierNanos int64 `json:"barrier_ns"`
+	// CaptureNanos sums time spent inside Graft's trace capture.
+	CaptureNanos int64 `json:"capture_ns"`
+	// FlushNanos sums the coordinator time spent draining the capture
+	// pipeline at superstep barriers (zero for undebugged runs and for
+	// synchronous sinks, where writes happen inline).
+	FlushNanos int64 `json:"flush_ns,omitempty"`
+	// MaxCaptureQueueDepth is the deepest the capture pipeline's queues
+	// got at any barrier: how far trace writing lagged compute.
+	MaxCaptureQueueDepth int `json:"max_capture_queue,omitempty"`
+	// MaxComputeSkew is the worst per-superstep max/mean compute ratio.
+	MaxComputeSkew float64 `json:"max_compute_skew"`
+	// MaxMessageSkew is the worst per-superstep message imbalance.
+	MaxMessageSkew float64 `json:"max_message_skew"`
+	// SubgraphsComputed counts ComputeSubgraph invocations over the
+	// whole job (absent in vertex mode).
+	SubgraphsComputed int64 `json:"subgraphs_computed,omitempty"`
+	// InternalIterations sums the local sweeps subgraph computations
+	// reported via AddIterations — the work the collapsed supersteps
+	// moved inside the components (absent in vertex mode).
+	InternalIterations int64 `json:"internal_iterations,omitempty"`
+	// Rebalances counts barriers at which the skew rebalancer migrated
+	// vertices (absent unless adaptive repartitioning is enabled).
+	Rebalances int `json:"rebalances,omitempty"`
+	// VerticesMigrated counts vertices the rebalancer moved between
+	// partitions over the job.
+	VerticesMigrated int64 `json:"vertices_migrated,omitempty"`
+	// LocalMessages counts messages whose sender and receiver lived on
+	// the same worker (absent when the traffic matrix was not captured).
+	LocalMessages int64 `json:"local_messages,omitempty"`
+}
+
+// Add folds one superstep into the rollup. It is the only place a
+// SuperstepStats is accumulated into job-level numbers: Stats.Totals
+// runs it over PerSuperstep, the metrics registry at every
+// SuperstepFinished.
+func (t *Totals) Add(ss SuperstepStats) {
+	t.VerticesProcessed += ss.VerticesProcessed
+	t.MessagesSent += ss.MessagesSent
+	t.MessagesReceived += ss.MessagesReceived
+	t.MessagesCombined += ss.MessagesCombined
+	t.ComputeNanos += ss.ComputeTime.Nanoseconds()
+	t.BarrierNanos += ss.BarrierWait.Nanoseconds()
+	t.CaptureNanos += ss.CaptureTime.Nanoseconds()
+	t.FlushNanos += ss.FlushTime.Nanoseconds()
+	t.SubgraphsComputed += ss.SubgraphsComputed
+	t.InternalIterations += ss.InternalIterations
+	t.LocalMessages += ss.LocalMessages
+	if ss.CaptureQueueDepth > t.MaxCaptureQueueDepth {
+		t.MaxCaptureQueueDepth = ss.CaptureQueueDepth
+	}
+	if ss.ComputeSkew > t.MaxComputeSkew {
+		t.MaxComputeSkew = ss.ComputeSkew
+	}
+	if ss.MessageSkew > t.MaxMessageSkew {
+		t.MaxMessageSkew = ss.MessageSkew
+	}
+	for _, m := range ss.Migrations {
+		t.Rebalances++
+		t.VerticesMigrated += m.Vertices
+	}
+}
+
+// LocalMessageRatio is the fraction of the job's messages whose sender
+// and receiver lived on the same worker — the placement-quality number
+// the partitioner exists to push up. Whether the traffic matrix (and
+// with it LocalMessages) is captured is a per-job setting, so the
+// denominator is every message sent; the ratio is 0 when it was not.
+func (t Totals) LocalMessageRatio() float64 { return ratio(t.LocalMessages, t.MessagesSent) }
+
+// LocalMessageRatio is the same share within one superstep.
+func (ss *SuperstepStats) LocalMessageRatio() float64 {
+	return ratio(ss.LocalMessages, ss.MessagesSent)
+}
+
+func ratio(part, whole int64) float64 {
+	if whole == 0 {
+		return 0
+	}
+	return float64(part) / float64(whole)
+}
+
+// CaptureOverhead returns the fraction of worker compute wall time
+// spent inside trace capture — the live equivalent of the paper's
+// Figure 8 overhead measurement.
+func (t Totals) CaptureOverhead() float64 { return ratio(t.CaptureNanos, t.ComputeNanos) }
 
 // MigrationEvent records one rebalancer migration: Vertices vertices
 // (carrying Edges out-edges) moved from partition From to partition

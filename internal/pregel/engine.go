@@ -86,7 +86,7 @@ type Stats struct {
 	// placement-quality view graft show and the GUI render.
 	PartitionSizes []int64
 	// EdgeCut is the number of directed edges whose endpoints ended the
-	// job on different workers (zero when telemetry is disabled).
+	// job on different workers (zero for a job that failed or was canceled).
 	EdgeCut int64
 	// Anomalies collects every event the anomaly detectors emitted over
 	// the job, in superstep order (nil when detection is disabled).
@@ -95,7 +95,9 @@ type Stats struct {
 	PerSuperstep []SuperstepStats
 }
 
-// String renders the one-line summary the CLI prints after a run.
+// String renders the headline of the summary the CLI prints after a
+// run; placement, phases, rebalancing and the rest of the job's numbers
+// follow on their own lines (internal/metrics' table).
 func (s *Stats) String() string {
 	line := fmt.Sprintf("supersteps=%d reason=%s messages=%d runtime=%v",
 		s.Supersteps, s.Reason, s.TotalMessages, s.Runtime.Round(time.Millisecond))
@@ -106,82 +108,35 @@ func (s *Stats) String() string {
 		line += fmt.Sprintf(" recoveries=%d recovery-time=%v",
 			s.Recoveries, s.RecoveryTime.Round(time.Millisecond))
 	}
-	if s.MessagesLogged > 0 {
-		line += fmt.Sprintf(" msg-logged=%d log-bytes=%d", s.MessagesLogged, s.BytesLogged)
-	}
-	if s.Rebalances > 0 {
-		line += fmt.Sprintf(" rebalances=%d migrated=%d", s.Rebalances, s.VerticesMigrated)
-	}
-	if s.Partitioner != PartitionHash {
-		line += fmt.Sprintf(" partitioner=%s", s.Partitioner)
-	}
-	if s.EdgeCut > 0 {
-		line += fmt.Sprintf(" edge-cut=%d", s.EdgeCut)
-		if r := s.LocalMessageRatio(); r > 0 {
-			line += fmt.Sprintf(" local-msgs=%.0f%%", r*100)
-		}
-	}
-	if len(s.Anomalies) > 0 {
-		line += fmt.Sprintf(" anomalies=%d", len(s.Anomalies))
-	}
 	return line
 }
 
-// PhaseTotals sums the per-superstep telemetry into the job-level
-// compute / barrier / capture breakdown the observability layer and
-// graft-bench report.
+// Totals folds PerSuperstep into the job-level rollup. A checkpoint
+// restart truncates PerSuperstep back to the restored superstep, so a
+// re-executed superstep counts once here; a listener folding every
+// SuperstepFinished it saw (the metrics registry) counts it each time
+// it ran, and the two differ by exactly the re-executed rows.
+func (s *Stats) Totals() Totals {
+	var t Totals
+	for _, ss := range s.PerSuperstep {
+		t.Add(ss)
+	}
+	return t
+}
+
+// PhaseTotals is the job-level compute / barrier / capture breakdown
+// the observability layer and graft-bench report.
 func (s *Stats) PhaseTotals() (compute, barrier, capture time.Duration) {
-	for _, ss := range s.PerSuperstep {
-		compute += ss.ComputeTime
-		barrier += ss.BarrierWait
-		capture += ss.CaptureTime
-	}
-	return compute, barrier, capture
+	t := s.Totals()
+	return time.Duration(t.ComputeNanos), time.Duration(t.BarrierNanos), time.Duration(t.CaptureNanos)
 }
 
-// LocalMessageRatio is the fraction of the job's messages whose sender
-// and receiver lived on the same worker, over the supersteps where the
-// traffic matrix was captured (0 when it never was). It is the
-// placement-quality number the partitioner exists to push up.
-func (s *Stats) LocalMessageRatio() float64 {
-	var local, sent int64
-	for _, ss := range s.PerSuperstep {
-		if ss.Traffic == nil {
-			continue
-		}
-		local += ss.LocalMessages
-		sent += ss.MessagesSent
-	}
-	if sent == 0 {
-		return 0
-	}
-	return float64(local) / float64(sent)
-}
-
-// RemoteMessages counts the job's cross-worker messages over the
-// supersteps where the traffic matrix was captured.
-func (s *Stats) RemoteMessages() int64 {
-	var remote int64
-	for _, ss := range s.PerSuperstep {
-		if ss.Traffic == nil {
-			continue
-		}
-		remote += ss.MessagesSent - ss.LocalMessages
-	}
-	return remote
-}
+// LocalMessageRatio is Totals.LocalMessageRatio over the job.
+func (s *Stats) LocalMessageRatio() float64 { return s.Totals().LocalMessageRatio() }
 
 // MaxComputeSkew returns the worst per-superstep compute skew of the
-// job (0 when telemetry was disabled or the job ran no supersteps).
-func (s *Stats) MaxComputeSkew() float64 {
-	var max float64
-	for _, ss := range s.PerSuperstep {
-		if ss.ComputeSkew > max {
-			max = ss.ComputeSkew
-		}
-	}
-	return max
-}
+// job (0 when it ran no supersteps).
+func (s *Stats) MaxComputeSkew() float64 { return s.Totals().MaxComputeSkew }
 
 // DefaultNumWorkers is used when Config.NumWorkers is zero.
 const DefaultNumWorkers = 4
@@ -431,7 +386,7 @@ type engine struct {
 	lastMigration int
 
 	// anom evaluates the anomaly detectors over the folded superstep
-	// telemetry (nil when detection or telemetry is disabled).
+	// telemetry (nil when detection is disabled).
 	anom *anomaly.Engine
 
 	// ctx carries the job's cancellation signal; never nil after run

@@ -20,7 +20,9 @@ import (
 	"graft/internal/graphgen"
 	"graft/internal/gui"
 	"graft/internal/metrics"
+	"graft/internal/pregel"
 	"graft/internal/repro"
+	"graft/internal/trace"
 )
 
 // Daemon wraps one graft.Session in HTTP.
@@ -47,23 +49,28 @@ func New(sess *graft.Session) (*Daemon, error) {
 		}
 		return nil
 	})
-	// Reproduce Context and the replay check need each packaged
-	// algorithm as source and as a live function, at the defaults
-	// handleSubmit fills in.
-	for _, name := range algorithms.Names() {
-		alg, err := algorithms.ByName(name, algorithms.DefaultSeed, algorithms.DefaultSupersteps)
-		if err != nil {
-			return nil, err
+	// Reproduce Context and the replay check rebuild a job's algorithm
+	// as source and as a live function from what its manifest recorded.
+	d.gui.AttachAlgorithms(func(meta trace.JobMeta) (pregel.Computation, repro.GenSpec) {
+		if meta.Seed == 0 {
+			meta.Seed = algorithms.DefaultSeed
 		}
-		d.gui.RegisterComputation(name, alg.Compute)
-		if expr := algorithms.ReproExpr(name); expr != "" {
-			spec := repro.GenSpec{ComputationExpr: expr + ".Compute", ExtraImports: []string{"graft/internal/algorithms"}, Assert: true}
+		if meta.Supersteps == 0 {
+			meta.Supersteps = algorithms.DefaultSupersteps
+		}
+		alg, err := algorithms.ByName(meta.Algorithm, meta.Seed, meta.Supersteps)
+		if err != nil {
+			return nil, repro.GenSpec{}
+		}
+		var spec repro.GenSpec
+		if expr := algorithms.ReproExpr(meta.Algorithm, meta.Seed, meta.Supersteps); expr != "" {
+			spec = repro.GenSpec{ComputationExpr: expr + ".Compute", ExtraImports: []string{"graft/internal/algorithms"}, Assert: true}
 			if alg.Master != nil {
 				spec.MasterExpr = expr + ".Master"
 			}
-			d.gui.RegisterReproSpec(name, spec)
 		}
-	}
+		return alg.Compute, spec
+	})
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", d.handleHealth)
@@ -163,6 +170,8 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	opts := graft.RunOptions{
 		JobID:       req.JobID,
 		Description: fmt.Sprintf("dataset=%s scale=%g debug=%s", req.Dataset, req.Scale, req.Debug),
+		Seed:        req.Seed,
+		Supersteps:  req.Supersteps,
 		Engine: graft.EngineConfig{
 			NumWorkers:    req.Workers,
 			MaxSupersteps: req.Supersteps,

@@ -262,6 +262,12 @@ type JobMeta struct {
 	// subgraph-centric jobs, empty (or "vertex") for vertex-centric
 	// ones. `graft repro` keys its codegen off this.
 	ComputeMode string `json:"compute_mode,omitempty"`
+	// Seed and Supersteps are the arguments a packaged algorithm was
+	// built with (algorithms.ByName), recorded so the GUI reproduces and
+	// replay-checks the job with the same ones. Nothing at run time
+	// reads them; zero means the run did not say.
+	Seed       int64 `json:"seed,omitempty"`
+	Supersteps int   `json:"supersteps,omitempty"`
 	// Format identifies the on-disk trace layout: FormatSegments for
 	// jobs written through Store.NewSink, empty in the manifests of
 	// whole-file traces from older builds (which OpenReader rejects).

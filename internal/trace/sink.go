@@ -47,8 +47,13 @@ func (p BackpressurePolicy) String() string {
 const (
 	DefaultSegmentSize   = 256 << 10
 	DefaultQueueCapacity = 1024
-	DefaultBatchSize     = 64
 )
+
+// laneBatchSize is how many records a lane accumulates before handing
+// them to its drainer in one queue message. Batching is what keeps the
+// per-record pipeline cost to an append: one queue operation then pays
+// for a whole batch.
+const laneBatchSize = 64
 
 // ErrInvalidOption is the sentinel wrapped by NewSink failures on
 // contradictory sink options (negative capacities and sizes), so
@@ -59,7 +64,7 @@ var ErrInvalidOption = errors.New("trace: invalid sink option")
 type sinkOptions struct {
 	segmentSize int
 	queueCap    int
-	batchSize   int
+	batchSize   int // laneBatchSize, except in tests that shrink it
 	policy      BackpressurePolicy
 	synchronous bool
 }
@@ -74,9 +79,6 @@ func (o *sinkOptions) validate() error {
 	if o.queueCap < 0 {
 		return fmt.Errorf("%w: queue capacity = %d, must be >= 0 (0 means the default)", ErrInvalidOption, o.queueCap)
 	}
-	if o.batchSize < 0 {
-		return fmt.Errorf("%w: batch size = %d, must be >= 0 (0 means the default)", ErrInvalidOption, o.batchSize)
-	}
 	if o.segmentSize == 0 {
 		o.segmentSize = DefaultSegmentSize
 	}
@@ -84,7 +86,7 @@ func (o *sinkOptions) validate() error {
 		o.queueCap = DefaultQueueCapacity
 	}
 	if o.batchSize == 0 {
-		o.batchSize = DefaultBatchSize
+		o.batchSize = laneBatchSize
 	}
 	return nil
 }
@@ -105,15 +107,6 @@ func WithSegmentSize(bytes int) Option {
 // with ErrInvalidOption.
 func WithQueueCapacity(n int) Option {
 	return func(o *sinkOptions) { o.queueCap = n }
-}
-
-// WithBatchSize sets how many records a lane accumulates before
-// handing them to its drainer in one queue message. Batching is what
-// keeps the per-record pipeline cost to an append: one queue operation
-// then pays for a whole batch. 0 keeps the default; negative values
-// make NewSink fail with ErrInvalidOption.
-func WithBatchSize(n int) Option {
-	return func(o *sinkOptions) { o.batchSize = n }
 }
 
 // WithBackpressure selects what a full queue does: Block (default) or

@@ -150,6 +150,12 @@ func TestSinkSingleLookupSegmentReads(t *testing.T) {
 	}
 }
 
+// withBatchSize shrinks a lane's batch (the constant laneBatchSize
+// outside tests) so a handful of records exercises partial batches.
+func withBatchSize(n int) Option {
+	return func(o *sinkOptions) { o.batchSize = n }
+}
+
 // TestSinkSyncAsyncEquivalence writes the same record stream through
 // the synchronous path and the async pipeline and demands the two
 // traces be indistinguishable to a reader.
@@ -158,7 +164,7 @@ func TestSinkSyncAsyncEquivalence(t *testing.T) {
 	writeSinkJob(t, store, "sync", WithSynchronous(), WithSegmentSize(64))
 	// Batch size 3 exercises partial-batch pushes at barriers; segment
 	// size 64 exercises mid-stream seals on the drainer.
-	writeSinkJob(t, store, "async", WithBatchSize(3), WithSegmentSize(64))
+	writeSinkJob(t, store, "async", withBatchSize(3), WithSegmentSize(64))
 
 	a, err := store.OpenReader("sync")
 	if err != nil {
@@ -184,7 +190,7 @@ func TestSinkSyncAsyncEquivalence(t *testing.T) {
 // own batch message.
 func TestSinkBatchSizeOne(t *testing.T) {
 	store := NewStore(dfs.NewMemFS(), "t")
-	writeSinkJob(t, store, "job1", WithBatchSize(1), WithQueueCapacity(1))
+	writeSinkJob(t, store, "job1", withBatchSize(1), WithQueueCapacity(1))
 	r, err := store.OpenReader("job1")
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +225,7 @@ func TestSinkDropPolicyNeverBlocks(t *testing.T) {
 	store := NewStore(gate, "t")
 	sink, err := store.NewSink(JobMeta{JobID: "job1", NumWorkers: 1},
 		WithBackpressure(Drop),
-		WithBatchSize(1),
+		withBatchSize(1),
 		WithQueueCapacity(1),
 		// One record overflows the segment, so the very first batch
 		// wedges the drainer in Create.
@@ -321,7 +327,7 @@ func TestSinkWriteErrorVsDropAccounting(t *testing.T) {
 func TestSinkBarrierFlushRace(t *testing.T) {
 	store := NewStore(dfs.NewMemFS(), "t")
 	sink, err := store.NewSink(JobMeta{JobID: "job1", NumWorkers: 1},
-		WithBatchSize(4), WithQueueCapacity(32), WithSegmentSize(256))
+		withBatchSize(4), WithQueueCapacity(32), WithSegmentSize(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,14 +429,13 @@ func TestNewSinkRejectsNegativeOptions(t *testing.T) {
 	for name, opt := range map[string]Option{
 		"segment size":   WithSegmentSize(-1),
 		"queue capacity": WithQueueCapacity(-8),
-		"batch size":     WithBatchSize(-2),
 	} {
 		if _, err := store.NewSink(meta, opt); !errors.Is(err, ErrInvalidOption) {
 			t.Errorf("%s: err = %v, want ErrInvalidOption", name, err)
 		}
 	}
 	// Zero still means "default".
-	sink, err := store.NewSink(meta, WithSegmentSize(0), WithQueueCapacity(0), WithBatchSize(0))
+	sink, err := store.NewSink(meta, WithSegmentSize(0), WithQueueCapacity(0))
 	if err != nil {
 		t.Fatalf("zero options rejected: %v", err)
 	}

@@ -315,10 +315,13 @@ func (j *Job) State() JobState {
 func (j *Job) Metrics() *MetricsRegistry { return j.reg }
 
 // Cancel asks the job to stop. The engine notices within one partition
-// scan stride and shuts down at the next superstep barrier: the trace
-// stays readable up to the last completed superstep, and the job's
-// checkpoints and outbox logs are garbage-collected. Safe to call any
-// number of times, in any state.
+// scan stride and shuts down at the next superstep barrier: Stats
+// counts the supersteps that completed, the trace is readable through
+// them, and the job's checkpoints and outbox logs are garbage-collected.
+// The trace may also hold the interrupted superstep (number
+// Stats.Supersteps) — its meta record and what was captured before the
+// workers noticed — as it does when a Compute error interrupts one.
+// Safe to call any number of times, in any state.
 func (j *Job) Cancel() { j.cancel() }
 
 // Done returns a channel closed when the job reaches a terminal state.
@@ -479,6 +482,8 @@ func runJob(ctx context.Context, g *Graph, comp Computation, opts RunOptions, ex
 			NumWorkers:  cfg.NumWorkers,
 			Trace:       opts.Trace,
 			ComputeMode: mode,
+			Seed:        opts.Seed,
+			Supersteps:  opts.Supersteps,
 			Context:     ctx,
 		}, g, *opts.Debug)
 		if err != nil {

@@ -175,108 +175,135 @@ func TestSessionCancelDoesNotPerturbOtherJob(t *testing.T) {
 	}
 }
 
-// TestJobCancelMidSuperstepBarrierConsistent cancels a slow debugged
-// job mid-superstep and asserts the contract: cancellation lands
-// within about one barrier, the partial stats come back with the
-// error, the trace is readable up to the last completed superstep, and
-// the job's checkpoints are garbage-collected.
+// cancelAt is a listener that cancels its job from inside one callback
+// of one superstep, on the coordinator goroutine — so where in the
+// barrier sequence the cancel lands is chosen, not raced for.
+type cancelAt struct {
+	cancel            context.CancelFunc
+	started, finished int // superstep to cancel in; -1 never
+}
+
+func (c *cancelAt) JobStarted(pregel.JobInfo) {}
+func (c *cancelAt) SuperstepStarted(superstep int, _ pregel.SuperstepInfo) {
+	if superstep == c.started {
+		c.cancel()
+	}
+}
+func (c *cancelAt) SuperstepFinished(superstep int, _ pregel.SuperstepStats) {
+	if superstep == c.finished {
+		c.cancel()
+	}
+}
+func (c *cancelAt) JobFinished(*pregel.Stats, error) {}
+
+// TestJobCancelMidSuperstepBarrierConsistent cancels a debugged job at
+// the two places a cancel can land relative to a superstep's records
+// and asserts the contract: the partial stats come back with the
+// error, Stats.Supersteps counts exactly the supersteps that folded,
+// the trace is readable through them, and the job's checkpoints are
+// garbage-collected. The trace may additionally hold the interrupted
+// superstep — number Stats.Supersteps: its meta record, written when it
+// was announced, and whatever was captured before the workers noticed —
+// as it does for a superstep a Compute error interrupts; it never
+// reaches past it.
 func TestJobCancelMidSuperstepBarrierConsistent(t *testing.T) {
-	g := NewGraph()
-	const n = 48
-	for i := 0; i < n; i++ {
-		g.AddVertex(VertexID(i), NewLong(0))
-	}
-	for i := 1; i < n; i++ {
-		if err := g.AddUndirectedEdge(VertexID(i-1), VertexID(i), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// ~0.5ms per vertex makes each superstep long enough (several ms)
-	// that the cancel reliably lands mid-scan.
-	slow := ComputeFunc(func(ctx Context, v *Vertex, msgs []Value) error {
-		time.Sleep(500 * time.Microsecond)
-		ctx.SendMessageToAllEdges(v, NewLong(1))
-		return nil
-	})
+	for _, tc := range []struct {
+		name     string
+		at       cancelAt
+		traceMax int
+	}{
+		// After superstep 2's meta record, before its workers' first
+		// poll: superstep 2 never folds, its meta is in the trace.
+		{"between meta write and fold", cancelAt{started: 2, finished: -1}, 2},
+		// After superstep 1 folded, before superstep 2 is announced.
+		{"between fold and the next superstep", cancelAt{started: -1, finished: 1}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := NewGraph()
+			const n = 48
+			for i := 0; i < n; i++ {
+				g.AddVertex(VertexID(i), NewLong(0))
+			}
+			for i := 1; i < n; i++ {
+				if err := g.AddUndirectedEdge(VertexID(i-1), VertexID(i), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			chatty := ComputeFunc(func(ctx Context, v *Vertex, msgs []Value) error {
+				ctx.SendMessageToAllEdges(v, NewLong(1))
+				return nil
+			})
 
-	store := NewStore(NewMemFS(), "t")
-	ckptFS := NewMemFS()
-	sess, err := NewSession(SessionConfig{Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	dc := DebugConfig{CaptureIDs: []VertexID{0, 1}, CaptureExceptions: true}
-	job, err := sess.Submit(context.Background(), g, slow, RunOptions{
-		JobID: "slow", Debug: &dc,
-		Engine: EngineConfig{
-			NumWorkers:      4,
-			CheckpointEvery: 1,
-			CheckpointFS:    ckptFS,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+			store := NewStore(NewMemFS(), "t")
+			ckptFS := NewMemFS()
+			sess, err := NewSession(SessionConfig{Store: store})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			tc.at.cancel = cancel
+			dc := DebugConfig{CaptureIDs: []VertexID{0, 1}, CaptureExceptions: true}
+			job, err := sess.Submit(ctx, g, chatty, RunOptions{
+				JobID: "canceled", Debug: &dc,
+				Engine: EngineConfig{
+					NumWorkers:      4,
+					CheckpointEvery: 1,
+					CheckpointFS:    ckptFS,
+					Listener:        &tc.at,
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := job.Wait(context.Background())
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if res == nil || res.Stats == nil {
+				t.Fatal("cancellation returned no partial stats")
+			}
+			// Barrier consistency: the engine starts no superstep after
+			// the cancel, and counts none that did not fold.
+			if res.Stats.Supersteps != 2 || len(res.Stats.PerSuperstep) != 2 {
+				t.Errorf("Supersteps = %d with %d folded rows, want 2 and 2", res.Stats.Supersteps, len(res.Stats.PerSuperstep))
+			}
+			if got := len(job.Metrics().Snapshot().Supersteps); got != 2 {
+				t.Errorf("registry folded %d supersteps, want 2", got)
+			}
+			if st := job.State(); st != JobCanceled {
+				t.Errorf("state = %v", st)
+			}
 
-	// Wait until at least two supersteps have folded, then cancel.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(job.Metrics().Snapshot().Supersteps) < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("job never reached superstep 2")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	atCancel := len(job.Metrics().Snapshot().Supersteps)
-	job.Cancel()
-	res, err := job.Wait(context.Background())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res == nil || res.Stats == nil {
-		t.Fatal("cancellation returned no partial stats")
-	}
-	// Barrier consistency: at most the in-flight superstep folds after
-	// the cancel — the engine never starts another.
-	if res.Stats.Supersteps > atCancel+1 {
-		t.Errorf("%d supersteps folded after canceling at %d: cancellation did not land within one barrier",
-			res.Stats.Supersteps, atCancel)
-	}
-	if st := job.State(); st != JobCanceled {
-		t.Errorf("state = %v", st)
-	}
+			v, err := OpenTrace(store, "canceled")
+			if err != nil {
+				t.Fatalf("canceled job's trace unreadable: %v", err)
+			}
+			for _, s := range v.Supersteps() {
+				if v.MetaAt(s) == nil {
+					t.Errorf("superstep %d in trace has no meta", s)
+				}
+			}
+			if max := v.MaxSuperstep(); max != tc.traceMax {
+				t.Errorf("trace reaches superstep %d with %d folded, want %d", max, res.Stats.Supersteps, tc.traceMax)
+			}
+			if caps := v.CapturesOf(0); len(caps) < res.Stats.Supersteps {
+				t.Errorf("captured vertex 0 has %d contexts over %d folded supersteps", len(caps), res.Stats.Supersteps)
+			}
 
-	// The trace is readable up to the last completed barrier.
-	v, err := OpenTrace(store, "slow")
-	if err != nil {
-		t.Fatalf("canceled job's trace unreadable: %v", err)
-	}
-	steps := v.Supersteps()
-	if len(steps) == 0 {
-		t.Fatal("canceled job's trace has no supersteps")
-	}
-	for _, s := range steps {
-		if v.MetaAt(s) == nil {
-			t.Errorf("superstep %d in trace has no meta", s)
-		}
-	}
-	if max := v.MaxSuperstep(); max >= res.Stats.Supersteps {
-		t.Errorf("trace reaches superstep %d but only %d folded", max, res.Stats.Supersteps)
-	}
-	if caps := v.CapturesOf(0); len(caps) == 0 {
-		t.Error("captured vertex 0 has no contexts in the canceled trace")
-	}
-
-	// The canceled job's checkpoints are gone (counted in FaultStats).
-	names, err := ckptFS.List("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 0 {
-		t.Errorf("checkpoints not GC'd after cancel: %v", names)
-	}
-	if res.Stats.Faults.CheckpointsDeleted == 0 {
-		t.Error("no checkpoint deletions counted")
+			// The canceled job's checkpoints are gone (counted in FaultStats).
+			names, err := ckptFS.List("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(names) != 0 {
+				t.Errorf("checkpoints not GC'd after cancel: %v", names)
+			}
+			if res.Stats.Faults.CheckpointsDeleted == 0 {
+				t.Error("no checkpoint deletions counted")
+			}
+		})
 	}
 }
 
