@@ -206,6 +206,8 @@ func TestCLISmoke(t *testing.T) {
 			wants: []string{"captures"}},
 		{name: "trace write failure exits 1", args: with(pr, "-debug", "DC-sp", "-trace-dir", "traces", "-job", "unwritable", "-workers", "1"),
 			fail: true, wants: []string{"finished:", "trace write"}},
+		// job.meta reads a zero budget as "not recorded", so a run has one.
+		{name: "zero budget", args: with(pr, "-supersteps", "0"), fail: true, wants: []string{"-supersteps must be at least 1"}},
 		{name: "-msg-batch is gone", args: with(pr, "-msg-batch", "256"), fail: true, wants: []string{"flag provided but not defined"}},
 		{name: "-checkpoint-retain is gone", args: with(pr, "-checkpoint-retain", "1"), fail: true, wants: []string{"flag provided but not defined"}},
 		{name: "-msg-log-dir is gone", args: with(pr, "-msg-log-dir", "x"), fail: true, wants: []string{"flag provided but not defined"}},

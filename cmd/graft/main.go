@@ -155,6 +155,9 @@ func cmdRun(args []string) error {
 	default:
 		return fmt.Errorf("unknown -rebalance-objective %q (skew, edgecut)", *rebalanceObjective)
 	}
+	if *supersteps < 1 {
+		return fmt.Errorf("run: -supersteps must be at least 1, got %d", *supersteps)
+	}
 	a, err := algorithms.ByName(*alg, *seed, *supersteps)
 	if err != nil {
 		return err
@@ -319,15 +322,17 @@ func cmdRun(args []string) error {
 		linger(*metricsAddr, *metricsLinger)
 		return nil
 	}
-	printSummary(res)
+	printSummary(res, reg.Snapshot())
 	linger(*metricsAddr, *metricsLinger)
 	return runErr
 }
 
 // printSummary prints the lines of a finished run: the headline, what
 // each recovery did, the metric table's summary lines (each only when
-// the run has something to say under it) and the capture count.
-func printSummary(res *graft.RunResult) {
+// the run has something to say under it) and the capture count. jm is
+// the registry's snapshot, the one job.metrics holds, so `graft show`
+// prints the same placement line.
+func printSummary(res *graft.RunResult, jm metrics.JobMetrics) {
 	stats := res.Stats
 	fmt.Printf("finished: %s\n", stats)
 	for _, ev := range stats.RecoveryEvents {
@@ -335,7 +340,6 @@ func printSummary(res *graft.RunResult) {
 			ev.Superstep, ev.Mode, ev.Partitions, ev.CheckpointSuperstep,
 			ev.SuperstepsReplayed, ev.MessagesReplayed, ev.Duration.Round(time.Microsecond))
 	}
-	jm := metrics.FromStats(stats)
 	for _, s := range metrics.Sections(&jm) {
 		if s.Name != "" { // the unnamed section repeats the headline
 			fmt.Println(s)

@@ -346,7 +346,8 @@ type RunOptions struct {
 	// Seed and Supersteps are recorded in the manifest as the arguments
 	// the packaged algorithm was built with, so `graft serve` reproduces
 	// and replay-checks the job with the same ones. Metadata only: no
-	// code path of the run reads them.
+	// code path of the run reads them. Set both or neither: a manifest
+	// without Supersteps reads as the defaults (42, 10).
 	Seed       int64
 	Supersteps int
 	// Engine configures the BSP engine (workers, master, combiner...).

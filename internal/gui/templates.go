@@ -174,7 +174,7 @@ indicators (max/mean ratios; a superstep is flagged when a worker runs
 has the per-worker timeline, the traffic heatmap and the anomaly feed.</p>
 <table>
 <tr><th></th><th>Algorithm</th><td>{{.Algorithm}}</td><th>Status</th><td>{{.Status}}</td></tr>
-{{range .Sections}}<tr><th>{{or .Name "job"}}</th>{{range .Items}}<th>{{.Label}}{{if .Fold}} ({{.Fold}}){{end}}</th><td>{{.Value}}</td>{{end}}</tr>
+{{range .Sections}}<tr><th>{{or .Name "job"}}</th>{{range .Items}}<th>{{.Label}}</th><td>{{.Value}}</td>{{end}}</tr>
 {{end}}</table>
 {{if .Recoveries}}
 <h2>Recoveries</h2>

@@ -57,7 +57,7 @@ type jsonlEnd struct {
 	RuntimeNanos  int64             `json:"runtime_ns"`
 	RecoveryNanos int64             `json:"recovery_ns"`
 	Recoveries    int               `json:"recoveries"`
-	Totals        Totals            `json:"totals"`
+	Totals        pregel.Totals     `json:"totals"`
 	Faults        pregel.FaultStats `json:"faults"`
 }
 

@@ -32,9 +32,6 @@ import (
 	"graft/internal/pregel"
 )
 
-// Totals is the job-level rollup of the per-superstep telemetry.
-type Totals = pregel.Totals
-
 // JobMetrics is the full observable state of one job: identity, the
 // per-superstep telemetry, the rollup, and the resilience counters.
 // It is what /metrics serves and what the per-job metrics file holds.
@@ -48,7 +45,7 @@ type JobMetrics struct {
 	Running bool `json:"running"`
 	// Supersteps has one entry per finished superstep, in order.
 	Supersteps []pregel.SuperstepStats `json:"supersteps"`
-	Totals     Totals                  `json:"totals"`
+	Totals     pregel.Totals           `json:"totals"`
 	// Reason/Error/RuntimeNanos are filled at job end.
 	Reason       string `json:"reason,omitempty"`
 	Error        string `json:"error,omitempty"`
@@ -264,16 +261,4 @@ func (r *Registry) Snapshot() JobMetrics {
 func (r *Registry) String() string {
 	snap := r.Snapshot()
 	return fmt.Sprintf("metrics[%s %v]", snap.JobID, Sections(&snap))
-}
-
-// FromStats is the JobMetrics of a finished run as its Stats tell it:
-// PerSuperstep replayed through a registry, so rows a checkpoint
-// restart truncated are not counted (see pregel.Stats.Totals).
-func FromStats(stats *pregel.Stats) JobMetrics {
-	var r Registry
-	for _, ss := range stats.PerSuperstep {
-		r.SuperstepFinished(ss.Superstep, ss)
-	}
-	r.JobFinished(stats, nil)
-	return r.jm
 }

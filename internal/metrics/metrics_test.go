@@ -192,11 +192,11 @@ func TestNormalizeJSONLZeroesVolatileFields(t *testing.T) {
 }
 
 func TestTotalsCaptureOverhead(t *testing.T) {
-	tt := Totals{ComputeNanos: 200, CaptureNanos: 10}
+	tt := pregel.Totals{ComputeNanos: 200, CaptureNanos: 10}
 	if got := tt.CaptureOverhead(); got != 0.05 {
 		t.Errorf("CaptureOverhead = %v, want 0.05", got)
 	}
-	if got := (Totals{}).CaptureOverhead(); got != 0 {
+	if got := (pregel.Totals{}).CaptureOverhead(); got != 0 {
 		t.Errorf("zero-compute overhead = %v, want 0", got)
 	}
 }

@@ -23,20 +23,6 @@ const (
 	Text                 // a name, or a composite that renders itself
 )
 
-// Fold is how a metric's job-level value derives from its
-// per-superstep one. pregel.Totals.Add is the fold; the declaration
-// here labels the value and is checked against Add by the tests.
-type Fold int
-
-const (
-	None Fold = iota // no per-superstep source: set at job end or derived
-	Sum
-	Max
-	Last
-)
-
-func (f Fold) String() string { return [...]string{"", "sum", "max", "last"}[f] }
-
 // Metric declares one of a job's numbers, once. Every surface iterates
 // Table: /debug/vars, the dashboard's summary block and its
 // per-superstep and per-worker tables, the profiler's caption, the
@@ -46,9 +32,9 @@ func (f Fold) String() string { return [...]string{"", "sum", "max", "last"}[f] 
 //
 // Job, End, Step and Worker are dotted paths of field and niladic
 // method names, read by reflection when a page or scrape asks (never at
-// a barrier); a name that does not resolve panics. A nil pointer on the way
-// reads as absent, a Count of a slice or map is its length, a negative
-// Gauge is absent.
+// a barrier); a name that does not resolve panics at start-up (init
+// walks them all). A nil pointer on the way reads as absent, a Count of
+// a slice or map is its length, a negative Gauge is absent.
 type Metric struct {
 	// Key is the /debug/vars name after "graft."; with dashes for
 	// underscores (and no "_ns") it is the name in summary lines. Its
@@ -57,7 +43,6 @@ type Metric struct {
 	Key   string
 	Label string // dashboard label and column header
 	Unit  Unit
-	Fold  Fold
 	// Line names the summary line and dashboard section the row
 	// belongs to; rows without one show in the dashboard's "job" section.
 	Line string
@@ -81,25 +66,25 @@ var Table = []Metric{
 	{Key: "num_workers", Label: "Workers", Job: "NumWorkers"},
 	{Key: "supersteps", Label: "Supersteps", Job: "Supersteps"},
 	{Key: "runtime_ns", Label: "Runtime", Unit: Duration, NoVars: true, Job: "RuntimeNanos", End: "Runtime"},
-	{Key: "vertices_processed", Label: "Vertices processed", Fold: Sum, Job: "Totals.VerticesProcessed", Step: "VerticesProcessed", Worker: "VerticesProcessed"},
-	{Key: "active", Label: "Active after", Fold: Last, Step: "ActiveAtEnd"},
-	{Key: "messages_sent", Label: "Messages sent", Fold: Sum, Job: "Totals.MessagesSent", Step: "MessagesSent", Worker: "MessagesSent"},
-	{Key: "messages_combined", Label: "Combined", Fold: Sum, Job: "Totals.MessagesCombined", Step: "MessagesCombined"},
-	{Key: "messages_received", Label: "Received", Fold: Sum, Job: "Totals.MessagesReceived", Step: "MessagesReceived", Worker: "MessagesReceived"},
-	{Key: "traffic_messages", Label: "In the traffic matrix", Job: "TrafficTotal"},
+	{Key: "vertices_processed", Label: "Vertices processed", Job: "Totals.VerticesProcessed", Step: "VerticesProcessed", Worker: "VerticesProcessed"},
+	{Key: "active", Label: "Active after", Step: "ActiveAtEnd"},
+	{Key: "messages_sent", Label: "Messages sent", Job: "Totals.MessagesSent", Step: "MessagesSent", Worker: "MessagesSent"},
+	{Key: "messages_combined", Label: "Combined", Job: "Totals.MessagesCombined", Step: "MessagesCombined"},
+	{Key: "messages_received", Label: "Received", Job: "Totals.MessagesReceived", Step: "MessagesReceived", Worker: "MessagesReceived"},
+	{Key: "traffic_messages", Job: "TrafficTotal"},
 
-	{Key: "compute_ns", Label: "Compute", Unit: Duration, Fold: Sum, Line: "phases", Job: "Totals.ComputeNanos", Step: "ComputeTime", Worker: "ComputeTime"},
-	{Key: "barrier_ns", Label: "Barrier wait", Unit: Duration, Fold: Sum, Line: "phases", Job: "Totals.BarrierNanos", Step: "BarrierWait", Worker: "BarrierWait"},
-	{Key: "capture_ns", Label: "Capture", Unit: Duration, Fold: Sum, Line: "phases", Job: "Totals.CaptureNanos", Step: "CaptureTime", Worker: "CaptureTime"},
+	{Key: "compute_ns", Label: "Compute", Unit: Duration, Line: "phases", Job: "Totals.ComputeNanos", Step: "ComputeTime", Worker: "ComputeTime"},
+	{Key: "barrier_ns", Label: "Barrier wait", Unit: Duration, Line: "phases", Job: "Totals.BarrierNanos", Step: "BarrierWait", Worker: "BarrierWait"},
+	{Key: "capture_ns", Label: "Capture", Unit: Duration, Line: "phases", Job: "Totals.CaptureNanos", Step: "CaptureTime", Worker: "CaptureTime"},
 	{Key: "capture_overhead", Label: "Capture / compute", Unit: Percent, Line: "phases", Job: "Totals.CaptureOverhead"},
-	{Key: "flush_ns", Label: "Trace flush", Unit: Duration, Fold: Sum, Line: "phases", Job: "Totals.FlushNanos", Step: "FlushTime"},
-	{Key: "max_capture_queue", Label: "Capture queue", Unit: Gauge, Fold: Max, Line: "phases", Job: "Totals.MaxCaptureQueueDepth", Step: "CaptureQueueDepth"},
-	{Key: "max_compute_skew", Label: "Compute skew", Unit: Ratio, Fold: Max, Line: "phases", Job: "Totals.MaxComputeSkew", Step: "ComputeSkew"},
-	{Key: "max_message_skew", Label: "Message skew", Unit: Ratio, Fold: Max, Line: "phases", Job: "Totals.MaxMessageSkew", Step: "MessageSkew"},
+	{Key: "flush_ns", Label: "Trace flush", Unit: Duration, Line: "phases", Job: "Totals.FlushNanos", Step: "FlushTime"},
+	{Key: "max_capture_queue", Label: "Capture queue", Unit: Gauge, Line: "phases", Job: "Totals.MaxCaptureQueueDepth", Step: "CaptureQueueDepth"},
+	{Key: "max_compute_skew", Label: "Compute skew", Unit: Ratio, Line: "phases", Job: "Totals.MaxComputeSkew", Step: "ComputeSkew"},
+	{Key: "max_message_skew", Label: "Message skew", Unit: Ratio, Line: "phases", Job: "Totals.MaxMessageSkew", Step: "MessageSkew"},
 	{Key: "straggler", Label: "Straggler", Unit: Gauge, Step: "Straggler"},
 
-	{Key: "subgraphs_computed", Label: "Subgraphs computed", Fold: Sum, Line: "subgraph mode", Job: "Totals.SubgraphsComputed", Step: "SubgraphsComputed", Worker: "Subgraphs"},
-	{Key: "internal_iterations", Label: "Internal iterations", Fold: Sum, Line: "subgraph mode", Job: "Totals.InternalIterations", Step: "InternalIterations", Worker: "Iterations"},
+	{Key: "subgraphs_computed", Label: "Subgraphs computed", Line: "subgraph mode", Job: "Totals.SubgraphsComputed", Step: "SubgraphsComputed", Worker: "Subgraphs"},
+	{Key: "internal_iterations", Label: "Internal iterations", Line: "subgraph mode", Job: "Totals.InternalIterations", Step: "InternalIterations", Worker: "Iterations"},
 
 	{Key: "recoveries", Label: "Recoveries", Line: "resilience", Job: "Recoveries", End: "Recoveries"},
 	{Key: "recovery_ns", Label: "Recovery", Unit: Duration, Line: "resilience", NoVars: true, Job: "RecoveryNanos", End: "RecoveryTime"},
@@ -119,8 +104,8 @@ var Table = []Metric{
 
 	{Key: "partitioner", Label: "Partitioner", Unit: Text, Line: "placement", Job: "Partitioner", End: "Partitioner"},
 	{Key: "vertices_per_worker", Label: "Vertices / worker", Unit: Text, Line: "placement", NoVars: true, Job: "PartitionSizes", End: "PartitionSizes"},
-	{Key: "edge_cut", Label: "Edge cut", Fold: Last, Line: "placement", Job: "EdgeCut", End: "EdgeCut", Step: "EdgeCut"},
-	{Key: "local_messages", Label: "Worker-local messages", Fold: Sum, Line: "placement", Job: "Totals.LocalMessages", Step: "LocalMessages"},
+	{Key: "edge_cut", Label: "Edge cut", Line: "placement", Job: "EdgeCut", End: "EdgeCut", Step: "EdgeCut"},
+	{Key: "local_messages", Label: "Worker-local messages", Line: "placement", Job: "Totals.LocalMessages", Step: "LocalMessages"},
 	{Key: "local_ratio", Label: "Worker-local share", Unit: Percent, Line: "placement", Job: "Totals.LocalMessageRatio", Step: "LocalMessageRatio"},
 
 	{Key: "anomalies", Label: "Anomalies", Line: "profiler", Job: "Anomalies", Step: "Anomalies"},
@@ -135,9 +120,11 @@ var Table = []Metric{
 	{Key: "dfs.degraded_writes", Job: "DFS.DegradedWrites"},
 }
 
-// walk follows path from v, a pointer to a struct; the result is
-// invalid when a pointer on the way is nil.
-func walk(v reflect.Value, path string) reflect.Value {
+// walk follows path from v, a pointer to a struct. A nil pointer on the
+// way is walked as its zero value, so that every name is looked up, and
+// reported as absent.
+func walk(v reflect.Value, path string) (_ reflect.Value, present bool) {
+	present = true
 	for _, name := range strings.Split(path, ".") {
 		if m := v.MethodByName(name); m.IsValid() {
 			v = m.Call(nil)[0]
@@ -145,10 +132,19 @@ func walk(v reflect.Value, path string) reflect.Value {
 			panic(fmt.Sprintf("metrics: no field or method %q in path %q", name, path))
 		}
 		if v.Kind() == reflect.Pointer && v.IsNil() {
-			return reflect.Value{}
+			v, present = reflect.New(v.Type().Elem()), false
 		}
 	}
-	return v
+	return reflect.Indirect(v), present
+}
+
+// Every path is walked once at start-up, over zero values: a typo fails
+// there, not on a page.
+func init() {
+	for _, src := range []any{&JobMetrics{}, &pregel.SuperstepStats{}, &pregel.WorkerStepStats{}} {
+		Items(src)
+	}
+	finish(&JobMetrics{}, &pregel.Stats{})
 }
 
 // Item is one metric value, read and rendered.
@@ -177,11 +173,11 @@ func Items(src any) []Item {
 			continue
 		}
 		it := Item{Metric: m, Value: "—", Zero: true}
-		v := reflect.Indirect(walk(reflect.ValueOf(src), path))
+		v, present := walk(reflect.ValueOf(src), path)
 		if k := v.Kind(); m.Unit == Count && (k == reflect.Slice || k == reflect.Map) {
 			v = reflect.ValueOf(v.Len())
 		}
-		if v.IsValid() && !(m.Unit == Gauge && v.Int() < 0) {
+		if present && !(m.Unit == Gauge && v.Int() < 0) {
 			it.Raw, it.Zero = v.Interface(), v.IsZero()
 			switch m.Unit {
 			case Duration:
@@ -205,7 +201,8 @@ func finish(jm *JobMetrics, stats *pregel.Stats) {
 		if m.End == "" {
 			continue
 		}
-		dst, src := walk(reflect.ValueOf(jm), m.Job), walk(reflect.ValueOf(stats), m.End)
+		dst, _ := walk(reflect.ValueOf(jm), m.Job)
+		src, _ := walk(reflect.ValueOf(stats), m.End)
 		if dst.Kind() == reflect.String {
 			dst.SetString(fmt.Sprint(src))
 		} else {

@@ -52,11 +52,8 @@ func New(sess *graft.Session) (*Daemon, error) {
 	// Reproduce Context and the replay check rebuild a job's algorithm
 	// as source and as a live function from what its manifest recorded.
 	d.gui.AttachAlgorithms(func(meta trace.JobMeta) (pregel.Computation, repro.GenSpec) {
-		if meta.Seed == 0 {
-			meta.Seed = algorithms.DefaultSeed
-		}
-		if meta.Supersteps == 0 {
-			meta.Supersteps = algorithms.DefaultSupersteps
+		if meta.Supersteps == 0 { // recorded neither; with a budget, seed 0 is a seed
+			meta.Seed, meta.Supersteps = algorithms.DefaultSeed, algorithms.DefaultSupersteps
 		}
 		alg, err := algorithms.ByName(meta.Algorithm, meta.Seed, meta.Supersteps)
 		if err != nil {

@@ -12,6 +12,9 @@ import (
 	"time"
 
 	"graft"
+	"graft/internal/algorithms"
+	"graft/internal/core"
+	"graft/internal/graphgen"
 )
 
 // newDaemon starts a daemon over an in-memory store behind httptest.
@@ -101,13 +104,26 @@ func TestServeReproducesAndReplayChecks(t *testing.T) {
 	for _, row := range []struct{ id, seed, ctor string }{
 		{"gc-default", "", "algorithms.NewGraphColoring(42)"},
 		{"gc-seed7", `"seed":7,`, "algorithms.NewGraphColoring(7)"},
+		// A submission's seed 0 means the default, `graft run -seed 0`
+		// means 0: run that one into the store the way the CLI does.
+		{"gc-seed0", "cli", "algorithms.NewGraphColoring(0)"},
 	} {
-		code, info := post(t, ts, "/api/jobs", fmt.Sprintf(
-			`{"job_id":%q,%s"alg":"gc","dataset":"bipartite-1M-3M","scale":0.0005,"debug":"DC-full"}`, row.id, row.seed))
-		if code != http.StatusCreated || info.JobID != row.id {
-			t.Fatalf("submit = %d %+v", code, info)
+		if row.seed == "cli" {
+			alg, _ := algorithms.ByName("gc", 0, 10)
+			g, _ := graphgen.BuildDataset("bipartite-1M-3M", 0.0005, 0)
+			dc, _ := core.PresetConfig("DC-full", 0)
+			if _, err := graft.RunAlgorithm(g, alg, graft.RunOptions{JobID: row.id, Supersteps: 10,
+				Store: d.session.Store(), Debug: dc}); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			code, info := post(t, ts, "/api/jobs", fmt.Sprintf(
+				`{"job_id":%q,%s"alg":"gc","dataset":"bipartite-1M-3M","scale":0.0005,"debug":"DC-full"}`, row.id, row.seed))
+			if code != http.StatusCreated || info.JobID != row.id {
+				t.Fatalf("submit = %d %+v", code, info)
+			}
+			waitState(t, ts, row.id, "succeeded")
 		}
-		waitState(t, ts, row.id, "succeeded")
 
 		view, err := d.session.Store().OpenReader(row.id)
 		if err != nil {
@@ -196,20 +212,10 @@ func TestServeCancelAndClose(t *testing.T) {
 		}
 	}
 	// A runner may still be returning through its deferred wg.Done, so
-	// look for what must be gone: any goroutine inside the engine. One
-	// that has run its own wg.Done (a barrier's lane-merge worker) exits
-	// a scheduler tick later, and nothing signals that, so — as leak
-	// checkers do — look again for a bounded while before calling it one.
+	// look for what must be gone: any goroutine inside the engine.
 	buf := make([]byte, 1<<20)
-	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
-		stacks := string(buf[:runtime.Stack(buf, true)])
-		if !strings.Contains(stacks, "graft/internal/pregel.") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Errorf("a goroutine is still inside the engine 2s after Close:\n%s", stacks)
-			break
-		}
+	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "graft/internal/pregel.") {
+		t.Errorf("a goroutine is still inside the engine after Close:\n%s", stacks)
 	}
 	if code, _ := post(t, ts, "/api/jobs", fmt.Sprintf(long, "late")); code != http.StatusServiceUnavailable {
 		t.Errorf("submit after Close = %d, want 503", code)

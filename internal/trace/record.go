@@ -265,7 +265,8 @@ type JobMeta struct {
 	// Seed and Supersteps are the arguments a packaged algorithm was
 	// built with (algorithms.ByName), recorded so the GUI reproduces and
 	// replay-checks the job with the same ones. Nothing at run time
-	// reads them; zero means the run did not say.
+	// reads them. A run that says records both; Supersteps is then at
+	// least 1, so zero there means it did not say and Seed 0 is a seed.
 	Seed       int64 `json:"seed,omitempty"`
 	Supersteps int   `json:"supersteps,omitempty"`
 	// Format identifies the on-disk trace layout: FormatSegments for
