@@ -174,7 +174,7 @@ func BenchmarkFig2(b *testing.B) {
 
 // fig3to5DB builds one traced buggy-GC run shared by the GUI-view
 // benches (Figures 3, 4, 5).
-func fig3to5DB(b *testing.B) trace.View {
+func fig3to5DB(b *testing.B) *trace.Reader {
 	b.Helper()
 	store := trace.NewStore(dfs.NewMemFS(), "gui")
 	g := graphgen.RegularBipartite(2000, 3)

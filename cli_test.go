@@ -122,7 +122,7 @@ func TestCLISmoke(t *testing.T) {
 	rows := []struct {
 		name  string
 		args  []string
-		fail  bool // want a non-zero exit
+		exit  int // the exit status wanted
 		wants []string
 		never []string
 		check func(t *testing.T, out string)
@@ -182,7 +182,8 @@ func TestCLISmoke(t *testing.T) {
 		{name: "confined recovery", args: []string{"run", "-alg", "pagerank", "-dataset", "web-BS", "-scale", "0.001", "-workers", "8", "-supersteps", "10",
 			"-debug", "none", "-checkpoint-every", "2", "-crash-at", "3", "-crash-partition", "-2", "-recovery", "log"},
 			wants: []string{"finished:", "mode=log", "outbox log:"}},
-		{name: "chaos on the checkpoint store", args: with(pr, "-debug", "none", "-checkpoint-every", "2", "-crash-at", "3", "-chaos", "0.2"),
+		// -workers 0 is the engine's default count, not zero partitions.
+		{name: "chaos on the checkpoint store", args: with(pr, "-debug", "none", "-checkpoint-every", "2", "-crash-at", "3", "-chaos", "0.2", "-workers", "0"),
 			wants: []string{"finished:", "resilience: recoveries=1"}},
 		{name: "vertex mode", args: []string{"run", "-alg", "cc", "-dataset", "bipartite-1M-3M", "-scale", "0.001", "-workers", "8", "-debug", "none", "-mode", "vertex"},
 			wants: []string{"finished:"}, never: []string{"subgraph mode:"}},
@@ -198,27 +199,36 @@ func TestCLISmoke(t *testing.T) {
 				}
 			}},
 		{name: "no subgraph port", args: []string{"run", "-alg", "rw", "-dataset", "web-BS", "-scale", "0.001", "-mode", "subgraph"},
-			fail: true, wants: []string{"no subgraph-mode port"}},
+			exit: 1, wants: []string{"no subgraph-mode port"}},
 		// A compute failure is the exception scenarios' expected outcome
 		// and exits 0; a run whose trace could not be written exits 1.
 		{name: "compute failure exits 0", args: []string{"run", "-alg", "rw16", "-dataset", "web-BS", "-scale", "0.003", "-debug", "fig2",
 			"-trace-dir", "traces", "-job", "rw-fail", "-supersteps", "8"},
 			wants: []string{"captures"}},
 		{name: "trace write failure exits 1", args: with(pr, "-debug", "DC-sp", "-trace-dir", "traces", "-job", "unwritable", "-workers", "1"),
-			fail: true, wants: []string{"finished:", "trace write"}},
+			exit: 1, wants: []string{"finished:", "trace write"}},
 		// job.meta reads a zero budget as "not recorded", so a run has one.
-		{name: "zero budget", args: with(pr, "-supersteps", "0"), fail: true, wants: []string{"-supersteps must be at least 1"}},
-		{name: "-msg-batch is gone", args: with(pr, "-msg-batch", "256"), fail: true, wants: []string{"flag provided but not defined"}},
-		{name: "-checkpoint-retain is gone", args: with(pr, "-checkpoint-retain", "1"), fail: true, wants: []string{"flag provided but not defined"}},
-		{name: "-msg-log-dir is gone", args: with(pr, "-msg-log-dir", "x"), fail: true, wants: []string{"flag provided but not defined"}},
+		{name: "zero budget", args: with(pr, "-supersteps", "0"), exit: 1, wants: []string{"-supersteps must be at least 1"}},
+		{name: "-msg-batch is gone", args: with(pr, "-msg-batch", "256"), exit: 2, wants: []string{"flag provided but not defined"}},
+		{name: "-checkpoint-retain is gone", args: with(pr, "-checkpoint-retain", "1"), exit: 2, wants: []string{"flag provided but not defined"}},
+		{name: "-msg-log-dir is gone", args: with(pr, "-msg-log-dir", "x"), exit: 2, wants: []string{"flag provided but not defined"}},
+		{name: "-sync-capture is gone", args: with(pr, "-sync-capture"), exit: 2, wants: []string{"flag provided but not defined"}},
+		// Crash flags that would inject nothing, or crash the whole job
+		// instead of the partition named, are refused.
+		{name: "crash without checkpoints", args: with(pr, "-debug", "none", "-crash-at", "3"),
+			exit: 2, wants: []string{"-crash-at requires -checkpoint-every"}, never: []string{"finished:"}},
+		{name: "crash partition past the workers", args: with(pr, "-debug", "none", "-checkpoint-every", "2", "-crash-at", "3", "-crash-partition", "9", "-workers", "4"),
+			exit: 2, wants: []string{"-crash-partition 9 is not a partition of -workers 4"}, never: []string{"finished:"}},
+		{name: "negative crash partition", args: with(pr, "-debug", "none", "-checkpoint-every", "2", "-crash-at", "3", "-crash-partition", "-5"),
+			exit: 2, wants: []string{"-crash-partition -5 is not a partition"}, never: []string{"finished:"}},
 	}
 	for _, row := range rows {
 		cmd := exec.Command(bin, row.args...)
 		cmd.Dir = dir
 		raw, err := cmd.CombinedOutput()
 		out := string(raw)
-		if (err != nil) != row.fail {
-			t.Fatalf("%s: graft %s: err=%v, want failure=%v\n%s", row.name, strings.Join(row.args, " "), err, row.fail, out)
+		if code := cmd.ProcessState.ExitCode(); code != row.exit {
+			t.Fatalf("%s: graft %s: exit status %d (%v), want %d\n%s", row.name, strings.Join(row.args, " "), code, err, row.exit, out)
 		}
 		for _, want := range row.wants {
 			if !strings.Contains(out, want) {

@@ -126,7 +126,6 @@ func cmdRun(args []string) error {
 	segmentSize := fs.Int("segment-size", trace.DefaultSegmentSize, "trace segment size in bytes before sealing")
 	backpressure := fs.String("backpressure", "block", "capture queue policy when full: block or drop")
 	queueCap := fs.Int("capture-queue", trace.DefaultQueueCapacity, "per-worker capture queue depth")
-	syncCapture := fs.Bool("sync-capture", false, "write trace records inline instead of through the async pipeline")
 	partitioner := fs.String("partitioner", "hash", "vertex placement: hash (stateless modulo) or locality (streaming neighbor-affinity placer)")
 	rebalanceSkew := fs.Float64("rebalance-skew", 0, "migrate hot vertices off stragglers when compute/message skew exceeds this ratio (0 disables)")
 	rebalanceObjective := fs.String("rebalance-objective", "skew", "what the rebalancer optimizes: skew (straggler load) or edgecut (cross-partition traffic)")
@@ -134,6 +133,16 @@ func cmdRun(args []string) error {
 	anomalyWindow := fs.Int("anomaly-window", 0, "sliding window in supersteps for the anomaly detectors (0: default 8, negative: disable detection and traffic-matrix capture)")
 	anomalyOut := fs.String("anomaly-out", "", "write detected anomaly events to this file as JSON Lines")
 	fs.Parse(args)
+	if *crashAt >= 0 && *checkpointEvery <= 0 {
+		flagError("-crash-at requires -checkpoint-every (a crash rolls back to a checkpoint)")
+	}
+	parts := *workers
+	if parts <= 0 {
+		parts = pregel.DefaultNumWorkers // what the engine runs with
+	}
+	if *crashAt >= 0 && (*crashPartition < -2 || *crashPartition >= parts) {
+		flagError("-crash-partition %d is not a partition of -workers %d (-1: every partition, -2: seeded pick)", *crashPartition, parts)
+	}
 
 	eng := pregel.Config{
 		NumWorkers:        *workers,
@@ -162,6 +171,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
+	var subgraph pregel.SubgraphComputation
 	switch *mode {
 	case "vertex":
 	case "subgraph":
@@ -169,7 +179,7 @@ func cmdRun(args []string) error {
 			return fmt.Errorf("algorithm %q has no subgraph-mode port (available in -mode subgraph: %s)",
 				a.Name, strings.Join(algorithms.SubgraphNames(), ", "))
 		}
-		eng.ComputeMode = pregel.ModeSubgraph
+		subgraph = a.Subgraph
 	default:
 		return fmt.Errorf("unknown -mode %q (vertex, subgraph)", *mode)
 	}
@@ -242,23 +252,15 @@ func cmdRun(args []string) error {
 			return fmt.Errorf("unknown -recovery %q (checkpoint, log)", *recovery)
 		}
 		if *crashAt >= 0 {
-			if *crashPartition != -1 {
-				victim := *crashPartition
+			var victims []int // none: every partition fails
+			if victim := *crashPartition; victim != -1 {
 				if victim == -2 {
 					victim = faults.PickPartition(*chaosSeed, *workers)
 					fmt.Printf("crash: seeded victim partition %d of %d\n", victim, *workers)
 				}
-				eng.PartitionFailureAt = faults.FailPartitionAt(*crashAt, victim)
-			} else {
-				crashed := false
-				eng.FailureAt = func(superstep int) bool {
-					if superstep == *crashAt && !crashed {
-						crashed = true
-						return true
-					}
-					return false
-				}
+				victims = append(victims, victim)
 			}
+			eng.PartitionFailureAt = faults.FailPartitionAt(*crashAt, victims...)
 		}
 	} else if *recovery != "checkpoint" {
 		return fmt.Errorf("-recovery=%s requires -checkpoint-every (confined replay rolls the failed partitions back to a checkpoint)", *recovery)
@@ -270,6 +272,7 @@ func cmdRun(args []string) error {
 		Seed:        *seed,
 		Supersteps:  *supersteps,
 		Engine:      eng,
+		Subgraph:    subgraph,
 		Debug:       dc,
 		Trace:       []trace.Option{trace.WithSegmentSize(*segmentSize), trace.WithQueueCapacity(*queueCap)},
 	}
@@ -280,9 +283,6 @@ func cmdRun(args []string) error {
 		opts.Trace = append(opts.Trace, trace.WithBackpressure(trace.Drop))
 	default:
 		return fmt.Errorf("run: -backpressure must be block or drop, got %q", *backpressure)
-	}
-	if *syncCapture {
-		opts.Trace = append(opts.Trace, trace.WithSynchronous())
 	}
 	if dc != nil {
 		if opts.Store, err = openStore(*traceDir); err != nil {
@@ -352,6 +352,13 @@ func printSummary(res *graft.RunResult, jm metrics.JobMetrics) {
 			fmt.Printf("capture pipeline dropped %d records under backpressure\n", n)
 		}
 	}
+}
+
+// flagError reports a flag combination a run cannot honour the way the
+// flag package reports a bad flag: one line on stderr and exit status 2.
+func flagError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "graft: run: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // writeAnomalyJSONL writes one JSON object per detected anomaly event,

@@ -174,14 +174,7 @@ func requireMatchesReferenceBy(t *testing.T, same func(a, b Value) bool, build f
 	if crashAt >= 0 {
 		cfg.CheckpointEvery = 2
 		cfg.CheckpointFS = NewMemFS()
-		crashed := false
-		cfg.FailureAt = func(superstep int) bool {
-			if superstep == crashAt && !crashed {
-				crashed = true
-				return true
-			}
-			return false
-		}
+		cfg.PartitionFailureAt = FailPartitionAt(crashAt)
 	}
 	got := build()
 	res, err := RunAlgorithm(got, alg(), RunOptions{Engine: cfg})

@@ -12,30 +12,28 @@ import (
 	"graft/internal/trace"
 )
 
-// tracedPlaneRun executes one fully-captured job and returns its trace
-// view. crashAt >= 0 injects a single simulated worker crash at that
-// superstep, with checkpointing every 2 supersteps.
-func tracedPlaneRun(t *testing.T, g *Graph, alg *algorithms.Algorithm, engine EngineConfig, crashAt int) (trace.View, *Stats) {
+// tracedPlaneRun executes one fully-captured job — of alg's subgraph
+// port when subgraph is set — and returns its trace view. crashAt >= 0
+// injects a single simulated worker crash at that superstep, with
+// checkpointing every 2 supersteps.
+func tracedPlaneRun(t *testing.T, g *Graph, alg *algorithms.Algorithm, subgraph bool, engine EngineConfig, crashAt int) (*trace.Reader, *Stats) {
 	t.Helper()
 	if crashAt >= 0 {
 		engine.CheckpointEvery = 2
 		engine.CheckpointFS = dfs.NewMemFS()
-		crashed := false
-		engine.FailureAt = func(superstep int) bool {
-			if superstep == crashAt && !crashed {
-				crashed = true
-				return true
-			}
-			return false
-		}
+		engine.PartitionFailureAt = FailPartitionAt(crashAt)
 	}
 	store := NewStore(NewMemFS(), "traces")
-	res, err := RunAlgorithm(g, alg, RunOptions{
+	opts := RunOptions{
 		JobID:  "job",
 		Engine: engine,
 		Debug:  &DebugConfig{CaptureAllActive: true, MaxCaptures: -1},
 		Store:  store,
-	})
+	}
+	if subgraph {
+		opts.Subgraph = alg.Subgraph
+	}
+	res, err := RunAlgorithm(g, alg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +44,7 @@ func tracedPlaneRun(t *testing.T, g *Graph, alg *algorithms.Algorithm, engine En
 	return db, res.Stats
 }
 
-func requireNoDiff(t *testing.T, label string, a, b trace.View) {
+func requireNoDiff(t *testing.T, label string, a, b *trace.Reader) {
 	t.Helper()
 	d := trace.DiffJobs(a, b)
 	if len(d.OnlyA) > 0 || len(d.OnlyB) > 0 {
@@ -136,7 +134,7 @@ func TestPlaneEquivalencePageRankSingleWorker(t *testing.T) {
 // bit-reproducible run to run. Verified via the canonical trace digest.
 func TestLanePlaneRunToRunDeterminism(t *testing.T) {
 	run := func() string {
-		view, _ := tracedPlaneRun(t, graphgen.WebGraph(200, 5, 4), algorithms.NewPageRank(6, 0.85),
+		view, _ := tracedPlaneRun(t, graphgen.WebGraph(200, 5, 4), algorithms.NewPageRank(6, 0.85), false,
 			EngineConfig{NumWorkers: 4}, -1)
 		return trace.Digest(view)
 	}
@@ -182,7 +180,7 @@ func TestRebalanceDigestDeterminism(t *testing.T) {
 			cfg.RebalanceSkew = 1.3
 			cfg.RebalanceMaxMoves = 64
 		}
-		view, stats := tracedPlaneRun(t, broomGraph(300, 40), algorithms.NewConnectedComponents(), cfg, -1)
+		view, stats := tracedPlaneRun(t, broomGraph(300, 40), algorithms.NewConnectedComponents(), false, cfg, -1)
 		return trace.Digest(view), stats
 	}
 	offDigest, offStats := run(false)
@@ -208,19 +206,19 @@ func TestRebalanceDigestDeterminism(t *testing.T) {
 // is the final vertex-value digest, which must match vertex mode
 // exactly, with and without migrations.
 func TestSubgraphRebalanceDigestDeterminism(t *testing.T) {
-	run := func(mode pregel.ComputeMode, rebalance bool) (string, *Stats) {
-		cfg := EngineConfig{NumWorkers: 4, ComputeMode: mode}
+	run := func(subgraph, rebalance bool) (string, *Stats) {
+		cfg := EngineConfig{NumWorkers: 4}
 		if rebalance {
 			cfg.RebalanceSkew = 1.3
 			cfg.RebalanceMaxMoves = 64
 		}
 		g := broomGraph(300, 40)
-		_, stats := tracedPlaneRun(t, g, algorithms.NewConnectedComponents(), cfg, -1)
+		_, stats := tracedPlaneRun(t, g, algorithms.NewConnectedComponents(), subgraph, cfg, -1)
 		return g.ValuesDigest(), stats
 	}
-	vertexDigest, vertexStats := run(pregel.ModeVertex, false)
-	offDigest, offStats := run(pregel.ModeSubgraph, false)
-	onDigest, onStats := run(pregel.ModeSubgraph, true)
+	vertexDigest, vertexStats := run(false, false)
+	offDigest, offStats := run(true, false)
+	onDigest, onStats := run(true, true)
 
 	if offDigest != vertexDigest {
 		t.Fatalf("subgraph-mode values diverged from vertex mode:\nvertex:   %s\nsubgraph: %s",
@@ -264,7 +262,7 @@ func TestRebalanceDigestDeterminismUnderChaos(t *testing.T) {
 			cfg.RebalanceSkew = 1.3
 			cfg.RebalanceMaxMoves = 64
 		}
-		view, stats := tracedPlaneRun(t, broomGraph(300, 40), algorithms.NewConnectedComponents(), cfg, 3)
+		view, stats := tracedPlaneRun(t, broomGraph(300, 40), algorithms.NewConnectedComponents(), false, cfg, 3)
 		return trace.Digest(view), stats
 	}
 	offDigest, _ := run(false)

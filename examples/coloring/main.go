@@ -144,7 +144,7 @@ func main() {
 
 // pickCapturedConflict returns a conflicting vertex that the random
 // capture actually recorded, with its history.
-func pickCapturedConflict(db trace.View, conflicts []pair) (graft.VertexID, []*trace.VertexCapture) {
+func pickCapturedConflict(db *trace.Reader, conflicts []pair) (graft.VertexID, []*trace.VertexCapture) {
 	for _, p := range conflicts {
 		for _, id := range []graft.VertexID{p.a, p.b} {
 			if h := db.CapturesOf(id); len(h) > 0 {

@@ -41,23 +41,17 @@ func main() {
 	}), 7)
 
 	// The same job, checkpointing every 2 supersteps, with a worker
-	// crash injected after superstep 3.
-	crashed := false
+	// crash injected after superstep 3 (no partition named: every
+	// partition fails).
+	fmt.Println("!! simulated worker crash after superstep 3")
 	g := build()
 	res, err := graft.RunAlgorithm(g, algorithms.NewConnectedComponents(), graft.RunOptions{
 		Engine: pregel.Config{
-			NumWorkers:       4,
-			CheckpointEvery:  2,
-			CheckpointFS:     ckptFS,
-			CheckpointPrefix: "cc-job/",
-			FailureAt: func(superstep int) bool {
-				if superstep == 3 && !crashed {
-					crashed = true
-					fmt.Println("!! simulated worker crash after superstep 3")
-					return true
-				}
-				return false
-			},
+			NumWorkers:         4,
+			CheckpointEvery:    2,
+			CheckpointFS:       ckptFS,
+			CheckpointPrefix:   "cc-job/",
+			PartitionFailureAt: graft.FailPartitionAt(3),
 		},
 	})
 	if err != nil {

@@ -58,13 +58,9 @@ type (
 	ComputeFunc = pregel.ComputeFunc
 	// Context is the per-superstep vertex environment.
 	Context = pregel.Context
-	// ComputeMode selects the unit of computation the engine dispatches
-	// per superstep (EngineConfig.ComputeMode): ModeVertex or
-	// ModeSubgraph.
-	ComputeMode = pregel.ComputeMode
-	// SubgraphComputation is the partition-level program of
-	// ModeSubgraph: a sequential algorithm over one connected component
-	// of a partition per superstep.
+	// SubgraphComputation is the partition-level program of subgraph
+	// mode: a sequential algorithm over one connected component of a
+	// partition per superstep.
 	SubgraphComputation = pregel.SubgraphComputation
 	// SubgraphFunc adapts a function to SubgraphComputation.
 	SubgraphFunc = pregel.SubgraphFunc
@@ -86,9 +82,6 @@ type (
 	DebugConfig = core.DebugConfig
 	// Store lays trace files out in a file system.
 	Store = trace.Store
-	// TraceView is the read API of a trace, implemented by TraceReader:
-	// everything the GUI and the Context Reproducer need from one.
-	TraceView = trace.View
 	// TraceReader is the lazy, index-driven trace reader: it seeks
 	// through the segment index and reads only the segments a lookup
 	// touches.
@@ -101,7 +94,7 @@ type (
 	// master).
 	RecordSink = trace.RecordSink
 	// TraceOption configures a TraceSink (segment size, backpressure,
-	// queue capacity, synchronous mode).
+	// queue capacity).
 	TraceOption = trace.Option
 	// BackpressurePolicy selects what a full capture queue does:
 	// Block (lossless) or Drop (non-blocking, counted).
@@ -164,17 +157,6 @@ type (
 	FallbackFS = faults.FallbackFS
 )
 
-// Compute modes for EngineConfig.ComputeMode.
-const (
-	// ModeVertex is the classic vertex-centric model and the default:
-	// Compute runs once per active vertex per superstep.
-	ModeVertex = pregel.ModeVertex
-	// ModeSubgraph is the subgraph-centric model: ComputeSubgraph runs
-	// once per active connected component of a partition per superstep,
-	// collapsing traversal workloads to O(partition diameter) supersteps.
-	ModeSubgraph = pregel.ModeSubgraph
-)
-
 // NewDetachedSubgraph builds a free-standing subgraph from member
 // vertices and their incoming messages — what generated subgraph
 // reproduction tests use to rebuild a captured component.
@@ -204,7 +186,7 @@ const (
 	// vertex goes to the worker already holding the most of its
 	// neighbors, capacity-penalized so load stays balanced. Fewer
 	// cross-worker messages on every workload, larger components —
-	// hence fuller superstep collapse — in ModeSubgraph. Results and
+	// hence fuller superstep collapse — in subgraph mode. Results and
 	// trace digests are identical to PartitionHash.
 	PartitionLocality = pregel.PartitionLocality
 )
@@ -262,10 +244,6 @@ var (
 	WithQueueCapacity = trace.WithQueueCapacity
 	// WithBackpressure selects the full-queue policy (Block or Drop).
 	WithBackpressure = trace.WithBackpressure
-	// WithSynchronous disables the background writers: records are
-	// encoded and written inline, the legacy behavior. Mostly useful
-	// for benchmarking the async pipeline against its baseline.
-	WithSynchronous = trace.WithSynchronous
 )
 
 // Re-exported value constructors, so user computations and generated
@@ -317,8 +295,7 @@ var CorruptReplicas = faults.CorruptReplicas
 func NewStore(fs dfs.FileSystem, root string) *Store { return trace.NewStore(fs, root) }
 
 // OpenTrace opens a job's trace lazily: lookups go through the
-// segment index and read only the segments they touch. The returned
-// Reader implements TraceView.
+// segment index and read only the segments they touch.
 func OpenTrace(store *Store, jobID string) (*TraceReader, error) {
 	return store.OpenReader(jobID)
 }
@@ -352,18 +329,20 @@ type RunOptions struct {
 	Supersteps int
 	// Engine configures the BSP engine (workers, master, combiner...).
 	Engine EngineConfig
-	// Subgraph is the subgraph-centric program, required when
-	// Engine.ComputeMode is ModeSubgraph (RunAlgorithm fills it from
-	// the algorithm's port). The Computation argument is ignored in
-	// that mode.
+	// Subgraph is the subgraph-centric program. Setting it selects
+	// subgraph mode: it runs once per active connected component of a
+	// partition per superstep, collapsing traversal workloads to
+	// O(partition diameter) supersteps, and the Computation argument is
+	// ignored. RunAlgorithm does not set it; pass the algorithm's port
+	// (Algorithm.Subgraph) to run a packaged algorithm in subgraph mode.
 	Subgraph SubgraphComputation
 	// Debug, when non-nil, attaches Graft with this DebugConfig.
 	Debug *DebugConfig
 	// Store receives trace files; required when Debug is set.
 	Store *Store
 	// Trace configures the capture pipeline (segment size,
-	// backpressure policy, queue capacity, synchronous mode). The
-	// zero value is the async pipeline with blocking backpressure.
+	// backpressure policy, queue capacity). The zero value is the
+	// defaults with blocking backpressure.
 	Trace []TraceOption
 	// Aggregators to register on the job.
 	Aggregators []AggregatorSpec
@@ -406,11 +385,9 @@ func RunAlgorithm(g *Graph, alg *Algorithm, opts RunOptions) (*RunResult, error)
 }
 
 // RunSubgraph runs a subgraph-centric program over g: Run with
-// Engine.ComputeMode forced to ModeSubgraph. Debugging, tracing and
-// reproduction work exactly as in vertex mode, at component
-// granularity.
+// opts.Subgraph set to scomp. Debugging, tracing and reproduction work
+// exactly as in vertex mode, at component granularity.
 func RunSubgraph(g *Graph, scomp SubgraphComputation, opts RunOptions) (*RunResult, error) {
-	opts.Engine.ComputeMode = pregel.ModeSubgraph
 	opts.Subgraph = scomp
 	return Run(g, nil, opts)
 }

@@ -32,9 +32,10 @@ type AggregatorSpec struct {
 type Algorithm struct {
 	Name    string
 	Compute pregel.Computation
-	// Subgraph, if non-nil, is the algorithm's subgraph-centric port:
-	// selecting pregel.ModeSubgraph runs it instead of Compute, over
-	// each connected component of a partition per superstep.
+	// Subgraph, if non-nil, is the algorithm's subgraph-centric port: a
+	// job built with it (pregel.NewSubgraphJob, or graft.RunOptions'
+	// Subgraph) runs it instead of Compute, over each connected
+	// component of a partition per superstep.
 	Subgraph    pregel.SubgraphComputation
 	Master      pregel.MasterComputation
 	Combiner    pregel.Combiner
@@ -50,7 +51,7 @@ func (a *Algorithm) SupportsSubgraph() bool { return a.Subgraph != nil }
 
 // ApplyDefaults fills the master, combiner and superstep bound of an
 // engine config from the algorithm's, leaving what the caller set: the
-// one defaulting rule under Configure and graft.RunAlgorithm.
+// defaulting rule under graft.RunAlgorithm.
 func (a *Algorithm) ApplyDefaults(cfg *pregel.Config) {
 	if cfg.Master == nil {
 		cfg.Master = a.Master
@@ -61,30 +62,4 @@ func (a *Algorithm) ApplyDefaults(cfg *pregel.Config) {
 	if cfg.MaxSupersteps == 0 {
 		cfg.MaxSupersteps = a.MaxSupersteps
 	}
-}
-
-// Configure fills an engine config with the algorithm's master and
-// combiner and returns a job with its aggregators registered. Fields
-// the caller already set (Listener, NumWorkers, checkpointing...) are
-// preserved; an explicit MaxSupersteps wins over the suggestion.
-func (a *Algorithm) Configure(g *pregel.Graph, cfg pregel.Config) *pregel.Job {
-	a.ApplyDefaults(&cfg)
-	var job *pregel.Job
-	if cfg.ComputeMode == pregel.ModeSubgraph {
-		// A nil a.Subgraph is rejected by the engine with a typed
-		// ErrInvalidConfig; callers wanting a friendlier message check
-		// SupportsSubgraph first.
-		job = pregel.NewSubgraphJob(g, a.Subgraph, cfg)
-	} else {
-		job = pregel.NewJob(g, a.Compute, cfg)
-	}
-	for _, spec := range a.Aggregators {
-		job.RegisterAggregator(spec.Name, spec.Agg, spec.Persistent)
-	}
-	return job
-}
-
-// Run executes the algorithm over g with the given base config.
-func (a *Algorithm) Run(g *pregel.Graph, cfg pregel.Config) (*pregel.Stats, error) {
-	return a.Configure(g, cfg).Run()
 }

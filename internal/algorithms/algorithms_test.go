@@ -1,27 +1,30 @@
-package algorithms
+package algorithms_test
 
 import (
 	"math"
 	"testing"
 
+	"graft"
+	"graft/internal/algorithms"
 	"graft/internal/graphgen"
 	"graft/internal/pregel"
 )
 
-func runAlg(t *testing.T, a *Algorithm, g *pregel.Graph, cfg pregel.Config) *pregel.Stats {
+// runAlg runs a vertex-mode job of a over g, the way `graft run` does.
+func runAlg(t *testing.T, a *algorithms.Algorithm, g *pregel.Graph, cfg pregel.Config) *pregel.Stats {
 	t.Helper()
-	stats, err := a.Run(g, cfg)
+	res, err := graft.RunAlgorithm(g, a, graft.RunOptions{Engine: cfg})
 	if err != nil {
 		t.Fatalf("%s: %v", a.Name, err)
 	}
-	return stats
+	return res.Stats
 }
 
 // --- Connected components ---
 
 func TestConnectedComponentsOnBipartite(t *testing.T) {
 	g := graphgen.RegularBipartite(100, 3)
-	runAlg(t, NewConnectedComponents(), g, pregel.Config{NumWorkers: 4})
+	runAlg(t, algorithms.NewConnectedComponents(), g, pregel.Config{NumWorkers: 4})
 	g.Each(func(v *pregel.Vertex) {
 		if got := v.Value().(*pregel.LongValue).Get(); got != 0 {
 			t.Fatalf("vertex %d label %d, want 0 (graph is connected)", v.ID(), got)
@@ -44,7 +47,7 @@ func TestConnectedComponentsDisjoint(t *testing.T) {
 	if err := g.AddUndirectedEdge(3, 4, nil); err != nil {
 		t.Fatal(err)
 	}
-	runAlg(t, NewConnectedComponents(), g, pregel.Config{NumWorkers: 2})
+	runAlg(t, algorithms.NewConnectedComponents(), g, pregel.Config{NumWorkers: 2})
 	want := map[pregel.VertexID]int64{0: 0, 1: 0, 2: 2, 3: 2, 4: 2, 5: 5}
 	for id, label := range want {
 		if got := g.Vertex(id).Value().(*pregel.LongValue).Get(); got != label {
@@ -57,7 +60,7 @@ func TestConnectedComponentsDisjoint(t *testing.T) {
 
 func TestPageRankConservesMass(t *testing.T) {
 	g := graphgen.WebGraph(500, 5, 7)
-	runAlg(t, NewPageRank(20, 0.85), g, pregel.Config{NumWorkers: 4})
+	runAlg(t, algorithms.NewPageRank(20, 0.85), g, pregel.Config{NumWorkers: 4})
 	var total float64
 	g.Each(func(v *pregel.Vertex) {
 		total += v.Value().(*pregel.DoubleValue).Get()
@@ -81,7 +84,7 @@ func TestPageRankOrdering(t *testing.T) {
 	if err := g.AddEdge(0, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	runAlg(t, NewPageRank(30, 0.85), g, pregel.Config{NumWorkers: 2})
+	runAlg(t, algorithms.NewPageRank(30, 0.85), g, pregel.Config{NumWorkers: 2})
 	rank := func(id pregel.VertexID) float64 {
 		return g.Vertex(id).Value().(*pregel.DoubleValue).Get()
 	}
@@ -110,7 +113,7 @@ func TestSSSPWeightedPath(t *testing.T) {
 	add(0, 2, 10) // longer direct edge
 	add(2, 3, 1)
 	// vertex 4 unreachable
-	runAlg(t, NewSSSP(0), g, pregel.Config{NumWorkers: 3})
+	runAlg(t, algorithms.NewSSSP(0), g, pregel.Config{NumWorkers: 3})
 	want := map[pregel.VertexID]float64{0: 0, 1: 1, 2: 3, 3: 4, 4: math.Inf(1)}
 	for id, d := range want {
 		if got := g.Vertex(id).Value().(*pregel.DoubleValue).Get(); got != d {
@@ -129,7 +132,7 @@ func TestSSSPUnweightedDefaultsToHops(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	runAlg(t, NewSSSP(0), g, pregel.Config{})
+	runAlg(t, algorithms.NewSSSP(0), g, pregel.Config{})
 	if got := g.Vertex(3).Value().(*pregel.DoubleValue).Get(); got != 3 {
 		t.Errorf("dist(3) = %v, want 3", got)
 	}
@@ -143,15 +146,15 @@ func colorConflicts(t *testing.T, g *pregel.Graph) int {
 	t.Helper()
 	conflicts := 0
 	g.Each(func(v *pregel.Vertex) {
-		val, ok := v.Value().(*GCValue)
-		if !ok || val.State != GCColored {
+		val, ok := v.Value().(*algorithms.GCValue)
+		if !ok || val.State != algorithms.GCColored {
 			t.Fatalf("vertex %d not colored: %v", v.ID(), v.Value())
 		}
 		for _, e := range v.Edges() {
 			if e.Target <= v.ID() {
 				continue
 			}
-			nval := g.Vertex(e.Target).Value().(*GCValue)
+			nval := g.Vertex(e.Target).Value().(*algorithms.GCValue)
 			if nval.Color == val.Color {
 				conflicts++
 			}
@@ -162,7 +165,7 @@ func colorConflicts(t *testing.T, g *pregel.Graph) int {
 
 func TestGraphColoringIsProper(t *testing.T) {
 	g := graphgen.RegularBipartite(200, 3)
-	stats := runAlg(t, NewGraphColoring(42), g, pregel.Config{NumWorkers: 4})
+	stats := runAlg(t, algorithms.NewGraphColoring(42), g, pregel.Config{NumWorkers: 4})
 	if stats.Reason != pregel.ReasonConverged {
 		t.Fatalf("GC did not converge: %v", stats.Reason)
 	}
@@ -173,7 +176,7 @@ func TestGraphColoringIsProper(t *testing.T) {
 
 func TestGraphColoringOnSocialGraph(t *testing.T) {
 	g := graphgen.SocialGraph(300, 6, 1)
-	runAlg(t, NewGraphColoring(7), g, pregel.Config{NumWorkers: 4})
+	runAlg(t, algorithms.NewGraphColoring(7), g, pregel.Config{NumWorkers: 4})
 	if n := colorConflicts(t, g); n != 0 {
 		t.Errorf("proper coloring has %d conflicts", n)
 	}
@@ -184,7 +187,7 @@ func TestBuggyGraphColoringAssignsAdjacentSameColor(t *testing.T) {
 	// same set. With the coarse buggy priority range, collisions are
 	// essentially certain on a few hundred vertices.
 	g := graphgen.RegularBipartite(400, 3)
-	stats := runAlg(t, NewBuggyGraphColoring(42), g, pregel.Config{NumWorkers: 4})
+	stats := runAlg(t, algorithms.NewBuggyGraphColoring(42), g, pregel.Config{NumWorkers: 4})
 	if stats.Reason != pregel.ReasonConverged {
 		t.Fatalf("buggy GC did not converge: %v", stats.Reason)
 	}
@@ -197,10 +200,10 @@ func TestGraphColoringUsesFewColors(t *testing.T) {
 	// A 3-regular bipartite graph needs few colors; MIS-based coloring
 	// should stay well below the trivial bound.
 	g := graphgen.RegularBipartite(100, 3)
-	runAlg(t, NewGraphColoring(3), g, pregel.Config{NumWorkers: 2})
+	runAlg(t, algorithms.NewGraphColoring(3), g, pregel.Config{NumWorkers: 2})
 	colors := map[int32]bool{}
 	g.Each(func(v *pregel.Vertex) {
-		colors[v.Value().(*GCValue).Color] = true
+		colors[v.Value().(*algorithms.GCValue).Color] = true
 	})
 	if len(colors) > 8 {
 		t.Errorf("used %d colors on a 3-regular graph", len(colors))
@@ -210,9 +213,9 @@ func TestGraphColoringUsesFewColors(t *testing.T) {
 func TestGraphColoringDeterministicForSeed(t *testing.T) {
 	run := func() map[pregel.VertexID]int32 {
 		g := graphgen.RegularBipartite(100, 3)
-		runAlg(t, NewGraphColoring(5), g, pregel.Config{NumWorkers: 3})
+		runAlg(t, algorithms.NewGraphColoring(5), g, pregel.Config{NumWorkers: 3})
 		out := map[pregel.VertexID]int32{}
-		g.Each(func(v *pregel.Vertex) { out[v.ID()] = v.Value().(*GCValue).Color })
+		g.Each(func(v *pregel.Vertex) { out[v.ID()] = v.Value().(*algorithms.GCValue).Color })
 		return out
 	}
 	a, b := run(), run()
@@ -229,12 +232,12 @@ func TestRandomWalkConservesWalkers(t *testing.T) {
 	// On a graph where every vertex has out-edges, walkers are
 	// conserved: total = 100 * n every superstep.
 	g := graphgen.RegularBipartite(100, 3)
-	runAlg(t, NewRandomWalk(9, 10), g, pregel.Config{NumWorkers: 4})
+	runAlg(t, algorithms.NewRandomWalk(9, 10), g, pregel.Config{NumWorkers: 4})
 	var total int64
 	g.Each(func(v *pregel.Vertex) {
 		total += v.Value().(*pregel.LongValue).Get()
 	})
-	if want := int64(100 * InitialWalkers); total != want {
+	if want := int64(100 * algorithms.InitialWalkers); total != want {
 		t.Errorf("total walkers = %d, want %d", total, want)
 	}
 }
@@ -245,7 +248,7 @@ func TestRandomWalk16Overflows(t *testing.T) {
 	g := graphgen.WebGraph(2000, 5, 11)
 	sawNegative := false
 	listener := &negativeWatcher{}
-	a := NewRandomWalk16(9, 8)
+	a := algorithms.NewRandomWalk16(9, 8)
 	cfg := pregel.Config{NumWorkers: 4, Listener: listener}
 	runAlg(t, a, g, cfg)
 	g.Each(func(v *pregel.Vertex) {
@@ -255,7 +258,7 @@ func TestRandomWalk16Overflows(t *testing.T) {
 	})
 	var total int64
 	g.Each(func(v *pregel.Vertex) { total += v.Value().(*pregel.LongValue).Get() })
-	if !sawNegative && total == int64(g.NumVertices())*InitialWalkers {
+	if !sawNegative && total == int64(g.NumVertices())*algorithms.InitialWalkers {
 		t.Error("16-bit walk neither produced negative counts nor lost walkers; the planted bug did not fire")
 	}
 }
@@ -271,7 +274,7 @@ func (*negativeWatcher) JobFinished(*pregel.Stats, error)             {}
 
 func TestRandomWalkWideDoesNotOverflow(t *testing.T) {
 	g := graphgen.WebGraph(2000, 5, 11)
-	runAlg(t, NewRandomWalk(9, 8), g, pregel.Config{NumWorkers: 4})
+	runAlg(t, algorithms.NewRandomWalk(9, 8), g, pregel.Config{NumWorkers: 4})
 	var total int64
 	g.Each(func(v *pregel.Vertex) {
 		w := v.Value().(*pregel.LongValue).Get()
@@ -280,7 +283,7 @@ func TestRandomWalkWideDoesNotOverflow(t *testing.T) {
 		}
 		total += w
 	})
-	if want := g.NumVertices() * InitialWalkers; total != want {
+	if want := g.NumVertices() * algorithms.InitialWalkers; total != want {
 		t.Errorf("total walkers = %d, want %d", total, want)
 	}
 }
@@ -288,7 +291,7 @@ func TestRandomWalkWideDoesNotOverflow(t *testing.T) {
 func TestRandomWalkDeterministic(t *testing.T) {
 	run := func() int64 {
 		g := graphgen.WebGraph(300, 4, 5)
-		runAlg(t, NewRandomWalk(3, 6), g, pregel.Config{NumWorkers: 3})
+		runAlg(t, algorithms.NewRandomWalk(3, 6), g, pregel.Config{NumWorkers: 3})
 		return g.Vertex(0).Value().(*pregel.LongValue).Get()
 	}
 	if a, b := run(), run(); a != b {
@@ -301,7 +304,7 @@ func TestRandomWalkDeterministic(t *testing.T) {
 func TestMWMConvergesOnSymmetricGraph(t *testing.T) {
 	g := graphgen.SocialGraph(200, 5, 3)
 	orig := g.Clone()
-	stats := runAlg(t, NewMaximumWeightMatching(5000), g, pregel.Config{NumWorkers: 4})
+	stats := runAlg(t, algorithms.NewMaximumWeightMatching(5000), g, pregel.Config{NumWorkers: 4})
 	if stats.Reason != pregel.ReasonConverged {
 		t.Fatalf("MWM on symmetric weights should converge, got %v", stats.Reason)
 	}
@@ -309,7 +312,7 @@ func TestMWMConvergesOnSymmetricGraph(t *testing.T) {
 	// and every matched pair was an edge of the original graph.
 	matched := map[pregel.VertexID]pregel.VertexID{}
 	g.Each(func(v *pregel.Vertex) {
-		val := v.Value().(*MWMValue)
+		val := v.Value().(*algorithms.MWMValue)
 		if val.Matched {
 			matched[v.ID()] = val.MatchedTo
 		}
@@ -340,14 +343,14 @@ func TestMWMPicksHeaviestEdgeOnPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	runAlg(t, NewMaximumWeightMatching(100), g, pregel.Config{NumWorkers: 2})
-	v1 := g.Vertex(1).Value().(*MWMValue)
-	v2 := g.Vertex(2).Value().(*MWMValue)
+	runAlg(t, algorithms.NewMaximumWeightMatching(100), g, pregel.Config{NumWorkers: 2})
+	v1 := g.Vertex(1).Value().(*algorithms.MWMValue)
+	v2 := g.Vertex(2).Value().(*algorithms.MWMValue)
 	if !v1.Matched || v1.MatchedTo != 2 || !v2.Matched || v2.MatchedTo != 1 {
 		t.Errorf("middle edge not matched: %v %v", v1, v2)
 	}
 	for _, id := range []pregel.VertexID{0, 3} {
-		if g.Vertex(id).Value().(*MWMValue).Matched {
+		if g.Vertex(id).Value().(*algorithms.MWMValue).Matched {
 			t.Errorf("endpoint %d should be unmatched", id)
 		}
 	}
@@ -359,39 +362,9 @@ func TestMWMLivelocksOnAsymmetricWeights(t *testing.T) {
 	g := graphgen.SocialGraph(100, 5, 3)
 	graphgen.PlantPreferenceCycle(g)
 	graphgen.CorruptWeights(g, 0.02, 99)
-	stats := runAlg(t, NewMaximumWeightMatching(200), g, pregel.Config{NumWorkers: 4})
+	stats := runAlg(t, algorithms.NewMaximumWeightMatching(200), g, pregel.Config{NumWorkers: 4})
 	if stats.Reason != pregel.ReasonMaxSupersteps {
 		t.Fatalf("MWM on corrupted weights should hit the superstep cap, got %v after %d supersteps",
 			stats.Reason, stats.Supersteps)
-	}
-}
-
-// --- Determinism of the per-vertex RNG ---
-
-func TestVertexRandProperties(t *testing.T) {
-	if VertexRand(1, 2, 3, 4) != VertexRand(1, 2, 3, 4) {
-		t.Error("VertexRand not deterministic")
-	}
-	seen := map[uint64]bool{}
-	for i := int64(0); i < 1000; i++ {
-		seen[VertexRand(1, i, 3, 4)] = true
-	}
-	if len(seen) < 1000 {
-		t.Errorf("VertexRand collisions across vertex IDs: %d unique of 1000", len(seen))
-	}
-	// Draw streams differ across supersteps.
-	if VertexRand(1, 2, 3, 0) == VertexRand(1, 2, 4, 0) {
-		t.Error("VertexRand identical across supersteps")
-	}
-	// Stream covers range reasonably.
-	r := newVertexRandStream(1, 2, 3)
-	counts := make([]int, 7)
-	for i := 0; i < 7000; i++ {
-		counts[r.intn(7)]++
-	}
-	for b, c := range counts {
-		if c < 700 || c > 1300 {
-			t.Errorf("bucket %d count %d badly skewed", b, c)
-		}
 	}
 }

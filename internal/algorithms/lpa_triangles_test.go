@@ -1,8 +1,9 @@
-package algorithms
+package algorithms_test
 
 import (
 	"testing"
 
+	"graft/internal/algorithms"
 	"graft/internal/graphgen"
 	"graft/internal/pregel"
 )
@@ -63,8 +64,8 @@ func TestTriangleCountOnKnownGraphs(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			g := c.build(t)
-			runAlg(t, NewTriangleCount(), g, pregel.Config{NumWorkers: 3})
-			if got := TotalTriangles(g); got != c.want {
+			runAlg(t, algorithms.NewTriangleCount(), g, pregel.Config{NumWorkers: 3})
+			if got := algorithms.TotalTriangles(g); got != c.want {
 				t.Errorf("triangles = %d, want %d", got, c.want)
 			}
 		})
@@ -97,8 +98,8 @@ func TestTriangleCountMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
-	runAlg(t, NewTriangleCount(), g, pregel.Config{NumWorkers: 4})
-	if got := TotalTriangles(g); got != want {
+	runAlg(t, algorithms.NewTriangleCount(), g, pregel.Config{NumWorkers: 4})
+	if got := algorithms.TotalTriangles(g); got != want {
 		t.Errorf("triangles = %d, brute force = %d", got, want)
 	}
 }
@@ -138,7 +139,7 @@ func TestKCoreMatchesBruteForce(t *testing.T) {
 		g := graphgen.SocialGraph(300, 6, 11)
 		want := refKCore(g, k)
 		run := g.Clone()
-		stats := runAlg(t, NewKCore(k), run, pregel.Config{NumWorkers: 4})
+		stats := runAlg(t, algorithms.NewKCore(k), run, pregel.Config{NumWorkers: 4})
 		if stats.Reason != pregel.ReasonConverged {
 			t.Fatalf("k=%d: %v", k, stats.Reason)
 		}
@@ -154,13 +155,13 @@ func TestKCoreMatchesBruteForce(t *testing.T) {
 func TestKCoreOnRegularGraph(t *testing.T) {
 	// A 3-regular graph IS its own 3-core and has an empty 4-core.
 	g := graphgen.RegularBipartite(100, 3)
-	runAlg(t, NewKCore(3), g, pregel.Config{NumWorkers: 2})
-	if got := KCoreSize(g); got != 100 {
+	runAlg(t, algorithms.NewKCore(3), g, pregel.Config{NumWorkers: 2})
+	if got := algorithms.KCoreSize(g); got != 100 {
 		t.Errorf("3-core of 3-regular graph = %d, want 100", got)
 	}
 	g2 := graphgen.RegularBipartite(100, 3)
-	runAlg(t, NewKCore(4), g2, pregel.Config{NumWorkers: 2})
-	if got := KCoreSize(g2); got != 0 {
+	runAlg(t, algorithms.NewKCore(4), g2, pregel.Config{NumWorkers: 2})
+	if got := algorithms.KCoreSize(g2); got != 0 {
 		t.Errorf("4-core of 3-regular graph = %d, want 0", got)
 	}
 }
@@ -181,8 +182,8 @@ func TestKCorePeelsChainIntoCore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	runAlg(t, NewKCore(3), g, pregel.Config{NumWorkers: 3})
-	if got := KCoreSize(g); got != 4 {
+	runAlg(t, algorithms.NewKCore(3), g, pregel.Config{NumWorkers: 3})
+	if got := algorithms.KCoreSize(g); got != 4 {
 		t.Errorf("3-core size = %d, want 4", got)
 	}
 	for i := 0; i < 4; i++ {
@@ -200,7 +201,7 @@ func TestLabelPropagationTwoCommunities(t *testing.T) {
 	if err := g.AddUndirectedEdge(0, 100, nil); err != nil {
 		t.Fatal(err)
 	}
-	stats := runAlg(t, NewLabelPropagation(50), g, pregel.Config{NumWorkers: 3})
+	stats := runAlg(t, algorithms.NewLabelPropagation(50), g, pregel.Config{NumWorkers: 3})
 	if stats.Reason != pregel.ReasonMasterHalted && stats.Reason != pregel.ReasonConverged {
 		t.Fatalf("LPA did not stop cleanly: %v", stats.Reason)
 	}
@@ -224,7 +225,7 @@ func TestLabelPropagationEarlyStop(t *testing.T) {
 	// the master must halt well before the iteration budget.
 	g := pregel.NewGraph()
 	completeGraph(t, g, 0, 8)
-	stats := runAlg(t, NewLabelPropagation(1000), g, pregel.Config{NumWorkers: 2})
+	stats := runAlg(t, algorithms.NewLabelPropagation(1000), g, pregel.Config{NumWorkers: 2})
 	if stats.Supersteps > 10 {
 		t.Errorf("LPA ran %d supersteps on a clique", stats.Supersteps)
 	}
@@ -238,7 +239,7 @@ func TestLabelPropagationEarlyStop(t *testing.T) {
 func TestLabelPropagationDeterministic(t *testing.T) {
 	run := func() map[pregel.VertexID]int64 {
 		g := graphgen.SocialGraph(200, 5, 9)
-		runAlg(t, NewLabelPropagation(30), g, pregel.Config{NumWorkers: 4})
+		runAlg(t, algorithms.NewLabelPropagation(30), g, pregel.Config{NumWorkers: 4})
 		out := map[pregel.VertexID]int64{}
 		g.Each(func(v *pregel.Vertex) { out[v.ID()] = v.Value().(*pregel.LongValue).Get() })
 		return out

@@ -1,10 +1,12 @@
-package algorithms
+package algorithms_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
+	"graft"
+	"graft/internal/algorithms"
 	"graft/internal/graphgen"
 	"graft/internal/pregel"
 )
@@ -31,24 +33,31 @@ func symRandomGraph(seed int64, n int) *pregel.Graph {
 	return g
 }
 
-// runBothModes runs alg over clones of g in vertex and subgraph mode
-// and returns the two stats plus the final-value digests.
-func runBothModes(t *testing.T, alg *Algorithm, g *pregel.Graph, workers int) (vs, ss *pregel.Stats, vd, sd string) {
+// runSubgraph runs alg's subgraph-mode port over g, the way `graft run
+// -mode subgraph` does.
+func runSubgraph(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph, workers int) *pregel.Stats {
 	t.Helper()
-	gv, gs := g.Clone(), g.Clone()
-	vs = runAlg(t, alg, gv, pregel.Config{NumWorkers: workers})
-	stats, err := alg.Run(gs, pregel.Config{NumWorkers: workers, ComputeMode: pregel.ModeSubgraph})
+	res, err := graft.RunAlgorithm(g, alg, graft.RunOptions{Engine: pregel.Config{NumWorkers: workers}, Subgraph: alg.Subgraph})
 	if err != nil {
 		t.Fatalf("%s subgraph mode: %v", alg.Name, err)
 	}
-	ss = stats
+	return res.Stats
+}
+
+// runBothModes runs alg over clones of g in vertex and subgraph mode
+// and returns the two stats plus the final-value digests.
+func runBothModes(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph, workers int) (vs, ss *pregel.Stats, vd, sd string) {
+	t.Helper()
+	gv, gs := g.Clone(), g.Clone()
+	vs = runAlg(t, alg, gv, pregel.Config{NumWorkers: workers})
+	ss = runSubgraph(t, alg, gs, workers)
 	return vs, ss, gv.ValuesDigest(), gs.ValuesDigest()
 }
 
 func TestSubgraphWCCEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		g := symRandomGraph(seed, 300)
-		vs, ss, vd, sd := runBothModes(t, NewConnectedComponents(), g, 4)
+		vs, ss, vd, sd := runBothModes(t, algorithms.NewConnectedComponents(), g, 4)
 		if vd != sd {
 			t.Fatalf("seed %d: value digest mismatch: vertex %s subgraph %s", seed, vd, sd)
 		}
@@ -62,7 +71,7 @@ func TestSubgraphWCCEquivalence(t *testing.T) {
 func TestSubgraphBFSEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		g := symRandomGraph(seed+100, 300)
-		vs, ss, vd, sd := runBothModes(t, NewBFS(0), g, 4)
+		vs, ss, vd, sd := runBothModes(t, algorithms.NewBFS(0), g, 4)
 		if vd != sd {
 			t.Fatalf("seed %d: value digest mismatch: vertex %s subgraph %s", seed, vd, sd)
 		}
@@ -77,7 +86,7 @@ func TestSubgraphBFSEquivalence(t *testing.T) {
 // graph's long label-propagation chains into a handful of supersteps.
 func TestSubgraphWCCCollapsesBipartiteSupersteps(t *testing.T) {
 	g := graphgen.RegularBipartite(400, 8)
-	vs, ss, vd, sd := runBothModes(t, NewConnectedComponents(), g, 4)
+	vs, ss, vd, sd := runBothModes(t, algorithms.NewConnectedComponents(), g, 4)
 	if vd != sd {
 		t.Fatalf("value digest mismatch: vertex %s subgraph %s", vd, sd)
 	}
@@ -102,12 +111,9 @@ func TestSubgraphWCCCollapsesBipartiteSupersteps(t *testing.T) {
 func TestSubgraphPageRankApproximatesVertexFixpoint(t *testing.T) {
 	g := graphgen.WebGraph(400, 5, 7)
 	gv, gs := g.Clone(), g.Clone()
-	alg := NewPageRank(100, 0.85)
+	alg := algorithms.NewPageRank(100, 0.85)
 	vstats := runAlg(t, alg, gv, pregel.Config{NumWorkers: 4})
-	sstats, err := alg.Run(gs, pregel.Config{NumWorkers: 4, ComputeMode: pregel.ModeSubgraph})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sstats := runSubgraph(t, alg, gs, 4)
 	var l1, mass float64
 	gv.Each(func(v *pregel.Vertex) {
 		rv := v.Value().(*pregel.DoubleValue).Get()
@@ -129,17 +135,17 @@ func TestSubgraphPageRankApproximatesVertexFixpoint(t *testing.T) {
 
 func TestSubgraphModeWithoutPortFails(t *testing.T) {
 	g := symRandomGraph(7, 20)
-	alg := NewTriangleCount()
+	alg := algorithms.NewTriangleCount()
 	if alg.SupportsSubgraph() {
 		t.Skip("triangles grew a subgraph port; pick another algorithm")
 	}
-	if _, err := alg.Run(g, pregel.Config{NumWorkers: 2, ComputeMode: pregel.ModeSubgraph}); err == nil {
+	if _, err := pregel.NewSubgraphJob(g, alg.Subgraph, pregel.Config{NumWorkers: 2}).Run(); err == nil {
 		t.Fatal("subgraph mode without a port: want error, got nil")
 	}
 }
 
 func TestSubgraphNames(t *testing.T) {
-	names := SubgraphNames()
+	names := algorithms.SubgraphNames()
 	want := map[string]bool{"cc": true, "bfs": true, "pagerank": true}
 	if len(names) != len(want) {
 		t.Fatalf("SubgraphNames() = %v, want the keys of %v", names, want)

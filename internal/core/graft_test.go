@@ -15,7 +15,7 @@ import (
 // runDebugged runs alg over g with Graft attached and returns the
 // loaded trace DB plus the session and job error.
 func runDebugged(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph,
-	cfg pregel.Config, dc DebugConfig) (trace.View, *Graft, error) {
+	cfg pregel.Config, dc DebugConfig) (*trace.Reader, *Graft, error) {
 	t.Helper()
 	store := trace.NewStore(dfs.NewMemFS(), "traces")
 	if cfg.NumWorkers <= 0 {

@@ -13,8 +13,9 @@
 // LatencyFS wraps any of them with a fixed per-operation delay, for
 // experiments where the remote store's round-trip cost is the point.
 //
-// All implementations satisfy the same structural interface, which is
-// also declared (identically) as pregel.FileSystem.
+// All implementations satisfy FileSystem, the one storage contract the
+// engine's checkpoints and outbox logs, segio and the trace store write
+// through.
 package dfs
 
 import (

@@ -33,7 +33,7 @@ var historyTmpl = template.Must(template.New("history").Parse(`
 <a class="reproduce" href="/job/{{.JobID}}/reproduce-suite?id={{.ID}}">Generate test suite for all supersteps</a>
 </p>`))
 
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, db trace.View) {
+func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
 	id, err := strconv.ParseInt(r.FormValue("id"), 10, 64)
 	if err != nil {
 		http.Error(w, "bad vertex id", http.StatusBadRequest)

@@ -37,7 +37,7 @@ cluster execution.</p>
 </table>
 {{end}}`))
 
-func (s *Server) handleReplayCheck(w http.ResponseWriter, r *http.Request, db trace.View) {
+func (s *Server) handleReplayCheck(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
 	superstep := superstepOf(r, db)
 	captures := db.CapturesAt(superstep)
 	nav, err := navHTML(db, superstep, trace.StatusOf(captures))

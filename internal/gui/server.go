@@ -27,7 +27,7 @@ type Server struct {
 	store *trace.Store
 
 	mu         sync.Mutex
-	views      map[string]trace.View
+	views      map[string]*trace.Reader
 	offline    map[string]*pregel.Graph
 	algorithms func(trace.JobMeta) (pregel.Computation, repro.GenSpec)
 	metricsSrc func(jobID string) *metrics.Registry
@@ -37,7 +37,7 @@ type Server struct {
 func NewServer(store *trace.Store) *Server {
 	return &Server{
 		store:   store,
-		views:   map[string]trace.View{},
+		views:   map[string]*trace.Reader{},
 		offline: map[string]*pregel.Graph{},
 	}
 }
@@ -55,7 +55,7 @@ func (s *Server) AttachAlgorithms(resolve func(trace.JobMeta) (pregel.Computatio
 	s.algorithms = resolve
 }
 
-func (s *Server) algorithmOf(db trace.View) (pregel.Computation, repro.GenSpec) {
+func (s *Server) algorithmOf(db *trace.Reader) (pregel.Computation, repro.GenSpec) {
 	s.mu.Lock()
 	resolve := s.algorithms
 	s.mu.Unlock()
@@ -67,7 +67,7 @@ func (s *Server) algorithmOf(db trace.View) (pregel.Computation, repro.GenSpec) 
 
 // db opens (and caches) a job's trace view: a lazy trace.Reader that
 // fetches only the segments a page touches.
-func (s *Server) db(jobID string) (trace.View, error) {
+func (s *Server) db(jobID string) (*trace.Reader, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if v, ok := s.views[jobID]; ok {
@@ -111,7 +111,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // jobView adapts a handler that needs an open trace.
-func (s *Server) jobView(h func(http.ResponseWriter, *http.Request, trace.View)) http.HandlerFunc {
+func (s *Server) jobView(h func(http.ResponseWriter, *http.Request, *trace.Reader)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		db, err := s.db(r.PathValue("id"))
 		if err != nil {
@@ -139,7 +139,7 @@ func renderSub(t *template.Template, data any) (template.HTML, error) {
 }
 
 // superstepOf parses ?superstep, clamped to the trace's range.
-func superstepOf(r *http.Request, db trace.View) int {
+func superstepOf(r *http.Request, db *trace.Reader) int {
 	max := db.MaxSuperstep()
 	n, err := strconv.Atoi(r.FormValue("superstep"))
 	if err != nil {
@@ -160,7 +160,7 @@ type aggRow struct{ Name, Value string }
 // status boxes and the aggregator panel. A page that holds the
 // superstep's captures passes trace.StatusOf of them; the others pass
 // db.StatusAt, which fetches and decodes the superstep to compute it.
-func navHTML(db trace.View, superstep int, status trace.Status) (template.HTML, error) {
+func navHTML(db *trace.Reader, superstep int, status trace.Status) (template.HTML, error) {
 	meta := db.MetaAt(superstep)
 	var aggs []aggRow
 	var nv, ne int64
@@ -254,7 +254,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 // --- Node-link view (Figure 3) ---
 
-func (s *Server) handleNodeLink(w http.ResponseWriter, r *http.Request, db trace.View) {
+func (s *Server) handleNodeLink(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
 	superstep := superstepOf(r, db)
 	captures := db.CapturesAt(superstep)
 	nav, err := navHTML(db, superstep, trace.StatusOf(captures))
@@ -284,7 +284,7 @@ type tabRow struct {
 	Reasons       string
 }
 
-func (s *Server) handleTabular(w http.ResponseWriter, r *http.Request, db trace.View) {
+func (s *Server) handleTabular(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
 	superstep := superstepOf(r, db)
 	nav, err := navHTML(db, superstep, db.StatusAt(superstep))
 	if err != nil {
@@ -340,7 +340,7 @@ func (s *Server) handleTabular(w http.ResponseWriter, r *http.Request, db trace.
 
 // --- Violations and Exceptions view (Figure 5) ---
 
-func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request, db trace.View) {
+func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
 	superstep := superstepOf(r, db)
 	all := r.FormValue("all") != ""
 	captures := db.CapturesAt(superstep)
@@ -370,7 +370,7 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request, db tra
 
 // --- Vertex context detail ---
 
-func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request, db trace.View) {
+func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
 	superstep := superstepOf(r, db)
 	id, err := strconv.ParseInt(r.FormValue("id"), 10, 64)
 	if err != nil {
@@ -448,7 +448,7 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request, db trace.V
 
 // --- Master view ---
 
-func (s *Server) handleMaster(w http.ResponseWriter, r *http.Request, db trace.View) {
+func (s *Server) handleMaster(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
 	superstep := superstepOf(r, db)
 	nav, err := navHTML(db, superstep, db.StatusAt(superstep))
 	if err != nil {
@@ -497,7 +497,7 @@ func (s *Server) handleMaster(w http.ResponseWriter, r *http.Request, db trace.V
 
 // --- Reproduce Context buttons ---
 
-func (s *Server) handleReproduce(w http.ResponseWriter, r *http.Request, db trace.View) {
+func (s *Server) handleReproduce(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
 	superstep := superstepOf(r, db)
 	id, err := strconv.ParseInt(r.FormValue("id"), 10, 64)
 	if err != nil {
@@ -516,7 +516,7 @@ func (s *Server) handleReproduce(w http.ResponseWriter, r *http.Request, db trac
 
 // handleReproduceSuite emits one test per captured superstep of a
 // vertex (the §7 unit-testing extension).
-func (s *Server) handleReproduceSuite(w http.ResponseWriter, r *http.Request, db trace.View) {
+func (s *Server) handleReproduceSuite(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
 	id, err := strconv.ParseInt(r.FormValue("id"), 10, 64)
 	if err != nil {
 		http.Error(w, "bad vertex id", http.StatusBadRequest)
@@ -532,7 +532,7 @@ func (s *Server) handleReproduceSuite(w http.ResponseWriter, r *http.Request, db
 	fmt.Fprint(w, code)
 }
 
-func (s *Server) handleReproduceMaster(w http.ResponseWriter, r *http.Request, db trace.View) {
+func (s *Server) handleReproduceMaster(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
 	superstep := superstepOf(r, db)
 	_, spec := s.algorithmOf(db)
 	code, err := repro.GenerateMasterTest(db, superstep, spec)
@@ -560,7 +560,7 @@ func (s *Server) apiJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, ids)
 }
 
-func (s *Server) apiSupersteps(w http.ResponseWriter, r *http.Request, db trace.View) {
+func (s *Server) apiSupersteps(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
 	writeJSON(w, db.Supersteps())
 }
 
@@ -575,7 +575,7 @@ type apiCaptureRow struct {
 	HasError bool   `json:"has_exception"`
 }
 
-func (s *Server) apiSuperstep(w http.ResponseWriter, r *http.Request, db trace.View) {
+func (s *Server) apiSuperstep(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
 	n, err := strconv.Atoi(r.PathValue("n"))
 	if err != nil {
 		http.Error(w, "bad superstep", http.StatusBadRequest)
@@ -636,7 +636,7 @@ func (s *Server) apiSuperstep(w http.ResponseWriter, r *http.Request, db trace.V
 	writeJSON(w, out)
 }
 
-func (s *Server) apiSearch(w http.ResponseWriter, r *http.Request, db trace.View) {
+func (s *Server) apiSearch(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
 	q := trace.Query{Superstep: -1}
 	if v := r.FormValue("superstep"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil {

@@ -19,7 +19,7 @@ const maxNodeLinkNodes = 48
 
 // RenderNodeLink exposes the node-link diagram for embedding and
 // benchmarks.
-func RenderNodeLink(db trace.View, superstep int) template.HTML {
+func RenderNodeLink(db *trace.Reader, superstep int) template.HTML {
 	return nodeLinkSVG(db.JobMeta().JobID, superstep, db.CapturesAt(superstep))
 }
 

@@ -62,9 +62,9 @@ type Workload struct {
 	Dataset graphgen.Dataset
 	// Workers for the run.
 	Workers int
-	// Mode is the compute mode, for the experiments that fix one per
-	// workload; the zero value is vertex-centric.
-	Mode pregel.ComputeMode
+	// Subgraph runs the algorithm's subgraph-mode port instead of its
+	// vertex program; false is vertex-centric.
+	Subgraph bool
 }
 
 // run executes the workload once on a clone of base under cfg (workers
@@ -73,7 +73,12 @@ type Workload struct {
 func (wl Workload) run(base *pregel.Graph, cfg pregel.Config) (*pregel.Stats, *pregel.Graph, error) {
 	g := base.Clone()
 	cfg.NumWorkers = wl.Workers
-	res, err := graft.RunAlgorithm(g, wl.Algorithm(), graft.RunOptions{Engine: cfg})
+	alg := wl.Algorithm()
+	opts := graft.RunOptions{Engine: cfg}
+	if wl.Subgraph {
+		opts.Subgraph = alg.Subgraph
+	}
+	res, err := graft.RunAlgorithm(g, alg, opts)
 	if err != nil {
 		return nil, g, err
 	}

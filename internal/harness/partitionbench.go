@@ -83,8 +83,8 @@ func PartitionWorkloads(scale float64, seed int64, workers int) []Workload {
 		},
 		{
 			Label: "BFS-chain", Algorithm: func() *algorithms.Algorithm { return algorithms.NewBFS(0) }, Workers: min(workers, 4),
-			Dataset: graphgen.Dataset{Name: "chain", Build: func() *pregel.Graph { return graphgen.ChainedCommunities(nChain, 48, 4, seed) }},
-			Mode:    pregel.ModeSubgraph,
+			Dataset:  graphgen.Dataset{Name: "chain", Build: func() *pregel.Graph { return graphgen.ChainedCommunities(nChain, 48, 4, seed) }},
+			Subgraph: true,
 		},
 	}
 }
@@ -98,16 +98,19 @@ func RunPartitionBench(workloads []Workload, opts Options) ([]PartitionBench, er
 		row := PartitionBench{
 			Workload:  wl.Label,
 			Algorithm: wl.Algorithm().Name,
-			Mode:      wl.Mode.String(),
+			Mode:      "vertex",
 			Vertices:  base.NumVertices(),
 			Edges:     base.NumEdges(),
 			Workers:   wl.Workers,
 			Match:     true,
 		}
+		if wl.Subgraph {
+			row.Mode = "subgraph"
+		}
 		var refDigest string // of the first run; every later run must agree
 		cell := func(placer pregel.PartitionerMode, supersteps *int, remote, edgeCut *int64) Cell {
 			return Cell{Name: placer.String(), Run: func() (time.Duration, error) {
-				stats, g, err := wl.run(base, pregel.Config{ComputeMode: wl.Mode, Partitioner: placer})
+				stats, g, err := wl.run(base, pregel.Config{Partitioner: placer})
 				if err != nil {
 					return 0, err
 				}

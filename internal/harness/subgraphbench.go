@@ -92,15 +92,17 @@ func RunSubgraphBench(workloads []Workload, opts Options) ([]SubgraphBench, erro
 			Match:     true,
 		}
 		var refDigest string // of the first run; every later run must agree
-		cell := func(name string, mode pregel.ComputeMode, supersteps *int) Cell {
+		cell := func(name string, subgraph bool, supersteps *int) Cell {
+			w := wl
+			w.Subgraph = subgraph
 			return Cell{Name: name, Run: func() (time.Duration, error) {
-				stats, g, err := wl.run(base, pregel.Config{ComputeMode: mode})
+				stats, g, err := w.run(base, pregel.Config{})
 				if err != nil {
 					return 0, err
 				}
 				*supersteps = stats.Supersteps
 				row.Match = row.Match && sameValues(&refDigest, g)
-				if mode == pregel.ModeSubgraph {
+				if subgraph {
 					t := stats.Totals()
 					row.SubgraphsComputed, row.InternalIterations = t.SubgraphsComputed, t.InternalIterations
 				}
@@ -109,8 +111,8 @@ func RunSubgraphBench(workloads []Workload, opts Options) ([]SubgraphBench, erro
 		}
 		sum, err := RunPaired(Pair{
 			Name:   "subgraph " + wl.Label,
-			A:      cell("vertex", pregel.ModeVertex, &row.VertexSupersteps),
-			B:      cell("subgraph", pregel.ModeSubgraph, &row.SubgraphSupersteps),
+			A:      cell("vertex", false, &row.VertexSupersteps),
+			B:      cell("subgraph", true, &row.SubgraphSupersteps),
 			Blocks: opts.Reps, Progress: opts.Progress,
 		})
 		if err != nil {

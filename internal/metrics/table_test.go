@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"graft/internal/dfs"
+	"graft/internal/faults"
 	"graft/internal/pregel"
 )
 
@@ -93,7 +94,6 @@ func chainOfClusters(t *testing.T, clusters, per int) *pregel.Graph {
 // truncated rows and the registry has not, so they differ by exactly
 // the re-executed supersteps.
 func TestStatsAndRegistryTotals(t *testing.T) {
-	crashed := false
 	for _, tc := range []struct {
 		name     string
 		graph    *pregel.Graph
@@ -106,11 +106,7 @@ func TestStatsAndRegistryTotals(t *testing.T) {
 			cfg: pregel.Config{NumWorkers: 4, RebalanceObjective: pregel.ObjectiveEdgeCut}},
 		{name: "checkpoint restart", graph: pathGraph(t, 48), rewound: true,
 			cfg: pregel.Config{NumWorkers: 3, CheckpointEvery: 2, CheckpointFS: dfs.NewMemFS(),
-				FailureAt: func(superstep int) bool {
-					fail := superstep == 3 && !crashed
-					crashed = crashed || fail
-					return fail
-				}}},
+				PartitionFailureAt: faults.FailPartitionAt(3)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := NewRegistry(tc.name, "cc")

@@ -270,8 +270,7 @@ type Totals struct {
 	// CaptureNanos sums time spent inside Graft's trace capture.
 	CaptureNanos int64 `json:"capture_ns"`
 	// FlushNanos sums the coordinator time spent draining the capture
-	// pipeline at superstep barriers (zero for undebugged runs and for
-	// synchronous sinks, where writes happen inline).
+	// pipeline at superstep barriers (zero for undebugged runs).
 	FlushNanos int64 `json:"flush_ns,omitempty"`
 	// MaxCaptureQueueDepth is the deepest the capture pipeline's queues
 	// got at any barrier: how far trace writing lagged compute.
@@ -380,7 +379,7 @@ type WorkerStepStats struct {
 	ComputeTime       time.Duration `json:"compute_ns"`
 	BarrierWait       time.Duration `json:"barrier_ns"`
 	CaptureTime       time.Duration `json:"capture_ns"`
-	// Subgraphs and Iterations are the worker's ModeSubgraph telemetry
+	// Subgraphs and Iterations are the worker's subgraph-mode telemetry
 	// (zero in vertex mode).
 	Subgraphs  int64 `json:"subgraphs,omitempty"`
 	Iterations int64 `json:"internal_iters,omitempty"`

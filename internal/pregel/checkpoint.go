@@ -2,28 +2,12 @@ package pregel
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
-)
 
-// FileSystem is the storage abstraction the engine checkpoints into
-// and Graft writes trace files into. The dfs package provides
-// in-memory, local-disk and simulated-distributed implementations; the
-// interface is structural so any of them satisfies it.
-type FileSystem interface {
-	// Create opens a new file for writing, truncating any existing
-	// file at the path.
-	Create(path string) (io.WriteCloser, error)
-	// Open opens an existing file for reading.
-	Open(path string) (io.ReadCloser, error)
-	// List returns the paths of all files whose names start with
-	// prefix, in lexicographic order.
-	List(prefix string) ([]string, error)
-	// Remove deletes a file.
-	Remove(path string) error
-}
+	"graft/internal/dfs"
+)
 
 // checkpointMagic identifies the checkpoint format. Version 2 added
 // the rebalancer's vertex-reassignment table after the aggregators.
@@ -37,9 +21,6 @@ func (en *engine) checkpointPath(superstep int) string {
 // number, merged aggregator broadcast, every partition's vertices and
 // the undelivered messages feeding this superstep.
 func (en *engine) writeCheckpoint() error {
-	if en.cfg.CheckpointFS == nil {
-		return fmt.Errorf("CheckpointEvery set but CheckpointFS is nil")
-	}
 	e := NewEncoder()
 	e.PutString(checkpointMagic)
 	e.PutUvarint(uint64(en.superstep))
@@ -186,16 +167,6 @@ func (en *engine) cleanupCanceled() {
 	}
 }
 
-// recoverFromCheckpoint charges one attempt against the recovery
-// budget, then restores the newest intact checkpoint (the whole-job
-// restart path).
-func (en *engine) recoverFromCheckpoint() error {
-	if err := en.consumeRecoveryBudget(); err != nil {
-		return err
-	}
-	return en.restoreNewestIntact()
-}
-
 // restoreNewestIntact restores the newest *intact* checkpoint at or
 // before the current superstep, rewinding the engine so the run loop
 // resumes from the checkpointed superstep. A checkpoint that cannot be
@@ -236,12 +207,7 @@ func (en *engine) restoreNewestIntact() error {
 
 // readCheckpointFile reads one checkpoint's raw bytes.
 func (en *engine) readCheckpointFile(superstep int) ([]byte, error) {
-	r, err := en.cfg.CheckpointFS.Open(en.checkpointPath(superstep))
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return io.ReadAll(r)
+	return dfs.ReadFile(en.cfg.CheckpointFS, en.checkpointPath(superstep))
 }
 
 // restoreCheckpointFile reads and restores one checkpoint. The engine

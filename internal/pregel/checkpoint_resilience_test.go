@@ -41,7 +41,10 @@ func TestRecoverySkipsTruncatedNewestCheckpoint(t *testing.T) {
 
 	en2 := newEngine(NewJob(pathGraph(t, 5), ccCompute, cfg))
 	en2.superstep = 2
-	if err := en2.recoverFromCheckpoint(); err != nil {
+	if err := en2.consumeRecoveryBudget(); err != nil {
+		t.Fatal(err)
+	}
+	if err := en2.restoreNewestIntact(); err != nil {
 		t.Fatalf("recovery should fall back to the intact checkpoint: %v", err)
 	}
 	if en2.superstep != 0 {
@@ -67,7 +70,10 @@ func TestRecoverySkipsBadMagic(t *testing.T) {
 
 	en2 := newEngine(NewJob(pathGraph(t, 4), ccCompute, cfg))
 	en2.superstep = 3
-	if err := en2.recoverFromCheckpoint(); err != nil {
+	if err := en2.consumeRecoveryBudget(); err != nil {
+		t.Fatal(err)
+	}
+	if err := en2.restoreNewestIntact(); err != nil {
 		t.Fatalf("recovery should skip the bad-magic file: %v", err)
 	}
 	if en2.superstep != 1 {
@@ -89,7 +95,10 @@ func TestRecoveryFailsWhenEveryCheckpointCorrupt(t *testing.T) {
 
 	en2 := newEngine(NewJob(pathGraph(t, 4), ccCompute, cfg))
 	en2.superstep = 1
-	err := en2.recoverFromCheckpoint()
+	if err := en2.consumeRecoveryBudget(); err != nil {
+		t.Fatal(err)
+	}
+	err := en2.restoreNewestIntact()
 	if !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("err = %v, want ErrNoCheckpoint", err)
 	}
@@ -173,13 +182,13 @@ func TestRecoveryKeepsRemovedVertexState(t *testing.T) {
 		NumWorkers:      2,
 		CheckpointEvery: 1,
 		CheckpointFS:    dfs.NewMemFS(),
-		FailureAt: func(superstep int) bool {
+		PartitionFailureAt: wholeJob(func(superstep int) bool {
 			if superstep == 2 && !failed {
 				failed = true
 				return true
 			}
 			return false
-		},
+		}),
 	}).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -210,14 +219,14 @@ func TestJobSurvivesCorruptNewestCheckpoint(t *testing.T) {
 		NumWorkers:      3,
 		CheckpointEvery: 1,
 		CheckpointFS:    fs,
-		FailureAt: func(superstep int) bool {
+		PartitionFailureAt: wholeJob(func(superstep int) bool {
 			if superstep == 2 && !failed {
 				failed = true
 				corrupt(t, fs, fmt.Sprintf("checkpoint_%08d", 2))
 				return true
 			}
 			return false
-		},
+		}),
 	}).Run()
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,17 @@ import (
 	"graft/internal/dfs"
 )
 
+// wholeJob turns a whole-job crash predicate into a PartitionFailureAt
+// hook: a list naming no partition fails every one.
+func wholeJob(crash func(superstep int) bool) func(int) []int {
+	return func(superstep int) []int {
+		if crash(superstep) {
+			return []int{-1}
+		}
+		return nil
+	}
+}
+
 // ccResult runs connected components over a fresh two-component graph
 // with the given extra config and returns the final labels.
 func ccResult(t *testing.T, cfg Config) map[VertexID]int64 {
@@ -29,13 +40,13 @@ func TestCheckpointRecoveryProducesSameResult(t *testing.T) {
 		NumWorkers:      3,
 		CheckpointEvery: 1,
 		CheckpointFS:    fs,
-		FailureAt: func(superstep int) bool {
+		PartitionFailureAt: wholeJob(func(superstep int) bool {
 			if superstep == 1 && !failed {
 				failed = true
 				return true
 			}
 			return false
-		},
+		}),
 	})
 	if !failed {
 		t.Fatal("failure was never injected")
@@ -55,13 +66,13 @@ func TestRecoveryCountsInStats(t *testing.T) {
 		NumWorkers:      2,
 		CheckpointEvery: 1,
 		CheckpointFS:    fs,
-		FailureAt: func(superstep int) bool {
+		PartitionFailureAt: wholeJob(func(superstep int) bool {
 			if superstep == 0 && failed < 2 {
 				failed++
 				return true
 			}
 			return false
-		},
+		}),
 	}).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +85,7 @@ func TestRecoveryCountsInStats(t *testing.T) {
 func TestRecoveryWithoutCheckpointFails(t *testing.T) {
 	g := twoComponentGraph(t)
 	_, err := NewJob(g, ccCompute, Config{
-		FailureAt: func(superstep int) bool { return superstep == 0 },
+		PartitionFailureAt: wholeJob(func(superstep int) bool { return superstep == 0 }),
 	}).Run()
 	if !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("err = %v, want ErrNoCheckpoint", err)
@@ -85,9 +96,9 @@ func TestTooManyRecoveries(t *testing.T) {
 	fs := dfs.NewMemFS()
 	g := twoComponentGraph(t)
 	_, err := NewJob(g, ccCompute, Config{
-		CheckpointEvery: 1,
-		CheckpointFS:    fs,
-		FailureAt:       func(superstep int) bool { return true }, // crash every superstep
+		CheckpointEvery:    1,
+		CheckpointFS:       fs,
+		PartitionFailureAt: wholeJob(func(superstep int) bool { return true }), // crash every superstep
 	}).Run()
 	if !errors.Is(err, ErrTooManyRecoveries) {
 		t.Fatalf("err = %v, want ErrTooManyRecoveries", err)
@@ -117,13 +128,13 @@ func TestCheckpointPersistsAggregators(t *testing.T) {
 		NumWorkers:      2,
 		CheckpointEvery: 1,
 		CheckpointFS:    fs,
-		FailureAt: func(superstep int) bool {
+		PartitionFailureAt: wholeJob(func(superstep int) bool {
 			if superstep == 2 && !failed {
 				failed = true
 				return true
 			}
 			return false
-		},
+		}),
 	})
 	job.RegisterAggregator("sum", LongSumAggregator{}, true)
 	if _, err := job.Run(); err != nil {
@@ -176,7 +187,10 @@ func TestCheckpointRoundTripWithMessagesInFlight(t *testing.T) {
 	job2.RegisterAggregator("a", LongSumAggregator{}, true)
 	en2 := newEngine(job2)
 	en2.superstep = 3 // recovery looks for checkpoints <= current superstep
-	if err := en2.recoverFromCheckpoint(); err != nil {
+	if err := en2.consumeRecoveryBudget(); err != nil {
+		t.Fatal(err)
+	}
+	if err := en2.restoreNewestIntact(); err != nil {
 		t.Fatal(err)
 	}
 	if en2.superstep != 3 {
@@ -209,7 +223,10 @@ func TestRestoreRejectsWrongPartitionCount(t *testing.T) {
 	}
 	job2 := NewJob(pathGraph(t, 3), ccCompute, Config{NumWorkers: 5, CheckpointFS: fs, CheckpointEvery: 1})
 	en2 := newEngine(job2)
-	if err := en2.recoverFromCheckpoint(); err == nil {
+	if err := en2.consumeRecoveryBudget(); err != nil {
+		t.Fatal(err)
+	}
+	if err := en2.restoreNewestIntact(); err == nil {
 		t.Fatal("expected partition-count mismatch error")
 	}
 }

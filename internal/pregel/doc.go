@@ -24,7 +24,8 @@
 //   - vertex mutations (requested removals/additions and
 //     create-on-message resolution at the superstep barrier);
 //   - checkpointing to a FileSystem with simulated worker failure and
-//     automatic recovery (Config.CheckpointEvery, Config.FailureAt);
+//     automatic recovery (Config.CheckpointEvery,
+//     Config.PartitionFailureAt);
 //   - a JobListener interface through which Graft's instrumentation
 //     observes superstep boundaries.
 //

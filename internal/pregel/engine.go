@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"graft/internal/anomaly"
+	"graft/internal/dfs"
 )
 
 // TerminationReason explains why a job stopped.
@@ -169,19 +170,16 @@ type Config struct {
 	// (0 disables checkpointing). Requires CheckpointFS.
 	CheckpointEvery int
 	// CheckpointFS is where checkpoints are written.
-	CheckpointFS FileSystem
+	CheckpointFS dfs.FileSystem
 	// CheckpointPrefix prefixes checkpoint file names.
 	CheckpointPrefix string
-	// FailureAt, if non-nil, is consulted after each superstep's
-	// barrier; returning true simulates a whole-job worker crash,
-	// forcing recovery of every partition. Used by fault-tolerance
-	// tests.
-	FailureAt func(superstep int) bool
 	// PartitionFailureAt, if non-nil, is consulted after each
 	// superstep's barrier; returning a non-empty list simulates a crash
-	// of just those partitions. Under RecoveryLog only the listed
-	// partitions roll back and replay; under RecoveryCheckpoint any
-	// failure still restarts the whole job from the latest checkpoint.
+	// of those partitions, and a list naming no partition in range
+	// ([]int{-1}, what faults.FailPartitionAt returns without
+	// partitions) a crash of every one. Under RecoveryLog only the
+	// failed partitions roll back and replay; under RecoveryCheckpoint
+	// any failure restarts the whole job from the latest checkpoint.
 	PartitionFailureAt func(superstep int) []int
 	// Recovery selects the recovery strategy for injected failures.
 	// RecoveryCheckpoint (the zero value) restarts the whole job from
@@ -191,7 +189,7 @@ type Config struct {
 	Recovery RecoveryMode
 	// MsgLogFS is where RecoveryLog's outbox logs are written. Required
 	// when Recovery is RecoveryLog.
-	MsgLogFS FileSystem
+	MsgLogFS dfs.FileSystem
 	// RebalanceSkew enables skew-driven adaptive repartitioning: when a
 	// superstep's ComputeSkew or MessageSkew reaches this threshold
 	// (max/mean; 1.0 is perfectly balanced), the hottest vertices
@@ -223,13 +221,6 @@ type Config struct {
 	// A negative value disables detection and the traffic-matrix
 	// capture that feeds it.
 	AnomalyWindow int
-	// ComputeMode selects the unit of computation: ModeVertex (the zero
-	// value) runs Computation.Compute per vertex; ModeSubgraph runs
-	// SubgraphComputation.ComputeSubgraph per connected component of a
-	// partition (build the job with NewSubgraphJob). Message transport,
-	// aggregators, checkpoints, recovery and rebalancing are
-	// mode-independent.
-	ComputeMode ComputeMode
 	// WorkerPool, if non-nil, is a global worker budget shared across
 	// jobs: each worker goroutine holds one slot for its superstep scan,
 	// so a session running many jobs concurrently bounds its total
@@ -249,8 +240,8 @@ type aggEntry struct {
 type Job struct {
 	cfg  Config
 	comp Computation
-	// scomp is the ModeSubgraph program (nil in vertex mode); set by
-	// NewSubgraphJob.
+	// scomp is the subgraph-mode program, set by NewSubgraphJob; the
+	// job runs in subgraph mode exactly when it is non-nil.
 	scomp    SubgraphComputation
 	graph    *Graph
 	aggs     map[string]aggEntry
@@ -322,7 +313,7 @@ type workerResult struct {
 	received     int64
 	computeNanos int64
 	captureNanos int64
-	// subgraphs and iterations are ModeSubgraph telemetry: components
+	// subgraphs and iterations are subgraph-mode telemetry: components
 	// computed and internal sequential iterations reported via
 	// SubgraphContext.AddIterations.
 	subgraphs  int64
@@ -527,13 +518,10 @@ func (en *engine) run(start time.Time) (*Stats, error) {
 	if err := en.cfg.Validate(); err != nil {
 		return en.finish(err)
 	}
-	// Mode↔computation consistency is a Job property, so it is checked
-	// here rather than in Config.Validate.
-	if en.cfg.ComputeMode == ModeSubgraph && en.job.scomp == nil {
-		return en.finish(invalidf("ComputeMode = subgraph without a SubgraphComputation (build the job with NewSubgraphJob)"))
-	}
-	if en.cfg.ComputeMode == ModeVertex && en.job.comp == nil {
-		return en.finish(invalidf("ComputeMode = vertex without a Computation"))
+	// The program is a Job property, so it is checked here rather than
+	// in Config.Validate.
+	if en.job.comp == nil && en.job.scomp == nil {
+		return en.finish(invalidf("job without a Computation"))
 	}
 	if en.cfg.Recovery == RecoveryLog {
 		en.msglog = newMsgLog(en.cfg.MsgLogFS, len(en.parts))
@@ -711,7 +699,7 @@ func (en *engine) workerPhase(st *step) error {
 				}
 				defer pool.release()
 			}
-			if en.cfg.ComputeMode == ModeSubgraph {
+			if en.job.scomp != nil {
 				st.results[w], errs[w] = en.runSubgraphWorker(w, st.nv, st.ne)
 			} else {
 				st.results[w], errs[w] = en.runWorker(w, st.nv, st.ne)

@@ -330,7 +330,7 @@ func TestFrontierInvariantsAcrossMigrationAndRecovery(t *testing.T) {
 			name:  "checkpoint-restart",
 			graph: cc,
 			cfg: func() Config {
-				return Config{NumWorkers: 3, CheckpointEvery: 2, CheckpointFS: dfs.NewMemFS(), FailureAt: once(3)}
+				return Config{NumWorkers: 3, CheckpointEvery: 2, CheckpointFS: dfs.NewMemFS(), PartitionFailureAt: wholeJob(once(3))}
 			},
 			check: func(t *testing.T, stats *Stats) {
 				if len(stats.RecoveryEvents) != 1 || stats.RecoveryEvents[0].Mode != "checkpoint" {
@@ -375,14 +375,14 @@ func TestFrontierInvariantsAcrossMigrationAndRecovery(t *testing.T) {
 		if _, err := NewJob(want, ccCompute, Config{NumWorkers: 3}).Run(); err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []ComputeMode{ModeVertex, ModeSubgraph} {
+		for _, mode := range []string{"vertex", "subgraph"} {
 			for _, col := range inboxColumns {
-				t.Run(fmt.Sprintf("%s/%v%s", tc.name, mode, col.suffix), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s%s", tc.name, mode, col.suffix), func(t *testing.T) {
 					g := tc.graph(t)
 					cfg := tc.cfg()
 					cfg.Combiner = col.combiner
 					job := NewJob(g, ccCompute, cfg)
-					if mode == ModeSubgraph {
+					if mode == "subgraph" {
 						job = NewSubgraphJob(g, ccSubgraph, cfg)
 					}
 					stats, _ := runChecked(t, job)

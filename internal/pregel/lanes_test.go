@@ -604,13 +604,13 @@ func TestRebalancerSurvivesRecovery(t *testing.T) {
 		RebalanceSkew:   1.5,
 		CheckpointEvery: 2,
 		CheckpointFS:    dfs.NewMemFS(),
-		FailureAt: func(superstep int) bool {
+		PartitionFailureAt: wholeJob(func(superstep int) bool {
 			if superstep == 5 && !crashed {
 				crashed = true
 				return true
 			}
 			return false
-		},
+		}),
 	}).Run()
 	if err != nil {
 		t.Fatal(err)

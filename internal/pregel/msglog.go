@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"sync"
 
+	"graft/internal/dfs"
 	"graft/internal/segio"
 )
 
@@ -62,7 +63,7 @@ const (
 // per-sender goroutines inside logSuperstep each own exactly one
 // writer, preserving the single-writer-per-lane contract.
 type msgLog struct {
-	fs      FileSystem
+	fs      dfs.FileSystem
 	writers []*segio.Writer
 	encs    []*Encoder
 	// parts[sender] is the lane's committed index, as its writer's
@@ -74,7 +75,7 @@ type msgLog struct {
 	broken bool
 }
 
-func newMsgLog(fs FileSystem, numWorkers int) *msgLog {
+func newMsgLog(fs dfs.FileSystem, numWorkers int) *msgLog {
 	l := &msgLog{
 		fs:      fs,
 		writers: make([]*segio.Writer, numWorkers),
@@ -292,7 +293,7 @@ func (l *msgLog) loadLoggedSteps(lo, hi int) (map[int]*loggedStep, error) {
 					}
 					if raw == nil {
 						var err error
-						raw, err = segio.ReadFile(l.fs, w.Path(seg.Name))
+						raw, err = dfs.ReadFile(l.fs, w.Path(seg.Name))
 						if err != nil {
 							return nil, fmt.Errorf("pregel: outbox log segment %s: %w", seg.Name, err)
 						}

@@ -102,7 +102,7 @@ func (en *engine) migrateVertices(from, to int, ids []VertexID) int64 {
 		// add and remove flag both partitions' cached subgraph membership
 		// stale: the moved vertices' components must dissolve out of src
 		// and re-form (possibly merging) in dst before the next
-		// ModeSubgraph scan.
+		// subgraph-mode scan.
 		fromSlot, _ := src.index.lookup(id)
 		v := src.slots[fromSlot]
 		toSlot := dst.add(v)

@@ -77,35 +77,27 @@ type stepSnapshot struct {
 	aggs   map[string]Value
 }
 
-// checkFailure consults the failure-injection hooks for this barrier.
-// Both hooks are always called (they may be stateful); FailureAt
-// fails the whole job, PartitionFailureAt just the listed partitions.
+// checkFailure consults the failure-injection hook for this barrier.
 // The returned list is validated, deduplicated and sorted.
 func (en *engine) checkFailure(superstep int) ([]int, bool) {
-	failed := false
-	var parts []int
-	if en.cfg.PartitionFailureAt != nil {
-		if ps := en.cfg.PartitionFailureAt(superstep); len(ps) > 0 {
-			failed = true
-			seen := make(map[int]bool, len(ps))
-			for _, p := range ps {
-				if p >= 0 && p < len(en.parts) && !seen[p] {
-					seen[p] = true
-					parts = append(parts, p)
-				}
-			}
-		}
-	}
-	if en.cfg.FailureAt != nil && en.cfg.FailureAt(superstep) {
-		failed = true
-		parts = nil
-	}
-	if !failed {
+	if en.cfg.PartitionFailureAt == nil {
 		return nil, false
 	}
+	ps := en.cfg.PartitionFailureAt(superstep)
+	if len(ps) == 0 {
+		return nil, false
+	}
+	var parts []int
+	seen := make(map[int]bool, len(ps))
+	for _, p := range ps {
+		if p >= 0 && p < len(en.parts) && !seen[p] {
+			seen[p] = true
+			parts = append(parts, p)
+		}
+	}
 	if len(parts) == 0 {
-		// Whole-job crash (or a partition list that named no real
-		// partition): every partition failed.
+		// A list naming no real partition is a whole-job crash ("a
+		// worker died without saying which"): every partition failed.
 		parts = make([]int, len(en.parts))
 		for i := range parts {
 			parts[i] = i
@@ -172,7 +164,7 @@ func (en *engine) confinedRecover(failedParts []int, ev *RecoveryEvent) error {
 	if C < 0 {
 		return ErrNoCheckpoint
 	}
-	if en.cfg.ComputeMode == ModeSubgraph && en.lastMigration >= C {
+	if en.job.scomp != nil && en.lastMigration >= C {
 		// A subgraph superstep's sends depend on which vertices share a
 		// partition. The logs hold what the placement of the time sent;
 		// replaying the failed partitions under the placement of today
@@ -382,7 +374,7 @@ func (en *engine) replayCtx(p, t int, snap stepSnapshot) *workerCtx {
 }
 
 func (en *engine) replayWorker(p, t int, snap stepSnapshot, inbox *messageStore) error {
-	if en.cfg.ComputeMode == ModeSubgraph {
+	if en.job.scomp != nil {
 		return en.replaySubgraphWorker(p, t, snap, inbox)
 	}
 	var res workerResult

@@ -152,8 +152,7 @@ func TestRecoveryFailureBeforeAnyCheckpoint(t *testing.T) {
 				CheckpointFS:       dfs.NewMemFS(), // FS present, but CheckpointEvery 0: none written
 				Recovery:           mode,
 				MsgLogFS:           dfs.NewMemFS(),
-				PartitionFailureAt: func(s int) []int { return nil },
-				FailureAt:          func(s int) bool { return s == 0 },
+				PartitionFailureAt: wholeJob(func(s int) bool { return s == 0 }),
 			}).Run()
 			if !errors.Is(err, ErrNoCheckpoint) {
 				t.Fatalf("err = %v, want ErrNoCheckpoint", err)
@@ -229,14 +228,14 @@ func TestCheckpointRetentionGC(t *testing.T) {
 		NumWorkers:      3,
 		CheckpointEvery: 1,
 		CheckpointFS:    fs,
-		FailureAt: func(s int) bool {
+		PartitionFailureAt: wholeJob(func(s int) bool {
 			// Late failure: only GC-surviving checkpoints can serve it.
 			if s == 8 && !fired {
 				fired = true
 				return true
 			}
 			return false
-		},
+		}),
 	}).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -324,8 +323,8 @@ func TestSubgraphReplayDegradesAfterMigration(t *testing.T) {
 	if _, err := NewJob(want, ccCompute, Config{NumWorkers: 4}).Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []ComputeMode{ModeVertex, ModeSubgraph} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, mode := range []string{"vertex", "subgraph"} {
+		t.Run(mode, func(t *testing.T) {
 			cfg := Config{
 				NumWorkers: 4, RebalanceObjective: ObjectiveEdgeCut,
 				// One checkpoint, at superstep 0: every migration is inside
@@ -335,7 +334,7 @@ func TestSubgraphReplayDegradesAfterMigration(t *testing.T) {
 			}
 			g := clusteredGraph(t, 24, 30, 5)
 			job := NewJob(g, ccCompute, cfg)
-			if mode == ModeSubgraph {
+			if mode == "subgraph" {
 				job = NewSubgraphJob(g, ccSubgraph, cfg)
 			}
 			en := newEngine(job)
@@ -354,7 +353,7 @@ func TestSubgraphReplayDegradesAfterMigration(t *testing.T) {
 			if !fired || len(stats.RecoveryEvents) != 1 {
 				t.Fatalf("crash injected = %v, recovery events = %+v", fired, stats.RecoveryEvents)
 			}
-			wantMode := map[ComputeMode]string{ModeVertex: "log", ModeSubgraph: "checkpoint"}[mode]
+			wantMode := map[string]string{"vertex": "log", "subgraph": "checkpoint"}[mode]
 			if got := stats.RecoveryEvents[0].Mode; got != wantMode {
 				t.Errorf("recovery mode = %q, want %q", got, wantMode)
 			}

@@ -116,7 +116,7 @@ type partition struct {
 	// folds it into edges at the barrier.
 	edgeDelta int
 	// subs caches the partition's weakly-connected components for
-	// ModeSubgraph (nil until first discovery). subsDirty flags that
+	// subgraph mode (nil until first discovery). subsDirty flags that
 	// membership may have changed — topology mutation, vertex
 	// add/remove, migration, recovery — so the owning worker rediscovers
 	// before its next subgraph scan.

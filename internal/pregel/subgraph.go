@@ -9,36 +9,16 @@ import (
 	"time"
 )
 
-// ComputeMode selects the unit of computation the engine dispatches
-// per superstep.
-type ComputeMode int
-
-const (
-	// ModeVertex is the classic Pregel/Giraph model and the zero value:
-	// Compute runs once per active vertex per superstep.
-	ModeVertex ComputeMode = iota
-	// ModeSubgraph is the GoFFish-style partition-level model:
-	// ComputeSubgraph runs once per active connected component of a
-	// partition per superstep, letting a sequential algorithm traverse
-	// the whole component between barriers. Traversal workloads converge
-	// in O(partition diameter) supersteps instead of O(graph diameter).
-	ModeSubgraph
-)
-
-func (m ComputeMode) String() string {
-	switch m {
-	case ModeVertex:
-		return "vertex"
-	case ModeSubgraph:
-		return "subgraph"
-	}
-	return fmt.Sprintf("ComputeMode(%d)", int(m))
-}
-
-// SubgraphComputation is the partition-level program of ModeSubgraph.
+// SubgraphComputation is the partition-level program of subgraph mode,
+// the GoFFish-style model a job built with NewSubgraphJob runs (a job
+// built with NewJob runs the classic Pregel/Giraph vertex model).
 // ComputeSubgraph is called once per active subgraph (connected
 // component of one partition) per superstep, and may read and write
-// every member vertex sequentially. Boundary messages — sends to
+// every member vertex sequentially, so a sequential algorithm traverses
+// the whole component between barriers and traversal workloads converge
+// in O(partition diameter) supersteps instead of O(graph diameter).
+// Message transport, aggregators, checkpoints, recovery and rebalancing
+// are the same in both modes. Boundary messages — sends to
 // vertices outside the subgraph — travel through the same message
 // plane as vertex mode and are delivered at the next superstep.
 //
@@ -302,16 +282,14 @@ func (c *subgraphCtx) SendMessage(from, to VertexID, msg Value) {
 	c.w.SendMessage(to, msg)
 }
 
-// NewSubgraphJob creates a job over g running scomp in ModeSubgraph.
-// The configuration's ComputeMode is forced to ModeSubgraph.
+// NewSubgraphJob creates a job over g running scomp in subgraph mode.
 func NewSubgraphJob(g *Graph, scomp SubgraphComputation, cfg Config) *Job {
-	cfg.ComputeMode = ModeSubgraph
 	j := NewJob(g, nil, cfg)
 	j.scomp = scomp
 	return j
 }
 
-// runSubgraphWorker is the ModeSubgraph counterpart of runWorker: it
+// runSubgraphWorker is the subgraph-mode counterpart of runWorker: it
 // scans the partition's subgraphs instead of its vertices.
 func (en *engine) runSubgraphWorker(w int, nv, ne int64) (workerResult, error) {
 	var res workerResult
@@ -401,7 +379,7 @@ func (en *engine) computeSubgraphs(sctx *subgraphCtx, part *partition, inbox *me
 }
 
 // replaySubgraphWorker is the confined-recovery counterpart of
-// replayWorker for ModeSubgraph: it re-runs superstep t's subgraph
+// replayWorker for subgraph mode: it re-runs superstep t's subgraph
 // computes against the snapshot aggregates with sends, aggregation and
 // mutations suppressed, rebuilding member state (and re-emitting
 // instrumentation captures) exactly as the original superstep did.

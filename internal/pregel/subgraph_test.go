@@ -1,6 +1,7 @@
 package pregel
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -118,18 +119,9 @@ func TestNewDetachedSubgraph(t *testing.T) {
 func TestSubgraphModeConfigValidation(t *testing.T) {
 	g := NewGraph()
 	g.AddVertex(1, NewLong(1))
-	// Subgraph mode without a subgraph computation is a config error.
-	j := NewJob(g, ComputeFunc(func(Context, *Vertex, []Value) error { return nil }),
-		Config{NumWorkers: 1, ComputeMode: ModeSubgraph})
-	if _, err := j.Run(); err == nil {
-		t.Fatal("vertex job in subgraph mode: want error")
-	}
-	// And an out-of-range mode is rejected by Validate.
-	j2 := NewSubgraphJob(g.Clone(), SubgraphFunc(func(SubgraphContext, *Subgraph) error { return nil }),
-		Config{NumWorkers: 1})
-	j2.cfg.ComputeMode = ComputeMode(9)
-	if _, err := j2.Run(); err == nil {
-		t.Fatal("ComputeMode(9): want validation error")
+	// A subgraph job built without a subgraph computation has no program.
+	if _, err := NewSubgraphJob(g, nil, Config{NumWorkers: 1}).Run(); !errors.Is(err, ErrInvalidConfig) {
+		t.Fatalf("subgraph job without a program: err = %v, want ErrInvalidConfig", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"graft"
 	"graft/internal/algorithms"
 	"graft/internal/graphgen"
 	"graft/internal/pregel"
@@ -14,8 +15,8 @@ import (
 // runs ≈700 supersteps in which a few dozen of the 20,000 vertices are
 // live, so what it prices is a superstep's fixed cost — finding the
 // frontier, the barrier, the coordinator — not message throughput. It
-// lives in the external test package because the generator and the
-// algorithm import pregel. Run with
+// lives in the external test package because the generator, the
+// algorithm and graft.RunAlgorithm import pregel. Run with
 //
 //	go test ./internal/pregel -run '^$' -bench BenchmarkThinSuperstep
 func BenchmarkThinSuperstep(b *testing.B) {
@@ -29,13 +30,13 @@ func BenchmarkThinSuperstep(b *testing.B) {
 		g := base.Clone()
 		runtime.ReadMemStats(&before)
 		b.StartTimer()
-		stats, err := alg.Run(g, pregel.Config{NumWorkers: 2})
+		res, err := graft.RunAlgorithm(g, alg, graft.RunOptions{Engine: pregel.Config{NumWorkers: 2}})
 		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		supersteps += uint64(stats.Supersteps)
+		supersteps += uint64(res.Stats.Supersteps)
 		mallocs += after.Mallocs - before.Mallocs
 		bytes += after.TotalAlloc - before.TotalAlloc
 		b.StartTimer()

@@ -33,9 +33,6 @@ func (c *Config) Validate() error {
 	if c.RebalanceMaxMoves < 0 {
 		return invalidf("RebalanceMaxMoves = %d, must be >= 0 (0 means the default)", c.RebalanceMaxMoves)
 	}
-	if c.ComputeMode != ModeVertex && c.ComputeMode != ModeSubgraph {
-		return invalidf("ComputeMode = %d, must be ModeVertex or ModeSubgraph", int(c.ComputeMode))
-	}
 	if c.Partitioner != PartitionHash && c.Partitioner != PartitionLocality {
 		return invalidf("Partitioner = %d, must be PartitionHash or PartitionLocality", int(c.Partitioner))
 	}

@@ -223,7 +223,7 @@ import (
 // GenerateVertexTest renders a standalone Go test reproducing the
 // context of vertex id at the given superstep (the Go analogue of the
 // paper's Figure 6 JUnit file).
-func GenerateVertexTest(db trace.View, superstep int, id pregel.VertexID, spec GenSpec) (string, error) {
+func GenerateVertexTest(db *trace.Reader, superstep int, id pregel.VertexID, spec GenSpec) (string, error) {
 	data, err := buildVertexTestData(db, superstep, id, spec)
 	if err != nil {
 		return "", err
@@ -238,7 +238,7 @@ func GenerateVertexTest(db trace.View, superstep int, id pregel.VertexID, spec G
 // GenerateVertexSuite renders one file with a reproduction test for
 // every captured superstep of a vertex: contexts that "emerge at large
 // scale" become a reusable unit-test suite.
-func GenerateVertexSuite(db trace.View, id pregel.VertexID, spec GenSpec) (string, error) {
+func GenerateVertexSuite(db *trace.Reader, id pregel.VertexID, spec GenSpec) (string, error) {
 	history := db.CapturesOf(id)
 	if len(history) == 0 {
 		return "", fmt.Errorf("repro: no captures of vertex %d", id)
@@ -264,7 +264,7 @@ func GenerateVertexSuite(db trace.View, id pregel.VertexID, spec GenSpec) (strin
 	return b.String(), nil
 }
 
-func buildVertexTestData(db trace.View, superstep int, id pregel.VertexID, spec GenSpec) (vertexTestData, error) {
+func buildVertexTestData(db *trace.Reader, superstep int, id pregel.VertexID, spec GenSpec) (vertexTestData, error) {
 	c := db.Capture(superstep, id)
 	if c == nil {
 		return vertexTestData{}, fmt.Errorf("repro: no capture of vertex %d at superstep %d", id, superstep)
@@ -405,7 +405,7 @@ func {{.FuncName}}(t *testing.T) {
 
 // GenerateMasterTest renders a standalone Go test reproducing the
 // master.compute context of one superstep.
-func GenerateMasterTest(db trace.View, superstep int, spec GenSpec) (string, error) {
+func GenerateMasterTest(db *trace.Reader, superstep int, spec GenSpec) (string, error) {
 	c := db.MasterAt(superstep)
 	if c == nil {
 		return "", fmt.Errorf("repro: no master capture at superstep %d", superstep)

@@ -17,7 +17,7 @@ import (
 
 // gcTrace builds a buggy-GC trace with a handful of captures, shared
 // by the codegen tests.
-func gcTrace(t *testing.T) (trace.View, *algorithms.Algorithm) {
+func gcTrace(t *testing.T) (*trace.Reader, *algorithms.Algorithm) {
 	t.Helper()
 	alg := algorithms.NewBuggyGraphColoring(42)
 	g := graphgen.RegularBipartite(40, 3)

@@ -29,7 +29,7 @@ type Outcome struct {
 // Replay re-executes comp against the captured context of vertex id at
 // the given superstep. The capture's superstep metadata must be
 // present in the DB (it always is for supersteps Graft observed).
-func Replay(db trace.View, superstep int, id pregel.VertexID, comp pregel.Computation) (*Outcome, error) {
+func Replay(db *trace.Reader, superstep int, id pregel.VertexID, comp pregel.Computation) (*Outcome, error) {
 	c := db.Capture(superstep, id)
 	if c == nil {
 		return nil, fmt.Errorf("repro: no capture of vertex %d at superstep %d", id, superstep)
@@ -66,7 +66,7 @@ func ReplayCapture(c *trace.VertexCapture, meta *trace.SuperstepMeta, comp prege
 
 // ReplayMaster re-executes a master computation against its captured
 // context.
-func ReplayMaster(db trace.View, superstep int, master pregel.MasterComputation) (*MockMasterContext, error) {
+func ReplayMaster(db *trace.Reader, superstep int, master pregel.MasterComputation) (*MockMasterContext, error) {
 	c := db.MasterAt(superstep)
 	if c == nil {
 		return nil, fmt.Errorf("repro: no master capture at superstep %d", superstep)

@@ -15,7 +15,7 @@ import (
 // captureRun executes alg over g with Graft attached and returns the
 // loaded trace DB (the job error, if any, is returned too: the
 // exception scenarios rely on it).
-func captureRun(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph, dc core.DebugConfig) (trace.View, error) {
+func captureRun(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph, dc core.DebugConfig) (*trace.Reader, error) {
 	t.Helper()
 	store := trace.NewStore(dfs.NewMemFS(), "traces")
 	session, err := core.Attach(store, core.Options{
@@ -45,7 +45,7 @@ func captureRun(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph, dc cor
 
 // assertFullFidelity replays every capture in the DB and requires an
 // exact match with the recorded outcome.
-func assertFullFidelity(t *testing.T, db trace.View, comp pregel.Computation) int {
+func assertFullFidelity(t *testing.T, db *trace.Reader, comp pregel.Computation) int {
 	t.Helper()
 	replayed := 0
 	for _, s := range db.Supersteps() {

@@ -222,7 +222,7 @@ func {{.FuncName}}(t *testing.T) {
 // VertexCapture records written alongside the SubgraphCapture, so a
 // subgraph step is rebuilt member by member — single-vertex debuggable
 // even though the unit of compute is a component.
-func GenerateSubgraphTest(db trace.View, superstep int, id pregel.VertexID, spec GenSpec) (string, error) {
+func GenerateSubgraphTest(db *trace.Reader, superstep int, id pregel.VertexID, spec GenSpec) (string, error) {
 	sc := db.SubgraphAt(superstep, id)
 	if sc == nil {
 		return "", fmt.Errorf("repro: no subgraph capture containing vertex %d at superstep %d", id, superstep)

@@ -17,7 +17,7 @@ import (
 
 // subgraphCaptureRun is captureRun's subgraph-mode twin: it runs the
 // algorithm's subgraph port under full capture and returns the trace.
-func subgraphCaptureRun(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph, dc core.DebugConfig) trace.View {
+func subgraphCaptureRun(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph, dc core.DebugConfig) *trace.Reader {
 	t.Helper()
 	store := trace.NewStore(dfs.NewMemFS(), "traces")
 	session, err := core.Attach(store, core.Options{
@@ -29,7 +29,6 @@ func subgraphCaptureRun(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph
 	}
 	cfg := pregel.Config{
 		NumWorkers:    4,
-		ComputeMode:   pregel.ModeSubgraph,
 		Listener:      session,
 		Master:        session.InstrumentMaster(alg.Master),
 		Combiner:      alg.Combiner,
@@ -51,7 +50,7 @@ func subgraphCaptureRun(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph
 
 // wccSubgraphTrace captures a subgraph-mode WCC run with every
 // active component recorded, shared by the subgraph codegen tests.
-func wccSubgraphTrace(t *testing.T) trace.View {
+func wccSubgraphTrace(t *testing.T) *trace.Reader {
 	t.Helper()
 	return subgraphCaptureRun(t, algorithms.NewConnectedComponents(),
 		graphgen.RegularBipartite(40, 3),
@@ -60,7 +59,7 @@ func wccSubgraphTrace(t *testing.T) trace.View {
 
 // firstSubgraph returns a (superstep, capture) pair from the earliest
 // superstep that recorded subgraph captures.
-func firstSubgraph(t *testing.T, db trace.View) (int, *trace.SubgraphCapture) {
+func firstSubgraph(t *testing.T, db *trace.Reader) (int, *trace.SubgraphCapture) {
 	t.Helper()
 	for _, s := range db.Supersteps() {
 		if sgs := db.SubgraphsAt(s); len(sgs) > 0 {

@@ -30,10 +30,10 @@
 // simply a lane with a single part, and a reader that loads every
 // "*.idx" it lists in name order reads both.
 //
-// The package is deliberately a leaf: it depends only on the standard
-// library, so both the trace layer (which imports the engine) and the
-// engine itself (which must not import the trace layer) can build on
-// it.
+// The package is deliberately a leaf: apart from the standard library it
+// depends only on dfs, for the file-system contract it writes through,
+// so both the trace layer (which imports the engine) and the engine
+// itself (which must not import the trace layer) can build on it.
 package segio
 
 import (
@@ -41,9 +41,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	iofs "io/fs"
 	"math"
+
+	"graft/internal/dfs"
 )
 
 const (
@@ -59,22 +59,6 @@ var ErrBadMagic = errors.New("segio: bad magic")
 
 // ErrCorrupt is returned when an index or frame is malformed.
 var ErrCorrupt = errors.New("segio: corrupt data")
-
-// FS is the minimal file-system contract segio writes through. It is
-// structurally identical to dfs.FileSystem and pregel.FileSystem, so
-// any of their implementations satisfies it.
-type FS interface {
-	// Create opens a new file for writing, truncating any existing
-	// file at the path. The file becomes visible atomically on Close.
-	Create(path string) (io.WriteCloser, error)
-	// Open opens an existing file for reading.
-	Open(path string) (io.ReadCloser, error)
-	// List returns the paths of all files whose names start with
-	// prefix, in lexicographic order.
-	List(prefix string) ([]string, error)
-	// Remove deletes a file.
-	Remove(path string) error
-}
 
 // Entry locates one record's payload inside a segment file. Kind, Step
 // and ID are caller-defined record coordinates (the trace store uses
@@ -110,7 +94,7 @@ type Part struct {
 // Not safe for concurrent use; each lane must have exactly one writing
 // goroutine.
 type Writer struct {
-	fs      FS
+	fs      dfs.FileSystem
 	dir     string
 	lane    string
 	segSize int
@@ -132,7 +116,7 @@ type Writer struct {
 
 // NewWriter creates a writer for one lane under dir. Segments are
 // sealed when the open buffer reaches segSize (and on every Flush).
-func NewWriter(fs FS, dir, lane string, segSize int, onDrop func(n int)) *Writer {
+func NewWriter(fs dfs.FileSystem, dir, lane string, segSize int, onDrop func(n int)) *Writer {
 	w := &Writer{fs: fs, dir: dir, lane: lane, segSize: segSize, onDrop: onDrop}
 	w.buf.WriteString(SegMagic)
 	return w
@@ -193,7 +177,7 @@ func (w *Writer) Seal() error {
 		return nil
 	}
 	name := fmt.Sprintf("%s/seg_%06d.seg", w.lane, w.segSeq)
-	err := writeFile(w.fs, w.Path(name), w.buf.Bytes())
+	err := dfs.WriteFile(w.fs, w.Path(name), w.buf.Bytes())
 	if err != nil {
 		if w.onDrop != nil {
 			w.onDrop(len(w.cur))
@@ -223,7 +207,7 @@ func (w *Writer) Flush() (Part, error) {
 	}
 	part := Part{Name: fmt.Sprintf("%s/idx_%06d.idx", w.lane, w.partSeq), Segments: w.pending}
 	w.idx = appendIndex(w.idx[:0], part.Segments)
-	if ierr := writeFile(w.fs, w.Path(part.Name), w.idx); ierr != nil {
+	if ierr := dfs.WriteFile(w.fs, w.Path(part.Name), w.idx); ierr != nil {
 		if err == nil {
 			err = ierr
 		}
@@ -265,7 +249,7 @@ func (w *Writer) Prune(parts []Part, keep func(SegmentIndex) bool) ([]Part, erro
 		if len(live) == 0 {
 			err = w.fs.Remove(w.Path(p.Name))
 		} else {
-			err = writeFile(w.fs, w.Path(p.Name), EncodeIndex(live))
+			err = dfs.WriteFile(w.fs, w.Path(p.Name), EncodeIndex(live))
 		}
 		if err != nil {
 			note(err)
@@ -350,43 +334,6 @@ func CheckSegment(raw []byte) error {
 		return ErrBadMagic
 	}
 	return nil
-}
-
-// ReadFile reads the whole file at path through fs, into a buffer
-// allocated once when the handle reports its length (dfs handles do,
-// through Size or Stat) and grown as the stream arrives otherwise.
-func ReadFile(fs FS, path string) ([]byte, error) {
-	r, err := fs.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	var size int64
-	switch h := r.(type) {
-	case interface{ Size() int64 }:
-		size = h.Size()
-	case interface{ Stat() (iofs.FileInfo, error) }:
-		if fi, err := h.Stat(); err == nil {
-			size = fi.Size()
-		}
-	}
-	var buf bytes.Buffer
-	buf.Grow(int(size) + bytes.MinRead)
-	_, err = buf.ReadFrom(r)
-	return buf.Bytes(), err
-}
-
-// writeFile writes data to path in one create/write/close cycle.
-func writeFile(fs FS, path string, data []byte) error {
-	w, err := fs.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(data); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
 }
 
 // decoder is a minimal sticky-error varint reader matching the

@@ -111,7 +111,7 @@ type PairViolation struct {
 // CaptureAllActive (or by-ID with neighbors) to make the check
 // complete over the region of interest. The Reader loads each
 // superstep's segments once per pass.
-func CheckAdjacentPairs(v View, ok func(a, b *VertexCapture) bool) []PairViolation {
+func CheckAdjacentPairs(v *Reader, ok func(a, b *VertexCapture) bool) []PairViolation {
 	var out []PairViolation
 	for _, s := range v.Supersteps() {
 		m := make(map[pregel.VertexID]*VertexCapture)

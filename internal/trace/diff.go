@@ -44,7 +44,7 @@ func (d *JobDiff) FirstDivergence() *CaptureDivergence {
 }
 
 // DiffJobs compares the captures of two trace views.
-func DiffJobs(a, b View) *JobDiff {
+func DiffJobs(a, b *Reader) *JobDiff {
 	diff := &JobDiff{}
 	aIDs := a.CapturedVertexIDs()
 	bIDs := b.CapturedVertexIDs()

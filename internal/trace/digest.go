@@ -20,7 +20,7 @@ import (
 // of the same deterministic job digest identically even when their
 // vertices were partitioned differently (e.g. with the engine's skew
 // rebalancer on versus off).
-func Digest(v View) string {
+func Digest(v *Reader) string {
 	h := sha256.New()
 	var buf [8]byte
 	writeInt := func(x int64) {

@@ -141,7 +141,7 @@ func writeRandomJob(t *testing.T, store *Store, jobID string, rng *rand.Rand, or
 	}
 	opts := []Option{WithSegmentSize(64 + rng.Intn(600))}
 	if rng.Intn(2) == 0 {
-		opts = append(opts, WithSynchronous())
+		opts = append(opts, withBatchSize(1))
 	}
 	sink, err := store.NewSink(JobMeta{JobID: jobID, Algorithm: "gc", NumWorkers: workers}, opts...)
 	if err != nil {

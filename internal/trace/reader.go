@@ -16,50 +16,6 @@ import (
 	"graft/internal/segio"
 )
 
-// View is the read surface of a trace: everything the GUI pages and the
-// Context Reproducer ask of one. Reader implements it.
-type View interface {
-	// JobMeta returns the job manifest.
-	JobMeta() JobMeta
-	// JobResult returns the job result, or nil if the job has not
-	// written job.done.
-	JobResult() *JobResult
-	// Supersteps returns the sorted superstep numbers with metadata.
-	Supersteps() []int
-	// MaxSuperstep returns the largest recorded superstep, or -1.
-	MaxSuperstep() int
-	// MetaAt returns the superstep metadata, or nil.
-	MetaAt(superstep int) *SuperstepMeta
-	// MasterAt returns the master capture of a superstep, or nil.
-	MasterAt(superstep int) *MasterCapture
-	// Capture returns one vertex's capture at one superstep, or nil.
-	Capture(superstep int, id pregel.VertexID) *VertexCapture
-	// CapturesAt returns a superstep's captures sorted by vertex ID.
-	CapturesAt(superstep int) []*VertexCapture
-	// CapturesOf returns one vertex's captures in superstep order.
-	CapturesOf(id pregel.VertexID) []*VertexCapture
-	// CapturedVertexIDs returns the sorted IDs of captured vertices.
-	CapturedVertexIDs() []pregel.VertexID
-	// TotalCaptures returns the number of vertex capture records.
-	TotalCaptures() int64
-	// ViolationsAt returns one superstep's violation rows.
-	ViolationsAt(superstep int) []ViolationRow
-	// AllViolations returns every violation row across supersteps.
-	AllViolations() []ViolationRow
-	// StatusAt computes the M/V/E status boxes of one superstep.
-	StatusAt(superstep int) Status
-	// Search returns captures matching q in (superstep, vertex) order.
-	Search(q Query) []*VertexCapture
-	// SubgraphsAt returns a superstep's subgraph captures sorted by
-	// subgraph ID. Empty for vertex-mode jobs.
-	SubgraphsAt(superstep int) []*SubgraphCapture
-	// SubgraphAt returns the subgraph capture containing vertex id at
-	// one superstep, or nil.
-	SubgraphAt(superstep int, id pregel.VertexID) *SubgraphCapture
-}
-
-var _ View = (*Reader)(nil)
-
 // ErrUnsupportedLayout is the sentinel wrapped by OpenReader for a job
 // whose manifest does not declare the segmented layout (FormatSegments):
 // a whole-file trace from a build that predates the Sink, or a format
@@ -472,7 +428,7 @@ func (r *Reader) readRange(path string, off, n int64) ([]byte, error) {
 }
 
 // record fetches and decodes the record at loc, recording (not
-// returning) errors so View accessors can stay nil-on-missing.
+// returning) errors so the accessors can stay nil-on-missing.
 func (r *Reader) record(loc recordLoc, whole bool) any {
 	b, err := r.payload(loc, whole)
 	if err != nil {
@@ -496,7 +452,7 @@ func (r *Reader) setErr(err error) {
 }
 
 // Err returns the first segment read or decode failure encountered by
-// the nil-on-missing View accessors.
+// the nil-on-missing accessors.
 func (r *Reader) Err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -521,20 +477,21 @@ func (r *Reader) BytesRead() int64 { return r.bytesRead.Load() }
 // old whole-sidecar layout.
 func (r *Reader) IndexParts() int { return r.indexParts }
 
-// JobMeta implements View.
+// JobMeta returns the job manifest.
 func (r *Reader) JobMeta() JobMeta { return r.meta }
 
-// JobResult implements View.
+// JobResult returns the job result, or nil if the job has not
+// written job.done.
 func (r *Reader) JobResult() *JobResult {
 	return r.res
 }
 
-// Supersteps implements View.
+// Supersteps returns the sorted superstep numbers with metadata.
 func (r *Reader) Supersteps() []int {
 	return r.steps
 }
 
-// MaxSuperstep implements View.
+// MaxSuperstep returns the largest recorded superstep, or -1.
 func (r *Reader) MaxSuperstep() int {
 	if len(r.steps) == 0 {
 		return -1
@@ -542,7 +499,7 @@ func (r *Reader) MaxSuperstep() int {
 	return r.steps[len(r.steps)-1]
 }
 
-// MetaAt implements View.
+// MetaAt returns the superstep metadata, or nil.
 func (r *Reader) MetaAt(superstep int) *SuperstepMeta {
 	loc, ok := r.metaLoc[superstep]
 	if !ok {
@@ -552,7 +509,7 @@ func (r *Reader) MetaAt(superstep int) *SuperstepMeta {
 	return m
 }
 
-// MasterAt implements View.
+// MasterAt returns the master capture of a superstep, or nil.
 func (r *Reader) MasterAt(superstep int) *MasterCapture {
 	loc, ok := r.masterLoc[superstep]
 	if !ok {
@@ -562,7 +519,8 @@ func (r *Reader) MasterAt(superstep int) *MasterCapture {
 	return c
 }
 
-// Capture implements View: one binary search, one ranged read.
+// Capture returns one vertex's capture at one superstep, or nil: one
+// binary search, one ranged read.
 func (r *Reader) Capture(superstep int, id pregel.VertexID) *VertexCapture {
 	loc, ok := r.vertexLoc[superstep].find(id)
 	if !ok {
@@ -572,7 +530,7 @@ func (r *Reader) Capture(superstep int, id pregel.VertexID) *VertexCapture {
 	return c
 }
 
-// CapturesAt implements View.
+// CapturesAt returns a superstep's captures sorted by vertex ID.
 func (r *Reader) CapturesAt(superstep int) []*VertexCapture {
 	ents := r.vertexLoc[superstep].sorted()
 	out := make([]*VertexCapture, 0, len(ents))
@@ -584,7 +542,7 @@ func (r *Reader) CapturesAt(superstep int) []*VertexCapture {
 	return out
 }
 
-// CapturesOf implements View.
+// CapturesOf returns one vertex's captures in superstep order.
 func (r *Reader) CapturesOf(id pregel.VertexID) []*VertexCapture {
 	var out []*VertexCapture
 	for _, s := range r.vertexSteps {
@@ -595,7 +553,8 @@ func (r *Reader) CapturesOf(id pregel.VertexID) []*VertexCapture {
 	return out
 }
 
-// CapturedVertexIDs implements View, answered from the index alone.
+// CapturedVertexIDs returns the sorted IDs of captured vertices,
+// answered from the index alone.
 func (r *Reader) CapturedVertexIDs() []pregel.VertexID {
 	var out []pregel.VertexID
 	for _, x := range r.vertexLoc {
@@ -607,7 +566,8 @@ func (r *Reader) CapturedVertexIDs() []pregel.VertexID {
 	return slices.Compact(out)
 }
 
-// TotalCaptures implements View, answered from the index alone.
+// TotalCaptures returns the number of vertex capture records, answered
+// from the index alone.
 func (r *Reader) TotalCaptures() int64 {
 	var n int64
 	for _, x := range r.vertexLoc {
@@ -616,12 +576,12 @@ func (r *Reader) TotalCaptures() int64 {
 	return n
 }
 
-// ViolationsAt implements View.
+// ViolationsAt returns one superstep's violation rows.
 func (r *Reader) ViolationsAt(superstep int) []ViolationRow {
 	return ViolationRows(superstep, r.CapturesAt(superstep))
 }
 
-// AllViolations implements View.
+// AllViolations returns every violation row across supersteps.
 func (r *Reader) AllViolations() []ViolationRow {
 	var rows []ViolationRow
 	for _, s := range r.steps {
@@ -630,12 +590,13 @@ func (r *Reader) AllViolations() []ViolationRow {
 	return rows
 }
 
-// StatusAt implements View.
+// StatusAt computes the M/V/E status boxes of one superstep.
 func (r *Reader) StatusAt(superstep int) Status {
 	return StatusOf(r.CapturesAt(superstep))
 }
 
-// SubgraphsAt implements View.
+// SubgraphsAt returns a superstep's subgraph captures sorted by
+// subgraph ID. Empty for vertex-mode jobs.
 func (r *Reader) SubgraphsAt(superstep int) []*SubgraphCapture {
 	ents := r.subgraphLoc[superstep].sorted()
 	out := make([]*SubgraphCapture, 0, len(ents))
@@ -647,8 +608,9 @@ func (r *Reader) SubgraphsAt(superstep int) []*SubgraphCapture {
 	return out
 }
 
-// SubgraphAt implements View. The index is keyed by subgraph ID, so a
-// non-ID member costs a scan of the superstep's subgraph captures.
+// SubgraphAt returns the subgraph capture containing vertex id at one
+// superstep, or nil. The index is keyed by subgraph ID, so a non-ID
+// member costs a scan of the superstep's subgraph captures.
 func (r *Reader) SubgraphAt(superstep int, id pregel.VertexID) *SubgraphCapture {
 	if loc, ok := r.subgraphLoc[superstep].find(id); ok {
 		if c, _ := r.record(loc, false).(*SubgraphCapture); c != nil {
@@ -658,7 +620,7 @@ func (r *Reader) SubgraphAt(superstep int, id pregel.VertexID) *SubgraphCapture 
 	return findMemberSubgraph(r.SubgraphsAt(superstep), id)
 }
 
-// Search implements View.
+// Search returns captures matching q in (superstep, vertex) order.
 func (r *Reader) Search(q Query) []*VertexCapture {
 	var out []*VertexCapture
 	steps := r.steps

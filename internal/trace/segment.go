@@ -2,9 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"sync/atomic"
 
-	"graft/internal/dfs"
 	"graft/internal/pregel"
 	"graft/internal/segio"
 )
@@ -41,29 +39,11 @@ import (
 // order, so the reader opens them unchanged.
 //
 // The container mechanics — framing, sealing, index encoding — live in
-// the dependency-free segio package so the engine's outbox logs can
-// share them; this file binds them to trace record types. An index
+// the segio package (a leaf apart from dfs) so the engine's outbox logs
+// can share them; this file binds them to trace record types. An index
 // entry's coordinates are (record kind, superstep, vertex or subgraph
 // ID — 0 for master records).
 const segMagic = segio.SegMagic
-
-// segmentWriter owns one lane: the generic segio writer plus the trace
-// record codec and drop accounting. Not safe for concurrent use; each
-// lane's drainer goroutine is its only caller.
-type segmentWriter struct {
-	w *segio.Writer
-	// dropped counts records discarded when a segment cannot be
-	// committed; shared with the owning sink's DroppedRecords.
-	dropped *atomic.Int64
-
-	e *pregel.Encoder // payload scratch
-}
-
-func newSegmentWriter(fs dfs.FileSystem, jobDir, lane string, segSize int, dropped *atomic.Int64) *segmentWriter {
-	sw := &segmentWriter{dropped: dropped, e: pregel.NewEncoder()}
-	sw.w = segio.NewWriter(fs, jobDir, lane, segSize, func(n int) { sw.dropped.Add(int64(n)) })
-	return sw
-}
 
 // entryFor builds a record's index coordinates from its payload and
 // concrete type.
@@ -101,25 +81,4 @@ func encodeFrame(e, hdr *pregel.Encoder, buf *bytes.Buffer, rec any) (segio.Entr
 	buf.Write(hdr.Bytes())
 	buf.Write(payload)
 	return ent, nil
-}
-
-// append encodes rec into the open segment and records its index
-// entry, sealing the segment once it passes the size threshold.
-func (sw *segmentWriter) append(rec any) error {
-	sw.e.Reset()
-	if err := encodeRecordPayload(sw.e, rec); err != nil {
-		sw.dropped.Add(1)
-		return err
-	}
-	payload := sw.e.Bytes()
-	return sw.w.AppendRecord(payload, entryFor(rec, payload))
-}
-
-// flush seals the open segment and commits the lane's next index part:
-// the barrier hook. After flush returns, every record appended so far
-// is durable and indexed (or counted as dropped). The part itself is
-// not kept: only a reader needs the index, and it loads the files.
-func (sw *segmentWriter) flush() error {
-	_, err := sw.w.Flush()
-	return err
 }

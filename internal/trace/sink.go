@@ -66,7 +66,6 @@ type sinkOptions struct {
 	queueCap    int
 	batchSize   int // laneBatchSize, except in tests that shrink it
 	policy      BackpressurePolicy
-	synchronous bool
 }
 
 // validate rejects explicitly negative capacities — historically they
@@ -115,21 +114,13 @@ func WithBackpressure(p BackpressurePolicy) Option {
 	return func(o *sinkOptions) { o.policy = p }
 }
 
-// WithSynchronous disables the background drainers: records are
-// encoded and segments sealed inline on the calling goroutine. The
-// capture-overhead benchmark's baseline, and a debugging aid.
-func WithSynchronous() Option {
-	return func(o *sinkOptions) { o.synchronous = true }
-}
-
 // RecordSink accepts capture records for one lane (one worker, or the
 // master). A lane is single-producer: each worker sink is used only by
 // its worker goroutine, the master sink only by the engine
 // coordinator. The reference *Writer satisfies this interface too.
 //
 // A record is fully encoded to bytes before Write* returns and the sink
-// keeps no reference to it or to anything it points at — in the
-// asynchronous pipeline as much as under WithSynchronous, since the
+// keeps no reference to it or to anything it points at, since the
 // producer frames at the source and only bytes are queued. A caller may
 // therefore pass live values (a vertex's current value, the engine's
 // message slice) without cloning them, and reuse the record and its
@@ -209,25 +200,20 @@ func (s *Store) NewSink(meta JobMeta, opts ...Option) (Sink, error) {
 		if i < meta.NumWorkers {
 			name = fmt.Sprintf("worker_%02d", i)
 		}
+		// The queue capacity is in records; the channel holds batches.
+		depth := max(opt.queueCap/opt.batchSize, 1)
 		l := &sinkLane{
 			sink: js,
-			sw:   newSegmentWriter(s.FS, dir, name, opt.segmentSize, &js.dropped),
+			sw:   segio.NewWriter(s.FS, dir, name, opt.segmentSize, func(n int) { js.dropped.Add(int64(n)) }),
+			ch:   make(chan *laneBatch, depth),
+			ack:  make(chan error, 1),
+			done: make(chan struct{}),
+			free: make(chan *laneBatch, depth+1),
 			e:    pregel.NewEncoder(),
 			hdr:  pregel.NewEncoder(),
 			cur:  &laneBatch{},
 		}
-		if !opt.synchronous {
-			// The queue capacity is in records; the channel holds batches.
-			depth := opt.queueCap / opt.batchSize
-			if depth < 1 {
-				depth = 1
-			}
-			l.ch = make(chan *laneBatch, depth)
-			l.ack = make(chan error, 1)
-			l.free = make(chan *laneBatch, depth+1)
-			l.done = make(chan struct{})
-			go l.drain()
-		}
+		go l.drain()
 		js.lanes = append(js.lanes, l)
 	}
 	return js, nil
@@ -257,9 +243,6 @@ func (js *jobSink) DroppedRecords() int64 { return js.dropped.Load() }
 func (js *jobSink) QueueDepth() int {
 	n := 0
 	for _, l := range js.lanes {
-		if l.ch == nil {
-			continue
-		}
 		n += int(l.queued.Load())
 		l.mu.Lock()
 		n += len(l.cur.entries)
@@ -287,18 +270,6 @@ func (js *jobSink) recordErr(err error) {
 // is sealed into a committed segment and indexed.
 func (js *jobSink) BarrierFlush(superstep int) error {
 	_ = superstep // reserved: per-superstep flush bookkeeping
-	if js.opt.synchronous {
-		var first error
-		for _, l := range js.lanes {
-			if err := l.sw.flush(); err != nil && first == nil {
-				first = err
-			}
-		}
-		if first != nil {
-			js.recordErr(first)
-		}
-		return first
-	}
 	for _, l := range js.lanes {
 		l.mu.Lock()
 		l.sendLocked() // push the partial batch ahead of the token
@@ -325,19 +296,15 @@ func (js *jobSink) CloseFiles() error {
 	}
 	js.filesClosed = true
 	for _, l := range js.lanes {
-		if l.ch != nil {
-			l.mu.Lock()
-			l.sendLocked()
-			l.mu.Unlock()
-			close(l.ch)
-		}
+		l.mu.Lock()
+		l.sendLocked()
+		l.mu.Unlock()
+		close(l.ch)
 	}
 	var first error
 	for _, l := range js.lanes {
-		if l.done != nil {
-			<-l.done
-		}
-		if err := l.sw.flush(); err != nil && first == nil {
+		<-l.done
+		if _, err := l.sw.Flush(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -378,22 +345,22 @@ func (b *laneBatch) reset() {
 }
 
 // sinkLane is one worker's (or the master's) capture queue plus the
-// segment writer its drainer goroutine owns. In synchronous mode ch is
-// nil and the producer goroutine drives the segment writer directly.
+// segment writer its drainer goroutine owns.
 //
 // The producer frames records at the source: submit encodes into the
 // lane's batch buffer under mu, and a full batch goes to the drainer
 // as one queue message of flat bytes plus scalar index entries. That
-// keeps the per-record pipeline cost to an encode (which the
-// synchronous path pays anyway), amortizes the channel hop over
-// batchSize records, and — because queued batches hold no pointers —
-// adds nothing to garbage-collector mark work, unlike queueing the
-// capture objects themselves. mu is held by the lane's producer and by
-// BarrierFlush/CloseFiles pushing the partial batch; the drainer never
-// takes it.
+// keeps the per-record pipeline cost to an encode, amortizes the
+// channel hop over batchSize records, and — because queued batches hold
+// no pointers — adds nothing to garbage-collector mark work, unlike
+// queueing the capture objects themselves. mu is held by the lane's
+// producer and by BarrierFlush/CloseFiles pushing the partial batch;
+// the drainer never takes it.
 type sinkLane struct {
 	sink *jobSink
-	sw   *segmentWriter
+	// sw is the lane's segment writer; only the drainer touches it
+	// until CloseFiles has stopped the drainer.
+	sw *segio.Writer
 	// ch carries full batches to the drainer; a nil batch is a flush
 	// token, acknowledged on ack once everything before it is sealed and
 	// indexed.
@@ -422,12 +389,16 @@ func (l *sinkLane) drain() {
 	defer close(l.done)
 	for b := range l.ch {
 		if b == nil {
-			l.ack <- l.sw.flush()
+			// Seal the open segment and commit the lane's next index
+			// part. The part itself is not kept: only a reader needs the
+			// index, and it loads the files.
+			_, err := l.sw.Flush()
+			l.ack <- err
 			continue
 		}
 		// Drop accounting happens inside the segment writer: a failed
 		// seal counts every record of the discarded segment.
-		if err := l.sw.w.AppendFramed(b.buf.Bytes(), b.entries); err != nil {
+		if err := l.sw.AppendFramed(b.buf.Bytes(), b.entries); err != nil {
 			l.sink.recordErr(err)
 		}
 		l.queued.Add(int64(-len(b.entries)))
@@ -442,13 +413,6 @@ func (l *sinkLane) drain() {
 // submit frames one record into the lane's batch, handing the batch to
 // the drainer (under the backpressure policy) when it fills.
 func (l *sinkLane) submit(rec any) error {
-	if l.ch == nil {
-		if err := l.sw.append(rec); err != nil {
-			l.sink.recordErr(err)
-			return err
-		}
-		return nil
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	ent, err := encodeFrame(l.e, l.hdr, &l.cur.buf, rec)

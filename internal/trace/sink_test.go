@@ -156,36 +156,6 @@ func withBatchSize(n int) Option {
 	return func(o *sinkOptions) { o.batchSize = n }
 }
 
-// TestSinkSyncAsyncEquivalence writes the same record stream through
-// the synchronous path and the async pipeline and demands the two
-// traces be indistinguishable to a reader.
-func TestSinkSyncAsyncEquivalence(t *testing.T) {
-	store := NewStore(dfs.NewMemFS(), "t")
-	writeSinkJob(t, store, "sync", WithSynchronous(), WithSegmentSize(64))
-	// Batch size 3 exercises partial-batch pushes at barriers; segment
-	// size 64 exercises mid-stream seals on the drainer.
-	writeSinkJob(t, store, "async", withBatchSize(3), WithSegmentSize(64))
-
-	a, err := store.OpenReader("sync")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := store.OpenReader("async")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := DiffJobs(a, b)
-	if len(diff.OnlyA) != 0 || len(diff.OnlyB) != 0 {
-		t.Errorf("capture sets differ: onlySync=%v onlyAsync=%v", diff.OnlyA, diff.OnlyB)
-	}
-	if d := diff.FirstDivergence(); d != nil {
-		t.Errorf("first divergence at superstep %d vertex %d: %v", d.Superstep, d.ID, d.Fields)
-	}
-	if len(diff.StatusDiffs) != 0 {
-		t.Errorf("status differs at supersteps %v", diff.StatusDiffs)
-	}
-}
-
 // TestSinkBatchSizeOne pins the edge case where every record is its
 // own batch message.
 func TestSinkBatchSizeOne(t *testing.T) {
@@ -298,19 +268,24 @@ func (f *failFS) Create(path string) (io.WriteCloser, error) {
 }
 
 // TestSinkWriteErrorVsDropAccounting pins the distinction between the
-// two loss ledgers: a structural write failure surfaces in Err (and
-// counts the segment's records as lost), while Drop-policy overflow
-// only ever increments DroppedRecords. A reader of the stats must be
-// able to tell "storage broke" from "storage was slow".
+// two loss ledgers: a structural write failure surfaces at the barrier
+// and in Err (and counts the segment's records as lost), while
+// Drop-policy overflow only ever increments DroppedRecords. A reader of
+// the stats must be able to tell "storage broke" from "storage was
+// slow".
 func TestSinkWriteErrorVsDropAccounting(t *testing.T) {
 	store := NewStore(&failFS{dfs.NewMemFS()}, "t")
-	sink, err := store.NewSink(JobMeta{JobID: "job1", NumWorkers: 1}, WithSynchronous(), WithSegmentSize(1))
+	sink, err := store.NewSink(JobMeta{JobID: "job1", NumWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	werr := sink.WorkerSink(0).WriteVertexCapture(sampleVertexCapture())
-	if werr == nil {
-		t.Fatal("write into a failing store succeeded")
+	// The record is queued; nothing touches storage until the barrier
+	// seals its segment.
+	if err := sink.WorkerSink(0).WriteVertexCapture(sampleVertexCapture()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.BarrierFlush(0); !errors.Is(err, errDiskGone) {
+		t.Errorf("BarrierFlush = %v, want the storage failure", err)
 	}
 	if err := sink.Err(); !errors.Is(err, errDiskGone) {
 		t.Errorf("Err() = %v, want the storage failure", err)
@@ -517,92 +492,90 @@ func TestReaderOldAndNewIndexLayouts(t *testing.T) {
 // part. The segment it would have named is already committed, so a
 // reader opening before the next barrier finds its records by scanning
 // it, and the next barrier's part names it: nothing is lost, nothing is
-// indexed twice, nothing is counted as dropped.
+// indexed twice, nothing is counted as dropped. The async pipeline is
+// the only write path; its subtest keeps the name it had beside the
+// deleted synchronous one.
 func TestSinkFailedIndexPartWrite(t *testing.T) {
-	for _, mode := range []string{"async", "synchronous"} {
-		t.Run(mode, func(t *testing.T) {
-			mem := dfs.NewMemFS()
-			// One lane ever writes (the master lane gets no records), so
-			// the Creates are job.meta, seg_000000, idx_000000, ...: the
-			// third is the first part.
-			ffs := faults.NewFaultFS(mem, faults.Plan{FailNth: map[faults.Op]int{faults.OpCreate: 3}})
-			store := NewStore(ffs, "t")
-			var opts []Option
-			if mode == "synchronous" {
-				opts = append(opts, WithSynchronous())
-			}
-			sink, err := store.NewSink(JobMeta{JobID: "job1", NumWorkers: 1}, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			write := func(step, n int) {
-				for i := 0; i < n; i++ {
-					c := sampleVertexCapture()
-					c.Superstep, c.Worker, c.ID = step, 0, pregel.VertexID(i)
-					if err := sink.WorkerSink(0).WriteVertexCapture(c); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			write(0, 5)
-			if err := sink.BarrierFlush(0); !errors.Is(err, faults.ErrInjected) || !strings.Contains(err.Error(), ".idx") {
-				t.Fatalf("first barrier: err = %v, want the injected fault on the .idx Create", err)
-			}
+	t.Run("async", testSinkFailedIndexPartWrite)
+}
 
-			between, err := NewStore(mem, "t").OpenReader("job1")
-			if err != nil {
+func testSinkFailedIndexPartWrite(t *testing.T) {
+	mem := dfs.NewMemFS()
+	// One lane ever writes (the master lane gets no records), so
+	// the Creates are job.meta, seg_000000, idx_000000, ...: the
+	// third is the first part.
+	ffs := faults.NewFaultFS(mem, faults.Plan{FailNth: map[faults.Op]int{faults.OpCreate: 3}})
+	store := NewStore(ffs, "t")
+	sink, err := store.NewSink(JobMeta{JobID: "job1", NumWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(step, n int) {
+		for i := 0; i < n; i++ {
+			c := sampleVertexCapture()
+			c.Superstep, c.Worker, c.ID = step, 0, pregel.VertexID(i)
+			if err := sink.WorkerSink(0).WriteVertexCapture(c); err != nil {
 				t.Fatal(err)
 			}
-			if between.IndexParts() != 0 || between.TotalCaptures() != 5 || between.SegmentReads() != 1 {
-				t.Errorf("reader between the barriers: %d parts, %d captures, %d segments scanned; want 0, 5, 1",
-					between.IndexParts(), between.TotalCaptures(), between.SegmentReads())
-			}
+		}
+	}
+	write(0, 5)
+	if err := sink.BarrierFlush(0); !errors.Is(err, faults.ErrInjected) || !strings.Contains(err.Error(), ".idx") {
+		t.Fatalf("first barrier: err = %v, want the injected fault on the .idx Create", err)
+	}
 
-			write(1, 4)
-			if err := sink.BarrierFlush(1); err != nil {
-				t.Fatalf("second barrier: %v", err)
-			}
-			if err := sink.Finish(JobResult{Supersteps: 2, Captures: 9}); err != nil {
-				t.Fatal(err)
-			}
-			if n := sink.DroppedRecords(); n != 0 {
-				t.Errorf("DroppedRecords = %d, want 0: the records are on disk", n)
-			}
-			if ffs.FaultStats().Injected != 1 {
-				t.Errorf("%d faults injected, want exactly 1", ffs.FaultStats().Injected)
-			}
+	between, err := NewStore(mem, "t").OpenReader("job1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if between.IndexParts() != 0 || between.TotalCaptures() != 5 || between.SegmentReads() != 1 {
+		t.Errorf("reader between the barriers: %d parts, %d captures, %d segments scanned; want 0, 5, 1",
+			between.IndexParts(), between.TotalCaptures(), between.SegmentReads())
+	}
 
-			// Exactly one part, naming both segments, every record once.
-			raw, err := dfs.ReadFile(mem, "t/job1/worker_00/idx_000000.idx")
-			if err != nil {
-				t.Fatal(err)
+	write(1, 4)
+	if err := sink.BarrierFlush(1); err != nil {
+		t.Fatalf("second barrier: %v", err)
+	}
+	if err := sink.Finish(JobResult{Supersteps: 2, Captures: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if n := sink.DroppedRecords(); n != 0 {
+		t.Errorf("DroppedRecords = %d, want 0: the records are on disk", n)
+	}
+	if ffs.FaultStats().Injected != 1 {
+		t.Errorf("%d faults injected, want exactly 1", ffs.FaultStats().Injected)
+	}
+
+	// Exactly one part, naming both segments, every record once.
+	raw, err := dfs.ReadFile(mem, "t/job1/worker_00/idx_000000.idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := segio.DecodeIndex(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[[2]int64]bool{}
+	for _, seg := range segs {
+		for _, ent := range seg.Entries {
+			key := [2]int64{int64(ent.Step), ent.ID}
+			if seen[key] {
+				t.Errorf("record %v indexed twice", key)
 			}
-			segs, err := segio.DecodeIndex(raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seen := map[[2]int64]bool{}
-			for _, seg := range segs {
-				for _, ent := range seg.Entries {
-					key := [2]int64{int64(ent.Step), ent.ID}
-					if seen[key] {
-						t.Errorf("record %v indexed twice", key)
-					}
-					seen[key] = true
-				}
-			}
-			if len(segs) != 2 || len(seen) != 9 {
-				t.Errorf("part names %d segments and %d records, want 2 and 9", len(segs), len(seen))
-			}
-			after, err := NewStore(mem, "t").OpenReader("job1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if after.IndexParts() != 1 || after.TotalCaptures() != 9 || after.SegmentReads() != 0 {
-				t.Errorf("reader after the job: %d parts, %d captures, %d segments scanned; want 1, 9, 0",
-					after.IndexParts(), after.TotalCaptures(), after.SegmentReads())
-			}
-		})
+			seen[key] = true
+		}
+	}
+	if len(segs) != 2 || len(seen) != 9 {
+		t.Errorf("part names %d segments and %d records, want 2 and 9", len(segs), len(seen))
+	}
+	after, err := NewStore(mem, "t").OpenReader("job1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.IndexParts() != 1 || after.TotalCaptures() != 9 || after.SegmentReads() != 0 {
+		t.Errorf("reader after the job: %d parts, %d captures, %d segments scanned; want 1, 9, 0",
+			after.IndexParts(), after.TotalCaptures(), after.SegmentReads())
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"graft/internal/algorithms"
 	"graft/internal/graphgen"
-	"graft/internal/pregel"
 	"graft/internal/trace"
 )
 
@@ -37,9 +36,9 @@ func TestPartitionerDigestEquivalence(t *testing.T) {
 			for _, crashAt := range []int{-1, 1} {
 				label := fmt.Sprintf("%s/seed=%d/crash=%d", tc.name, seed, crashAt)
 				t.Run(label, func(t *testing.T) {
-					hashView, hashStats := tracedPlaneRun(t, tc.build(seed), tc.alg(),
+					hashView, hashStats := tracedPlaneRun(t, tc.build(seed), tc.alg(), false,
 						EngineConfig{NumWorkers: 4, Partitioner: PartitionHash}, crashAt)
-					locView, locStats := tracedPlaneRun(t, tc.build(seed), tc.alg(),
+					locView, locStats := tracedPlaneRun(t, tc.build(seed), tc.alg(), false,
 						EngineConfig{NumWorkers: 4, Partitioner: PartitionLocality}, crashAt)
 					requireNoDiff(t, label, hashView, locView)
 					if trace.Digest(hashView) != trace.Digest(locView) {
@@ -66,15 +65,15 @@ func TestPartitionerDigestEquivalence(t *testing.T) {
 // graph the locality placement must converge in no more supersteps
 // than hash, since whole communities stop crossing partitions.
 func TestPartitionerSubgraphValuesEquivalence(t *testing.T) {
-	run := func(mode pregel.ComputeMode, p PartitionerMode) (string, *Stats) {
+	run := func(subgraph bool, p PartitionerMode) (string, *Stats) {
 		g := graphgen.ChainedCommunities(600, 12, 4, 7)
-		_, stats := tracedPlaneRun(t, g, algorithms.NewConnectedComponents(),
-			EngineConfig{NumWorkers: 4, ComputeMode: mode, Partitioner: p}, -1)
+		_, stats := tracedPlaneRun(t, g, algorithms.NewConnectedComponents(), subgraph,
+			EngineConfig{NumWorkers: 4, Partitioner: p}, -1)
 		return g.ValuesDigest(), stats
 	}
-	vertexDigest, _ := run(pregel.ModeVertex, PartitionHash)
-	hashDigest, hashStats := run(pregel.ModeSubgraph, PartitionHash)
-	locDigest, locStats := run(pregel.ModeSubgraph, PartitionLocality)
+	vertexDigest, _ := run(false, PartitionHash)
+	hashDigest, hashStats := run(true, PartitionHash)
+	locDigest, locStats := run(true, PartitionLocality)
 	if hashDigest != vertexDigest {
 		t.Fatalf("subgraph-mode values diverged from vertex mode under hash placement")
 	}
@@ -98,11 +97,11 @@ func TestPartitionerConfinedRecoveryEquivalence(t *testing.T) {
 	engine := func(p PartitionerMode) EngineConfig {
 		return EngineConfig{NumWorkers: 4, Partitioner: p}
 	}
-	hashView, _ := tracedRecoveryRun(t, build(), algorithms.NewConnectedComponents(),
+	hashView, _ := tracedRecoveryRun(t, build(), algorithms.NewConnectedComponents(), false,
 		engine(PartitionHash), RecoveryLog, crashAt, victim)
-	cleanView, _ := tracedRecoveryRun(t, build(), algorithms.NewConnectedComponents(),
+	cleanView, _ := tracedRecoveryRun(t, build(), algorithms.NewConnectedComponents(), false,
 		engine(PartitionLocality), RecoveryLog, -1, 0)
-	crashView, crashStats := tracedRecoveryRun(t, build(), algorithms.NewConnectedComponents(),
+	crashView, crashStats := tracedRecoveryRun(t, build(), algorithms.NewConnectedComponents(), false,
 		engine(PartitionLocality), RecoveryLog, crashAt, victim)
 
 	if crashStats.Recoveries != 1 {
@@ -124,9 +123,9 @@ func TestPartitionerConfinedRecoveryEquivalence(t *testing.T) {
 // on top of both placements: migrations rewrite the assignment table
 // mid-run, and the trace digest must still be placement-invariant.
 func TestPartitionerWithEdgeCutRebalancer(t *testing.T) {
-	run := func(p PartitionerMode, objective RebalanceObjective) (trace.View, *Stats) {
+	run := func(p PartitionerMode, objective RebalanceObjective) (*trace.Reader, *Stats) {
 		return tracedPlaneRun(t, graphgen.ChainedCommunities(600, 12, 4, 7),
-			algorithms.NewConnectedComponents(),
+			algorithms.NewConnectedComponents(), false,
 			EngineConfig{NumWorkers: 4,
 				Partitioner: p, RebalanceObjective: objective}, -1)
 	}

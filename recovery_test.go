@@ -12,17 +12,18 @@ import (
 	"graft/internal/trace"
 )
 
-// tracedRecoveryRun executes one fully-captured job under the given
-// recovery mode, optionally failing one partition at crashAt, and
-// returns the trace view and stats.
-func tracedRecoveryRun(t *testing.T, g *Graph, alg *algorithms.Algorithm, engine EngineConfig, mode RecoveryMode, crashAt, partition int) (trace.View, *Stats) {
+// tracedRecoveryRun executes one fully-captured job — of alg's subgraph
+// port when subgraph is set — under the given recovery mode, optionally
+// failing one partition at crashAt, and returns the trace view and
+// stats.
+func tracedRecoveryRun(t *testing.T, g *Graph, alg *algorithms.Algorithm, subgraph bool, engine EngineConfig, mode RecoveryMode, crashAt, partition int) (*trace.Reader, *Stats) {
 	t.Helper()
-	return tracedRecoveryRunUnder(t, &DebugConfig{CaptureAllActive: true, MaxCaptures: -1}, g, alg, engine, mode, crashAt, partition)
+	return tracedRecoveryRunUnder(t, &DebugConfig{CaptureAllActive: true, MaxCaptures: -1}, g, alg, subgraph, engine, mode, crashAt, partition)
 }
 
 // tracedRecoveryRunUnder is tracedRecoveryRun with the DebugConfig
 // chosen by the caller.
-func tracedRecoveryRunUnder(t *testing.T, debug *DebugConfig, g *Graph, alg *algorithms.Algorithm, engine EngineConfig, mode RecoveryMode, crashAt, partition int) (trace.View, *Stats) {
+func tracedRecoveryRunUnder(t *testing.T, debug *DebugConfig, g *Graph, alg *algorithms.Algorithm, subgraph bool, engine EngineConfig, mode RecoveryMode, crashAt, partition int) (*trace.Reader, *Stats) {
 	t.Helper()
 	engine.CheckpointEvery = 2
 	engine.CheckpointFS = dfs.NewMemFS()
@@ -32,12 +33,16 @@ func tracedRecoveryRunUnder(t *testing.T, debug *DebugConfig, g *Graph, alg *alg
 		engine.PartitionFailureAt = FailPartitionAt(crashAt, partition)
 	}
 	store := NewStore(NewMemFS(), "traces")
-	res, err := RunAlgorithm(g, alg, RunOptions{
+	opts := RunOptions{
 		JobID:  "job",
 		Engine: engine,
 		Debug:  debug,
 		Store:  store,
-	})
+	}
+	if subgraph {
+		opts.Subgraph = alg.Subgraph
+	}
+	res, err := RunAlgorithm(g, alg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +80,10 @@ func TestRecoveryDigestEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			engine := EngineConfig{NumWorkers: 4}
-			cleanView, _ := tracedRecoveryRun(t, tc.build(), tc.alg(), engine, RecoveryCheckpoint, -1, 0)
+			cleanView, _ := tracedRecoveryRun(t, tc.build(), tc.alg(), false, engine, RecoveryCheckpoint, -1, 0)
 			clean := trace.Digest(cleanView)
 
-			ckptView, ckptStats := tracedRecoveryRun(t, tc.build(), tc.alg(), engine, RecoveryCheckpoint, crashAt, victim)
+			ckptView, ckptStats := tracedRecoveryRun(t, tc.build(), tc.alg(), false, engine, RecoveryCheckpoint, crashAt, victim)
 			if ckptStats.Recoveries != 1 {
 				t.Fatalf("checkpoint run recoveries = %d, want 1", ckptStats.Recoveries)
 			}
@@ -86,7 +91,7 @@ func TestRecoveryDigestEquivalence(t *testing.T) {
 				t.Errorf("checkpoint-recovered digest diverged:\nclean: %s\ngot:   %s", clean, got)
 			}
 
-			logView, logStats := tracedRecoveryRun(t, tc.build(), tc.alg(), engine, RecoveryLog, crashAt, victim)
+			logView, logStats := tracedRecoveryRun(t, tc.build(), tc.alg(), false, engine, RecoveryLog, crashAt, victim)
 			if logStats.Recoveries != 1 {
 				t.Fatalf("log run recoveries = %d, want 1", logStats.Recoveries)
 			}
@@ -128,7 +133,7 @@ func TestRecoveryDigestEquivalenceUnderConstraints(t *testing.T) {
 	build := func() *Graph { return graphgen.WebGraph(240, 5, 7) }
 	alg := func() *algorithms.Algorithm { return algorithms.NewPageRank(8, 0.85) }
 
-	cleanView, _ := tracedRecoveryRunUnder(t, debug(), build(), alg(), engine, RecoveryCheckpoint, -1, 0)
+	cleanView, _ := tracedRecoveryRunUnder(t, debug(), build(), alg(), false, engine, RecoveryCheckpoint, -1, 0)
 	clean := trace.Digest(cleanView)
 	if n := cleanView.TotalCaptures(); n < 100 {
 		t.Fatalf("only %d constraint-triggered captures; the property needs a populated trace", n)
@@ -141,7 +146,7 @@ func TestRecoveryDigestEquivalenceUnderConstraints(t *testing.T) {
 		}
 	}
 	for _, mode := range []RecoveryMode{RecoveryCheckpoint, RecoveryLog} {
-		view, stats := tracedRecoveryRunUnder(t, debug(), build(), alg(), engine, mode, crashAt, victim)
+		view, stats := tracedRecoveryRunUnder(t, debug(), build(), alg(), false, engine, mode, crashAt, victim)
 		if stats.Recoveries != 1 {
 			t.Fatalf("%s run recoveries = %d, want 1", mode, stats.Recoveries)
 		}
@@ -166,12 +171,12 @@ func TestRecoveryDigestEquivalenceWithRebalancer(t *testing.T) {
 		RebalanceSkew:     1.3,
 		RebalanceMaxMoves: 64,
 	}
-	cleanView, _ := tracedRecoveryRun(t, build(), alg(), engine, RecoveryCheckpoint, -1, 0)
+	cleanView, _ := tracedRecoveryRun(t, build(), alg(), false, engine, RecoveryCheckpoint, -1, 0)
 	clean := trace.Digest(cleanView)
 
 	for _, mode := range []RecoveryMode{RecoveryCheckpoint, RecoveryLog} {
 		t.Run(mode.String(), func(t *testing.T) {
-			view, stats := tracedRecoveryRun(t, build(), alg(), engine, mode, 4, 0)
+			view, stats := tracedRecoveryRun(t, build(), alg(), false, engine, mode, 4, 0)
 			if stats.Recoveries != 1 {
 				t.Fatalf("recoveries = %d, want 1", stats.Recoveries)
 			}
@@ -199,8 +204,8 @@ func TestRecoverySeededChaosVictim(t *testing.T) {
 	}
 	engine := EngineConfig{NumWorkers: workers}
 	build := func() *Graph { return graphgen.SocialGraph(200, 5, 11) }
-	cleanView, _ := tracedRecoveryRun(t, build(), algorithms.NewConnectedComponents(), engine, RecoveryCheckpoint, -1, 0)
-	view, stats := tracedRecoveryRun(t, build(), algorithms.NewConnectedComponents(), engine, RecoveryLog, 2, victim)
+	cleanView, _ := tracedRecoveryRun(t, build(), algorithms.NewConnectedComponents(), false, engine, RecoveryCheckpoint, -1, 0)
+	view, stats := tracedRecoveryRun(t, build(), algorithms.NewConnectedComponents(), false, engine, RecoveryLog, 2, victim)
 	if stats.Recoveries != 1 {
 		t.Fatalf("recoveries = %d, want 1", stats.Recoveries)
 	}

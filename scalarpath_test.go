@@ -25,36 +25,29 @@ func boxedTwin(alg *algorithms.Algorithm) *algorithms.Algorithm {
 
 // scalarPathConfig is one point of the equivalence matrix.
 type scalarPathConfig struct {
-	mode      pregel.ComputeMode
+	mode      string // "vertex" or "subgraph"
 	part      PartitionerMode
 	crash     string // "none", "checkpoint" (whole-job restart), "log" (confined replay) or "log-clean" (logging, no failure)
 	rebalance string // "none", "skew" or "edgecut"
 }
 
 func (c scalarPathConfig) String() string {
-	return fmt.Sprintf("%v/%v/crash=%s/rebalance=%s", c.mode, c.part, c.crash, c.rebalance)
+	return fmt.Sprintf("%s/%v/crash=%s/rebalance=%s", c.mode, c.part, c.crash, c.rebalance)
 }
 
 // scalarPathRun runs one fully captured job and returns its trace, its
 // stats and the file systems its checkpoints and outbox logs went to.
-func scalarPathRun(t *testing.T, g *Graph, alg *algorithms.Algorithm, workers int, c scalarPathConfig) (trace.View, *Stats, *dfs.MemFS, *dfs.MemFS) {
+func scalarPathRun(t *testing.T, g *Graph, alg *algorithms.Algorithm, workers int, c scalarPathConfig) (*trace.Reader, *Stats, *dfs.MemFS, *dfs.MemFS) {
 	t.Helper()
 	ckptFS, logFS := dfs.NewMemFS(), dfs.NewMemFS()
-	engine := EngineConfig{NumWorkers: workers, ComputeMode: c.mode, Partitioner: c.part}
+	engine := EngineConfig{NumWorkers: workers, Partitioner: c.part}
 	if c.crash != "none" {
 		engine.CheckpointEvery = 2
 		engine.CheckpointFS = ckptFS
 	}
 	switch c.crash {
 	case "checkpoint":
-		fired := false
-		engine.FailureAt = func(s int) bool {
-			if s == 3 && !fired {
-				fired = true
-				return true
-			}
-			return false
-		}
+		engine.PartitionFailureAt = FailPartitionAt(3)
 	case "log":
 		engine.Recovery = RecoveryLog
 		engine.MsgLogFS = logFS
@@ -71,12 +64,16 @@ func scalarPathRun(t *testing.T, g *Graph, alg *algorithms.Algorithm, workers in
 		engine.RebalanceObjective = ObjectiveEdgeCut
 	}
 	store := NewStore(NewMemFS(), "traces")
-	res, err := RunAlgorithm(g, alg, RunOptions{
+	opts := RunOptions{
 		JobID:  "job",
 		Engine: engine,
 		Debug:  &DebugConfig{CaptureAllActive: true, MaxCaptures: -1},
 		Store:  store,
-	})
+	}
+	if c.mode == "subgraph" {
+		opts.Subgraph = alg.Subgraph
+	}
+	res, err := RunAlgorithm(g, alg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +98,7 @@ func migrations(stats *Stats) [][4]int64 {
 // requireSameRun compares everything a job's message path can influence:
 // the canonical trace, the final values, and the per-superstep message
 // accounting.
-func requireSameRun(t *testing.T, label string, aView, bView trace.View, a, b *Stats, traffic bool) {
+func requireSameRun(t *testing.T, label string, aView, bView *trace.Reader, a, b *Stats, traffic bool) {
 	t.Helper()
 	requireNoDiff(t, label, aView, bView)
 	if trace.Digest(aView) != trace.Digest(bView) {
@@ -142,8 +139,8 @@ func TestScalarPathEquivalenceProperty(t *testing.T) {
 	moved := map[string]int64{}
 	recovered := map[string]int{}
 	for _, a := range algs {
-		for _, mode := range []pregel.ComputeMode{pregel.ModeVertex, pregel.ModeSubgraph} {
-			if mode == pregel.ModeSubgraph && !a.alg().SupportsSubgraph() {
+		for _, mode := range []string{"vertex", "subgraph"} {
+			if mode == "subgraph" && !a.alg().SupportsSubgraph() {
 				continue
 			}
 			for _, part := range []PartitionerMode{PartitionHash, PartitionLocality} {
@@ -164,7 +161,7 @@ func TestScalarPathEquivalenceProperty(t *testing.T) {
 							// shows in a vertex-mode trace, but it does shape the
 							// traffic matrix and subgraph-mode trajectories.
 							samePlacement := reflect.DeepEqual(migrations(rowStats), migrations(boxStats))
-							if mode == pregel.ModeSubgraph && !samePlacement {
+							if mode == "subgraph" && !samePlacement {
 								return
 							}
 							requireSameRun(t, "row vs boxed", rowView, boxView, rowStats, boxStats, samePlacement)

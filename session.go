@@ -430,9 +430,6 @@ func validateRunOptions(opts *RunOptions) error {
 			return fmt.Errorf("%w: Debug set without JobID", ErrInvalidOptions)
 		}
 	}
-	if opts.Engine.ComputeMode == pregel.ModeSubgraph && opts.Subgraph == nil {
-		return fmt.Errorf("%w: ComputeMode is ModeSubgraph but no SubgraphComputation was provided (set RunOptions.Subgraph, or use an Algorithm with a Subgraph port)", ErrInvalidOptions)
-	}
 	if err := opts.Engine.Validate(); err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalidOptions, err)
 	}
@@ -447,9 +444,6 @@ func mergeAlgorithm(opts *RunOptions, alg *Algorithm) {
 		opts.Algorithm = alg.Name
 	}
 	alg.ApplyDefaults(&opts.Engine)
-	if opts.Subgraph == nil {
-		opts.Subgraph = alg.Subgraph
-	}
 	opts.Aggregators = append(opts.Aggregators, alg.Aggregators...)
 }
 
@@ -471,7 +465,7 @@ func runJob(ctx context.Context, g *Graph, comp Computation, opts RunOptions, ex
 	cfg.Listener = tee(extra, cfg.Listener)
 	if opts.Debug != nil {
 		mode := ""
-		if cfg.ComputeMode == pregel.ModeSubgraph {
+		if scomp != nil {
 			mode = "subgraph"
 		}
 		var err error
@@ -489,7 +483,7 @@ func runJob(ctx context.Context, g *Graph, comp Computation, opts RunOptions, ex
 		if err != nil {
 			return nil, err
 		}
-		if cfg.ComputeMode == pregel.ModeSubgraph && scomp != nil {
+		if scomp != nil {
 			scomp = session.InstrumentSubgraph(scomp)
 		} else {
 			comp = session.Instrument(comp)
@@ -507,7 +501,7 @@ func runJob(ctx context.Context, g *Graph, comp Computation, opts RunOptions, ex
 	}
 
 	var job *pregel.Job
-	if cfg.ComputeMode == pregel.ModeSubgraph {
+	if scomp != nil {
 		job = pregel.NewSubgraphJob(g, scomp, cfg)
 	} else {
 		job = pregel.NewJob(g, comp, cfg)

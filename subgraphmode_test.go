@@ -1,12 +1,11 @@
 package graft
 
 import (
-	"strings"
+	"errors"
 	"testing"
 
 	"graft/internal/algorithms"
 	"graft/internal/graphgen"
-	"graft/internal/pregel"
 	"graft/internal/trace"
 )
 
@@ -18,19 +17,19 @@ import (
 // must match vertex mode.
 func TestSubgraphCrashRecoveryDigestEquivalence(t *testing.T) {
 	const crashAt, victim = 3, 1
-	run := func(mode pregel.ComputeMode, crash bool) (string, trace.View, *Stats) {
-		engine := EngineConfig{NumWorkers: 4, ComputeMode: mode}
+	run := func(subgraph, crash bool) (string, *trace.Reader, *Stats) {
+		engine := EngineConfig{NumWorkers: 4}
 		at := -1
 		if crash {
 			at = crashAt
 		}
 		g := broomGraph(200, 60)
-		view, stats := tracedRecoveryRun(t, g, algorithms.NewConnectedComponents(), engine, RecoveryLog, at, victim)
+		view, stats := tracedRecoveryRun(t, g, algorithms.NewConnectedComponents(), subgraph, engine, RecoveryLog, at, victim)
 		return g.ValuesDigest(), view, stats
 	}
-	vertexDigest, _, _ := run(pregel.ModeVertex, false)
-	cleanDigest, cleanView, cleanStats := run(pregel.ModeSubgraph, false)
-	crashDigest, crashView, crashStats := run(pregel.ModeSubgraph, true)
+	vertexDigest, _, _ := run(false, false)
+	cleanDigest, cleanView, cleanStats := run(true, false)
+	crashDigest, crashView, crashStats := run(true, true)
 
 	if cleanStats.Supersteps <= crashAt {
 		t.Fatalf("subgraph run finished in %d supersteps, before the injected crash at %d",
@@ -69,10 +68,11 @@ func TestSubgraphTraceEndToEnd(t *testing.T) {
 	store := NewStore(NewMemFS(), "traces")
 	alg := algorithms.NewConnectedComponents()
 	res, err := RunAlgorithm(g, alg, RunOptions{
-		JobID:  "sg-e2e",
-		Engine: EngineConfig{NumWorkers: 4, ComputeMode: ModeSubgraph},
-		Debug:  &DebugConfig{CaptureAllActive: true, MaxCaptures: -1},
-		Store:  store,
+		JobID:    "sg-e2e",
+		Engine:   EngineConfig{NumWorkers: 4},
+		Subgraph: alg.Subgraph,
+		Debug:    &DebugConfig{CaptureAllActive: true, MaxCaptures: -1},
+		Store:    store,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestSubgraphTraceEndToEnd(t *testing.T) {
 }
 
 // TestRunSubgraphHelper covers the RunSubgraph convenience entry and
-// the typed error for a missing subgraph computation.
+// the typed error for a job given no program at all.
 func TestRunSubgraphHelper(t *testing.T) {
 	g := graphgen.RegularBipartite(40, 3)
 	res, err := RunSubgraph(g, algorithms.NewConnectedComponents().Subgraph, RunOptions{
@@ -128,9 +128,7 @@ func TestRunSubgraphHelper(t *testing.T) {
 		t.Fatalf("stats = %+v", res.Stats)
 	}
 
-	if _, err := Run(g, nil, RunOptions{
-		Engine: EngineConfig{NumWorkers: 2, ComputeMode: ModeSubgraph},
-	}); err == nil || !strings.Contains(err.Error(), "SubgraphComputation") {
-		t.Fatalf("expected a missing-subgraph-computation error, got %v", err)
+	if _, err := Run(g, nil, RunOptions{Engine: EngineConfig{NumWorkers: 2}}); !errors.Is(err, ErrInvalidConfig) {
+		t.Fatalf("expected ErrInvalidConfig for a job without a program, got %v", err)
 	}
 }
