@@ -127,8 +127,10 @@ func TestCLISmoke(t *testing.T) {
 		never []string
 		check func(t *testing.T, out string)
 	}{
-		{name: "rebalancer", args: []string{"run", "-alg", "cc", "-dataset", "soc-Epinions", "-scale", "0.001", "-debug", "none", "-rebalance-skew", "1.2"},
-			wants: []string{"finished:", "placement: partitioner=hash"}},
+		// Placement is fixed at load: the rebalancer and its flags are gone.
+		{name: "-rebalance-skew is gone", args: with(pr, "-rebalance-skew", "1.2"), exit: 2, wants: []string{"flag provided but not defined"}},
+		{name: "-rebalance-objective is gone", args: with(pr, "-rebalance-objective", "edgecut"), exit: 2, wants: []string{"flag provided but not defined"}},
+		{name: "-rebalance-max-moves is gone", args: with(pr, "-rebalance-max-moves", "8"), exit: 2, wants: []string{"flag provided but not defined"}},
 		{name: "locality partitioner", args: []string{"run", "-alg", "cc", "-dataset", "web-BS", "-scale", "0.002", "-debug", "none", "-partitioner", "locality"},
 			wants: []string{"finished:", "placement: partitioner=locality"}},
 		{name: "async capture", args: with(pr, "-debug", "DC-sp", "-trace-dir", "traces", "-job", "pr-capture"),

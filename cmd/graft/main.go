@@ -127,9 +127,6 @@ func cmdRun(args []string) error {
 	backpressure := fs.String("backpressure", "block", "capture queue policy when full: block or drop")
 	queueCap := fs.Int("capture-queue", trace.DefaultQueueCapacity, "per-worker capture queue depth")
 	partitioner := fs.String("partitioner", "hash", "vertex placement: hash (stateless modulo) or locality (streaming neighbor-affinity placer)")
-	rebalanceSkew := fs.Float64("rebalance-skew", 0, "migrate hot vertices off stragglers when compute/message skew exceeds this ratio (0 disables)")
-	rebalanceObjective := fs.String("rebalance-objective", "skew", "what the rebalancer optimizes: skew (straggler load) or edgecut (cross-partition traffic)")
-	rebalanceMaxMoves := fs.Int("rebalance-max-moves", 0, "cap on vertices migrated per rebalance (0: default 1024)")
 	anomalyWindow := fs.Int("anomaly-window", 0, "sliding window in supersteps for the anomaly detectors (0: default 8, negative: disable detection and traffic-matrix capture)")
 	anomalyOut := fs.String("anomaly-out", "", "write detected anomaly events to this file as JSON Lines")
 	fs.Parse(args)
@@ -144,25 +141,13 @@ func cmdRun(args []string) error {
 		flagError("-crash-partition %d is not a partition of -workers %d (-1: every partition, -2: seeded pick)", *crashPartition, parts)
 	}
 
-	eng := pregel.Config{
-		NumWorkers:        *workers,
-		RebalanceSkew:     *rebalanceSkew,
-		RebalanceMaxMoves: *rebalanceMaxMoves,
-		AnomalyWindow:     *anomalyWindow,
-	}
+	eng := pregel.Config{NumWorkers: *workers, AnomalyWindow: *anomalyWindow}
 	switch *partitioner {
 	case "hash":
 	case "locality":
 		eng.Partitioner = pregel.PartitionLocality
 	default:
 		return fmt.Errorf("unknown -partitioner %q (hash, locality)", *partitioner)
-	}
-	switch *rebalanceObjective {
-	case "skew":
-	case "edgecut":
-		eng.RebalanceObjective = pregel.ObjectiveEdgeCut
-	default:
-		return fmt.Errorf("unknown -rebalance-objective %q (skew, edgecut)", *rebalanceObjective)
 	}
 	if *supersteps < 1 {
 		return fmt.Errorf("run: -supersteps must be at least 1, got %d", *supersteps)

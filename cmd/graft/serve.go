@@ -15,6 +15,10 @@ import (
 	"graft/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so idle or trickling connections cannot pile up.
+const readHeaderTimeout = 10 * time.Second
+
 // cmdServe runs the multi-job daemon: one graft.Session over a shared
 // trace store, jobs submitted and canceled over HTTP, the GUI mounted
 // on the same address.
@@ -49,7 +53,7 @@ func cmdServe(args []string) error {
 		return err
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: daemon.Handler()}
+	srv := &http.Server{Addr: *addr, Handler: daemon.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() {
 		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {

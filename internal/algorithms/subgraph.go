@@ -29,7 +29,7 @@ func wccSubgraph(ctx pregel.SubgraphContext, sg *pregel.Subgraph) error {
 		ctx.VoteToHalt()
 		return nil
 	}
-	// Members can hold different labels after a rebalancer migration
+	// Members can hold different labels after a topology mutation
 	// merged two components, so fold the minimum over member labels and
 	// incoming messages rather than assuming a shared label.
 	min := sg.Member(0).Value().(*pregel.LongValue).Get()
@@ -202,7 +202,7 @@ func (pr *pageRankSubgraph) ComputeSubgraph(ctx pregel.SubgraphContext, sg *preg
 		}
 		dangling := ctx.GetAggregated("dangling").(*pregel.DoubleValue).Get()
 		// Internal in-edge lists, rebuilt per call: member topology can
-		// change between supersteps (mutations, migrations).
+		// change between supersteps (mutations).
 		inEdges := make([][]int, len(members))
 		outDeg := make([]int, len(members))
 		for i, v := range members {

@@ -8,10 +8,7 @@
 // JSONL stream, the GUI profiler page, and `graft run` output.
 //
 // The package is deliberately dependency-free so the pregel engine can
-// import it: the engine feeds Samples at each barrier, and the
-// rebalancer consumes the same one-superstep skew model (EvaluateSkew)
-// the straggler/skew detectors are built on, so detection and
-// mitigation share one definition of "skewed".
+// import it: the engine feeds Samples at each barrier.
 //
 // Detection is coordinator-side only — one Observe call per superstep
 // over a handful of floats plus an optional W×W matrix scan — so its

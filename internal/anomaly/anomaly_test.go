@@ -1,6 +1,9 @@
 package anomaly
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // balanced returns a perfectly healthy sample: no skew, no straggler,
 // even traffic, quiet resilience counters.
@@ -227,6 +230,44 @@ func TestRecoveryStorm(t *testing.T) {
 	}
 	if e.Counts()[KindRecoveryStorm] != 1 {
 		t.Errorf("counts = %v", e.Counts())
+	}
+}
+
+// TestActionsNameRealRemedies fires every detector and checks that no
+// suggested action points at a rebalancer: placement is fixed at load,
+// so the remedies are the profiler's breakdown and input placement.
+func TestActionsNameRealRemedies(t *testing.T) {
+	var evs []Event
+	e := New(Config{Window: 4, StragglerRuns: 3})
+	for i, k := range []float64{1.6, 1.7, 1.8, 1.9} { // rising and hot: trend and streak
+		s := balanced(i, 4)
+		s.ComputeSkew, s.Straggler = k, 2
+		evs = append(evs, e.Observe(s)...)
+	}
+	e = New(Config{})
+	for i := 0; i < 5; i++ {
+		s := balanced(i, 4)
+		s.Sent, s.Combined = 100, 60
+		if i == 4 {
+			s.Combined = 5
+			s.Traffic[1][2] = 500
+		}
+		s.CorruptArtifacts = int64(i * i)
+		s.Recoveries = i
+		evs = append(evs, e.Observe(s)...)
+	}
+	fired := map[Kind]bool{}
+	for _, ev := range evs {
+		fired[ev.Kind] = true
+		if strings.Contains(strings.ToLower(ev.Action), "rebalanc") {
+			t.Errorf("%s action names a rebalancer: %q", ev.Kind, ev.Action)
+		}
+	}
+	for _, k := range []Kind{KindStragglerPersistence, KindSkewTrend, KindCombineCollapse,
+		KindTrafficHotspot, KindFaultSpike, KindRecoveryStorm} {
+		if !fired[k] {
+			t.Errorf("%s never fired; its action went unchecked", k)
+		}
 	}
 }
 

@@ -7,11 +7,10 @@ import "fmt"
 const neverEmitted = -1 << 30
 
 // stragglerPersistence fires when the same worker stays the hot
-// straggler — EvaluateSkew's compute verdict, the trigger the
-// rebalancer shares — for StragglerRuns consecutive supersteps. It
-// re-fires every StragglerRuns steps while the streak holds, escalating
-// to critical at twice the run length: a persistent straggler that the
-// rebalancer (if enabled) has not managed to dissolve.
+// straggler — EvaluateSkew's compute verdict — for StragglerRuns
+// consecutive supersteps. It re-fires every StragglerRuns steps while
+// the streak holds, escalating to critical at twice the run length: a
+// straggler that persists is placement, not noise.
 type stragglerPersistence struct {
 	worker int // worker of the current streak
 	run    int // its length in supersteps
@@ -43,7 +42,8 @@ func (d *stragglerPersistence) Observe(win []Sample, cfg Config) []Event {
 		Value: v.Skew, Threshold: cfg.SkewHot, Window: d.run,
 		Detail: fmt.Sprintf("worker %d slowest for %d consecutive supersteps (compute skew %.2f)",
 			v.Worker, d.run, v.Skew),
-		Action: "enable or lower -rebalance-skew so the adaptive repartitioner migrates load off the straggler",
+		Action: "open the profiler's per-worker breakdown for the straggler; " +
+			"if it holds the hubs, place the input with -partitioner locality or a different -workers count",
 	}}
 }
 
@@ -84,7 +84,8 @@ func (d *skewTrend) Observe(win []Sample, cfg Config) []Event {
 			Value: dim.get(s), Threshold: cfg.SkewHot, Window: len(win),
 			Detail: fmt.Sprintf("%s skew rose monotonically over %d supersteps to %.2f",
 				dim.name, len(win), dim.get(s)),
-			Action: "inspect the per-worker breakdown for the growing partition; consider rebalancing or repartitioning the input",
+			Action: "open the profiler's per-worker breakdown for the growing partition; " +
+				"if its share keeps rising, place the input with -partitioner locality or a different -workers count",
 		})
 	}
 	if len(evs) > 0 {

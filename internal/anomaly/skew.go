@@ -2,10 +2,8 @@ package anomaly
 
 // SkewVerdict is the outcome of the shared one-superstep skew model:
 // whether a superstep's imbalance crossed the threshold, along which
-// dimension, and which worker is the culprit. The pregel rebalancer
-// migrates vertices off Verdict.Worker when Triggered is set, and the
-// straggler-persistence detector counts streaks of the same verdict —
-// detection and mitigation consult one definition of "skewed".
+// dimension, and which worker is the culprit. The straggler-persistence
+// detector counts streaks of the same verdict.
 type SkewVerdict struct {
 	Triggered bool
 	// Dimension is "compute" or "message" ("" when not triggered).

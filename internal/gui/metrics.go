@@ -55,14 +55,12 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 const skewHot = 1.5
 
 // metricsRow is one line of the per-superstep or per-worker table: the
-// metric table's cells for it, whether it is flagged (a skewed
-// superstep, the straggling worker) and, per superstep, what the
-// rebalancer moved at its barrier.
+// metric table's cells for it and whether it is flagged (a skewed
+// superstep, the straggling worker).
 type metricsRow struct {
-	ID         int
-	Cells      []metrics.Item
-	Hot        bool
-	Migrations []pregel.MigrationEvent
+	ID    int
+	Cells []metrics.Item
+	Hot   bool
 }
 
 // handleMetrics renders the GiViP-style per-job dashboard: job-level
@@ -88,7 +86,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	skewVals := make([]float64, 0, len(jm.Supersteps))
 	for i := range jm.Supersteps {
 		ss := &jm.Supersteps[i]
-		rows = append(rows, metricsRow{ID: ss.Superstep, Cells: metrics.Items(ss), Hot: ss.ComputeSkew >= skewHot, Migrations: ss.Migrations})
+		rows = append(rows, metricsRow{ID: ss.Superstep, Cells: metrics.Items(ss), Hot: ss.ComputeSkew >= skewHot})
 		computeMs = append(computeMs, float64(ss.ComputeTime.Microseconds())/1000)
 		sentVals = append(sentVals, float64(ss.MessagesSent))
 		skewVals = append(skewVals, ss.ComputeSkew)

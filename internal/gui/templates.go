@@ -194,11 +194,11 @@ has the per-worker timeline, the traffic heatmap and the anomaly feed.</p>
 </tr></table>
 <h2>Supersteps</h2>
 <table>
-<tr><th>Superstep</th>{{range .StepHead}}<th>{{.Label}}</th>{{end}}<th>Migrated</th></tr>
+<tr><th>Superstep</th>{{range .StepHead}}<th>{{.Label}}</th>{{end}}</tr>
 {{range .Rows}}
 <tr{{if .Hot}} style="background:#fee"{{end}}>
 <td><a href="?superstep={{.ID}}">{{.ID}}</a></td>
-{{range .Cells}}<td>{{.Value}}</td>{{end}}<td>{{range .Migrations}}{{.From}}&rarr;{{.To}}: {{.Vertices}} {{else}}&mdash;{{end}}</td>
+{{range .Cells}}<td>{{.Value}}</td>{{end}}
 </tr>
 {{end}}
 </table>

@@ -99,9 +99,6 @@ var Table = []Metric{
 	{Key: "messages_logged", Label: "Messages logged", Line: "outbox log", Job: "MessagesLogged", End: "MessagesLogged"},
 	{Key: "bytes_logged", Label: "Bytes logged", Line: "outbox log", Job: "BytesLogged", End: "BytesLogged"},
 
-	{Key: "rebalances", Label: "Rebalances", Line: "rebalancer", NoVars: true, Job: "Totals.Rebalances"},
-	{Key: "vertices_migrated", Label: "Vertices migrated", Line: "rebalancer", NoVars: true, Job: "Totals.VerticesMigrated"},
-
 	{Key: "partitioner", Label: "Partitioner", Unit: Text, Line: "placement", Job: "Partitioner", End: "Partitioner"},
 	{Key: "vertices_per_worker", Label: "Vertices / worker", Unit: Text, Line: "placement", NoVars: true, Job: "PartitionSizes", End: "PartitionSizes"},
 	{Key: "edge_cut", Label: "Edge cut", Line: "placement", Job: "EdgeCut", End: "EdgeCut", Step: "EdgeCut"},

@@ -56,54 +56,18 @@ func TestDebugVarsKeySet(t *testing.T) {
 	}
 }
 
-// chainOfClusters is `clusters` dense clusters of `per` vertices joined
-// in a chain: hashing scatters each cluster over every worker, which the
-// edge-cut rebalancer then undoes, and the chain keeps label
-// propagation running long enough for it to.
-func chainOfClusters(t *testing.T, clusters, per int) *pregel.Graph {
-	t.Helper()
-	g := pregel.NewGraph()
-	for i := 0; i < clusters*per; i++ {
-		g.AddVertex(pregel.VertexID(i), pregel.NewLong(0))
-	}
-	edge := func(a, b int) {
-		if a != b && !g.Vertex(pregel.VertexID(a)).HasEdge(pregel.VertexID(b)) {
-			if err := g.AddUndirectedEdge(pregel.VertexID(a), pregel.VertexID(b), nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for c := 0; c < clusters; c++ {
-		lo := c * per
-		for i := lo + 1; i < lo+per; i++ {
-			edge(i, i-1)
-			edge(i, lo+(i-lo)/2)
-			edge(i, lo+(i-lo)/3)
-		}
-		if c > 0 {
-			edge(lo-1, lo)
-		}
-	}
-	g.SortAllEdges()
-	return g
-}
-
 // TestStatsAndRegistryTotals: Stats' derived methods and the registry
-// run the same fold, so on a plain run and on one with migrations they
-// agree exactly; after a checkpoint restart Stats has dropped the
+// run the same fold, so on a plain run they agree exactly; after a checkpoint restart Stats has dropped the
 // truncated rows and the registry has not, so they differ by exactly
 // the re-executed supersteps.
 func TestStatsAndRegistryTotals(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		graph    *pregel.Graph
-		cfg      pregel.Config
-		rewound  bool
-		migrates bool
+		name    string
+		graph   *pregel.Graph
+		cfg     pregel.Config
+		rewound bool
 	}{
 		{name: "plain", graph: pathGraph(t, 48), cfg: pregel.Config{NumWorkers: 3}},
-		{name: "migrations", graph: chainOfClusters(t, 24, 30), migrates: true,
-			cfg: pregel.Config{NumWorkers: 4, RebalanceObjective: pregel.ObjectiveEdgeCut}},
 		{name: "checkpoint restart", graph: pathGraph(t, 48), rewound: true,
 			cfg: pregel.Config{NumWorkers: 3, CheckpointEvery: 2, CheckpointFS: dfs.NewMemFS(),
 				PartitionFailureAt: faults.FailPartitionAt(3)}},
@@ -116,9 +80,6 @@ func TestStatsAndRegistryTotals(t *testing.T) {
 				t.Fatal(err)
 			}
 			snap := reg.Snapshot()
-			if tc.migrates && snap.Totals.Rebalances == 0 {
-				t.Fatal("the rebalancer never migrated")
-			}
 			// Timings aside, a re-executed superstep repeats its first run.
 			want := stats.Totals()
 			if tc.rewound {

@@ -240,14 +240,11 @@ type SuperstepStats struct {
 	// whenever Traffic is nil.
 	LocalMessages int64 `json:"local,omitempty"`
 	// EdgeCut is the number of directed edges crossing partitions after
-	// this superstep's barrier (post-migration placement).
+	// this superstep's barrier.
 	EdgeCut int64 `json:"edge_cut,omitempty"`
 	// Anomalies holds the events the anomaly detectors emitted at this
 	// superstep's barrier (empty unless detection is enabled).
 	Anomalies []anomaly.Event `json:"anomalies,omitempty"`
-	// Migrations records the vertex migrations the rebalancer performed
-	// at this superstep's barrier (empty unless rebalancing triggered).
-	Migrations []MigrationEvent `json:"migrations,omitempty"`
 }
 
 // Totals is the job-level fold of SuperstepStats: what Stats' derived
@@ -286,12 +283,6 @@ type Totals struct {
 	// reported via AddIterations — the work the collapsed supersteps
 	// moved inside the components (absent in vertex mode).
 	InternalIterations int64 `json:"internal_iterations,omitempty"`
-	// Rebalances counts barriers at which the skew rebalancer migrated
-	// vertices (absent unless adaptive repartitioning is enabled).
-	Rebalances int `json:"rebalances,omitempty"`
-	// VerticesMigrated counts vertices the rebalancer moved between
-	// partitions over the job.
-	VerticesMigrated int64 `json:"vertices_migrated,omitempty"`
 	// LocalMessages counts messages whose sender and receiver lived on
 	// the same worker (absent when the traffic matrix was not captured).
 	LocalMessages int64 `json:"local_messages,omitempty"`
@@ -322,10 +313,6 @@ func (t *Totals) Add(ss SuperstepStats) {
 	if ss.MessageSkew > t.MaxMessageSkew {
 		t.MaxMessageSkew = ss.MessageSkew
 	}
-	for _, m := range ss.Migrations {
-		t.Rebalances++
-		t.VerticesMigrated += m.Vertices
-	}
 }
 
 // LocalMessageRatio is the fraction of the job's messages whose sender
@@ -351,22 +338,6 @@ func ratio(part, whole int64) float64 {
 // spent inside trace capture — the live equivalent of the paper's
 // Figure 8 overhead measurement.
 func (t Totals) CaptureOverhead() float64 { return ratio(t.CaptureNanos, t.ComputeNanos) }
-
-// MigrationEvent records one rebalancer migration: Vertices vertices
-// (carrying Edges out-edges) moved from partition From to partition
-// To. Under the skew objective, Skew is the compute/message skew that
-// triggered the move; under the edge-cut objective (Objective =
-// "edgecut"), Skew is the triggering lane's share of the superstep's
-// traffic and Gain is the directed-edge cut removed between the pair.
-type MigrationEvent struct {
-	From      int     `json:"from"`
-	To        int     `json:"to"`
-	Vertices  int64   `json:"vertices"`
-	Edges     int64   `json:"edges"`
-	Skew      float64 `json:"skew"`
-	Objective string  `json:"objective,omitempty"`
-	Gain      int64   `json:"gain,omitempty"`
-}
 
 // WorkerStepStats is the telemetry of one worker during one superstep,
 // recorded by the worker itself without synchronization and folded by

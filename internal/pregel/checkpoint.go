@@ -10,7 +10,7 @@ import (
 )
 
 // checkpointMagic identifies the checkpoint format. Version 2 added
-// the rebalancer's vertex-reassignment table after the aggregators.
+// the vertex placement table after the aggregators.
 const checkpointMagic = "GRFTCKPT2"
 
 func (en *engine) checkpointPath(superstep int) string {
@@ -30,11 +30,9 @@ func (en *engine) writeCheckpoint() error {
 		e.PutString(name)
 		EncodeTyped(e, en.broadcast[name])
 	}
-	// The placement table — locality assignments and rebalancer
-	// migrations alike — in ascending vertex order: without it a
-	// restored engine would route placed vertices' mail back to their
-	// hash partition. The wire format is unchanged from the original
-	// rebalancer-only table, so GRFTCKPT2 stays GRFTCKPT2.
+	// The placement table — the locality partitioner's assignments — in
+	// ascending vertex order: without it a restored engine would route
+	// placed vertices' mail back to their hash partition.
 	var movedIDs []VertexID
 	var movedParts []int
 	if en.assign != nil {
@@ -45,7 +43,7 @@ func (en *engine) writeCheckpoint() error {
 		e.PutVarint(int64(id))
 		e.PutUvarint(uint64(movedParts[i]))
 	}
-	// Slot order is not ID order once vertices were added or migrated,
+	// Slot order is not ID order once vertices were added,
 	// and the format is ascending vertex ID; the scratch slices are
 	// shared across partitions and message shards.
 	var live []*Vertex
@@ -261,7 +259,10 @@ func (en *engine) decodeCheckpoint(raw []byte) (*checkpointState, error) {
 	if numParts != len(en.parts) {
 		return nil, fmt.Errorf("pregel: checkpoint has %d partitions, engine has %d", numParts, len(en.parts))
 	}
-	nAggs := int(d.Uvarint())
+	nAggs, err := decodeCount(d)
+	if err != nil {
+		return nil, err
+	}
 	st.broadcast = make(map[string]Value, nAggs)
 	for i := 0; i < nAggs; i++ {
 		name := d.String()
@@ -271,28 +272,28 @@ func (en *engine) decodeCheckpoint(raw []byte) (*checkpointState, error) {
 		}
 		st.broadcast[name] = v
 	}
-	nMoved := int(d.Uvarint())
-	if d.Err() != nil {
-		return nil, d.Err()
+	nMoved, err := decodeCount(d)
+	if err != nil {
+		return nil, err
 	}
 	if nMoved > 0 {
 		ids := make([]VertexID, nMoved)
 		parts := make([]int, nMoved)
 		for i := 0; i < nMoved; i++ {
 			id := VertexID(d.Varint())
-			p := int(d.Uvarint())
-			if p < 0 || p >= numParts {
+			p := d.Uvarint()
+			if p >= uint64(numParts) {
 				return nil, fmt.Errorf("pregel: checkpoint reassigns vertex %d to partition %d of %d", id, p, numParts)
 			}
-			ids[i], parts[i] = id, p
+			ids[i], parts[i] = id, int(p)
 		}
 		st.assign = assignTableFromPairs(ids, parts)
 	}
 	st.parts = make([][]*Vertex, numParts)
 	for i := range st.parts {
-		n := int(d.Uvarint())
-		if d.Err() != nil {
-			return nil, d.Err()
+		n, err := decodeCount(d)
+		if err != nil {
+			return nil, err
 		}
 		vs := make([]*Vertex, 0, n)
 		for j := 0; j < n; j++ {
@@ -300,12 +301,16 @@ func (en *engine) decodeCheckpoint(raw []byte) (*checkpointState, error) {
 			if err != nil {
 				return nil, err
 			}
+			// Written in ascending ID order: a repeated ID would get two
+			// slots and compute twice.
+			if j > 0 && v.id <= vs[j-1].id {
+				return nil, fmt.Errorf("%w: partition %d out of vertex order at %d", ErrCorrupt, i, v.id)
+			}
 			vs = append(vs, v)
 		}
 		st.parts[i] = vs
 	}
 	for i := 0; i < numParts; i++ {
-		var err error
 		if st.inbox, err = decodeInbox(d, st.inbox); err != nil {
 			return nil, err
 		}
@@ -314,6 +319,20 @@ func (en *engine) decodeCheckpoint(raw []byte) (*checkpointState, error) {
 		return nil, d.Err()
 	}
 	return st, nil
+}
+
+// decodeCount reads an element count and bounds it by the unread bytes:
+// every element takes at least one, so a larger count is a lying prefix
+// that must not size an allocation.
+func decodeCount(d *Decoder) (int, error) {
+	n := d.Uvarint()
+	if err := d.Err(); err != nil {
+		return 0, err
+	}
+	if n > uint64(d.Remaining()) {
+		return 0, ErrCorrupt
+	}
+	return int(n), nil
 }
 
 // install replaces the engine's whole state with a decoded checkpoint:

@@ -75,12 +75,6 @@ type Stats struct {
 	// RecoveryTime is the portion of Runtime spent restoring
 	// checkpoints after simulated worker crashes.
 	RecoveryTime time.Duration
-	// Rebalances counts barriers at which the rebalancer migrated
-	// vertices (zero unless rebalancing is enabled).
-	Rebalances int
-	// VerticesMigrated counts vertices the rebalancer moved between
-	// partitions over the whole job.
-	VerticesMigrated int64
 	// Partitioner is the placement mode the job ran with.
 	Partitioner PartitionerMode
 	// PartitionSizes is the per-worker vertex count at job end — the
@@ -97,7 +91,7 @@ type Stats struct {
 }
 
 // String renders the headline of the summary the CLI prints after a
-// run; placement, phases, rebalancing and the rest of the job's numbers
+// run; placement, phases and the rest of the job's numbers
 // follow on their own lines (internal/metrics' table).
 func (s *Stats) String() string {
 	line := fmt.Sprintf("supersteps=%d reason=%s messages=%d runtime=%v",
@@ -190,30 +184,13 @@ type Config struct {
 	// MsgLogFS is where RecoveryLog's outbox logs are written. Required
 	// when Recovery is RecoveryLog.
 	MsgLogFS dfs.FileSystem
-	// RebalanceSkew enables skew-driven adaptive repartitioning: when a
-	// superstep's ComputeSkew or MessageSkew reaches this threshold
-	// (max/mean; 1.0 is perfectly balanced), the hottest vertices
-	// migrate off the straggler partition at the barrier. 0 disables
-	// rebalancing.
-	RebalanceSkew float64
-	// RebalanceMaxMoves caps the vertices migrated per rebalance; 0
-	// means the default (1024).
-	RebalanceMaxMoves int
-	// RebalanceObjective selects what rebalancing optimizes.
-	// ObjectiveSkew (the zero value) is the load objective gated by
-	// RebalanceSkew. ObjectiveEdgeCut migrates boundary vertices toward
-	// their heaviest communication partner whenever the traffic matrix
-	// shows a dominant cross-partition lane; it is self-enabling
-	// (RebalanceSkew is not consulted) and requires a non-negative
-	// AnomalyWindow, since the traffic matrix feeds the decision.
-	RebalanceObjective RebalanceObjective
-	// Partitioner selects the initial vertex placement: PartitionHash
-	// (the zero value) is Fibonacci hashing, byte-compatible with
-	// every earlier release; PartitionLocality streams vertices in ID
-	// order into the partition holding the most of their neighbors
-	// (LDG-style, capacity-penalized), recording the result in an
-	// assignment table that persists through checkpoints, confined
-	// recovery and migrations. Placement never changes computation
+	// Partitioner selects the vertex placement, fixed at load for the
+	// whole job: PartitionHash (the zero value) is Fibonacci hashing,
+	// byte-compatible with every earlier release; PartitionLocality
+	// streams vertices in ID order into the partition holding the most
+	// of their neighbors (LDG-style, capacity-penalized), recording the
+	// result in an assignment table that persists through checkpoints
+	// and confined recovery. Placement never changes computation
 	// semantics — trace digests are identical under either mode.
 	Partitioner PartitionerMode
 	// AnomalyWindow is the sliding-window size (in supersteps) of the
@@ -338,21 +315,20 @@ type engine struct {
 	stats      Stats
 	pool       *batchPool
 	flushBatch int
-	// assign records vertices placed away from their hash partition —
-	// by the locality partitioner at load and by the rebalancer at
-	// migration; partitionFor consults it. Nil until the first
-	// divergence, so hash-pure jobs cost one nil check.
+	// assign records vertices placed away from their hash partition by
+	// the locality partitioner at load; partitionFor consults it. Nil
+	// for hash placement, so hash-pure jobs cost one nil check.
 	assign *assignTable
 	// edgeCut caches the current cross-partition directed-edge count;
 	// edgeCutDirty flags that placement or topology changed since it
-	// was computed (mutation, migration, recovery), so the barrier
-	// recomputes it lazily — static graphs pay the O(E) scan once.
+	// was computed (mutation, recovery), so the barrier recomputes it
+	// lazily — static graphs pay the O(E) scan once.
 	edgeCut      int64
 	edgeCutDirty bool
 	// partActive[w] is the number of non-halted vertices in partition w
 	// (the population of its awake bitmap), maintained at the barrier
-	// (worker results, mutations, missing-vertex creation, migration,
-	// recovery). A partition with none and an empty inbox shard has an
+	// (worker results, mutations, missing-vertex creation, recovery).
+	// A partition with none and an empty inbox shard has an
 	// empty frontier, and no worker is launched for it.
 	partActive []int64
 
@@ -371,10 +347,6 @@ type engine struct {
 	// whole cost is inside the recovery call.
 	recoveryFrontier int
 	openRecovery     int
-	// lastMigration is the superstep of the most recent rebalancer
-	// migration (-1 if none); replay uses it to decide whether logged
-	// frame destinations still match current routing.
-	lastMigration int
 
 	// anom evaluates the anomaly detectors over the folded superstep
 	// telemetry (nil when detection is disabled).
@@ -389,7 +361,7 @@ type engine struct {
 
 func newEngine(j *Job) *engine {
 	en := &engine{job: j, cfg: &j.cfg, lastCheckpoint: -1, pool: &batchPool{},
-		openRecovery: -1, lastMigration: -1, flushBatch: msgFlushBatch}
+		openRecovery: -1, flushBatch: msgFlushBatch}
 	w := j.cfg.NumWorkers
 	ids := j.graph.VertexIDs()
 	if n := len(ids); n > 0 {
@@ -435,7 +407,7 @@ func (en *engine) newStore() *messageStore {
 }
 
 // partitionFor maps a vertex ID to a worker: the explicit assignment
-// table first (locality placement, rebalancer migrations), Fibonacci
+// table first (locality placement), Fibonacci
 // hashing otherwise. Both paths are allocation-free; hash-pure jobs
 // pay one nil check.
 func (en *engine) partitionFor(id VertexID) int {
@@ -449,7 +421,7 @@ func (en *engine) partitionFor(id VertexID) int {
 
 // computeEdgeCut scans every partition's out-edges and counts those
 // whose target routes to a different worker: the edge-cut objective
-// the locality partitioner and edgecut rebalancer minimize. O(E); the
+// the locality partitioner minimizes. O(E); the
 // engine caches the result and recomputes only when placement or
 // topology changed.
 func (en *engine) computeEdgeCut() int64 {
@@ -556,7 +528,7 @@ func (en *engine) run(start time.Time) (*Stats, error) {
 		if err := en.barrierPhase(&st); err != nil {
 			return en.finish(err)
 		}
-		en.rebalancePhase(&st)
+		en.observePhase(&st)
 		if err := en.flushPhase(&st); err != nil {
 			return en.finish(err)
 		}
@@ -770,26 +742,15 @@ func (en *engine) barrierPhase(st *step) error {
 	return nil
 }
 
-// rebalancePhase acts on the superstep's folded telemetry: the anomaly
-// detectors observe it, and the rebalancer the job is configured with
-// migrates vertices on what they (or the traffic matrix) show.
-func (en *engine) rebalancePhase(st *step) {
+// observePhase hands the superstep's folded telemetry to the anomaly
+// detectors and records the edge cut under the placement the next
+// superstep runs with.
+func (en *engine) observePhase(st *step) {
 	ss := &st.ss
-	if en.anom != nil || en.cfg.RebalanceSkew > 0 {
-		sample := en.anomalySample(ss)
-		if en.anom != nil {
-			ss.Anomalies = en.anom.Observe(sample)
-			en.stats.Anomalies = append(en.stats.Anomalies, ss.Anomalies...)
-		}
-		if en.cfg.RebalanceSkew > 0 && en.cfg.RebalanceObjective == ObjectiveSkew {
-			en.rebalance(ss, anomaly.EvaluateSkew(sample, en.cfg.RebalanceSkew))
-		}
+	if en.anom != nil {
+		ss.Anomalies = en.anom.Observe(en.anomalySample(ss))
+		en.stats.Anomalies = append(en.stats.Anomalies, ss.Anomalies...)
 	}
-	if en.cfg.RebalanceObjective == ObjectiveEdgeCut {
-		en.rebalanceEdgeCut(ss)
-	}
-	// Edge cut is recorded after rebalancing so the superstep's
-	// row reflects the placement the next superstep runs under.
 	ss.EdgeCut = en.currentEdgeCut()
 }
 

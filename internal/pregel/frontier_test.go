@@ -3,7 +3,6 @@ package pregel
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -317,16 +316,6 @@ func TestFrontierInvariantsAcrossMigrationAndRecovery(t *testing.T) {
 	cc := func(t *testing.T) *Graph { return pathGraph(t, 24) }
 	cases := []testCase{
 		{
-			name:  "edgecut-migration",
-			graph: func(t *testing.T) *Graph { return clusteredGraph(t, 24, 30, 5) },
-			cfg:   func() Config { return Config{NumWorkers: 4, RebalanceObjective: ObjectiveEdgeCut} },
-			check: func(t *testing.T, stats *Stats) {
-				if stats.VerticesMigrated == 0 {
-					t.Error("edge-cut rebalancer never migrated")
-				}
-			},
-		},
-		{
 			name:  "checkpoint-restart",
 			graph: cc,
 			cfg: func() Config {
@@ -393,48 +382,5 @@ func TestFrontierInvariantsAcrossMigrationAndRecovery(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestFrontierInvariantsAcrossSkewMigration moves spokes that hold
-// pending hub broadcasts between partitions: a migration that dropped
-// an inbox would lose deliveries.
-func TestFrontierInvariantsAcrossSkewMigration(t *testing.T) {
-	const spokes, rounds = 400, 6
-	for _, col := range inboxColumns {
-		cfg := Config{NumWorkers: 4, RebalanceSkew: 1.5, Combiner: col.combiner}
-		t.Run("vertex"+col.suffix, func(t *testing.T) {
-			var got atomic.Int64
-			stats, _ := runChecked(t, NewJob(starGraph(t, spokes), pulseCompute(rounds, &got), cfg))
-			if stats.VerticesMigrated == 0 {
-				t.Fatalf("rebalancer never triggered: %+v", stats)
-			}
-			if got.Load() != spokes*rounds {
-				t.Errorf("delivered %d messages, want %d", got.Load(), spokes*rounds)
-			}
-		})
-		t.Run("subgraph"+col.suffix, func(t *testing.T) {
-			var got atomic.Int64
-			pulse := SubgraphFunc(func(ctx SubgraphContext, sg *Subgraph) error {
-				for i := range sg.Members() {
-					got.Add(int64(len(sg.Messages(i))))
-				}
-				if hub, ok := sg.Index(0); ok && ctx.Superstep() < rounds {
-					for _, e := range sg.Member(hub).Edges() {
-						ctx.SendMessage(0, e.Target, NewLong(int64(ctx.Superstep())))
-					}
-					return nil
-				}
-				ctx.VoteToHalt()
-				return nil
-			})
-			stats, _ := runChecked(t, NewSubgraphJob(starGraph(t, spokes), pulse, cfg))
-			if stats.VerticesMigrated == 0 {
-				t.Fatalf("rebalancer never triggered: %+v", stats)
-			}
-			if got.Load() != spokes*rounds {
-				t.Errorf("delivered %d messages, want %d", got.Load(), spokes*rounds)
-			}
-		})
 	}
 }

@@ -496,8 +496,8 @@ func TestImmutableValueFanout(t *testing.T) {
 }
 
 // starGraph builds a hub-and-spokes graph whose hub fans out every
-// superstep, concentrating message work on the hub's partition — the
-// deterministic skew source the rebalancer tests use.
+// superstep. The locality placer packs the hub's partition with spokes
+// up to capacity, so its table differs from the hash for most vertices.
 func starGraph(t testing.TB, spokes int) *Graph {
 	t.Helper()
 	g := NewGraph()
@@ -525,83 +525,84 @@ func pulseCompute(rounds int, got *atomic.Int64) ComputeFunc {
 	}
 }
 
-func TestRebalancerMigratesHotVertices(t *testing.T) {
-	const spokes, rounds = 400, 6
-	g := starGraph(t, spokes)
-	var got atomic.Int64
-	stats, err := NewJob(g, pulseCompute(rounds, &got), Config{
-		NumWorkers:    4,
-		RebalanceSkew: 1.5,
-	}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Load() != spokes*rounds {
-		t.Errorf("delivered %d messages, want %d", got.Load(), spokes*rounds)
-	}
-	if stats.Rebalances == 0 || stats.VerticesMigrated == 0 {
-		t.Fatalf("rebalancer never triggered: %+v", stats)
-	}
-	var events int
-	for _, ss := range stats.PerSuperstep {
-		for _, m := range ss.Migrations {
-			events++
-			if m.From == m.To {
-				t.Errorf("superstep %d: migration from partition %d to itself", ss.Superstep, m.From)
-			}
-			if m.Vertices <= 0 || m.Skew < 1.5 {
-				t.Errorf("superstep %d: implausible migration event %+v", ss.Superstep, m)
+// placementOf reads which partition holds every live vertex.
+func placementOf(en *engine) map[VertexID]int {
+	at := make(map[VertexID]int)
+	for i, p := range en.parts {
+		for _, v := range p.slots {
+			if v != nil {
+				at[v.id] = i
 			}
 		}
 	}
-	if events != stats.Rebalances {
-		t.Errorf("events = %d, Stats.Rebalances = %d", events, stats.Rebalances)
-	}
-	// The partitions must stay consistent after migration: every vertex
-	// reachable, no duplicates in iteration order.
-	for _, id := range g.VertexIDs() {
-		if g.Vertex(id) == nil {
-			t.Fatalf("vertex %d lost after migration", id)
+	return at
+}
+
+// TestRebalancerOffByDefault: placement is fixed at load, so no config
+// ever moves a vertex. After a hash- or locality-placed run, with or
+// without a whole-job crash and checkpoint restart, every vertex sits
+// on the partition it was loaded into, and partitionFor still names it.
+func TestRebalancerOffByDefault(t *testing.T) {
+	const spokes, rounds = 200, 4
+	for _, p := range []PartitionerMode{PartitionHash, PartitionLocality} {
+		for _, crash := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/crash=%v", p, crash), func(t *testing.T) {
+				cfg := Config{NumWorkers: 4, Partitioner: p}
+				if crash {
+					fired := false
+					cfg.CheckpointEvery = 2
+					cfg.CheckpointFS = dfs.NewMemFS()
+					cfg.PartitionFailureAt = wholeJob(func(superstep int) bool {
+						if superstep == 3 && !fired {
+							fired = true
+							return true
+						}
+						return false
+					})
+				}
+				var got atomic.Int64
+				en := newEngine(NewJob(starGraph(t, spokes), pulseCompute(rounds, &got), cfg))
+				loaded := placementOf(en)
+				stats, err := en.run(time.Now())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantRec := map[bool]int{false: 0, true: 1}[crash]; stats.Recoveries != wantRec {
+					t.Fatalf("recoveries = %d, want %d", stats.Recoveries, wantRec)
+				}
+				if got.Load() < spokes*rounds {
+					t.Errorf("delivered %d messages, want at least %d", got.Load(), spokes*rounds)
+				}
+				final := placementOf(en)
+				if len(final) != len(loaded) {
+					t.Fatalf("%d vertices after the run, %d at load", len(final), len(loaded))
+				}
+				for id, at := range loaded {
+					if final[id] != at {
+						t.Errorf("vertex %d moved from partition %d to %d", id, at, final[id])
+					}
+					if route := en.partitionFor(id); route != at {
+						t.Errorf("vertex %d lives on partition %d but routes to %d", id, at, route)
+					}
+				}
+			})
 		}
 	}
 }
 
-func TestRebalancerMaxMovesRespected(t *testing.T) {
-	const spokes, rounds = 300, 4
-	g := starGraph(t, spokes)
-	var got atomic.Int64
-	stats, err := NewJob(g, pulseCompute(rounds, &got), Config{
-		NumWorkers:        4,
-		RebalanceSkew:     1.5,
-		RebalanceMaxMoves: 5,
-	}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ss := range stats.PerSuperstep {
-		for _, m := range ss.Migrations {
-			if m.Vertices > 5 {
-				t.Errorf("superstep %d migrated %d vertices, cap was 5", ss.Superstep, m.Vertices)
-			}
-		}
-	}
-	if got.Load() != spokes*rounds {
-		t.Errorf("delivered %d messages, want %d", got.Load(), spokes*rounds)
-	}
-}
-
-// TestRebalancerSurvivesRecovery crashes the job after migrations have
-// happened and checks that recovery restores the reassignment table
-// (checkpoint format v2), so post-recovery messages still route to the
-// migrated vertices.
+// TestRebalancerSurvivesRecovery crashes a locality-placed job after
+// its first checkpoints and checks that the restore installs the
+// checkpoint's placement table (checkpoint format v2): the restored
+// table holds the same assignments as the one built at load, so
+// post-recovery messages still reach the spokes the placer moved off
+// their hash partition.
 func TestRebalancerSurvivesRecovery(t *testing.T) {
 	const spokes, rounds = 200, 8
-	g := starGraph(t, spokes)
 	var got atomic.Int64
 	crashed := false
-	stats, err := NewJob(g, pulseCompute(rounds, &got), Config{
+	en := newEngine(NewJob(starGraph(t, spokes), pulseCompute(rounds, &got), Config{
 		NumWorkers:      4,
-		RebalanceSkew:   1.5,
+		Partitioner:     PartitionLocality,
 		CheckpointEvery: 2,
 		CheckpointFS:    dfs.NewMemFS(),
 		PartitionFailureAt: wholeJob(func(superstep int) bool {
@@ -611,15 +612,27 @@ func TestRebalancerSurvivesRecovery(t *testing.T) {
 			}
 			return false
 		}),
-	}).Run()
+	}))
+	if en.assign.len() == 0 {
+		t.Fatal("locality placement matched the hash everywhere; the table is not exercised")
+	}
+	wantIDs, wantParts := en.assign.pairs()
+	stats, err := en.run(time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Recoveries != 1 {
 		t.Fatalf("recoveries = %d, want 1", stats.Recoveries)
 	}
-	if stats.Rebalances == 0 {
-		t.Fatal("rebalancer never triggered before the crash")
+	if en.assign.len() != len(wantIDs) {
+		t.Fatalf("restored table holds %d assignments, want %d", en.assign.len(), len(wantIDs))
+	}
+	gotIDs, gotParts := en.assign.pairs()
+	for i := range wantIDs {
+		if gotIDs[i] != wantIDs[i] || gotParts[i] != wantParts[i] {
+			t.Fatalf("assignment %d: restored %d→%d, loaded %d→%d",
+				i, gotIDs[i], gotParts[i], wantIDs[i], wantParts[i])
+		}
 	}
 	// Deliveries replayed after recovery are counted twice by the
 	// observer; the invariant is "at least every logical message".
@@ -630,19 +643,5 @@ func TestRebalancerSurvivesRecovery(t *testing.T) {
 	last := stats.PerSuperstep[len(stats.PerSuperstep)-1]
 	if last.Superstep != rounds {
 		t.Errorf("final superstep = %d, want %d", last.Superstep, rounds)
-	}
-}
-
-// TestRebalancerOffByDefault makes sure a zero config never migrates.
-func TestRebalancerOffByDefault(t *testing.T) {
-	const spokes, rounds = 200, 4
-	g := starGraph(t, spokes)
-	var got atomic.Int64
-	stats, err := NewJob(g, pulseCompute(rounds, &got), Config{NumWorkers: 4}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rebalances != 0 || stats.VerticesMigrated != 0 {
-		t.Errorf("unexpected migrations with rebalancer disabled: %+v", stats)
 	}
 }

@@ -317,27 +317,6 @@ func (s *messageStore) take(shard, slot int) []Value {
 	return s.takeCell(sh, slot)
 }
 
-// migrate moves the pending inbox of one vertex between shards, for
-// the rebalancer. Both shards must be merged and quiescent (the
-// coordinator calls it at the barrier).
-func (s *messageStore) migrate(from, fromSlot int, to *partition, toSlot int) {
-	msgs := s.take(from, fromSlot)
-	if msgs == nil {
-		return
-	}
-	ts := &s.shards[to.idx]
-	s.ensure(ts, len(to.slots))
-	switch {
-	case s.scalar != 0:
-		ts.cs[toSlot] = s.scalar.bits(msgs[0])
-	case s.combiner != nil:
-		ts.c[toSlot] = msgs[0]
-	default:
-		ts.m[toSlot] = msgs
-	}
-	ts.pending.set(toSlot)
-}
-
 // remap follows a partition rebuild: cell perm[s] of the rebuilt shard
 // is the old cell s.
 func (s *messageStore) remap(shard int, perm []int32, newLen int) {

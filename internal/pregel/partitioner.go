@@ -20,7 +20,7 @@ const (
 	// neighbors, penalized by a capacity term so load stays balanced.
 	// Placement is recorded in an explicit assignment table consulted
 	// by partitionFor and persisted through checkpoints, so recovery
-	// and migrations stay consistent.
+	// stays consistent.
 	PartitionLocality
 )
 
@@ -34,34 +34,6 @@ func (m PartitionerMode) String() string {
 	return fmt.Sprintf("PartitionerMode(%d)", int(m))
 }
 
-// RebalanceObjective selects what the adaptive repartitioner optimizes
-// when it migrates vertices at a barrier.
-type RebalanceObjective int
-
-const (
-	// ObjectiveSkew is the load objective, the default: when a
-	// superstep's compute or message skew crosses Config.RebalanceSkew,
-	// the hottest vertices move off the straggler to the least-loaded
-	// worker.
-	ObjectiveSkew RebalanceObjective = iota
-	// ObjectiveEdgeCut is the communication objective: when the traffic
-	// matrix shows a heavy cross-partition lane, boundary vertices
-	// migrate toward their heaviest communication partner, shrinking
-	// the edge cut. Requires the lane message plane and telemetry (the
-	// traffic matrix feeds the decision).
-	ObjectiveEdgeCut
-)
-
-func (o RebalanceObjective) String() string {
-	switch o {
-	case ObjectiveSkew:
-		return "skew"
-	case ObjectiveEdgeCut:
-		return "edgecut"
-	}
-	return fmt.Sprintf("RebalanceObjective(%d)", int(o))
-}
-
 // hashPartition is the default placement: Fibonacci hashing keeps
 // consecutive IDs (the common case for generated graphs) spread evenly.
 func hashPartition(id VertexID, numParts int) int {
@@ -70,12 +42,13 @@ func hashPartition(id VertexID, numParts int) int {
 }
 
 // assignTable is the explicit placement table partitionFor consults
-// before falling back to the hash: locality placement and rebalancer
-// migrations both write it. Lookups must stay allocation-free — they
-// sit on the send/load/mutation hot paths — so the table is a dense
-// int32 slice over the ID range seen at build time (-1 = unset, fall
-// through to hash) with a sparse map catching IDs outside that range
-// (vertices created later by mutation, then migrated).
+// before falling back to the hash: locality placement writes it at
+// load, checkpoint restore rebuilds it. Lookups must stay
+// allocation-free — they sit on the send/load/mutation hot paths — so
+// the table is a dense int32 slice over the ID range seen at build time
+// (-1 = unset, fall through to hash) with a sparse map catching IDs
+// outside that range (a restored table whose IDs are too scattered for
+// a dense slice).
 type assignTable struct {
 	base   VertexID
 	dense  []int32
@@ -83,8 +56,7 @@ type assignTable struct {
 	n      int // live entries across both representations
 }
 
-// newAssignTable returns an empty sparse-only table (the rebalancer's
-// lazy path, mirroring the old nil-until-first-migration map).
+// newAssignTable returns an empty sparse-only table.
 func newAssignTable() *assignTable { return &assignTable{} }
 
 // newDenseAssignTable returns a table with a dense slice covering

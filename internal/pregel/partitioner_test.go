@@ -11,8 +11,7 @@ import (
 // clusteredGraph builds `clusters` dense undirected clusters of `per`
 // vertices each, neighbors drawn inside the cluster, with one bridge
 // edge chaining consecutive clusters — community structure the
-// locality placer can exploit and hashing cannot, with a diameter that
-// keeps label propagation running long enough for the rebalancer.
+// locality placer can exploit and hashing cannot.
 func clusteredGraph(t testing.TB, clusters, per int, seed int64) *Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -192,59 +191,6 @@ func TestLocalityPlacementReducesEdgeCut(t *testing.T) {
 	}
 }
 
-// TestEdgeCutRebalancerMigrates runs label propagation on a
-// hash-scattered clustered graph under the edge-cut objective: the
-// rebalancer must trigger, tag its migrations with the objective and a
-// positive gain, shrink the edge cut, and leave the computed values
-// identical to an unrebalanced run.
-func TestEdgeCutRebalancerMigrates(t *testing.T) {
-	run := func(objective RebalanceObjective) (*Stats, string) {
-		g := clusteredGraph(t, 24, 30, 5)
-		stats, err := NewJob(g, ccCompute, Config{
-			NumWorkers:         4,
-			RebalanceObjective: objective,
-		}).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats, g.ValuesDigest()
-	}
-	offStats, offDigest := run(ObjectiveSkew)
-	onStats, onDigest := run(ObjectiveEdgeCut)
-	if offStats.Rebalances != 0 {
-		t.Fatalf("control run migrated: %+v", offStats)
-	}
-	if onStats.Rebalances == 0 || onStats.VerticesMigrated == 0 {
-		t.Fatalf("edge-cut rebalancer never triggered: rebalances=%d migrated=%d",
-			onStats.Rebalances, onStats.VerticesMigrated)
-	}
-	if onDigest != offDigest {
-		t.Fatalf("values diverged once the edge-cut rebalancer migrated:\noff: %s\non:  %s", offDigest, onDigest)
-	}
-	var sawEvent bool
-	var firstCut int64 = -1
-	for _, ss := range onStats.PerSuperstep {
-		if firstCut < 0 && ss.EdgeCut > 0 {
-			firstCut = ss.EdgeCut
-		}
-		for _, m := range ss.Migrations {
-			sawEvent = true
-			if m.Objective != "edgecut" {
-				t.Fatalf("migration objective = %q, want edgecut", m.Objective)
-			}
-			if m.Gain <= 0 {
-				t.Fatalf("migration gain = %d, want > 0", m.Gain)
-			}
-		}
-	}
-	if !sawEvent {
-		t.Fatal("stats recorded rebalances but no migration events")
-	}
-	if firstCut < 0 || onStats.EdgeCut >= firstCut {
-		t.Fatalf("edge cut did not shrink: first %d, final %d", firstCut, onStats.EdgeCut)
-	}
-}
-
 // TestCheckpointRestoresLocalityAssignments crashes a locality-placed
 // job after a checkpoint: recovery must restore the assignment table
 // exactly, so the run lands on the same values and the same final
@@ -328,7 +274,7 @@ func BenchmarkPartitionFor(b *testing.B) {
 	})
 	bench("assign-sparse-hit", func() {
 		// A table built without a dense range keeps everything in the
-		// overflow map — the rebalancer's lazy path.
+		// overflow map — a restored table whose IDs are too scattered.
 		en.assign = newAssignTable()
 		for _, id := range ids {
 			en.assign.set(id, int(id)%k)

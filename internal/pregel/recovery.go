@@ -164,15 +164,6 @@ func (en *engine) confinedRecover(failedParts []int, ev *RecoveryEvent) error {
 	if C < 0 {
 		return ErrNoCheckpoint
 	}
-	if en.job.scomp != nil && en.lastMigration >= C {
-		// A subgraph superstep's sends depend on which vertices share a
-		// partition. The logs hold what the placement of the time sent;
-		// replaying the failed partitions under the placement of today
-		// computes something else, and the sends that would reconcile the
-		// two are the ones replay suppresses.
-		return fmt.Errorf("%w: subgraph components migrated since checkpoint %d", errReplayUnusable, C)
-	}
-
 	// Load and verify every logged frame the replay will need, up
 	// front: a hole discovered mid-replay would leave the failed
 	// partitions half-rebuilt with no way back.
@@ -239,7 +230,7 @@ func (en *engine) confinedRecover(failedParts []int, ev *RecoveryEvent) error {
 	for p := range failed {
 		en.next.resetShard(p)
 	}
-	msgs, bytes := en.replayInto(en.next, last, failed, C)
+	msgs, bytes := en.replayInto(en.next, last, failed)
 	ev.MessagesReplayed += msgs
 	ev.BytesReplayed += bytes
 	en.resolveReplayMissing(en.next, failed)
@@ -263,26 +254,16 @@ func (en *engine) confinedRecover(failedParts []int, ev *RecoveryEvent) error {
 // restart.
 func (en *engine) replayOnce(st *checkpointState, C, S int, failed map[int]bool, steps map[int]*loggedStep, ev *RecoveryEvent) ([]int, error) {
 	// Roll back: fresh partition shells for the failed set, populated
-	// with checkpointed vertices that route there *today* — routing may
-	// have changed since C if the rebalancer migrated vertices, and
-	// current placement is what survivors' state reflects.
+	// with their checkpointed vertices in the checkpoint's ascending ID
+	// order. Placement is fixed at load, so checkpoint partition p is
+	// exactly what routes to p.
 	for p := range failed {
-		en.parts[p] = en.newPartition(p)
-	}
-	var rolled []*Vertex
-	for _, vs := range st.parts {
-		for _, v := range vs {
-			if failed[en.partitionFor(v.id)] {
-				rolled = append(rolled, v)
-			}
+		part := en.newPartition(p)
+		for _, v := range st.parts[p] {
+			part.add(v)
+			en.job.graph.vertices[v.id] = v
 		}
-	}
-	// Checkpoint partitions are each in ascending ID order, but routing
-	// may have regrouped them; slots fill in ascending ID order overall.
-	sort.Slice(rolled, func(i, j int) bool { return rolled[i].id < rolled[j].id })
-	for _, v := range rolled {
-		en.parts[en.partitionFor(v.id)].add(v)
-		en.job.graph.vertices[v.id] = v
+		en.parts[p] = part
 	}
 
 	// Inbox for superstep C comes from the checkpoint itself (its
@@ -313,7 +294,7 @@ func (en *engine) replayOnce(st *checkpointState, C, S int, failed map[int]bool,
 		en.applyLoggedMutations(removals, additions, failed)
 		en.foldReplayEdgeDeltas(failed)
 		inbox = en.newStore()
-		msgs, bytes := en.replayInto(inbox, lst, failed, C)
+		msgs, bytes := en.replayInto(inbox, lst, failed)
 		ev.MessagesReplayed += msgs
 		ev.BytesReplayed += bytes
 		en.resolveReplayMissing(inbox, failed)
@@ -383,33 +364,22 @@ func (en *engine) replayWorker(p, t int, snap stepSnapshot, inbox *messageStore)
 
 // replayInto routes logged entries into the store's failed shards,
 // sender-major and in log order — reproducing mergeLane's
-// deterministic combine order. Every entry is routed by *current*
-// partitionFor: the logged frame destination is send-time routing,
-// which the rebalancer may since have changed. When no migration has
-// happened since the checkpoint, frame destinations are still exact
-// and whole frames outside the failed set are skipped.
-func (en *engine) replayInto(store *messageStore, lst *loggedStep, failed map[int]bool, checkpointStep int) (msgs, bytes int64) {
-	narrow := en.lastMigration < checkpointStep // no moves since the replay window opened
+// deterministic combine order. Placement is fixed at load, so a logged
+// frame's destination is still the partition its entries route to, and
+// whole frames outside the failed set are skipped.
+func (en *engine) replayInto(store *messageStore, lst *loggedStep, failed map[int]bool) (msgs, bytes int64) {
 	for sender := range lst.batches {
 		for _, b := range lst.batches[sender] {
-			if narrow && !failed[b.dest] {
+			if !failed[b.dest] || len(b.entries) == 0 {
 				continue
 			}
-			delivered := false
 			for _, ent := range b.entries {
-				p := en.partitionFor(ent.to)
-				if !failed[p] {
-					continue
-				}
 				// Clone: the decoded log is shared across nested replay
 				// attempts, and a combiner may mutate delivered values.
-				store.replayDeliver(en.parts[p], ent.to, CloneValue(ent.msg))
-				msgs++
-				delivered = true
+				store.replayDeliver(en.parts[b.dest], ent.to, CloneValue(ent.msg))
 			}
-			if delivered {
-				bytes += b.rawBytes
-			}
+			msgs += int64(len(b.entries))
+			bytes += b.rawBytes
 		}
 	}
 	return msgs, bytes

@@ -3,7 +3,6 @@ package pregel
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"graft/internal/dfs"
 )
@@ -308,58 +307,5 @@ func TestConfinedRecoveryRequiresLanePlane(t *testing.T) {
 	_, err := NewJob(pathGraph(t, 4), ccCompute, Config{Recovery: RecoveryLog}).Run()
 	if !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("RecoveryLog without MsgLogFS: err = %v, want ErrInvalidConfig", err)
-	}
-}
-
-// TestSubgraphReplayDegradesAfterMigration: a subgraph superstep's sends
-// depend on which vertices share a partition, so outbox logs written
-// before a migration cannot drive a replay under the placement after it
-// (the replayed partitions would compute a different trajectory, and
-// the sends that reconcile it with the survivors are suppressed). The
-// recovery must fall back to a checkpoint restart — and in vertex mode,
-// where placement never shows, it must not.
-func TestSubgraphReplayDegradesAfterMigration(t *testing.T) {
-	want := clusteredGraph(t, 24, 30, 5)
-	if _, err := NewJob(want, ccCompute, Config{NumWorkers: 4}).Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []string{"vertex", "subgraph"} {
-		t.Run(mode, func(t *testing.T) {
-			cfg := Config{
-				NumWorkers: 4, RebalanceObjective: ObjectiveEdgeCut,
-				// One checkpoint, at superstep 0: every migration is inside
-				// the replay window.
-				CheckpointEvery: 1000, CheckpointFS: dfs.NewMemFS(),
-				Recovery: RecoveryLog, MsgLogFS: dfs.NewMemFS(),
-			}
-			g := clusteredGraph(t, 24, 30, 5)
-			job := NewJob(g, ccCompute, cfg)
-			if mode == "subgraph" {
-				job = NewSubgraphJob(g, ccSubgraph, cfg)
-			}
-			en := newEngine(job)
-			fired := false
-			job.cfg.PartitionFailureAt = func(int) []int {
-				if en.lastMigration >= 0 && !fired { // the first barrier after a migration
-					fired = true
-					return []int{1}
-				}
-				return nil
-			}
-			stats, err := en.run(time.Now())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !fired || len(stats.RecoveryEvents) != 1 {
-				t.Fatalf("crash injected = %v, recovery events = %+v", fired, stats.RecoveryEvents)
-			}
-			wantMode := map[string]string{"vertex": "log", "subgraph": "checkpoint"}[mode]
-			if got := stats.RecoveryEvents[0].Mode; got != wantMode {
-				t.Errorf("recovery mode = %q, want %q", got, wantMode)
-			}
-			if g.ValuesDigest() != want.ValuesDigest() {
-				t.Error("labels differ from the undisturbed run")
-			}
-		})
 	}
 }

@@ -99,7 +99,7 @@ func (x *slotIndex) delete(id VertexID) {
 type partition struct {
 	idx int
 	// slots holds the vertices in iteration order: load order (ascending
-	// ID), then arrival order for vertices added or migrated in. A
+	// ID), then arrival order for vertices added later. A
 	// removed vertex leaves a nil tombstone so the slots behind it — and
 	// the inbox cells addressed by them — stay put until rebuild.
 	slots   []*Vertex
@@ -108,7 +108,7 @@ type partition struct {
 	removed int // tombstones in slots
 	// awake has a bit per slot holding a non-halted vertex. The owning
 	// worker updates it after each Compute; the coordinator keeps it
-	// current through mutations, migrations and recovery.
+	// current through mutations and recovery.
 	awake bitmap
 	edges int64 // current out-edge count of the partition
 	// edgeDelta accumulates Vertex.AddEdge/RemoveEdges deltas during a
@@ -118,7 +118,7 @@ type partition struct {
 	// subs caches the partition's weakly-connected components for
 	// subgraph mode (nil until first discovery). subsDirty flags that
 	// membership may have changed — topology mutation, vertex
-	// add/remove, migration, recovery — so the owning worker rediscovers
+	// add/remove, recovery — so the owning worker rediscovers
 	// before its next subgraph scan.
 	subs      []*Subgraph
 	subsDirty bool

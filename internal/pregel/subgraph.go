@@ -17,8 +17,8 @@ import (
 // every member vertex sequentially, so a sequential algorithm traverses
 // the whole component between barriers and traversal workloads converge
 // in O(partition diameter) supersteps instead of O(graph diameter).
-// Message transport, aggregators, checkpoints, recovery and rebalancing
-// are the same in both modes. Boundary messages — sends to
+// Message transport, aggregators, checkpoints and recovery are the same
+// in both modes. Boundary messages — sends to
 // vertices outside the subgraph — travel through the same message
 // plane as vertex mode and are delivered at the next superstep.
 //
@@ -181,7 +181,7 @@ func (sg *Subgraph) MessagesTo(id VertexID) []Value {
 // components. Called by the owning worker at the start of its superstep
 // scan, so discovery parallelizes across partitions and is amortized:
 // it only reruns after something invalidated membership (topology
-// mutation, vertex add/remove, migration, recovery), flagged via
+// mutation, vertex add/remove, recovery), flagged via
 // subsDirty.
 func (p *partition) ensureSubgraphs() {
 	if p.subs != nil && !p.subsDirty {

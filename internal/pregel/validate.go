@@ -27,20 +27,8 @@ func (c *Config) Validate() error {
 	if c.CheckpointEvery < 0 {
 		return invalidf("CheckpointEvery = %d, must be >= 0 (0 disables checkpointing)", c.CheckpointEvery)
 	}
-	if c.RebalanceSkew < 0 {
-		return invalidf("RebalanceSkew = %g, must be >= 0 (0 disables rebalancing)", c.RebalanceSkew)
-	}
-	if c.RebalanceMaxMoves < 0 {
-		return invalidf("RebalanceMaxMoves = %d, must be >= 0 (0 means the default)", c.RebalanceMaxMoves)
-	}
 	if c.Partitioner != PartitionHash && c.Partitioner != PartitionLocality {
 		return invalidf("Partitioner = %d, must be PartitionHash or PartitionLocality", int(c.Partitioner))
-	}
-	if c.RebalanceObjective != ObjectiveSkew && c.RebalanceObjective != ObjectiveEdgeCut {
-		return invalidf("RebalanceObjective = %d, must be ObjectiveSkew or ObjectiveEdgeCut", int(c.RebalanceObjective))
-	}
-	if c.RebalanceObjective == ObjectiveEdgeCut && c.AnomalyWindow < 0 {
-		return invalidf("RebalanceObjective = edgecut requires the traffic matrix (AnomalyWindow must be >= 0)")
 	}
 	if c.CheckpointEvery > 0 && c.CheckpointFS == nil {
 		return invalidf("CheckpointEvery = %d without CheckpointFS", c.CheckpointEvery)

@@ -118,10 +118,19 @@ func (d *Daemon) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
+// maxSubmitBytes caps a POST /api/jobs body. A submission is a handful
+// of short fields; a body anywhere near this size is not one.
+const maxSubmitBytes = 1 << 20
+
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxSubmitBytes)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	if req.Alg == "" {

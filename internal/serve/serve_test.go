@@ -181,6 +181,27 @@ func TestServeRejectsBadSubmissions(t *testing.T) {
 	waitState(t, ts, "ok", "succeeded")
 }
 
+// TestServeRejectsOversizedBody: a submission larger than
+// maxSubmitBytes is refused with 413 without being decoded into a job,
+// and the daemon goes on serving the next submission and /healthz.
+func TestServeRejectsOversizedBody(t *testing.T) {
+	_, ts := newDaemon(t)
+	big := fmt.Sprintf(`{"job_id":"big","alg":"cc","scale":0.0005,"note":%q}`, strings.Repeat("x", 2<<20))
+	if code, _ := post(t, ts, "/api/jobs", big); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("2 MiB submission: status %d, want 413", code)
+	}
+	if code, _ := get(t, ts, "/api/jobs/big"); code != http.StatusNotFound {
+		t.Errorf("the oversized submission became a job: status %d", code)
+	}
+	if code, _ := post(t, ts, "/api/jobs", `{"job_id":"small","alg":"cc","scale":0.0005}`); code != http.StatusCreated {
+		t.Fatalf("valid submission after the oversized one = %d", code)
+	}
+	if code, _ := get(t, ts, "/healthz"); code != http.StatusOK {
+		t.Errorf("/healthz = %d", code)
+	}
+	waitState(t, ts, "small", "succeeded")
+}
+
 // TestServeCancelAndClose: cancel ends a running job as canceled, and
 // Close returns only once no job is left running anywhere — no engine
 // goroutine survives it.

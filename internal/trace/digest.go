@@ -18,8 +18,8 @@ import (
 // placement-dependent — the worker that ran a vertex, inbox arrival
 // order, trace-file layout — is excluded or canonicalized, so two runs
 // of the same deterministic job digest identically even when their
-// vertices were partitioned differently (e.g. with the engine's skew
-// rebalancer on versus off).
+// vertices were partitioned differently (e.g. hash versus locality
+// placement, or a different worker count).
 func Digest(v *Reader) string {
 	h := sha256.New()
 	var buf [8]byte

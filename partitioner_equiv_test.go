@@ -118,34 +118,3 @@ func TestPartitionerConfinedRecoveryEquivalence(t *testing.T) {
 		t.Error("trace digests diverged across placement and confined recovery")
 	}
 }
-
-// TestPartitionerWithEdgeCutRebalancer layers the edge-cut rebalancer
-// on top of both placements: migrations rewrite the assignment table
-// mid-run, and the trace digest must still be placement-invariant.
-func TestPartitionerWithEdgeCutRebalancer(t *testing.T) {
-	run := func(p PartitionerMode, objective RebalanceObjective) (*trace.Reader, *Stats) {
-		return tracedPlaneRun(t, graphgen.ChainedCommunities(600, 12, 4, 7),
-			algorithms.NewConnectedComponents(), false,
-			EngineConfig{NumWorkers: 4,
-				Partitioner: p, RebalanceObjective: objective}, -1)
-	}
-	baseView, _ := run(PartitionHash, ObjectiveSkew)
-	onView, onStats := run(PartitionHash, ObjectiveEdgeCut)
-	locView, locStats := run(PartitionLocality, ObjectiveEdgeCut)
-
-	if onStats.Rebalances == 0 {
-		t.Fatalf("edge-cut rebalancer never triggered on the hash-placed run: %+v", onStats)
-	}
-	requireNoDiff(t, "edgecut rebalancer on vs off", baseView, onView)
-	requireNoDiff(t, "edgecut rebalancer across placements", baseView, locView)
-	if onStats.EdgeCut >= onStats.PerSuperstep[0].EdgeCut {
-		t.Errorf("edge-cut rebalancing did not shrink the cut: first %d, final %d",
-			onStats.PerSuperstep[0].EdgeCut, onStats.EdgeCut)
-	}
-	// A locality-placed run starts near the optimum, so the rebalancer
-	// must not churn it apart: its final cut stays below the hash run's.
-	if locStats.EdgeCut > onStats.EdgeCut {
-		t.Errorf("locality+rebalancer final cut %d above hash+rebalancer %d",
-			locStats.EdgeCut, onStats.EdgeCut)
-	}
-}

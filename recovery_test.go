@@ -159,37 +159,6 @@ func TestRecoveryDigestEquivalenceUnderConstraints(t *testing.T) {
 	}
 }
 
-// TestRecoveryDigestEquivalenceWithRebalancer layers the skew
-// rebalancer on top of confined recovery: migrations inside the replay
-// window change message routing after the frames were logged, so
-// replay must re-route every logged entry by current placement.
-func TestRecoveryDigestEquivalenceWithRebalancer(t *testing.T) {
-	build := func() *Graph { return broomGraph(300, 40) }
-	alg := algorithms.NewConnectedComponents
-	engine := EngineConfig{
-		NumWorkers:        4,
-		RebalanceSkew:     1.3,
-		RebalanceMaxMoves: 64,
-	}
-	cleanView, _ := tracedRecoveryRun(t, build(), alg(), false, engine, RecoveryCheckpoint, -1, 0)
-	clean := trace.Digest(cleanView)
-
-	for _, mode := range []RecoveryMode{RecoveryCheckpoint, RecoveryLog} {
-		t.Run(mode.String(), func(t *testing.T) {
-			view, stats := tracedRecoveryRun(t, build(), alg(), false, engine, mode, 4, 0)
-			if stats.Recoveries != 1 {
-				t.Fatalf("recoveries = %d, want 1", stats.Recoveries)
-			}
-			if stats.Rebalances == 0 {
-				t.Fatalf("rebalancer never triggered: %+v", stats)
-			}
-			if got := trace.Digest(view); got != clean {
-				t.Errorf("digest with rebalancer + %s recovery diverged:\nclean: %s\ngot:   %s", mode, clean, got)
-			}
-		})
-	}
-}
-
 // TestRecoverySeededChaosVictim pins PickPartition's determinism: the
 // same seed must always pick the same victim, and a job that kills it
 // must still converge to the failure-free digest.
