@@ -82,16 +82,16 @@ func runChaosJob(t *testing.T, seed int64) *chaosOutcome {
 		CheckpointEvery:  2,
 		CheckpointFS:     ckptFS,
 		CheckpointPrefix: "ckpt/",
-		PartitionFailureAt: func(superstep int) []int {
+		FailureAt: func(superstep int) bool {
 			if superstep == crashAt && !crashed {
 				crashed = true
-				cluster.Kill(0)  // the crash takes a datanode down with it
-				return []int{-1} // no partition named: every one fails
+				cluster.Kill(0) // the crash takes a datanode down with it
+				return true
 			}
 			if crashed && superstep > crashAt && !cluster.Node(0).Alive() {
 				cluster.Revive(0)
 			}
-			return nil
+			return false
 		},
 	})
 	stats, err := job.Run()

@@ -181,9 +181,10 @@ func TestCLISmoke(t *testing.T) {
 					}
 				}
 			}},
-		{name: "confined recovery", args: []string{"run", "-alg", "pagerank", "-dataset", "web-BS", "-scale", "0.001", "-workers", "8", "-supersteps", "10",
-			"-debug", "none", "-checkpoint-every", "2", "-crash-at", "3", "-crash-partition", "-2", "-recovery", "log"},
-			wants: []string{"finished:", "mode=log", "outbox log:"}},
+		{name: "crash and restart", args: []string{"run", "-alg", "pagerank", "-dataset", "web-BS", "-scale", "0.001", "-workers", "8", "-supersteps", "10",
+			"-debug", "none", "-checkpoint-every", "2", "-crash-at", "3"},
+			wants: []string{"finished:", "recovery @3: from-ckpt=2 steps-replayed=2", "resilience: recoveries=1"},
+			never: []string{"mode=", "partitions=", "msgs-replayed=", "outbox log:"}},
 		// -workers 0 is the engine's default count, not zero partitions.
 		{name: "chaos on the checkpoint store", args: with(pr, "-debug", "none", "-checkpoint-every", "2", "-crash-at", "3", "-chaos", "0.2", "-workers", "0"),
 			wants: []string{"finished:", "resilience: recoveries=1"}},
@@ -215,14 +216,19 @@ func TestCLISmoke(t *testing.T) {
 		{name: "-checkpoint-retain is gone", args: with(pr, "-checkpoint-retain", "1"), exit: 2, wants: []string{"flag provided but not defined"}},
 		{name: "-msg-log-dir is gone", args: with(pr, "-msg-log-dir", "x"), exit: 2, wants: []string{"flag provided but not defined"}},
 		{name: "-sync-capture is gone", args: with(pr, "-sync-capture"), exit: 2, wants: []string{"flag provided but not defined"}},
-		// Crash flags that would inject nothing, or crash the whole job
-		// instead of the partition named, are refused.
+		// A crash flag that would inject nothing is refused.
 		{name: "crash without checkpoints", args: with(pr, "-debug", "none", "-crash-at", "3"),
 			exit: 2, wants: []string{"-crash-at requires -checkpoint-every"}, never: []string{"finished:"}},
+		// Every crash restarts the whole job from a checkpoint: there is no
+		// recovery mode to choose and no partition to name.
+		{name: "-recovery is gone", args: with(pr, "-debug", "none", "-checkpoint-every", "2", "-crash-at", "3", "-recovery", "log"),
+			exit: 2, wants: []string{"flag provided but not defined: -recovery"}, never: []string{"finished:"}},
+		{name: "-crash-partition is gone", args: with(pr, "-debug", "none", "-checkpoint-every", "2", "-crash-at", "3", "-crash-partition", "2"),
+			exit: 2, wants: []string{"flag provided but not defined: -crash-partition"}, never: []string{"finished:"}},
 		{name: "crash partition past the workers", args: with(pr, "-debug", "none", "-checkpoint-every", "2", "-crash-at", "3", "-crash-partition", "9", "-workers", "4"),
-			exit: 2, wants: []string{"-crash-partition 9 is not a partition of -workers 4"}, never: []string{"finished:"}},
+			exit: 2, wants: []string{"flag provided but not defined: -crash-partition"}, never: []string{"finished:"}},
 		{name: "negative crash partition", args: with(pr, "-debug", "none", "-checkpoint-every", "2", "-crash-at", "3", "-crash-partition", "-5"),
-			exit: 2, wants: []string{"-crash-partition -5 is not a partition"}, never: []string{"finished:"}},
+			exit: 2, wants: []string{"flag provided but not defined: -crash-partition"}, never: []string{"finished:"}},
 	}
 	for _, row := range rows {
 		cmd := exec.Command(bin, row.args...)

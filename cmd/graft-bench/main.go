@@ -8,7 +8,6 @@
 //	graft-bench -table 3
 //	graft-bench -fig 8 -scale 0.0005 -reps 5 -workers 8
 //	graft-bench -profiler -scale 0.0005 -reps 5
-//	graft-bench -recovery -scale 0.0002 -reps 5
 //	graft-bench -subgraph -scale 0.0002 -reps 5
 //	graft-bench -partition -scale 0.0002 -reps 5
 //	graft-bench -serve -scale 0.0002 -reps 5
@@ -35,7 +34,6 @@ import (
 var experiments = []harness.Experiment{
 	harness.Fig8,
 	harness.Profiler,
-	harness.Recovery,
 	harness.Subgraph,
 	harness.Partition,
 	servebench.Serve,
@@ -63,7 +61,6 @@ func run(table []harness.Experiment, args []string, stdout, stderr io.Writer) in
 	check := fs.Bool("check", true, "verify the selected experiment's claims and exit 1 on a deviation")
 	var p harness.Params
 	fs.Float64Var(&p.FaultP, "fault-p", 0.3, "per-operation fault probability for -chaos")
-	fs.StringVar(&p.ChaosRecovery, "chaos-recovery", "log", "how the -chaos crash recovers: log (confined replay) or checkpoint (full restart)")
 	fs.Float64Var(&p.Scale, "scale", 0.0002, "dataset scale against paper sizes")
 	fs.IntVar(&p.Reps, "reps", 5, "repetitions per cell (the paper used 5)")
 	fs.IntVar(&p.Workers, "workers", 8, "worker goroutines per job")

@@ -32,7 +32,7 @@ func TestRegistry(t *testing.T) {
 		byName[e.Name] = e
 		names = append(names, e.Name)
 	}
-	if got, want := strings.Join(names, " "), "fig8 profiler recovery subgraph partition serve chaos"; got != want {
+	if got, want := strings.Join(names, " "), "fig8 profiler subgraph partition serve chaos"; got != want {
 		t.Errorf("experiments = %s, want %s", got, want)
 	}
 
@@ -62,7 +62,7 @@ func TestRegistry(t *testing.T) {
 		}
 		checked[name] = true
 	}
-	for _, name := range []string{"profiler", "recovery", "subgraph", "partition", "serve"} {
+	for _, name := range []string{"profiler", "subgraph", "partition", "serve"} {
 		if !checked[name] {
 			t.Errorf("BENCH_%s.json is not checked in", name)
 		}
@@ -165,7 +165,6 @@ func doctored[R any](t *testing.T, name string, doctor func(R)) {
 // experiment's real gate.
 func TestDoctoredRowsFailTheirGates(t *testing.T) {
 	doctored(t, "profiler", func(rows []harness.ProfilerBench) { rows[0].Overhead = 0.5 })
-	doctored(t, "recovery", func(rows []harness.RecoveryBench) { rows[0].LogMatch = false })
 	doctored(t, "subgraph", func(rows []harness.SubgraphBench) { rows[0].SubgraphSupersteps = rows[0].VertexSupersteps })
 	doctored(t, "partition", func(rows []harness.PartitionBench) { rows[0].Match = false })
 	doctored(t, "serve", func(row *servebench.ServeBench) { row.Speedup = 1.1 })

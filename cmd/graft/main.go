@@ -115,8 +115,6 @@ func cmdRun(args []string) error {
 	jobID := fs.String("job", "", "job ID (default: <alg>-<timestamp>)")
 	checkpointEvery := fs.Int("checkpoint-every", 0, "checkpoint before every Nth superstep (0 disables)")
 	crashAt := fs.Int("crash-at", -1, "simulate a worker crash after this superstep (requires -checkpoint-every)")
-	crashPartition := fs.Int("crash-partition", -1, "with -crash-at, fail only this partition instead of the whole job (-2: seeded pick)")
-	recovery := fs.String("recovery", "checkpoint", "recovery mode for injected failures: checkpoint (full restart) or log (confined replay from sender-side outbox logs)")
 	chaos := fs.Float64("chaos", 0, "per-operation storage fault probability injected into the checkpoint FS")
 	chaosSeed := fs.Int64("chaos-seed", 0, "seed for fault injection and retry jitter (default: -seed)")
 	metricsAddr := fs.String("metrics-addr", "", "serve live /metrics and /debug/vars on this address (e.g. :8090)")
@@ -132,13 +130,6 @@ func cmdRun(args []string) error {
 	fs.Parse(args)
 	if *crashAt >= 0 && *checkpointEvery <= 0 {
 		flagError("-crash-at requires -checkpoint-every (a crash rolls back to a checkpoint)")
-	}
-	parts := *workers
-	if parts <= 0 {
-		parts = pregel.DefaultNumWorkers // what the engine runs with
-	}
-	if *crashAt >= 0 && (*crashPartition < -2 || *crashPartition >= parts) {
-		flagError("-crash-partition %d is not a partition of -workers %d (-1: every partition, -2: seeded pick)", *crashPartition, parts)
 	}
 
 	eng := pregel.Config{NumWorkers: *workers, AnomalyWindow: *anomalyWindow}
@@ -228,27 +219,9 @@ func cmdRun(args []string) error {
 		eng.CheckpointEvery = *checkpointEvery
 		eng.CheckpointFS = ckptFS
 		eng.CheckpointPrefix = "ckpt/"
-		switch *recovery {
-		case "checkpoint":
-		case "log":
-			eng.Recovery = pregel.RecoveryLog
-			eng.MsgLogFS = dfs.NewMemFS()
-		default:
-			return fmt.Errorf("unknown -recovery %q (checkpoint, log)", *recovery)
-		}
 		if *crashAt >= 0 {
-			var victims []int // none: every partition fails
-			if victim := *crashPartition; victim != -1 {
-				if victim == -2 {
-					victim = faults.PickPartition(*chaosSeed, *workers)
-					fmt.Printf("crash: seeded victim partition %d of %d\n", victim, *workers)
-				}
-				victims = append(victims, victim)
-			}
-			eng.PartitionFailureAt = faults.FailPartitionAt(*crashAt, victims...)
+			eng.FailureAt = faults.FailAt(*crashAt)
 		}
-	} else if *recovery != "checkpoint" {
-		return fmt.Errorf("-recovery=%s requires -checkpoint-every (confined replay rolls the failed partitions back to a checkpoint)", *recovery)
 	}
 
 	opts := graft.RunOptions{
@@ -321,9 +294,8 @@ func printSummary(res *graft.RunResult, jm metrics.JobMetrics) {
 	stats := res.Stats
 	fmt.Printf("finished: %s\n", stats)
 	for _, ev := range stats.RecoveryEvents {
-		fmt.Printf("  recovery @%d: mode=%s partitions=%v from-ckpt=%d steps-replayed=%d msgs-replayed=%d took=%v\n",
-			ev.Superstep, ev.Mode, ev.Partitions, ev.CheckpointSuperstep,
-			ev.SuperstepsReplayed, ev.MessagesReplayed, ev.Duration.Round(time.Microsecond))
+		fmt.Printf("  recovery @%d: from-ckpt=%d steps-replayed=%d took=%v\n",
+			ev.Superstep, ev.CheckpointSuperstep, ev.SuperstepsReplayed, ev.Duration.Round(time.Microsecond))
 	}
 	for _, s := range metrics.Sections(&jm) {
 		if s.Name != "" { // the unnamed section repeats the headline

@@ -174,7 +174,7 @@ func requireMatchesReferenceBy(t *testing.T, same func(a, b Value) bool, build f
 	if crashAt >= 0 {
 		cfg.CheckpointEvery = 2
 		cfg.CheckpointFS = NewMemFS()
-		cfg.PartitionFailureAt = FailPartitionAt(crashAt)
+		cfg.FailureAt = FailAt(crashAt)
 	}
 	got := build()
 	res, err := RunAlgorithm(got, alg(), RunOptions{Engine: cfg})

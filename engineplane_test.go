@@ -18,16 +18,23 @@ import (
 // checkpointing every 2 supersteps.
 func tracedPlaneRun(t *testing.T, g *Graph, alg *algorithms.Algorithm, subgraph bool, engine EngineConfig, crashAt int) (*trace.Reader, *Stats) {
 	t.Helper()
+	return tracedPlaneRunUnder(t, &DebugConfig{CaptureAllActive: true, MaxCaptures: -1}, g, alg, subgraph, engine, crashAt)
+}
+
+// tracedPlaneRunUnder is tracedPlaneRun with the DebugConfig chosen by
+// the caller.
+func tracedPlaneRunUnder(t *testing.T, debug *DebugConfig, g *Graph, alg *algorithms.Algorithm, subgraph bool, engine EngineConfig, crashAt int) (*trace.Reader, *Stats) {
+	t.Helper()
 	if crashAt >= 0 {
 		engine.CheckpointEvery = 2
 		engine.CheckpointFS = dfs.NewMemFS()
-		engine.PartitionFailureAt = FailPartitionAt(crashAt)
+		engine.FailureAt = FailAt(crashAt)
 	}
 	store := NewStore(NewMemFS(), "traces")
 	opts := RunOptions{
 		JobID:  "job",
 		Engine: engine,
-		Debug:  &DebugConfig{CaptureAllActive: true, MaxCaptures: -1},
+		Debug:  debug,
 		Store:  store,
 	}
 	if subgraph {

@@ -41,17 +41,16 @@ func main() {
 	}), 7)
 
 	// The same job, checkpointing every 2 supersteps, with a worker
-	// crash injected after superstep 3 (no partition named: every
-	// partition fails).
+	// crash injected after superstep 3.
 	fmt.Println("!! simulated worker crash after superstep 3")
 	g := build()
 	res, err := graft.RunAlgorithm(g, algorithms.NewConnectedComponents(), graft.RunOptions{
 		Engine: pregel.Config{
-			NumWorkers:         4,
-			CheckpointEvery:    2,
-			CheckpointFS:       ckptFS,
-			CheckpointPrefix:   "cc-job/",
-			PartitionFailureAt: graft.FailPartitionAt(3),
+			NumWorkers:       4,
+			CheckpointEvery:  2,
+			CheckpointFS:     ckptFS,
+			CheckpointPrefix: "cc-job/",
+			FailureAt:        graft.FailAt(3),
 		},
 	})
 	if err != nil {

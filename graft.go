@@ -128,14 +128,9 @@ type (
 	// PartitionerMode selects the vertex placement, fixed at load
 	// (EngineConfig.Partitioner): PartitionHash or PartitionLocality.
 	PartitionerMode = pregel.PartitionerMode
-	// RecoveryMode selects how the engine recovers from worker
-	// failures (EngineConfig.Recovery): RecoveryCheckpoint restarts
-	// the whole job from the newest checkpoint, RecoveryLog confines
-	// the rollback to the failed partitions and replays their inboxes
-	// from sender-side outbox logs.
-	RecoveryMode = pregel.RecoveryMode
 	// RecoveryEvent is the per-recovery breakdown in
-	// Stats.RecoveryEvents: mode, partitions, replay window and cost.
+	// Stats.RecoveryEvents: failure point, checkpoint, re-executed
+	// supersteps and cost.
 	RecoveryEvent = pregel.RecoveryEvent
 	// FaultPlan configures deterministic fault injection (see
 	// internal/faults).
@@ -155,20 +150,6 @@ type (
 // reproduction tests use to rebuild a captured component.
 var NewDetachedSubgraph = pregel.NewDetachedSubgraph
 
-// Recovery modes for EngineConfig.Recovery.
-const (
-	// RecoveryCheckpoint rolls the whole job back to the newest intact
-	// checkpoint on any failure — the classic Pregel strategy and the
-	// default.
-	RecoveryCheckpoint = pregel.RecoveryCheckpoint
-	// RecoveryLog is log-based confined recovery: only failed
-	// partitions roll back and recompute, fed by the sender-side
-	// outbox logs, while survivors stay live. Requires
-	// EngineConfig.MsgLogFS; degrades to a checkpoint restart when the
-	// logs cannot drive a replay.
-	RecoveryLog = pregel.RecoveryLog
-)
-
 // Placement modes for EngineConfig.Partitioner.
 const (
 	// PartitionHash is Fibonacci hashing, the default: placement is a
@@ -184,14 +165,10 @@ const (
 	PartitionLocality = pregel.PartitionLocality
 )
 
-// FailPartitionAt builds an EngineConfig.PartitionFailureAt hook that
-// kills the given partitions once, at the barrier after the given
-// superstep (see internal/faults).
-var FailPartitionAt = faults.FailPartitionAt
-
-// PickPartition derives a reproducible victim partition in [0, n)
-// from a seed, for chaos runs replayable from their seed alone.
-var PickPartition = faults.PickPartition
+// FailAt builds an EngineConfig.FailureAt hook that crashes the job
+// once, at the barrier after the given superstep; the job restarts
+// from its newest checkpoint (see internal/faults).
+var FailAt = faults.FailAt
 
 // TraceDigest computes a canonical SHA-256 of a trace's captured
 // computation, invariant to vertex placement and inbox arrival order;

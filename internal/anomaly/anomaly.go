@@ -85,13 +85,6 @@ func (e Event) String() string {
 	return fmt.Sprintf("[%s] %s @superstep %d (%s): %s", e.Severity, e.Kind, e.Superstep, where, e.Detail)
 }
 
-// WorkerSample is one worker's share of a superstep sample.
-type WorkerSample struct {
-	Worker       int
-	ComputeNanos int64
-	Sent         int64
-}
-
 // Sample is the telemetry of one finished superstep, as the engine
 // folds it at the barrier. Counter fields ending in "cumulative" hold
 // job-lifetime totals; detectors difference them across the window.
@@ -104,8 +97,6 @@ type Sample struct {
 	// Sent/Received/Combined are this superstep's message counters
 	// (Sent is pre-combine).
 	Sent, Received, Combined int64
-	// Workers is the per-worker breakdown, indexed by worker ID.
-	Workers []WorkerSample
 	// Traffic is the numWorkers×numWorkers message-flow matrix
 	// (Traffic[s][d] = messages partition s sent to partition d,
 	// pre-combine); nil when the engine does not capture it.
@@ -113,8 +104,8 @@ type Sample struct {
 	// Recoveries is the cumulative recovery count so far.
 	Recoveries int
 	// CorruptArtifacts is the cumulative count of corrupt or
-	// quarantined storage artifacts (log segments, checkpoints,
-	// dropped records) observed so far.
+	// quarantined storage artifacts (checkpoints, dropped records)
+	// observed so far.
 	CorruptArtifacts int64
 }
 

@@ -22,7 +22,6 @@ func balanced(superstep, workers int) Sample {
 		for j := range s.Traffic[i] {
 			s.Traffic[i][j] = 10
 		}
-		s.Workers = append(s.Workers, WorkerSample{Worker: i, ComputeNanos: 1000, Sent: int64(workers * 10)})
 	}
 	return s
 }
@@ -234,8 +233,10 @@ func TestRecoveryStorm(t *testing.T) {
 }
 
 // TestActionsNameRealRemedies fires every detector and checks that no
-// suggested action points at a rebalancer: placement is fixed at load,
-// so the remedies are the profiler's breakdown and input placement.
+// suggested action points at something the system does not have: a
+// rebalancer (placement is fixed at load, so the remedies are the
+// profiler's breakdown and input placement), an outbox log (every
+// recovery is a checkpoint restart), or a recovery-budget flag.
 func TestActionsNameRealRemedies(t *testing.T) {
 	var evs []Event
 	e := New(Config{Window: 4, StragglerRuns: 3})
@@ -259,8 +260,10 @@ func TestActionsNameRealRemedies(t *testing.T) {
 	fired := map[Kind]bool{}
 	for _, ev := range evs {
 		fired[ev.Kind] = true
-		if strings.Contains(strings.ToLower(ev.Action), "rebalanc") {
-			t.Errorf("%s action names a rebalancer: %q", ev.Kind, ev.Action)
+		for _, gone := range []string{"rebalanc", "outbox", "max-recoveries"} {
+			if strings.Contains(strings.ToLower(ev.Action), gone) {
+				t.Errorf("%s action names %q, which does not exist: %q", ev.Kind, gone, ev.Action)
+			}
 		}
 	}
 	for _, k := range []Kind{KindStragglerPersistence, KindSkewTrend, KindCombineCollapse,
@@ -276,25 +279,8 @@ func TestEvaluateSkew(t *testing.T) {
 	s.ComputeSkew = 2.0
 	s.Straggler = 1
 	v := EvaluateSkew(s, 1.5)
-	if !v.Triggered || v.Dimension != "compute" || v.Worker != 1 || v.Skew != 2.0 {
+	if !v.Triggered || v.Worker != 1 || v.Skew != 2.0 {
 		t.Errorf("compute verdict = %+v", v)
-	}
-
-	// Message dimension: compute balanced, worker 2 sends the most.
-	s = balanced(0, 4)
-	s.MessageSkew = 3.0
-	s.Workers[2].Sent = 500
-	v = EvaluateSkew(s, 1.5)
-	if !v.Triggered || v.Dimension != "message" || v.Worker != 2 || v.Skew != 3.0 {
-		t.Errorf("message verdict = %+v", v)
-	}
-
-	// Ties pick the first maximum in worker order (determinism).
-	s = balanced(0, 4)
-	s.MessageSkew = 3.0
-	v = EvaluateSkew(s, 1.5)
-	if v.Worker != 0 {
-		t.Errorf("tie verdict picked worker %d, want 0", v.Worker)
 	}
 
 	if v := EvaluateSkew(balanced(0, 4), 1.5); v.Triggered {

@@ -21,7 +21,7 @@ func (d *stragglerPersistence) Name() string { return string(KindStragglerPersis
 func (d *stragglerPersistence) Observe(win []Sample, cfg Config) []Event {
 	s := win[len(win)-1]
 	v := EvaluateSkew(s, cfg.SkewHot)
-	if !v.Triggered || v.Dimension != "compute" {
+	if !v.Triggered {
 		d.worker, d.run = -1, 0
 		return nil
 	}
@@ -227,7 +227,7 @@ func (d *faultSpike) Observe(win []Sample, cfg Config) []Event {
 		Worker: -1, Peer: -1,
 		Value: float64(delta), Threshold: float64(cfg.FaultSpikeMin), Window: len(win),
 		Detail: fmt.Sprintf("%d corrupt/quarantined storage artifacts within %d supersteps", delta, len(win)),
-		Action: "inspect the DFS quarantine and outbox-log health; replace the failing replica before recovery degrades to full restarts",
+		Action: "inspect the DFS quarantine and checkpoint health; replace the failing replica before recovery runs out of intact checkpoints",
 	}}
 }
 
@@ -253,6 +253,6 @@ func (d *recoveryStorm) Observe(win []Sample, cfg Config) []Event {
 		Worker: -1, Peer: -1,
 		Value: float64(delta), Threshold: float64(cfg.StormRecoveries), Window: len(win),
 		Detail: fmt.Sprintf("%d recoveries within %d supersteps", delta, len(win)),
-		Action: "raise -max-recoveries only after finding the failing worker; repeated rollbacks suggest a deterministic crash or bad host",
+		Action: "find the failing worker before rerunning; a job gets three restarts, and repeated rollbacks suggest a deterministic crash or bad host",
 	}}
 }

@@ -14,8 +14,7 @@
 // experiments where the remote store's round-trip cost is the point.
 //
 // All implementations satisfy FileSystem, the one storage contract the
-// engine's checkpoints and outbox logs, segio and the trace store write
-// through.
+// engine's checkpoints, segio and the trace store write through.
 package dfs
 
 import (

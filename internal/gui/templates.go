@@ -179,11 +179,9 @@ has the per-worker timeline, the traffic heatmap and the anomaly feed.</p>
 {{if .Recoveries}}
 <h2>Recoveries</h2>
 <table>
-<tr><th>Superstep</th><th>Mode</th><th>Partitions</th><th>From checkpoint</th>
-<th>Steps replayed</th><th>Msgs replayed</th><th>Duration</th></tr>
+<tr><th>Superstep</th><th>From checkpoint</th><th>Steps replayed</th><th>Duration</th></tr>
 {{range .Recoveries}}
-<tr><td>{{.Superstep}}</td><td>{{.Mode}}</td><td>{{or .Partitions "all"}}</td><td>{{.CheckpointSuperstep}}</td>
-<td>{{.SuperstepsReplayed}}</td><td>{{.MessagesReplayed}}</td><td>{{.Duration}}</td></tr>
+<tr><td>{{.Superstep}}</td><td>{{.CheckpointSuperstep}}</td><td>{{.SuperstepsReplayed}}</td><td>{{.Duration}}</td></tr>
 {{end}}
 </table>
 {{end}}

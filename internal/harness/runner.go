@@ -17,9 +17,8 @@ type Params struct {
 	Scale float64
 	// Workers is the worker-goroutine count per job.
 	Workers int
-	// FaultP and ChaosRecovery are -chaos's own flags.
-	FaultP        float64
-	ChaosRecovery string
+	// FaultP is -chaos's own flag.
+	FaultP float64
 }
 
 // Experiment is one row of graft-bench's table: everything around it —

@@ -54,14 +54,9 @@ type JobMetrics struct {
 	// checkpoints.
 	RecoveryNanos int64 `json:"recovery_ns"`
 	Recoveries    int   `json:"recoveries"`
-	// RecoveryEvents break each recovery down by mode and confinement
-	// scope (filled at job end).
+	// RecoveryEvents break each recovery down: failure point,
+	// checkpoint, re-executed supersteps and cost (filled at job end).
 	RecoveryEvents []pregel.RecoveryEvent `json:"recovery_events,omitempty"`
-	// MessagesLogged / BytesLogged count the sender-side outbox-log
-	// volume written for log-based confined recovery (zero unless the
-	// engine runs with Recovery=log).
-	MessagesLogged int64 `json:"messages_logged,omitempty"`
-	BytesLogged    int64 `json:"bytes_logged,omitempty"`
 	// Faults carries the storage-resilience counters: live snapshots of
 	// the registered fault sources while the job runs, the engine's
 	// final folded FaultStats afterwards.

@@ -96,9 +96,6 @@ var Table = []Metric{
 	{Key: "faults.dropped", Job: "Faults.DroppedRecords"},
 	{Key: "faults.corrupt_ckpt", Job: "Faults.CorruptCheckpoints"},
 
-	{Key: "messages_logged", Label: "Messages logged", Line: "outbox log", Job: "MessagesLogged", End: "MessagesLogged"},
-	{Key: "bytes_logged", Label: "Bytes logged", Line: "outbox log", Job: "BytesLogged", End: "BytesLogged"},
-
 	{Key: "partitioner", Label: "Partitioner", Unit: Text, Line: "placement", Job: "Partitioner", End: "Partitioner"},
 	{Key: "vertices_per_worker", Label: "Vertices / worker", Unit: Text, Line: "placement", NoVars: true, Job: "PartitionSizes", End: "PartitionSizes"},
 	{Key: "edge_cut", Label: "Edge cut", Line: "placement", Job: "EdgeCut", End: "EdgeCut", Step: "EdgeCut"},

@@ -36,13 +36,13 @@ func TestDebugVarsKeySet(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{
-		"graft.anomalies", "graft.barrier_ns", "graft.bytes_logged", "graft.capture_ns", "graft.capture_overhead",
+		"graft.anomalies", "graft.barrier_ns", "graft.capture_ns", "graft.capture_overhead",
 		"graft.compute_ns", "graft.dfs.bytes_read", "graft.dfs.bytes_written", "graft.dfs.corrupt_reads",
 		"graft.dfs.degraded_writes", "graft.dfs.prefetches", "graft.dfs.write_retries", "graft.edge_cut",
 		"graft.faults.backoff_ns", "graft.faults.corrupt_ckpt", "graft.faults.dropped", "graft.faults.fallbacks",
 		"graft.faults.injected", "graft.faults.retries", "graft.flush_ns", "graft.internal_iterations", "graft.job_id",
 		"graft.local_messages", "graft.local_ratio", "graft.max_capture_queue", "graft.max_compute_skew",
-		"graft.max_message_skew", "graft.messages_combined", "graft.messages_logged", "graft.messages_received",
+		"graft.max_message_skew", "graft.messages_combined", "graft.messages_received",
 		"graft.messages_sent", "graft.num_workers", "graft.partitioner", "graft.recoveries", "graft.running",
 		"graft.subgraphs_computed", "graft.supersteps", "graft.traffic_messages", "graft.vertices_processed",
 		"runtime.goroutines", "runtime.heap_alloc", "runtime.num_gc",
@@ -70,7 +70,7 @@ func TestStatsAndRegistryTotals(t *testing.T) {
 		{name: "plain", graph: pathGraph(t, 48), cfg: pregel.Config{NumWorkers: 3}},
 		{name: "checkpoint restart", graph: pathGraph(t, 48), rewound: true,
 			cfg: pregel.Config{NumWorkers: 3, CheckpointEvery: 2, CheckpointFS: dfs.NewMemFS(),
-				PartitionFailureAt: faults.FailPartitionAt(3)}},
+				FailureAt: faults.FailAt(3)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := NewRegistry(tc.name, "cc")

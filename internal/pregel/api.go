@@ -18,9 +18,8 @@ import (
 // aggregators), or context reproduction cannot replay them faithfully
 // (the limitation discussed in §7 of the paper). Randomized algorithms
 // should derive randomness deterministically from (seed, vertex ID,
-// superstep). Confined recovery, repro.Replay and Graft's recording
-// re-run each execute a Compute a second time and rely on this
-// (DESIGN.md §9).
+// superstep). repro.Replay and Graft's recording re-run each execute a
+// Compute a second time and rely on this (DESIGN.md §9).
 type Computation interface {
 	Compute(ctx Context, v *Vertex, msgs []Value) error
 }

@@ -112,56 +112,22 @@ func (en *engine) listCheckpoints() ([]int, error) {
 // kept after each successful write.
 const checkpointRetain = 2
 
-// gcCheckpoints deletes all but the newest K checkpoints after a
-// successful write, so long chaos runs stop accumulating unbounded
-// checkpoint files, then prunes the outbox log and history that no
-// surviving checkpoint can ever need (recovery always rolls back to a
-// retained checkpoint, so frames and snapshots older than the oldest
-// one are dead weight). Deletions are counted in
+// gcCheckpoints deletes all but the newest keep checkpoints: after a
+// successful write it keeps checkpointRetain, so long chaos runs stop
+// accumulating unbounded checkpoint files, and for a canceled job none,
+// since it will never resume (its trace is untouched and stays readable
+// up to the last completed barrier). Deletions are counted in
 // FaultStats.CheckpointsDeleted. Best-effort: listing or deletion
 // failures leave extra files behind, never fewer.
-func (en *engine) gcCheckpoints() {
+func (en *engine) gcCheckpoints(keep int) {
 	nums, err := en.listCheckpoints()
-	if err != nil || len(nums) == 0 {
+	if err != nil {
 		return
 	}
-	for _, n := range nums[min(checkpointRetain, len(nums)):] {
+	for _, n := range nums[min(keep, len(nums)):] {
 		if en.cfg.CheckpointFS.Remove(en.checkpointPath(n)) == nil {
 			en.stats.Faults.CheckpointsDeleted++
 		}
-	}
-	oldest := nums[min(checkpointRetain, len(nums))-1]
-	if en.msglog != nil {
-		en.msglog.gc(oldest)
-		for t := range en.history {
-			if t < oldest {
-				delete(en.history, t)
-			}
-		}
-	}
-}
-
-// cleanupCanceled deletes every checkpoint and outbox-log segment of a
-// canceled job: the job will never resume, so its recovery artifacts
-// are dead weight in the shared store. Deletions are counted in
-// FaultStats.CheckpointsDeleted; failures leave files behind, never
-// corrupt them. The trace is untouched — it stays readable up to the
-// last completed barrier.
-func (en *engine) cleanupCanceled() {
-	if en.cfg.CheckpointFS != nil {
-		if nums, err := en.listCheckpoints(); err == nil {
-			for _, n := range nums {
-				if en.cfg.CheckpointFS.Remove(en.checkpointPath(n)) == nil {
-					en.stats.Faults.CheckpointsDeleted++
-				}
-			}
-		}
-	}
-	if en.msglog != nil {
-		// gc drops every segment strictly older than its argument; no
-		// future superstep will ever be needed again.
-		en.msglog.gc(en.superstep + 1)
-		en.history = nil
 	}
 }
 
@@ -203,26 +169,24 @@ func (en *engine) restoreNewestIntact() error {
 	return fmt.Errorf("%w (newest candidate: %v)", ErrNoCheckpoint, firstErr)
 }
 
-// readCheckpointFile reads one checkpoint's raw bytes.
-func (en *engine) readCheckpointFile(superstep int) ([]byte, error) {
-	return dfs.ReadFile(en.cfg.CheckpointFS, en.checkpointPath(superstep))
-}
-
 // restoreCheckpointFile reads and restores one checkpoint. The engine
 // is mutated only after the whole file decodes cleanly, so a failure
 // here leaves the engine ready to try an older checkpoint.
 func (en *engine) restoreCheckpointFile(superstep int) error {
-	raw, err := en.readCheckpointFile(superstep)
+	raw, err := dfs.ReadFile(en.cfg.CheckpointFS, en.checkpointPath(superstep))
 	if err != nil {
 		return err
 	}
-	return en.restore(raw)
+	st, err := en.decodeCheckpoint(raw)
+	if err != nil {
+		return err
+	}
+	en.install(st)
+	return nil
 }
 
 // checkpointState is one decoded checkpoint, not yet installed into
-// the engine. Full restart installs all of it; confined recovery picks
-// out just the failed partitions' vertices and inbox messages (by
-// *current* routing) and ignores the rest.
+// the engine.
 type checkpointState struct {
 	superstep int
 	broadcast map[string]Value
@@ -232,23 +196,13 @@ type checkpointState struct {
 	// are rewritten on install.
 	parts [][]*Vertex
 	// inbox holds the undelivered messages feeding the checkpointed
-	// superstep, keyed by vertex ID; install and confined recovery
-	// deliver them to slots under the routing they restore.
+	// superstep, keyed by vertex ID; install delivers them to slots under
+	// the routing it restores.
 	inbox []inboxEntry
 }
 
-func (en *engine) restore(raw []byte) error {
-	st, err := en.decodeCheckpoint(raw)
-	if err != nil {
-		return err
-	}
-	en.install(st)
-	return nil
-}
-
-// decodeCheckpoint decodes a checkpoint without touching engine state.
-// Every call decodes fresh objects, so a caller can replay against one
-// decode, throw it away, and decode again (nested-failure retries).
+// decodeCheckpoint decodes a checkpoint without touching engine state,
+// so a corrupt file leaves the engine as it was.
 func (en *engine) decodeCheckpoint(raw []byte) (*checkpointState, error) {
 	d := NewDecoder(raw)
 	if magic := d.String(); magic != checkpointMagic {
@@ -335,8 +289,7 @@ func decodeCount(d *Decoder) (int, error) {
 	return int(n), nil
 }
 
-// install replaces the engine's whole state with a decoded checkpoint:
-// the full-restart path.
+// install replaces the engine's whole state with a decoded checkpoint.
 func (en *engine) install(st *checkpointState) {
 	for i, vs := range st.parts {
 		p := en.newPartition(i)

@@ -114,7 +114,7 @@ func TestCheckpointCorpusIsCurrent(t *testing.T) {
 
 // TestLyingCheckpointIsSkipped: a count larger than the bytes left is an
 // error, not an allocation, so recovery counts the checkpoint corrupt
-// and falls back to the older one — under either recovery mode.
+// and falls back to the older one.
 func TestLyingCheckpointIsSkipped(t *testing.T) {
 	for _, section := range []string{"aggregators", "placement", "vertices"} {
 		if _, err := decoder().decodeCheckpoint(lyingCheckpoint(section)); !errors.Is(err, ErrCorrupt) {
@@ -125,37 +125,35 @@ func TestLyingCheckpointIsSkipped(t *testing.T) {
 	if _, err := NewJob(want, ccCompute, Config{NumWorkers: 4}).Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []RecoveryMode{RecoveryCheckpoint, RecoveryLog} {
-		t.Run(mode.String(), func(t *testing.T) {
-			fs := dfs.NewMemFS()
-			cfg := Config{NumWorkers: 4, CheckpointEvery: 2, CheckpointFS: fs, Recovery: mode, MsgLogFS: dfs.NewMemFS()}
-			crashed := false
-			cfg.PartitionFailureAt = func(s int) []int {
-				if s != 5 || crashed {
-					return nil
-				}
-				crashed = true
-				// The newest checkpoint, superstep 4's, now lies about its size.
-				if err := dfs.WriteFile(fs, fmt.Sprintf("checkpoint_%08d", 4), lyingCheckpoint("placement")); err != nil {
-					t.Fatal(err)
-				}
-				return []int{1}
+	t.Run("checkpoint", func(t *testing.T) {
+		fs := dfs.NewMemFS()
+		cfg := Config{NumWorkers: 4, CheckpointEvery: 2, CheckpointFS: fs}
+		crashed := false
+		cfg.FailureAt = func(s int) bool {
+			if s != 5 || crashed {
+				return false
 			}
-			g := pathGraph(t, 12)
-			stats, err := NewJob(g, ccCompute, cfg).Run()
-			if err != nil {
+			crashed = true
+			// The newest checkpoint, superstep 4's, now lies about its size.
+			if err := dfs.WriteFile(fs, fmt.Sprintf("checkpoint_%08d", 4), lyingCheckpoint("placement")); err != nil {
 				t.Fatal(err)
 			}
-			if stats.Faults.CorruptCheckpoints != 1 || len(stats.RecoveryEvents) != 1 ||
-				stats.RecoveryEvents[0].CheckpointSuperstep != 2 {
-				t.Fatalf("corrupt=%d events=%+v, want one recovery from checkpoint 2 past one corrupt checkpoint",
-					stats.Faults.CorruptCheckpoints, stats.RecoveryEvents)
-			}
-			if g.ValuesDigest() != want.ValuesDigest() {
-				t.Error("labels differ from the undisturbed run")
-			}
-		})
-	}
+			return true
+		}
+		g := pathGraph(t, 12)
+		stats, err := NewJob(g, ccCompute, cfg).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Faults.CorruptCheckpoints != 1 || len(stats.RecoveryEvents) != 1 ||
+			stats.RecoveryEvents[0].CheckpointSuperstep != 2 {
+			t.Fatalf("corrupt=%d events=%+v, want one recovery from checkpoint 2 past one corrupt checkpoint",
+				stats.Faults.CorruptCheckpoints, stats.RecoveryEvents)
+		}
+		if g.ValuesDigest() != want.ValuesDigest() {
+			t.Error("labels differ from the undisturbed run")
+		}
+	})
 }
 
 // FuzzDecodeCheckpoint: decoding hostile bytes never panics and never

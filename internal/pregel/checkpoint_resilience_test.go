@@ -182,13 +182,13 @@ func TestRecoveryKeepsRemovedVertexState(t *testing.T) {
 		NumWorkers:      2,
 		CheckpointEvery: 1,
 		CheckpointFS:    dfs.NewMemFS(),
-		PartitionFailureAt: wholeJob(func(superstep int) bool {
+		FailureAt: func(superstep int) bool {
 			if superstep == 2 && !failed {
 				failed = true
 				return true
 			}
 			return false
-		}),
+		},
 	}).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -219,14 +219,14 @@ func TestJobSurvivesCorruptNewestCheckpoint(t *testing.T) {
 		NumWorkers:      3,
 		CheckpointEvery: 1,
 		CheckpointFS:    fs,
-		PartitionFailureAt: wholeJob(func(superstep int) bool {
+		FailureAt: func(superstep int) bool {
 			if superstep == 2 && !failed {
 				failed = true
 				corrupt(t, fs, fmt.Sprintf("checkpoint_%08d", 2))
 				return true
 			}
 			return false
-		}),
+		},
 	}).Run()
 	if err != nil {
 		t.Fatal(err)

@@ -7,14 +7,16 @@ import (
 	"graft/internal/dfs"
 )
 
-// wholeJob turns a whole-job crash predicate into a PartitionFailureAt
-// hook: a list naming no partition fails every one.
-func wholeJob(crash func(superstep int) bool) func(int) []int {
-	return func(superstep int) []int {
-		if crash(superstep) {
-			return []int{-1}
+// failOnce is a one-shot FailureAt hook crashing the job at barrier at
+// (faults.FailAt, which this package's tests cannot import).
+func failOnce(at int) func(int) bool {
+	fired := false
+	return func(s int) bool {
+		if s == at && !fired {
+			fired = true
+			return true
 		}
-		return nil
+		return false
 	}
 }
 
@@ -40,13 +42,13 @@ func TestCheckpointRecoveryProducesSameResult(t *testing.T) {
 		NumWorkers:      3,
 		CheckpointEvery: 1,
 		CheckpointFS:    fs,
-		PartitionFailureAt: wholeJob(func(superstep int) bool {
+		FailureAt: func(superstep int) bool {
 			if superstep == 1 && !failed {
 				failed = true
 				return true
 			}
 			return false
-		}),
+		},
 	})
 	if !failed {
 		t.Fatal("failure was never injected")
@@ -66,13 +68,13 @@ func TestRecoveryCountsInStats(t *testing.T) {
 		NumWorkers:      2,
 		CheckpointEvery: 1,
 		CheckpointFS:    fs,
-		PartitionFailureAt: wholeJob(func(superstep int) bool {
+		FailureAt: func(superstep int) bool {
 			if superstep == 0 && failed < 2 {
 				failed++
 				return true
 			}
 			return false
-		}),
+		},
 	}).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +87,7 @@ func TestRecoveryCountsInStats(t *testing.T) {
 func TestRecoveryWithoutCheckpointFails(t *testing.T) {
 	g := twoComponentGraph(t)
 	_, err := NewJob(g, ccCompute, Config{
-		PartitionFailureAt: wholeJob(func(superstep int) bool { return superstep == 0 }),
+		FailureAt: func(superstep int) bool { return superstep == 0 },
 	}).Run()
 	if !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("err = %v, want ErrNoCheckpoint", err)
@@ -96,9 +98,9 @@ func TestTooManyRecoveries(t *testing.T) {
 	fs := dfs.NewMemFS()
 	g := twoComponentGraph(t)
 	_, err := NewJob(g, ccCompute, Config{
-		CheckpointEvery:    1,
-		CheckpointFS:       fs,
-		PartitionFailureAt: wholeJob(func(superstep int) bool { return true }), // crash every superstep
+		CheckpointEvery: 1,
+		CheckpointFS:    fs,
+		FailureAt:       func(superstep int) bool { return true }, // crash every superstep
 	}).Run()
 	if !errors.Is(err, ErrTooManyRecoveries) {
 		t.Fatalf("err = %v, want ErrTooManyRecoveries", err)
@@ -128,13 +130,13 @@ func TestCheckpointPersistsAggregators(t *testing.T) {
 		NumWorkers:      2,
 		CheckpointEvery: 1,
 		CheckpointFS:    fs,
-		PartitionFailureAt: wholeJob(func(superstep int) bool {
+		FailureAt: func(superstep int) bool {
 			if superstep == 2 && !failed {
 				failed = true
 				return true
 			}
 			return false
-		}),
+		},
 	})
 	job.RegisterAggregator("sum", LongSumAggregator{}, true)
 	if _, err := job.Run(); err != nil {

@@ -16,8 +16,7 @@ type workerCtx struct {
 	flushBatch  int
 
 	// lane is the send buffer: the open pooled batch per destination
-	// partition, handed to the lane matrix when full. Nil on a replay
-	// context, which sends nothing.
+	// partition, handed to the lane matrix when full.
 	lane []*msgBatch
 	// laneIdx is the sender-side combining index, non-nil only with a
 	// combiner installed: laneIdx[p][s] holds
@@ -38,15 +37,6 @@ type workerCtx struct {
 	aggPartial map[string]Value
 	removals   []VertexID
 	additions  []vertexAddition
-
-	// replay marks a confined-recovery re-execution: computes run to
-	// rebuild vertex state (and re-emit instrumentation captures), but
-	// their outputs — sends, aggregation, mutation requests — already
-	// happened and are replayed from the outbox logs, so the context
-	// swallows them. bcast, when non-nil, overrides the engine's live
-	// aggregate broadcast with the replayed superstep's snapshot.
-	replay bool
-	bcast  map[string]Value
 }
 
 func (c *workerCtx) Superstep() int          { return c.superstep }
@@ -55,11 +45,7 @@ func (c *workerCtx) TotalNumEdges() int64    { return c.numEdges }
 func (c *workerCtx) WorkerID() int           { return c.worker }
 
 func (c *workerCtx) GetAggregated(name string) Value {
-	bc := c.en.broadcast
-	if c.bcast != nil {
-		bc = c.bcast
-	}
-	v, ok := bc[name]
+	v, ok := c.en.broadcast[name]
 	if !ok {
 		panic(fmt.Sprintf("pregel: GetAggregated: unregistered aggregator %q", name))
 	}
@@ -79,11 +65,6 @@ func (c *workerCtx) Aggregate(name string, val Value) {
 }
 
 func (c *workerCtx) SendMessage(to VertexID, msg Value) {
-	if c.replay {
-		// Confined replay: the original send is in the outbox log and is
-		// delivered from there; re-sending would double it.
-		return
-	}
 	if c.scalar != 0 {
 		c.sendBits(to, c.scalar.bits(msg))
 		return
@@ -182,9 +163,6 @@ func (c *workerCtx) sendBits(to VertexID, bits uint64) {
 }
 
 func (c *workerCtx) SendMessageToAllEdges(v *Vertex, msg Value) {
-	if c.replay {
-		return // see SendMessage
-	}
 	// Rows are copies by construction: unbox once, send to every edge.
 	if c.scalar != 0 {
 		bits := c.scalar.bits(msg)
@@ -223,16 +201,10 @@ func (c *workerCtx) SendMessageToAllEdges(v *Vertex, msg Value) {
 }
 
 func (c *workerCtx) RemoveVertexRequest(id VertexID) {
-	if c.replay {
-		return // replayed from the mutation log
-	}
 	c.removals = append(c.removals, id)
 }
 
 func (c *workerCtx) AddVertexRequest(id VertexID, value Value) {
-	if c.replay {
-		return // replayed from the mutation log
-	}
 	c.additions = append(c.additions, vertexAddition{id: id, value: value})
 }
 

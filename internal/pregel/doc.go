@@ -24,8 +24,7 @@
 //   - vertex mutations (requested removals/additions and
 //     create-on-message resolution at the superstep barrier);
 //   - checkpointing to a FileSystem with simulated worker failure and
-//     automatic recovery (Config.CheckpointEvery,
-//     Config.PartitionFailureAt);
+//     automatic recovery (Config.CheckpointEvery, Config.FailureAt);
 //   - a JobListener interface through which Graft's instrumentation
 //     observes superstep boundaries.
 //

@@ -53,18 +53,13 @@ type Stats struct {
 	// MessagesDropped counts messages addressed to nonexistent
 	// vertices when Config.CreateMissingVertices is false.
 	MessagesDropped int64
-	// Recoveries counts recoveries triggered by failure injection
-	// (checkpoint restarts and confined log replays alike).
+	// Recoveries counts the checkpoint restarts triggered by failure
+	// injection.
 	Recoveries int
-	// RecoveryEvents has one entry per recovery with its confinement
-	// breakdown: which partitions failed, which mode recovered them, how
-	// many supersteps and bytes were replayed and how long it took.
+	// RecoveryEvents has one entry per recovery: where it failed, which
+	// checkpoint it rolled back to, how many supersteps it recomputed and
+	// how long it took.
 	RecoveryEvents []RecoveryEvent
-	// MessagesLogged and BytesLogged count the outbox-log volume written
-	// by RecoveryLog's sender-side message logging (zero in checkpoint
-	// mode).
-	MessagesLogged int64
-	BytesLogged    int64
 	// Faults aggregates storage-resilience counters: faults injected
 	// into the checkpoint/trace file systems and the retries, fallbacks
 	// and skipped checkpoints that absorbed them.
@@ -167,31 +162,19 @@ type Config struct {
 	CheckpointFS dfs.FileSystem
 	// CheckpointPrefix prefixes checkpoint file names.
 	CheckpointPrefix string
-	// PartitionFailureAt, if non-nil, is consulted after each
-	// superstep's barrier; returning a non-empty list simulates a crash
-	// of those partitions, and a list naming no partition in range
-	// ([]int{-1}, what faults.FailPartitionAt returns without
-	// partitions) a crash of every one. Under RecoveryLog only the
-	// failed partitions roll back and replay; under RecoveryCheckpoint
-	// any failure restarts the whole job from the latest checkpoint.
-	PartitionFailureAt func(superstep int) []int
-	// Recovery selects the recovery strategy for injected failures.
-	// RecoveryCheckpoint (the zero value) restarts the whole job from
-	// the latest checkpoint; RecoveryLog confines recomputation to the
-	// failed partitions, replaying their inboxes from the sender-side
-	// outbox logs. RecoveryLog requires MsgLogFS.
-	Recovery RecoveryMode
-	// MsgLogFS is where RecoveryLog's outbox logs are written. Required
-	// when Recovery is RecoveryLog.
-	MsgLogFS dfs.FileSystem
+	// FailureAt, if non-nil, is consulted after each superstep's
+	// barrier; returning true simulates a worker crash, and the whole
+	// job restarts from the latest checkpoint (faults.FailAt builds a
+	// one-shot hook).
+	FailureAt func(superstep int) bool
 	// Partitioner selects the vertex placement, fixed at load for the
 	// whole job: PartitionHash (the zero value) is Fibonacci hashing,
 	// byte-compatible with every earlier release; PartitionLocality
 	// streams vertices in ID order into the partition holding the most
 	// of their neighbors (LDG-style, capacity-penalized), recording the
-	// result in an assignment table that persists through checkpoints
-	// and confined recovery. Placement never changes computation
-	// semantics — trace digests are identical under either mode.
+	// result in an assignment table that persists through checkpoints.
+	// Placement never changes computation semantics — trace digests are
+	// identical under either mode.
 	Partitioner PartitionerMode
 	// AnomalyWindow is the sliding-window size (in supersteps) of the
 	// anomaly detectors; 0 means the default (anomaly.DefaultWindow).
@@ -261,8 +244,8 @@ func (j *Job) Run() (*Stats, error) {
 // interrupts the job mid-superstep: workers observe the cancellation
 // within a bounded number of vertices, the engine shuts down at the
 // next barrier boundary without folding the aborted superstep, and the
-// job's checkpoints and outbox logs are garbage-collected (a canceled
-// job never resumes). The returned error wraps ctx.Err(), and — unlike
+// job's checkpoints are garbage-collected (a canceled job never
+// resumes). The returned error wraps ctx.Err(), and — unlike
 // other failures — the partial Stats up to the last completed barrier
 // are returned alongside it.
 func (j *Job) RunContext(ctx context.Context) (*Stats, error) {
@@ -334,17 +317,11 @@ type engine struct {
 
 	lastCheckpoint int // superstep of the last written checkpoint, -1 if none
 
-	// msglog is the sender-side outbox log (nil unless RecoveryLog);
-	// history holds the per-superstep aggregate snapshots confined
-	// replay re-runs computes against.
-	msglog  *msgLog
-	history map[int]stepSnapshot
 	// recoveryFrontier marks the superstep the job had reached when a
 	// checkpoint restart rewound it: supersteps below the frontier are
 	// re-execution, and their wall time is charged to the recovery that
 	// caused them (openRecovery indexes the RecoveryEvents entry; -1
-	// when no recovery is open). Confined replay never sets these — its
-	// whole cost is inside the recovery call.
+	// when no recovery is open).
 	recoveryFrontier int
 	openRecovery     int
 
@@ -379,9 +356,9 @@ func newEngine(j *Job) *engine {
 	en.edgeCutDirty = true
 	if j.cfg.Partitioner == PartitionLocality {
 		// The placement table must exist before the distribution loop
-		// below and before any checkpoint or outbox log is written, so
-		// every consumer of partitionFor — sends, mutations, recovery
-		// replay — agrees on the locality placement from superstep 0.
+		// below and before any checkpoint is written, so every consumer
+		// of partitionFor — sends, mutations, checkpoint install — agrees
+		// on the locality placement from superstep 0.
 		en.assign = localityPlacement(j.graph, w)
 	}
 	for _, id := range ids {
@@ -495,10 +472,6 @@ func (en *engine) run(start time.Time) (*Stats, error) {
 	if en.job.comp == nil && en.job.scomp == nil {
 		return en.finish(invalidf("job without a Computation"))
 	}
-	if en.cfg.Recovery == RecoveryLog {
-		en.msglog = newMsgLog(en.cfg.MsgLogFS, len(en.parts))
-		en.history = make(map[int]stepSnapshot)
-	}
 
 	for {
 		st := step{start: time.Now()}
@@ -524,7 +497,6 @@ func (en *engine) run(start time.Time) (*Stats, error) {
 		if err := en.workerPhase(&st); err != nil {
 			return en.finish(err)
 		}
-		en.logPhase(&st)
 		if err := en.barrierPhase(&st); err != nil {
 			return en.finish(err)
 		}
@@ -559,13 +531,12 @@ func (en *engine) finish(err error) (*Stats, error) {
 	if err == nil {
 		en.stats.EdgeCut = en.currentEdgeCut()
 	}
-	// A canceled job never resumes, so its recovery artifacts —
-	// checkpoints and outbox-log segments — are dead weight; GC them
-	// before listeners observe the stats, so CheckpointsDeleted
+	// A canceled job never resumes, so its checkpoints are dead weight;
+	// GC them before listeners observe the stats, so CheckpointsDeleted
 	// reflects the cleanup.
 	canceled := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-	if canceled {
-		en.cleanupCanceled()
+	if canceled && en.cfg.CheckpointFS != nil {
+		en.gcCheckpoints(0)
 	}
 	// Fold in the checkpoint file system's resilience counters
 	// before listeners observe the stats; Graft's listener adds the
@@ -607,7 +578,7 @@ func (en *engine) checkpointPhase() error {
 		return fmt.Errorf("pregel: checkpoint at superstep %d: %w", en.superstep, err)
 	}
 	en.lastCheckpoint = en.superstep
-	en.gcCheckpoints()
+	en.gcCheckpoints(checkpointRetain)
 	return nil
 }
 
@@ -632,12 +603,6 @@ func (en *engine) masterPhase(st *step) (halted bool, err error) {
 			NumEdges:    st.ne,
 			Aggregated:  en.cloneAggSnapshot(),
 		})
-	}
-	// Confined replay re-runs a superstep's computes without
-	// re-running the master phase, so it needs this superstep's
-	// post-master aggregate broadcast and totals as they were.
-	if en.msglog != nil {
-		en.history[en.superstep] = stepSnapshot{nv: st.nv, ne: st.ne, aggs: en.cloneAggSnapshot()}
 	}
 	return false, nil
 }
@@ -686,23 +651,6 @@ func (en *engine) workerPhase(st *step) error {
 		}
 	}
 	return nil
-}
-
-// logPhase is sender-side outbox logging: it persists this superstep's
-// outgoing batches and mutation requests before the lanes are merged
-// away (mergeLane recycles the batches), so confined recovery can
-// replay them. A log write failure is non-fatal — the log is marked
-// broken and recovery falls back to checkpoint restart.
-func (en *engine) logPhase(st *step) {
-	if en.msglog == nil {
-		return
-	}
-	logged, bytes, err := en.msglog.logSuperstep(en.superstep, en.next, st.results)
-	en.stats.MessagesLogged += logged
-	en.stats.BytesLogged += bytes
-	if err != nil {
-		en.stats.Faults.CorruptLogSegments++
-	}
 }
 
 // barrierPhase folds the workers' results into engine state — active
@@ -774,80 +722,6 @@ func (en *engine) flushPhase(st *step) error {
 		listener.SuperstepFinished(en.superstep, st.ss)
 	}
 	return nil
-}
-
-// failurePhase consults the failure-injection hooks for this barrier
-// and recovers from what they report. After a confined replay the
-// failed partitions are back at this barrier, their next-superstep
-// inboxes rebuilt, and the job advances as if nothing had failed;
-// rewound reports a checkpoint restart, which has put en.superstep and
-// the stores back to the checkpoint's, so the caller must not advance.
-func (en *engine) failurePhase(st *step) (rewound bool, err error) {
-	en.chargeReexecution(st)
-	failedParts, failed := en.checkFailure(en.superstep)
-	if !failed {
-		return false, nil
-	}
-	recStart := time.Now()
-	if err := en.consumeRecoveryBudget(); err != nil {
-		en.stats.RecoveryTime += time.Since(recStart)
-		return false, err
-	}
-	ev := RecoveryEvent{Superstep: en.superstep, Partitions: failedParts}
-	if en.cfg.Recovery == RecoveryLog {
-		err := en.confinedRecover(failedParts, &ev)
-		if err == nil {
-			ev.Mode = "log"
-			ev.Duration = time.Since(recStart)
-			en.stats.RecoveryTime += ev.Duration
-			en.stats.RecoveryEvents = append(en.stats.RecoveryEvents, ev)
-			return false, nil
-		}
-		if !errors.Is(err, errReplayUnusable) {
-			en.stats.RecoveryTime += time.Since(recStart)
-			return false, err
-		}
-		// The outbox logs cannot drive a confined replay
-		// (corrupt segment, missing history, broken writer):
-		// degrade to a full checkpoint restart.
-	}
-	failedAt := en.superstep
-	if err := en.restoreNewestIntact(); err != nil {
-		en.stats.RecoveryTime += time.Since(recStart)
-		return false, err
-	}
-	ev.Mode = "checkpoint"
-	ev.CheckpointSuperstep = en.superstep
-	ev.PartitionsRecomputed = len(en.parts)
-	ev.Duration = time.Since(recStart)
-	en.stats.RecoveryTime += ev.Duration
-	en.recoveryFrontier = failedAt + 1
-	en.openRecovery = len(en.stats.RecoveryEvents)
-	en.stats.RecoveryEvents = append(en.stats.RecoveryEvents, ev)
-	return true, nil
-}
-
-// chargeReexecution charges a superstep below the recovery frontier —
-// re-execution after a checkpoint restart — to the recovery that
-// rewound the job, so RecoveryTime reflects the real cost of restarting
-// (restore plus recompute), comparable with confined replay's.
-func (en *engine) chargeReexecution(st *step) {
-	if en.recoveryFrontier == 0 {
-		return
-	}
-	if en.superstep < en.recoveryFrontier {
-		d := time.Since(st.start)
-		en.stats.RecoveryTime += d
-		if en.openRecovery >= 0 {
-			ev := &en.stats.RecoveryEvents[en.openRecovery]
-			ev.Duration += d
-			ev.SuperstepsReplayed++
-		}
-	}
-	if en.superstep+1 >= en.recoveryFrontier {
-		en.recoveryFrontier = 0
-		en.openRecovery = -1
-	}
 }
 
 // advance ends the superstep: what was sent becomes what is delivered,
@@ -943,7 +817,6 @@ func (en *engine) runWorker(w int, nv, ne int64) (workerResult, error) {
 // walking the set bits of awake|pending a word at a time. Bits come out
 // in ascending slot order, so the visit order is the one a scan of
 // every slot would produce, whatever share of the partition is live.
-// Live supersteps and confined replay both run through here.
 func (en *engine) computeFrontier(ctx *workerCtx, part *partition, inbox *messageStore, res *workerResult) error {
 	sh := &inbox.shards[part.idx]
 	inbox.ensure(sh, len(part.slots))
@@ -1051,25 +924,14 @@ func (en *engine) anomalySample(ss *SuperstepStats) anomaly.Sample {
 		Traffic:     ss.Traffic,
 		Recoveries:  en.stats.Recoveries,
 	}
-	corrupt := en.stats.Faults.CorruptCheckpoints + en.stats.Faults.CorruptLogSegments +
-		en.stats.Faults.DroppedRecords
+	corrupt := en.stats.Faults.CorruptCheckpoints + en.stats.Faults.DroppedRecords
 	if p, ok := en.cfg.CheckpointFS.(FaultStatsProvider); ok {
 		// The checkpoint FS counters are folded into stats only at job
 		// end; sample them live so spikes are visible mid-run.
 		fs := p.FaultStats()
-		corrupt += fs.CorruptCheckpoints + fs.CorruptLogSegments + fs.DroppedRecords
+		corrupt += fs.CorruptCheckpoints + fs.DroppedRecords
 	}
 	s.CorruptArtifacts = corrupt
-	if len(ss.Workers) > 0 {
-		s.Workers = make([]anomaly.WorkerSample, len(ss.Workers))
-		for i, w := range ss.Workers {
-			s.Workers[i] = anomaly.WorkerSample{
-				Worker:       w.Worker,
-				ComputeNanos: w.ComputeTime.Nanoseconds(),
-				Sent:         w.MessagesSent,
-			}
-		}
-	}
 	return s
 }
 

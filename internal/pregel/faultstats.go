@@ -29,10 +29,6 @@ type FaultStats struct {
 	// CheckpointsDeleted counts old checkpoints removed by retention
 	// GC after a successful write.
 	CheckpointsDeleted int64 `json:"checkpoints_deleted"`
-	// CorruptLogSegments counts outbox-log failures: barriers whose log
-	// write failed, and recovery attempts that found a corrupt or
-	// unreadable log segment and fell back to checkpoint restart.
-	CorruptLogSegments int64 `json:"corrupt_log_segments"`
 }
 
 // Add folds o's counters into s.
@@ -44,7 +40,6 @@ func (s *FaultStats) Add(o FaultStats) {
 	s.DroppedRecords += o.DroppedRecords
 	s.CorruptCheckpoints += o.CorruptCheckpoints
 	s.CheckpointsDeleted += o.CheckpointsDeleted
-	s.CorruptLogSegments += o.CorruptLogSegments
 }
 
 // Any reports whether any counter is nonzero.
@@ -55,9 +50,9 @@ func (s FaultStats) Any() bool {
 // String renders the counters as a compact key=value line for CLI
 // output.
 func (s FaultStats) String() string {
-	return fmt.Sprintf("injected=%d retries=%d backoff=%v fallbacks=%d dropped=%d corrupt-checkpoints=%d ckpt-deleted=%d corrupt-log-segments=%d",
+	return fmt.Sprintf("injected=%d retries=%d backoff=%v fallbacks=%d dropped=%d corrupt-checkpoints=%d ckpt-deleted=%d",
 		s.Injected, s.Retries, s.Backoff.Round(time.Microsecond), s.Fallbacks, s.DroppedRecords, s.CorruptCheckpoints,
-		s.CheckpointsDeleted, s.CorruptLogSegments)
+		s.CheckpointsDeleted)
 }
 
 // FaultStatsProvider is implemented by resilient file-system wrappers

@@ -297,16 +297,6 @@ func TestFrontierInvariantsAcrossMutations(t *testing.T) {
 }
 
 func TestFrontierInvariantsAcrossMigrationAndRecovery(t *testing.T) {
-	once := func(at int) func(int) bool {
-		fired := false
-		return func(s int) bool {
-			if s == at && !fired {
-				fired = true
-				return true
-			}
-			return false
-		}
-	}
 	type testCase struct {
 		name  string
 		graph func(t *testing.T) *Graph
@@ -319,41 +309,40 @@ func TestFrontierInvariantsAcrossMigrationAndRecovery(t *testing.T) {
 			name:  "checkpoint-restart",
 			graph: cc,
 			cfg: func() Config {
-				return Config{NumWorkers: 3, CheckpointEvery: 2, CheckpointFS: dfs.NewMemFS(), PartitionFailureAt: wholeJob(once(3))}
+				return Config{NumWorkers: 3, CheckpointEvery: 2, CheckpointFS: dfs.NewMemFS(), FailureAt: failOnce(3)}
 			},
 			check: func(t *testing.T, stats *Stats) {
-				if len(stats.RecoveryEvents) != 1 || stats.RecoveryEvents[0].Mode != "checkpoint" {
-					t.Errorf("recovery events = %+v, want one checkpoint restart", stats.RecoveryEvents)
+				if len(stats.RecoveryEvents) != 1 || stats.RecoveryEvents[0].CheckpointSuperstep != 2 {
+					t.Errorf("recovery events = %+v, want one restart from checkpoint 2", stats.RecoveryEvents)
 				}
 			},
 		},
 		{
-			name:  "log-recovery-nested",
+			name:  "restart-nested",
 			graph: cc,
 			cfg: func() Config {
-				// Partition 1 fails at live barrier 3; the next hook
-				// consultation is a replayed barrier, where partition 0
-				// fails inside the first recovery.
+				// The job crashes at live barrier 3; the next hook
+				// consultation is the re-executed barrier 0, where it
+				// crashes again inside the first recovery's re-execution.
 				stage := 0
 				return Config{
 					NumWorkers: 3, CheckpointEvery: 4, CheckpointFS: dfs.NewMemFS(),
-					Recovery: RecoveryLog, MsgLogFS: dfs.NewMemFS(),
-					PartitionFailureAt: func(s int) []int {
+					FailureAt: func(s int) bool {
 						switch {
 						case stage == 0 && s == 3:
 							stage = 1
-							return []int{1}
+							return true
 						case stage == 1:
 							stage = 2
-							return []int{0}
+							return true
 						}
-						return nil
+						return false
 					},
 				}
 			},
 			check: func(t *testing.T, stats *Stats) {
-				if stats.Recoveries != 2 || len(stats.RecoveryEvents) != 1 || stats.RecoveryEvents[0].Mode != "log" {
-					t.Errorf("recoveries=%d events=%+v, want one log recovery with a nested failure",
+				if stats.Recoveries != 2 || len(stats.RecoveryEvents) != 2 {
+					t.Errorf("recoveries=%d events=%+v, want a restart and a nested one",
 						stats.Recoveries, stats.RecoveryEvents)
 				}
 			},

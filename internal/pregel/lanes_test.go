@@ -552,13 +552,13 @@ func TestRebalancerOffByDefault(t *testing.T) {
 					fired := false
 					cfg.CheckpointEvery = 2
 					cfg.CheckpointFS = dfs.NewMemFS()
-					cfg.PartitionFailureAt = wholeJob(func(superstep int) bool {
+					cfg.FailureAt = func(superstep int) bool {
 						if superstep == 3 && !fired {
 							fired = true
 							return true
 						}
 						return false
-					})
+					}
 				}
 				var got atomic.Int64
 				en := newEngine(NewJob(starGraph(t, spokes), pulseCompute(rounds, &got), cfg))
@@ -605,13 +605,13 @@ func TestRebalancerSurvivesRecovery(t *testing.T) {
 		Partitioner:     PartitionLocality,
 		CheckpointEvery: 2,
 		CheckpointFS:    dfs.NewMemFS(),
-		PartitionFailureAt: wholeJob(func(superstep int) bool {
+		FailureAt: func(superstep int) bool {
 			if superstep == 5 && !crashed {
 				crashed = true
 				return true
 			}
 			return false
-		}),
+		},
 	}))
 	if en.assign.len() == 0 {
 		t.Fatal("locality placement matched the hash everywhere; the table is not exercised")

@@ -248,39 +248,33 @@ func (s *messageStore) mergeLane(part *partition) {
 	}
 }
 
-// resetShard empties one shard: every pending cell, the orphans and
-// the counters. The caller must be the only goroutine touching the
-// store.
-func (s *messageStore) resetShard(shard int) {
-	sh := &s.shards[shard]
-	if s.scalar == 0 { // cs cells hold no pointers and die with their bits
-		sh.pending.forEach(func(slot int) {
-			if s.combiner != nil {
-				sh.c[slot] = nil
-			} else {
-				sh.m[slot] = nil
-			}
-		})
-	}
-	clear(sh.pending)
-	clear(sh.orphans)
-	sh.n, sh.combined = 0, 0
-}
-
-// reset empties every shard so the store can take the next superstep's
-// messages. After a normal superstep the scan has already drained every
-// pending cell, so this is one pass over the (all-zero) bitmaps.
+// reset empties every shard — every pending cell, the orphans and the
+// counters — so the store can take the next superstep's messages. After
+// a normal superstep the scan has already drained every pending cell,
+// so this is one pass over the (all-zero) bitmaps. The caller must be
+// the only goroutine touching the store.
 func (s *messageStore) reset() {
 	for i := range s.shards {
-		s.resetShard(i)
+		sh := &s.shards[i]
+		if s.scalar == 0 { // cs cells hold no pointers and die with their bits
+			sh.pending.forEach(func(slot int) {
+				if s.combiner != nil {
+					sh.c[slot] = nil
+				} else {
+					sh.m[slot] = nil
+				}
+			})
+		}
+		clear(sh.pending)
+		clear(sh.orphans)
+		sh.n, sh.combined = 0, 0
 	}
 }
 
 // replayDeliver delivers one message straight into part's shard,
 // combining like mergeLane does. Coordinator-only (no locking):
-// checkpoint restore and confined recovery rebuild inboxes on a single
-// goroutine, in the deterministic sender-major order the lane merge
-// would have used.
+// checkpoint restore rebuilds inboxes on a single goroutine, in the
+// checkpoint's ascending ID order.
 func (s *messageStore) replayDeliver(part *partition, to VertexID, msg Value) {
 	sh := &s.shards[part.idx]
 	s.ensure(sh, len(part.slots))

@@ -207,13 +207,13 @@ func TestCheckpointRestoresLocalityAssignments(t *testing.T) {
 		}
 		if crashAt >= 0 {
 			crashed := false
-			cfg.PartitionFailureAt = wholeJob(func(superstep int) bool {
+			cfg.FailureAt = func(superstep int) bool {
 				if superstep == crashAt && !crashed {
 					crashed = true
 					return true
 				}
 				return false
-			})
+			}
 		}
 		stats, err := NewJob(g, ccCompute, cfg).Run()
 		if err != nil {

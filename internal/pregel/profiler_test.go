@@ -128,32 +128,22 @@ func TestAnomalyWindowNegativeDisablesCapture(t *testing.T) {
 }
 
 // TestTrafficConsistentAcrossRecovery makes sure the invariant holds on
-// supersteps surrounding a confined log recovery, where inbox shards
-// are rebuilt outside the normal lane path.
+// the supersteps around a checkpoint restart, where the stores are
+// rebuilt from the checkpoint outside the normal lane path.
 func TestTrafficConsistentAcrossRecovery(t *testing.T) {
-	fs := dfs.NewMemFS()
-	failed := false
 	g := pathGraph(t, 96)
 	job := NewJob(g, ccCompute, Config{
 		NumWorkers:      4,
 		CheckpointEvery: 2,
 		CheckpointFS:    dfs.NewMemFS(),
-		Recovery:        RecoveryLog,
-		MsgLogFS:        fs,
-		PartitionFailureAt: func(superstep int) []int {
-			if superstep == 2 && !failed {
-				failed = true
-				return []int{1}
-			}
-			return nil
-		},
+		FailureAt:       failOnce(2),
 	})
 	stats, err := job.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !failed || stats.Recoveries != 1 {
-		t.Fatalf("confined recovery did not run (recoveries=%d)", stats.Recoveries)
+	if stats.Recoveries != 1 {
+		t.Fatalf("recovery did not run (recoveries=%d)", stats.Recoveries)
 	}
 	for _, ss := range stats.PerSuperstep {
 		var sum int64

@@ -137,13 +137,13 @@ func TestPropertyRecoveryEquivalence(t *testing.T) {
 			NumWorkers:      2,
 			CheckpointEvery: 2,
 			CheckpointFS:    dfs.NewMemFS(),
-			PartitionFailureAt: wholeJob(func(s int) bool {
+			FailureAt: func(s int) bool {
 				if s == failAt && !failed {
 					failed = true
 					return true
 				}
 				return false
-			}),
+			},
 		}).Run()
 		if err != nil {
 			return false

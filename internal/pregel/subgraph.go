@@ -259,7 +259,7 @@ func discoverSubgraphs(p *partition) []*Subgraph {
 }
 
 // subgraphCtx implements SubgraphContext over one worker's superstep
-// context, sharing its lane buffers, combining and replay suppression.
+// context, sharing its lane buffers and combining.
 type subgraphCtx struct {
 	w    *workerCtx
 	halt bool
@@ -323,8 +323,7 @@ func (en *engine) runSubgraphWorker(w int, nv, ne int64) (workerResult, error) {
 // when any member is active; a message to any member wakes the whole
 // subgraph; VoteToHalt halts every member together. Active counting
 // and the awake bitmap stay per-vertex, so convergence and the empty-
-// frontier skip are mode-independent. Live supersteps and confined
-// replay both run through here.
+// frontier skip are mode-independent.
 func (en *engine) computeSubgraphs(sctx *subgraphCtx, part *partition, inbox *messageStore, res *workerResult) error {
 	part.ensureSubgraphs()
 	for si, sg := range part.subs {
@@ -376,17 +375,6 @@ func (en *engine) computeSubgraphs(sctx *subgraphCtx, part *partition, inbox *me
 		}
 	}
 	return nil
-}
-
-// replaySubgraphWorker is the confined-recovery counterpart of
-// replayWorker for subgraph mode: it re-runs superstep t's subgraph
-// computes against the snapshot aggregates with sends, aggregation and
-// mutations suppressed, rebuilding member state (and re-emitting
-// instrumentation captures) exactly as the original superstep did.
-func (en *engine) replaySubgraphWorker(p, t int, snap stepSnapshot, inbox *messageStore) error {
-	var res workerResult
-	sctx := &subgraphCtx{w: en.replayCtx(p, t, snap)}
-	return en.computeSubgraphs(sctx, en.parts[p], inbox, &res)
 }
 
 func (en *engine) safeComputeSubgraph(ctx *subgraphCtx, sg *Subgraph) (err error) {

@@ -131,13 +131,13 @@ func TestStatsStringAndRecoveryRuntime(t *testing.T) {
 		NumWorkers:      3,
 		CheckpointEvery: 1,
 		CheckpointFS:    fs,
-		PartitionFailureAt: wholeJob(func(superstep int) bool {
+		FailureAt: func(superstep int) bool {
 			if superstep == 1 && !failed {
 				failed = true
 				return true
 			}
 			return false
-		}),
+		},
 	})
 	stats, err := job.Run()
 	if err != nil {

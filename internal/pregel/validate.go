@@ -33,8 +33,5 @@ func (c *Config) Validate() error {
 	if c.CheckpointEvery > 0 && c.CheckpointFS == nil {
 		return invalidf("CheckpointEvery = %d without CheckpointFS", c.CheckpointEvery)
 	}
-	if c.Recovery == RecoveryLog && c.MsgLogFS == nil {
-		return invalidf("Recovery = log requires MsgLogFS")
-	}
 	return nil
 }

@@ -30,7 +30,6 @@ func TestValidateRejectsContradictions(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"RecoveryLog without MsgLogFS", Config{Recovery: RecoveryLog}},
 		{"CheckpointEvery without CheckpointFS", Config{CheckpointEvery: 2}},
 	}
 	for _, tc := range cases {

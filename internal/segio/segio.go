@@ -1,6 +1,5 @@
 // Package segio implements the append-only segment+index container
-// format introduced by the trace store and reused by the engine's
-// sender-side outbox logs. A lane is a directory of segment files and
+// format of the trace store. A lane is a directory of segment files and
 // index parts:
 //
 //	<dir>/<lane>/seg_000000.seg
@@ -32,8 +31,8 @@
 //
 // The package is deliberately a leaf: apart from the standard library it
 // depends only on dfs, for the file-system contract it writes through,
-// so both the trace layer (which imports the engine) and the engine
-// itself (which must not import the trace layer) can build on it.
+// so the container format can be tested apart from the trace records it
+// carries.
 package segio
 
 import (
@@ -61,9 +60,8 @@ var ErrBadMagic = errors.New("segio: bad magic")
 var ErrCorrupt = errors.New("segio: corrupt data")
 
 // Entry locates one record's payload inside a segment file. Kind, Step
-// and ID are caller-defined record coordinates (the trace store uses
-// record kind / superstep / vertex ID; the outbox log uses frame kind /
-// superstep / destination partition).
+// and ID are the record's coordinates: the trace store's record kind,
+// superstep and vertex ID.
 type Entry struct {
 	Kind   uint8
 	Step   int
@@ -89,10 +87,9 @@ type Part struct {
 
 // Writer owns one lane: it buffers the current segment in memory,
 // seals it to a segment file when full or on Flush, and appends index
-// parts. It keeps no record of what it has indexed; a caller that reads
-// its own lane back (the outbox log) keeps the Parts Flush returns.
-// Not safe for concurrent use; each lane must have exactly one writing
-// goroutine.
+// parts. It keeps no record of what it has indexed: each Flush returns
+// the Part it wrote. Not safe for concurrent use; each lane must have
+// exactly one writing goroutine.
 type Writer struct {
 	fs      dfs.FileSystem
 	dir     string
@@ -102,7 +99,6 @@ type Writer struct {
 	// discarded when a segment cannot be committed.
 	onDrop func(n int)
 
-	hdr [binary.MaxVarintLen64]byte
 	buf bytes.Buffer // current open segment, magic included
 	cur []Entry
 	// pending holds the segments sealed since the last committed part:
@@ -129,27 +125,10 @@ func (w *Writer) Path(name string) string { return w.dir + "/" + name }
 // Records returns how many records have been appended.
 func (w *Writer) Records() int64 { return w.recs }
 
-// AppendRecord frames payload (uvarint length ++ payload) into the
-// open segment and records an index entry with ent's Kind/Step/ID
-// coordinates; Offset and Length are filled in by the writer. The
-// segment is sealed once it passes the size threshold.
-func (w *Writer) AppendRecord(payload []byte, ent Entry) error {
-	n := binary.PutUvarint(w.hdr[:], uint64(len(payload)))
-	ent.Offset = w.buf.Len() + n
-	ent.Length = len(payload)
-	w.buf.Write(w.hdr[:n])
-	w.buf.Write(payload)
-	w.cur = append(w.cur, ent)
-	w.recs++
-	if w.buf.Len() >= w.segSize {
-		return w.Seal()
-	}
-	return nil
-}
-
-// AppendFramed copies a batch of pre-framed records — frames laid out
-// as by AppendRecord, entries with Offsets relative to the start of
-// frames — into the open segment, then applies the size threshold.
+// AppendFramed copies a batch of pre-framed records — each frame a
+// uvarint length ++ payload, each entry's Offset relative to the start
+// of frames — into the open segment, then seals it once it passes the
+// size threshold.
 func (w *Writer) AppendFramed(frames []byte, entries []Entry) error {
 	if len(entries) == 0 {
 		return nil
@@ -218,54 +197,6 @@ func (w *Writer) Flush() (Part, error) {
 	return part, err
 }
 
-// Prune deletes, from parts this writer returned, the segments for
-// which keep returns false, and returns what is left. A part losing
-// every segment is removed and one losing some is rewritten before any
-// of its segment files goes, so no part ever names a missing file. A
-// part whose update fails is returned unchanged with its files intact.
-// Used by retention GC.
-func (w *Writer) Prune(parts []Part, keep func(SegmentIndex) bool) ([]Part, error) {
-	kept := make([]Part, 0, len(parts))
-	var firstErr error
-	note := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, p := range parts {
-		var live, dead []SegmentIndex
-		for _, seg := range p.Segments {
-			if keep(seg) {
-				live = append(live, seg)
-			} else {
-				dead = append(dead, seg)
-			}
-		}
-		if len(dead) == 0 {
-			kept = append(kept, p)
-			continue
-		}
-		var err error
-		if len(live) == 0 {
-			err = w.fs.Remove(w.Path(p.Name))
-		} else {
-			err = dfs.WriteFile(w.fs, w.Path(p.Name), EncodeIndex(live))
-		}
-		if err != nil {
-			note(err)
-			kept = append(kept, p)
-			continue
-		}
-		if len(live) > 0 {
-			kept = append(kept, Part{Name: p.Name, Segments: live})
-		}
-		for _, seg := range dead {
-			note(w.fs.Remove(w.Path(seg.Name)))
-		}
-	}
-	return kept, firstErr
-}
-
 // EncodeIndex serializes segment indexes in the GRFTIDX1 layout: the
 // magic, a uvarint segment count, then per segment its length-prefixed
 // name, a uvarint entry count and per entry the uvarint kind, uvarint
@@ -326,14 +257,6 @@ func DecodeIndex(raw []byte) ([]SegmentIndex, error) {
 		segs = append(segs, seg)
 	}
 	return segs, d.err
-}
-
-// CheckSegment verifies a segment file's magic.
-func CheckSegment(raw []byte) error {
-	if len(raw) < len(SegMagic) || string(raw[:len(SegMagic)]) != SegMagic {
-		return ErrBadMagic
-	}
-	return nil
 }
 
 // decoder is a minimal sticky-error varint reader matching the

@@ -39,8 +39,8 @@ import (
 // order, so the reader opens them unchanged.
 //
 // The container mechanics — framing, sealing, index encoding — live in
-// the segio package (a leaf apart from dfs) so the engine's outbox logs
-// can share them; this file binds them to trace record types. An index
+// the segio package (a leaf apart from dfs); this file binds them to
+// trace record types. An index
 // entry's coordinates are (record kind, superstep, vertex or subgraph
 // ID — 0 for master records).
 const segMagic = segio.SegMagic

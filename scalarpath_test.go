@@ -27,7 +27,7 @@ func boxedTwin(alg *algorithms.Algorithm) *algorithms.Algorithm {
 type scalarPathConfig struct {
 	mode  string // "vertex" or "subgraph"
 	part  PartitionerMode
-	crash string // "none", "checkpoint" (whole-job restart), "log" (confined replay) or "log-clean" (logging, no failure)
+	crash string // "none", "checkpoint" (crash and restart) or "checkpoint-only" (checkpointing, no failure)
 }
 
 // String names a cell. Placement is fixed at load, so every cell is
@@ -38,25 +38,17 @@ func (c scalarPathConfig) String() string {
 }
 
 // scalarPathRun runs one fully captured job and returns its trace, its
-// stats and the file systems its checkpoints and outbox logs went to.
-func scalarPathRun(t *testing.T, g *Graph, alg *algorithms.Algorithm, workers int, c scalarPathConfig) (*trace.Reader, *Stats, *dfs.MemFS, *dfs.MemFS) {
+// stats and the file system its checkpoints went to.
+func scalarPathRun(t *testing.T, g *Graph, alg *algorithms.Algorithm, workers int, c scalarPathConfig) (*trace.Reader, *Stats, *dfs.MemFS) {
 	t.Helper()
-	ckptFS, logFS := dfs.NewMemFS(), dfs.NewMemFS()
+	ckptFS := dfs.NewMemFS()
 	engine := EngineConfig{NumWorkers: workers, Partitioner: c.part}
 	if c.crash != "none" {
 		engine.CheckpointEvery = 2
 		engine.CheckpointFS = ckptFS
 	}
-	switch c.crash {
-	case "checkpoint":
-		engine.PartitionFailureAt = FailPartitionAt(3)
-	case "log":
-		engine.Recovery = RecoveryLog
-		engine.MsgLogFS = logFS
-		engine.PartitionFailureAt = FailPartitionAt(3, 1)
-	case "log-clean": // the logging set-up with no failure, for the format test
-		engine.Recovery = RecoveryLog
-		engine.MsgLogFS = logFS
+	if c.crash == "checkpoint" {
+		engine.FailureAt = FailAt(3)
 	}
 	store := NewStore(NewMemFS(), "traces")
 	opts := RunOptions{
@@ -76,7 +68,7 @@ func scalarPathRun(t *testing.T, g *Graph, alg *algorithms.Algorithm, workers in
 	if err != nil {
 		t.Fatal(err)
 	}
-	return view, res.Stats, ckptFS, logFS
+	return view, res.Stats, ckptFS
 }
 
 // requireSameRun compares everything a job's message path can influence:
@@ -108,8 +100,8 @@ func requireSameRun(t *testing.T, label string, aView, bView *trace.Reader, a, b
 // the boxed one. Each combiner algorithm runs once with its standard
 // combiner (rows) and once with the same reduction wrapped in a
 // CombineFunc (boxes); min is exact, so everything observable must be
-// bit-identical: across compute modes, placements and both kinds of
-// recovery.
+// bit-identical: across compute modes, placements and a crash with its
+// checkpoint restart.
 func TestScalarPathEquivalenceProperty(t *testing.T) {
 	algs := []struct {
 		name string
@@ -120,31 +112,31 @@ func TestScalarPathEquivalenceProperty(t *testing.T) {
 		{"sssp", func() *algorithms.Algorithm { return algorithms.NewSSSP(0) }},
 	}
 	build := func() *Graph { return graphgen.ChainedCommunities(240, 8, 4, 7) }
-	recovered := map[string]int{}
+	recovered := 0
 	for _, a := range algs {
 		for _, mode := range []string{"vertex", "subgraph"} {
 			if mode == "subgraph" && !a.alg().SupportsSubgraph() {
 				continue
 			}
 			for _, part := range []PartitionerMode{PartitionHash, PartitionLocality} {
-				for _, crash := range []string{"none", "checkpoint", "log"} {
+				for _, crash := range []string{"none", "checkpoint"} {
 					c := scalarPathConfig{mode, part, crash}
 					t.Run(a.name+"/"+c.String(), func(t *testing.T) {
 						rowGraph, boxGraph := build(), build()
-						rowView, rowStats, _, _ := scalarPathRun(t, rowGraph, a.alg(), 4, c)
-						boxView, boxStats, _, _ := scalarPathRun(t, boxGraph, boxedTwin(a.alg()), 4, c)
+						rowView, rowStats, _ := scalarPathRun(t, rowGraph, a.alg(), 4, c)
+						boxView, boxStats, _ := scalarPathRun(t, boxGraph, boxedTwin(a.alg()), 4, c)
 						if rowGraph.ValuesDigest() != boxGraph.ValuesDigest() {
 							t.Fatal("final vertex values differ")
 						}
-						recovered[crash] += rowStats.Recoveries
+						recovered += rowStats.Recoveries
 						requireSameRun(t, "row vs boxed", rowView, boxView, rowStats, boxStats)
 					})
 				}
 			}
 		}
 	}
-	if recovered["checkpoint"] == 0 || recovered["log"] == 0 {
-		t.Errorf("recoveries by kind = %v: the matrix did not exercise them", recovered)
+	if recovered == 0 {
+		t.Error("no cell recovered: the matrix did not exercise a restart")
 	}
 }
 
@@ -160,9 +152,9 @@ func TestScalarPathPageRank(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			rowGraph, boxGraph, againGraph := build(), build(), build()
-			rowView, rowStats, _, _ := scalarPathRun(t, rowGraph, alg(), workers, c)
-			boxView, boxStats, _, _ := scalarPathRun(t, boxGraph, boxedTwin(alg()), workers, c)
-			againView, againStats, _, _ := scalarPathRun(t, againGraph, alg(), workers, c)
+			rowView, rowStats, _ := scalarPathRun(t, rowGraph, alg(), workers, c)
+			boxView, boxStats, _ := scalarPathRun(t, boxGraph, boxedTwin(alg()), workers, c)
+			againView, againStats, _ := scalarPathRun(t, againGraph, alg(), workers, c)
 			if rowGraph.ValuesDigest() != boxGraph.ValuesDigest() || rowGraph.ValuesDigest() != againGraph.ValuesDigest() {
 				t.Fatal("final ranks differ")
 			}
@@ -173,32 +165,26 @@ func TestScalarPathPageRank(t *testing.T) {
 }
 
 // TestScalarPathFormatStability checks that what reaches disk does not
-// depend on how messages travelled: every checkpoint and every
-// outbox-log segment of a CC job is byte-identical between the row run
-// and its boxed twin.
+// depend on how messages travelled: every checkpoint of a CC job is
+// byte-identical between the row run and its boxed twin.
 func TestScalarPathFormatStability(t *testing.T) {
-	c := scalarPathConfig{crash: "log-clean"}
+	c := scalarPathConfig{crash: "checkpoint-only"}
 	build := func() *Graph { return graphgen.ChainedCommunities(240, 8, 4, 7) }
-	_, _, rowCkpt, rowLog := scalarPathRun(t, build(), algorithms.NewConnectedComponents(), 4, c)
-	_, _, boxCkpt, boxLog := scalarPathRun(t, build(), boxedTwin(algorithms.NewConnectedComponents()), 4, c)
-	for _, fs := range []struct {
-		what     string
-		row, box *dfs.MemFS
-	}{{"checkpoint", rowCkpt, boxCkpt}, {"outbox log", rowLog, boxLog}} {
-		rowFiles, _ := fs.row.List("")
-		boxFiles, _ := fs.box.List("")
-		if len(rowFiles) == 0 || !reflect.DeepEqual(rowFiles, boxFiles) {
-			t.Fatalf("%s files: row %v, boxed %v", fs.what, rowFiles, boxFiles)
+	_, _, row := scalarPathRun(t, build(), algorithms.NewConnectedComponents(), 4, c)
+	_, _, box := scalarPathRun(t, build(), boxedTwin(algorithms.NewConnectedComponents()), 4, c)
+	rowFiles, _ := row.List("")
+	boxFiles, _ := box.List("")
+	if len(rowFiles) == 0 || !reflect.DeepEqual(rowFiles, boxFiles) {
+		t.Fatalf("checkpoint files: row %v, boxed %v", rowFiles, boxFiles)
+	}
+	for _, name := range rowFiles {
+		rowBytes, rowErr := dfs.ReadFile(row, name)
+		boxBytes, boxErr := dfs.ReadFile(box, name)
+		if rowErr != nil || boxErr != nil {
+			t.Fatalf("checkpoint file %s: %v, %v", name, rowErr, boxErr)
 		}
-		for _, name := range rowFiles {
-			rowBytes, rowErr := dfs.ReadFile(fs.row, name)
-			boxBytes, boxErr := dfs.ReadFile(fs.box, name)
-			if rowErr != nil || boxErr != nil {
-				t.Fatalf("%s file %s: %v, %v", fs.what, name, rowErr, boxErr)
-			}
-			if !bytes.Equal(rowBytes, boxBytes) {
-				t.Errorf("%s file %s differs between the row and the boxed run", fs.what, name)
-			}
+		if !bytes.Equal(rowBytes, boxBytes) {
+			t.Errorf("checkpoint file %s differs between the row and the boxed run", name)
 		}
 	}
 }

@@ -317,7 +317,7 @@ func (j *Job) Metrics() *MetricsRegistry { return j.reg }
 // Cancel asks the job to stop. The engine notices within one partition
 // scan stride and shuts down at the next superstep barrier: Stats
 // counts the supersteps that completed, the trace is readable through
-// them, and the job's checkpoints and outbox logs are garbage-collected.
+// them, and the job's checkpoints are garbage-collected.
 // The trace may also hold the interrupted superstep (number
 // Stats.Supersteps) — its meta record and what was captured before the
 // workers noticed — as it does when a Compute error interrupts one.

@@ -367,7 +367,7 @@ func TestSessionAdmissionControl(t *testing.T) {
 	}
 	// Contradictory engine config is typed through both sentinels.
 	_, err = sess.Submit(context.Background(), mk(), slow, RunOptions{
-		Engine: EngineConfig{Recovery: RecoveryLog}, // no MsgLogFS
+		Engine: EngineConfig{CheckpointEvery: 2}, // no CheckpointFS
 	})
 	if !errors.Is(err, ErrInvalidOptions) || !errors.Is(err, pregel.ErrInvalidConfig) {
 		t.Errorf("bad engine config: err = %v, want ErrInvalidOptions and ErrInvalidConfig", err)

@@ -10,13 +10,12 @@ import (
 )
 
 // TestSubgraphCrashRecoveryDigestEquivalence composes subgraph mode
-// with -crash-partition confined recovery: a run whose victim
-// partition is rolled back to a checkpoint and caught up by replaying
-// sender-side outbox logs must land on exactly the same vertex values
-// — and the same trace — as a failure-free subgraph run, which in turn
-// must match vertex mode.
+// with crash recovery: a run that crashes and restarts from a
+// checkpoint must land on exactly the same vertex values — and the same
+// trace — as a failure-free subgraph run, which in turn must match
+// vertex mode.
 func TestSubgraphCrashRecoveryDigestEquivalence(t *testing.T) {
-	const crashAt, victim = 3, 1
+	const crashAt = 3
 	run := func(subgraph, crash bool) (string, *trace.Reader, *Stats) {
 		engine := EngineConfig{NumWorkers: 4}
 		at := -1
@@ -24,7 +23,7 @@ func TestSubgraphCrashRecoveryDigestEquivalence(t *testing.T) {
 			at = crashAt
 		}
 		g := broomGraph(200, 60)
-		view, stats := tracedRecoveryRun(t, g, algorithms.NewConnectedComponents(), subgraph, engine, RecoveryLog, at, victim)
+		view, stats := tracedPlaneRun(t, g, algorithms.NewConnectedComponents(), subgraph, engine, at)
 		return g.ValuesDigest(), view, stats
 	}
 	vertexDigest, _, _ := run(false, false)
@@ -40,21 +39,14 @@ func TestSubgraphCrashRecoveryDigestEquivalence(t *testing.T) {
 			vertexDigest, cleanDigest)
 	}
 	if crashDigest != cleanDigest {
-		t.Fatalf("confined recovery changed subgraph-mode values:\nclean:     %s\nrecovered: %s",
+		t.Fatalf("recovery changed subgraph-mode values:\nclean:     %s\nrecovered: %s",
 			cleanDigest, crashDigest)
 	}
 	if crashStats.Recoveries != 1 {
 		t.Fatalf("recoveries = %d, want 1", crashStats.Recoveries)
 	}
-	ev := crashStats.RecoveryEvents[0]
-	if ev.Mode != "log" {
-		t.Errorf("recovery mode = %q, want log", ev.Mode)
-	}
-	if len(ev.Partitions) != 1 || ev.Partitions[0] != victim {
-		t.Errorf("recovery was not confined to partition %d: %v", victim, ev.Partitions)
-	}
 	if a, b := trace.Digest(cleanView), trace.Digest(crashView); a != b {
-		t.Fatalf("confined recovery is visible in the trace digest:\nclean:     %s\nrecovered: %s", a, b)
+		t.Fatalf("recovery is visible in the trace digest:\nclean:     %s\nrecovered: %s", a, b)
 	}
 }
 
