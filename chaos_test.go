@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"graft/internal/algorithms"
-	"graft/internal/core"
 	"graft/internal/dfs"
 	"graft/internal/faults"
 	"graft/internal/graphgen"
@@ -24,6 +23,29 @@ import (
 	"graft/internal/repro"
 	"graft/internal/trace"
 )
+
+// chaosWorkload is one row of the chaos acceptance test: connected
+// components, and the Figure 8 algorithms on their kinds of graph —
+// colouring on a bipartite graph, random walks on a web graph, and
+// matching, whose vertex removals a restart must restore.
+type chaosWorkload struct {
+	name  string
+	graph func(seed int64) *pregel.Graph
+	alg   func(seed int64) *algorithms.Algorithm
+	// faultP is the write-fault probability of faults.ChaosPlan.
+	faultP float64
+}
+
+var chaosWorkloads = []chaosWorkload{
+	{"CC", func(seed int64) *pregel.Graph { return graphgen.SocialGraph(800, 4, seed) },
+		func(int64) *algorithms.Algorithm { return algorithms.NewConnectedComponents() }, 0.5},
+	{"GC-bp", func(int64) *pregel.Graph { return graphgen.RegularBipartite(600, 3) },
+		algorithms.NewGraphColoring, 0.3},
+	{"RW", func(seed int64) *pregel.Graph { return graphgen.WebGraph(600, 12, seed+2) },
+		func(seed int64) *algorithms.Algorithm { return algorithms.NewRandomWalk(seed, 10) }, 0.3},
+	{"MWM", func(seed int64) *pregel.Graph { return graphgen.SocialGraph(600, 6, seed+9) },
+		func(int64) *algorithms.Algorithm { return algorithms.NewMaximumWeightMatching(400) }, 0.3},
+}
 
 type chaosOutcome struct {
 	stats    *pregel.Stats
@@ -33,68 +55,44 @@ type chaosOutcome struct {
 	captures int64
 }
 
-// runChaosJob executes connected components over a seeded social graph
-// with the full fault stack enabled.
-func runChaosJob(t *testing.T, seed int64) *chaosOutcome {
+// runChaosJob executes wl with the full fault stack enabled.
+func runChaosJob(t *testing.T, wl chaosWorkload, seed int64) *chaosOutcome {
 	t.Helper()
 	const crashAt = 3
 
-	g := graphgen.SocialGraph(800, 4, seed)
-	alg := algorithms.NewConnectedComponents()
-
+	g := wl.graph(seed)
 	cluster := dfs.NewCluster(4, 2, 8<<10)
-	plan := func(s int64) faults.Plan {
-		return faults.Plan{
-			Seed:         s,
-			P:            map[faults.Op]float64{faults.OpWrite: 0.5, faults.OpCreate: 0.25, faults.OpClose: 0.25},
-			MaxPerPathOp: 2,
-			ShortWrites:  true,
-		}
-	}
 	noSleep := func(time.Duration) {}
-	ckptFS := faults.NewRetryFS(faults.NewFaultFS(cluster, plan(seed)), seed)
+	ckptFS := faults.NewRetryFS(faults.NewFaultFS(cluster, faults.ChaosPlan(seed, wl.faultP)), seed)
 	ckptFS.Sleep = noSleep
-	tracePrimary := faults.NewRetryFS(faults.NewFaultFS(cluster, plan(seed+1)), seed+1)
+	tracePrimary := faults.NewRetryFS(faults.NewFaultFS(cluster, faults.ChaosPlan(seed+1, wl.faultP)), seed+1)
 	tracePrimary.Sleep = noSleep
-	traceFS := faults.NewFallbackFS(tracePrimary, dfs.NewMemFS())
-	store := trace.NewStore(traceFS, "chaos")
+	store := trace.NewStore(faults.NewFallbackFS(tracePrimary, dfs.NewMemFS()), "chaos")
 
-	jobID := "chaos-acceptance"
-	session, err := core.Attach(store, core.Options{
-		JobID:      jobID,
-		Algorithm:  alg.Name,
-		NumWorkers: 4,
-	}, g, core.DebugConfig{
-		CaptureIDs:        []pregel.VertexID{1, 2, 3, 4, 5},
-		CaptureExceptions: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	jobID := "chaos-" + wl.name
 	crashed := false
-	job := pregel.NewJob(g, session.Instrument(alg.Compute), pregel.Config{
-		NumWorkers:       4,
-		Combiner:         alg.Combiner,
-		Master:           session.InstrumentMaster(alg.Master),
-		MaxSupersteps:    alg.MaxSupersteps,
-		Listener:         session,
-		CheckpointEvery:  2,
-		CheckpointFS:     ckptFS,
-		CheckpointPrefix: "ckpt/",
-		FailureAt: func(superstep int) bool {
-			if superstep == crashAt && !crashed {
-				crashed = true
-				cluster.Kill(0) // the crash takes a datanode down with it
-				return true
-			}
-			if crashed && superstep > crashAt && !cluster.Node(0).Alive() {
-				cluster.Revive(0)
-			}
-			return false
+	res, err := RunAlgorithm(g, wl.alg(seed), RunOptions{
+		JobID: jobID,
+		Store: store,
+		Debug: &DebugConfig{CaptureIDs: []pregel.VertexID{1, 2, 3, 4, 5}, CaptureExceptions: true},
+		Engine: pregel.Config{
+			NumWorkers:       4,
+			CheckpointEvery:  2,
+			CheckpointFS:     ckptFS,
+			CheckpointPrefix: "ckpt/",
+			FailureAt: func(superstep int) bool {
+				if superstep == crashAt && !crashed {
+					crashed = true
+					cluster.Kill(0) // the crash takes a datanode down with it
+					return true
+				}
+				if crashed && superstep > crashAt && !cluster.Node(0).Alive() {
+					cluster.Revive(0)
+				}
+				return false
+			},
 		},
 	})
-	stats, err := job.Run()
 	if err != nil {
 		t.Fatalf("chaos job failed: %v", err)
 	}
@@ -104,84 +102,87 @@ func runChaosJob(t *testing.T, seed int64) *chaosOutcome {
 
 	values := map[pregel.VertexID]pregel.Value{}
 	g.Each(func(v *pregel.Vertex) { values[v.ID()] = pregel.CloneValue(v.Value()) })
-	return &chaosOutcome{stats: stats, values: values, store: store, jobID: jobID, captures: session.Captures()}
+	return &chaosOutcome{stats: res.Stats, values: values, store: store, jobID: jobID, captures: res.Captures}
 }
 
 func TestChaosJobSurvivesAndMatchesFaultFreeRun(t *testing.T) {
 	const seed = 42
+	for _, wl := range chaosWorkloads {
+		t.Run(wl.name, func(t *testing.T) {
+			// Fault-free reference on healthy storage.
+			ref := wl.graph(seed)
+			if _, err := RunAlgorithm(ref, wl.alg(seed), RunOptions{Engine: pregel.Config{NumWorkers: 4}}); err != nil {
+				t.Fatal(err)
+			}
 
-	// Fault-free reference on healthy storage.
-	ref := graphgen.SocialGraph(800, 4, seed)
-	alg := algorithms.NewConnectedComponents()
-	if _, err := pregel.NewJob(ref, alg.Compute, pregel.Config{
-		NumWorkers: 4, Combiner: alg.Combiner, Master: alg.Master, MaxSupersteps: alg.MaxSupersteps,
-	}).Run(); err != nil {
-		t.Fatal(err)
-	}
+			out := runChaosJob(t, wl, seed)
+			t.Logf("supersteps=%d recoveries=%d %s captures=%d",
+				out.stats.Supersteps, out.stats.Recoveries, out.stats.Faults, out.captures)
 
-	out := runChaosJob(t, seed)
+			// The job was actually abused and actually recovered.
+			if out.stats.Recoveries < 1 {
+				t.Errorf("recoveries = %d, want >= 1", out.stats.Recoveries)
+			}
+			if out.stats.Faults.Injected < 1 {
+				t.Errorf("injected faults = %d, want >= 1", out.stats.Faults.Injected)
+			}
+			if out.stats.Faults.Retries < 1 {
+				t.Errorf("retries = %d, want >= 1 (stats: %s)", out.stats.Faults.Retries, out.stats.Faults)
+			}
 
-	// The job was actually abused and actually recovered.
-	if out.stats.Recoveries < 1 {
-		t.Errorf("recoveries = %d, want >= 1", out.stats.Recoveries)
-	}
-	if out.stats.Faults.Injected < 1 {
-		t.Errorf("injected faults = %d, want >= 1", out.stats.Faults.Injected)
-	}
-	if out.stats.Faults.Retries < 1 {
-		t.Errorf("retries = %d, want >= 1 (stats: %s)", out.stats.Faults.Retries, out.stats.Faults)
-	}
+			// Its output is byte-for-byte the fault-free answer.
+			diffs := 0
+			ref.Each(func(v *pregel.Vertex) {
+				got, ok := out.values[v.ID()]
+				if !ok || !pregel.ValuesEqual(v.Value(), got) {
+					diffs++
+				}
+			})
+			if diffs != 0 {
+				t.Errorf("%d vertex values differ from the fault-free run", diffs)
+			}
 
-	// Its output is byte-for-byte the fault-free answer.
-	diffs := 0
-	ref.Each(func(v *pregel.Vertex) {
-		got, ok := out.values[v.ID()]
-		if !ok || !pregel.ValuesEqual(v.Value(), got) {
-			diffs++
-		}
-	})
-	if diffs != 0 {
-		t.Errorf("%d vertex values differ from the fault-free run", diffs)
-	}
-
-	// The trace survived the storage abuse and replays cleanly: every
-	// captured compute call re-executes to exactly the captured outcome.
-	db, err := out.store.OpenReader(out.jobID)
-	if err != nil {
-		t.Fatalf("trace unreadable after chaos: %v", err)
-	}
-	if db.TotalCaptures() == 0 {
-		t.Fatal("no captures in the chaos trace")
-	}
-	replayed := 0
-	for _, superstep := range db.Supersteps() {
-		for _, c := range db.CapturesAt(superstep) {
-			o, err := repro.Replay(db, superstep, c.ID, alg.Compute)
+			// The trace survived the storage abuse and replays cleanly: every
+			// captured compute call re-executes to exactly the captured outcome.
+			db, err := out.store.OpenReader(out.jobID)
 			if err != nil {
-				t.Fatalf("replay superstep %d vertex %d: %v", superstep, c.ID, err)
+				t.Fatalf("trace unreadable after chaos: %v", err)
 			}
-			if fid := repro.Fidelity(c, o); len(fid) != 0 {
-				t.Errorf("replay superstep %d vertex %d diverged: %v", superstep, c.ID, fid)
+			if db.TotalCaptures() == 0 {
+				t.Fatal("no captures in the chaos trace")
 			}
-			replayed++
-		}
-	}
-	if replayed == 0 {
-		t.Fatal("nothing replayed")
-	}
-	res, done, err := out.store.ReadResult(out.jobID)
-	if err != nil || !done {
-		t.Fatalf("job result missing after chaos: done=%v err=%v", done, err)
-	}
-	if res.Captures != out.captures {
-		t.Errorf("result records %d captures, session counted %d", res.Captures, out.captures)
+			comp := wl.alg(seed).Compute
+			replayed := 0
+			for _, superstep := range db.Supersteps() {
+				for _, c := range db.CapturesAt(superstep) {
+					o, err := repro.Replay(db, superstep, c.ID, comp)
+					if err != nil {
+						t.Fatalf("replay superstep %d vertex %d: %v", superstep, c.ID, err)
+					}
+					if fid := repro.Fidelity(c, o); len(fid) != 0 {
+						t.Errorf("replay superstep %d vertex %d diverged: %v", superstep, c.ID, fid)
+					}
+					replayed++
+				}
+			}
+			if replayed == 0 {
+				t.Fatal("nothing replayed")
+			}
+			res, done, err := out.store.ReadResult(out.jobID)
+			if err != nil || !done {
+				t.Fatalf("job result missing after chaos: done=%v err=%v", done, err)
+			}
+			if res.Captures != out.captures {
+				t.Errorf("result records %d captures, session counted %d", res.Captures, out.captures)
+			}
+		})
 	}
 }
 
 func TestChaosJobIsDeterministic(t *testing.T) {
 	const seed = 42
-	a := runChaosJob(t, seed)
-	b := runChaosJob(t, seed)
+	a := runChaosJob(t, chaosWorkloads[0], seed)
+	b := runChaosJob(t, chaosWorkloads[0], seed)
 
 	if a.stats.Faults != b.stats.Faults {
 		t.Errorf("fault stats differ across identical runs:\n%s\nvs\n%s", a.stats.Faults, b.stats.Faults)

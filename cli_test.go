@@ -152,7 +152,7 @@ func TestCLISmoke(t *testing.T) {
 		{name: "drop backpressure", args: with(pr, "-debug", "DC-sp", "-trace-dir", "traces", "-job", "pr-drop", "-backpressure", "drop", "-capture-queue", "64"),
 			wants: []string{"finished:"}},
 		{name: "trace-check after drop", args: []string{"trace-check", "-trace-dir", "traces", "-job", "pr-drop"}, wants: []string{"trace-check ok"}},
-		{name: "profiler feed", args: with(pr, "-debug", "none", "-workers", "4", "-metrics-out", "metrics.jsonl", "-anomaly-out", "anomalies.jsonl"),
+		{name: "profiler feed", args: with(pr, "-debug", "none", "-workers", "4", "-metrics-out", "metrics.jsonl"),
 			wants: []string{"finished:"},
 			check: func(t *testing.T, _ string) {
 				events := readJSONL(t, filepath.Join(dir, "metrics.jsonl"))
@@ -174,13 +174,18 @@ func TestCLISmoke(t *testing.T) {
 					if total != s["sent"] {
 						t.Errorf("superstep %v: traffic sums to %v, sent %v", s["superstep"], total, s["sent"])
 					}
-				}
-				for _, ev := range readJSONL(t, filepath.Join(dir, "anomalies.jsonl")) {
-					if ev["kind"] == nil || ev["superstep"] == nil {
-						t.Errorf("anomaly event without kind/superstep: %v", ev)
+					anomalies, _ := s["anomalies"].([]any)
+					for _, ev := range anomalies {
+						if ev := ev.(map[string]any); ev["kind"] == nil || ev["superstep"] == nil {
+							t.Errorf("anomaly event without kind/superstep: %v", ev)
+						}
 					}
 				}
 			}},
+		// Detection is always on at fixed thresholds; its events are on
+		// the superstep lines above.
+		{name: "-anomaly-window is gone", args: with(pr, "-anomaly-window", "3"), exit: 2, wants: []string{"flag provided but not defined"}},
+		{name: "-anomaly-out is gone", args: with(pr, "-anomaly-out", "a.jsonl"), exit: 2, wants: []string{"flag provided but not defined"}},
 		{name: "crash and restart", args: []string{"run", "-alg", "pagerank", "-dataset", "web-BS", "-scale", "0.001", "-workers", "8", "-supersteps", "10",
 			"-debug", "none", "-checkpoint-every", "2", "-crash-at", "3"},
 			wants: []string{"finished:", "recovery @3: from-ckpt=2 steps-replayed=2", "resilience: recoveries=1"},

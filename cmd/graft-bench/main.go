@@ -7,11 +7,9 @@
 //	graft-bench -table 2
 //	graft-bench -table 3
 //	graft-bench -fig 8 -scale 0.0005 -reps 5 -workers 8
-//	graft-bench -profiler -scale 0.0005 -reps 5
 //	graft-bench -subgraph -scale 0.0002 -reps 5
 //	graft-bench -partition -scale 0.0002 -reps 5
 //	graft-bench -serve -scale 0.0002 -reps 5
-//	graft-bench -chaos -scale 0.0005 -workers 8 -seed 42
 //
 // Absolute, end-to-end and per-layer numbers at benchmark scale come
 // from bench/ (see bench/README), not from here.
@@ -33,11 +31,9 @@ import (
 // comparisons all go through harness.RunPaired.
 var experiments = []harness.Experiment{
 	harness.Fig8,
-	harness.Profiler,
 	harness.Subgraph,
 	harness.Partition,
 	servebench.Serve,
-	harness.Chaos,
 }
 
 func main() {
@@ -60,7 +56,6 @@ func run(table []harness.Experiment, args []string, stdout, stderr io.Writer) in
 	out := fs.String("out", "", "output file for the selected experiment's rows (default BENCH_<name>.json)")
 	check := fs.Bool("check", true, "verify the selected experiment's claims and exit 1 on a deviation")
 	var p harness.Params
-	fs.Float64Var(&p.FaultP, "fault-p", 0.3, "per-operation fault probability for -chaos")
 	fs.Float64Var(&p.Scale, "scale", 0.0002, "dataset scale against paper sizes")
 	fs.IntVar(&p.Reps, "reps", 5, "repetitions per cell (the paper used 5)")
 	fs.IntVar(&p.Workers, "workers", 8, "worker goroutines per job")

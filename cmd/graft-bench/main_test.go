@@ -32,7 +32,7 @@ func TestRegistry(t *testing.T) {
 		byName[e.Name] = e
 		names = append(names, e.Name)
 	}
-	if got, want := strings.Join(names, " "), "fig8 profiler subgraph partition serve chaos"; got != want {
+	if got, want := strings.Join(names, " "), "fig8 subgraph partition serve"; got != want {
 		t.Errorf("experiments = %s, want %s", got, want)
 	}
 
@@ -62,7 +62,7 @@ func TestRegistry(t *testing.T) {
 		}
 		checked[name] = true
 	}
-	for _, name := range []string{"profiler", "subgraph", "partition", "serve"} {
+	for _, name := range []string{"subgraph", "partition", "serve"} {
 		if !checked[name] {
 			t.Errorf("BENCH_%s.json is not checked in", name)
 		}
@@ -100,6 +100,12 @@ func TestRunExitStatus(t *testing.T) {
 		{[]string{"-broken"}, 1, false, ""},
 		{[]string{"-no-such-experiment"}, 2, false, ""},
 		{nil, 2, false, ""},
+	}
+	// The deleted experiments and their flags are unknown to the real table.
+	for _, gone := range [][]string{{"-profiler"}, {"-chaos"}, {"-fault-p", "0.3", "-fig", "8"}} {
+		if status := run(experiments, gone, io.Discard, io.Discard); status != 2 {
+			t.Errorf("%v: exit status %d, want 2", gone, status)
+		}
 	}
 	for _, tc := range cases {
 		out := filepath.Join(dir, strings.Join(tc.args, "")+".json")
@@ -164,7 +170,6 @@ func doctored[R any](t *testing.T, name string, doctor func(R)) {
 // TestDoctoredRowsFailTheirGates: the table's Check is each
 // experiment's real gate.
 func TestDoctoredRowsFailTheirGates(t *testing.T) {
-	doctored(t, "profiler", func(rows []harness.ProfilerBench) { rows[0].Overhead = 0.5 })
 	doctored(t, "subgraph", func(rows []harness.SubgraphBench) { rows[0].SubgraphSupersteps = rows[0].VertexSupersteps })
 	doctored(t, "partition", func(rows []harness.PartitionBench) { rows[0].Match = false })
 	doctored(t, "serve", func(row *servebench.ServeBench) { row.Speedup = 1.1 })

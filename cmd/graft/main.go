@@ -11,7 +11,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -22,7 +21,6 @@ import (
 
 	"graft"
 	"graft/internal/algorithms"
-	"graft/internal/anomaly"
 	"graft/internal/core"
 	"graft/internal/dfs"
 	"graft/internal/faults"
@@ -100,7 +98,7 @@ func buildGraph(dataset string, scale float64, seed int64) (*pregel.Graph, error
 
 // cmdRun maps its flags onto one graft.RunOptions and runs it through
 // graft.RunAlgorithm; what it keeps for itself is the telemetry
-// plumbing (-metrics-*, -anomaly-out, job.metrics) and the summary.
+// plumbing (-metrics-*, job.metrics) and the summary.
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	alg := fs.String("alg", "cc", "algorithm to run")
@@ -125,14 +123,12 @@ func cmdRun(args []string) error {
 	backpressure := fs.String("backpressure", "block", "capture queue policy when full: block or drop")
 	queueCap := fs.Int("capture-queue", trace.DefaultQueueCapacity, "per-worker capture queue depth")
 	partitioner := fs.String("partitioner", "hash", "vertex placement: hash (stateless modulo) or locality (streaming neighbor-affinity placer)")
-	anomalyWindow := fs.Int("anomaly-window", 0, "sliding window in supersteps for the anomaly detectors (0: default 8, negative: disable detection and traffic-matrix capture)")
-	anomalyOut := fs.String("anomaly-out", "", "write detected anomaly events to this file as JSON Lines")
 	fs.Parse(args)
 	if *crashAt >= 0 && *checkpointEvery <= 0 {
 		flagError("-crash-at requires -checkpoint-every (a crash rolls back to a checkpoint)")
 	}
 
-	eng := pregel.Config{NumWorkers: *workers, AnomalyWindow: *anomalyWindow}
+	eng := pregel.Config{NumWorkers: *workers}
 	switch *partitioner {
 	case "hash":
 	case "locality":
@@ -172,9 +168,6 @@ func cmdRun(args []string) error {
 	id := *jobID
 	if id == "" {
 		id = fmt.Sprintf("%s-%d", a.Name, time.Now().UnixNano())
-	}
-	if *anomalyOut != "" && *anomalyWindow < 0 {
-		return fmt.Errorf("-anomaly-out needs the anomaly layer (use a non-negative -anomaly-window)")
 	}
 
 	reg := metrics.NewRegistry(id, a.Name)
@@ -261,11 +254,6 @@ func cmdRun(args []string) error {
 			fmt.Fprintln(os.Stderr, "graft: writing job.metrics:", err)
 		}
 	}
-	if *anomalyOut != "" && stats != nil {
-		if err := writeAnomalyJSONL(*anomalyOut, stats.Anomalies); err != nil {
-			fmt.Fprintln(os.Stderr, "graft: anomaly-out:", err)
-		}
-	}
 	// The one place the two kinds of failure part ways. A job the engine
 	// gave up on (no Stats: a Compute error or panic) is the expected
 	// outcome of the exception scenarios — the capture is the product, so
@@ -316,23 +304,6 @@ func printSummary(res *graft.RunResult, jm metrics.JobMetrics) {
 func flagError(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "graft: run: "+format+"\n", args...)
 	os.Exit(2)
-}
-
-// writeAnomalyJSONL writes one JSON object per detected anomaly event,
-// in emission order — the -anomaly-out feed alert pipelines tail.
-func writeAnomalyJSONL(path string, evs []anomaly.Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	for _, ev := range evs {
-		if err := enc.Encode(ev); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
 }
 
 // linger keeps the process alive after the job so scrapers can still

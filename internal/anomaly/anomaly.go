@@ -1,4 +1,4 @@
-// Package anomaly is Graft's detection layer: a set of pluggable
+// Package anomaly is Graft's detection layer: a fixed set of
 // detectors evaluated once per superstep over a sliding window of the
 // engine's folded telemetry (skew indicators, straggler identity,
 // message counters, the inter-partition traffic matrix, and the
@@ -10,10 +10,10 @@
 // The package is deliberately dependency-free so the pregel engine can
 // import it: the engine feeds Samples at each barrier.
 //
-// Detection is coordinator-side only — one Observe call per superstep
-// over a handful of floats plus an optional W×W matrix scan — so its
-// cost is independent of graph size and stays far inside the <5%
-// observability overhead budget (graft-bench -profiler measures it).
+// Detection is always on and coordinator-side only — one Observe call
+// per superstep over a handful of floats plus a W×W matrix scan — so
+// its cost is independent of graph size and is inside every bench/
+// number.
 package anomaly
 
 import "fmt"
@@ -36,8 +36,7 @@ const (
 	// messages.
 	KindTrafficHotspot Kind = "traffic-hotspot"
 	// KindFaultSpike: the cumulative corrupt-artifact counters (corrupt
-	// log segments, corrupt checkpoints, quarantined records) jumped
-	// within the window.
+	// checkpoints, quarantined records) jumped within the window.
 	KindFaultSpike Kind = "fault-spike"
 	// KindRecoveryStorm: several recoveries within the window.
 	KindRecoveryStorm Kind = "recovery-storm"
@@ -99,7 +98,7 @@ type Sample struct {
 	Sent, Received, Combined int64
 	// Traffic is the numWorkers×numWorkers message-flow matrix
 	// (Traffic[s][d] = messages partition s sent to partition d,
-	// pre-combine); nil when the engine does not capture it.
+	// pre-combine), snapshotted by the engine at every barrier.
 	Traffic [][]int64
 	// Recoveries is the cumulative recovery count so far.
 	Recoveries int
@@ -109,137 +108,78 @@ type Sample struct {
 	CorruptArtifacts int64
 }
 
-// DefaultWindow is the sliding-window size used when Config.Window is
-// not positive.
-const DefaultWindow = 8
-
-// Config tunes the detector catalog. The zero value gets defaults from
-// withDefaults; thresholds are documented on each field.
-type Config struct {
-	// Window is the sliding-window size in supersteps (default 8).
-	Window int
+// The detectors' thresholds. Every run uses these values; there is no
+// per-job setting.
+const (
+	// Window is the sliding-window size in supersteps.
+	Window = 8
 	// StragglerRuns is how many consecutive supersteps the same worker
-	// must be the hot straggler before straggler-persistence fires
-	// (default 3).
-	StragglerRuns int
+	// must be the hot straggler before straggler-persistence fires.
+	StragglerRuns = 3
 	// SkewHot is the skew ratio (max/mean) at which a worker counts as
-	// hot for the straggler/trend detectors (default 1.5, matching the
-	// GUI dashboard's threshold).
-	SkewHot float64
+	// hot for the straggler and trend detectors, and at which the GUI
+	// dashboard colours a superstep and its straggler.
+	SkewHot = 1.5
 	// HotspotShare is the fraction of a superstep's traffic a single
-	// lane/row/column must carry to count as a hotspot (default 0.5).
-	// An axis must also carry at least twice its balanced share, so
-	// small clusters cannot trip the detector on even traffic.
-	HotspotShare float64
+	// lane, row or column must carry to count as a hotspot. An axis must
+	// also carry at least twice its balanced share, so small clusters
+	// cannot trip the detector on even traffic.
+	HotspotShare = 0.5
 	// HotspotMinMessages is the minimum superstep traffic before the
-	// hotspot detector looks at shares at all (default 64).
-	HotspotMinMessages int64
+	// hotspot detector looks at shares at all.
+	HotspotMinMessages = 64
 	// CombineDropRatio: combine-collapse fires when the current combine
-	// ratio falls below CombineDropRatio × the window mean (default
-	// 0.5), provided the mean was at least CombineFloor (default 0.2).
-	CombineDropRatio float64
-	CombineFloor     float64
-	// FaultSpikeMin is the corrupt-artifact delta within one window
-	// that counts as a spike (default 2).
-	FaultSpikeMin int64
-	// StormRecoveries is the recovery count within one window that
-	// counts as a storm (default 2).
-	StormRecoveries int
-}
+	// ratio falls below CombineDropRatio × the window mean, provided the
+	// mean was at least CombineFloor.
+	CombineDropRatio = 0.5
+	CombineFloor     = 0.2
+	// FaultSpikeMin is the corrupt-artifact delta within one window that
+	// counts as a spike.
+	FaultSpikeMin = 2
+	// StormRecoveries is the recovery count within one window that counts
+	// as a storm.
+	StormRecoveries = 2
+)
 
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = DefaultWindow
-	}
-	if c.StragglerRuns <= 0 {
-		c.StragglerRuns = 3
-	}
-	if c.SkewHot <= 0 {
-		c.SkewHot = 1.5
-	}
-	if c.HotspotShare <= 0 {
-		c.HotspotShare = 0.5
-	}
-	if c.HotspotMinMessages <= 0 {
-		c.HotspotMinMessages = 64
-	}
-	if c.CombineDropRatio <= 0 {
-		c.CombineDropRatio = 0.5
-	}
-	if c.CombineFloor <= 0 {
-		c.CombineFloor = 0.2
-	}
-	if c.FaultSpikeMin <= 0 {
-		c.FaultSpikeMin = 2
-	}
-	if c.StormRecoveries <= 0 {
-		c.StormRecoveries = 2
-	}
-	return c
-}
-
-// Detector is one pluggable check, called once per Observe with the
-// current window (oldest sample first, newest last — never empty).
-// Detectors may keep state across calls (streaks, emission gates);
-// they run on the engine's coordinator goroutine, never concurrently.
-type Detector interface {
-	Name() string
-	Observe(win []Sample, cfg Config) []Event
+// detector is one check, called once per Observe with the current
+// window (oldest sample first, newest last — never empty). Detectors
+// may keep state across calls (streaks, emission gates); they run on
+// the engine's coordinator goroutine, never concurrently.
+type detector interface {
+	Observe(win []Sample) []Event
 }
 
 // Engine evaluates the detector catalog over a sliding window of
 // samples. Not safe for concurrent use: feed it from one goroutine
 // (the pregel engine calls Observe at the barrier).
 type Engine struct {
-	cfg    Config
-	win    []Sample
-	dets   []Detector
-	events []Event
-	counts map[Kind]int
+	win  []Sample
+	dets []detector
 }
 
-// New builds an engine with the standard detector catalog and the
-// given thresholds (zero fields get defaults).
-func New(cfg Config) *Engine {
-	e := &Engine{cfg: cfg.withDefaults(), counts: map[Kind]int{}}
-	e.dets = []Detector{
+// New builds an engine with the standard detector catalog.
+func New() *Engine {
+	return &Engine{dets: []detector{
 		&stragglerPersistence{worker: -1},
 		&skewTrend{lastEmit: neverEmitted},
 		&combineCollapse{lastEmit: neverEmitted},
 		&trafficHotspot{lastEmit: neverEmitted},
 		&faultSpike{lastEmit: neverEmitted},
 		&recoveryStorm{lastEmit: neverEmitted},
-	}
-	return e
+	}}
 }
-
-// Config returns the engine's effective (defaulted) configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Observe folds one superstep sample into the window and runs every
 // detector, returning the events emitted at this superstep (nil when
 // quiet).
 func (e *Engine) Observe(s Sample) []Event {
 	e.win = append(e.win, s)
-	if len(e.win) > e.cfg.Window {
+	if len(e.win) > Window {
 		e.win = e.win[1:]
 	}
 	var out []Event
 	for _, d := range e.dets {
-		out = append(out, d.Observe(e.win, e.cfg)...)
-	}
-	if len(out) > 0 {
-		e.events = append(e.events, out...)
-		for _, ev := range out {
-			e.counts[ev.Kind]++
-		}
+		out = append(out, d.Observe(e.win)...)
 	}
 	return out
 }
-
-// Events returns every event emitted so far, in superstep order.
-func (e *Engine) Events() []Event { return e.events }
-
-// Counts returns the per-kind event totals (the map is live; callers
-// must not mutate it).
-func (e *Engine) Counts() map[Kind]int { return e.counts }

@@ -16,11 +16,9 @@ type stragglerPersistence struct {
 	run    int // its length in supersteps
 }
 
-func (d *stragglerPersistence) Name() string { return string(KindStragglerPersistence) }
-
-func (d *stragglerPersistence) Observe(win []Sample, cfg Config) []Event {
+func (d *stragglerPersistence) Observe(win []Sample) []Event {
 	s := win[len(win)-1]
-	v := EvaluateSkew(s, cfg.SkewHot)
+	v := EvaluateSkew(s, SkewHot)
 	if !v.Triggered {
 		d.worker, d.run = -1, 0
 		return nil
@@ -29,17 +27,17 @@ func (d *stragglerPersistence) Observe(win []Sample, cfg Config) []Event {
 		d.worker, d.run = v.Worker, 0
 	}
 	d.run++
-	if d.run < cfg.StragglerRuns || (d.run-cfg.StragglerRuns)%cfg.StragglerRuns != 0 {
+	if d.run < StragglerRuns || (d.run-StragglerRuns)%StragglerRuns != 0 {
 		return nil
 	}
 	sev := SevWarn
-	if d.run >= 2*cfg.StragglerRuns {
+	if d.run >= 2*StragglerRuns {
 		sev = SevCritical
 	}
 	return []Event{{
 		Kind: KindStragglerPersistence, Severity: sev, Superstep: s.Superstep,
 		Worker: v.Worker, Peer: -1,
-		Value: v.Skew, Threshold: cfg.SkewHot, Window: d.run,
+		Value: v.Skew, Threshold: SkewHot, Window: d.run,
 		Detail: fmt.Sprintf("worker %d slowest for %d consecutive supersteps (compute skew %.2f)",
 			v.Worker, d.run, v.Skew),
 		Action: "open the profiler's per-worker breakdown for the straggler; " +
@@ -53,14 +51,12 @@ func (d *stragglerPersistence) Observe(win []Sample, cfg Config) []Event {
 // re-armed after a full window.
 type skewTrend struct{ lastEmit int }
 
-func (d *skewTrend) Name() string { return string(KindSkewTrend) }
-
-func (d *skewTrend) Observe(win []Sample, cfg Config) []Event {
-	if len(win) < cfg.Window {
+func (d *skewTrend) Observe(win []Sample) []Event {
+	if len(win) < Window {
 		return nil
 	}
 	s := win[len(win)-1]
-	if s.Superstep-d.lastEmit < cfg.Window {
+	if s.Superstep-d.lastEmit < Window {
 		return nil
 	}
 	var evs []Event
@@ -71,7 +67,7 @@ func (d *skewTrend) Observe(win []Sample, cfg Config) []Event {
 		{"compute", func(s Sample) float64 { return s.ComputeSkew }},
 		{"message", func(s Sample) float64 { return s.MessageSkew }},
 	} {
-		rising := dim.get(win[len(win)-1]) >= cfg.SkewHot
+		rising := dim.get(win[len(win)-1]) >= SkewHot
 		for i := 1; rising && i < len(win); i++ {
 			rising = dim.get(win[i]) > dim.get(win[i-1])
 		}
@@ -81,7 +77,7 @@ func (d *skewTrend) Observe(win []Sample, cfg Config) []Event {
 		evs = append(evs, Event{
 			Kind: KindSkewTrend, Severity: SevWarn, Superstep: s.Superstep,
 			Worker: s.Straggler, Peer: -1,
-			Value: dim.get(s), Threshold: cfg.SkewHot, Window: len(win),
+			Value: dim.get(s), Threshold: SkewHot, Window: len(win),
 			Detail: fmt.Sprintf("%s skew rose monotonically over %d supersteps to %.2f",
 				dim.name, len(win), dim.get(s)),
 			Action: "open the profiler's per-worker breakdown for the growing partition; " +
@@ -101,11 +97,9 @@ func (d *skewTrend) Observe(win []Sample, cfg Config) []Event {
 // the fan-in pattern changed.
 type combineCollapse struct{ lastEmit int }
 
-func (d *combineCollapse) Name() string { return string(KindCombineCollapse) }
-
-func (d *combineCollapse) Observe(win []Sample, cfg Config) []Event {
+func (d *combineCollapse) Observe(win []Sample) []Event {
 	s := win[len(win)-1]
-	if s.Sent == 0 || s.Superstep-d.lastEmit < cfg.Window {
+	if s.Sent == 0 || s.Superstep-d.lastEmit < Window {
 		return nil
 	}
 	var sum float64
@@ -122,14 +116,14 @@ func (d *combineCollapse) Observe(win []Sample, cfg Config) []Event {
 	}
 	mean := sum / float64(n)
 	cur := float64(s.Combined) / float64(s.Sent)
-	if mean < cfg.CombineFloor || cur >= mean*cfg.CombineDropRatio {
+	if mean < CombineFloor || cur >= mean*CombineDropRatio {
 		return nil
 	}
 	d.lastEmit = s.Superstep
 	return []Event{{
 		Kind: KindCombineCollapse, Severity: SevWarn, Superstep: s.Superstep,
 		Worker: -1, Peer: -1,
-		Value: cur, Threshold: mean * cfg.CombineDropRatio, Window: n,
+		Value: cur, Threshold: mean * CombineDropRatio, Window: n,
 		Detail: fmt.Sprintf("combine ratio fell to %.2f against a window mean of %.2f", cur, mean),
 		Action: "the algorithm phase stopped producing combinable messages; expect higher message volume and consider phase-aware combining",
 	}}
@@ -142,12 +136,10 @@ func (d *combineCollapse) Observe(win []Sample, cfg Config) []Event {
 // column, then sender row).
 type trafficHotspot struct{ lastEmit int }
 
-func (d *trafficHotspot) Name() string { return string(KindTrafficHotspot) }
-
-func (d *trafficHotspot) Observe(win []Sample, cfg Config) []Event {
+func (d *trafficHotspot) Observe(win []Sample) []Event {
 	s := win[len(win)-1]
 	w := len(s.Traffic)
-	if w < 2 || s.Superstep-d.lastEmit < cfg.Window {
+	if w < 2 || s.Superstep-d.lastEmit < Window {
 		return nil
 	}
 	var total, maxLane int64
@@ -164,12 +156,12 @@ func (d *trafficHotspot) Observe(win []Sample, cfg Config) []Event {
 			}
 		}
 	}
-	if total < cfg.HotspotMinMessages {
+	if total < HotspotMinMessages {
 		return nil
 	}
 	hot := func(n int64, fair float64) (float64, bool) {
 		share := float64(n) / float64(total)
-		return share, share >= cfg.HotspotShare && share >= 2*fair
+		return share, share >= HotspotShare && share >= 2*fair
 	}
 	emit := func(worker, peer int, share float64, detail string) []Event {
 		d.lastEmit = s.Superstep
@@ -180,7 +172,7 @@ func (d *trafficHotspot) Observe(win []Sample, cfg Config) []Event {
 		return []Event{{
 			Kind: KindTrafficHotspot, Severity: sev, Superstep: s.Superstep,
 			Worker: worker, Peer: peer,
-			Value: share, Threshold: cfg.HotspotShare, Window: 1,
+			Value: share, Threshold: HotspotShare, Window: 1,
 			Detail: detail,
 			Action: "check the heatmap for the hot partition; a hub vertex or skewed hash may need a combiner or custom partitioning",
 		}}
@@ -210,22 +202,20 @@ func (d *trafficHotspot) Observe(win []Sample, cfg Config) []Event {
 // faster than background noise.
 type faultSpike struct{ lastEmit int }
 
-func (d *faultSpike) Name() string { return string(KindFaultSpike) }
-
-func (d *faultSpike) Observe(win []Sample, cfg Config) []Event {
+func (d *faultSpike) Observe(win []Sample) []Event {
 	if len(win) < 2 {
 		return nil
 	}
 	s := win[len(win)-1]
 	delta := s.CorruptArtifacts - win[0].CorruptArtifacts
-	if delta < cfg.FaultSpikeMin || s.Superstep-d.lastEmit < cfg.Window {
+	if delta < FaultSpikeMin || s.Superstep-d.lastEmit < Window {
 		return nil
 	}
 	d.lastEmit = s.Superstep
 	return []Event{{
 		Kind: KindFaultSpike, Severity: SevCritical, Superstep: s.Superstep,
 		Worker: -1, Peer: -1,
-		Value: float64(delta), Threshold: float64(cfg.FaultSpikeMin), Window: len(win),
+		Value: float64(delta), Threshold: float64(FaultSpikeMin), Window: len(win),
 		Detail: fmt.Sprintf("%d corrupt/quarantined storage artifacts within %d supersteps", delta, len(win)),
 		Action: "inspect the DFS quarantine and checkpoint health; replace the failing replica before recovery runs out of intact checkpoints",
 	}}
@@ -236,22 +226,20 @@ func (d *faultSpike) Observe(win []Sample, cfg Config) []Event {
 // instead of making progress.
 type recoveryStorm struct{ lastEmit int }
 
-func (d *recoveryStorm) Name() string { return string(KindRecoveryStorm) }
-
-func (d *recoveryStorm) Observe(win []Sample, cfg Config) []Event {
+func (d *recoveryStorm) Observe(win []Sample) []Event {
 	if len(win) < 2 {
 		return nil
 	}
 	s := win[len(win)-1]
 	delta := s.Recoveries - win[0].Recoveries
-	if delta < cfg.StormRecoveries || s.Superstep-d.lastEmit < cfg.Window {
+	if delta < StormRecoveries || s.Superstep-d.lastEmit < Window {
 		return nil
 	}
 	d.lastEmit = s.Superstep
 	return []Event{{
 		Kind: KindRecoveryStorm, Severity: SevCritical, Superstep: s.Superstep,
 		Worker: -1, Peer: -1,
-		Value: float64(delta), Threshold: float64(cfg.StormRecoveries), Window: len(win),
+		Value: float64(delta), Threshold: float64(StormRecoveries), Window: len(win),
 		Detail: fmt.Sprintf("%d recoveries within %d supersteps", delta, len(win)),
 		Action: "find the failing worker before rerunning; a job gets three restarts, and repeated rollbacks suggest a deterministic crash or bad host",
 	}}

@@ -18,7 +18,6 @@ import (
 type counterStats struct {
 	retries   atomic.Int64
 	backoffNS atomic.Int64
-	giveUps   atomic.Int64
 	fallbacks atomic.Int64
 }
 
@@ -26,7 +25,6 @@ func (s *counterStats) addRetry(d time.Duration) {
 	s.retries.Add(1)
 	s.backoffNS.Add(int64(d))
 }
-func (s *counterStats) addGiveUp()      { s.giveUps.Add(1) }
 func (s *counterStats) addFallback()    { s.fallbacks.Add(1) }
 func (s *counterStats) retriesN() int64 { return s.retries.Load() }
 

@@ -84,7 +84,7 @@ type Plan struct {
 }
 
 // ChaosPlan is the write-path abuse `graft run -chaos` and the chaos
-// sweep inject: writes fail with probability p, creates and closes with
+// acceptance test inject: writes fail with probability p, creates and closes with
 // p/2, short writes on. Faults per (path, op) are capped below the
 // retry budget so a bounded retry loop always converges — the run is
 // abused, not doomed.

@@ -160,8 +160,8 @@ func TestRetryFSGivesUp(t *testing.T) {
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("want injected error after budget exhausted, got %v", err)
 	}
-	if sleeps != DefaultMaxRetries {
-		t.Fatalf("slept %d times, want %d", sleeps, DefaultMaxRetries)
+	if sleeps != maxRetries {
+		t.Fatalf("slept %d times, want %d", sleeps, maxRetries)
 	}
 	// The failed attempts must not leave a partial file behind.
 	if _, err := mem.Open("f"); !errors.Is(err, dfs.ErrNotExist) {
@@ -179,11 +179,10 @@ func TestRetryFSGivesUp(t *testing.T) {
 
 func TestBackoffDelayBoundsAndDeterminism(t *testing.T) {
 	r := NewRetryFS(dfs.NewMemFS(), 3)
-	max := DefaultMaxDelay
 	for attempt := 0; attempt < 12; attempt++ {
 		d := r.backoffDelay("some/path", attempt)
-		if d <= 0 || d >= max {
-			t.Fatalf("attempt %d: delay %v outside (0, %v)", attempt, d, max)
+		if d <= 0 || d >= maxDelay {
+			t.Fatalf("attempt %d: delay %v outside (0, %v)", attempt, d, maxDelay)
 		}
 		if d2 := r.backoffDelay("some/path", attempt); d2 != d {
 			t.Fatalf("attempt %d: jitter not deterministic (%v vs %v)", attempt, d, d2)

@@ -10,12 +10,14 @@ import (
 	"graft/internal/pregel"
 )
 
-// Retry defaults; chosen small because the simulated file systems fail
-// fast and the wrapper must never stall a superstep barrier noticeably.
+// The retry budget: maxRetries re-attempts after the first failure of
+// one logical operation, backing off from baseDelay and doubling up to
+// maxDelay. Small, because the simulated file systems fail fast and the
+// wrapper must never stall a superstep barrier noticeably.
 const (
-	DefaultMaxRetries = 4
-	DefaultBaseDelay  = time.Millisecond
-	DefaultMaxDelay   = 20 * time.Millisecond
+	maxRetries = 4
+	baseDelay  = time.Millisecond
+	maxDelay   = 20 * time.Millisecond
 )
 
 // RetryFS wraps a file system with bounded, capped-exponential-backoff
@@ -29,13 +31,6 @@ const (
 // files do not perturb each other's timing decisions.
 type RetryFS struct {
 	FS dfs.FileSystem
-	// MaxRetries is the number of re-attempts after the first failure
-	// of one logical operation (default DefaultMaxRetries).
-	MaxRetries int
-	// BaseDelay is the first backoff delay; it doubles per attempt up
-	// to MaxDelay.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
 	// Seed drives jitter decisions.
 	Seed int64
 	// Sleep is swappable for tests; nil means time.Sleep.
@@ -44,37 +39,19 @@ type RetryFS struct {
 	stats counterStats
 }
 
-// NewRetryFS wraps fs with default retry budgets.
+// NewRetryFS wraps fs with the retry budget.
 func NewRetryFS(fs dfs.FileSystem, seed int64) *RetryFS {
 	return &RetryFS{FS: fs, Seed: seed}
-}
-
-func (r *RetryFS) maxRetries() int {
-	if r.MaxRetries > 0 {
-		return r.MaxRetries
-	}
-	return DefaultMaxRetries
 }
 
 // backoffDelay computes the capped exponential delay for one attempt
 // with deterministic jitter in [d/2, d).
 func (r *RetryFS) backoffDelay(path string, attempt int) time.Duration {
-	base := r.BaseDelay
-	if base <= 0 {
-		base = DefaultBaseDelay
-	}
-	max := r.MaxDelay
-	if max <= 0 {
-		max = DefaultMaxDelay
-	}
-	d := base << uint(attempt)
-	if d > max || d <= 0 {
-		d = max
+	d := baseDelay << uint(attempt)
+	if d > maxDelay || d <= 0 {
+		d = maxDelay
 	}
 	half := d / 2
-	if half <= 0 {
-		return d
-	}
 	j := splitmix64(uint64(r.Seed) ^ splitmix64(pathHash(path)) + uint64(attempt))
 	return half + time.Duration(j%uint64(half))
 }
@@ -89,7 +66,7 @@ func retryable(err error) bool {
 // do runs op with retries, recording backoff stats.
 func (r *RetryFS) do(path string, op func() error) error {
 	err := op()
-	for attempt := 0; retryable(err) && attempt < r.maxRetries(); attempt++ {
+	for attempt := 0; retryable(err) && attempt < maxRetries; attempt++ {
 		d := r.backoffDelay(path, attempt)
 		if r.Sleep != nil {
 			r.Sleep(d)
@@ -98,9 +75,6 @@ func (r *RetryFS) do(path string, op func() error) error {
 		}
 		r.stats.addRetry(d)
 		err = op()
-	}
-	if err != nil {
-		r.stats.addGiveUp()
 	}
 	return err
 }

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"graft/internal/anomaly"
 	"graft/internal/metrics"
 	"graft/internal/pregel"
 )
@@ -50,10 +51,6 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, jm)
 }
 
-// skewHot is the straggler threshold: a worker running 1.5x the mean
-// marks the superstep as skewed in the dashboard.
-const skewHot = 1.5
-
 // metricsRow is one line of the per-superstep or per-worker table: the
 // metric table's cells for it and whether it is flagged (a skewed
 // superstep, the straggling worker).
@@ -86,7 +83,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	skewVals := make([]float64, 0, len(jm.Supersteps))
 	for i := range jm.Supersteps {
 		ss := &jm.Supersteps[i]
-		rows = append(rows, metricsRow{ID: ss.Superstep, Cells: metrics.Items(ss), Hot: ss.ComputeSkew >= skewHot})
+		rows = append(rows, metricsRow{ID: ss.Superstep, Cells: metrics.Items(ss), Hot: ss.ComputeSkew >= anomaly.SkewHot})
 		computeMs = append(computeMs, float64(ss.ComputeTime.Microseconds())/1000)
 		sentVals = append(sentVals, float64(ss.MessagesSent))
 		skewVals = append(skewVals, ss.ComputeSkew)
@@ -114,7 +111,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for i := range ss.Workers {
 			ws := &ss.Workers[i]
 			workerRows = append(workerRows, metricsRow{ID: ws.Worker, Cells: metrics.Items(ws),
-				Hot: ws.Worker == ss.Straggler && ss.ComputeSkew >= skewHot})
+				Hot: ws.Worker == ss.Straggler && ss.ComputeSkew >= anomaly.SkewHot})
 		}
 	}
 

@@ -5,8 +5,8 @@
 // Figure 8 rows (relative runtime + capture counts). It plays the role
 // of the 3X experiment manager the authors used.
 //
-// It also holds the repository's own experiments (profiler, compute
-// mode, placement, chaos): each is an Experiment — its cells,
+// It also holds the repository's own experiments (compute mode,
+// placement): each is an Experiment — its cells,
 // its row struct and its gate — that cmd/graft-bench lists in one
 // table, and each two-cell comparison is timed by RunPaired.
 package harness

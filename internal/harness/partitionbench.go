@@ -114,8 +114,6 @@ func RunPartitionBench(workloads []Workload, opts Options) ([]PartitionBench, er
 				if err != nil {
 					return 0, err
 				}
-				// The anomaly layer is on, so every superstep's traffic
-				// matrix — and with it LocalMessages — is captured.
 				t := stats.Totals()
 				*supersteps, *remote, *edgeCut = stats.Supersteps, t.MessagesSent-t.LocalMessages, stats.EdgeCut
 				row.Match = row.Match && sameValues(&refDigest, g)

@@ -17,8 +17,6 @@ type Params struct {
 	Scale float64
 	// Workers is the worker-goroutine count per job.
 	Workers int
-	// FaultP is -chaos's own flag.
-	FaultP float64
 }
 
 // Experiment is one row of graft-bench's table: everything around it —

@@ -81,8 +81,8 @@ type JobMetrics struct {
 }
 
 // TrafficTotal sums a job's captured traffic matrices: the number of
-// messages whose sender→receiver lane is accounted for. When the
-// engine captured the matrix at every superstep it equals
+// messages whose sender→receiver lane is accounted for. The engine
+// captures the matrix at every superstep, so it equals
 // Totals.MessagesSent — the invariant the profiler smoke test asserts.
 func (jm *JobMetrics) TrafficTotal() int64 {
 	var n int64

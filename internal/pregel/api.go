@@ -231,18 +231,16 @@ type SuperstepStats struct {
 	// superstep: Traffic[s][d] counts the messages partition s sent to
 	// partition d (pre-combine, so the matrix sums to MessagesSent). It
 	// is snapshotted from the lane matrix at the barrier, before the
-	// lanes merge into the shards. Nil when Config.AnomalyWindow is
-	// negative.
+	// lanes merge into the shards.
 	Traffic [][]int64 `json:"traffic,omitempty"`
 	// LocalMessages counts the messages of this superstep whose sender
-	// and receiver partitions coincide: the diagonal of Traffic. Zero
-	// whenever Traffic is nil.
+	// and receiver partitions coincide: the diagonal of Traffic.
 	LocalMessages int64 `json:"local,omitempty"`
 	// EdgeCut is the number of directed edges crossing partitions after
 	// this superstep's barrier.
 	EdgeCut int64 `json:"edge_cut,omitempty"`
 	// Anomalies holds the events the anomaly detectors emitted at this
-	// superstep's barrier (empty unless detection is enabled).
+	// superstep's barrier.
 	Anomalies []anomaly.Event `json:"anomalies,omitempty"`
 }
 
@@ -283,7 +281,7 @@ type Totals struct {
 	// moved inside the components (absent in vertex mode).
 	InternalIterations int64 `json:"internal_iterations,omitempty"`
 	// LocalMessages counts messages whose sender and receiver lived on
-	// the same worker (absent when the traffic matrix was not captured).
+	// the same worker.
 	LocalMessages int64 `json:"local_messages,omitempty"`
 }
 
@@ -316,9 +314,7 @@ func (t *Totals) Add(ss SuperstepStats) {
 
 // LocalMessageRatio is the fraction of the job's messages whose sender
 // and receiver lived on the same worker — the placement-quality number
-// the partitioner exists to push up. Whether the traffic matrix (and
-// with it LocalMessages) is captured is a per-job setting, so the
-// denominator is every message sent; the ratio is 0 when it was not.
+// the partitioner exists to push up.
 func (t Totals) LocalMessageRatio() float64 { return ratio(t.LocalMessages, t.MessagesSent) }
 
 // LocalMessageRatio is the same share within one superstep.

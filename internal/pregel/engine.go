@@ -79,7 +79,7 @@ type Stats struct {
 	// job on different workers (zero for a job that failed or was canceled).
 	EdgeCut int64
 	// Anomalies collects every event the anomaly detectors emitted over
-	// the job, in superstep order (nil when detection is disabled).
+	// the job, in superstep order.
 	Anomalies []anomaly.Event
 	// PerSuperstep has one entry per executed superstep.
 	PerSuperstep []SuperstepStats
@@ -176,11 +176,6 @@ type Config struct {
 	// Placement never changes computation semantics — trace digests are
 	// identical under either mode.
 	Partitioner PartitionerMode
-	// AnomalyWindow is the sliding-window size (in supersteps) of the
-	// anomaly detectors; 0 means the default (anomaly.DefaultWindow).
-	// A negative value disables detection and the traffic-matrix
-	// capture that feeds it.
-	AnomalyWindow int
 	// WorkerPool, if non-nil, is a global worker budget shared across
 	// jobs: each worker goroutine holds one slot for its superstep scan,
 	// so a session running many jobs concurrently bounds its total
@@ -326,7 +321,7 @@ type engine struct {
 	openRecovery     int
 
 	// anom evaluates the anomaly detectors over the folded superstep
-	// telemetry (nil when detection is disabled).
+	// telemetry.
 	anom *anomaly.Engine
 
 	// ctx carries the job's cancellation signal; never nil after run
@@ -366,9 +361,7 @@ func newEngine(j *Job) *engine {
 	}
 	en.partActive = make([]int64, w)
 	en.recountActive()
-	if j.cfg.AnomalyWindow >= 0 {
-		en.anom = anomaly.New(anomaly.Config{Window: j.cfg.AnomalyWindow})
-	}
+	en.anom = anomaly.New()
 	en.cur = en.newStore()
 	en.next = en.newStore()
 	en.broadcast = make(map[string]Value, len(j.aggs))
@@ -671,10 +664,7 @@ func (en *engine) barrierPhase(st *step) error {
 	// the lanes into the shards (and zeroes the lane counters); at
 	// this point the next store's shards are still empty, so the
 	// matrix provably sums to MessagesSent.
-	var traffic [][]int64
-	if en.anom != nil {
-		traffic = en.next.trafficMatrix()
-	}
+	traffic := en.next.trafficMatrix()
 	dropped, err := en.integrateMissing()
 	if err != nil {
 		return err
@@ -695,10 +685,8 @@ func (en *engine) barrierPhase(st *step) error {
 // superstep runs with.
 func (en *engine) observePhase(st *step) {
 	ss := &st.ss
-	if en.anom != nil {
-		ss.Anomalies = en.anom.Observe(en.anomalySample(ss))
-		en.stats.Anomalies = append(en.stats.Anomalies, ss.Anomalies...)
-	}
+	ss.Anomalies = en.anom.Observe(en.anomalySample(ss))
+	en.stats.Anomalies = append(en.stats.Anomalies, ss.Anomalies...)
 	ss.EdgeCut = en.currentEdgeCut()
 }
 

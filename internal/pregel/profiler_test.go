@@ -107,26 +107,6 @@ func TestTrafficHotspotDetectedOnSinkGraph(t *testing.T) {
 	}
 }
 
-func TestAnomalyWindowNegativeDisablesCapture(t *testing.T) {
-	g := pathGraph(t, 64)
-	job := NewJob(g, ccCompute, Config{NumWorkers: 4, AnomalyWindow: -1})
-	stats, err := job.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.Anomalies) != 0 {
-		t.Errorf("anomalies emitted with detection disabled: %v", stats.Anomalies)
-	}
-	for _, ss := range stats.PerSuperstep {
-		if ss.Traffic != nil || ss.Anomalies != nil {
-			t.Errorf("superstep %d: traffic/anomalies captured with AnomalyWindow<0", ss.Superstep)
-		}
-		if len(ss.Workers) == 0 {
-			t.Errorf("superstep %d: regular telemetry must stay on", ss.Superstep)
-		}
-	}
-}
-
 // TestTrafficConsistentAcrossRecovery makes sure the invariant holds on
 // the supersteps around a checkpoint restart, where the stores are
 // rebuilt from the checkpoint outside the normal lane path.
