@@ -158,10 +158,13 @@ const (
 	PartitionHash = pregel.PartitionHash
 	// PartitionLocality is the streaming locality-aware placer: each
 	// vertex goes to the worker already holding the most of its
-	// neighbors, capacity-penalized so load stays balanced. Fewer
-	// cross-worker messages on every workload, larger components —
-	// hence fuller superstep collapse — in subgraph mode. Results and
-	// trace digests are identical to PartitionHash.
+	// neighbors, capacity-penalized so load stays balanced. Where the
+	// graph has locality it cuts cross-worker messages and, in subgraph
+	// mode, grows components for a fuller superstep collapse; on a graph
+	// without it (a regular bipartite circulant) it changes neither.
+	// Under order-insensitive combining (min, max, integer sums),
+	// results and trace digests are identical to PartitionHash; a
+	// floating-point sum agrees only to rounding.
 	PartitionLocality = pregel.PartitionLocality
 )
 
@@ -173,7 +176,10 @@ var FailAt = faults.FailAt
 // TraceDigest computes a canonical SHA-256 of a trace's captured
 // computation, invariant to vertex placement and inbox arrival order;
 // two runs of the same deterministic job digest identically even when
-// partitioned differently (e.g. hash vs locality placement).
+// partitioned differently (e.g. hash vs locality placement), as long as
+// its combining is order-insensitive (min, max, integer sums). A
+// floating-point sum rounds in arrival order and agrees only to
+// rounding.
 var TraceDigest = trace.Digest
 
 // Backpressure policies for the capture pipeline.

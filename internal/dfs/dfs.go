@@ -10,9 +10,6 @@
 //     namespace across concurrently writing workers, durability under
 //     single-node failure).
 //
-// LatencyFS wraps any of them with a fixed per-operation delay, for
-// experiments where the remote store's round-trip cost is the point.
-//
 // All implementations satisfy FileSystem, the one storage contract the
 // engine's checkpoints, segio and the trace store write through.
 package dfs

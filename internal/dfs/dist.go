@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // DefaultBlockSize is the chunk size for Cluster files. Real HDFS uses
@@ -98,11 +97,6 @@ type DataNode struct {
 	// gets counts successful replica reads served, for replica-rotation
 	// tests and load accounting.
 	gets atomic.Int64
-	// delayNanos models the per-replica-operation transfer cost; the
-	// device serializes its transfers (ioMu), so concurrent operations
-	// against one node queue while different nodes proceed in parallel.
-	delayNanos atomic.Int64
-	ioMu       sync.Mutex
 }
 
 // ID returns the node's index in the cluster (-1 for a nil node).
@@ -143,21 +137,7 @@ func (n *DataNode) NumBlocks() int {
 	return len(n.blocks)
 }
 
-// ioCost charges the node's simulated transfer time. The device moves
-// one stream at a time, so concurrent transfers to the same node
-// queue behind each other while other nodes transfer in parallel —
-// which is exactly the asymmetry the pipelined write path and rotating
-// replica selection exploit.
-func (n *DataNode) ioCost() {
-	if d := n.delayNanos.Load(); d > 0 {
-		n.ioMu.Lock()
-		time.Sleep(time.Duration(d))
-		n.ioMu.Unlock()
-	}
-}
-
 func (n *DataNode) put(id BlockID, data []byte) bool {
-	n.ioCost()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.alive {
@@ -168,7 +148,6 @@ func (n *DataNode) put(id BlockID, data []byte) bool {
 }
 
 func (n *DataNode) get(id BlockID) ([]byte, bool) {
-	n.ioCost()
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	if !n.alive {
@@ -214,15 +193,6 @@ func NewCluster(numNodes, replication, blockSize int) *Cluster {
 		c.nodes = append(c.nodes, &DataNode{id: i, alive: true, blocks: map[BlockID][]byte{}})
 	}
 	return c
-}
-
-// SetNodeDelay models the per-replica-operation transfer cost of every
-// datanode, for experiments where the round-trip cost of replication —
-// not CPU — is the point. Configure before issuing I/O.
-func (c *Cluster) SetNodeDelay(d time.Duration) {
-	for _, n := range c.nodes {
-		n.delayNanos.Store(int64(d))
-	}
 }
 
 // Node returns the i-th datanode for failure injection in tests, or

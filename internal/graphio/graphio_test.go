@@ -2,6 +2,9 @@ package graphio
 
 import (
 	"bytes"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -110,6 +113,61 @@ func TestUndirect(t *testing.T) {
 	if Undirect(g) != 0 {
 		t.Error("second Undirect added edges")
 	}
+}
+
+// FuzzReadAdjacency: ReadAdjacency never panics, and whatever it
+// accepts survives one WriteAdjacency → ReadAdjacency cycle unchanged —
+// the same vertex IDs, the same edge targets in order and the same
+// weight bits — after which the text is a fixed point. The seed corpus
+// is in testdata/fuzz/FuzzReadAdjacency.
+func FuzzReadAdjacency(f *testing.F) {
+	f.Add([]byte("# a comment\n\n1 2 3\n2 1:0.5 3:1.25\n3\n"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		g, err := ReadAdjacency(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var text bytes.Buffer
+		if err := WriteAdjacency(&text, g); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadAdjacency(bytes.NewReader(text.Bytes()))
+		if err != nil {
+			t.Fatalf("rejected its own output %q: %v", text.Bytes(), err)
+		}
+		ids, againIDs := g.VertexIDs(), again.VertexIDs()
+		if !slices.Equal(ids, againIDs) {
+			t.Fatalf("vertex IDs %v came back as %v", ids, againIDs)
+		}
+		for _, id := range ids {
+			want, got := g.Vertex(id).Edges(), again.Vertex(id).Edges()
+			if len(want) != len(got) {
+				t.Fatalf("vertex %d: %d edges came back as %d", id, len(want), len(got))
+			}
+			for i := range want {
+				if want[i].Target != got[i].Target || weightBits(want[i].Value) != weightBits(got[i].Value) {
+					t.Fatalf("vertex %d edge %d: %d:%v came back as %d:%v", id, i,
+						want[i].Target, want[i].Value, got[i].Target, got[i].Value)
+				}
+			}
+		}
+		var fixed bytes.Buffer
+		if err := WriteAdjacency(&fixed, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fixed.Bytes(), text.Bytes()) {
+			t.Fatalf("second write %q differs from first %q", fixed.Bytes(), text.Bytes())
+		}
+	})
+}
+
+// weightBits is an edge weight's float64 bits, or "none" for an
+// unweighted edge, so -0 and 0 (and NaN payloads) compare as distinct.
+func weightBits(v pregel.Value) string {
+	if dv, ok := v.(*pregel.DoubleValue); ok {
+		return strconv.FormatUint(math.Float64bits(dv.Get()), 16)
+	}
+	return "none"
 }
 
 // Property: any graph over small IDs with integer weights round-trips.

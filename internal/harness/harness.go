@@ -4,11 +4,6 @@
 // averages the timings, normalizes against no-debug, and reports the
 // Figure 8 rows (relative runtime + capture counts). It plays the role
 // of the 3X experiment manager the authors used.
-//
-// It also holds the repository's own experiments (compute mode,
-// placement): each is an Experiment — its cells,
-// its row struct and its gate — that cmd/graft-bench lists in one
-// table, and each two-cell comparison is timed by RunPaired.
 package harness
 
 import (
@@ -51,8 +46,7 @@ func StandardConfigs(seed int64) []NamedConfig {
 	return out
 }
 
-// Workload is one (algorithm, dataset) point an experiment runs: a
-// cluster of Figure 8 or a row of one of the paired comparisons.
+// Workload is one (algorithm, dataset) cluster of Figure 8.
 type Workload struct {
 	// Label is the cluster label, e.g. "GC-bp".
 	Label string
@@ -62,37 +56,6 @@ type Workload struct {
 	Dataset graphgen.Dataset
 	// Workers for the run.
 	Workers int
-	// Subgraph runs the algorithm's subgraph-mode port instead of its
-	// vertex program; false is vertex-centric.
-	Subgraph bool
-}
-
-// run executes the workload once on a clone of base under cfg (workers
-// and algorithm filled in from the workload) and returns the stats and
-// the graph the job left behind.
-func (wl Workload) run(base *pregel.Graph, cfg pregel.Config) (*pregel.Stats, *pregel.Graph, error) {
-	g := base.Clone()
-	cfg.NumWorkers = wl.Workers
-	alg := wl.Algorithm()
-	opts := graft.RunOptions{Engine: cfg}
-	if wl.Subgraph {
-		opts.Subgraph = alg.Subgraph
-	}
-	res, err := graft.RunAlgorithm(g, alg, opts)
-	if err != nil {
-		return nil, g, err
-	}
-	return res.Stats, g, nil
-}
-
-// sameValues reports whether g's final values digest to *ref, which it
-// sets from the first graph it is shown.
-func sameValues(ref *string, g *pregel.Graph) bool {
-	d := g.ValuesDigest()
-	if *ref == "" {
-		*ref = d
-	}
-	return d == *ref
 }
 
 // StandardWorkloads returns the Figure 8 clusters: GC on the bipartite
@@ -290,17 +253,3 @@ func CheckFig8Shape(ms []Measurement, tolerance float64) []string {
 	}
 	return problems
 }
-
-// Fig8 is `graft-bench -fig 8`. Its gate is advisory: the figure's
-// shape is a qualitative claim and at scale 0.0002 its cells run for
-// milliseconds, so a deviation is reported without failing the run.
-var Fig8 = func() Experiment {
-	e := NewExperiment("fig8", "Figure 8: Graft's performance overhead under each Table 3 DebugConfig",
-		func(p Params) ([]Measurement, error) {
-			return RunFig8(StandardWorkloads(p.Scale, p.Seed, p.Workers), StandardConfigs(p.Seed), p.Options)
-		},
-		PrintFig8,
-		func(ms []Measurement) []string { return CheckFig8Shape(ms, 0.08) })
-	e.Advisory = true
-	return e
-}()

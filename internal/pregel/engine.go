@@ -115,7 +115,7 @@ func (s *Stats) Totals() Totals {
 }
 
 // PhaseTotals is the job-level compute / barrier / capture breakdown
-// the observability layer and graft-bench report.
+// the observability layer and bench/ report.
 func (s *Stats) PhaseTotals() (compute, barrier, capture time.Duration) {
 	t := s.Totals()
 	return time.Duration(t.ComputeNanos), time.Duration(t.BarrierNanos), time.Duration(t.CaptureNanos)
@@ -173,8 +173,10 @@ type Config struct {
 	// streams vertices in ID order into the partition holding the most
 	// of their neighbors (LDG-style, capacity-penalized), recording the
 	// result in an assignment table that persists through checkpoints.
-	// Placement never changes computation semantics — trace digests are
-	// identical under either mode.
+	// Placement never changes computation semantics: under
+	// order-insensitive combining (min, max, integer sums) trace digests
+	// are identical under either mode, while a floating-point sum
+	// rounds in arrival order and agrees only to rounding.
 	Partitioner PartitionerMode
 	// WorkerPool, if non-nil, is a global worker budget shared across
 	// jobs: each worker goroutine holds one slot for its superstep scan,

@@ -189,6 +189,13 @@ func TestLocalityPlacementReducesEdgeCut(t *testing.T) {
 		t.Fatalf("local-message ratio did not improve: hash %.3f, locality %.3f",
 			hashStats.LocalMessageRatio(), locStats.LocalMessageRatio())
 	}
+	// The placer's communication claim: at least 30% of the cross-worker
+	// messages gone (74,629 → 4,046 here).
+	remote := func(s *Stats) int64 { tot := s.Totals(); return tot.MessagesSent - tot.LocalMessages }
+	if 10*remote(locStats) > 7*remote(hashStats) {
+		t.Fatalf("locality sent %d cross-worker messages, more than 0.7x hash's %d",
+			remote(locStats), remote(hashStats))
+	}
 }
 
 // TestCheckpointRestoresLocalityAssignments crashes a locality-placed

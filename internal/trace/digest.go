@@ -19,7 +19,10 @@ import (
 // order, trace-file layout — is excluded or canonicalized, so two runs
 // of the same deterministic job digest identically even when their
 // vertices were partitioned differently (e.g. hash versus locality
-// placement, or a different worker count).
+// placement, or a different worker count) — provided its combining is
+// order-insensitive (min, max, integer sums). A floating-point sum
+// rounds in arrival order, so the values it produces, and the digest,
+// can differ in the last bits across placements.
 func Digest(v *Reader) string {
 	h := sha256.New()
 	var buf [8]byte
