@@ -26,19 +26,17 @@ func WebGraph(n int, avgOutDeg int, seed int64) *pregel.Graph {
 		avgOutDeg = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	g := pregel.NewGraph()
-	for i := 0; i < n; i++ {
-		g.AddVertex(pregel.VertexID(i), nil)
-	}
 	// targets holds one entry per received edge, so sampling from it
 	// is preferential attachment.
 	targets := make([]pregel.VertexID, 0, n*avgOutDeg)
 	targets = append(targets, 0, 1)
+	src := make([]pregel.VertexID, 0, n*avgOutDeg)
+	dst := make([]pregel.VertexID, 0, n*avgOutDeg)
 	addEdge := func(from, to pregel.VertexID) {
 		if from == to {
 			return
 		}
-		g.Vertex(from).AddEdge(pregel.Edge{Target: to})
+		src, dst = append(src, from), append(dst, to)
 		targets = append(targets, to)
 	}
 	// The funnel: vertex 0 links only to vertex 1.
@@ -62,8 +60,18 @@ func WebGraph(n int, avgOutDeg int, seed int64) *pregel.Graph {
 		// pair {0, 1} and the "web" degenerates into a two-hub star.
 		targets = append(targets, from)
 	}
+	g := pregel.NewGraphFromEdges(sequence(n), src, dst, nil)
 	g.SortAllEdges()
 	return g
+}
+
+// sequence returns the vertex IDs 0 .. n-1.
+func sequence(n int) []pregel.VertexID {
+	ids := make([]pregel.VertexID, n)
+	for i := range ids {
+		ids[i] = pregel.VertexID(i)
+	}
+	return ids
 }
 
 // WebHostGraph generates a directed web graph with host-level link
@@ -180,18 +188,16 @@ func RegularBipartite(n, d int) *pregel.Graph {
 	if d > half {
 		d = half
 	}
-	g := pregel.NewGraph()
-	for i := 0; i < 2*half; i++ {
-		g.AddVertex(pregel.VertexID(i), nil)
-	}
+	src := make([]pregel.VertexID, 0, 2*half*max(d, 0))
+	dst := make([]pregel.VertexID, 0, 2*half*max(d, 0))
 	for i := 0; i < half; i++ {
 		left := pregel.VertexID(i)
 		for k := 0; k < d; k++ {
 			right := pregel.VertexID(half + (i+k)%half)
-			g.Vertex(left).AddEdge(pregel.Edge{Target: right})
-			g.Vertex(right).AddEdge(pregel.Edge{Target: left})
+			src, dst = append(src, left, right), append(dst, right, left)
 		}
 	}
+	g := pregel.NewGraphFromEdges(sequence(2*half), src, dst, nil)
 	g.SortAllEdges()
 	return g
 }

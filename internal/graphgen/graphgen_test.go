@@ -1,11 +1,40 @@
 package graphgen
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 
+	"graft/internal/graphio"
 	"graft/internal/pregel"
 )
+
+// TestGeneratorsPinned pins the column-built generators to the graphs
+// their vertex-by-vertex versions produced: the first 16 hex digits of
+// the SHA-256 of their adjacency text. At benchmark scale the same
+// digests are 9cc17ea52aa10c71 for WebGraph(200000, 8, 42) and
+// acf1ce001e25f086 for RegularBipartite(60000, 3).
+func TestGeneratorsPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    *pregel.Graph
+		want string
+	}{
+		{"WebGraph(5000, 8, 42)", WebGraph(5000, 8, 42), "fc78280712474d7d"},
+		{"RegularBipartite(1000, 3)", RegularBipartite(1000, 3), "d88eef148c72b5bb"},
+	} {
+		var buf bytes.Buffer
+		if err := graphio.WriteAdjacency(&buf, c.g); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:8]); got != c.want {
+			t.Errorf("%s: adjacency SHA-256 %s…, want %s…", c.name, got, c.want)
+		}
+	}
+}
 
 func TestWebGraphShape(t *testing.T) {
 	g := WebGraph(5000, 8, 1)

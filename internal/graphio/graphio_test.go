@@ -1,7 +1,10 @@
 package graphio
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"slices"
 	"strconv"
@@ -91,66 +94,41 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	})
 }
 
-func TestUndirect(t *testing.T) {
-	g := pregel.NewGraph()
-	for i := 0; i < 3; i++ {
-		g.AddVertex(pregel.VertexID(i), nil)
-	}
-	if err := g.AddEdge(0, 1, pregel.NewDouble(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddUndirectedEdge(1, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	added := Undirect(g)
-	if added != 1 {
-		t.Fatalf("added %d reverse edges, want 1", added)
-	}
-	if v, ok := g.Vertex(1).EdgeValue(0); !ok || !pregel.ValuesEqual(v, pregel.NewDouble(2)) {
-		t.Errorf("reverse edge value %v", v)
-	}
-	// Idempotent.
-	if Undirect(g) != 0 {
-		t.Error("second Undirect added edges")
-	}
-}
-
-// FuzzReadAdjacency: ReadAdjacency never panics, and whatever it
-// accepts survives one WriteAdjacency → ReadAdjacency cycle unchanged —
-// the same vertex IDs, the same edge targets in order and the same
-// weight bits — after which the text is a fixed point. The seed corpus
-// is in testdata/fuzz/FuzzReadAdjacency.
+// FuzzReadAdjacency: ReadAdjacency never panics and agrees with
+// oracleRead, the strings.Fields reader it replaced: the same
+// accept/reject verdict and error text, and on accept the same vertex
+// IDs, the same targets per vertex in order and the same weight bits.
+// WriteAdjacency emits oracleWrite's bytes, and whatever the reader
+// accepts survives one WriteAdjacency → ReadAdjacency cycle unchanged,
+// after which the text is a fixed point. The seed corpus is in
+// testdata/fuzz/FuzzReadAdjacency.
 func FuzzReadAdjacency(f *testing.F) {
 	f.Add([]byte("# a comment\n\n1 2 3\n2 1:0.5 3:1.25\n3\n"))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		g, err := ReadAdjacency(bytes.NewReader(raw))
+		want, wantErr := oracleRead(bytes.NewReader(raw))
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("error %v, oracle %v", err, wantErr)
+		}
 		if err != nil {
 			return
 		}
-		var text bytes.Buffer
+		sameGraph(t, want, g)
+		var text, oracleText bytes.Buffer
 		if err := WriteAdjacency(&text, g); err != nil {
 			t.Fatal(err)
+		}
+		if err := oracleWrite(&oracleText, g); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(text.Bytes(), oracleText.Bytes()) {
+			t.Fatalf("wrote %q, oracle wrote %q", text.Bytes(), oracleText.Bytes())
 		}
 		again, err := ReadAdjacency(bytes.NewReader(text.Bytes()))
 		if err != nil {
 			t.Fatalf("rejected its own output %q: %v", text.Bytes(), err)
 		}
-		ids, againIDs := g.VertexIDs(), again.VertexIDs()
-		if !slices.Equal(ids, againIDs) {
-			t.Fatalf("vertex IDs %v came back as %v", ids, againIDs)
-		}
-		for _, id := range ids {
-			want, got := g.Vertex(id).Edges(), again.Vertex(id).Edges()
-			if len(want) != len(got) {
-				t.Fatalf("vertex %d: %d edges came back as %d", id, len(want), len(got))
-			}
-			for i := range want {
-				if want[i].Target != got[i].Target || weightBits(want[i].Value) != weightBits(got[i].Value) {
-					t.Fatalf("vertex %d edge %d: %d:%v came back as %d:%v", id, i,
-						want[i].Target, want[i].Value, got[i].Target, got[i].Value)
-				}
-			}
-		}
+		sameGraph(t, g, again)
 		var fixed bytes.Buffer
 		if err := WriteAdjacency(&fixed, again); err != nil {
 			t.Fatal(err)
@@ -159,6 +137,95 @@ func FuzzReadAdjacency(f *testing.F) {
 			t.Fatalf("second write %q differs from first %q", fixed.Bytes(), text.Bytes())
 		}
 	})
+}
+
+// sameGraph fails t unless got has want's vertex IDs, and every vertex
+// the same edge targets in order with the same weight bits.
+func sameGraph(t *testing.T, want, got *pregel.Graph) {
+	t.Helper()
+	ids, gotIDs := want.VertexIDs(), got.VertexIDs()
+	if !slices.Equal(ids, gotIDs) {
+		t.Fatalf("vertex IDs %v came back as %v", ids, gotIDs)
+	}
+	for _, id := range ids {
+		we, ge := want.Vertex(id).Edges(), got.Vertex(id).Edges()
+		if len(we) != len(ge) {
+			t.Fatalf("vertex %d: %d edges came back as %d", id, len(we), len(ge))
+		}
+		for i := range we {
+			if we[i].Target != ge[i].Target || weightBits(we[i].Value) != weightBits(ge[i].Value) {
+				t.Fatalf("vertex %d edge %d: %d:%v came back as %d:%v", id, i,
+					we[i].Target, we[i].Value, ge[i].Target, ge[i].Value)
+			}
+		}
+	}
+}
+
+// oracleRead is the strings.Fields / strconv reader that ReadAdjacency
+// replaced, kept verbatim as the fuzz target's reference.
+func oracleRead(r io.Reader) (*pregel.Graph, error) {
+	g := pregel.NewGraph()
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		id, err := strconv.ParseInt(fields[0], 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("graphio: line %d: bad vertex ID %q: %w", lineNo, fields[0], err)
+		}
+		v := g.EnsureVertex(pregel.VertexID(id), nil)
+		for _, f := range fields[1:] {
+			var value pregel.Value
+			target := f
+			if idx := strings.IndexByte(f, ':'); idx >= 0 {
+				target = f[:idx]
+				w, err := strconv.ParseFloat(f[idx+1:], 64)
+				if err != nil {
+					return nil, fmt.Errorf("graphio: line %d: bad weight %q: %w", lineNo, f, err)
+				}
+				value = pregel.NewDouble(w)
+			}
+			t, err := strconv.ParseInt(target, 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("graphio: line %d: bad neighbor %q: %w", lineNo, target, err)
+			}
+			g.EnsureVertex(pregel.VertexID(t), nil)
+			v.AddEdge(pregel.Edge{Target: pregel.VertexID(t), Value: value})
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// oracleWrite is the fmt.Fprintf writer that WriteAdjacency replaced,
+// kept verbatim as the fuzz target's reference.
+func oracleWrite(w io.Writer, g *pregel.Graph) error {
+	bw := bufio.NewWriter(w)
+	for _, id := range g.VertexIDs() {
+		v := g.Vertex(id)
+		if _, err := fmt.Fprintf(bw, "%d", id); err != nil {
+			return err
+		}
+		for _, e := range v.Edges() {
+			if dv, ok := e.Value.(*pregel.DoubleValue); ok {
+				fmt.Fprintf(bw, " %d:%s", e.Target, strconv.FormatFloat(dv.Get(), 'g', -1, 64))
+			} else {
+				fmt.Fprintf(bw, " %d", e.Target)
+			}
+		}
+		if _, err := fmt.Fprintln(bw); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
 }
 
 // weightBits is an edge weight's float64 bits, or "none" for an

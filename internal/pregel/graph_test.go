@@ -1,6 +1,9 @@
 package pregel
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -93,6 +96,144 @@ func TestGraphCloneIsDeep(t *testing.T) {
 	}
 	if c.NumVertices() != g.NumVertices() {
 		t.Error("clone vertex count mismatch")
+	}
+
+	// A bulk-built graph and its clone keep every vertex's edges in one
+	// shared slab: growing vertex 1 past its own edges must reallocate
+	// them rather than write over vertex 2's, and mutating the clone
+	// must leave the base alone.
+	b := NewGraphFromEdges(nil, []VertexID{1, 1, 2, 2, 3}, []VertexID{2, 3, 1, 3, 1}, nil)
+	bc := b.Clone()
+	for _, x := range []*Graph{bc, b} {
+		v := x.Vertex(1)
+		v.RemoveEdges(2)
+		v.AddEdge(Edge{Target: 1})
+		v.AddEdge(Edge{Target: 2})
+		if got := edgeTargets(x.Vertex(1)); !slices.Equal(got, []VertexID{3, 1, 2}) {
+			t.Errorf("vertex 1 edges after mutation = %v", got)
+		}
+		if got := edgeTargets(x.Vertex(2)); !slices.Equal(got, []VertexID{1, 3}) {
+			t.Errorf("growing vertex 1 changed vertex 2's edges to %v", got)
+		}
+		if x == bc {
+			if got := edgeTargets(b.Vertex(1)); !slices.Equal(got, []VertexID{2, 3}) {
+				t.Errorf("mutating the clone changed the base: %v", got)
+			}
+		}
+	}
+}
+
+// TestGraphCloneAcrossSlabs: a clone bigger than one slab has every
+// vertex's edges, and growing each of them leaves the others intact.
+func TestGraphCloneAcrossSlabs(t *testing.T) {
+	n := 3*cloneChunk + 7
+	var src, dst []VertexID
+	for i := 0; i < n; i++ {
+		for j := 0; j < i%5; j++ {
+			src, dst = append(src, VertexID(i)), append(dst, VertexID((7*i+j)%n))
+		}
+	}
+	g := NewGraphFromEdges(nil, src, dst, nil)
+	c := g.Clone()
+	ids := c.VertexIDs()
+	for _, id := range ids {
+		c.Vertex(id).AddEdge(Edge{Target: id})
+	}
+	for _, id := range ids {
+		want := append(slices.Clone(g.Vertex(id).Edges()), Edge{Target: id})
+		if got := c.Vertex(id).Edges(); !slices.Equal(got, want) {
+			t.Fatalf("vertex %d: clone edges %v, want %v", id, got, want)
+		}
+	}
+}
+
+func edgeTargets(v *Vertex) []VertexID {
+	var ts []VertexID
+	for _, e := range v.Edges() {
+		ts = append(ts, e.Target)
+	}
+	return ts
+}
+
+// TestNewGraphFromEdgesMatchesIncremental: the bulk builder makes the
+// graph that EnsureVertex and Vertex.AddEdge over the same columns make
+// (vertex IDs, nil values, every vertex's targets and edge values in
+// order), on dense and sparse ID ranges with duplicate edges,
+// self-loops, edge-less vertices and empty columns.
+func TestNewGraphFromEdgesMatchesIncremental(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	dense := func() VertexID { return VertexID(rng.Intn(40) - 10) }
+	sparse := func() VertexID {
+		switch rng.Intn(4) {
+		case 0:
+			return VertexID(math.MinInt64 + rng.Intn(3))
+		case 1:
+			return VertexID(math.MaxInt64 - rng.Intn(3))
+		}
+		return VertexID(rng.Int63() - rng.Int63())
+	}
+	for trial := 0; trial < 200; trial++ {
+		id := dense
+		if trial%2 == 1 {
+			id = sparse
+		}
+		nIDs, nEdges := rng.Intn(8), rng.Intn(60)
+		if trial < 2 {
+			nIDs, nEdges = 0, 0
+		}
+		ids := make([]VertexID, nIDs)
+		for i := range ids {
+			ids[i] = id()
+		}
+		src, dst := make([]VertexID, nEdges), make([]VertexID, nEdges)
+		var vals []Value
+		if trial%3 == 0 {
+			vals = make([]Value, nEdges)
+		}
+		for i := range src {
+			src[i] = id()
+			switch rng.Intn(4) {
+			case 0:
+				dst[i] = src[i] // self-loop
+			case 1:
+				if i > 0 { // duplicate of the previous edge
+					src[i], dst[i] = src[i-1], dst[i-1]
+					break
+				}
+				fallthrough
+			default:
+				dst[i] = id()
+			}
+			if vals != nil && rng.Intn(2) == 0 {
+				vals[i] = NewDouble(float64(i))
+			}
+		}
+		want := NewGraph()
+		for _, v := range ids {
+			want.EnsureVertex(v, nil)
+		}
+		for i := range src {
+			var val Value
+			if vals != nil {
+				val = vals[i]
+			}
+			want.EnsureVertex(src[i], nil).AddEdge(Edge{Target: dst[i], Value: val})
+			want.EnsureVertex(dst[i], nil)
+		}
+		got := NewGraphFromEdges(ids, src, dst, vals)
+		if !slices.Equal(got.VertexIDs(), want.VertexIDs()) {
+			t.Fatalf("trial %d: vertex IDs %v, want %v", trial, got.VertexIDs(), want.VertexIDs())
+		}
+		if got.NumEdges() != want.NumEdges() {
+			t.Fatalf("trial %d: %d edges, want %d", trial, got.NumEdges(), want.NumEdges())
+		}
+		for _, v := range want.VertexIDs() {
+			gv, wv := got.Vertex(v), want.Vertex(v)
+			if gv.Value() != nil || !slices.Equal(gv.Edges(), wv.Edges()) {
+				t.Fatalf("trial %d: vertex %d edges %v value %v, want %v",
+					trial, v, gv.Edges(), gv.Value(), wv.Edges())
+			}
+		}
 	}
 }
 

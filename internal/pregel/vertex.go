@@ -1,8 +1,9 @@
 package pregel
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // VertexID identifies a vertex. Giraph's common configuration uses
@@ -139,20 +140,9 @@ func (v *Vertex) SetEdgeValue(target VertexID, val Value) bool {
 // Generators call it so that runs are deterministic regardless of
 // construction order.
 func (v *Vertex) SortEdges() {
-	sort.SliceStable(v.edges, func(i, j int) bool {
-		return v.edges[i].Target < v.edges[j].Target
+	slices.SortStableFunc(v.edges, func(a, b Edge) int {
+		return cmp.Compare(a.Target, b.Target)
 	})
-}
-
-// CloneDetached deep-copies the vertex without an owner, for capture
-// snapshots and checkpoints.
-func (v *Vertex) CloneDetached() *Vertex {
-	c := &Vertex{id: v.id, value: CloneValue(v.value), halted: v.halted}
-	c.edges = make([]Edge, len(v.edges))
-	for i, e := range v.edges {
-		c.edges[i] = Edge{Target: e.Target, Value: CloneValue(e.Value)}
-	}
-	return c
 }
 
 func (v *Vertex) encode(e *Encoder) {
