@@ -2,6 +2,7 @@ package pregel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -190,7 +191,7 @@ func (en *engine) restoreCheckpointFile(superstep int) error {
 type checkpointState struct {
 	superstep int
 	broadcast map[string]Value
-	assign    *assignTable
+	assign    *idTable
 	// parts holds each checkpoint partition's vertices in encoded
 	// (ascending ID) order; owners point at placeholder partitions and
 	// are rewritten on install.
@@ -241,7 +242,10 @@ func (en *engine) decodeCheckpoint(raw []byte) (*checkpointState, error) {
 			}
 			ids[i], parts[i] = id, int(p)
 		}
-		st.assign = assignTableFromPairs(ids, parts)
+		st.assign = newIDTable(slices.Min(ids), slices.Max(ids), nMoved)
+		for i, id := range ids {
+			st.assign.set(id, parts[i])
+		}
 	}
 	st.parts = make([][]*Vertex, numParts)
 	for i := range st.parts {

@@ -285,11 +285,10 @@ type engine struct {
 	// wctx[w] is worker w's Context, built on its first superstep and
 	// reset for each later one.
 	wctx []*workerCtx
-	// idBase/idSpan is the vertex ID range at load time, over which every
-	// partition's slot index is dense (span 0: IDs too scattered, the
-	// indexes are sparse-only).
-	idBase     VertexID
-	idSpan     int
+	// idLo, idHi and idCount are the vertex ID range and count at load
+	// time, for which every partition's slot index is built.
+	idLo, idHi VertexID
+	idCount    int
 	broadcast  map[string]Value
 	superstep  int
 	stats      Stats
@@ -298,7 +297,7 @@ type engine struct {
 	// assign records vertices placed away from their hash partition by
 	// the locality partitioner at load; partitionFor consults it. Nil
 	// for hash placement, so hash-pure jobs cost one nil check.
-	assign *assignTable
+	assign *idTable
 	// edgeCut caches the current cross-partition directed-edge count;
 	// edgeCutDirty flags that placement or topology changed since it
 	// was computed (mutation, recovery), so the barrier recomputes it
@@ -339,11 +338,7 @@ func newEngine(j *Job) *engine {
 	w := j.cfg.NumWorkers
 	ids := j.graph.VertexIDs()
 	if n := len(ids); n > 0 {
-		// Dense indexes only when the ID range is at least 25% occupied
-		// (the assignTable's rule); scattered IDs fall back to the map.
-		if span := uint64(ids[n-1]-ids[0]) + 1; span <= 4*uint64(n) {
-			en.idBase, en.idSpan = ids[0], int(span)
-		}
+		en.idLo, en.idHi, en.idCount = ids[0], ids[n-1], n
 	}
 	en.parts = make([]*partition, w)
 	for i := range en.parts {
@@ -356,7 +351,7 @@ func newEngine(j *Job) *engine {
 		// below and before any checkpoint is written, so every consumer
 		// of partitionFor — sends, mutations, checkpoint install — agrees
 		// on the locality placement from superstep 0.
-		en.assign = localityPlacement(j.graph, w)
+		en.assign = localityPlacement(j.graph, ids, w)
 	}
 	for _, id := range ids {
 		en.parts[en.partitionFor(id)].add(j.graph.vertices[id])
@@ -425,7 +420,7 @@ func (en *engine) recountActive() {
 
 func (en *engine) totals() (nv, ne int64) {
 	for _, p := range en.parts {
-		nv += int64(p.live)
+		nv += int64(p.index.len())
 		ne += p.edges
 	}
 	return nv, ne
@@ -521,7 +516,7 @@ func (en *engine) finish(err error) (*Stats, error) {
 	en.stats.Partitioner = en.cfg.Partitioner
 	en.stats.PartitionSizes = make([]int64, len(en.parts))
 	for i, p := range en.parts {
-		en.stats.PartitionSizes[i] = int64(p.live)
+		en.stats.PartitionSizes[i] = int64(p.index.len())
 	}
 	if err == nil {
 		en.stats.EdgeCut = en.currentEdgeCut()

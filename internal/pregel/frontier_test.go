@@ -80,8 +80,8 @@ func (c *frontierChecker) check(where string, full, drained *messageStore) {
 				awake++
 			}
 		}
-		if p.live != live || p.removed != len(p.slots)-live {
-			c.t.Errorf("%s: live=%d removed=%d, slots hold %d live of %d", at, p.live, p.removed, live, len(p.slots))
+		if p.index.len() != live || p.removed != len(p.slots)-live {
+			c.t.Errorf("%s: live=%d removed=%d, slots hold %d live of %d", at, p.index.len(), p.removed, live, len(p.slots))
 		}
 		if n := p.awake.count(); n != awake || en.partActive[p.idx] != int64(awake) {
 			c.t.Errorf("%s: %d vertices awake, bitmap has %d, partActive %d", at, awake, n, en.partActive[p.idx])

@@ -24,7 +24,6 @@ import (
 // vertex keeps its whole slab alive.
 type Graph struct {
 	vertices map[VertexID]*Vertex
-	numEdges int64
 }
 
 // NewGraph returns an empty graph.
@@ -43,30 +42,31 @@ func NewGraphFromEdges(ids, src, dst []VertexID, vals []Value) *Graph {
 	if len(src) != len(dst) || (vals != nil && len(vals) != len(src)) {
 		panic("pregel: NewGraphFromEdges: columns differ in length")
 	}
-	r := rankIDs(ids, src, dst)
-	n := len(r.sorted)
+	ranks, sorted := rankIDs(ids, src, dst)
+	n := len(sorted)
 	// off[k+1] counts vertex k's edges; after the prefix sums off[k] is
 	// where they start, and placing them advances it to where they end.
 	off := make([]int, n+1)
 	for _, s := range src {
-		off[r.rank(s)+1]++
+		k, _ := ranks.lookup(s)
+		off[k+1]++
 	}
 	for k := 1; k <= n; k++ {
 		off[k] += off[k-1]
 	}
 	es := make([]Edge, len(src))
 	for i, s := range src {
-		k := r.rank(s)
+		k, _ := ranks.lookup(s)
 		es[off[k]].Target = dst[i]
 		if vals != nil {
 			es[off[k]].Value = vals[i]
 		}
 		off[k]++
 	}
-	g := &Graph{vertices: make(map[VertexID]*Vertex, n), numEdges: int64(len(src))}
+	g := &Graph{vertices: make(map[VertexID]*Vertex, n)}
 	vs := make([]Vertex, n)
 	lo := 0
-	for k, id := range r.sorted {
+	for k, id := range sorted {
 		v := &vs[k]
 		v.id = id
 		if hi := off[k]; lo < hi {
@@ -78,19 +78,9 @@ func NewGraphFromEdges(ids, src, dst []VertexID, vals []Value) *Graph {
 	return g
 }
 
-// idRanks maps every vertex ID of a bulk build to its position in
-// ascending ID order: through a dense table over [min, max] when that
-// range is under 4× the number of IDs given (the engine's idSpan rule),
-// through a map otherwise.
-type idRanks struct {
-	sorted []VertexID
-	base   VertexID
-	dense  []int32
-	sparse map[VertexID]int32
-}
-
-func rankIDs(cols ...[]VertexID) *idRanks {
-	r := &idRanks{}
+// rankIDs returns every distinct ID of the columns in ascending order,
+// and a table mapping each to its position there.
+func rankIDs(cols ...[]VertexID) (*idTable, []VertexID) {
 	total := 0
 	lo, hi := VertexID(math.MaxInt64), VertexID(math.MinInt64)
 	for _, c := range cols {
@@ -99,52 +89,22 @@ func rankIDs(cols ...[]VertexID) *idRanks {
 			lo, hi = min(lo, id), max(hi, id)
 		}
 	}
-	if total == 0 {
-		return r
-	}
-	// The range is computed in uint64: max-min overflows int64 when the
-	// IDs straddle zero widely.
-	if span := uint64(hi) - uint64(lo); span < 4*uint64(total) {
-		r.base, r.dense = lo, make([]int32, span+1)
-		for _, c := range cols {
-			for _, id := range c {
-				r.dense[uint64(id-lo)] = 1
-			}
-		}
-		for i, mark := range r.dense {
-			if mark != 0 {
-				r.dense[i] = int32(len(r.sorted))
-				r.sorted = append(r.sorted, lo+VertexID(i))
-			}
-		}
-		return r
-	}
-	all := make([]VertexID, 0, total)
+	t := newIDTable(lo, hi, total)
 	for _, c := range cols {
-		all = append(all, c...)
+		for _, id := range c {
+			t.set(id, 0)
+		}
 	}
-	slices.Sort(all)
-	r.sorted = slices.Compact(all)
-	r.sparse = make(map[VertexID]int32, len(r.sorted))
-	for i, id := range r.sorted {
-		r.sparse[id] = int32(i)
+	sorted := t.ids()
+	for k, id := range sorted {
+		t.set(id, k)
 	}
-	return r
-}
-
-func (r *idRanks) rank(id VertexID) int32 {
-	if r.dense != nil {
-		return r.dense[uint64(id-r.base)]
-	}
-	return r.sparse[id]
+	return t, sorted
 }
 
 // AddVertex inserts a vertex with the given value, replacing any
 // existing vertex with the same ID (and its edges).
 func (g *Graph) AddVertex(id VertexID, value Value) *Vertex {
-	if old, ok := g.vertices[id]; ok {
-		g.numEdges -= int64(len(old.edges))
-	}
 	v := &Vertex{id: id, value: value}
 	g.vertices[id] = v
 	return v
@@ -179,7 +139,6 @@ func (g *Graph) AddEdge(from, to VertexID, value Value) error {
 		return fmt.Errorf("pregel: AddEdge: no vertex %d", to)
 	}
 	v.AddEdge(Edge{Target: to, Value: value})
-	g.numEdges++
 	return nil
 }
 
@@ -196,15 +155,13 @@ func (g *Graph) AddUndirectedEdge(a, b VertexID, value Value) error {
 func (g *Graph) NumVertices() int64 { return int64(len(g.vertices)) }
 
 // NumEdges returns the directed edge count.
+// It counts on every call, so edges added through Vertex.AddEdge are
+// included.
 func (g *Graph) NumEdges() int64 {
-	// Recount lazily: edges may have been added through Vertex.AddEdge
-	// by callers holding a *Vertex (detached vertices do not update
-	// graph counters).
 	var n int64
 	for _, v := range g.vertices {
 		n += int64(len(v.edges))
 	}
-	g.numEdges = n
 	return n
 }
 
@@ -249,7 +206,7 @@ func (g *Graph) Clone() *Graph {
 		m += len(v.edges)
 	}
 	slices.SortFunc(all, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
-	c := &Graph{vertices: make(map[VertexID]*Vertex, len(all)), numEdges: int64(m)}
+	c := &Graph{vertices: make(map[VertexID]*Vertex, len(all))}
 	var vs []Vertex
 	var es []Edge
 	left := m // edges not yet copied, so a small graph gets small slabs

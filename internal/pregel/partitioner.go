@@ -1,9 +1,6 @@
 package pregel
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // PartitionerMode selects the initial vertex-placement strategy.
 type PartitionerMode int
@@ -41,127 +38,6 @@ func hashPartition(id VertexID, numParts int) int {
 	return int(h % uint64(numParts))
 }
 
-// assignTable is the explicit placement table partitionFor consults
-// before falling back to the hash: locality placement writes it at
-// load, checkpoint restore rebuilds it. Lookups must stay
-// allocation-free — they sit on the send/load/mutation hot paths — so
-// the table is a dense int32 slice over the ID range seen at build time
-// (-1 = unset, fall through to hash) with a sparse map catching IDs
-// outside that range (a restored table whose IDs are too scattered for
-// a dense slice).
-type assignTable struct {
-	base   VertexID
-	dense  []int32
-	sparse map[VertexID]int32
-	n      int // live entries across both representations
-}
-
-// newAssignTable returns an empty sparse-only table.
-func newAssignTable() *assignTable { return &assignTable{} }
-
-// newDenseAssignTable returns a table with a dense slice covering
-// [lo, hi]; IDs outside the range overflow into the sparse map.
-func newDenseAssignTable(lo, hi VertexID) *assignTable {
-	t := &assignTable{base: lo, dense: make([]int32, hi-lo+1)}
-	for i := range t.dense {
-		t.dense[i] = -1
-	}
-	return t
-}
-
-// lookup returns the explicit assignment for id, if any. It performs
-// no allocation: one bounds check against the dense slice, and a map
-// probe only for out-of-range IDs.
-func (t *assignTable) lookup(id VertexID) (int, bool) {
-	if off := uint64(id - t.base); off < uint64(len(t.dense)) {
-		if p := t.dense[off]; p >= 0 {
-			return int(p), true
-		}
-		return 0, false
-	}
-	if t.sparse != nil {
-		if p, ok := t.sparse[id]; ok {
-			return int(p), true
-		}
-	}
-	return 0, false
-}
-
-// set records an explicit assignment for id.
-func (t *assignTable) set(id VertexID, p int) {
-	if off := uint64(id - t.base); off < uint64(len(t.dense)) {
-		if t.dense[off] < 0 {
-			t.n++
-		}
-		t.dense[off] = int32(p)
-		return
-	}
-	if t.sparse == nil {
-		t.sparse = make(map[VertexID]int32)
-	}
-	if _, ok := t.sparse[id]; !ok {
-		t.n++
-	}
-	t.sparse[id] = int32(p)
-}
-
-// len returns the number of explicit assignments.
-func (t *assignTable) len() int {
-	if t == nil {
-		return 0
-	}
-	return t.n
-}
-
-// pairs returns every explicit assignment in ascending ID order, the
-// canonical form checkpoints encode.
-func (t *assignTable) pairs() ([]VertexID, []int) {
-	ids := make([]VertexID, 0, t.n)
-	for off, p := range t.dense {
-		if p >= 0 {
-			ids = append(ids, t.base+VertexID(off))
-		}
-	}
-	for id := range t.sparse {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	parts := make([]int, len(ids))
-	for i, id := range ids {
-		p, _ := t.lookup(id)
-		parts[i] = p
-	}
-	return ids, parts
-}
-
-// assignTableFromPairs rebuilds a table from decoded checkpoint pairs,
-// choosing the dense representation when the ID range is at least 25%
-// occupied so restored jobs keep the allocation-free fast path.
-func assignTableFromPairs(ids []VertexID, parts []int) *assignTable {
-	if len(ids) == 0 {
-		return nil
-	}
-	lo, hi := ids[0], ids[0]
-	for _, id := range ids {
-		if id < lo {
-			lo = id
-		}
-		if id > hi {
-			hi = id
-		}
-	}
-	var t *assignTable
-	if span := uint64(hi-lo) + 1; span <= 4*uint64(len(ids)) {
-		t = newDenseAssignTable(lo, hi)
-	} else {
-		t = newAssignTable()
-	}
-	for i, id := range ids {
-		t.set(id, parts[i])
-	}
-	return t
-}
-
 // localitySlack is the fractional headroom the locality placer allows
 // over the perfectly balanced partition size n/k. A little slack lets
 // a community finish filling the partition that holds its neighbors
@@ -177,9 +53,10 @@ const localitySlack = 0.05
 const localityRestreamPasses = 2
 
 // localityPlacement computes the streaming locality-aware assignment
-// of g's vertices across numParts workers and returns the table of
-// assignments that differ from the hash placement (nil when nothing
-// diverges, so hash-equivalent graphs keep the nil fast path).
+// of g's vertices, whose IDs ids holds in ascending order, across
+// numParts workers and returns the table of assignments that differ
+// from the hash placement (nil when nothing diverges, so
+// hash-equivalent graphs keep the nil fast path).
 //
 // The stream visits vertices in ascending ID order. Each vertex scores
 // every partition by the number of already-placed neighbors there
@@ -188,15 +65,14 @@ const localityRestreamPasses = 2
 // ties break toward the lighter then lower-indexed partition, and a
 // vertex with no placed neighbors goes to the least-loaded partition.
 // Everything is deterministic: same graph, same placement, every run.
-func localityPlacement(g *Graph, numParts int) *assignTable {
-	ids := g.VertexIDs()
+func localityPlacement(g *Graph, ids []VertexID, numParts int) *idTable {
 	n := len(ids)
 	if n == 0 || numParts <= 1 {
 		return nil
 	}
-	idx := make(map[VertexID]int32, n)
+	idx := newIDTable(ids[0], ids[n-1], n)
 	for i, id := range ids {
-		idx[id] = int32(i)
+		idx.set(id, i)
 	}
 	// Undirected CSR adjacency: every edge contributes both directions,
 	// so the placer sees in-neighbors too (a directed chain would
@@ -204,8 +80,8 @@ func localityPlacement(g *Graph, numParts int) *assignTable {
 	deg := make([]int32, n)
 	for i, id := range ids {
 		for _, e := range g.vertices[id].edges {
-			j, ok := idx[e.Target]
-			if !ok || j == int32(i) {
+			j, ok := idx.lookup(e.Target)
+			if !ok || j == i {
 				continue
 			}
 			deg[i]++
@@ -221,11 +97,11 @@ func localityPlacement(g *Graph, numParts int) *assignTable {
 	copy(fill, off[:n])
 	for i, id := range ids {
 		for _, e := range g.vertices[id].edges {
-			j, ok := idx[e.Target]
-			if !ok || j == int32(i) {
+			j, ok := idx.lookup(e.Target)
+			if !ok || j == i {
 				continue
 			}
-			adj[fill[i]] = j
+			adj[fill[i]] = int32(j)
 			adj[fill[j]] = int32(i)
 			fill[i]++
 			fill[j]++
@@ -287,13 +163,13 @@ func localityPlacement(g *Graph, numParts int) *assignTable {
 		}
 	}
 
-	var t *assignTable
+	var t *idTable
 	for i, id := range ids {
 		if int(placed[i]) == hashPartition(id, numParts) {
 			continue
 		}
 		if t == nil {
-			t = newDenseAssignTable(ids[0], ids[n-1])
+			t = newIDTable(ids[0], ids[n-1], n)
 		}
 		t.set(id, int(placed[i]))
 	}

@@ -54,69 +54,11 @@ func TestHashPartitionMatchesFibonacciFormula(t *testing.T) {
 	}
 }
 
-func TestAssignTableDenseAndSparse(t *testing.T) {
-	if _, ok := newAssignTable().lookup(5); ok {
-		t.Fatal("empty table reported a hit")
-	}
-	// The covered ID range lives in the dense array.
-	tbl := newDenseAssignTable(100, 139)
-	for id := VertexID(100); id < 140; id++ {
-		tbl.set(id, int(id)%4)
-	}
-	// An ID outside the range lands in the sparse overflow.
-	tbl.set(1<<40, 3)
-	tbl.set(1<<40, 2) // overwrite must not double-count
-	if got := tbl.len(); got != 41 {
-		t.Fatalf("len = %d, want 41", got)
-	}
-	for id := VertexID(100); id < 140; id++ {
-		if p, ok := tbl.lookup(id); !ok || p != int(id)%4 {
-			t.Fatalf("lookup(%d) = %d,%v; want %d,true", id, p, ok, int(id)%4)
-		}
-	}
-	if p, ok := tbl.lookup(1 << 40); !ok || p != 2 {
-		t.Fatalf("sparse lookup = %d,%v; want 2,true", p, ok)
-	}
-	if _, ok := tbl.lookup(99); ok {
-		t.Fatal("lookup(99) hit; want miss")
-	}
-	if _, ok := tbl.lookup(1<<40 + 1); ok {
-		t.Fatal("lookup far miss hit")
-	}
-
-	// pairs() must come back sorted and survive the checkpoint-shaped
-	// roundtrip exactly.
-	ids, parts := tbl.pairs()
-	if len(ids) != tbl.len() {
-		t.Fatalf("pairs returned %d entries, table holds %d", len(ids), tbl.len())
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			t.Fatalf("pairs not sorted: ids[%d]=%d >= ids[%d]=%d", i-1, ids[i-1], i, ids[i])
-		}
-	}
-	back := assignTableFromPairs(ids, parts)
-	for i, id := range ids {
-		if p, ok := back.lookup(id); !ok || p != parts[i] {
-			t.Fatalf("roundtrip lookup(%d) = %d,%v; want %d,true", id, p, ok, parts[i])
-		}
-	}
-	if _, ok := back.lookup(99); ok {
-		t.Fatal("roundtrip invented an entry for 99")
-	}
-}
-
-func TestAssignTableFromPairsEmpty(t *testing.T) {
-	if tbl := assignTableFromPairs(nil, nil); tbl != nil {
-		t.Fatalf("empty pairs built a table with %d entries", tbl.len())
-	}
-}
-
 func TestLocalityPlacementDeterministicAndBalanced(t *testing.T) {
 	g := clusteredGraph(t, 16, 40, 9)
 	const k = 4
-	a := localityPlacement(g, k)
-	b := localityPlacement(g, k)
+	a := localityPlacement(g, g.VertexIDs(), k)
+	b := localityPlacement(g, g.VertexIDs(), k)
 	if a == nil || b == nil {
 		t.Fatal("locality placement returned nil on a clustered graph")
 	}
@@ -269,7 +211,7 @@ func BenchmarkPartitionFor(b *testing.B) {
 
 	bench("hash-only", func() { en.assign = nil })
 	bench("assign-dense-hit", func() {
-		en.assign = newDenseAssignTable(0, ids[len(ids)-1])
+		en.assign = newIDTable(0, ids[len(ids)-1], len(ids))
 		for _, id := range ids {
 			en.assign.set(id, int(id)%k)
 		}
@@ -277,12 +219,12 @@ func BenchmarkPartitionFor(b *testing.B) {
 	bench("assign-dense-miss", func() {
 		// The dense range covers the IDs but holds no entries, so every
 		// lookup misses and falls through to the hash.
-		en.assign = newDenseAssignTable(0, ids[len(ids)-1])
+		en.assign = newIDTable(0, ids[len(ids)-1], len(ids))
 	})
 	bench("assign-sparse-hit", func() {
-		// A table built without a dense range keeps everything in the
-		// overflow map — a restored table whose IDs are too scattered.
-		en.assign = newAssignTable()
+		// A table whose IDs are too scattered for a dense range keeps
+		// everything in the map.
+		en.assign = newIDTable(0, ids[len(ids)-1], 1)
 		for _, id := range ids {
 			en.assign.set(id, int(id)%k)
 		}

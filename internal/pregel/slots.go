@@ -51,47 +51,6 @@ func (b bitmap) grown(nbits int) bitmap {
 	return b
 }
 
-// slotIndex maps a vertex ID to its slot in one partition. Like the
-// assignTable it must stay allocation-free on lookup — mergeLane reads
-// it once per delivered lane entry — so it is a dense int32 slice over
-// the ID range the graph had at load time, with a sparse map catching
-// IDs outside that range (vertices created later by mutation or the
-// missing-vertex resolver). Dense cells hold slot+1, so the zero value
-// means "no slot" and a fresh table needs no initialization pass.
-type slotIndex struct {
-	base   VertexID
-	dense  []int32
-	sparse map[VertexID]int32
-}
-
-func (x *slotIndex) lookup(id VertexID) (int, bool) {
-	if off := uint64(id - x.base); off < uint64(len(x.dense)) {
-		s := x.dense[off]
-		return int(s) - 1, s != 0
-	}
-	s, ok := x.sparse[id]
-	return int(s), ok
-}
-
-func (x *slotIndex) set(id VertexID, slot int) {
-	if off := uint64(id - x.base); off < uint64(len(x.dense)) {
-		x.dense[off] = int32(slot) + 1
-		return
-	}
-	if x.sparse == nil {
-		x.sparse = make(map[VertexID]int32)
-	}
-	x.sparse[id] = int32(slot)
-}
-
-func (x *slotIndex) delete(id VertexID) {
-	if off := uint64(id - x.base); off < uint64(len(x.dense)) {
-		x.dense[off] = 0
-		return
-	}
-	delete(x.sparse, id)
-}
-
 // partition is the set of vertices owned by one worker: a dense slot
 // array in iteration order plus the id → slot index. Inbox shards are
 // addressed by the same slots, so delivery and the superstep scan never
@@ -102,9 +61,11 @@ type partition struct {
 	// ID), then arrival order for vertices added later. A
 	// removed vertex leaves a nil tombstone so the slots behind it — and
 	// the inbox cells addressed by them — stay put until rebuild.
-	slots   []*Vertex
-	index   slotIndex
-	live    int // non-nil slots
+	slots []*Vertex
+	// index maps each live vertex's ID to its slot; its length is the
+	// number of non-nil slots. mergeLane reads it once per delivered
+	// lane entry.
+	index   idTable
 	removed int // tombstones in slots
 	// awake has a bit per slot holding a non-halted vertex. The owning
 	// worker updates it after each Compute; the coordinator keeps it
@@ -124,10 +85,10 @@ type partition struct {
 	subsDirty bool
 }
 
-// newPartition returns an empty partition whose index is dense over
-// the engine's load-time ID range.
+// newPartition returns an empty partition whose index is built for the
+// engine's load-time vertex IDs.
 func (en *engine) newPartition(idx int) *partition {
-	return &partition{idx: idx, index: slotIndex{base: en.idBase, dense: make([]int32, en.idSpan)}}
+	return &partition{idx: idx, index: *newIDTable(en.idLo, en.idHi, en.idCount)}
 }
 
 // vertex returns the live vertex with the given ID, or nil.
@@ -147,7 +108,6 @@ func (p *partition) add(v *Vertex) int {
 	if !v.halted {
 		p.awake.set(s)
 	}
-	p.live++
 	p.edges += int64(len(v.edges))
 	p.subsDirty = true
 	v.owner = p
@@ -160,7 +120,6 @@ func (p *partition) remove(s int) *Vertex {
 	p.slots[s] = nil
 	p.index.delete(v.id)
 	p.awake.clear(s)
-	p.live--
 	p.removed++
 	p.edges -= int64(len(v.edges))
 	p.subsDirty = true
@@ -175,7 +134,7 @@ func (p *partition) remove(s int) *Vertex {
 // inbox shard — to follow.
 func (p *partition) rebuild() []int32 {
 	perm := make([]int32, len(p.slots))
-	live := make([]*Vertex, 0, p.live)
+	live := make([]*Vertex, 0, p.index.len())
 	for s, v := range p.slots {
 		perm[s] = -1
 		if v != nil {

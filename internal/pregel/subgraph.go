@@ -201,7 +201,7 @@ func discoverSubgraphs(p *partition) []*Subgraph {
 	// order[i] is the slot of the i-th live vertex by ascending ID;
 	// rank is its inverse, so an edge target resolves to its union-find
 	// element with one index read.
-	order := make([]int32, 0, p.live)
+	order := make([]int32, 0, p.index.len())
 	for s, v := range p.slots {
 		if v != nil {
 			order = append(order, int32(s))

@@ -16,7 +16,10 @@ import (
 // order-insensitive combining (min, max, integer sums) the canonical
 // trace digest of a job must be identical under hash partitioning and
 // under the streaming locality placer — across algorithms, graph
-// shapes, seeds, and a mid-run crash with checkpoint recovery. A
+// shapes, seeds, and a mid-run crash with checkpoint recovery; there
+// the final values digest must match too. The cc-scattered row's IDs
+// are too scattered for a dense ID table, so placement, slot indexes
+// and the restored assignment table all take the map. A
 // floating-point sum (PageRank) rounds in arrival order, which placement
 // changes, so there the final values agree only to rounding.
 func TestPartitionerDigestEquivalence(t *testing.T) {
@@ -37,6 +40,12 @@ func TestPartitionerDigestEquivalence(t *testing.T) {
 			"sssp-social",
 			func() *algorithms.Algorithm { return algorithms.NewSSSP(0) },
 			func(seed int64) *Graph { return graphgen.SocialGraph(300, 5, seed) },
+			false,
+		},
+		{
+			"cc-scattered",
+			algorithms.NewConnectedComponents,
+			func(seed int64) *Graph { return scatterIDs(graphgen.SocialGraph(200, 5, seed)) },
 			false,
 		},
 		{
@@ -69,10 +78,16 @@ func TestPartitionerDigestEquivalence(t *testing.T) {
 						if trace.Digest(hashView) != trace.Digest(locView) {
 							t.Errorf("trace digests diverged across placements")
 						}
+						if hashGraph.ValuesDigest() != locGraph.ValuesDigest() {
+							t.Errorf("values digests diverged across placements")
+						}
 					}
 					if hashStats.TotalMessages != locStats.TotalMessages {
 						t.Errorf("TotalMessages: hash %d, locality %d",
 							hashStats.TotalMessages, locStats.TotalMessages)
+					}
+					if crashed := locStats.Recoveries > 0; crashed != (crashAt >= 0) {
+						t.Errorf("locality run recovered %d times with crash=%d", locStats.Recoveries, crashAt)
 					}
 					if locStats.Partitioner != PartitionLocality {
 						t.Errorf("locality run reported partitioner %v", locStats.Partitioner)
@@ -81,6 +96,23 @@ func TestPartitionerDigestEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// scatterIDs returns a copy of g, whose IDs are 0..n-1, with ID i
+// renamed (i-n/2)·(2^34+1): the order of IDs is kept, but they straddle
+// zero over a range of more than 2^40 once n reaches 64. The odd factor
+// keeps the hash placement spread over the workers.
+func scatterIDs(g *Graph) *Graph {
+	half := VertexID(g.NumVertices() / 2)
+	rename := func(id VertexID) VertexID { return (id - half) * (1<<34 + 1) }
+	out := pregel.NewGraph()
+	g.Each(func(v *Vertex) { out.AddVertex(rename(v.ID()), v.Value()) })
+	g.Each(func(v *Vertex) {
+		for _, e := range v.Edges() {
+			out.Vertex(rename(v.ID())).AddEdge(Edge{Target: rename(e.Target), Value: e.Value})
+		}
+	})
+	return out
 }
 
 // TestPartitionerSubgraphValuesEquivalence covers the subgraph-centric
