@@ -60,7 +60,7 @@ func TestExamplesRun(t *testing.T) {
 		{"faulttolerance", []string{
 			"simulated worker crash",
 			"labels differing from the undisturbed run: 0",
-			"under-replicated now: 0",
+			"latest checkpoint still readable from surviving replicas",
 		}},
 	}
 	for _, c := range cases {

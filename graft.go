@@ -101,12 +101,12 @@ type (
 	BackpressurePolicy = trace.BackpressurePolicy
 	// FileSystem is the storage abstraction traces live in.
 	FileSystem = dfs.FileSystem
-	// Cluster simulates an HDFS-like replicated store: parallel
-	// pipelined block replication, streaming checksummed reads with
-	// read-ahead, node kill/revive, and damage-proportional healing.
+	// Cluster simulates an HDFS-like replicated store: block
+	// replication, checksummed reads that fall through to a live
+	// replica, and node kill/revive.
 	Cluster = dfs.Cluster
 	// ClusterStats snapshots a Cluster's data-path counters (bytes
-	// moved, read-ahead hits, quarantined replicas).
+	// moved, quarantined replicas, write retries).
 	ClusterStats = dfs.ClusterStats
 	// DataNode is one simulated storage node of a Cluster.
 	DataNode = dfs.DataNode
@@ -140,9 +140,6 @@ type (
 	// RetryFS absorbs transient storage failures with capped
 	// exponential backoff.
 	RetryFS = faults.RetryFS
-	// FallbackFS degrades files onto a secondary file system when the
-	// primary keeps failing.
-	FallbackFS = faults.FallbackFS
 )
 
 // NewDetachedSubgraph builds a free-standing subgraph from member
@@ -269,12 +266,6 @@ func NewFaultFS(fs dfs.FileSystem, plan FaultPlan) *FaultFS { return faults.NewF
 
 // NewRetryFS wraps fs with bounded exponential-backoff retries.
 func NewRetryFS(fs dfs.FileSystem, seed int64) *RetryFS { return faults.NewRetryFS(fs, seed) }
-
-// NewFallbackFS writes through to primary, degrading files onto
-// secondary when primary conclusively fails.
-func NewFallbackFS(primary, secondary dfs.FileSystem) *FallbackFS {
-	return faults.NewFallbackFS(primary, secondary)
-}
 
 // RunOptions configures one debugged (or plain) job run.
 type RunOptions struct {

@@ -219,7 +219,7 @@ func (g *Graft) recordWriteErr(err error) {
 func (g *Graft) DroppedRecords() int64 { return g.sink.DroppedRecords() }
 
 // FaultStats returns the trace store's resilience counters (retries,
-// fallbacks, injected faults) plus the records this session dropped.
+// injected faults) plus the records this session dropped.
 func (g *Graft) FaultStats() pregel.FaultStats {
 	var s pregel.FaultStats
 	if p, ok := g.store.FS.(pregel.FaultStatsProvider); ok {
@@ -303,8 +303,8 @@ func (g *Graft) SuperstepFinished(superstep int, stats pregel.SuperstepStats) {
 // counters, and folds those counters into the engine's Stats so
 // callers see one combined FaultStats.
 func (g *Graft) JobFinished(stats *pregel.Stats, err error) {
-	// Close (commit) the trace files first: fallback decisions are made
-	// at commit time, and job.done must reflect them.
+	// Close (commit) the trace files first: retries and write errors
+	// happen at commit time, and job.done must reflect them.
 	if cerr := g.sink.CloseFiles(); cerr != nil {
 		g.recordWriteErr(cerr)
 	}
@@ -326,9 +326,6 @@ func (g *Graft) JobFinished(stats *pregel.Stats, err error) {
 	}
 	if g.writeErr != nil && res.Error == "" {
 		res.Error = fmt.Sprintf("trace write: %v", g.writeErr)
-	}
-	if d, ok := g.store.FS.(interface{ DegradedPaths() []string }); ok {
-		res.StorageDegraded = d.DegradedPaths()
 	}
 	if p, ok := g.store.FS.(pregel.FaultStatsProvider); ok {
 		res.StorageRetries = p.FaultStats().Retries

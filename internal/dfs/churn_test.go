@@ -1,17 +1,18 @@
 package dfs
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 )
 
 // TestClusterWritesRaceNodeChurn hammers a cluster with concurrent
-// writers while other goroutines kill, revive and re-replicate nodes.
-// Run under -race this is primarily a data-race detector for the
-// placement/heal paths; functionally, every file written while at
-// least one node was alive must read back intact once the cluster
-// heals.
+// writers while other goroutines kill and revive nodes and read the
+// files back. Run under -race this is primarily a data-race detector
+// for the placement and read paths; functionally, every file written
+// while at least one node was alive must read back intact once every
+// node is up again.
 func TestClusterWritesRaceNodeChurn(t *testing.T) {
 	c := NewCluster(4, 2, 256)
 
@@ -56,23 +57,39 @@ func TestClusterWritesRaceNodeChurn(t *testing.T) {
 			}
 		}(n)
 	}
+	// A reader races both: a read may miss a file not yet written or a
+	// block whose replicas are all on flapping nodes, but whatever it
+	// returns must be the file's bytes.
+	readErr := make(chan error, 1)
 	churn.Add(1)
 	go func() {
 		defer churn.Done()
-		for {
+		for i := 0; ; i++ {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			c.Rereplicate()
-			c.UnderReplicated()
+			w, f := i%writers, (i/writers)%filesPerWriter
+			got, err := ReadFile(c, fmt.Sprintf("churn/w%d/f%03d", w, f))
+			if err == nil && string(got) != fmt.Sprintf("writer %d file %d payload padding padding padding", w, f) {
+				readErr <- fmt.Errorf("churn/w%d/f%03d read back as %q", w, f, got)
+				return
+			}
+			if err != nil && !errors.Is(err, ErrNotExist) && !errors.Is(err, ErrBlockUnavailable) {
+				readErr <- err
+				return
+			}
 		}
 	}()
 
 	wg.Wait()
 	close(done)
 	churn.Wait()
+	close(readErr)
+	if err := <-readErr; err != nil {
+		t.Fatalf("read during churn: %v", err)
+	}
 
 	for w, err := range errs {
 		if err != nil {
@@ -80,12 +97,13 @@ func TestClusterWritesRaceNodeChurn(t *testing.T) {
 		}
 	}
 
-	// Heal completely, then verify every byte of every file.
+	// Nodes 2 and 3 never died, so every block got its two replicas.
+	// Bring every node back, then verify every byte of every file.
+	if got := c.DegradedWrites(); got != 0 {
+		t.Fatalf("DegradedWrites = %d with two nodes always up", got)
+	}
 	c.Revive(0)
 	c.Revive(1)
-	if ur := c.UnderReplicated(); ur != 0 {
-		t.Fatalf("under-replicated blocks after full heal: %d", ur)
-	}
 	for w := 0; w < writers; w++ {
 		for i := 0; i < filesPerWriter; i++ {
 			path := fmt.Sprintf("churn/w%d/f%03d", w, i)
@@ -134,18 +152,22 @@ func TestClusterMidWriteNodeDeath(t *testing.T) {
 	if c.WriteRetries() == 0 {
 		t.Error("WriteRetries not counted for the dead-node placement")
 	}
-
-	// Revive auto-heals: any block that went under-replicated while the
-	// node was down regains its replica without an explicit Rereplicate.
-	c.Revive(0)
-	if ur := c.UnderReplicated(); ur != 0 {
-		t.Errorf("under-replicated blocks after Revive: %d", ur)
+	// Two live nodes were enough for both replicas of block 2.
+	if c.DegradedWrites() != 0 {
+		t.Errorf("DegradedWrites = %d, want 0", c.DegradedWrites())
+	}
+	for _, b := range c.BlockIDs() {
+		if locs := c.ReplicaNodes(b); len(locs) != 2 {
+			t.Errorf("block %d on nodes %v, want 2 replicas", b, locs)
+		}
 	}
 }
 
 // TestClusterDegradedWriteCounted pins the DegradedWrites counter: with
 // only one of two replica targets alive, blocks commit under-replicated
-// and the counter says so.
+// and the counter says so. Nothing heals them: after the other node
+// returns, the block still has its one replica, and reads are served
+// from it.
 func TestClusterDegradedWriteCounted(t *testing.T) {
 	c := NewCluster(2, 2, 1024)
 	c.Kill(1)
@@ -155,10 +177,13 @@ func TestClusterDegradedWriteCounted(t *testing.T) {
 	if c.DegradedWrites() == 0 {
 		t.Error("DegradedWrites not counted with one target dead")
 	}
-	if created := c.Revive(1); created == 0 {
-		t.Error("Revive healed nothing; expected the degraded block to re-replicate")
+	c.Revive(1)
+	for _, b := range c.BlockIDs() {
+		if locs := c.ReplicaNodes(b); len(locs) != 1 || locs[0] != 0 {
+			t.Errorf("block %d on nodes %v, want only node 0", b, locs)
+		}
 	}
-	if ur := c.UnderReplicated(); ur != 0 {
-		t.Errorf("under-replicated blocks after heal: %d", ur)
+	if got, err := ReadFile(c, "f"); err != nil || string(got) != "payload" {
+		t.Errorf("read after Revive = %q, %v", got, err)
 	}
 }

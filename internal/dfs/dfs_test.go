@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -223,30 +224,38 @@ func TestClusterDoubleFailureLosesBlocks(t *testing.T) {
 	}
 }
 
-func TestClusterRereplication(t *testing.T) {
+// TestClusterPlacementAvoidsDeadNodes: every block is written to
+// `replication` distinct nodes in round-robin order, and a write while
+// a node is dead places its replicas on the survivors instead — so the
+// data then survives losing another node too.
+func TestClusterPlacementAvoidsDeadNodes(t *testing.T) {
 	c := NewCluster(4, 2, 8)
-	if err := WriteFile(c, "f", bytes.Repeat([]byte("y"), 80)); err != nil {
+	want := bytes.Repeat([]byte("y"), 80)
+	if err := WriteFile(c, "f", want); err != nil {
 		t.Fatal(err)
 	}
-	if n := c.UnderReplicated(); n != 0 {
-		t.Fatalf("under-replicated before failure: %d", n)
+	for i, b := range c.BlockIDs() {
+		first := (2 * i) % 4
+		locs := c.ReplicaNodes(b)
+		if len(locs) != 2 || !slices.Contains(locs, first) || !slices.Contains(locs, (first+1)%4) {
+			t.Fatalf("block %d on nodes %v, want %d and %d", b, locs, first, (first+1)%4)
+		}
 	}
 	c.Kill(0)
-	under := c.UnderReplicated()
-	if under == 0 {
-		t.Fatal("killing a node should under-replicate some blocks")
+	if err := WriteFile(c, "f", want); err != nil {
+		t.Fatal(err)
 	}
-	created := c.Rereplicate()
-	if created == 0 {
-		t.Fatal("re-replication created nothing")
+	for _, b := range c.BlockIDs() {
+		if locs := c.ReplicaNodes(b); len(locs) != 2 || locs[0] == 0 {
+			t.Fatalf("block %d on nodes %v with node 0 dead", b, locs)
+		}
 	}
-	if n := c.UnderReplicated(); n != 0 {
-		t.Fatalf("under-replicated after heal: %d", n)
+	if c.WriteRetries() == 0 || c.DegradedWrites() != 0 {
+		t.Fatalf("WriteRetries = %d, DegradedWrites = %d; want > 0 and 0", c.WriteRetries(), c.DegradedWrites())
 	}
-	// Now the data must survive losing another node too.
 	c.Kill(1)
-	if _, err := ReadFile(c, "f"); err != nil {
-		t.Fatalf("read after heal + second failure: %v", err)
+	if got, err := ReadFile(c, "f"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read after a second failure: %v", err)
 	}
 }
 
@@ -315,8 +324,8 @@ func TestClusterReplicationClamped(t *testing.T) {
 	if got, err := ReadFile(c, "f"); err != nil || string(got) != "abc" {
 		t.Fatalf("%q %v", got, err)
 	}
-	if n := c.UnderReplicated(); n != 0 {
-		t.Errorf("clamped replication still reports %d under-replicated", n)
+	if c.DegradedWrites() != 0 {
+		t.Errorf("clamped replication still reports %d degraded writes", c.DegradedWrites())
 	}
 }
 

@@ -22,26 +22,21 @@ type BlockID int64
 
 // Cluster simulates a distributed file system: a namenode maps file
 // paths to block lists, and each block is replicated on several
-// datanodes. Datanodes can be killed and revived; reads fall back
-// across replicas, and Rereplicate heals under-replicated blocks, so
-// Graft traces survive single-node failures the way HDFS-backed traces
-// do.
+// datanodes. Datanodes can be killed and revived; reads fall through
+// across replicas, so Graft traces survive single-node failures the
+// way HDFS-backed traces do. Healing is not simulated: a block stays
+// on the nodes it was written to, and recovery belongs to the engine.
 //
-// The data path is built for concurrency: the namenode lock covers
-// only block allocation, replica-set bookkeeping and file commits,
-// while the replica puts of one block fan out concurrently and the
-// gets of a streaming read happen with the lock released. Every block
-// carries a CRC-32 checksum; a replica that fails verification at read
-// time is quarantined (dropped, counted in CorruptReads) and the read
-// falls through to another replica. A per-block replica index plus a
-// suspect set make UnderReplicated and Rereplicate proportional to the
-// number of damaged blocks rather than to cluster size.
+// The namenode lock covers only block allocation, replica-set
+// bookkeeping and file commits; replica puts and gets happen with it
+// released. Every block carries a CRC-32 checksum; a replica that fails
+// verification at read time is quarantined (dropped, counted in
+// CorruptReads) and the read falls through to another replica.
 type Cluster struct {
 	mu          sync.RWMutex
 	nodes       []*DataNode
 	files       map[string]*fileVersion
 	blocks      map[BlockID]*blockMeta
-	suspect     map[BlockID]struct{} // blocks that may have < replication live replicas
 	replication int
 	blockSize   int
 	nextBlock   BlockID
@@ -64,9 +59,6 @@ type Cluster struct {
 	// bytesWritten / bytesRead count replica payload traffic.
 	bytesWritten atomic.Int64
 	bytesRead    atomic.Int64
-	// prefetches counts streaming-read blocks that the read-ahead had
-	// already fetched by the time the consumer asked for them.
-	prefetches atomic.Int64
 }
 
 // blockMeta is the namenode's record of one block: its golden CRC-32,
@@ -185,7 +177,6 @@ func NewCluster(numNodes, replication, blockSize int) *Cluster {
 	c := &Cluster{
 		files:       make(map[string]*fileVersion),
 		blocks:      make(map[BlockID]*blockMeta),
-		suspect:     make(map[BlockID]struct{}),
 		replication: replication,
 		blockSize:   blockSize,
 	}
@@ -209,46 +200,23 @@ func (c *Cluster) Node(i int) *DataNode {
 // NumNodes returns the datanode count.
 func (c *Cluster) NumNodes() int { return len(c.nodes) }
 
-// Kill marks a datanode dead; its replicas become unreadable. Every
-// block the node held is queued as suspect, so the next Rereplicate
-// visits exactly the damaged blocks — the namenode reacting to a lost
-// heartbeat, not rescanning every file. Out-of-range indexes are
+// Kill marks a datanode dead; its replicas become unreadable until a
+// Revive. Out-of-range indexes are ignored.
+func (c *Cluster) Kill(node int) { c.setAlive(node, false) }
+
+// Revive brings a killed datanode back with its blocks intact (a
+// transient failure, not a disk loss). Out-of-range indexes are
 // ignored.
-func (c *Cluster) Kill(node int) {
+func (c *Cluster) Revive(node int) { c.setAlive(node, true) }
+
+func (c *Cluster) setAlive(node int, alive bool) {
 	n := c.Node(node)
 	if n == nil {
 		return
 	}
 	n.mu.Lock()
-	n.alive = false
-	ids := make([]BlockID, 0, len(n.blocks))
-	for id := range n.blocks {
-		ids = append(ids, id)
-	}
+	n.alive = alive
 	n.mu.Unlock()
-	c.mu.Lock()
-	for _, id := range ids {
-		if _, ok := c.blocks[id]; ok {
-			c.suspect[id] = struct{}{}
-		}
-	}
-	c.mu.Unlock()
-}
-
-// Revive brings a killed datanode back with its blocks intact (a
-// transient failure, not a disk loss) and immediately heals
-// under-replicated blocks — node recovery triggers re-replication the
-// way a namenode reacts to a returning heartbeat. It returns the
-// number of replicas the heal created (0 for an out-of-range index).
-func (c *Cluster) Revive(node int) int {
-	n := c.Node(node)
-	if n == nil {
-		return 0
-	}
-	n.mu.Lock()
-	n.alive = true
-	n.mu.Unlock()
-	return c.Rereplicate()
 }
 
 // WriteRetries returns how many block placements were re-attempted on
@@ -256,8 +224,7 @@ func (c *Cluster) Revive(node int) int {
 func (c *Cluster) WriteRetries() int64 { return c.writeRetries.Load() }
 
 // DegradedWrites returns how many blocks were committed with fewer
-// live replicas than the replication factor (durably written, but
-// awaiting Rereplicate).
+// live replicas than the replication factor.
 func (c *Cluster) DegradedWrites() int64 { return c.degradedWrites.Load() }
 
 // CorruptReads returns how many replicas failed checksum verification
@@ -272,9 +239,6 @@ type ClusterStats struct {
 	BytesWritten int64 `json:"bytes_written"`
 	// BytesRead counts block payload bytes served to readers.
 	BytesRead int64 `json:"bytes_read"`
-	// Prefetches counts streaming-read blocks the read-ahead had
-	// already fetched when the consumer asked.
-	Prefetches int64 `json:"prefetches"`
 	// CorruptReads counts replicas quarantined after failing checksum
 	// verification.
 	CorruptReads int64 `json:"corrupt_reads"`
@@ -289,7 +253,6 @@ type ClusterStats struct {
 func (s *ClusterStats) Add(o ClusterStats) {
 	s.BytesWritten += o.BytesWritten
 	s.BytesRead += o.BytesRead
-	s.Prefetches += o.Prefetches
 	s.CorruptReads += o.CorruptReads
 	s.WriteRetries += o.WriteRetries
 	s.DegradedWrites += o.DegradedWrites
@@ -300,8 +263,8 @@ func (s ClusterStats) Any() bool { return s != ClusterStats{} }
 
 // String renders the counters as a compact key=value line.
 func (s ClusterStats) String() string {
-	return fmt.Sprintf("written=%dB read=%dB prefetches=%d corrupt-reads=%d write-retries=%d degraded-writes=%d",
-		s.BytesWritten, s.BytesRead, s.Prefetches, s.CorruptReads, s.WriteRetries, s.DegradedWrites)
+	return fmt.Sprintf("written=%dB read=%dB corrupt-reads=%d write-retries=%d degraded-writes=%d",
+		s.BytesWritten, s.BytesRead, s.CorruptReads, s.WriteRetries, s.DegradedWrites)
 }
 
 // Stats snapshots the cluster's data-path counters.
@@ -309,7 +272,6 @@ func (c *Cluster) Stats() ClusterStats {
 	return ClusterStats{
 		BytesWritten:   c.bytesWritten.Load(),
 		BytesRead:      c.bytesRead.Load(),
-		Prefetches:     c.prefetches.Load(),
 		CorruptReads:   c.corruptReads.Load(),
 		WriteRetries:   c.writeRetries.Load(),
 		DegradedWrites: c.degradedWrites.Load(),
@@ -325,64 +287,31 @@ func (c *Cluster) Create(path string) (io.WriteCloser, error) {
 }
 
 // placeBlock stores data on `replication` datanodes. The namenode lock
-// covers only block-ID allocation and candidate selection; the replica
-// puts fan out concurrently (pipelined replication), so parallel
-// writers — trace sink drainers, checkpoint workers — no longer
-// serialize behind one global mutex. A node that dies mid-write is
-// tolerated: the put falls through to the next candidate (counted in
-// WriteRetries), every node is tried before giving up, and a block
-// placed on at least one node succeeds — possibly under-replicated
-// (counted in DegradedWrites and queued as suspect) until Rereplicate
-// or a Revive heals it. It returns an error only when no node accepts
-// the block.
+// covers only block-ID allocation and the candidate order; the puts
+// run with it released. Candidates are tried in round-robin order from
+// the placement cursor, over every node, until `replication` puts
+// succeed: a dead candidate costs one WriteRetries and the put falls
+// through to the next node, and a block placed on at least one node
+// succeeds, under-replicated (counted in DegradedWrites) when fewer
+// accepted it. It returns an error only when no node accepts the block.
 func (c *Cluster) placeBlock(data []byte) (BlockID, error) {
 	crc := crc32.ChecksumIEEE(data)
 	c.mu.Lock()
 	id := c.nextBlock
 	c.nextBlock++
-	// Candidate order: round-robin from the placement cursor, extended
-	// over every node so failed puts can fall through to any survivor.
-	order := make([]int, len(c.nodes))
 	start := c.nextNode
 	c.nextNode += c.replication
-	for i := range order {
-		order[i] = (start + i) % len(c.nodes)
-	}
 	meta := &blockMeta{size: len(data), crc: crc}
 	c.blocks[id] = meta
 	c.mu.Unlock()
 
-	// One goroutine per replica, all claiming candidates from a shared
-	// cursor, so no two replicas land on the same node and a dead
-	// candidate costs one retry, not a serialized rescan.
-	placedBy := make([]int, c.replication)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for r := 0; r < c.replication; r++ {
-		placedBy[r] = -1
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(order) {
-					return
-				}
-				n := c.nodes[order[i]]
-				if n.put(id, data) {
-					placedBy[r] = n.id
-					return
-				}
-				c.writeRetries.Add(1)
-			}
-		}(r)
-	}
-	wg.Wait()
-
-	locs := placedBy[:0:0]
-	for _, nid := range placedBy {
-		if nid >= 0 {
-			locs = append(locs, nid)
+	var locs []int
+	for i := 0; i < len(c.nodes) && len(locs) < c.replication; i++ {
+		n := c.nodes[(start+i)%len(c.nodes)]
+		if n.put(id, data) {
+			locs = append(locs, n.id)
+		} else {
+			c.writeRetries.Add(1)
 		}
 	}
 	sort.Ints(locs)
@@ -393,9 +322,6 @@ func (c *Cluster) placeBlock(data []byte) (BlockID, error) {
 		return 0, ErrNoDataNodes
 	}
 	meta.locations = locs
-	if len(locs) < c.replication {
-		c.suspect[id] = struct{}{}
-	}
 	c.mu.Unlock()
 	if len(locs) < c.replication {
 		c.degradedWrites.Add(1)
@@ -440,7 +366,6 @@ func (c *Cluster) freeBlocksLocked(blocks []BlockID) {
 			c.nodes[nid].drop(b)
 		}
 		delete(c.blocks, b)
-		delete(c.suspect, b)
 	}
 }
 
@@ -459,12 +384,10 @@ func (c *Cluster) release(ver *fileVersion) {
 
 // Open implements FileSystem. The returned handle works over a snapshot
 // of the block list and block sizes taken at Open time: an overwrite
-// committed mid-read does not disturb it. Read streams the file block
-// by block, a background read-ahead (started by the first Read) keeping
-// the next block in flight while the caller consumes the current one;
-// ReadAt fetches only the blocks covering its range. Both go through
-// readBlock, so every block served is checksum-verified and replica
-// selection rotates across live nodes.
+// committed mid-read does not disturb it. Read fetches the file block
+// by block as the caller consumes it; ReadAt fetches only the blocks
+// covering its range. Both go through readBlock, so every block served
+// is checksum-verified and replica selection rotates across live nodes.
 func (c *Cluster) Open(path string) (io.ReadCloser, error) {
 	c.mu.Lock()
 	ver, ok := c.files[path]
@@ -517,37 +440,24 @@ func (c *Cluster) readBlock(b BlockID) ([]byte, bool) {
 }
 
 // quarantine drops a checksum-failed replica from its node and the
-// namenode index and queues the block for healing.
+// namenode index.
 func (c *Cluster) quarantine(b BlockID, node int) {
 	c.corruptReads.Add(1)
 	c.nodes[node].drop(b)
 	c.mu.Lock()
 	if meta := c.blocks[b]; meta != nil {
-		removeLocation(meta, node)
-		c.suspect[b] = struct{}{}
+		for i, nid := range meta.locations {
+			if nid == node {
+				meta.locations = append(meta.locations[:i], meta.locations[i+1:]...)
+				break
+			}
+		}
 	}
 	c.mu.Unlock()
 }
 
-func removeLocation(meta *blockMeta, node int) {
-	for i, nid := range meta.locations {
-		if nid == node {
-			meta.locations = append(meta.locations[:i], meta.locations[i+1:]...)
-			return
-		}
-	}
-}
-
-// blockFetch is one read-ahead result.
-type blockFetch struct {
-	data []byte
-	err  error
-}
-
-// clusterReader is an open Cluster file. Sequential Reads stream its
-// blocks with single-block read-ahead: while the caller consumes block
-// k, the fetcher is already pulling block k+1 from a replica,
-// overlapping replica round trips with consumption. ReadAt is
+// clusterReader is an open Cluster file. Sequential Reads fetch its
+// blocks one at a time as the caller consumes them; ReadAt is
 // independent of the stream and safe for concurrent use.
 type clusterReader struct {
 	c      *Cluster
@@ -557,13 +467,11 @@ type clusterReader struct {
 	ends   []int64 // ends[i] is the file offset one past block i
 	closed bool
 
-	// Streaming state; fetched is nil until the first Read starts the
-	// read-ahead goroutine.
-	cur     []byte
-	fetched chan blockFetch
-	stop    chan struct{}
-	done    bool
-	err     error
+	// Streaming state: cur is the unread rest of block next-1, and err
+	// sticks once a block is unavailable.
+	cur  []byte
+	next int
+	err  error
 }
 
 // Size returns the file's length.
@@ -602,25 +510,6 @@ func (r *clusterReader) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-func (r *clusterReader) fetch() {
-	defer close(r.fetched)
-	for _, b := range r.blocks {
-		data, ok := r.c.readBlock(b)
-		f := blockFetch{data: data}
-		if !ok {
-			f.err = fmt.Errorf("%w: block %d of %q", ErrBlockUnavailable, b, r.path)
-		}
-		select {
-		case r.fetched <- f:
-			if f.err != nil {
-				return
-			}
-		case <-r.stop:
-			return
-		}
-	}
-}
-
 func (r *clusterReader) Read(p []byte) (int, error) {
 	if r.closed {
 		return 0, io.ErrClosedPipe
@@ -628,35 +517,18 @@ func (r *clusterReader) Read(p []byte) (int, error) {
 	if r.err != nil {
 		return 0, r.err
 	}
-	if r.fetched == nil {
-		r.fetched = make(chan blockFetch, 1)
-		r.stop = make(chan struct{})
-		go r.fetch()
-	}
 	for len(r.cur) == 0 {
-		if r.done {
+		if r.next == len(r.blocks) {
 			return 0, io.EOF
 		}
-		var f blockFetch
-		var ok bool
-		select {
-		case f, ok = <-r.fetched:
-			if ok {
-				// The block was waiting before we asked: a read-ahead hit.
-				r.c.prefetches.Add(1)
-			}
-		default:
-			f, ok = <-r.fetched
-		}
+		b := r.blocks[r.next]
+		data, ok := r.c.readBlock(b)
 		if !ok {
-			r.done = true
-			return 0, io.EOF
-		}
-		if f.err != nil {
-			r.err = f.err
+			r.err = fmt.Errorf("%w: block %d of %q", ErrBlockUnavailable, b, r.path)
 			return 0, r.err
 		}
-		r.cur = f.data
+		r.cur = data
+		r.next++
 	}
 	n := copy(p, r.cur)
 	r.cur = r.cur[n:]
@@ -668,13 +540,6 @@ func (r *clusterReader) Close() error {
 		return nil
 	}
 	r.closed = true
-	if r.fetched != nil {
-		close(r.stop)
-		// Drain until the fetcher closes the channel, so its goroutine
-		// has exited before the version is unpinned.
-		for range r.fetched {
-		}
-	}
 	r.c.release(r.ver)
 	return nil
 }
@@ -705,145 +570,6 @@ func (c *Cluster) Remove(path string) error {
 	c.retireLocked(ver)
 	delete(c.files, path)
 	return nil
-}
-
-// UnderReplicated returns the number of blocks with fewer than the
-// target number of live replicas. Only the suspect set is scanned —
-// every event that can reduce a block's live replicas (a node death, a
-// degraded write, a quarantined replica) queues exactly the affected
-// blocks — so the cost is proportional to damage, not to cluster size.
-func (c *Cluster) UnderReplicated() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	count := 0
-	for b := range c.suspect {
-		if c.liveReplicasLocked(b) < c.replication {
-			count++
-		}
-	}
-	return count
-}
-
-// liveReplicasLocked counts b's replicas on live nodes; caller holds
-// c.mu (read or write).
-func (c *Cluster) liveReplicasLocked(b BlockID) int {
-	meta := c.blocks[b]
-	if meta == nil {
-		return 0
-	}
-	live := 0
-	for _, nid := range meta.locations {
-		if c.nodes[nid].Alive() {
-			live++
-		}
-	}
-	return live
-}
-
-// Rereplicate copies under-replicated blocks from a live replica onto
-// live nodes that lack them, restoring the replication factor where
-// possible. Only suspect blocks are visited, so a heal after one node
-// failure costs time proportional to that node's replicas, not to
-// files×blocks×nodes. It returns the number of new replicas created.
-func (c *Cluster) Rereplicate() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	created := 0
-	for b := range c.suspect {
-		healed, n := c.healBlockLocked(b)
-		created += n
-		if healed {
-			delete(c.suspect, b)
-		}
-	}
-	return created
-}
-
-// healBlockLocked restores one block's replication, reporting whether
-// the block is fully replicated again (so it can leave the suspect
-// set) and how many replicas were created. The copy source must pass
-// checksum verification — healing never propagates a corrupt replica;
-// corrupt sources found along the way are quarantined inline. Caller
-// holds c.mu.
-func (c *Cluster) healBlockLocked(b BlockID) (bool, int) {
-	meta := c.blocks[b]
-	if meta == nil {
-		return true, 0 // freed concurrently; nothing to heal
-	}
-	var data []byte
-	for _, nid := range append([]int(nil), meta.locations...) {
-		n := c.nodes[nid]
-		if !n.Alive() {
-			continue
-		}
-		d, ok := n.get(b)
-		if !ok {
-			continue
-		}
-		if crc32.ChecksumIEEE(d) != meta.crc {
-			c.corruptReads.Add(1)
-			n.drop(b)
-			removeLocation(meta, nid)
-			continue
-		}
-		data = d
-		break
-	}
-	if data == nil {
-		// No verified live source; a Revive may bring one back later, so
-		// the block stays suspect.
-		return false, 0
-	}
-	has := make(map[int]bool, len(meta.locations))
-	for _, nid := range meta.locations {
-		has[nid] = true
-	}
-	live := c.liveReplicasLocked(b)
-	created := 0
-	for _, n := range c.nodes {
-		if live >= c.replication {
-			break
-		}
-		if has[n.id] || !n.Alive() {
-			continue
-		}
-		if n.put(b, data) {
-			meta.locations = append(meta.locations, n.id)
-			live++
-			created++
-			c.bytesWritten.Add(int64(len(data)))
-		}
-	}
-	return live >= c.replication, created
-}
-
-// Scrub verifies the checksum of every replica of every block — the
-// analogue of HDFS's background block scanner. Corrupt replicas are
-// quarantined so the next Rereplicate heals them, and the number found
-// is returned. Unlike the read path, which only verifies the replicas
-// it happens to select, Scrub is exhaustive; replicas on dead nodes
-// are skipped (they cannot be verified until the node revives).
-func (c *Cluster) Scrub() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	found := 0
-	for b, meta := range c.blocks {
-		for _, nid := range append([]int(nil), meta.locations...) {
-			n := c.nodes[nid]
-			d, ok := n.get(b)
-			if !ok {
-				continue
-			}
-			if crc32.ChecksumIEEE(d) != meta.crc {
-				c.corruptReads.Add(1)
-				n.drop(b)
-				removeLocation(meta, nid)
-				c.suspect[b] = struct{}{}
-				found++
-			}
-		}
-	}
-	return found
 }
 
 // BlockIDs returns every block in the namenode index, sorted, for

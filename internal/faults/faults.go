@@ -1,9 +1,8 @@
 // Package faults provides the storage-resilience layer under Graft's
 // trace and checkpoint paths: a deterministic, seed-driven fault
 // injector that wraps any dfs.FileSystem, a RetryFS that absorbs
-// transient failures with capped exponential backoff, and a FallbackFS
-// that degrades whole files onto a secondary file system instead of
-// failing the job.
+// transient failures with capped exponential backoff, and seeded bit
+// flips in a dfs.Cluster's replicas for checksum experiments.
 //
 // Determinism is the design constraint throughout: every injection and
 // jitter decision is a pure hash of (seed, operation, path, per-path
@@ -18,7 +17,6 @@ import (
 	"hash/fnv"
 	"io"
 	"sync"
-	"time"
 
 	"graft/internal/dfs"
 	"graft/internal/pregel"
@@ -79,20 +77,21 @@ type Plan struct {
 	// ShortWrites makes injected write faults write the first half of
 	// the buffer before failing, instead of writing nothing.
 	ShortWrites bool
-	// Latency is added to every operation, modeling a slow device.
-	Latency time.Duration
 }
 
 // ChaosPlan is the write-path abuse `graft run -chaos` and the chaos
-// acceptance test inject: writes fail with probability p, creates and closes with
-// p/2, short writes on. Faults per (path, op) are capped below the
-// retry budget so a bounded retry loop always converges — the run is
-// abused, not doomed.
+// acceptance test inject: writes fail with probability p, creates and
+// closes with p/2, short writes on. Faults per (path, op) are capped at
+// maxRetries / putFileOps, so the faults one whole-file write can meet
+// (putFileOps operations, each failing up to the cap) number at most
+// maxRetries, and at least one of RetryFS's maxRetries+1 attempts meets
+// none: a RetryFS over this plan lands every file, for any p. The run
+// is abused, not doomed.
 func ChaosPlan(seed int64, p float64) Plan {
 	return Plan{
 		Seed:         seed,
 		P:            map[Op]float64{OpWrite: p, OpCreate: p / 2, OpClose: p / 2},
-		MaxPerPathOp: 2,
+		MaxPerPathOp: maxRetries / putFileOps,
 		ShortWrites:  true,
 	}
 }
@@ -154,9 +153,6 @@ func unitFloat(seed int64, op Op, path string, n int64) float64 {
 func (in *Injector) decide(op Op, path string) error {
 	if in == nil {
 		return nil
-	}
-	if in.plan.Latency > 0 {
-		time.Sleep(in.plan.Latency)
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()

@@ -190,44 +190,29 @@ func TestBackoffDelayBoundsAndDeterminism(t *testing.T) {
 	}
 }
 
-func TestFallbackFSDegrades(t *testing.T) {
-	primaryMem := dfs.NewMemFS()
-	// Primary conclusively fails every create.
-	primary := NewFaultFS(primaryMem, Plan{P: map[Op]float64{OpCreate: 1}})
-	secondary := dfs.NewMemFS()
-	fbs := NewFallbackFS(primary, secondary)
-
-	if err := dfs.WriteFile(fbs, "t/worker_00.trace", []byte("records")); err != nil {
-		t.Fatalf("fallback write failed: %v", err)
-	}
-	if got := fbs.Fallbacks(); got != 1 {
-		t.Fatalf("Fallbacks() = %d, want 1", got)
-	}
-	if paths := fbs.DegradedPaths(); len(paths) != 1 || paths[0] != "t/worker_00.trace" {
-		t.Fatalf("DegradedPaths() = %v", paths)
-	}
-	// The file reads back through the wrapper even though the primary
-	// never stored it.
-	got, err := dfs.ReadFile(fbs, "t/worker_00.trace")
-	if err != nil || string(got) != "records" {
-		t.Fatalf("read-through = %q, %v", got, err)
-	}
-	if _, err := primaryMem.Open("t/worker_00.trace"); !errors.Is(err, dfs.ErrNotExist) {
-		t.Fatalf("file unexpectedly on primary: err=%v", err)
-	}
-	// Listings merge both stores.
-	if err := dfs.WriteFile(primaryMem, "t/job.meta", []byte("{}")); err != nil {
-		t.Fatal(err)
-	}
-	names, err := fbs.List("t/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 2 {
-		t.Fatalf("merged listing = %v, want both files", names)
-	}
-	if s := fbs.FaultStats(); s.Fallbacks != 1 || s.Injected == 0 {
-		t.Fatalf("merged fallback stats look wrong: %+v", s)
+// TestChaosPlanRetriesConverge holds ChaosPlan to its promise: a
+// RetryFS over it lands every whole-file write, whatever the seed and
+// fault probability.
+func TestChaosPlanRetriesConverge(t *testing.T) {
+	for _, p := range []float64{0.3, 0.5, 1} {
+		failed, injected := 0, int64(0)
+		for seed := int64(0); seed < 200; seed++ {
+			inner := NewFaultFS(dfs.NewMemFS(), ChaosPlan(seed, p))
+			rfs := NewRetryFS(inner, seed)
+			rfs.Sleep = func(time.Duration) {}
+			for i := 0; i < 20; i++ {
+				if err := dfs.WriteFile(rfs, fmt.Sprintf("job/f%02d", i), []byte("payload")); err != nil {
+					failed++
+				}
+			}
+			injected += inner.Inj.Injected()
+		}
+		if failed != 0 {
+			t.Errorf("p=%v: %d of 4000 writes ran out of retries", p, failed)
+		}
+		if injected == 0 {
+			t.Errorf("p=%v: nothing injected", p)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"sync/atomic"
 	"time"
 
 	"graft/internal/dfs"
@@ -19,6 +20,26 @@ const (
 	baseDelay  = time.Millisecond
 	maxDelay   = 20 * time.Millisecond
 )
+
+// putFileOps is how many injectable operations one whole-file attempt
+// makes: create, write, close.
+const putFileOps = 3
+
+// counterStats aggregates RetryFS's counters with atomic updates
+// (retries may fire from concurrent worker goroutines).
+type counterStats struct {
+	retries   atomic.Int64
+	backoffNS atomic.Int64
+}
+
+func (s *counterStats) addRetry(d time.Duration) {
+	s.retries.Add(1)
+	s.backoffNS.Add(int64(d))
+}
+
+func (s *counterStats) snapshot() pregel.FaultStats {
+	return pregel.FaultStats{Retries: s.retries.Load(), Backoff: time.Duration(s.backoffNS.Load())}
+}
 
 // RetryFS wraps a file system with bounded, capped-exponential-backoff
 // retries. Reads, listings and removals are retried per call; writes
@@ -113,7 +134,7 @@ func (r *RetryFS) Remove(path string) error {
 }
 
 // Retries returns how many operation re-attempts were made.
-func (r *RetryFS) Retries() int64 { return r.stats.retriesN() }
+func (r *RetryFS) Retries() int64 { return r.stats.retries.Load() }
 
 // FaultStats implements pregel.FaultStatsProvider, merging retry
 // counters with any provider underneath.

@@ -18,7 +18,7 @@ func TestMetricsDashboardShowsDFSRow(t *testing.T) {
 
 	withDFS := seedMetrics("with-dfs")
 	withDFS.DFS = &dfs.ClusterStats{
-		BytesWritten: 4096, BytesRead: 2048, Prefetches: 7, CorruptReads: 1,
+		BytesWritten: 4096, BytesRead: 2048, CorruptReads: 1, WriteRetries: 7,
 	}
 	if err := metrics.WriteJobMetrics(store.FS, store.MetricsPath("with-dfs"), withDFS); err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestMetricsDashboardShowsDFSRow(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("GET /job/with-dfs/metrics = %d", code)
 	}
-	for _, want := range []string{"DFS traffic", "written=4096B", "prefetches=7", "corrupt-reads=1"} {
+	for _, want := range []string{"DFS traffic", "written=4096B", "corrupt-reads=1", "write-retries=7"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("dashboard missing %q", want)
 		}

@@ -76,8 +76,7 @@ func TestDebugVarsExportsDFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{
-		"graft.dfs.bytes_written", "graft.dfs.bytes_read", "graft.dfs.prefetches",
-		"graft.dfs.corrupt_reads", "graft.dfs.write_retries", "graft.dfs.degraded_writes",
+		"graft.dfs.bytes_written", "graft.dfs.bytes_read", "graft.dfs.corrupt_reads", "graft.dfs.write_retries", "graft.dfs.degraded_writes",
 	} {
 		if _, ok := vars[key]; !ok {
 			t.Errorf("/debug/vars missing %q", key)

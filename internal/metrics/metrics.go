@@ -62,7 +62,7 @@ type JobMetrics struct {
 	// final folded FaultStats afterwards.
 	Faults pregel.FaultStats `json:"faults"`
 	// DFS carries the distributed-store data-path counters (bytes
-	// moved, read-ahead hits, quarantined replicas) when a DFS source
+	// moved, quarantined replicas, write retries) when a DFS source
 	// is registered; nil otherwise.
 	DFS *dfs.ClusterStats `json:"dfs,omitempty"`
 	// Anomalies is the flat feed of every anomaly event emitted over
@@ -139,7 +139,7 @@ func (r *Registry) SetSink(s Sink) {
 
 // AddFaultSource registers a resilient storage layer whose counters
 // are snapshotted into /metrics while the job is still running —
-// chaos runs expose retries/fallbacks live, not only in the final
+// chaos runs expose retries live, not only in the final
 // result. After JobFinished the engine's folded FaultStats wins.
 func (r *Registry) AddFaultSource(p pregel.FaultStatsProvider) {
 	if p == nil {
@@ -151,7 +151,7 @@ func (r *Registry) AddFaultSource(p pregel.FaultStatsProvider) {
 }
 
 // AddDFSSource registers a cluster whose data-path counters (bytes
-// written/read, prefetch hits, corrupt replicas quarantined) are
+// written/read, corrupt replicas quarantined, write retries) are
 // snapshotted into /metrics and the dashboard. Multiple sources fold
 // together — a job may write traces and checkpoints to separate
 // clusters.

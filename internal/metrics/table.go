@@ -92,7 +92,6 @@ var Table = []Metric{
 	{Key: "faults.injected", Job: "Faults.Injected"},
 	{Key: "faults.retries", Job: "Faults.Retries"},
 	{Key: "faults.backoff_ns", Unit: Duration, Job: "Faults.Backoff"},
-	{Key: "faults.fallbacks", Job: "Faults.Fallbacks"},
 	{Key: "faults.dropped", Job: "Faults.DroppedRecords"},
 	{Key: "faults.corrupt_ckpt", Job: "Faults.CorruptCheckpoints"},
 
@@ -108,7 +107,6 @@ var Table = []Metric{
 	{Key: "dfs", Label: "DFS traffic", Unit: Text, Line: "dfs", NoVars: true, Job: "DFS"},
 	{Key: "dfs.bytes_written", Job: "DFS.BytesWritten"},
 	{Key: "dfs.bytes_read", Job: "DFS.BytesRead"},
-	{Key: "dfs.prefetches", Job: "DFS.Prefetches"},
 	{Key: "dfs.corrupt_reads", Job: "DFS.CorruptReads"},
 	{Key: "dfs.write_retries", Job: "DFS.WriteRetries"},
 	{Key: "dfs.degraded_writes", Job: "DFS.DegradedWrites"},

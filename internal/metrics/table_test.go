@@ -38,8 +38,8 @@ func TestDebugVarsKeySet(t *testing.T) {
 	want := []string{
 		"graft.anomalies", "graft.barrier_ns", "graft.capture_ns", "graft.capture_overhead",
 		"graft.compute_ns", "graft.dfs.bytes_read", "graft.dfs.bytes_written", "graft.dfs.corrupt_reads",
-		"graft.dfs.degraded_writes", "graft.dfs.prefetches", "graft.dfs.write_retries", "graft.edge_cut",
-		"graft.faults.backoff_ns", "graft.faults.corrupt_ckpt", "graft.faults.dropped", "graft.faults.fallbacks",
+		"graft.dfs.degraded_writes", "graft.dfs.write_retries", "graft.edge_cut",
+		"graft.faults.backoff_ns", "graft.faults.corrupt_ckpt", "graft.faults.dropped",
 		"graft.faults.injected", "graft.faults.retries", "graft.flush_ns", "graft.internal_iterations", "graft.job_id",
 		"graft.local_messages", "graft.local_ratio", "graft.max_capture_queue", "graft.max_compute_skew",
 		"graft.max_message_skew", "graft.messages_combined", "graft.messages_received",

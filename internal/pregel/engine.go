@@ -61,8 +61,8 @@ type Stats struct {
 	// how long it took.
 	RecoveryEvents []RecoveryEvent
 	// Faults aggregates storage-resilience counters: faults injected
-	// into the checkpoint/trace file systems and the retries, fallbacks
-	// and skipped checkpoints that absorbed them.
+	// into the checkpoint/trace file systems and the retries and
+	// skipped checkpoints that absorbed them.
 	Faults FaultStats
 	// Runtime is the monotonic wall time of Job.Run: partitioning,
 	// every superstep, and checkpoint recovery.

@@ -6,8 +6,8 @@ import (
 )
 
 // FaultStats aggregates the storage-resilience counters of one job:
-// what the fault-injection layer threw at it and how the retry /
-// fallback machinery absorbed it. The engine folds in counters from
+// what the fault-injection layer threw at it and how the retry layer
+// absorbed it. The engine folds in counters from
 // the checkpoint file system; Graft's instrumenter folds in the trace
 // file system's. All counters are zero for a run on healthy storage.
 type FaultStats struct {
@@ -18,8 +18,6 @@ type FaultStats struct {
 	Retries int64 `json:"retries"`
 	// Backoff is the total time spent sleeping between retries.
 	Backoff time.Duration `json:"backoff_ns"`
-	// Fallbacks counts files degraded onto a secondary file system.
-	Fallbacks int64 `json:"fallbacks"`
 	// DroppedRecords counts trace records lost to persistent write
 	// failure (the job continued without them).
 	DroppedRecords int64 `json:"dropped_records"`
@@ -36,7 +34,6 @@ func (s *FaultStats) Add(o FaultStats) {
 	s.Injected += o.Injected
 	s.Retries += o.Retries
 	s.Backoff += o.Backoff
-	s.Fallbacks += o.Fallbacks
 	s.DroppedRecords += o.DroppedRecords
 	s.CorruptCheckpoints += o.CorruptCheckpoints
 	s.CheckpointsDeleted += o.CheckpointsDeleted
@@ -50,8 +47,8 @@ func (s FaultStats) Any() bool {
 // String renders the counters as a compact key=value line for CLI
 // output.
 func (s FaultStats) String() string {
-	return fmt.Sprintf("injected=%d retries=%d backoff=%v fallbacks=%d dropped=%d corrupt-checkpoints=%d ckpt-deleted=%d",
-		s.Injected, s.Retries, s.Backoff.Round(time.Microsecond), s.Fallbacks, s.DroppedRecords, s.CorruptCheckpoints,
+	return fmt.Sprintf("injected=%d retries=%d backoff=%v dropped=%d corrupt-checkpoints=%d ckpt-deleted=%d",
+		s.Injected, s.Retries, s.Backoff.Round(time.Microsecond), s.DroppedRecords, s.CorruptCheckpoints,
 		s.CheckpointsDeleted)
 }
 

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"testing"
 
 	"graft/internal/dfs"
@@ -9,17 +10,28 @@ import (
 // TestSinkOverClusterRoundTrip drives the async capture pipeline into
 // the simulated distributed store — the deployment the paper assumes,
 // where traces live in HDFS — and reads the trace back through the
-// segment index, with a datanode failing (and healing) between write
-// and read. The streaming, checksummed cluster data path must be
-// transparent to the trace layer.
+// segment index, with a datanode failing (and reviving) between write
+// and read, and then a corrupt replica under every block. The
+// streaming, checksummed cluster data path must be transparent to the
+// trace layer.
 func TestSinkOverClusterRoundTrip(t *testing.T) {
 	// Tiny blocks force every segment and sidecar to be multi-block.
 	c := dfs.NewCluster(4, 2, 64)
 	store := NewStore(c, "t")
 	writeSinkJob(t, store, "job1")
+	files, err := c.List("t/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{}
+	for _, f := range files {
+		if want[f], err = dfs.ReadFile(c, f); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Lose a datanode after the trace is written; replication must
-	// carry the reads, and Revive's heal restores full health.
+	// carry the reads.
 	c.Kill(0)
 	r, err := store.OpenReader("job1")
 	if err != nil {
@@ -47,16 +59,15 @@ func TestSinkOverClusterRoundTrip(t *testing.T) {
 		t.Fatal("no captures resolved through the degraded cluster")
 	}
 	c.Revive(0)
-	if got := c.UnderReplicated(); got != 0 {
-		t.Fatalf("UnderReplicated = %d after revive, want 0", got)
-	}
 
 	// Silent corruption beneath the trace layer: flip a bit in one
 	// replica of every block. Checksums must keep every segment read
 	// serving clean bytes.
-	for _, b := range c.BlockIDs() {
-		locs := c.ReplicaNodes(b)
-		c.FlipReplicaBit(b, locs[0], 3)
+	blocks := c.BlockIDs()
+	for _, b := range blocks {
+		if locs := c.ReplicaNodes(b); len(locs) != 2 || !c.FlipReplicaBit(b, locs[0], 3) {
+			t.Fatalf("block %d on nodes %v, want 2 replicas to corrupt one", b, locs)
+		}
 	}
 	r2, err := store.OpenReader("job1")
 	if err != nil {
@@ -70,14 +81,31 @@ func TestSinkOverClusterRoundTrip(t *testing.T) {
 	if err := r2.Err(); err != nil {
 		t.Fatalf("read with corrupt replicas: %v", err)
 	}
-	if c.Scrub() > 0 {
-		// Reads already quarantined what they touched; anything left is
-		// now suspect too.
-		if created := c.Rereplicate(); created == 0 {
-			t.Fatal("Rereplicate healed nothing with corrupt replicas quarantined")
+
+	// Reading every block of every file twice in a row starts the two
+	// reads on different replicas, so every flipped replica is found:
+	// the bytes served never change, each flip is counted once, and
+	// each block is left with its one clean replica.
+	for _, f := range files {
+		for off := int64(0); off < int64(len(want[f])); off += 64 {
+			end := min(off+64, int64(len(want[f])))
+			for i := 0; i < 2; i++ {
+				got, err := dfs.ReadRange(c, f, off, end-off)
+				if err != nil || !bytes.Equal(got, want[f][off:end]) {
+					t.Fatalf("%s [%d, %d): %v", f, off, end, err)
+				}
+			}
+		}
+		if got, err := dfs.ReadFile(c, f); err != nil || !bytes.Equal(got, want[f]) {
+			t.Fatalf("%s reads back changed: %v", f, err)
 		}
 	}
-	if got := c.UnderReplicated(); got != 0 {
-		t.Fatalf("UnderReplicated = %d after corruption heal, want 0", got)
+	if got := c.CorruptReads(); got != int64(len(blocks)) {
+		t.Fatalf("CorruptReads = %d, want one per block (%d)", got, len(blocks))
+	}
+	for _, b := range blocks {
+		if locs := c.ReplicaNodes(b); len(locs) != 1 {
+			t.Fatalf("block %d on nodes %v, want its one clean replica", b, locs)
+		}
 	}
 }

@@ -286,9 +286,6 @@ type JobResult struct {
 	// DroppedRecords counts trace records lost to persistent storage
 	// failure; the job continued without them (degraded capture).
 	DroppedRecords int64 `json:"dropped_records,omitempty"`
-	// StorageDegraded lists trace files that fell back to a secondary
-	// file system because the primary store kept failing.
-	StorageDegraded []string `json:"storage_degraded,omitempty"`
 	// StorageRetries counts trace-store operations that were retried
 	// after transient failures.
 	StorageRetries int64 `json:"storage_retries,omitempty"`
