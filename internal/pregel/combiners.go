@@ -9,8 +9,8 @@ import "math"
 // should install one.
 //
 // All five are values of one type, so the engine can recognise them:
-// on the lane plane their messages travel as unboxed (destination,
-// bits) rows and are folded by scalarCombiner.fold, and a Value is only
+// on the lane plane their messages are folded unboxed, by
+// scalarCombiner.fold, into slot-addressed cells, and a Value is only
 // made where one is owed (delivery, encoding). Combine is the same
 // reduction on boxed operands, for every path that still holds boxes.
 

@@ -2,8 +2,7 @@ package pregel
 
 import "fmt"
 
-// msgFlushBatch is how many outgoing messages a worker buffers per
-// destination partition before appending the batch to its lane.
+// msgFlushBatch is how many boxed messages one pooled lane batch holds.
 const msgFlushBatch = 1024
 
 // workerCtx implements Context for one worker during one superstep.
@@ -13,27 +12,18 @@ type workerCtx struct {
 	superstep   int
 	numVertices int64
 	numEdges    int64
-	flushBatch  int
 
-	// lane is the send buffer: the open pooled batch per destination
-	// partition, handed to the lane matrix when full.
-	lane []*msgBatch
-	// laneIdx is the sender-side combining index, non-nil only with a
-	// combiner installed: laneIdx[p][s] holds
-	// generation<<32 | position for the destination in slot s of partition
-	// p (partition indexes are read-only during the compute phase), and
-	// says that the destination already has an entry at that position of
-	// the open batch — if the generation is laneGen[p], the number of that
-	// batch. Handing a batch to the lane bumps the generation, which
-	// outdates every stamp at once, so nothing is cleared between batches
-	// or supersteps.
-	laneIdx [][]uint64
-	laneGen []uint32
-	// scalar is the store's scalar combiner: when set, sends go out as
-	// unboxed rows.
+	// out is the worker's row of the lane matrix: lane p takes what it
+	// sends toward partition p this superstep.
+	out []msgLane
+	// scalar is the store's scalar combiner: when set, sends fold
+	// unboxed bits.
 	scalar scalarCombiner
+	// computing is the vertex whose Compute is running; resolved says
+	// the partition's edge slot column has been checked this superstep.
+	computing *Vertex
+	resolved  bool
 
-	sent       int64
 	aggPartial map[string]Value
 	removals   []VertexID
 	additions  []vertexAddition
@@ -65,109 +55,67 @@ func (c *workerCtx) Aggregate(name string, val Value) {
 }
 
 func (c *workerCtx) SendMessage(to VertexID, msg Value) {
-	if c.scalar != 0 {
-		c.sendBits(to, c.scalar.bits(msg))
-		return
-	}
-	c.sent++
-	c.laneSend(c.en.partitionFor(to), to, msg)
-}
-
-// openBatch returns lane p's open batch, taking one from the pool when
-// the last was handed off.
-func (c *workerCtx) openBatch(p int) *msgBatch {
-	b := c.lane[p]
-	if b == nil {
-		b = c.en.pool.get(c.scalar != 0)
-		c.lane[p] = b
-	}
-	return b
-}
-
-// combinePos is the sender-side combining probe: the position in lane
-// p's open batch already holding a message for `to`, or -1 after
-// stamping `next` — where the caller is about to append one — as that
-// position. Destinations without a slot are never stamped: their
-// messages meet in the shard's orphans instead.
-func (c *workerCtx) combinePos(p int, to VertexID, next int) int {
-	slot, ok := c.en.parts[p].index.lookup(to)
-	if !ok {
-		return -1
-	}
-	idx := c.laneIdx[p]
-	if slot >= len(idx) { // first use, or the partition grew at a barrier
-		idx = append(idx, make([]uint64, len(c.en.parts[p].slots)-len(idx))...)
-		c.laneIdx[p] = idx
-	}
-	gen := c.laneGen[p]
-	if cell := idx[slot]; uint32(cell>>32) == gen {
-		return int(uint32(cell))
-	}
-	idx[slot] = uint64(gen)<<32 | uint64(next)
-	return -1
-}
-
-// flushLane hands lane p's open batch to the lane matrix and starts a
-// new generation of the combining index.
-func (c *workerCtx) flushLane(p int) {
-	c.en.next.laneAppend(c.worker, p, c.lane[p])
-	c.lane[p] = nil
-	if c.laneGen != nil {
-		c.laneGen[p]++
-		if c.laneGen[p] == 0 {
-			// 2³² batches on: stamps of the previous lap would read as
-			// current. Generation 0 stays unused — it is what the zeroed
-			// cells of a fresh index carry.
-			clear(c.laneIdx[p])
-			c.laneGen[p] = 1
-		}
-	}
-}
-
-// laneSend buffers one boxed message. With a combiner installed it
-// combines at the sender: a message to a destination already in the
-// open batch merges in place, so the lane (and the merge at the
-// barrier) sees pre-combined traffic.
-func (c *workerCtx) laneSend(p int, to VertexID, msg Value) {
-	b := c.openBatch(p)
-	b.n++
-	if c.laneIdx != nil {
-		if i := c.combinePos(p, to, len(b.entries)); i >= 0 {
-			b.entries[i].msg = c.en.cfg.Combiner.Combine(to, b.entries[i].msg, msg)
-			b.combined++
+	p := c.en.partitionFor(to)
+	if c.en.cfg.Combiner != nil {
+		if slot, ok := c.en.parts[p].index.lookup(to); ok {
+			c.fold(p, slot, to, msg)
 			return
 		}
+		if c.scalar != 0 { // the plane unboxes at the send: the caller may reuse msg
+			msg = c.scalar.box(c.scalar.bits(msg))
+		}
 	}
-	b.entries = append(b.entries, msgEntry{to: to, msg: msg})
-	if len(b.entries) >= c.flushBatch {
-		c.flushLane(p)
+	ln := &c.out[p]
+	ln.n++
+	c.en.next.push(ln, msgEntry{to: to, msg: msg}, c.en.flushBatch)
+}
+
+// fold folds one message into cell `slot` of lane p, after whatever
+// this worker has already sent there this superstep.
+func (c *workerCtx) fold(p, slot int, to VertexID, msg Value) {
+	ln := &c.out[p]
+	ln.n++
+	if c.scalar != 0 {
+		c.scalar.put(&ln.cells, slot, c.scalar.bits(msg))
+	} else {
+		c.en.next.put(&ln.cells, slot, to, msg)
 	}
 }
 
-// sendBits is laneSend for a message already unboxed under the scalar
-// combiner: the same batching and sender-side combining, over rows.
-func (c *workerCtx) sendBits(to VertexID, bits uint64) {
-	c.sent++
-	p := c.en.partitionFor(to)
-	b := c.openBatch(p)
-	b.n++
-	if i := c.combinePos(p, to, len(b.rows)); i >= 0 {
-		b.rows[i].bits = c.scalar.fold(b.rows[i].bits, bits)
-		b.combined++
-		return
+// edgeSlots returns v's run of its partition's edge slot column, or nil
+// (without a combiner, when v is not the vertex being computed, or when
+// its targets changed since the build). The first call of a superstep
+// rebuilds a stale column.
+func (c *workerCtx) edgeSlots(v *Vertex) []uint32 {
+	p := c.en.parts[c.worker]
+	if v != c.computing || c.en.cfg.Combiner == nil || p.edges+int64(p.edgeDelta) >= 1<<31 {
+		return nil // no cells to fold into, or runs Vertex.dst cannot address
 	}
-	b.rows = append(b.rows, scalarRow{to: to, bits: bits})
-	if len(b.rows) >= c.flushBatch {
-		c.flushLane(p)
+	if !c.resolved {
+		c.resolved = true
+		c.en.resolveEdges(p)
 	}
+	if v.dst < 0 {
+		return nil
+	}
+	return p.dst[v.dst : int(v.dst)+len(v.edges)]
 }
 
 func (c *workerCtx) SendMessageToAllEdges(v *Vertex, msg Value) {
-	// Rows are copies by construction: unbox once, send to every edge.
+	col := c.edgeSlots(v)
+	shift, mask := c.en.slotShift, uint32(1)<<c.en.slotShift-1
+	// Bits are copies by construction: unbox once, fold into every
+	// edge's destination cell.
 	if c.scalar != 0 {
 		bits := c.scalar.bits(msg)
 		for i := range v.edges {
-			c.sendBits(v.edges[i].Target, bits)
+			if col == nil || col[i] == noSlot {
+				c.SendMessage(v.edges[i].Target, msg)
+				continue
+			}
+			ln := &c.out[col[i]&mask]
+			ln.n++
+			c.scalar.put(&ln.cells, int(col[i]>>shift), bits)
 		}
 		return
 	}
@@ -176,27 +124,25 @@ func (c *workerCtx) SendMessageToAllEdges(v *Vertex, msg Value) {
 	// would corrupt them. Values that declare themselves immutable can
 	// skip the per-edge clone when no combiner is installed — nothing
 	// will ever write to the shared object.
-	if c.en.cfg.Combiner == nil {
-		if _, immutable := msg.(ImmutableValue); immutable {
-			for i := range v.edges {
-				c.SendMessage(v.edges[i].Target, msg)
-			}
-			return
-		}
-	}
-	// The original is sent on the LAST edge, clones on the ones before:
-	// once a Value is handed to SendMessage the plane owns it, and with
-	// sender-side combining a combiner may mutate it in place while the
-	// loop is still running (duplicate parallel edges to one target).
-	// Cloning msg after handing it off would copy that mutation into
-	// later recipients.
+	_, immutable := msg.(ImmutableValue)
+	immutable = immutable && c.en.cfg.Combiner == nil
+	// Otherwise the original is sent on the LAST edge, clones on the
+	// ones before: once a Value is handed to SendMessage the plane owns
+	// it, and with sender-side combining a combiner may mutate it in
+	// place while the loop is still running (duplicate parallel edges to
+	// one target). Cloning msg after handing it off would copy that
+	// mutation into later recipients.
 	last := len(v.edges) - 1
 	for i := range v.edges {
 		m := msg
-		if i < last {
+		if i < last && !immutable {
 			m = msg.Clone()
 		}
-		c.SendMessage(v.edges[i].Target, m)
+		if col == nil || col[i] == noSlot {
+			c.SendMessage(v.edges[i].Target, m)
+		} else {
+			c.fold(int(col[i]&mask), int(col[i]>>shift), v.edges[i].Target, m)
+		}
 	}
 }
 
@@ -208,12 +154,12 @@ func (c *workerCtx) AddVertexRequest(id VertexID, value Value) {
 	c.additions = append(c.additions, vertexAddition{id: id, value: value})
 }
 
-func (c *workerCtx) flushAll() {
-	for p, b := range c.lane {
-		if b != nil {
-			c.flushLane(p)
-		}
+// sentTotal returns how many messages the worker sent this superstep.
+func (c *workerCtx) sentTotal() (n int64) {
+	for i := range c.out {
+		n += c.out[i].n
 	}
+	return n
 }
 
 // masterCtx implements MasterContext for one superstep.

@@ -292,8 +292,10 @@ type engine struct {
 	broadcast  map[string]Value
 	superstep  int
 	stats      Stats
-	pool       *batchPool
 	flushBatch int
+	// slotShift is how many low bits of an edge slot column entry name
+	// the destination partition.
+	slotShift uint
 	// assign records vertices placed away from their hash partition by
 	// the locality partitioner at load; partitionFor consults it. Nil
 	// for hash placement, so hash-pure jobs cost one nil check.
@@ -333,9 +335,9 @@ type engine struct {
 }
 
 func newEngine(j *Job) *engine {
-	en := &engine{job: j, cfg: &j.cfg, lastCheckpoint: -1, pool: &batchPool{},
-		openRecovery: -1, flushBatch: msgFlushBatch}
+	en := &engine{job: j, cfg: &j.cfg, lastCheckpoint: -1, openRecovery: -1, flushBatch: msgFlushBatch}
 	w := j.cfg.NumWorkers
+	en.slotShift = uint(bits.Len(uint(w - 1)))
 	ids := j.graph.VertexIDs()
 	if n := len(ids); n > 0 {
 		en.idLo, en.idHi, en.idCount = ids[0], ids[n-1], n
@@ -359,18 +361,12 @@ func newEngine(j *Job) *engine {
 	en.partActive = make([]int64, w)
 	en.recountActive()
 	en.anom = anomaly.New()
-	en.cur = en.newStore()
-	en.next = en.newStore()
+	en.cur, en.next = newMessageStores(w, j.cfg.Combiner)
 	en.broadcast = make(map[string]Value, len(j.aggs))
 	for name, entry := range j.aggs {
 		en.broadcast[name] = entry.agg.CreateInitial()
 	}
 	return en
-}
-
-// newStore builds a message store sharing the engine-wide batch pool.
-func (en *engine) newStore() *messageStore {
-	return newMessageStore(len(en.parts), en.cfg.Combiner, en.pool)
 }
 
 // partitionFor maps a vertex ID to a worker: the explicit assignment
@@ -746,28 +742,25 @@ func (en *engine) safeMasterCompute(mctx *masterCtx) (err error) {
 	return nil
 }
 
-// workerCtx returns worker w's Context reset for this superstep. The
-// context, its aggregation map and its lane buffers are built once and
-// reused:
+// workerCtx returns worker w's Context reset for this superstep, with
+// its row of the lane matrix covering every partition's slots. The
+// context and its aggregation map are built once and reused:
 // everything a superstep hands the barrier (aggregator partials,
 // mutation requests) is consumed before the next one starts.
 func (en *engine) workerCtx(w int, nv, ne int64) *workerCtx {
 	ctx := en.wctx[w]
 	if ctx == nil {
-		ctx = &workerCtx{en: en, worker: w, flushBatch: en.flushBatch, aggPartial: map[string]Value{}}
-		ctx.lane = make([]*msgBatch, len(en.parts))
-		ctx.scalar = en.next.scalar
-		if en.cfg.Combiner != nil {
-			ctx.laneIdx = make([][]uint64, len(en.parts))
-			ctx.laneGen = make([]uint32, len(en.parts))
-			for p := range ctx.laneGen {
-				ctx.laneGen[p] = 1 // 0 is the stamp of a never-written cell
-			}
-		}
+		ctx = &workerCtx{en: en, worker: w, scalar: en.next.scalar, aggPartial: map[string]Value{}}
 		en.wctx[w] = ctx
 	}
 	ctx.superstep, ctx.numVertices, ctx.numEdges = en.superstep, nv, ne
-	ctx.sent = 0
+	ctx.out = en.next.lanes[w]
+	if en.cfg.Combiner != nil {
+		for p, part := range en.parts {
+			en.next.grow(&ctx.out[p].cells, len(part.slots))
+		}
+	}
+	ctx.computing, ctx.resolved = nil, false
 	clear(ctx.aggPartial)
 	ctx.removals, ctx.additions = ctx.removals[:0], ctx.additions[:0]
 	return ctx
@@ -785,8 +778,7 @@ func (en *engine) runWorker(w int, nv, ne int64) (workerResult, error) {
 	if err := en.computeFrontier(ctx, en.parts[w], en.cur, &res); err != nil {
 		return res, err
 	}
-	ctx.flushAll()
-	res.sent = ctx.sent
+	res.sent = ctx.sentTotal()
 	res.aggPartial = ctx.aggPartial
 	res.removals = ctx.removals
 	res.additions = ctx.additions
@@ -804,7 +796,7 @@ func (en *engine) runWorker(w int, nv, ne int64) (workerResult, error) {
 // every slot would produce, whatever share of the partition is live.
 func (en *engine) computeFrontier(ctx *workerCtx, part *partition, inbox *messageStore, res *workerResult) error {
 	sh := &inbox.shards[part.idx]
-	inbox.ensure(sh, len(part.slots))
+	inbox.grow(&sh.cells, len(part.slots))
 	for wi := range part.awake {
 		word := part.awake[wi] | sh.pending[wi]
 		if word == 0 {
@@ -822,11 +814,12 @@ func (en *engine) computeFrontier(ctx *workerCtx, part *partition, inbox *messag
 			v := part.slots[slot]
 			var msgs []Value
 			if sh.pending.test(slot) {
-				msgs = inbox.takeCell(sh, slot)
+				msgs = inbox.takeCell(&sh.cells, slot)
 				v.halted = false
 			}
 			res.vertices++
 			res.received += int64(len(msgs))
+			ctx.computing = v
 			if err := en.safeCompute(ctx, v, msgs); err != nil {
 				return err
 			}
@@ -1010,9 +1003,9 @@ func (en *engine) resolveOrphans(store *messageStore, part *partition) (created 
 		v := &Vertex{id: id, value: val}
 		slot := part.add(v)
 		created = append(created, v)
-		store.ensure(sh, len(part.slots))
+		store.grow(&sh.cells, len(part.slots))
 		for _, m := range msgs {
-			store.put(sh, slot, id, m)
+			store.put(&sh.cells, slot, id, m)
 		}
 	}
 	clear(sh.orphans)
@@ -1047,8 +1040,9 @@ func (en *engine) applyMutations(results []workerResult) {
 				// Removed vertices leave the computation but stay
 				// reachable through the input graph: their final state
 				// is often the algorithm's output (matching partners
-				// in MWM). The lanes are still unmerged, so the slot's
-				// next-superstep cell is empty.
+				// in MWM). The lanes are still unmerged: what senders
+				// folded into the slot's cells becomes entries for its ID.
+				en.next.evict(p.idx, slot, id)
 				p.remove(slot)
 			}
 		}

@@ -3,6 +3,7 @@ package pregel
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -22,6 +23,7 @@ import (
 //	                  column covers every bit and the boxed columns stay
 //	                  unused)
 //	orphans        == {} once integrateMissing has run
+//	lanes          == empty: no count, cell or batch outlives the merge
 //
 // plus the slot index agreeing with the slot array and the routing
 // table. It also notes whether it ever saw tombstones and a compaction
@@ -52,6 +54,14 @@ func (c *frontierChecker) check(where string, full, drained *messageStore) {
 	en := c.en
 	seats := map[VertexID][2]int{}
 	defer func() { c.lastSeat = seats }()
+	for sender, row := range full.lanes {
+		for dest, ln := range row {
+			if ln.n != 0 || len(ln.batches) != 0 || ln.pending.any() || slices.ContainsFunc(ln.c, func(v Value) bool { return v != nil }) {
+				c.t.Errorf("%s: lane %d→%d survives the merge: n=%d, %d batches, %d cells",
+					where, sender, dest, ln.n, len(ln.batches), ln.pending.count())
+			}
+		}
+	}
 	for _, p := range en.parts {
 		at := fmt.Sprintf("%s, partition %d", where, p.idx)
 		live, awake := 0, 0

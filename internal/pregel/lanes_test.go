@@ -3,7 +3,6 @@ package pregel
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -97,7 +96,7 @@ func TestLanePlaneMatchesMutexPlane(t *testing.T) {
 }
 
 // TestLaneDeterministicInboxOrder checks the lane plane's ordering
-// guarantee: inboxes are merged in sender-worker order, then flush
+// guarantee: inboxes are merged in sender-worker order, then send
 // order, so without a combiner a vertex sees the exact same message
 // sequence on every run.
 func TestLaneDeterministicInboxOrder(t *testing.T) {
@@ -144,8 +143,8 @@ func TestLaneDeterministicInboxOrder(t *testing.T) {
 
 // TestSenderSideCombining checks that with a combiner installed the
 // lane plane merges at the sender: a worker fanning many messages into
-// one destination should flush far fewer entries than messages, and
-// the combined result must still be exact.
+// one destination folds them into one cell, every message but one is
+// counted as combined, and the combined result must still be exact.
 func TestSenderSideCombining(t *testing.T) {
 	const leaves = 500
 	g := NewGraph()
@@ -198,7 +197,7 @@ func TestSenderSideCombining(t *testing.T) {
 // but with duplicate parallel edges to one target the combiner mutates
 // the stored original in place between sends, so later clones copied
 // the partially-combined value and the fold doubled instead of summed.
-// The standard combiner travels as rows, which cannot alias;
+// The standard combiner folds unboxed bits, which cannot alias;
 // "lanes-boxed" keeps the boxed path under the same test.
 func TestDuplicateEdgesMutatingCombiner(t *testing.T) {
 	const dup = 5
@@ -288,58 +287,11 @@ func TestScalarCombinerRejectsWrongType(t *testing.T) {
 	}
 }
 
-// TestLaneGenerationWrap drives a lane's generation counter through its
-// 2³² wrap. A stamp left by the generation that comes round again must
-// not be read as current: here vertex 8 is stamped at position 0 of
-// generation 1, and after the wrap vertex 4 takes position 0 of the new
-// generation 1, so a surviving stamp would fold 8's message into 4's.
-func TestLaneGenerationWrap(t *testing.T) {
-	for _, col := range inboxColumns[1:] {
-		t.Run(col.suffix[1:], func(t *testing.T) {
-			g := NewGraph()
-			for i := 0; i < 12; i++ {
-				g.AddVertex(VertexID(i), NewLong(0))
-			}
-			noop := ComputeFunc(func(Context, *Vertex, []Value) error { return nil })
-			en := newEngine(NewJob(g, noop, Config{NumWorkers: 1, Combiner: col.combiner}))
-			en.flushBatch = 2
-			ctx := en.workerCtx(0, 12, 0)
-			send := func(to VertexID, min int64) { ctx.SendMessage(to, NewLong(min)) }
-			send(8, 100) // generation 1, position 0
-			send(9, 90)  // fills the batch: flushed
-			ctx.laneGen[0] = math.MaxUint32
-			send(1, 10)
-			send(2, 20) // flushed: the generation wraps
-			if ctx.laneGen[0] != 1 {
-				t.Fatalf("generation after the wrap = %d, want 1", ctx.laneGen[0])
-			}
-			send(4, 50) // the new generation 1, position 0
-			send(8, 7)  // must open position 1, not fold into 4's
-			send(4, 40)
-			send(8, 8)
-			ctx.flushAll()
-			en.next.mergeLane(en.parts[0])
-			want := map[VertexID]int64{1: 10, 2: 20, 4: 40, 8: 7, 9: 90}
-			for id := VertexID(0); id < 12; id++ {
-				slot, _ := en.parts[0].index.lookup(id)
-				msgs := en.next.take(0, slot)
-				if w, ok := want[id]; !ok {
-					if msgs != nil {
-						t.Errorf("vertex %d got %v, want nothing", id, msgs)
-					}
-				} else if len(msgs) != 1 || msgs[0].(*LongValue).Get() != w {
-					t.Errorf("vertex %d got %v, want [%d]", id, msgs, w)
-				}
-			}
-		})
-	}
-}
-
-// TestScalarPlaneAllocations is the allocation gate for the row path,
-// independent of the clock: in steady state, sending 65,536 messages
-// under a standard combiner, flushing and merging them allocates next to
-// nothing — at most 0.01 allocations per message — until take boxes the
-// delivered cells.
+// TestScalarPlaneAllocations is the allocation gate for the unboxed
+// path, independent of the clock: in steady state, sending 65,536
+// messages under a standard combiner into the senders' dense cells and
+// merging them allocates next to nothing — at most 0.01 allocations per
+// message — until take boxes the delivered cells.
 func TestScalarPlaneAllocations(t *testing.T) {
 	const workers, nVerts, perWorker = 4, 1024, 16384
 	g := NewGraph()
@@ -355,7 +307,6 @@ func TestScalarPlaneAllocations(t *testing.T) {
 			for k := 0; k < perWorker; k++ {
 				ctx.SendMessage(VertexID((w*perWorker+k*7)%nVerts), msg)
 			}
-			ctx.flushAll()
 		}
 		for w := 0; w < workers; w++ {
 			en.next.mergeLane(en.parts[w])
@@ -643,5 +594,189 @@ func TestRebalancerSurvivesRecovery(t *testing.T) {
 	last := stats.PerSuperstep[len(stats.PerSuperstep)-1]
 	if last.Superstep != rounds {
 		t.Errorf("final superstep = %d, want %d", last.Superstep, rounds)
+	}
+}
+
+// TestEdgeTargetChangesReachColumn: a Compute that changes its vertex's
+// targets — AddEdge (one to a vertex that does not exist), RemoveEdges,
+// RemoveAllEdges, SortEdges — and then calls SendMessageToAllEdges in
+// the same superstep reaches exactly its new targets, with the
+// partition's edge slot column already built. Every vertex sends 1
+// along each edge, so under SumLong a vertex receives its new in-degree.
+// The CombineFunc twin also adds 1000·to at every combine: a
+// destination slot paired with the wrong edge target (a stale run after
+// SortEdges) changes what it delivers.
+func TestEdgeTargetChangesReachColumn(t *testing.T) {
+	const n = 40
+	toAware := CombineFunc(func(to VertexID, a, b Value) Value {
+		return NewLong(a.(*LongValue).Get() + b.(*LongValue).Get() + 1000*int64(to))
+	})
+	comp := ComputeFunc(func(ctx Context, v *Vertex, msgs []Value) error {
+		id := int64(v.ID())
+		switch ctx.Superstep() {
+		case 0:
+		case 1:
+			switch id % 5 {
+			case 0:
+				v.AddEdge(Edge{Target: VertexID((id + 20) % n)})
+				v.AddEdge(Edge{Target: VertexID(n + id)}) // no such vertex: dropped
+			case 1:
+				v.RemoveEdges(VertexID((id + 3) % n)) // a duplicated target
+			case 2:
+				v.RemoveAllEdges()
+				v.AddEdge(Edge{Target: VertexID((id + 5) % n)})
+			case 3:
+				v.SortEdges()
+			default:
+				if id%10 == 4 {
+					v.RemoveAllEdges()
+				}
+			}
+		default:
+			var sum int64
+			for _, m := range msgs {
+				sum += m.(*LongValue).Get()
+			}
+			v.SetValue(NewLong(sum))
+			v.VoteToHalt()
+			return nil
+		}
+		ctx.SendMessageToAllEdges(v, NewLong(1))
+		return nil
+	})
+	for _, tc := range []struct {
+		name     string
+		combiner Combiner
+	}{{"rows", SumLongCombiner}, {"boxed", toAware}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := NewGraph()
+			for i := 0; i < n; i++ {
+				g.AddVertex(VertexID(i), NewLong(0))
+			}
+			for i := 0; i < n; i++ {
+				for _, d := range []int{7, 3, 3, 11, 1} { // unsorted, one target twice
+					if err := g.AddEdge(VertexID(i), VertexID((i+d)%n), nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			en := newEngine(NewJob(g, comp, Config{NumWorkers: 2, Combiner: tc.combiner}))
+			stats, err := en.run(time.Now())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range en.parts {
+				if p.dst == nil {
+					t.Fatalf("partition %d never built its edge slot column", p.idx)
+				}
+			}
+			indeg := map[VertexID]int64{}
+			for i := 0; i < n; i++ {
+				for _, e := range g.Vertex(VertexID(i)).Edges() {
+					indeg[e.Target]++
+				}
+			}
+			for i := 0; i < n; i++ {
+				id := VertexID(i)
+				want := indeg[id]
+				if tc.name == "boxed" && want > 0 {
+					want += 1000 * int64(id) * (want - 1)
+				}
+				if got := g.Vertex(id).Value().(*LongValue).Get(); got != want {
+					t.Errorf("vertex %d received %d, want %d", id, got, want)
+				}
+			}
+			if stats.MessagesDropped != n/5 {
+				t.Errorf("MessagesDropped = %d, want %d", stats.MessagesDropped, n/5)
+			}
+		})
+	}
+}
+
+// TestCombinedMailToRemovedVertex sends combined mail in superstep 0 to
+// vertices that superstep 0's barrier removes — seven in eight, so the
+// partitions also compact at that barrier and the survivors' mail moves
+// with their slots. With CreateMissingVertices each removed
+// vertex is recreated holding its one folded message; without it, each
+// one's message is counted as dropped. The standard combiner and its
+// CombineFunc twin must end in the same values.
+func TestCombinedMailToRemovedVertex(t *testing.T) {
+	const n, hub = 40, 5
+	comp := ComputeFunc(func(ctx Context, v *Vertex, msgs []Value) error {
+		id := int64(v.ID())
+		if ctx.Superstep() == 0 {
+			if id != hub {
+				ctx.SendMessage(hub, NewLong(id))
+				ctx.SendMessage(hub, NewLong(id))
+			}
+			ctx.SendMessageToAllEdges(v, NewLong(1))
+			if id%8 != 0 {
+				ctx.RemoveVertexRequest(v.ID())
+			}
+			return nil
+		}
+		if len(msgs) != 1 {
+			t.Errorf("vertex %d got %d messages, want one combined", id, len(msgs))
+		}
+		var sum int64
+		for _, m := range msgs {
+			sum += m.(*LongValue).Get()
+		}
+		v.SetValue(NewLong(sum))
+		v.VoteToHalt()
+		return nil
+	})
+	for _, create := range []bool{true, false} {
+		digests := map[string]string{}
+		for _, col := range []struct {
+			suffix   string
+			combiner Combiner
+		}{{"/rows", SumLongCombiner}, {"/boxed", boxed(SumLongCombiner)}} {
+			t.Run(fmt.Sprintf("create=%v%s", create, col.suffix), func(t *testing.T) {
+				g := NewGraph()
+				for i := 0; i < n; i++ {
+					g.AddVertex(VertexID(i), NewLong(0))
+				}
+				for i := 0; i < n; i++ {
+					for d := 1; d <= 3; d++ {
+						if err := g.AddEdge(VertexID(i), VertexID((i+d)%n), nil); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				stats, c := runChecked(t, NewJob(g, comp, Config{
+					NumWorkers:            2,
+					Combiner:              col.combiner,
+					CreateMissingVertices: create,
+					DefaultVertexValue:    func() Value { return NewLong(-1) },
+				}))
+				if !c.compacted {
+					t.Error("no partition compacted at the removal barrier")
+				}
+				removed := int64(0)
+				for i := int64(0); i < n; i++ {
+					want := int64(3) // one from each of three in-edges
+					if i == hub {
+						want += 2 * (n*(n-1)/2 - hub)
+					}
+					if i%8 != 0 {
+						removed++
+						if !create {
+							want = 0 // never recreated: the loaded value
+						}
+					}
+					if got := g.Vertex(VertexID(i)).Value().(*LongValue).Get(); got != want {
+						t.Errorf("vertex %d holds %d, want %d", i, got, want)
+					}
+				}
+				if wantDropped := map[bool]int64{true: 0, false: removed}[create]; stats.MessagesDropped != wantDropped {
+					t.Errorf("MessagesDropped = %d, want %d", stats.MessagesDropped, wantDropped)
+				}
+				digests[col.suffix] = g.ValuesDigest()
+			})
+		}
+		if digests["/rows"] != digests["/boxed"] {
+			t.Errorf("create=%v: standard combiner and its CombineFunc twin end in different values", create)
+		}
 	}
 }

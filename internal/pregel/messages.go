@@ -1,109 +1,99 @@
 package pregel
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 )
 
-// msgEntry is one in-flight message. With sender-side combining a
-// single entry may stand for many logical sends.
+// msgEntry is one in-flight boxed message: every message without a
+// combiner, and under one a message whose destination had no slot when
+// it was sent, or lost it at the barrier.
 type msgEntry struct {
 	to  VertexID
 	msg Value
 }
 
-// scalarRow is one in-flight message under a scalarCombiner: the
-// message's bits, unboxed. Like an entry it carries the destination ID
-// and is resolved to a slot at merge time, after the barrier's
-// mutations.
-type scalarRow struct {
-	to   VertexID
-	bits uint64
-}
-
-// msgBatch is one flushed batch of entries (or, on the scalar path,
-// rows — never both) plus the logical message counts behind them: n
-// counts SendMessage calls, combined counts the ones the sender merged
-// away before flushing (n - combined == number of entries or rows
-// surviving to the lane).
+// msgBatch is one pooled batch of entries, at most msgFlushBatch long.
 type msgBatch struct {
-	entries  []msgEntry
-	rows     []scalarRow
-	n        int64
-	combined int64
+	entries []msgEntry
 }
 
-// batchPool recycles msgBatch objects across flushes and supersteps so
-// the steady-state message plane allocates nothing the GC has to mark,
-// mirroring the pooled-batch design trace.Sink uses. All of an engine's
-// batches hold the same kind of record, so a new batch is given only
-// that array.
+// batchPool recycles msgBatch objects across supersteps so the
+// steady-state message plane allocates nothing the GC has to mark,
+// mirroring the pooled-batch design trace.Sink uses.
 type batchPool struct {
 	p sync.Pool
 }
 
-func (bp *batchPool) get(rows bool) *msgBatch {
+func (bp *batchPool) get() *msgBatch {
 	if b, ok := bp.p.Get().(*msgBatch); ok {
 		return b
-	}
-	if rows {
-		return &msgBatch{rows: make([]scalarRow, 0, msgFlushBatch)}
 	}
 	return &msgBatch{entries: make([]msgEntry, 0, msgFlushBatch)}
 }
 
 func (bp *batchPool) put(b *msgBatch) {
-	clear(b.entries) // so the pool does not retain Value pointers; rows hold none
-	b.entries, b.rows = b.entries[:0], b.rows[:0]
-	b.n, b.combined = 0, 0
+	clear(b.entries) // so the pool does not retain Value pointers
+	b.entries = b.entries[:0]
 	bp.p.Put(b)
 }
 
-// msgLane is one cell of the lane matrix: the batches one sender has
-// flushed toward one destination partition. Only the sending worker
-// appends during the compute phase; only the coordinator or the
-// destination's owning worker reads after the barrier.
+// cells is a run of message cells over one partition's slots: cell s
+// belongs to the vertex in slot s, and pending has a bit for every
+// non-empty cell. Exactly one column is used: m without a combiner, cs
+// (unboxed bits) under a standard one, c under any other. A cs cell
+// means something only while its pending bit is set.
+type cells struct {
+	m       [][]Value
+	c       []Value
+	cs      []uint64
+	pending bitmap
+}
+
+// msgLane is one cell of the lane matrix: what one sender has sent
+// toward one destination partition this superstep. Only the sending
+// worker writes it during the compute phase; only the coordinator or
+// the destination's owning worker reads it after the barrier.
+//
+// Under a combiner the lane's cells are a dense accumulator: a send to
+// a vertex with a slot folds straight into its cell, in send order.
+// Every other message is an entry in a pooled batch.
 type msgLane struct {
-	batches  []*msgBatch
-	n        int64
-	combined int64
+	cells
+	batches []*msgBatch
+	// n counts the messages sent, pre-combining.
+	n int64
 }
 
 // messageStore holds the messages sent during one superstep for
 // delivery at the next. It is sharded by destination partition, and
 // each shard is addressed by the destination partition's slots. Writes
-// go to the lane matrix without synchronization: each worker appends
-// pooled batches to its own row (single writer), and mergeLane folds
-// each column into its shard at the barrier (single reader, ordered by
-// the barrier). Reads during the next superstep are done exclusively by
-// the shard's owning worker and need no locking either. With a combiner
-// installed senders pre-combine per destination vertex before flushing,
-// and under one of the standard combiners messages travel as unboxed
-// rows. The engine keeps two stores and swaps them at every barrier.
+// go to the lane matrix without synchronization: each worker writes its
+// own row (single writer), and mergeLane folds each column into its
+// shard at the barrier (single reader, ordered by the barrier). Reads
+// during the next superstep are done exclusively by the shard's owning
+// worker and need no locking either. The engine keeps two stores and
+// swaps them at every barrier.
 type messageStore struct {
 	combiner Combiner
-	// scalar is the combiner when it is one of the standard ones: lanes
-	// then carry rows and shards fold them into cs, and boxes exist only
-	// at the edges (takeCell, encode, orphans).
+	// scalar is the combiner when it is one of the standard ones: cells
+	// then hold unboxed bits, and boxes exist only at the edges
+	// (takeCell, encode, entries).
 	scalar scalarCombiner
 	shards []msgShard
-	lanes  [][]msgLane // [sender][dest]
-	pool   *batchPool  // shared across the engine's stores
+	// lanes is [sender][dest]. The engine's two stores share one
+	// matrix and one pool: lanes hold anything only between a compute
+	// phase and the merge at its barrier, and then for the next store.
+	lanes [][]msgLane
+	pool  *batchPool
 }
 
-// msgShard is the inbox of one partition, indexed by the partition's
-// slots: cell s belongs to the vertex in slot s, and pending has a bit
-// for every non-empty cell. The superstep scan drains exactly the
-// pending cells, so a drained shard is all-nil again and is reused as
-// it stands.
+// msgShard is the inbox of one partition. The superstep scan drains
+// exactly the pending cells, so a drained shard is all-nil again and is
+// reused as it stands.
 type msgShard struct {
-	// Exactly one of m/c/cs is used: m without a combiner, cs under a
-	// scalar one, c under any other. A cs cell means
-	// something only while its pending bit is set.
-	m       [][]Value
-	c       []Value
-	cs      []uint64
-	pending bitmap
+	cells
 	// orphans holds messages addressed to IDs that had no slot when
 	// they were delivered. integrateMissing resolves them at the barrier
 	// (create the vertex, or drop); under a combiner each list has one
@@ -115,71 +105,71 @@ type msgShard struct {
 	// sender or the receiver), for the telemetry layer (n - combined
 	// messages survive to delivery).
 	combined int64
-	// merging is the destination of the boxed entry mergeLane is
+	// merging is the destination of the boxed message mergeLane is
 	// delivering, for the report when a user combiner panics on it.
 	merging VertexID
 }
 
-func newMessageStore(numShards int, combiner Combiner, pool *batchPool) *messageStore {
-	s := &messageStore{combiner: combiner, pool: pool, shards: make([]msgShard, numShards)}
-	s.scalar, _ = combiner.(scalarCombiner)
-	s.lanes = make([][]msgLane, numShards)
-	for i := range s.shards {
-		s.shards[i].orphans = make(map[VertexID][]Value)
-		s.lanes[i] = make([]msgLane, numShards)
+// newMessageStores returns an engine's two stores for n partitions,
+// sharing one lane matrix and one pool.
+func newMessageStores(n int, combiner Combiner) (*messageStore, *messageStore) {
+	lanes, pool := make([][]msgLane, n), &batchPool{}
+	for i := range lanes {
+		lanes[i] = make([]msgLane, n)
 	}
-	return s
+	store := func() *messageStore {
+		s := &messageStore{combiner: combiner, lanes: lanes, pool: pool, shards: make([]msgShard, n)}
+		s.scalar, _ = combiner.(scalarCombiner)
+		for i := range s.shards {
+			s.shards[i].orphans = make(map[VertexID][]Value)
+		}
+		return s
+	}
+	return store(), store()
 }
 
-// ensure grows a shard's cells and pending bitmap to cover n slots.
-func (s *messageStore) ensure(sh *msgShard, n int) {
-	sh.pending = sh.pending.grown(n)
+// grow extends cells (and their pending bitmap) to cover n slots.
+func (s *messageStore) grow(cl *cells, n int) {
+	cl.pending = cl.pending.grown(n)
 	switch {
 	case s.scalar != 0:
-		if n > len(sh.cs) {
-			sh.cs = append(sh.cs, make([]uint64, n-len(sh.cs))...)
-		}
+		cl.cs = grownTo(cl.cs, n)
 	case s.combiner != nil:
-		if n > len(sh.c) {
-			sh.c = append(sh.c, make([]Value, n-len(sh.c))...)
-		}
-	case n > len(sh.m):
-		sh.m = append(sh.m, make([][]Value, n-len(sh.m))...)
+		cl.c = grownTo(cl.c, n)
+	default:
+		cl.m = grownTo(cl.m, n)
 	}
 }
 
-// putBits folds one unboxed message into cell `slot`.
-func (s *messageStore) putBits(sh *msgShard, slot int, bits uint64) {
-	if sh.pending.test(slot) {
-		sh.cs[slot] = s.scalar.fold(sh.cs[slot], bits)
-		sh.combined++
-		return
+// put folds bits into cell `slot` and reports whether the cell already
+// held a message.
+func (op scalarCombiner) put(cl *cells, slot int, bits uint64) bool {
+	if cl.pending.test(slot) {
+		cl.cs[slot] = op.fold(cl.cs[slot], bits)
+		return true
 	}
-	sh.cs[slot] = bits
-	sh.pending.set(slot)
+	cl.cs[slot] = bits
+	cl.pending.set(slot)
+	return false
 }
 
 // put adds one message to cell `slot`, combining if a combiner is
-// installed. The shard must already cover the slot.
-func (s *messageStore) put(sh *msgShard, slot int, to VertexID, msg Value) {
-	if s.scalar != 0 {
-		s.putBits(sh, slot, s.scalar.bits(msg))
-		return
+// installed, and reports whether the combiner merged it away. The cells
+// must already cover the slot.
+func (s *messageStore) put(cl *cells, slot int, to VertexID, msg Value) bool {
+	switch {
+	case s.scalar != 0:
+		return s.scalar.put(cl, slot, s.scalar.bits(msg))
+	case s.combiner != nil && cl.pending.test(slot):
+		cl.c[slot] = s.combiner.Combine(to, cl.c[slot], msg)
+		return true
+	case s.combiner != nil:
+		cl.c[slot] = msg
+	default:
+		cl.m[slot] = append(cl.m[slot], msg)
 	}
-	if s.combiner != nil {
-		if sh.pending.test(slot) {
-			sh.c[slot] = s.combiner.Combine(to, sh.c[slot], msg)
-			sh.combined++
-			return
-		}
-		sh.c[slot] = msg
-	} else {
-		sh.m[slot] = append(sh.m[slot], msg)
-		if len(sh.m[slot]) > 1 {
-			return
-		}
-	}
-	sh.pending.set(slot)
+	cl.pending.set(slot)
+	return false
 }
 
 // orphan files a message whose destination has no slot.
@@ -194,57 +184,86 @@ func (s *messageStore) orphan(sh *msgShard, to VertexID, msg Value) {
 
 // deliverTo routes one message into part's shard: one index read, then
 // a slot write. The caller must be the only goroutine touching the
-// shard and must have called ensure.
+// shard and must have called grow.
 func (s *messageStore) deliverTo(part *partition, sh *msgShard, to VertexID, msg Value) {
-	if slot, ok := part.index.lookup(to); ok {
-		s.put(sh, slot, to, msg)
-	} else {
+	if slot, ok := part.index.lookup(to); !ok {
 		s.orphan(sh, to, msg)
+	} else if s.put(&sh.cells, slot, to, msg) {
+		sh.combined++
 	}
 }
 
-// laneAppend hands one flushed batch to lane [sender][dest]. Only
-// worker `sender` may call it during the compute phase; the single
-// writer makes it synchronization-free.
-func (s *messageStore) laneAppend(sender, dest int, b *msgBatch) {
-	ln := &s.lanes[sender][dest]
-	ln.batches = append(ln.batches, b)
-	ln.n += b.n
-	ln.combined += b.combined
+// push appends one entry to a lane, starting a pooled batch when the
+// last one holds `batch` entries.
+func (s *messageStore) push(ln *msgLane, e msgEntry, batch int) {
+	k := len(ln.batches) - 1
+	if k < 0 || len(ln.batches[k].entries) >= batch {
+		ln.batches = append(ln.batches, s.pool.get())
+		k++
+	}
+	ln.batches[k].entries = append(ln.batches[k].entries, e)
+}
+
+// evict turns every sender's cell for the vertex in slot `slot` of
+// partition p into an entry addressed to its ID, which the merge
+// resolves like any message to an ID without a slot. The barrier calls
+// it on the coordinator when it removes that vertex.
+func (s *messageStore) evict(p, slot int, id VertexID) {
+	for sender := range s.lanes {
+		ln := &s.lanes[sender][p]
+		if slot>>6 < len(ln.pending) && ln.pending.test(slot) {
+			s.push(ln, msgEntry{to: id, msg: s.takeCell(&ln.cells, slot)[0]}, msgFlushBatch)
+		}
+	}
 }
 
 // mergeLane folds part's column of the lane matrix into its shard and
 // returns the batches to the pool. It must run after the superstep
 // barrier, with exactly one goroutine touching the shard (the
-// destination's owning worker). Senders are merged in worker order and
-// batches in flush order, so the merged inbox order is deterministic.
+// destination's owning worker). Senders are merged in worker order:
+// first a sender's cells, then its entries in send order. So a
+// combined message is folded in send order within each sender, then
+// sender by sender, whatever the batch size.
 func (s *messageStore) mergeLane(part *partition) {
 	sh := &s.shards[part.idx]
-	s.ensure(sh, len(part.slots))
+	s.grow(&sh.cells, len(part.slots))
 	for sender := range s.lanes {
 		ln := &s.lanes[sender][part.idx]
-		if ln.n == 0 && len(ln.batches) == 0 {
+		if ln.n == 0 {
 			continue
 		}
-		for _, b := range ln.batches {
-			for _, r := range b.rows {
-				if slot, ok := part.index.lookup(r.to); ok {
-					s.putBits(sh, slot, r.bits)
-				} else {
-					s.orphan(sh, r.to, s.scalar.box(r.bits))
+		merged := ln.n
+		for wi, word := range ln.pending {
+			ln.pending[wi] = 0
+			for ; word != 0; word &= word - 1 {
+				slot := wi<<6 + bits.TrailingZeros64(word)
+				merged--
+				if s.scalar != 0 {
+					if s.scalar.put(&sh.cells, slot, ln.cs[slot]) {
+						sh.combined++
+					}
+					continue
 				}
+				sh.merging = part.slots[slot].id
+				if s.put(&sh.cells, slot, sh.merging, ln.c[slot]) {
+					sh.combined++
+				}
+				ln.c[slot] = nil
 			}
+		}
+		for _, b := range ln.batches {
 			for _, en := range b.entries {
 				sh.merging = en.to
 				s.deliverTo(part, sh, en.to, en.msg)
 			}
+			merged -= int64(len(b.entries))
 			s.pool.put(b)
 		}
 		sh.n += ln.n
-		sh.combined += ln.combined
-		clear(ln.batches) // the pool owns them now; do not pin them here
+		sh.combined += merged // what the sender folded into its cells
+		clear(ln.batches)     // the pool owns them now; do not pin them here
 		ln.batches = ln.batches[:0]
-		ln.n, ln.combined = 0, 0
+		ln.n = 0
 	}
 }
 
@@ -257,13 +276,7 @@ func (s *messageStore) reset() {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		if s.scalar == 0 { // cs cells hold no pointers and die with their bits
-			sh.pending.forEach(func(slot int) {
-				if s.combiner != nil {
-					sh.c[slot] = nil
-				} else {
-					sh.m[slot] = nil
-				}
-			})
+			sh.pending.forEach(func(slot int) { s.takeCell(&sh.cells, slot) })
 		}
 		clear(sh.pending)
 		clear(sh.orphans)
@@ -277,26 +290,33 @@ func (s *messageStore) reset() {
 // checkpoint's ascending ID order.
 func (s *messageStore) replayDeliver(part *partition, to VertexID, msg Value) {
 	sh := &s.shards[part.idx]
-	s.ensure(sh, len(part.slots))
+	s.grow(&sh.cells, len(part.slots))
 	s.deliverTo(part, sh, to, msg)
 	sh.n++
 }
 
-// takeCell empties a pending cell and returns its messages. A cs cell
-// is boxed here, freshly each time: Compute may keep the Value (as its
-// vertex value, say), so a reused box would alias across vertices.
-func (s *messageStore) takeCell(sh *msgShard, slot int) []Value {
-	sh.pending.clear(slot)
-	if s.scalar != 0 {
-		return []Value{s.scalar.box(sh.cs[slot])}
+// cell returns the messages in a pending cell. A cs cell is boxed
+// here, freshly each time: Compute may keep the Value (as its vertex
+// value, say), so a reused box would alias across vertices.
+func (s *messageStore) cell(cl *cells, slot int) []Value {
+	switch {
+	case s.scalar != 0:
+		return []Value{s.scalar.box(cl.cs[slot])}
+	case s.combiner != nil:
+		return []Value{cl.c[slot]}
 	}
-	if s.combiner != nil {
-		v := sh.c[slot]
-		sh.c[slot] = nil
-		return []Value{v}
+	return cl.m[slot]
+}
+
+// takeCell empties a pending cell and returns its messages.
+func (s *messageStore) takeCell(cl *cells, slot int) []Value {
+	msgs := s.cell(cl, slot)
+	cl.pending.clear(slot)
+	if cl.c != nil {
+		cl.c[slot] = nil
+	} else if cl.m != nil {
+		cl.m[slot] = nil
 	}
-	msgs := sh.m[slot]
-	sh.m[slot] = nil
 	return msgs
 }
 
@@ -308,28 +328,32 @@ func (s *messageStore) take(shard, slot int) []Value {
 	if slot>>6 >= len(sh.pending) || !sh.pending.test(slot) {
 		return nil
 	}
-	return s.takeCell(sh, slot)
+	return s.takeCell(&sh.cells, slot)
 }
 
-// remap follows a partition rebuild: cell perm[s] of the rebuilt shard
-// is the old cell s.
+// remap follows a partition rebuild: cell perm[s] of every sender's
+// lane into the partition is the old cell s. A removed slot maps to -1
+// and holds nothing, its cells evicted with the vertex, and the shard
+// itself is empty until the merge.
 func (s *messageStore) remap(shard int, perm []int32, newLen int) {
-	sh := &s.shards[shard]
-	oldC, oldM, oldCS, oldPending := sh.c, sh.m, sh.cs, sh.pending
-	sh.c, sh.m, sh.cs, sh.pending = nil, nil, nil, nil
-	s.ensure(sh, newLen)
-	oldPending.forEach(func(slot int) {
-		ns := int(perm[slot])
-		switch {
-		case s.scalar != 0:
-			sh.cs[ns] = oldCS[slot]
-		case s.combiner != nil:
-			sh.c[ns] = oldC[slot]
-		default:
-			sh.m[ns] = oldM[slot]
+	for sender := range s.lanes {
+		ln := &s.lanes[sender][shard]
+		old := ln.cells
+		if old.pending == nil {
+			continue // no combiner: lanes have no cells
 		}
-		sh.pending.set(ns)
-	})
+		ln.cells = cells{}
+		s.grow(&ln.cells, newLen)
+		old.pending.forEach(func(slot int) {
+			ns := int(perm[slot])
+			if s.scalar != 0 {
+				ln.cs[ns] = old.cs[slot]
+			} else {
+				ln.c[ns] = old.c[slot]
+			}
+			ln.pending.set(ns)
+		})
+	}
 }
 
 // hasPending reports whether the shard holds any undelivered messages.
@@ -389,16 +413,11 @@ func (s *messageStore) total() int64 {
 }
 
 // combinedTotal returns how many messages combiners merged away across
-// all shards and unmerged lanes.
+// all shards. It counts a lane's share only once the lane is merged.
 func (s *messageStore) combinedTotal() int64 {
 	var n int64
 	for i := range s.shards {
 		n += s.shards[i].combined
-	}
-	for i := range s.lanes {
-		for j := range s.lanes[i] {
-			n += s.lanes[i][j].combined
-		}
 	}
 	return n
 }
@@ -413,24 +432,9 @@ func (s *messageStore) encode(part *partition, e *Encoder, scratch []int) []int 
 	sh.pending.forEach(func(slot int) { slots = append(slots, slot) })
 	sort.Slice(slots, func(i, j int) bool { return part.slots[slots[i]].id < part.slots[slots[j]].id })
 	e.PutUvarint(uint64(len(slots)))
-	var box Value // cs cells are encoded through one scratch box
-	if s.scalar != 0 {
-		box = s.scalar.box(0)
-	}
 	for _, slot := range slots {
 		e.PutVarint(int64(part.slots[slot].id))
-		if s.scalar != 0 {
-			s.scalar.setBox(box, sh.cs[slot])
-			e.PutUvarint(1)
-			EncodeTyped(e, box)
-			continue
-		}
-		if s.combiner != nil {
-			e.PutUvarint(1)
-			EncodeTyped(e, sh.c[slot])
-			continue
-		}
-		msgs := sh.m[slot]
+		msgs := s.cell(&sh.cells, slot)
 		e.PutUvarint(uint64(len(msgs)))
 		for _, m := range msgs {
 			EncodeTyped(e, m)

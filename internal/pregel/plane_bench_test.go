@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// benchPlaneRoundTrip measures the full SendMessage → flush → merge →
-// take round trip of one superstep's worth of messages through the
+// benchPlaneRoundTrip measures the full SendMessage → merge → take
+// round trip of one superstep's worth of messages through the
 // message plane, with concurrent senders like the real worker phase.
 // Run with
 //
@@ -56,7 +56,6 @@ func benchPlaneRoundTrip(b *testing.B, combiner Combiner, fresh bool) {
 					}
 					ctx.SendMessage(to, msg)
 				}
-				ctx.flushAll()
 			}(w)
 		}
 		wg.Wait()
@@ -85,8 +84,8 @@ func BenchmarkMessagePlane(b *testing.B) {
 	b.Run("lanes/plain", func(b *testing.B) {
 		benchPlaneRoundTrip(b, nil, true)
 	})
-	// The row path alone, and the boxed combining path it left behind
-	// for user combiners.
+	// The unboxed dense cells alone, and the boxed cells user
+	// combiners fold into.
 	b.Run("lanes/scalar", func(b *testing.B) {
 		benchPlaneRoundTrip(b, SumLongCombiner, false)
 	})

@@ -44,11 +44,14 @@ func (b bitmap) forEach(fn func(i int)) {
 }
 
 // grown returns b extended (never shrunk) to cover nbits bits.
-func (b bitmap) grown(nbits int) bitmap {
-	if words := (nbits + 63) >> 6; words > len(b) {
-		return append(b, make([]uint64, words-len(b))...)
+func (b bitmap) grown(nbits int) bitmap { return grownTo(b, (nbits+63)>>6) }
+
+// grownTo returns s extended (never shrunk) to n elements.
+func grownTo[S ~[]T, T any](s S, n int) S {
+	if n > len(s) {
+		return append(s, make(S, n-len(s))...)
 	}
-	return b
+	return s
 }
 
 // partition is the set of vertices owned by one worker: a dense slot
@@ -76,6 +79,17 @@ type partition struct {
 	// superstep; only the owning worker writes it, and the coordinator
 	// folds it into edges at the barrier.
 	edgeDelta int
+	// slotGen counts slot changes (add, remove, rebuild): its sum over
+	// the engine's partitions moves whenever any vertex's slot does.
+	slotGen uint64
+	// dst is the edge slot column: for each live vertex in slot order,
+	// the destination of each of its edges as slot<<engine.slotShift |
+	// partition, or noSlot; a vertex's run starts at Vertex.dst. It is
+	// current while dstMoves is that sum and no vertex has changed its
+	// targets since (dstStale).
+	dst      []uint32
+	dstMoves uint64
+	dstStale bool
 	// subs caches the partition's weakly-connected components for
 	// subgraph mode (nil until first discovery). subsDirty flags that
 	// membership may have changed — topology mutation, vertex
@@ -88,7 +102,7 @@ type partition struct {
 // newPartition returns an empty partition whose index is built for the
 // engine's load-time vertex IDs.
 func (en *engine) newPartition(idx int) *partition {
-	return &partition{idx: idx, index: *newIDTable(en.idLo, en.idHi, en.idCount)}
+	return &partition{idx: idx, index: *newIDTable(en.idLo, en.idHi, en.idCount), dstStale: true}
 }
 
 // vertex returns the live vertex with the given ID, or nil.
@@ -110,6 +124,7 @@ func (p *partition) add(v *Vertex) int {
 	}
 	p.edges += int64(len(v.edges))
 	p.subsDirty = true
+	p.slotGen++
 	v.owner = p
 	return s
 }
@@ -123,6 +138,7 @@ func (p *partition) remove(s int) *Vertex {
 	p.removed++
 	p.edges -= int64(len(v.edges))
 	p.subsDirty = true
+	p.slotGen++
 	return v
 }
 
@@ -155,7 +171,56 @@ func (p *partition) rebuild() []int32 {
 	p.slots = live
 	p.removed = 0
 	p.subsDirty = true
+	p.slotGen++
 	return perm
+}
+
+// targetsChanged records that v's edge targets changed: its subgraph
+// may have, and its run of the edge slot column is stale, so v sends
+// per edge until the owning worker next builds the column.
+func (p *partition) targetsChanged(v *Vertex) {
+	p.subsDirty, p.dstStale = true, true
+	v.dst = -1
+}
+
+// noSlot is the column entry of an edge whose target has no slot, or
+// whose slot does not fit the encoding.
+const noSlot = ^uint32(0)
+
+// resolveEdges rebuilds p's edge slot column unless it is current:
+// every live vertex's edge targets resolved, in slot order, to their
+// destination partition and slot, at 4 B per edge. Only p's owning
+// worker may call it, during the compute phase, when every partition's
+// slots are read-only.
+func (en *engine) resolveEdges(p *partition) {
+	var moves uint64
+	for _, q := range en.parts {
+		moves += q.slotGen
+	}
+	if !p.dstStale && p.dstMoves == moves {
+		return
+	}
+	p.dstMoves, p.dstStale = moves, false
+	if n := p.edges + int64(p.edgeDelta); int64(cap(p.dst)) != n {
+		p.dst = make([]uint32, n)
+	}
+	p.dst = p.dst[:cap(p.dst)]
+	off := 0
+	for _, v := range p.slots {
+		if v == nil {
+			continue
+		}
+		v.dst = int32(off)
+		for i := range v.edges {
+			to := v.edges[i].Target
+			q := en.partitionFor(to)
+			p.dst[off] = noSlot
+			if slot, ok := en.parts[q].index.lookup(to); ok && uint64(slot)<<en.slotShift < uint64(noSlot>>1) {
+				p.dst[off] = uint32(slot)<<en.slotShift | uint32(q)
+			}
+			off++
+		}
+	}
 }
 
 // needsCompaction reports whether tombstones outnumber live slots.

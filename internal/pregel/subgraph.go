@@ -306,8 +306,7 @@ func (en *engine) runSubgraphWorker(w int, nv, ne int64) (workerResult, error) {
 	if err != nil {
 		return res, err
 	}
-	ctx.flushAll()
-	res.sent = ctx.sent
+	res.sent = ctx.sentTotal()
 	res.aggPartial = ctx.aggPartial
 	res.removals = ctx.removals
 	res.additions = ctx.additions

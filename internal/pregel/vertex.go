@@ -28,6 +28,9 @@ type Vertex struct {
 	value  Value
 	edges  []Edge
 	halted bool
+	// dst is where the vertex's run of its owner's edge slot column
+	// starts, or -1 when its targets changed since the column was built.
+	dst int32
 
 	// owner tracks topology mutations so the engine can cheaply keep
 	// the global edge count current. It is nil for detached vertices
@@ -62,7 +65,8 @@ func (v *Vertex) Halted() bool { return v.halted }
 func (v *Vertex) NumEdges() int { return len(v.edges) }
 
 // Edges returns the outgoing edges. The slice is owned by the vertex;
-// callers must not append to or reorder it.
+// callers must not append to, reorder or retarget it (edge values may be
+// changed in place).
 func (v *Vertex) Edges() []Edge { return v.edges }
 
 // EdgeValue returns the value of the edge to target, if present.
@@ -87,7 +91,7 @@ func (v *Vertex) AddEdge(e Edge) {
 	v.edges = append(v.edges, e)
 	if v.owner != nil {
 		v.owner.edgeDelta++
-		v.owner.subsDirty = true
+		v.owner.targetsChanged(v)
 	}
 }
 
@@ -107,7 +111,7 @@ func (v *Vertex) RemoveEdges(target VertexID) int {
 	if v.owner != nil {
 		v.owner.edgeDelta -= removed
 		if removed > 0 {
-			v.owner.subsDirty = true
+			v.owner.targetsChanged(v)
 		}
 	}
 	return removed
@@ -118,7 +122,7 @@ func (v *Vertex) RemoveAllEdges() {
 	if v.owner != nil {
 		v.owner.edgeDelta -= len(v.edges)
 		if len(v.edges) > 0 {
-			v.owner.subsDirty = true
+			v.owner.targetsChanged(v)
 		}
 	}
 	v.edges = v.edges[:0]
@@ -143,6 +147,9 @@ func (v *Vertex) SortEdges() {
 	slices.SortStableFunc(v.edges, func(a, b Edge) int {
 		return cmp.Compare(a.Target, b.Target)
 	})
+	if v.owner != nil {
+		v.owner.targetsChanged(v)
+	}
 }
 
 func (v *Vertex) encode(e *Encoder) {

@@ -141,10 +141,10 @@ func TestScalarPathEquivalenceProperty(t *testing.T) {
 }
 
 // TestScalarPathPageRank covers the float sum, whose result depends on
-// the order messages meet. Rows and boxes meet in the same order — same
-// sender-side index, same batch boundaries, same merge — so the two
-// paths agree to the bit at any worker count, and the row path repeats
-// itself run to run.
+// the order messages meet. Unboxed and boxed messages meet in the same
+// order — each sender's in send order, then senders in worker order —
+// so the two paths agree to the bit at any worker count, and the
+// unboxed path repeats itself run to run.
 func TestScalarPathPageRank(t *testing.T) {
 	build := func() *Graph { return graphgen.WebGraph(300, 5, 9) }
 	alg := func() *algorithms.Algorithm { return algorithms.NewPageRank(8, 0.85) }
