@@ -149,9 +149,11 @@ func TestCLISmoke(t *testing.T) {
 					t.Errorf("cold-lookup line has the wrong shape:\n%s", out)
 				}
 			}},
-		{name: "drop backpressure", args: with(pr, "-debug", "DC-sp", "-trace-dir", "traces", "-job", "pr-drop", "-backpressure", "drop", "-capture-queue", "64"),
-			wants: []string{"finished:"}},
-		{name: "trace-check after drop", args: []string{"trace-check", "-trace-dir", "traces", "-job", "pr-drop"}, wants: []string{"trace-check ok"}},
+		// Capture lanes write from the goroutine that captures: no queue
+		// to size, no backpressure policy, one segment size.
+		{name: "-backpressure is gone", args: with(pr, "-backpressure", "drop"), exit: 2, wants: []string{"flag provided but not defined"}},
+		{name: "-capture-queue is gone", args: with(pr, "-capture-queue", "64"), exit: 2, wants: []string{"flag provided but not defined"}},
+		{name: "-segment-size is gone", args: with(pr, "-segment-size", "4096"), exit: 2, wants: []string{"flag provided but not defined"}},
 		{name: "profiler feed", args: with(pr, "-debug", "none", "-workers", "4", "-metrics-out", "metrics.jsonl"),
 			wants: []string{"finished:"},
 			check: func(t *testing.T, _ string) {

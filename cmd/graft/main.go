@@ -119,9 +119,6 @@ func cmdRun(args []string) error {
 	metricsOut := fs.String("metrics-out", "", "stream metrics events to this file as JSON Lines")
 	metricsLinger := fs.Duration("metrics-linger", 0, "keep the -metrics-addr server alive this long after the job ends")
 	pprofOn := fs.Bool("pprof", false, "also mount net/http/pprof on -metrics-addr")
-	segmentSize := fs.Int("segment-size", trace.DefaultSegmentSize, "trace segment size in bytes before sealing")
-	backpressure := fs.String("backpressure", "block", "capture queue policy when full: block or drop")
-	queueCap := fs.Int("capture-queue", trace.DefaultQueueCapacity, "per-worker capture queue depth")
 	partitioner := fs.String("partitioner", "hash", "vertex placement: hash (stateless modulo) or locality (streaming neighbor-affinity placer)")
 	fs.Parse(args)
 	if *crashAt >= 0 && *checkpointEvery <= 0 {
@@ -225,15 +222,6 @@ func cmdRun(args []string) error {
 		Engine:      eng,
 		Subgraph:    subgraph,
 		Debug:       dc,
-		Trace:       []trace.Option{trace.WithSegmentSize(*segmentSize), trace.WithQueueCapacity(*queueCap)},
-	}
-	switch *backpressure {
-	case "block":
-		opts.Trace = append(opts.Trace, trace.WithBackpressure(trace.Block))
-	case "drop":
-		opts.Trace = append(opts.Trace, trace.WithBackpressure(trace.Drop))
-	default:
-		return fmt.Errorf("run: -backpressure must be block or drop, got %q", *backpressure)
 	}
 	if dc != nil {
 		if opts.Store, err = openStore(*traceDir); err != nil {
@@ -294,7 +282,7 @@ func printSummary(res *graft.RunResult, jm metrics.JobMetrics) {
 		fmt.Printf("captures: %d (limit hit: %v)\n", res.Captures, res.LimitHit)
 		// The session is the only source of dropped records in Faults.
 		if n := stats.Faults.DroppedRecords; n > 0 {
-			fmt.Printf("capture pipeline dropped %d records under backpressure\n", n)
+			fmt.Printf("trace storage lost %d records\n", n)
 		}
 	}
 }

@@ -93,12 +93,6 @@ type (
 	// RecordSink accepts capture records for one lane (worker or
 	// master).
 	RecordSink = trace.RecordSink
-	// TraceOption configures a TraceSink (segment size, backpressure,
-	// queue capacity).
-	TraceOption = trace.Option
-	// BackpressurePolicy selects what a full capture queue does:
-	// Block (lossless) or Drop (non-blocking, counted).
-	BackpressurePolicy = trace.BackpressurePolicy
 	// FileSystem is the storage abstraction traces live in.
 	FileSystem = dfs.FileSystem
 	// Cluster simulates an HDFS-like replicated store: block
@@ -179,34 +173,6 @@ var FailAt = faults.FailAt
 // rounding.
 var TraceDigest = trace.Digest
 
-// Backpressure policies for the capture pipeline.
-const (
-	// Block makes a full capture queue block the compute goroutine
-	// until the writer drains: full fidelity, bounded memory.
-	Block = trace.Block
-	// Drop makes a full capture queue discard the record and count it
-	// in DroppedRecords: compute never stalls on trace I/O.
-	Drop = trace.Drop
-)
-
-// ErrInvalidTraceOption is the sentinel wrapped by trace-pipeline
-// option failures (negative queue capacities or segment sizes),
-// surfaced through Run/Submit when the sink is created.
-var ErrInvalidTraceOption = trace.ErrInvalidOption
-
-// Capture-pipeline options, re-exported so callers configure sinks
-// without importing internal/trace.
-var (
-	// WithSegmentSize sets the byte threshold at which a trace segment
-	// is sealed and written out.
-	WithSegmentSize = trace.WithSegmentSize
-	// WithQueueCapacity sets the per-lane capture queue depth, in
-	// records.
-	WithQueueCapacity = trace.WithQueueCapacity
-	// WithBackpressure selects the full-queue policy (Block or Drop).
-	WithBackpressure = trace.WithBackpressure
-)
-
 // Re-exported value constructors, so user computations and generated
 // reproduction code need only this package.
 var (
@@ -245,7 +211,7 @@ var CorruptReplicas = faults.CorruptReplicas
 
 // NewStore returns a trace store rooted at root within fs.
 //
-// Migration note: jobs write through Store.NewSink (async, segmented,
+// Migration note: jobs write through Store.NewSink (segmented,
 // indexed — what Run uses internally) and read through
 // Store.OpenReader / OpenTrace, which serve lookups from the segment
 // index instead of loading the whole trace. The whole-file job writer
@@ -295,10 +261,6 @@ type RunOptions struct {
 	Debug *DebugConfig
 	// Store receives trace files; required when Debug is set.
 	Store *Store
-	// Trace configures the capture pipeline (segment size,
-	// backpressure policy, queue capacity). The zero value is the
-	// defaults with blocking backpressure.
-	Trace []TraceOption
 	// Aggregators to register on the job.
 	Aggregators []AggregatorSpec
 }

@@ -29,7 +29,7 @@ type Graft struct {
 	store *trace.Store
 	sink  trace.Sink
 	// workerSinks/masterSink cache the per-lane handles so the capture
-	// hot path is one slice load away from the queue.
+	// hot path is one slice load away from its lane.
 	workerSinks []trace.RecordSink
 	masterSink  trace.RecordSink
 	reasons     map[pregel.VertexID]trace.Reason
@@ -73,14 +73,9 @@ type Options struct {
 	// trace.JobMeta); the session does not read them.
 	Seed       int64
 	Supersteps int
-	// Trace configures the capture pipeline (trace.WithSegmentSize,
-	// trace.WithBackpressure, trace.WithQueueCapacity). The default is
-	// Block backpressure.
-	Trace []trace.Option
-	// Context, when non-nil, bounds the session: once canceled, new
-	// capture records are skipped instead of enqueued, so a canceled
-	// job's compute goroutines never block on a Block-policy capture
-	// queue while draining toward the shutdown barrier.
+	// Context, when non-nil, bounds the session: once canceled, the
+	// computes a job still runs on its way to the shutdown barrier write
+	// no new capture records, since that superstep never folds.
 	Context context.Context
 }
 
@@ -117,7 +112,7 @@ func Attach(store *trace.Store, opts Options, graph *pregel.Graph, cfg DebugConf
 		ComputeMode: opts.ComputeMode,
 		Seed:        opts.Seed,
 		Supersteps:  opts.Supersteps,
-	}, opts.Trace...)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -208,14 +203,11 @@ func (g *Graft) recordWriteErr(err error) {
 	g.writeMu.Unlock()
 }
 
-// DroppedRecords returns how many trace records were discarded:
-// backpressure drops under the Drop policy plus segments lost to
-// storage failure. Trace loss degrades the capture but never aborts
-// the debugged job — the paper's stance. Dropped records are counted
-// here and in job.done; they are deliberately NOT folded into Err():
-// a drop is expected degradation, a write error is a structural
-// failure, and conflating the two (the old recordDropped double-count)
-// made every degraded run look broken.
+// DroppedRecords returns how many trace records were lost to storage
+// failure (segments that could not be committed). Trace loss degrades
+// the capture but never aborts the debugged job — the paper's stance.
+// Dropped records are counted here and in job.done; the failure itself
+// is in Err.
 func (g *Graft) DroppedRecords() int64 { return g.sink.DroppedRecords() }
 
 // FaultStats returns the trace store's resilience counters (retries,
@@ -230,18 +222,15 @@ func (g *Graft) FaultStats() pregel.FaultStats {
 }
 
 // BarrierFlush implements pregel.BarrierFlusher: the engine calls it
-// at every superstep barrier to drain the capture queues and commit
-// the records of the finished superstep. Flush failures are recorded
-// but never abort the debugged job.
+// at every superstep barrier to commit the records of the finished
+// superstep. Flush failures are recorded but never abort the debugged
+// job.
 func (g *Graft) BarrierFlush(superstep int) error {
 	if err := g.sink.BarrierFlush(superstep); err != nil {
 		g.recordWriteErr(err)
 	}
 	return nil
 }
-
-// CaptureQueueDepth implements pregel.CaptureQueueReporter.
-func (g *Graft) CaptureQueueDepth() int { return g.sink.QueueDepth() }
 
 // Chain makes Graft forward listener callbacks to next, so callers can
 // keep their own JobListener while debugging.
@@ -647,8 +636,7 @@ func (g *Graft) capture(v *pregel.Vertex, msgs []pregel.Value, rec *recordingCon
 
 	// A canceled job is shutting down at the next barrier; its remaining
 	// computes still run (barrier consistency) but their captures would
-	// record a superstep that will never fold, and Block backpressure
-	// could stall the drain. Skip them.
+	// record a superstep that will never fold. Skip them.
 	if g.ctx.Err() != nil {
 		return
 	}
@@ -687,8 +675,8 @@ func (g *Graft) capture(v *pregel.Vertex, msgs []pregel.Value, rec *recordingCon
 		Violations:      rec.violations,
 		Exception:       exc,
 	}
-	// The sink owns drop accounting: Drop-policy discards and failed
-	// segment commits are counted there, without poisoning Err().
+	// The sink owns loss accounting: a segment that fails to commit is
+	// counted there and kept in its Err, which JobFinished folds in.
 	_ = g.workerSinks[rec.worker].WriteVertexFrame(&rec.frame)
 }
 

@@ -78,7 +78,6 @@ var Table = []Metric{
 	{Key: "capture_ns", Label: "Capture", Unit: Duration, Line: "phases", Job: "Totals.CaptureNanos", Step: "CaptureTime", Worker: "CaptureTime"},
 	{Key: "capture_overhead", Label: "Capture / compute", Unit: Percent, Line: "phases", Job: "Totals.CaptureOverhead"},
 	{Key: "flush_ns", Label: "Trace flush", Unit: Duration, Line: "phases", Job: "Totals.FlushNanos", Step: "FlushTime"},
-	{Key: "max_capture_queue", Label: "Capture queue", Unit: Gauge, Line: "phases", Job: "Totals.MaxCaptureQueueDepth", Step: "CaptureQueueDepth"},
 	{Key: "max_compute_skew", Label: "Compute skew", Unit: Ratio, Line: "phases", Job: "Totals.MaxComputeSkew", Step: "ComputeSkew"},
 	{Key: "max_message_skew", Label: "Message skew", Unit: Ratio, Line: "phases", Job: "Totals.MaxMessageSkew", Step: "MessageSkew"},
 	{Key: "straggler", Label: "Straggler", Unit: Gauge, Step: "Straggler"},

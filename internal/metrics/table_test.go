@@ -41,7 +41,7 @@ func TestDebugVarsKeySet(t *testing.T) {
 		"graft.dfs.degraded_writes", "graft.dfs.write_retries", "graft.edge_cut",
 		"graft.faults.backoff_ns", "graft.faults.corrupt_ckpt", "graft.faults.dropped",
 		"graft.faults.injected", "graft.faults.retries", "graft.flush_ns", "graft.internal_iterations", "graft.job_id",
-		"graft.local_messages", "graft.local_ratio", "graft.max_capture_queue", "graft.max_compute_skew",
+		"graft.local_messages", "graft.local_ratio", "graft.max_compute_skew",
 		"graft.max_message_skew", "graft.messages_combined", "graft.messages_received",
 		"graft.messages_sent", "graft.num_workers", "graft.partitioner", "graft.recoveries", "graft.running",
 		"graft.subgraphs_computed", "graft.supersteps", "graft.traffic_messages", "graft.vertices_processed",

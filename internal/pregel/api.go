@@ -211,12 +211,14 @@ type SuperstepStats struct {
 	// superstep, or -1 when no worker ran.
 	Straggler int `json:"straggler"`
 	// FlushTime is the wall time the coordinator spent in the
-	// listener's BarrierFlush — draining and committing the capture
-	// pipeline at this barrier. Zero for listeners without one.
+	// listener's BarrierFlush: appending each lane's last records,
+	// sealing its open segment and committing its index part at this
+	// barrier. Zero for listeners without one.
 	FlushTime time.Duration `json:"flush_ns,omitempty"`
-	// CaptureQueueDepth is the number of capture records still queued
-	// in the trace pipeline when the barrier was reached, sampled just
-	// before the flush: how far writing lagged compute.
+	// CaptureQueueDepth is always 0: capture records are written by the
+	// goroutine that captures them, so nothing is queued at a barrier.
+	// bench/traced.go still reads it; the next change to bench/ deletes
+	// it.
 	CaptureQueueDepth int `json:"capture_queue,omitempty"`
 	// SubgraphsComputed counts ComputeSubgraph invocations this
 	// superstep (zero in vertex mode).
@@ -263,12 +265,9 @@ type Totals struct {
 	BarrierNanos int64 `json:"barrier_ns"`
 	// CaptureNanos sums time spent inside Graft's trace capture.
 	CaptureNanos int64 `json:"capture_ns"`
-	// FlushNanos sums the coordinator time spent draining the capture
-	// pipeline at superstep barriers (zero for undebugged runs).
+	// FlushNanos sums the coordinator time spent flushing the capture
+	// lanes at superstep barriers (zero for undebugged runs).
 	FlushNanos int64 `json:"flush_ns,omitempty"`
-	// MaxCaptureQueueDepth is the deepest the capture pipeline's queues
-	// got at any barrier: how far trace writing lagged compute.
-	MaxCaptureQueueDepth int `json:"max_capture_queue,omitempty"`
 	// MaxComputeSkew is the worst per-superstep max/mean compute ratio.
 	MaxComputeSkew float64 `json:"max_compute_skew"`
 	// MaxMessageSkew is the worst per-superstep message imbalance.
@@ -301,9 +300,6 @@ func (t *Totals) Add(ss SuperstepStats) {
 	t.SubgraphsComputed += ss.SubgraphsComputed
 	t.InternalIterations += ss.InternalIterations
 	t.LocalMessages += ss.LocalMessages
-	if ss.CaptureQueueDepth > t.MaxCaptureQueueDepth {
-		t.MaxCaptureQueueDepth = ss.CaptureQueueDepth
-	}
 	if ss.ComputeSkew > t.MaxComputeSkew {
 		t.MaxComputeSkew = ss.ComputeSkew
 	}
@@ -351,8 +347,8 @@ type WorkerStepStats struct {
 	Iterations int64 `json:"internal_iters,omitempty"`
 }
 
-// BarrierFlusher is implemented by listeners that buffer trace
-// records asynchronously (internal/core's Graft session). The engine
+// BarrierFlusher is implemented by listeners that hold trace records
+// in open segments between barriers (internal/core's Graft session). The engine
 // calls BarrierFlush on the coordinator goroutine at every superstep
 // barrier, after the workers have joined and before SuperstepFinished
 // fires: when it returns, every record captured up to this barrier is
@@ -360,13 +356,6 @@ type WorkerStepStats struct {
 // A returned error aborts the job.
 type BarrierFlusher interface {
 	BarrierFlush(superstep int) error
-}
-
-// CaptureQueueReporter is implemented by listeners whose capture
-// pipeline queues records. The engine samples it at the barrier, just
-// before BarrierFlush, to expose queue depth in SuperstepStats.
-type CaptureQueueReporter interface {
-	CaptureQueueDepth() int
 }
 
 // CaptureTimeReporter is implemented by instrumented computations

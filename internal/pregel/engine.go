@@ -683,15 +683,12 @@ func (en *engine) observePhase(st *step) {
 	ss.EdgeCut = en.currentEdgeCut()
 }
 
-// flushPhase is the barrier flush: listeners with an async capture
-// pipeline drain and commit it here, so everything captured up to this
+// flushPhase is the barrier flush: listeners that write a trace commit
+// it here, so everything captured up to this
 // barrier is durable before the superstep is announced as finished.
 func (en *engine) flushPhase(st *step) error {
 	listener := en.cfg.Listener
 	if bf, ok := listener.(BarrierFlusher); ok {
-		if qr, ok := listener.(CaptureQueueReporter); ok {
-			st.ss.CaptureQueueDepth = qr.CaptureQueueDepth()
-		}
 		flushStart := time.Now()
 		if err := bf.BarrierFlush(en.superstep); err != nil {
 			return fmt.Errorf("pregel: trace flush at superstep %d: %w", en.superstep, err)

@@ -18,7 +18,7 @@ func TestSinkOverClusterRoundTrip(t *testing.T) {
 	// Tiny blocks force every segment and sidecar to be multi-block.
 	c := dfs.NewCluster(4, 2, 64)
 	store := NewStore(c, "t")
-	writeSinkJob(t, store, "job1")
+	writeSinkJob(t, store, "job1", DefaultSegmentSize, laneBatchSize)
 	files, err := c.List("t/")
 	if err != nil {
 		t.Fatal(err)

@@ -297,12 +297,12 @@ func encodeAggMap(e *pregel.Encoder, m map[string]pregel.Value) {
 }
 
 func decodeAggMap(d *pregel.Decoder) (map[string]pregel.Value, error) {
-	n := d.Uvarint()
-	if d.Err() != nil {
-		return nil, d.Err()
+	n, err := decodeCount(d)
+	if err != nil {
+		return nil, err
 	}
 	m := make(map[string]pregel.Value, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		name := d.String()
 		v, err := pregel.DecodeTyped(d)
 		if err != nil {
@@ -345,6 +345,20 @@ func (r *RecordReader) Next() (any, error) {
 	return decodeRecordPayload(payload)
 }
 
+// decodeCount reads an element count and bounds it by the unread
+// bytes: every element takes at least one, so a larger count is a lying
+// prefix that must not size an allocation.
+func decodeCount(d *pregel.Decoder) (int, error) {
+	n := d.Uvarint()
+	if err := d.Err(); err != nil {
+		return 0, err
+	}
+	if n > uint64(d.Remaining()) {
+		return 0, fmt.Errorf("%w: count %d with %d bytes left", pregel.ErrCorrupt, n, d.Remaining())
+	}
+	return int(n), nil
+}
+
 func decodeVertexCapture(d *pregel.Decoder) (*VertexCapture, error) {
 	c := &VertexCapture{}
 	c.Superstep = int(d.Uvarint())
@@ -359,12 +373,12 @@ func decodeVertexCapture(d *pregel.Decoder) (*VertexCapture, error) {
 		return nil, err
 	}
 	c.EdgesPreCompute = d.Bool()
-	nEdges := d.Uvarint()
-	if d.Err() != nil {
-		return nil, d.Err()
+	nEdges, err := decodeCount(d)
+	if err != nil {
+		return nil, err
 	}
 	c.Edges = make([]pregel.Edge, 0, nEdges)
-	for i := uint64(0); i < nEdges; i++ {
+	for i := 0; i < nEdges; i++ {
 		target := pregel.VertexID(d.Varint())
 		v, err := pregel.DecodeTyped(d)
 		if err != nil {
@@ -372,24 +386,24 @@ func decodeVertexCapture(d *pregel.Decoder) (*VertexCapture, error) {
 		}
 		c.Edges = append(c.Edges, pregel.Edge{Target: target, Value: v})
 	}
-	nIn := d.Uvarint()
-	if d.Err() != nil {
-		return nil, d.Err()
+	nIn, err := decodeCount(d)
+	if err != nil {
+		return nil, err
 	}
 	c.Incoming = make([]pregel.Value, 0, nIn)
-	for i := uint64(0); i < nIn; i++ {
+	for i := 0; i < nIn; i++ {
 		v, err := pregel.DecodeTyped(d)
 		if err != nil {
 			return nil, err
 		}
 		c.Incoming = append(c.Incoming, v)
 	}
-	nOut := d.Uvarint()
-	if d.Err() != nil {
-		return nil, d.Err()
+	nOut, err := decodeCount(d)
+	if err != nil {
+		return nil, err
 	}
 	c.Outgoing = make([]OutMsg, 0, nOut)
-	for i := uint64(0); i < nOut; i++ {
+	for i := 0; i < nOut; i++ {
 		to := pregel.VertexID(d.Varint())
 		v, err := pregel.DecodeTyped(d)
 		if err != nil {
@@ -398,12 +412,12 @@ func decodeVertexCapture(d *pregel.Decoder) (*VertexCapture, error) {
 		c.Outgoing = append(c.Outgoing, OutMsg{To: to, Value: v})
 	}
 	c.HaltedAfter = d.Bool()
-	nViol := d.Uvarint()
-	if d.Err() != nil {
-		return nil, d.Err()
+	nViol, err := decodeCount(d)
+	if err != nil {
+		return nil, err
 	}
 	c.Violations = make([]Violation, 0, nViol)
-	for i := uint64(0); i < nViol; i++ {
+	for i := 0; i < nViol; i++ {
 		viol := Violation{
 			Kind:  ViolationKind(d.Uvarint()),
 			SrcID: pregel.VertexID(d.Varint()),
@@ -434,12 +448,12 @@ func decodeMasterCapture(d *pregel.Decoder) (*MasterCapture, error) {
 	if c.AggregatedAfter, err = decodeAggMap(d); err != nil {
 		return nil, err
 	}
-	nSets := d.Uvarint()
-	if d.Err() != nil {
-		return nil, d.Err()
+	nSets, err := decodeCount(d)
+	if err != nil {
+		return nil, err
 	}
 	c.Sets = make([]AggSet, 0, nSets)
-	for i := uint64(0); i < nSets; i++ {
+	for i := 0; i < nSets; i++ {
 		name := d.String()
 		v, err := pregel.DecodeTyped(d)
 		if err != nil {
@@ -459,12 +473,12 @@ func decodeSubgraphCapture(d *pregel.Decoder) (*SubgraphCapture, error) {
 	c.Superstep = int(d.Uvarint())
 	c.Worker = int(d.Uvarint())
 	c.ID = pregel.VertexID(d.Varint())
-	n := d.Uvarint()
-	if d.Err() != nil {
-		return nil, d.Err()
+	n, err := decodeCount(d)
+	if err != nil {
+		return nil, err
 	}
 	c.Members = make([]pregel.VertexID, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		c.Members = append(c.Members, pregel.VertexID(d.Varint()))
 	}
 	c.Iterations = d.Varint()

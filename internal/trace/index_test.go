@@ -139,14 +139,21 @@ func writeRandomJob(t *testing.T, store *Store, jobID string, rng *rand.Rand, or
 	if ordered {
 		workers = 1
 	}
-	opts := []Option{WithSegmentSize(64 + rng.Intn(600))}
+	segSize, batchSize := 64+rng.Intn(600), laneBatchSize
 	if rng.Intn(2) == 0 {
-		opts = append(opts, withBatchSize(1))
+		batchSize = 1
 	}
-	sink, err := store.NewSink(JobMeta{JobID: jobID, Algorithm: "gc", NumWorkers: workers}, opts...)
+	sink, err := store.newSink(JobMeta{JobID: jobID, Algorithm: "gc", NumWorkers: workers}, segSize, batchSize)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return writeRandomStream(t, sink, rng, workers, ordered)
+}
+
+// writeRandomStream is writeRandomJob's record stream into a sink of
+// workers worker lanes, ending with Finish.
+func writeRandomStream(t *testing.T, sink Sink, rng *rand.Rand, workers int, ordered bool) (steps int, ids int) {
+	t.Helper()
 	steps, ids = 1+rng.Intn(5), 4+rng.Intn(20)
 	seq := int64(0)
 	for step := 0; step < steps; step++ {
@@ -391,7 +398,7 @@ func TestReaderHostileIndexEntry(t *testing.T) {
 		for _, streamed := range []bool{false, true} {
 			mem := dfs.NewMemFS()
 			store := NewStore(mem, "t")
-			writeSinkJob(t, store, "job1", WithSegmentSize(64))
+			writeSinkJob(t, store, "job1", 64, laneBatchSize)
 			// Worker 1's first part holds vertex 200 at superstep 0.
 			idxPath := "t/job1/worker_01/idx_000000.idx"
 			raw, err := dfs.ReadFile(mem, idxPath)
@@ -458,7 +465,7 @@ func TestReaderPointReadChecksMagic(t *testing.T) {
 			fs = streamOnly{mem}
 		}
 		store := NewStore(fs, "t")
-		writeSinkJob(t, store, "job1")
+		writeSinkJob(t, store, "job1", DefaultSegmentSize, laneBatchSize)
 		good, err := store.OpenReader("job1")
 		if err != nil {
 			t.Fatal(err)
@@ -567,7 +574,7 @@ func TestReaderColdLookupOverCluster(t *testing.T) {
 	const blockSize = 1024
 	c := dfs.NewCluster(4, 2, blockSize)
 	store := NewStore(c, "t")
-	sink, err := store.NewSink(JobMeta{JobID: "job", NumWorkers: 2}, WithSegmentSize(8*blockSize))
+	sink, err := store.newSink(JobMeta{JobID: "job", NumWorkers: 2}, 8*blockSize, laneBatchSize)
 	if err != nil {
 		t.Fatal(err)
 	}

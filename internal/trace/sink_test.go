@@ -1,13 +1,17 @@
 package trace
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"graft/internal/dfs"
 	"graft/internal/faults"
@@ -19,11 +23,11 @@ import (
 // supersteps, two workers, vertex IDs 100*(worker+1)+superstep, a
 // master capture and a superstep meta per step, with a barrier flush
 // after each superstep.
-func writeSinkJob(t *testing.T, store *Store, jobID string, opts ...Option) {
+func writeSinkJob(t *testing.T, store *Store, jobID string, segmentSize, batchSize int) {
 	t.Helper()
-	sink, err := store.NewSink(JobMeta{
+	sink, err := store.newSink(JobMeta{
 		JobID: jobID, Algorithm: "gc", NumWorkers: 2, NumVertices: 6, NumEdges: 12,
-	}, opts...)
+	}, segmentSize, batchSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +63,14 @@ func writeSinkJob(t *testing.T, store *Store, jobID string, opts ...Option) {
 		t.Fatal(err)
 	}
 	if n := sink.DroppedRecords(); n != 0 {
-		t.Fatalf("dropped %d records under Block policy", n)
+		t.Fatalf("dropped %d records", n)
 	}
 }
 
 func TestSinkSegmentedRoundTrip(t *testing.T) {
 	fs := dfs.NewMemFS()
 	store := NewStore(fs, "t")
-	writeSinkJob(t, store, "job1")
+	writeSinkJob(t, store, "job1", DefaultSegmentSize, laneBatchSize)
 
 	// The on-disk layout is segments plus one index part per lane per
 	// barrier, each in its lane's directory, no whole-file .trace and no
@@ -137,7 +141,7 @@ func TestSinkSingleLookupSegmentReads(t *testing.T) {
 	store := NewStore(dfs.NewMemFS(), "t")
 	// A small segment size forces several segments per lane, so the
 	// check is not vacuous.
-	writeSinkJob(t, store, "job1", WithSegmentSize(64))
+	writeSinkJob(t, store, "job1", 64, laneBatchSize)
 	r, err := store.OpenReader("job1")
 	if err != nil {
 		t.Fatal(err)
@@ -150,17 +154,11 @@ func TestSinkSingleLookupSegmentReads(t *testing.T) {
 	}
 }
 
-// withBatchSize shrinks a lane's batch (the constant laneBatchSize
-// outside tests) so a handful of records exercises partial batches.
-func withBatchSize(n int) Option {
-	return func(o *sinkOptions) { o.batchSize = n }
-}
-
 // TestSinkBatchSizeOne pins the edge case where every record is its
-// own batch message.
+// own batch.
 func TestSinkBatchSizeOne(t *testing.T) {
 	store := NewStore(dfs.NewMemFS(), "t")
-	writeSinkJob(t, store, "job1", withBatchSize(1), WithQueueCapacity(1))
+	writeSinkJob(t, store, "job1", DefaultSegmentSize, 1)
 	r, err := store.OpenReader("job1")
 	if err != nil {
 		t.Fatal(err)
@@ -170,90 +168,56 @@ func TestSinkBatchSizeOne(t *testing.T) {
 	}
 }
 
-// gateFS wraps a FileSystem and blocks every segment-file Create until
-// the gate opens, simulating a wedged remote store. Index and manifest
-// writes pass through so only the drainer's seal path hangs.
-type gateFS struct {
-	dfs.FileSystem
-	gate chan struct{}
-}
-
-func (g *gateFS) Create(path string) (io.WriteCloser, error) {
-	if strings.HasSuffix(path, ".seg") {
-		<-g.gate
-	}
-	return g.FileSystem.Create(path)
-}
-
-// TestSinkDropPolicyNeverBlocks is the chaos check for the Drop
-// policy: with the store wedged solid, a producer keeps submitting and
-// must never stall — overflow is counted, not waited out, and the
-// backpressure drops do not poison Err, which is reserved for
-// structural write failures.
-func TestSinkDropPolicyNeverBlocks(t *testing.T) {
-	gate := &gateFS{FileSystem: dfs.NewMemFS(), gate: make(chan struct{})}
-	store := NewStore(gate, "t")
-	sink, err := store.NewSink(JobMeta{JobID: "job1", NumWorkers: 1},
-		WithBackpressure(Drop),
-		withBatchSize(1),
-		WithQueueCapacity(1),
-		// One record overflows the segment, so the very first batch
-		// wedges the drainer in Create.
-		WithSegmentSize(1),
-	)
+// layoutDigest is SHA-256 over every file under root, in name order:
+// each name, a NUL, the file's length as 8 little-endian bytes, then
+// its bytes.
+func layoutDigest(t *testing.T, fs dfs.FileSystem, root string) string {
+	t.Helper()
+	names, err := fs.List(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const writes = 1000
-	done := make(chan error, 1)
-	go func() {
-		w := sink.WorkerSink(0)
-		for i := 0; i < writes; i++ {
-			c := sampleVertexCapture()
-			c.ID = pregel.VertexID(i)
-			if err := w.WriteVertexCapture(c); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	select {
-	case err := <-done:
+	sort.Strings(names)
+	h := sha256.New()
+	for _, n := range names {
+		raw, err := dfs.ReadFile(fs, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("producer blocked under Drop policy with a wedged store")
+		h.Write([]byte(n))
+		h.Write([]byte{0})
+		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(raw))))
+		h.Write(raw)
 	}
-	if n := sink.DroppedRecords(); n == 0 {
-		t.Error("wedged store dropped nothing")
-	} else if n >= writes {
-		t.Errorf("all %d records dropped; queue accepted none", writes)
-	}
-	if err := sink.Err(); err != nil {
-		t.Errorf("backpressure drops set Err: %v", err)
-	}
-	close(gate.gate) // unwedge so shutdown can seal what was accepted
-	if err := sink.CloseFiles(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Err(); err != nil {
-		t.Fatal(err)
-	}
-	// What the queue accepted survived the wedge.
-	r, err := store.OpenReader("job1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := r.TotalCaptures(), int64(writes)-sink.DroppedRecords(); got != want {
-		t.Errorf("read back %d captures, want %d (=%d written - %d dropped)",
-			got, want, writes, sink.DroppedRecords())
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSinkLayoutPinned pins the on-disk layout a fixed-seed stream
+// leaves: file names, segment boundaries and bytes. At 64 B every
+// 64-record batch seals the segment it lands in, so the digest moves
+// if a lane seals anywhere but after a whole batch or at a barrier; at
+// the default size only the barriers seal.
+func TestSinkLayoutPinned(t *testing.T) {
+	for _, tc := range []struct {
+		segSize int
+		want    string
+	}{
+		{64, "ec897e92acd77889343b9f93494ebcc9b81cc22c6e1518a13a2caf0e0f6868b5"},
+		{DefaultSegmentSize, "537969f8944d3258e8218f5b13ddc6374005dcb195b8d3e9ff1db3fe1f5b4e37"},
+	} {
+		fs := dfs.NewMemFS()
+		sink, err := NewStore(fs, "t").newSink(JobMeta{JobID: "pin", Algorithm: "gc", NumWorkers: 3}, tc.segSize, laneBatchSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeRandomStream(t, sink, rand.New(rand.NewSource(16)), 3, false)
+		if got := layoutDigest(t, fs, "t/"); got != tc.want {
+			t.Errorf("segment size %d: layout digest %s, want %s", tc.segSize, got, tc.want)
+		}
 	}
 }
 
-// failFS fails every segment-file Create: the structural-failure path,
-// as opposed to backpressure.
+// failFS fails every segment-file Create.
 type failFS struct {
 	dfs.FileSystem
 }
@@ -267,42 +231,91 @@ func (f *failFS) Create(path string) (io.WriteCloser, error) {
 	return f.FileSystem.Create(path)
 }
 
-// TestSinkWriteErrorVsDropAccounting pins the distinction between the
-// two loss ledgers: a structural write failure surfaces at the barrier
-// and in Err (and counts the segment's records as lost), while
-// Drop-policy overflow only ever increments DroppedRecords. A reader of
-// the stats must be able to tell "storage broke" from "storage was
-// slow".
-func TestSinkWriteErrorVsDropAccounting(t *testing.T) {
-	store := NewStore(&failFS{dfs.NewMemFS()}, "t")
-	sink, err := store.NewSink(JobMeta{JobID: "job1", NumWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The record is queued; nothing touches storage until the barrier
-	// seals its segment.
-	if err := sink.WorkerSink(0).WriteVertexCapture(sampleVertexCapture()); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.BarrierFlush(0); !errors.Is(err, errDiskGone) {
-		t.Errorf("BarrierFlush = %v, want the storage failure", err)
-	}
-	if err := sink.Err(); !errors.Is(err, errDiskGone) {
-		t.Errorf("Err() = %v, want the storage failure", err)
-	}
-	if n := sink.DroppedRecords(); n != 1 {
-		t.Errorf("lost-record count = %d, want 1", n)
-	}
+// TestSinkStorageFailureAccounting pins what a segment that storage
+// fails to commit costs and where it shows, whether it is sealed at a
+// barrier or, past the size threshold, inside Write* on the capturing
+// goroutine: its records count in DroppedRecords, the failure is in
+// Err, Write* itself returns nil, and the lane goes on committing the
+// segments after it.
+func TestSinkStorageFailureAccounting(t *testing.T) {
+	t.Run("barrier", func(t *testing.T) {
+		store := NewStore(&failFS{dfs.NewMemFS()}, "t")
+		sink, err := store.NewSink(JobMeta{JobID: "job1", NumWorkers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The record waits in its lane; nothing touches storage until
+		// the barrier seals its segment.
+		if err := sink.WorkerSink(0).WriteVertexCapture(sampleVertexCapture()); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.BarrierFlush(0); !errors.Is(err, errDiskGone) {
+			t.Errorf("BarrierFlush = %v, want the storage failure", err)
+		}
+		if err := sink.Err(); !errors.Is(err, errDiskGone) {
+			t.Errorf("Err() = %v, want the storage failure", err)
+		}
+		if n := sink.DroppedRecords(); n != 1 {
+			t.Errorf("lost-record count = %d, want 1", n)
+		}
+	})
+	t.Run("write", func(t *testing.T) {
+		// Creates are job.meta, then the worker lane's first segment:
+		// the second fails. One-record batches and a 1-byte threshold
+		// seal every record inside its Write*.
+		mem := dfs.NewMemFS()
+		ffs := faults.NewFaultFS(mem, faults.Plan{FailNth: map[faults.Op]int{faults.OpCreate: 2}})
+		store := NewStore(ffs, "t")
+		sink, err := store.newSink(JobMeta{JobID: "job1", NumWorkers: 1}, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const writes = 5
+		for i := 0; i < writes; i++ {
+			c := sampleVertexCapture()
+			c.ID = pregel.VertexID(i)
+			if err := sink.WorkerSink(0).WriteVertexCapture(c); err != nil {
+				t.Fatalf("write %d: %v, want nil: the failure is the store's", i, err)
+			}
+			if i == 0 {
+				if n := sink.DroppedRecords(); n != 1 {
+					t.Errorf("after the failed seal: lost-record count = %d, want 1", n)
+				}
+				if err := sink.Err(); !errors.Is(err, faults.ErrInjected) {
+					t.Errorf("after the failed seal: Err() = %v, want the injected fault", err)
+				}
+			}
+		}
+		if err := sink.BarrierFlush(0); err != nil {
+			t.Fatalf("barrier after the failed seal: %v", err)
+		}
+		if err := sink.Finish(JobResult{Supersteps: 1, Captures: writes}); err != nil {
+			t.Fatal(err)
+		}
+		if n := sink.DroppedRecords(); n != 1 {
+			t.Errorf("lost-record count = %d, want 1", n)
+		}
+		r, err := NewStore(mem, "t").OpenReader("job1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.IndexParts() != 1 || r.TotalCaptures() != writes-1 || r.Capture(0, 0) != nil {
+			t.Errorf("read back %d parts, %d captures, capture 0 = %v; want 1 part and the %d captures after the lost one",
+				r.IndexParts(), r.TotalCaptures(), r.Capture(0, 0), writes-1)
+		}
+		if err := r.Err(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestSinkBarrierFlushRace hammers one worker sink from its producer
-// goroutine while the coordinator runs barrier flushes and stats
-// queries, the way the engine drives a live sink. Run under -race this
+// goroutine while the coordinator runs barrier flushes and reads the
+// loss counter, the way the engine drives a live sink. Run under -race this
 // pins the locking around the shared lane batch.
 func TestSinkBarrierFlushRace(t *testing.T) {
 	store := NewStore(dfs.NewMemFS(), "t")
-	sink, err := store.NewSink(JobMeta{JobID: "job1", NumWorkers: 1},
-		withBatchSize(4), WithQueueCapacity(32), WithSegmentSize(256))
+	sink, err := store.newSink(JobMeta{JobID: "job1", NumWorkers: 1}, 256, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +338,6 @@ func TestSinkBarrierFlushRace(t *testing.T) {
 		if err := sink.BarrierFlush(step); err != nil {
 			t.Error(err)
 		}
-		sink.QueueDepth()
 		sink.DroppedRecords()
 	}
 	wg.Wait()
@@ -347,7 +359,7 @@ func TestSinkBarrierFlushRace(t *testing.T) {
 func TestSinkUnindexedSegmentRecovery(t *testing.T) {
 	fs := dfs.NewMemFS()
 	store := NewStore(fs, "t")
-	writeSinkJob(t, store, "job1", WithSegmentSize(64))
+	writeSinkJob(t, store, "job1", 64, laneBatchSize)
 
 	before, err := store.OpenReader("job1")
 	if err != nil {
@@ -395,28 +407,6 @@ func TestSinkValidation(t *testing.T) {
 	}
 }
 
-// TestNewSinkRejectsNegativeOptions pins the typed validation: an
-// explicitly negative capacity fails the sink instead of being
-// silently coerced to the default.
-func TestNewSinkRejectsNegativeOptions(t *testing.T) {
-	store := NewStore(dfs.NewMemFS(), "t")
-	meta := JobMeta{JobID: "neg", Algorithm: "gc", NumWorkers: 1}
-	for name, opt := range map[string]Option{
-		"segment size":   WithSegmentSize(-1),
-		"queue capacity": WithQueueCapacity(-8),
-	} {
-		if _, err := store.NewSink(meta, opt); !errors.Is(err, ErrInvalidOption) {
-			t.Errorf("%s: err = %v, want ErrInvalidOption", name, err)
-		}
-	}
-	// Zero still means "default".
-	sink, err := store.NewSink(meta, WithSegmentSize(0), WithQueueCapacity(0))
-	if err != nil {
-		t.Fatalf("zero options rejected: %v", err)
-	}
-	_ = sink.CloseFiles()
-}
-
 // foldIndexParts rewrites a job's index in the layout written before
 // parts: each lane's parts folded into the one <lane>.idx sidecar an
 // older writer's last barrier would have left.
@@ -458,8 +448,8 @@ func foldIndexParts(t *testing.T, fs dfs.FileSystem, jobDir string) {
 func TestReaderOldAndNewIndexLayouts(t *testing.T) {
 	fs := dfs.NewMemFS()
 	store := NewStore(fs, "t")
-	writeSinkJob(t, store, "new", WithSegmentSize(64))
-	writeSinkJob(t, store, "old", WithSegmentSize(64))
+	writeSinkJob(t, store, "new", 64, laneBatchSize)
+	writeSinkJob(t, store, "old", 64, laneBatchSize)
 
 	foldIndexParts(t, fs, "t/old/")
 
@@ -492,9 +482,8 @@ func TestReaderOldAndNewIndexLayouts(t *testing.T) {
 // part. The segment it would have named is already committed, so a
 // reader opening before the next barrier finds its records by scanning
 // it, and the next barrier's part names it: nothing is lost, nothing is
-// indexed twice, nothing is counted as dropped. The async pipeline is
-// the only write path; its subtest keeps the name it had beside the
-// deleted synchronous one.
+// indexed twice, nothing is counted as dropped. Its one subtest keeps
+// the name it had when the write path was an asynchronous pipeline.
 func TestSinkFailedIndexPartWrite(t *testing.T) {
 	t.Run("async", testSinkFailedIndexPartWrite)
 }
@@ -589,7 +578,7 @@ func TestReaderVerify(t *testing.T) {
 		t.Run(layout, func(t *testing.T) {
 			fs := dfs.NewMemFS()
 			store := NewStore(fs, "t")
-			writeSinkJob(t, store, "job1", WithSegmentSize(64))
+			writeSinkJob(t, store, "job1", 64, laneBatchSize)
 			if layout == "sidecar" {
 				foldIndexParts(t, fs, "t/job1/")
 			}

@@ -474,7 +474,6 @@ func runJob(ctx context.Context, g *Graph, comp Computation, opts RunOptions, ex
 			Algorithm:   opts.Algorithm,
 			Description: opts.Description,
 			NumWorkers:  cfg.NumWorkers,
-			Trace:       opts.Trace,
 			ComputeMode: mode,
 			Seed:        opts.Seed,
 			Supersteps:  opts.Supersteps,

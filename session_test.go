@@ -406,13 +406,6 @@ func TestRunValidationTyped(t *testing.T) {
 	}); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("negative MaxSupersteps: err = %v, want ErrInvalidConfig", err)
 	}
-	// Negative trace options are typed too, surfaced at attach time.
-	if _, err := Run(g, algorithms.NewConnectedComponents().Compute, RunOptions{
-		JobID: "x", Debug: dc, Store: NewStore(NewMemFS(), "t"),
-		Trace: []TraceOption{WithQueueCapacity(-1)},
-	}); !errors.Is(err, ErrInvalidTraceOption) {
-		t.Errorf("negative queue capacity: err = %v, want ErrInvalidTraceOption", err)
-	}
 }
 
 var _ = trace.Digest // keep the import if assertions above change
