@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // graftBin is cmd/graft built once per test run (removed by TestMain).
@@ -295,6 +297,22 @@ func TestCLILiveMetrics(t *testing.T) {
 	if base == "" {
 		t.Fatal("graft run never printed its metrics address and linger line")
 	}
+	// A client that stalls inside its request headers is cut off after
+	// graft's header timeout (10 s) instead of holding the connection.
+	stalled, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := io.WriteString(stalled, "GET /metrics HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	stallCut := make(chan error, 1)
+	go func() {
+		stalled.SetReadDeadline(time.Now().Add(20 * time.Second))
+		_, err := io.ReadAll(stalled)
+		stallCut <- err
+	}()
 	fetch := func(path string, v any) {
 		t.Helper()
 		resp, err := http.Get(base + path)
@@ -325,6 +343,9 @@ func TestCLILiveMetrics(t *testing.T) {
 	fetch("/debug/vars", &vars)
 	if vars["graft.job_id"] != "pr-live" || vars["runtime.goroutines"] == nil {
 		t.Errorf("/debug/vars = %v", vars)
+	}
+	if err := <-stallCut; err != nil {
+		t.Errorf("a connection stalled in its headers was not closed by the server: %v", err)
 	}
 }
 

@@ -187,8 +187,9 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return err
 		}
-		defer ln.Close()
-		go func() { _ = http.Serve(ln, metrics.NewMux(reg, metrics.MuxOptions{Pprof: *pprofOn})) }()
+		srv := &http.Server{Handler: metrics.NewMux(reg, metrics.MuxOptions{Pprof: *pprofOn}), ReadHeaderTimeout: readHeaderTimeout}
+		defer srv.Close()
+		go func() { _ = srv.Serve(ln) }()
 		fmt.Printf("metrics: http://%s/metrics (and /debug/vars)\n", ln.Addr())
 	}
 	if *checkpointEvery > 0 {

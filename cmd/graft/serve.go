@@ -15,8 +15,9 @@ import (
 	"graft/internal/serve"
 )
 
-// readHeaderTimeout bounds how long a client may take to send its
-// request headers, so idle or trickling connections cannot pile up.
+// readHeaderTimeout bounds how long a client of graft serve or of
+// graft run -metrics-addr may take to send its request headers, so idle
+// or trickling connections cannot pile up.
 const readHeaderTimeout = 10 * time.Second
 
 // cmdServe runs the multi-job daemon: one graft.Session over a shared

@@ -82,8 +82,8 @@ func (g *GCValue) Encode(e *pregel.Encoder) {
 }
 
 func (g *GCValue) Decode(d *pregel.Decoder) error {
-	g.Color = int32(d.Varint())
-	g.State = GCState(d.Uvarint())
+	g.Color = int32(d.VarintBits(32))
+	g.State = GCState(d.UvarintBits(8))
 	g.Priority = d.Uvarint()
 	return d.Err()
 }
@@ -120,7 +120,7 @@ func (m *GCMessage) Encode(e *pregel.Encoder) {
 }
 
 func (m *GCMessage) Decode(d *pregel.Decoder) error {
-	m.Type = uint8(d.Uvarint())
+	m.Type = uint8(d.UvarintBits(8))
 	m.From = pregel.VertexID(d.Varint())
 	m.Priority = d.Uvarint()
 	return d.Err()

@@ -73,7 +73,7 @@ func (m *MWMMessage) Encode(e *pregel.Encoder) {
 }
 
 func (m *MWMMessage) Decode(d *pregel.Decoder) error {
-	m.Type = uint8(d.Uvarint())
+	m.Type = uint8(d.UvarintBits(8))
 	m.From = pregel.VertexID(d.Varint())
 	return d.Err()
 }

@@ -56,7 +56,7 @@ func (m *RWMessage) Encode(e *pregel.Encoder) {
 func (m *RWMessage) Decode(d *pregel.Decoder) error {
 	m.Sixteen = d.Bool()
 	if m.Sixteen {
-		m.Short = int16(d.Varint())
+		m.Short = int16(d.VarintBits(16))
 	} else {
 		m.Wide = d.Varint()
 	}

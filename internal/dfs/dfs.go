@@ -11,7 +11,7 @@
 //     single-node failure).
 //
 // All implementations satisfy FileSystem, the one storage contract the
-// engine's checkpoints, segio and the trace store write through.
+// engine's checkpoints and the trace store write through.
 package dfs
 
 import (

@@ -210,14 +210,11 @@ func (en *engine) decodeCheckpoint(raw []byte) (*checkpointState, error) {
 		return nil, fmt.Errorf("pregel: bad checkpoint magic %q", magic)
 	}
 	st := &checkpointState{superstep: int(d.Uvarint())}
-	numParts := int(d.Uvarint())
-	if numParts != len(en.parts) {
+	numParts := d.Count(2) // each partition has a vertex count and an inbox count
+	if d.Err() == nil && numParts != len(en.parts) {
 		return nil, fmt.Errorf("pregel: checkpoint has %d partitions, engine has %d", numParts, len(en.parts))
 	}
-	nAggs, err := decodeCount(d)
-	if err != nil {
-		return nil, err
-	}
+	nAggs := d.Count(2)
 	st.broadcast = make(map[string]Value, nAggs)
 	for i := 0; i < nAggs; i++ {
 		name := d.String()
@@ -227,11 +224,7 @@ func (en *engine) decodeCheckpoint(raw []byte) (*checkpointState, error) {
 		}
 		st.broadcast[name] = v
 	}
-	nMoved, err := decodeCount(d)
-	if err != nil {
-		return nil, err
-	}
-	if nMoved > 0 {
+	if nMoved := d.Count(2); nMoved > 0 {
 		ids := make([]VertexID, nMoved)
 		parts := make([]int, nMoved)
 		for i := 0; i < nMoved; i++ {
@@ -249,10 +242,7 @@ func (en *engine) decodeCheckpoint(raw []byte) (*checkpointState, error) {
 	}
 	st.parts = make([][]*Vertex, numParts)
 	for i := range st.parts {
-		n, err := decodeCount(d)
-		if err != nil {
-			return nil, err
-		}
+		n := d.Count(4)
 		vs := make([]*Vertex, 0, n)
 		for j := 0; j < n; j++ {
 			v, err := decodeVertex(d)
@@ -269,28 +259,16 @@ func (en *engine) decodeCheckpoint(raw []byte) (*checkpointState, error) {
 		st.parts[i] = vs
 	}
 	for i := 0; i < numParts; i++ {
-		if st.inbox, err = decodeInbox(d, st.inbox); err != nil {
+		inbox, err := decodeInbox(d, st.inbox)
+		if err != nil {
 			return nil, err
 		}
+		st.inbox = inbox
 	}
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
 	return st, nil
-}
-
-// decodeCount reads an element count and bounds it by the unread bytes:
-// every element takes at least one, so a larger count is a lying prefix
-// that must not size an allocation.
-func decodeCount(d *Decoder) (int, error) {
-	n := d.Uvarint()
-	if err := d.Err(); err != nil {
-		return 0, err
-	}
-	if n > uint64(d.Remaining()) {
-		return 0, ErrCorrupt
-	}
-	return int(n), nil
 }
 
 // install replaces the engine's whole state with a decoded checkpoint.

@@ -99,13 +99,16 @@ func (d *Decoder) fail(context string) {
 	}
 }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint. Only the minimal encoding is
+// accepted, the one PutUvarint writes: a zero last byte after the first
+// is padding, and a value read back must re-encode to the bytes it came
+// from.
 func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	x, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && d.b[d.off+n-1] == 0 {
 		d.fail("uvarint")
 		return 0
 	}
@@ -113,26 +116,58 @@ func (d *Decoder) Uvarint() uint64 {
 	return x
 }
 
-// Varint reads a zig-zag signed varint.
+// Varint reads a zig-zag signed varint, minimally encoded.
 func (d *Decoder) Varint() int64 {
-	if d.err != nil {
-		return 0
+	ux := d.Uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
 	}
-	x, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("varint")
-		return 0
-	}
-	d.off += n
 	return x
 }
 
-// Bool reads one byte as a boolean.
+// UvarintBits reads an unsigned varint that must fit in bits bits (less
+// than 64), for a field narrower than uint64.
+func (d *Decoder) UvarintBits(bits int) uint64 {
+	x := d.Uvarint()
+	if x>>bits != 0 {
+		d.fail("uvarint out of range")
+		return 0
+	}
+	return x
+}
+
+// VarintBits reads a signed varint that must fit in a bits-bit (less
+// than 64) two's-complement integer, for a field narrower than int64.
+func (d *Decoder) VarintBits(bits int) int64 {
+	x := d.Varint()
+	if lim := int64(1) << (bits - 1); x < -lim || x >= lim {
+		d.fail("varint out of range")
+		return 0
+	}
+	return x
+}
+
+// Count reads an element count and fails unless that many elements of
+// at least min bytes each fit in the unread input: a larger count is a
+// lying prefix, which must not size an allocation. It returns 0 on
+// failure.
+func (d *Decoder) Count(min int) int {
+	n := d.Uvarint()
+	if d.err == nil && n > uint64(d.Remaining()/min) {
+		d.fail("count")
+		return 0
+	}
+	return int(n)
+}
+
+// Bool reads one byte as a boolean: 1 is true, 0 false, anything else
+// corrupt.
 func (d *Decoder) Bool() bool {
 	if d.err != nil {
 		return false
 	}
-	if d.off >= len(d.b) {
+	if d.off >= len(d.b) || d.b[d.off] > 1 {
 		d.fail("bool")
 		return false
 	}

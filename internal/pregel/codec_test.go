@@ -156,3 +156,25 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDecoderRejectsNonCanonical: the decoder accepts only the bytes
+// the encoder writes, so whatever it reads re-encodes to its input.
+func TestDecoderRejectsNonCanonical(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		raw  []byte
+		read func(d *Decoder)
+	}{
+		{"padded uvarint", []byte{0x81, 0x00}, func(d *Decoder) { d.Uvarint() }},
+		{"padded varint", []byte{0x80, 0x80, 0x00}, func(d *Decoder) { d.Varint() }},
+		{"bool byte 2", []byte{2}, func(d *Decoder) { d.Bool() }},
+		{"count past the end", []byte{3, 1, 1}, func(d *Decoder) { d.Count(1) }},
+		{"int16 out of range", []byte{0x80, 0x80, 0x04}, func(d *Decoder) { d.VarintBits(16) }}, // 1<<15, zig-zagged
+		{"uint8 out of range", []byte{0x80, 0x02}, func(d *Decoder) { d.UvarintBits(8) }},
+	} {
+		d := NewDecoder(c.raw)
+		if c.read(d); !errors.Is(d.Err(), ErrCorrupt) {
+			t.Errorf("%s (%x): err = %v, want ErrCorrupt", c.name, c.raw, d.Err())
+		}
+	}
+}

@@ -452,11 +452,11 @@ type inboxEntry struct {
 
 // decodeInbox decodes one shard's encoded form.
 func decodeInbox(d *Decoder, into []inboxEntry) ([]inboxEntry, error) {
-	nIDs := d.Uvarint()
-	for i := uint64(0); i < nIDs && d.Err() == nil; i++ {
+	nIDs := d.Count(2)
+	for i := 0; i < nIDs && d.Err() == nil; i++ {
 		ent := inboxEntry{id: VertexID(d.Varint())}
-		nMsgs := d.Uvarint()
-		for j := uint64(0); j < nMsgs && d.Err() == nil; j++ {
+		nMsgs := d.Count(1)
+		for j := 0; j < nMsgs && d.Err() == nil; j++ {
 			v, err := DecodeTyped(d)
 			if err != nil {
 				return into, err

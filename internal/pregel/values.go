@@ -65,7 +65,7 @@ func (i *IntValue) Set(v int32)       { *i = IntValue(v) }
 func (*IntValue) TypeName() string    { return "int" }
 func (i *IntValue) Encode(e *Encoder) { e.PutVarint(int64(*i)) }
 func (i *IntValue) Decode(d *Decoder) error {
-	*i = IntValue(d.Varint())
+	*i = IntValue(d.VarintBits(32))
 	return d.Err()
 }
 func (i *IntValue) Clone() Value   { c := *i; return &c }
@@ -101,7 +101,7 @@ func (s *ShortValue) Set(v int16)       { *s = ShortValue(v) }
 func (*ShortValue) TypeName() string    { return "short" }
 func (s *ShortValue) Encode(e *Encoder) { e.PutVarint(int64(*s)) }
 func (s *ShortValue) Decode(d *Decoder) error {
-	*s = ShortValue(d.Varint())
+	*s = ShortValue(d.VarintBits(16))
 	return d.Err()
 }
 func (s *ShortValue) Clone() Value   { c := *s; return &c }
@@ -164,14 +164,7 @@ func (l *LongListValue) Encode(e *Encoder) {
 }
 
 func (l *LongListValue) Decode(d *Decoder) error {
-	n := d.Uvarint()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n > uint64(d.Remaining()) { // each element is at least one byte
-		return ErrCorrupt
-	}
-	l.Longs = make([]int64, n)
+	l.Longs = make([]int64, d.Count(1))
 	for i := range l.Longs {
 		l.Longs[i] = d.Varint()
 	}

@@ -172,10 +172,7 @@ func decodeVertex(d *Decoder) (*Vertex, error) {
 	}
 	v.value = val
 	v.halted = d.Bool()
-	n, err := decodeCount(d)
-	if err != nil {
-		return nil, err
-	}
+	n := d.Count(2)
 	v.edges = make([]Edge, 0, n)
 	for i := 0; i < n; i++ {
 		target := VertexID(d.Varint())

@@ -297,10 +297,7 @@ func encodeAggMap(e *pregel.Encoder, m map[string]pregel.Value) {
 }
 
 func decodeAggMap(d *pregel.Decoder) (map[string]pregel.Value, error) {
-	n, err := decodeCount(d)
-	if err != nil {
-		return nil, err
-	}
+	n := d.Count(2)
 	m := make(map[string]pregel.Value, n)
 	for i := 0; i < n; i++ {
 		name := d.String()
@@ -345,20 +342,6 @@ func (r *RecordReader) Next() (any, error) {
 	return decodeRecordPayload(payload)
 }
 
-// decodeCount reads an element count and bounds it by the unread
-// bytes: every element takes at least one, so a larger count is a lying
-// prefix that must not size an allocation.
-func decodeCount(d *pregel.Decoder) (int, error) {
-	n := d.Uvarint()
-	if err := d.Err(); err != nil {
-		return 0, err
-	}
-	if n > uint64(d.Remaining()) {
-		return 0, fmt.Errorf("%w: count %d with %d bytes left", pregel.ErrCorrupt, n, d.Remaining())
-	}
-	return int(n), nil
-}
-
 func decodeVertexCapture(d *pregel.Decoder) (*VertexCapture, error) {
 	c := &VertexCapture{}
 	c.Superstep = int(d.Uvarint())
@@ -373,10 +356,7 @@ func decodeVertexCapture(d *pregel.Decoder) (*VertexCapture, error) {
 		return nil, err
 	}
 	c.EdgesPreCompute = d.Bool()
-	nEdges, err := decodeCount(d)
-	if err != nil {
-		return nil, err
-	}
+	nEdges := d.Count(2)
 	c.Edges = make([]pregel.Edge, 0, nEdges)
 	for i := 0; i < nEdges; i++ {
 		target := pregel.VertexID(d.Varint())
@@ -386,10 +366,7 @@ func decodeVertexCapture(d *pregel.Decoder) (*VertexCapture, error) {
 		}
 		c.Edges = append(c.Edges, pregel.Edge{Target: target, Value: v})
 	}
-	nIn, err := decodeCount(d)
-	if err != nil {
-		return nil, err
-	}
+	nIn := d.Count(1)
 	c.Incoming = make([]pregel.Value, 0, nIn)
 	for i := 0; i < nIn; i++ {
 		v, err := pregel.DecodeTyped(d)
@@ -398,10 +375,7 @@ func decodeVertexCapture(d *pregel.Decoder) (*VertexCapture, error) {
 		}
 		c.Incoming = append(c.Incoming, v)
 	}
-	nOut, err := decodeCount(d)
-	if err != nil {
-		return nil, err
-	}
+	nOut := d.Count(2)
 	c.Outgoing = make([]OutMsg, 0, nOut)
 	for i := 0; i < nOut; i++ {
 		to := pregel.VertexID(d.Varint())
@@ -412,10 +386,7 @@ func decodeVertexCapture(d *pregel.Decoder) (*VertexCapture, error) {
 		c.Outgoing = append(c.Outgoing, OutMsg{To: to, Value: v})
 	}
 	c.HaltedAfter = d.Bool()
-	nViol, err := decodeCount(d)
-	if err != nil {
-		return nil, err
-	}
+	nViol := d.Count(4)
 	c.Violations = make([]Violation, 0, nViol)
 	for i := 0; i < nViol; i++ {
 		viol := Violation{
@@ -448,10 +419,7 @@ func decodeMasterCapture(d *pregel.Decoder) (*MasterCapture, error) {
 	if c.AggregatedAfter, err = decodeAggMap(d); err != nil {
 		return nil, err
 	}
-	nSets, err := decodeCount(d)
-	if err != nil {
-		return nil, err
-	}
+	nSets := d.Count(2)
 	c.Sets = make([]AggSet, 0, nSets)
 	for i := 0; i < nSets; i++ {
 		name := d.String()
@@ -473,10 +441,7 @@ func decodeSubgraphCapture(d *pregel.Decoder) (*SubgraphCapture, error) {
 	c.Superstep = int(d.Uvarint())
 	c.Worker = int(d.Uvarint())
 	c.ID = pregel.VertexID(d.Varint())
-	n, err := decodeCount(d)
-	if err != nil {
-		return nil, err
-	}
+	n := d.Count(1)
 	c.Members = make([]pregel.VertexID, 0, n)
 	for i := 0; i < n; i++ {
 		c.Members = append(c.Members, pregel.VertexID(d.Varint()))

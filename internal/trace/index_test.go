@@ -15,7 +15,6 @@ import (
 
 	"graft/internal/dfs"
 	"graft/internal/pregel"
-	"graft/internal/segio"
 )
 
 // refLoc and refIndex are the index the Reader kept before the sorted
@@ -63,7 +62,7 @@ func loadRefIndex(t *testing.T, store *Store, jobID string) *refIndex {
 		if err != nil {
 			t.Fatal(err)
 		}
-		segs, err := segio.DecodeIndex(raw)
+		segs, err := decodeIndex(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +92,7 @@ func loadRefIndex(t *testing.T, store *Store, jobID string) *refIndex {
 	return x
 }
 
-func (x *refIndex) place(ent segio.Entry, seg string) {
+func (x *refIndex) place(ent indexEntry, seg string) {
 	loc := refLoc{seg: seg, off: ent.Offset, ln: ent.Length}
 	byID := func(m map[int]map[pregel.VertexID]refLoc) {
 		if m[ent.Step] == nil {
@@ -152,7 +151,7 @@ func writeRandomJob(t *testing.T, store *Store, jobID string, rng *rand.Rand, or
 
 // writeRandomStream is writeRandomJob's record stream into a sink of
 // workers worker lanes, ending with Finish.
-func writeRandomStream(t *testing.T, sink Sink, rng *rand.Rand, workers int, ordered bool) (steps int, ids int) {
+func writeRandomStream(t testing.TB, sink Sink, rng *rand.Rand, workers int, ordered bool) (steps int, ids int) {
 	t.Helper()
 	steps, ids = 1+rng.Intn(5), 4+rng.Intn(20)
 	seq := int64(0)
@@ -387,13 +386,13 @@ func (s streamOnly) Open(path string) (io.ReadCloser, error) {
 // allocate what the entry claims — over handles with ReadAt and over
 // handles that only stream. The other records stay readable.
 func TestReaderHostileIndexEntry(t *testing.T) {
-	for name, mutate := range map[string]func(e *segio.Entry, segLen int){
-		"offset past the end": func(e *segio.Entry, segLen int) { e.Offset = segLen + 5 },
-		"length past the end": func(e *segio.Entry, segLen int) { e.Length = segLen },
-		// The largest values segio.DecodeIndex lets through.
-		"absurd length": func(e *segio.Entry, _ int) { e.Length = math.MaxInt32 },
-		"absurd offset": func(e *segio.Entry, _ int) { e.Offset = math.MaxInt32 },
-		"both absurd":   func(e *segio.Entry, _ int) { e.Offset, e.Length = math.MaxInt32, math.MaxInt32 },
+	for name, mutate := range map[string]func(e *indexEntry, segLen int){
+		"offset past the end": func(e *indexEntry, segLen int) { e.Offset = segLen + 5 },
+		"length past the end": func(e *indexEntry, segLen int) { e.Length = segLen },
+		// The largest values decodeIndex lets through.
+		"absurd length": func(e *indexEntry, _ int) { e.Length = math.MaxInt32 },
+		"absurd offset": func(e *indexEntry, _ int) { e.Offset = math.MaxInt32 },
+		"both absurd":   func(e *indexEntry, _ int) { e.Offset, e.Length = math.MaxInt32, math.MaxInt32 },
 	} {
 		for _, streamed := range []bool{false, true} {
 			mem := dfs.NewMemFS()
@@ -405,7 +404,7 @@ func TestReaderHostileIndexEntry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			segs, err := segio.DecodeIndex(raw)
+			segs, err := decodeIndex(raw)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -414,7 +413,7 @@ func TestReaderHostileIndexEntry(t *testing.T) {
 				t.Fatalf("fixture moved: first entry of %s is (%d, %d)", idxPath, ent.Step, ent.ID)
 			}
 			mutate(ent, int(mem.Size("t/job1/"+segs[0].Name)))
-			if err := dfs.WriteFile(mem, idxPath, segio.EncodeIndex(segs)); err != nil {
+			if err := dfs.WriteFile(mem, idxPath, appendIndex(nil, segs)); err != nil {
 				t.Fatal(err)
 			}
 			if streamed {

@@ -13,7 +13,6 @@ import (
 
 	"graft/internal/dfs"
 	"graft/internal/pregel"
-	"graft/internal/segio"
 )
 
 // ErrUnsupportedLayout is the sentinel wrapped by OpenReader for a job
@@ -199,10 +198,7 @@ func (r *Reader) loadIndex() error {
 		if err != nil {
 			return err
 		}
-		segs, err := segio.DecodeIndex(raw)
-		if errors.Is(err, segio.ErrBadMagic) {
-			err = ErrBadMagic
-		}
+		segs, err := decodeIndex(raw)
 		if err != nil {
 			return fmt.Errorf("trace: %s: %w", idxPath, err)
 		}
@@ -250,8 +246,8 @@ func (r *Reader) addSegment(name string) uint32 {
 	return uint32(len(r.segOrder) - 1)
 }
 
-func (r *Reader) place(ent segio.Entry, seg uint32) {
-	// segio.DecodeIndex lets through no offset or length over MaxInt32,
+func (r *Reader) place(ent indexEntry, seg uint32) {
+	// decodeIndex lets through no offset or length over MaxInt32,
 	// and a scanned segment's frames were walked in memory.
 	loc := recordLoc{id: pregel.VertexID(ent.ID), seg: seg, off: int64(ent.Offset), ln: uint32(ent.Length)}
 	switch recordKind(ent.Kind) {
@@ -273,42 +269,6 @@ func stepIndexOf(m map[int]*stepIndex, step int) *stepIndex {
 		m[step] = x
 	}
 	return x
-}
-
-// scanSegmentEntries walks a segment's frames and synthesizes index
-// entries, decoding only each record's envelope (kind, superstep,
-// vertex ID).
-func scanSegmentEntries(data []byte) ([]segio.Entry, error) {
-	if !hasSegMagic(data) {
-		return nil, ErrBadMagic
-	}
-	var ents []segio.Entry
-	off := len(segMagic)
-	for off < len(data) {
-		d := pregel.NewDecoder(data[off:])
-		payload := d.Bytes()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		off = len(data) - d.Remaining() // frame end
-		payloadOff := off - len(payload)
-		pd := pregel.NewDecoder(payload)
-		ent := segio.Entry{
-			Kind:   uint8(pd.Uvarint()),
-			Step:   int(pd.Uvarint()),
-			Offset: payloadOff,
-			Length: len(payload),
-		}
-		if k := recordKind(ent.Kind); k == kindVertexCapture || k == kindSubgraphCapture {
-			pd.Uvarint() // worker
-			ent.ID = pd.Varint()
-		}
-		if pd.Err() != nil {
-			return nil, pd.Err()
-		}
-		ents = append(ents, ent)
-	}
-	return ents, nil
 }
 
 // segmentBytes returns a whole segment through the bounded cache: the
@@ -345,10 +305,6 @@ func (r *Reader) segmentBytes(seg uint32) ([]byte, error) {
 	}
 	r.mu.Unlock()
 	return raw, nil
-}
-
-func hasSegMagic(b []byte) bool {
-	return len(b) >= len(segMagic) && string(b[:len(segMagic)]) == segMagic
 }
 
 // payload returns the bytes of the record at loc. With whole set (a

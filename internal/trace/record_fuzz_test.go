@@ -8,7 +8,6 @@ import (
 
 	"graft/internal/dfs"
 	"graft/internal/pregel"
-	"graft/internal/segio"
 )
 
 // sinkPayloads writes one record of every kind through a Sink and
@@ -46,7 +45,7 @@ func sinkPayloads(tb testing.TB) [][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		d := pregel.NewDecoder(raw[len(segio.SegMagic):])
+		d := pregel.NewDecoder(raw[len(segMagic):])
 		for d.Remaining() > 0 {
 			payloads = append(payloads, d.Bytes())
 		}
@@ -126,9 +125,9 @@ func encodePayload(t *testing.T, rec any) []byte {
 // FuzzDecodeRecord: decoding a hostile record payload never panics and
 // never sizes an allocation by a count the input cannot back.
 // Re-encoding a record it accepts reaches a fixed point in one step:
-// the re-encoding decodes, and encodes to the same bytes again. (The
-// decoder accepts some non-canonical inputs — a non-minimal varint, a
-// bool byte of 2 — so the first re-encoding may differ from the input.)
+// the re-encoding decodes, and encodes to the same bytes again. (A
+// record can still be non-canonical — aggregator names out of order or
+// repeated — so the first re-encoding may differ from the input.)
 func FuzzDecodeRecord(f *testing.F) {
 	for _, p := range sinkPayloads(f) {
 		f.Add(p)

@@ -1,10 +1,9 @@
 package trace
 
 import (
-	"bytes"
+	"encoding/binary"
 
 	"graft/internal/pregel"
-	"graft/internal/segio"
 )
 
 // Segmented trace layout. Each lane (one per worker, one for the
@@ -37,18 +36,33 @@ import (
 // "<root>/<jobID>/<lane>.idx" per lane, rewritten whole at each
 // barrier: the same bytes under another name, sorting in the same lane
 // order, so the reader opens them unchanged.
-//
-// The container mechanics — framing, sealing, index encoding — live in
-// the segio package (a leaf apart from dfs); this file binds them to
-// trace record types. An index
-// entry's coordinates are (record kind, superstep, vertex or subgraph
-// ID — 0 for master records).
-const segMagic = segio.SegMagic
+const (
+	segMagic = "GRFTSEG1"
+	idxMagic = "GRFTIDX1"
+)
+
+// indexEntry locates one record's payload inside a segment file, under
+// the record's coordinates: its kind, superstep, and vertex or subgraph
+// ID (0 for master records).
+type indexEntry struct {
+	Kind   uint8
+	Step   int
+	ID     int64
+	Offset int // payload start within the segment file
+	Length int // payload length
+}
+
+// segmentIndex is the index of one sealed segment: its file name,
+// relative to the job directory, and its entries in record order.
+type segmentIndex struct {
+	Name    string
+	Entries []indexEntry
+}
 
 // entryFor builds a record's index coordinates from its payload and
 // concrete type.
-func entryFor(rec any, payload []byte) segio.Entry {
-	ent := segio.Entry{Kind: payload[0], Length: len(payload)}
+func entryFor(rec any, payload []byte) indexEntry {
+	ent := indexEntry{Kind: payload[0], Length: len(payload)}
 	switch r := rec.(type) {
 	case *VertexFrame:
 		ent.Step, ent.ID = r.Superstep, int64(r.ID)
@@ -64,21 +78,92 @@ func entryFor(rec any, payload []byte) segio.Entry {
 	return ent
 }
 
-// encodeFrame appends rec's frame (uvarint length ++ payload) to buf,
-// using e and hdr as scratch, and returns the record's index entry
-// with Offset relative to buf's start. On an encode failure buf is
-// left untouched.
-func encodeFrame(e, hdr *pregel.Encoder, buf *bytes.Buffer, rec any) (segio.Entry, error) {
-	e.Reset()
-	if err := encodeRecordPayload(e, rec); err != nil {
-		return segio.Entry{}, err
+// appendIndex appends the GRFTIDX1 encoding of segs to b: the magic, a
+// uvarint segment count, then per segment its length-prefixed name, a
+// uvarint entry count and per entry the uvarint kind, uvarint step,
+// zig-zag varint ID, uvarint offset and uvarint length.
+func appendIndex(b []byte, segs []segmentIndex) []byte {
+	b = append(b, idxMagic...)
+	b = binary.AppendUvarint(b, uint64(len(segs)))
+	for _, seg := range segs {
+		b = binary.AppendUvarint(b, uint64(len(seg.Name)))
+		b = append(b, seg.Name...)
+		b = binary.AppendUvarint(b, uint64(len(seg.Entries)))
+		for _, ent := range seg.Entries {
+			b = binary.AppendUvarint(b, uint64(ent.Kind))
+			b = binary.AppendUvarint(b, uint64(ent.Step))
+			b = binary.AppendVarint(b, ent.ID)
+			b = binary.AppendUvarint(b, uint64(ent.Offset))
+			b = binary.AppendUvarint(b, uint64(ent.Length))
+		}
 	}
-	payload := e.Bytes()
-	hdr.Reset()
-	hdr.PutUvarint(uint64(len(payload)))
-	ent := entryFor(rec, payload)
-	ent.Offset = buf.Len() + hdr.Len()
-	buf.Write(hdr.Bytes())
-	buf.Write(payload)
-	return ent, nil
+	return b
+}
+
+// decodeIndex parses an index part, or a sidecar of the older
+// one-file-per-lane layout. A segment takes at least 2 bytes and an
+// entry at least 5, which bounds each count before it sizes anything.
+func decodeIndex(raw []byte) ([]segmentIndex, error) {
+	if len(raw) < len(idxMagic) || string(raw[:len(idxMagic)]) != idxMagic {
+		return nil, ErrBadMagic
+	}
+	d := pregel.NewDecoder(raw[len(idxMagic):])
+	segs := make([]segmentIndex, d.Count(2))
+	for i := range segs {
+		segs[i].Name = d.String()
+		ents := make([]indexEntry, d.Count(5))
+		for j := range ents {
+			// No segment holds 2 GiB, and the 31-bit bound keeps
+			// Offset+Length from wrapping.
+			ents[j] = indexEntry{
+				Kind: uint8(d.UvarintBits(8)), Step: int(d.UvarintBits(31)), ID: d.Varint(),
+				Offset: int(d.UvarintBits(31)), Length: int(d.UvarintBits(31)),
+			}
+		}
+		segs[i].Entries = ents
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return segs, nil
+}
+
+// scanSegmentEntries walks a segment's frames and synthesizes index
+// entries, decoding only each record's envelope (kind, superstep,
+// vertex ID).
+func scanSegmentEntries(data []byte) ([]indexEntry, error) {
+	if !hasSegMagic(data) {
+		return nil, ErrBadMagic
+	}
+	var ents []indexEntry
+	off := len(segMagic)
+	for off < len(data) {
+		d := pregel.NewDecoder(data[off:])
+		payload := d.Bytes()
+		if d.Err() != nil {
+			return nil, d.Err()
+		}
+		off = len(data) - d.Remaining() // frame end
+		payloadOff := off - len(payload)
+		pd := pregel.NewDecoder(payload)
+		ent := indexEntry{
+			Kind:   uint8(pd.UvarintBits(8)),
+			Step:   int(pd.Uvarint()),
+			Offset: payloadOff,
+			Length: len(payload),
+		}
+		if k := recordKind(ent.Kind); k == kindVertexCapture || k == kindSubgraphCapture {
+			pd.Uvarint() // worker
+			ent.ID = pd.Varint()
+		}
+		if pd.Err() != nil {
+			return nil, pd.Err()
+		}
+		ents = append(ents, ent)
+	}
+	return ents, nil
+}
+
+func hasSegMagic(b []byte) bool {
+	return len(b) >= len(segMagic) && string(b[:len(segMagic)]) == segMagic
 }

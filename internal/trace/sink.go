@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -9,7 +9,6 @@ import (
 
 	"graft/internal/dfs"
 	"graft/internal/pregel"
-	"graft/internal/segio"
 )
 
 // FormatSegments marks jobs written through Store.NewSink: segment
@@ -21,9 +20,9 @@ const FormatSegments = "segments/v1"
 // segment; every barrier seals it too.
 const DefaultSegmentSize = 256 << 10
 
-// laneBatchSize is how many framed records a lane accumulates before
-// appending them to its open segment. The size check runs once per
-// batch, so a segment seals after a whole batch or at a barrier.
+// laneBatchSize is how many records a lane frames between checks of
+// its open segment's size, so a segment seals after a whole batch of
+// records or at a barrier.
 const laneBatchSize = 64
 
 // RecordSink accepts capture records for one lane (one worker, or the
@@ -102,26 +101,23 @@ func (s *Store) newSink(meta JobMeta, segmentSize, batchSize int) (*jobSink, err
 	if err := dfs.WriteFile(s.FS, dir+"/job.meta", metaJSON); err != nil {
 		return nil, err
 	}
-	js := &jobSink{store: s, jobID: meta.JobID, batchSize: batchSize}
+	js := &jobSink{store: s, dir: dir, segmentSize: segmentSize, batchSize: batchSize}
 	for i := 0; i <= meta.NumWorkers; i++ {
 		name := "master"
 		if i < meta.NumWorkers {
 			name = fmt.Sprintf("worker_%02d", i)
 		}
-		js.lanes = append(js.lanes, &sinkLane{
-			sink: js,
-			sw:   segio.NewWriter(s.FS, dir, name, segmentSize, func(n int) { js.dropped.Add(int64(n)) }),
-			e:    pregel.NewEncoder(),
-			hdr:  pregel.NewEncoder(),
-		})
+		js.lanes = append(js.lanes, &sinkLane{sink: js, name: name, e: pregel.NewEncoder(), seg: []byte(segMagic)})
 	}
 	return js, nil
 }
 
 type jobSink struct {
-	store     *Store
-	jobID     string
-	batchSize int
+	store *Store
+	dir   string // the job directory
+	// segmentSize is the size past which a lane seals its open segment,
+	// checked once every batchSize records.
+	segmentSize, batchSize int
 	// lanes[0..n-1] are the workers, lanes[n] is the master.
 	lanes   []*sinkLane
 	dropped atomic.Int64
@@ -200,67 +196,115 @@ func (js *jobSink) Finish(res JobResult) error {
 	if err != nil {
 		return err
 	}
-	return dfs.WriteFile(js.store.FS, js.store.jobDir(js.jobID)+"/job.done", resJSON)
+	return dfs.WriteFile(js.store.FS, js.dir+"/job.done", resJSON)
 }
 
-// sinkLane is one worker's (or the master's) record sink: its segment
-// writer plus the batch of framed records not yet appended to it.
+// sinkLane is one worker's (or the master's) record sink and the
+// writer of its lane's segments and index parts.
 //
-// The producer frames each record at the source, into the batch, and
-// appends a full batch to the open segment itself, sealing the segment
-// inline once it passes the size threshold. mu is held by the lane's
-// producer and by BarrierFlush; in the engine the two never overlap,
-// since the barrier runs after the workers have stopped computing.
+// The producer frames each record at the source straight into the open
+// segment and, once every batchSize records, seals the segment if it
+// has passed the size threshold. A barrier's flush seals whatever is
+// open and commits one index part naming the segments sealed since the
+// previous part. mu is held by the lane's producer and by BarrierFlush;
+// in the engine the two never overlap, since the barrier runs after the
+// workers have stopped computing.
 type sinkLane struct {
 	sink *jobSink
+	name string // the lane's directory, relative to the job's
 
-	mu      sync.Mutex
-	sw      *segio.Writer
-	e, hdr  *pregel.Encoder
-	buf     bytes.Buffer
-	entries []segio.Entry
+	mu  sync.Mutex
+	e   *pregel.Encoder // payload scratch
+	seg []byte          // the open segment, magic included
+	cur []indexEntry    // the open segment's entries
+	// unchecked counts the records framed since the size was last
+	// checked.
+	unchecked int
+	// pending holds the segments sealed since the last committed part:
+	// the watermark a failed part write leaves for the next flush.
+	pending []segmentIndex
+	idx     []byte // part encoding scratch
+	segSeq  int
+	partSeq int
 }
 
-// submit frames one record into the lane's batch, appending the batch
-// to the open segment when it fills.
+// submit frames one record into the open segment.
 func (l *sinkLane) submit(rec any) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ent, err := encodeFrame(l.e, l.hdr, &l.buf, rec)
-	if err != nil {
+	l.e.Reset()
+	if err := encodeRecordPayload(l.e, rec); err != nil {
 		// An unencodable record is the caller's error; it is counted as
 		// lost alongside the structural failures.
 		l.sink.dropped.Add(1)
 		l.sink.recordErr(err)
 		return err
 	}
-	l.entries = append(l.entries, ent)
-	if len(l.entries) >= l.sink.batchSize {
-		l.appendLocked()
+	payload := l.e.Bytes()
+	l.seg = binary.AppendUvarint(l.seg, uint64(len(payload)))
+	ent := entryFor(rec, payload)
+	ent.Offset = len(l.seg)
+	l.seg = append(l.seg, payload...)
+	l.cur = append(l.cur, ent)
+	if l.unchecked++; l.unchecked >= l.sink.batchSize {
+		l.unchecked = 0
+		if len(l.seg) >= l.sink.segmentSize {
+			// A failed seal is the store's failure, not the producer's:
+			// seal counts the lost records and Err keeps the error.
+			if err := l.seal(); err != nil {
+				l.sink.recordErr(err)
+			}
+		}
 	}
 	return nil
 }
 
-// appendLocked moves the batch into the open segment. A seal that
-// fails is the store's failure, not the producer's: the segment writer
-// counts the lost segment's records, Err keeps the error, and the job
-// goes on. Caller holds l.mu.
-func (l *sinkLane) appendLocked() {
-	if err := l.sw.AppendFramed(l.buf.Bytes(), l.entries); err != nil {
-		l.sink.recordErr(err)
+// seal commits the open segment as its own file; an empty one costs no
+// file. A segment that cannot be committed is discarded and its records
+// counted in DroppedRecords, so a failing store never grows the buffer
+// without bound. Caller holds l.mu.
+func (l *sinkLane) seal() error {
+	l.unchecked = 0
+	if len(l.cur) == 0 {
+		return nil
 	}
-	l.buf.Reset()
-	l.entries = l.entries[:0]
+	name := fmt.Sprintf("%s/seg_%06d.seg", l.name, l.segSeq)
+	err := dfs.WriteFile(l.sink.store.FS, l.sink.dir+"/"+name, l.seg)
+	if err != nil {
+		l.sink.dropped.Add(int64(len(l.cur)))
+	} else {
+		l.pending = append(l.pending, segmentIndex{Name: name, Entries: l.cur})
+		l.segSeq++
+	}
+	l.cur = nil
+	l.seg = append(l.seg[:0], segMagic...)
+	return err
 }
 
-// flush appends the partial batch, seals the open segment and commits
-// the lane's next index part. The part itself is not kept: only a
-// reader needs the index, and it loads the files.
+// flush seals the open segment and commits one index part naming the
+// segments sealed since the previous part; with nothing new it writes
+// no file. A segment is committed before the part that names it. If the
+// part cannot be written its segments stay pending — durable, found by
+// a reader's segment scan — and the next flush's part names them. A
+// failed seal is reported with the part still written for the segments
+// before it.
 func (l *sinkLane) flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.appendLocked()
-	_, err := l.sw.Flush()
+	err := l.seal()
+	if len(l.pending) == 0 {
+		return err
+	}
+	name := fmt.Sprintf("%s/idx_%06d.idx", l.name, l.partSeq)
+	l.idx = appendIndex(l.idx[:0], l.pending)
+	if ierr := dfs.WriteFile(l.sink.store.FS, l.sink.dir+"/"+name, l.idx); ierr != nil {
+		if err == nil {
+			err = ierr
+		}
+		return err
+	}
+	l.partSeq++
+	l.pending = nil
 	return err
 }
 

@@ -16,7 +16,6 @@ import (
 	"graft/internal/dfs"
 	"graft/internal/faults"
 	"graft/internal/pregel"
-	"graft/internal/segio"
 )
 
 // writeSinkJob writes a small deterministic job through a Sink: three
@@ -416,7 +415,7 @@ func foldIndexParts(t *testing.T, fs dfs.FileSystem, jobDir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lanes := map[string][]segio.SegmentIndex{}
+	lanes := map[string][]segmentIndex{}
 	for _, n := range names {
 		if !strings.HasSuffix(n, ".idx") {
 			continue
@@ -425,7 +424,7 @@ func foldIndexParts(t *testing.T, fs dfs.FileSystem, jobDir string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		segs, err := segio.DecodeIndex(raw)
+		segs, err := decodeIndex(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +435,7 @@ func foldIndexParts(t *testing.T, fs dfs.FileSystem, jobDir string) {
 		}
 	}
 	for lane, segs := range lanes {
-		if err := dfs.WriteFile(fs, lane+".idx", segio.EncodeIndex(segs)); err != nil {
+		if err := dfs.WriteFile(fs, lane+".idx", appendIndex(nil, segs)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -541,7 +540,7 @@ func testSinkFailedIndexPartWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, err := segio.DecodeIndex(raw)
+	segs, err := decodeIndex(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,13 +607,13 @@ func TestReaderVerify(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			segs, err := segio.DecodeIndex(idxRaw)
+			segs, err := decodeIndex(idxRaw)
 			if err != nil {
 				t.Fatal(err)
 			}
 			good := segs[0].Entries[0]
 			segs[0].Entries[0].Offset++
-			if err := dfs.WriteFile(fs, idxPath, segio.EncodeIndex(segs)); err != nil {
+			if err := dfs.WriteFile(fs, idxPath, appendIndex(nil, segs)); err != nil {
 				t.Fatal(err)
 			}
 			if err := verify(); err == nil {
