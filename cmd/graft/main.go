@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -187,7 +186,7 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return err
 		}
-		srv := &http.Server{Handler: metrics.NewMux(reg, metrics.MuxOptions{Pprof: *pprofOn}), ReadHeaderTimeout: readHeaderTimeout}
+		srv := httpServer("", metrics.NewMux(reg, metrics.MuxOptions{Pprof: *pprofOn}))
 		defer srv.Close()
 		go func() { _ = srv.Serve(ln) }()
 		fmt.Printf("metrics: http://%s/metrics (and /debug/vars)\n", ln.Addr())

@@ -16,9 +16,20 @@ import (
 )
 
 // readHeaderTimeout bounds how long a client of graft serve or of
-// graft run -metrics-addr may take to send its request headers, so idle
-// or trickling connections cannot pile up.
-const readHeaderTimeout = 10 * time.Second
+// graft run -metrics-addr may take to send its request headers, and
+// readTimeout the whole request, body included, so idle or trickling
+// connections cannot pile up.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+)
+
+// httpServer is the server graft serve and graft run -metrics-addr
+// listen with. It sets no WriteTimeout: a replay-check page re-runs
+// every capture of a superstep and may take long to answer.
+func httpServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
+}
 
 // cmdServe runs the multi-job daemon: one graft.Session over a shared
 // trace store, jobs submitted and canceled over HTTP, the GUI mounted
@@ -54,7 +65,7 @@ func cmdServe(args []string) error {
 		return err
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: daemon.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	srv := httpServer(*addr, daemon.Handler())
 	errCh := make(chan error, 1)
 	go func() {
 		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {

@@ -210,15 +210,6 @@ func NewCluster(numNodes, replication, blockSize int) *Cluster {
 var CorruptReplicas = faults.CorruptReplicas
 
 // NewStore returns a trace store rooted at root within fs.
-//
-// Migration note: jobs write through Store.NewSink (segmented,
-// indexed — what Run uses internally) and read through
-// Store.OpenReader / OpenTrace, which serve lookups from the segment
-// index instead of loading the whole trace. The whole-file job writer
-// and the eager in-memory trace load that preceded them are gone, and
-// a trace in the whole-file layout is rejected with
-// trace.ErrUnsupportedLayout rather than read; Reader.Verify is the
-// whole-trace consistency check.
 func NewStore(fs dfs.FileSystem, root string) *Store { return trace.NewStore(fs, root) }
 
 // OpenTrace opens a job's trace lazily: lookups go through the

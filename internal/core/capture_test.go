@@ -78,6 +78,14 @@ func (s *frameSink) WriteVertexFrame(f *trace.VertexFrame) error {
 	return nil
 }
 
+func cloneEdges(edges []pregel.Edge) []pregel.Edge {
+	out := make([]pregel.Edge, len(edges))
+	for i, e := range edges {
+		out[i] = pregel.Edge{Target: e.Target, Value: pregel.CloneValue(e.Value)}
+	}
+	return out
+}
+
 func randomValue(rng *rand.Rand, allowNil bool) pregel.Value {
 	switch n := rng.Intn(7); {
 	case n == 0 && allowNil:

@@ -102,7 +102,8 @@ func (ic *alwaysRecord) Compute(ctx pregel.Context, v *pregel.Vertex, msgs []pre
 		if !needPre {
 			trace.PutEdges(&rec.edges, v.Edges())
 		}
-		g.capture(v, msgs, rec, reasons, needPre, exc)
+		rec.reasons = reasons
+		g.capture(v, msgs, &rec.record, needPre, v.Halted(), exc)
 	}
 	return err
 }

@@ -123,7 +123,8 @@ func Attach(store *trace.Store, opts Options, graph *pregel.Graph, cfg DebugConf
 	}
 	g.masterSink = sink.MasterSink()
 	for i := range g.workers {
-		g.workers[i].check.msgOK, g.workers[i].rec.g = cfg.MessageConstraint, g
+		w := &g.workers[i]
+		w.check.msgOK, w.rec.g, w.sub.g = cfg.MessageConstraint, g, g
 	}
 	return g, nil
 }
@@ -242,7 +243,7 @@ func (g *Graft) Chain(next pregel.JobListener) *Graft {
 // Instrument wraps the user computation with Graft's capture logic:
 // the Go equivalent of the paper's Javassist-based Instrumenter.
 func (g *Graft) Instrument(comp pregel.Computation) pregel.Computation {
-	return &instrumentedComputation{g: g, user: comp}
+	return &instrumentedComputation{instrumented: instrumented{g}, user: comp}
 }
 
 // InstrumentMaster wraps a master computation so its context
@@ -338,16 +339,21 @@ type paddedNanos struct {
 }
 
 // workerState is what one worker's interception reuses from vertex to
-// vertex: the check-only context most computes run under, and the
+// vertex: the check-only context most computes run under, the
 // recording context (with the mute base of its re-runs) the captured
-// ones do.
+// ones do, and in subgraph mode the context a component computes under.
 type workerState struct {
 	check checkContext
 	rec   recordingContext
 	mute  muteContext
+	sub   recordingSubgraphContext
 	// edgesBefore is a check-only vertex's edge list as it was before
 	// compute: what its re-run starts from, never part of the record.
 	edgesBefore edgeSnapshot
+	// Workers write their states concurrently, the check-only counters
+	// at every send: the pad keeps each worker's fields off the cache
+	// lines of the next one's.
+	_ [128]byte
 }
 
 // edgeSnapshot holds an edge list immune to what compute does to the
@@ -390,6 +396,21 @@ func (s *edgeSnapshot) restore(v *pregel.Vertex) error {
 	return nil
 }
 
+// instrumented is what the vertex and subgraph wrappers share: the
+// session, whose per-worker capture clock they report.
+type instrumented struct{ g *Graft }
+
+// CaptureNanos implements pregel.CaptureTimeReporter: cumulative time
+// worker w spent building capture records. Each worker updates only
+// its own slot, and the engine reads it from the same goroutine around
+// the worker's compute loop, so plain loads suffice.
+func (in instrumented) CaptureNanos(w int) int64 {
+	if w >= len(in.g.capNanos) {
+		return 0
+	}
+	return in.g.capNanos[w].n
+}
+
 // instrumentedComputation is the wrapper the Instrumenter installs
 // around the user's Computation (paper §3.1). A vertex known before it
 // computes to be captured runs under a recording context; every other
@@ -397,19 +418,18 @@ func (s *edgeSnapshot) restore(v *pregel.Vertex) error {
 // exception picks afterwards get their record from a recording re-run
 // (DESIGN.md §9).
 type instrumentedComputation struct {
-	g    *Graft
+	instrumented
 	user pregel.Computation
 }
 
-// CaptureNanos implements pregel.CaptureTimeReporter: cumulative time
-// worker w spent building capture records. Each worker updates only
-// its own slot, and the engine reads it from the same goroutine around
-// the worker's compute loop, so plain loads suffice.
-func (ic *instrumentedComputation) CaptureNanos(w int) int64 {
-	if w >= len(ic.g.capNanos) {
-		return 0
+// worker returns worker w's reusable interception state. A worker
+// beyond the count Attach was given is a wiring bug.
+func (g *Graft) worker(w int) *workerState {
+	if w >= len(g.workers) {
+		panic(fmt.Sprintf("core: job runs with at least %d workers but Attach was told %d; "+
+			"Options.NumWorkers must match pregel.Config.NumWorkers", w+1, len(g.workers)))
 	}
-	return ic.g.capNanos[w].n
+	return &g.workers[w]
 }
 
 // Compute implements pregel.Computation.
@@ -419,27 +439,29 @@ func (ic *instrumentedComputation) Compute(ctx pregel.Context, v *pregel.Vertex,
 	if !g.cfg.observes(superstep) {
 		return ic.user.Compute(ctx, v, msgs)
 	}
-	worker := ctx.WorkerID()
-	if worker >= len(g.workers) {
-		panic(fmt.Sprintf("core: job runs with at least %d workers but Attach was told %d; "+
-			"Options.NumWorkers must match pregel.Config.NumWorkers", worker+1, len(g.workers)))
+	w := g.worker(ctx.WorkerID())
+	if g.admit(&w.rec.record, v, msgs, superstep) {
+		return ic.record(ctx, w, v, msgs)
 	}
-	w := &g.workers[worker]
+	return ic.check(ctx, w, v, msgs, superstep)
+}
 
-	// What is known before compute: static selection, capture-all-active,
-	// and the §7 extension — message constraints that depend on the value
-	// of the destination vertex, checked at delivery time where that
-	// value is known.
-	reasons := g.reasons[v.ID()]
+// admit sets r.reasons to what is known before v computes: static
+// selection, capture-all-active, and the §7 extension — message
+// constraints that depend on the value of the destination vertex,
+// checked at delivery time where that value is known, each violation
+// recorded. It reports whether there is any.
+func (g *Graft) admit(r *record, v *pregel.Vertex, msgs []pregel.Value, superstep int) bool {
+	r.reasons = g.reasons[v.ID()]
 	if g.cfg.CaptureAllActive {
-		reasons |= trace.ReasonAllActive
+		r.reasons |= trace.ReasonAllActive
 	}
-	w.rec.violations = w.rec.violations[:0] // the sink has encoded the last vertex's
+	r.violations = r.violations[:0] // the sink has encoded the last vertex's
 	if g.cfg.IncomingMessageConstraint != nil {
 		for _, m := range msgs {
 			if !g.cfg.IncomingMessageConstraint(m, v.Value(), v.ID(), superstep) {
-				reasons |= trace.ReasonIncomingConstraint
-				w.rec.violations = append(w.rec.violations, trace.Violation{
+				r.reasons |= trace.ReasonIncomingConstraint
+				r.violations = append(r.violations, trace.Violation{
 					Kind:  trace.IncomingMessageViolation,
 					SrcID: -1,
 					DstID: v.ID(),
@@ -448,15 +470,12 @@ func (ic *instrumentedComputation) Compute(ctx pregel.Context, v *pregel.Vertex,
 			}
 		}
 	}
-	if reasons != 0 {
-		return ic.record(ctx, w, v, msgs, reasons)
-	}
-	return ic.check(ctx, w, v, msgs, superstep)
+	return r.reasons != 0
 }
 
-// compute runs the user's Compute, turning a panic into a PanicError
-// and any failure into the record's exception.
-func (ic *instrumentedComputation) compute(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Value) (exc *trace.ExceptionInfo, err error) {
+// guard runs a user compute, turning a panic into a PanicError and any
+// failure into the exception its capture records.
+func guard(compute func() error) (exc *trace.ExceptionInfo, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			stack := string(debug.Stack())
@@ -464,18 +483,21 @@ func (ic *instrumentedComputation) compute(ctx pregel.Context, v *pregel.Vertex,
 			err = &PanicError{Value: p, Stack: stack}
 		}
 	}()
-	if err = ic.user.Compute(ctx, v, msgs); err != nil {
+	if err = compute(); err != nil {
 		exc = &trace.ExceptionInfo{Message: err.Error()}
 	}
 	return exc, err
 }
 
+// compute runs the user's Compute under guard.
+func (ic *instrumentedComputation) compute(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Value) (*trace.ExceptionInfo, error) {
+	return guard(func() error { return ic.user.Compute(ctx, v, msgs) })
+}
+
 // record is the recording path, for a vertex that will be captured
 // whatever its compute does: every piece of the record is snapshotted
 // where it is current.
-func (ic *instrumentedComputation) record(ctx pregel.Context, w *workerState, v *pregel.Vertex,
-	msgs []pregel.Value, reasons trace.Reason) error {
-
+func (ic *instrumentedComputation) record(ctx pregel.Context, w *workerState, v *pregel.Vertex, msgs []pregel.Value) error {
 	g := ic.g
 	capStart := time.Now()
 	rec := &w.rec
@@ -486,7 +508,7 @@ func (ic *instrumentedComputation) record(ctx pregel.Context, w *workerState, v 
 	// it received keeps the post-compute edge list every other
 	// dynamically triggered capture stores.
 	rec.snapshot(v)
-	edgesPreCompute := reasons != trace.ReasonIncomingConstraint
+	edgesPreCompute := rec.reasons&^trace.ReasonIncomingConstraint != 0
 	if edgesPreCompute {
 		trace.PutEdges(&rec.edges, v.Edges())
 	}
@@ -499,11 +521,11 @@ func (ic *instrumentedComputation) record(ctx pregel.Context, w *workerState, v 
 	exc, err := ic.compute(rec, v, msgs)
 	capStart = time.Now()
 
-	reasons |= g.verdict(v, rec.superstep, rec.sawMsgViolation, err)
+	rec.reasons |= g.verdict(v, rec.superstep, rec.sawMsgViolation, err)
 	if !edgesPreCompute {
 		trace.PutEdges(&rec.edges, v.Edges())
 	}
-	g.capture(v, msgs, rec, reasons, edgesPreCompute, exc)
+	g.capture(v, msgs, &rec.record, edgesPreCompute, v.Halted(), exc)
 	capSlot.n += time.Since(capStart).Nanoseconds()
 	return err
 }
@@ -591,11 +613,12 @@ func (ic *instrumentedComputation) rerun(w *workerState, v *pregel.Vertex, msgs 
 		// nothing to re-run from.
 		rec.reset(&w.mute, v)
 	}
+	rec.reasons = reasons
 	if !same {
-		reasons |= trace.ReasonNondeterministic
+		rec.reasons |= trace.ReasonNondeterministic
 	}
 	trace.PutEdges(&rec.edges, v.Edges())
-	g.capture(v, msgs, rec, reasons, false, exc)
+	g.capture(v, msgs, &rec.record, false, v.Halted(), exc)
 	g.capNanos[rec.worker].n += time.Since(capStart).Nanoseconds()
 }
 
@@ -625,14 +648,15 @@ func edgesEqual(a, b []pregel.Edge) bool {
 	return true
 }
 
-// capture writes one vertex capture record, respecting the MaxCaptures
+// capture writes rec as v's capture record, respecting the MaxCaptures
 // safety net. The record is assembled from the snapshots rec already
 // holds as bytes (edgesPreCompute says which edge list the caller
 // encoded) and from live values — the value after, the incoming
 // messages — that the sink encodes before it returns (see
 // trace.RecordSink), so nothing is cloned and no record object built.
-func (g *Graft) capture(v *pregel.Vertex, msgs []pregel.Value, rec *recordingContext,
-	reasons trace.Reason, edgesPreCompute bool, exc *trace.ExceptionInfo) {
+// halted is the vertex's halt vote after compute.
+func (g *Graft) capture(v *pregel.Vertex, msgs []pregel.Value, rec *record,
+	edgesPreCompute, halted bool, exc *trace.ExceptionInfo) {
 
 	// A canceled job is shutting down at the next barrier; its remaining
 	// computes still run (barrier consistency) but their captures would
@@ -651,7 +675,7 @@ func (g *Graft) capture(v *pregel.Vertex, msgs []pregel.Value, rec *recordingCon
 		g.captures.Add(1)
 	}
 
-	if reasons.Has(trace.ReasonVertexConstraint) {
+	if rec.reasons.Has(trace.ReasonVertexConstraint) {
 		rec.violations = append(rec.violations, trace.Violation{
 			Kind:  trace.VertexValueViolation,
 			SrcID: v.ID(),
@@ -663,7 +687,7 @@ func (g *Graft) capture(v *pregel.Vertex, msgs []pregel.Value, rec *recordingCon
 		Superstep:       rec.superstep,
 		Worker:          rec.worker,
 		ID:              v.ID(),
-		Reasons:         reasons,
+		Reasons:         rec.reasons,
 		ValueBefore:     rec.before.Bytes(),
 		ValueAfter:      v.Value(),
 		Edges:           rec.edges.Bytes(),
@@ -671,7 +695,7 @@ func (g *Graft) capture(v *pregel.Vertex, msgs []pregel.Value, rec *recordingCon
 		Incoming:        msgs,
 		Outgoing:        rec.out.Bytes(),
 		NumOutgoing:     rec.numOut,
-		HaltedAfter:     v.Halted(),
+		HaltedAfter:     halted,
 		Violations:      rec.violations,
 		Exception:       exc,
 	}
@@ -732,15 +756,13 @@ func (*muteContext) Aggregate(string, pregel.Value)                     {}
 func (*muteContext) RemoveVertexRequest(pregel.VertexID)                {}
 func (*muteContext) AddVertexRequest(pregel.VertexID, pregel.Value)     {}
 
-// recordingContext intercepts message sends to check the message
-// constraint and to remember what a captured vertex sent. Instances
-// are recycled per worker; reset prepares one for the next vertex.
-type recordingContext struct {
-	pregel.Context
-	g         *Graft
-	v         *pregel.Vertex
-	superstep int
-	worker    int
+// record is one vertex's capture in the making, in vertex and subgraph
+// mode alike. A worker recycles its records: one from vertex to vertex,
+// and one per member from component to component.
+type record struct {
+	superstep, worker int
+	// reasons is why the vertex is captured, as far as is known yet.
+	reasons trace.Reason
 
 	// before, edges and out are the vertex's snapshots in record form:
 	// the typed pre-compute value, trace.PutEdges of the edge list, and
@@ -748,7 +770,7 @@ type recordingContext struct {
 	before, edges, out pregel.Encoder
 	numOut             int
 	// frame is where capture assembles the record: handing the sink a
-	// pointer into this context instead of to a local costs no
+	// pointer into this record instead of to a local costs no
 	// allocation.
 	frame trace.VertexFrame
 
@@ -756,43 +778,63 @@ type recordingContext struct {
 	sawMsgViolation bool
 }
 
-// reset prepares the context for v's compute. The pre-compute value is
-// snapshot's to replace, and the violation list Compute's, which has
-// judged the incoming messages by now: a re-run resets after both.
-func (c *recordingContext) reset(ctx pregel.Context, v *pregel.Vertex) {
-	c.Context, c.v = ctx, v
-	c.superstep, c.worker = ctx.Superstep(), ctx.WorkerID()
-	c.edges.Reset()
-	c.out.Reset()
-	c.numOut = 0
-	c.sawMsgViolation = false
+// reset prepares the record for a compute. The pre-compute value is
+// snapshot's to replace, and the violation list and reasons admit's,
+// which has judged the incoming messages by now: a re-run resets after
+// both.
+func (r *record) reset(superstep, worker int) {
+	r.superstep, r.worker = superstep, worker
+	r.edges.Reset()
+	r.out.Reset()
+	r.numOut = 0
+	r.sawMsgViolation = false
 }
 
 // snapshot records v's value as the record's ValueBefore.
-func (c *recordingContext) snapshot(v *pregel.Vertex) {
-	c.before.Reset()
-	pregel.EncodeTyped(&c.before, v.Value())
+func (r *record) snapshot(v *pregel.Vertex) {
+	r.before.Reset()
+	pregel.EncodeTyped(&r.before, v.Value())
 }
 
-// SendMessage implements pregel.Context.
-func (c *recordingContext) SendMessage(to pregel.VertexID, msg pregel.Value) {
-	g := c.g
-	if g.cfg.MessageConstraint != nil &&
-		!g.cfg.MessageConstraint(msg, c.v.ID(), to, c.superstep) {
-		c.sawMsgViolation = true
-		c.violations = append(c.violations, trace.Violation{
+// send records a message vertex from sends to vertex to: the message
+// constraint's verdict and the message itself. The record must snapshot at send time: once
+// msg reaches the plane a combiner may mutate it in place (sender-side
+// combining folds later sends into stored entries during this same
+// compute call), which would retroactively rewrite the recorded value.
+func (r *record) send(g *Graft, from, to pregel.VertexID, msg pregel.Value) {
+	if g.cfg.MessageConstraint != nil && !g.cfg.MessageConstraint(msg, from, to, r.superstep) {
+		r.sawMsgViolation = true
+		r.violations = append(r.violations, trace.Violation{
 			Kind:  trace.MessageViolation,
-			SrcID: c.v.ID(),
+			SrcID: from,
 			DstID: to,
 			Value: pregel.CloneValue(msg),
 		})
 	}
-	// The record must snapshot at send time: once msg reaches the plane a
-	// combiner may mutate it in place (sender-side combining folds later
-	// sends into stored entries during this same compute call), which
-	// would retroactively rewrite the recorded value.
-	trace.PutOutMsg(&c.out, to, msg)
-	c.numOut++
+	trace.PutOutMsg(&r.out, to, msg)
+	r.numOut++
+}
+
+// recordingContext intercepts a vertex's message sends to check the
+// message constraint and to remember what a captured vertex sent.
+// Instances are recycled per worker; reset prepares one for the next
+// vertex.
+type recordingContext struct {
+	pregel.Context
+	record
+	g *Graft
+	v *pregel.Vertex
+}
+
+// reset prepares the context for v's compute.
+func (c *recordingContext) reset(ctx pregel.Context, v *pregel.Vertex) {
+	c.Context, c.v = ctx, v
+	c.record.reset(ctx.Superstep(), ctx.WorkerID())
+}
+
+// SendMessage implements pregel.Context.
+func (c *recordingContext) SendMessage(to pregel.VertexID, msg pregel.Value) {
+	c.send(c.g, c.v.ID(), to, msg)
 	c.Context.SendMessage(to, msg)
 }
 

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"runtime/debug"
-
 	"graft/internal/pregel"
 	"graft/internal/trace"
 )
@@ -26,20 +23,7 @@ func (im *instrumentedMaster) Compute(ctx pregel.MasterContext) error {
 
 	before := snapshotAggregated(ctx)
 	rec := &recordingMasterContext{MasterContext: ctx}
-	var exc *trace.ExceptionInfo
-	err := func() (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				stack := string(debug.Stack())
-				exc = &trace.ExceptionInfo{Message: fmt.Sprint(p), Stack: stack}
-				err = &PanicError{Value: p, Stack: stack}
-			}
-		}()
-		return im.user.Compute(rec)
-	}()
-	if err != nil && exc == nil {
-		exc = &trace.ExceptionInfo{Message: err.Error()}
-	}
+	exc, err := guard(func() error { return im.user.Compute(rec) })
 
 	cap := &trace.MasterCapture{
 		Superstep:        ctx.Superstep(),

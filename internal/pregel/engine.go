@@ -327,6 +327,13 @@ type engine struct {
 	// telemetry.
 	anom *anomaly.Engine
 
+	// scan is how a worker runs its partition's superstep:
+	// computeFrontier for a vertex program, computeSubgraphs for a
+	// subgraph one. capTime is the program's capture clock, nil when it
+	// reports none.
+	scan    func(ctx *workerCtx, part *partition, inbox *messageStore, res *workerResult) error
+	capTime CaptureTimeReporter
+
 	// ctx carries the job's cancellation signal; never nil after run
 	// starts (Background for Job.Run).
 	ctx context.Context
@@ -361,6 +368,12 @@ func newEngine(j *Job) *engine {
 	en.partActive = make([]int64, w)
 	en.recountActive()
 	en.anom = anomaly.New()
+	en.scan = en.computeFrontier
+	en.capTime, _ = j.comp.(CaptureTimeReporter)
+	if j.scomp != nil {
+		en.scan = en.computeSubgraphs
+		en.capTime, _ = j.scomp.(CaptureTimeReporter)
+	}
 	en.cur, en.next = newMessageStores(w, j.cfg.Combiner)
 	en.broadcast = make(map[string]Value, len(j.aggs))
 	for name, entry := range j.aggs {
@@ -622,11 +635,7 @@ func (en *engine) workerPhase(st *step) error {
 				}
 				defer pool.release()
 			}
-			if en.job.scomp != nil {
-				st.results[w], errs[w] = en.runSubgraphWorker(w, st.nv, st.ne)
-			} else {
-				st.results[w], errs[w] = en.runWorker(w, st.nv, st.ne)
-			}
+			st.results[w], errs[w] = en.runWorker(w, st.nv, st.ne)
 		}(w)
 	}
 	wg.Wait()
@@ -763,16 +772,17 @@ func (en *engine) workerCtx(w int, nv, ne int64) *workerCtx {
 	return ctx
 }
 
+// runWorker runs worker w's superstep: the program's scan of its
+// partition, then what the worker hands the barrier.
 func (en *engine) runWorker(w int, nv, ne int64) (workerResult, error) {
 	var res workerResult
 	t0 := time.Now()
-	capReporter, _ := en.job.comp.(CaptureTimeReporter)
 	var capBefore int64
-	if capReporter != nil {
-		capBefore = capReporter.CaptureNanos(w)
+	if en.capTime != nil {
+		capBefore = en.capTime.CaptureNanos(w)
 	}
 	ctx := en.workerCtx(w, nv, ne)
-	if err := en.computeFrontier(ctx, en.parts[w], en.cur, &res); err != nil {
+	if err := en.scan(ctx, en.parts[w], en.cur, &res); err != nil {
 		return res, err
 	}
 	res.sent = ctx.sentTotal()
@@ -780,8 +790,8 @@ func (en *engine) runWorker(w int, nv, ne int64) (workerResult, error) {
 	res.removals = ctx.removals
 	res.additions = ctx.additions
 	res.computeNanos = time.Since(t0).Nanoseconds()
-	if capReporter != nil {
-		res.captureNanos = capReporter.CaptureNanos(w) - capBefore
+	if en.capTime != nil {
+		res.captureNanos = en.capTime.CaptureNanos(w) - capBefore
 	}
 	return res, nil
 }

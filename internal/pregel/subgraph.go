@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
-	"time"
 )
 
 // SubgraphComputation is the partition-level program of subgraph mode,
@@ -289,41 +288,14 @@ func NewSubgraphJob(g *Graph, scomp SubgraphComputation, cfg Config) *Job {
 	return j
 }
 
-// runSubgraphWorker is the subgraph-mode counterpart of runWorker: it
-// scans the partition's subgraphs instead of its vertices.
-func (en *engine) runSubgraphWorker(w int, nv, ne int64) (workerResult, error) {
-	var res workerResult
-	t0 := time.Now()
-	capReporter, _ := en.job.scomp.(CaptureTimeReporter)
-	var capBefore int64
-	if capReporter != nil {
-		capBefore = capReporter.CaptureNanos(w)
-	}
-	ctx := en.workerCtx(w, nv, ne)
-	sctx := &subgraphCtx{w: ctx}
-	err := en.computeSubgraphs(sctx, en.parts[w], en.cur, &res)
-	res.iterations = sctx.iterations
-	if err != nil {
-		return res, err
-	}
-	res.sent = ctx.sentTotal()
-	res.aggPartial = ctx.aggPartial
-	res.removals = ctx.removals
-	res.additions = ctx.additions
-	res.computeNanos = time.Since(t0).Nanoseconds()
-	if capReporter != nil {
-		res.captureNanos = capReporter.CaptureNanos(w) - capBefore
-	}
-	return res, nil
-}
-
 // computeSubgraphs runs one superstep of subgraph computes over part,
 // taking each member's mail from inbox by slot. A subgraph computes
 // when any member is active; a message to any member wakes the whole
 // subgraph; VoteToHalt halts every member together. Active counting
 // and the awake bitmap stay per-vertex, so convergence and the empty-
 // frontier skip are mode-independent.
-func (en *engine) computeSubgraphs(sctx *subgraphCtx, part *partition, inbox *messageStore, res *workerResult) error {
+func (en *engine) computeSubgraphs(ctx *workerCtx, part *partition, inbox *messageStore, res *workerResult) error {
+	sctx := &subgraphCtx{w: ctx}
 	part.ensureSubgraphs()
 	for si, sg := range part.subs {
 		if si&15 == 0 {
@@ -373,6 +345,7 @@ func (en *engine) computeSubgraphs(sctx *subgraphCtx, part *partition, inbox *me
 			res.active += int64(len(sg.members))
 		}
 	}
+	res.iterations = sctx.iterations
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -19,16 +20,27 @@ import (
 // algorithm's subgraph port under full capture and returns the trace.
 func subgraphCaptureRun(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph, dc core.DebugConfig) *trace.Reader {
 	t.Helper()
+	db, err := subgraphRun(t, alg, g, 4, dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// subgraphRun runs alg's subgraph port over g on `workers` workers with
+// a session attached and returns the trace and the job's error.
+func subgraphRun(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph, workers int, dc core.DebugConfig) (*trace.Reader, error) {
+	t.Helper()
 	store := trace.NewStore(dfs.NewMemFS(), "traces")
 	session, err := core.Attach(store, core.Options{
-		JobID: "repro-sg-job", Algorithm: alg.Name, NumWorkers: 4,
+		JobID: "repro-sg-job", Algorithm: alg.Name, NumWorkers: workers,
 		ComputeMode: "subgraph",
 	}, g, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := pregel.Config{
-		NumWorkers:    4,
+		NumWorkers:    workers,
 		Listener:      session,
 		Master:        session.InstrumentMaster(alg.Master),
 		Combiner:      alg.Combiner,
@@ -38,14 +50,12 @@ func subgraphCaptureRun(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph
 	for _, spec := range alg.Aggregators {
 		job.RegisterAggregator(spec.Name, spec.Agg, spec.Persistent)
 	}
-	if _, err := job.Run(); err != nil {
-		t.Fatal(err)
-	}
+	_, runErr := job.Run()
 	db, err := store.OpenReader("repro-sg-job")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db
+	return db, runErr
 }
 
 // wccSubgraphTrace captures a subgraph-mode WCC run with every
@@ -177,5 +187,55 @@ func TestGeneratedSubgraphTestCompilesAndPasses(t *testing.T) {
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("generated subgraph test failed: %v\n%s\n---- code ----\n%s", err, out, code)
+	}
+}
+
+// TestSubgraphExceptionCaptureKeepsValuesBefore captures a failing
+// component with CaptureExceptions alone: every member record holds the
+// value the member had before the failing compute, and the generated
+// reproduction starts the component from those values.
+func TestSubgraphExceptionCaptureKeepsValuesBefore(t *testing.T) {
+	const target = 7
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			planted := pregel.SubgraphFunc(func(ctx pregel.SubgraphContext, sg *pregel.Subgraph) error {
+				for _, v := range sg.Members() {
+					if ctx.Superstep() == 0 {
+						v.SetValue(pregel.NewLong(100 + int64(v.ID())))
+					} else if sg.Has(target) {
+						v.SetValue(pregel.NewLong(-1))
+					}
+				}
+				if ctx.Superstep() == 1 && sg.Has(target) {
+					panic("planted")
+				}
+				return nil
+			})
+			db, err := subgraphRun(t, &algorithms.Algorithm{Name: "planted", Subgraph: planted},
+				graphgen.RegularBipartite(20, 2), workers, core.DebugConfig{CaptureExceptions: true})
+			if err == nil {
+				t.Fatal("the planted panic did not fail the job")
+			}
+			sc := db.SubgraphAt(1, target)
+			if sc == nil {
+				t.Fatal("the failing component was not captured")
+			}
+			for _, id := range sc.Members {
+				c := db.Capture(1, id)
+				want := pregel.NewLong(100 + int64(id))
+				if c == nil || !pregel.ValuesEqual(c.ValueBefore, want) {
+					t.Fatalf("member %d: capture %+v, want ValueBefore %v", id, c, want)
+				}
+			}
+			code, err := GenerateSubgraphTest(db, 1, target, GenSpec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range sc.Members {
+				if want := fmt.Sprintf("pregel.NewDetachedVertex(%d, pregel.NewLong(%d))", id, 100+id); !strings.Contains(code, want) {
+					t.Errorf("generated code lacks %q:\n%s", want, code)
+				}
+			}
+		})
 	}
 }

@@ -165,8 +165,7 @@ func (s *Store) OpenReader(jobID string) (*Reader, error) {
 	return r, nil
 }
 
-// loadIndex reads every index file of the job in name order — a lane's
-// parts in the new layout, its one whole sidecar in the old — then
+// loadIndex reads every index part of the job in name order, then
 // scans any segment files none of them names (committed without their
 // part, by a crash or a failed part write) to synthesize their entries.
 func (r *Reader) loadIndex() error {

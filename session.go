@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 
 	"graft/internal/core"
@@ -254,7 +255,19 @@ func (s *Session) runJob(ctx context.Context, j *Job, g *Graph, comp Computation
 	j.setState(JobRunning)
 	defer func() { <-s.slots }()
 
-	res, err := runJob(ctx, g, comp, opts, j.reg)
+	var res *RunResult
+	err := func() (err error) {
+		// A panic in a callback the coordinator runs (a listener, the
+		// default vertex value, an aggregator merge) fails this job alone;
+		// the session and the jobs beside it go on.
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("graft: job %s: %w", j.id, &core.PanicError{Value: p, Stack: string(debug.Stack())})
+			}
+		}()
+		res, err = runJob(ctx, g, comp, opts, j.reg)
+		return err
+	}()
 
 	// Persist the metrics snapshot next to the trace so the GUI's
 	// dashboard can render the job after it leaves the live set.

@@ -3,10 +3,12 @@ package graft
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"graft/internal/algorithms"
+	"graft/internal/core"
 	"graft/internal/graphgen"
 	"graft/internal/pregel"
 	"graft/internal/trace"
@@ -456,5 +458,58 @@ func TestSessionSurvivesCombinerPanic(t *testing.T) {
 	}
 	if _, err := good.Wait(context.Background()); err != nil {
 		t.Fatalf("job after the failed one: %v", err)
+	}
+}
+
+// panicOnFinish is a listener whose SuperstepFinished panics on the
+// coordinator goroutine.
+type panicOnFinish struct{}
+
+func (panicOnFinish) JobStarted(pregel.JobInfo)                    {}
+func (panicOnFinish) SuperstepStarted(int, pregel.SuperstepInfo)   {}
+func (panicOnFinish) SuperstepFinished(int, pregel.SuperstepStats) { panic("listener boom") }
+func (panicOnFinish) JobFinished(*pregel.Stats, error)             {}
+
+// TestSessionSurvivesCoordinatorPanic: a callback that panics on the
+// coordinator goroutine fails its own job with an error carrying the
+// panic value and stack, releases its slot, and the session runs the
+// next job and closes.
+func TestSessionSurvivesCoordinatorPanic(t *testing.T) {
+	sess, err := NewSession(SessionConfig{MaxConcurrentJobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := algorithms.NewConnectedComponents()
+	bad, err := sess.SubmitAlgorithm(context.Background(), graphgen.RegularBipartite(40, 3), cc,
+		RunOptions{Engine: EngineConfig{NumWorkers: 2, Listener: panicOnFinish{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pe *core.PanicError
+	if _, err := bad.Wait(context.Background()); !errors.As(err, &pe) || pe.Value != "listener boom" ||
+		!strings.Contains(pe.Stack, "SuperstepFinished") {
+		t.Fatalf("job with a panicking listener: err = %v, want a PanicError carrying the panic and its stack", err)
+	}
+	if bad.State() != JobFailed {
+		t.Errorf("state = %v, want failed", bad.State())
+	}
+
+	good, err := sess.SubmitAlgorithm(context.Background(), graphgen.RegularBipartite(40, 3), cc,
+		RunOptions{Engine: EngineConfig{NumWorkers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := good.Wait(context.Background()); err != nil {
+		t.Fatalf("job after the failed one: %v", err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- sess.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return")
 	}
 }
