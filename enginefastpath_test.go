@@ -21,16 +21,15 @@ type refStep struct{ processed, active, sent int64 }
 // the Computation/Context contract (vertex-mutation requests are not
 // modelled; none of the checked algorithms issue them).
 type refBSP struct {
-	alg           *algorithms.Algorithm
-	createMissing bool
-	verts         map[VertexID]*Vertex
-	aggs          map[string]pregel.Aggregator
-	step          int
-	bcast         map[string]Value // aggregator values visible this superstep
-	partial       map[string]Value // contributions made this superstep
-	next          map[VertexID][]Value
-	sent          int64
-	halted        bool // master called HaltComputation
+	alg     *algorithms.Algorithm
+	verts   map[VertexID]*Vertex
+	aggs    map[string]pregel.Aggregator
+	step    int
+	bcast   map[string]Value // aggregator values visible this superstep
+	partial map[string]Value // contributions made this superstep
+	next    map[VertexID][]Value
+	sent    int64
+	halted  bool // master called HaltComputation
 }
 
 func (r *refBSP) Superstep() int                     { return r.step }
@@ -40,7 +39,6 @@ func (r *refBSP) GetAggregated(name string) Value    { return r.bcast[name] }
 func (r *refBSP) SetAggregated(name string, v Value) { r.bcast[name] = v }
 func (r *refBSP) HaltComputation()                   { r.halted = true }
 func (r *refBSP) RemoveVertexRequest(VertexID)       { panic("refBSP: mutations not modelled") }
-func (r *refBSP) AddVertexRequest(VertexID, Value)   { panic("refBSP: mutations not modelled") }
 
 func (r *refBSP) TotalNumEdges() (n int64) {
 	for _, v := range r.verts {
@@ -140,12 +138,7 @@ func (r *refBSP) run(t *testing.T, g *Graph) (steps []refStep) {
 			r.bcast[s.Name] = acc
 		}
 		for id := range r.next {
-			if r.verts[id] != nil {
-				continue
-			}
-			if r.createMissing {
-				r.verts[id] = pregel.NewDetachedVertex(id, nil)
-			} else {
+			if r.verts[id] == nil {
 				delete(r.next, id)
 			}
 		}
@@ -182,7 +175,7 @@ func requireMatchesReferenceBy(t *testing.T, same func(a, b Value) bool, build f
 		t.Fatal(err)
 	}
 	stats := res.Stats
-	ref := &refBSP{alg: alg(), createMissing: cfg.CreateMissingVertices}
+	ref := &refBSP{alg: alg()}
 	steps := ref.run(t, build())
 
 	if stats.Supersteps != ref.step {
@@ -274,15 +267,15 @@ func TestPartitionSkipDigestEquivalence(t *testing.T) {
 	}
 }
 
-// TestPartitionSkipWithMutationsAndRebalance runs with the
-// missing-vertex resolver on over a skewed broom: the hub's partitions
+// TestPartitionSkipWithMutationsAndRebalance runs over a skewed broom:
+// the hub's partitions
 // go quiet after the first supersteps while the path keeps one
 // partition busy, so the skip must idle and wake partitions as the
 // frontier moves, and the run must still match the reference step for
 // step. (Placement is fixed at load; the name is kept so the test's
 // history stays comparable.)
 func TestPartitionSkipWithMutationsAndRebalance(t *testing.T) {
-	cfg := EngineConfig{NumWorkers: 4, CreateMissingVertices: true}
+	cfg := EngineConfig{NumWorkers: 4}
 	requireMatchesReference(t, func() *Graph { return broomGraph(300, 40) },
 		algorithms.NewConnectedComponents, cfg, -1)
 }

@@ -754,7 +754,6 @@ func (*muteContext) SendMessage(pregel.VertexID, pregel.Value)          {}
 func (*muteContext) SendMessageToAllEdges(*pregel.Vertex, pregel.Value) {}
 func (*muteContext) Aggregate(string, pregel.Value)                     {}
 func (*muteContext) RemoveVertexRequest(pregel.VertexID)                {}
-func (*muteContext) AddVertexRequest(pregel.VertexID, pregel.Value)     {}
 
 // record is one vertex's capture in the making, in vertex and subgraph
 // mode alike. A worker recycles its records: one from vertex to vertex,

@@ -63,10 +63,6 @@ type Context interface {
 	// RemoveVertexRequest asks the engine to remove the vertex with
 	// the given ID at the end of the superstep.
 	RemoveVertexRequest(id VertexID)
-	// AddVertexRequest asks the engine to create a vertex at the end
-	// of the superstep. If the vertex already exists the request is
-	// ignored, matching Giraph's default resolver.
-	AddVertexRequest(id VertexID, value Value)
 }
 
 // MasterComputation is the optional master program, Giraph/GPS's

@@ -44,26 +44,17 @@ func (en *engine) writeCheckpoint() error {
 		e.PutVarint(int64(id))
 		e.PutUvarint(uint64(movedParts[i]))
 	}
-	// Slot order is not ID order once vertices were added,
-	// and the format is ascending vertex ID; the scratch slices are
-	// shared across partitions and message shards.
-	var live []*Vertex
+	// Live slots are in ascending vertex ID order, the format's order.
 	for _, p := range en.parts {
-		live = live[:0]
+		e.PutUvarint(uint64(p.index.len()))
 		for _, v := range p.slots {
 			if v != nil {
-				live = append(live, v)
+				v.encode(e)
 			}
 		}
-		sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
-		e.PutUvarint(uint64(len(live)))
-		for _, v := range live {
-			v.encode(e)
-		}
 	}
-	var scratch []int
 	for _, p := range en.parts {
-		scratch = en.cur.encode(p, e, scratch)
+		en.cur.encode(p, e)
 	}
 
 	path := en.checkpointPath(en.superstep)

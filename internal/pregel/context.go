@@ -26,7 +26,6 @@ type workerCtx struct {
 
 	aggPartial map[string]Value
 	removals   []VertexID
-	additions  []vertexAddition
 }
 
 func (c *workerCtx) Superstep() int          { return c.superstep }
@@ -148,10 +147,6 @@ func (c *workerCtx) SendMessageToAllEdges(v *Vertex, msg Value) {
 
 func (c *workerCtx) RemoveVertexRequest(id VertexID) {
 	c.removals = append(c.removals, id)
-}
-
-func (c *workerCtx) AddVertexRequest(id VertexID, value Value) {
-	c.additions = append(c.additions, vertexAddition{id: id, value: value})
 }
 
 // sentTotal returns how many messages the worker sent this superstep.

@@ -21,8 +21,9 @@
 //     Encoder/Decoder, RegisterValue) shared by messages, trace files
 //     and checkpoints;
 //   - message combiners and regular/persistent aggregators;
-//   - vertex mutations (requested removals/additions and
-//     create-on-message resolution at the superstep barrier);
+//   - vertex removal requested during a superstep and applied at its
+//     barrier (the engine never creates vertices: mail to a missing
+//     ID is dropped and counted);
 //   - checkpointing to a FileSystem with simulated worker failure and
 //     automatic recovery (Config.CheckpointEvery, Config.FailureAt);
 //   - a JobListener interface through which Graft's instrumentation

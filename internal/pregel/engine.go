@@ -51,7 +51,8 @@ type Stats struct {
 	// combining.
 	TotalMessages int64
 	// MessagesDropped counts messages addressed to nonexistent
-	// vertices when Config.CreateMissingVertices is false.
+	// vertices, which are discarded at the barrier (under a combiner,
+	// once per ID).
 	MessagesDropped int64
 	// Recoveries counts the checkpoint restarts triggered by failure
 	// injection.
@@ -146,13 +147,6 @@ type Config struct {
 	Combiner Combiner
 	// Master, if non-nil, runs at the beginning of every superstep.
 	Master MasterComputation
-	// CreateMissingVertices makes a message to a nonexistent vertex
-	// create it (Giraph's default resolver). When false such messages
-	// are dropped and counted in Stats.MessagesDropped.
-	CreateMissingVertices bool
-	// DefaultVertexValue supplies values for vertices created by
-	// CreateMissingVertices and AddVertexRequest(id, nil).
-	DefaultVertexValue func() Value
 	// Listener observes job progress; may be nil.
 	Listener JobListener
 	// CheckpointEvery writes a checkpoint before every Nth superstep
@@ -252,17 +246,11 @@ func (j *Job) RunContext(ctx context.Context) (*Stats, error) {
 	return en.run(start)
 }
 
-type vertexAddition struct {
-	id    VertexID
-	value Value
-}
-
 type workerResult struct {
 	active     int64
 	sent       int64
 	aggPartial map[string]Value
 	removals   []VertexID
-	additions  []vertexAddition
 	// Telemetry, written only by the owning worker goroutine and read
 	// by the coordinator after the barrier — the lock-free per-worker
 	// collector the metrics layer folds from.
@@ -308,7 +296,7 @@ type engine struct {
 	edgeCutDirty bool
 	// partActive[w] is the number of non-halted vertices in partition w
 	// (the population of its awake bitmap), maintained at the barrier
-	// (worker results, mutations, missing-vertex creation, recovery).
+	// (worker results, mutations, recovery).
 	// A partition with none and an empty inbox shard has an
 	// empty frontier, and no worker is launched for it.
 	partActive []int64
@@ -616,9 +604,8 @@ func (en *engine) workerPhase(st *step) error {
 	for w := range en.parts {
 		// An empty frontier — nobody awake, nothing pending — yields an
 		// identically zero worker result, so no goroutine is spawned
-		// for it. (Lanes into this shard were merged by
-		// integrateMissing at the previous barrier, so the shard check
-		// is complete.)
+		// for it. (Lanes into this shard were merged by mergeLanes at
+		// the previous barrier, so the shard check is complete.)
 		if en.partActive[w] == 0 && !en.cur.hasPending(w) {
 			continue
 		}
@@ -662,12 +649,12 @@ func (en *engine) barrierPhase(st *step) error {
 	en.mergeAggregators(st.results)
 	sent := en.next.total()
 	en.stats.TotalMessages += sent
-	// The traffic matrix must be read before integrateMissing merges
+	// The traffic matrix must be read before mergeLanes merges
 	// the lanes into the shards (and zeroes the lane counters); at
 	// this point the next store's shards are still empty, so the
 	// matrix provably sums to MessagesSent.
 	traffic := en.next.trafficMatrix()
-	dropped, err := en.integrateMissing()
+	dropped, err := en.mergeLanes()
 	if err != nil {
 		return err
 	}
@@ -714,9 +701,7 @@ func (en *engine) flushPhase(st *step) error {
 // advance ends the superstep: what was sent becomes what is delivered,
 // the drained store takes the next sends, and the superstep number
 // moves on. It reports convergence — no vertex awake in any partition
-// and no inbox with mail. The awake counts are partActive, not the
-// workers' own, so a vertex created at this barrier keeps the job
-// running until it has computed.
+// and no inbox with mail.
 func (en *engine) advance() (converged bool) {
 	converged = true
 	for w := range en.parts {
@@ -768,7 +753,7 @@ func (en *engine) workerCtx(w int, nv, ne int64) *workerCtx {
 	}
 	ctx.computing, ctx.resolved = nil, false
 	clear(ctx.aggPartial)
-	ctx.removals, ctx.additions = ctx.removals[:0], ctx.additions[:0]
+	ctx.removals = ctx.removals[:0]
 	return ctx
 }
 
@@ -788,7 +773,6 @@ func (en *engine) runWorker(w int, nv, ne int64) (workerResult, error) {
 	res.sent = ctx.sentTotal()
 	res.aggPartial = ctx.aggPartial
 	res.removals = ctx.removals
-	res.additions = ctx.additions
 	res.computeNanos = time.Since(t0).Nanoseconds()
 	if en.capTime != nil {
 		res.captureNanos = en.capTime.CaptureNanos(w) - capBefore
@@ -938,19 +922,13 @@ func (en *engine) safeCompute(ctx *workerCtx, v *Vertex, msgs []Value) (err erro
 	return nil
 }
 
-// integrateMissing merges each lane-matrix column into its shard and
-// resolves the orphans — messages addressed to
-// vertices that do not exist — at the barrier (Giraph's default vertex
-// resolver): with CreateMissingVertices the vertex is created so it
-// computes next superstep; otherwise the messages are discarded and
-// counted as dropped. Each partition is handled by its own goroutine —
-// the post-barrier single reader the lane design relies on; the
-// coordinator then mirrors the created vertices into the input graph
-// so callers observe them after the run. A user combiner that panics
-// while messages meet here fails the job like a panicking Compute does.
-func (en *engine) integrateMissing() (int64, error) {
-	dropped := make([]int64, len(en.parts))
-	created := make([][]*Vertex, len(en.parts))
+// mergeLanes merges each lane-matrix column into its shard, one
+// goroutine per partition — the post-barrier single reader the lane
+// design relies on — and returns how many messages were addressed to
+// vertices that do not exist: those are discarded at the merge. A user
+// combiner that panics while messages meet here fails the job like a
+// panicking Compute does.
+func (en *engine) mergeLanes() (int64, error) {
 	errs := make([]error, len(en.parts))
 	var wg sync.WaitGroup
 	for w := range en.parts {
@@ -969,54 +947,17 @@ func (en *engine) integrateMissing() (int64, error) {
 				}
 			}()
 			en.next.mergeLane(en.parts[w])
-			created[w], dropped[w] = en.resolveOrphans(en.next, en.parts[w])
 		}(w)
 	}
 	wg.Wait()
-	for _, err := range errs {
+	var dropped int64
+	for w, err := range errs {
 		if err != nil {
 			return 0, err
 		}
+		dropped += en.next.shards[w].dropped
 	}
-	var total int64
-	for w, vs := range created {
-		en.partActive[w] += int64(len(vs)) // resolver-created vertices start active
-		for _, v := range vs {
-			en.job.graph.vertices[v.id] = v
-		}
-		total += dropped[w]
-	}
-	return total, nil
-}
-
-// resolveOrphans empties the orphans of part's shard in ascending ID
-// order: each vertex is created at the end of the slot array and given
-// its mail (CreateMissingVertices), or the messages are discarded.
-// Orphans are filed by the merge that runs just before, after the
-// barrier's mutations, so none of them has gained a slot since. Returns
-// the created vertices and the number of discarded entries.
-func (en *engine) resolveOrphans(store *messageStore, part *partition) (created []*Vertex, dropped int64) {
-	sh := &store.shards[part.idx]
-	for _, id := range sh.orphanIDs() {
-		msgs := sh.orphans[id]
-		if !en.cfg.CreateMissingVertices {
-			dropped += int64(len(msgs))
-			continue
-		}
-		var val Value
-		if en.cfg.DefaultVertexValue != nil {
-			val = en.cfg.DefaultVertexValue()
-		}
-		v := &Vertex{id: id, value: val}
-		slot := part.add(v)
-		created = append(created, v)
-		store.grow(&sh.cells, len(part.slots))
-		for _, m := range msgs {
-			store.put(&sh.cells, slot, id, m)
-		}
-	}
-	clear(sh.orphans)
-	return created, dropped
+	return dropped, nil
 }
 
 // compact rebuilds a partition's slot array and carries the pending
@@ -1026,65 +967,29 @@ func (en *engine) compact(p *partition) {
 	en.next.remap(p.idx, perm, len(p.slots))
 }
 
-// applyMutations resolves queued vertex removals and additions on the
-// coordinator goroutine, in sorted ID order for determinism. A vertex
-// both removed and added in the same superstep ends up added.
+// applyMutations removes the vertices queued for removal, on the
+// coordinator goroutine, then folds the workers' edge deltas and
+// compacts every partition whose tombstones outnumber its live slots.
 func (en *engine) applyMutations(results []workerResult) {
-	var removals []VertexID
-	var additions []vertexAddition
 	for w := range results {
-		removals = append(removals, results[w].removals...)
-		additions = append(additions, results[w].additions...)
-	}
-	if len(removals) > 0 {
-		sort.Slice(removals, func(i, j int) bool { return removals[i] < removals[j] })
-		for _, id := range removals {
+		for _, id := range results[w].removals {
 			p := en.parts[en.partitionFor(id)]
-			if slot, ok := p.index.lookup(id); ok {
-				if !p.slots[slot].halted {
-					en.partActive[p.idx]--
-				}
-				// Removed vertices leave the computation but stay
-				// reachable through the input graph: their final state
-				// is often the algorithm's output (matching partners
-				// in MWM). The lanes are still unmerged: what senders
-				// folded into the slot's cells becomes entries for its ID.
-				en.next.evict(p.idx, slot, id)
-				p.remove(slot)
-			}
-		}
-	}
-	if len(additions) > 0 {
-		sort.Slice(additions, func(i, j int) bool { return additions[i].id < additions[j].id })
-		var dirty []*partition
-		for _, add := range additions {
-			p := en.parts[en.partitionFor(add.id)]
-			if p.vertex(add.id) != nil {
+			slot, ok := p.index.lookup(id)
+			if !ok {
 				continue
 			}
-			val := add.value
-			if val == nil && en.cfg.DefaultVertexValue != nil {
-				val = en.cfg.DefaultVertexValue()
+			if !p.slots[slot].halted {
+				en.partActive[p.idx]--
 			}
-			v := &Vertex{id: add.id, value: val}
-			p.add(v)
-			en.partActive[p.idx]++ // new vertices start active
-			if p.removed > 0 {
-				// A vertex appended behind tombstones would make the
-				// iteration order depend on removal history; rebuild
-				// below restores ascending-ID order.
-				dirty = append(dirty, p)
-			}
-			en.job.graph.vertices[add.id] = v
+			// Removed vertices leave the computation but stay reachable
+			// through the input graph: their final state is often the
+			// algorithm's output (matching partners in MWM). The lanes are
+			// still unmerged: what senders folded into the slot's cells
+			// becomes entries for its ID.
+			en.next.evict(p.idx, slot, id)
+			p.remove(slot)
+			en.edgeCutDirty = true
 		}
-		for _, p := range dirty {
-			if p.removed > 0 {
-				en.compact(p)
-			}
-		}
-	}
-	if len(removals) > 0 {
-		en.edgeCutDirty = true
 	}
 	for _, p := range en.parts {
 		if p.edgeDelta != 0 {

@@ -3,7 +3,6 @@ package pregel
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 )
 
@@ -428,63 +427,6 @@ func TestMasterErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestCreateMissingVertices(t *testing.T) {
-	g := NewGraph()
-	g.AddVertex(0, NewLong(0))
-	var created struct {
-		defaultVal int64
-		inboxSum   int64
-	}
-	created.defaultVal = -1
-	comp := ComputeFunc(func(ctx Context, v *Vertex, msgs []Value) error {
-		if ctx.Superstep() == 0 && v.ID() == 0 {
-			ctx.SendMessage(77, NewLong(5))
-			ctx.SendMessage(77, NewLong(6))
-		}
-		if v.ID() == 77 {
-			created.defaultVal = v.Value().(*LongValue).Get()
-			for _, m := range msgs {
-				created.inboxSum += m.(*LongValue).Get()
-			}
-		}
-		v.VoteToHalt()
-		return nil
-	})
-	listener := &recordingListener{}
-	job := NewJob(g, comp, Config{
-		CreateMissingVertices: true,
-		DefaultVertexValue:    func() Value { return NewLong(100) },
-		Listener:              listener,
-	})
-	stats, err := job.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if created.defaultVal != 100 {
-		t.Errorf("created vertex default value = %d, want 100", created.defaultVal)
-	}
-	if created.inboxSum != 11 {
-		t.Errorf("created vertex inbox sum = %d, want 11", created.inboxSum)
-	}
-	if stats.MessagesDropped != 0 {
-		t.Errorf("dropped = %d, want 0", stats.MessagesDropped)
-	}
-	// The new vertex must appear in the superstep-1 totals.
-	for _, info := range listener.superstepInfos {
-		if info.Superstep == 1 && info.NumVertices != 2 {
-			t.Errorf("vertices at superstep 1 = %d, want 2", info.NumVertices)
-		}
-	}
-	// And in the input graph after the run.
-	v77 := g.Vertex(77)
-	if v77 == nil {
-		t.Fatal("created vertex not mirrored into the input graph")
-	}
-	if got := v77.Value().(*LongValue).Get(); got != 100 {
-		t.Errorf("mirrored vertex value = %d, want 100", got)
-	}
-}
-
 func TestDroppedMessagesCounted(t *testing.T) {
 	g := NewGraph()
 	g.AddVertex(0, NewLong(0))
@@ -496,7 +438,7 @@ func TestDroppedMessagesCounted(t *testing.T) {
 		v.VoteToHalt()
 		return nil
 	})
-	stats, err := NewJob(g, comp, Config{CreateMissingVertices: false}).Run()
+	stats, err := NewJob(g, comp, Config{}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,58 +471,6 @@ func TestVertexRemoval(t *testing.T) {
 	}
 	if endVertices != 3 {
 		t.Errorf("vertices at superstep 1 = %d, want 3", endVertices)
-	}
-}
-
-func TestAddVertexRequest(t *testing.T) {
-	g := NewGraph()
-	g.AddVertex(0, NewLong(0))
-	listener := &recordingListener{}
-	comp := ComputeFunc(func(ctx Context, v *Vertex, msgs []Value) error {
-		if ctx.Superstep() == 0 && v.ID() == 0 {
-			ctx.AddVertexRequest(5, NewLong(55))
-			ctx.AddVertexRequest(0, NewLong(99)) // exists: ignored
-		}
-		if ctx.Superstep() >= 1 {
-			v.VoteToHalt() // stay active through superstep 1 so its totals are observable
-		}
-		return nil
-	})
-	job := NewJob(g, comp, Config{Listener: listener, MaxSupersteps: 3})
-	if _, err := job.Run(); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, info := range listener.superstepInfos {
-		if info.Superstep == 1 && info.NumVertices == 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("expected 2 vertices at superstep 1; infos: %+v", listener.superstepInfos)
-	}
-
-	// A vertex added at a barrier where everyone else has halted and no
-	// mail is pending starts active, so the job must run it once.
-	g = NewGraph()
-	g.AddVertex(0, NewLong(0))
-	var ran99 atomic.Bool
-	lone := ComputeFunc(func(ctx Context, v *Vertex, msgs []Value) error {
-		if v.ID() == 99 {
-			ran99.Store(true)
-		} else if ctx.Superstep() == 0 {
-			ctx.AddVertexRequest(99, NewLong(1))
-		}
-		v.VoteToHalt()
-		return nil
-	})
-	stats, err := NewJob(g, lone, Config{}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ran99.Load() || stats.Supersteps != 2 {
-		t.Errorf("vertex 99 computed = %v, supersteps = %d; want it to compute in a second superstep",
-			ran99.Load(), stats.Supersteps)
 	}
 }
 

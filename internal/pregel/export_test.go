@@ -16,3 +16,45 @@ func RunWithFlushBatch(j *Job, batch int) (*Stats, error) {
 	en.flushBatch = batch
 	return en.run(time.Now())
 }
+
+// RunCountingPendingCompactions runs j like Job.Run and also returns
+// how many times a barrier compacted a partition (rebuild, then remap
+// of the lanes into it) while the next superstep's mail for it was
+// pending, which the next checkpoint's inbox encode then writes. It
+// watches from a listener, so j's Config must not set one.
+func RunCountingPendingCompactions(j *Job) (*Stats, int, error) {
+	en := newEngine(j)
+	en.ctx = context.Background()
+	probe := &compactionProbe{en: en, lens: make([]int, len(en.parts))}
+	en.cfg.Listener = probe
+	stats, err := en.run(time.Now())
+	return stats, probe.n, err
+}
+
+// compactionProbe compares each partition's slot count across barriers:
+// a partition with no tombstones and fewer slots than before was
+// rebuilt at the barrier just finished.
+type compactionProbe struct {
+	en   *engine
+	lens []int
+	n    int
+}
+
+func (c *compactionProbe) JobStarted(JobInfo)                  { c.record() }
+func (c *compactionProbe) SuperstepStarted(int, SuperstepInfo) {}
+func (c *compactionProbe) JobFinished(*Stats, error)           {}
+
+func (c *compactionProbe) SuperstepFinished(int, SuperstepStats) {
+	for i, p := range c.en.parts {
+		if p.removed == 0 && len(p.slots) < c.lens[i] && c.en.next.hasPending(i) {
+			c.n++
+		}
+	}
+	c.record()
+}
+
+func (c *compactionProbe) record() {
+	for i, p := range c.en.parts {
+		c.lens[i] = len(p.slots)
+	}
+}

@@ -22,13 +22,14 @@ import (
 //	                  what makes it one, so there the check is that the
 //	                  column covers every bit and the boxed columns stay
 //	                  unused)
-//	orphans        == {} once integrateMissing has run
+//	orphans        == {} once the lanes are merged
 //	lanes          == empty: no count, cell or batch outlives the merge
 //
-// plus the slot index agreeing with the slot array and the routing
-// table. It also notes whether it ever saw tombstones and a compaction
-// (a vertex that stayed in its partition but moved to a lower slot), so
-// a case can prove it exercised them.
+// plus the live slots being in strictly ascending ID order and the slot
+// index agreeing with the slot array and the routing table. It also
+// notes whether it ever saw tombstones and a compaction (a vertex that
+// stayed in its partition but moved to a lower slot), so a case can
+// prove it exercised them.
 type frontierChecker struct {
 	t          *testing.T
 	en         *engine
@@ -65,6 +66,7 @@ func (c *frontierChecker) check(where string, full, drained *messageStore) {
 	for _, p := range en.parts {
 		at := fmt.Sprintf("%s, partition %d", where, p.idx)
 		live, awake := 0, 0
+		var prev *Vertex
 		for s, v := range p.slots {
 			if v == nil {
 				if p.awake.test(s) {
@@ -73,6 +75,10 @@ func (c *frontierChecker) check(where string, full, drained *messageStore) {
 				continue
 			}
 			live++
+			if prev != nil && prev.id >= v.id {
+				c.t.Errorf("%s: vertex %d in slot %d follows vertex %d", at, v.id, s, prev.id)
+			}
+			prev = v
 			seats[v.id] = [2]int{p.idx, s}
 			if was, ok := c.lastSeat[v.id]; ok && was[0] == p.idx && was[1] > s {
 				c.compacted = true
@@ -224,8 +230,7 @@ var ccSubgraph = SubgraphFunc(func(ctx SubgraphContext, sg *Subgraph) error {
 
 // churnCompute drives every mutation path over a 40-vertex ring: halts
 // that mail revokes, mass self-removal (compaction), mail to the just
-// removed, re-adding a removed ID, remove-and-add of one ID in one
-// superstep, an ID beyond the load-time range, and mail to an ID that
+// removed, mail to an ID beyond the load-time range and to one that
 // never existed, and a lone removal whose tombstone stays.
 var churnCompute = ComputeFunc(func(ctx Context, v *Vertex, msgs []Value) error {
 	id := v.ID()
@@ -242,10 +247,7 @@ var churnCompute = ComputeFunc(func(ctx Context, v *Vertex, msgs []Value) error 
 		}
 	case 2:
 		if id == 0 {
-			ctx.AddVertexRequest(1, NewLong(100))
-			ctx.AddVertexRequest(1000, NewLong(100))
 			ctx.RemoveVertexRequest(4)
-			ctx.AddVertexRequest(4, NewLong(100))
 			ctx.SendMessage(2000, NewLong(0))
 			ctx.SendMessage(1000, NewLong(0))
 		}
@@ -268,41 +270,26 @@ func ringGraph(t *testing.T, n int) *Graph {
 }
 
 func TestFrontierInvariantsAcrossMutations(t *testing.T) {
-	for _, create := range []bool{true, false} {
-		for _, col := range inboxColumns {
-			t.Run(fmt.Sprintf("lanes/create=%v%s", create, col.suffix), func(t *testing.T) {
-				g := ringGraph(t, 40)
-				stats, c := runChecked(t, NewJob(g, churnCompute, Config{
-					NumWorkers:            3,
-					Combiner:              col.combiner,
-					CreateMissingVertices: create,
-					DefaultVertexValue:    func() Value { return NewLong(-1) },
-				}))
-				if !c.tombstones || !c.compacted {
-					t.Errorf("tombstones seen=%v, compaction seen=%v; the case exercised neither", c.tombstones, c.compacted)
-				}
-				if (stats.MessagesDropped > 0) == create {
-					t.Errorf("CreateMissingVertices=%v but MessagesDropped=%d", create, stats.MessagesDropped)
-				}
-				if g.Vertex(1000) == nil || g.Vertex(1000).Value().(*LongValue).Get() != 100 {
-					t.Errorf("vertex 1000 was not added beyond the load-time ID range")
-				}
-				if got := g.Vertex(4).Value().(*LongValue).Get(); got != 100 {
-					t.Errorf("vertex 4 removed and added in one superstep has value %d, want the added 100", got)
-				}
-				// Mail to the never-existing 2000 creates it only under the
-				// resolver; mail to the just-removed ring members re-creates
-				// them with the default value.
-				if (g.Vertex(2000) != nil) != create {
-					t.Errorf("vertex 2000 exists=%v with CreateMissingVertices=%v", g.Vertex(2000) != nil, create)
-				}
-				if got := g.Vertex(1).Value().(*LongValue).Get(); create && got != -1 {
-					t.Errorf("vertex 1 re-created by the resolver has value %d, want the default -1", got)
-				} else if !create && got != 100 {
-					t.Errorf("vertex 1 re-added by request has value %d, want 100", got)
-				}
-			})
-		}
+	for _, col := range inboxColumns {
+		// create=false: mail to a missing ID is dropped and creates nothing.
+		t.Run("lanes/create=false"+col.suffix, func(t *testing.T) {
+			g := ringGraph(t, 40)
+			stats, c := runChecked(t, NewJob(g, churnCompute, Config{NumWorkers: 3, Combiner: col.combiner}))
+			if !c.tombstones || !c.compacted {
+				t.Errorf("tombstones seen=%v, compaction seen=%v; the case exercised neither", c.tombstones, c.compacted)
+			}
+			if stats.MessagesDropped == 0 {
+				t.Error("mail to removed and never-existing vertices was not dropped")
+			}
+			// Mail to a missing ID creates nothing; a removed vertex stays
+			// readable through the input graph.
+			if g.Vertex(1000) != nil || g.Vertex(2000) != nil {
+				t.Error("mail to a missing ID created a vertex")
+			}
+			if g.Vertex(4) == nil {
+				t.Error("removed vertex 4 is gone from the input graph")
+			}
+		})
 	}
 }
 

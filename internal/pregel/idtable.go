@@ -6,9 +6,9 @@ import "slices"
 // slots, the locality partitioner's placements, a bulk build's ranks.
 // Lookups sit on the send and delivery hot paths, so they must not
 // allocate: the table is a dense int32 slice over an ID range, with a
-// sparse map catching IDs outside it (vertices added after load, or a
-// range too scattered to be dense). Dense cells hold value+1, so a
-// zeroed table is empty and needs no initialization pass.
+// sparse map catching IDs outside it (a range too scattered to be
+// dense). Dense cells hold value+1, so a zeroed table is empty and
+// needs no initialization pass.
 type idTable struct {
 	base   VertexID
 	dense  []int32

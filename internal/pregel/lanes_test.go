@@ -696,10 +696,9 @@ func TestEdgeTargetChangesReachColumn(t *testing.T) {
 // TestCombinedMailToRemovedVertex sends combined mail in superstep 0 to
 // vertices that superstep 0's barrier removes — seven in eight, so the
 // partitions also compact at that barrier and the survivors' mail moves
-// with their slots. With CreateMissingVertices each removed
-// vertex is recreated holding its one folded message; without it, each
-// one's message is counted as dropped. The standard combiner and its
-// CombineFunc twin must end in the same values.
+// with their slots. Each removed vertex's message is counted as
+// dropped. The standard combiner and its CombineFunc twin must end in
+// the same values.
 func TestCombinedMailToRemovedVertex(t *testing.T) {
 	const n, hub = 40, 5
 	comp := ComputeFunc(func(ctx Context, v *Vertex, msgs []Value) error {
@@ -726,57 +725,49 @@ func TestCombinedMailToRemovedVertex(t *testing.T) {
 		v.VoteToHalt()
 		return nil
 	})
-	for _, create := range []bool{true, false} {
-		digests := map[string]string{}
-		for _, col := range []struct {
-			suffix   string
-			combiner Combiner
-		}{{"/rows", SumLongCombiner}, {"/boxed", boxed(SumLongCombiner)}} {
-			t.Run(fmt.Sprintf("create=%v%s", create, col.suffix), func(t *testing.T) {
-				g := NewGraph()
-				for i := 0; i < n; i++ {
-					g.AddVertex(VertexID(i), NewLong(0))
-				}
-				for i := 0; i < n; i++ {
-					for d := 1; d <= 3; d++ {
-						if err := g.AddEdge(VertexID(i), VertexID((i+d)%n), nil); err != nil {
-							t.Fatal(err)
-						}
+	digests := map[string]string{}
+	for _, col := range []struct {
+		suffix   string
+		combiner Combiner
+	}{{"/rows", SumLongCombiner}, {"/boxed", boxed(SumLongCombiner)}} {
+		// create=false: mail to a missing ID is dropped and creates nothing.
+		t.Run("create=false"+col.suffix, func(t *testing.T) {
+			g := NewGraph()
+			for i := 0; i < n; i++ {
+				g.AddVertex(VertexID(i), NewLong(0))
+			}
+			for i := 0; i < n; i++ {
+				for d := 1; d <= 3; d++ {
+					if err := g.AddEdge(VertexID(i), VertexID((i+d)%n), nil); err != nil {
+						t.Fatal(err)
 					}
 				}
-				stats, c := runChecked(t, NewJob(g, comp, Config{
-					NumWorkers:            2,
-					Combiner:              col.combiner,
-					CreateMissingVertices: create,
-					DefaultVertexValue:    func() Value { return NewLong(-1) },
-				}))
-				if !c.compacted {
-					t.Error("no partition compacted at the removal barrier")
+			}
+			stats, c := runChecked(t, NewJob(g, comp, Config{NumWorkers: 2, Combiner: col.combiner}))
+			if !c.compacted {
+				t.Error("no partition compacted at the removal barrier")
+			}
+			removed := int64(0)
+			for i := int64(0); i < n; i++ {
+				want := int64(3) // one from each of three in-edges
+				if i == hub {
+					want += 2 * (n*(n-1)/2 - hub)
 				}
-				removed := int64(0)
-				for i := int64(0); i < n; i++ {
-					want := int64(3) // one from each of three in-edges
-					if i == hub {
-						want += 2 * (n*(n-1)/2 - hub)
-					}
-					if i%8 != 0 {
-						removed++
-						if !create {
-							want = 0 // never recreated: the loaded value
-						}
-					}
-					if got := g.Vertex(VertexID(i)).Value().(*LongValue).Get(); got != want {
-						t.Errorf("vertex %d holds %d, want %d", i, got, want)
-					}
+				if i%8 != 0 {
+					removed++
+					want = 0 // removed before its mail arrived: the loaded value
 				}
-				if wantDropped := map[bool]int64{true: 0, false: removed}[create]; stats.MessagesDropped != wantDropped {
-					t.Errorf("MessagesDropped = %d, want %d", stats.MessagesDropped, wantDropped)
+				if got := g.Vertex(VertexID(i)).Value().(*LongValue).Get(); got != want {
+					t.Errorf("vertex %d holds %d, want %d", i, got, want)
 				}
-				digests[col.suffix] = g.ValuesDigest()
-			})
-		}
-		if digests["/rows"] != digests["/boxed"] {
-			t.Errorf("create=%v: standard combiner and its CombineFunc twin end in different values", create)
-		}
+			}
+			if stats.MessagesDropped != removed {
+				t.Errorf("MessagesDropped = %d, want %d", stats.MessagesDropped, removed)
+			}
+			digests[col.suffix] = g.ValuesDigest()
+		})
+	}
+	if digests["/rows"] != digests["/boxed"] {
+		t.Error("standard combiner and its CombineFunc twin end in different values")
 	}
 }

@@ -2,7 +2,6 @@ package pregel
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 )
 
@@ -94,13 +93,14 @@ type messageStore struct {
 // reused as it stands.
 type msgShard struct {
 	cells
-	// orphans holds messages addressed to IDs that had no slot when
-	// they were delivered. integrateMissing resolves them at the barrier
-	// (create the vertex, or drop); under a combiner each list has one
-	// combined element.
-	orphans map[VertexID][]Value
+	// orphans is the set of IDs without a slot that mergeLane has
+	// dropped mail for under a combiner; it is empty outside a merge.
+	orphans map[VertexID]struct{}
 	// n counts messages received (pre-combining), for stats.
 	n int64
+	// dropped counts the messages mergeLane discarded because their
+	// destination has no slot.
+	dropped int64
 	// combined counts messages merged away by the combiner (at the
 	// sender or the receiver), for the telemetry layer (n - combined
 	// messages survive to delivery).
@@ -121,7 +121,7 @@ func newMessageStores(n int, combiner Combiner) (*messageStore, *messageStore) {
 		s := &messageStore{combiner: combiner, lanes: lanes, pool: pool, shards: make([]msgShard, n)}
 		s.scalar, _ = combiner.(scalarCombiner)
 		for i := range s.shards {
-			s.shards[i].orphans = make(map[VertexID][]Value)
+			s.shards[i].orphans = make(map[VertexID]struct{})
 		}
 		return s
 	}
@@ -172,25 +172,31 @@ func (s *messageStore) put(cl *cells, slot int, to VertexID, msg Value) bool {
 	return false
 }
 
-// orphan files a message whose destination has no slot.
-func (s *messageStore) orphan(sh *msgShard, to VertexID, msg Value) {
-	if cur := sh.orphans[to]; s.combiner != nil && len(cur) > 0 {
-		cur[0] = s.combiner.Combine(to, cur[0], msg)
-		sh.combined++
-		return
+// drop discards a message whose destination has no slot. Under a
+// combiner the messages to one ID count as one dropped message and the
+// rest as combined, as if they had met first, so neither count depends
+// on how many senders wrote to that ID.
+func (s *messageStore) drop(sh *msgShard, to VertexID) {
+	if s.combiner != nil {
+		if _, seen := sh.orphans[to]; seen {
+			sh.combined++
+			return
+		}
+		sh.orphans[to] = struct{}{}
 	}
-	sh.orphans[to] = append(sh.orphans[to], msg)
+	sh.dropped++
 }
 
 // deliverTo routes one message into part's shard: one index read, then
-// a slot write. The caller must be the only goroutine touching the
-// shard and must have called grow.
-func (s *messageStore) deliverTo(part *partition, sh *msgShard, to VertexID, msg Value) {
-	if slot, ok := part.index.lookup(to); !ok {
-		s.orphan(sh, to, msg)
-	} else if s.put(&sh.cells, slot, to, msg) {
+// a slot write. It reports false, and delivers nothing, when the
+// destination has no slot. The caller must be the only goroutine
+// touching the shard and must have called grow.
+func (s *messageStore) deliverTo(part *partition, sh *msgShard, to VertexID, msg Value) bool {
+	slot, ok := part.index.lookup(to)
+	if ok && s.put(&sh.cells, slot, to, msg) {
 		sh.combined++
 	}
+	return ok
 }
 
 // push appends one entry to a lane, starting a pooled batch when the
@@ -206,8 +212,8 @@ func (s *messageStore) push(ln *msgLane, e msgEntry, batch int) {
 
 // evict turns every sender's cell for the vertex in slot `slot` of
 // partition p into an entry addressed to its ID, which the merge
-// resolves like any message to an ID without a slot. The barrier calls
-// it on the coordinator when it removes that vertex.
+// drops like any message to an ID without a slot. The barrier calls it
+// on the coordinator when it removes that vertex.
 func (s *messageStore) evict(p, slot int, id VertexID) {
 	for sender := range s.lanes {
 		ln := &s.lanes[sender][p]
@@ -223,7 +229,8 @@ func (s *messageStore) evict(p, slot int, id VertexID) {
 // destination's owning worker). Senders are merged in worker order:
 // first a sender's cells, then its entries in send order. So a
 // combined message is folded in send order within each sender, then
-// sender by sender, whatever the batch size.
+// sender by sender, whatever the batch size. Mail to an ID without a
+// slot is dropped and counted in the shard's dropped.
 func (s *messageStore) mergeLane(part *partition) {
 	sh := &s.shards[part.idx]
 	s.grow(&sh.cells, len(part.slots))
@@ -254,7 +261,9 @@ func (s *messageStore) mergeLane(part *partition) {
 		for _, b := range ln.batches {
 			for _, en := range b.entries {
 				sh.merging = en.to
-				s.deliverTo(part, sh, en.to, en.msg)
+				if !s.deliverTo(part, sh, en.to, en.msg) {
+					s.drop(sh, en.to)
+				}
 			}
 			merged -= int64(len(b.entries))
 			s.pool.put(b)
@@ -265,10 +274,11 @@ func (s *messageStore) mergeLane(part *partition) {
 		ln.batches = ln.batches[:0]
 		ln.n = 0
 	}
+	clear(sh.orphans)
 }
 
-// reset empties every shard — every pending cell, the orphans and the
-// counters — so the store can take the next superstep's messages. After
+// reset empties every shard — every pending cell and the counters — so
+// the store can take the next superstep's messages. After
 // a normal superstep the scan has already drained every pending cell,
 // so this is one pass over the (all-zero) bitmaps. The caller must be
 // the only goroutine touching the store.
@@ -279,15 +289,15 @@ func (s *messageStore) reset() {
 			sh.pending.forEach(func(slot int) { s.takeCell(&sh.cells, slot) })
 		}
 		clear(sh.pending)
-		clear(sh.orphans)
-		sh.n, sh.combined = 0, 0
+		sh.n, sh.combined, sh.dropped = 0, 0, 0
 	}
 }
 
 // replayDeliver delivers one message straight into part's shard,
 // combining like mergeLane does. Coordinator-only (no locking):
 // checkpoint restore rebuilds inboxes on a single goroutine, in the
-// checkpoint's ascending ID order.
+// checkpoint's ascending ID order. Mail for an ID without a slot, which
+// only a damaged checkpoint holds, is ignored.
 func (s *messageStore) replayDeliver(part *partition, to VertexID, msg Value) {
 	sh := &s.shards[part.idx]
 	s.grow(&sh.cells, len(part.slots))
@@ -358,25 +368,11 @@ func (s *messageStore) remap(shard int, perm []int32, newLen int) {
 
 // hasPending reports whether the shard holds any undelivered messages.
 // Valid only after every lane column has been merged into the shards
-// (integrateMissing does this at each barrier, and checkpoint recovery
+// (engine.mergeLanes does this at each barrier, and checkpoint recovery
 // delivers straight into shards), which is when the engine's partition
 // skip consults it.
 func (s *messageStore) hasPending(shard int) bool {
 	return s.shards[shard].pending.any()
-}
-
-// orphanIDs returns, in ascending order, the IDs in the shard's
-// orphans.
-func (sh *msgShard) orphanIDs() []VertexID {
-	if len(sh.orphans) == 0 {
-		return nil
-	}
-	ids := make([]VertexID, 0, len(sh.orphans))
-	for id := range sh.orphans {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // trafficMatrix snapshots the lane matrix's per-cell message counts:
@@ -423,24 +419,19 @@ func (s *messageStore) combinedTotal() int64 {
 }
 
 // encode serializes the undelivered messages of part's shard, for
-// checkpoints. Entries are written in ascending vertex order. The
-// scratch slice (pending slots) is reused across shards and
-// checkpoints; the possibly-grown slice is returned for the next call.
-func (s *messageStore) encode(part *partition, e *Encoder, scratch []int) []int {
+// checkpoints. Pending cells are walked in slot order, which is
+// ascending vertex order.
+func (s *messageStore) encode(part *partition, e *Encoder) {
 	sh := &s.shards[part.idx]
-	slots := scratch[:0]
-	sh.pending.forEach(func(slot int) { slots = append(slots, slot) })
-	sort.Slice(slots, func(i, j int) bool { return part.slots[slots[i]].id < part.slots[slots[j]].id })
-	e.PutUvarint(uint64(len(slots)))
-	for _, slot := range slots {
+	e.PutUvarint(uint64(sh.pending.count()))
+	sh.pending.forEach(func(slot int) {
 		e.PutVarint(int64(part.slots[slot].id))
 		msgs := s.cell(&sh.cells, slot)
 		e.PutUvarint(uint64(len(msgs)))
 		for _, m := range msgs {
 			EncodeTyped(e, m)
 		}
-	}
-	return slots
+	})
 }
 
 // inboxEntry is one decoded checkpoint inbox: the undelivered messages

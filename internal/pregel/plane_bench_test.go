@@ -117,11 +117,10 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var scratch []int
 	for i := 0; i < b.N; i++ {
 		e := NewEncoder()
 		for _, p := range en.parts {
-			scratch = en.cur.encode(p, e, scratch)
+			en.cur.encode(p, e)
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package pregel
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // bitmap is a bit set over a partition's slots, one word per 64 slots.
 // The superstep scan walks the set bits of awake|pending word by word,
@@ -55,15 +52,16 @@ func grownTo[S ~[]T, T any](s S, n int) S {
 }
 
 // partition is the set of vertices owned by one worker: a dense slot
-// array in iteration order plus the id → slot index. Inbox shards are
+// array in ascending ID order plus the id → slot index. Inbox shards are
 // addressed by the same slots, so delivery and the superstep scan never
 // hash a vertex ID.
 type partition struct {
 	idx int
-	// slots holds the vertices in iteration order: load order (ascending
-	// ID), then arrival order for vertices added later. A
-	// removed vertex leaves a nil tombstone so the slots behind it — and
-	// the inbox cells addressed by them — stay put until rebuild.
+	// slots holds the vertices in ascending ID order, the order they
+	// were placed in at load or checkpoint install. A removed vertex
+	// leaves a nil tombstone so the slots behind it — and the inbox
+	// cells addressed by them — stay put until rebuild; the live slots
+	// stay in ascending ID order throughout.
 	slots []*Vertex
 	// index maps each live vertex's ID to its slot; its length is the
 	// number of non-nil slots. mergeLane reads it once per delivered
@@ -93,7 +91,7 @@ type partition struct {
 	// subs caches the partition's weakly-connected components for
 	// subgraph mode (nil until first discovery). subsDirty flags that
 	// membership may have changed — topology mutation, vertex
-	// add/remove, recovery — so the owning worker rediscovers
+	// removal, recovery — so the owning worker rediscovers
 	// before its next subgraph scan.
 	subs      []*Subgraph
 	subsDirty bool
@@ -105,16 +103,9 @@ func (en *engine) newPartition(idx int) *partition {
 	return &partition{idx: idx, index: *newIDTable(en.idLo, en.idHi, en.idCount), dstStale: true}
 }
 
-// vertex returns the live vertex with the given ID, or nil.
-func (p *partition) vertex(id VertexID) *Vertex {
-	if s, ok := p.index.lookup(id); ok {
-		return p.slots[s]
-	}
-	return nil
-}
-
 // add appends v as the partition's last slot and takes ownership of it.
-func (p *partition) add(v *Vertex) int {
+// Callers add in ascending ID order.
+func (p *partition) add(v *Vertex) {
 	s := len(p.slots)
 	p.slots = append(p.slots, v)
 	p.index.set(v.id, s)
@@ -126,7 +117,6 @@ func (p *partition) add(v *Vertex) int {
 	p.subsDirty = true
 	p.slotGen++
 	v.owner = p
-	return s
 }
 
 // remove tombstones slot s and returns the vertex that occupied it.
@@ -142,32 +132,29 @@ func (p *partition) remove(s int) *Vertex {
 	return v
 }
 
-// rebuild drops the tombstones and re-sorts the live vertices into
-// ascending ID order, so iteration order after a compaction is a pure
-// function of the partition's content rather than of its removal
-// history. It returns the old-slot → new-slot permutation (-1 for
-// tombstones) for whoever holds slot-addressed state — the pending
-// inbox shard — to follow.
+// rebuild squeezes the tombstones out of the slot array, in place; the
+// live vertices keep their ascending ID order. It returns the old-slot →
+// new-slot permutation (-1 for tombstones) for whoever holds
+// slot-addressed state — the pending inbox shard — to follow.
 func (p *partition) rebuild() []int32 {
 	perm := make([]int32, len(p.slots))
-	live := make([]*Vertex, 0, p.index.len())
+	clear(p.awake)
+	live := p.slots[:0]
 	for s, v := range p.slots {
 		perm[s] = -1
-		if v != nil {
-			live = append(live, v)
+		if v == nil {
+			continue
 		}
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
-	clear(p.awake)
-	p.awake = p.awake[:(len(live)+63)>>6]
-	for s, v := range live {
-		old, _ := p.index.lookup(v.id)
-		perm[old] = int32(s)
-		p.index.set(v.id, s)
+		n := len(live)
+		perm[s] = int32(n)
+		p.index.set(v.id, n)
 		if !v.halted {
-			p.awake.set(s)
+			p.awake.set(n)
 		}
+		live = append(live, v)
 	}
+	clear(p.slots[len(live):])
+	p.awake = p.awake[:(len(live)+63)>>6]
 	p.slots = live
 	p.removed = 0
 	p.subsDirty = true

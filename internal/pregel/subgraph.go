@@ -197,16 +197,15 @@ func (p *partition) ensureSubgraphs() {
 // ID with members sorted by ID, so the result is a pure function of
 // the partition's content — the determinism the trace digests pin.
 func discoverSubgraphs(p *partition) []*Subgraph {
-	// order[i] is the slot of the i-th live vertex by ascending ID;
-	// rank is its inverse, so an edge target resolves to its union-find
-	// element with one index read.
+	// order[i] is the slot of the i-th live vertex, which is also the
+	// i-th by ascending ID; rank is its inverse, so an edge target
+	// resolves to its union-find element with one index read.
 	order := make([]int32, 0, p.index.len())
 	for s, v := range p.slots {
 		if v != nil {
 			order = append(order, int32(s))
 		}
 	}
-	sort.Slice(order, func(i, j int) bool { return p.slots[order[i]].id < p.slots[order[j]].id })
 	rank := make([]int32, len(p.slots))
 	parent := make([]int, len(order))
 	for i, s := range order {
@@ -233,6 +232,8 @@ func discoverSubgraphs(p *partition) []*Subgraph {
 			}
 		}
 	}
+	// A root is its component's smallest element, so roots are first
+	// seen in ascending order, which is minimum-member-ID order.
 	groups := make(map[int][]int32)
 	roots := make([]int, 0)
 	for i, s := range order {
@@ -242,7 +243,6 @@ func discoverSubgraphs(p *partition) []*Subgraph {
 		}
 		groups[r] = append(groups[r], s)
 	}
-	sort.Ints(roots) // root element order == minimum-member-ID order
 	subs := make([]*Subgraph, 0, len(roots))
 	for _, r := range roots {
 		slots := groups[r]

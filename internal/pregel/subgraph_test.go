@@ -8,12 +8,14 @@ import (
 func subgraphTestPartition(t *testing.T, edges map[VertexID][]VertexID, ids ...VertexID) *partition {
 	t.Helper()
 	p := &partition{}
+	vs := map[VertexID]*Vertex{}
 	for _, id := range ids {
-		p.add(NewDetachedVertex(id, NewLong(int64(id))))
+		vs[id] = NewDetachedVertex(id, NewLong(int64(id)))
+		p.add(vs[id])
 	}
 	for from, tos := range edges {
 		for _, to := range tos {
-			p.vertex(from).edges = append(p.vertex(from).edges, Edge{Target: to})
+			vs[from].edges = append(vs[from].edges, Edge{Target: to})
 		}
 	}
 	return p
@@ -69,7 +71,7 @@ func TestSubgraphsDirtyAfterMutation(t *testing.T) {
 		t.Fatalf("got %d subgraphs, want 2", len(p.subs))
 	}
 	// Bridging 2-3 through the vertex API must flag a recompute.
-	p.vertex(2).AddEdge(Edge{Target: 3})
+	p.slots[1].AddEdge(Edge{Target: 3}) // vertex 2
 	if !p.subsDirty {
 		t.Fatal("AddEdge did not mark subgraphs dirty")
 	}
@@ -79,7 +81,7 @@ func TestSubgraphsDirtyAfterMutation(t *testing.T) {
 			len(p.subs), p.subs[0].NumMembers())
 	}
 	// Cutting the bridge splits it again.
-	p.vertex(2).RemoveEdges(3)
+	p.slots[1].RemoveEdges(3)
 	if !p.subsDirty {
 		t.Fatal("RemoveEdges did not mark subgraphs dirty")
 	}

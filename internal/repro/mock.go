@@ -37,7 +37,6 @@ type MockContext struct {
 	Sent       []trace.OutMsg
 	Aggregated []trace.AggSet
 	Removals   []pregel.VertexID
-	Additions  []pregel.VertexID
 }
 
 // NewMockContext builds a MockContext from a captured superstep's
@@ -101,11 +100,6 @@ func (m *MockContext) SendMessageToAllEdges(v *pregel.Vertex, msg pregel.Value) 
 // RemoveVertexRequest implements pregel.Context.
 func (m *MockContext) RemoveVertexRequest(id pregel.VertexID) {
 	m.Removals = append(m.Removals, id)
-}
-
-// AddVertexRequest implements pregel.Context.
-func (m *MockContext) AddVertexRequest(id pregel.VertexID, _ pregel.Value) {
-	m.Additions = append(m.Additions, id)
 }
 
 // MockMasterContext implements pregel.MasterContext from a master

@@ -179,8 +179,13 @@ func (s *Session) Submit(ctx context.Context, g *Graph, comp Computation, opts R
 	if err := validateRunOptions(&opts); err != nil {
 		return nil, err
 	}
+	// The cap applies to the count the job runs with: NewJob runs 0 or
+	// a negative count as DefaultNumWorkers.
+	if opts.Engine.NumWorkers <= 0 {
+		opts.Engine.NumWorkers = pregel.DefaultNumWorkers
+	}
 	if cap := s.cfg.MaxWorkersPerJob; cap > 0 && opts.Engine.NumWorkers > cap {
-		return nil, fmt.Errorf("%w: Engine.NumWorkers = %d exceeds the session's per-job cap of %d",
+		return nil, fmt.Errorf("%w: Engine.NumWorkers runs as %d, over the session's per-job cap of %d",
 			ErrInvalidOptions, opts.Engine.NumWorkers, cap)
 	}
 	opts.Engine.WorkerPool = s.pool
@@ -257,8 +262,8 @@ func (s *Session) runJob(ctx context.Context, j *Job, g *Graph, comp Computation
 
 	var res *RunResult
 	err := func() (err error) {
-		// A panic in a callback the coordinator runs (a listener, the
-		// default vertex value, an aggregator merge) fails this job alone;
+		// A panic in a callback the coordinator runs (a listener, an
+		// aggregator merge) fails this job alone;
 		// the session and the jobs beside it go on.
 		defer func() {
 			if p := recover(); p != nil {

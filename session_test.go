@@ -3,6 +3,7 @@ package graft
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -322,6 +323,7 @@ func TestSessionAdmissionControl(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	two := EngineConfig{NumWorkers: 2} // at the cap
 	mk := func() *Graph {
 		g := NewGraph()
 		for i := 0; i < 8; i++ {
@@ -339,7 +341,7 @@ func TestSessionAdmissionControl(t *testing.T) {
 	})
 
 	// Fill the one running slot, then the one pending slot.
-	j1, err := sess.Submit(context.Background(), mk(), slow, RunOptions{})
+	j1, err := sess.Submit(context.Background(), mk(), slow, RunOptions{Engine: two})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +350,7 @@ func TestSessionAdmissionControl(t *testing.T) {
 	// counts pending jobs, so retry until the queue slot is what fills.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		j2, err = sess.Submit(context.Background(), mk(), slow, RunOptions{})
+		j2, err = sess.Submit(context.Background(), mk(), slow, RunOptions{Engine: two})
 		if err == nil {
 			break
 		}
@@ -357,7 +359,7 @@ func TestSessionAdmissionControl(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := sess.Submit(context.Background(), mk(), slow, RunOptions{}); !errors.Is(err, ErrSessionFull) {
+	if _, err := sess.Submit(context.Background(), mk(), slow, RunOptions{Engine: two}); !errors.Is(err, ErrSessionFull) {
 		t.Errorf("over-queue submit: err = %v, want ErrSessionFull", err)
 	}
 
@@ -375,7 +377,7 @@ func TestSessionAdmissionControl(t *testing.T) {
 		t.Errorf("bad engine config: err = %v, want ErrInvalidOptions and ErrInvalidConfig", err)
 	}
 	// Duplicate trace directory.
-	if _, err := sess.Submit(context.Background(), mk(), slow, RunOptions{JobID: j1.ID()}); !errors.Is(err, ErrInvalidOptions) {
+	if _, err := sess.Submit(context.Background(), mk(), slow, RunOptions{JobID: j1.ID(), Engine: two}); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("duplicate ID: err = %v, want ErrInvalidOptions", err)
 	}
 
@@ -389,9 +391,121 @@ func TestSessionAdmissionControl(t *testing.T) {
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Submit(context.Background(), mk(), slow, RunOptions{}); !errors.Is(err, ErrSessionClosed) {
+	if _, err := sess.Submit(context.Background(), mk(), slow, RunOptions{Engine: two}); !errors.Is(err, ErrSessionClosed) {
 		t.Errorf("post-close submit: err = %v, want ErrSessionClosed", err)
 	}
+}
+
+// TestSessionWorkerCapCountsDefault: the per-job cap applies to the
+// worker count a job runs with, and NewJob runs 0 or a negative count
+// as DefaultNumWorkers, so under a cap below it both are rejected.
+func TestSessionWorkerCapCountsDefault(t *testing.T) {
+	sess, err := NewSession(SessionConfig{MaxWorkersPerJob: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	g := NewGraph()
+	for i := 0; i < 8; i++ {
+		g.AddVertex(VertexID(i), NewLong(0))
+	}
+	halt := ComputeFunc(func(_ Context, v *Vertex, _ []Value) error { v.VoteToHalt(); return nil })
+	for _, n := range []int{0, -3} {
+		if _, err := sess.Submit(context.Background(), g.Clone(), halt, RunOptions{
+			Engine: EngineConfig{NumWorkers: n},
+		}); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("NumWorkers %d under a cap of 2: err = %v, want ErrInvalidOptions", n, err)
+		}
+	}
+	j, err := sess.Submit(context.Background(), g.Clone(), halt, RunOptions{Engine: EngineConfig{NumWorkers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(res.Stats.PartitionSizes); got != 2 {
+		t.Errorf("job at the cap ran %d partitions, want 2", got)
+	}
+}
+
+// TestSessionLeavesNoGoroutines: once a canceled job has been waited
+// for, and once Close has returned over queued, running and canceled
+// jobs, the goroutine count is back where it started.
+func TestSessionLeavesNoGoroutines(t *testing.T) {
+	settled := func(before int, after string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > before {
+			t.Errorf("%d goroutines after %s, %d before", got, after, before)
+		}
+	}
+	g := NewGraph()
+	for i := 0; i < 64; i++ {
+		g.AddVertex(VertexID(i), NewLong(0))
+	}
+	// spin never halts, so a job runs until it is canceled.
+	spin := ComputeFunc(func(ctx Context, v *Vertex, _ []Value) error {
+		ctx.SendMessage(v.ID(), NewLong(1))
+		return nil
+	})
+	// running waits until one of jobs runs (a free slot goes to any
+	// queued job) and returns it with the others.
+	running := func(jobs ...*Job) (*Job, []*Job) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for time.Now().Before(deadline) {
+			for i, j := range jobs {
+				if j.State() == JobRunning {
+					return j, append(jobs[:i:i], jobs[i+1:]...)
+				}
+			}
+			time.Sleep(time.Millisecond)
+		}
+		t.Fatal("no job started running")
+		return nil, nil
+	}
+
+	before := runtime.NumGoroutine()
+	sess, err := NewSession(SessionConfig{MaxConcurrentJobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := sess.Submit(context.Background(), g.Clone(), spin, RunOptions{Engine: EngineConfig{NumWorkers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	running(j)
+	j.Cancel()
+	if _, err := j.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled job: err = %v, want context.Canceled", err)
+	}
+	settled(before, "Job.Cancel and Wait")
+
+	var jobs []*Job
+	for i := 0; i < 3; i++ {
+		j, err := sess.Submit(context.Background(), g.Clone(), spin, RunOptions{Engine: EngineConfig{NumWorkers: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	_, queued := running(jobs...)
+	queued[0].Cancel()
+	if _, err := queued[0].Wait(context.Background()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("job canceled while queued: err = %v, want context.Canceled", err)
+	}
+	if st := queued[1].State(); st != JobQueued {
+		t.Fatalf("job %s is %v, want queued", queued[1].ID(), st)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	settled(before, "Session.Close")
 }
 
 // TestRunValidationTyped pins that the legacy Run facade rejects bad
