@@ -8,10 +8,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
 	"graft"
+	"graft/internal/pregel"
 	"graft/internal/serve"
 )
 
@@ -40,7 +42,11 @@ func cmdServe(args []string) error {
 	traceDir := fs.String("trace-dir", "graft-traces", "shared trace directory (one subdirectory per job)")
 	maxConcurrent := fs.Int("max-concurrent", 4, "jobs running superstep loops at once")
 	maxPending := fs.Int("max-pending", 0, "queued-job admission limit (0: 4x max-concurrent)")
-	maxWorkersPerJob := fs.Int("max-workers-per-job", 0, "per-job NumWorkers cap (0: uncapped)")
+	// The default cap keeps a submission's message lanes (workers²) to
+	// what the machine can run, yet admits the worker count a submission
+	// that names none runs with.
+	maxWorkersPerJob := fs.Int("max-workers-per-job", max(runtime.NumCPU(), pregel.DefaultNumWorkers),
+		"per-job NumWorkers cap (0: uncapped)")
 	workersTotal := fs.Int("workers-total", 0, "global worker-goroutine budget across all jobs (0: uncapped)")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -47,8 +47,8 @@ func main() {
 	fmt.Printf("traced job gc-tour: %d supersteps, %d captures\n", res.Stats.Supersteps, res.Captures)
 
 	srv := gui.NewServer(store)
-	srv.AttachAlgorithms(func(trace.JobMeta) (graft.Computation, repro.GenSpec) {
-		return algorithms.NewBuggyGraphColoring(42).Compute, repro.GenSpec{
+	srv.AttachAlgorithms(func(trace.JobMeta) (*algorithms.Algorithm, repro.GenSpec) {
+		return algorithms.NewBuggyGraphColoring(42), repro.GenSpec{
 			ComputationExpr: "algorithms.NewBuggyGraphColoring(42).Compute",
 			MasterExpr:      "algorithms.NewBuggyGraphColoring(42).Master",
 			ExtraImports:    []string{"graft/internal/algorithms"},

@@ -13,13 +13,14 @@ import (
 	"graft/internal/dfs"
 	"graft/internal/graphgen"
 	"graft/internal/pregel"
+	"graft/internal/repro"
 	"graft/internal/trace"
 )
 
 // subgraphTraceDigest runs alg's subgraph port over g with a session
-// attached and returns a SHA-256 over every (file name, bytes) pair of
-// the trace it leaves, job.done and job.metrics aside: they hold wall
-// times.
+// attached, requires every capture of the trace it leaves to replay, and
+// returns a SHA-256 over every (file name, bytes) pair of that trace,
+// job.done and job.metrics aside: they hold wall times.
 func subgraphTraceDigest(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph, workers int, dc DebugConfig) string {
 	t.Helper()
 	fs := dfs.NewMemFS()
@@ -40,6 +41,17 @@ func subgraphTraceDigest(t *testing.T, alg *algorithms.Algorithm, g *pregel.Grap
 	}
 	if session.LimitHit() {
 		t.Fatal("capture limit engaged: which member takes the last slot depends on scheduling")
+	}
+	db, err := store.OpenReader("pin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diverged, err := repro.CheckTrace(db, alg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diverged) != 0 {
+		t.Errorf("%d captures do not replay, first %+v", len(diverged), diverged[0])
 	}
 	names, err := fs.List("t/")
 	if err != nil {

@@ -53,11 +53,11 @@ func newTestServer(t *testing.T) (*httptest.Server, *Server) {
 		core.DebugConfig{MessageConstraint: algorithms.NonNegativeRWMessages})
 
 	srv := NewServer(store)
-	srv.AttachAlgorithms(func(meta trace.JobMeta) (pregel.Computation, repro.GenSpec) {
+	srv.AttachAlgorithms(func(meta trace.JobMeta) (*algorithms.Algorithm, repro.GenSpec) {
 		if meta.Algorithm != "gc-buggy" {
 			return nil, repro.GenSpec{}
 		}
-		return algorithms.NewBuggyGraphColoring(42).Compute, repro.GenSpec{
+		return algorithms.NewBuggyGraphColoring(42), repro.GenSpec{
 			ComputationExpr: "algorithms.NewBuggyGraphColoring(42).Compute",
 			MasterExpr:      "algorithms.NewBuggyGraphColoring(42).Master",
 			ExtraImports:    []string{"graft/internal/algorithms"},
@@ -319,9 +319,9 @@ func TestReplayCheckView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(db.CapturesAt(1))
-	mustContain(t, body, "Replay check",
-		strconv.Itoa(n)+"/"+strconv.Itoa(n)+" captured vertices replay identically")
+	n := len(db.CapturesAt(1)) + 1 // the vertices and the master
+	mustContain(t, body, "Replay check", "master</a>",
+		strconv.Itoa(n)+"/"+strconv.Itoa(n)+" captures replay identically")
 
 	// Without a registered computation the view degrades gracefully.
 	_, body = get(t, ts, "/job/rw-demo/replaycheck?superstep=1")
@@ -581,7 +581,9 @@ func TestNondeterministicCaptureIsSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(store)
-	srv.AttachAlgorithms(func(trace.JobMeta) (pregel.Computation, repro.GenSpec) { return comp, repro.GenSpec{} })
+	srv.AttachAlgorithms(func(trace.JobMeta) (*algorithms.Algorithm, repro.GenSpec) {
+		return &algorithms.Algorithm{Compute: comp}, repro.GenSpec{}
+	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 

@@ -4,17 +4,16 @@ import (
 	"fmt"
 	"html/template"
 	"net/http"
-	"strings"
 
-	"graft/internal/pregel"
 	"graft/internal/repro"
 	"graft/internal/trace"
 )
 
-// The replay-check view re-executes every captured vertex of a
-// superstep against its recorded context and reports whether the
-// replay matches the cluster execution — a live determinism audit of
-// the trace, and the programmatic face of the Reproduce step.
+// The replay-check view re-executes every capture of a superstep —
+// vertex, subgraph and master — against its recorded context
+// (repro.CheckSuperstep) and reports whether the replay matches the
+// cluster execution: a live determinism audit of the trace, and the
+// programmatic face of the Reproduce step.
 
 var replayCheckTmpl = template.Must(template.New("replaycheck").Parse(`
 {{.Nav}}
@@ -23,15 +22,15 @@ var replayCheckTmpl = template.Must(template.New("replaycheck").Parse(`
 <p class="muted">No live computation registered for algorithm
 "{{.Algorithm}}"; replay checking is unavailable for this job.</p>
 {{else}}
-<p>{{.OKCount}}/{{.Total}} captured vertices replay identically to the
+<p>{{.OKCount}}/{{len .Checks}} captures replay identically to the
 cluster execution.</p>
 <table>
-<tr><th>Vertex</th><th>Replay</th><th>Divergences</th></tr>
-{{range .Rows}}
+<tr><th>Capture</th><th>Replay</th><th>Divergences</th></tr>
+{{range .Checks}}
 <tr>
-<td><a href="/job/{{$.JobID}}/vertex?superstep={{$.Superstep}}&id={{.ID}}">{{.ID}}</a></td>
-<td>{{if .OK}}OK{{else}}DIVERGED{{end}}{{if .Flagged}} (captured nondeterministic){{end}}</td>
-<td>{{.Diffs}}</td>
+<td>{{if eq .Kind "master"}}<a href="/job/{{$.JobID}}/master?superstep={{$.Superstep}}">master</a>{{else}}{{.Kind}} <a href="/job/{{$.JobID}}/vertex?superstep={{$.Superstep}}&id={{.ID}}">{{.ID}}</a>{{end}}</td>
+<td>{{if .Diffs}}DIVERGED{{else}}OK{{end}}{{if .Nondeterministic}} (captured nondeterministic){{end}}</td>
+<td>{{range $i, $d := .Diffs}}{{if $i}}; {{end}}{{$d}}{{end}}</td>
 </tr>
 {{end}}
 </table>
@@ -39,19 +38,10 @@ cluster execution.</p>
 
 func (s *Server) handleReplayCheck(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
 	superstep := superstepOf(r, db)
-	captures := db.CapturesAt(superstep)
-	nav, err := navHTML(db, superstep, trace.StatusOf(captures))
+	nav, err := navHTML(db, superstep, db.StatusAt(superstep))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
-	}
-	type row struct {
-		ID    pregel.VertexID
-		OK    bool
-		Diffs string
-		// Flagged: the capture already said its compute does not re-run
-		// the same way (trace.ReasonNondeterministic).
-		Flagged bool
 	}
 	data := struct {
 		Nav       template.HTML
@@ -60,26 +50,16 @@ func (s *Server) handleReplayCheck(w http.ResponseWriter, r *http.Request, db *t
 		Superstep int
 		Available bool
 		OKCount   int
-		Total     int
-		Rows      []row
+		Checks    []repro.Check
 	}{Nav: nav, JobID: db.JobMeta().JobID, Algorithm: db.JobMeta().Algorithm, Superstep: superstep}
 
-	if comp, _ := s.algorithmOf(db); comp != nil {
+	if alg, _ := s.algorithmOf(db); alg != nil {
 		data.Available = true
-		meta := db.MetaAt(superstep)
-		for _, c := range captures {
-			out := repro.ReplayCapture(c, meta, comp)
-			diffs := repro.Fidelity(c, out)
-			if len(diffs) == 0 {
+		data.Checks = repro.CheckSuperstep(db, superstep, alg)
+		for _, c := range data.Checks {
+			if len(c.Diffs) == 0 {
 				data.OKCount++
 			}
-			data.Rows = append(data.Rows, row{
-				ID:      c.ID,
-				OK:      len(diffs) == 0,
-				Diffs:   strings.Join(diffs, "; "),
-				Flagged: c.Reasons.Has(trace.ReasonNondeterministic),
-			})
-			data.Total++
 		}
 	}
 	body, err := renderSub(replayCheckTmpl, data)

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 
+	"graft/internal/algorithms"
 	"graft/internal/metrics"
 	"graft/internal/pregel"
 	"graft/internal/repro"
@@ -29,7 +30,7 @@ type Server struct {
 	mu         sync.Mutex
 	views      map[string]*trace.Reader
 	offline    map[string]*pregel.Graph
-	algorithms func(trace.JobMeta) (pregel.Computation, repro.GenSpec)
+	algorithms func(trace.JobMeta) (*algorithms.Algorithm, repro.GenSpec)
 	metricsSrc func(jobID string) *metrics.Registry
 }
 
@@ -43,19 +44,20 @@ func NewServer(store *trace.Store) *Server {
 }
 
 // AttachAlgorithms tells the server how to rebuild a job's algorithm
-// from its manifest (name, seed, superstep budget): the live
-// computation the replay-check view re-executes captures with, and the
-// code-generation spec that makes Reproduce Context buttons emit tests
-// calling the right constructor. Without it, or for a job it returns
-// zero values for, the replay check is unavailable and generated tests
-// hold a TODO placeholder. Call before Handler.
-func (s *Server) AttachAlgorithms(resolve func(trace.JobMeta) (pregel.Computation, repro.GenSpec)) {
+// from its manifest (name, seed, superstep budget): the live vertex,
+// subgraph and master computations the replay-check view re-executes
+// captures with, and the code-generation spec that makes Reproduce
+// Context buttons emit tests calling the right constructor. Without it,
+// or for a job it returns zero values for, the replay check is
+// unavailable and generated tests hold a TODO placeholder. Call before
+// Handler.
+func (s *Server) AttachAlgorithms(resolve func(trace.JobMeta) (*algorithms.Algorithm, repro.GenSpec)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.algorithms = resolve
 }
 
-func (s *Server) algorithmOf(db *trace.Reader) (pregel.Computation, repro.GenSpec) {
+func (s *Server) algorithmOf(db *trace.Reader) (*algorithms.Algorithm, repro.GenSpec) {
 	s.mu.Lock()
 	resolve := s.algorithms
 	s.mu.Unlock()

@@ -96,7 +96,7 @@ var Table = []Metric{
 
 	{Key: "partitioner", Label: "Partitioner", Unit: Text, Line: "placement", Job: "Partitioner", End: "Partitioner"},
 	{Key: "vertices_per_worker", Label: "Vertices / worker", Unit: Text, Line: "placement", NoVars: true, Job: "PartitionSizes", End: "PartitionSizes"},
-	{Key: "edge_cut", Label: "Edge cut", Line: "placement", Job: "EdgeCut", End: "EdgeCut", Step: "EdgeCut"},
+	{Key: "edge_cut", Label: "Edge cut", Line: "placement", Job: "EdgeCut", End: "EdgeCut"},
 	{Key: "local_messages", Label: "Worker-local messages", Line: "placement", Job: "Totals.LocalMessages", Step: "LocalMessages"},
 	{Key: "local_ratio", Label: "Worker-local share", Unit: Percent, Line: "placement", Job: "Totals.LocalMessageRatio", Step: "LocalMessageRatio"},
 

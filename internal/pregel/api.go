@@ -234,9 +234,6 @@ type SuperstepStats struct {
 	// LocalMessages counts the messages of this superstep whose sender
 	// and receiver partitions coincide: the diagonal of Traffic.
 	LocalMessages int64 `json:"local,omitempty"`
-	// EdgeCut is the number of directed edges crossing partitions after
-	// this superstep's barrier.
-	EdgeCut int64 `json:"edge_cut,omitempty"`
 	// Anomalies holds the events the anomaly detectors emitted at this
 	// superstep's barrier.
 	Anomalies []anomaly.Event `json:"anomalies,omitempty"`

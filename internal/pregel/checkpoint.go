@@ -274,7 +274,6 @@ func (en *engine) install(st *checkpointState) {
 	en.broadcast = st.broadcast
 	en.superstep = st.superstep
 	en.assign = st.assign
-	en.edgeCutDirty = true
 	en.recountActive()
 	en.cur.reset()
 	en.next.reset()

@@ -129,15 +129,21 @@ func (s *Stats) LocalMessageRatio() float64 { return s.Totals().LocalMessageRati
 // job (0 when it ran no supersteps).
 func (s *Stats) MaxComputeSkew() float64 { return s.Totals().MaxComputeSkew }
 
-// DefaultNumWorkers is used when Config.NumWorkers is zero.
-const DefaultNumWorkers = 4
+// DefaultNumWorkers is used when Config.NumWorkers is zero, and
+// MaxNumWorkers is the most Config.Validate accepts: the message plane
+// keeps a lane per (sender, receiver) pair of workers, so its memory
+// grows with the square of the count.
+const (
+	DefaultNumWorkers = 4
+	MaxNumWorkers     = 1024
+)
 
 // Config configures a Job. The zero value runs with DefaultNumWorkers
 // workers, no superstep limit, no master, no combiner and no
 // checkpointing.
 type Config struct {
 	// NumWorkers is the number of concurrent worker goroutines, each
-	// owning one hash partition of the vertices.
+	// owning one hash partition of the vertices; at most MaxNumWorkers.
 	NumWorkers int
 	// MaxSupersteps stops the job after this many supersteps; 0 means
 	// unlimited. It is the safety net that surfaces non-converging
@@ -288,12 +294,6 @@ type engine struct {
 	// the locality partitioner at load; partitionFor consults it. Nil
 	// for hash placement, so hash-pure jobs cost one nil check.
 	assign *idTable
-	// edgeCut caches the current cross-partition directed-edge count;
-	// edgeCutDirty flags that placement or topology changed since it
-	// was computed (mutation, recovery), so the barrier recomputes it
-	// lazily — static graphs pay the O(E) scan once.
-	edgeCut      int64
-	edgeCutDirty bool
 	// partActive[w] is the number of non-halted vertices in partition w
 	// (the population of its awake bitmap), maintained at the barrier
 	// (worker results, mutations, recovery).
@@ -342,7 +342,6 @@ func newEngine(j *Job) *engine {
 		en.parts[i] = en.newPartition(i)
 	}
 	en.wctx = make([]*workerCtx, w)
-	en.edgeCutDirty = true
 	if j.cfg.Partitioner == PartitionLocality {
 		// The placement table must exist before the distribution loop
 		// below and before any checkpoint is written, so every consumer
@@ -385,9 +384,8 @@ func (en *engine) partitionFor(id VertexID) int {
 
 // computeEdgeCut scans every partition's out-edges and counts those
 // whose target routes to a different worker: the edge-cut objective
-// the locality partitioner minimizes. O(E); the
-// engine caches the result and recomputes only when placement or
-// topology changed.
+// the locality partitioner minimizes. O(E), so it runs once, when a
+// job finishes.
 func (en *engine) computeEdgeCut() int64 {
 	var cut int64
 	for _, p := range en.parts {
@@ -516,7 +514,7 @@ func (en *engine) finish(err error) (*Stats, error) {
 		en.stats.PartitionSizes[i] = int64(p.index.len())
 	}
 	if err == nil {
-		en.stats.EdgeCut = en.currentEdgeCut()
+		en.stats.EdgeCut = en.computeEdgeCut()
 	}
 	// A canceled job never resumes, so its checkpoints are dead weight;
 	// GC them before listeners observe the stats, so CheckpointsDeleted
@@ -541,17 +539,6 @@ func (en *engine) finish(err error) (*Stats, error) {
 	// completed superstep is valid, so — unlike a compute failure — the
 	// partial stats are returned with the error.
 	return &en.stats, err
-}
-
-// currentEdgeCut returns the cross-partition edge count under the
-// current placement, rescanning only if placement or topology changed
-// since the last scan.
-func (en *engine) currentEdgeCut() int64 {
-	if en.edgeCutDirty {
-		en.edgeCut = en.computeEdgeCut()
-		en.edgeCutDirty = false
-	}
-	return en.edgeCut
 }
 
 // checkpointPhase writes the pre-superstep state (graph, undelivered
@@ -670,13 +657,11 @@ func (en *engine) barrierPhase(st *step) error {
 }
 
 // observePhase hands the superstep's folded telemetry to the anomaly
-// detectors and records the edge cut under the placement the next
-// superstep runs with.
+// detectors.
 func (en *engine) observePhase(st *step) {
 	ss := &st.ss
 	ss.Anomalies = en.anom.Observe(en.anomalySample(ss))
 	en.stats.Anomalies = append(en.stats.Anomalies, ss.Anomalies...)
-	ss.EdgeCut = en.currentEdgeCut()
 }
 
 // flushPhase is the barrier flush: listeners that write a trace commit
@@ -988,13 +973,9 @@ func (en *engine) applyMutations(results []workerResult) {
 			// becomes entries for its ID.
 			en.next.evict(p.idx, slot, id)
 			p.remove(slot)
-			en.edgeCutDirty = true
 		}
 	}
 	for _, p := range en.parts {
-		if p.edgeDelta != 0 {
-			en.edgeCutDirty = true
-		}
 		p.edges += int64(p.edgeDelta)
 		p.edgeDelta = 0
 		if p.needsCompaction() {

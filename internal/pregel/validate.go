@@ -21,6 +21,9 @@ func invalidf(format string, args ...any) error {
 // capacities and impossible mode combinations return a typed error
 // wrapping ErrInvalidConfig instead of being silently coerced.
 func (c *Config) Validate() error {
+	if c.NumWorkers > MaxNumWorkers {
+		return invalidf("NumWorkers = %d, must be <= %d", c.NumWorkers, MaxNumWorkers)
+	}
 	if c.MaxSupersteps < 0 {
 		return invalidf("MaxSupersteps = %d, must be >= 0 (0 means unlimited)", c.MaxSupersteps)
 	}

@@ -31,6 +31,7 @@ func TestValidateRejectsContradictions(t *testing.T) {
 		cfg  Config
 	}{
 		{"CheckpointEvery without CheckpointFS", Config{CheckpointEvery: 2}},
+		{"NumWorkers over MaxNumWorkers", Config{NumWorkers: MaxNumWorkers + 1}},
 	}
 	for _, tc := range cases {
 		if err := tc.cfg.Validate(); !errors.Is(err, ErrInvalidConfig) {
@@ -43,6 +44,10 @@ func TestValidateAcceptsZeroValues(t *testing.T) {
 	var cfg Config
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("zero config rejected: %v", err)
+	}
+	cfg.NumWorkers = MaxNumWorkers
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("MaxNumWorkers rejected: %v", err)
 	}
 }
 

@@ -36,13 +36,6 @@ type GenSpec struct {
 	Assert bool
 }
 
-func (s *GenSpec) pkg() string {
-	if s.Package == "" {
-		return "graftrepro"
-	}
-	return s.Package
-}
-
 // valueExpr renders a Go expression that reconstructs v. Builtin
 // scalars become readable constructors (as in the paper's Figure 6);
 // algorithm-specific composites embed their binary encoding with a
@@ -86,44 +79,81 @@ func identSafe(id pregel.VertexID) string {
 	return fmt.Sprintf("%d", int64(id))
 }
 
-type vertexTestData struct {
-	JobID     string
-	Package   string
-	Imports   []string
-	FuncName  string
-	VertexID  int64
-	Superstep int
-	Worker    int
+// fileData is one generated file: a header and its test functions.
+type fileData struct {
+	JobID   string
+	Package string
+	Imports []string
+	// Subject names what the file reproduces, for its header comment.
+	Subject string
+	Tests   []testData
+}
 
+// testData is one generated test function. The fields through Assert
+// are the header every capture kind shares; the rest belong to the
+// kinds that have them.
+type testData struct {
+	Kind     string // "vertex", "subgraph" or "master": the template that renders it
+	Mock     string // the mock context's type name in package repro
+	CompType string // the computation's type
+	Subject  string // the captured call, for the function's doc comment
+	FuncName string
+
+	Superstep   int
+	Worker      int
 	NumVertices int64
 	NumEdges    int64
 	AggLines    []string // "name": expr
-	EdgeLines   []string
-	MsgLines    []string
-	ValueExpr   string
 
-	CompExpr    string
-	Placeholder bool
-
+	CompExpr     string // "" leaves a placeholder the user fills in
 	HasException bool
 	ExceptionMsg string
 	Assert       bool
-	WantValue    string
-	WantSent     int
-	WantHalted   bool
+
+	Vertices   []vertexData // the vertex under test, or a subgraph's members
+	WantValue  string
+	WantDigest string
+	WantSent   int64
+	WantIters  int64
+	WantSets   int
+	WantHalted bool
 }
 
-// vertexTestBodySrc renders one reproduction test function; the file
-// templates below wrap one or many bodies with a package clause and
-// imports.
-const vertexTestBodySrc = `{{define "vertexBody"}}
-// Reproduces the exact context under which vertex {{.VertexID}}
-// executed compute() in superstep {{.Superstep}} (worker {{.Worker}}).
-// Step through Compute with your line-by-line debugger
+// vertexData is one vertex a generated test rebuilds.
+type vertexData struct {
+	Var       string
+	ID        int64
+	ValueExpr string
+	EdgeLines []string
+	MsgLines  []string
+}
+
+var testTemplate = template.Must(template.New("file").Parse(`
+{{- define "file"}}// Code generated by Graft's Context Reproducer; edit freely.
+//
+// Job {{printf "%q" .JobID}}: {{.Subject}}.
+// Copy this file into a _test.go next to the computation under debug.
+package {{.Package}}
+
+import (
+	"testing"
+{{range .Imports}}
+	{{printf "%q" .}}{{end}}
+)
+{{range .Tests}}
+{{- if eq .Kind "vertex"}}{{template "vertex" .}}
+{{- else if eq .Kind "subgraph"}}{{template "subgraph" .}}
+{{- else}}{{template "master" .}}{{end}}
+{{- end}}
+{{- end}}
+
+{{- define "head"}}
+// {{.FuncName}} reproduces {{.Subject}}.
+// Step through it with your line-by-line debugger
 // (delve: dlv test -- -test.run {{.FuncName}}).
 func {{.FuncName}}(t *testing.T) {
-	// Mock the default global data the engine exposed to the vertex.
-	ctx := &repro.MockContext{
+	// Mock the default global data the engine exposed to the computation.
+	ctx := &repro.{{.Mock}}{MockBase: repro.MockBase{
 		SuperstepN:  {{.Superstep}},
 		NumVertices: {{.NumVertices}},
 		NumEdges:    {{.NumEdges}},
@@ -133,31 +163,32 @@ func {{.FuncName}}(t *testing.T) {
 			{{.}},
 {{- end}}
 		},
-	}
-	// Reproduce the vertex's value.
-	vertex := pregel.NewDetachedVertex({{.VertexID}}, {{.ValueExpr}})
-	// Reproduce the vertex's outgoing neighbors.
+	}}
+{{- if .Vertices}}
+	// Reproduce each vertex: its value before compute and its out-edges.
+{{- end}}
+{{- range .Vertices}}
+	{{.Var}} := pregel.NewDetachedVertex({{.ID}}, {{.ValueExpr}})
+{{- $v := .}}
 {{- range .EdgeLines}}
-	vertex.AddEdge({{.}})
+	{{$v.Var}}.AddEdge({{.}})
 {{- end}}
-	// Reproduce the vertex's incoming messages.
-	msgs := []pregel.Value{
-{{- range .MsgLines}}
-		{{.}},
 {{- end}}
-	}
-{{- if .Placeholder}}
-	// TODO: set comp to the computation under debug, e.g.
-	//   comp := algorithms.NewGraphColoring(seed).Compute
-	var comp pregel.Computation
+{{- end}}
+
+{{- define "comp"}}
+{{- if .CompExpr}}
+	comp := {{.CompType}}({{.CompExpr}})
+{{- else}}
+	// TODO: set comp to the {{.CompType}} under debug.
+	var comp {{.CompType}}
 	if comp == nil {
 		t.Skip("set comp to the computation under debug")
 	}
-{{- else}}
-	comp := pregel.Computation({{.CompExpr}})
 {{- end}}
-	// Finally, call vertex.compute().
-	err := comp.Compute(ctx, vertex, msgs)
+{{- end}}
+
+{{- define "exception"}}
 {{- if .HasException}}
 	// The original run raised: {{.ExceptionMsg}}
 	if err == nil {
@@ -171,6 +202,21 @@ func {{.FuncName}}(t *testing.T) {
 {{- if .Assert}}
 
 	// Assertions from the captured cluster execution.
+{{- end}}
+{{- end}}
+
+{{- define "vertex"}}{{template "head" .}}
+	// Reproduce the vertex's incoming messages.
+	msgs := []pregel.Value{
+{{- range (index .Vertices 0).MsgLines}}
+		{{.}},
+{{- end}}
+	}
+{{- template "comp" .}}
+	// Finally, call vertex.compute().
+	err := comp.Compute(ctx, vertex, msgs)
+{{- template "exception" .}}
+{{- if .Assert}}
 	if got, want := pregel.ValueString(vertex.Value()), {{printf "%q" .WantValue}}; got != want {
 		t.Errorf("value after compute = %s, want %s", got, want)
 	}
@@ -182,217 +228,52 @@ func {{.FuncName}}(t *testing.T) {
 	}
 {{- end}}
 }
-{{end}}`
+{{end}}
 
-var vertexTestTemplate = template.Must(template.New("vertexFile").Parse(vertexTestBodySrc + `// Code generated by Graft's Context Reproducer; edit freely.
-//
-// Job {{printf "%q" .JobID}}: the exact context under which vertex
-// {{.VertexID}} executed compute() in superstep {{.Superstep}}.
-// Copy this file into a _test.go next to the computation under debug.
-package {{.Package}}
-
-import (
-	"testing"
-{{range .Imports}}
-	{{printf "%q" .}}{{end}}
-)
-{{template "vertexBody" .}}`))
-
-type vertexSuiteData struct {
-	JobID    string
-	Package  string
-	Imports  []string
-	VertexID int64
-	Bodies   []vertexTestData
-}
-
-var vertexSuiteTemplate = template.Must(template.New("vertexSuite").Parse(vertexTestBodySrc + `// Code generated by Graft's Context Reproducer; edit freely.
-//
-// Job {{printf "%q" .JobID}}: every captured context of vertex
-// {{.VertexID}}, one test per superstep — the capture history as a
-// regression suite (the unit-testing extension of paper §7).
-package {{.Package}}
-
-import (
-	"testing"
-{{range .Imports}}
-	{{printf "%q" .}}{{end}}
-)
-{{range .Bodies}}{{template "vertexBody" .}}{{end}}`))
-
-// GenerateVertexTest renders a standalone Go test reproducing the
-// context of vertex id at the given superstep (the Go analogue of the
-// paper's Figure 6 JUnit file).
-func GenerateVertexTest(db *trace.Reader, superstep int, id pregel.VertexID, spec GenSpec) (string, error) {
-	data, err := buildVertexTestData(db, superstep, id, spec)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	if err := vertexTestTemplate.Execute(&b, &data); err != nil {
-		return "", err
-	}
-	return b.String(), nil
-}
-
-// GenerateVertexSuite renders one file with a reproduction test for
-// every captured superstep of a vertex: contexts that "emerge at large
-// scale" become a reusable unit-test suite.
-func GenerateVertexSuite(db *trace.Reader, id pregel.VertexID, spec GenSpec) (string, error) {
-	history := db.CapturesOf(id)
-	if len(history) == 0 {
-		return "", fmt.Errorf("repro: no captures of vertex %d", id)
-	}
-	suite := vertexSuiteData{
-		JobID:    db.JobMeta().JobID,
-		Package:  spec.pkg(),
-		VertexID: int64(id),
-	}
-	suite.Imports = append([]string{"graft/internal/pregel", "graft/internal/repro"}, spec.ExtraImports...)
-	sort.Strings(suite.Imports)
-	for _, c := range history {
-		data, err := buildVertexTestData(db, c.Superstep, id, spec)
-		if err != nil {
-			return "", err
-		}
-		suite.Bodies = append(suite.Bodies, data)
-	}
-	var b strings.Builder
-	if err := vertexSuiteTemplate.Execute(&b, &suite); err != nil {
-		return "", err
-	}
-	return b.String(), nil
-}
-
-func buildVertexTestData(db *trace.Reader, superstep int, id pregel.VertexID, spec GenSpec) (vertexTestData, error) {
-	c := db.Capture(superstep, id)
-	if c == nil {
-		return vertexTestData{}, fmt.Errorf("repro: no capture of vertex %d at superstep %d", id, superstep)
-	}
-	meta := db.MetaAt(superstep)
-	if meta == nil {
-		return vertexTestData{}, fmt.Errorf("repro: no superstep metadata for superstep %d", superstep)
-	}
-	data := vertexTestData{
-		JobID:       db.JobMeta().JobID,
-		Package:     spec.pkg(),
-		FuncName:    fmt.Sprintf("TestReproduceVertex%sSuperstep%d", identSafe(id), superstep),
-		VertexID:    int64(id),
-		Superstep:   superstep,
-		Worker:      c.Worker,
-		NumVertices: meta.NumVertices,
-		NumEdges:    meta.NumEdges,
-		ValueExpr:   valueExpr(c.ValueBefore),
-		CompExpr:    spec.ComputationExpr,
-		Placeholder: spec.ComputationExpr == "",
-		Assert:      spec.Assert,
-	}
-	data.Imports = append([]string{"graft/internal/pregel", "graft/internal/repro"}, spec.ExtraImports...)
-	sort.Strings(data.Imports)
-
-	aggNames := make([]string, 0, len(meta.Aggregated))
-	for name := range meta.Aggregated {
-		aggNames = append(aggNames, name)
-	}
-	sort.Strings(aggNames)
-	for _, name := range aggNames {
-		data.AggLines = append(data.AggLines,
-			fmt.Sprintf("%q: %s", name, valueExpr(meta.Aggregated[name])))
-	}
-	for _, e := range c.Edges {
-		if e.Value == nil {
-			data.EdgeLines = append(data.EdgeLines,
-				fmt.Sprintf("pregel.Edge{Target: %d}", int64(e.Target)))
-		} else {
-			data.EdgeLines = append(data.EdgeLines,
-				fmt.Sprintf("pregel.Edge{Target: %d, Value: %s}", int64(e.Target), valueExpr(e.Value)))
-		}
-	}
-	for _, m := range c.Incoming {
-		data.MsgLines = append(data.MsgLines, valueExpr(m))
-	}
-	if c.Exception != nil {
-		data.HasException = true
-		data.ExceptionMsg = strings.ReplaceAll(c.Exception.Message, "\n", " ")
-	}
-	if spec.Assert {
-		data.WantValue = pregel.ValueString(c.ValueAfter)
-		data.WantSent = len(c.Outgoing)
-		data.WantHalted = c.HaltedAfter
-	}
-	return data, nil
-}
-
-type masterTestData struct {
-	JobID     string
-	Package   string
-	Imports   []string
-	FuncName  string
-	Superstep int
-
-	NumVertices int64
-	NumEdges    int64
-	AggLines    []string
-
-	MasterExpr  string
-	Placeholder bool
-
-	HasException bool
-	ExceptionMsg string
-	Assert       bool
-	WantSets     int
-	WantHalted   bool
-}
-
-var masterTestTemplate = template.Must(template.New("master").Parse(`// Code generated by Graft's Context Reproducer; edit freely.
-//
-// Job {{printf "%q" .JobID}}: reproduces the exact context under which
-// master.compute() executed in superstep {{.Superstep}}.
-package {{.Package}}
-
-import (
-	"testing"
-{{range .Imports}}
-	{{printf "%q" .}}{{end}}
-)
-
-func {{.FuncName}}(t *testing.T) {
-	// Mock the aggregator values the master saw at the beginning of
-	// the superstep.
-	ctx := &repro.MockMasterContext{
-		SuperstepN:  {{.Superstep}},
-		NumVertices: {{.NumVertices}},
-		NumEdges:    {{.NumEdges}},
-		Agg: map[string]pregel.Value{
-{{- range .AggLines}}
+{{- define "subgraph"}}{{template "head" .}}
+	// Reproduce the component and its incoming boundary messages.
+	sg := pregel.NewDetachedSubgraph([]*pregel.Vertex{
+{{- range .Vertices}}
+		{{.Var}},
+{{- end}}
+	}, map[pregel.VertexID][]pregel.Value{
+{{- range .Vertices}}
+{{- if .MsgLines}}
+		{{.ID}}: {
+{{- range .MsgLines}}
 			{{.}},
 {{- end}}
 		},
-	}
-{{- if .Placeholder}}
-	// TODO: set master to the master computation under debug.
-	var master pregel.MasterComputation
-	if master == nil {
-		t.Skip("set master to the master computation under debug")
-	}
-{{- else}}
-	master := pregel.MasterComputation({{.MasterExpr}})
 {{- end}}
-	// Finally, call master.compute().
-	err := master.Compute(ctx)
-{{- if .HasException}}
-	// The original run raised: {{.ExceptionMsg}}
-	if err == nil {
-		t.Error("expected the captured exception to reproduce, got success")
-	}
-{{- else}}
-	if err != nil {
-		t.Fatalf("master compute: %v", err)
-	}
 {{- end}}
+	})
+{{- template "comp" .}}
+	// Finally, call ComputeSubgraph().
+	err := comp.ComputeSubgraph(ctx, sg)
+{{- template "exception" .}}
 {{- if .Assert}}
+	if got, want := sg.ValuesDigest(), {{printf "%q" .WantDigest}}; got != want {
+		t.Errorf("member values digest = %s, want %s", got, want)
+	}
+	if got, want := len(ctx.Sent), {{.WantSent}}; got != want {
+		t.Errorf("sent %d messages, want %d", got, want)
+	}
+	if got, want := ctx.Iterations, int64({{.WantIters}}); got != want {
+		t.Errorf("internal iterations = %d, want %d", got, want)
+	}
+	if got, want := ctx.HaltedNow, {{.WantHalted}}; got != want {
+		t.Errorf("halted = %v, want %v", got, want)
+	}
+{{- end}}
+}
+{{end}}
 
-	// Assertions from the captured cluster execution.
+{{- define "master"}}{{template "head" .}}
+{{- template "comp" .}}
+	// Finally, call master.compute().
+	err := comp.Compute(ctx)
+{{- template "exception" .}}
+{{- if .Assert}}
 	if got, want := len(ctx.Sets), {{.WantSets}}; got != want {
 		t.Errorf("master set %d aggregators, want %d", got, want)
 	}
@@ -401,7 +282,173 @@ func {{.FuncName}}(t *testing.T) {
 	}
 {{- end}}
 }
-`))
+{{end}}`))
+
+// render executes the file template over one or more tests.
+func render(db *trace.Reader, spec *GenSpec, subject string, tests ...testData) (string, error) {
+	f := fileData{JobID: db.JobMeta().JobID, Package: spec.Package, Subject: subject, Tests: tests}
+	if f.Package == "" {
+		f.Package = "graftrepro"
+	}
+	f.Imports = append([]string{"graft/internal/pregel", "graft/internal/repro"}, spec.ExtraImports...)
+	sort.Strings(f.Imports)
+	var b strings.Builder
+	if err := testTemplate.ExecuteTemplate(&b, "file", &f); err != nil {
+		return "", err
+	}
+	return b.String(), nil
+}
+
+// newTest fills the header every kind of generated test shares from
+// the superstep's global data.
+func newTest(kind, expr string, spec *GenSpec, meta *trace.SuperstepMeta, worker int) testData {
+	d := testData{
+		Kind:        kind,
+		Superstep:   meta.Superstep,
+		Worker:      worker,
+		NumVertices: meta.NumVertices,
+		NumEdges:    meta.NumEdges,
+		AggLines:    aggLines(meta.Aggregated),
+		CompExpr:    expr,
+		Assert:      spec.Assert,
+	}
+	switch kind {
+	case "vertex":
+		d.Mock, d.CompType = "MockContext", "pregel.Computation"
+	case "subgraph":
+		d.Mock, d.CompType = "MockSubgraphContext", "pregel.SubgraphComputation"
+	default:
+		d.Mock, d.CompType = "MockMasterContext", "pregel.MasterComputation"
+	}
+	return d
+}
+
+// setException records a captured exception the test must reproduce.
+func (d *testData) setException(e *trace.ExceptionInfo) {
+	if e != nil {
+		d.HasException = true
+		d.ExceptionMsg = strings.ReplaceAll(e.Message, "\n", " ")
+	}
+}
+
+// aggLines renders aggregator values as map-literal lines, sorted by
+// name.
+func aggLines(agg map[string]pregel.Value) []string {
+	names := make([]string, 0, len(agg))
+	for name := range agg {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	lines := make([]string, len(names))
+	for i, name := range names {
+		lines[i] = fmt.Sprintf("%q: %s", name, valueExpr(agg[name]))
+	}
+	return lines
+}
+
+// newVertexData renders a captured vertex's pre-compute value, edges and
+// inbox as the expressions that rebuild it.
+func newVertexData(varName string, c *trace.VertexCapture) vertexData {
+	d := vertexData{Var: varName, ID: int64(c.ID), ValueExpr: valueExpr(c.ValueBefore)}
+	for _, e := range c.Edges {
+		if e.Value == nil {
+			d.EdgeLines = append(d.EdgeLines, fmt.Sprintf("pregel.Edge{Target: %d}", int64(e.Target)))
+		} else {
+			d.EdgeLines = append(d.EdgeLines,
+				fmt.Sprintf("pregel.Edge{Target: %d, Value: %s}", int64(e.Target), valueExpr(e.Value)))
+		}
+	}
+	for _, m := range c.Incoming {
+		d.MsgLines = append(d.MsgLines, valueExpr(m))
+	}
+	return d
+}
+
+// GenerateVertexTest renders a standalone Go test reproducing the
+// context of vertex id at the given superstep (the Go analogue of the
+// paper's Figure 6 JUnit file).
+func GenerateVertexTest(db *trace.Reader, superstep int, id pregel.VertexID, spec GenSpec) (string, error) {
+	d, err := vertexTest(db, superstep, id, &spec)
+	if err != nil {
+		return "", err
+	}
+	return render(db, &spec, d.Subject, d)
+}
+
+// GenerateVertexSuite renders one file with a reproduction test for
+// every captured superstep of a vertex: contexts that "emerge at large
+// scale" become a reusable unit-test suite (the unit-testing extension
+// of paper §7).
+func GenerateVertexSuite(db *trace.Reader, id pregel.VertexID, spec GenSpec) (string, error) {
+	history := db.CapturesOf(id)
+	if len(history) == 0 {
+		return "", fmt.Errorf("repro: no captures of vertex %d", id)
+	}
+	tests := make([]testData, len(history))
+	for i, c := range history {
+		d, err := vertexTest(db, c.Superstep, id, &spec)
+		if err != nil {
+			return "", err
+		}
+		tests[i] = d
+	}
+	return render(db, &spec, fmt.Sprintf("every captured context of vertex %d, one test per superstep", id), tests...)
+}
+
+func vertexTest(db *trace.Reader, superstep int, id pregel.VertexID, spec *GenSpec) (testData, error) {
+	c := db.Capture(superstep, id)
+	if c == nil {
+		return testData{}, fmt.Errorf("repro: no capture of vertex %d at superstep %d", id, superstep)
+	}
+	meta, err := metaAt(db, superstep)
+	if err != nil {
+		return testData{}, err
+	}
+	d := newTest("vertex", spec.ComputationExpr, spec, meta, c.Worker)
+	d.Subject = fmt.Sprintf("the context under which vertex %d executed compute() in superstep %d (worker %d)",
+		int64(id), superstep, c.Worker)
+	d.FuncName = fmt.Sprintf("TestReproduceVertex%sSuperstep%d", identSafe(id), superstep)
+	d.Vertices = []vertexData{newVertexData("vertex", c)}
+	d.setException(c.Exception)
+	d.WantValue = pregel.ValueString(c.ValueAfter)
+	d.WantSent = int64(len(c.Outgoing))
+	d.WantHalted = c.HaltedAfter
+	return d, nil
+}
+
+// GenerateSubgraphTest renders a standalone Go test reproducing the
+// ComputeSubgraph context of the subgraph containing vertex id at the
+// given superstep. The member contexts come from the per-member
+// VertexCapture records written alongside the SubgraphCapture, so a
+// subgraph step is rebuilt member by member — single-vertex debuggable
+// even though the unit of compute is a component.
+func GenerateSubgraphTest(db *trace.Reader, superstep int, id pregel.VertexID, spec GenSpec) (string, error) {
+	sc := db.SubgraphAt(superstep, id)
+	if sc == nil {
+		return "", fmt.Errorf("repro: no subgraph capture containing vertex %d at superstep %d", id, superstep)
+	}
+	meta, err := metaAt(db, superstep)
+	if err != nil {
+		return "", err
+	}
+	members, err := memberCaptures(db, sc)
+	if err != nil {
+		return "", err
+	}
+	d := newTest("subgraph", spec.SubgraphExpr, &spec, meta, sc.Worker)
+	d.Subject = fmt.Sprintf("the context under which subgraph %d (%d members) executed ComputeSubgraph in superstep %d (worker %d)",
+		int64(sc.ID), len(sc.Members), superstep, sc.Worker)
+	d.FuncName = fmt.Sprintf("TestReproduceSubgraph%sSuperstep%d", identSafe(sc.ID), superstep)
+	for i, c := range members {
+		d.Vertices = append(d.Vertices, newVertexData(fmt.Sprintf("m%d", i), c))
+		d.setException(c.Exception)
+	}
+	d.WantDigest = sc.Digest
+	d.WantSent = sc.MessagesSent
+	d.WantIters = sc.Iterations
+	d.WantHalted = sc.HaltedAfter
+	return render(db, &spec, d.Subject, d)
+}
 
 // GenerateMasterTest renders a standalone Go test reproducing the
 // master.compute context of one superstep.
@@ -410,41 +457,11 @@ func GenerateMasterTest(db *trace.Reader, superstep int, spec GenSpec) (string, 
 	if c == nil {
 		return "", fmt.Errorf("repro: no master capture at superstep %d", superstep)
 	}
-	data := masterTestData{
-		JobID:       db.JobMeta().JobID,
-		Package:     spec.pkg(),
-		FuncName:    fmt.Sprintf("TestReproduceMasterSuperstep%d", superstep),
-		Superstep:   superstep,
-		NumVertices: c.NumVertices,
-		NumEdges:    c.NumEdges,
-		MasterExpr:  spec.MasterExpr,
-		Placeholder: spec.MasterExpr == "",
-		Assert:      spec.Assert,
-	}
-	data.Imports = append([]string{"graft/internal/pregel", "graft/internal/repro"}, spec.ExtraImports...)
-	sort.Strings(data.Imports)
-
-	aggNames := make([]string, 0, len(c.AggregatedBefore))
-	for name := range c.AggregatedBefore {
-		aggNames = append(aggNames, name)
-	}
-	sort.Strings(aggNames)
-	for _, name := range aggNames {
-		data.AggLines = append(data.AggLines,
-			fmt.Sprintf("%q: %s", name, valueExpr(c.AggregatedBefore[name])))
-	}
-	if c.Exception != nil {
-		data.HasException = true
-		data.ExceptionMsg = strings.ReplaceAll(c.Exception.Message, "\n", " ")
-	}
-	if spec.Assert {
-		data.WantSets = len(c.Sets)
-		data.WantHalted = c.Halted
-	}
-
-	var b strings.Builder
-	if err := masterTestTemplate.Execute(&b, &data); err != nil {
-		return "", err
-	}
-	return b.String(), nil
+	d := newTest("master", spec.MasterExpr, &spec, masterMeta(c), 0)
+	d.Subject = fmt.Sprintf("the context under which master.compute() executed in superstep %d", superstep)
+	d.FuncName = fmt.Sprintf("TestReproduceMasterSuperstep%d", superstep)
+	d.setException(c.Exception)
+	d.WantSets = len(c.Sets)
+	d.WantHalted = c.Halted
+	return render(db, &spec, d.Subject, d)
 }

@@ -1,11 +1,14 @@
 package repro
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"graft/internal/algorithms"
@@ -161,8 +164,8 @@ func TestGenerateMasterTestContents(t *testing.T) {
 	}
 	for _, want := range []string{
 		"TestReproduceMasterSuperstep1",
-		"repro.MockMasterContext",
-		"master.Compute(ctx)",
+		"repro.MockMasterContext{MockBase: repro.MockBase{",
+		"comp.Compute(ctx)",
 		`"phase": pregel.NewText("SELECTION")`,
 	} {
 		if !strings.Contains(code, want) {
@@ -196,12 +199,87 @@ func TestGeneratedExceptionTestExpectsFailure(t *testing.T) {
 	}
 }
 
+// The planted computations read package-level counters, so no capture
+// of theirs replays: each call after the run sees a count the run never
+// did. plantedSrc declares the same three in a generated test's package.
+var (
+	plantedCalls, plantedMasterCalls atomic.Int64
+
+	plantedCompute = pregel.ComputeFunc(func(ctx pregel.Context, v *pregel.Vertex, _ []pregel.Value) error {
+		v.SetValue(pregel.NewLong(plantedCalls.Add(1)))
+		if ctx.Superstep() >= 2 {
+			v.VoteToHalt()
+		}
+		return nil
+	})
+	plantedSubgraph = pregel.SubgraphFunc(func(ctx pregel.SubgraphContext, sg *pregel.Subgraph) error {
+		n := plantedCalls.Add(1)
+		for _, v := range sg.Members() {
+			v.SetValue(pregel.NewLong(n))
+		}
+		if ctx.Superstep() >= 2 {
+			ctx.VoteToHalt()
+		}
+		return nil
+	})
+)
+
+type plantedMaster struct{}
+
+func (plantedMaster) Compute(ctx pregel.MasterContext) error {
+	if plantedMasterCalls.Add(1) == 2 {
+		ctx.HaltComputation()
+	}
+	return nil
+}
+
+const plantedSrc = `package reprogen
+
+import (
+	"sync/atomic"
+
+	"graft/internal/pregel"
+)
+
+var plantedCalls, plantedMasterCalls atomic.Int64
+
+var plantedCompute = pregel.ComputeFunc(func(ctx pregel.Context, v *pregel.Vertex, _ []pregel.Value) error {
+	v.SetValue(pregel.NewLong(plantedCalls.Add(1)))
+	if ctx.Superstep() >= 2 {
+		v.VoteToHalt()
+	}
+	return nil
+})
+
+var plantedSubgraph = pregel.SubgraphFunc(func(ctx pregel.SubgraphContext, sg *pregel.Subgraph) error {
+	n := plantedCalls.Add(1)
+	for _, v := range sg.Members() {
+		v.SetValue(pregel.NewLong(n))
+	}
+	if ctx.Superstep() >= 2 {
+		ctx.VoteToHalt()
+	}
+	return nil
+})
+
+type plantedMaster struct{}
+
+func (plantedMaster) Compute(ctx pregel.MasterContext) error {
+	if plantedMasterCalls.Add(1) == 2 {
+		ctx.HaltComputation()
+	}
+	return nil
+}
+`
+
 // TestGeneratedTestCompilesAndPasses is the end-to-end check of the
-// reproduce pipeline: the generated file is written into a scratch
-// package of this module and executed with go test — the workflow a
-// Graft user follows after clicking "Reproduce Vertex Context" (their
-// generated test lives next to their algorithm, which is what lets it
-// see the algorithm's registered value types).
+// reproduce pipeline for every capture kind: each row's generated file
+// is written into a scratch package of this module and executed with go
+// test — the workflow a Graft user follows after clicking "Reproduce
+// Context" (their generated test lives next to their algorithm, which
+// is what lets it see the algorithm's registered value types) — and it
+// must pass exactly when CheckTrace finds that the row's captures
+// replay. The planted rows must fail both.
 func TestGeneratedTestCompilesAndPasses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go toolchain")
@@ -215,57 +293,131 @@ func TestGeneratedTestCompilesAndPasses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db, _ := gcTrace(t)
-	s := db.Supersteps()[1]
-	code, err := GenerateVertexTest(db, s, 2, GenSpec{
-		Package:         "reprogen",
-		ComputationExpr: "algorithms.NewBuggyGraphColoring(42).Compute",
-		ExtraImports:    []string{"graft/internal/algorithms"},
-		Assert:          true,
-	})
+	plantedCalls.Store(0) // the master halts on its second call of this run
+	plantedMasterCalls.Store(0)
+	gcDB, gcAlg := gcTrace(t)
+	gcStep := gcDB.Supersteps()[1]
+	wccDB := wccSubgraphTrace(t)
+	wccStep, wcc := firstSubgraph(t, wccDB)
+	pv := &algorithms.Algorithm{Name: "planted", Compute: plantedCompute}
+	pvDB, err := captureRun(t, pv, graphgen.RegularBipartite(20, 2), core.DebugConfig{CaptureIDs: []pregel.VertexID{5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	masterCode, err := GenerateMasterTest(db, s, GenSpec{
-		Package:      "reprogen",
-		MasterExpr:   "algorithms.NewBuggyGraphColoring(42).Master",
-		ExtraImports: []string{"graft/internal/algorithms"},
-		Assert:       true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	suiteCode, err := GenerateVertexSuite(db, 3, GenSpec{
-		Package:         "reprogen",
-		ComputationExpr: "algorithms.NewBuggyGraphColoring(42).Compute",
-		ExtraImports:    []string{"graft/internal/algorithms"},
-		Assert:          true,
-	})
+	ps := &algorithms.Algorithm{Name: "planted", Subgraph: plantedSubgraph}
+	psDB := subgraphCaptureRun(t, ps, graphgen.RegularBipartite(20, 2), core.DebugConfig{CaptureAllActive: true, MaxCaptures: -1})
+	// Both planted computations halt at superstep 2, by when the counter
+	// is well past 1, the first count a generated test's process sees.
+	const plantedStep = 2
+	psID := psDB.SubgraphsAt(plantedStep)[0].ID
+	pm := &algorithms.Algorithm{Name: "planted", Master: plantedMaster{},
+		Compute: pregel.ComputeFunc(func(pregel.Context, *pregel.Vertex, []pregel.Value) error { return nil })}
+	pmDB, err := captureRun(t, pm, graphgen.RegularBipartite(20, 2), core.DebugConfig{CaptureIDs: []pregel.VertexID{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The scratch package must live inside this module so it may
-	// import graft/internal packages.
+	algs := []string{"graft/internal/algorithms"}
+	rows := []struct {
+		name      string
+		db        *trace.Reader
+		alg       *algorithms.Algorithm
+		kind      string
+		superstep int // -1: every captured superstep of id
+		id        pregel.VertexID
+		spec      GenSpec
+		gen       func(GenSpec) (string, error)
+		planted   bool
+	}{
+		{name: "vertex", db: gcDB, alg: gcAlg, kind: "vertex", superstep: gcStep, id: 2,
+			spec: GenSpec{ComputationExpr: "algorithms.NewBuggyGraphColoring(42).Compute", ExtraImports: algs},
+			gen:  func(s GenSpec) (string, error) { return GenerateVertexTest(gcDB, gcStep, 2, s) }},
+		{name: "vertex-suite", db: gcDB, alg: gcAlg, kind: "vertex", superstep: -1, id: 3,
+			spec: GenSpec{ComputationExpr: "algorithms.NewBuggyGraphColoring(42).Compute", ExtraImports: algs},
+			gen:  func(s GenSpec) (string, error) { return GenerateVertexSuite(gcDB, 3, s) }},
+		{name: "subgraph", db: wccDB, alg: algorithms.NewConnectedComponents(), kind: "subgraph", superstep: wccStep, id: wcc.ID,
+			spec: GenSpec{SubgraphExpr: "algorithms.NewConnectedComponents().Subgraph", ExtraImports: algs},
+			gen:  func(s GenSpec) (string, error) { return GenerateSubgraphTest(wccDB, wccStep, wcc.ID, s) }},
+		{name: "master", db: gcDB, alg: gcAlg, kind: "master", superstep: gcStep,
+			spec: GenSpec{MasterExpr: "algorithms.NewBuggyGraphColoring(42).Master", ExtraImports: algs},
+			gen:  func(s GenSpec) (string, error) { return GenerateMasterTest(gcDB, gcStep, s) }},
+		{name: "planted-vertex", db: pvDB, alg: pv, kind: "vertex", superstep: plantedStep, id: 5, planted: true,
+			spec: GenSpec{ComputationExpr: "plantedCompute"},
+			gen:  func(s GenSpec) (string, error) { return GenerateVertexTest(pvDB, plantedStep, 5, s) }},
+		{name: "planted-subgraph", db: psDB, alg: ps, kind: "subgraph", superstep: plantedStep, id: psID, planted: true,
+			spec: GenSpec{SubgraphExpr: "plantedSubgraph"},
+			gen:  func(s GenSpec) (string, error) { return GenerateSubgraphTest(psDB, plantedStep, psID, s) }},
+		{name: "planted-master", db: pmDB, alg: pm, kind: "master", superstep: 1, planted: true,
+			spec: GenSpec{MasterExpr: "plantedMaster{}"},
+			gen:  func(s GenSpec) (string, error) { return GenerateMasterTest(pmDB, 1, s) }},
+	}
+
+	// The scratch packages must live inside this module so they may
+	// import graft/internal packages; one go test builds them all.
 	dir, err := os.MkdirTemp(repoRoot, "tmp-reprogen-")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	if err := os.WriteFile(filepath.Join(dir, "vertex_repro_test.go"), []byte(code), 0o644); err != nil {
-		t.Fatal(err)
+	for _, row := range rows {
+		row.spec.Package, row.spec.Assert = "reprogen", true
+		code, err := row.gen(row.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		files := map[string]string{"repro_test.go": code}
+		if row.planted {
+			files["planted.go"] = plantedSrc
+		}
+		for name, src := range files {
+			if err := os.MkdirAll(filepath.Join(dir, row.name), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, row.name, name), []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "master_repro_test.go"), []byte(masterCode), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "suite_repro_test.go"), []byte(suiteCode), 0o644); err != nil {
-		t.Fatal(err)
+	cmd := exec.Command(goBin, "test", "-count=1", "-json", "./"+filepath.Base(dir)+"/...")
+	cmd.Dir = repoRoot
+	out, _ := cmd.Output() // a failing package is an outcome here
+	passed, ran, logs := map[string]bool{}, map[string]bool{}, map[string]string{}
+	for _, line := range strings.Split(string(out), "\n") {
+		var ev struct{ Action, Package, Test, Output string }
+		if json.Unmarshal([]byte(line), &ev) != nil {
+			continue
+		}
+		row := path.Base(ev.Package)
+		logs[row] += ev.Output
+		switch {
+		case ev.Test != "" && (ev.Action == "pass" || ev.Action == "fail"):
+			ran[row] = true
+		case ev.Test == "" && ev.Action == "pass":
+			passed[row] = true
+		}
 	}
 
-	cmd := exec.Command(goBin, "test", "-count=1", "./"+filepath.Base(dir))
-	cmd.Dir = repoRoot
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("generated tests failed: %v\n%s\n---- generated code ----\n%s", err, out, code)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			if !ran[row.name] {
+				t.Fatalf("the generated test did not run:\n%s", logs[row.name])
+			}
+			diverged, err := CheckTrace(row.db, row.alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replays := true
+			for _, c := range diverged {
+				if c.Kind == row.kind && c.ID == row.id && (row.superstep < 0 || c.Superstep == row.superstep) {
+					replays = false
+				}
+			}
+			if replays == row.planted {
+				t.Errorf("CheckTrace says the capture replays: %v, want %v (divergences %v)", replays, !row.planted, diverged)
+			}
+			if passed[row.name] != replays {
+				t.Errorf("generated test passed: %v, CheckTrace says it replays: %v\n%s", passed[row.name], replays, logs[row.name])
+			}
+		})
 	}
 }

@@ -1,13 +1,16 @@
 // Package repro implements Graft's reproduce stage (paper §3.3): it
-// rebuilds the exact context of one captured vertex.compute (or
-// master.compute) call and re-executes it.
+// rebuilds the exact context of one captured vertex.compute,
+// ComputeSubgraph or master.compute call and re-executes it.
 //
-// Two forms are provided. Replay re-executes programmatically and
-// diffs the outcome against the capture — the engine behind tests and
-// the GUI's replay check. GenerateVertexTest emits a standalone Go
-// test file (the paper generates JUnit + Mockito via Velocity; here it
-// is a Go test over MockContext via text/template) that a user copies
-// into their tree and steps through with a line-by-line debugger.
+// Two forms are provided for every capture kind. Replay,
+// ReplaySubgraph and ReplayMaster re-execute programmatically and diff
+// the outcome against the capture, and CheckTrace runs them over a
+// whole trace — the engine behind tests and the GUI's replay check.
+// GenerateVertexTest, GenerateSubgraphTest and GenerateMasterTest emit
+// a standalone Go test file (the paper generates JUnit + Mockito via
+// Velocity; here it is a Go test over the mock contexts via
+// text/template) that a user copies into their tree and steps through
+// with a line-by-line debugger.
 package repro
 
 import (
@@ -19,12 +22,13 @@ import (
 	"graft/internal/trace"
 )
 
-// MockContext implements pregel.Context from captured data: the mock
-// objects of the paper's Figure 6. It records everything the replayed
-// compute does.
-type MockContext struct {
+// MockBase is what the three mock contexts share: the captured global
+// data and aggregator values of one superstep, and the Aggregate calls
+// the replayed compute made. It holds the mock objects of the paper's
+// Figure 6 that do not depend on the kind of computation.
+type MockBase struct {
 	// SuperstepN, NumVertices, NumEdges and Worker are the default
-	// global data exposed to the vertex.
+	// global data exposed to the computation.
 	SuperstepN  int
 	NumVertices int64
 	NumEdges    int64
@@ -33,20 +37,18 @@ type MockContext struct {
 	// superstep.
 	Agg map[string]pregel.Value
 
-	// Recorded effects of the replayed compute call.
-	Sent       []trace.OutMsg
+	// Aggregated records the replayed compute's Aggregate calls.
 	Aggregated []trace.AggSet
-	Removals   []pregel.VertexID
 }
 
-// NewMockContext builds a MockContext from a captured superstep's
-// metadata.
-func NewMockContext(meta *trace.SuperstepMeta, worker int) *MockContext {
+// newMockBase rebuilds a superstep's global data, cloning the
+// aggregator values so the replay cannot alter the capture's.
+func newMockBase(meta *trace.SuperstepMeta, worker int) MockBase {
 	agg := make(map[string]pregel.Value, len(meta.Aggregated))
 	for name, v := range meta.Aggregated {
 		agg[name] = pregel.CloneValue(v)
 	}
-	return &MockContext{
+	return MockBase{
 		SuperstepN:  meta.Superstep,
 		NumVertices: meta.NumVertices,
 		NumEdges:    meta.NumEdges,
@@ -55,20 +57,20 @@ func NewMockContext(meta *trace.SuperstepMeta, worker int) *MockContext {
 	}
 }
 
-// Superstep implements pregel.Context.
-func (m *MockContext) Superstep() int { return m.SuperstepN }
+// Superstep implements the contexts' Superstep.
+func (m *MockBase) Superstep() int { return m.SuperstepN }
 
-// TotalNumVertices implements pregel.Context.
-func (m *MockContext) TotalNumVertices() int64 { return m.NumVertices }
+// TotalNumVertices implements the contexts' TotalNumVertices.
+func (m *MockBase) TotalNumVertices() int64 { return m.NumVertices }
 
-// TotalNumEdges implements pregel.Context.
-func (m *MockContext) TotalNumEdges() int64 { return m.NumEdges }
+// TotalNumEdges implements the contexts' TotalNumEdges.
+func (m *MockBase) TotalNumEdges() int64 { return m.NumEdges }
 
-// WorkerID implements pregel.Context.
-func (m *MockContext) WorkerID() int { return m.Worker }
+// WorkerID implements the contexts' WorkerID.
+func (m *MockBase) WorkerID() int { return m.Worker }
 
-// GetAggregated implements pregel.Context.
-func (m *MockContext) GetAggregated(name string) pregel.Value {
+// GetAggregated implements the contexts' GetAggregated.
+func (m *MockBase) GetAggregated(name string) pregel.Value {
 	v, ok := m.Agg[name]
 	if !ok {
 		panic(fmt.Sprintf("repro: GetAggregated(%q): aggregator not in captured context", name))
@@ -76,9 +78,23 @@ func (m *MockContext) GetAggregated(name string) pregel.Value {
 	return v
 }
 
-// Aggregate implements pregel.Context, recording the call.
-func (m *MockContext) Aggregate(name string, val pregel.Value) {
+// Aggregate implements the contexts' Aggregate, recording the call.
+func (m *MockBase) Aggregate(name string, val pregel.Value) {
 	m.Aggregated = append(m.Aggregated, trace.AggSet{Name: name, Value: pregel.CloneValue(val)})
+}
+
+// MockContext implements pregel.Context from captured data and records
+// what the replayed vertex compute sends and removes.
+type MockContext struct {
+	MockBase
+	Sent     []trace.OutMsg
+	Removals []pregel.VertexID
+}
+
+// NewMockContext builds a MockContext from a captured superstep's
+// metadata.
+func NewMockContext(meta *trace.SuperstepMeta, worker int) *MockContext {
+	return &MockContext{MockBase: newMockBase(meta, worker)}
 }
 
 // SendMessage implements pregel.Context, recording the message.
@@ -102,48 +118,43 @@ func (m *MockContext) RemoveVertexRequest(id pregel.VertexID) {
 	m.Removals = append(m.Removals, id)
 }
 
-// MockMasterContext implements pregel.MasterContext from a master
-// capture.
-type MockMasterContext struct {
-	SuperstepN  int
-	NumVertices int64
-	NumEdges    int64
-	Agg         map[string]pregel.Value
+// SubgraphSent is one recorded SendMessage of a replayed subgraph
+// compute, with the sending member attributed.
+type SubgraphSent struct {
+	From  pregel.VertexID
+	To    pregel.VertexID
+	Value pregel.Value
+}
 
+// MockSubgraphContext implements pregel.SubgraphContext from captured
+// data and records what the replayed ComputeSubgraph sends, the
+// internal iterations it reports and its halt vote.
+type MockSubgraphContext struct {
+	MockBase
+	Sent       []SubgraphSent
+	Iterations int64
+	HaltedNow  bool
+}
+
+// SendMessage implements pregel.SubgraphContext, recording the message
+// with its sending member.
+func (m *MockSubgraphContext) SendMessage(from, to pregel.VertexID, msg pregel.Value) {
+	m.Sent = append(m.Sent, SubgraphSent{From: from, To: to, Value: msg})
+}
+
+// VoteToHalt implements pregel.SubgraphContext.
+func (m *MockSubgraphContext) VoteToHalt() { m.HaltedNow = true }
+
+// AddIterations implements pregel.SubgraphContext.
+func (m *MockSubgraphContext) AddIterations(n int64) { m.Iterations += n }
+
+// MockMasterContext implements pregel.MasterContext from a master
+// capture and records the replayed master's SetAggregated calls and
+// halt.
+type MockMasterContext struct {
+	MockBase
 	Sets      []trace.AggSet
 	HaltedNow bool
-}
-
-// NewMockMasterContext rebuilds the master's pre-compute environment.
-func NewMockMasterContext(c *trace.MasterCapture) *MockMasterContext {
-	agg := make(map[string]pregel.Value, len(c.AggregatedBefore))
-	for name, v := range c.AggregatedBefore {
-		agg[name] = pregel.CloneValue(v)
-	}
-	return &MockMasterContext{
-		SuperstepN:  c.Superstep,
-		NumVertices: c.NumVertices,
-		NumEdges:    c.NumEdges,
-		Agg:         agg,
-	}
-}
-
-// Superstep implements pregel.MasterContext.
-func (m *MockMasterContext) Superstep() int { return m.SuperstepN }
-
-// TotalNumVertices implements pregel.MasterContext.
-func (m *MockMasterContext) TotalNumVertices() int64 { return m.NumVertices }
-
-// TotalNumEdges implements pregel.MasterContext.
-func (m *MockMasterContext) TotalNumEdges() int64 { return m.NumEdges }
-
-// GetAggregated implements pregel.MasterContext.
-func (m *MockMasterContext) GetAggregated(name string) pregel.Value {
-	v, ok := m.Agg[name]
-	if !ok {
-		panic(fmt.Sprintf("repro: GetAggregated(%q): aggregator not in captured context", name))
-	}
-	return v
 }
 
 // SetAggregated implements pregel.MasterContext.

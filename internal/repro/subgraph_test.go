@@ -2,9 +2,6 @@ package repro
 
 import (
 	"fmt"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -144,52 +141,6 @@ func TestGenerateSubgraphTestErrors(t *testing.T) {
 	}
 }
 
-// TestGeneratedSubgraphTestCompilesAndPasses is the acceptance check
-// that subgraph steps remain single-vertex debuggable: the generated
-// reproduction test is written into a scratch package and executed with
-// go test, and its assertions (per-component digest, sends, internal
-// iterations, halt vote) must hold against a fresh local replay.
-func TestGeneratedSubgraphTestCompilesAndPasses(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns the go toolchain")
-	}
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
-	repoRoot, err := filepath.Abs("../../")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	db := wccSubgraphTrace(t)
-	s, sc := firstSubgraph(t, db)
-	code, err := GenerateSubgraphTest(db, s, sc.ID, GenSpec{
-		Package:      "reprosggen",
-		SubgraphExpr: "algorithms.NewConnectedComponents().Subgraph",
-		ExtraImports: []string{"graft/internal/algorithms"},
-		Assert:       true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir, err := os.MkdirTemp(repoRoot, "tmp-reprosggen-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	if err := os.WriteFile(filepath.Join(dir, "subgraph_repro_test.go"), []byte(code), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(goBin, "test", "-count=1", "./"+filepath.Base(dir))
-	cmd.Dir = repoRoot
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("generated subgraph test failed: %v\n%s\n---- code ----\n%s", err, out, code)
-	}
-}
-
 // TestSubgraphExceptionCaptureKeepsValuesBefore captures a failing
 // component with CaptureExceptions alone: every member record holds the
 // value the member had before the failing compute, and the generated
@@ -211,8 +162,8 @@ func TestSubgraphExceptionCaptureKeepsValuesBefore(t *testing.T) {
 				}
 				return nil
 			})
-			db, err := subgraphRun(t, &algorithms.Algorithm{Name: "planted", Subgraph: planted},
-				graphgen.RegularBipartite(20, 2), workers, core.DebugConfig{CaptureExceptions: true})
+			alg := &algorithms.Algorithm{Name: "planted", Subgraph: planted}
+			db, err := subgraphRun(t, alg, graphgen.RegularBipartite(20, 2), workers, core.DebugConfig{CaptureExceptions: true})
 			if err == nil {
 				t.Fatal("the planted panic did not fail the job")
 			}
@@ -227,6 +178,7 @@ func TestSubgraphExceptionCaptureKeepsValuesBefore(t *testing.T) {
 					t.Fatalf("member %d: capture %+v, want ValueBefore %v", id, c, want)
 				}
 			}
+			assertReplays(t, db, alg)
 			code, err := GenerateSubgraphTest(db, 1, target, GenSpec{})
 			if err != nil {
 				t.Fatal(err)

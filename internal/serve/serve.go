@@ -20,7 +20,6 @@ import (
 	"graft/internal/graphgen"
 	"graft/internal/gui"
 	"graft/internal/metrics"
-	"graft/internal/pregel"
 	"graft/internal/repro"
 	"graft/internal/trace"
 )
@@ -51,7 +50,7 @@ func New(sess *graft.Session) (*Daemon, error) {
 	})
 	// Reproduce Context and the replay check rebuild a job's algorithm
 	// as source and as a live function from what its manifest recorded.
-	d.gui.AttachAlgorithms(func(meta trace.JobMeta) (pregel.Computation, repro.GenSpec) {
+	d.gui.AttachAlgorithms(func(meta trace.JobMeta) (*algorithms.Algorithm, repro.GenSpec) {
 		if meta.Supersteps == 0 { // recorded neither; with a budget, seed 0 is a seed
 			meta.Seed, meta.Supersteps = algorithms.DefaultSeed, algorithms.DefaultSupersteps
 		}
@@ -66,7 +65,7 @@ func New(sess *graft.Session) (*Daemon, error) {
 				spec.MasterExpr = expr + ".Master"
 			}
 		}
-		return alg.Compute, spec
+		return alg, spec
 	})
 
 	mux := http.NewServeMux()
@@ -153,6 +152,12 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Debug == "" {
 		req.Debug = "DC-sp"
+	}
+	// Datasets are scaled stand-ins of the paper's graphs, and scale 1 is
+	// the paper's size: the most a submission may ask to build.
+	if req.Scale <= 0 || req.Scale > 1 {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("scale = %g, must be in (0, 1]", req.Scale))
+		return
 	}
 
 	alg, err := algorithms.ByName(req.Alg, req.Seed, req.Supersteps)
