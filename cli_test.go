@@ -144,7 +144,7 @@ func TestCLISmoke(t *testing.T) {
 				}
 			}},
 		{name: "trace-check", args: []string{"trace-check", "-trace-dir", "traces", "-job", "pr-capture"},
-			wants: []string{"trace-check ok"},
+			wants: []string{"replay: 0 capture(s) diverged", "trace-check ok"},
 			check: func(t *testing.T, out string) {
 				shape := regexp.MustCompile(`served from 0 whole segment\(s\), [1-9][0-9]* ranged read\(s\), [1-9][0-9]* bytes; index loaded from [1-9][0-9]* part\(s\)`)
 				if !shape.MatchString(out) {
@@ -413,9 +413,11 @@ func TestCLIWorkflow(t *testing.T) {
 		t.Fatalf("repro output:\n%s", out)
 	}
 
-	// repro -suite emits the whole history.
+	// repro -suite emits the whole history; without -comp it builds the
+	// algorithm the manifest names.
 	out = run(false, "repro", "-trace-dir", traceDir, "-job", "cli-gc", "-vertex", "1", "-suite")
-	if strings.Count(out, "func TestReproduceVertex1Superstep") < 2 {
+	if strings.Count(out, "func TestReproduceVertex1Superstep") < 2 ||
+		!strings.Contains(out, "algorithms.NewBuggyGraphColoring(42).Compute") {
 		t.Fatalf("suite output:\n%s", out)
 	}
 

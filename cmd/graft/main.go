@@ -70,7 +70,8 @@ jobs        lists traced jobs
 show        dumps the captures of a job
 repro       generates a context-reproduction Go test
 diff        compares the captures of two jobs (e.g. buggy vs fixed)
-trace-check verifies a trace: its index against a scan of its segments`)
+trace-check verifies a trace: its index against a scan of its segments, and
+            that its captures replay`)
 }
 
 func openStore(dir string) (*trace.Store, error) {
@@ -472,7 +473,7 @@ func cmdRepro(args []string) error {
 	vertex := fs.Int64("vertex", -1, "vertex to reproduce")
 	master := fs.Bool("master", false, "reproduce the master context instead")
 	suite := fs.Bool("suite", false, "generate one test per captured superstep of the vertex")
-	comp := fs.String("comp", "", "Go expression for the computation (else a TODO placeholder)")
+	comp := fs.String("comp", "", "Go expression for the computation (else the packaged algorithm the trace names, or a TODO placeholder)")
 	imports := fs.String("imports", "", "comma-separated extra imports for -comp")
 	assert := fs.Bool("assert", false, "add assertions from the captured outcome")
 	fs.Parse(args)
@@ -487,35 +488,30 @@ func cmdRepro(args []string) error {
 	if err != nil {
 		return err
 	}
-	spec := repro.GenSpec{Assert: *assert}
+	// -comp names the computation whichever context is reproduced: the
+	// vertex's, the component's in a subgraph-mode trace, the master's.
+	spec := repro.GenSpec{ComputationExpr: *comp, SubgraphExpr: *comp, MasterExpr: *comp}
+	if *comp == "" {
+		_, spec = repro.Resolve(db.JobMeta())
+	}
+	spec.Assert = *assert
 	if *imports != "" {
-		spec.ExtraImports = strings.Split(*imports, ",")
+		spec.ExtraImports = append(spec.ExtraImports, strings.Split(*imports, ",")...)
 	}
 	var code string
 	switch {
 	case *master:
-		spec.MasterExpr = *comp
 		code, err = repro.GenerateMasterTest(db, *superstep, spec)
 	case *suite:
 		if *vertex < 0 {
 			return fmt.Errorf("repro: -vertex required with -suite")
 		}
-		spec.ComputationExpr = *comp
 		code, err = repro.GenerateVertexSuite(db, pregel.VertexID(*vertex), spec)
 	default:
 		if *vertex < 0 {
 			return fmt.Errorf("repro: -vertex required (or -master)")
 		}
-		if db.JobMeta().ComputeMode == "subgraph" {
-			// The trace manifest says the job ran subgraph-centric, so the
-			// matching harness reproduces the whole component containing
-			// the vertex, member by member.
-			spec.SubgraphExpr = *comp
-			code, err = repro.GenerateSubgraphTest(db, *superstep, pregel.VertexID(*vertex), spec)
-		} else {
-			spec.ComputationExpr = *comp
-			code, err = repro.GenerateVertexTest(db, *superstep, pregel.VertexID(*vertex), spec)
-		}
+		code, err = repro.GenerateVertexTest(db, *superstep, pregel.VertexID(*vertex), spec)
 	}
 	if err != nil {
 		return err
@@ -525,8 +521,10 @@ func cmdRepro(args []string) error {
 }
 
 // cmdTraceCheck checks a trace's index against its segments
-// (Reader.Verify) and that a cold single-vertex lookup touches at most
-// one segment. CI runs this after the capture-smoke job.
+// (Reader.Verify), that a cold single-vertex lookup touches at most
+// one segment, and, when the manifest names a packaged algorithm, that
+// every capture replays as the cluster computed it (repro.CheckTrace);
+// a capture the trace already flags as nondeterministic may diverge.
 func cmdTraceCheck(args []string) error {
 	fs := flag.NewFlagSet("trace-check", flag.ExitOnError)
 	traceDir := fs.String("trace-dir", "graft-traces", "trace directory")
@@ -572,6 +570,25 @@ func cmdTraceCheck(args []string) error {
 		}
 		fmt.Printf("cold lookup: vertex %d @ superstep %d served from %d whole segment(s), %d ranged read(s), %d bytes; index loaded from %d part(s)\n",
 			id, step, segs, ranges, bytes, cold.IndexParts())
+	}
+	if alg, _ := repro.Resolve(r.JobMeta()); alg != nil {
+		diverged, err := repro.CheckTrace(r, alg)
+		if err != nil {
+			return fmt.Errorf("trace-check: %w", err)
+		}
+		var unflagged []repro.Check
+		for _, c := range diverged {
+			if !c.Nondeterministic {
+				unflagged = append(unflagged, c)
+			}
+		}
+		fmt.Printf("replay: %d capture(s) diverged from the cluster execution (%d flagged nondeterministic)\n",
+			len(diverged), len(diverged)-len(unflagged))
+		if len(unflagged) > 0 {
+			c := unflagged[0]
+			return fmt.Errorf("trace-check: %d capture(s) diverged on replay; first: %s %d at superstep %d: %s",
+				len(unflagged), c.Kind, c.ID, c.Superstep, strings.Join(c.Diffs, "; "))
+		}
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("trace-check: %w", err)

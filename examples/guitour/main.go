@@ -18,7 +18,6 @@ import (
 	"graft/internal/algorithms"
 	"graft/internal/graphgen"
 	"graft/internal/gui"
-	"graft/internal/repro"
 	"graft/internal/trace"
 )
 
@@ -46,15 +45,9 @@ func main() {
 	}
 	fmt.Printf("traced job gc-tour: %d supersteps, %d captures\n", res.Stats.Supersteps, res.Captures)
 
+	// The GUI rebuilds the job's algorithm from its manifest ("gc-buggy",
+	// at the default seed 42) for Reproduce Context and the replay check.
 	srv := gui.NewServer(store)
-	srv.AttachAlgorithms(func(trace.JobMeta) (*algorithms.Algorithm, repro.GenSpec) {
-		return algorithms.NewBuggyGraphColoring(42), repro.GenSpec{
-			ComputationExpr: "algorithms.NewBuggyGraphColoring(42).Compute",
-			MasterExpr:      "algorithms.NewBuggyGraphColoring(42).Master",
-			ExtraImports:    []string{"graft/internal/algorithms"},
-			Assert:          true,
-		}
-	})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -29,33 +29,42 @@ func SubgraphNames() []string {
 // exactly that many rounds, matching/LPA get a generous multiple as a
 // safety bound).
 func ByName(name string, seed int64, supersteps int) (*Algorithm, error) {
+	alg, _, err := WithExpr(name, seed, supersteps)
+	return alg, err
+}
+
+// WithExpr is ByName that also returns the call spelled as source: the
+// constructor expression generated reproduction tests build the
+// algorithm with. Append ".Compute", ".Master" or ".Subgraph" to it,
+// and import graft/internal/algorithms.
+func WithExpr(name string, seed int64, supersteps int) (*Algorithm, string, error) {
 	switch name {
 	case "gc":
-		return NewGraphColoring(seed), nil
+		return NewGraphColoring(seed), fmt.Sprintf("algorithms.NewGraphColoring(%d)", seed), nil
 	case "gc-buggy":
-		return NewBuggyGraphColoring(seed), nil
+		return NewBuggyGraphColoring(seed), fmt.Sprintf("algorithms.NewBuggyGraphColoring(%d)", seed), nil
 	case "rw":
-		return NewRandomWalk(seed, supersteps), nil
+		return NewRandomWalk(seed, supersteps), fmt.Sprintf("algorithms.NewRandomWalk(%d, %d)", seed, supersteps), nil
 	case "rw16":
-		return NewRandomWalk16(seed, supersteps), nil
+		return NewRandomWalk16(seed, supersteps), fmt.Sprintf("algorithms.NewRandomWalk16(%d, %d)", seed, supersteps), nil
 	case "mwm":
-		return NewMaximumWeightMatching(supersteps * 100), nil
+		return NewMaximumWeightMatching(supersteps * 100), fmt.Sprintf("algorithms.NewMaximumWeightMatching(%d)", supersteps*100), nil
 	case "cc":
-		return NewConnectedComponents(), nil
+		return NewConnectedComponents(), "algorithms.NewConnectedComponents()", nil
 	case "bfs":
-		return NewBFS(0), nil
+		return NewBFS(0), "algorithms.NewBFS(0)", nil
 	case "pagerank":
-		return NewPageRank(supersteps, 0.85), nil
+		return NewPageRank(supersteps, 0.85), fmt.Sprintf("algorithms.NewPageRank(%d, 0.85)", supersteps), nil
 	case "sssp":
-		return NewSSSP(0), nil
+		return NewSSSP(0), "algorithms.NewSSSP(0)", nil
 	case "lpa":
-		return NewLabelPropagation(supersteps * 10), nil
+		return NewLabelPropagation(supersteps * 10), fmt.Sprintf("algorithms.NewLabelPropagation(%d)", supersteps*10), nil
 	case "triangles":
-		return NewTriangleCount(), nil
+		return NewTriangleCount(), "algorithms.NewTriangleCount()", nil
 	case "kcore":
-		return NewKCore(3), nil
+		return NewKCore(3), "algorithms.NewKCore(3)", nil
 	}
-	return nil, fmt.Errorf("unknown algorithm %q (available: %s)", name, strings.Join(Names(), ", "))
+	return nil, "", fmt.Errorf("unknown algorithm %q (available: %s)", name, strings.Join(Names(), ", "))
 }
 
 // The seed and superstep budget `graft run` and the serve daemon
@@ -65,30 +74,3 @@ const (
 	DefaultSeed       = 42
 	DefaultSupersteps = 10
 )
-
-// ReproExpr returns ByName(name, seed, supersteps) spelled as source —
-// the constructor expression generated reproduction tests build the
-// algorithm with ("" when they have none and leave a placeholder);
-// append ".Compute" or ".Master" to it, and import
-// graft/internal/algorithms.
-func ReproExpr(name string, seed int64, supersteps int) string {
-	switch name {
-	case "gc":
-		return fmt.Sprintf("algorithms.NewGraphColoring(%d)", seed)
-	case "gc-buggy":
-		return fmt.Sprintf("algorithms.NewBuggyGraphColoring(%d)", seed)
-	case "rw":
-		return fmt.Sprintf("algorithms.NewRandomWalk(%d, %d)", seed, supersteps)
-	case "rw16":
-		return fmt.Sprintf("algorithms.NewRandomWalk16(%d, %d)", seed, supersteps)
-	case "mwm":
-		return fmt.Sprintf("algorithms.NewMaximumWeightMatching(%d)", supersteps*100)
-	case "cc":
-		return "algorithms.NewConnectedComponents()"
-	case "pagerank":
-		return fmt.Sprintf("algorithms.NewPageRank(%d, 0.85)", supersteps)
-	case "sssp":
-		return "algorithms.NewSSSP(0)"
-	}
-	return ""
-}

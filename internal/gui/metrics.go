@@ -2,7 +2,6 @@ package gui
 
 import (
 	"errors"
-	"fmt"
 	"html/template"
 	"net/http"
 	"strconv"
@@ -67,9 +66,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	jobID := r.PathValue("id")
 	jm, err := s.jobMetrics(jobID)
 	if errors.Is(err, metrics.ErrNoMetrics) {
-		renderPage(w, fmt.Sprintf("%s — metrics", jobID), template.HTML(
-			`<p class="muted">No metrics were recorded for this job. Re-run with the metrics `+
-				`layer enabled (it is on by default for graft run) to populate this dashboard.</p>`))
+		render(w, "message", struct {
+			page
+			Message string
+		}{page{Title: jobID + " — metrics"}, "No metrics were recorded for this job. Re-run with the metrics " +
+			"layer enabled (it is on by default for graft run) to populate this dashboard."})
 		return
 	}
 	if err != nil {
@@ -122,6 +123,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		status = "failed: " + jm.Error
 	}
 	data := struct {
+		page
 		JobID, Algorithm, Status           string
 		Sections                           []metrics.Section
 		Recoveries                         []pregel.RecoveryEvent
@@ -130,6 +132,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Rows, WorkerRows                   []metricsRow
 		SelectedSuperstep                  int
 	}{
+		page:  page{Title: jobID + " — metrics"},
 		JobID: jm.JobID, Algorithm: jm.Algorithm, Status: status,
 		Sections:     metrics.Sections(&jm),
 		Recoveries:   jm.RecoveryEvents,
@@ -143,10 +146,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		SelectedSuperstep: sel,
 		WorkerRows:        workerRows,
 	}
-	body, err := renderSub(metricsTmpl, data)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	renderPage(w, fmt.Sprintf("%s — metrics", jobID), body)
+	render(w, "metrics", data)
 }

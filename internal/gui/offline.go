@@ -30,12 +30,14 @@ func (s *Server) registerOffline(mux *http.ServeMux) {
 	mux.HandleFunc("GET /offline/{name}/export-test", s.offlineGraph(s.handleOfflineExportTest))
 }
 
+// offlineGraph adapts a handler of one offline graph. It holds mu for
+// the whole handler: a graph is read and changed in place.
 func (s *Server) offlineGraph(h func(http.ResponseWriter, *http.Request, string, *pregel.Graph)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
 		s.mu.Lock()
+		defer s.mu.Unlock()
 		g, ok := s.offline[name]
-		s.mu.Unlock()
 		if !ok {
 			http.Error(w, fmt.Sprintf("no offline graph %q", name), http.StatusNotFound)
 			return
@@ -56,12 +58,10 @@ func (s *Server) handleOfflineIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
-	body, err := renderSub(offlineIndexTmpl, struct{ Graphs []row }{rows})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	renderPage(w, "offline mode", body)
+	render(w, "offlineIndex", struct {
+		page
+		Graphs []row
+	}{page{Title: "offline mode"}, rows})
 }
 
 func (s *Server) putOffline(name string, g *pregel.Graph) error {
@@ -176,16 +176,12 @@ func (s *Server) handleOfflineView(w http.ResponseWriter, r *http.Request, name 
 		}
 		rows = append(rows, row{v.ID(), pregel.ValueString(v.Value()), strings.Join(parts, ", ")})
 	})
-	body, err := renderSub(offlineGraphTmpl, struct {
+	render(w, "offlineGraph", struct {
+		page
 		Name string
 		SVG  template.HTML
 		Rows []row
-	}{name, builderSVG(g), rows})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	renderPage(w, "offline graph "+name, body)
+	}{page{Title: "offline graph " + name}, name, builderSVG(g), rows})
 }
 
 // parseOfflineValue interprets a form value: empty means nil, integers
@@ -209,13 +205,11 @@ func (s *Server) handleOfflineAddVertex(w http.ResponseWriter, r *http.Request, 
 		http.Error(w, "bad vertex id", http.StatusBadRequest)
 		return
 	}
-	s.mu.Lock()
 	if v := g.Vertex(pregel.VertexID(id)); v != nil {
 		v.SetValue(parseOfflineValue(r.FormValue("value")))
 	} else {
 		g.AddVertex(pregel.VertexID(id), parseOfflineValue(r.FormValue("value")))
 	}
-	s.mu.Unlock()
 	http.Redirect(w, r, "/offline/"+name, http.StatusSeeOther)
 }
 
@@ -235,7 +229,6 @@ func (s *Server) handleOfflineAddEdge(w http.ResponseWriter, r *http.Request, na
 		}
 		value = pregel.NewDouble(f)
 	}
-	s.mu.Lock()
 	g.EnsureVertex(pregel.VertexID(from), nil)
 	g.EnsureVertex(pregel.VertexID(to), nil)
 	var err error
@@ -244,7 +237,6 @@ func (s *Server) handleOfflineAddEdge(w http.ResponseWriter, r *http.Request, na
 	} else {
 		err = g.AddEdge(pregel.VertexID(from), pregel.VertexID(to), value)
 	}
-	s.mu.Unlock()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -260,16 +252,14 @@ func (s *Server) handleOfflineDeleteVertex(w http.ResponseWriter, r *http.Reques
 	}
 	// Rebuild without the vertex (and without edges to it): the
 	// builder favors simplicity over efficiency at test-graph sizes.
-	s.mu.Lock()
-	old := s.offline[name]
 	fresh := pregel.NewGraph()
-	old.Each(func(v *pregel.Vertex) {
+	g.Each(func(v *pregel.Vertex) {
 		if v.ID() == pregel.VertexID(id) {
 			return
 		}
 		fresh.AddVertex(v.ID(), pregel.CloneValue(v.Value()))
 	})
-	old.Each(func(v *pregel.Vertex) {
+	g.Each(func(v *pregel.Vertex) {
 		if v.ID() == pregel.VertexID(id) {
 			return
 		}
@@ -281,7 +271,6 @@ func (s *Server) handleOfflineDeleteVertex(w http.ResponseWriter, r *http.Reques
 		}
 	})
 	s.offline[name] = fresh
-	s.mu.Unlock()
 	http.Redirect(w, r, "/offline/"+name, http.StatusSeeOther)
 }
 

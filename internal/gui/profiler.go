@@ -203,9 +203,11 @@ func (s *Server) handleProfiler(w http.ResponseWriter, r *http.Request) {
 	jobID := r.PathValue("id")
 	jm, err := s.jobMetrics(jobID)
 	if errors.Is(err, metrics.ErrNoMetrics) {
-		renderPage(w, fmt.Sprintf("%s — profiler", jobID), template.HTML(
-			`<p class="muted">No metrics were recorded for this job, so there is nothing to
-profile. Re-run with the metrics layer enabled (the default for graft run).</p>`))
+		render(w, "message", struct {
+			page
+			Message string
+		}{page{Title: jobID + " — profiler"}, "No metrics were recorded for this job, so there is nothing to\n" +
+			"profile. Re-run with the metrics layer enabled (the default for graft run)."})
 		return
 	}
 	if err != nil {
@@ -273,6 +275,7 @@ profile. Re-run with the metrics layer enabled (the default for graft run).</p>`
 	}
 
 	data := struct {
+		page
 		JobID             string
 		Workers           int
 		Timeline          template.HTML
@@ -288,6 +291,7 @@ profile. Re-run with the metrics layer enabled (the default for graft run).</p>`
 		Anomalies         []anomalyRow
 		AnomalyCounts     map[string]int
 	}{
+		page:     page{Title: jobID + " — profiler"},
 		JobID:    jm.JobID,
 		Workers:  jm.NumWorkers,
 		Timeline: timelineSVG(jm.Supersteps, jm.NumWorkers, selected),
@@ -305,10 +309,5 @@ profile. Re-run with the metrics layer enabled (the default for graft run).</p>`
 	if selIdx >= 0 {
 		data.SelectedSent = jm.Supersteps[selIdx].MessagesSent
 	}
-	body, err := renderSub(profilerTmpl, data)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	renderPage(w, fmt.Sprintf("%s — profiler", jobID), body)
+	render(w, "profiler", data)
 }

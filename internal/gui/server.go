@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"html/template"
 	"net/http"
+	"path"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"graft/internal/algorithms"
@@ -27,6 +27,8 @@ import (
 type Server struct {
 	store *trace.Store
 
+	// mu guards the maps and the two resolvers, and every offline graph
+	// for the whole of a handler that reads or changes it.
 	mu         sync.Mutex
 	views      map[string]*trace.Reader
 	offline    map[string]*pregel.Graph
@@ -34,12 +36,15 @@ type Server struct {
 	metricsSrc func(jobID string) *metrics.Registry
 }
 
-// NewServer creates a GUI server over the given trace store.
+// NewServer creates a GUI server over the given trace store. It
+// rebuilds a job's algorithm with repro.Resolve until AttachAlgorithms
+// says otherwise.
 func NewServer(store *trace.Store) *Server {
 	return &Server{
-		store:   store,
-		views:   map[string]*trace.Reader{},
-		offline: map[string]*pregel.Graph{},
+		store:      store,
+		views:      map[string]*trace.Reader{},
+		offline:    map[string]*pregel.Graph{},
+		algorithms: repro.Resolve,
 	}
 }
 
@@ -47,10 +52,9 @@ func NewServer(store *trace.Store) *Server {
 // from its manifest (name, seed, superstep budget): the live vertex,
 // subgraph and master computations the replay-check view re-executes
 // captures with, and the code-generation spec that makes Reproduce
-// Context buttons emit tests calling the right constructor. Without it,
-// or for a job it returns zero values for, the replay check is
-// unavailable and generated tests hold a TODO placeholder. Call before
-// Handler.
+// Context buttons emit tests calling the right constructor. For a job
+// it returns zero values for, the replay check is unavailable and
+// generated tests hold a TODO placeholder. Call before Handler.
 func (s *Server) AttachAlgorithms(resolve func(trace.JobMeta) (*algorithms.Algorithm, repro.GenSpec)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -61,23 +65,29 @@ func (s *Server) algorithmOf(db *trace.Reader) (*algorithms.Algorithm, repro.Gen
 	s.mu.Lock()
 	resolve := s.algorithms
 	s.mu.Unlock()
-	if resolve == nil {
-		return nil, repro.GenSpec{}
-	}
 	return resolve(db.JobMeta())
 }
 
-// db opens (and caches) a job's trace view: a lazy trace.Reader that
-// fetches only the segments a page touches.
+// db opens a job's trace view: a lazy trace.Reader that fetches only
+// the segments a page touches. A finished job's reader is cached; a
+// running job's is opened afresh per request, so its pages follow the
+// job. The open happens outside mu: loading one large index must not
+// hold up every other page.
 func (s *Server) db(jobID string) (*trace.Reader, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v, ok := s.views[jobID]; ok {
+	v, ok := s.views[jobID]
+	s.mu.Unlock()
+	if ok {
 		return v, nil
 	}
 	v, err := s.store.OpenReader(jobID)
-	if err != nil {
-		return nil, err
+	if err != nil || v.JobResult() == nil {
+		return v, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cached, ok := s.views[jobID]; ok {
+		return cached, nil
 	}
 	s.views[jobID] = v
 	return v, nil
@@ -95,8 +105,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /job/{id}/replaycheck", s.jobView(s.handleReplayCheck))
 	mux.HandleFunc("GET /job/{id}/history", s.jobView(s.handleHistory))
 	mux.HandleFunc("GET /job/{id}/reproduce", s.jobView(s.handleReproduce))
-	mux.HandleFunc("GET /job/{id}/reproduce-suite", s.jobView(s.handleReproduceSuite))
-	mux.HandleFunc("GET /job/{id}/reproduce-master", s.jobView(s.handleReproduceMaster))
+	mux.HandleFunc("GET /job/{id}/reproduce-suite", s.jobView(s.handleReproduce))
+	mux.HandleFunc("GET /job/{id}/reproduce-master", s.jobView(s.handleReproduce))
 	mux.HandleFunc("GET /job/{id}/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /job/{id}/metrics.json", s.handleMetricsJSON)
 	mux.HandleFunc("GET /job/{id}/profiler", s.handleProfiler)
@@ -124,22 +134,6 @@ func (s *Server) jobView(h func(http.ResponseWriter, *http.Request, *trace.Reade
 	}
 }
 
-func renderPage(w http.ResponseWriter, title string, body template.HTML) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_ = pageTmpl.Execute(w, struct {
-		Title string
-		Body  template.HTML
-	}{title, body})
-}
-
-func renderSub(t *template.Template, data any) (template.HTML, error) {
-	var b strings.Builder
-	if err := t.Execute(&b, data); err != nil {
-		return "", err
-	}
-	return template.HTML(b.String()), nil
-}
-
 // superstepOf parses ?superstep, clamped to the trace's range.
 func superstepOf(r *http.Request, db *trace.Reader) int {
 	max := db.MaxSuperstep()
@@ -158,57 +152,55 @@ func superstepOf(r *http.Request, db *trace.Reader) int {
 
 type aggRow struct{ Name, Value string }
 
-// navHTML renders the shared superstep navigation bar with the M/V/E
-// status boxes and the aggregator panel. A page that holds the
-// superstep's captures passes trace.StatusOf of them; the others pass
-// db.StatusAt, which fetches and decodes the superstep to compute it.
-func navHTML(db *trace.Reader, superstep int, status trace.Status) (template.HTML, error) {
-	meta := db.MetaAt(superstep)
-	var aggs []aggRow
-	var nv, ne int64
-	if meta != nil {
-		nv, ne = meta.NumVertices, meta.NumEdges
+// navBar is the superstep navigation bar of every trace view: the M/V/E
+// status boxes, the previous and next supersteps and the aggregator
+// panel.
+type navBar struct {
+	JobID       string
+	Superstep   int
+	Max         int
+	Prev, Next  int // -1 at either end
+	Status      trace.Status
+	NumVertices int64
+	NumEdges    int64
+	Aggregators []aggRow
+}
+
+// tracePage is the chrome of a trace view at a superstep, titled with
+// the job and the formatted rest. A page that holds the superstep's
+// captures passes trace.StatusOf of them; the others pass db.StatusAt,
+// which fetches and decodes the superstep to compute it.
+func tracePage(db *trace.Reader, superstep int, status trace.Status, title string, args ...any) page {
+	nav := &navBar{
+		JobID:     db.JobMeta().JobID,
+		Superstep: superstep,
+		Max:       db.MaxSuperstep(),
+		Prev:      -1, Next: -1,
+		Status: status,
+	}
+	if meta := db.MetaAt(superstep); meta != nil {
+		nav.NumVertices, nav.NumEdges = meta.NumVertices, meta.NumEdges
 		names := make([]string, 0, len(meta.Aggregated))
 		for name := range meta.Aggregated {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			aggs = append(aggs, aggRow{name, pregel.ValueString(meta.Aggregated[name])})
+			nav.Aggregators = append(nav.Aggregators, aggRow{name, pregel.ValueString(meta.Aggregated[name])})
 		}
 	}
 	supersteps := db.Supersteps()
-	prev, next := -1, -1
 	for i, s := range supersteps {
 		if s == superstep {
 			if i > 0 {
-				prev = supersteps[i-1]
+				nav.Prev = supersteps[i-1]
 			}
 			if i+1 < len(supersteps) {
-				next = supersteps[i+1]
+				nav.Next = supersteps[i+1]
 			}
 		}
 	}
-	return renderSub(superstepNavTmpl, struct {
-		JobID            string
-		Superstep        int
-		Max              int
-		Prev, Next       int
-		HasPrev, HasNext bool
-		Status           trace.Status
-		NumVertices      int64
-		NumEdges         int64
-		Aggregators      []aggRow
-	}{
-		JobID:     db.JobMeta().JobID,
-		Superstep: superstep,
-		Max:       db.MaxSuperstep(),
-		Prev:      prev, Next: next,
-		HasPrev: prev >= 0, HasNext: next >= 0,
-		Status:      status,
-		NumVertices: nv, NumEdges: ne,
-		Aggregators: aggs,
-	})
+	return page{Title: nav.JobID + " — " + fmt.Sprintf(title, args...), Nav: nav}
 }
 
 // --- Job list ---
@@ -246,12 +238,10 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		rows = append(rows, row)
 	}
-	body, err := renderSub(jobsTmpl, struct{ Jobs []jobRow }{rows})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	renderPage(w, "jobs", body)
+	render(w, "jobs", struct {
+		page
+		Jobs []jobRow
+	}{page{Title: "jobs"}, rows})
 }
 
 // --- Node-link view (Figure 3) ---
@@ -259,85 +249,75 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleNodeLink(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
 	superstep := superstepOf(r, db)
 	captures := db.CapturesAt(superstep)
-	nav, err := navHTML(db, superstep, trace.StatusOf(captures))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	svg := nodeLinkSVG(db.JobMeta().JobID, superstep, captures)
-	body, err := renderSub(nodeLinkTmpl, struct {
-		Nav template.HTML
+	render(w, "nodelink", struct {
+		page
 		SVG template.HTML
-	}{nav, svg})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	renderPage(w, fmt.Sprintf("%s — node-link view", db.JobMeta().JobID), body)
+	}{tracePage(db, superstep, trace.StatusOf(captures), "node-link view"),
+		nodeLinkSVG(db.JobMeta().JobID, superstep, captures)})
 }
 
 // --- Tabular view (Figure 4) ---
 
-type tabRow struct {
-	ID            pregel.VertexID
-	Before, After string
-	Active        string
-	In, Out       int
-	Reasons       string
+// captureRow is one trace.VertexCapture as a row of the tabular and
+// history views and of the JSON API's capture lists.
+type captureRow struct {
+	ID         int64  `json:"id"`
+	Superstep  int    `json:"-"`
+	Before     string `json:"value_before"`
+	After      string `json:"value_after"`
+	Halted     bool   `json:"halted"`
+	In         int    `json:"incoming"`
+	Out        int    `json:"outgoing"`
+	Reasons    string `json:"reasons"`
+	HasError   bool   `json:"has_exception"`
+	Violations int    `json:"-"`
+	Exception  string `json:"-"`
+}
+
+func captureRows(captures []*trace.VertexCapture) []captureRow {
+	var rows []captureRow
+	for _, c := range captures {
+		row := captureRow{
+			ID:        int64(c.ID),
+			Superstep: c.Superstep,
+			Before:    pregel.ValueString(c.ValueBefore),
+			After:     pregel.ValueString(c.ValueAfter),
+			Halted:    c.HaltedAfter,
+			In:        len(c.Incoming), Out: len(c.Outgoing),
+			Reasons:    c.Reasons.String(),
+			HasError:   c.Exception != nil,
+			Violations: len(c.Violations),
+		}
+		if c.Exception != nil {
+			row.Exception = c.Exception.Message
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// queryOf parses the capture search of the tabular view and the search
+// API (?vertex, ?neighbor, ?value, ?message) over superstep, -1 for all.
+func queryOf(r *http.Request, superstep int) trace.Query {
+	q := trace.Query{Superstep: superstep, ValueContains: r.FormValue("value"), MessageContains: r.FormValue("message")}
+	if id, err := strconv.ParseInt(r.FormValue("vertex"), 10, 64); err == nil {
+		q.VertexID = (*pregel.VertexID)(&id)
+	}
+	if id, err := strconv.ParseInt(r.FormValue("neighbor"), 10, 64); err == nil {
+		q.NeighborID = (*pregel.VertexID)(&id)
+	}
+	return q
 }
 
 func (s *Server) handleTabular(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
 	superstep := superstepOf(r, db)
-	nav, err := navHTML(db, superstep, db.StatusAt(superstep))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	q := trace.Query{Superstep: superstep}
-	if v := r.FormValue("vertex"); v != "" {
-		if id, err := strconv.ParseInt(v, 10, 64); err == nil {
-			vid := pregel.VertexID(id)
-			q.VertexID = &vid
-		}
-	}
-	if v := r.FormValue("neighbor"); v != "" {
-		if id, err := strconv.ParseInt(v, 10, 64); err == nil {
-			vid := pregel.VertexID(id)
-			q.NeighborID = &vid
-		}
-	}
-	q.ValueContains = r.FormValue("value")
-	q.MessageContains = r.FormValue("message")
-
-	var rows []tabRow
-	for _, c := range db.Search(q) {
-		active := "active"
-		if c.HaltedAfter {
-			active = "halted"
-		}
-		rows = append(rows, tabRow{
-			ID:     c.ID,
-			Before: pregel.ValueString(c.ValueBefore),
-			After:  pregel.ValueString(c.ValueAfter),
-			Active: active,
-			In:     len(c.Incoming), Out: len(c.Outgoing),
-			Reasons: c.Reasons.String(),
-		})
-	}
-	body, err := renderSub(tabularTmpl, struct {
-		Nav                                  template.HTML
-		JobID                                string
-		Superstep                            int
+	render(w, "tabular", struct {
+		page
 		QVertex, QNeighbor, QValue, QMessage string
-		Rows                                 []tabRow
-	}{nav, db.JobMeta().JobID, superstep,
-		r.FormValue("vertex"), r.FormValue("neighbor"),
-		r.FormValue("value"), r.FormValue("message"), rows})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	renderPage(w, fmt.Sprintf("%s — tabular view", db.JobMeta().JobID), body)
+		Rows                                 []captureRow
+	}{tracePage(db, superstep, db.StatusAt(superstep), "tabular view"),
+		r.FormValue("vertex"), r.FormValue("neighbor"), r.FormValue("value"), r.FormValue("message"),
+		captureRows(db.Search(queryOf(r, superstep)))})
 }
 
 // --- Violations and Exceptions view (Figure 5) ---
@@ -346,28 +326,17 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request, db *tr
 	superstep := superstepOf(r, db)
 	all := r.FormValue("all") != ""
 	captures := db.CapturesAt(superstep)
-	nav, err := navHTML(db, superstep, trace.StatusOf(captures))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	var rows []trace.ViolationRow
 	if all {
 		rows = db.AllViolations()
 	} else {
 		rows = trace.ViolationRows(superstep, captures)
 	}
-	body, err := renderSub(violationsTmpl, struct {
-		Nav           template.HTML
-		JobID         string
+	render(w, "violations", struct {
+		page
 		AllSupersteps bool
 		Rows          []trace.ViolationRow
-	}{nav, db.JobMeta().JobID, all, rows})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	renderPage(w, fmt.Sprintf("%s — violations & exceptions", db.JobMeta().JobID), body)
+	}{tracePage(db, superstep, trace.StatusOf(captures), "violations & exceptions"), all, rows})
 }
 
 // --- Vertex context detail ---
@@ -384,11 +353,6 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request, db *trace.
 		http.Error(w, fmt.Sprintf("vertex %d was not captured at superstep %d", id, superstep), http.StatusNotFound)
 		return
 	}
-	nav, err := navHTML(db, superstep, db.StatusAt(superstep))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	type edgeRow struct {
 		Target pregel.VertexID
 		Value  string
@@ -402,10 +366,8 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request, db *trace.
 		DstID       pregel.VertexID
 	}
 	data := struct {
-		Nav                          template.HTML
-		JobID                        string
+		page
 		ID                           pregel.VertexID
-		Superstep                    int
 		PrevSuperstep, NextSuperstep int
 		Reasons, Before, After       string
 		Nondeterministic             bool
@@ -417,8 +379,8 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request, db *trace.
 		Outgoing                     []outRow
 		Violations                   []violRow
 	}{
-		Nav: nav, JobID: db.JobMeta().JobID, ID: c.ID, Superstep: superstep,
-		PrevSuperstep: superstep - 1, NextSuperstep: superstep + 1,
+		page: tracePage(db, superstep, db.StatusAt(superstep), "vertex %d @ superstep %d", id, superstep),
+		ID:   c.ID, PrevSuperstep: superstep - 1, NextSuperstep: superstep + 1,
 		Reasons:          c.Reasons.String(),
 		Nondeterministic: c.Reasons.Has(trace.ReasonNondeterministic),
 		Before:           pregel.ValueString(c.ValueBefore),
@@ -440,33 +402,45 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request, db *trace.
 	for _, v := range c.Violations {
 		data.Violations = append(data.Violations, violRow{v.Kind.String(), pregel.ValueString(v.Value), v.DstID})
 	}
-	body, err := renderSub(vertexTmpl, data)
+	render(w, "vertex", data)
+}
+
+// --- Vertex history ---
+
+// handleHistory shows one vertex across every superstep it was
+// captured in: the "mentally replay superstep by superstep" workflow
+// of the paper's debugging cycle as a single table.
+func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
+	id, err := strconv.ParseInt(r.FormValue("id"), 10, 64)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		http.Error(w, "bad vertex id", http.StatusBadRequest)
 		return
 	}
-	renderPage(w, fmt.Sprintf("%s — vertex %d @ superstep %d", db.JobMeta().JobID, id, superstep), body)
+	history := db.CapturesOf(pregel.VertexID(id))
+	if len(history) == 0 {
+		http.Error(w, fmt.Sprintf("vertex %d was never captured", id), http.StatusNotFound)
+		return
+	}
+	first := history[0].Superstep
+	render(w, "history", struct {
+		page
+		ID   int64
+		Rows []captureRow
+	}{tracePage(db, first, db.StatusAt(first), "vertex %d history", id), id, captureRows(history)})
 }
 
 // --- Master view ---
 
 func (s *Server) handleMaster(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
 	superstep := superstepOf(r, db)
-	nav, err := navHTML(db, superstep, db.StatusAt(superstep))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	type masterAggRow struct{ Name, Before, After string }
 	data := struct {
-		Nav              template.HTML
-		JobID            string
-		Superstep        int
+		page
 		Present, Halted  bool
 		Exception, Stack string
 		Aggs             []masterAggRow
 		Sets             []aggRow
-	}{Nav: nav, JobID: db.JobMeta().JobID, Superstep: superstep}
+	}{page: tracePage(db, superstep, db.StatusAt(superstep), "master @ superstep %d", superstep)}
 	if mc := db.MasterAt(superstep); mc != nil {
 		data.Present = true
 		data.Halted = mc.Halted
@@ -489,25 +463,60 @@ func (s *Server) handleMaster(w http.ResponseWriter, r *http.Request, db *trace.
 			data.Sets = append(data.Sets, aggRow{set.Name, pregel.ValueString(set.Value)})
 		}
 	}
-	body, err := renderSub(masterTmpl, data)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	render(w, "master", data)
+}
+
+// --- Replay check ---
+
+// handleReplayCheck re-executes every capture of a superstep — vertex,
+// subgraph and master — against its recorded context
+// (repro.CheckSuperstep) and reports whether the replay matches the
+// cluster execution: a live determinism audit of the trace, and the
+// programmatic face of the Reproduce step.
+func (s *Server) handleReplayCheck(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
+	superstep := superstepOf(r, db)
+	data := struct {
+		page
+		Algorithm string
+		Available bool
+		OKCount   int
+		Checks    []repro.Check
+	}{page: tracePage(db, superstep, db.StatusAt(superstep), "replay check @ superstep %d", superstep),
+		Algorithm: db.JobMeta().Algorithm}
+	if alg, _ := s.algorithmOf(db); alg != nil {
+		data.Available = true
+		data.Checks = repro.CheckSuperstep(db, superstep, alg)
+		for _, c := range data.Checks {
+			if len(c.Diffs) == 0 {
+				data.OKCount++
+			}
+		}
 	}
-	renderPage(w, fmt.Sprintf("%s — master @ superstep %d", db.JobMeta().JobID, superstep), body)
+	render(w, "replaycheck", data)
 }
 
 // --- Reproduce Context buttons ---
 
+// handleReproduce serves the three Reproduce Context buttons as plain
+// Go source: /reproduce the test of one vertex at a superstep (of its
+// component, in a subgraph-mode trace), /reproduce-suite one test per
+// captured superstep of a vertex (the §7 unit-testing extension), and
+// /reproduce-master the test of a superstep's master.compute.
 func (s *Server) handleReproduce(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
+	_, spec := s.algorithmOf(db)
 	superstep := superstepOf(r, db)
-	id, err := strconv.ParseInt(r.FormValue("id"), 10, 64)
-	if err != nil {
+	var code string
+	var err error
+	if kind := path.Base(r.URL.Path); kind == "reproduce-master" {
+		code, err = repro.GenerateMasterTest(db, superstep, spec)
+	} else if id, perr := strconv.ParseInt(r.FormValue("id"), 10, 64); perr != nil {
 		http.Error(w, "bad vertex id", http.StatusBadRequest)
 		return
+	} else if kind == "reproduce-suite" {
+		code, err = repro.GenerateVertexSuite(db, pregel.VertexID(id), spec)
+	} else {
+		code, err = repro.GenerateVertexTest(db, superstep, pregel.VertexID(id), spec)
 	}
-	_, spec := s.algorithmOf(db)
-	code, err := repro.GenerateVertexTest(db, superstep, pregel.VertexID(id), spec)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
@@ -516,34 +525,53 @@ func (s *Server) handleReproduce(w http.ResponseWriter, r *http.Request, db *tra
 	fmt.Fprint(w, code)
 }
 
-// handleReproduceSuite emits one test per captured superstep of a
-// vertex (the §7 unit-testing extension).
-func (s *Server) handleReproduceSuite(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
-	id, err := strconv.ParseInt(r.FormValue("id"), 10, 64)
-	if err != nil {
-		http.Error(w, "bad vertex id", http.StatusBadRequest)
-		return
-	}
-	_, spec := s.algorithmOf(db)
-	code, err := repro.GenerateVertexSuite(db, pregel.VertexID(id), spec)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, code)
-}
+// --- Trace diff ---
 
-func (s *Server) handleReproduceMaster(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
-	superstep := superstepOf(r, db)
-	_, spec := s.algorithmOf(db)
-	code, err := repro.GenerateMasterTest(db, superstep, spec)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
+// handleDiff compares two jobs' traces side by side — typically a buggy
+// run against a fixed one with the same DebugConfig — surfacing the
+// first superstep where a commonly captured vertex diverges.
+func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
+	a, b := r.FormValue("a"), r.FormValue("b")
+	type row struct {
+		Superstep  int
+		ID         pregel.VertexID
+		Fields     string
+		ValA, ValB string
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, code)
+	data := struct {
+		page
+		A, B         string
+		Ready        bool
+		OnlyA, OnlyB []pregel.VertexID
+		StatusDiffs  []int
+		Rows         []row
+	}{page: page{Title: "trace diff"}, A: a, B: b}
+	if a != "" && b != "" {
+		dbA, err := s.db(a)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
+			return
+		}
+		dbB, err := s.db(b)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
+			return
+		}
+		diff := trace.DiffJobs(dbA, dbB)
+		data.Ready = true
+		data.OnlyA, data.OnlyB = diff.OnlyA, diff.OnlyB
+		data.StatusDiffs = diff.StatusDiffs
+		for _, d := range diff.Divergences {
+			data.Rows = append(data.Rows, row{
+				Superstep: d.Superstep,
+				ID:        d.ID,
+				Fields:    fmt.Sprint(d.Fields),
+				ValA:      pregel.ValueString(d.A.ValueAfter),
+				ValB:      pregel.ValueString(d.B.ValueAfter),
+			})
+		}
+	}
+	render(w, "diff", data)
 }
 
 // --- JSON API ---
@@ -566,17 +594,6 @@ func (s *Server) apiSupersteps(w http.ResponseWriter, r *http.Request, db *trace
 	writeJSON(w, db.Supersteps())
 }
 
-type apiCaptureRow struct {
-	ID       int64  `json:"id"`
-	Before   string `json:"value_before"`
-	After    string `json:"value_after"`
-	Halted   bool   `json:"halted"`
-	In       int    `json:"incoming"`
-	Out      int    `json:"outgoing"`
-	Reasons  string `json:"reasons"`
-	HasError bool   `json:"has_exception"`
-}
-
 func (s *Server) apiSuperstep(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
 	n, err := strconv.Atoi(r.PathValue("n"))
 	if err != nil {
@@ -592,26 +609,14 @@ func (s *Server) apiSuperstep(w http.ResponseWriter, r *http.Request, db *trace.
 	for name, v := range meta.Aggregated {
 		aggs[name] = pregel.ValueString(v)
 	}
-	var rows []apiCaptureRow
 	captures := db.CapturesAt(n)
-	for _, c := range captures {
-		rows = append(rows, apiCaptureRow{
-			ID:     int64(c.ID),
-			Before: pregel.ValueString(c.ValueBefore),
-			After:  pregel.ValueString(c.ValueAfter),
-			Halted: c.HaltedAfter,
-			In:     len(c.Incoming), Out: len(c.Outgoing),
-			Reasons:  c.Reasons.String(),
-			HasError: c.Exception != nil,
-		})
-	}
 	st := trace.StatusOf(captures)
 	out := map[string]any{
 		"superstep":         n,
 		"num_vertices":      meta.NumVertices,
 		"num_edges":         meta.NumEdges,
 		"aggregated":        aggs,
-		"captures":          rows,
+		"captures":          captureRows(captures),
 		"message_violation": st.MessageViolation,
 		"vertex_violation":  st.VertexViolation,
 		"exception":         st.Exception,
@@ -639,37 +644,9 @@ func (s *Server) apiSuperstep(w http.ResponseWriter, r *http.Request, db *trace.
 }
 
 func (s *Server) apiSearch(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
-	q := trace.Query{Superstep: -1}
-	if v := r.FormValue("superstep"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			q.Superstep = n
-		}
+	superstep, err := strconv.Atoi(r.FormValue("superstep"))
+	if err != nil {
+		superstep = -1
 	}
-	if v := r.FormValue("vertex"); v != "" {
-		if id, err := strconv.ParseInt(v, 10, 64); err == nil {
-			vid := pregel.VertexID(id)
-			q.VertexID = &vid
-		}
-	}
-	if v := r.FormValue("neighbor"); v != "" {
-		if id, err := strconv.ParseInt(v, 10, 64); err == nil {
-			vid := pregel.VertexID(id)
-			q.NeighborID = &vid
-		}
-	}
-	q.ValueContains = r.FormValue("value")
-	q.MessageContains = r.FormValue("message")
-	var rows []apiCaptureRow
-	for _, c := range db.Search(q) {
-		rows = append(rows, apiCaptureRow{
-			ID:     int64(c.ID),
-			Before: pregel.ValueString(c.ValueBefore),
-			After:  pregel.ValueString(c.ValueAfter),
-			Halted: c.HaltedAfter,
-			In:     len(c.Incoming), Out: len(c.Outgoing),
-			Reasons:  c.Reasons.String(),
-			HasError: c.Exception != nil,
-		})
-	}
-	writeJSON(w, rows)
+	writeJSON(w, captureRows(db.Search(queryOf(r, superstep))))
 }

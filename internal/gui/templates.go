@@ -1,14 +1,42 @@
 package gui
 
-import "html/template"
+import (
+	"bytes"
+	"html/template"
+	"net/http"
+)
 
 // The GUI mirrors the three views of the paper's Figures 3-5 — the
 // Node-link View, the Tabular View and the Violations and Exceptions
 // View — plus the offline graph-construction mode of §3.4. Styling is
 // deliberately minimal; structure and information content follow the
 // paper.
+//
+// Every page is one template of the views tree: it opens with "head",
+// closes with "foot", and a trace view puts the "nav" bar first. Its
+// data embeds page, which is what those three read.
 
-var pageTmpl = template.Must(template.New("page").Parse(`<!DOCTYPE html>
+// page is the part of a view's data the page chrome reads: the title,
+// and the superstep navigation bar on trace views (nil elsewhere).
+type page struct {
+	Title string
+	Nav   *navBar
+}
+
+// render executes one view into a buffer and writes it, or answers 500
+// when the template fails: a page is sent whole or not at all.
+func render(w http.ResponseWriter, view string, data any) {
+	var b bytes.Buffer
+	if err := views.ExecuteTemplate(&b, view, data); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	_, _ = b.WriteTo(w)
+}
+
+var views = template.Must(template.New("views").Parse(`
+{{define "head"}}<!DOCTYPE html>
 <html><head><meta charset="utf-8"><title>{{.Title}} — Graft</title>
 <style>
 body { font-family: sans-serif; margin: 1.2em; color: #222; }
@@ -28,10 +56,14 @@ pre { background: #f6f6f6; border: 1px solid #ddd; padding: 0.8em; overflow-x: a
 .reproduce { background: #246; color: white; padding: 0.3em 0.7em; border-radius: 4px; text-decoration: none; }
 </style></head><body>
 <h1><a href="/">Graft</a> — {{.Title}}</h1>
-{{.Body}}
-</body></html>`))
+{{end}}
 
-var jobsTmpl = template.Must(template.New("jobs").Parse(`
+{{define "foot"}}
+</body></html>{{end}}
+
+{{define "message"}}{{template "head" .}}<p class="muted">{{.Message}}</p>{{template "foot"}}{{end}}
+
+{{define "jobs"}}{{template "head" .}}
 <p>{{len .Jobs}} job trace(s) in the store.</p>
 <table>
 <tr><th>Job</th><th>Algorithm</th><th>Vertices</th><th>Edges</th><th>Workers</th>
@@ -45,16 +77,16 @@ var jobsTmpl = template.Must(template.New("jobs").Parse(`
 {{end}}
 </table>
 <p><a href="/offline/">Offline mode: construct small test graphs</a> |
-<a href="/diff">Compare two job traces</a></p>`))
+<a href="/diff">Compare two job traces</a></p>{{template "foot"}}{{end}}
 
-var superstepNavTmpl = template.Must(template.New("nav").Parse(`
+{{define "nav"}}
 <div class="nav">
 <span class="status {{if .Status.MessageViolation}}red{{else}}green{{end}}" title="message constraint">M</span>
 <span class="status {{if .Status.VertexViolation}}red{{else}}green{{end}}" title="vertex value constraint">V</span>
 <span class="status {{if .Status.Exception}}red{{else}}green{{end}}" title="exceptions">E</span>
-{{if .HasPrev}}<a href="?superstep={{.Prev}}">&laquo; Previous superstep</a>{{else}}<span class="muted">&laquo; Previous superstep</span>{{end}}
+{{if ge .Prev 0}}<a href="?superstep={{.Prev}}">&laquo; Previous superstep</a>{{else}}<span class="muted">&laquo; Previous superstep</span>{{end}}
 <strong>Superstep {{.Superstep}} / {{.Max}}</strong>
-{{if .HasNext}}<a href="?superstep={{.Next}}">Next superstep &raquo;</a>{{else}}<span class="muted">Next superstep &raquo;</span>{{end}}
+{{if ge .Next 0}}<a href="?superstep={{.Next}}">Next superstep &raquo;</a>{{else}}<span class="muted">Next superstep &raquo;</span>{{end}}
 | <a href="/job/{{.JobID}}/nodelink?superstep={{.Superstep}}">Node-link</a>
   <a href="/job/{{.JobID}}/tabular?superstep={{.Superstep}}">Tabular</a>
   <a href="/job/{{.JobID}}/violations?superstep={{.Superstep}}">Violations &amp; Exceptions</a>
@@ -66,20 +98,20 @@ var superstepNavTmpl = template.Must(template.New("nav").Parse(`
 <div class="aggs"><strong>Global data</strong><br>
 vertices: {{.NumVertices}}<br>edges: {{.NumEdges}}<br>
 {{range .Aggregators}}{{.Name}} = {{.Value}}<br>{{end}}
-</div>`))
+</div>{{end}}
 
-var nodeLinkTmpl = template.Must(template.New("nodelink").Parse(`
-{{.Nav}}
+{{define "nodelink"}}{{template "head" .}}
+{{template "nav" .Nav}}
 <p class="muted">Captured vertices are drawn large with ID and value; uncaptured
 neighbors are small with only their ID; inactive (halted) vertices are dimmed.
 Click a vertex for its full context.</p>
 {{.SVG}}
-`))
+{{template "foot"}}{{end}}
 
-var tabularTmpl = template.Must(template.New("tabular").Parse(`
-{{.Nav}}
+{{define "tabular"}}{{template "head" .}}
+{{template "nav" .Nav}}
 <form class="search" method="get">
-<input type="hidden" name="superstep" value="{{.Superstep}}">
+<input type="hidden" name="superstep" value="{{.Nav.Superstep}}">
 vertex <input name="vertex" size="8" value="{{.QVertex}}">
 neighbor <input name="neighbor" size="8" value="{{.QNeighbor}}">
 value <input name="value" size="12" value="{{.QValue}}">
@@ -91,37 +123,37 @@ message <input name="message" size="12" value="{{.QMessage}}">
 <th>In-msgs</th><th>Out-msgs</th><th>Captured because</th><th></th></tr>
 {{range .Rows}}
 <tr>
-<td><a href="/job/{{$.JobID}}/vertex?superstep={{$.Superstep}}&id={{.ID}}">{{.ID}}</a></td>
-<td>{{.Before}}</td><td>{{.After}}</td><td>{{.Active}}</td>
+<td><a href="/job/{{$.Nav.JobID}}/vertex?superstep={{$.Nav.Superstep}}&id={{.ID}}">{{.ID}}</a></td>
+<td>{{.Before}}</td><td>{{.After}}</td><td>{{if .Halted}}halted{{else}}active{{end}}</td>
 <td>{{.In}}</td><td>{{.Out}}</td><td>{{.Reasons}}</td>
-<td><a class="reproduce" href="/job/{{$.JobID}}/reproduce?superstep={{$.Superstep}}&id={{.ID}}">Reproduce Vertex Context</a></td>
+<td><a class="reproduce" href="/job/{{$.Nav.JobID}}/reproduce?superstep={{$.Nav.Superstep}}&id={{.ID}}">Reproduce Vertex Context</a></td>
 </tr>
 {{end}}
 </table>
-<p>{{len .Rows}} captured vertices match.</p>`))
+<p>{{len .Rows}} captured vertices match.</p>{{template "foot"}}{{end}}
 
-var violationsTmpl = template.Must(template.New("violations").Parse(`
-{{.Nav}}
+{{define "violations"}}{{template "head" .}}
+{{template "nav" .Nav}}
 <h2>Violations and exceptions{{if .AllSupersteps}} (all supersteps){{end}}</h2>
-<p><a href="/job/{{.JobID}}/violations?all=1">show all supersteps</a></p>
+<p><a href="/job/{{.Nav.JobID}}/violations?all=1">show all supersteps</a></p>
 <table>
 <tr><th>Superstep</th><th>Vertex</th><th>Kind</th><th>Offending value / message</th><th>Destination</th><th></th></tr>
 {{range .Rows}}
 <tr>
 <td>{{.Superstep}}</td>
-<td><a href="/job/{{$.JobID}}/vertex?superstep={{.Superstep}}&id={{.VertexID}}">{{.VertexID}}</a></td>
+<td><a href="/job/{{$.Nav.JobID}}/vertex?superstep={{.Superstep}}&id={{.VertexID}}">{{.VertexID}}</a></td>
 <td>{{.Kind}}</td><td>{{.Detail}}</td><td>{{.DstID}}</td>
-<td><a class="reproduce" href="/job/{{$.JobID}}/reproduce?superstep={{.Superstep}}&id={{.VertexID}}">Reproduce Vertex Context</a></td>
+<td><a class="reproduce" href="/job/{{$.Nav.JobID}}/reproduce?superstep={{.Superstep}}&id={{.VertexID}}">Reproduce Vertex Context</a></td>
 </tr>
 {{if .Stack}}<tr><td colspan="6"><pre>{{.Stack}}</pre></td></tr>{{end}}
 {{end}}
 </table>
-<p>{{len .Rows}} row(s).</p>`))
+<p>{{len .Rows}} row(s).</p>{{template "foot"}}{{end}}
 
-var vertexTmpl = template.Must(template.New("vertex").Parse(`
-{{.Nav}}
-<h2>Vertex {{.ID}} at superstep {{.Superstep}}
-(<a href="/job/{{.JobID}}/history?id={{.ID}}">full history</a>)</h2>
+{{define "vertex"}}{{template "head" .}}
+{{template "nav" .Nav}}
+<h2>Vertex {{.ID}} at superstep {{.Nav.Superstep}}
+(<a href="/job/{{.Nav.JobID}}/history?id={{.ID}}">full history</a>)</h2>
 <table>
 <tr><th>Captured because</th><td>{{.Reasons}}{{if .Nondeterministic}}
 <span class="status red flag" title="the outgoing messages below come from a re-run of this compute that ended differently from the job's own run">nondeterministic</span>{{end}}</td></tr>
@@ -143,15 +175,34 @@ var vertexTmpl = template.Must(template.New("vertex").Parse(`
 <table><tr><th>Kind</th><th>Value</th><th>Destination</th></tr>
 {{range .Violations}}<tr><td>{{.Kind}}</td><td>{{.Value}}</td><td>{{.DstID}}</td></tr>{{end}}</table>{{end}}
 <p>
-<a class="reproduce" href="/job/{{.JobID}}/reproduce?superstep={{.Superstep}}&id={{.ID}}">Reproduce Vertex Context</a>
-<a class="reproduce" href="/job/{{.JobID}}/reproduce-suite?id={{.ID}}">Reproduce All Supersteps (test suite)</a>
-<a href="/job/{{.JobID}}/vertex?superstep={{.PrevSuperstep}}&id={{.ID}}">&laquo; this vertex in previous superstep</a>
-<a href="/job/{{.JobID}}/vertex?superstep={{.NextSuperstep}}&id={{.ID}}">this vertex in next superstep &raquo;</a>
-</p>`))
+<a class="reproduce" href="/job/{{.Nav.JobID}}/reproduce?superstep={{.Nav.Superstep}}&id={{.ID}}">Reproduce Vertex Context</a>
+<a class="reproduce" href="/job/{{.Nav.JobID}}/reproduce-suite?id={{.ID}}">Reproduce All Supersteps (test suite)</a>
+<a href="/job/{{.Nav.JobID}}/vertex?superstep={{.PrevSuperstep}}&id={{.ID}}">&laquo; this vertex in previous superstep</a>
+<a href="/job/{{.Nav.JobID}}/vertex?superstep={{.NextSuperstep}}&id={{.ID}}">this vertex in next superstep &raquo;</a>
+</p>{{template "foot"}}{{end}}
 
-var masterTmpl = template.Must(template.New("master").Parse(`
-{{.Nav}}
-<h2>master.compute at superstep {{.Superstep}}</h2>
+{{define "history"}}{{template "head" .}}
+{{template "nav" .Nav}}
+<h2>Vertex {{.ID}} across supersteps</h2>
+<table>
+<tr><th>Superstep</th><th>Value before</th><th>Value after</th><th>Active</th>
+<th>In</th><th>Out</th><th>Violations</th><th>Exception</th><th></th></tr>
+{{range .Rows}}
+<tr>
+<td><a href="/job/{{$.Nav.JobID}}/vertex?superstep={{.Superstep}}&id={{$.ID}}">{{.Superstep}}</a></td>
+<td>{{.Before}}</td><td>{{.After}}</td><td>{{if .Halted}}halted{{else}}active{{end}}</td>
+<td>{{.In}}</td><td>{{.Out}}</td><td>{{.Violations}}</td><td>{{.Exception}}</td>
+<td><a class="reproduce" href="/job/{{$.Nav.JobID}}/reproduce?superstep={{.Superstep}}&id={{$.ID}}">Reproduce</a></td>
+</tr>
+{{end}}
+</table>
+<p>
+<a class="reproduce" href="/job/{{.Nav.JobID}}/reproduce-suite?id={{.ID}}">Generate test suite for all supersteps</a>
+</p>{{template "foot"}}{{end}}
+
+{{define "master"}}{{template "head" .}}
+{{template "nav" .Nav}}
+<h2>master.compute at superstep {{.Nav.Superstep}}</h2>
 {{if not .Present}}<p class="muted">No master computation was registered for this job.</p>{{else}}
 <table>
 <tr><th>Halted computation</th><td>{{.Halted}}</td></tr>
@@ -163,10 +214,58 @@ var masterTmpl = template.Must(template.New("master").Parse(`
 <h2>SetAggregated calls ({{len .Sets}})</h2>
 <table><tr><th>Name</th><th>Value</th></tr>
 {{range .Sets}}<tr><td>{{.Name}}</td><td>{{.Value}}</td></tr>{{end}}</table>
-<p><a class="reproduce" href="/job/{{.JobID}}/reproduce-master?superstep={{.Superstep}}">Reproduce Master Context</a></p>
-{{end}}`))
+<p><a class="reproduce" href="/job/{{.Nav.JobID}}/reproduce-master?superstep={{.Nav.Superstep}}">Reproduce Master Context</a></p>
+{{end}}{{template "foot"}}{{end}}
 
-var metricsTmpl = template.Must(template.New("metrics").Parse(`
+{{define "replaycheck"}}{{template "head" .}}
+{{template "nav" .Nav}}
+<h2>Replay check — superstep {{.Nav.Superstep}}</h2>
+{{if not .Available}}
+<p class="muted">No live computation registered for algorithm
+"{{.Algorithm}}"; replay checking is unavailable for this job.</p>
+{{else}}
+<p>{{.OKCount}}/{{len .Checks}} captures replay identically to the
+cluster execution.</p>
+<table>
+<tr><th>Capture</th><th>Replay</th><th>Divergences</th></tr>
+{{range .Checks}}
+<tr>
+<td>{{if eq .Kind "master"}}<a href="/job/{{$.Nav.JobID}}/master?superstep={{$.Nav.Superstep}}">master</a>{{else}}{{.Kind}} <a href="/job/{{$.Nav.JobID}}/vertex?superstep={{$.Nav.Superstep}}&id={{.ID}}">{{.ID}}</a>{{end}}</td>
+<td>{{if .Diffs}}DIVERGED{{else}}OK{{end}}{{if .Nondeterministic}} (captured nondeterministic){{end}}</td>
+<td>{{range $i, $d := .Diffs}}{{if $i}}; {{end}}{{$d}}{{end}}</td>
+</tr>
+{{end}}
+</table>
+{{end}}{{template "foot"}}{{end}}
+
+{{define "diff"}}{{template "head" .}}
+<form method="get">
+Compare job <input name="a" size="20" value="{{.A}}">
+with <input name="b" size="20" value="{{.B}}">
+<input type="submit" value="Diff">
+</form>
+{{if .Ready}}
+<h2>{{.A}} vs {{.B}}</h2>
+{{if .OnlyA}}<p>Captured only in {{.A}}: {{range .OnlyA}}{{.}} {{end}}</p>{{end}}
+{{if .OnlyB}}<p>Captured only in {{.B}}: {{range .OnlyB}}{{.}} {{end}}</p>{{end}}
+{{if .StatusDiffs}}<p>M/V/E status differs at supersteps: {{range .StatusDiffs}}{{.}} {{end}}</p>{{end}}
+{{if not .Rows}}<p>No divergences among commonly captured vertices.</p>{{else}}
+<p>{{len .Rows}} divergences; the first is usually where the bug acted.</p>
+<table>
+<tr><th>Superstep</th><th>Vertex</th><th>Differs in</th><th>{{.A}}</th><th>{{.B}}</th><th></th></tr>
+{{range .Rows}}
+<tr>
+<td>{{.Superstep}}</td>
+<td>{{.ID}}</td><td>{{.Fields}}</td><td>{{.ValA}}</td><td>{{.ValB}}</td>
+<td><a href="/job/{{$.A}}/vertex?superstep={{.Superstep}}&id={{.ID}}">context in {{$.A}}</a>
+    <a href="/job/{{$.B}}/vertex?superstep={{.Superstep}}&id={{.ID}}">in {{$.B}}</a></td>
+</tr>
+{{end}}
+</table>
+{{end}}
+{{end}}{{template "foot"}}{{end}}
+
+{{define "metrics"}}{{template "head" .}}
 <p class="muted">Per-worker superstep telemetry folded at each barrier: compute wall
 time, barrier waits, message traffic, trace-capture cost, and straggler/skew
 indicators (max/mean ratios; a superstep is flagged when a worker runs
@@ -211,9 +310,9 @@ has the per-worker timeline, the traffic heatmap and the anomaly feed.</p>
 </tr>
 {{end}}
 </table>
-{{end}}`))
+{{end}}{{template "foot"}}{{end}}
 
-var profilerTmpl = template.Must(template.New("profiler").Parse(`
+{{define "profiler"}}{{template "head" .}}
 <p class="muted">Profiler view: per-worker superstep timeline (stacked
 <span style="color:#246">&#9632;</span> compute /
 <span style="color:#e90">&#9632;</span> barrier /
@@ -259,9 +358,9 @@ the sender&#8594;receiver traffic heatmap of one superstep, and the anomaly feed
 </table>
 {{else}}
 <p class="muted">No anomalies: every superstep stayed inside the detector thresholds.</p>
-{{end}}`))
+{{end}}{{template "foot"}}{{end}}
 
-var offlineIndexTmpl = template.Must(template.New("offlineIndex").Parse(`
+{{define "offlineIndex"}}{{template "head" .}}
 <p>Offline mode: construct small graphs for end-to-end tests (paper §3.4).</p>
 <form method="post" action="/offline/new">
 New graph name: <input name="name" size="16">
@@ -280,9 +379,9 @@ name <input name="name" size="16" value="premade">
 <h2>Graphs under construction</h2>
 <table><tr><th>Name</th><th>Vertices</th><th>Edges</th></tr>
 {{range .Graphs}}<tr><td><a href="/offline/{{.Name}}">{{.Name}}</a></td><td>{{.Vertices}}</td><td>{{.Edges}}</td></tr>{{end}}
-</table>`))
+</table>{{template "foot"}}{{end}}
 
-var offlineGraphTmpl = template.Must(template.New("offlineGraph").Parse(`
+{{define "offlineGraph"}}{{template "head" .}}
 <p><a href="/offline/">&laquo; all graphs</a></p>
 {{.SVG}}
 <h2>Edit</h2>
@@ -306,4 +405,5 @@ Remove vertex: id <input name="id" size="6"> <input type="submit" value="Remove"
 <p>
 <a href="/offline/{{.Name}}/export.adjlist">Download adjacency list</a> |
 <a href="/offline/{{.Name}}/export-test">End-to-end test code template</a>
-</p>`))
+</p>{{template "foot"}}{{end}}
+`))

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"text/template"
 
+	"graft/internal/algorithms"
 	"graft/internal/pregel"
 	"graft/internal/trace"
 )
@@ -34,6 +35,31 @@ type GenSpec struct {
 	// paper: "users can edit the JUnit test code generated by Graft
 	// and turn it into a real unit test").
 	Assert bool
+}
+
+// Resolve rebuilds the packaged algorithm a trace's manifest names, at
+// the seed and superstep budget it recorded, with the GenSpec whose
+// tests construct it: what `graft serve`, the GUI by default,
+// `graft repro` without -comp and `graft trace-check` use. A manifest
+// without a superstep budget (an older trace, a library caller) is
+// read as the defaults. It returns nil and a zero GenSpec for a job
+// that did not run a packaged algorithm.
+func Resolve(meta trace.JobMeta) (*algorithms.Algorithm, GenSpec) {
+	if meta.Supersteps == 0 { // recorded neither; with a budget, seed 0 is a seed
+		meta.Seed, meta.Supersteps = algorithms.DefaultSeed, algorithms.DefaultSupersteps
+	}
+	alg, expr, err := algorithms.WithExpr(meta.Algorithm, meta.Seed, meta.Supersteps)
+	if err != nil {
+		return nil, GenSpec{}
+	}
+	spec := GenSpec{ComputationExpr: expr + ".Compute", ExtraImports: []string{"graft/internal/algorithms"}, Assert: true}
+	if alg.Master != nil {
+		spec.MasterExpr = expr + ".Master"
+	}
+	if alg.Subgraph != nil {
+		spec.SubgraphExpr = expr + ".Subgraph"
+	}
+	return alg, spec
 }
 
 // valueExpr renders a Go expression that reconstructs v. Builtin
@@ -366,9 +392,10 @@ func newVertexData(varName string, c *trace.VertexCapture) vertexData {
 
 // GenerateVertexTest renders a standalone Go test reproducing the
 // context of vertex id at the given superstep (the Go analogue of the
-// paper's Figure 6 JUnit file).
+// paper's Figure 6 JUnit file). In a subgraph-mode trace that context
+// is the component holding the vertex, rebuilt member by member.
 func GenerateVertexTest(db *trace.Reader, superstep int, id pregel.VertexID, spec GenSpec) (string, error) {
-	d, err := vertexTest(db, superstep, id, &spec)
+	d, err := captureTest(db, superstep, id, &spec)
 	if err != nil {
 		return "", err
 	}
@@ -378,7 +405,8 @@ func GenerateVertexTest(db *trace.Reader, superstep int, id pregel.VertexID, spe
 // GenerateVertexSuite renders one file with a reproduction test for
 // every captured superstep of a vertex: contexts that "emerge at large
 // scale" become a reusable unit-test suite (the unit-testing extension
-// of paper §7).
+// of paper §7). In a subgraph-mode trace each test is the component's
+// that held the vertex at that superstep.
 func GenerateVertexSuite(db *trace.Reader, id pregel.VertexID, spec GenSpec) (string, error) {
 	history := db.CapturesOf(id)
 	if len(history) == 0 {
@@ -386,13 +414,22 @@ func GenerateVertexSuite(db *trace.Reader, id pregel.VertexID, spec GenSpec) (st
 	}
 	tests := make([]testData, len(history))
 	for i, c := range history {
-		d, err := vertexTest(db, c.Superstep, id, &spec)
+		d, err := captureTest(db, c.Superstep, id, &spec)
 		if err != nil {
 			return "", err
 		}
 		tests[i] = d
 	}
 	return render(db, &spec, fmt.Sprintf("every captured context of vertex %d, one test per superstep", id), tests...)
+}
+
+// captureTest is the test of vertex id's context at superstep: the
+// vertex's, or in a subgraph-mode trace its component's.
+func captureTest(db *trace.Reader, superstep int, id pregel.VertexID, spec *GenSpec) (testData, error) {
+	if db.JobMeta().ComputeMode == "subgraph" {
+		return subgraphTest(db, superstep, id, spec)
+	}
+	return vertexTest(db, superstep, id, spec)
 }
 
 func vertexTest(db *trace.Reader, superstep int, id pregel.VertexID, spec *GenSpec) (testData, error) {
@@ -416,26 +453,26 @@ func vertexTest(db *trace.Reader, superstep int, id pregel.VertexID, spec *GenSp
 	return d, nil
 }
 
-// GenerateSubgraphTest renders a standalone Go test reproducing the
-// ComputeSubgraph context of the subgraph containing vertex id at the
-// given superstep. The member contexts come from the per-member
-// VertexCapture records written alongside the SubgraphCapture, so a
-// subgraph step is rebuilt member by member — single-vertex debuggable
-// even though the unit of compute is a component.
-func GenerateSubgraphTest(db *trace.Reader, superstep int, id pregel.VertexID, spec GenSpec) (string, error) {
+// subgraphTest reproduces the ComputeSubgraph context of the subgraph
+// containing vertex id at the given superstep. The member contexts come
+// from the per-member VertexCapture records written alongside the
+// SubgraphCapture, so a subgraph step is rebuilt member by member —
+// single-vertex debuggable even though the unit of compute is a
+// component.
+func subgraphTest(db *trace.Reader, superstep int, id pregel.VertexID, spec *GenSpec) (testData, error) {
 	sc := db.SubgraphAt(superstep, id)
 	if sc == nil {
-		return "", fmt.Errorf("repro: no subgraph capture containing vertex %d at superstep %d", id, superstep)
+		return testData{}, fmt.Errorf("repro: no subgraph capture containing vertex %d at superstep %d", id, superstep)
 	}
 	meta, err := metaAt(db, superstep)
 	if err != nil {
-		return "", err
+		return testData{}, err
 	}
 	members, err := memberCaptures(db, sc)
 	if err != nil {
-		return "", err
+		return testData{}, err
 	}
-	d := newTest("subgraph", spec.SubgraphExpr, &spec, meta, sc.Worker)
+	d := newTest("subgraph", spec.SubgraphExpr, spec, meta, sc.Worker)
 	d.Subject = fmt.Sprintf("the context under which subgraph %d (%d members) executed ComputeSubgraph in superstep %d (worker %d)",
 		int64(sc.ID), len(sc.Members), superstep, sc.Worker)
 	d.FuncName = fmt.Sprintf("TestReproduceSubgraph%sSuperstep%d", identSafe(sc.ID), superstep)
@@ -447,7 +484,7 @@ func GenerateSubgraphTest(db *trace.Reader, superstep int, id pregel.VertexID, s
 	d.WantSent = sc.MessagesSent
 	d.WantIters = sc.Iterations
 	d.WantHalted = sc.HaltedAfter
-	return render(db, &spec, d.Subject, d)
+	return d, nil
 }
 
 // GenerateMasterTest renders a standalone Go test reproducing the

@@ -299,6 +299,7 @@ func TestGeneratedTestCompilesAndPasses(t *testing.T) {
 	gcStep := gcDB.Supersteps()[1]
 	wccDB := wccSubgraphTrace(t)
 	wccStep, wcc := firstSubgraph(t, wccDB)
+	_, wccSpec := Resolve(wccDB.JobMeta())
 	pv := &algorithms.Algorithm{Name: "planted", Compute: plantedCompute}
 	pvDB, err := captureRun(t, pv, graphgen.RegularBipartite(20, 2), core.DebugConfig{CaptureIDs: []pregel.VertexID{5}})
 	if err != nil {
@@ -337,7 +338,12 @@ func TestGeneratedTestCompilesAndPasses(t *testing.T) {
 			gen:  func(s GenSpec) (string, error) { return GenerateVertexSuite(gcDB, 3, s) }},
 		{name: "subgraph", db: wccDB, alg: algorithms.NewConnectedComponents(), kind: "subgraph", superstep: wccStep, id: wcc.ID,
 			spec: GenSpec{SubgraphExpr: "algorithms.NewConnectedComponents().Subgraph", ExtraImports: algs},
-			gen:  func(s GenSpec) (string, error) { return GenerateSubgraphTest(wccDB, wccStep, wcc.ID, s) }},
+			gen:  func(s GenSpec) (string, error) { return GenerateVertexTest(wccDB, wccStep, wcc.ID, s) }},
+		// In a subgraph-mode trace a vertex's suite is its component's
+		// tests, built with the constructor Resolve reads off the manifest.
+		{name: "subgraph-suite", db: wccDB, alg: algorithms.NewConnectedComponents(), kind: "subgraph", superstep: -1, id: wcc.ID,
+			spec: wccSpec,
+			gen:  func(s GenSpec) (string, error) { return GenerateVertexSuite(wccDB, wcc.ID, s) }},
 		{name: "master", db: gcDB, alg: gcAlg, kind: "master", superstep: gcStep,
 			spec: GenSpec{MasterExpr: "algorithms.NewBuggyGraphColoring(42).Master", ExtraImports: algs},
 			gen:  func(s GenSpec) (string, error) { return GenerateMasterTest(gcDB, gcStep, s) }},
@@ -346,7 +352,7 @@ func TestGeneratedTestCompilesAndPasses(t *testing.T) {
 			gen:  func(s GenSpec) (string, error) { return GenerateVertexTest(pvDB, plantedStep, 5, s) }},
 		{name: "planted-subgraph", db: psDB, alg: ps, kind: "subgraph", superstep: plantedStep, id: psID, planted: true,
 			spec: GenSpec{SubgraphExpr: "plantedSubgraph"},
-			gen:  func(s GenSpec) (string, error) { return GenerateSubgraphTest(psDB, plantedStep, psID, s) }},
+			gen:  func(s GenSpec) (string, error) { return GenerateVertexTest(psDB, plantedStep, psID, s) }},
 		{name: "planted-master", db: pmDB, alg: pm, kind: "master", superstep: 1, planted: true,
 			spec: GenSpec{MasterExpr: "plantedMaster{}"},
 			gen:  func(s GenSpec) (string, error) { return GenerateMasterTest(pmDB, 1, s) }},

@@ -6,8 +6,8 @@
 // ReplaySubgraph and ReplayMaster re-execute programmatically and diff
 // the outcome against the capture, and CheckTrace runs them over a
 // whole trace — the engine behind tests and the GUI's replay check.
-// GenerateVertexTest, GenerateSubgraphTest and GenerateMasterTest emit
-// a standalone Go test file (the paper generates JUnit + Mockito via
+// GenerateVertexTest (a vertex's, or in a subgraph-mode trace its
+// component's) and GenerateMasterTest emit a standalone Go test file (the paper generates JUnit + Mockito via
 // Velocity; here it is a Go test over the mock contexts via
 // text/template) that a user copies into their tree and steps through
 // with a line-by-line debugger.

@@ -233,3 +233,30 @@ func TestMustDecodeValueBadInput(t *testing.T) {
 		}()
 	}
 }
+
+// TestResolveEveryPackagedAlgorithm: every name algorithms.ByName takes
+// resolves from a manifest to its algorithm and to the constructor
+// expression generated tests build it with, for each computation it
+// has; a name that is not packaged resolves to nothing.
+func TestResolveEveryPackagedAlgorithm(t *testing.T) {
+	for _, name := range algorithms.Names() {
+		alg, spec := Resolve(trace.JobMeta{Algorithm: name, Seed: 7, Supersteps: 5})
+		if alg == nil || alg.Name != name {
+			t.Errorf("%s: resolved to %+v", name, alg)
+			continue
+		}
+		ctor, ok := strings.CutSuffix(spec.ComputationExpr, ".Compute")
+		if !ok || !strings.HasPrefix(ctor, "algorithms.New") || spec.ExtraImports[0] != "graft/internal/algorithms" {
+			t.Errorf("%s: computation expression %q, imports %v", name, spec.ComputationExpr, spec.ExtraImports)
+		}
+		if want := ctor + ".Master"; (alg.Master != nil) != (spec.MasterExpr == want) {
+			t.Errorf("%s: master expression %q with master %v", name, spec.MasterExpr, alg.Master != nil)
+		}
+		if want := ctor + ".Subgraph"; (alg.Subgraph != nil) != (spec.SubgraphExpr == want) {
+			t.Errorf("%s: subgraph expression %q with subgraph port %v", name, spec.SubgraphExpr, alg.Subgraph != nil)
+		}
+	}
+	if alg, spec := Resolve(trace.JobMeta{Algorithm: "custom", Supersteps: 5}); alg != nil || spec.ComputationExpr != "" {
+		t.Errorf("custom algorithm resolved to %+v, %+v", alg, spec)
+	}
+}

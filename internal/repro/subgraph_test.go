@@ -80,7 +80,7 @@ func firstSubgraph(t *testing.T, db *trace.Reader) (int, *trace.SubgraphCapture)
 func TestGenerateSubgraphTestContents(t *testing.T) {
 	db := wccSubgraphTrace(t)
 	s, sc := firstSubgraph(t, db)
-	code, err := GenerateSubgraphTest(db, s, sc.ID, GenSpec{
+	code, err := GenerateVertexTest(db, s, sc.ID, GenSpec{
 		SubgraphExpr: "algorithms.NewConnectedComponents().Subgraph",
 		ExtraImports: []string{"graft/internal/algorithms"},
 		Assert:       true,
@@ -107,7 +107,7 @@ func TestGenerateSubgraphTestContents(t *testing.T) {
 func TestGenerateSubgraphTestPlaceholder(t *testing.T) {
 	db := wccSubgraphTrace(t)
 	s, sc := firstSubgraph(t, db)
-	code, err := GenerateSubgraphTest(db, s, sc.ID, GenSpec{})
+	code, err := GenerateVertexTest(db, s, sc.ID, GenSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestGenerateSubgraphTestByMember(t *testing.T) {
 		t.Skip("first component has a single member")
 	}
 	member := sc.Members[len(sc.Members)-1]
-	code, err := GenerateSubgraphTest(db, s, member, GenSpec{})
+	code, err := GenerateVertexTest(db, s, member, GenSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestGenerateSubgraphTestByMember(t *testing.T) {
 
 func TestGenerateSubgraphTestErrors(t *testing.T) {
 	db := wccSubgraphTrace(t)
-	if _, err := GenerateSubgraphTest(db, 0, 99999, GenSpec{}); err == nil {
+	if _, err := GenerateVertexTest(db, 0, 99999, GenSpec{}); err == nil {
 		t.Error("expected an error for an uncaptured vertex")
 	}
 }
@@ -179,7 +179,7 @@ func TestSubgraphExceptionCaptureKeepsValuesBefore(t *testing.T) {
 				}
 			}
 			assertReplays(t, db, alg)
-			code, err := GenerateSubgraphTest(db, 1, target, GenSpec{})
+			code, err := GenerateVertexTest(db, 1, target, GenSpec{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -20,8 +20,6 @@ import (
 	"graft/internal/graphgen"
 	"graft/internal/gui"
 	"graft/internal/metrics"
-	"graft/internal/repro"
-	"graft/internal/trace"
 )
 
 // Daemon wraps one graft.Session in HTTP.
@@ -48,26 +46,9 @@ func New(sess *graft.Session) (*Daemon, error) {
 		}
 		return nil
 	})
-	// Reproduce Context and the replay check rebuild a job's algorithm
-	// as source and as a live function from what its manifest recorded.
-	d.gui.AttachAlgorithms(func(meta trace.JobMeta) (*algorithms.Algorithm, repro.GenSpec) {
-		if meta.Supersteps == 0 { // recorded neither; with a budget, seed 0 is a seed
-			meta.Seed, meta.Supersteps = algorithms.DefaultSeed, algorithms.DefaultSupersteps
-		}
-		alg, err := algorithms.ByName(meta.Algorithm, meta.Seed, meta.Supersteps)
-		if err != nil {
-			return nil, repro.GenSpec{}
-		}
-		var spec repro.GenSpec
-		if expr := algorithms.ReproExpr(meta.Algorithm, meta.Seed, meta.Supersteps); expr != "" {
-			spec = repro.GenSpec{ComputationExpr: expr + ".Compute", ExtraImports: []string{"graft/internal/algorithms"}, Assert: true}
-			if alg.Master != nil {
-				spec.MasterExpr = expr + ".Master"
-			}
-		}
-		return alg, spec
-	})
-
+	// The GUI's default resolver (repro.Resolve) rebuilds each job's
+	// algorithm from its manifest for Reproduce Context and the replay
+	// check.
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", d.handleHealth)
 	mux.HandleFunc("POST /api/jobs", d.handleSubmit)
