@@ -37,9 +37,9 @@ type pageRank struct {
 func (pr *pageRank) Compute(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Value) error {
 	n := float64(ctx.TotalNumVertices())
 	s := ctx.Superstep()
-	var rank float64
-	if s == 0 {
-		rank = 1 / n
+	rank := 1 / n
+	if s == 0 { // a fresh box: input vertices may share one value object
+		v.SetValue(pregel.NewDouble(rank))
 	} else {
 		var sum float64
 		for _, m := range msgs {
@@ -47,8 +47,8 @@ func (pr *pageRank) Compute(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.
 		}
 		dangling := ctx.GetAggregated("dangling").(*pregel.DoubleValue).Get()
 		rank = (1-pr.damping)/n + pr.damping*(sum+dangling/n)
+		v.Value().(*pregel.DoubleValue).Set(rank)
 	}
-	v.SetValue(pregel.NewDouble(rank))
 	if s < pr.iterations {
 		if d := v.NumEdges(); d > 0 {
 			ctx.SendMessageToAllEdges(v, pregel.NewDouble(rank/float64(d)))

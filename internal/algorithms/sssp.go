@@ -23,10 +23,11 @@ type sssp struct {
 
 // Compute implements pregel.Computation.
 func (s *sssp) Compute(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Value) error {
-	if ctx.Superstep() == 0 {
+	if ctx.Superstep() == 0 { // a fresh box: input vertices may share one value object
 		v.SetValue(pregel.NewDouble(math.Inf(1)))
 	}
-	min := v.Value().(*pregel.DoubleValue).Get()
+	val := v.Value().(*pregel.DoubleValue)
+	min := val.Get()
 	if ctx.Superstep() == 0 && v.ID() == s.source {
 		min = 0
 	}
@@ -35,8 +36,8 @@ func (s *sssp) Compute(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Value
 			min = d
 		}
 	}
-	if min < v.Value().(*pregel.DoubleValue).Get() || (ctx.Superstep() == 0 && min == 0) {
-		v.SetValue(pregel.NewDouble(min))
+	if min < val.Get() || (ctx.Superstep() == 0 && min == 0) {
+		val.Set(min)
 		for _, e := range v.Edges() {
 			w := 1.0
 			if dv, ok := e.Value.(*pregel.DoubleValue); ok {

@@ -20,6 +20,12 @@ import (
 // should derive randomness deterministically from (seed, vertex ID,
 // superstep). repro.Replay and Graft's recording re-run each execute a
 // Compute a second time and rely on this (DESIGN.md §9).
+//
+// Messages are valid only until Compute returns: the engine reuses the
+// slice and the Values in it (vertex mode delivers a message combined
+// by a standard combiner in one box per worker). A Compute that keeps a
+// message past its return, as its value or anywhere else, keeps
+// CloneValue of it.
 type Computation interface {
 	Compute(ctx Context, v *Vertex, msgs []Value) error
 }

@@ -292,7 +292,9 @@ func (en *engine) install(st *checkpointState) {
 	// the algorithm's output, e.g. matching partners in MWM.
 	for _, vs := range st.parts {
 		for _, v := range vs {
-			en.job.graph.vertices[v.id] = v
+			if k, ok := en.job.graph.index.lookup(v.id); ok {
+				en.job.graph.vs[k] = v
+			}
 		}
 	}
 

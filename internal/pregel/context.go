@@ -23,6 +23,10 @@ type workerCtx struct {
 	// the partition's edge slot column has been checked this superstep.
 	computing *Vertex
 	resolved  bool
+	aggName   string   // this superstep's last GetAggregated name
+	agg       Value    // and its value, nil for none
+	box       Value    // a scalar cell's message, reused for every vertex
+	inbox     [1]Value // hands box to Compute (see Computation.Compute)
 
 	aggPartial map[string]Value
 	removals   []VertexID
@@ -34,11 +38,14 @@ func (c *workerCtx) TotalNumEdges() int64    { return c.numEdges }
 func (c *workerCtx) WorkerID() int           { return c.worker }
 
 func (c *workerCtx) GetAggregated(name string) Value {
-	v, ok := c.en.broadcast[name]
-	if !ok {
-		panic(fmt.Sprintf("pregel: GetAggregated: unregistered aggregator %q", name))
+	if c.agg == nil || name != c.aggName {
+		v, ok := c.en.broadcast[name]
+		if !ok {
+			panic(fmt.Sprintf("pregel: GetAggregated: unregistered aggregator %q", name))
+		}
+		c.aggName, c.agg = name, v
 	}
-	return v
+	return c.agg
 }
 
 func (c *workerCtx) Aggregate(name string, val Value) {

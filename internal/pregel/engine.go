@@ -333,9 +333,9 @@ func newEngine(j *Job) *engine {
 	en := &engine{job: j, cfg: &j.cfg, lastCheckpoint: -1, openRecovery: -1, flushBatch: msgFlushBatch}
 	w := j.cfg.NumWorkers
 	en.slotShift = uint(bits.Len(uint(w - 1)))
-	ids := j.graph.VertexIDs()
-	if n := len(ids); n > 0 {
-		en.idLo, en.idHi, en.idCount = ids[0], ids[n-1], n
+	vs, ranks := j.graph.ordered()
+	if n := len(vs); n > 0 {
+		en.idLo, en.idHi, en.idCount = vs[0].id, vs[n-1].id, n
 	}
 	en.parts = make([]*partition, w)
 	for i := range en.parts {
@@ -347,10 +347,10 @@ func newEngine(j *Job) *engine {
 		// below and before any checkpoint is written, so every consumer
 		// of partitionFor — sends, mutations, checkpoint install — agrees
 		// on the locality placement from superstep 0.
-		en.assign = localityPlacement(j.graph, ids, w)
+		en.assign = localityPlacement(vs, ranks, w)
 	}
-	for _, id := range ids {
-		en.parts[en.partitionFor(id)].add(j.graph.vertices[id])
+	for _, v := range vs {
+		en.parts[en.partitionFor(v.id)].add(v)
 	}
 	en.partActive = make([]int64, w)
 	en.recountActive()
@@ -385,16 +385,26 @@ func (en *engine) partitionFor(id VertexID) int {
 // computeEdgeCut scans every partition's out-edges and counts those
 // whose target routes to a different worker: the edge-cut objective
 // the locality partitioner minimizes. O(E), so it runs once, when a
-// job finishes.
+// job finishes. An edge with a slot in a current edge slot column
+// reads its partition there; the rest are routed.
 func (en *engine) computeEdgeCut() int64 {
 	var cut int64
+	mask := uint32(1)<<en.slotShift - 1
 	for _, p := range en.parts {
+		var col []uint32
+		if current, _ := en.columnCurrent(p); current {
+			col = p.dst
+		}
 		for _, v := range p.slots {
 			if v == nil {
 				continue
 			}
 			for i := range v.edges {
-				if en.partitionFor(v.edges[i].Target) != p.idx {
+				if col != nil && col[int(v.dst)+i] != noSlot {
+					if col[int(v.dst)+i]&mask != uint32(p.idx) {
+						cut++
+					}
+				} else if en.partitionFor(v.edges[i].Target) != p.idx {
 					cut++
 				}
 			}
@@ -726,7 +736,7 @@ func (en *engine) safeMasterCompute(mctx *masterCtx) (err error) {
 func (en *engine) workerCtx(w int, nv, ne int64) *workerCtx {
 	ctx := en.wctx[w]
 	if ctx == nil {
-		ctx = &workerCtx{en: en, worker: w, scalar: en.next.scalar, aggPartial: map[string]Value{}}
+		ctx = &workerCtx{en: en, worker: w, scalar: en.next.scalar, box: en.next.scalar.box(0), aggPartial: map[string]Value{}}
 		en.wctx[w] = ctx
 	}
 	ctx.superstep, ctx.numVertices, ctx.numEdges = en.superstep, nv, ne
@@ -736,7 +746,7 @@ func (en *engine) workerCtx(w int, nv, ne int64) *workerCtx {
 			en.next.grow(&ctx.out[p].cells, len(part.slots))
 		}
 	}
-	ctx.computing, ctx.resolved = nil, false
+	ctx.computing, ctx.resolved, ctx.agg = nil, false, nil
 	clear(ctx.aggPartial)
 	ctx.removals = ctx.removals[:0]
 	return ctx
@@ -790,7 +800,13 @@ func (en *engine) computeFrontier(ctx *workerCtx, part *partition, inbox *messag
 			v := part.slots[slot]
 			var msgs []Value
 			if sh.pending.test(slot) {
-				msgs = inbox.takeCell(&sh.cells, slot)
+				if inbox.scalar == 0 {
+					msgs = inbox.takeCell(&sh.cells, slot)
+				} else { // in the worker's reused box
+					sh.pending.clear(slot)
+					inbox.scalar.setBox(ctx.box, sh.cs[slot])
+					ctx.inbox[0], msgs = ctx.box, ctx.inbox[:]
+				}
 				v.halted = false
 			}
 			res.vertices++

@@ -58,3 +58,37 @@ func (c *compactionProbe) record() {
 		c.lens[i] = len(p.slots)
 	}
 }
+
+// RunCountingCurrentColumns runs j like Job.Run and also returns how
+// many partitions ended it with a current edge slot column: those whose
+// share of Stats.EdgeCut was read from the column.
+func RunCountingCurrentColumns(j *Job) (*Stats, int, error) {
+	en := newEngine(j)
+	en.ctx = context.Background()
+	stats, err := en.run(time.Now())
+	n := 0
+	for _, p := range en.parts {
+		if current, _ := en.columnCurrent(p); current {
+			n++
+		}
+	}
+	return stats, n, err
+}
+
+// Placement returns the worker a job over g with the given partitioner
+// and worker count places each vertex ID on.
+func Placement(g *Graph, mode PartitionerMode, workers int) func(VertexID) int {
+	var assign *idTable
+	if mode == PartitionLocality {
+		vs, idx := g.ordered()
+		assign = localityPlacement(vs, idx, workers)
+	}
+	return func(id VertexID) int {
+		if assign != nil {
+			if p, ok := assign.lookup(id); ok {
+				return p
+			}
+		}
+		return hashPartition(id, workers)
+	}
+}

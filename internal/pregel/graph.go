@@ -12,7 +12,10 @@ import (
 // Graph is an input graph under construction. It is not safe for
 // concurrent mutation: build it on one goroutine, either vertex by
 // vertex or in bulk with NewGraphFromEdges, then hand it to a Job,
-// which partitions it across workers.
+// which partitions it across workers. It holds its vertices in one
+// []*Vertex, in ascending ID order unless AddVertex was called out of
+// it, and one idTable from each ID to its position there. Ordered walks
+// of a graph built out of order sort a copy: reading never writes.
 //
 // A graph built in bulk (NewGraphFromEdges) holds its vertices in one
 // []Vertex slab and its edges in one []Edge slab, both in ascending ID
@@ -23,13 +26,13 @@ import (
 // into its neighbour's. A slab is a single allocation, so one live
 // vertex keeps its whole slab alive.
 type Graph struct {
-	vertices map[VertexID]*Vertex
+	vs       []*Vertex
+	index    idTable // ID → position in vs
+	unsorted bool    // vs is out of ascending ID order
 }
 
 // NewGraph returns an empty graph.
-func NewGraph() *Graph {
-	return &Graph{vertices: make(map[VertexID]*Vertex)}
-}
+func NewGraph() *Graph { return &Graph{} }
 
 // NewGraphFromEdges builds the graph whose vertices are ids ∪ src ∪ dst,
 // each with a nil value, and whose edges are src[i] → dst[i] with value
@@ -63,7 +66,7 @@ func NewGraphFromEdges(ids, src, dst []VertexID, vals []Value) *Graph {
 		}
 		off[k]++
 	}
-	g := &Graph{vertices: make(map[VertexID]*Vertex, n)}
+	g := &Graph{vs: make([]*Vertex, n), index: *ranks}
 	vs := make([]Vertex, n)
 	lo := 0
 	for k, id := range sorted {
@@ -73,7 +76,7 @@ func NewGraphFromEdges(ids, src, dst []VertexID, vals []Value) *Graph {
 			v.edges = es[lo:hi:hi]
 			lo = hi
 		}
-		g.vertices[id] = v
+		g.vs[k] = v
 	}
 	return g
 }
@@ -106,14 +109,20 @@ func rankIDs(cols ...[]VertexID) (*idTable, []VertexID) {
 // existing vertex with the same ID (and its edges).
 func (g *Graph) AddVertex(id VertexID, value Value) *Vertex {
 	v := &Vertex{id: id, value: value}
-	g.vertices[id] = v
+	if k, ok := g.index.lookup(id); ok {
+		g.vs[k] = v
+		return v
+	}
+	g.unsorted = g.unsorted || len(g.vs) > 0 && id < g.vs[len(g.vs)-1].id
+	g.index.set(id, len(g.vs))
+	g.vs = append(g.vs, v)
 	return v
 }
 
 // EnsureVertex returns the vertex with the given ID, creating it with
 // value defaultValue() if absent.
 func (g *Graph) EnsureVertex(id VertexID, defaultValue func() Value) *Vertex {
-	if v, ok := g.vertices[id]; ok {
+	if v := g.Vertex(id); v != nil {
 		return v
 	}
 	var val Value
@@ -125,17 +134,20 @@ func (g *Graph) EnsureVertex(id VertexID, defaultValue func() Value) *Vertex {
 
 // Vertex returns the vertex with the given ID, or nil.
 func (g *Graph) Vertex(id VertexID) *Vertex {
-	return g.vertices[id]
+	if k, ok := g.index.lookup(id); ok {
+		return g.vs[k]
+	}
+	return nil
 }
 
 // AddEdge adds a directed edge. Both endpoints must already exist;
 // use EnsureVertex when loading edge lists.
 func (g *Graph) AddEdge(from, to VertexID, value Value) error {
-	v, ok := g.vertices[from]
-	if !ok {
+	v := g.Vertex(from)
+	if v == nil {
 		return fmt.Errorf("pregel: AddEdge: no vertex %d", from)
 	}
-	if _, ok := g.vertices[to]; !ok {
+	if g.Vertex(to) == nil {
 		return fmt.Errorf("pregel: AddEdge: no vertex %d", to)
 	}
 	v.AddEdge(Edge{Target: to, Value: value})
@@ -152,33 +164,46 @@ func (g *Graph) AddUndirectedEdge(a, b VertexID, value Value) error {
 }
 
 // NumVertices returns the vertex count.
-func (g *Graph) NumVertices() int64 { return int64(len(g.vertices)) }
+func (g *Graph) NumVertices() int64 { return int64(len(g.vs)) }
 
 // NumEdges returns the directed edge count.
 // It counts on every call, so edges added through Vertex.AddEdge are
 // included.
 func (g *Graph) NumEdges() int64 {
 	var n int64
-	for _, v := range g.vertices {
+	for _, v := range g.vs {
 		n += int64(len(v.edges))
 	}
 	return n
 }
 
+// ordered returns the vertices in ascending ID order and the table from
+// each ID to its position there: g's own, or for a graph built out of
+// ID order a sorted copy and a table of its own.
+func (g *Graph) ordered() ([]*Vertex, *idTable) {
+	if !g.unsorted {
+		return g.vs, &g.index
+	}
+	vs := slices.SortedFunc(slices.Values(g.vs), func(a, b *Vertex) int { return cmp.Compare(a.id, b.id) })
+	t := newIDTable(vs[0].id, vs[len(vs)-1].id, len(vs))
+	for k, v := range vs {
+		t.set(v.id, k)
+	}
+	return vs, t
+}
+
 // VertexIDs returns all IDs in ascending order.
 func (g *Graph) VertexIDs() []VertexID {
-	ids := make([]VertexID, 0, len(g.vertices))
-	for id := range g.vertices {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
+	ids := make([]VertexID, 0, len(g.vs))
+	g.Each(func(v *Vertex) { ids = append(ids, v.id) })
 	return ids
 }
 
 // Each calls fn for every vertex in ascending ID order.
 func (g *Graph) Each(fn func(*Vertex)) {
-	for _, id := range g.VertexIDs() {
-		fn(g.vertices[id])
+	vs, _ := g.ordered()
+	for _, v := range vs {
+		fn(v)
 	}
 }
 
@@ -195,18 +220,15 @@ const cloneChunk = 4096
 // filled in ascending ID order with CloneValue of every vertex and edge
 // value.
 func (g *Graph) Clone() *Graph {
-	type entry struct {
-		id VertexID
-		v  *Vertex
-	}
-	all := make([]entry, 0, len(g.vertices))
+	all, _ := g.ordered()
 	m := 0
-	for id, v := range g.vertices {
-		all = append(all, entry{id, v})
+	for _, v := range all {
 		m += len(v.edges)
 	}
-	slices.SortFunc(all, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
-	c := &Graph{vertices: make(map[VertexID]*Vertex, len(all))}
+	c := &Graph{vs: make([]*Vertex, len(all))}
+	if len(all) > 0 {
+		c.index = *newIDTable(all[0].id, all[len(all)-1].id, len(all))
+	}
 	var vs []Vertex
 	var es []Edge
 	left := m // edges not yet copied, so a small graph gets small slabs
@@ -214,20 +236,21 @@ func (g *Graph) Clone() *Graph {
 		if len(vs) == cap(vs) {
 			vs = make([]Vertex, 0, min(cloneChunk, len(all)-k))
 		}
-		if n := len(x.v.edges); len(es)+n > cap(es) {
+		if n := len(x.edges); len(es)+n > cap(es) {
 			es = make([]Edge, 0, max(n, min(cloneChunk, left)))
 		}
-		left -= len(x.v.edges)
+		left -= len(x.edges)
 		lo := len(es)
-		for _, e := range x.v.edges {
+		for _, e := range x.edges {
 			es = append(es, Edge{Target: e.Target, Value: CloneValue(e.Value)})
 		}
-		vs = append(vs, Vertex{id: x.id, value: CloneValue(x.v.value), halted: x.v.halted})
+		vs = append(vs, Vertex{id: x.id, value: CloneValue(x.value), halted: x.halted})
 		v := &vs[len(vs)-1]
 		if hi := len(es); lo < hi {
 			v.edges = es[lo:hi:hi]
 		}
-		c.vertices[x.id] = v
+		c.vs[k] = v
+		c.index.set(v.id, k)
 	}
 	return c
 }
@@ -241,10 +264,11 @@ func (g *Graph) Clone() *Graph {
 func (g *Graph) ValuesDigest() string {
 	h := sha256.New()
 	e := NewEncoder()
-	for _, id := range g.VertexIDs() {
+	vs, _ := g.ordered()
+	for _, v := range vs {
 		e.Reset()
-		e.PutVarint(int64(id))
-		EncodeTyped(e, g.vertices[id].value)
+		e.PutVarint(int64(v.id))
+		EncodeTyped(e, v.value)
 		h.Write(e.Bytes())
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -253,7 +277,7 @@ func (g *Graph) ValuesDigest() string {
 // SortAllEdges orders every adjacency list by target ID so that runs
 // are deterministic regardless of construction order.
 func (g *Graph) SortAllEdges() {
-	for _, v := range g.vertices {
+	for _, v := range g.vs {
 		v.SortEdges()
 	}
 }

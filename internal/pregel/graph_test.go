@@ -338,3 +338,154 @@ func TestGraphPropertyCloneEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGraphOrderedWalks builds graphs vertex by vertex in ascending,
+// descending, shuffled and replacing AddVertex orders and through
+// EnsureVertex, over dense IDs and IDs scattered over ±2^41, and checks
+// every ordered walk against a sorted oracle: VertexIDs, Each,
+// ValuesDigest, and a Clone that keeps values, halt flags, edges and
+// order. No read may change the graph's own order.
+func TestGraphOrderedWalks(t *testing.T) {
+	const n = 300
+	spreads := map[string]func(rng *rand.Rand) []VertexID{
+		"dense": func(*rand.Rand) []VertexID {
+			ids := make([]VertexID, n)
+			for i := range ids {
+				ids[i] = VertexID(i - 40)
+			}
+			return ids
+		},
+		"scattered": func(rng *rand.Rand) []VertexID {
+			seen := map[VertexID]bool{}
+			var ids []VertexID
+			for len(ids) < n {
+				id := VertexID(rng.Int63n(1<<42) - 1<<41)
+				if !seen[id] {
+					seen[id] = true
+					ids = append(ids, id)
+				}
+			}
+			slices.Sort(ids)
+			return ids
+		},
+	}
+	orders := []string{"ascending", "descending", "shuffled", "replaced", "ensure"}
+	for spread, gen := range spreads {
+		for _, order := range orders {
+			t.Run(spread+"/"+order, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(len(spread) + len(order))))
+				ids := gen(rng)
+				adds := slices.Clone(ids)
+				switch order {
+				case "descending":
+					slices.Reverse(adds)
+				case "shuffled", "replaced", "ensure":
+					rng.Shuffle(len(adds), func(i, j int) { adds[i], adds[j] = adds[j], adds[i] })
+				}
+				g := NewGraph()
+				for _, id := range adds {
+					if order == "ensure" {
+						g.EnsureVertex(id, func() Value { return NewLong(int64(id)) })
+						if g.EnsureVertex(id, func() Value { return NewLong(-1) }).Value().(*LongValue).Get() != int64(id) {
+							t.Fatalf("EnsureVertex(%d) replaced an existing vertex", id)
+						}
+					} else {
+						g.AddVertex(id, NewLong(int64(id)))
+					}
+				}
+				want := map[VertexID]int64{}
+				for i, id := range ids {
+					want[id] = int64(id)
+					if err := g.AddEdge(id, ids[(i*7+3)%len(ids)], NewDouble(float64(i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if order == "replaced" {
+					for _, id := range adds[:n/3] {
+						g.AddVertex(id, NewLong(int64(id)*3))
+						want[id] = int64(id) * 3
+					}
+				}
+				for _, id := range ids[:n/4] {
+					g.Vertex(id).VoteToHalt()
+				}
+				if g.unsorted != (order != "ascending") {
+					t.Fatalf("unsorted = %v after %s adds", g.unsorted, order)
+				}
+				before := slices.Clone(g.vs)
+
+				if got := g.VertexIDs(); !slices.Equal(got, ids) {
+					t.Fatalf("VertexIDs out of order or incomplete")
+				}
+				var walked []VertexID
+				g.Each(func(v *Vertex) { walked = append(walked, v.ID()) })
+				if !slices.Equal(walked, ids) {
+					t.Fatalf("Each visited %d vertices out of ID order", len(walked))
+				}
+				if g.NumVertices() != int64(len(want)) {
+					t.Fatalf("NumVertices = %d, want %d", g.NumVertices(), len(want))
+				}
+				c := g.Clone()
+				if !slices.Equal(c.VertexIDs(), ids) || c.unsorted {
+					t.Fatal("clone is not in ascending ID order")
+				}
+				for k, id := range ids {
+					gv, cv := g.Vertex(id), c.Vertex(id)
+					if got := gv.Value().(*LongValue).Get(); got != want[id] {
+						t.Fatalf("vertex %d value %d, want %d", id, got, want[id])
+					}
+					if cv != c.vs[k] || cv == gv || cv.Value() == gv.Value() || !ValuesEqual(cv.Value(), gv.Value()) {
+						t.Fatalf("vertex %d: clone is not a deep copy at position %d", id, k)
+					}
+					if cv.Halted() != gv.Halted() || cv.Halted() != (k < n/4) {
+						t.Fatalf("vertex %d: halted %v, base %v", id, cv.Halted(), gv.Halted())
+					}
+					if !slices.EqualFunc(cv.Edges(), gv.Edges(), func(a, b Edge) bool {
+						return a.Target == b.Target && ValuesEqual(a.Value, b.Value)
+					}) {
+						t.Fatalf("vertex %d: clone edges %v, base %v", id, cv.Edges(), gv.Edges())
+					}
+				}
+				if c.ValuesDigest() != g.ValuesDigest() {
+					t.Fatal("clone has a different values digest")
+				}
+				if !slices.Equal(g.vs, before) {
+					t.Fatal("reading the graph reordered it")
+				}
+			})
+		}
+	}
+}
+
+// TestGraphConcurrentReadsOfUnsortedGraph: ordered walks of a graph
+// built out of ID order sort a copy, so two goroutines may clone and
+// list one graph at once (run under -race).
+func TestGraphConcurrentReadsOfUnsortedGraph(t *testing.T) {
+	g := NewGraph()
+	for _, id := range rand.New(rand.NewSource(3)).Perm(2000) {
+		g.AddVertex(VertexID(id), NewLong(int64(id)))
+	}
+	want := g.ValuesDigest()
+	errs := make(chan string, 2)
+	for range 2 {
+		go func() {
+			for range 5 {
+				ids := g.VertexIDs()
+				if !slices.IsSorted(ids) || len(ids) != 2000 {
+					errs <- "VertexIDs out of order"
+					return
+				}
+				if g.Clone().ValuesDigest() != want {
+					errs <- "clone digest differs"
+					return
+				}
+			}
+			errs <- ""
+		}()
+	}
+	for range 2 {
+		if e := <-errs; e != "" {
+			t.Fatal(e)
+		}
+	}
+}

@@ -306,8 +306,8 @@ func (s *messageStore) replayDeliver(part *partition, to VertexID, msg Value) {
 }
 
 // cell returns the messages in a pending cell. A cs cell is boxed
-// here, freshly each time: Compute may keep the Value (as its vertex
-// value, say), so a reused box would alias across vertices.
+// here, freshly each time, for the paths that may hold several at once
+// (subgraph mode, evict); vertex mode delivers in a reused box.
 func (s *messageStore) cell(cl *cells, slot int) []Value {
 	switch {
 	case s.scalar != 0:

@@ -53,10 +53,10 @@ const localitySlack = 0.05
 const localityRestreamPasses = 2
 
 // localityPlacement computes the streaming locality-aware assignment
-// of g's vertices, whose IDs ids holds in ascending order, across
-// numParts workers and returns the table of assignments that differ
-// from the hash placement (nil when nothing diverges, so
-// hash-equivalent graphs keep the nil fast path).
+// of vs, in ascending ID order with idx mapping each ID to its position
+// (Graph.ordered), across numParts workers and returns the table of
+// assignments that differ from the hash placement (nil when nothing
+// diverges, so hash-equivalent graphs keep the nil fast path).
 //
 // The stream visits vertices in ascending ID order. Each vertex scores
 // every partition by the number of already-placed neighbors there
@@ -65,21 +65,17 @@ const localityRestreamPasses = 2
 // ties break toward the lighter then lower-indexed partition, and a
 // vertex with no placed neighbors goes to the least-loaded partition.
 // Everything is deterministic: same graph, same placement, every run.
-func localityPlacement(g *Graph, ids []VertexID, numParts int) *idTable {
-	n := len(ids)
+func localityPlacement(vs []*Vertex, idx *idTable, numParts int) *idTable {
+	n := len(vs)
 	if n == 0 || numParts <= 1 {
 		return nil
-	}
-	idx := newIDTable(ids[0], ids[n-1], n)
-	for i, id := range ids {
-		idx.set(id, i)
 	}
 	// Undirected CSR adjacency: every edge contributes both directions,
 	// so the placer sees in-neighbors too (a directed chain would
 	// otherwise stream with zero placed neighbors at every step).
 	deg := make([]int32, n)
-	for i, id := range ids {
-		for _, e := range g.vertices[id].edges {
+	for i, v := range vs {
+		for _, e := range v.edges {
 			j, ok := idx.lookup(e.Target)
 			if !ok || j == i {
 				continue
@@ -95,8 +91,8 @@ func localityPlacement(g *Graph, ids []VertexID, numParts int) *idTable {
 	adj := make([]int32, off[n])
 	fill := make([]int, n)
 	copy(fill, off[:n])
-	for i, id := range ids {
-		for _, e := range g.vertices[id].edges {
+	for i, v := range vs {
+		for _, e := range v.edges {
 			j, ok := idx.lookup(e.Target)
 			if !ok || j == i {
 				continue
@@ -164,14 +160,14 @@ func localityPlacement(g *Graph, ids []VertexID, numParts int) *idTable {
 	}
 
 	var t *idTable
-	for i, id := range ids {
-		if int(placed[i]) == hashPartition(id, numParts) {
+	for i, v := range vs {
+		if int(placed[i]) == hashPartition(v.id, numParts) {
 			continue
 		}
 		if t == nil {
-			t = newIDTable(ids[0], ids[n-1], n)
+			t = newIDTable(vs[0].id, vs[n-1].id, n)
 		}
-		t.set(id, int(placed[i]))
+		t.set(v.id, int(placed[i]))
 	}
 	return t
 }

@@ -57,8 +57,9 @@ func TestHashPartitionMatchesFibonacciFormula(t *testing.T) {
 func TestLocalityPlacementDeterministicAndBalanced(t *testing.T) {
 	g := clusteredGraph(t, 16, 40, 9)
 	const k = 4
-	a := localityPlacement(g, g.VertexIDs(), k)
-	b := localityPlacement(g, g.VertexIDs(), k)
+	vs, idx := g.ordered()
+	a := localityPlacement(vs, idx, k)
+	b := localityPlacement(vs, idx, k)
 	if a == nil || b == nil {
 		t.Fatal("locality placement returned nil on a clustered graph")
 	}

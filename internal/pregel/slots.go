@@ -170,6 +170,16 @@ func (p *partition) targetsChanged(v *Vertex) {
 	v.dst = -1
 }
 
+// columnCurrent reports whether p's edge slot column is current, and
+// the sum of every partition's slotGen, which moves with any slot.
+func (en *engine) columnCurrent(p *partition) (bool, uint64) {
+	var moves uint64
+	for _, q := range en.parts {
+		moves += q.slotGen
+	}
+	return !p.dstStale && p.dstMoves == moves, moves
+}
+
 // noSlot is the column entry of an edge whose target has no slot, or
 // whose slot does not fit the encoding.
 const noSlot = ^uint32(0)
@@ -180,11 +190,8 @@ const noSlot = ^uint32(0)
 // worker may call it, during the compute phase, when every partition's
 // slots are read-only.
 func (en *engine) resolveEdges(p *partition) {
-	var moves uint64
-	for _, q := range en.parts {
-		moves += q.slotGen
-	}
-	if !p.dstStale && p.dstMoves == moves {
+	current, moves := en.columnCurrent(p)
+	if current {
 		return
 	}
 	p.dstMoves, p.dstStale = moves, false

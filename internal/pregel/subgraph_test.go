@@ -8,14 +8,13 @@ import (
 func subgraphTestPartition(t *testing.T, edges map[VertexID][]VertexID, ids ...VertexID) *partition {
 	t.Helper()
 	p := &partition{}
-	vs := map[VertexID]*Vertex{}
 	for _, id := range ids {
-		vs[id] = NewDetachedVertex(id, NewLong(int64(id)))
-		p.add(vs[id])
+		p.add(NewDetachedVertex(id, NewLong(int64(id))))
 	}
 	for from, tos := range edges {
+		s, _ := p.index.lookup(from)
 		for _, to := range tos {
-			vs[from].edges = append(vs[from].edges, Edge{Target: to})
+			p.slots[s].edges = append(p.slots[s].edges, Edge{Target: to})
 		}
 	}
 	return p
