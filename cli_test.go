@@ -331,7 +331,7 @@ func TestCLILiveMetrics(t *testing.T) {
 		Totals     map[string]any   `json:"totals"`
 	}
 	fetch("/metrics", &doc)
-	if doc.JobID != "pr-live" || len(doc.Supersteps) == 0 || doc.Totals["vertices_processed"].(float64) <= 0 {
+	if doc.JobID != "pr-live" || len(doc.Supersteps) == 0 || doc.Totals["vertices"].(float64) <= 0 {
 		t.Fatalf("/metrics = job %q, %d supersteps, totals %v", doc.JobID, len(doc.Supersteps), doc.Totals)
 	}
 	for _, key := range []string{"compute_ns", "barrier_ns", "compute_skew", "straggler", "workers"} {

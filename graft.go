@@ -268,11 +268,15 @@ type RunResult struct {
 }
 
 // Run executes comp over g, attaching Graft when opts.Debug is set.
-// The engine mutates g in place; clone the graph to reuse it. Run is a
-// compatibility wrapper over a one-job Session: long-lived callers that
-// multiplex jobs (or need cancellation) should use NewSession and
-// Session.Submit, whose Job handles add Wait/Cancel/State on the same
-// execution path.
+// The engine mutates g in place; clone the graph to reuse it. Run does
+// not go through a Session: it assembles and runs the job on the
+// calling goroutine, with no queue, no metrics registry and so no
+// job.metrics beside a debugged job's trace (`graft run` wires a
+// metrics.Registry as the engine listener and writes one itself).
+// Long-lived callers that multiplex jobs (or need cancellation) should
+// use NewSession and Session.Submit, whose Job handles add
+// Wait/Cancel/State and whose jobs each get a registry and, when
+// debugged, a job.metrics.
 //
 // When the computation itself fails (an exception scenario), Run
 // returns both the error and a RunResult: the trace — including the

@@ -476,14 +476,19 @@ func TestOfflinePremadeGraphs(t *testing.T) {
 		}
 		mustContain(t, body, "<svg")
 	}
-	// Unknown kind rejected.
-	resp, err := client.PostForm(ts.URL+"/offline/premade", url.Values{"kind": {"mobius"}, "n": {"4"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown premade kind: status %d", resp.StatusCode)
+	// An unknown kind and a size over the bound are rejected.
+	for _, form := range []url.Values{
+		{"kind": {"mobius"}, "n": {"4"}},
+		{"kind": {"path"}, "n": {strconv.Itoa(maxPremadeVertices + 1)}, "name": {"huge"}},
+	} {
+		resp, err := client.PostForm(ts.URL+"/offline/premade", form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("premade %v: status %d, want 400", form, resp.StatusCode)
+		}
 	}
 }
 

@@ -21,24 +21,26 @@ func seedMetrics(jobID string) metrics.JobMetrics {
 	reg.JobStarted(pregel.JobInfo{NumWorkers: 2, NumVertices: 50, NumEdges: 120})
 	for i := 0; i < 2; i++ {
 		reg.SuperstepFinished(i, pregel.SuperstepStats{
-			Superstep:         i,
-			ActiveAtEnd:       int64(50 - i*25),
-			MessagesSent:      120,
-			MessagesReceived:  120,
-			VerticesProcessed: 50,
-			ComputeTime:       4 * time.Millisecond,
-			BarrierWait:       time.Millisecond,
-			CaptureTime:       200 * time.Microsecond,
-			ComputeSkew:       1.8, // above the 1.5 straggler threshold
-			MessageSkew:       1.1,
-			Straggler:         1,
+			Superstep:   i,
+			ActiveAtEnd: int64(50 - i*25),
+			Counters: pregel.Counters{
+				MessagesSent:      120,
+				MessagesReceived:  120,
+				VerticesProcessed: 50,
+				ComputeTime:       4 * time.Millisecond,
+				BarrierWait:       time.Millisecond,
+				CaptureTime:       200 * time.Microsecond,
+			},
+			ComputeSkew: 1.8, // above the 1.5 straggler threshold
+			MessageSkew: 1.1,
+			Straggler:   1,
 			Workers: []pregel.WorkerStepStats{
-				{Worker: 0, VerticesProcessed: 25, MessagesSent: 60, ComputeTime: 2 * time.Millisecond, BarrierWait: 2 * time.Millisecond},
-				{Worker: 1, VerticesProcessed: 25, MessagesSent: 60, ComputeTime: 4 * time.Millisecond},
+				{Worker: 0, Counters: pregel.Counters{VerticesProcessed: 25, MessagesSent: 60, ComputeTime: 2 * time.Millisecond, BarrierWait: 2 * time.Millisecond}},
+				{Worker: 1, Counters: pregel.Counters{VerticesProcessed: 25, MessagesSent: 60, ComputeTime: 4 * time.Millisecond}},
 			},
 		})
 	}
-	reg.JobFinished(&pregel.Stats{Supersteps: 2, Runtime: 20 * time.Millisecond}, nil)
+	reg.JobFinished(&pregel.Stats{Supersteps: 2, JobEnd: pregel.JobEnd{Runtime: 20 * time.Millisecond}}, nil)
 	return reg.Snapshot()
 }
 

@@ -82,8 +82,17 @@ func (s *Server) handleOfflineNew(w http.ResponseWriter, r *http.Request) {
 	http.Redirect(w, r, "/offline/"+r.FormValue("name"), http.StatusSeeOther)
 }
 
-// PremadeGraph builds one of the offline mode's menu graphs.
+// maxPremadeVertices bounds a premade graph's size: the view draws
+// every vertex in one SVG, and the graph is built on the request
+// goroutine.
+const maxPremadeVertices = 1000
+
+// PremadeGraph builds one of the offline mode's menu graphs of about n
+// vertices; n above maxPremadeVertices is an error.
 func PremadeGraph(kind string, n int) (*pregel.Graph, error) {
+	if n > maxPremadeVertices {
+		return nil, fmt.Errorf("gui: premade graph size %d is over %d", n, maxPremadeVertices)
+	}
 	if n < 2 {
 		n = 2
 	}

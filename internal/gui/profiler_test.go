@@ -21,20 +21,22 @@ func seedProfilerMetrics(jobID string) metrics.JobMetrics {
 	reg.JobStarted(pregel.JobInfo{NumWorkers: 2, NumVertices: 50, NumEdges: 120})
 	for i := 0; i < 3; i++ {
 		ss := pregel.SuperstepStats{
-			Superstep:         i,
-			ActiveAtEnd:       int64(50 - i*10),
-			MessagesSent:      100,
-			MessagesReceived:  100,
-			VerticesProcessed: 50,
-			ComputeTime:       4 * time.Millisecond,
-			BarrierWait:       time.Millisecond,
-			CaptureTime:       200 * time.Microsecond,
-			ComputeSkew:       1.1,
-			MessageSkew:       1.0,
-			Straggler:         -1,
+			Superstep:   i,
+			ActiveAtEnd: int64(50 - i*10),
+			Counters: pregel.Counters{
+				MessagesSent:      100,
+				MessagesReceived:  100,
+				VerticesProcessed: 50,
+				ComputeTime:       4 * time.Millisecond,
+				BarrierWait:       time.Millisecond,
+				CaptureTime:       200 * time.Microsecond,
+			},
+			ComputeSkew: 1.1,
+			MessageSkew: 1.0,
+			Straggler:   -1,
 			Workers: []pregel.WorkerStepStats{
-				{Worker: 0, VerticesProcessed: 25, MessagesSent: 50, ComputeTime: 2 * time.Millisecond, BarrierWait: 2 * time.Millisecond},
-				{Worker: 1, VerticesProcessed: 25, MessagesSent: 50, ComputeTime: 4 * time.Millisecond, CaptureTime: 100 * time.Microsecond},
+				{Worker: 0, Counters: pregel.Counters{VerticesProcessed: 25, MessagesSent: 50, ComputeTime: 2 * time.Millisecond, BarrierWait: 2 * time.Millisecond}},
+				{Worker: 1, Counters: pregel.Counters{VerticesProcessed: 25, MessagesSent: 50, ComputeTime: 4 * time.Millisecond, CaptureTime: 100 * time.Microsecond}},
 			},
 			Traffic: [][]int64{{25, 25}, {25, 25}},
 		}
@@ -50,7 +52,7 @@ func seedProfilerMetrics(jobID string) metrics.JobMetrics {
 		}
 		reg.SuperstepFinished(i, ss)
 	}
-	reg.JobFinished(&pregel.Stats{Supersteps: 3, Runtime: 20 * time.Millisecond}, nil)
+	reg.JobFinished(&pregel.Stats{Supersteps: 3, JobEnd: pregel.JobEnd{Runtime: 20 * time.Millisecond}}, nil)
 	return reg.Snapshot()
 }
 

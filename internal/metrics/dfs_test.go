@@ -98,3 +98,24 @@ func TestDebugVarsExportsDFS(t *testing.T) {
 		t.Error("/debug/vars exports graft.dfs.* with no DFS source registered")
 	}
 }
+
+// TestReadJobMetricsRefoldsTotals reads a job.metrics written before the
+// job totals took the per-superstep key names: its totals are folded
+// again from the superstep rows, whose keys did not change.
+func TestReadJobMetricsRefoldsTotals(t *testing.T) {
+	fs := dfs.NewMemFS()
+	old := `{"job_id":"old","supersteps":[{"superstep":0,"sent":5,"vertices":3,"compute_ns":40},` +
+		`{"superstep":1,"sent":2,"vertices":3,"compute_ns":60,"compute_skew":1.5}],` +
+		`"totals":{"messages_sent":7,"vertices_processed":6,"compute_ns":100,"max_compute_skew":1.5},"runtime_ns":900}`
+	if err := dfs.WriteFile(fs, "job.metrics", []byte(old)); err != nil {
+		t.Fatal(err)
+	}
+	jm, err := ReadJobMetrics(fs, "job.metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pregel.Totals{Counters: pregel.Counters{MessagesSent: 7, VerticesProcessed: 6, ComputeTime: 100}, MaxComputeSkew: 1.5}
+	if jm.Totals != want || jm.Runtime != 900 {
+		t.Errorf("read totals %+v runtime %v, want %+v and 900ns", jm.Totals, jm.Runtime, want)
+	}
+}

@@ -17,15 +17,17 @@ func seededRegistry() *Registry {
 	reg.JobStarted(pregel.JobInfo{NumWorkers: 4, NumVertices: 100, NumEdges: 250})
 	for i := 0; i < 2; i++ {
 		reg.SuperstepFinished(i, pregel.SuperstepStats{
-			Superstep:         i,
-			ActiveAtEnd:       100,
-			MessagesSent:      250,
-			VerticesProcessed: 100,
-			ComputeTime:       2 * time.Millisecond,
-			BarrierWait:       time.Millisecond,
-			CaptureTime:       100 * time.Microsecond,
-			ComputeSkew:       1.2,
-			Straggler:         3,
+			Superstep:   i,
+			ActiveAtEnd: 100,
+			Counters: pregel.Counters{
+				MessagesSent:      250,
+				VerticesProcessed: 100,
+				ComputeTime:       2 * time.Millisecond,
+				BarrierWait:       time.Millisecond,
+				CaptureTime:       100 * time.Microsecond,
+			},
+			ComputeSkew: 1.2,
+			Straggler:   3,
 		})
 	}
 	return reg

@@ -47,18 +47,16 @@ type jsonlSuperstep struct {
 	pregel.SuperstepStats
 }
 
-// jsonlEnd is the job_end event payload.
+// jsonlEnd is the job_end event payload: the job's totals and its
+// job-end record, as job.metrics has them.
 type jsonlEnd struct {
-	Event         string            `json:"event"` // "job_end"
-	JobID         string            `json:"job_id"`
-	Supersteps    int               `json:"supersteps"`
-	Reason        string            `json:"reason,omitempty"`
-	Error         string            `json:"error,omitempty"`
-	RuntimeNanos  int64             `json:"runtime_ns"`
-	RecoveryNanos int64             `json:"recovery_ns"`
-	Recoveries    int               `json:"recoveries"`
-	Totals        pregel.Totals     `json:"totals"`
-	Faults        pregel.FaultStats `json:"faults"`
+	Event      string        `json:"event"` // "job_end"
+	JobID      string        `json:"job_id"`
+	Supersteps int           `json:"supersteps"`
+	Reason     string        `json:"reason,omitempty"`
+	Error      string        `json:"error,omitempty"`
+	Totals     pregel.Totals `json:"totals"`
+	pregel.JobEnd
 }
 
 func (s *JSONLSink) emit(v any) {
@@ -94,10 +92,8 @@ func (s *JSONLSink) Superstep(jm *JobMetrics, ss pregel.SuperstepStats) {
 // JobEnd implements Sink.
 func (s *JSONLSink) JobEnd(jm *JobMetrics) {
 	s.emit(jsonlEnd{
-		Event: "job_end", JobID: jm.JobID,
-		Supersteps: len(jm.Supersteps), Reason: jm.Reason, Error: jm.Error,
-		RuntimeNanos: jm.RuntimeNanos, RecoveryNanos: jm.RecoveryNanos,
-		Recoveries: jm.Recoveries, Totals: jm.Totals, Faults: jm.Faults,
+		Event: "job_end", JobID: jm.JobID, Supersteps: len(jm.Supersteps),
+		Reason: jm.Reason, Error: jm.Error, Totals: jm.Totals, JobEnd: jm.JobEnd,
 	})
 	s.mu.Lock()
 	if err := s.w.Flush(); err != nil && s.err == nil {
@@ -138,11 +134,11 @@ var volatileDropKeys = map[string]bool{
 }
 
 // NormalizeJSONL rewrites a JSONL metrics stream with every
-// timing-derived field (the table's Duration, Ratio and Gauge rows)
-// zeroed and object keys sorted, leaving only the deterministic
-// structure (supersteps, message counts, vertices, reasons, fault
-// counters), so two runs of the same job compare byte-for-byte; the
-// golden-file test relies on it.
+// timing-derived field (the table's Duration, Ratio and Gauge rows, and
+// a recovery event's duration) zeroed and object keys sorted, leaving
+// only the deterministic structure (supersteps, message counts,
+// vertices, reasons, fault counters), so two runs of the same job
+// compare byte-for-byte; the golden-file test relies on it.
 func NormalizeJSONL(data []byte) ([]byte, error) {
 	var out bytes.Buffer
 	volatile := volatileKeys()

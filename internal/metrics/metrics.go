@@ -12,9 +12,12 @@
 //   - a per-job metrics file persisted next to the trace, which the
 //     GUI's dashboard page renders offline.
 //
-// What a job's numbers are called, how they print and where they show
-// is declared once, in Table (table.go); pregel.Totals.Add is the one
-// fold from supersteps to job totals.
+// A job's additive numbers are declared once, as the fields of
+// pregel.Counters, which worker rows, superstep rows and job totals
+// share (Counters.Add is the one fold); its job-end numbers are
+// pregel.JobEnd, which pregel.Stats and JobMetrics share. What each is
+// called, how it prints and where it shows is declared once, in Table
+// (table.go).
 //
 // The hot path stays lock-free: workers record into their own padded
 // slots inside the engine and the coordinator folds them at the
@@ -46,21 +49,15 @@ type JobMetrics struct {
 	// Supersteps has one entry per finished superstep, in order.
 	Supersteps []pregel.SuperstepStats `json:"supersteps"`
 	Totals     pregel.Totals           `json:"totals"`
-	// Reason/Error/RuntimeNanos are filled at job end.
-	Reason       string `json:"reason,omitempty"`
-	Error        string `json:"error,omitempty"`
-	RuntimeNanos int64  `json:"runtime_ns"`
-	// RecoveryNanos is the portion of the runtime spent restoring
-	// checkpoints.
-	RecoveryNanos int64 `json:"recovery_ns"`
-	Recoveries    int   `json:"recoveries"`
-	// RecoveryEvents break each recovery down: failure point,
-	// checkpoint, re-executed supersteps and cost (filled at job end).
-	RecoveryEvents []pregel.RecoveryEvent `json:"recovery_events,omitempty"`
-	// Faults carries the storage-resilience counters: live snapshots of
-	// the registered fault sources while the job runs, the engine's
-	// final folded FaultStats afterwards.
-	Faults pregel.FaultStats `json:"faults"`
+	// Reason, Error, Partitioner and JobEnd are filled at job end;
+	// Partitioner names the placement mode the job ran with ("hash" or
+	// "locality"). JobEnd's Faults is the exception: while the job runs,
+	// Snapshot fills it with live readings of the registered fault
+	// sources.
+	Reason      string `json:"reason,omitempty"`
+	Error       string `json:"error,omitempty"`
+	Partitioner string `json:"partitioner,omitempty"`
+	pregel.JobEnd
 	// DFS carries the distributed-store data-path counters (bytes
 	// moved, quarantined replicas, write retries) when a DFS source
 	// is registered; nil otherwise.
@@ -70,14 +67,6 @@ type JobMetrics struct {
 	// Supersteps); AnomalyCounts rolls them up by kind.
 	Anomalies     []anomaly.Event `json:"anomalies,omitempty"`
 	AnomalyCounts map[string]int  `json:"anomaly_counts,omitempty"`
-	// Partitioner names the placement mode the job ran with ("hash" or
-	// "locality"); PartitionSizes is the per-worker vertex count at job
-	// end and EdgeCut the final cross-partition directed-edge count —
-	// the placement-quality view graft show and the GUI job page render
-	// (filled at job end).
-	Partitioner    string  `json:"partitioner,omitempty"`
-	PartitionSizes []int64 `json:"partition_sizes,omitempty"`
-	EdgeCut        int64   `json:"edge_cut,omitempty"`
 }
 
 // TrafficTotal sums a job's captured traffic matrices: the number of
@@ -207,9 +196,9 @@ func (r *Registry) JobFinished(stats *pregel.Stats, err error) {
 	defer r.mu.Unlock()
 	r.jm.Running = false
 	if stats != nil {
+		r.jm.JobEnd = stats.JobEnd
 		r.jm.Reason = stats.Reason.String()
-		r.jm.RecoveryEvents = stats.RecoveryEvents
-		finish(&r.jm, stats)
+		r.jm.Partitioner = stats.Partitioner.String()
 	}
 	if err != nil {
 		r.jm.Error = err.Error()

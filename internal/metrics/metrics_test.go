@@ -107,11 +107,11 @@ func TestRegistryConcurrentSnapshots(t *testing.T) {
 	if snap.Reason == "" {
 		t.Error("Reason empty after job end")
 	}
-	if snap.RuntimeNanos <= 0 {
-		t.Error("RuntimeNanos not recorded")
+	if snap.Runtime <= 0 {
+		t.Error("Runtime not recorded")
 	}
-	if snap.Totals.ComputeNanos <= 0 {
-		t.Error("ComputeNanos not folded")
+	if snap.Totals.ComputeTime <= 0 {
+		t.Error("ComputeTime not folded")
 	}
 }
 
@@ -131,7 +131,7 @@ func TestSnapshotOverlaysLiveFaultSources(t *testing.T) {
 
 	// After the job ends the engine's folded stats win over the live
 	// sources (which may double-count layers the engine already folded).
-	reg.JobFinished(&pregel.Stats{Faults: pregel.FaultStats{Injected: 9}}, nil)
+	reg.JobFinished(&pregel.Stats{JobEnd: pregel.JobEnd{Faults: pregel.FaultStats{Injected: 9}}}, nil)
 	if got := reg.Snapshot().Faults; got.Injected != 9 {
 		t.Errorf("final faults = %+v, want the engine's injected=9", got)
 	}
@@ -180,19 +180,21 @@ func TestJSONLGolden(t *testing.T) {
 }
 
 func TestNormalizeJSONLZeroesVolatileFields(t *testing.T) {
-	in := []byte(`{"event":"superstep","superstep":1,"compute_ns":12345,"workers":[{"worker":0,"compute_ns":999,"barrier_ns":5}],"sent":7}` + "\n")
+	in := []byte(`{"event":"superstep","superstep":1,"compute_ns":12345,"workers":[{"worker":0,"compute_ns":999,"barrier_ns":5}],"sent":7}` + "\n" +
+		`{"event":"job_end","recovery_events":[{"superstep":2,"duration_ns":77}],"runtime_ns":9}` + "\n")
 	out, err := NormalizeJSONL(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"compute_ns":0,"event":"superstep","sent":7,"superstep":1,"workers":[{"barrier_ns":0,"compute_ns":0,"worker":0}]}` + "\n"
+	want := `{"compute_ns":0,"event":"superstep","sent":7,"superstep":1,"workers":[{"barrier_ns":0,"compute_ns":0,"worker":0}]}` + "\n" +
+		`{"event":"job_end","recovery_events":[{"duration_ns":0,"superstep":2}],"runtime_ns":0}` + "\n"
 	if string(out) != want {
 		t.Errorf("normalized = %s, want %s", out, want)
 	}
 }
 
 func TestTotalsCaptureOverhead(t *testing.T) {
-	tt := pregel.Totals{ComputeNanos: 200, CaptureNanos: 10}
+	tt := pregel.Totals{Counters: pregel.Counters{ComputeTime: 200, CaptureTime: 10}}
 	if got := tt.CaptureOverhead(); got != 0.05 {
 		t.Errorf("CaptureOverhead = %v, want 0.05", got)
 	}
@@ -219,8 +221,8 @@ func (failingWriter) Write(p []byte) (int, error) { return 0, os.ErrClosed }
 func TestRegistryStringSummarizes(t *testing.T) {
 	reg := NewRegistry("job-1", "cc")
 	reg.SuperstepFinished(0, pregel.SuperstepStats{
-		Superstep:   0,
-		ComputeTime: 3 * time.Millisecond,
+		Superstep: 0,
+		Counters:  pregel.Counters{ComputeTime: 3 * time.Millisecond},
 	})
 	s := reg.String()
 	if s == "" || !bytes.Contains([]byte(s), []byte("job-1")) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"graft/internal/dfs"
+	"graft/internal/pregel"
 )
 
 // ErrNoMetrics is returned by ReadJobMetrics when a job was traced
@@ -34,5 +35,12 @@ func ReadJobMetrics(fs dfs.FileSystem, path string) (JobMetrics, error) {
 		return jm, err
 	}
 	err = json.Unmarshal(raw, &jm)
+	// The registry adds each superstep to both Supersteps and Totals,
+	// so refolding changes nothing in a current file and restores the
+	// totals of one written before they took the per-superstep keys.
+	jm.Totals = pregel.Totals{}
+	for _, ss := range jm.Supersteps {
+		jm.Totals.Add(ss)
+	}
 	return jm, err
 }

@@ -27,10 +27,10 @@ const (
 // Table: /debug/vars, the dashboard's summary block and its
 // per-superstep and per-worker tables, the profiler's caption, the
 // `graft run` summary and `graft show`'s placement line (Sections),
-// Registry.String, the job-end copy out of pregel.Stats and the keys
-// NormalizeJSONL zeroes. On pages a zero value is not shown.
+// Registry.String and the keys NormalizeJSONL zeroes. On pages a zero
+// value is not shown.
 //
-// Job, End, Step and Worker are dotted paths of field and niladic
+// Job, Step and Worker are dotted paths of field and niladic
 // method names, read by reflection when a page or scrape asks (never at
 // a barrier); a name that does not resolve panics at start-up (init
 // walks them all). A nil pointer on the way reads as absent, a Count of
@@ -51,21 +51,20 @@ type Metric struct {
 	NoVars bool
 
 	Job    string // in JobMetrics; without it the row is a per-superstep column only
-	End    string // in pregel.Stats: copied into Job when the job finishes
 	Step   string // in pregel.SuperstepStats
 	Worker string // in pregel.WorkerStepStats
 }
 
 // Table is every metric of a job, in display order; rows sharing a Line
-// are adjacent. Adding one is its source field (pregel.SuperstepStats
-// and pregel.Totals with a line in Totals.Add, or pregel.Stats and
-// JobMetrics) plus one row here.
+// are adjacent. Adding one is its source field — in pregel.Counters,
+// which workers, supersteps and job totals share, or in pregel.JobEnd,
+// which pregel.Stats and JobMetrics share — plus one row here.
 var Table = []Metric{
 	{Key: "job_id", Unit: Text, Job: "JobID"},
 	{Key: "running", Unit: Text, Job: "Running"},
 	{Key: "num_workers", Label: "Workers", Job: "NumWorkers"},
 	{Key: "supersteps", Label: "Supersteps", Job: "Supersteps"},
-	{Key: "runtime_ns", Label: "Runtime", Unit: Duration, NoVars: true, Job: "RuntimeNanos", End: "Runtime"},
+	{Key: "runtime_ns", Label: "Runtime", Unit: Duration, NoVars: true, Job: "Runtime"},
 	{Key: "vertices_processed", Label: "Vertices processed", Job: "Totals.VerticesProcessed", Step: "VerticesProcessed", Worker: "VerticesProcessed"},
 	{Key: "active", Label: "Active after", Step: "ActiveAtEnd"},
 	{Key: "messages_sent", Label: "Messages sent", Job: "Totals.MessagesSent", Step: "MessagesSent", Worker: "MessagesSent"},
@@ -73,30 +72,30 @@ var Table = []Metric{
 	{Key: "messages_received", Label: "Received", Job: "Totals.MessagesReceived", Step: "MessagesReceived", Worker: "MessagesReceived"},
 	{Key: "traffic_messages", Job: "TrafficTotal"},
 
-	{Key: "compute_ns", Label: "Compute", Unit: Duration, Line: "phases", Job: "Totals.ComputeNanos", Step: "ComputeTime", Worker: "ComputeTime"},
-	{Key: "barrier_ns", Label: "Barrier wait", Unit: Duration, Line: "phases", Job: "Totals.BarrierNanos", Step: "BarrierWait", Worker: "BarrierWait"},
-	{Key: "capture_ns", Label: "Capture", Unit: Duration, Line: "phases", Job: "Totals.CaptureNanos", Step: "CaptureTime", Worker: "CaptureTime"},
+	{Key: "compute_ns", Label: "Compute", Unit: Duration, Line: "phases", Job: "Totals.ComputeTime", Step: "ComputeTime", Worker: "ComputeTime"},
+	{Key: "barrier_ns", Label: "Barrier wait", Unit: Duration, Line: "phases", Job: "Totals.BarrierWait", Step: "BarrierWait", Worker: "BarrierWait"},
+	{Key: "capture_ns", Label: "Capture", Unit: Duration, Line: "phases", Job: "Totals.CaptureTime", Step: "CaptureTime", Worker: "CaptureTime"},
 	{Key: "capture_overhead", Label: "Capture / compute", Unit: Percent, Line: "phases", Job: "Totals.CaptureOverhead"},
-	{Key: "flush_ns", Label: "Trace flush", Unit: Duration, Line: "phases", Job: "Totals.FlushNanos", Step: "FlushTime"},
+	{Key: "flush_ns", Label: "Trace flush", Unit: Duration, Line: "phases", Job: "Totals.FlushTime", Step: "FlushTime"},
 	{Key: "max_compute_skew", Label: "Compute skew", Unit: Ratio, Line: "phases", Job: "Totals.MaxComputeSkew", Step: "ComputeSkew"},
 	{Key: "max_message_skew", Label: "Message skew", Unit: Ratio, Line: "phases", Job: "Totals.MaxMessageSkew", Step: "MessageSkew"},
 	{Key: "straggler", Label: "Straggler", Unit: Gauge, Step: "Straggler"},
 
-	{Key: "subgraphs_computed", Label: "Subgraphs computed", Line: "subgraph mode", Job: "Totals.SubgraphsComputed", Step: "SubgraphsComputed", Worker: "Subgraphs"},
-	{Key: "internal_iterations", Label: "Internal iterations", Line: "subgraph mode", Job: "Totals.InternalIterations", Step: "InternalIterations", Worker: "Iterations"},
+	{Key: "subgraphs_computed", Label: "Subgraphs computed", Line: "subgraph mode", Job: "Totals.SubgraphsComputed", Step: "SubgraphsComputed", Worker: "SubgraphsComputed"},
+	{Key: "internal_iterations", Label: "Internal iterations", Line: "subgraph mode", Job: "Totals.InternalIterations", Step: "InternalIterations", Worker: "InternalIterations"},
 
-	{Key: "recoveries", Label: "Recoveries", Line: "resilience", Job: "Recoveries", End: "Recoveries"},
-	{Key: "recovery_ns", Label: "Recovery", Unit: Duration, Line: "resilience", NoVars: true, Job: "RecoveryNanos", End: "RecoveryTime"},
-	{Key: "faults", Label: "Faults", Unit: Text, Line: "resilience", NoVars: true, Job: "Faults", End: "Faults"},
+	{Key: "recoveries", Label: "Recoveries", Line: "resilience", Job: "Recoveries"},
+	{Key: "recovery_ns", Label: "Recovery", Unit: Duration, Line: "resilience", NoVars: true, Job: "RecoveryTime"},
+	{Key: "faults", Label: "Faults", Unit: Text, Line: "resilience", NoVars: true, Job: "Faults"},
 	{Key: "faults.injected", Job: "Faults.Injected"},
 	{Key: "faults.retries", Job: "Faults.Retries"},
 	{Key: "faults.backoff_ns", Unit: Duration, Job: "Faults.Backoff"},
 	{Key: "faults.dropped", Job: "Faults.DroppedRecords"},
 	{Key: "faults.corrupt_ckpt", Job: "Faults.CorruptCheckpoints"},
 
-	{Key: "partitioner", Label: "Partitioner", Unit: Text, Line: "placement", Job: "Partitioner", End: "Partitioner"},
-	{Key: "vertices_per_worker", Label: "Vertices / worker", Unit: Text, Line: "placement", NoVars: true, Job: "PartitionSizes", End: "PartitionSizes"},
-	{Key: "edge_cut", Label: "Edge cut", Line: "placement", Job: "EdgeCut", End: "EdgeCut"},
+	{Key: "partitioner", Label: "Partitioner", Unit: Text, Line: "placement", Job: "Partitioner"},
+	{Key: "vertices_per_worker", Label: "Vertices / worker", Unit: Text, Line: "placement", NoVars: true, Job: "PartitionSizes"},
+	{Key: "edge_cut", Label: "Edge cut", Line: "placement", Job: "EdgeCut"},
 	{Key: "local_messages", Label: "Worker-local messages", Line: "placement", Job: "Totals.LocalMessages", Step: "LocalMessages"},
 	{Key: "local_ratio", Label: "Worker-local share", Unit: Percent, Line: "placement", Job: "Totals.LocalMessageRatio", Step: "LocalMessageRatio"},
 
@@ -135,7 +134,6 @@ func init() {
 	for _, src := range []any{&JobMetrics{}, &pregel.SuperstepStats{}, &pregel.WorkerStepStats{}} {
 		Items(src)
 	}
-	finish(&JobMetrics{}, &pregel.Stats{})
 }
 
 // Item is one metric value, read and rendered.
@@ -186,22 +184,6 @@ func Items(src any) []Item {
 	return items
 }
 
-// finish copies the job-end rows out of the engine's final Stats.
-func finish(jm *JobMetrics, stats *pregel.Stats) {
-	for _, m := range Table {
-		if m.End == "" {
-			continue
-		}
-		dst, _ := walk(reflect.ValueOf(jm), m.Job)
-		src, _ := walk(reflect.ValueOf(stats), m.End)
-		if dst.Kind() == reflect.String {
-			dst.SetString(fmt.Sprint(src))
-		} else {
-			dst.Set(src.Convert(dst.Type()))
-		}
-	}
-}
-
 // Section is one summary line ("placement: partitioner=hash …"): the
 // non-zero job-level items sharing a Line.
 type Section struct {
@@ -239,9 +221,10 @@ func (s Section) String() string {
 }
 
 // volatileKeys are the JSON keys of the timing-derived rows, at the
-// job level and per superstep.
+// job level and per superstep, and of a recovery event's wall time,
+// which job_end carries in recovery_events.
 func volatileKeys() map[string]bool {
-	keys := map[string]bool{}
+	keys := map[string]bool{"duration_ns": true}
 	for _, m := range Table {
 		if m.Unit == Duration || m.Unit == Ratio || m.Unit == Gauge {
 			k := m.Key[strings.LastIndexByte(m.Key, '.')+1:]

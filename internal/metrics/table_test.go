@@ -108,8 +108,8 @@ func TestStatsAndRegistryTotals(t *testing.T) {
 			}
 			if !tc.rewound {
 				compute, barrier, capture := stats.PhaseTotals()
-				if compute.Nanoseconds() != snap.Totals.ComputeNanos || barrier.Nanoseconds() != snap.Totals.BarrierNanos ||
-					capture.Nanoseconds() != snap.Totals.CaptureNanos || stats.MaxComputeSkew() != snap.Totals.MaxComputeSkew ||
+				if compute != snap.Totals.ComputeTime || barrier != snap.Totals.BarrierWait ||
+					capture != snap.Totals.CaptureTime || stats.MaxComputeSkew() != snap.Totals.MaxComputeSkew ||
 					stats.LocalMessageRatio() != snap.Totals.LocalMessageRatio() {
 					t.Errorf("Stats' derived methods disagree with the registry's totals %+v", snap.Totals)
 				}
@@ -121,8 +121,8 @@ func TestStatsAndRegistryTotals(t *testing.T) {
 // TestSummaryLines pins the words `graft run` and `graft show` share.
 func TestSummaryLines(t *testing.T) {
 	reg := seededRegistry()
-	reg.JobFinished(&pregel.Stats{Partitioner: pregel.PartitionLocality, PartitionSizes: []int64{60, 40}, EdgeCut: 7,
-		Recoveries: 1, Faults: pregel.FaultStats{Retries: 2}}, nil)
+	reg.JobFinished(&pregel.Stats{Partitioner: pregel.PartitionLocality, JobEnd: pregel.JobEnd{PartitionSizes: []int64{60, 40}, EdgeCut: 7,
+		Recoveries: 1, Faults: pregel.FaultStats{Retries: 2}}}, nil)
 	snap := reg.Snapshot()
 	var b bytes.Buffer
 	for _, s := range Sections(&snap) {

@@ -173,148 +173,82 @@ type SuperstepInfo struct {
 	Aggregated map[string]Value
 }
 
-// SuperstepStats summarizes one finished superstep. Beyond the BSP
-// accounting (active vertices, messages) it carries the telemetry the
-// engine folds from its per-worker collectors at the barrier: wall
-// times for the compute phase, barrier idling and trace capture, and
-// the straggler/skew indicators derived from them.
-type SuperstepStats struct {
-	Superstep    int   `json:"superstep"`
-	ActiveAtEnd  int64 `json:"active"`
+// Counters are a job's additive numbers: each worker records its own
+// row without synchronization, the coordinator sums the rows into the
+// superstep's at the barrier, and Totals sums the supersteps. A field
+// added here is carried, folded, served and persisted at all three
+// levels; internal/metrics' Table row names and prints it. The JSON
+// tags are the per-superstep schema, which per-worker rows and job
+// totals share.
+type Counters struct {
+	// VerticesProcessed counts Compute invocations.
+	VerticesProcessed int64 `json:"vertices"`
+	// MessagesSent counts messages sent, before combining.
 	MessagesSent int64 `json:"sent"`
-	// MessagesReceived counts messages delivered to vertices this
-	// superstep (sent during the previous one, after combining).
+	// MessagesReceived counts messages delivered to vertices (sent
+	// during the previous superstep, after combining).
 	MessagesReceived int64 `json:"received"`
 	// MessagesCombined counts messages merged away by the combiner
-	// among those sent this superstep.
+	// among those sent. Set at the barrier; zero in a worker row.
 	MessagesCombined int64 `json:"combined"`
-	// VerticesProcessed counts Compute invocations this superstep.
-	VerticesProcessed int64 `json:"vertices"`
-	// ComputeTime is the wall time of the worker phase: the time the
-	// slowest worker took from fan-out to barrier.
+	// LocalMessages counts the messages whose sender and receiver
+	// partitions coincide: the diagonal of the traffic matrix. Set at
+	// the barrier; zero in a worker row.
+	LocalMessages int64 `json:"local,omitempty"`
+	// ComputeTime is a worker's time from fan-out to its barrier
+	// arrival; a superstep's is the wall time of its worker phase (the
+	// slowest worker's), set at the barrier.
 	ComputeTime time.Duration `json:"compute_ns"`
-	// BarrierWait is the total idle time across workers: the sum over
-	// workers of (slowest worker's compute time - own compute time). It
-	// is the capacity lost to stragglers this superstep.
+	// BarrierWait is the time a worker idled for the slowest one: the
+	// phase wall time minus its own compute time. Summed over workers
+	// it is the capacity lost to stragglers.
 	BarrierWait time.Duration `json:"barrier_ns"`
-	// CaptureTime is the total time workers spent building Graft's
-	// capture records: snapshotting and writing the contexts of the
-	// vertices that are captured, and re-running the ones a constraint or
-	// an exception picked after they computed. Evaluating the constraint
-	// predicates on every other vertex is part of ComputeTime. Zero for
-	// undebugged runs.
+	// CaptureTime is the time spent building Graft's capture records:
+	// snapshotting and writing the contexts of the vertices that are
+	// captured, and re-running the ones a constraint or an exception
+	// picked after they computed. Evaluating the constraint predicates
+	// on every other vertex is part of ComputeTime. Zero for undebugged
+	// runs.
 	CaptureTime time.Duration `json:"capture_ns"`
-	// ComputeSkew is max/mean worker compute time (1.0 = perfectly
-	// balanced; values well above 1 indicate a straggler).
-	ComputeSkew float64 `json:"compute_skew"`
-	// MessageSkew is max/mean messages sent per worker.
-	MessageSkew float64 `json:"message_skew"`
-	// Straggler is the worker with the largest compute time this
-	// superstep, or -1 when no worker ran.
-	Straggler int `json:"straggler"`
 	// FlushTime is the wall time the coordinator spent in the
 	// listener's BarrierFlush: appending each lane's last records,
-	// sealing its open segment and committing its index part at this
-	// barrier. Zero for listeners without one.
+	// sealing its open segment and committing its index part. Set at
+	// the barrier; zero for listeners without one and in a worker row.
 	FlushTime time.Duration `json:"flush_ns,omitempty"`
-	// CaptureQueueDepth is always 0: capture records are written by the
-	// goroutine that captures them, so nothing is queued at a barrier.
-	// bench/traced.go still reads it; the next change to bench/ deletes
-	// it.
-	CaptureQueueDepth int `json:"capture_queue,omitempty"`
-	// SubgraphsComputed counts ComputeSubgraph invocations this
-	// superstep (zero in vertex mode).
+	// SubgraphsComputed counts ComputeSubgraph invocations (zero in
+	// vertex mode).
 	SubgraphsComputed int64 `json:"subgraphs,omitempty"`
 	// InternalIterations counts the internal sequential iterations
 	// subgraph computations reported via SubgraphContext.AddIterations —
 	// the work that vertex mode would have paid one superstep each for.
 	InternalIterations int64 `json:"internal_iters,omitempty"`
-	// Workers holds the per-worker breakdown, indexed by worker ID.
-	Workers []WorkerStepStats `json:"workers,omitempty"`
-	// Traffic is the numWorkers×numWorkers message-flow matrix of this
-	// superstep: Traffic[s][d] counts the messages partition s sent to
-	// partition d (pre-combine, so the matrix sums to MessagesSent). It
-	// is snapshotted from the lane matrix at the barrier, before the
-	// lanes merge into the shards.
-	Traffic [][]int64 `json:"traffic,omitempty"`
-	// LocalMessages counts the messages of this superstep whose sender
-	// and receiver partitions coincide: the diagonal of Traffic.
-	LocalMessages int64 `json:"local,omitempty"`
-	// Anomalies holds the events the anomaly detectors emitted at this
-	// superstep's barrier.
-	Anomalies []anomaly.Event `json:"anomalies,omitempty"`
 }
 
-// Totals is the job-level fold of SuperstepStats: what Stats' derived
-// methods return and what internal/metrics serves, persists and
-// describes (its table names each field once; the JSON tags are the
-// job.metrics / JSONL / /metrics schema).
-type Totals struct {
-	// VerticesProcessed counts Compute invocations over the whole job.
-	VerticesProcessed int64 `json:"vertices_processed"`
-	// MessagesSent counts messages sent (pre-combining).
-	MessagesSent int64 `json:"messages_sent"`
-	// MessagesReceived counts messages delivered to vertices.
-	MessagesReceived int64 `json:"messages_received"`
-	// MessagesCombined counts messages merged away by the combiner.
-	MessagesCombined int64 `json:"messages_combined"`
-	// ComputeNanos sums the worker-phase wall time across supersteps.
-	ComputeNanos int64 `json:"compute_ns"`
-	// BarrierNanos sums worker idle time lost to stragglers.
-	BarrierNanos int64 `json:"barrier_ns"`
-	// CaptureNanos sums time spent inside Graft's trace capture.
-	CaptureNanos int64 `json:"capture_ns"`
-	// FlushNanos sums the coordinator time spent flushing the capture
-	// lanes at superstep barriers (zero for undebugged runs).
-	FlushNanos int64 `json:"flush_ns,omitempty"`
-	// MaxComputeSkew is the worst per-superstep max/mean compute ratio.
-	MaxComputeSkew float64 `json:"max_compute_skew"`
-	// MaxMessageSkew is the worst per-superstep message imbalance.
-	MaxMessageSkew float64 `json:"max_message_skew"`
-	// SubgraphsComputed counts ComputeSubgraph invocations over the
-	// whole job (absent in vertex mode).
-	SubgraphsComputed int64 `json:"subgraphs_computed,omitempty"`
-	// InternalIterations sums the local sweeps subgraph computations
-	// reported via AddIterations — the work the collapsed supersteps
-	// moved inside the components (absent in vertex mode).
-	InternalIterations int64 `json:"internal_iterations,omitempty"`
-	// LocalMessages counts messages whose sender and receiver lived on
-	// the same worker.
-	LocalMessages int64 `json:"local_messages,omitempty"`
+// Add sums o into c, field by field.
+func (c *Counters) Add(o Counters) {
+	c.VerticesProcessed += o.VerticesProcessed
+	c.MessagesSent += o.MessagesSent
+	c.MessagesReceived += o.MessagesReceived
+	c.MessagesCombined += o.MessagesCombined
+	c.LocalMessages += o.LocalMessages
+	c.ComputeTime += o.ComputeTime
+	c.BarrierWait += o.BarrierWait
+	c.CaptureTime += o.CaptureTime
+	c.FlushTime += o.FlushTime
+	c.SubgraphsComputed += o.SubgraphsComputed
+	c.InternalIterations += o.InternalIterations
 }
 
-// Add folds one superstep into the rollup. It is the only place a
-// SuperstepStats is accumulated into job-level numbers: Stats.Totals
-// runs it over PerSuperstep, the metrics registry at every
-// SuperstepFinished.
-func (t *Totals) Add(ss SuperstepStats) {
-	t.VerticesProcessed += ss.VerticesProcessed
-	t.MessagesSent += ss.MessagesSent
-	t.MessagesReceived += ss.MessagesReceived
-	t.MessagesCombined += ss.MessagesCombined
-	t.ComputeNanos += ss.ComputeTime.Nanoseconds()
-	t.BarrierNanos += ss.BarrierWait.Nanoseconds()
-	t.CaptureNanos += ss.CaptureTime.Nanoseconds()
-	t.FlushNanos += ss.FlushTime.Nanoseconds()
-	t.SubgraphsComputed += ss.SubgraphsComputed
-	t.InternalIterations += ss.InternalIterations
-	t.LocalMessages += ss.LocalMessages
-	if ss.ComputeSkew > t.MaxComputeSkew {
-		t.MaxComputeSkew = ss.ComputeSkew
-	}
-	if ss.MessageSkew > t.MaxMessageSkew {
-		t.MaxMessageSkew = ss.MessageSkew
-	}
-}
+// LocalMessageRatio is the fraction of the messages whose sender and
+// receiver lived on the same worker — the placement-quality number the
+// partitioner exists to push up.
+func (c Counters) LocalMessageRatio() float64 { return ratio(c.LocalMessages, c.MessagesSent) }
 
-// LocalMessageRatio is the fraction of the job's messages whose sender
-// and receiver lived on the same worker — the placement-quality number
-// the partitioner exists to push up.
-func (t Totals) LocalMessageRatio() float64 { return ratio(t.LocalMessages, t.MessagesSent) }
-
-// LocalMessageRatio is the same share within one superstep.
-func (ss *SuperstepStats) LocalMessageRatio() float64 {
-	return ratio(ss.LocalMessages, ss.MessagesSent)
+// CaptureOverhead returns the fraction of compute wall time spent
+// inside trace capture — the live equivalent of the paper's Figure 8
+// overhead measurement.
+func (c Counters) CaptureOverhead() float64 {
+	return ratio(c.CaptureTime.Nanoseconds(), c.ComputeTime.Nanoseconds())
 }
 
 func ratio(part, whole int64) float64 {
@@ -324,26 +258,66 @@ func ratio(part, whole int64) float64 {
 	return float64(part) / float64(whole)
 }
 
-// CaptureOverhead returns the fraction of worker compute wall time
-// spent inside trace capture — the live equivalent of the paper's
-// Figure 8 overhead measurement.
-func (t Totals) CaptureOverhead() float64 { return ratio(t.CaptureNanos, t.ComputeNanos) }
+// SuperstepStats summarizes one finished superstep: the BSP accounting
+// (active vertices, messages), the counters folded from the workers at
+// the barrier, and the straggler/skew indicators derived from them.
+type SuperstepStats struct {
+	Superstep   int   `json:"superstep"`
+	ActiveAtEnd int64 `json:"active"`
+	Counters
+	// ComputeSkew is max/mean worker compute time (1.0 = perfectly
+	// balanced; values well above 1 indicate a straggler).
+	ComputeSkew float64 `json:"compute_skew"`
+	// MessageSkew is max/mean messages sent per worker.
+	MessageSkew float64 `json:"message_skew"`
+	// Straggler is the worker with the largest compute time this
+	// superstep, or -1 when no worker ran.
+	Straggler int `json:"straggler"`
+	// CaptureQueueDepth is always 0: capture records are written by the
+	// goroutine that captures them, so nothing is queued at a barrier.
+	// bench/traced.go still reads it; the next change to bench/ deletes
+	// it.
+	CaptureQueueDepth int `json:"capture_queue,omitempty"`
+	// Workers holds the per-worker breakdown, indexed by worker ID.
+	Workers []WorkerStepStats `json:"workers,omitempty"`
+	// Traffic is the numWorkers×numWorkers message-flow matrix of this
+	// superstep: Traffic[s][d] counts the messages partition s sent to
+	// partition d (pre-combine, so the matrix sums to MessagesSent). It
+	// is snapshotted from the lane matrix at the barrier, before the
+	// lanes merge into the shards.
+	Traffic [][]int64 `json:"traffic,omitempty"`
+	// Anomalies holds the events the anomaly detectors emitted at this
+	// superstep's barrier.
+	Anomalies []anomaly.Event `json:"anomalies,omitempty"`
+}
+
+// Totals is the job-level fold of SuperstepStats: what Stats' derived
+// methods return and what internal/metrics serves, persists and
+// describes.
+type Totals struct {
+	Counters
+	// MaxComputeSkew is the worst per-superstep max/mean compute ratio.
+	MaxComputeSkew float64 `json:"max_compute_skew"`
+	// MaxMessageSkew is the worst per-superstep message imbalance.
+	MaxMessageSkew float64 `json:"max_message_skew"`
+}
+
+// Add folds one superstep into the rollup. It is the only place a
+// SuperstepStats is accumulated into job-level numbers: Stats.Totals
+// runs it over PerSuperstep, the metrics registry at every
+// SuperstepFinished.
+func (t *Totals) Add(ss SuperstepStats) {
+	t.Counters.Add(ss.Counters)
+	t.MaxComputeSkew = max(t.MaxComputeSkew, ss.ComputeSkew)
+	t.MaxMessageSkew = max(t.MaxMessageSkew, ss.MessageSkew)
+}
 
 // WorkerStepStats is the telemetry of one worker during one superstep,
 // recorded by the worker itself without synchronization and folded by
 // the coordinator at the barrier.
 type WorkerStepStats struct {
-	Worker            int           `json:"worker"`
-	VerticesProcessed int64         `json:"vertices"`
-	MessagesSent      int64         `json:"sent"`
-	MessagesReceived  int64         `json:"received"`
-	ComputeTime       time.Duration `json:"compute_ns"`
-	BarrierWait       time.Duration `json:"barrier_ns"`
-	CaptureTime       time.Duration `json:"capture_ns"`
-	// Subgraphs and Iterations are the worker's subgraph-mode telemetry
-	// (zero in vertex mode).
-	Subgraphs  int64 `json:"subgraphs,omitempty"`
-	Iterations int64 `json:"internal_iters,omitempty"`
+	Worker int `json:"worker"`
+	Counters
 }
 
 // BarrierFlusher is implemented by listeners that hold trace records

@@ -54,36 +54,43 @@ type Stats struct {
 	// vertices, which are discarded at the barrier (under a combiner,
 	// once per ID).
 	MessagesDropped int64
-	// Recoveries counts the checkpoint restarts triggered by failure
-	// injection.
-	Recoveries int
-	// RecoveryEvents has one entry per recovery: where it failed, which
-	// checkpoint it rolled back to, how many supersteps it recomputed and
-	// how long it took.
-	RecoveryEvents []RecoveryEvent
-	// Faults aggregates storage-resilience counters: faults injected
-	// into the checkpoint/trace file systems and the retries and
-	// skipped checkpoints that absorbed them.
-	Faults FaultStats
-	// Runtime is the monotonic wall time of Job.Run: partitioning,
-	// every superstep, and checkpoint recovery.
-	Runtime time.Duration
-	// RecoveryTime is the portion of Runtime spent restoring
-	// checkpoints after simulated worker crashes.
-	RecoveryTime time.Duration
 	// Partitioner is the placement mode the job ran with.
 	Partitioner PartitionerMode
-	// PartitionSizes is the per-worker vertex count at job end — the
-	// placement-quality view graft show and the GUI render.
-	PartitionSizes []int64
-	// EdgeCut is the number of directed edges whose endpoints ended the
-	// job on different workers (zero for a job that failed or was canceled).
-	EdgeCut int64
+	JobEnd
 	// Anomalies collects every event the anomaly detectors emitted over
 	// the job, in superstep order.
 	Anomalies []anomaly.Event
 	// PerSuperstep has one entry per executed superstep.
 	PerSuperstep []SuperstepStats
+}
+
+// JobEnd is the part of a job's Stats that internal/metrics keeps as
+// it is: the registry assigns it whole when the job finishes, and the
+// JSON tags are the job.metrics, /metrics and job_end schema.
+type JobEnd struct {
+	// Runtime is the monotonic wall time of Job.Run: partitioning,
+	// every superstep, and checkpoint recovery.
+	Runtime time.Duration `json:"runtime_ns"`
+	// RecoveryTime is the portion of Runtime spent restoring
+	// checkpoints after simulated worker crashes.
+	RecoveryTime time.Duration `json:"recovery_ns"`
+	// Recoveries counts the checkpoint restarts triggered by failure
+	// injection.
+	Recoveries int `json:"recoveries"`
+	// RecoveryEvents has one entry per recovery: where it failed, which
+	// checkpoint it rolled back to, how many supersteps it recomputed and
+	// how long it took.
+	RecoveryEvents []RecoveryEvent `json:"recovery_events,omitempty"`
+	// Faults aggregates storage-resilience counters: faults injected
+	// into the checkpoint/trace file systems and the retries and
+	// skipped checkpoints that absorbed them.
+	Faults FaultStats `json:"faults"`
+	// PartitionSizes is the per-worker vertex count at job end — the
+	// placement-quality view graft show and the GUI render.
+	PartitionSizes []int64 `json:"partition_sizes,omitempty"`
+	// EdgeCut is the number of directed edges whose endpoints ended the
+	// job on different workers (zero for a job that failed or was canceled).
+	EdgeCut int64 `json:"edge_cut,omitempty"`
 }
 
 // String renders the headline of the summary the CLI prints after a
@@ -119,7 +126,7 @@ func (s *Stats) Totals() Totals {
 // the observability layer and bench/ report.
 func (s *Stats) PhaseTotals() (compute, barrier, capture time.Duration) {
 	t := s.Totals()
-	return time.Duration(t.ComputeNanos), time.Duration(t.BarrierNanos), time.Duration(t.CaptureNanos)
+	return t.ComputeTime, t.BarrierWait, t.CaptureTime
 }
 
 // LocalMessageRatio is Totals.LocalMessageRatio over the job.
@@ -254,21 +261,13 @@ func (j *Job) RunContext(ctx context.Context) (*Stats, error) {
 
 type workerResult struct {
 	active     int64
-	sent       int64
 	aggPartial map[string]Value
 	removals   []VertexID
-	// Telemetry, written only by the owning worker goroutine and read
-	// by the coordinator after the barrier — the lock-free per-worker
-	// collector the metrics layer folds from.
-	vertices     int64
-	received     int64
-	computeNanos int64
-	captureNanos int64
-	// subgraphs and iterations are subgraph-mode telemetry: components
-	// computed and internal sequential iterations reported via
-	// SubgraphContext.AddIterations.
-	subgraphs  int64
-	iterations int64
+	// Counters is the worker's telemetry row, written only by the
+	// owning worker goroutine and read by the coordinator after the
+	// barrier — the lock-free per-worker collector the metrics layer
+	// folds from.
+	Counters
 }
 
 type engine struct {
@@ -644,8 +643,7 @@ func (en *engine) barrierPhase(st *step) error {
 	}
 	en.applyMutations(st.results)
 	en.mergeAggregators(st.results)
-	sent := en.next.total()
-	en.stats.TotalMessages += sent
+	en.stats.TotalMessages += en.next.total()
 	// The traffic matrix must be read before mergeLanes merges
 	// the lanes into the shards (and zeroes the lane counters); at
 	// this point the next store's shards are still empty, so the
@@ -656,9 +654,9 @@ func (en *engine) barrierPhase(st *step) error {
 		return err
 	}
 	en.stats.MessagesDropped += dropped
-	st.ss = SuperstepStats{Superstep: en.superstep, ActiveAtEnd: active, MessagesSent: sent, Straggler: -1}
-	st.ss.MessagesCombined = en.next.combinedTotal()
+	st.ss = SuperstepStats{Superstep: en.superstep, ActiveAtEnd: active, Straggler: -1}
 	en.foldTelemetry(&st.ss, st.results, st.wall)
+	st.ss.MessagesCombined = en.next.combinedTotal()
 	st.ss.Traffic = traffic
 	for w := range traffic {
 		st.ss.LocalMessages += traffic[w][w]
@@ -765,12 +763,12 @@ func (en *engine) runWorker(w int, nv, ne int64) (workerResult, error) {
 	if err := en.scan(ctx, en.parts[w], en.cur, &res); err != nil {
 		return res, err
 	}
-	res.sent = ctx.sentTotal()
+	res.MessagesSent = ctx.sentTotal()
 	res.aggPartial = ctx.aggPartial
 	res.removals = ctx.removals
-	res.computeNanos = time.Since(t0).Nanoseconds()
+	res.ComputeTime = time.Since(t0)
 	if en.capTime != nil {
-		res.captureNanos = en.capTime.CaptureNanos(w) - capBefore
+		res.CaptureTime = time.Duration(en.capTime.CaptureNanos(w) - capBefore)
 	}
 	return res, nil
 }
@@ -809,8 +807,8 @@ func (en *engine) computeFrontier(ctx *workerCtx, part *partition, inbox *messag
 				}
 				v.halted = false
 			}
-			res.vertices++
-			res.received += int64(len(msgs))
+			res.VerticesProcessed++
+			res.MessagesReceived += int64(len(msgs))
 			ctx.computing = v
 			if err := en.safeCompute(ctx, v, msgs); err != nil {
 				return err
@@ -826,50 +824,30 @@ func (en *engine) computeFrontier(ctx *workerCtx, part *partition, inbox *messag
 	return nil
 }
 
-// foldTelemetry folds the per-worker collectors into the superstep's
-// stats at the barrier: the coordinator is the only goroutine running,
-// so no synchronization is needed. Barrier wait per worker is the time
-// it idled for the slowest worker: phase wall time minus its own
-// compute time.
+// foldTelemetry sums the workers' counters into the superstep's at the
+// barrier: the coordinator is the only goroutine running, so no
+// synchronization is needed. A worker's barrier wait is the time it
+// idled for the slowest worker: phase wall time minus its own compute
+// time. The superstep's ComputeTime is that wall time.
 func (en *engine) foldTelemetry(ss *SuperstepStats, results []workerResult, wall time.Duration) {
 	n := len(results)
 	ss.Workers = make([]WorkerStepStats, n)
-	ss.ComputeTime = wall
-	var maxCompute, sumCompute int64
+	var maxCompute, sumCompute time.Duration
 	var maxSent, sumSent int64
 	for w := range results {
-		r := &results[w]
-		ss.Workers[w] = WorkerStepStats{
-			Worker:            w,
-			VerticesProcessed: r.vertices,
-			MessagesSent:      r.sent,
-			MessagesReceived:  r.received,
-			ComputeTime:       time.Duration(r.computeNanos),
-			CaptureTime:       time.Duration(r.captureNanos),
-			Subgraphs:         r.subgraphs,
-			Iterations:        r.iterations,
-		}
-		ss.VerticesProcessed += r.vertices
-		ss.MessagesReceived += r.received
-		ss.CaptureTime += time.Duration(r.captureNanos)
-		ss.SubgraphsComputed += r.subgraphs
-		ss.InternalIterations += r.iterations
-		if r.computeNanos > maxCompute {
-			maxCompute = r.computeNanos
+		c := results[w].Counters
+		c.BarrierWait = max(wall-c.ComputeTime, 0)
+		ss.Workers[w] = WorkerStepStats{Worker: w, Counters: c}
+		ss.Counters.Add(c)
+		if c.ComputeTime > maxCompute {
+			maxCompute = c.ComputeTime
 			ss.Straggler = w
 		}
-		sumCompute += r.computeNanos
-		if r.sent > maxSent {
-			maxSent = r.sent
-		}
-		sumSent += r.sent
+		sumCompute += c.ComputeTime
+		maxSent = max(maxSent, c.MessagesSent)
+		sumSent += c.MessagesSent
 	}
-	for w := range ss.Workers {
-		if bw := wall - ss.Workers[w].ComputeTime; bw > 0 {
-			ss.Workers[w].BarrierWait = bw
-			ss.BarrierWait += bw
-		}
-	}
+	ss.ComputeTime = wall
 	if sumCompute > 0 {
 		ss.ComputeSkew = float64(maxCompute) * float64(n) / float64(sumCompute)
 	}

@@ -308,7 +308,7 @@ func (en *engine) computeSubgraphs(ctx *workerCtx, part *partition, inbox *messa
 			msgs := inbox.take(part.idx, int(sg.slots[i]))
 			sg.inbox[i] = msgs
 			if len(msgs) > 0 {
-				res.received += int64(len(msgs))
+				res.MessagesReceived += int64(len(msgs))
 				v.halted = false // message-wake, subgraph-wide below
 			}
 			if !v.halted {
@@ -323,8 +323,8 @@ func (en *engine) computeSubgraphs(ctx *workerCtx, part *partition, inbox *messa
 		for _, v := range sg.members {
 			v.halted = false
 		}
-		res.vertices += int64(len(sg.members))
-		res.subgraphs++
+		res.VerticesProcessed += int64(len(sg.members))
+		res.SubgraphsComputed++
 		sctx.halt = false
 		err := en.safeComputeSubgraph(sctx, sg)
 		clear(sg.inbox)
@@ -345,7 +345,7 @@ func (en *engine) computeSubgraphs(ctx *workerCtx, part *partition, inbox *messa
 			res.active += int64(len(sg.members))
 		}
 	}
-	res.iterations = sctx.iterations
+	res.InternalIterations = sctx.iterations
 	return nil
 }
 

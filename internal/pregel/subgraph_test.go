@@ -126,6 +126,45 @@ func TestSubgraphModeConfigValidation(t *testing.T) {
 	}
 }
 
+// subgraphMinLabel is WCC-style min propagation in subgraph mode: each
+// component takes the least value among its members and their mail,
+// and sends it across its boundary edges when it changed.
+var subgraphMinLabel = SubgraphFunc(func(ctx SubgraphContext, sg *Subgraph) error {
+	min := int64(sg.ID())
+	for _, v := range sg.Members() {
+		if x := v.Value().(*LongValue).Get(); x < min {
+			min = x
+		}
+	}
+	changed := ctx.Superstep() == 0
+	for i := range sg.Members() {
+		for _, m := range sg.Messages(i) {
+			if x := m.(*LongValue).Get(); x < min {
+				min = x
+				changed = true
+			}
+		}
+	}
+	for _, v := range sg.Members() {
+		if v.Value().(*LongValue).Get() != min {
+			v.SetValue(NewLong(min))
+			changed = true
+		}
+	}
+	if changed {
+		for _, v := range sg.Members() {
+			for _, e := range v.Edges() {
+				if !sg.Has(e.Target) {
+					ctx.SendMessage(v.ID(), e.Target, NewLong(min))
+				}
+			}
+		}
+	}
+	ctx.AddIterations(1)
+	ctx.VoteToHalt()
+	return nil
+})
+
 func TestSubgraphEngineSmoke(t *testing.T) {
 	// Chain 0-1-2-3-4-5 split over workers: subgraph WCC-style min
 	// propagation must converge with every value = 0.
@@ -138,42 +177,7 @@ func TestSubgraphEngineSmoke(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	comp := SubgraphFunc(func(ctx SubgraphContext, sg *Subgraph) error {
-		min := int64(sg.ID())
-		for _, v := range sg.Members() {
-			if x := v.Value().(*LongValue).Get(); x < min {
-				min = x
-			}
-		}
-		changed := ctx.Superstep() == 0
-		for i := range sg.Members() {
-			for _, m := range sg.Messages(i) {
-				if x := m.(*LongValue).Get(); x < min {
-					min = x
-					changed = true
-				}
-			}
-		}
-		for _, v := range sg.Members() {
-			if v.Value().(*LongValue).Get() != min {
-				v.SetValue(NewLong(min))
-				changed = true
-			}
-		}
-		if changed {
-			for _, v := range sg.Members() {
-				for _, e := range v.Edges() {
-					if !sg.Has(e.Target) {
-						ctx.SendMessage(v.ID(), e.Target, NewLong(min))
-					}
-				}
-			}
-		}
-		ctx.AddIterations(1)
-		ctx.VoteToHalt()
-		return nil
-	})
-	stats, err := NewSubgraphJob(g, comp, Config{NumWorkers: 3}).Run()
+	stats, err := NewSubgraphJob(g, subgraphMinLabel, Config{NumWorkers: 3}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package pregel
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -19,66 +20,117 @@ func (l *telemetryListener) SuperstepFinished(superstep int, ss SuperstepStats) 
 }
 func (l *telemetryListener) JobFinished(stats *Stats, err error) {}
 
+// flushingListener also implements BarrierFlusher, so the engine times
+// a (no-op) barrier flush into FlushTime.
+type flushingListener struct{ telemetryListener }
+
+func (*flushingListener) BarrierFlush(int) error { return nil }
+
+// barrierSet names the Counters fields the coordinator sets at the
+// barrier instead of summing the workers' rows.
+var barrierSet = map[string]bool{"ComputeTime": true, "MessagesCombined": true, "LocalMessages": true, "FlushTime": true}
+
+// counterSums adds rows field by field through reflection, so that
+// Counters.Add is checked against an independent fold and a counter
+// added later is covered without an edit here.
+func counterSums(rows []Counters) []int64 {
+	sums := make([]int64, reflect.TypeOf(Counters{}).NumField())
+	for _, r := range rows {
+		v := reflect.ValueOf(r)
+		for f := range sums {
+			sums[f] += v.Field(f).Int()
+		}
+	}
+	return sums
+}
+
 func TestSuperstepTelemetryFoldsWorkerCounters(t *testing.T) {
 	const n, workers = 64, 4
-	g := pathGraph(t, n)
-	l := &telemetryListener{}
-	job := NewJob(g, ccCompute, Config{NumWorkers: workers, Listener: l})
-	stats, err := job.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(l.steps) != stats.Supersteps {
-		t.Fatalf("listener saw %d supersteps, stats say %d", len(l.steps), stats.Supersteps)
-	}
-	var totalSent, totalReceived int64
-	for i, ss := range l.steps {
-		if ss.Superstep != i {
-			t.Errorf("step %d: Superstep = %d", i, ss.Superstep)
-		}
-		if len(ss.Workers) != workers {
-			t.Fatalf("step %d: %d worker rows, want %d", i, len(ss.Workers), workers)
-		}
-		var wv, wsent, wrecv int64
-		for _, ws := range ss.Workers {
-			if ws.BarrierWait < 0 {
-				t.Errorf("step %d worker %d: negative barrier wait %v", i, ws.Worker, ws.BarrierWait)
+	fields := reflect.TypeOf(Counters{})
+	for _, tc := range []struct {
+		name string
+		job  func(Config) *Job
+	}{
+		{"vertex", func(cfg Config) *Job {
+			cfg.Combiner = MinLongCombiner
+			return NewJob(pathGraph(t, n), ccCompute, cfg)
+		}},
+		{"subgraph", func(cfg Config) *Job {
+			g := pathGraph(t, n)
+			g.Each(func(v *Vertex) { v.SetValue(NewLong(int64(v.ID()))) })
+			return NewSubgraphJob(g, subgraphMinLabel, cfg)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := &flushingListener{}
+			stats, err := tc.job(Config{NumWorkers: workers, Listener: l}).Run()
+			if err != nil {
+				t.Fatal(err)
 			}
-			wv += ws.VerticesProcessed
-			wsent += ws.MessagesSent
-			wrecv += ws.MessagesReceived
-		}
-		if wv != ss.VerticesProcessed {
-			t.Errorf("step %d: worker vertices sum %d != total %d", i, wv, ss.VerticesProcessed)
-		}
-		if wsent != ss.MessagesSent {
-			t.Errorf("step %d: worker sent sum %d != total %d", i, wsent, ss.MessagesSent)
-		}
-		if wrecv != ss.MessagesReceived {
-			t.Errorf("step %d: worker received sum %d != total %d", i, wrecv, ss.MessagesReceived)
-		}
-		if ss.VerticesProcessed > 0 && ss.ComputeSkew < 1 {
-			t.Errorf("step %d: compute skew %.3f < 1", i, ss.ComputeSkew)
-		}
-		if ss.Straggler < -1 || ss.Straggler >= workers {
-			t.Errorf("step %d: straggler %d out of range", i, ss.Straggler)
-		}
-		totalSent += ss.MessagesSent
-		totalReceived += ss.MessagesReceived
-	}
-	// Every vertex computes in superstep 0.
-	if l.steps[0].VerticesProcessed != n {
-		t.Errorf("superstep 0 processed %d vertices, want %d", l.steps[0].VerticesProcessed, n)
-	}
-	// Without a combiner every sent message is eventually delivered.
-	if totalSent != totalReceived {
-		t.Errorf("job sent %d messages but delivered %d", totalSent, totalReceived)
-	}
-	if stats.TotalMessages != totalSent {
-		t.Errorf("Stats.TotalMessages = %d, telemetry sum = %d", stats.TotalMessages, totalSent)
-	}
-	if compute, _, _ := stats.PhaseTotals(); stats.Runtime < compute {
-		t.Errorf("Runtime %v < summed compute phases %v", stats.Runtime, compute)
+			if len(l.steps) != stats.Supersteps {
+				t.Fatalf("listener saw %d supersteps, stats say %d", len(l.steps), stats.Supersteps)
+			}
+			for i, ss := range l.steps {
+				if ss.Superstep != i {
+					t.Errorf("step %d: Superstep = %d", i, ss.Superstep)
+				}
+				if len(ss.Workers) != workers {
+					t.Fatalf("step %d: %d worker rows, want %d", i, len(ss.Workers), workers)
+				}
+				rows := make([]Counters, len(ss.Workers))
+				for w, ws := range ss.Workers {
+					if ws.BarrierWait < 0 || ws.ComputeTime > ss.ComputeTime {
+						t.Errorf("step %d worker %d: compute %v, barrier wait %v in a %v phase",
+							i, w, ws.ComputeTime, ws.BarrierWait, ss.ComputeTime)
+					}
+					rows[w] = ws.Counters
+				}
+				got := reflect.ValueOf(ss.Counters)
+				for f, sum := range counterSums(rows) {
+					name := fields.Field(f).Name
+					switch {
+					case !barrierSet[name] && got.Field(f).Int() != sum:
+						t.Errorf("step %d: workers' %s sum to %d, the superstep has %d", i, name, sum, got.Field(f).Int())
+					case barrierSet[name] && name != "ComputeTime" && sum != 0:
+						t.Errorf("step %d: worker rows carry the barrier-set %s (%d)", i, name, sum)
+					}
+				}
+				if ss.VerticesProcessed > 0 && ss.ComputeSkew < 1 {
+					t.Errorf("step %d: compute skew %.3f < 1", i, ss.ComputeSkew)
+				}
+				if ss.Straggler < -1 || ss.Straggler >= workers {
+					t.Errorf("step %d: straggler %d out of range", i, ss.Straggler)
+				}
+			}
+			steps := make([]Counters, len(stats.PerSuperstep))
+			for i, ss := range stats.PerSuperstep {
+				steps[i] = ss.Counters
+			}
+			tot := stats.Totals()
+			got := reflect.ValueOf(tot.Counters)
+			for f, sum := range counterSums(steps) {
+				if got.Field(f).Int() != sum {
+					t.Errorf("Totals().%s = %d, the supersteps sum to %d", fields.Field(f).Name, got.Field(f).Int(), sum)
+				}
+			}
+			if tot.MessagesSent != stats.TotalMessages {
+				t.Errorf("Totals().MessagesSent = %d, Stats.TotalMessages = %d", tot.MessagesSent, stats.TotalMessages)
+			}
+			// Every vertex computes in superstep 0, and every message sent
+			// is delivered or combined away.
+			if l.steps[0].VerticesProcessed != n {
+				t.Errorf("superstep 0 processed %d vertices, want %d", l.steps[0].VerticesProcessed, n)
+			}
+			if tot.MessagesReceived != tot.MessagesSent-tot.MessagesCombined {
+				t.Errorf("delivered %d messages, want sent-combined = %d-%d", tot.MessagesReceived, tot.MessagesSent, tot.MessagesCombined)
+			}
+			if (tc.name == "vertex") != (tot.MessagesCombined > 0) || (tc.name == "subgraph") != (tot.InternalIterations > 0) {
+				t.Errorf("%s mode totals %+v: combined and internal iterations not where expected", tc.name, tot.Counters)
+			}
+			if compute, _, _ := stats.PhaseTotals(); stats.Runtime < compute {
+				t.Errorf("Runtime %v < summed compute phases %v", stats.Runtime, compute)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"slices"
-	"sort"
 
 	"graft/internal/algorithms"
 	"graft/internal/pregel"
@@ -69,7 +68,7 @@ func Fidelity(c *trace.VertexCapture, out *Outcome) []string {
 			pregel.ValueString(c.ValueAfter), pregel.ValueString(out.ValueAfter)))
 	}
 	diffs = differ(diffs, "halted after", c.HaltedAfter, out.HaltedAfter)
-	diffs = diffKeys(diffs, "outgoing", msgKeys(c.Outgoing), msgKeys(out.Outgoing))
+	diffs = diffKeys(diffs, "outgoing", trace.OutgoingKeys(c.Outgoing), trace.OutgoingKeys(out.Outgoing))
 	return differ(diffs, "exception", c.Exception != nil, out.Err != nil)
 }
 
@@ -255,17 +254,6 @@ func diffKeys(diffs []string, what string, captured, replayed []string) []string
 		}
 	}
 	return diffs
-}
-
-// msgKeys keys messages by (recipient, encoded bytes), sorted: a
-// multiset, since the engine does not guarantee send order.
-func msgKeys(msgs []trace.OutMsg) []string {
-	keys := make([]string, len(msgs))
-	for i, m := range msgs {
-		keys[i] = fmt.Sprintf("%d|%x", m.To, pregel.MarshalValue(m.Value))
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // setKeys keys SetAggregated calls by (name, encoded bytes), in call

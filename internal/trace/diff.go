@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"graft/internal/pregel"
@@ -106,7 +107,7 @@ func divergentFields(a, b *VertexCapture) []string {
 	if a.HaltedAfter != b.HaltedAfter {
 		fields = append(fields, "halted")
 	}
-	if !sameOutgoing(a.Outgoing, b.Outgoing) {
+	if !slices.Equal(OutgoingKeys(a.Outgoing), OutgoingKeys(b.Outgoing)) {
 		fields = append(fields, "outgoing")
 	}
 	if (a.Exception != nil) != (b.Exception != nil) {
@@ -115,24 +116,14 @@ func divergentFields(a, b *VertexCapture) []string {
 	return fields
 }
 
-// sameOutgoing compares message multisets by (recipient, bytes).
-func sameOutgoing(a, b []OutMsg) bool {
-	if len(a) != len(b) {
-		return false
+// OutgoingKeys keys messages by (recipient, encoded bytes), sorted:
+// two sends compare as multisets, since the engine does not guarantee
+// send order. DiffJobs and repro.Fidelity compare captures with it.
+func OutgoingKeys(msgs []OutMsg) []string {
+	keys := make([]string, len(msgs))
+	for i, m := range msgs {
+		keys[i] = fmt.Sprintf("%d|%x", m.To, pregel.MarshalValue(m.Value))
 	}
-	key := func(ms []OutMsg) []string {
-		keys := make([]string, len(ms))
-		for i, m := range ms {
-			keys[i] = fmt.Sprintf("%d|%x", m.To, pregel.MarshalValue(m.Value))
-		}
-		sort.Strings(keys)
-		return keys
-	}
-	ka, kb := key(a), key(b)
-	for i := range ka {
-		if ka[i] != kb[i] {
-			return false
-		}
-	}
-	return true
+	sort.Strings(keys)
+	return keys
 }

@@ -97,8 +97,10 @@ type SessionConfig struct {
 
 // Session is a long-lived multi-job context: a shared trace store and
 // worker budget that N concurrent jobs run against, each with its own
-// trace directory and metrics registry. It is what `graft serve` wraps
-// in HTTP; graft.Run is a one-job session.
+// trace directory and metrics registry, whose snapshot is written as
+// job.metrics beside a debugged job's trace. It is what `graft serve`
+// wraps in HTTP. graft.Run is not a session: it runs one job with
+// neither registry nor job.metrics.
 type Session struct {
 	cfg  SessionConfig
 	pool *pregel.WorkerPool
@@ -471,10 +473,12 @@ type faultSink interface {
 	AddFaultSource(pregel.FaultStatsProvider)
 }
 
-// runJob is the only place a job is assembled — under Run,
-// RunAlgorithm, Session.Submit, `graft run`, `graft serve` and the
-// harness alike: attach Graft if asked, wire listeners, run the engine
-// under ctx, and turn a failed trace write into the job's error.
+// runJob is the only place a job is assembled. It has two callers:
+// Run (so RunAlgorithm, `graft run` and the harness), which passes no
+// extra listener, and a Session job's runner (Session.Submit,
+// `graft serve`), which passes the job's metrics registry. It attaches
+// Graft if asked, wires listeners, runs the engine under ctx, and turns
+// a failed trace write into the job's error.
 func runJob(ctx context.Context, g *Graph, comp Computation, opts RunOptions, extra pregel.JobListener) (*RunResult, error) {
 	cfg := opts.Engine
 	scomp := opts.Subgraph
