@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,21 +39,25 @@ type Graft struct {
 	// state can be recycled instead of allocated, keeping the
 	// instrumentation overhead near the paper's.
 	workers []workerState
-	// capNanos accumulates per-worker time spent building capture
-	// records. Slots are cache-line padded: each worker writes
-	// only its own, the engine reads it at the barrier
-	// (pregel.CaptureTimeReporter).
-	capNanos []paddedNanos
-
-	captures atomic.Int64
-	limitHit atomic.Bool
+	// capSlots holds each worker's sampled capture time, which the
+	// engine reads at the barrier.
+	capSlots []capSlot
 
 	writeMu  sync.Mutex // serializes error recording only
 	writeErr error
 
 	inner pregel.JobListener
 	start time.Time
-	ctx   context.Context
+	// done is Options.Context's Done: a receive that finds it open takes
+	// no lock, where Err does. Nil, never ready, for no context.
+	done <-chan struct{}
+
+	// captures, which every worker adds to per capture, is padded off
+	// the lines workers read per vertex (cfg, workerSinks, done).
+	_        [128]byte
+	captures atomic.Int64
+	limitHit atomic.Bool
+	_        [128]byte
 }
 
 // Options identifies the job being debugged.
@@ -95,12 +100,11 @@ func Attach(store *trace.Store, opts Options, graph *pregel.Graph, cfg DebugConf
 		store:    store,
 		reasons:  selectTargets(graph, &cfg),
 		workers:  make([]workerState, opts.NumWorkers),
-		capNanos: make([]paddedNanos, opts.NumWorkers),
+		capSlots: make([]capSlot, opts.NumWorkers),
 		start:    time.Now(),
-		ctx:      opts.Context,
 	}
-	if g.ctx == nil {
-		g.ctx = context.Background()
+	if opts.Context != nil {
+		g.done = opts.Context.Done()
 	}
 	sink, err := store.NewSink(trace.JobMeta{
 		JobID:       opts.JobID,
@@ -175,6 +179,16 @@ func (g *Graft) JobID() string { return g.jobID }
 
 // Captures returns the number of capture records written so far.
 func (g *Graft) Captures() int64 { return g.captures.Load() }
+
+// canceled reports whether the session's context is done.
+func (g *Graft) canceled() bool {
+	select {
+	case <-g.done:
+		return true
+	default:
+		return false
+	}
+}
 
 // LimitHit reports whether the MaxCaptures safety net engaged.
 func (g *Graft) LimitHit() bool { return g.limitHit.Load() }
@@ -331,11 +345,53 @@ func (g *Graft) JobFinished(stats *pregel.Stats, err error) {
 	}
 }
 
-// paddedNanos is an int64 nanosecond counter padded to its own cache
-// line, so adjacent workers' capture-time accrual never false-shares.
-type paddedNanos struct {
-	n int64
-	_ [120]byte
+// sampleStride is the capture-time sampler's stride: in every
+// superstep a worker times its first sampleStride records exactly, then
+// one in sampleStride with weight sampleStride, and no clock for the
+// rest. It is prime, out of step with the trace lane's size check every
+// 64 records: a stride of 64 read gc-bp-capture's capture time 20% high.
+const sampleStride = 61
+
+// capSlot is one worker's capture telemetry. Only its worker writes it,
+// and the pad keeps its fields 128 bytes from the next worker's.
+type capSlot struct {
+	// nanos is the estimate: each timed stretch times its record's
+	// weight (0 if untimed); records counts superstep's records so far.
+	nanos, records, weight int64
+	superstep              int
+	start                  time.Time
+	_                      [128]byte
+}
+
+// begin starts timing the worker's next record, one built in
+// superstep, and returns the slot.
+func (s *capSlot) begin(superstep int) *capSlot {
+	if superstep != s.superstep {
+		s.superstep, s.records = superstep, 0
+	}
+	s.weight = 0
+	if s.records < sampleStride {
+		s.weight = 1
+	} else if s.records%sampleStride == 0 {
+		s.weight = sampleStride
+	}
+	s.records++
+	s.resume()
+	return s
+}
+
+// resume restarts the clock after a stretch that is not record building.
+func (s *capSlot) resume() {
+	if s.weight != 0 {
+		s.start = time.Now()
+	}
+}
+
+// pause adds the stretch since resume, weighted, to the estimate.
+func (s *capSlot) pause() {
+	if s.weight != 0 {
+		s.nanos += s.weight * time.Since(s.start).Nanoseconds()
+	}
 }
 
 // workerState is what one worker's interception reuses from vertex to
@@ -400,15 +456,16 @@ func (s *edgeSnapshot) restore(v *pregel.Vertex) error {
 // session, whose per-worker capture clock they report.
 type instrumented struct{ g *Graft }
 
-// CaptureNanos implements pregel.CaptureTimeReporter: cumulative time
-// worker w spent building capture records. Each worker updates only
-// its own slot, and the engine reads it from the same goroutine around
-// the worker's compute loop, so plain loads suffice.
+// CaptureNanos implements pregel.CaptureTimeReporter: the sampled
+// estimate of the time worker w spent building capture records. Each
+// worker updates only its own slot, and the engine reads it from the
+// same goroutine around the worker's compute loop, so plain loads
+// suffice.
 func (in instrumented) CaptureNanos(w int) int64 {
-	if w >= len(in.g.capNanos) {
+	if w >= len(in.g.capSlots) {
 		return 0
 	}
-	return in.g.capNanos[w].n
+	return in.g.capSlots[w].nanos
 }
 
 // instrumentedComputation is the wrapper the Instrumenter installs
@@ -499,9 +556,9 @@ func (ic *instrumentedComputation) compute(ctx pregel.Context, v *pregel.Vertex,
 // where it is current.
 func (ic *instrumentedComputation) record(ctx pregel.Context, w *workerState, v *pregel.Vertex, msgs []pregel.Value) error {
 	g := ic.g
-	capStart := time.Now()
 	rec := &w.rec
 	rec.reset(ctx, v)
+	slot := g.capSlots[rec.worker].begin(rec.superstep)
 	// A snapshot is the value's encoding, written into the worker's
 	// scratch: as immune to what compute does next as a clone, and
 	// already in the form the record stores. A vertex here only for what
@@ -516,17 +573,16 @@ func (ic *instrumentedComputation) record(ctx pregel.Context, w *workerState, v 
 	// Attribute record building (snapshotting, the capture write) to this
 	// worker's slot, excluding the user compute itself, so the engine can
 	// report capture overhead per superstep.
-	capSlot := &g.capNanos[rec.worker]
-	capSlot.n += time.Since(capStart).Nanoseconds()
+	slot.pause()
 	exc, err := ic.compute(rec, v, msgs)
-	capStart = time.Now()
+	slot.resume()
 
 	rec.reasons |= g.verdict(v, rec.superstep, rec.sawMsgViolation, err)
 	if !edgesPreCompute {
 		trace.PutEdges(&rec.edges, v.Edges())
 	}
 	g.capture(v, msgs, &rec.record, edgesPreCompute, v.Halted(), exc)
-	capSlot.n += time.Since(capStart).Nanoseconds()
+	slot.pause()
 	return err
 }
 
@@ -549,7 +605,7 @@ func (ic *instrumentedComputation) check(ctx pregel.Context, w *workerState, v *
 	reasons := g.verdict(v, chk.superstep, chk.sawMsgViolation, err)
 	// Once the capture limit has engaged or the job is canceled, capture
 	// would discard the record: don't build it.
-	if reasons != 0 && !g.limitHit.Load() && g.ctx.Err() == nil {
+	if reasons != 0 && !g.limitHit.Load() && !g.canceled() {
 		ic.rerun(w, v, msgs, reasons, exc)
 	}
 	return err
@@ -586,8 +642,8 @@ func (ic *instrumentedComputation) rerun(w *workerState, v *pregel.Vertex, msgs 
 	reasons trace.Reason, exc *trace.ExceptionInfo) {
 
 	g := ic.g
-	capStart := time.Now()
 	chk, rec := &w.check, &w.rec
+	slot := g.capSlots[chk.WorkerID()].begin(chk.superstep)
 	w.mute.Context = chk.Context
 	same := false
 	before, err := pregel.UnmarshalValue(rec.before.Bytes())
@@ -605,7 +661,7 @@ func (ic *instrumentedComputation) rerun(w *workerState, v *pregel.Vertex, msgs 
 		// The received messages are the one input there is no snapshot
 		// of: a compute that changed them was re-run on what it left.
 		same = pregel.ValuesEqual(twin.Value(), v.Value()) && twin.Halted() == v.Halted() &&
-			edgesEqual(twin.Edges(), v.Edges()) && valuesEqual(again, msgs) &&
+			slices.EqualFunc(twin.Edges(), v.Edges(), edgeEqual) && slices.EqualFunc(again, msgs, pregel.ValuesEqual) &&
 			rec.numOut == chk.numOut && rec.sawMsgViolation == chk.sawMsgViolation &&
 			(rerr != nil) == (exc != nil)
 	} else {
@@ -619,33 +675,12 @@ func (ic *instrumentedComputation) rerun(w *workerState, v *pregel.Vertex, msgs 
 	}
 	trace.PutEdges(&rec.edges, v.Edges())
 	g.capture(v, msgs, &rec.record, false, v.Halted(), exc)
-	g.capNanos[rec.worker].n += time.Since(capStart).Nanoseconds()
+	slot.pause()
 }
 
-func valuesEqual(a, b []pregel.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !pregel.ValuesEqual(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// edgesEqual reports whether two edge lists hold the same targets and
-// values in the same order.
-func edgesEqual(a, b []pregel.Edge) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Target != b[i].Target || !pregel.ValuesEqual(a[i].Value, b[i].Value) {
-			return false
-		}
-	}
-	return true
+// edgeEqual reports whether two edges have the same target and value.
+func edgeEqual(a, b pregel.Edge) bool {
+	return a.Target == b.Target && pregel.ValuesEqual(a.Value, b.Value)
 }
 
 // capture writes rec as v's capture record, respecting the MaxCaptures
@@ -661,18 +696,15 @@ func (g *Graft) capture(v *pregel.Vertex, msgs []pregel.Value, rec *record,
 	// A canceled job is shutting down at the next barrier; its remaining
 	// computes still run (barrier consistency) but their captures would
 	// record a superstep that will never fold. Skip them.
-	if g.ctx.Err() != nil {
+	if g.canceled() {
 		return
 	}
 
-	if max := g.cfg.maxCaptures(); max >= 0 {
-		if n := g.captures.Add(1); n > max {
-			g.captures.Add(-1)
-			g.limitHit.Store(true)
-			return
-		}
-	} else {
-		g.captures.Add(1)
+	max := g.cfg.maxCaptures()
+	if n := g.captures.Add(1); max >= 0 && n > max {
+		g.captures.Add(-1)
+		g.limitHit.Store(true)
+		return
 	}
 
 	if rec.reasons.Has(trace.ReasonVertexConstraint) {

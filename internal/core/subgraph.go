@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"graft/internal/pregel"
 	"graft/internal/trace"
 )
@@ -36,9 +34,9 @@ func (is *instrumentedSubgraph) ComputeSubgraph(ctx pregel.SubgraphContext, sg *
 	if !g.cfg.observes(superstep) {
 		return is.user.ComputeSubgraph(ctx, sg)
 	}
-	capStart := time.Now()
 	worker := ctx.WorkerID()
 	sc := &g.worker(worker).sub
+	slot := g.capSlots[worker].begin(superstep)
 	sc.reset(ctx, sg)
 	members := sg.Members()
 
@@ -59,10 +57,9 @@ func (is *instrumentedSubgraph) ComputeSubgraph(ctx pregel.SubgraphContext, sg *
 		}
 	}
 
-	capSlot := &g.capNanos[worker]
-	capSlot.n += time.Since(capStart).Nanoseconds()
+	slot.pause()
 	exc, err := guard(func() error { return is.user.ComputeSubgraph(sc, sg) })
-	capStart = time.Now()
+	slot.resume()
 
 	reasons := known
 	for i, v := range members {
@@ -70,10 +67,10 @@ func (is *instrumentedSubgraph) ComputeSubgraph(ctx pregel.SubgraphContext, sg *
 		r.reasons |= g.verdict(v, superstep, r.sawMsgViolation, err)
 		reasons |= r.reasons
 	}
-	if reasons != 0 && g.ctx.Err() == nil {
+	if reasons != 0 && !g.canceled() {
 		g.captureSubgraph(sc, exc, edgesPreCompute)
 	}
-	capSlot.n += time.Since(capStart).Nanoseconds()
+	slot.pause()
 	return err
 }
 

@@ -203,12 +203,12 @@ type Counters struct {
 	// phase wall time minus its own compute time. Summed over workers
 	// it is the capacity lost to stragglers.
 	BarrierWait time.Duration `json:"barrier_ns"`
-	// CaptureTime is the time spent building Graft's capture records:
-	// snapshotting and writing the contexts of the vertices that are
-	// captured, and re-running the ones a constraint or an exception
-	// picked after they computed. Evaluating the constraint predicates
-	// on every other vertex is part of ComputeTime. Zero for undebugged
-	// runs.
+	// CaptureTime estimates, from sampled records, the time spent
+	// building Graft's capture records: snapshotting and writing the
+	// contexts of the captured vertices, and re-running the ones a
+	// constraint or an exception picked after they computed. A worker
+	// row's is at most its ComputeTime, which also holds the constraint
+	// checks on every other vertex. Zero for undebugged runs.
 	CaptureTime time.Duration `json:"capture_ns"`
 	// FlushTime is the wall time the coordinator spent in the
 	// listener's BarrierFlush: appending each lane's last records,
@@ -338,7 +338,7 @@ type BarrierFlusher interface {
 // SuperstepStats; each worker only reads its own slot, so
 // implementations need no locking beyond per-worker storage.
 type CaptureTimeReporter interface {
-	// CaptureNanos returns the cumulative nanoseconds worker w spent
-	// building capture records since the job started.
+	// CaptureNanos returns the estimated cumulative nanoseconds worker
+	// w spent building capture records since the job started.
 	CaptureNanos(w int) int64
 }

@@ -768,7 +768,8 @@ func (en *engine) runWorker(w int, nv, ne int64) (workerResult, error) {
 	res.removals = ctx.removals
 	res.ComputeTime = time.Since(t0)
 	if en.capTime != nil {
-		res.CaptureTime = time.Duration(en.capTime.CaptureNanos(w) - capBefore)
+		// A sampled estimate can overshoot the phase it was taken in.
+		res.CaptureTime = min(time.Duration(en.capTime.CaptureNanos(w)-capBefore), res.ComputeTime)
 	}
 	return res, nil
 }
