@@ -220,7 +220,7 @@ func TestCLISmoke(t *testing.T) {
 		{name: "trace write failure exits 1", args: with(pr, "-debug", "DC-sp", "-trace-dir", "traces", "-job", "unwritable", "-workers", "1"),
 			exit: 1, wants: []string{"finished:", "trace write"}},
 		// job.meta reads a zero budget as "not recorded", so a run has one.
-		{name: "zero budget", args: with(pr, "-supersteps", "0"), exit: 1, wants: []string{"-supersteps must be at least 1"}},
+		{name: "zero budget", args: with(pr, "-supersteps", "0"), exit: 1, wants: []string{"supersteps must be at least 1, got 0"}},
 		{name: "-msg-batch is gone", args: with(pr, "-msg-batch", "256"), exit: 2, wants: []string{"flag provided but not defined"}},
 		{name: "-checkpoint-retain is gone", args: with(pr, "-checkpoint-retain", "1"), exit: 2, wants: []string{"flag provided but not defined"}},
 		{name: "-msg-log-dir is gone", args: with(pr, "-msg-log-dir", "x"), exit: 2, wants: []string{"flag provided but not defined"}},

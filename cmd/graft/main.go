@@ -20,7 +20,6 @@ import (
 
 	"graft"
 	"graft/internal/algorithms"
-	"graft/internal/core"
 	"graft/internal/dfs"
 	"graft/internal/faults"
 	"graft/internal/graphgen"
@@ -85,8 +84,8 @@ func openStore(dir string) (*trace.Store, error) {
 // buildGraph resolves -dataset: a Table 1/2 name (scaled) or a local
 // adjacency-list file.
 func buildGraph(dataset string, scale float64, seed int64) (*pregel.Graph, error) {
-	if g, err := graphgen.BuildDataset(dataset, scale, seed); err == nil {
-		return g, nil
+	if ds, err := graphgen.NamedDataset(dataset, scale, seed); err == nil {
+		return ds.Build(), nil
 	}
 	f, err := os.Open(dataset)
 	if err != nil {
@@ -96,21 +95,25 @@ func buildGraph(dataset string, scale float64, seed int64) (*pregel.Graph, error
 	return graphio.ReadAdjacency(f)
 }
 
-// cmdRun maps its flags onto one graft.RunOptions and runs it through
+// cmdRun resolves its eight job flags — a graft.JobSpec, the body
+// `graft serve` takes — through JobSpec.Job, applies the flags only
+// the CLI has (file datasets, -mode, -partitioner, checkpoints and
+// crashes, -trace-dir) to the RunOptions, and runs it through
 // graft.RunAlgorithm; what it keeps for itself is the telemetry
 // plumbing (-metrics-*, job.metrics) and the summary.
 func cmdRun(args []string) error {
+	spec := graft.DefaultJobSpec()
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	alg := fs.String("alg", "cc", "algorithm to run")
+	fs.StringVar(&spec.Alg, "alg", spec.Alg, "algorithm to run")
 	mode := fs.String("mode", "vertex", "compute mode: vertex (classic, per-vertex) or subgraph (per connected component of a partition)")
-	dataset := fs.String("dataset", "soc-Epinions", "dataset name (Table 1/2) or adjacency-list file")
-	scale := fs.Float64("scale", 0.01, "dataset scale factor against the paper sizes")
-	seed := fs.Int64("seed", algorithms.DefaultSeed, "random seed")
-	workers := fs.Int("workers", 4, "worker goroutines")
-	supersteps := fs.Int("supersteps", algorithms.DefaultSupersteps, "superstep budget for fixed-length algorithms")
-	debug := fs.String("debug", "DC-sp", "debug preset or none")
+	fs.StringVar(&spec.Dataset, "dataset", spec.Dataset, "dataset name (Table 1/2) or adjacency-list file")
+	fs.Float64Var(&spec.Scale, "scale", spec.Scale, "dataset scale factor against the paper sizes, in (0, 1]")
+	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "random seed")
+	fs.IntVar(&spec.Workers, "workers", spec.Workers, "worker goroutines")
+	fs.IntVar(&spec.Supersteps, "supersteps", spec.Supersteps, "superstep budget for fixed-length algorithms")
+	fs.StringVar(&spec.Debug, "debug", spec.Debug, "debug preset or none")
 	traceDir := fs.String("trace-dir", "graft-traces", "trace directory")
-	jobID := fs.String("job", "", "job ID (default: <alg>-<timestamp>)")
+	fs.StringVar(&spec.JobID, "job", "", "job ID (default: <alg>-<timestamp>)")
 	checkpointEvery := fs.Int("checkpoint-every", 0, "checkpoint before every Nth superstep (0 disables)")
 	crashAt := fs.Int("crash-at", -1, "simulate a worker crash after this superstep (requires -checkpoint-every)")
 	chaos := fs.Float64("chaos", 0, "per-operation storage fault probability injected into the checkpoint FS")
@@ -125,7 +128,11 @@ func cmdRun(args []string) error {
 		flagError("-crash-at requires -checkpoint-every (a crash rolls back to a checkpoint)")
 	}
 
-	eng := pregel.Config{NumWorkers: *workers}
+	a, opts, err := spec.Job()
+	if err != nil {
+		return err
+	}
+	eng := &opts.Engine
 	switch *partitioner {
 	case "hash":
 	case "locality":
@@ -133,14 +140,6 @@ func cmdRun(args []string) error {
 	default:
 		return fmt.Errorf("unknown -partitioner %q (hash, locality)", *partitioner)
 	}
-	if *supersteps < 1 {
-		return fmt.Errorf("run: -supersteps must be at least 1, got %d", *supersteps)
-	}
-	a, err := algorithms.ByName(*alg, *seed, *supersteps)
-	if err != nil {
-		return err
-	}
-	var subgraph pregel.SubgraphComputation
 	switch *mode {
 	case "vertex":
 	case "subgraph":
@@ -148,25 +147,20 @@ func cmdRun(args []string) error {
 			return fmt.Errorf("algorithm %q has no subgraph-mode port (available in -mode subgraph: %s)",
 				a.Name, strings.Join(algorithms.SubgraphNames(), ", "))
 		}
-		subgraph = a.Subgraph
+		opts.Subgraph = a.Subgraph
 	default:
 		return fmt.Errorf("unknown -mode %q (vertex, subgraph)", *mode)
 	}
-	g, err := buildGraph(*dataset, *scale, *seed)
+	g, err := buildGraph(spec.Dataset, spec.Scale, spec.Seed)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("dataset %s: %d vertices, %d directed edges\n", *dataset, g.NumVertices(), g.NumEdges())
+	fmt.Printf("dataset %s: %d vertices, %d directed edges\n", spec.Dataset, g.NumVertices(), g.NumEdges())
 
-	dc, err := core.PresetConfig(*debug, *seed)
-	if err != nil {
-		return err
+	if opts.JobID == "" {
+		opts.JobID = fmt.Sprintf("%s-%d", a.Name, time.Now().UnixNano())
 	}
-	id := *jobID
-	if id == "" {
-		id = fmt.Sprintf("%s-%d", a.Name, time.Now().UnixNano())
-	}
-
+	id := opts.JobID
 	reg := metrics.NewRegistry(id, a.Name)
 	eng.Listener = reg
 	if *metricsOut != "" {
@@ -194,7 +188,7 @@ func cmdRun(args []string) error {
 	}
 	if *checkpointEvery > 0 {
 		if *chaosSeed == 0 {
-			*chaosSeed = *seed
+			*chaosSeed = spec.Seed
 		}
 		var ckptFS dfs.FileSystem = dfs.NewMemFS()
 		if *chaos > 0 {
@@ -215,20 +209,11 @@ func cmdRun(args []string) error {
 		}
 	}
 
-	opts := graft.RunOptions{
-		JobID:       id,
-		Description: fmt.Sprintf("dataset=%s scale=%g debug=%s mode=%s", *dataset, *scale, *debug, *mode),
-		Seed:        *seed,
-		Supersteps:  *supersteps,
-		Engine:      eng,
-		Subgraph:    subgraph,
-		Debug:       dc,
-	}
-	if dc != nil {
+	if opts.Debug != nil {
 		if opts.Store, err = openStore(*traceDir); err != nil {
 			return err
 		}
-		fmt.Printf("debugging with %s, traces under %s/%s\n", *debug, *traceDir, id)
+		fmt.Printf("debugging with %s, traces under %s/%s\n", spec.Debug, *traceDir, id)
 	}
 
 	res, runErr := graft.RunAlgorithm(g, a, opts)
@@ -251,7 +236,7 @@ func cmdRun(args []string) error {
 	// 1, because the trace the user asked for cannot be trusted.
 	if stats == nil {
 		fmt.Printf("job FAILED: %v\n", runErr)
-		if dc != nil {
+		if opts.Debug != nil {
 			fmt.Printf("the failing context was captured (%d captures); inspect with graft show / graft serve\n", res.Captures)
 		}
 		linger(*metricsAddr, *metricsLinger)

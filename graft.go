@@ -295,11 +295,3 @@ func RunAlgorithm(g *Graph, alg *Algorithm, opts RunOptions) (*RunResult, error)
 	mergeAlgorithm(&opts, alg)
 	return Run(g, alg.Compute, opts)
 }
-
-// RunSubgraph runs a subgraph-centric program over g: Run with
-// opts.Subgraph set to scomp. Debugging, tracing and reproduction work
-// exactly as in vertex mode, at component granularity.
-func RunSubgraph(g *Graph, scomp SubgraphComputation, opts RunOptions) (*RunResult, error) {
-	opts.Subgraph = scomp
-	return Run(g, nil, opts)
-}

@@ -26,7 +26,6 @@ import (
 //	cfg.Listener = g // or g.Chain(existing)
 type Graft struct {
 	cfg   DebugConfig
-	jobID string
 	store *trace.Store
 	sink  trace.Sink
 	// workerSinks/masterSink cache the per-lane handles so the capture
@@ -96,7 +95,6 @@ func Attach(store *trace.Store, opts Options, graph *pregel.Graph, cfg DebugConf
 	}
 	g := &Graft{
 		cfg:      cfg,
-		jobID:    opts.JobID,
 		store:    store,
 		reasons:  selectTargets(graph, &cfg),
 		workers:  make([]workerState, opts.NumWorkers),
@@ -174,9 +172,6 @@ func selectTargets(graph *pregel.Graph, cfg *DebugConfig) map[pregel.VertexID]tr
 	return m
 }
 
-// JobID returns the session's job ID.
-func (g *Graft) JobID() string { return g.jobID }
-
 // Captures returns the number of capture records written so far.
 func (g *Graft) Captures() int64 { return g.captures.Load() }
 
@@ -217,13 +212,6 @@ func (g *Graft) recordWriteErr(err error) {
 	}
 	g.writeMu.Unlock()
 }
-
-// DroppedRecords returns how many trace records were lost to storage
-// failure (segments that could not be committed). Trace loss degrades
-// the capture but never aborts the debugged job — the paper's stance.
-// Dropped records are counted here and in job.done; the failure itself
-// is in Err.
-func (g *Graft) DroppedRecords() int64 { return g.sink.DroppedRecords() }
 
 // FaultStats returns the trace store's resilience counters (retries,
 // injected faults) plus the records this session dropped.

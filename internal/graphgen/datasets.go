@@ -113,13 +113,9 @@ func FindDataset(ds []Dataset, name string) (*Dataset, error) {
 	return nil, fmt.Errorf("graphgen: unknown dataset %q", name)
 }
 
-// BuildDataset generates the named Table 1/2 stand-in at the given
-// scale and seed: the lookup behind `graft run -dataset` and the serve
-// daemon's "dataset" field.
-func BuildDataset(name string, scale float64, seed int64) (*pregel.Graph, error) {
-	ds, err := FindDataset(append(Table1Datasets(scale, seed), Table2Datasets(scale, seed)...), name)
-	if err != nil {
-		return nil, err
-	}
-	return ds.Build(), nil
+// NamedDataset looks up the named Table 1/2 stand-in at the given
+// scale and seed, unbuilt: the lookup behind `graft run -dataset` and
+// the serve daemon's "dataset" field.
+func NamedDataset(name string, scale float64, seed int64) (*Dataset, error) {
+	return FindDataset(append(Table1Datasets(scale, seed), Table2Datasets(scale, seed)...), name)
 }

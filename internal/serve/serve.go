@@ -15,9 +15,6 @@ import (
 	"net/http"
 
 	"graft"
-	"graft/internal/algorithms"
-	"graft/internal/core"
-	"graft/internal/graphgen"
 	"graft/internal/gui"
 	"graft/internal/metrics"
 )
@@ -69,21 +66,6 @@ func (d *Daemon) Handler() http.Handler { return d.mux }
 // for their barriers.
 func (d *Daemon) Close() error { return d.session.Close() }
 
-// SubmitRequest is the POST /api/jobs body. Datasets are the Table 1/2
-// stand-ins the CLI accepts (scaled); algorithms are the
-// algorithms.ByName set; debug is a preset name ("none" to run without
-// capture).
-type SubmitRequest struct {
-	JobID      string  `json:"job_id"`
-	Alg        string  `json:"alg"`
-	Dataset    string  `json:"dataset"`
-	Scale      float64 `json:"scale"`
-	Seed       int64   `json:"seed"`
-	Workers    int     `json:"workers"`
-	Supersteps int     `json:"supersteps"`
-	Debug      string  `json:"debug"`
-}
-
 // JobInfo is one job's status, as served by list and status.
 type JobInfo struct {
 	JobID      string `json:"job_id"`
@@ -102,10 +84,13 @@ func (d *Daemon) handleHealth(w http.ResponseWriter, r *http.Request) {
 // of short fields; a body anywhere near this size is not one.
 const maxSubmitBytes = 1 << 20
 
+// handleSubmit decodes a graft.JobSpec over its defaults, so an absent
+// key keeps its default and a present one, zero included, is taken as
+// given.
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
+	spec := graft.DefaultJobSpec()
 	r.Body = http.MaxBytesReader(w, r.Body, maxSubmitBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 		code := http.StatusBadRequest
 		if errors.As(err, new(*http.MaxBytesError)) {
 			code = http.StatusRequestEntityTooLarge
@@ -113,70 +98,9 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	if req.Alg == "" {
-		req.Alg = "pagerank"
-	}
-	if req.Dataset == "" {
-		req.Dataset = "soc-Epinions"
-	}
-	if req.Scale == 0 {
-		req.Scale = 0.001
-	}
-	if req.Seed == 0 {
-		req.Seed = algorithms.DefaultSeed
-	}
-	if req.Workers == 0 {
-		req.Workers = 4
-	}
-	if req.Supersteps == 0 {
-		req.Supersteps = algorithms.DefaultSupersteps
-	}
-	if req.Debug == "" {
-		req.Debug = "DC-sp"
-	}
-	// Datasets are scaled stand-ins of the paper's graphs, and scale 1 is
-	// the paper's size: the most a submission may ask to build.
-	if req.Scale <= 0 || req.Scale > 1 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("scale = %g, must be in (0, 1]", req.Scale))
-		return
-	}
-
-	alg, err := algorithms.ByName(req.Alg, req.Seed, req.Supersteps)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Submissions name datasets, never paths: unlike the CLI, the daemon
-	// does not read local files.
-	g, err := graphgen.BuildDataset(req.Dataset, req.Scale, req.Seed)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	dc, err := core.PresetConfig(req.Debug, req.Seed)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	opts := graft.RunOptions{
-		JobID:       req.JobID,
-		Description: fmt.Sprintf("dataset=%s scale=%g debug=%s", req.Dataset, req.Scale, req.Debug),
-		Seed:        req.Seed,
-		Supersteps:  req.Supersteps,
-		Engine: graft.EngineConfig{
-			NumWorkers:    req.Workers,
-			MaxSupersteps: req.Supersteps,
-		},
-		Debug: dc,
-	}
-	if dc != nil && opts.JobID == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("debugged jobs need a job_id (it names the trace directory)"))
-		return
-	}
 	// The submit's context must outlive the request: the job is
 	// canceled through its handle, not by the client hanging up.
-	job, err := d.session.SubmitAlgorithm(context.Background(), g, alg, opts)
+	job, err := d.session.SubmitSpec(context.Background(), spec)
 	if err != nil {
 		switch {
 		case errors.Is(err, graft.ErrSessionFull):

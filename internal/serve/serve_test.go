@@ -17,12 +17,13 @@ import (
 	"graft/internal/graphgen"
 )
 
-// newDaemon starts a daemon over an in-memory store behind httptest.
-func newDaemon(t *testing.T) (*Daemon, *httptest.Server) {
+// newDaemon starts a daemon over an in-memory store behind httptest,
+// running at most maxConcurrent jobs at once.
+func newDaemon(t *testing.T, maxConcurrent int) (*Daemon, *httptest.Server) {
 	t.Helper()
 	sess, err := graft.NewSession(graft.SessionConfig{
 		Store:             graft.NewStore(graft.NewMemFS(), "traces"),
-		MaxConcurrentJobs: 2,
+		MaxConcurrentJobs: maxConcurrent,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,17 +101,21 @@ func waitState(t *testing.T, ts *httptest.Server, id, want string) JobInfo {
 // a TODO placeholder, not the default seed) and its replay check runs —
 // every capture replaying as the cluster computed it.
 func TestServeReproducesAndReplayChecks(t *testing.T) {
-	d, ts := newDaemon(t)
+	d, ts := newDaemon(t, 2)
 	for _, row := range []struct{ id, seed, ctor string }{
 		{"gc-default", "", "algorithms.NewGraphColoring(42)"},
 		{"gc-seed7", `"seed":7,`, "algorithms.NewGraphColoring(7)"},
-		// A submission's seed 0 means the default, `graft run -seed 0`
-		// means 0: run that one into the store the way the CLI does.
-		{"gc-seed0", "cli", "algorithms.NewGraphColoring(0)"},
+		// Seed 0 is a seed, not "use the default", in a submission as in
+		// `graft run -seed 0`.
+		{"gc-seed0", `"seed":0,`, "algorithms.NewGraphColoring(0)"},
+		// A job run by the library into the daemon's store, as
+		// `graft run -seed 0` does, reproduces at its seed too.
+		{"gc-seed0-lib", "lib", "algorithms.NewGraphColoring(0)"},
 	} {
-		if row.seed == "cli" {
+		if row.seed == "lib" {
 			alg, _ := algorithms.ByName("gc", 0, 10)
-			g, _ := graphgen.BuildDataset("bipartite-1M-3M", 0.0005, 0)
+			ds, _ := graphgen.NamedDataset("bipartite-1M-3M", 0.0005, 0)
+			g := ds.Build()
 			dc, _ := core.PresetConfig("DC-full", 0)
 			if _, err := graft.RunAlgorithm(g, alg, graft.RunOptions{JobID: row.id, Supersteps: 10,
 				Store: d.session.Store(), Debug: dc}); err != nil {
@@ -162,7 +167,7 @@ func TestServeReproducesAndReplayChecks(t *testing.T) {
 }
 
 func TestServeRejectsBadSubmissions(t *testing.T) {
-	_, ts := newDaemon(t)
+	_, ts := newDaemon(t, 2)
 	if code, _ := post(t, ts, "/api/jobs", `{"job_id":"ok","alg":"cc","scale":0.0005}`); code != http.StatusCreated {
 		t.Fatalf("valid submit = %d", code)
 	}
@@ -189,7 +194,7 @@ func TestServeRejectsBadSubmissions(t *testing.T) {
 // square, a graph scaled past the paper's size — is refused with 400
 // before anything is built, and the daemon keeps serving.
 func TestServeRejectsHostileSubmissions(t *testing.T) {
-	_, ts := newDaemon(t)
+	_, ts := newDaemon(t, 2)
 	for name, body := range map[string]string{
 		"huge workers":   `{"job_id":"w","workers":200000}`,
 		"negative scale": `{"job_id":"s","scale":-1}`,
@@ -208,11 +213,56 @@ func TestServeRejectsHostileSubmissions(t *testing.T) {
 	}
 }
 
+// TestServeBuildsGraphAfterAdmission: a submission is admitted before
+// its graph exists. With the one running slot held, a twitter job at
+// scale 0.005 (about 210k vertices and 2.5M edges, some 85 MB built) is
+// answered 201 while the live heap stays flat, and canceled while
+// queued it ends canceled without ever having built its graph. A
+// dataset that is no name is refused before admission.
+func TestServeBuildsGraphAfterAdmission(t *testing.T) {
+	_, ts := newDaemon(t, 1)
+	hold := `{"job_id":"hold","alg":"rw","dataset":"soc-Epinions","scale":0.001,"supersteps":2000000,"debug":"none"}`
+	if code, _ := post(t, ts, "/api/jobs", hold); code != http.StatusCreated {
+		t.Fatalf("submit hold = %d", code)
+	}
+	waitState(t, ts, "hold", "running")
+
+	before := liveHeap()
+	code, info := post(t, ts, "/api/jobs", `{"job_id":"big","alg":"cc","dataset":"twitter","scale":0.005,"debug":"none"}`)
+	if grew := liveHeap() - before; grew > 16<<20 {
+		t.Errorf("the live heap grew by %d MB across an admission", grew>>20)
+	}
+	if code != http.StatusCreated || info.State != "queued" {
+		t.Fatalf("submit big = %d %+v, want 201 and queued", code, info)
+	}
+	if code, _ := post(t, ts, "/api/jobs/big/cancel", ""); code != http.StatusAccepted {
+		t.Fatalf("cancel big = %d", code)
+	}
+	if info := waitState(t, ts, "big", "canceled"); !strings.Contains(info.Error, "canceled while queued") {
+		t.Errorf("big ended %q, want canceled while queued", info.Error)
+	}
+
+	if code, _ := post(t, ts, "/api/jobs", `{"job_id":"passwd","dataset":"/etc/passwd"}`); code != http.StatusBadRequest {
+		t.Errorf("a path as dataset: status %d, want 400", code)
+	}
+	if code, _ := get(t, ts, "/api/jobs/passwd"); code != http.StatusNotFound {
+		t.Errorf("a refused submission became a job: status %d", code)
+	}
+}
+
+// liveHeap returns the bytes of live heap after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
 // TestServeRejectsOversizedBody: a submission larger than
 // maxSubmitBytes is refused with 413 without being decoded into a job,
 // and the daemon goes on serving the next submission and /healthz.
 func TestServeRejectsOversizedBody(t *testing.T) {
-	_, ts := newDaemon(t)
+	_, ts := newDaemon(t, 2)
 	big := fmt.Sprintf(`{"job_id":"big","alg":"cc","scale":0.0005,"note":%q}`, strings.Repeat("x", 2<<20))
 	if code, _ := post(t, ts, "/api/jobs", big); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("2 MiB submission: status %d, want 413", code)
@@ -233,7 +283,7 @@ func TestServeRejectsOversizedBody(t *testing.T) {
 // Close returns only once no job is left running anywhere — no engine
 // goroutine survives it.
 func TestServeCancelAndClose(t *testing.T) {
-	d, ts := newDaemon(t)
+	d, ts := newDaemon(t, 2)
 	long := `{"job_id":"%s","alg":"rw","dataset":"soc-Epinions","scale":0.001,"supersteps":2000000,"debug":"none"}`
 	// Queued jobs take free slots in no particular order, so rw-a runs
 	// before the others are submitted: otherwise rw-b and rw-queued can

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"graft/internal/core"
+	"graft/internal/graphgen"
 	"graft/internal/metrics"
 	"graft/internal/pregel"
 )
@@ -175,6 +176,38 @@ func (s *Session) Jobs() []*Job {
 // cap, and a duplicate-ID error (job IDs name trace directories, so
 // they must be unique within the store).
 func (s *Session) Submit(ctx context.Context, g *Graph, comp Computation, opts RunOptions) (*Job, error) {
+	return s.submit(ctx, func() *Graph { return g }, comp, opts)
+}
+
+// SubmitAlgorithm is Submit for a packaged Algorithm, applying the same
+// defaulting as RunAlgorithm.
+func (s *Session) SubmitAlgorithm(ctx context.Context, g *Graph, alg *Algorithm, opts RunOptions) (*Job, error) {
+	mergeAlgorithm(&opts, alg)
+	return s.Submit(ctx, g, alg.Compute, opts)
+}
+
+// SubmitSpec admits the job spec names, as SubmitAlgorithm would — the
+// serve daemon's POST /api/jobs. The dataset must be a Table 1/2 name,
+// never a path. Its graph is built on the job's runner goroutine once
+// the job holds a running slot, so a queued job holds no graph and a
+// rejected one never builds it. A spec that does not resolve is
+// rejected with ErrInvalidOptions.
+func (s *Session) SubmitSpec(ctx context.Context, spec JobSpec) (*Job, error) {
+	alg, opts, err := spec.Job()
+	var ds *graphgen.Dataset
+	if err == nil {
+		ds, err = graphgen.NamedDataset(spec.Dataset, spec.Scale, spec.Seed)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrInvalidOptions, err)
+	}
+	mergeAlgorithm(&opts, alg)
+	return s.submit(ctx, ds.Build, alg.Compute, opts)
+}
+
+// submit is every Submit*'s admission: the job runs comp over the graph
+// build returns, called once the job holds a running slot.
+func (s *Session) submit(ctx context.Context, build func() *Graph, comp Computation, opts RunOptions) (*Job, error) {
 	if opts.Store == nil {
 		opts.Store = s.cfg.Store
 	}
@@ -229,19 +262,13 @@ func (s *Session) Submit(ctx context.Context, g *Graph, comp Computation, opts R
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	go s.runJob(jctx, j, g, comp, opts)
+	go s.runJob(jctx, j, build, comp, opts)
 	return j, nil
 }
 
-// SubmitAlgorithm is Submit for a packaged Algorithm, applying the same
-// defaulting as RunAlgorithm.
-func (s *Session) SubmitAlgorithm(ctx context.Context, g *Graph, alg *Algorithm, opts RunOptions) (*Job, error) {
-	mergeAlgorithm(&opts, alg)
-	return s.Submit(ctx, g, alg.Compute, opts)
-}
-
-// runJob is one job's runner goroutine: wait for a slot, run, record.
-func (s *Session) runJob(ctx context.Context, j *Job, g *Graph, comp Computation, opts RunOptions) {
+// runJob is one job's runner goroutine: wait for a slot, build the
+// graph, run, record.
+func (s *Session) runJob(ctx context.Context, j *Job, build func() *Graph, comp Computation, opts RunOptions) {
 	defer s.wg.Done()
 	defer j.cancel() // release the context's resources whatever happened
 
@@ -272,7 +299,7 @@ func (s *Session) runJob(ctx context.Context, j *Job, g *Graph, comp Computation
 				err = fmt.Errorf("graft: job %s: %w", j.id, &core.PanicError{Value: p, Stack: string(debug.Stack())})
 			}
 		}()
-		res, err = runJob(ctx, g, comp, opts, j.reg)
+		res, err = runJob(ctx, build(), comp, opts, j.reg)
 		return err
 	}()
 

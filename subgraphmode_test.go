@@ -106,12 +106,14 @@ func TestSubgraphTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunSubgraphHelper covers the RunSubgraph convenience entry and
-// the typed error for a job given no program at all.
+// TestRunSubgraphHelper: RunOptions.Subgraph alone selects subgraph
+// mode (Run with no Computation), and a job given no program at all is
+// a typed error.
 func TestRunSubgraphHelper(t *testing.T) {
 	g := graphgen.RegularBipartite(40, 3)
-	res, err := RunSubgraph(g, algorithms.NewConnectedComponents().Subgraph, RunOptions{
-		Engine: EngineConfig{NumWorkers: 2},
+	res, err := Run(g, nil, RunOptions{
+		Subgraph: algorithms.NewConnectedComponents().Subgraph,
+		Engine:   EngineConfig{NumWorkers: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
