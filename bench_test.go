@@ -11,6 +11,7 @@ package graft_test
 // not absolute seconds.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -84,7 +85,7 @@ func BenchmarkTable3(b *testing.B) {
 		}
 		b.Run(cfg.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				session, err := core.Attach(store, core.Options{
+				session, err := core.Attach(context.Background(), store, trace.JobMeta{
 					JobID:      fmt.Sprintf("t3-%s-%d", cfg.Name, i),
 					Algorithm:  "bench",
 					NumWorkers: 4,
@@ -126,7 +127,7 @@ func BenchmarkFig8(b *testing.B) {
 					if cfg.Make != nil {
 						store := trace.NewStore(dfs.NewMemFS(), "bench")
 						var err error
-						session, err = core.Attach(store, core.Options{
+						session, err = core.Attach(context.Background(), store, trace.JobMeta{
 							JobID:      fmt.Sprintf("%s-%s-%d", wl.Label, cfg.Name, i),
 							Algorithm:  alg.Name,
 							NumWorkers: wl.Workers,
@@ -164,7 +165,7 @@ func BenchmarkFig2(b *testing.B) {
 	g := graphgen.WebGraph(50_000, 8, benchSeed)
 	store := trace.NewStore(dfs.NewMemFS(), "fig2")
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Attach(store, core.Options{
+		if _, err := core.Attach(context.Background(), store, trace.JobMeta{
 			JobID: fmt.Sprintf("fig2-%d", i), Algorithm: "rw", NumWorkers: 4,
 		}, g, core.Fig2Config(benchSeed)); err != nil {
 			b.Fatal(err)
@@ -179,7 +180,7 @@ func fig3to5DB(b *testing.B) *trace.Reader {
 	store := trace.NewStore(dfs.NewMemFS(), "gui")
 	g := graphgen.RegularBipartite(2000, 3)
 	alg := algorithms.NewBuggyGraphColoring(benchSeed)
-	session, err := core.Attach(store, core.Options{
+	session, err := core.Attach(context.Background(), store, trace.JobMeta{
 		JobID: "gui-bench", Algorithm: alg.Name, NumWorkers: 4,
 	}, g, core.DebugConfig{
 		NumRandomCaptures: 20, CaptureNeighbors: true, RandomSeed: 3,
@@ -270,7 +271,7 @@ func BenchmarkAblationInstrumentation(b *testing.B) {
 			comp := alg.Compute
 			if dc != nil {
 				store := trace.NewStore(dfs.NewMemFS(), "abl")
-				session, err := core.Attach(store, core.Options{
+				session, err := core.Attach(context.Background(), store, trace.JobMeta{
 					JobID: fmt.Sprintf("abl-%d", i), Algorithm: alg.Name, NumWorkers: 4,
 				}, g, *dc)
 				if err != nil {
@@ -319,7 +320,7 @@ func BenchmarkAblationTraceSink(b *testing.B) {
 			g := graphgen.RegularBipartite(4000, 3)
 			alg := algorithms.NewRandomWalk(benchSeed, 6)
 			store := trace.NewStore(mkfs(b), "sink")
-			session, err := core.Attach(store, core.Options{
+			session, err := core.Attach(context.Background(), store, trace.JobMeta{
 				JobID: fmt.Sprintf("sink-%d", i), Algorithm: alg.Name, NumWorkers: 4,
 			}, g, core.DebugConfig{CaptureAllActive: true, MaxCaptures: -1})
 			if err != nil {
@@ -380,7 +381,7 @@ func BenchmarkAblationSafetyNet(b *testing.B) {
 			g := graphgen.RegularBipartite(8000, 3)
 			alg := algorithms.NewRandomWalk(benchSeed, 6)
 			store := trace.NewStore(dfs.NewMemFS(), "net")
-			session, err := core.Attach(store, core.Options{
+			session, err := core.Attach(context.Background(), store, trace.JobMeta{
 				JobID: fmt.Sprintf("net-%d", i), Algorithm: alg.Name, NumWorkers: 4,
 			}, g, core.DebugConfig{CaptureAllActive: true, MaxCaptures: maxCaptures})
 			if err != nil {

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -98,9 +99,10 @@ func buildGraph(dataset string, scale float64, seed int64) (*pregel.Graph, error
 // cmdRun resolves its eight job flags — a graft.JobSpec, the body
 // `graft serve` takes — through JobSpec.Job, applies the flags only
 // the CLI has (file datasets, -mode, -partitioner, checkpoints and
-// crashes, -trace-dir) to the RunOptions, and runs it through
-// graft.RunAlgorithm; what it keeps for itself is the telemetry
-// plumbing (-metrics-*, job.metrics) and the summary.
+// crashes, -trace-dir) to the RunOptions, and runs it as a one-job
+// graft.Session, as every job runs. It keeps for itself the
+// -metrics-out listener, serving the job's registry on -metrics-addr,
+// and the summary.
 func cmdRun(args []string) error {
 	spec := graft.DefaultJobSpec()
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
@@ -160,31 +162,26 @@ func cmdRun(args []string) error {
 	if opts.JobID == "" {
 		opts.JobID = fmt.Sprintf("%s-%d", a.Name, time.Now().UnixNano())
 	}
-	id := opts.JobID
-	reg := metrics.NewRegistry(id, a.Name)
-	eng.Listener = reg
 	if *metricsOut != "" {
 		f, err := os.Create(*metricsOut)
 		if err != nil {
 			return err
 		}
-		sink := metrics.NewJSONLSink(f)
+		sink := metrics.NewJSONLSink(f, opts.JobID, a.Name)
 		defer func() {
 			if err := sink.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "graft: metrics-out:", err)
 			}
 		}()
-		reg.SetSink(sink)
+		eng.Listener = sink
 	}
+	var metricsLn net.Listener
 	if *metricsAddr != "" {
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
+		if metricsLn, err = net.Listen("tcp", *metricsAddr); err != nil {
 			return err
 		}
-		srv := httpServer("", metrics.NewMux(reg, metrics.MuxOptions{Pprof: *pprofOn}))
-		defer srv.Close()
-		go func() { _ = srv.Serve(ln) }()
-		fmt.Printf("metrics: http://%s/metrics (and /debug/vars)\n", ln.Addr())
+		defer metricsLn.Close()
+		fmt.Printf("metrics: http://%s/metrics (and /debug/vars)\n", metricsLn.Addr())
 	}
 	if *checkpointEvery > 0 {
 		if *chaosSeed == 0 {
@@ -195,11 +192,7 @@ func cmdRun(args []string) error {
 			// Seeded faults on checkpoint writes, absorbed by bounded
 			// retries — the run exercises the resilient storage path and
 			// reports what it survived in the resilience line below.
-			retry := faults.NewRetryFS(faults.NewFaultFS(ckptFS, faults.ChaosPlan(*chaosSeed, *chaos)), *chaosSeed)
-			// Live /metrics exposes the chaos counters mid-run, before
-			// the engine folds them into the final Stats.
-			reg.AddFaultSource(retry)
-			ckptFS = retry
+			ckptFS = faults.NewRetryFS(faults.NewFaultFS(ckptFS, faults.ChaosPlan(*chaosSeed, *chaos)), *chaosSeed)
 		}
 		eng.CheckpointEvery = *checkpointEvery
 		eng.CheckpointFS = ckptFS
@@ -213,20 +206,27 @@ func cmdRun(args []string) error {
 		if opts.Store, err = openStore(*traceDir); err != nil {
 			return err
 		}
-		fmt.Printf("debugging with %s, traces under %s/%s\n", spec.Debug, *traceDir, id)
+		fmt.Printf("debugging with %s, traces under %s/%s\n", spec.Debug, *traceDir, opts.JobID)
 	}
 
-	res, runErr := graft.RunAlgorithm(g, a, opts)
-	if res == nil {
-		return runErr // rejected before a superstep ran: bad options, or the trace could not be opened
+	sess, err := graft.NewSession(graft.SessionConfig{MaxConcurrentJobs: 1})
+	if err != nil {
+		return err
 	}
-	stats := res.Stats
-	if opts.Store != nil {
-		// Persist next to the trace so the GUI dashboard renders this
-		// run after the process exits.
-		if err := metrics.WriteJobMetrics(opts.Store.FS, opts.Store.MetricsPath(id), reg.Snapshot()); err != nil {
-			fmt.Fprintln(os.Stderr, "graft: writing job.metrics:", err)
-		}
+	defer sess.Close()
+	job, err := sess.SubmitAlgorithm(context.Background(), g, a, opts)
+	if err != nil {
+		return err
+	}
+	reg := job.Metrics()
+	if metricsLn != nil {
+		srv := httpServer("", metrics.NewMux(reg, metrics.MuxOptions{Pprof: *pprofOn}))
+		defer srv.Close()
+		go func() { _ = srv.Serve(metricsLn) }()
+	}
+	res, runErr := job.Wait(context.Background())
+	if res == nil {
+		return runErr // the trace could not be opened, or a callback panicked
 	}
 	// The one place the two kinds of failure part ways. A job the engine
 	// gave up on (no Stats: a Compute error or panic) is the expected
@@ -234,7 +234,7 @@ func cmdRun(args []string) error {
 	// report it and exit 0. A job that ran to the end while its trace
 	// writes failed has Stats and an error: print the summary, then exit
 	// 1, because the trace the user asked for cannot be trusted.
-	if stats == nil {
+	if res.Stats == nil {
 		fmt.Printf("job FAILED: %v\n", runErr)
 		if opts.Debug != nil {
 			fmt.Printf("the failing context was captured (%d captures); inspect with graft show / graft serve\n", res.Captures)

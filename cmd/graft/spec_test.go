@@ -17,7 +17,8 @@ import (
 
 // TestRunAndServeRunOneSpec: one graft.JobSpec, given to `graft run` as
 // flags and to `graft serve` as a POST body, is one job — the same
-// supersteps, the same stop reason and the same trace digest. (The
+// supersteps, the same stop reason, the same job.metrics (superstep
+// rows and messages sent) and the same trace digest. (The
 // daemon used to cap a job at its "supersteps" value, stopping graph
 // coloring at 10 of its 27 supersteps and PageRank one short.)
 func TestRunAndServeRunOneSpec(t *testing.T) {
@@ -69,6 +70,7 @@ func TestRunAndServeRunOneSpec(t *testing.T) {
 
 		type outcome struct {
 			supersteps int
+			sent       int64
 			reason     string
 			digest     string
 		}
@@ -82,9 +84,9 @@ func TestRunAndServeRunOneSpec(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			outcomes[id] = outcome{len(jm.Supersteps), jm.Reason, trace.Digest(r)}
+			outcomes[id] = outcome{len(jm.Supersteps), jm.Totals.MessagesSent, jm.Reason, trace.Digest(r)}
 		}
-		if c, s := outcomes[cli.JobID], outcomes[daemon.JobID]; c != s || c.supersteps == 0 {
+		if c, s := outcomes[cli.JobID], outcomes[daemon.JobID]; c != s || c.supersteps == 0 || c.sent == 0 {
 			t.Errorf("%s: graft run gives %+v, POST /api/jobs %+v", spec.Alg, c, s)
 		}
 	}

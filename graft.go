@@ -267,25 +267,31 @@ type RunResult struct {
 	LimitHit bool
 }
 
-// Run executes comp over g, attaching Graft when opts.Debug is set.
-// The engine mutates g in place; clone the graph to reuse it. Run does
-// not go through a Session: it assembles and runs the job on the
-// calling goroutine, with no queue, no metrics registry and so no
-// job.metrics beside a debugged job's trace (`graft run` wires a
-// metrics.Registry as the engine listener and writes one itself).
-// Long-lived callers that multiplex jobs (or need cancellation) should
-// use NewSession and Session.Submit, whose Job handles add
-// Wait/Cancel/State and whose jobs each get a registry and, when
-// debugged, a job.metrics.
+// Run executes comp over g, attaching Graft when opts.Debug is set,
+// and waits for it. The engine mutates g in place; clone the graph to
+// reuse it. Run is a one-job Session: the job runs on the session's
+// goroutine with its own metrics registry, and a debugged job leaves a
+// job.metrics beside its trace, as every Session job does. A panic in
+// a callback the coordinator runs (a listener, an aggregator merge)
+// fails the job with a *core.PanicError instead of crashing the
+// caller. Long-lived callers that multiplex jobs (or need
+// cancellation) should use NewSession and Session.Submit, whose Job
+// handles add Wait/Cancel/State and the live registry.
 //
 // When the computation itself fails (an exception scenario), Run
 // returns both the error and a RunResult: the trace — including the
 // captured failing context — is still written, which is the point.
 func Run(g *Graph, comp Computation, opts RunOptions) (*RunResult, error) {
-	if err := validateRunOptions(&opts); err != nil {
+	s, err := NewSession(SessionConfig{MaxConcurrentJobs: 1})
+	if err != nil {
 		return nil, err
 	}
-	return runJob(context.Background(), g, comp, opts, nil)
+	defer s.Close()
+	j, err := s.Submit(context.Background(), g, comp, opts)
+	if err != nil {
+		return nil, err
+	}
+	return j.Wait(context.Background())
 }
 
 // RunAlgorithm runs a packaged Algorithm — wiring its master, combiner,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -281,7 +282,7 @@ func TestFrameMatchesObjectEncoder(t *testing.T) {
 		})
 		failure := drawFrameCase(seed, id, ctx.superstep).failure
 
-		session, err := Attach(trace.NewStore(dfs.NewMemFS(), "t"), Options{JobID: "j", NumWorkers: 3}, g, dc)
+		session, err := Attach(context.Background(), trace.NewStore(dfs.NewMemFS(), "t"), trace.JobMeta{JobID: "j", NumWorkers: 3}, g, dc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,7 +420,7 @@ func gcCaptureFixture(tb testing.TB) (comp pregel.Computation, ctx *stubContext,
 	for id := pregel.VertexID(1); id < 4; id++ {
 		g.AddEdge(0, id, nil)
 	}
-	session, err := Attach(trace.NewStore(dfs.NewMemFS(), "t"), Options{JobID: "j", NumWorkers: 1}, g,
+	session, err := Attach(context.Background(), trace.NewStore(dfs.NewMemFS(), "t"), trace.JobMeta{JobID: "j", NumWorkers: 1}, g,
 		DebugConfig{CaptureAllActive: true, MaxCaptures: -1})
 	if err != nil {
 		tb.Fatal(err)
@@ -499,7 +500,7 @@ func checkOnlyFixture(tb testing.TB) (comp pregel.Computation, ctx pregel.Contex
 	for k := pregel.VertexID(1); k <= 8; k++ {
 		g.AddEdge(19, 9+k, nil)
 	}
-	session, err := Attach(trace.NewStore(dfs.NewMemFS(), "t"), Options{JobID: "j", NumWorkers: 1}, g, DebugConfig{
+	session, err := Attach(context.Background(), trace.NewStore(dfs.NewMemFS(), "t"), trace.JobMeta{JobID: "j", NumWorkers: 1}, g, DebugConfig{
 		CaptureIDs:            []pregel.VertexID{1, 2, 3, 4, 5, 6, 7, 8, 9},
 		CaptureNeighbors:      true,
 		MessageConstraint:     NonNegativeMessages,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -204,8 +205,8 @@ func equivRun(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph, workers 
 	comp := alg.Compute
 	var tapes []*laneTape
 	if dc != nil {
-		session, err := Attach(trace.NewStore(dfs.NewMemFS(), "t"),
-			Options{JobID: "j", Algorithm: alg.Name, NumWorkers: workers}, g, *dc)
+		session, err := Attach(context.Background(), trace.NewStore(dfs.NewMemFS(), "t"),
+			trace.JobMeta{JobID: "j", Algorithm: alg.Name, NumWorkers: workers}, g, *dc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,7 @@ import (
 //
 // Wiring (the root graft package bundles these steps):
 //
-//	g, _ := core.Attach(store, opts, graph, debugConfig)
+//	g, _ := core.Attach(ctx, store, meta, graph, debugConfig)
 //	comp = g.Instrument(comp)
 //	cfg.Master = g.InstrumentMaster(cfg.Master)
 //	cfg.Listener = g // or g.Chain(existing)
@@ -47,8 +47,8 @@ type Graft struct {
 
 	inner pregel.JobListener
 	start time.Time
-	// done is Options.Context's Done: a receive that finds it open takes
-	// no lock, where Err does. Nil, never ready, for no context.
+	// done is Attach's ctx.Done: a receive that finds it open takes no
+	// lock, where Err does. Nil, never ready, for no context.
 	done <-chan struct{}
 
 	// captures, which every worker adds to per capture, is padded off
@@ -59,67 +59,37 @@ type Graft struct {
 	_        [128]byte
 }
 
-// Options identifies the job being debugged.
-type Options struct {
-	// JobID names the trace directory; must be unique per run.
-	JobID string
-	// Algorithm is a human-readable computation name for the GUI.
-	Algorithm string
-	// Description optionally describes the run (dataset, parameters).
-	Description string
-	// NumWorkers must match the pregel.Config the job will run with.
-	NumWorkers int
-	// ComputeMode records how the job dispatches compute ("vertex" or
-	// "subgraph"); it lands in the trace manifest so `graft repro`
-	// generates the matching harness. Empty means vertex.
-	ComputeMode string
-	// Seed and Supersteps land in the manifest as metadata (see
-	// trace.JobMeta); the session does not read them.
-	Seed       int64
-	Supersteps int
-	// Context, when non-nil, bounds the session: once canceled, the
-	// computes a job still runs on its way to the shutdown barrier write
-	// no new capture records, since that superstep never folds.
-	Context context.Context
-}
-
-// Attach creates a Graft session: it validates the DebugConfig,
-// selects the static capture targets from the graph (by-ID, random,
-// neighbors), writes the job manifest and opens the trace files.
-func Attach(store *trace.Store, opts Options, graph *pregel.Graph, cfg DebugConfig) (*Graft, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.NumWorkers <= 0 {
-		opts.NumWorkers = pregel.DefaultNumWorkers
+// Attach creates a Graft session for the job meta describes, under a
+// cfg that passed Validate: it selects the static capture targets from
+// the graph (by-ID, random, neighbors), writes meta as the job
+// manifest and opens the trace files. meta.NumWorkers must match the
+// pregel.Config the job will run with (0 means the engine default);
+// its vertex and edge counts are taken from graph. Once ctx is
+// canceled, the computes a job still runs on its way to the shutdown
+// barrier write no new capture records, since that superstep never
+// folds; a nil ctx never cancels.
+func Attach(ctx context.Context, store *trace.Store, meta trace.JobMeta, graph *pregel.Graph, cfg DebugConfig) (*Graft, error) {
+	if meta.NumWorkers <= 0 {
+		meta.NumWorkers = pregel.DefaultNumWorkers
 	}
 	g := &Graft{
 		cfg:      cfg,
 		store:    store,
 		reasons:  selectTargets(graph, &cfg),
-		workers:  make([]workerState, opts.NumWorkers),
-		capSlots: make([]capSlot, opts.NumWorkers),
+		workers:  make([]workerState, meta.NumWorkers),
+		capSlots: make([]capSlot, meta.NumWorkers),
 		start:    time.Now(),
 	}
-	if opts.Context != nil {
-		g.done = opts.Context.Done()
+	if ctx != nil {
+		g.done = ctx.Done()
 	}
-	sink, err := store.NewSink(trace.JobMeta{
-		JobID:       opts.JobID,
-		Algorithm:   opts.Algorithm,
-		Description: opts.Description,
-		NumWorkers:  opts.NumWorkers,
-		NumVertices: graph.NumVertices(),
-		NumEdges:    graph.NumEdges(),
-		ComputeMode: opts.ComputeMode,
-		Seed:        opts.Seed,
-		Supersteps:  opts.Supersteps,
-	})
+	meta.NumVertices, meta.NumEdges = graph.NumVertices(), graph.NumEdges()
+	sink, err := store.NewSink(meta)
 	if err != nil {
 		return nil, err
 	}
 	g.sink = sink
-	g.workerSinks = make([]trace.RecordSink, opts.NumWorkers)
+	g.workerSinks = make([]trace.RecordSink, meta.NumWorkers)
 	for i := range g.workerSinks {
 		g.workerSinks[i] = sink.WorkerSink(i)
 	}
@@ -472,7 +442,7 @@ type instrumentedComputation struct {
 func (g *Graft) worker(w int) *workerState {
 	if w >= len(g.workers) {
 		panic(fmt.Sprintf("core: job runs with at least %d workers but Attach was told %d; "+
-			"Options.NumWorkers must match pregel.Config.NumWorkers", w+1, len(g.workers)))
+			"JobMeta.NumWorkers must match pregel.Config.NumWorkers", w+1, len(g.workers)))
 	}
 	return &g.workers[w]
 }

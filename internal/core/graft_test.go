@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ func runDebugged(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph,
 	if cfg.NumWorkers <= 0 {
 		cfg.NumWorkers = 4
 	}
-	session, err := Attach(store, Options{
+	session, err := Attach(context.Background(), store, trace.JobMeta{
 		JobID:      "test-job",
 		Algorithm:  alg.Name,
 		NumWorkers: cfg.NumWorkers,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -212,7 +213,7 @@ func TestRerunLeavesLiveRunAlone(t *testing.T) {
 			c.SendMessage(2, pregel.NewLong(sum))
 			return nil
 		})
-		session, err := Attach(trace.NewStore(dfs.NewMemFS(), "t"), Options{JobID: "j", NumWorkers: 1}, g,
+		session, err := Attach(context.Background(), trace.NewStore(dfs.NewMemFS(), "t"), trace.JobMeta{JobID: "j", NumWorkers: 1}, g,
 			DebugConfig{VertexValueConstraint: func(pregel.Value, pregel.VertexID, int) bool { return false }})
 		if err != nil {
 			t.Fatal(err)

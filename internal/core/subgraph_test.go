@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -25,7 +26,7 @@ func subgraphTraceDigest(t *testing.T, alg *algorithms.Algorithm, g *pregel.Grap
 	t.Helper()
 	fs := dfs.NewMemFS()
 	store := trace.NewStore(fs, "t")
-	session, err := Attach(store, Options{JobID: "pin", Algorithm: alg.Name, NumWorkers: workers,
+	session, err := Attach(context.Background(), store, trace.JobMeta{JobID: "pin", Algorithm: alg.Name, NumWorkers: workers,
 		ComputeMode: "subgraph"}, g, dc)
 	if err != nil {
 		t.Fatal(err)

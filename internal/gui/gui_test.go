@@ -1,6 +1,7 @@
 package gui
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -27,7 +28,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *Server) {
 	store := trace.NewStore(dfs.NewMemFS(), "traces")
 
 	runJob := func(jobID string, alg *algorithms.Algorithm, g *pregel.Graph, dc core.DebugConfig) {
-		session, err := core.Attach(store, core.Options{
+		session, err := core.Attach(context.Background(), store, trace.JobMeta{
 			JobID: jobID, Algorithm: alg.Name, NumWorkers: 2,
 		}, g, dc)
 		if err != nil {
@@ -575,7 +576,7 @@ func TestNondeterministicCaptureIsSurfaced(t *testing.T) {
 		}
 		return nil
 	})
-	session, err := core.Attach(store, core.Options{JobID: "fickle", Algorithm: "fickle", NumWorkers: 1}, g,
+	session, err := core.Attach(context.Background(), store, trace.JobMeta{JobID: "fickle", Algorithm: "fickle", NumWorkers: 1}, g,
 		core.DebugConfig{VertexValueConstraint: func(v pregel.Value, _ pregel.VertexID, _ int) bool {
 			return v.(*pregel.LongValue).Get() < 4
 		}})

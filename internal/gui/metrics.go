@@ -69,8 +69,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		render(w, "message", struct {
 			page
 			Message string
-		}{page{Title: jobID + " — metrics"}, "No metrics were recorded for this job. Re-run with the metrics " +
-			"layer enabled (it is on by default for graft run) to populate this dashboard."})
+		}{page{Title: jobID + " — metrics"}, "No metrics were recorded for this job: its trace predates job.metrics."})
 		return
 	}
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"graft/internal/graphio"
 	"graft/internal/pregel"
+	"graft/internal/repro"
 )
 
 // Offline mode (paper §3.4): users construct small graphs — from
@@ -299,7 +300,9 @@ func (s *Server) handleOfflineExportTest(w http.ResponseWriter, r *http.Request,
 // EndToEndTestCode renders a Go test template that constructs g
 // programmatically, runs a computation from the first superstep to
 // termination and logs the final vertex values — the end-to-end test
-// skeleton of paper §3.4.
+// skeleton of paper §3.4. Values render as repro.ValueExpr writes
+// them; the offline builder makes only builtin scalars, so the
+// template imports nothing but pregel.
 func EndToEndTestCode(name string, g *pregel.Graph) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, `// Code generated by Graft's offline mode (graph %q); edit freely.
@@ -315,7 +318,7 @@ func TestEndToEnd(t *testing.T) {
 	g := pregel.NewGraph()
 `, name)
 	for _, id := range g.VertexIDs() {
-		fmt.Fprintf(&b, "\tg.AddVertex(%d, %s)\n", int64(id), valueLiteral(g.Vertex(id).Value()))
+		fmt.Fprintf(&b, "\tg.AddVertex(%d, %s)\n", int64(id), repro.ValueExpr(g.Vertex(id).Value()))
 	}
 	for _, id := range g.VertexIDs() {
 		for _, e := range g.Vertex(id).Edges() {
@@ -323,7 +326,7 @@ func TestEndToEnd(t *testing.T) {
 				fmt.Fprintf(&b, "\tg.Vertex(%d).AddEdge(pregel.Edge{Target: %d})\n", int64(id), int64(e.Target))
 			} else {
 				fmt.Fprintf(&b, "\tg.Vertex(%d).AddEdge(pregel.Edge{Target: %d, Value: %s})\n",
-					int64(id), int64(e.Target), valueLiteral(e.Value))
+					int64(id), int64(e.Target), repro.ValueExpr(e.Value))
 			}
 		}
 	}
@@ -347,26 +350,6 @@ func TestEndToEnd(t *testing.T) {
 }
 `)
 	return b.String()
-}
-
-// valueLiteral renders builtin scalar values as constructor literals
-// for the end-to-end template (the offline builder only creates
-// builtin scalars).
-func valueLiteral(v pregel.Value) string {
-	switch x := v.(type) {
-	case nil:
-		return "nil"
-	case *pregel.LongValue:
-		return fmt.Sprintf("pregel.NewLong(%d)", x.Get())
-	case *pregel.DoubleValue:
-		return fmt.Sprintf("pregel.NewDouble(%g)", x.Get())
-	case *pregel.TextValue:
-		return fmt.Sprintf("pregel.NewText(%q)", x.Get())
-	case *pregel.BoolValue:
-		return fmt.Sprintf("pregel.NewBool(%v)", x.Get())
-	default:
-		return fmt.Sprintf("pregel.NewText(%q)", v.String())
-	}
 }
 
 // builderSVG draws an offline graph: all vertices on one circle.

@@ -207,7 +207,7 @@ func (s *Server) handleProfiler(w http.ResponseWriter, r *http.Request) {
 			page
 			Message string
 		}{page{Title: jobID + " — profiler"}, "No metrics were recorded for this job, so there is nothing to\n" +
-			"profile. Re-run with the metrics layer enabled (the default for graft run)."})
+			"profile: its trace predates job.metrics."})
 		return
 	}
 	if err != nil {

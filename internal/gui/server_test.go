@@ -1,6 +1,7 @@
 package gui
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -89,7 +90,7 @@ func TestRunningJobPagesFollowTheJob(t *testing.T) {
 		}
 		return nil
 	})
-	session, err := core.Attach(store, core.Options{JobID: "live", Algorithm: "live", NumWorkers: 1}, g,
+	session, err := core.Attach(context.Background(), store, trace.JobMeta{JobID: "live", Algorithm: "live", NumWorkers: 1}, g,
 		core.DebugConfig{CaptureAllActive: true, MaxCaptures: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +125,7 @@ func TestReproduceSubgraphModeTrace(t *testing.T) {
 	store := trace.NewStore(dfs.NewMemFS(), "traces")
 	alg := algorithms.NewConnectedComponents()
 	g := graphgen.RegularBipartite(20, 3)
-	session, err := core.Attach(store, core.Options{JobID: "sg", Algorithm: alg.Name, NumWorkers: 2, ComputeMode: "subgraph"}, g,
+	session, err := core.Attach(context.Background(), store, trace.JobMeta{JobID: "sg", Algorithm: alg.Name, NumWorkers: 2, ComputeMode: "subgraph"}, g,
 		core.DebugConfig{CaptureAllActive: true, MaxCaptures: -1})
 	if err != nil {
 		t.Fatal(err)

@@ -11,20 +11,30 @@ import (
 	"graft/internal/pregel"
 )
 
-// JSONLSink streams metrics events as JSON Lines: one `job_start`
-// line, one `superstep` line per barrier, one `job_end` line. The
-// format is what `graft run -metrics-out` writes; it is append-only and
-// valid mid-run, so a crashed job still leaves a parseable prefix.
+// JSONLSink streams a job's metrics events as JSON Lines: one
+// `job_start` line, one `superstep` line per barrier, one `job_end`
+// line. It is a pregel.JobListener, installed beside the job's
+// registry (`graft run -metrics-out` sets it as the engine listener).
+// The format is append-only and valid mid-run, so a crashed job still
+// leaves a parseable prefix. Callbacks arrive on the coordinator
+// goroutine; the mutex shields Close and Err.
 type JSONLSink struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
 	c   io.Closer
 	err error
+
+	jobID, algorithm string
+	// supersteps and totals fold the superstep lines the way the
+	// registry folds its rows, for the job_end line.
+	supersteps int
+	totals     pregel.Totals
 }
 
-// NewJSONLSink wraps w. If w is also an io.Closer, Close closes it.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	s := &JSONLSink{w: bufio.NewWriter(w)}
+// NewJSONLSink streams the events of job jobID (running algorithm) to
+// w. If w is also an io.Closer, Close closes it.
+func NewJSONLSink(w io.Writer, jobID, algorithm string) *JSONLSink {
+	s := &JSONLSink{w: bufio.NewWriter(w), jobID: jobID, algorithm: algorithm}
 	if c, ok := w.(io.Closer); ok {
 		s.c = c
 	}
@@ -33,12 +43,10 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 
 // jsonlStart is the job_start event payload.
 type jsonlStart struct {
-	Event       string `json:"event"` // "job_start"
-	JobID       string `json:"job_id"`
-	Algorithm   string `json:"algorithm,omitempty"`
-	NumWorkers  int    `json:"num_workers"`
-	NumVertices int64  `json:"num_vertices"`
-	NumEdges    int64  `json:"num_edges"`
+	Event     string `json:"event"` // "job_start"
+	JobID     string `json:"job_id"`
+	Algorithm string `json:"algorithm,omitempty"`
+	pregel.JobInfo
 }
 
 // jsonlSuperstep is the superstep event payload.
@@ -76,25 +84,33 @@ func (s *JSONLSink) emit(v any) {
 	}
 }
 
-// JobStart implements Sink.
-func (s *JSONLSink) JobStart(jm *JobMetrics) {
-	s.emit(jsonlStart{
-		Event: "job_start", JobID: jm.JobID, Algorithm: jm.Algorithm,
-		NumWorkers: jm.NumWorkers, NumVertices: jm.NumVertices, NumEdges: jm.NumEdges,
-	})
+// JobStarted implements pregel.JobListener.
+func (s *JSONLSink) JobStarted(info pregel.JobInfo) {
+	s.emit(jsonlStart{Event: "job_start", JobID: s.jobID, Algorithm: s.algorithm, JobInfo: info})
 }
 
-// Superstep implements Sink.
-func (s *JSONLSink) Superstep(jm *JobMetrics, ss pregel.SuperstepStats) {
+// SuperstepStarted implements pregel.JobListener.
+func (s *JSONLSink) SuperstepStarted(int, pregel.SuperstepInfo) {}
+
+// SuperstepFinished implements pregel.JobListener.
+func (s *JSONLSink) SuperstepFinished(_ int, ss pregel.SuperstepStats) {
+	s.supersteps++
+	s.totals.Add(ss)
 	s.emit(jsonlSuperstep{Event: "superstep", SuperstepStats: ss})
 }
 
-// JobEnd implements Sink.
-func (s *JSONLSink) JobEnd(jm *JobMetrics) {
-	s.emit(jsonlEnd{
-		Event: "job_end", JobID: jm.JobID, Supersteps: len(jm.Supersteps),
-		Reason: jm.Reason, Error: jm.Error, Totals: jm.Totals, JobEnd: jm.JobEnd,
-	})
+// JobFinished implements pregel.JobListener: it writes the job_end
+// line and flushes.
+func (s *JSONLSink) JobFinished(stats *pregel.Stats, err error) {
+	end := jsonlEnd{Event: "job_end", JobID: s.jobID, Supersteps: s.supersteps, Totals: s.totals}
+	if stats != nil {
+		end.JobEnd = stats.JobEnd
+		end.Reason = stats.Reason.String()
+	}
+	if err != nil {
+		end.Error = err.Error()
+	}
+	s.emit(end)
 	s.mu.Lock()
 	if err := s.w.Flush(); err != nil && s.err == nil {
 		s.err = err

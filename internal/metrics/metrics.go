@@ -8,7 +8,8 @@
 //     /debug/vars and optional pprof), served by `graft run
 //     -metrics-addr`; `graft serve` serves each job's registry under
 //     /job/{id}/metrics[.json] instead,
-//   - a structured JSONL event stream (`graft run -metrics-out`),
+//   - a structured JSONL event stream (`graft run -metrics-out`): a
+//     JSONLSink listening to the same barriers beside the registry,
 //   - a per-job metrics file persisted next to the trace, which the
 //     GUI's dashboard page renders offline.
 //
@@ -86,8 +87,8 @@ func (jm *JobMetrics) TrafficTotal() int64 {
 }
 
 // Registry collects one job's metrics and serves them. It implements
-// pregel.JobListener; wire it as the engine listener (or behind
-// core.Graft.Chain so the debugger forwards to it). All listener
+// pregel.JobListener; the graft package builds one per job and wires
+// it (behind core.Graft.Chain when the job is debugged). All listener
 // callbacks run on the engine's coordinator goroutine; the mutex only
 // shields concurrent HTTP readers, never the compute hot path.
 type Registry struct {
@@ -95,7 +96,6 @@ type Registry struct {
 	jm      JobMetrics
 	sources []pregel.FaultStatsProvider
 	dfsSrcs []DFSSource
-	sink    Sink
 }
 
 // DFSSource is a storage layer that exposes DFS data-path counters;
@@ -104,26 +104,9 @@ type DFSSource interface {
 	Stats() dfs.ClusterStats
 }
 
-// Sink receives metrics events as they happen; the JSONL exporter
-// implements it. Calls arrive on the coordinator goroutine, already
-// serialized.
-type Sink interface {
-	JobStart(jm *JobMetrics)
-	Superstep(jm *JobMetrics, ss pregel.SuperstepStats)
-	JobEnd(jm *JobMetrics)
-}
-
 // NewRegistry creates a registry for one job run.
 func NewRegistry(jobID, algorithm string) *Registry {
 	return &Registry{jm: JobMetrics{JobID: jobID, Algorithm: algorithm}}
-}
-
-// SetSink installs an event sink (e.g. the JSONL exporter). Call
-// before the job starts.
-func (r *Registry) SetSink(s Sink) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sink = s
 }
 
 // AddFaultSource registers a resilient storage layer whose counters
@@ -161,9 +144,6 @@ func (r *Registry) JobStarted(info pregel.JobInfo) {
 	r.jm.NumVertices = info.NumVertices
 	r.jm.NumEdges = info.NumEdges
 	r.jm.Running = true
-	if r.sink != nil {
-		r.sink.JobStart(&r.jm)
-	}
 }
 
 // SuperstepStarted implements pregel.JobListener.
@@ -185,9 +165,6 @@ func (r *Registry) SuperstepFinished(superstep int, ss pregel.SuperstepStats) {
 			r.jm.AnomalyCounts[string(ev.Kind)]++
 		}
 	}
-	if r.sink != nil {
-		r.sink.Superstep(&r.jm, ss)
-	}
 }
 
 // JobFinished implements pregel.JobListener.
@@ -202,9 +179,6 @@ func (r *Registry) JobFinished(stats *pregel.Stats, err error) {
 	}
 	if err != nil {
 		r.jm.Error = err.Error()
-	}
-	if r.sink != nil {
-		r.sink.JobEnd(&r.jm)
 	}
 }
 

@@ -144,12 +144,10 @@ func TestSnapshotOverlaysLiveFaultSources(t *testing.T) {
 // vertices, reason) must be exactly reproducible.
 func TestJSONLGolden(t *testing.T) {
 	var buf bytes.Buffer
-	reg := NewRegistry("cc-golden", "cc")
-	sink := NewJSONLSink(&buf)
-	reg.SetSink(sink)
+	sink := NewJSONLSink(&buf, "cc-golden", "cc")
 
 	g := pathGraph(t, 24)
-	job := pregel.NewJob(g, ccCompute, pregel.Config{NumWorkers: 3, Listener: reg})
+	job := pregel.NewJob(g, ccCompute, pregel.Config{NumWorkers: 3, Listener: sink})
 	if _, err := job.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -204,14 +202,14 @@ func TestTotalsCaptureOverhead(t *testing.T) {
 }
 
 func TestJSONLSinkStickyError(t *testing.T) {
-	sink := NewJSONLSink(failingWriter{})
-	sink.JobStart(&JobMetrics{JobID: "x"})
-	sink.JobEnd(&JobMetrics{}) // flushes, surfacing the write error
+	sink := NewJSONLSink(failingWriter{}, "x", "")
+	sink.JobStarted(pregel.JobInfo{})
+	sink.JobFinished(nil, nil) // flushes, surfacing the write error
 	if sink.Err() == nil {
 		t.Fatal("write error not recorded")
 	}
 	// Later events are dropped, not panicking or blocking.
-	sink.Superstep(&JobMetrics{}, pregel.SuperstepStats{})
+	sink.SuperstepFinished(0, pregel.SuperstepStats{})
 }
 
 type failingWriter struct{}

@@ -157,9 +157,9 @@ type JobListener interface {
 
 // JobInfo describes a starting job.
 type JobInfo struct {
-	NumWorkers  int
-	NumVertices int64
-	NumEdges    int64
+	NumWorkers  int   `json:"num_workers"`
+	NumVertices int64 `json:"num_vertices"`
+	NumEdges    int64 `json:"num_edges"`
 }
 
 // SuperstepInfo is the global data broadcast to vertices for one
@@ -304,8 +304,8 @@ type Totals struct {
 
 // Add folds one superstep into the rollup. It is the only place a
 // SuperstepStats is accumulated into job-level numbers: Stats.Totals
-// runs it over PerSuperstep, the metrics registry at every
-// SuperstepFinished.
+// runs it over PerSuperstep, the metrics registry and the JSONL sink
+// at every SuperstepFinished.
 func (t *Totals) Add(ss SuperstepStats) {
 	t.Counters.Add(ss.Counters)
 	t.MaxComputeSkew = max(t.MaxComputeSkew, ss.ComputeSkew)

@@ -62,11 +62,11 @@ func Resolve(meta trace.JobMeta) (*algorithms.Algorithm, GenSpec) {
 	return alg, spec
 }
 
-// valueExpr renders a Go expression that reconstructs v. Builtin
+// ValueExpr renders a Go expression that reconstructs v. Builtin
 // scalars become readable constructors (as in the paper's Figure 6);
 // algorithm-specific composites embed their binary encoding with a
 // display comment.
-func valueExpr(v pregel.Value) string {
+func ValueExpr(v pregel.Value) string {
 	switch x := v.(type) {
 	case nil:
 		return "nil"
@@ -367,7 +367,7 @@ func aggLines(agg map[string]pregel.Value) []string {
 	sort.Strings(names)
 	lines := make([]string, len(names))
 	for i, name := range names {
-		lines[i] = fmt.Sprintf("%q: %s", name, valueExpr(agg[name]))
+		lines[i] = fmt.Sprintf("%q: %s", name, ValueExpr(agg[name]))
 	}
 	return lines
 }
@@ -375,17 +375,17 @@ func aggLines(agg map[string]pregel.Value) []string {
 // newVertexData renders a captured vertex's pre-compute value, edges and
 // inbox as the expressions that rebuild it.
 func newVertexData(varName string, c *trace.VertexCapture) vertexData {
-	d := vertexData{Var: varName, ID: int64(c.ID), ValueExpr: valueExpr(c.ValueBefore)}
+	d := vertexData{Var: varName, ID: int64(c.ID), ValueExpr: ValueExpr(c.ValueBefore)}
 	for _, e := range c.Edges {
 		if e.Value == nil {
 			d.EdgeLines = append(d.EdgeLines, fmt.Sprintf("pregel.Edge{Target: %d}", int64(e.Target)))
 		} else {
 			d.EdgeLines = append(d.EdgeLines,
-				fmt.Sprintf("pregel.Edge{Target: %d, Value: %s}", int64(e.Target), valueExpr(e.Value)))
+				fmt.Sprintf("pregel.Edge{Target: %d, Value: %s}", int64(e.Target), ValueExpr(e.Value)))
 		}
 	}
 	for _, m := range c.Incoming {
-		d.MsgLines = append(d.MsgLines, valueExpr(m))
+		d.MsgLines = append(d.MsgLines, ValueExpr(m))
 	}
 	return d
 }

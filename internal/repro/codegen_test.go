@@ -108,12 +108,12 @@ func TestValueExprForms(t *testing.T) {
 		{pregel.NewText("hi"), `pregel.NewText("hi")`},
 	}
 	for _, c := range cases {
-		if got := valueExpr(c.v); got != c.want {
-			t.Errorf("valueExpr(%v) = %q, want %q", c.v, got, c.want)
+		if got := ValueExpr(c.v); got != c.want {
+			t.Errorf("ValueExpr(%v) = %q, want %q", c.v, got, c.want)
 		}
 	}
 	// Composite values fall back to hex + display comment.
-	got := valueExpr(pregel.NewLongList(1, 2))
+	got := ValueExpr(pregel.NewLongList(1, 2))
 	if !strings.Contains(got, "repro.MustDecodeValue(") || !strings.Contains(got, "/* [1 2] */") {
 		t.Errorf("composite expr = %q", got)
 	}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 func captureRun(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph, dc core.DebugConfig) (*trace.Reader, error) {
 	t.Helper()
 	store := trace.NewStore(dfs.NewMemFS(), "traces")
-	session, err := core.Attach(store, core.Options{
+	session, err := core.Attach(context.Background(), store, trace.JobMeta{
 		JobID: "repro-job", Algorithm: alg.Name, NumWorkers: 4,
 	}, g, dc)
 	if err != nil {

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -29,7 +30,7 @@ func subgraphCaptureRun(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph
 func subgraphRun(t *testing.T, alg *algorithms.Algorithm, g *pregel.Graph, workers int, dc core.DebugConfig) (*trace.Reader, error) {
 	t.Helper()
 	store := trace.NewStore(dfs.NewMemFS(), "traces")
-	session, err := core.Attach(store, core.Options{
+	session, err := core.Attach(context.Background(), store, trace.JobMeta{
 		JobID: "repro-sg-job", Algorithm: alg.Name, NumWorkers: workers,
 		ComputeMode: "subgraph",
 	}, g, dc)

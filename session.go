@@ -11,6 +11,7 @@ import (
 	"graft/internal/graphgen"
 	"graft/internal/metrics"
 	"graft/internal/pregel"
+	"graft/internal/trace"
 )
 
 // Typed option errors, so callers (and the serve daemon's HTTP layer)
@@ -99,9 +100,9 @@ type SessionConfig struct {
 // Session is a long-lived multi-job context: a shared trace store and
 // worker budget that N concurrent jobs run against, each with its own
 // trace directory and metrics registry, whose snapshot is written as
-// job.metrics beside a debugged job's trace. It is what `graft serve`
-// wraps in HTTP. graft.Run is not a session: it runs one job with
-// neither registry nor job.metrics.
+// job.metrics beside a debugged job's trace. It is every job's path:
+// `graft serve` wraps one in HTTP, and graft.Run and `graft run` each
+// run their job as a one-job Session.
 type Session struct {
 	cfg  SessionConfig
 	pool *pregel.WorkerPool
@@ -267,7 +268,8 @@ func (s *Session) submit(ctx context.Context, build func() *Graph, comp Computat
 }
 
 // runJob is one job's runner goroutine: wait for a slot, build the
-// graph, run, record.
+// graph, run, record. The job.metrics it writes is the only one any
+// job gets.
 func (s *Session) runJob(ctx context.Context, j *Job, build func() *Graph, comp Computation, opts RunOptions) {
 	defer s.wg.Done()
 	defer j.cancel() // release the context's resources whatever happened
@@ -305,9 +307,9 @@ func (s *Session) runJob(ctx context.Context, j *Job, build func() *Graph, comp 
 
 	// Persist the metrics snapshot next to the trace so the GUI's
 	// dashboard can render the job after it leaves the live set.
-	if store := opts.Store; store != nil && opts.Debug != nil {
-		snap := j.reg.Snapshot()
-		if werr := metrics.WriteJobMetrics(store.FS, store.MetricsPath(j.id), snap); werr != nil && err == nil {
+	if opts.Debug != nil {
+		werr := metrics.WriteJobMetrics(opts.Store.FS, opts.Store.MetricsPath(j.id), j.reg.Snapshot())
+		if werr != nil && err == nil {
 			err = fmt.Errorf("graft: writing job.metrics: %w", werr)
 		}
 	}
@@ -435,10 +437,8 @@ func (j *Job) finish(res *RunResult, err error) {
 // metrics registry and the caller's own listener).
 type teeListener struct{ a, b pregel.JobListener }
 
+// tee returns a listener calling a, then b when b is non-nil.
 func tee(a, b pregel.JobListener) pregel.JobListener {
-	if a == nil {
-		return b
-	}
 	if b == nil {
 		return a
 	}
@@ -476,6 +476,9 @@ func validateRunOptions(opts *RunOptions) error {
 		if opts.JobID == "" {
 			return fmt.Errorf("%w: Debug set without JobID", ErrInvalidOptions)
 		}
+		if err := opts.Debug.Validate(); err != nil {
+			return fmt.Errorf("%w: %w", ErrInvalidOptions, err)
+		}
 	}
 	if err := opts.Engine.Validate(); err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalidOptions, err)
@@ -494,31 +497,34 @@ func mergeAlgorithm(opts *RunOptions, alg *Algorithm) {
 	opts.Aggregators = append(opts.Aggregators, alg.Aggregators...)
 }
 
-// faultSink is a listener that wants a job's resilient storage layers
-// as live counter sources (metrics.Registry's AddFaultSource).
-type faultSink interface {
-	AddFaultSource(pregel.FaultStatsProvider)
-}
-
-// runJob is the only place a job is assembled. It has two callers:
-// Run (so RunAlgorithm, `graft run` and the harness), which passes no
-// extra listener, and a Session job's runner (Session.Submit,
-// `graft serve`), which passes the job's metrics registry. It attaches
-// Graft if asked, wires listeners, runs the engine under ctx, and turns
-// a failed trace write into the job's error.
-func runJob(ctx context.Context, g *Graph, comp Computation, opts RunOptions, extra pregel.JobListener) (*RunResult, error) {
+// runJob is the only place a job is assembled, and a Session job's
+// runner is its only caller: graft.Run, `graft run` and `graft serve`
+// all submit to a Session. It wires reg, the job's registry, as a
+// listener beside the caller's own, registers the job's storage layers
+// on it as live fault and DFS counter sources, attaches Graft if
+// asked, runs the engine under ctx, and turns a failed trace write into
+// the job's error.
+func runJob(ctx context.Context, g *Graph, comp Computation, opts RunOptions, reg *metrics.Registry) (*RunResult, error) {
 	cfg := opts.Engine
 	scomp := opts.Subgraph
 	res := &RunResult{}
+	cfg.Listener = tee(reg, cfg.Listener)
+	// Live /metrics shows the storage counters mid-run, before the
+	// engine folds the fault counters into the final Stats.
+	if p, ok := cfg.CheckpointFS.(pregel.FaultStatsProvider); ok {
+		reg.AddFaultSource(p)
+	}
+	if c, ok := cfg.CheckpointFS.(metrics.DFSSource); ok {
+		reg.AddDFSSource(c)
+	}
 	var session *core.Graft
-	cfg.Listener = tee(extra, cfg.Listener)
 	if opts.Debug != nil {
 		mode := ""
 		if scomp != nil {
 			mode = "subgraph"
 		}
 		var err error
-		session, err = core.Attach(opts.Store, core.Options{
+		session, err = core.Attach(ctx, opts.Store, trace.JobMeta{
 			JobID:       opts.JobID,
 			Algorithm:   opts.Algorithm,
 			Description: opts.Description,
@@ -526,7 +532,6 @@ func runJob(ctx context.Context, g *Graph, comp Computation, opts RunOptions, ex
 			ComputeMode: mode,
 			Seed:        opts.Seed,
 			Supersteps:  opts.Supersteps,
-			Context:     ctx,
 		}, g, *opts.Debug)
 		if err != nil {
 			return nil, err
@@ -537,12 +542,9 @@ func runJob(ctx context.Context, g *Graph, comp Computation, opts RunOptions, ex
 			comp = session.Instrument(comp)
 		}
 		cfg.Master = session.InstrumentMaster(cfg.Master)
-		// Live /metrics should expose trace-write resilience counters
-		// mid-run, before the engine folds them into the final Stats.
-		for _, l := range []pregel.JobListener{extra, opts.Engine.Listener} {
-			if sink, ok := l.(faultSink); ok {
-				sink.AddFaultSource(session)
-			}
+		reg.AddFaultSource(session)
+		if c, ok := opts.Store.FS.(metrics.DFSSource); ok && opts.Store.FS != cfg.CheckpointFS {
+			reg.AddDFSSource(c)
 		}
 		cfg.Listener = session.Chain(cfg.Listener)
 		res.JobID = opts.JobID

@@ -11,6 +11,7 @@ import (
 	"graft/internal/algorithms"
 	"graft/internal/core"
 	"graft/internal/graphgen"
+	"graft/internal/metrics"
 	"graft/internal/pregel"
 	"graft/internal/trace"
 )
@@ -521,6 +522,17 @@ func TestRunValidationTyped(t *testing.T) {
 		Engine: EngineConfig{MaxSupersteps: -1},
 	}); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("negative MaxSupersteps: err = %v, want ErrInvalidConfig", err)
+	}
+	// A DebugConfig that fails Validate is rejected before admission,
+	// so the job leaves nothing in the store, not even a job.metrics.
+	store := NewStore(NewMemFS(), "traces")
+	if _, err := Run(g, algorithms.NewConnectedComponents().Compute, RunOptions{
+		JobID: "bad", Store: store, Debug: &DebugConfig{NumRandomCaptures: -1},
+	}); !errors.Is(err, ErrInvalidOptions) {
+		t.Errorf("negative NumRandomCaptures: err = %v, want ErrInvalidOptions", err)
+	}
+	if _, err := metrics.ReadJobMetrics(store.FS, store.MetricsPath("bad")); !errors.Is(err, metrics.ErrNoMetrics) {
+		t.Errorf("a rejected job left a job.metrics (read: %v)", err)
 	}
 }
 
