@@ -35,8 +35,8 @@ const (
 	// the traffic matrix carries an outsized share of the superstep's
 	// messages.
 	KindTrafficHotspot Kind = "traffic-hotspot"
-	// KindFaultSpike: the cumulative corrupt-artifact counters (corrupt
-	// checkpoints, quarantined records) jumped within the window.
+	// KindFaultSpike: the cumulative count of corrupt checkpoints
+	// skipped during recovery jumped within the window.
 	KindFaultSpike Kind = "fault-spike"
 	// KindRecoveryStorm: several recoveries within the window.
 	KindRecoveryStorm Kind = "recovery-storm"
@@ -102,10 +102,9 @@ type Sample struct {
 	Traffic [][]int64
 	// Recoveries is the cumulative recovery count so far.
 	Recoveries int
-	// CorruptArtifacts is the cumulative count of corrupt or
-	// quarantined storage artifacts (checkpoints, dropped records)
-	// observed so far.
-	CorruptArtifacts int64
+	// CorruptCheckpoints is the cumulative count of checkpoints skipped
+	// during recovery because they were truncated or failed to decode.
+	CorruptCheckpoints int64
 }
 
 // The detectors' thresholds. Every run uses these values; there is no
@@ -133,8 +132,8 @@ const (
 	// mean was at least CombineFloor.
 	CombineDropRatio = 0.5
 	CombineFloor     = 0.2
-	// FaultSpikeMin is the corrupt-artifact delta within one window that
-	// counts as a spike.
+	// FaultSpikeMin is the corrupt-checkpoint delta within one window
+	// that counts as a spike.
 	FaultSpikeMin = 2
 	// StormRecoveries is the recovery count within one window that counts
 	// as a storm.

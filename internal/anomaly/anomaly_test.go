@@ -201,7 +201,7 @@ func TestFaultSpike(t *testing.T) {
 	var evs []Event
 	for i, c := range counts {
 		s := balanced(i, 4)
-		s.CorruptArtifacts = c
+		s.CorruptCheckpoints = c
 		evs = append(evs, e.Observe(s)...)
 	}
 	if len(evs) != 1 || evs[0].Kind != KindFaultSpike {
@@ -247,7 +247,7 @@ func TestActionsNameRealRemedies(t *testing.T) {
 			s.Combined = 5
 			s.Traffic[1][2] = 500
 		}
-		s.CorruptArtifacts = int64(i * i)
+		s.CorruptCheckpoints = int64(i * i)
 		s.Recoveries = i
 		evs = append(evs, e.Observe(s)...)
 	}

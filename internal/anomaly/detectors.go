@@ -197,7 +197,7 @@ func (d *trafficHotspot) Observe(win []Sample) []Event {
 	return nil
 }
 
-// faultSpike fires when the cumulative corrupt-artifact counter jumped
+// faultSpike fires when the cumulative corrupt-checkpoint count jumped
 // by FaultSpikeMin or more within one window: storage is degrading
 // faster than background noise.
 type faultSpike struct{ lastEmit int }
@@ -207,7 +207,7 @@ func (d *faultSpike) Observe(win []Sample) []Event {
 		return nil
 	}
 	s := win[len(win)-1]
-	delta := s.CorruptArtifacts - win[0].CorruptArtifacts
+	delta := s.CorruptCheckpoints - win[0].CorruptCheckpoints
 	if delta < FaultSpikeMin || s.Superstep-d.lastEmit < Window {
 		return nil
 	}
@@ -216,7 +216,7 @@ func (d *faultSpike) Observe(win []Sample) []Event {
 		Kind: KindFaultSpike, Severity: SevCritical, Superstep: s.Superstep,
 		Worker: -1, Peer: -1,
 		Value: float64(delta), Threshold: float64(FaultSpikeMin), Window: len(win),
-		Detail: fmt.Sprintf("%d corrupt/quarantined storage artifacts within %d supersteps", delta, len(win)),
+		Detail: fmt.Sprintf("%d corrupt checkpoints within %d supersteps", delta, len(win)),
 		Action: "inspect the DFS quarantine and checkpoint health; replace the failing replica before recovery runs out of intact checkpoints",
 	}}
 }

@@ -183,15 +183,11 @@ func (g *Graft) recordWriteErr(err error) {
 	g.writeMu.Unlock()
 }
 
-// FaultStats returns the trace store's resilience counters (retries,
-// injected faults) plus the records this session dropped.
+// FaultStats implements pregel.FaultStatsProvider: the records this
+// session dropped. The trace store's own counters are its layers' to
+// report (dfs.Layers).
 func (g *Graft) FaultStats() pregel.FaultStats {
-	var s pregel.FaultStats
-	if p, ok := g.store.FS.(pregel.FaultStatsProvider); ok {
-		s = p.FaultStats()
-	}
-	s.DroppedRecords += g.sink.DroppedRecords()
-	return s
+	return pregel.FaultStats{DroppedRecords: g.sink.DroppedRecords()}
 }
 
 // BarrierFlush implements pregel.BarrierFlusher: the engine calls it
@@ -260,10 +256,11 @@ func (g *Graft) SuperstepFinished(superstep int, stats pregel.SuperstepStats) {
 	}
 }
 
-// JobFinished implements pregel.JobListener: it closes every trace
-// file and writes job.done, including the trace store's resilience
-// counters, and folds those counters into the engine's Stats so
-// callers see one combined FaultStats.
+// JobFinished implements pregel.JobListener: it commits every trace
+// file, adds the records it dropped to Stats.Faults, writes job.done
+// and then calls the chained listener. The trace store's own counters
+// are not Graft's to add: the job's registry folds each storage layer
+// in once, after this commit.
 func (g *Graft) JobFinished(stats *pregel.Stats, err error) {
 	// Close (commit) the trace files first: retries and write errors
 	// happen at commit time, and job.done must reflect them.
@@ -289,11 +286,8 @@ func (g *Graft) JobFinished(stats *pregel.Stats, err error) {
 	if g.writeErr != nil && res.Error == "" {
 		res.Error = fmt.Sprintf("trace write: %v", g.writeErr)
 	}
-	if p, ok := g.store.FS.(pregel.FaultStatsProvider); ok {
-		res.StorageRetries = p.FaultStats().Retries
-	}
 	if stats != nil {
-		stats.Faults.Add(g.FaultStats())
+		stats.Faults.DroppedRecords += res.DroppedRecords
 	}
 	if ferr := g.sink.Finish(res); ferr != nil {
 		g.recordWriteErr(ferr)

@@ -99,7 +99,7 @@ func TestClusterWritesRaceNodeChurn(t *testing.T) {
 
 	// Nodes 2 and 3 never died, so every block got its two replicas.
 	// Bring every node back, then verify every byte of every file.
-	if got := c.DegradedWrites(); got != 0 {
+	if got := c.Stats().DegradedWrites; got != 0 {
 		t.Fatalf("DegradedWrites = %d with two nodes always up", got)
 	}
 	c.Revive(0)
@@ -149,12 +149,12 @@ func TestClusterMidWriteNodeDeath(t *testing.T) {
 	if len(got) != 2*len(buf) {
 		t.Fatalf("file length %d, want %d", len(got), 2*len(buf))
 	}
-	if c.WriteRetries() == 0 {
+	if c.Stats().WriteRetries == 0 {
 		t.Error("WriteRetries not counted for the dead-node placement")
 	}
 	// Two live nodes were enough for both replicas of block 2.
-	if c.DegradedWrites() != 0 {
-		t.Errorf("DegradedWrites = %d, want 0", c.DegradedWrites())
+	if c.Stats().DegradedWrites != 0 {
+		t.Errorf("DegradedWrites = %d, want 0", c.Stats().DegradedWrites)
 	}
 	for _, b := range c.BlockIDs() {
 		if locs := c.ReplicaNodes(b); len(locs) != 2 {
@@ -174,7 +174,7 @@ func TestClusterDegradedWriteCounted(t *testing.T) {
 	if err := WriteFile(c, "f", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	if c.DegradedWrites() == 0 {
+	if c.Stats().DegradedWrites == 0 {
 		t.Error("DegradedWrites not counted with one target dead")
 	}
 	c.Revive(1)

@@ -254,7 +254,7 @@ func TestChecksumQuarantineAndHeal(t *testing.T) {
 			t.Fatalf("pass %d: corrupt bytes served to the reader", pass)
 		}
 	}
-	if got := c.CorruptReads(); got != 2 {
+	if got := c.Stats().CorruptReads; got != 2 {
 		t.Fatalf("CorruptReads = %d, want 2 (one flipped replica per block)", got)
 	}
 	// Each flipped replica left its node and the namenode index; the two
@@ -270,7 +270,7 @@ func TestChecksumQuarantineAndHeal(t *testing.T) {
 			t.Fatalf("post-quarantine pass %d: %v", pass, err)
 		}
 	}
-	if got := c.CorruptReads(); got != 2 {
+	if got := c.Stats().CorruptReads; got != 2 {
 		t.Fatalf("CorruptReads = %d after clean passes, want 2", got)
 	}
 }
@@ -295,7 +295,7 @@ func TestScrubFindsCorruptionReadsMiss(t *testing.T) {
 			t.Fatalf("pass %d: %x, %v", pass, got, err)
 		}
 	}
-	if got := c.CorruptReads(); got != 1 {
+	if got := c.Stats().CorruptReads; got != 1 {
 		t.Fatalf("CorruptReads = %d, want 1", got)
 	}
 	if c.Node(n).NumBlocks() != 0 {

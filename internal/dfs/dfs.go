@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	iofs "io/fs"
+	"slices"
 	"strings"
 )
 
@@ -37,6 +38,26 @@ type FileSystem interface {
 	List(prefix string) ([]string, error)
 	// Remove deletes a file.
 	Remove(path string) error
+}
+
+// Layers walks each store down its Unwrap chain (a wrapper such as
+// faults.RetryFS has Unwrap() FileSystem) and returns every layer
+// once, compared by identity: two stores over one Cluster yield the
+// Cluster once. A nil store is skipped, and a wrapper without Unwrap
+// is one layer.
+func Layers(stores ...FileSystem) []FileSystem {
+	var layers []FileSystem
+	for _, fs := range stores {
+		for fs != nil && !slices.Contains(layers, fs) {
+			layers = append(layers, fs)
+			u, ok := fs.(interface{ Unwrap() FileSystem })
+			if !ok {
+				break
+			}
+			fs = u.Unwrap()
+		}
+	}
+	return layers
 }
 
 // ErrNotExist is returned when opening or removing a missing path.

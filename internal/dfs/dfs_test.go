@@ -250,8 +250,8 @@ func TestClusterPlacementAvoidsDeadNodes(t *testing.T) {
 			t.Fatalf("block %d on nodes %v with node 0 dead", b, locs)
 		}
 	}
-	if c.WriteRetries() == 0 || c.DegradedWrites() != 0 {
-		t.Fatalf("WriteRetries = %d, DegradedWrites = %d; want > 0 and 0", c.WriteRetries(), c.DegradedWrites())
+	if c.Stats().WriteRetries == 0 || c.Stats().DegradedWrites != 0 {
+		t.Fatalf("WriteRetries = %d, DegradedWrites = %d; want > 0 and 0", c.Stats().WriteRetries, c.Stats().DegradedWrites)
 	}
 	c.Kill(1)
 	if got, err := ReadFile(c, "f"); err != nil || !bytes.Equal(got, want) {
@@ -324,8 +324,8 @@ func TestClusterReplicationClamped(t *testing.T) {
 	if got, err := ReadFile(c, "f"); err != nil || string(got) != "abc" {
 		t.Fatalf("%q %v", got, err)
 	}
-	if c.DegradedWrites() != 0 {
-		t.Errorf("clamped replication still reports %d degraded writes", c.DegradedWrites())
+	if c.Stats().DegradedWrites != 0 {
+		t.Errorf("clamped replication still reports %d degraded writes", c.Stats().DegradedWrites)
 	}
 }
 

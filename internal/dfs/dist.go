@@ -219,18 +219,6 @@ func (c *Cluster) setAlive(node int, alive bool) {
 	n.mu.Unlock()
 }
 
-// WriteRetries returns how many block placements were re-attempted on
-// another datanode because the first choice was dead.
-func (c *Cluster) WriteRetries() int64 { return c.writeRetries.Load() }
-
-// DegradedWrites returns how many blocks were committed with fewer
-// live replicas than the replication factor.
-func (c *Cluster) DegradedWrites() int64 { return c.degradedWrites.Load() }
-
-// CorruptReads returns how many replicas failed checksum verification
-// and were quarantined.
-func (c *Cluster) CorruptReads() int64 { return c.corruptReads.Load() }
-
 // ClusterStats is a snapshot of the data-path counters, in the shape
 // the metrics layer exports.
 type ClusterStats struct {

@@ -105,7 +105,7 @@ func TestClusterReadAtVerifiesAndFallsThrough(t *testing.T) {
 			t.Fatalf("read %d over a corrupt replica = %x, %v", i, got, err)
 		}
 	}
-	if got := c.CorruptReads(); got != 1 {
+	if got := c.Stats().CorruptReads; got != 1 {
 		t.Fatalf("CorruptReads = %d, want 1", got)
 	}
 	if locs := c.ReplicaNodes(mid); len(locs) != 1 || locs[0] != 1 {

@@ -36,7 +36,7 @@ func TestCorruptReplicasChaos(t *testing.T) {
 		t.Fatalf("CorruptReplicas corrupted %d replicas, want 4 (one per block)", corrupted)
 	}
 	readEveryReplica(t, c, want)
-	if got := c.CorruptReads(); got != 4 {
+	if got := c.Stats().CorruptReads; got != 4 {
 		t.Fatalf("CorruptReads = %d, want 4", got)
 	}
 	for _, b := range c.BlockIDs() {
@@ -106,7 +106,7 @@ func TestCorruptReplicasStride(t *testing.T) {
 		t.Fatalf("stride-2 over 4 blocks corrupted %d, want 2", got)
 	}
 	readEveryReplica(t, c, want)
-	if got := c.CorruptReads(); got != 2 {
+	if got := c.Stats().CorruptReads; got != 2 {
 		t.Fatalf("CorruptReads = %d, want 2", got)
 	}
 }

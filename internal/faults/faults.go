@@ -4,6 +4,10 @@
 // transient failures with capped exponential backoff, and seeded bit
 // flips in a dfs.Cluster's replicas for checksum experiments.
 //
+// FaultFS and RetryFS each report only their own counters (FaultStats)
+// and expose the file system they wrap through Unwrap, so dfs.Layers
+// can list a job's storage layers and each is counted once.
+//
 // Determinism is the design constraint throughout: every injection and
 // jitter decision is a pure hash of (seed, operation, path, per-path
 // operation index), never of wall-clock time or a shared RNG stream,
@@ -188,12 +192,6 @@ func (in *Injector) decide(op Op, path string) error {
 	return fmt.Errorf("%w: %s %q (op #%d)", ErrInjected, op, path, n+1)
 }
 
-// FaultStats implements pregel.FaultStatsProvider, reporting the
-// number of injected faults.
-func (in *Injector) FaultStats() pregel.FaultStats {
-	return pregel.FaultStats{Injected: in.Injected()}
-}
-
 // FaultFS wraps a file system, consulting an Injector before every
 // operation. A nil Injector passes everything through.
 type FaultFS struct {
@@ -242,15 +240,14 @@ func (f *FaultFS) Remove(path string) error {
 	return f.FS.Remove(path)
 }
 
-// FaultStats implements pregel.FaultStatsProvider, merging the
-// injector's count with any provider underneath.
+// FaultStats implements pregel.FaultStatsProvider: the faults this
+// layer injected, not those of the layers under it.
 func (f *FaultFS) FaultStats() pregel.FaultStats {
-	s := f.Inj.FaultStats()
-	if p, ok := f.FS.(pregel.FaultStatsProvider); ok {
-		s.Add(p.FaultStats())
-	}
-	return s
+	return pregel.FaultStats{Injected: f.Inj.Injected()}
 }
+
+// Unwrap returns the wrapped file system, for dfs.Layers.
+func (f *FaultFS) Unwrap() dfs.FileSystem { return f.FS }
 
 type faultWriter struct {
 	w    io.WriteCloser

@@ -140,12 +140,15 @@ func TestRetryFSAbsorbsBoundedFaults(t *testing.T) {
 	if err != nil || string(got) != "payload" {
 		t.Fatalf("committed file = %q, %v; want %q", got, err, "payload")
 	}
-	if rfs.Retries() == 0 {
+	if rfs.FaultStats().Retries == 0 {
 		t.Fatal("no retries recorded despite injected faults")
 	}
-	s := rfs.FaultStats()
-	if s.Injected != inner.Inj.Injected() || s.Retries != rfs.Retries() || s.Backoff <= 0 {
-		t.Fatalf("merged stats look wrong: %+v", s)
+	// Each layer reports its own counters only.
+	if s := rfs.FaultStats(); s.Injected != 0 || s.Backoff <= 0 {
+		t.Fatalf("retry layer stats look wrong: %+v", s)
+	}
+	if s := inner.FaultStats(); s.Injected == 0 || s.Injected != inner.Inj.Injected() || s.Retries != 0 {
+		t.Fatalf("fault layer stats look wrong: %+v", s)
 	}
 }
 
@@ -168,11 +171,11 @@ func TestRetryFSGivesUp(t *testing.T) {
 		t.Fatalf("partial file left after give-up: err=%v", err)
 	}
 	// Missing files are permanent errors: no retries burned on them.
-	before := rfs.Retries()
+	before := rfs.FaultStats().Retries
 	if _, err := rfs.Open("missing"); !errors.Is(err, dfs.ErrNotExist) {
 		t.Fatalf("want ErrNotExist, got %v", err)
 	}
-	if rfs.Retries() != before {
+	if rfs.FaultStats().Retries != before {
 		t.Fatal("retried a permanent ErrNotExist")
 	}
 }
@@ -223,7 +226,8 @@ func TestChaosPlanRetriesConverge(t *testing.T) {
 func TestChainDeterminism(t *testing.T) {
 	run := func() (string, int64, int64) {
 		mem := dfs.NewMemFS()
-		rfs := NewRetryFS(NewFaultFS(mem, chattyPlan(11)), 11)
+		ffs := NewFaultFS(mem, chattyPlan(11))
+		rfs := NewRetryFS(ffs, 11)
 		rfs.Sleep = func(time.Duration) {}
 		sig := ""
 		for i := 0; i < 25; i++ {
@@ -231,8 +235,7 @@ func TestChainDeterminism(t *testing.T) {
 			err := dfs.WriteFile(rfs, path, []byte(fmt.Sprintf("payload-%d", i)))
 			sig += fmt.Sprintf("%d:%v;", i, err == nil)
 		}
-		s := rfs.FaultStats()
-		return sig, s.Injected, s.Retries
+		return sig, ffs.FaultStats().Injected, rfs.FaultStats().Retries
 	}
 	sigA, injA, retA := run()
 	sigB, injB, retB := run()

@@ -133,18 +133,12 @@ func (r *RetryFS) Remove(path string) error {
 	return r.do(path, func() error { return r.FS.Remove(path) })
 }
 
-// Retries returns how many operation re-attempts were made.
-func (r *RetryFS) Retries() int64 { return r.stats.retries.Load() }
+// FaultStats implements pregel.FaultStatsProvider: this layer's
+// retries and backoff, not the counters of the layers under it.
+func (r *RetryFS) FaultStats() pregel.FaultStats { return r.stats.snapshot() }
 
-// FaultStats implements pregel.FaultStatsProvider, merging retry
-// counters with any provider underneath.
-func (r *RetryFS) FaultStats() pregel.FaultStats {
-	s := r.stats.snapshot()
-	if p, ok := r.FS.(pregel.FaultStatsProvider); ok {
-		s.Add(p.FaultStats())
-	}
-	return s
-}
+// Unwrap returns the wrapped file system, for dfs.Layers.
+func (r *RetryFS) Unwrap() dfs.FileSystem { return r.FS }
 
 // putFile writes data to path as one atomic attempt: create, write,
 // close. A failed attempt removes whatever partial file it may have

@@ -113,7 +113,6 @@ func (s *Server) Handler() http.Handler {
 
 	mux.HandleFunc("GET /diff", s.handleDiff)
 
-	mux.HandleFunc("GET /api/jobs", s.apiJobs)
 	mux.HandleFunc("GET /api/job/{id}/supersteps", s.jobView(s.apiSupersteps))
 	mux.HandleFunc("GET /api/job/{id}/superstep/{n}", s.jobView(s.apiSuperstep))
 	mux.HandleFunc("GET /api/job/{id}/search", s.jobView(s.apiSearch))
@@ -579,15 +578,6 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-func (s *Server) apiJobs(w http.ResponseWriter, r *http.Request) {
-	ids, err := s.store.ListJobs()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, ids)
 }
 
 func (s *Server) apiSupersteps(w http.ResponseWriter, r *http.Request, db *trace.Reader) {

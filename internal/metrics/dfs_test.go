@@ -18,9 +18,7 @@ func TestSnapshotFoldsDFSSources(t *testing.T) {
 	}
 	traces := dfs.NewCluster(3, 2, 32)
 	ckpts := dfs.NewCluster(2, 2, 32)
-	reg.AddDFSSource(traces)
-	reg.AddDFSSource(ckpts)
-	reg.AddDFSSource(nil) // ignored, not a panic
+	reg.SetStorage(dfs.Layers(traces, ckpts, nil)) // nil ignored, not a panic
 
 	body := make([]byte, 96)
 	if err := dfs.WriteFile(traces, "t/seg-0", body); err != nil {
@@ -60,7 +58,7 @@ func TestDebugVarsExportsDFS(t *testing.T) {
 	reg := NewRegistry("job-dfs-vars", "cc")
 	reg.JobStarted(pregel.JobInfo{NumWorkers: 2})
 	c := dfs.NewCluster(2, 2, 32)
-	reg.AddDFSSource(c)
+	reg.SetStorage(dfs.Layers(c))
 	if err := dfs.WriteFile(c, "f", make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}

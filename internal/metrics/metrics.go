@@ -60,8 +60,8 @@ type JobMetrics struct {
 	Partitioner string `json:"partitioner,omitempty"`
 	pregel.JobEnd
 	// DFS carries the distributed-store data-path counters (bytes
-	// moved, quarantined replicas, write retries) when a DFS source
-	// is registered; nil otherwise.
+	// moved, quarantined replicas, write retries) when a dfs.Cluster is
+	// among the job's storage layers; nil otherwise.
 	DFS *dfs.ClusterStats `json:"dfs,omitempty"`
 	// Anomalies is the flat feed of every anomaly event emitted over
 	// the job, in superstep order (also present per superstep inside
@@ -95,13 +95,7 @@ type Registry struct {
 	mu      sync.Mutex
 	jm      JobMetrics
 	sources []pregel.FaultStatsProvider
-	dfsSrcs []DFSSource
-}
-
-// DFSSource is a storage layer that exposes DFS data-path counters;
-// *dfs.Cluster implements it.
-type DFSSource interface {
-	Stats() dfs.ClusterStats
+	layers  []dfs.FileSystem
 }
 
 // NewRegistry creates a registry for one job run.
@@ -109,10 +103,10 @@ func NewRegistry(jobID, algorithm string) *Registry {
 	return &Registry{jm: JobMetrics{JobID: jobID, Algorithm: algorithm}}
 }
 
-// AddFaultSource registers a resilient storage layer whose counters
-// are snapshotted into /metrics while the job is still running —
-// chaos runs expose retries live, not only in the final
-// result. After JobFinished the engine's folded FaultStats wins.
+// AddFaultSource registers a fault counter source other than a storage
+// layer (the Graft session's dropped records) whose counters are
+// snapshotted into /metrics while the job is still running. After
+// JobFinished the job's folded Stats.Faults wins.
 func (r *Registry) AddFaultSource(p pregel.FaultStatsProvider) {
 	if p == nil {
 		return
@@ -122,18 +116,15 @@ func (r *Registry) AddFaultSource(p pregel.FaultStatsProvider) {
 	r.sources = append(r.sources, p)
 }
 
-// AddDFSSource registers a cluster whose data-path counters (bytes
-// written/read, corrupt replicas quarantined, write retries) are
-// snapshotted into /metrics and the dashboard. Multiple sources fold
-// together — a job may write traces and checkpoints to separate
-// clusters.
-func (r *Registry) AddDFSSource(s DFSSource) {
-	if s == nil {
-		return
-	}
+// SetStorage registers a job's storage layers, each once (dfs.Layers
+// over its checkpoint and trace stores). They are the one list both
+// storage readings use: Snapshot shows their fault counters live while
+// the job runs and every dfs.Cluster's data-path counters in DFS, and
+// JobFinished folds their fault counters into Stats.Faults.
+func (r *Registry) SetStorage(layers []dfs.FileSystem) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.dfsSrcs = append(r.dfsSrcs, s)
+	r.layers = layers
 }
 
 // JobStarted implements pregel.JobListener.
@@ -167,12 +158,16 @@ func (r *Registry) SuperstepFinished(superstep int, ss pregel.SuperstepStats) {
 	}
 }
 
-// JobFinished implements pregel.JobListener.
+// JobFinished implements pregel.JobListener. It folds the storage
+// layers' fault counters into stats.Faults, the one place they join a
+// job's Stats: it runs after Graft has committed the trace and before
+// the listeners wired after the registry read the stats.
 func (r *Registry) JobFinished(stats *pregel.Stats, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.jm.Running = false
 	if stats != nil {
+		stats.Faults.Add(r.storageFaults())
 		r.jm.JobEnd = stats.JobEnd
 		r.jm.Reason = stats.Reason.String()
 		r.jm.Partitioner = stats.Partitioner.String()
@@ -182,10 +177,22 @@ func (r *Registry) JobFinished(stats *pregel.Stats, err error) {
 	}
 }
 
+// storageFaults sums the storage layers' own fault counters. The
+// caller holds r.mu.
+func (r *Registry) storageFaults() pregel.FaultStats {
+	var s pregel.FaultStats
+	for _, l := range r.layers {
+		if p, ok := l.(pregel.FaultStatsProvider); ok {
+			s.Add(p.FaultStats())
+		}
+	}
+	return s
+}
+
 // Snapshot returns a deep-enough copy of the current job metrics for
 // serving: the supersteps slice is copied so later appends do not race
 // with encoders, and while the job runs the fault counters are
-// refreshed from the registered sources.
+// refreshed from the registered sources and storage layers.
 func (r *Registry) Snapshot() JobMetrics {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -199,18 +206,18 @@ func (r *Registry) Snapshot() JobMetrics {
 		}
 	}
 	if snap.Running {
-		var fs pregel.FaultStats
+		snap.Faults = r.storageFaults()
 		for _, p := range r.sources {
-			fs.Add(p.FaultStats())
+			snap.Faults.Add(p.FaultStats())
 		}
-		snap.Faults = fs
 	}
-	if len(r.dfsSrcs) > 0 {
-		var ds dfs.ClusterStats
-		for _, s := range r.dfsSrcs {
-			ds.Add(s.Stats())
+	for _, l := range r.layers {
+		if c, ok := l.(*dfs.Cluster); ok {
+			if snap.DFS == nil {
+				snap.DFS = &dfs.ClusterStats{}
+			}
+			snap.DFS.Add(c.Stats())
 		}
-		snap.DFS = &ds
 	}
 	return snap
 }

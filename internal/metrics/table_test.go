@@ -14,15 +14,11 @@ import (
 	"graft/internal/pregel"
 )
 
-type stubDFS struct{}
-
-func (stubDFS) Stats() dfs.ClusterStats { return dfs.ClusterStats{BytesWritten: 1} }
-
 // TestDebugVarsKeySet pins the exact /debug/vars key set — the one the
 // hand-written map served before the table replaced it.
 func TestDebugVarsKeySet(t *testing.T) {
 	reg := seededRegistry()
-	reg.AddDFSSource(stubDFS{})
+	reg.SetStorage(dfs.Layers(dfs.NewCluster(1, 1, 0)))
 	ts := httptest.NewServer(NewMux(reg, MuxOptions{}))
 	defer ts.Close()
 	_, body := getBody(t, ts, "/debug/vars")

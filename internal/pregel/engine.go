@@ -57,9 +57,6 @@ type Stats struct {
 	// Partitioner is the placement mode the job ran with.
 	Partitioner PartitionerMode
 	JobEnd
-	// Anomalies collects every event the anomaly detectors emitted over
-	// the job, in superstep order.
-	Anomalies []anomaly.Event
 	// PerSuperstep has one entry per executed superstep.
 	PerSuperstep []SuperstepStats
 }
@@ -532,12 +529,6 @@ func (en *engine) finish(err error) (*Stats, error) {
 	if canceled && en.cfg.CheckpointFS != nil {
 		en.gcCheckpoints(0)
 	}
-	// Fold in the checkpoint file system's resilience counters
-	// before listeners observe the stats; Graft's listener adds the
-	// trace file system's own on top.
-	if p, ok := en.cfg.CheckpointFS.(FaultStatsProvider); ok {
-		en.stats.Faults.Add(p.FaultStats())
-	}
 	if l := en.cfg.Listener; l != nil {
 		l.JobFinished(&en.stats, err)
 	}
@@ -669,7 +660,6 @@ func (en *engine) barrierPhase(st *step) error {
 func (en *engine) observePhase(st *step) {
 	ss := &st.ss
 	ss.Anomalies = en.anom.Observe(en.anomalySample(ss))
-	en.stats.Anomalies = append(en.stats.Anomalies, ss.Anomalies...)
 }
 
 // flushPhase is the barrier flush: listeners that write a trace commit
@@ -858,30 +848,23 @@ func (en *engine) foldTelemetry(ss *SuperstepStats, results []workerResult, wall
 }
 
 // anomalySample projects one superstep's folded telemetry into the
-// anomaly package's input form, adding the cumulative resilience
-// counters the fault-spike and recovery-storm detectors difference
-// across their window. Runs on the coordinator at the barrier.
+// anomaly package's input form, adding the cumulative recovery and
+// corrupt-checkpoint counts the recovery-storm and fault-spike
+// detectors difference across their window. Runs on the coordinator at
+// the barrier.
 func (en *engine) anomalySample(ss *SuperstepStats) anomaly.Sample {
-	s := anomaly.Sample{
-		Superstep:   ss.Superstep,
-		ComputeSkew: ss.ComputeSkew,
-		MessageSkew: ss.MessageSkew,
-		Straggler:   ss.Straggler,
-		Sent:        ss.MessagesSent,
-		Received:    ss.MessagesReceived,
-		Combined:    ss.MessagesCombined,
-		Traffic:     ss.Traffic,
-		Recoveries:  en.stats.Recoveries,
+	return anomaly.Sample{
+		Superstep:          ss.Superstep,
+		ComputeSkew:        ss.ComputeSkew,
+		MessageSkew:        ss.MessageSkew,
+		Straggler:          ss.Straggler,
+		Sent:               ss.MessagesSent,
+		Received:           ss.MessagesReceived,
+		Combined:           ss.MessagesCombined,
+		Traffic:            ss.Traffic,
+		Recoveries:         en.stats.Recoveries,
+		CorruptCheckpoints: en.stats.Faults.CorruptCheckpoints,
 	}
-	corrupt := en.stats.Faults.CorruptCheckpoints + en.stats.Faults.DroppedRecords
-	if p, ok := en.cfg.CheckpointFS.(FaultStatsProvider); ok {
-		// The checkpoint FS counters are folded into stats only at job
-		// end; sample them live so spikes are visible mid-run.
-		fs := p.FaultStats()
-		corrupt += fs.CorruptCheckpoints + fs.DroppedRecords
-	}
-	s.CorruptArtifacts = corrupt
-	return s
 }
 
 func (en *engine) safeCompute(ctx *workerCtx, v *Vertex, msgs []Value) (err error) {

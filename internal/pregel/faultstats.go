@@ -7,9 +7,12 @@ import (
 
 // FaultStats aggregates the storage-resilience counters of one job:
 // what the fault-injection layer threw at it and how the retry layer
-// absorbed it. The engine folds in counters from
-// the checkpoint file system; Graft's instrumenter folds in the trace
-// file system's. All counters are zero for a run on healthy storage.
+// absorbed it. The engine counts CorruptCheckpoints and
+// CheckpointsDeleted itself and Graft adds DroppedRecords; the job's
+// metrics registry folds in the storage layers' own counters once, at
+// JobFinished, summed over the distinct layers of the job's checkpoint
+// and trace stores (dfs.Layers). All counters are zero for a run on
+// healthy storage.
 type FaultStats struct {
 	// Injected counts faults produced by a test injector.
 	Injected int64 `json:"injected"`
@@ -53,8 +56,9 @@ func (s FaultStats) String() string {
 }
 
 // FaultStatsProvider is implemented by resilient file-system wrappers
-// (see internal/faults) that track their own counters; the engine and
-// Graft query it structurally to plumb the numbers into Stats.
+// (see internal/faults), each reporting only its own counters, not
+// those of the layers it wraps, and by a Graft session (the trace
+// records it dropped).
 type FaultStatsProvider interface {
 	FaultStats() FaultStats
 }

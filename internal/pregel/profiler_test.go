@@ -93,14 +93,15 @@ func TestTrafficHotspotDetectedOnSinkGraph(t *testing.T) {
 		}
 	}
 	var hotspot *anomaly.Event
-	for i := range stats.Anomalies {
-		if stats.Anomalies[i].Kind == anomaly.KindTrafficHotspot {
-			hotspot = &stats.Anomalies[i]
-			break
+	for _, ss := range stats.PerSuperstep {
+		for i := range ss.Anomalies {
+			if hotspot == nil && ss.Anomalies[i].Kind == anomaly.KindTrafficHotspot {
+				hotspot = &ss.Anomalies[i]
+			}
 		}
 	}
 	if hotspot == nil {
-		t.Fatalf("no traffic-hotspot event in %v", stats.Anomalies)
+		t.Fatal("no traffic-hotspot event in any superstep")
 	}
 	if hotspot.Worker != 0 {
 		t.Errorf("hotspot indicts worker %d, want partition 0 (vertex 0's home)", hotspot.Worker)

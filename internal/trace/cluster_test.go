@@ -100,7 +100,7 @@ func TestSinkOverClusterRoundTrip(t *testing.T) {
 			t.Fatalf("%s reads back changed: %v", f, err)
 		}
 	}
-	if got := c.CorruptReads(); got != int64(len(blocks)) {
+	if got := c.Stats().CorruptReads; got != int64(len(blocks)) {
 		t.Fatalf("CorruptReads = %d, want one per block (%d)", got, len(blocks))
 	}
 	for _, b := range blocks {

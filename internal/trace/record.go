@@ -286,7 +286,4 @@ type JobResult struct {
 	// DroppedRecords counts trace records lost to persistent storage
 	// failure; the job continued without them (degraded capture).
 	DroppedRecords int64 `json:"dropped_records,omitempty"`
-	// StorageRetries counts trace-store operations that were retried
-	// after transient failures.
-	StorageRetries int64 `json:"storage_retries,omitempty"`
 }

@@ -120,3 +120,98 @@ func TestJobRegistersStoreCounters(t *testing.T) {
 			live.Running, live.Faults)
 	}
 }
+
+// faultsAtFinish records, in JobFinished, the job's Stats.Faults and
+// what its fault-injecting and retrying layers counted at that moment.
+type faultsAtFinish struct {
+	injector  *FaultFS
+	retrier   *RetryFS
+	got, want pregel.FaultStats
+}
+
+func (f *faultsAtFinish) JobStarted(pregel.JobInfo)                    {}
+func (f *faultsAtFinish) SuperstepStarted(int, pregel.SuperstepInfo)   {}
+func (f *faultsAtFinish) SuperstepFinished(int, pregel.SuperstepStats) {}
+func (f *faultsAtFinish) JobFinished(stats *pregel.Stats, _ error) {
+	f.got = stats.Faults
+	r := f.retrier.FaultStats()
+	f.want = pregel.FaultStats{Injected: f.injector.FaultStats().Injected, Retries: r.Retries, Backoff: r.Backoff}
+}
+
+// TestStorageCountedOnce: every storage layer under a job's checkpoint
+// and trace stores counts once in Stats.Faults and job.metrics, however
+// the stores share or wrap it.
+func TestStorageCountedOnce(t *testing.T) {
+	g := func() *Graph { return graphgen.RegularBipartite(60, 3) }
+	readMetrics := func(t *testing.T, store *Store, jobID string) metrics.JobMetrics {
+		t.Helper()
+		jm, err := metrics.ReadJobMetrics(store.FS, store.MetricsPath(jobID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jm
+	}
+
+	t.Run("one chain as trace and checkpoint store", func(t *testing.T) {
+		ffs := NewFaultFS(NewMemFS(), faults.ChaosPlan(7, 0.5))
+		fs := NewRetryFS(ffs, 7)
+		fs.Sleep = func(time.Duration) {}
+		store := NewStore(fs, "traces")
+		probe := &faultsAtFinish{injector: ffs, retrier: fs}
+		res, err := RunAlgorithm(g(), algorithms.NewConnectedComponents(), RunOptions{
+			JobID:  "cc-shared",
+			Store:  store,
+			Debug:  &DebugConfig{CaptureAllActive: true},
+			Engine: EngineConfig{CheckpointEvery: 1, CheckpointFS: fs, CheckpointPrefix: "ckpt/", Listener: probe},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if probe.want.Injected == 0 || probe.want.Retries == 0 {
+			t.Fatalf("the store absorbed no faults: %+v", probe.want)
+		}
+		got, want := probe.got, probe.want
+		if got.Injected != want.Injected || got.Retries != want.Retries || got.Backoff != want.Backoff {
+			t.Errorf("Stats.Faults in JobFinished: injected=%d retries=%d backoff=%v; the file system counted %d, %d, %v",
+				got.Injected, got.Retries, got.Backoff, want.Injected, want.Retries, want.Backoff)
+		}
+		if jm := readMetrics(t, store, "cc-shared"); jm.Faults != res.Stats.Faults {
+			t.Errorf("job.metrics faults %+v, Stats.Faults %+v", jm.Faults, res.Stats.Faults)
+		}
+	})
+
+	t.Run("retry layer over a cluster", func(t *testing.T) {
+		store := NewStore(NewRetryFS(NewCluster(4, 2, 0), 1), "traces")
+		if _, err := RunAlgorithm(g(), algorithms.NewConnectedComponents(), RunOptions{
+			JobID: "cc-wrapped",
+			Store: store,
+			Debug: &DebugConfig{CaptureAllActive: true},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if jm := readMetrics(t, store, "cc-wrapped"); jm.DFS == nil || jm.DFS.BytesWritten <= 0 {
+			t.Errorf("job.metrics DFS row = %+v, want the cluster's bytes written", jm.DFS)
+		}
+	})
+
+	t.Run("two chains over one cluster", func(t *testing.T) {
+		cluster := NewCluster(4, 2, 8<<10)
+		ckptFS := NewRetryFS(NewFaultFS(cluster, faults.ChaosPlan(42, 0.3)), 42)
+		ckptFS.Sleep = func(time.Duration) {}
+		traceFS := NewRetryFS(NewFaultFS(cluster, faults.ChaosPlan(43, 0.3)), 43)
+		traceFS.Sleep = func(time.Duration) {}
+		store := NewStore(traceFS, "chaos")
+		if _, err := RunAlgorithm(g(), algorithms.NewConnectedComponents(), RunOptions{
+			JobID:  "cc-chains",
+			Store:  store,
+			Debug:  &DebugConfig{CaptureAllActive: true},
+			Engine: EngineConfig{CheckpointEvery: 2, CheckpointFS: ckptFS, CheckpointPrefix: "ckpt/"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		jm := readMetrics(t, store, "cc-chains")
+		if written := cluster.Stats().BytesWritten; jm.DFS == nil || jm.DFS.BytesWritten <= 0 || jm.DFS.BytesWritten > written {
+			t.Errorf("job.metrics DFS row = %+v; the cluster wrote %d bytes in all", jm.DFS, written)
+		}
+	})
+}

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"graft/internal/core"
+	"graft/internal/dfs"
 	"graft/internal/graphgen"
 	"graft/internal/metrics"
 	"graft/internal/pregel"
@@ -500,25 +501,19 @@ func mergeAlgorithm(opts *RunOptions, alg *Algorithm) {
 // runJob is the only place a job is assembled, and a Session job's
 // runner is its only caller: graft.Run, `graft run` and `graft serve`
 // all submit to a Session. It wires reg, the job's registry, as a
-// listener beside the caller's own, registers the job's storage layers
-// on it as live fault and DFS counter sources, attaches Graft if
-// asked, runs the engine under ctx, and turns a failed trace write into
-// the job's error.
+// listener ahead of the caller's own, registers the job's storage
+// layers on it once (dfs.Layers over the checkpoint and trace stores),
+// attaches Graft if asked, runs the engine under ctx, and turns a
+// failed trace write into the job's error.
 func runJob(ctx context.Context, g *Graph, comp Computation, opts RunOptions, reg *metrics.Registry) (*RunResult, error) {
 	cfg := opts.Engine
 	scomp := opts.Subgraph
 	res := &RunResult{}
 	cfg.Listener = tee(reg, cfg.Listener)
-	// Live /metrics shows the storage counters mid-run, before the
-	// engine folds the fault counters into the final Stats.
-	if p, ok := cfg.CheckpointFS.(pregel.FaultStatsProvider); ok {
-		reg.AddFaultSource(p)
-	}
-	if c, ok := cfg.CheckpointFS.(metrics.DFSSource); ok {
-		reg.AddDFSSource(c)
-	}
 	var session *core.Graft
+	var traceFS dfs.FileSystem
 	if opts.Debug != nil {
+		traceFS = opts.Store.FS
 		mode := ""
 		if scomp != nil {
 			mode = "subgraph"
@@ -543,12 +538,10 @@ func runJob(ctx context.Context, g *Graph, comp Computation, opts RunOptions, re
 		}
 		cfg.Master = session.InstrumentMaster(cfg.Master)
 		reg.AddFaultSource(session)
-		if c, ok := opts.Store.FS.(metrics.DFSSource); ok && opts.Store.FS != cfg.CheckpointFS {
-			reg.AddDFSSource(c)
-		}
 		cfg.Listener = session.Chain(cfg.Listener)
 		res.JobID = opts.JobID
 	}
+	reg.SetStorage(dfs.Layers(cfg.CheckpointFS, traceFS))
 
 	var job *pregel.Job
 	if scomp != nil {
