@@ -1,7 +1,6 @@
 package dfs
 
 import (
-	"bytes"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -244,6 +243,11 @@ func (s *ClusterStats) Add(o ClusterStats) {
 	s.CorruptReads += o.CorruptReads
 	s.WriteRetries += o.WriteRetries
 	s.DegradedWrites += o.DegradedWrites
+}
+
+// Sub takes o's counters out of s.
+func (s *ClusterStats) Sub(o ClusterStats) {
+	s.Add(ClusterStats{-o.BytesWritten, -o.BytesRead, -o.CorruptReads, -o.WriteRetries, -o.DegradedWrites})
 }
 
 // Any reports whether any counter is nonzero.
@@ -614,12 +618,15 @@ func (c *Cluster) FlipReplicaBit(b BlockID, node int, bit int64) bool {
 type clusterWriter struct {
 	c      *Cluster
 	path   string
-	buf    bytes.Buffer
+	tail   []byte // the bytes past the last placed block, fewer than a block
 	blocks []BlockID
 	closed bool
 	err    error
 }
 
+// Write places each block as soon as it is whole: a block is copied
+// once out of p into the slice its replicas share, and only a tail
+// shorter than one block waits for the next Write or Close.
 func (w *clusterWriter) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, io.ErrClosedPipe
@@ -627,25 +634,24 @@ func (w *clusterWriter) Write(p []byte) (int, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
-	n, _ := w.buf.Write(p)
-	for w.buf.Len() >= w.c.blockSize {
-		if err := w.flushBlock(w.c.blockSize); err != nil {
-			w.err = err
-			// Every byte of p was accepted into the buffer before the
-			// flush failed; report the accepted count alongside the
-			// error so io.Copy-style callers account correctly.
-			return n, err
+	n := len(p)
+	for len(p) > 0 && w.err == nil {
+		k := min(w.c.blockSize-len(w.tail), len(p))
+		w.tail = append(w.tail, p[:k]...)
+		p = p[k:]
+		if len(w.tail) == w.c.blockSize {
+			w.err = w.placeTail()
 		}
 	}
-	return n, nil
+	// p is accepted whole even past a failed placement; the error sticks.
+	return n, w.err
 }
 
-func (w *clusterWriter) flushBlock(size int) error {
-	data := make([]byte, size)
-	if _, err := io.ReadFull(&w.buf, data); err != nil {
-		return err
-	}
-	id, err := w.c.placeBlock(data)
+// placeTail places the staged tail as the file's next block. The
+// replicas keep the slice, so the next Write starts a fresh one.
+func (w *clusterWriter) placeTail() error {
+	id, err := w.c.placeBlock(w.tail)
+	w.tail = nil
 	if err != nil {
 		return err
 	}
@@ -658,8 +664,8 @@ func (w *clusterWriter) Close() error {
 		return nil
 	}
 	w.closed = true
-	if w.err == nil && w.buf.Len() > 0 {
-		w.err = w.flushBlock(w.buf.Len())
+	if w.err == nil && len(w.tail) > 0 {
+		w.err = w.placeTail()
 	}
 	if w.err != nil {
 		// The write is abandoned, never committed; free the blocks it

@@ -91,10 +91,12 @@ func (fs *MemFS) TotalBytes() int64 {
 	return n
 }
 
+// memWriter appends straight into the slice the file will keep: a file
+// written in one Write costs one copy of it.
 type memWriter struct {
 	fs     *MemFS
 	path   string
-	buf    bytes.Buffer
+	data   []byte
 	closed bool
 }
 
@@ -102,7 +104,8 @@ func (w *memWriter) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, io.ErrClosedPipe
 	}
-	return w.buf.Write(p)
+	w.data = append(w.data, p...)
+	return len(p), nil
 }
 
 func (w *memWriter) Close() error {
@@ -111,7 +114,7 @@ func (w *memWriter) Close() error {
 	}
 	w.closed = true
 	w.fs.mu.Lock()
-	w.fs.files[w.path] = append([]byte(nil), w.buf.Bytes()...)
+	w.fs.files[w.path] = w.data
 	w.fs.mu.Unlock()
 	return nil
 }

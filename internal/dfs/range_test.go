@@ -317,3 +317,27 @@ func TestReadFileAllocatesOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteFileAllocatesOnce: WriteFile copies the file once, into what
+// the store keeps. A staging buffer that grows to the file's size, then
+// copied again into blocks or into the stored slice, allocates about
+// twice the file.
+func TestWriteFileAllocatesOnce(t *testing.T) {
+	const size = 1 << 20
+	data := bytes.Repeat([]byte{0x5A}, size)
+	for name, fs := range map[string]FileSystem{"mem": NewMemFS(), "cluster": NewCluster(3, 2, 0)} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := WriteFile(fs, "f", data)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > size*5/4 {
+			t.Errorf("%s: WriteFile of %d bytes allocated %d, want at most %d", name, size, grew, size*5/4)
+		}
+		if got, err := ReadFile(fs, "f"); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s: read back %d bytes, %v", name, len(got), err)
+		}
+	}
+}

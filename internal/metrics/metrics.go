@@ -96,6 +96,10 @@ type Registry struct {
 	jm      JobMetrics
 	sources []pregel.FaultStatsProvider
 	layers  []dfs.FileSystem
+	// baseFaults and baseDFS are what the layers had counted when
+	// SetStorage took them: a store outlives its jobs.
+	baseFaults pregel.FaultStats
+	baseDFS    *dfs.ClusterStats
 }
 
 // NewRegistry creates a registry for one job run.
@@ -117,14 +121,19 @@ func (r *Registry) AddFaultSource(p pregel.FaultStatsProvider) {
 }
 
 // SetStorage registers a job's storage layers, each once (dfs.Layers
-// over its checkpoint and trace stores). They are the one list both
-// storage readings use: Snapshot shows their fault counters live while
-// the job runs and every dfs.Cluster's data-path counters in DFS, and
-// JobFinished folds their fault counters into Stats.Faults.
+// over its checkpoint and trace stores), before the job writes to them.
+// They are the one list both storage readings use: Snapshot shows their
+// fault counters live while the job runs and every dfs.Cluster's
+// data-path counters in DFS, and JobFinished folds their fault counters
+// into Stats.Faults. Both report what the layers counted since
+// SetStorage, so a job on a store that earlier jobs used counts only
+// its own; jobs running at the same time on one store still share
+// their readings.
 func (r *Registry) SetStorage(layers []dfs.FileSystem) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.layers = layers
+	r.baseFaults, r.baseDFS = readStorage(layers)
 }
 
 // JobStarted implements pregel.JobListener.
@@ -167,7 +176,8 @@ func (r *Registry) JobFinished(stats *pregel.Stats, err error) {
 	defer r.mu.Unlock()
 	r.jm.Running = false
 	if stats != nil {
-		stats.Faults.Add(r.storageFaults())
+		faults, _ := r.storage()
+		stats.Faults.Add(faults)
 		r.jm.JobEnd = stats.JobEnd
 		r.jm.Reason = stats.Reason.String()
 		r.jm.Partitioner = stats.Partitioner.String()
@@ -177,16 +187,32 @@ func (r *Registry) JobFinished(stats *pregel.Stats, err error) {
 	}
 }
 
-// storageFaults sums the storage layers' own fault counters. The
-// caller holds r.mu.
-func (r *Registry) storageFaults() pregel.FaultStats {
-	var s pregel.FaultStats
-	for _, l := range r.layers {
+// readStorage sums the layers' own fault counters and every
+// dfs.Cluster's data-path counters; d is nil without a Cluster.
+func readStorage(layers []dfs.FileSystem) (f pregel.FaultStats, d *dfs.ClusterStats) {
+	for _, l := range layers {
 		if p, ok := l.(pregel.FaultStatsProvider); ok {
-			s.Add(p.FaultStats())
+			f.Add(p.FaultStats())
+		}
+		if c, ok := l.(*dfs.Cluster); ok {
+			if d == nil {
+				d = &dfs.ClusterStats{}
+			}
+			d.Add(c.Stats())
 		}
 	}
-	return s
+	return f, d
+}
+
+// storage is the job's share of the storage readings: what the layers
+// counted since SetStorage. The caller holds r.mu.
+func (r *Registry) storage() (pregel.FaultStats, *dfs.ClusterStats) {
+	f, d := readStorage(r.layers)
+	f.Sub(r.baseFaults)
+	if d != nil {
+		d.Sub(*r.baseDFS)
+	}
+	return f, d
 }
 
 // Snapshot returns a deep-enough copy of the current job metrics for
@@ -205,20 +231,14 @@ func (r *Registry) Snapshot() JobMetrics {
 			snap.AnomalyCounts[k] = v
 		}
 	}
+	faults, d := r.storage()
 	if snap.Running {
-		snap.Faults = r.storageFaults()
+		snap.Faults = faults
 		for _, p := range r.sources {
 			snap.Faults.Add(p.FaultStats())
 		}
 	}
-	for _, l := range r.layers {
-		if c, ok := l.(*dfs.Cluster); ok {
-			if snap.DFS == nil {
-				snap.DFS = &dfs.ClusterStats{}
-			}
-			snap.DFS.Add(c.Stats())
-		}
-	}
+	snap.DFS = d
 	return snap
 }
 

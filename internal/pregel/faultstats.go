@@ -42,6 +42,11 @@ func (s *FaultStats) Add(o FaultStats) {
 	s.CheckpointsDeleted += o.CheckpointsDeleted
 }
 
+// Sub takes o's counters out of s.
+func (s *FaultStats) Sub(o FaultStats) {
+	s.Add(FaultStats{-o.Injected, -o.Retries, -o.Backoff, -o.DroppedRecords, -o.CorruptCheckpoints, -o.CheckpointsDeleted})
+}
+
 // Any reports whether any counter is nonzero.
 func (s FaultStats) Any() bool {
 	return s != FaultStats{}

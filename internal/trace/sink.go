@@ -216,12 +216,17 @@ type sinkLane struct {
 	mu  sync.Mutex
 	e   *pregel.Encoder // payload scratch
 	seg []byte          // the open segment, magic included
-	cur []indexEntry    // the open segment's entries
+	// ents is the lane's one entries array: the pending segments'
+	// entries, then the open segment's from ents[open:]. A committed
+	// part truncates it to zero, so a lane regrows no array per segment.
+	ents []indexEntry
+	open int
 	// unchecked counts the records framed since the size was last
 	// checked.
 	unchecked int
-	// pending holds the segments sealed since the last committed part:
-	// the watermark a failed part write leaves for the next flush.
+	// pending holds the segments sealed since the last committed part,
+	// their Entries sub-slices of ents: the watermark a failed part
+	// write leaves for the next flush.
 	pending []segmentIndex
 	idx     []byte // part encoding scratch
 	segSeq  int
@@ -245,7 +250,7 @@ func (l *sinkLane) submit(rec any) error {
 	ent := entryFor(rec, payload)
 	ent.Offset = len(l.seg)
 	l.seg = append(l.seg, payload...)
-	l.cur = append(l.cur, ent)
+	l.ents = append(l.ents, ent)
 	if l.unchecked++; l.unchecked >= l.sink.batchSize {
 		l.unchecked = 0
 		if len(l.seg) >= l.sink.segmentSize {
@@ -265,18 +270,20 @@ func (l *sinkLane) submit(rec any) error {
 // without bound. Caller holds l.mu.
 func (l *sinkLane) seal() error {
 	l.unchecked = 0
-	if len(l.cur) == 0 {
+	n := len(l.ents)
+	if n == l.open {
 		return nil
 	}
 	name := fmt.Sprintf("%s/seg_%06d.seg", l.name, l.segSeq)
 	err := dfs.WriteFile(l.sink.store.FS, l.sink.dir+"/"+name, l.seg)
 	if err != nil {
-		l.sink.dropped.Add(int64(len(l.cur)))
+		l.sink.dropped.Add(int64(n - l.open))
+		l.ents = l.ents[:l.open]
 	} else {
-		l.pending = append(l.pending, segmentIndex{Name: name, Entries: l.cur})
+		l.pending = append(l.pending, segmentIndex{Name: name, Entries: l.ents[l.open:n:n]})
+		l.open = n
 		l.segSeq++
 	}
-	l.cur = nil
 	l.seg = append(l.seg[:0], segMagic...)
 	return err
 }
@@ -304,7 +311,8 @@ func (l *sinkLane) flush() error {
 		return err
 	}
 	l.partSeq++
-	l.pending = nil
+	l.pending = l.pending[:0]
+	l.ents, l.open = l.ents[:0], 0
 	return err
 }
 

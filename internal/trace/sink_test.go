@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -308,6 +309,49 @@ func TestSinkStorageFailureAccounting(t *testing.T) {
 	})
 }
 
+// TestSinkSteadyStateAllocations: once a lane has run a superstep, the
+// next one reuses its entries array and its segment buffer, so what a
+// superstep of several segments allocates is a few small objects per
+// file (names, handles), the same for 512 records as for 4,096. The
+// store keeps nothing, so all that is counted is the sink's.
+// Regrowing the entries per segment costs about twice the entries'
+// size (40 bytes a record) on every superstep.
+func TestSinkSteadyStateAllocations(t *testing.T) {
+	for _, records := range []int{512, 4096} {
+		// About 130 bytes a record: each superstep seals 6 or 7 segments.
+		sink, err := NewStore(discardFS{}, "t").newSink(JobMeta{JobID: "job1", NumWorkers: 1}, 20*records, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := sampleVertexCapture()
+		superstep := func(step int) {
+			for i := 0; i < records; i++ {
+				c.Superstep, c.Worker, c.ID = step, 0, pregel.VertexID(i)
+				if err := sink.WorkerSink(0).WriteVertexCapture(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sink.BarrierFlush(step); err != nil {
+				t.Fatal(err)
+			}
+		}
+		superstep(0)
+		warm := sink.lanes[0].segSeq
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		superstep(1)
+		runtime.ReadMemStats(&after)
+		segs := sink.lanes[0].segSeq - warm
+		grew := after.TotalAlloc - before.TotalAlloc
+		if segs < 4 {
+			t.Fatalf("%d records sealed %d segments, want several", records, segs)
+		}
+		if grew > 4<<10 {
+			t.Errorf("a superstep of %d records in %d segments allocated %d bytes, want at most 4 KiB", records, segs, grew)
+		}
+	}
+}
+
 // TestSinkBarrierFlushRace hammers one worker sink from its producer
 // goroutine while the coordinator runs barrier flushes and reads the
 // loss counter, the way the engine drives a live sink. Run under -race this
@@ -478,37 +522,43 @@ func TestReaderOldAndNewIndexLayouts(t *testing.T) {
 }
 
 // TestSinkFailedIndexPartWrite fails exactly one Create of an index
-// part. The segment it would have named is already committed, so a
-// reader opening before the next barrier finds its records by scanning
-// it, and the next barrier's part names it: nothing is lost, nothing is
-// indexed twice, nothing is counted as dropped. Its one subtest keeps
-// the name it had when the write path was an asynchronous pipeline.
+// part. The segments it would have named are already committed, so a
+// reader opening before the next barrier finds their records by
+// scanning them, and the next barrier's part names them: nothing is
+// lost, nothing is indexed twice, nothing is counted as dropped. The
+// lane seals more segments in the superstep after the failed part,
+// while the pending ones still hold their entries, and in the one after
+// the part that names them all commits. Its one subtest keeps the name
+// it had when the write path was an asynchronous pipeline.
 func TestSinkFailedIndexPartWrite(t *testing.T) {
 	t.Run("async", testSinkFailedIndexPartWrite)
 }
 
 func testSinkFailedIndexPartWrite(t *testing.T) {
 	mem := dfs.NewMemFS()
-	// One lane ever writes (the master lane gets no records), so
-	// the Creates are job.meta, seg_000000, idx_000000, ...: the
-	// third is the first part.
-	ffs := faults.NewFaultFS(mem, faults.Plan{FailNth: map[faults.Op]int{faults.OpCreate: 3}})
+	// One lane ever writes (the master lane gets no records), and a
+	// 1-byte threshold with two-record batches seals every second
+	// record, so five records are three segments. The Creates are
+	// job.meta, seg_000000..seg_000002, idx_000000: the fifth is the
+	// first part.
+	ffs := faults.NewFaultFS(mem, faults.Plan{FailNth: map[faults.Op]int{faults.OpCreate: 5}})
 	store := NewStore(ffs, "t")
-	sink, err := store.NewSink(JobMeta{JobID: "job1", NumWorkers: 1})
+	sink, err := store.newSink(JobMeta{JobID: "job1", NumWorkers: 1}, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	write := func(step, n int) {
-		for i := 0; i < n; i++ {
+	const perStep = 5
+	superstep := func(step int) error {
+		for i := 0; i < perStep; i++ {
 			c := sampleVertexCapture()
-			c.Superstep, c.Worker, c.ID = step, 0, pregel.VertexID(i)
+			c.Superstep, c.Worker, c.ID = step, 0, pregel.VertexID(10*step+i)
 			if err := sink.WorkerSink(0).WriteVertexCapture(c); err != nil {
 				t.Fatal(err)
 			}
 		}
+		return sink.BarrierFlush(step)
 	}
-	write(0, 5)
-	if err := sink.BarrierFlush(0); !errors.Is(err, faults.ErrInjected) || !strings.Contains(err.Error(), ".idx") {
+	if err := superstep(0); !errors.Is(err, faults.ErrInjected) || !strings.Contains(err.Error(), ".idx") {
 		t.Fatalf("first barrier: err = %v, want the injected fault on the .idx Create", err)
 	}
 
@@ -516,16 +566,17 @@ func testSinkFailedIndexPartWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if between.IndexParts() != 0 || between.TotalCaptures() != 5 || between.SegmentReads() != 1 {
-		t.Errorf("reader between the barriers: %d parts, %d captures, %d segments scanned; want 0, 5, 1",
-			between.IndexParts(), between.TotalCaptures(), between.SegmentReads())
+	if between.IndexParts() != 0 || between.TotalCaptures() != perStep || between.SegmentReads() != 3 {
+		t.Errorf("reader between the barriers: %d parts, %d captures, %d segments scanned; want 0, %d, 3",
+			between.IndexParts(), between.TotalCaptures(), between.SegmentReads(), perStep)
 	}
 
-	write(1, 4)
-	if err := sink.BarrierFlush(1); err != nil {
-		t.Fatalf("second barrier: %v", err)
+	for step := 1; step <= 2; step++ {
+		if err := superstep(step); err != nil {
+			t.Fatalf("barrier %d: %v", step, err)
+		}
 	}
-	if err := sink.Finish(JobResult{Supersteps: 2, Captures: 9}); err != nil {
+	if err := sink.Finish(JobResult{Supersteps: 3, Captures: 3 * perStep}); err != nil {
 		t.Fatal(err)
 	}
 	if n := sink.DroppedRecords(); n != 0 {
@@ -535,7 +586,8 @@ func testSinkFailedIndexPartWrite(t *testing.T) {
 		t.Errorf("%d faults injected, want exactly 1", ffs.FaultStats().Injected)
 	}
 
-	// Exactly one part, naming both segments, every record once.
+	// The first part names the six segments of supersteps 0 and 1,
+	// every record once.
 	raw, err := dfs.ReadFile(mem, "t/job1/worker_00/idx_000000.idx")
 	if err != nil {
 		t.Fatal(err)
@@ -554,16 +606,27 @@ func testSinkFailedIndexPartWrite(t *testing.T) {
 			seen[key] = true
 		}
 	}
-	if len(segs) != 2 || len(seen) != 9 {
-		t.Errorf("part names %d segments and %d records, want 2 and 9", len(segs), len(seen))
+	if len(segs) != 6 || len(seen) != 2*perStep {
+		t.Errorf("part names %d segments and %d records, want 6 and %d", len(segs), len(seen), 2*perStep)
 	}
 	after, err := NewStore(mem, "t").OpenReader("job1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.IndexParts() != 1 || after.TotalCaptures() != 9 || after.SegmentReads() != 0 {
-		t.Errorf("reader after the job: %d parts, %d captures, %d segments scanned; want 1, 9, 0",
-			after.IndexParts(), after.TotalCaptures(), after.SegmentReads())
+	if after.IndexParts() != 2 || after.TotalCaptures() != 3*perStep || after.SegmentReads() != 0 {
+		t.Errorf("reader after the job: %d parts, %d captures, %d segments scanned; want 2, %d, 0",
+			after.IndexParts(), after.TotalCaptures(), after.SegmentReads(), 3*perStep)
+	}
+	for step := 0; step <= 2; step++ {
+		for i := 0; i < perStep; i++ {
+			id := pregel.VertexID(10*step + i)
+			if c := after.Capture(step, id); c == nil || c.ID != id || c.Superstep != step {
+				t.Errorf("Capture(%d, %d) = %v, want the record written", step, id, c)
+			}
+		}
+	}
+	if err := after.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 

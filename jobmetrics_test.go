@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"graft/internal/algorithms"
+	"graft/internal/dfs"
 	"graft/internal/faults"
 	"graft/internal/graphgen"
 	"graft/internal/gui"
@@ -118,6 +119,45 @@ func TestJobRegistersStoreCounters(t *testing.T) {
 	if !live.Running || live.Faults.Injected == 0 || live.Faults.Retries == 0 {
 		t.Errorf("live snapshot: running=%v faults %+v, want the checkpoint store's injected faults and retries",
 			live.Running, live.Faults)
+	}
+}
+
+// TestJobStorageCountersAreTheJobs: jobs run in turn on one store each
+// count only their own storage traffic, not the store's lifetime
+// totals. A job's DFS row is what the cluster wrote while it ran, save
+// its job.metrics, which is written after the row it records.
+func TestJobStorageCountersAreTheJobs(t *testing.T) {
+	cluster := NewCluster(4, 2, 0)
+	store := NewStore(cluster, "traces")
+	run := func(jobID string) (row, metricsBytes int64) {
+		t.Helper()
+		if _, err := RunAlgorithm(graphgen.RegularBipartite(60, 3), algorithms.NewGraphColoring(1), RunOptions{
+			JobID: jobID,
+			Store: store,
+			Debug: &DebugConfig{CaptureAllActive: true},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := dfs.ReadFile(cluster, store.MetricsPath(jobID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jm, err := metrics.ReadJobMetrics(store.FS, store.MetricsPath(jobID))
+		if err != nil || jm.DFS == nil {
+			t.Fatalf("job %s: job.metrics DFS row = %v, %v", jobID, jm.DFS, err)
+		}
+		// Every block of job.metrics is stored on both replicas.
+		return jm.DFS.BytesWritten, 2 * int64(len(raw))
+	}
+	rowA, metricsA := run("a")
+	afterA := cluster.Stats().BytesWritten
+	rowB, metricsB := run("b")
+	afterB := cluster.Stats().BytesWritten
+	if rowA != afterA-metricsA {
+		t.Errorf("job a's DFS row has %d bytes written; the cluster wrote %d for it", rowA, afterA-metricsA)
+	}
+	if want := afterB - afterA - metricsB; rowB != want {
+		t.Errorf("job b's DFS row has %d bytes written; the cluster wrote %d for it (%d before it)", rowB, want, afterA)
 	}
 }
 

@@ -514,6 +514,9 @@ func runJob(ctx context.Context, g *Graph, comp Computation, opts RunOptions, re
 	var traceFS dfs.FileSystem
 	if opts.Debug != nil {
 		traceFS = opts.Store.FS
+	}
+	reg.SetStorage(dfs.Layers(cfg.CheckpointFS, traceFS)) // before Attach writes job.meta
+	if opts.Debug != nil {
 		mode := ""
 		if scomp != nil {
 			mode = "subgraph"
@@ -541,7 +544,6 @@ func runJob(ctx context.Context, g *Graph, comp Computation, opts RunOptions, re
 		cfg.Listener = session.Chain(cfg.Listener)
 		res.JobID = opts.JobID
 	}
-	reg.SetStorage(dfs.Layers(cfg.CheckpointFS, traceFS))
 
 	var job *pregel.Job
 	if scomp != nil {
