@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -190,10 +191,28 @@ func TestCLISmoke(t *testing.T) {
 		// the superstep lines above.
 		{name: "-anomaly-window is gone", args: with(pr, "-anomaly-window", "3"), exit: 2, wants: []string{"flag provided but not defined"}},
 		{name: "-anomaly-out is gone", args: with(pr, "-anomaly-out", "a.jsonl"), exit: 2, wants: []string{"flag provided but not defined"}},
+		// job.metrics holds the committed history: one row per
+		// superstep, though supersteps 2 and 3 ran twice.
 		{name: "crash and restart", args: []string{"run", "-alg", "pagerank", "-dataset", "web-BS", "-scale", "0.001", "-workers", "8", "-supersteps", "10",
-			"-debug", "none", "-checkpoint-every", "2", "-crash-at", "3"},
+			"-debug", "DC-sp", "-trace-dir", "traces", "-job", "restarted", "-checkpoint-every", "2", "-crash-at", "3"},
 			wants: []string{"finished:", "recovery @3: from-ckpt=2 steps-replayed=2", "resilience: recoveries=1"},
-			never: []string{"mode=", "partitions=", "msgs-replayed=", "outbox log:"}},
+			never: []string{"mode=", "partitions=", "msgs-replayed=", "outbox log:"},
+			check: func(t *testing.T, out string) {
+				var jm struct{ Supersteps []struct{ Superstep int } }
+				readJSON(t, filepath.Join(dir, "traces", "restarted", "job.metrics"), &jm)
+				var n int
+				if m := regexp.MustCompile(`finished: supersteps=(\d+)`).FindStringSubmatch(out); m != nil {
+					n, _ = strconv.Atoi(m[1])
+				}
+				for i, ss := range jm.Supersteps {
+					if ss.Superstep != i {
+						t.Fatalf("job.metrics row %d is superstep %d", i, ss.Superstep)
+					}
+				}
+				if n == 0 || len(jm.Supersteps) != n {
+					t.Errorf("job.metrics has %d rows; the run printed supersteps=%d", len(jm.Supersteps), n)
+				}
+			}},
 		// -workers 0 is the engine's default count, not zero partitions.
 		{name: "chaos on the checkpoint store", args: with(pr, "-debug", "none", "-checkpoint-every", "2", "-crash-at", "3", "-chaos", "0.2", "-workers", "0"),
 			wants: []string{"finished:", "resilience: recoveries=1"}},

@@ -193,9 +193,7 @@ func requireMatchesReferenceBy(t *testing.T, same func(a, b Value) bool, build f
 		}
 		refTotal += st.sent
 	}
-	// A checkpoint restart re-sends the rewound supersteps' messages, so
-	// TotalMessages is only the reference's total on a crash-free run.
-	if crashAt < 0 && stats.TotalMessages != refTotal {
+	if stats.TotalMessages != refTotal {
 		t.Errorf("TotalMessages: engine=%d reference=%d", stats.TotalMessages, refTotal)
 	}
 	if got.NumVertices() != int64(len(ref.verts)) {

@@ -18,9 +18,10 @@ import (
 // exercise the dashboard: two supersteps, a flagged straggler, workers.
 func seedMetrics(jobID string) metrics.JobMetrics {
 	reg := metrics.NewRegistry(jobID, "cc")
-	reg.JobStarted(pregel.JobInfo{NumWorkers: 2, NumVertices: 50, NumEdges: 120})
+	stats := &pregel.Stats{}
+	reg.JobStarted(pregel.JobInfo{NumWorkers: 2, NumVertices: 50, NumEdges: 120, Stats: stats})
 	for i := 0; i < 2; i++ {
-		reg.SuperstepFinished(i, pregel.SuperstepStats{
+		stats.PerSuperstep = append(stats.PerSuperstep, pregel.SuperstepStats{
 			Superstep:   i,
 			ActiveAtEnd: int64(50 - i*25),
 			Counters: pregel.Counters{
@@ -39,8 +40,10 @@ func seedMetrics(jobID string) metrics.JobMetrics {
 				{Worker: 1, Counters: pregel.Counters{VerticesProcessed: 25, MessagesSent: 60, ComputeTime: 4 * time.Millisecond}},
 			},
 		})
+		reg.SuperstepFinished(i, stats.PerSuperstep[i])
 	}
-	reg.JobFinished(&pregel.Stats{Supersteps: 2, JobEnd: pregel.JobEnd{Runtime: 20 * time.Millisecond}}, nil)
+	stats.Supersteps, stats.Runtime = 2, 20*time.Millisecond
+	reg.JobFinished(stats, nil)
 	return reg.Snapshot()
 }
 

@@ -18,7 +18,8 @@ import (
 // traffic hotspot on the middle one, and a straggler anomaly.
 func seedProfilerMetrics(jobID string) metrics.JobMetrics {
 	reg := metrics.NewRegistry(jobID, "cc")
-	reg.JobStarted(pregel.JobInfo{NumWorkers: 2, NumVertices: 50, NumEdges: 120})
+	stats := &pregel.Stats{}
+	reg.JobStarted(pregel.JobInfo{NumWorkers: 2, NumVertices: 50, NumEdges: 120, Stats: stats})
 	for i := 0; i < 3; i++ {
 		ss := pregel.SuperstepStats{
 			Superstep:   i,
@@ -50,9 +51,11 @@ func seedProfilerMetrics(jobID string) metrics.JobMetrics {
 				Action: "consider repartitioning hot receivers",
 			}}
 		}
+		stats.PerSuperstep = append(stats.PerSuperstep, ss)
 		reg.SuperstepFinished(i, ss)
 	}
-	reg.JobFinished(&pregel.Stats{Supersteps: 3, JobEnd: pregel.JobEnd{Runtime: 20 * time.Millisecond}}, nil)
+	stats.Supersteps, stats.Runtime = 3, 20*time.Millisecond
+	reg.JobFinished(stats, nil)
 	return reg.Snapshot()
 }
 

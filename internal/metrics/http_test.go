@@ -14,9 +14,10 @@ import (
 // seededRegistry returns a registry mid-run with two supersteps folded.
 func seededRegistry() *Registry {
 	reg := NewRegistry("job-http", "pagerank")
-	reg.JobStarted(pregel.JobInfo{NumWorkers: 4, NumVertices: 100, NumEdges: 250})
+	stats := &pregel.Stats{}
+	reg.JobStarted(pregel.JobInfo{NumWorkers: 4, NumVertices: 100, NumEdges: 250, Stats: stats})
 	for i := 0; i < 2; i++ {
-		reg.SuperstepFinished(i, pregel.SuperstepStats{
+		stats.PerSuperstep = append(stats.PerSuperstep, pregel.SuperstepStats{
 			Superstep:   i,
 			ActiveAtEnd: 100,
 			Counters: pregel.Counters{
@@ -29,6 +30,7 @@ func seededRegistry() *Registry {
 			ComputeSkew: 1.2,
 			Straggler:   3,
 		})
+		reg.SuperstepFinished(i, stats.PerSuperstep[i])
 	}
 	return reg
 }

@@ -12,9 +12,11 @@ import (
 )
 
 // JSONLSink streams a job's metrics events as JSON Lines: one
-// `job_start` line, one `superstep` line per barrier, one `job_end`
-// line. It is a pregel.JobListener, installed beside the job's
-// registry (`graft run -metrics-out` sets it as the engine listener).
+// `job_start` line, one `superstep` line per barrier as it ran (a
+// superstep re-executed after a checkpoint restart has a line per run),
+// and one `job_end` line that folds the job's committed history. It is
+// a pregel.JobListener, installed beside the job's registry (`graft
+// run -metrics-out` sets it as the engine listener).
 // The format is append-only and valid mid-run, so a crashed job still
 // leaves a parseable prefix. Callbacks arrive on the coordinator
 // goroutine; the mutex shields Close and Err.
@@ -25,10 +27,6 @@ type JSONLSink struct {
 	err error
 
 	jobID, algorithm string
-	// supersteps and totals fold the superstep lines the way the
-	// registry folds its rows, for the job_end line.
-	supersteps int
-	totals     pregel.Totals
 }
 
 // NewJSONLSink streams the events of job jobID (running algorithm) to
@@ -94,16 +92,16 @@ func (s *JSONLSink) SuperstepStarted(int, pregel.SuperstepInfo) {}
 
 // SuperstepFinished implements pregel.JobListener.
 func (s *JSONLSink) SuperstepFinished(_ int, ss pregel.SuperstepStats) {
-	s.supersteps++
-	s.totals.Add(ss)
 	s.emit(jsonlSuperstep{Event: "superstep", SuperstepStats: ss})
 }
 
 // JobFinished implements pregel.JobListener: it writes the job_end
 // line and flushes.
 func (s *JSONLSink) JobFinished(stats *pregel.Stats, err error) {
-	end := jsonlEnd{Event: "job_end", JobID: s.jobID, Supersteps: s.supersteps, Totals: s.totals}
+	end := jsonlEnd{Event: "job_end", JobID: s.jobID}
 	if stats != nil {
+		end.Supersteps = len(stats.PerSuperstep)
+		end.Totals = stats.Totals()
 		end.JobEnd = stats.JobEnd
 		end.Reason = stats.Reason.String()
 	}

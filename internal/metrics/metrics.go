@@ -28,7 +28,6 @@
 package metrics
 
 import (
-	"fmt"
 	"sync"
 
 	"graft/internal/anomaly"
@@ -86,14 +85,21 @@ func (jm *JobMetrics) TrafficTotal() int64 {
 	return n
 }
 
-// Registry collects one job's metrics and serves them. It implements
+// Registry serves one job's metrics. It implements
 // pregel.JobListener; the graft package builds one per job and wires
-// it (behind core.Graft.Chain when the job is debugged). All listener
-// callbacks run on the engine's coordinator goroutine; the mutex only
-// shields concurrent HTTP readers, never the compute hot path.
+// it (behind core.Graft.Chain when the job is debugged). It is a view
+// of the job's Stats: its rows are Stats.PerSuperstep as the last
+// barrier left them, and its totals and anomaly feed are folded from
+// those rows when read, so a checkpoint restart's rewind shows in every
+// view. All listener callbacks run on the engine's coordinator
+// goroutine; the mutex only shields concurrent HTTP readers, never the
+// compute hot path.
 type Registry struct {
-	mu      sync.Mutex
-	jm      JobMetrics
+	mu sync.Mutex
+	jm JobMetrics
+	// stats is the job's, from JobStarted; only the coordinator's
+	// callbacks read it.
+	stats   *pregel.Stats
 	sources []pregel.FaultStatsProvider
 	layers  []dfs.FileSystem
 	// baseFaults and baseDFS are what the layers had counted when
@@ -140,6 +146,7 @@ func (r *Registry) SetStorage(layers []dfs.FileSystem) {
 func (r *Registry) JobStarted(info pregel.JobInfo) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.stats = info.Stats
 	r.jm.NumWorkers = info.NumWorkers
 	r.jm.NumVertices = info.NumVertices
 	r.jm.NumEdges = info.NumEdges
@@ -149,32 +156,31 @@ func (r *Registry) JobStarted(info pregel.JobInfo) {
 // SuperstepStarted implements pregel.JobListener.
 func (r *Registry) SuperstepStarted(superstep int, info pregel.SuperstepInfo) {}
 
-// SuperstepFinished implements pregel.JobListener: it folds one
-// superstep's telemetry into the registry.
-func (r *Registry) SuperstepFinished(superstep int, ss pregel.SuperstepStats) {
+// SuperstepFinished implements pregel.JobListener: it publishes the
+// job's rows, which the engine has just appended the superstep to.
+func (r *Registry) SuperstepFinished(int, pregel.SuperstepStats) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.jm.Supersteps = append(r.jm.Supersteps, ss)
-	r.jm.Totals.Add(ss)
-	if len(ss.Anomalies) > 0 {
-		r.jm.Anomalies = append(r.jm.Anomalies, ss.Anomalies...)
-		if r.jm.AnomalyCounts == nil {
-			r.jm.AnomalyCounts = map[string]int{}
-		}
-		for _, ev := range ss.Anomalies {
-			r.jm.AnomalyCounts[string(ev.Kind)]++
-		}
+	r.publish()
+}
+
+// publish shares the job's rows with readers. The caller holds r.mu.
+func (r *Registry) publish() {
+	if r.stats != nil {
+		r.jm.Supersteps = r.stats.PerSuperstep
 	}
 }
 
-// JobFinished implements pregel.JobListener. It folds the storage
-// layers' fault counters into stats.Faults, the one place they join a
-// job's Stats: it runs after Graft has committed the trace and before
-// the listeners wired after the registry read the stats.
+// JobFinished implements pregel.JobListener. It publishes the job's
+// final rows and folds the storage layers' fault counters into
+// stats.Faults, the one place they join a job's Stats: it runs after
+// Graft has committed the trace and before the listeners wired after
+// the registry read the stats.
 func (r *Registry) JobFinished(stats *pregel.Stats, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.jm.Running = false
+	r.publish()
 	if stats != nil {
 		faults, _ := r.storage()
 		stats.Faults.Add(faults)
@@ -215,20 +221,23 @@ func (r *Registry) storage() (pregel.FaultStats, *dfs.ClusterStats) {
 	return f, d
 }
 
-// Snapshot returns a deep-enough copy of the current job metrics for
-// serving: the supersteps slice is copied so later appends do not race
-// with encoders, and while the job runs the fault counters are
-// refreshed from the registered sources and storage layers.
+// Snapshot returns the current job metrics for serving. Its rows are
+// the job's own, shared, not copied: the engine never rewrites a row it
+// has published. Totals and the anomaly feed are folded from them, and
+// while the job runs the fault counters are refreshed from the
+// registered sources and storage layers.
 func (r *Registry) Snapshot() JobMetrics {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	snap := r.jm
-	snap.Supersteps = append([]pregel.SuperstepStats(nil), r.jm.Supersteps...)
-	snap.Anomalies = append([]anomaly.Event(nil), r.jm.Anomalies...)
-	if len(r.jm.AnomalyCounts) > 0 {
-		snap.AnomalyCounts = make(map[string]int, len(r.jm.AnomalyCounts))
-		for k, v := range r.jm.AnomalyCounts {
-			snap.AnomalyCounts[k] = v
+	snap.Totals = pregel.Fold(snap.Supersteps)
+	for _, ss := range snap.Supersteps {
+		snap.Anomalies = append(snap.Anomalies, ss.Anomalies...)
+	}
+	if len(snap.Anomalies) > 0 {
+		snap.AnomalyCounts = map[string]int{}
+		for _, ev := range snap.Anomalies {
+			snap.AnomalyCounts[string(ev.Kind)]++
 		}
 	}
 	faults, d := r.storage()
@@ -240,10 +249,4 @@ func (r *Registry) Snapshot() JobMetrics {
 	}
 	snap.DFS = d
 	return snap
-}
-
-// String summarizes the registry for logs.
-func (r *Registry) String() string {
-	snap := r.Snapshot()
-	return fmt.Sprintf("metrics[%s %v]", snap.JobID, Sections(&snap))
 }

@@ -2,13 +2,15 @@ package metrics
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
+	"graft/internal/dfs"
+	"graft/internal/faults"
 	"graft/internal/pregel"
 )
 
@@ -54,64 +56,85 @@ func pathGraph(t *testing.T, n int) *pregel.Graph {
 
 // TestRegistryConcurrentSnapshots runs a real job with the registry as
 // listener while hammering Snapshot from reader goroutines — the
-// /metrics serving path — and then checks the folded totals. Run under
-// -race this is the collector/reader interleaving test.
+// /metrics serving path, which encodes the rows it was handed — and
+// then checks the folded totals. Run under -race this is the
+// collector/reader interleaving test, across a checkpoint restart's
+// rewind too.
 func TestRegistryConcurrentSnapshots(t *testing.T) {
-	reg := NewRegistry("cc-test", "cc")
-	g := pathGraph(t, 96)
-	job := pregel.NewJob(g, ccCompute, pregel.Config{NumWorkers: 4, Listener: reg})
+	for _, tc := range []struct {
+		name string
+		cfg  pregel.Config
+	}{
+		{name: "plain", cfg: pregel.Config{NumWorkers: 4}},
+		{name: "checkpoint restart", cfg: pregel.Config{NumWorkers: 4, CheckpointEvery: 2, CheckpointFS: dfs.NewMemFS(),
+			FailureAt: faults.FailAt(5)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewRegistry("cc-test", "cc")
+			tc.cfg.Listener = reg
+			job := pregel.NewJob(pathGraph(t, 96), ccCompute, tc.cfg)
 
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				snap := reg.Snapshot()
-				// Monotone consistency: totals never contradict the
-				// supersteps captured in the same snapshot.
-				var v int64
-				for _, ss := range snap.Supersteps {
-					v += ss.VerticesProcessed
-				}
-				if v != snap.Totals.VerticesProcessed {
-					t.Errorf("snapshot totals %d != superstep sum %d", snap.Totals.VerticesProcessed, v)
-					return
-				}
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := 0; i < 4; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						snap := reg.Snapshot()
+						if _, err := json.Marshal(snap); err != nil {
+							t.Error(err)
+							return
+						}
+						// Totals never contradict the supersteps
+						// captured in the same snapshot.
+						var v int64
+						for _, ss := range snap.Supersteps {
+							v += ss.VerticesProcessed
+						}
+						if v != snap.Totals.VerticesProcessed {
+							t.Errorf("snapshot totals %d != superstep sum %d", snap.Totals.VerticesProcessed, v)
+							return
+						}
+					}
+				}()
 			}
-		}()
-	}
-	stats, err := job.Run()
-	close(done)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
+			stats, err := job.Run()
+			close(done)
+			wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	snap := reg.Snapshot()
-	if snap.Running {
-		t.Error("Running still true after JobFinished")
-	}
-	if len(snap.Supersteps) != stats.Supersteps {
-		t.Errorf("registry has %d supersteps, stats say %d", len(snap.Supersteps), stats.Supersteps)
-	}
-	if snap.NumWorkers != 4 || snap.NumVertices != 96 {
-		t.Errorf("job info not captured: %+v", snap)
-	}
-	if snap.Reason == "" {
-		t.Error("Reason empty after job end")
-	}
-	if snap.Runtime <= 0 {
-		t.Error("Runtime not recorded")
-	}
-	if snap.Totals.ComputeTime <= 0 {
-		t.Error("ComputeTime not folded")
+			snap := reg.Snapshot()
+			if snap.Running {
+				t.Error("Running still true after JobFinished")
+			}
+			if len(snap.Supersteps) != stats.Supersteps || snap.Totals != stats.Totals() {
+				t.Errorf("registry has %d supersteps, stats say %d; totals %+v, stats %+v",
+					len(snap.Supersteps), stats.Supersteps, snap.Totals, stats.Totals())
+			}
+			if tc.cfg.FailureAt != nil && snap.Recoveries != 1 {
+				t.Errorf("%d recoveries, want 1", snap.Recoveries)
+			}
+			if snap.NumWorkers != 4 || snap.NumVertices != 96 {
+				t.Errorf("job info not captured: %+v", snap)
+			}
+			if snap.Reason == "" {
+				t.Error("Reason empty after job end")
+			}
+			if snap.Runtime <= 0 {
+				t.Error("Runtime not recorded")
+			}
+			if snap.Totals.ComputeTime <= 0 {
+				t.Error("ComputeTime not folded")
+			}
+		})
 	}
 }
 
@@ -215,15 +238,3 @@ func TestJSONLSinkStickyError(t *testing.T) {
 type failingWriter struct{}
 
 func (failingWriter) Write(p []byte) (int, error) { return 0, os.ErrClosed }
-
-func TestRegistryStringSummarizes(t *testing.T) {
-	reg := NewRegistry("job-1", "cc")
-	reg.SuperstepFinished(0, pregel.SuperstepStats{
-		Superstep: 0,
-		Counters:  pregel.Counters{ComputeTime: 3 * time.Millisecond},
-	})
-	s := reg.String()
-	if s == "" || !bytes.Contains([]byte(s), []byte("job-1")) {
-		t.Errorf("String() = %q", s)
-	}
-}

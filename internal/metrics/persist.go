@@ -35,12 +35,9 @@ func ReadJobMetrics(fs dfs.FileSystem, path string) (JobMetrics, error) {
 		return jm, err
 	}
 	err = json.Unmarshal(raw, &jm)
-	// The registry adds each superstep to both Supersteps and Totals,
-	// so refolding changes nothing in a current file and restores the
-	// totals of one written before they took the per-superstep keys.
-	jm.Totals = pregel.Totals{}
-	for _, ss := range jm.Supersteps {
-		jm.Totals.Add(ss)
-	}
+	// Totals are folded from the rows when written, so refolding
+	// changes nothing in a current file and restores the totals of one
+	// written before they took the per-superstep keys.
+	jm.Totals = pregel.Fold(jm.Supersteps)
 	return jm, err
 }

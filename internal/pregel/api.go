@@ -160,6 +160,12 @@ type JobInfo struct {
 	NumWorkers  int   `json:"num_workers"`
 	NumVertices int64 `json:"num_vertices"`
 	NumEdges    int64 `json:"num_edges"`
+	// Stats is the job's Stats, which the engine fills as the job runs.
+	// Its PerSuperstep is the job's one record of its supersteps: a
+	// listener may keep the slice it reads in a callback and read it
+	// from any goroutine, since the engine only appends past it and a
+	// checkpoint restart cuts it to a slice with no spare capacity.
+	Stats *Stats `json:"-"`
 }
 
 // SuperstepInfo is the global data broadcast to vertices for one
@@ -302,14 +308,22 @@ type Totals struct {
 	MaxMessageSkew float64 `json:"max_message_skew"`
 }
 
-// Add folds one superstep into the rollup. It is the only place a
-// SuperstepStats is accumulated into job-level numbers: Stats.Totals
-// runs it over PerSuperstep, the metrics registry and the JSONL sink
-// at every SuperstepFinished.
+// Add folds one superstep into the rollup; Fold is its one caller.
 func (t *Totals) Add(ss SuperstepStats) {
 	t.Counters.Add(ss.Counters)
 	t.MaxComputeSkew = max(t.MaxComputeSkew, ss.ComputeSkew)
 	t.MaxMessageSkew = max(t.MaxMessageSkew, ss.MessageSkew)
+}
+
+// Fold is the only job-level sum of superstep rows: Stats.Totals,
+// Stats.TotalMessages, the metrics registry, the JSONL sink's job_end
+// line and a read-back job.metrics all call it.
+func Fold(rows []SuperstepStats) Totals {
+	var t Totals
+	for _, ss := range rows {
+		t.Add(ss)
+	}
+	return t
 }
 
 // WorkerStepStats is the telemetry of one worker during one superstep,

@@ -299,9 +299,12 @@ func (en *engine) install(st *checkpointState) {
 	}
 
 	// Per-superstep stats after the restore point are rewound so that
-	// the recorded history matches the re-executed run.
-	for len(en.stats.PerSuperstep) > 0 &&
-		en.stats.PerSuperstep[len(en.stats.PerSuperstep)-1].Superstep >= st.superstep {
-		en.stats.PerSuperstep = en.stats.PerSuperstep[:len(en.stats.PerSuperstep)-1]
+	// the recorded history matches the re-executed run. The cut keeps no
+	// spare capacity: the re-run appends to a new array and never
+	// rewrites a row a listener was handed.
+	k := len(en.stats.PerSuperstep)
+	for k > 0 && en.stats.PerSuperstep[k-1].Superstep >= st.superstep {
+		k--
 	}
+	en.stats.PerSuperstep = en.stats.PerSuperstep[:k:k]
 }

@@ -47,8 +47,8 @@ type Stats struct {
 	// numbers 0..Supersteps-1).
 	Supersteps int
 	Reason     TerminationReason
-	// TotalMessages counts messages sent over the whole job, before
-	// combining.
+	// TotalMessages counts messages sent over the job's supersteps,
+	// before combining: Totals().MessagesSent, set when the job ends.
 	TotalMessages int64
 	// MessagesDropped counts messages addressed to nonexistent
 	// vertices, which are discarded at the barrier (under a combiner,
@@ -57,7 +57,9 @@ type Stats struct {
 	// Partitioner is the placement mode the job ran with.
 	Partitioner PartitionerMode
 	JobEnd
-	// PerSuperstep has one entry per executed superstep.
+	// PerSuperstep has one entry per superstep of the job's committed
+	// history: a checkpoint restart drops the rows after the restored
+	// superstep, and the re-run appends them again.
 	PerSuperstep []SuperstepStats
 }
 
@@ -106,18 +108,9 @@ func (s *Stats) String() string {
 	return line
 }
 
-// Totals folds PerSuperstep into the job-level rollup. A checkpoint
-// restart truncates PerSuperstep back to the restored superstep, so a
-// re-executed superstep counts once here; a listener folding every
-// SuperstepFinished it saw (the metrics registry) counts it each time
-// it ran, and the two differ by exactly the re-executed rows.
-func (s *Stats) Totals() Totals {
-	var t Totals
-	for _, ss := range s.PerSuperstep {
-		t.Add(ss)
-	}
-	return t
-}
+// Totals folds PerSuperstep into the job-level rollup, so a superstep
+// re-executed after a checkpoint restart counts once.
+func (s *Stats) Totals() Totals { return Fold(s.PerSuperstep) }
 
 // PhaseTotals is the job-level compute / barrier / capture breakdown
 // the observability layer and bench/ report.
@@ -453,7 +446,7 @@ func (en *engine) run(start time.Time) (*Stats, error) {
 	}
 	if l := en.cfg.Listener; l != nil {
 		nv, ne := en.totals()
-		l.JobStarted(JobInfo{NumWorkers: len(en.parts), NumVertices: nv, NumEdges: ne})
+		l.JobStarted(JobInfo{NumWorkers: len(en.parts), NumVertices: nv, NumEdges: ne, Stats: &en.stats})
 	}
 	if err := en.cfg.Validate(); err != nil {
 		return en.finish(err)
@@ -513,6 +506,7 @@ func (en *engine) run(start time.Time) (*Stats, error) {
 // return values.
 func (en *engine) finish(err error) (*Stats, error) {
 	en.stats.Supersteps = en.superstep
+	en.stats.TotalMessages = en.stats.Totals().MessagesSent
 	en.stats.Runtime = time.Since(en.started)
 	en.stats.Partitioner = en.cfg.Partitioner
 	en.stats.PartitionSizes = make([]int64, len(en.parts))
@@ -634,7 +628,6 @@ func (en *engine) barrierPhase(st *step) error {
 	}
 	en.applyMutations(st.results)
 	en.mergeAggregators(st.results)
-	en.stats.TotalMessages += en.next.total()
 	// The traffic matrix must be read before mergeLanes merges
 	// the lanes into the shards (and zeroes the lane counters); at
 	// this point the next store's shards are still empty, so the

@@ -287,6 +287,22 @@ func TestScalarCombinerRejectsWrongType(t *testing.T) {
 	}
 }
 
+// total returns the number of messages received across all shards
+// (before combining), including messages still sitting in unmerged
+// lanes.
+func (s *messageStore) total() int64 {
+	var n int64
+	for i := range s.shards {
+		n += s.shards[i].n
+	}
+	for i := range s.lanes {
+		for j := range s.lanes[i] {
+			n += s.lanes[i][j].n
+		}
+	}
+	return n
+}
+
 // TestScalarPlaneAllocations is the allocation gate for the unboxed
 // path, independent of the clock: in steady state, sending 65,536
 // messages under a standard combiner into the senders' dense cells and

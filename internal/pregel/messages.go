@@ -379,7 +379,8 @@ func (s *messageStore) hasPending(shard int) bool {
 // element [s][d] is the number of messages (pre-combine) worker s sent
 // toward partition d this superstep. It must be read at the barrier
 // before mergeLane folds the columns away; at that point a fresh
-// store's shards are empty, so the matrix sums to total().
+// store's shards are empty, so the matrix sums to the superstep's
+// MessagesSent.
 func (s *messageStore) trafficMatrix() [][]int64 {
 	m := make([][]int64, len(s.lanes))
 	for i := range s.lanes {
@@ -390,22 +391,6 @@ func (s *messageStore) trafficMatrix() [][]int64 {
 		m[i] = row
 	}
 	return m
-}
-
-// total returns the number of messages received across all shards
-// (before combining), including messages still sitting in unmerged
-// lanes.
-func (s *messageStore) total() int64 {
-	var n int64
-	for i := range s.shards {
-		n += s.shards[i].n
-	}
-	for i := range s.lanes {
-		for j := range s.lanes[i] {
-			n += s.lanes[i][j].n
-		}
-	}
-	return n
 }
 
 // combinedTotal returns how many messages combiners merged away across

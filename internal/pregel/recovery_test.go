@@ -1,6 +1,8 @@
 package pregel
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -202,5 +204,53 @@ func TestConfinedRecoveryPersistentAggregators(t *testing.T) {
 	// 4 vertices x 4 supersteps, regardless of the re-executed window.
 	if finalSum != 16 {
 		t.Errorf("persistent sum after recovery = %d, want 16", finalSum)
+	}
+}
+
+// heldRows keeps the PerSuperstep slice the job's Stats held when the
+// failing superstep finished, with a deep copy of its rows taken then.
+type heldRows struct {
+	at    int
+	stats *Stats
+	rows  []SuperstepStats
+	copy  []byte
+}
+
+func (h *heldRows) JobStarted(info JobInfo)             { h.stats = info.Stats }
+func (h *heldRows) SuperstepStarted(int, SuperstepInfo) {}
+func (h *heldRows) JobFinished(*Stats, error)           {}
+func (h *heldRows) SuperstepFinished(s int, _ SuperstepStats) {
+	if s == h.at && h.rows == nil {
+		h.rows = h.stats.PerSuperstep
+		h.copy, _ = json.Marshal(h.rows)
+	}
+}
+
+// TestRestartNeverRewritesHandedRows: the rows a listener was handed
+// stay as they were when a checkpoint restart rewinds PerSuperstep and
+// the re-run appends its own rows for the same supersteps.
+func TestRestartNeverRewritesHandedRows(t *testing.T) {
+	h := &heldRows{at: 3}
+	stats, err := NewJob(pathGraph(t, 12), ccCompute, Config{
+		NumWorkers:      3,
+		CheckpointEvery: 2,
+		CheckpointFS:    dfs.NewMemFS(),
+		FailureAt:       failOnce(3),
+		Listener:        h,
+	}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Recoveries != 1 || len(h.rows) != 4 || len(stats.PerSuperstep) != stats.Supersteps {
+		t.Fatalf("%d recoveries, %d rows held, %d rows over %d supersteps",
+			stats.Recoveries, len(h.rows), len(stats.PerSuperstep), stats.Supersteps)
+	}
+	if now, _ := json.Marshal(h.rows); !bytes.Equal(now, h.copy) {
+		t.Error("held rows changed after the restart")
+	}
+	for s := 2; s < len(h.rows); s++ {
+		if &h.rows[s] == &stats.PerSuperstep[s] {
+			t.Errorf("the re-run of superstep %d wrote its row over the held one", s)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -331,5 +332,40 @@ func TestServeCancelAndClose(t *testing.T) {
 	}
 	if code, _ := post(t, ts, "/api/jobs", fmt.Sprintf(long, "late")); code != http.StatusServiceUnavailable {
 		t.Errorf("submit after Close = %d, want 503", code)
+	}
+}
+
+// TestServeRestartedJobShowsOneHistory: a job restarted from a
+// checkpoint shows its committed history, one row per superstep, in
+// the daemon's status and on its dashboard.
+func TestServeRestartedJobShowsOneHistory(t *testing.T) {
+	d, ts := newDaemon(t, 1)
+	const workers = 4
+	j, err := d.session.SubmitAlgorithm(context.Background(), graphgen.RegularBipartite(60, 3), algorithms.NewPageRank(8, 0.85), graft.RunOptions{
+		JobID:  "restarted",
+		Store:  d.session.Store(),
+		Debug:  &graft.DebugConfig{CaptureIDs: []graft.VertexID{0}},
+		Engine: graft.EngineConfig{NumWorkers: workers, CheckpointEvery: 2, CheckpointFS: graft.NewMemFS(), FailureAt: graft.FailAt(3)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Recoveries != 1 {
+		t.Fatalf("%d recoveries, want 1", res.Stats.Recoveries)
+	}
+	if info := waitState(t, ts, "restarted", "succeeded"); info.Supersteps != res.Stats.Supersteps {
+		t.Errorf("GET /api/jobs/restarted: supersteps %d, Stats.Supersteps %d", info.Supersteps, res.Stats.Supersteps)
+	}
+	// Superstep 2 ran twice: before the crash at 3 and after the
+	// restart from checkpoint 2.
+	code, body := get(t, ts, "/job/restarted/metrics?superstep=2")
+	_, table, found := strings.Cut(body, "Workers at superstep 2")
+	table, _, _ = strings.Cut(table, "</table>")
+	if rows := strings.Count(table, "<tr") - 1; code != http.StatusOK || !found || rows != workers {
+		t.Errorf("dashboard: status %d, %d worker rows at superstep 2, want %d", code, rows, workers)
 	}
 }
