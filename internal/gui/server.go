@@ -10,9 +10,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"html/template"
+	"maps"
 	"net/http"
 	"path"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -166,37 +167,28 @@ type navBar struct {
 }
 
 // tracePage is the chrome of a trace view at a superstep, titled with
-// the job and the formatted rest. A page that holds the superstep's
-// captures passes trace.StatusOf of them; the others pass db.StatusAt,
-// which fetches and decodes the superstep to compute it.
-func tracePage(db *trace.Reader, superstep int, status trace.Status, title string, args ...any) page {
+// the job and the formatted rest.
+func tracePage(db *trace.Reader, superstep int, title string, args ...any) page {
 	nav := &navBar{
 		JobID:     db.JobMeta().JobID,
 		Superstep: superstep,
 		Max:       db.MaxSuperstep(),
 		Prev:      -1, Next: -1,
-		Status: status,
+		Status: db.StatusAt(superstep),
 	}
 	if meta := db.MetaAt(superstep); meta != nil {
 		nav.NumVertices, nav.NumEdges = meta.NumVertices, meta.NumEdges
-		names := make([]string, 0, len(meta.Aggregated))
-		for name := range meta.Aggregated {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range slices.Sorted(maps.Keys(meta.Aggregated)) {
 			nav.Aggregators = append(nav.Aggregators, aggRow{name, pregel.ValueString(meta.Aggregated[name])})
 		}
 	}
-	supersteps := db.Supersteps()
-	for i, s := range supersteps {
-		if s == superstep {
-			if i > 0 {
-				nav.Prev = supersteps[i-1]
-			}
-			if i+1 < len(supersteps) {
-				nav.Next = supersteps[i+1]
-			}
+	steps := db.Supersteps()
+	if i, ok := slices.BinarySearch(steps, superstep); ok {
+		if i > 0 {
+			nav.Prev = steps[i-1]
+		}
+		if i+1 < len(steps) {
+			nav.Next = steps[i+1]
 		}
 	}
 	return page{Title: nav.JobID + " — " + fmt.Sprintf(title, args...), Nav: nav}
@@ -251,7 +243,7 @@ func (s *Server) handleNodeLink(w http.ResponseWriter, r *http.Request, db *trac
 	render(w, "nodelink", struct {
 		page
 		SVG template.HTML
-	}{tracePage(db, superstep, trace.StatusOf(captures), "node-link view"),
+	}{tracePage(db, superstep, "node-link view"),
 		nodeLinkSVG(db.JobMeta().JobID, superstep, captures)})
 }
 
@@ -314,7 +306,7 @@ func (s *Server) handleTabular(w http.ResponseWriter, r *http.Request, db *trace
 		page
 		QVertex, QNeighbor, QValue, QMessage string
 		Rows                                 []captureRow
-	}{tracePage(db, superstep, db.StatusAt(superstep), "tabular view"),
+	}{tracePage(db, superstep, "tabular view"),
 		r.FormValue("vertex"), r.FormValue("neighbor"), r.FormValue("value"), r.FormValue("message"),
 		captureRows(db.Search(queryOf(r, superstep)))})
 }
@@ -324,18 +316,15 @@ func (s *Server) handleTabular(w http.ResponseWriter, r *http.Request, db *trace
 func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request, db *trace.Reader) {
 	superstep := superstepOf(r, db)
 	all := r.FormValue("all") != ""
-	captures := db.CapturesAt(superstep)
-	var rows []trace.ViolationRow
+	rows := db.ViolationsAt(superstep)
 	if all {
 		rows = db.AllViolations()
-	} else {
-		rows = trace.ViolationRows(superstep, captures)
 	}
 	render(w, "violations", struct {
 		page
 		AllSupersteps bool
 		Rows          []trace.ViolationRow
-	}{tracePage(db, superstep, trace.StatusOf(captures), "violations & exceptions"), all, rows})
+	}{tracePage(db, superstep, "violations & exceptions"), all, rows})
 }
 
 // --- Vertex context detail ---
@@ -378,7 +367,7 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request, db *trace.
 		Outgoing                     []outRow
 		Violations                   []violRow
 	}{
-		page: tracePage(db, superstep, db.StatusAt(superstep), "vertex %d @ superstep %d", id, superstep),
+		page: tracePage(db, superstep, "vertex %d @ superstep %d", id, superstep),
 		ID:   c.ID, PrevSuperstep: superstep - 1, NextSuperstep: superstep + 1,
 		Reasons:          c.Reasons.String(),
 		Nondeterministic: c.Reasons.Has(trace.ReasonNondeterministic),
@@ -425,7 +414,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, db *trace
 		page
 		ID   int64
 		Rows []captureRow
-	}{tracePage(db, first, db.StatusAt(first), "vertex %d history", id), id, captureRows(history)})
+	}{tracePage(db, first, "vertex %d history", id), id, captureRows(history)})
 }
 
 // --- Master view ---
@@ -439,19 +428,14 @@ func (s *Server) handleMaster(w http.ResponseWriter, r *http.Request, db *trace.
 		Exception, Stack string
 		Aggs             []masterAggRow
 		Sets             []aggRow
-	}{page: tracePage(db, superstep, db.StatusAt(superstep), "master @ superstep %d", superstep)}
+	}{page: tracePage(db, superstep, "master @ superstep %d", superstep)}
 	if mc := db.MasterAt(superstep); mc != nil {
 		data.Present = true
 		data.Halted = mc.Halted
 		if mc.Exception != nil {
 			data.Exception, data.Stack = mc.Exception.Message, mc.Exception.Stack
 		}
-		names := make([]string, 0, len(mc.AggregatedBefore))
-		for name := range mc.AggregatedBefore {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range slices.Sorted(maps.Keys(mc.AggregatedBefore)) {
 			data.Aggs = append(data.Aggs, masterAggRow{
 				name,
 				pregel.ValueString(mc.AggregatedBefore[name]),
@@ -480,7 +464,7 @@ func (s *Server) handleReplayCheck(w http.ResponseWriter, r *http.Request, db *t
 		Available bool
 		OKCount   int
 		Checks    []repro.Check
-	}{page: tracePage(db, superstep, db.StatusAt(superstep), "replay check @ superstep %d", superstep),
+	}{page: tracePage(db, superstep, "replay check @ superstep %d", superstep),
 		Algorithm: db.JobMeta().Algorithm}
 	if alg, _ := s.algorithmOf(db); alg != nil {
 		data.Available = true
@@ -600,7 +584,7 @@ func (s *Server) apiSuperstep(w http.ResponseWriter, r *http.Request, db *trace.
 		aggs[name] = pregel.ValueString(v)
 	}
 	captures := db.CapturesAt(n)
-	st := trace.StatusOf(captures)
+	st := db.StatusAt(n)
 	out := map[string]any{
 		"superstep":         n,
 		"num_vertices":      meta.NumVertices,

@@ -228,6 +228,9 @@ type Counters struct {
 	// subgraph computations reported via SubgraphContext.AddIterations —
 	// the work that vertex mode would have paid one superstep each for.
 	InternalIterations int64 `json:"internal_iters,omitempty"`
+	// MessagesDropped counts messages to nonexistent vertices, dropped
+	// at the barrier (once per ID under a combiner); zero in a worker row.
+	MessagesDropped int64 `json:"dropped,omitempty"`
 }
 
 // Add sums o into c, field by field.
@@ -243,6 +246,7 @@ func (c *Counters) Add(o Counters) {
 	c.FlushTime += o.FlushTime
 	c.SubgraphsComputed += o.SubgraphsComputed
 	c.InternalIterations += o.InternalIterations
+	c.MessagesDropped += o.MessagesDropped
 }
 
 // LocalMessageRatio is the fraction of the messages whose sender and

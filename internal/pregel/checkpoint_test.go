@@ -232,3 +232,33 @@ func TestRestoreRejectsWrongPartitionCount(t *testing.T) {
 		t.Fatal("expected partition-count mismatch error")
 	}
 }
+
+// TestDroppedMessagesCountOnceAfterRecovery: the drops of a superstep
+// re-executed after a checkpoint restart count once, like its sends.
+func TestDroppedMessagesCountOnceAfterRecovery(t *testing.T) {
+	comp := ComputeFunc(func(ctx Context, v *Vertex, msgs []Value) error {
+		ctx.SendMessage(100, NewLong(1)) // no vertex 100
+		return nil
+	})
+	for _, crash := range []bool{false, true} {
+		g := NewGraph()
+		for id := VertexID(0); id < 4; id++ {
+			g.AddVertex(id, NewLong(0))
+		}
+		cfg := Config{NumWorkers: 2, MaxSupersteps: 6}
+		if crash {
+			cfg.CheckpointEvery, cfg.CheckpointFS, cfg.FailureAt = 2, dfs.NewMemFS(), failOnce(3)
+		}
+		stats, err := NewJob(g, comp, cfg).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if crash && stats.Recoveries != 1 {
+			t.Fatalf("recoveries = %d, want 1", stats.Recoveries)
+		}
+		if stats.MessagesDropped != 24 || stats.Totals().MessagesDropped != 24 {
+			t.Errorf("crash=%v: dropped = %d (totals %d), want 24: 4 vertices × 6 supersteps",
+				crash, stats.MessagesDropped, stats.Totals().MessagesDropped)
+		}
+	}
+}

@@ -50,9 +50,7 @@ type Stats struct {
 	// TotalMessages counts messages sent over the job's supersteps,
 	// before combining: Totals().MessagesSent, set when the job ends.
 	TotalMessages int64
-	// MessagesDropped counts messages addressed to nonexistent
-	// vertices, which are discarded at the barrier (under a combiner,
-	// once per ID).
+	// MessagesDropped is Totals().MessagesDropped, set when the job ends.
 	MessagesDropped int64
 	// Partitioner is the placement mode the job ran with.
 	Partitioner PartitionerMode
@@ -506,7 +504,8 @@ func (en *engine) run(start time.Time) (*Stats, error) {
 // return values.
 func (en *engine) finish(err error) (*Stats, error) {
 	en.stats.Supersteps = en.superstep
-	en.stats.TotalMessages = en.stats.Totals().MessagesSent
+	t := en.stats.Totals()
+	en.stats.TotalMessages, en.stats.MessagesDropped = t.MessagesSent, t.MessagesDropped
 	en.stats.Runtime = time.Since(en.started)
 	en.stats.Partitioner = en.cfg.Partitioner
 	en.stats.PartitionSizes = make([]int64, len(en.parts))
@@ -637,9 +636,9 @@ func (en *engine) barrierPhase(st *step) error {
 	if err != nil {
 		return err
 	}
-	en.stats.MessagesDropped += dropped
 	st.ss = SuperstepStats{Superstep: en.superstep, ActiveAtEnd: active, Straggler: -1}
 	en.foldTelemetry(&st.ss, st.results, st.wall)
+	st.ss.MessagesDropped = dropped
 	st.ss.MessagesCombined = en.next.combinedTotal()
 	st.ss.Traffic = traffic
 	for w := range traffic {

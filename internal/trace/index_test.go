@@ -131,7 +131,7 @@ func (x *refIndex) record(t *testing.T, loc refLoc) any {
 // worker's lane, with barrier flushes falling anywhere. Every record
 // carries a sequence number so two records of one key differ. With
 // ordered set, one worker captures ascending IDs once each: the stream
-// the lazy sort skips.
+// the lazy merge skips.
 func writeRandomJob(t *testing.T, store *Store, jobID string, rng *rand.Rand, ordered bool) (steps int, ids int) {
 	t.Helper()
 	workers := 1 + rng.Intn(3)
@@ -508,7 +508,7 @@ func TestReaderPointReadChecksMagic(t *testing.T) {
 
 // TestReaderConcurrentViews runs point and scan views of one fresh
 // Reader from many goroutines, so the first use of each superstep's
-// index — its sort — races with lookups in it. Run under -race.
+// index — its merge — races with lookups in it. Run under -race.
 func TestReaderConcurrentViews(t *testing.T) {
 	fs := dfs.NewMemFS()
 	store := NewStore(fs, "t")

@@ -33,24 +33,24 @@ type recordLoc struct {
 }
 
 // stepIndex is one superstep's share of the vertex or subgraph index:
-// a flat slice appended in scan order at open and, on first use,
-// stable-sorted by ID with the last entry of a duplicate key kept — the
-// scan order puts a recovery re-execution's record after the one it
-// replaces. Lookups are binary searches.
+// a flat slice appended in scan order at open, one ascending run per
+// lane. On first use the runs are merged by ID and the last entry of a
+// duplicate key kept — the scan order puts a recovery re-execution's
+// record after the one it replaces. Lookups are binary searches.
 type stepIndex struct {
 	ents []recordLoc
-	// inOrder stays true while entries arrive strictly ascending by ID,
-	// in which case there is nothing to sort or drop.
+	// runs holds where each ascending run after the first starts;
+	// inOrder stays true while there is none: nothing to merge or drop.
+	runs    []int
 	inOrder bool
 	once    sync.Once
 }
 
 func (x *stepIndex) add(loc recordLoc) {
-	if n := len(x.ents); n == 0 {
-		x.inOrder = true
-	} else if loc.id <= x.ents[n-1].id {
-		x.inOrder = false
+	if n := len(x.ents); n > 0 && loc.id <= x.ents[n-1].id {
+		x.runs = append(x.runs, n)
 	}
+	x.inOrder = len(x.runs) == 0
 	x.ents = append(x.ents, loc)
 }
 
@@ -64,17 +64,43 @@ func (x *stepIndex) sorted() []recordLoc {
 		if x.inOrder {
 			return
 		}
-		slices.SortStableFunc(x.ents, func(a, b recordLoc) int { return cmp.Compare(a.id, b.id) })
-		out := x.ents[:0]
-		for i, e := range x.ents {
-			if i+1 < len(x.ents) && x.ents[i+1].id == e.id {
+		ents := mergeRuns(x.ents, x.runs)
+		out := ents[:0]
+		for i, e := range ents {
+			if i+1 < len(ents) && ents[i+1].id == e.id {
 				continue // a later record of the same key wins
 			}
 			out = append(out, e)
 		}
-		x.ents = out
+		x.ents, x.runs = out, nil
 	})
 	return x.ents
+}
+
+// mergeRuns sorts ents, ascending runs starting at 0 and at each of
+// starts, stably by ID into ents or a new slice: it merges neighbouring
+// runs pairwise until one is left, in O(len(ents)·log(runs)).
+func mergeRuns(ents []recordLoc, starts []int) []recordLoc {
+	bounds := append(append([]int{0}, starts...), len(ents))
+	src, dst := ents, make([]recordLoc, len(ents))
+	for ; len(bounds) > 2; src, dst = dst, src {
+		next := bounds[:0] // written behind the reads
+		for i := 0; i+1 < len(bounds); i += 2 {
+			a, b := src[bounds[i]:bounds[i+1]], src[bounds[i+1]:bounds[min(i+2, len(bounds)-1)]]
+			out := dst[bounds[i]:]
+			for ; len(a) > 0 && len(b) > 0; out = out[1:] {
+				if b[0].id < a[0].id {
+					out[0], b = b[0], b[1:]
+				} else {
+					out[0], a = a[0], a[1:]
+				}
+			}
+			copy(out[copy(out, a):], b)
+			next = append(next, bounds[i])
+		}
+		bounds = append(next, len(ents))
+	}
+	return src
 }
 
 func (x *stepIndex) find(id pregel.VertexID) (recordLoc, bool) {
@@ -96,7 +122,9 @@ func (x *stepIndex) find(id pregel.VertexID) (recordLoc, bool) {
 // bounded cache, which point views also serve from when the segment is
 // resident.
 //
-// Reader is safe for concurrent use.
+// A superstep's index is merged into ID order on first use, and a
+// CapturesAt pass keeps the superstep's status for StatusAt. Reader is
+// safe for concurrent use.
 type Reader struct {
 	store *Store
 	dir   string
@@ -120,6 +148,7 @@ type Reader struct {
 	cacheBytes int
 	cacheLimit int
 	magicOK    map[uint32]bool // segments whose magic has been checked
+	status     map[int]Status  // of each superstep a CapturesAt pass read whole
 	err        error
 
 	segReads   atomic.Int64
@@ -153,6 +182,7 @@ func (s *Store) OpenReader(jobID string) (*Reader, error) {
 		cache:      map[uint32][]byte{},
 		cacheLimit: maxSegmentCacheBytes,
 		magicOK:    map[uint32]bool{},
+		status:     map[int]Status{},
 	}
 	if res, done, err := s.ReadResult(jobID); err != nil {
 		return nil, err
@@ -192,21 +222,19 @@ func (r *Reader) loadIndex() error {
 
 	r.indexParts = len(idxFiles)
 	indexed := map[string]bool{}
+	var last stepCursor
 	for _, idxPath := range idxFiles {
 		raw, err := dfs.ReadFile(r.store.FS, idxPath)
 		if err != nil {
 			return err
 		}
-		segs, err := decodeIndex(raw)
+		var num uint32
+		err = walkIndex(raw, func(name string) {
+			indexed[name] = true
+			num = r.addSegment(name)
+		}, func(ent indexEntry) { r.place(ent, num, &last) })
 		if err != nil {
 			return fmt.Errorf("trace: %s: %w", idxPath, err)
-		}
-		for _, seg := range segs {
-			indexed[seg.Name] = true
-			num := r.addSegment(seg.Name)
-			for _, ent := range seg.Entries {
-				r.place(ent, num)
-			}
 		}
 	}
 	// Unindexed leftovers, in name (= seal sequence) order per lane:
@@ -225,7 +253,7 @@ func (r *Reader) loadIndex() error {
 			return fmt.Errorf("trace: %s: %w", name, err)
 		}
 		for _, ent := range ents {
-			r.place(ent, num)
+			r.place(ent, num, &last)
 		}
 	}
 	for s := range r.metaLoc {
@@ -245,29 +273,35 @@ func (r *Reader) addSegment(name string) uint32 {
 	return uint32(len(r.segOrder) - 1)
 }
 
-func (r *Reader) place(ent indexEntry, seg uint32) {
-	// decodeIndex lets through no offset or length over MaxInt32,
+// stepCursor is the stepIndex the previous entry went to, under its
+// kind and superstep: a segment's share of a superstep costs one probe.
+type stepCursor struct {
+	key recordKey
+	x   *stepIndex
+}
+
+func (r *Reader) place(ent indexEntry, seg uint32, last *stepCursor) {
+	// walkIndex lets through no offset or length over MaxInt32,
 	// and a scanned segment's frames were walked in memory.
 	loc := recordLoc{id: pregel.VertexID(ent.ID), seg: seg, off: int64(ent.Offset), ln: uint32(ent.Length)}
-	switch recordKind(ent.Kind) {
+	switch kind := recordKind(ent.Kind); kind {
 	case kindSuperstepMeta:
 		r.metaLoc[ent.Step] = loc
 	case kindMasterCapture:
 		r.masterLoc[ent.Step] = loc
-	case kindVertexCapture:
-		stepIndexOf(r.vertexLoc, ent.Step).add(loc)
-	case kindSubgraphCapture:
-		stepIndexOf(r.subgraphLoc, ent.Step).add(loc)
+	case kindVertexCapture, kindSubgraphCapture:
+		if key := (recordKey{kind: kind, step: ent.Step}); last.key != key {
+			m := r.vertexLoc
+			if kind == kindSubgraphCapture {
+				m = r.subgraphLoc
+			}
+			if m[ent.Step] == nil {
+				m[ent.Step] = &stepIndex{}
+			}
+			*last = stepCursor{key, m[ent.Step]}
+		}
+		last.x.add(loc)
 	}
-}
-
-func stepIndexOf(m map[int]*stepIndex, step int) *stepIndex {
-	x := m[step]
-	if x == nil {
-		x = &stepIndex{}
-		m[step] = x
-	}
-	return x
 }
 
 // segmentBytes returns a whole segment through the bounded cache: the
@@ -485,7 +519,8 @@ func (r *Reader) Capture(superstep int, id pregel.VertexID) *VertexCapture {
 	return c
 }
 
-// CapturesAt returns a superstep's captures sorted by vertex ID.
+// CapturesAt returns a superstep's captures sorted by vertex ID and,
+// when it decoded every one the index names, keeps their status.
 func (r *Reader) CapturesAt(superstep int) []*VertexCapture {
 	ents := r.vertexLoc[superstep].sorted()
 	out := make([]*VertexCapture, 0, len(ents))
@@ -493,6 +528,12 @@ func (r *Reader) CapturesAt(superstep int) []*VertexCapture {
 		if c, _ := r.record(loc, true).(*VertexCapture); c != nil {
 			out = append(out, c)
 		}
+	}
+	if len(ents) > 0 && len(out) == len(ents) {
+		st := StatusOf(out)
+		r.mu.Lock()
+		r.status[superstep] = st
+		r.mu.Unlock()
 	}
 	return out
 }
@@ -545,8 +586,15 @@ func (r *Reader) AllViolations() []ViolationRow {
 	return rows
 }
 
-// StatusAt computes the M/V/E status boxes of one superstep.
+// StatusAt returns the M/V/E status boxes of one superstep, kept by a
+// CapturesAt pass or computed by one.
 func (r *Reader) StatusAt(superstep int) Status {
+	r.mu.Lock()
+	st, ok := r.status[superstep]
+	r.mu.Unlock()
+	if ok {
+		return st
+	}
 	return StatusOf(r.CapturesAt(superstep))
 }
 

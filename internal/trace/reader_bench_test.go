@@ -74,7 +74,8 @@ func BenchmarkReaderLookup(b *testing.B) {
 }
 
 // BenchmarkReaderOpen loads the index of the same trace (40 parts,
-// 100,000 entries) and makes one lookup per superstep, which sorts it.
+// 100,000 entries) and makes one lookup per superstep, which merges
+// the superstep's four lane runs.
 func BenchmarkReaderOpen(b *testing.B) {
 	const steps, perStep = 10, 10000
 	_, store := writeBenchJob(b, steps, perStep)
@@ -90,5 +91,30 @@ func BenchmarkReaderOpen(b *testing.B) {
 				b.Fatal("miss")
 			}
 		}
+	}
+}
+
+// BenchmarkReaderStepView is the GUI's step view over the same trace:
+// one superstep's captures and its M/V/E status, on a Reader whose
+// segment cache already holds the trace.
+func BenchmarkReaderStepView(b *testing.B) {
+	const steps, perStep = 10, 10000
+	_, store := writeBenchJob(b, steps, perStep)
+	r, err := store.OpenReader("job")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := i % steps
+		if len(r.CapturesAt(s)) != perStep {
+			b.Fatal("short step view")
+		}
+		r.StatusAt(s)
+	}
+	b.StopTimer()
+	if err := r.Err(); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -100,32 +100,36 @@ func appendIndex(b []byte, segs []segmentIndex) []byte {
 	return b
 }
 
-// decodeIndex parses an index part, or a sidecar of the older
-// one-file-per-lane layout. A segment takes at least 2 bytes and an
-// entry at least 5, which bounds each count before it sizes anything.
-func decodeIndex(raw []byte) ([]segmentIndex, error) {
+// walkIndex parses an index part, or a sidecar of the older
+// one-file-per-lane layout, calling segment with each segment's name and
+// then entry with each of its entries, until the part proves corrupt. A
+// segment takes at least 2 bytes and an entry at least 5, which bounds
+// each count.
+func walkIndex(raw []byte, segment func(name string), entry func(indexEntry)) error {
 	if len(raw) < len(idxMagic) || string(raw[:len(idxMagic)]) != idxMagic {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
 	d := pregel.NewDecoder(raw[len(idxMagic):])
-	segs := make([]segmentIndex, d.Count(2))
-	for i := range segs {
-		segs[i].Name = d.String()
-		ents := make([]indexEntry, d.Count(5))
-		for j := range ents {
+	for range d.Count(2) {
+		name, n := d.String(), d.Count(5)
+		if d.Err() != nil {
+			break
+		}
+		segment(name)
+		for range n {
 			// No segment holds 2 GiB, and the 31-bit bound keeps
 			// Offset+Length from wrapping.
-			ents[j] = indexEntry{
+			ent := indexEntry{
 				Kind: uint8(d.UvarintBits(8)), Step: int(d.UvarintBits(31)), ID: d.Varint(),
 				Offset: int(d.UvarintBits(31)), Length: int(d.UvarintBits(31)),
 			}
+			if d.Err() != nil {
+				return d.Err()
+			}
+			entry(ent)
 		}
-		segs[i].Entries = ents
 	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return segs, nil
+	return d.Err()
 }
 
 // scanSegmentEntries walks a segment's frames and synthesizes index

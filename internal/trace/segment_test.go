@@ -60,6 +60,23 @@ func newTestLane(t testing.TB, fs dfs.FileSystem, segmentSize, batchSize int) *s
 	return js.lanes[0]
 }
 
+// decodeIndex collects what walkIndex walks: the part's segments, each
+// with its entries. Tests compare index parts through it; the Reader
+// places entries as the walk decodes them and builds no such slices.
+func decodeIndex(raw []byte) ([]segmentIndex, error) {
+	segs := []segmentIndex{}
+	err := walkIndex(raw, func(name string) {
+		segs = append(segs, segmentIndex{Name: name, Entries: []indexEntry{}})
+	}, func(ent indexEntry) {
+		seg := &segs[len(segs)-1]
+		seg.Entries = append(seg.Entries, ent)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return segs, nil
+}
+
 // indexOnDisk decodes every *.idx of the test lane in name order, the
 // way a reader does, and returns the segments they name.
 func indexOnDisk(t *testing.T, fs dfs.FileSystem) []segmentIndex {
