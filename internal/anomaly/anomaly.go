@@ -5,7 +5,7 @@
 // cumulative resilience counters). Detectors emit structured Events —
 // kind, severity, offending worker, evidence values and a suggested
 // action — that flow into pregel.Stats, the metrics registry and
-// JSONL stream, the GUI profiler page, and `graft run` output.
+// JSONL stream, the GUI metrics page, and `graft run` output.
 //
 // The package is deliberately dependency-free so the pregel engine can
 // import it: the engine feeds Samples at each barrier.

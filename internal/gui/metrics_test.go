@@ -61,7 +61,7 @@ func TestMetricsDashboardRendersPersistedJob(t *testing.T) {
 	}
 	for _, want := range []string{
 		"Supersteps",           // per-superstep table
-		"<svg",                 // sparklines
+		"<svg",                 // timeline
 		"Workers at superstep", // per-worker drill-down
 		"straggler",            // flagged straggler marker
 		"Compute skew",         // skew column
@@ -125,19 +125,6 @@ func TestAttachMetricsMountsLiveEndpoints(t *testing.T) {
 	}
 	if code, _ := get(t, ts, "/job/other/metrics.json"); code != 404 {
 		t.Errorf("GET metrics.json of a job the source does not know = %d, want 404", code)
-	}
-}
-
-func TestSparklineSVG(t *testing.T) {
-	if s := string(sparklineSVG(nil, 100, 30, "#000")); !strings.Contains(s, "no data") {
-		t.Errorf("empty sparkline = %q", s)
-	}
-	s := string(sparklineSVG([]float64{1, 3, 2}, 100, 30, "#246"))
-	if !strings.Contains(s, "<polyline") || !strings.Contains(s, "</svg>") {
-		t.Errorf("sparkline lacks polyline: %q", s)
-	}
-	if one := string(sparklineSVG([]float64{5}, 100, 30, "#246")); !strings.Contains(one, "<circle") {
-		t.Errorf("single-point sparkline = %q", one)
 	}
 }
 

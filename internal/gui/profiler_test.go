@@ -13,10 +13,11 @@ import (
 	"graft/internal/trace"
 )
 
-// seedProfilerMetrics builds a finished job whose telemetry exercises
-// every profiler widget: three supersteps with traffic matrices, a
-// traffic hotspot on the middle one, and a straggler anomaly.
-func seedProfilerMetrics(jobID string) metrics.JobMetrics {
+// seedProfilerRegistry builds a finished job whose telemetry exercises
+// every profiling widget of the metrics page: three supersteps with
+// traffic matrices, superstep 0 the slowest, a traffic hotspot on the
+// middle one, and a straggler anomaly.
+func seedProfilerRegistry(jobID string) *metrics.Registry {
 	reg := metrics.NewRegistry(jobID, "cc")
 	stats := &pregel.Stats{}
 	reg.JobStarted(pregel.JobInfo{NumWorkers: 2, NumVertices: 50, NumEdges: 120, Stats: stats})
@@ -41,6 +42,9 @@ func seedProfilerMetrics(jobID string) metrics.JobMetrics {
 			},
 			Traffic: [][]int64{{25, 25}, {25, 25}},
 		}
+		if i == 0 {
+			ss.ComputeTime = 6 * time.Millisecond
+		}
 		if i == 1 {
 			ss.Traffic = [][]int64{{5, 45}, {5, 45}}
 			ss.Anomalies = []anomaly.Event{{
@@ -56,63 +60,85 @@ func seedProfilerMetrics(jobID string) metrics.JobMetrics {
 	}
 	stats.Supersteps, stats.Runtime = 3, 20*time.Millisecond
 	reg.JobFinished(stats, nil)
-	return reg.Snapshot()
+	return reg
 }
 
+// TestProfilerPageRendersTimelineHeatmapAndFeed: the metrics page
+// holds what the profiler view showed — the timeline, one superstep's
+// heatmap with a scrubber, its anomalies and the job's anomaly feed —
+// both from a persisted job.metrics and from a live registry.
 func TestProfilerPageRendersTimelineHeatmapAndFeed(t *testing.T) {
-	store := trace.NewStore(dfs.NewMemFS(), "traces")
-	if err := metrics.WriteJobMetrics(store.FS, store.MetricsPath("prof"), seedProfilerMetrics("prof")); err != nil {
+	reg := seedProfilerRegistry("prof")
+	persisted := trace.NewStore(dfs.NewMemFS(), "traces")
+	if err := metrics.WriteJobMetrics(persisted.FS, persisted.MetricsPath("prof"), reg.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewServer(store).Handler())
-	defer ts.Close()
+	live := NewServer(trace.NewStore(dfs.NewMemFS(), "traces"))
+	live.AttachMetricsSource(func(string) *metrics.Registry { return reg })
 
-	code, body := get(t, ts, "/job/prof/profiler")
-	if code != 200 {
-		t.Fatalf("GET /job/prof/profiler = %d\n%s", code, body)
-	}
-	for _, want := range []string{
-		"Superstep timeline",            // timeline section
-		"worker 1",                      // a timeline lane label
-		"Traffic heatmap",               // heatmap section
-		"traffic-hotspot",               // anomaly feed row
-		"critical",                      // severity column
-		"Suggested action",              // action column
-		"/job/prof/tabular?superstep=1", // feed links into the trace view
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("profiler page missing %q", want)
+	for name, srv := range map[string]*Server{"persisted": NewServer(persisted), "live": live} {
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+
+		code, body := get(t, ts, "/job/prof/metrics")
+		if code != 200 {
+			t.Fatalf("%s: GET /job/prof/metrics = %d\n%s", name, code, body)
 		}
-	}
-	// All three supersteps send 100 messages each; the default heatmap
-	// selection must account for every one of its superstep's sends.
-	if !strings.Contains(body, "100 messages in the matrix") {
-		t.Errorf("heatmap caption does not balance the matrix against MessagesSent:\n%s", body)
-	}
+		for _, want := range []string{
+			"Superstep timeline",            // timeline section
+			"worker 1",                      // a timeline lane label
+			"Workers at superstep 0",        // the default is the slowest superstep
+			"Traffic heatmap",               // heatmap section
+			"traffic-hotspot",               // anomaly feed row
+			"critical",                      // severity column
+			"Suggested action",              // action column
+			"/job/prof/tabular?superstep=1", // feed links into the trace view
+		} {
+			if !strings.Contains(body, want) {
+				t.Errorf("%s: metrics page missing %q", name, want)
+			}
+		}
+		// All three supersteps send 100 messages each; the selected
+		// superstep's heatmap must account for every one of its sends.
+		if !strings.Contains(body, "100 messages in the matrix") {
+			t.Errorf("%s: heatmap caption does not balance the matrix against MessagesSent:\n%s", name, body)
+		}
+		if _, body := get(t, ts, "/job/prof/metrics?superstep=9"); !strings.Contains(body, "Workers at superstep 0") {
+			t.Errorf("%s: an unrecorded superstep does not fall back to the slowest", name)
+		}
 
-	// Scrub to superstep 1: hotspot matrix and its anomaly table.
-	code, body = get(t, ts, "/job/prof/profiler?superstep=1")
-	if code != 200 {
-		t.Fatalf("scrubbed profiler = %d", code)
-	}
-	if !strings.Contains(body, "Anomalies at superstep 1") {
-		t.Errorf("selected-superstep anomaly table missing")
-	}
-	if !strings.Contains(body, "1 &#8594; 1: 45 messages") {
-		t.Errorf("heatmap tooltip for the hot lane missing")
-	}
-	if !strings.Contains(body, `href="?superstep=0"`) || !strings.Contains(body, `href="?superstep=2"`) {
-		t.Errorf("scrubber prev/next links missing")
+		// Scrub to superstep 1: hotspot matrix and its anomaly table.
+		code, body = get(t, ts, "/job/prof/metrics?superstep=1")
+		if code != 200 {
+			t.Fatalf("%s: scrubbed metrics page = %d", name, code)
+		}
+		for _, want := range []string{
+			"Workers at superstep 1",
+			"Anomalies at superstep 1",
+			"1 &#8594; 1: 45 messages", // the hot lane's heatmap tooltip
+			`<a href="?superstep=0">&laquo; Previous superstep</a>`,
+			`<a href="?superstep=2">Next superstep &raquo;</a>`,
+			`<a href="/job/prof/tabular?superstep=1">Trace at this superstep</a>`,
+		} {
+			if !strings.Contains(body, want) {
+				t.Errorf("%s: metrics page at superstep 1 missing %q", name, want)
+			}
+		}
 	}
 }
 
+// TestProfilerPageWithoutMetrics: a job with no job.metrics gets the
+// metrics page's no-metrics message, and the old profiler route is gone.
 func TestProfilerPageWithoutMetrics(t *testing.T) {
 	store := trace.NewStore(dfs.NewMemFS(), "traces")
 	ts := httptest.NewServer(NewServer(store).Handler())
 	defer ts.Close()
-	code, body := get(t, ts, "/job/ghost/profiler")
-	if code != 200 || !strings.Contains(body, "nothing to\nprofile") {
-		t.Errorf("missing-metrics profiler page: %d\n%s", code, body)
+	code, body := get(t, ts, "/job/ghost/metrics")
+	if code != 200 || !strings.Contains(body, "No metrics were recorded") {
+		t.Errorf("missing-metrics page: %d\n%s", code, body)
+	}
+	if code, _ := get(t, ts, "/job/ghost/profiler"); code != 404 {
+		t.Errorf("GET /job/ghost/profiler = %d, want 404", code)
 	}
 }
 

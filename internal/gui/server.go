@@ -110,7 +110,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /job/{id}/reproduce-master", s.jobView(s.handleReproduce))
 	mux.HandleFunc("GET /job/{id}/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /job/{id}/metrics.json", s.handleMetricsJSON)
-	mux.HandleFunc("GET /job/{id}/profiler", s.handleProfiler)
 
 	mux.HandleFunc("GET /diff", s.handleDiff)
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"time"
 
 	"graft/internal/pregel"
 	"graft/internal/trace"
@@ -128,61 +129,145 @@ func nodeLinkSVG(jobID string, superstep int, captures []*trace.VertexCapture) t
 	return template.HTML(b.String())
 }
 
-// sparklineSVG renders values as a compact polyline, auto-scaled from
-// zero to the series maximum, with the last value printed after the
-// line. The metrics dashboard uses it for the per-superstep trend
-// strips; a single point degrades to a dot.
-func sparklineSVG(values []float64, w, h int, color string) template.HTML {
-	if len(values) == 0 {
-		return template.HTML(`<span class="muted">no data</span>`)
+// timelineColors are the stacked-segment fills, in draw order.
+var timelineColors = [3]string{"#246", "#e90", "#999"} // compute, barrier, capture
+
+// timelineSVG renders the superstep timeline: one horizontal lane per
+// worker, one column per superstep. Each cell is a stacked bar of the
+// worker's compute, barrier-wait and capture time, scaled against the
+// busiest worker-superstep so relative load (and stragglers) read at a
+// glance. Column headers link to the metrics page at that superstep;
+// the selected column is tinted.
+func timelineSVG(steps []pregel.SuperstepStats, workers, selected int) template.HTML {
+	if len(steps) == 0 || workers == 0 {
+		return template.HTML(`<p class="muted">No superstep telemetry recorded.</p>`)
 	}
-	max := 0.0
-	for _, v := range values {
-		if v > max {
-			max = v
+	cellTotal := func(ws pregel.WorkerStepStats) time.Duration {
+		return ws.ComputeTime + ws.BarrierWait + ws.CaptureTime
+	}
+	var max time.Duration
+	for _, ss := range steps {
+		for _, ws := range ss.Workers {
+			if t := cellTotal(ws); t > max {
+				max = t
+			}
 		}
 	}
 	if max == 0 {
 		max = 1
 	}
-	const pad = 4.0
-	plotW, plotH := float64(w)-2*pad-46, float64(h)-2*pad
+
+	const laneH, labelW, headerH = 22.0, 70.0, 18.0
+	colW := 900.0 / float64(len(steps))
+	if colW > 110 {
+		colW = 110
+	}
+	if colW < 14 {
+		colW = 14
+	}
+	w := labelW + colW*float64(len(steps)) + 10
+	h := headerH + laneH*float64(workers) + 8
+
 	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d" style="background:white;border:1px solid #ddd">`,
+	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f" style="background:white;border:1px solid #ccc">`,
 		w, h, w, h)
-	x := func(i int) float64 {
-		if len(values) == 1 {
-			return pad + plotW/2
-		}
-		return pad + plotW*float64(i)/float64(len(values)-1)
+	// Lane labels.
+	for wk := 0; wk < workers; wk++ {
+		y := headerH + laneH*float64(wk)
+		fmt.Fprintf(&b, `<text x="4" y="%.1f" font-size="10" fill="#555">worker %d</text>`, y+laneH/2+3, wk)
+		fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#eee"/>`, labelW, y, w-4, y)
 	}
-	y := func(v float64) float64 { return pad + plotH*(1-v/max) }
-	if len(values) == 1 {
-		fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="2.5" fill="%s"/>`, x(0), y(values[0]), color)
-	} else {
-		var pts strings.Builder
-		for i, v := range values {
-			if i > 0 {
-				pts.WriteByte(' ')
+	for i, ss := range steps {
+		x := labelW + colW*float64(i)
+		if ss.Superstep == selected {
+			fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="#fffbe0"/>`,
+				x, headerH-2, colW, laneH*float64(workers)+4)
+		}
+		fmt.Fprintf(&b, `<a href="?superstep=%d"><text x="%.1f" y="12" font-size="9" text-anchor="middle" fill="#246">%d</text></a>`,
+			ss.Superstep, x+colW/2, ss.Superstep)
+		for _, ws := range ss.Workers {
+			if ws.Worker < 0 || ws.Worker >= workers {
+				continue
 			}
-			fmt.Fprintf(&pts, "%.1f,%.1f", x(i), y(v))
+			y := headerH + laneH*float64(ws.Worker) + 3
+			segs := [3]time.Duration{ws.ComputeTime, ws.BarrierWait, ws.CaptureTime}
+			sx := x + 1
+			for si, d := range segs {
+				sw := (colW - 2) * float64(d) / float64(max)
+				if sw <= 0 {
+					continue
+				}
+				fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s"><title>superstep %d worker %d: compute %v, barrier %v, capture %v</title></rect>`,
+					sx, y, sw, laneH-6, timelineColors[si],
+					ss.Superstep, ws.Worker, ws.ComputeTime, ws.BarrierWait, ws.CaptureTime)
+				sx += sw
+			}
 		}
-		fmt.Fprintf(&b, `<polyline points="%s" fill="none" stroke="%s" stroke-width="1.5"/>`, pts.String(), color)
-		last := len(values) - 1
-		fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="2" fill="%s"/>`, x(last), y(values[last]), color)
 	}
-	fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-size="9" fill="#555">%s</text>`,
-		pad+plotW+6, y(values[len(values)-1])+3, escapeSVG(formatSpark(values[len(values)-1])))
 	fmt.Fprint(&b, `</svg>`)
 	return template.HTML(b.String())
 }
 
-// formatSpark renders a sparkline's last value compactly.
-func formatSpark(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e7 {
-		return fmt.Sprintf("%.0f", v)
+// heatmapSVG renders one superstep's numWorkers×numWorkers traffic
+// matrix: rows are senders, columns are receivers, cells shaded by
+// message volume relative to the hottest lane (white = idle). Small
+// matrices also print the counts in-cell; every cell carries a tooltip.
+func heatmapSVG(traffic [][]int64) template.HTML {
+	n := len(traffic)
+	if n == 0 {
+		return template.HTML(`<p class="muted">No traffic matrix was recorded for this superstep (a job.metrics file written before every superstep captured one).</p>`)
 	}
-	return fmt.Sprintf("%.2f", v)
+	var max int64
+	for _, row := range traffic {
+		for _, v := range row {
+			if v > max {
+				max = v
+			}
+		}
+	}
+	cell := 480.0 / float64(n)
+	if cell > 56 {
+		cell = 56
+	}
+	if cell < 10 {
+		cell = 10
+	}
+	const labelW, labelH = 64.0, 16.0
+	w := labelW + cell*float64(n) + 8
+	h := labelH + cell*float64(n) + 8
+
+	var b strings.Builder
+	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f" style="background:white;border:1px solid #ccc">`,
+		w, h, w, h)
+	for j := 0; j < n; j++ {
+		fmt.Fprintf(&b, `<text x="%.1f" y="11" font-size="9" text-anchor="middle" fill="#555">&#8594;%d</text>`,
+			labelW+cell*float64(j)+cell/2, j)
+	}
+	for i, row := range traffic {
+		y := labelH + cell*float64(i)
+		fmt.Fprintf(&b, `<text x="4" y="%.1f" font-size="9" fill="#555">from %d</text>`, y+cell/2+3, i)
+		for j, v := range row {
+			x := labelW + cell*float64(j)
+			fill := "#fff"
+			if v > 0 && max > 0 {
+				// Light (97%) to saturated (45%) with volume.
+				l := 97 - int(52*float64(v)/float64(max))
+				fill = fmt.Sprintf("hsl(8, 72%%, %d%%)", l)
+			}
+			fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s" stroke="#ddd"><title>%d &#8594; %d: %d messages</title></rect>`,
+				x, y, cell, cell, fill, i, j, v)
+			if n <= 12 && v > 0 {
+				tc := "#333"
+				if float64(v) > 0.6*float64(max) {
+					tc = "#fff"
+				}
+				fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-size="9" text-anchor="middle" fill="%s">%d</text>`,
+					x+cell/2, y+cell/2+3, tc, v)
+			}
+		}
+	}
+	fmt.Fprint(&b, `</svg>`)
+	return template.HTML(b.String())
 }
 
 // valueColor hashes a value's display form to a stable pastel fill, so

@@ -93,7 +93,6 @@ pre { background: #f6f6f6; border: 1px solid #ddd; padding: 0.8em; overflow-x: a
   <a href="/job/{{.JobID}}/master?superstep={{.Superstep}}">Master</a>
   <a href="/job/{{.JobID}}/replaycheck?superstep={{.Superstep}}">Replay check</a>
   <a href="/job/{{.JobID}}/metrics?superstep={{.Superstep}}">Metrics</a>
-  <a href="/job/{{.JobID}}/profiler?superstep={{.Superstep}}">Profiler</a>
 </div>
 <div class="aggs"><strong>Global data</strong><br>
 vertices: {{.NumVertices}}<br>edges: {{.NumEdges}}<br>
@@ -269,8 +268,8 @@ with <input name="b" size="20" value="{{.B}}">
 <p class="muted">Per-worker superstep telemetry folded at each barrier: compute wall
 time, barrier waits, message traffic, trace-capture cost, and straggler/skew
 indicators (max/mean ratios; a superstep is flagged when a worker runs
-&ge;1.5&times; the mean). The <a href="/job/{{.JobID}}/profiler">profiler view</a>
-has the per-worker timeline, the traffic heatmap and the anomaly feed.</p>
+&ge;1.5&times; the mean); one superstep's workers, traffic heatmap and
+anomalies; and the job's anomaly feed.</p>
 <table>
 <tr><th></th><th>Algorithm</th><td>{{.Algorithm}}</td><th>Status</th><td>{{.Status}}</td></tr>
 {{range .Sections}}<tr><th>{{or .Name "job"}}</th>{{range .Items}}<th>{{.Label}}</th><td>{{.Value}}</td>{{end}}</tr>
@@ -284,11 +283,11 @@ has the per-worker timeline, the traffic heatmap and the anomaly feed.</p>
 {{end}}
 </table>
 {{end}}
-<table><tr>
-<th>compute time / superstep</th><th>messages sent / superstep</th><th>compute skew / superstep</th>
-</tr><tr>
-<td>{{.ComputeSpark}}</td><td>{{.SentSpark}}</td><td>{{.SkewSpark}}</td>
-</tr></table>
+<h2>Superstep timeline ({{.Workers}} workers)</h2>
+<p class="muted">Stacked <span style="color:#246">&#9632;</span> compute /
+<span style="color:#e90">&#9632;</span> barrier /
+<span style="color:#999">&#9632;</span> capture bars, scaled to the busiest worker-superstep.</p>
+{{.Timeline}}
 <h2>Supersteps</h2>
 <table>
 <tr><th>Superstep</th>{{range .StepHead}}<th>{{.Label}}</th>{{end}}</tr>
@@ -299,10 +298,19 @@ has the per-worker timeline, the traffic heatmap and the anomaly feed.</p>
 </tr>
 {{end}}
 </table>
+{{with .Step}}
+<h2>Superstep {{.Superstep}}</h2>
+<div class="nav">
+{{if ge .Prev 0}}<a href="?superstep={{.Prev}}">&laquo; Previous superstep</a>{{else}}<span class="muted">&laquo; Previous superstep</span>{{end}}
+{{if ge .Next 0}}<a href="?superstep={{.Next}}">Next superstep &raquo;</a>{{else}}<span class="muted">Next superstep &raquo;</span>{{end}}
+| <a href="/job/{{$.JobID}}/tabular?superstep={{.Superstep}}">Trace at this superstep</a>
+{{if .HasTraffic}}| {{.TrafficSum}} messages in the matrix ({{.Sent}} sent this superstep){{end}}
+{{range .Placement}}| {{.Label}}: {{.Value}} {{end}}
+</div>
 {{if .WorkerRows}}
-<h2>Workers at superstep {{.SelectedSuperstep}}</h2>
+<h2>Workers at superstep {{.Superstep}}</h2>
 <table>
-<tr><th>Worker</th>{{range .WorkerHead}}<th>{{.Label}}</th>{{end}}</tr>
+<tr><th>Worker</th>{{range $.WorkerHead}}<th>{{.Label}}</th>{{end}}</tr>
 {{range .WorkerRows}}
 <tr{{if .Hot}} style="background:#fee"{{end}}>
 <td>{{.ID}}{{if .Hot}} &#9888; straggler{{end}}</td>
@@ -310,55 +318,30 @@ has the per-worker timeline, the traffic heatmap and the anomaly feed.</p>
 </tr>
 {{end}}
 </table>
-{{end}}{{template "foot"}}{{end}}
-
-{{define "profiler"}}{{template "head" .}}
-<p class="muted">Profiler view: per-worker superstep timeline (stacked
-<span style="color:#246">&#9632;</span> compute /
-<span style="color:#e90">&#9632;</span> barrier /
-<span style="color:#999">&#9632;</span> capture bars, scaled to the busiest worker-superstep),
-the sender&#8594;receiver traffic heatmap of one superstep, and the anomaly feed.
-<a href="/job/{{.JobID}}/metrics">Metrics dashboard</a> |
-<a href="/job/{{.JobID}}/tabular?superstep={{.Selected}}">Trace at this superstep</a></p>
-<h2>Superstep timeline ({{.Workers}} workers)</h2>
-{{.Timeline}}
-<h2>Traffic heatmap — superstep {{.Selected}}</h2>
-<div class="nav">
-{{if .HasPrev}}<a href="?superstep={{.Prev}}">&laquo; Previous superstep</a>{{else}}<span class="muted">&laquo; Previous superstep</span>{{end}}
-<strong>Superstep {{.Selected}}</strong>
-{{if .HasNext}}<a href="?superstep={{.Next}}">Next superstep &raquo;</a>{{else}}<span class="muted">Next superstep &raquo;</span>{{end}}
-{{if .HasTraffic}}| {{.TrafficSum}} messages in the matrix ({{.SelectedSent}} sent this superstep){{end}}
-{{range .Placement}}| {{.Label}}: {{.Value}} {{end}}
-</div>
-{{.Heatmap}}
-{{if .SelectedAnomalies}}
-<h2>Anomalies at superstep {{.Selected}}</h2>
-<table>
-<tr><th>Kind</th><th>Severity</th><th>Where</th><th>Value</th><th>Threshold</th><th>Detail</th><th>Suggested action</th></tr>
-{{range .SelectedAnomalies}}
-<tr{{if .Critical}} style="background:#fdd"{{else if .Warn}} style="background:#fec"{{end}}>
-<td>{{.Kind}}</td><td>{{.Severity}}</td><td>{{.Where}}</td>
-<td>{{.Value}}</td><td>{{.Threshold}}</td><td>{{.Detail}}</td><td>{{.Action}}</td>
-</tr>
 {{end}}
-</table>
+<h2>Traffic heatmap — superstep {{.Superstep}}</h2>
+{{.Heatmap}}
+{{if .Anomalies}}
+<h2>Anomalies at superstep {{.Superstep}}</h2>
+{{template "anomalies" .Anomalies}}
+{{end}}
 {{end}}
 <h2>Anomaly feed ({{len .Anomalies}} events{{range $kind, $n := .AnomalyCounts}}; {{$kind}}: {{$n}}{{end}})</h2>
-{{if .Anomalies}}
-<table>
-<tr><th>Superstep</th><th>Kind</th><th>Severity</th><th>Where</th><th>Value</th><th>Threshold</th><th>Detail</th><th>Suggested action</th><th></th></tr>
-{{range .Anomalies}}
-<tr{{if .Critical}} style="background:#fdd"{{else if .Warn}} style="background:#fec"{{end}}>
-<td><a href="/job/{{$.JobID}}/profiler?superstep={{.Superstep}}">{{.Superstep}}</a></td>
-<td>{{.Kind}}</td><td>{{.Severity}}</td><td>{{.Where}}</td>
-<td>{{.Value}}</td><td>{{.Threshold}}</td><td>{{.Detail}}</td><td>{{.Action}}</td>
-<td><a href="/job/{{$.JobID}}/tabular?superstep={{.Superstep}}">trace</a></td>
-</tr>
-{{end}}
-</table>
-{{else}}
+{{if .Anomalies}}{{template "anomalies" .Anomalies}}{{else}}
 <p class="muted">No anomalies: every superstep stayed inside the detector thresholds.</p>
 {{end}}{{template "foot"}}{{end}}
+
+{{define "anomalies"}}<table>
+<tr><th>Superstep</th><th>Kind</th><th>Severity</th><th>Where</th><th>Value</th><th>Threshold</th><th>Detail</th><th>Suggested action</th><th></th></tr>
+{{range .}}
+<tr{{if .Critical}} style="background:#fdd"{{else if .Warn}} style="background:#fec"{{end}}>
+<td><a href="?superstep={{.Superstep}}">{{.Superstep}}</a></td>
+<td>{{.Kind}}</td><td>{{.Severity}}</td><td>{{.Where}}</td>
+<td>{{.Value}}</td><td>{{.Threshold}}</td><td>{{.Detail}}</td><td>{{.Action}}</td>
+<td><a href="/job/{{.JobID}}/tabular?superstep={{.Superstep}}">trace</a></td>
+</tr>
+{{end}}
+</table>{{end}}
 
 {{define "offlineIndex"}}{{template "head" .}}
 <p>Offline mode: construct small graphs for end-to-end tests (paper §3.4).</p>

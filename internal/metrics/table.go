@@ -24,10 +24,10 @@ const (
 )
 
 // Metric declares one of a job's numbers, once. Every surface iterates
-// Table: /debug/vars, the dashboard's summary block and its
-// per-superstep and per-worker tables, the profiler's caption, the
+// Table: /debug/vars, the GUI metrics page's summary block, its
+// per-superstep and per-worker tables and its placement caption, the
 // `graft run` summary and `graft show`'s placement line (Sections),
-// Registry.String and the keys NormalizeJSONL zeroes. On pages a zero
+// and the keys NormalizeJSONL zeroes. On pages a zero
 // value is not shown.
 //
 // Job, Step and Worker are dotted paths of field and niladic

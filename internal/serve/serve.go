@@ -3,8 +3,8 @@
 // ROADMAP's multi-tenant direction. It exposes a small job-control API
 // (submit / list / status / cancel), admission control inherited from
 // the session (max concurrent jobs, per-job worker caps, a global
-// worker pool), and mounts the GUI so every live job's dashboard,
-// profiler and trace views render under /job/{id}/ while it runs.
+// worker pool), and mounts the GUI so every live job's metrics page
+// and trace views render under /job/{id}/ while it runs.
 package serve
 
 import (
@@ -52,8 +52,8 @@ func New(sess *graft.Session) (*Daemon, error) {
 	mux.HandleFunc("GET /api/jobs", d.handleList)
 	mux.HandleFunc("GET /api/jobs/{id}", d.handleStatus)
 	mux.HandleFunc("POST /api/jobs/{id}/cancel", d.handleCancel)
-	// Everything else — the job list, /job/{id}/metrics, the profiler,
-	// the trace views — is the GUI.
+	// Everything else — the job list, /job/{id}/metrics, the trace
+	// views — is the GUI.
 	mux.Handle("/", d.gui.Handler())
 	d.mux = mux
 	return d, nil

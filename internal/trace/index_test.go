@@ -251,7 +251,7 @@ func TestReaderMatchesMapIndex(t *testing.T) {
 		}
 		if ordered {
 			for s, x := range r.vertexLoc {
-				if !x.inOrder {
+				if len(x.runs) != 0 {
 					t.Errorf("%s: superstep %d of an ascending stream was not recognised as in order", name, s)
 				}
 			}

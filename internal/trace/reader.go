@@ -40,17 +40,15 @@ type recordLoc struct {
 type stepIndex struct {
 	ents []recordLoc
 	// runs holds where each ascending run after the first starts;
-	// inOrder stays true while there is none: nothing to merge or drop.
-	runs    []int
-	inOrder bool
-	once    sync.Once
+	// while there is none there is nothing to merge or drop.
+	runs []int
+	once sync.Once
 }
 
 func (x *stepIndex) add(loc recordLoc) {
 	if n := len(x.ents); n > 0 && loc.id <= x.ents[n-1].id {
 		x.runs = append(x.runs, n)
 	}
-	x.inOrder = len(x.runs) == 0
 	x.ents = append(x.ents, loc)
 }
 
@@ -61,7 +59,7 @@ func (x *stepIndex) sorted() []recordLoc {
 		return nil
 	}
 	x.once.Do(func() {
-		if x.inOrder {
+		if len(x.runs) == 0 {
 			return
 		}
 		ents := mergeRuns(x.ents, x.runs)

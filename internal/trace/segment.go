@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"graft/internal/pregel"
 )
@@ -102,9 +103,9 @@ func appendIndex(b []byte, segs []segmentIndex) []byte {
 
 // walkIndex parses an index part, or a sidecar of the older
 // one-file-per-lane layout, calling segment with each segment's name and
-// then entry with each of its entries, until the part proves corrupt. A
-// segment takes at least 2 bytes and an entry at least 5, which bounds
-// each count.
+// then entry with each of its entries, until the part proves corrupt;
+// bytes after its last segment are corrupt too. A segment takes at least
+// 2 bytes and an entry at least 5, which bounds each count.
 func walkIndex(raw []byte, segment func(name string), entry func(indexEntry)) error {
 	if len(raw) < len(idxMagic) || string(raw[:len(idxMagic)]) != idxMagic {
 		return ErrBadMagic
@@ -129,7 +130,13 @@ func walkIndex(raw []byte, segment func(name string), entry func(indexEntry)) er
 			entry(ent)
 		}
 	}
-	return d.Err()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if n := d.Remaining(); n > 0 {
+		return fmt.Errorf("%w: %d byte(s) after the last segment", pregel.ErrCorrupt, n)
+	}
+	return nil
 }
 
 // scanSegmentEntries walks a segment's frames and synthesizes index

@@ -634,7 +634,8 @@ func testSinkFailedIndexPartWrite(t *testing.T) {
 // segments can come to disagree — one offset in one index file, one
 // frame in one segment — and requires Verify to refuse each and to pass
 // the trace before the damage and after its repair, in the part layout
-// and in the older whole-sidecar one.
+// and in the older whole-sidecar one. An index file with bytes after
+// its last segment must fail the open, naming the file.
 func TestReaderVerify(t *testing.T) {
 	for _, layout := range []string{"parts", "sidecar"} {
 		t.Run(layout, func(t *testing.T) {
@@ -681,6 +682,12 @@ func TestReaderVerify(t *testing.T) {
 			}
 			if err := verify(); err == nil {
 				t.Errorf("Verify passed with %s locating a record one byte off", idxPath)
+			}
+			if err := dfs.WriteFile(fs, idxPath, append(idxRaw[:len(idxRaw):len(idxRaw)], 0, 0, 0)); err != nil {
+				t.Fatal(err)
+			}
+			if err := verify(); !errors.Is(err, pregel.ErrCorrupt) || !strings.Contains(err.Error(), idxPath) {
+				t.Errorf("OpenReader and Verify with 3 bytes after %s's last segment: %v", idxPath, err)
 			}
 			if err := dfs.WriteFile(fs, idxPath, idxRaw); err != nil {
 				t.Fatal(err)
