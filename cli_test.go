@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -74,27 +75,6 @@ func readJSON(t *testing.T, path string, v any) {
 	}
 }
 
-// readJSONL decodes every line of a JSON Lines file.
-func readJSONL(t *testing.T, path string) []map[string]any {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lines []map[string]any
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		if line == "" {
-			continue
-		}
-		var v map[string]any
-		if err := json.Unmarshal([]byte(line), &v); err != nil {
-			t.Fatalf("%s: %v in %q", path, err, line)
-		}
-		lines = append(lines, v)
-	}
-	return lines
-}
-
 func sum(row any) float64 {
 	var n float64
 	for _, x := range row.([]any) {
@@ -157,17 +137,21 @@ func TestCLISmoke(t *testing.T) {
 		{name: "-backpressure is gone", args: with(pr, "-backpressure", "drop"), exit: 2, wants: []string{"flag provided but not defined"}},
 		{name: "-capture-queue is gone", args: with(pr, "-capture-queue", "64"), exit: 2, wants: []string{"flag provided but not defined"}},
 		{name: "-segment-size is gone", args: with(pr, "-segment-size", "4096"), exit: 2, wants: []string{"flag provided but not defined"}},
-		{name: "profiler feed", args: with(pr, "-debug", "none", "-workers", "4", "-metrics-out", "metrics.jsonl"),
+		// An undebugged run writes the document too.
+		{name: "profiler feed", args: with(pr, "-debug", "none", "-workers", "4", "-metrics-out", "metrics.json"),
 			wants: []string{"finished:"},
 			check: func(t *testing.T, _ string) {
-				events := readJSONL(t, filepath.Join(dir, "metrics.jsonl"))
-				if n := len(events); n < 3 || events[0]["event"] != "job_start" || events[n-1]["event"] != "job_end" {
-					t.Fatalf("metrics.jsonl is not job_start … job_end: %d events", len(events))
+				var doc struct {
+					Reason     string           `json:"reason"`
+					Supersteps []map[string]any `json:"supersteps"`
 				}
-				for _, s := range events[1 : len(events)-1] {
+				if readJSON(t, filepath.Join(dir, "metrics.json"), &doc); doc.Reason == "" || len(doc.Supersteps) == 0 {
+					t.Fatalf("metrics.json: reason %q, %d supersteps", doc.Reason, len(doc.Supersteps))
+				}
+				for _, s := range doc.Supersteps {
 					traffic, _ := s["traffic"].([]any)
-					if s["event"] != "superstep" || len(traffic) == 0 {
-						t.Fatalf("superstep line without a traffic matrix: %v", s)
+					if len(traffic) == 0 {
+						t.Fatalf("superstep without a traffic matrix: %v", s)
 					}
 					var total float64
 					for w, row := range traffic {
@@ -188,7 +172,7 @@ func TestCLISmoke(t *testing.T) {
 				}
 			}},
 		// Detection is always on at fixed thresholds; its events are on
-		// the superstep lines above.
+		// the superstep rows above.
 		{name: "-anomaly-window is gone", args: with(pr, "-anomaly-window", "3"), exit: 2, wants: []string{"flag provided but not defined"}},
 		{name: "-anomaly-out is gone", args: with(pr, "-anomaly-out", "a.jsonl"), exit: 2, wants: []string{"flag provided but not defined"}},
 		// job.metrics holds the committed history: one row per
@@ -244,6 +228,8 @@ func TestCLISmoke(t *testing.T) {
 		{name: "-checkpoint-retain is gone", args: with(pr, "-checkpoint-retain", "1"), exit: 2, wants: []string{"flag provided but not defined"}},
 		{name: "-msg-log-dir is gone", args: with(pr, "-msg-log-dir", "x"), exit: 2, wants: []string{"flag provided but not defined"}},
 		{name: "-sync-capture is gone", args: with(pr, "-sync-capture"), exit: 2, wants: []string{"flag provided but not defined"}},
+		// -metrics-addr serves /metrics alone: no runtime gauges, no profiler.
+		{name: "-pprof is gone", args: with(pr, "-pprof"), exit: 2, wants: []string{"flag provided but not defined: -pprof"}},
 		// A crash flag that would inject nothing is refused.
 		{name: "crash without checkpoints", args: with(pr, "-debug", "none", "-crash-at", "3"),
 			exit: 2, wants: []string{"-crash-at requires -checkpoint-every"}, never: []string{"finished:"}},
@@ -283,13 +269,16 @@ func TestCLISmoke(t *testing.T) {
 }
 
 // TestCLILiveMetrics: `graft run -metrics-addr` on an ephemeral port
-// serves the job's per-superstep telemetry on /metrics and the flat
-// counters on /debug/vars while it lingers.
+// serves the job's per-superstep telemetry on /metrics while it
+// lingers, and nothing else; the lingering /metrics, -metrics-out and
+// job.metrics are one document.
 func TestCLILiveMetrics(t *testing.T) {
 	bin := buildGraft(t)
+	dir := t.TempDir()
 	cmd := exec.Command(bin, "run", "-alg", "pagerank", "-dataset", "soc-Epinions", "-scale", "0.001", "-supersteps", "5",
-		"-debug", "DC-sp", "-trace-dir", "traces", "-job", "pr-live", "-metrics-addr", "127.0.0.1:0", "-metrics-linger", "1m")
-	cmd.Dir = t.TempDir()
+		"-debug", "DC-sp", "-trace-dir", "traces", "-job", "pr-live", "-metrics-addr", "127.0.0.1:0", "-metrics-linger", "1m",
+		"-metrics-out", "m.json")
+	cmd.Dir = dir
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -358,10 +347,22 @@ func TestCLILiveMetrics(t *testing.T) {
 			t.Errorf("/metrics superstep telemetry lacks %q", key)
 		}
 	}
-	var vars map[string]any
-	fetch("/debug/vars", &vars)
-	if vars["graft.job_id"] != "pr-live" || vars["runtime.goroutines"] == nil {
-		t.Errorf("/debug/vars = %v", vars)
+	var served, out, persisted any
+	fetch("/metrics", &served)
+	readJSON(t, filepath.Join(dir, "m.json"), &out)
+	readJSON(t, filepath.Join(dir, "traces", "pr-live", "job.metrics"), &persisted)
+	if !reflect.DeepEqual(served, out) || !reflect.DeepEqual(served, persisted) {
+		t.Errorf("/metrics, -metrics-out and job.metrics differ:\n%v\n%v\n%v", served, out, persisted)
+	}
+	for _, path := range []string{"/debug/vars", "/debug/pprof/", "/"} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, resp.StatusCode)
+		}
 	}
 	if err := <-stallCut; err != nil {
 		t.Errorf("a connection stalled in its headers was not closed by the server: %v", err)

@@ -12,9 +12,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -100,9 +102,9 @@ func buildGraph(dataset string, scale float64, seed int64) (*pregel.Graph, error
 // `graft serve` takes — through JobSpec.Job, applies the flags only
 // the CLI has (file datasets, -mode, -partitioner, checkpoints and
 // crashes, -trace-dir) to the RunOptions, and runs it as a one-job
-// graft.Session, as every job runs. It keeps for itself the
-// -metrics-out listener, serving the job's registry on -metrics-addr,
-// and the summary.
+// graft.Session, as every job runs. It keeps for itself serving the
+// job's registry on -metrics-addr, writing its document to
+// -metrics-out, and the summary.
 func cmdRun(args []string) error {
 	spec := graft.DefaultJobSpec()
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
@@ -120,10 +122,9 @@ func cmdRun(args []string) error {
 	crashAt := fs.Int("crash-at", -1, "simulate a worker crash after this superstep (requires -checkpoint-every)")
 	chaos := fs.Float64("chaos", 0, "per-operation storage fault probability injected into the checkpoint FS")
 	chaosSeed := fs.Int64("chaos-seed", 0, "seed for fault injection and retry jitter (default: -seed)")
-	metricsAddr := fs.String("metrics-addr", "", "serve live /metrics and /debug/vars on this address (e.g. :8090)")
-	metricsOut := fs.String("metrics-out", "", "stream metrics events to this file as JSON Lines")
+	metricsAddr := fs.String("metrics-addr", "", "serve the job's live metrics document on this address, at /metrics (e.g. :8090)")
+	metricsOut := fs.String("metrics-out", "", "write the job's metrics document, as job.metrics holds it, to this file when the job ends")
 	metricsLinger := fs.Duration("metrics-linger", 0, "keep the -metrics-addr server alive this long after the job ends")
-	pprofOn := fs.Bool("pprof", false, "also mount net/http/pprof on -metrics-addr")
 	partitioner := fs.String("partitioner", "hash", "vertex placement: hash (stateless modulo) or locality (streaming neighbor-affinity placer)")
 	fs.Parse(args)
 	if *crashAt >= 0 && *checkpointEvery <= 0 {
@@ -163,17 +164,12 @@ func cmdRun(args []string) error {
 		opts.JobID = fmt.Sprintf("%s-%d", a.Name, time.Now().UnixNano())
 	}
 	if *metricsOut != "" {
+		// An unwritable path fails the run before the job, not after it.
 		f, err := os.Create(*metricsOut)
 		if err != nil {
 			return err
 		}
-		sink := metrics.NewJSONLSink(f, opts.JobID, a.Name)
-		defer func() {
-			if err := sink.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "graft: metrics-out:", err)
-			}
-		}()
-		eng.Listener = sink
+		f.Close()
 	}
 	var metricsLn net.Listener
 	if *metricsAddr != "" {
@@ -181,7 +177,7 @@ func cmdRun(args []string) error {
 			return err
 		}
 		defer metricsLn.Close()
-		fmt.Printf("metrics: http://%s/metrics (and /debug/vars)\n", metricsLn.Addr())
+		fmt.Printf("metrics: http://%s/metrics\n", metricsLn.Addr())
 	}
 	if *checkpointEvery > 0 {
 		if *chaosSeed == 0 {
@@ -220,13 +216,20 @@ func cmdRun(args []string) error {
 	}
 	reg := job.Metrics()
 	if metricsLn != nil {
-		srv := httpServer("", metrics.NewMux(reg, metrics.MuxOptions{Pprof: *pprofOn}))
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /metrics", reg.ServeMetrics)
+		srv := httpServer("", mux)
 		defer srv.Close()
 		go func() { _ = srv.Serve(metricsLn) }()
 	}
 	res, runErr := job.Wait(context.Background())
+	// -metrics-out holds the job's document whatever the outcome.
+	var outErr error
+	if *metricsOut != "" {
+		outErr = writeMetricsOut(*metricsOut, reg.Snapshot())
+	}
 	if res == nil {
-		return runErr // the trace could not be opened, or a callback panicked
+		return errors.Join(runErr, outErr) // the trace could not be opened, or a callback panicked
 	}
 	// The one place the two kinds of failure part ways. A job the engine
 	// gave up on (no Stats: a Compute error or panic) is the expected
@@ -240,11 +243,24 @@ func cmdRun(args []string) error {
 			fmt.Printf("the failing context was captured (%d captures); inspect with graft show / graft serve\n", res.Captures)
 		}
 		linger(*metricsAddr, *metricsLinger)
-		return nil
+		return outErr
 	}
 	printSummary(res, reg.Snapshot())
 	linger(*metricsAddr, *metricsLinger)
-	return runErr
+	return errors.Join(runErr, outErr)
+}
+
+// writeMetricsOut writes a finished job's document to path, in the
+// bytes job.metrics holds.
+func writeMetricsOut(path string, jm metrics.JobMetrics) error {
+	b, err := metrics.MarshalJobMetrics(jm)
+	if err == nil {
+		err = os.WriteFile(path, b, 0o644)
+	}
+	if err != nil {
+		return fmt.Errorf("metrics-out: %w", err)
+	}
+	return nil
 }
 
 // printSummary prints the lines of a finished run: the headline, what

@@ -4,8 +4,8 @@
 // message counters, the inter-partition traffic matrix, and the
 // cumulative resilience counters). Detectors emit structured Events —
 // kind, severity, offending worker, evidence values and a suggested
-// action — that flow into pregel.Stats, the metrics registry and
-// JSONL stream, the GUI metrics page, and `graft run` output.
+// action — that flow into pregel.Stats, the metrics registry and its
+// document, the GUI metrics page, and `graft run` output.
 //
 // The package is deliberately dependency-free so the pregel engine can
 // import it: the engine feeds Samples at each barrier.

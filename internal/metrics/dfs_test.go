@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -52,10 +53,10 @@ func TestSnapshotFoldsDFSSources(t *testing.T) {
 	}
 }
 
-// TestDebugVarsExportsDFS: /debug/vars grows graft.dfs.* keys when a
-// DFS source is registered, and omits them otherwise.
-func TestDebugVarsExportsDFS(t *testing.T) {
-	reg := NewRegistry("job-dfs-vars", "cc")
+// TestMetricsExportsDFS: /metrics grows a dfs object when a DFS
+// source is registered, and omits it otherwise.
+func TestMetricsExportsDFS(t *testing.T) {
+	reg := NewRegistry("job-dfs-metrics", "cc")
 	reg.JobStarted(pregel.JobInfo{NumWorkers: 2})
 	c := dfs.NewCluster(2, 2, 32)
 	reg.SetStorage(dfs.Layers(c))
@@ -63,37 +64,33 @@ func TestDebugVarsExportsDFS(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ts := httptest.NewServer(NewMux(reg, MuxOptions{}))
-	defer ts.Close()
-	code, body := getBody(t, ts, "/debug/vars")
-	if code != 200 {
-		t.Fatalf("GET /debug/vars = %d", code)
+	dfsObject := func(reg *Registry) (map[string]any, bool) {
+		ts := httptest.NewServer(http.HandlerFunc(reg.ServeMetrics))
+		defer ts.Close()
+		code, body := getBody(t, ts, "/metrics")
+		var doc map[string]any
+		if err := json.Unmarshal(body, &doc); code != 200 || err != nil {
+			t.Fatalf("GET /metrics = %d, %v", code, err)
+		}
+		d, ok := doc["dfs"].(map[string]any)
+		return d, ok
 	}
-	var vars map[string]any
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatal(err)
+	d, ok := dfsObject(reg)
+	if !ok {
+		t.Fatal("/metrics has no dfs object with a DFS source registered")
 	}
-	for _, key := range []string{
-		"graft.dfs.bytes_written", "graft.dfs.bytes_read", "graft.dfs.corrupt_reads", "graft.dfs.write_retries", "graft.dfs.degraded_writes",
-	} {
-		if _, ok := vars[key]; !ok {
-			t.Errorf("/debug/vars missing %q", key)
+	for _, key := range []string{"bytes_written", "bytes_read", "corrupt_reads", "write_retries", "degraded_writes"} {
+		if _, ok := d[key]; !ok {
+			t.Errorf("/metrics dfs object lacks %q", key)
 		}
 	}
-	if got, ok := vars["graft.dfs.bytes_written"].(float64); !ok || int64(got) != 128 {
-		t.Errorf("graft.dfs.bytes_written = %v, want 128", vars["graft.dfs.bytes_written"])
+	if got, ok := d["bytes_written"].(float64); !ok || int64(got) != 128 {
+		t.Errorf("dfs.bytes_written = %v, want 128", d["bytes_written"])
 	}
 
-	// No source registered → no graft.dfs.* keys.
-	bare := httptest.NewServer(NewMux(seededRegistry(), MuxOptions{}))
-	defer bare.Close()
-	_, body = getBody(t, bare, "/debug/vars")
-	var bareVars map[string]any
-	if err := json.Unmarshal(body, &bareVars); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := bareVars["graft.dfs.bytes_written"]; ok {
-		t.Error("/debug/vars exports graft.dfs.* with no DFS source registered")
+	// No source registered → no dfs object.
+	if _, ok := dfsObject(seededRegistry()); ok {
+		t.Error("/metrics has a dfs object with no DFS source registered")
 	}
 }
 

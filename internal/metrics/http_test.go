@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -50,7 +51,8 @@ func getBody(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 }
 
 func TestMetricsEndpointShape(t *testing.T) {
-	ts := httptest.NewServer(NewMux(seededRegistry(), MuxOptions{}))
+	reg := seededRegistry()
+	ts := httptest.NewServer(http.HandlerFunc(reg.ServeMetrics))
 	defer ts.Close()
 
 	code, body := getBody(t, ts, "/metrics")
@@ -70,47 +72,8 @@ func TestMetricsEndpointShape(t *testing.T) {
 	if jm.Supersteps[0].Straggler != 3 || jm.Supersteps[0].ComputeSkew != 1.2 {
 		t.Errorf("skew fields lost in transit: %+v", jm.Supersteps[0])
 	}
-}
-
-func TestDebugVarsShape(t *testing.T) {
-	ts := httptest.NewServer(NewMux(seededRegistry(), MuxOptions{}))
-	defer ts.Close()
-
-	code, body := getBody(t, ts, "/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("GET /debug/vars = %d", code)
-	}
-	var vars map[string]any
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("/debug/vars is not valid JSON: %v", err)
-	}
-	for _, key := range []string{
-		"graft.job_id", "graft.supersteps", "graft.vertices_processed",
-		"graft.compute_ns", "graft.capture_overhead", "graft.max_compute_skew",
-		"graft.faults.injected", "runtime.goroutines",
-	} {
-		if _, ok := vars[key]; !ok {
-			t.Errorf("/debug/vars missing %q", key)
-		}
-	}
-	if vars["graft.job_id"] != "job-http" {
-		t.Errorf("graft.job_id = %v", vars["graft.job_id"])
-	}
-}
-
-func TestMuxLivenessAndPprofGating(t *testing.T) {
-	ts := httptest.NewServer(NewMux(seededRegistry(), MuxOptions{}))
-	defer ts.Close()
-	if code, _ := getBody(t, ts, "/"); code != http.StatusOK {
-		t.Errorf("GET / = %d", code)
-	}
-	if code, _ := getBody(t, ts, "/debug/pprof/"); code == http.StatusOK {
-		t.Error("pprof mounted without MuxOptions.Pprof")
-	}
-
-	tsP := httptest.NewServer(NewMux(seededRegistry(), MuxOptions{Pprof: true}))
-	defer tsP.Close()
-	if code, _ := getBody(t, tsP, "/debug/pprof/"); code != http.StatusOK {
-		t.Errorf("GET /debug/pprof/ with Pprof on = %d", code)
+	// One encoding: /metrics serves the bytes job.metrics holds.
+	if want, err := MarshalJobMetrics(reg.Snapshot()); err != nil || !bytes.Equal(body, append(want, '\n')) {
+		t.Errorf("/metrics is not MarshalJobMetrics' document (err %v):\n%s", err, body)
 	}
 }

@@ -1,17 +1,16 @@
 // Package metrics is Graft's engine-wide observability layer: it
 // turns the per-worker superstep telemetry the pregel engine folds at
 // each barrier (compute wall time, barrier waits, message traffic,
-// trace-capture time, straggler/skew indicators) into three export
-// surfaces:
+// trace-capture time, straggler/skew indicators) into one document per
+// job, JobMetrics, encoded once (MarshalJobMetrics) and read in three
+// places:
 //
-//   - a live HTTP endpoint (/metrics JSON plus an expvar-style
-//     /debug/vars and optional pprof), served by `graft run
-//     -metrics-addr`; `graft serve` serves each job's registry under
-//     /job/{id}/metrics[.json] instead,
-//   - a structured JSONL event stream (`graft run -metrics-out`): a
-//     JSONLSink listening to the same barriers beside the registry,
-//   - a per-job metrics file persisted next to the trace, which the
-//     GUI's dashboard page renders offline.
+//   - job.metrics, persisted next to the trace, which the GUI's
+//     metrics page renders offline,
+//   - GET /metrics, live while the job runs: `graft run -metrics-addr`
+//     serves it, and `graft serve` serves each job's registry under
+//     /job/{id}/metrics[.json],
+//   - the file `graft run -metrics-out` writes when the job ends.
 //
 // A job's additive numbers are declared once, as the fields of
 // pregel.Counters, which worker rows, superstep rows and job totals
@@ -37,7 +36,7 @@ import (
 
 // JobMetrics is the full observable state of one job: identity, the
 // per-superstep telemetry, the rollup, and the resilience counters.
-// It is what /metrics serves and what the per-job metrics file holds.
+// It is what job.metrics holds, /metrics serves and -metrics-out writes.
 type JobMetrics struct {
 	JobID       string `json:"job_id"`
 	Algorithm   string `json:"algorithm,omitempty"`
@@ -69,22 +68,6 @@ type JobMetrics struct {
 	AnomalyCounts map[string]int  `json:"anomaly_counts,omitempty"`
 }
 
-// TrafficTotal sums a job's captured traffic matrices: the number of
-// messages whose sender→receiver lane is accounted for. The engine
-// captures the matrix at every superstep, so it equals
-// Totals.MessagesSent — the invariant the profiler smoke test asserts.
-func (jm *JobMetrics) TrafficTotal() int64 {
-	var n int64
-	for _, ss := range jm.Supersteps {
-		for _, row := range ss.Traffic {
-			for _, v := range row {
-				n += v
-			}
-		}
-	}
-	return n
-}
-
 // Registry serves one job's metrics. It implements
 // pregel.JobListener; the graft package builds one per job and wires
 // it (behind core.Graft.Chain when the job is debugged). It is a view
@@ -102,6 +85,9 @@ type Registry struct {
 	stats   *pregel.Stats
 	sources []pregel.FaultStatsProvider
 	layers  []dfs.FileSystem
+	// finished is set by JobFinished: from then on Snapshot shows the
+	// storage readings it froze, not the store's later traffic.
+	finished bool
 	// baseFaults and baseDFS are what the layers had counted when
 	// SetStorage took them: a store outlives its jobs.
 	baseFaults pregel.FaultStats
@@ -172,17 +158,19 @@ func (r *Registry) publish() {
 }
 
 // JobFinished implements pregel.JobListener. It publishes the job's
-// final rows and folds the storage layers' fault counters into
-// stats.Faults, the one place they join a job's Stats: it runs after
-// Graft has committed the trace and before the listeners wired after
-// the registry read the stats.
+// final rows, freezes the DFS row and folds the storage layers' fault
+// counters into stats.Faults, the one place they join a job's Stats: it
+// runs after Graft has committed the trace and before the listeners
+// wired after the registry read the stats.
 func (r *Registry) JobFinished(stats *pregel.Stats, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.jm.Running = false
+	r.finished = true
 	r.publish()
+	faults, d := r.storage()
+	r.jm.DFS = d
 	if stats != nil {
-		faults, _ := r.storage()
 		stats.Faults.Add(faults)
 		r.jm.JobEnd = stats.JobEnd
 		r.jm.Reason = stats.Reason.String()
@@ -223,9 +211,10 @@ func (r *Registry) storage() (pregel.FaultStats, *dfs.ClusterStats) {
 
 // Snapshot returns the current job metrics for serving. Its rows are
 // the job's own, shared, not copied: the engine never rewrites a row it
-// has published. Totals and the anomaly feed are folded from them, and
-// while the job runs the fault counters are refreshed from the
-// registered sources and storage layers.
+// has published. Totals and the anomaly feed are folded from them.
+// Until JobFinished the DFS row is read live from the storage layers,
+// and while the job runs so are the fault counters, from them and the
+// registered sources; after it both are what the job had at its end.
 func (r *Registry) Snapshot() JobMetrics {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -240,13 +229,15 @@ func (r *Registry) Snapshot() JobMetrics {
 			snap.AnomalyCounts[string(ev.Kind)]++
 		}
 	}
-	faults, d := r.storage()
-	if snap.Running {
-		snap.Faults = faults
-		for _, p := range r.sources {
-			snap.Faults.Add(p.FaultStats())
+	if !r.finished {
+		faults, d := r.storage()
+		snap.DFS = d
+		if snap.Running {
+			snap.Faults = faults
+			for _, p := range r.sources {
+				snap.Faults.Add(p.FaultStats())
+			}
 		}
 	}
-	snap.DFS = d
 	return snap
 }

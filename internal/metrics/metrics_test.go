@@ -6,6 +6,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -160,25 +162,23 @@ func TestSnapshotOverlaysLiveFaultSources(t *testing.T) {
 	}
 }
 
-// TestJSONLGolden runs a deterministic job through the JSONL sink and
-// compares the normalized stream against the checked-in golden file.
-// Timings and everything derived from them are zeroed by
+// TestJSONLGolden runs a deterministic job under a registry and
+// compares its normalized JobMetrics document against the checked-in
+// golden file. Timings and everything derived from them are zeroed by
 // NormalizeJSONL; what remains (superstep structure, message counts,
 // vertices, reason) must be exactly reproducible.
 func TestJSONLGolden(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf, "cc-golden", "cc")
-
+	reg := NewRegistry("cc-golden", "cc")
 	g := pathGraph(t, 24)
-	job := pregel.NewJob(g, ccCompute, pregel.Config{NumWorkers: 3, Listener: sink})
+	job := pregel.NewJob(g, ccCompute, pregel.Config{NumWorkers: 3, Listener: reg})
 	if _, err := job.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Close(); err != nil {
+	doc, err := MarshalJobMetrics(reg.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	got, err := NormalizeJSONL(buf.Bytes())
+	got, err := NormalizeJSONL(doc)
 	if err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
@@ -196,21 +196,35 @@ func TestJSONLGolden(t *testing.T) {
 		t.Fatalf("read golden (run with -update to regenerate): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("normalized JSONL diverges from golden\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		t.Errorf("normalized document diverges from golden\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
 
 func TestNormalizeJSONLZeroesVolatileFields(t *testing.T) {
-	in := []byte(`{"event":"superstep","superstep":1,"compute_ns":12345,"workers":[{"worker":0,"compute_ns":999,"barrier_ns":5}],"sent":7}` + "\n" +
-		`{"event":"job_end","recovery_events":[{"superstep":2,"duration_ns":77}],"runtime_ns":9}` + "\n")
+	in := []byte(`{
+  "supersteps": [{"superstep": 1, "compute_ns": 12345, "workers": [{"worker": 0, "compute_ns": 999, "barrier_ns": 5}], "sent": 7,
+    "anomalies": [{"kind": "straggler"}]}],
+  "recovery_events": [{"superstep": 2, "duration_ns": 77}],
+  "faults": {"retries": 2, "backoff_ns": 31},
+  "runtime_ns": 9
+}`)
 	out, err := NormalizeJSONL(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"compute_ns":0,"event":"superstep","sent":7,"superstep":1,"workers":[{"barrier_ns":0,"compute_ns":0,"worker":0}]}` + "\n" +
-		`{"event":"job_end","recovery_events":[{"duration_ns":0,"superstep":2}],"runtime_ns":0}` + "\n"
+	want := `{"faults":{"backoff_ns":0,"retries":2},"recovery_events":[{"duration_ns":0,"superstep":2}],"runtime_ns":0,` +
+		`"supersteps":[{"compute_ns":0,"sent":7,"superstep":1,"workers":[{"barrier_ns":0,"compute_ns":0,"worker":0}]}]}` + "\n"
 	if string(out) != want {
 		t.Errorf("normalized = %s, want %s", out, want)
+	}
+	var keys []string
+	for k := range volatileKeys() {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if want := []string{"backoff_ns", "barrier_ns", "capture_ns", "compute_ns", "compute_skew", "duration_ns", "flush_ns",
+		"max_compute_skew", "max_message_skew", "message_skew", "recovery_ns", "runtime_ns", "straggler"}; !reflect.DeepEqual(keys, want) {
+		t.Errorf("volatile keys %q, want %q", keys, want)
 	}
 }
 
@@ -223,18 +237,3 @@ func TestTotalsCaptureOverhead(t *testing.T) {
 		t.Errorf("zero-compute overhead = %v, want 0", got)
 	}
 }
-
-func TestJSONLSinkStickyError(t *testing.T) {
-	sink := NewJSONLSink(failingWriter{}, "x", "")
-	sink.JobStarted(pregel.JobInfo{})
-	sink.JobFinished(nil, nil) // flushes, surfacing the write error
-	if sink.Err() == nil {
-		t.Fatal("write error not recorded")
-	}
-	// Later events are dropped, not panicking or blocking.
-	sink.SuperstepFinished(0, pregel.SuperstepStats{})
-}
-
-type failingWriter struct{}
-
-func (failingWriter) Write(p []byte) (int, error) { return 0, os.ErrClosed }

@@ -16,39 +16,34 @@ type Unit int
 
 const (
 	Count    Unit = iota // an integer fixed by the job's inputs
-	Duration             // a time.Duration; /debug/vars serves nanoseconds
+	Duration             // a time.Duration, nanoseconds in JSON
 	Ratio                // a max/mean skew, 1.00 = balanced; timing-derived
 	Percent              // a 0..1 fraction, printed as a percentage
 	Gauge                // a sampled level or index that depends on timing
 	Text                 // a name, or a composite that renders itself
 )
 
-// Metric declares one of a job's numbers, once. Every surface iterates
-// Table: /debug/vars, the GUI metrics page's summary block, its
-// per-superstep and per-worker tables and its placement caption, the
-// `graft run` summary and `graft show`'s placement line (Sections),
-// and the keys NormalizeJSONL zeroes. On pages a zero
-// value is not shown.
+// Metric declares one of a job's numbers, once. Every page iterates
+// Table: the GUI metrics page's summary block, its per-superstep and
+// per-worker tables and its placement caption, the `graft run` summary
+// and `graft show`'s placement line (Sections), and the keys
+// NormalizeJSONL zeroes. On pages a zero value is not shown.
 //
 // Job, Step and Worker are dotted paths of field and niladic
-// method names, read by reflection when a page or scrape asks (never at
+// method names, read by reflection when a page asks (never at
 // a barrier); a name that does not resolve panics at start-up (init
 // walks them all). A nil pointer on the way reads as absent, a Count of
 // a slice or map is its length, a negative Gauge is absent.
 type Metric struct {
-	// Key is the /debug/vars name after "graft."; with dashes for
-	// underscores (and no "_ns") it is the name in summary lines. Its
-	// last dotted segment, with and without a "max_" prefix, is the
-	// JSON key NormalizeJSONL zeroes when Unit is timing-derived.
+	// Key, with dashes for underscores (and no "_ns"), is the name in
+	// summary lines; with and without a "max_" prefix it is the JSON key
+	// NormalizeJSONL zeroes when Unit is timing-derived.
 	Key   string
 	Label string // dashboard label and column header
 	Unit  Unit
 	// Line names the summary line and dashboard section the row
 	// belongs to; rows without one show in the dashboard's "job" section.
 	Line string
-	// NoVars keeps the row off /debug/vars, whose key set is frozen. A
-	// row without a Label, conversely, shows nowhere else.
-	NoVars bool
 
 	Job    string // in JobMetrics; without it the row is a per-superstep column only
 	Step   string // in pregel.SuperstepStats
@@ -60,17 +55,14 @@ type Metric struct {
 // which workers, supersteps and job totals share, or in pregel.JobEnd,
 // which pregel.Stats and JobMetrics share — plus one row here.
 var Table = []Metric{
-	{Key: "job_id", Unit: Text, Job: "JobID"},
-	{Key: "running", Unit: Text, Job: "Running"},
 	{Key: "num_workers", Label: "Workers", Job: "NumWorkers"},
 	{Key: "supersteps", Label: "Supersteps", Job: "Supersteps"},
-	{Key: "runtime_ns", Label: "Runtime", Unit: Duration, NoVars: true, Job: "Runtime"},
+	{Key: "runtime_ns", Label: "Runtime", Unit: Duration, Job: "Runtime"},
 	{Key: "vertices_processed", Label: "Vertices processed", Job: "Totals.VerticesProcessed", Step: "VerticesProcessed", Worker: "VerticesProcessed"},
 	{Key: "active", Label: "Active after", Step: "ActiveAtEnd"},
 	{Key: "messages_sent", Label: "Messages sent", Job: "Totals.MessagesSent", Step: "MessagesSent", Worker: "MessagesSent"},
 	{Key: "messages_combined", Label: "Combined", Job: "Totals.MessagesCombined", Step: "MessagesCombined"},
 	{Key: "messages_received", Label: "Received", Job: "Totals.MessagesReceived", Step: "MessagesReceived", Worker: "MessagesReceived"},
-	{Key: "traffic_messages", Job: "TrafficTotal"},
 
 	{Key: "compute_ns", Label: "Compute", Unit: Duration, Line: "phases", Job: "Totals.ComputeTime", Step: "ComputeTime", Worker: "ComputeTime"},
 	{Key: "barrier_ns", Label: "Barrier wait", Unit: Duration, Line: "phases", Job: "Totals.BarrierWait", Step: "BarrierWait", Worker: "BarrierWait"},
@@ -85,29 +77,19 @@ var Table = []Metric{
 	{Key: "internal_iterations", Label: "Internal iterations", Line: "subgraph mode", Job: "Totals.InternalIterations", Step: "InternalIterations", Worker: "InternalIterations"},
 
 	{Key: "recoveries", Label: "Recoveries", Line: "resilience", Job: "Recoveries"},
-	{Key: "recovery_ns", Label: "Recovery", Unit: Duration, Line: "resilience", NoVars: true, Job: "RecoveryTime"},
-	{Key: "faults", Label: "Faults", Unit: Text, Line: "resilience", NoVars: true, Job: "Faults"},
-	{Key: "faults.injected", Job: "Faults.Injected"},
-	{Key: "faults.retries", Job: "Faults.Retries"},
-	{Key: "faults.backoff_ns", Unit: Duration, Job: "Faults.Backoff"},
-	{Key: "faults.dropped", Job: "Faults.DroppedRecords"},
-	{Key: "faults.corrupt_ckpt", Job: "Faults.CorruptCheckpoints"},
+	{Key: "recovery_ns", Label: "Recovery", Unit: Duration, Line: "resilience", Job: "RecoveryTime"},
+	{Key: "faults", Label: "Faults", Unit: Text, Line: "resilience", Job: "Faults"},
 
 	{Key: "partitioner", Label: "Partitioner", Unit: Text, Line: "placement", Job: "Partitioner"},
-	{Key: "vertices_per_worker", Label: "Vertices / worker", Unit: Text, Line: "placement", NoVars: true, Job: "PartitionSizes"},
+	{Key: "vertices_per_worker", Label: "Vertices / worker", Unit: Text, Line: "placement", Job: "PartitionSizes"},
 	{Key: "edge_cut", Label: "Edge cut", Line: "placement", Job: "EdgeCut"},
 	{Key: "local_messages", Label: "Worker-local messages", Line: "placement", Job: "Totals.LocalMessages", Step: "LocalMessages"},
 	{Key: "local_ratio", Label: "Worker-local share", Unit: Percent, Line: "placement", Job: "Totals.LocalMessageRatio", Step: "LocalMessageRatio"},
 
 	{Key: "anomalies", Label: "Anomalies", Line: "profiler", Job: "Anomalies", Step: "Anomalies"},
-	{Key: "by_kind", Label: "By kind", Unit: Text, Line: "profiler", NoVars: true, Job: "AnomalyCounts"},
+	{Key: "by_kind", Label: "By kind", Unit: Text, Line: "profiler", Job: "AnomalyCounts"},
 
-	{Key: "dfs", Label: "DFS traffic", Unit: Text, Line: "dfs", NoVars: true, Job: "DFS"},
-	{Key: "dfs.bytes_written", Job: "DFS.BytesWritten"},
-	{Key: "dfs.bytes_read", Job: "DFS.BytesRead"},
-	{Key: "dfs.corrupt_reads", Job: "DFS.CorruptReads"},
-	{Key: "dfs.write_retries", Job: "DFS.WriteRetries"},
-	{Key: "dfs.degraded_writes", Job: "DFS.DegradedWrites"},
+	{Key: "dfs", Label: "DFS traffic", Unit: Text, Line: "dfs", Job: "DFS"},
 }
 
 // walk follows path from v, a pointer to a struct. A nil pointer on the
@@ -196,7 +178,7 @@ type Section struct {
 func Sections(jm *JobMetrics) []Section {
 	var out []Section
 	for _, it := range Items(jm) {
-		if it.Zero || it.Label == "" {
+		if it.Zero {
 			continue
 		}
 		if n := len(out); n == 0 || out[n-1].Name != it.Line {
@@ -221,14 +203,14 @@ func (s Section) String() string {
 }
 
 // volatileKeys are the JSON keys of the timing-derived rows, at the
-// job level and per superstep, and of a recovery event's wall time,
-// which job_end carries in recovery_events.
+// job level and per superstep, plus two the table has no row for: a
+// recovery event's wall time (recovery_events[].duration_ns) and the
+// time storage retries slept (faults.backoff_ns).
 func volatileKeys() map[string]bool {
-	keys := map[string]bool{"duration_ns": true}
+	keys := map[string]bool{"duration_ns": true, "backoff_ns": true}
 	for _, m := range Table {
 		if m.Unit == Duration || m.Unit == Ratio || m.Unit == Gauge {
-			k := m.Key[strings.LastIndexByte(m.Key, '.')+1:]
-			keys[k], keys[strings.TrimPrefix(k, "max_")] = true, true
+			keys[m.Key], keys[strings.TrimPrefix(m.Key, "max_")] = true, true
 		}
 	}
 	return keys

@@ -2,55 +2,14 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"reflect"
-	"sort"
 	"testing"
 
 	"graft/internal/dfs"
 	"graft/internal/faults"
 	"graft/internal/pregel"
 )
-
-// TestDebugVarsKeySet pins the exact /debug/vars key set — the one the
-// hand-written map served before the table replaced it.
-func TestDebugVarsKeySet(t *testing.T) {
-	reg := seededRegistry()
-	reg.SetStorage(dfs.Layers(dfs.NewCluster(1, 1, 0)))
-	ts := httptest.NewServer(NewMux(reg, MuxOptions{}))
-	defer ts.Close()
-	_, body := getBody(t, ts, "/debug/vars")
-	var vars map[string]any
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for k := range vars {
-		got = append(got, k)
-	}
-	sort.Strings(got)
-	want := []string{
-		"graft.anomalies", "graft.barrier_ns", "graft.capture_ns", "graft.capture_overhead",
-		"graft.compute_ns", "graft.dfs.bytes_read", "graft.dfs.bytes_written", "graft.dfs.corrupt_reads",
-		"graft.dfs.degraded_writes", "graft.dfs.write_retries", "graft.edge_cut",
-		"graft.faults.backoff_ns", "graft.faults.corrupt_ckpt", "graft.faults.dropped",
-		"graft.faults.injected", "graft.faults.retries", "graft.flush_ns", "graft.internal_iterations", "graft.job_id",
-		"graft.local_messages", "graft.local_ratio", "graft.max_compute_skew",
-		"graft.max_message_skew", "graft.messages_combined", "graft.messages_received",
-		"graft.messages_sent", "graft.num_workers", "graft.partitioner", "graft.recoveries", "graft.running",
-		"graft.subgraphs_computed", "graft.supersteps", "graft.traffic_messages", "graft.vertices_processed",
-		"runtime.goroutines", "runtime.heap_alloc", "runtime.num_gc",
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("/debug/vars keys:\n got %q\nwant %q", got, want)
-	}
-	// Values keep their JSON types: durations are integer nanoseconds.
-	if vars["graft.compute_ns"] != 4e6 || vars["graft.max_compute_skew"] != 1.2 || vars["graft.running"] != true {
-		t.Errorf("compute_ns=%v max_compute_skew=%v running=%v", vars["graft.compute_ns"], vars["graft.max_compute_skew"], vars["graft.running"])
-	}
-}
 
 // TestStatsAndRegistryTotals: the registry is a view of the job's
 // Stats, so its rows are Stats.PerSuperstep and its totals are

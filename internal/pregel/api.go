@@ -320,8 +320,8 @@ func (t *Totals) Add(ss SuperstepStats) {
 }
 
 // Fold is the only job-level sum of superstep rows: Stats.Totals,
-// Stats.TotalMessages, the metrics registry, the JSONL sink's job_end
-// line and a read-back job.metrics all call it.
+// Stats.TotalMessages, the metrics registry and a read-back job.metrics
+// all call it.
 func Fold(rows []SuperstepStats) Totals {
 	var t Totals
 	for _, ss := range rows {

@@ -63,7 +63,7 @@ type Stats struct {
 
 // JobEnd is the part of a job's Stats that internal/metrics keeps as
 // it is: the registry assigns it whole when the job finishes, and the
-// JSON tags are the job.metrics, /metrics and job_end schema.
+// JSON tags are the schema of the job.metrics document.
 type JobEnd struct {
 	// Runtime is the monotonic wall time of Job.Run: partitioning,
 	// every superstep, and checkpoint recovery.

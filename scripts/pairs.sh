@@ -9,9 +9,12 @@
 # was better (ties count for neither). Add the row's "pr" by hand.
 #
 # The parent is HEAD~1 when the change is committed (a clean tree) and
-# HEAD while it is not. It is exported with `git archive` into a
-# temporary directory, which is removed on exit; nothing is written
-# under bench/. SEED defaults to 42.
+# HEAD while it is not. It is exported with `git archive`, and the
+# working tree (tracked files as they are on disk, and untracked files
+# that are not ignored) is copied, into two sibling temporary
+# directories, so both sides build and run from the same kind of place,
+# each with a cold build cache; they are removed on exit and nothing is
+# written under bench/. SEED defaults to 42.
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
@@ -28,8 +31,12 @@ parent=$(git -C "$root" rev-parse --short "$base")
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-mkdir "$tmp/parent" "$tmp/out"
+mkdir "$tmp/parent" "$tmp/change" "$tmp/out"
 git -C "$root" archive "$base" | tar -x -C "$tmp/parent"
+(cd "$root" && git ls-files -z --cached --others --exclude-standard |
+	while IFS= read -r -d '' f; do
+		if [ -e "$f" ]; then printf '%s\0' "$f"; fi # skip deleted files
+	done | tar --null -T - -cf -) | tar -x -C "$tmp/change"
 
 # run DIR SIDE appends the result line of one benchmark run in DIR to
 # SIDE.jsonl.
@@ -40,9 +47,9 @@ run() {
 for ((i = 0; i < pairs; i++)); do
 	if ((i % 2 == 0)); then
 		run "$tmp/parent" parent
-		run "$root" change
+		run "$tmp/change" change
 	else
-		run "$root" change
+		run "$tmp/change" change
 		run "$tmp/parent" parent
 	fi
 	echo "pair $((i + 1))/$pairs done" >&2

@@ -639,3 +639,66 @@ func TestSessionSurvivesCoordinatorPanic(t *testing.T) {
 		t.Fatal("Close did not return")
 	}
 }
+
+// TestFinishedJobKeepsItsDFSRow: a finished job's DFS row is what the
+// store counted while the job ran; a later job on the same store does
+// not add to it.
+func TestFinishedJobKeepsItsDFSRow(t *testing.T) {
+	sess, err := NewSession(SessionConfig{Store: NewStore(NewCluster(4, 2, 0), "traces")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	run := func(jobID string) *Job {
+		t.Helper()
+		j, err := sess.SubmitAlgorithm(context.Background(), graphgen.RegularBipartite(60, 3), algorithms.NewGraphColoring(1),
+			RunOptions{JobID: jobID, Debug: &DebugConfig{CaptureAllActive: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	a := run("a")
+	atEnd := a.Metrics().Snapshot().DFS
+	run("b")
+	later := a.Metrics().Snapshot().DFS
+	if atEnd == nil || atEnd.BytesWritten <= 0 || later == nil || *later != *atEnd {
+		t.Errorf("job a's DFS row read %+v when it ended and %+v after job b ran", atEnd, later)
+	}
+}
+
+// TestFailedJobHasItsDocument: a job whose Compute fails still has its
+// metrics document, the one `graft run -metrics-out` writes: the rows
+// up to the failure and the error.
+func TestFailedJobHasItsDocument(t *testing.T) {
+	sess, err := NewSession(SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	comp := ComputeFunc(func(ctx Context, v *Vertex, _ []Value) error {
+		if ctx.Superstep() == 2 {
+			return errors.New("bad vertex")
+		}
+		ctx.SendMessageToAllEdges(v, NewLong(1))
+		return nil
+	})
+	j, err := sess.Submit(context.Background(), graphgen.RegularBipartite(20, 2), comp, RunOptions{JobID: "fails"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := j.Wait(context.Background()); err == nil || res == nil || res.Stats != nil {
+		t.Fatalf("a failing Compute: result %+v, err %v; want no Stats and the error", res, err)
+	}
+	doc := j.Metrics().Snapshot()
+	if _, err := metrics.MarshalJobMetrics(doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Running || len(doc.Supersteps) != 2 || !strings.Contains(doc.Error, "bad vertex") {
+		t.Errorf("document: running=%v, %d supersteps, error %q; want 2 rows and the Compute error",
+			doc.Running, len(doc.Supersteps), doc.Error)
+	}
+}
