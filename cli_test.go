@@ -215,11 +215,14 @@ func TestCLISmoke(t *testing.T) {
 			}},
 		{name: "no subgraph port", args: []string{"run", "-alg", "rw", "-dataset", "web-BS", "-scale", "0.001", "-mode", "subgraph"},
 			exit: 1, wants: []string{"no subgraph-mode port"}},
-		// A compute failure is the exception scenarios' expected outcome
-		// and exits 0; a run whose trace could not be written exits 1.
-		{name: "compute failure exits 0", args: []string{"run", "-alg", "rw16", "-dataset", "web-BS", "-scale", "0.003", "-debug", "fig2",
+		// The Figure 2 scenario: rw16's counters overflow, which its
+		// constraints capture, and the job still runs to the end and exits
+		// 0. No packaged algorithm fails its Compute from the CLI, so no
+		// row reaches cmdRun's "job FAILED" branch. A run whose trace
+		// could not be written exits 1.
+		{name: "fig2 scenario captures and exits 0", args: []string{"run", "-alg", "rw16", "-dataset", "web-BS", "-scale", "0.003", "-debug", "fig2",
 			"-trace-dir", "traces", "-job", "rw-fail", "-supersteps", "8"},
-			wants: []string{"captures"}},
+			wants: []string{"finished:", "captures"}, never: []string{"job FAILED"}},
 		{name: "trace write failure exits 1", args: with(pr, "-debug", "DC-sp", "-trace-dir", "traces", "-job", "unwritable", "-workers", "1"),
 			exit: 1, wants: []string{"finished:", "trace write"}},
 		// job.meta reads a zero budget as "not recorded", so a run has one.

@@ -124,8 +124,8 @@ func ReadFile(fs FileSystem, path string) ([]byte, error) {
 // ReadRange reads the n bytes at offset off of the file at path. The
 // handle Open returns may implement io.ReaderAt (LocalFS, MemFS and
 // Cluster handles do); when it also reports its length, only the range
-// is fetched — for a Cluster, only the covering blocks, each verified
-// against its checksum. Any other handle, such as one a decorator
+// is fetched — for a Cluster, only the covering blocks, with the
+// range's chunks verified. Any other handle, such as one a decorator
 // wraps, is streamed: off bytes are skipped and n read, never more. off
 // and n usually come from an index file, so they are checked against
 // the handle's length before anything is allocated, and a handle that

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,10 @@ import (
 // 64-128 MB; trace files are small, so the simulated default is 64 KiB
 // to make multi-block paths actually exercise block logic.
 const DefaultBlockSize = 64 << 10
+
+// bytesPerChecksum is the chunk one CRC-32 of a block covers, as HDFS's
+// dfs.bytes-per-checksum, so a point read checksums what it returns.
+const bytesPerChecksum = 512
 
 // BlockID identifies one block in the namenode index. Exported so the
 // fault-injection layer (internal/faults) can target individual
@@ -28,9 +33,11 @@ type BlockID int64
 //
 // The namenode lock covers only block allocation, replica-set
 // bookkeeping and file commits; replica puts and gets happen with it
-// released. Every block carries a CRC-32 checksum; a replica that fails
-// verification at read time is quarantined (dropped, counted in
-// CorruptReads) and the read falls through to another replica.
+// released. Every block carries one CRC-32 per 512-byte chunk, and every
+// byte served is verified: a read checks the chunks that cover it, and a
+// replica that fails is quarantined (dropped, counted in CorruptReads)
+// and the read falls through to another replica. A corrupt chunk is
+// found by the first read that covers it.
 type Cluster struct {
 	mu          sync.RWMutex
 	nodes       []*DataNode
@@ -60,21 +67,34 @@ type Cluster struct {
 	bytesRead    atomic.Int64
 }
 
-// blockMeta is the namenode's record of one block: its golden CRC-32,
-// size, and which datanodes hold a replica (live or dead — a killed
-// node keeps its replicas for a later Revive). locations is guarded by
-// Cluster.mu; size and crc are immutable after allocation.
+// blockMeta is the namenode's record of one block: its size, golden
+// CRC-32 per chunk (the last may be short), and which datanodes hold a
+// replica (live or dead — a killed node keeps its replicas for a later
+// Revive). locations is guarded by Cluster.mu and replaced, never edited
+// in place; size and crcs are immutable after allocation.
 type blockMeta struct {
 	size      int
-	crc       uint32
+	crcs      []uint32
 	locations []int
+}
+
+// verify reports whether a replica has the block's size and matches
+// the golden checksum of every chunk that overlaps [lo, hi).
+func (m *blockMeta) verify(data []byte, lo, hi int) bool {
+	ok := len(data) == m.size
+	for i := lo / bytesPerChecksum; ok && i*bytesPerChecksum < hi; i++ {
+		ok = crc32.ChecksumIEEE(data[i*bytesPerChecksum:min((i+1)*bytesPerChecksum, len(data))]) == m.crcs[i]
+	}
+	return ok
 }
 
 // fileVersion is one committed incarnation of a path. Streaming
 // readers pin the version they opened; an overwrite or Remove marks it
 // dead, and its blocks are freed when the last pinned reader closes.
+// Readers share blocks and offs, which never change once committed.
 type fileVersion struct {
 	blocks []BlockID
+	offs   []int64 // offs[i] is block i's file offset; offs[len(blocks)] the size
 	refs   int
 	dead   bool
 }
@@ -278,22 +298,26 @@ func (c *Cluster) Create(path string) (io.WriteCloser, error) {
 	return &clusterWriter{c: c, path: path}, nil
 }
 
-// placeBlock stores data on `replication` datanodes. The namenode lock
-// covers only block-ID allocation and the candidate order; the puts
-// run with it released. Candidates are tried in round-robin order from
-// the placement cursor, over every node, until `replication` puts
-// succeed: a dead candidate costs one WriteRetries and the put falls
-// through to the next node, and a block placed on at least one node
-// succeeds, under-replicated (counted in DegradedWrites) when fewer
-// accepted it. It returns an error only when no node accepts the block.
+// placeBlock checksums data per chunk and stores it on `replication`
+// datanodes. The namenode lock covers only block-ID allocation and the
+// candidate order; the puts run with it released. Candidates are tried
+// in round-robin order from the placement cursor, over every node, until
+// `replication` puts succeed: a dead candidate costs one WriteRetries
+// and the put falls through to the next node, and a block placed on at
+// least one node succeeds, under-replicated (counted in DegradedWrites)
+// when fewer accepted it. It returns an error only when no node accepts
+// the block.
 func (c *Cluster) placeBlock(data []byte) (BlockID, error) {
-	crc := crc32.ChecksumIEEE(data)
+	crcs := make([]uint32, 0, (len(data)+bytesPerChecksum-1)/bytesPerChecksum)
+	for i := 0; i < len(data); i += bytesPerChecksum {
+		crcs = append(crcs, crc32.ChecksumIEEE(data[i:min(i+bytesPerChecksum, len(data))]))
+	}
 	c.mu.Lock()
 	id := c.nextBlock
 	c.nextBlock++
 	start := c.nextNode
 	c.nextNode += c.replication
-	meta := &blockMeta{size: len(data), crc: crc}
+	meta := &blockMeta{size: len(data), crcs: crcs}
 	c.blocks[id] = meta
 	c.mu.Unlock()
 
@@ -327,11 +351,15 @@ func (c *Cluster) placeBlock(data []byte) (BlockID, error) {
 // in-flight streaming readers still pin its snapshot, in which case
 // the last reader Close frees it.
 func (c *Cluster) commit(path string, blocks []BlockID) {
+	ver := &fileVersion{blocks: blocks, offs: make([]int64, len(blocks)+1)}
 	c.mu.Lock()
+	for i, b := range blocks {
+		ver.offs[i+1] = ver.offs[i] + int64(c.blocks[b].size)
+	}
 	if old, ok := c.files[path]; ok {
 		c.retireLocked(old)
 	}
-	c.files[path] = &fileVersion{blocks: blocks}
+	c.files[path] = ver
 	c.mu.Unlock()
 }
 
@@ -374,11 +402,11 @@ func (c *Cluster) release(ver *fileVersion) {
 	c.mu.Unlock()
 }
 
-// Open implements FileSystem. The returned handle works over a snapshot
-// of the block list and block sizes taken at Open time: an overwrite
+// Open implements FileSystem. The returned handle pins the version
+// committed at Open time and shares its block list: an overwrite
 // committed mid-read does not disturb it. Read fetches the file block
 // by block as the caller consumes it; ReadAt fetches only the blocks
-// covering its range. Both go through readBlock, so every block served
+// covering its range. Both go through readBlock, so every byte served
 // is checksum-verified and replica selection rotates across live nodes.
 func (c *Cluster) Open(path string) (io.ReadCloser, error) {
 	c.mu.Lock()
@@ -387,28 +415,22 @@ func (c *Cluster) Open(path string) (io.ReadCloser, error) {
 		c.mu.Unlock()
 		return nil, ErrNotExist
 	}
-	blocks := append([]BlockID(nil), ver.blocks...)
-	ends := make([]int64, len(blocks))
-	var size int64
-	for i, b := range blocks {
-		size += int64(c.blocks[b].size)
-		ends[i] = size
-	}
 	ver.refs++
 	c.mu.Unlock()
-	return &clusterReader{c: c, ver: ver, path: path, blocks: blocks, ends: ends}, nil
+	return &clusterReader{c: c, ver: ver, path: path, blocks: ver.blocks, offs: ver.offs}, nil
 }
 
-// readBlock fetches one block, verifying each candidate replica's
-// CRC-32 against the namenode's golden checksum. A corrupt replica is
-// quarantined and the read falls through to the next one. The starting
-// replica rotates so repeated reads spread across live holders.
-func (c *Cluster) readBlock(b BlockID) ([]byte, bool) {
+// readBlock fetches one block to serve its bytes [lo, hi); every byte
+// served is verified, by checking the replica's chunks that overlap them
+// against the golden checksums. A corrupt replica is quarantined and the
+// read falls through to the next one. The starting replica rotates so repeated reads
+// spread across live holders.
+func (c *Cluster) readBlock(b BlockID, lo, hi int) ([]byte, bool) {
 	c.mu.RLock()
 	meta := c.blocks[b]
 	var locs []int
 	if meta != nil {
-		locs = append([]int(nil), meta.locations...)
+		locs = meta.locations
 	}
 	c.mu.RUnlock()
 	if meta == nil || len(locs) == 0 {
@@ -421,7 +443,7 @@ func (c *Cluster) readBlock(b BlockID) ([]byte, bool) {
 		if !ok {
 			continue
 		}
-		if crc32.ChecksumIEEE(data) != meta.crc {
+		if !meta.verify(data, lo, hi) {
 			c.quarantine(b, nid)
 			continue
 		}
@@ -438,25 +460,21 @@ func (c *Cluster) quarantine(b BlockID, node int) {
 	c.nodes[node].drop(b)
 	c.mu.Lock()
 	if meta := c.blocks[b]; meta != nil {
-		for i, nid := range meta.locations {
-			if nid == node {
-				meta.locations = append(meta.locations[:i], meta.locations[i+1:]...)
-				break
-			}
-		}
+		meta.locations = slices.DeleteFunc(slices.Clone(meta.locations), func(n int) bool { return n == node })
 	}
 	c.mu.Unlock()
 }
 
 // clusterReader is an open Cluster file. Sequential Reads fetch its
 // blocks one at a time as the caller consumes them; ReadAt is
-// independent of the stream and safe for concurrent use.
+// independent of the stream and safe for concurrent use. blocks and
+// offs are the pinned version's own, read-only.
 type clusterReader struct {
 	c      *Cluster
 	ver    *fileVersion
 	path   string
 	blocks []BlockID
-	ends   []int64 // ends[i] is the file offset one past block i
+	offs   []int64
 	closed bool
 
 	// Streaming state: cur is the unread rest of block next-1, and err
@@ -467,15 +485,10 @@ type clusterReader struct {
 }
 
 // Size returns the file's length.
-func (r *clusterReader) Size() int64 {
-	if len(r.ends) == 0 {
-		return 0
-	}
-	return r.ends[len(r.ends)-1]
-}
+func (r *clusterReader) Size() int64 { return r.offs[len(r.blocks)] }
 
 // ReadAt implements io.ReaderAt, fetching only the blocks that cover
-// [off, off+len(p)).
+// [off, off+len(p)) and verifying only the chunks that cover it.
 func (r *clusterReader) ReadAt(p []byte, off int64) (int, error) {
 	if r.closed {
 		return 0, io.ErrClosedPipe
@@ -487,14 +500,15 @@ func (r *clusterReader) ReadAt(p []byte, off int64) (int, error) {
 		return 0, nil
 	}
 	n := 0
-	first := sort.Search(len(r.ends), func(i int) bool { return r.ends[i] > off })
+	first := sort.Search(len(r.blocks), func(i int) bool { return r.offs[i+1] > off })
 	for i := first; n < len(p) && i < len(r.blocks); i++ {
-		data, ok := r.c.readBlock(r.blocks[i])
+		lo := int(off + int64(n) - r.offs[i])
+		hi := int(min(r.offs[i+1]-r.offs[i], int64(lo+len(p)-n)))
+		data, ok := r.c.readBlock(r.blocks[i], lo, hi)
 		if !ok {
 			return n, fmt.Errorf("%w: block %d of %q", ErrBlockUnavailable, r.blocks[i], r.path)
 		}
-		start := r.ends[i] - int64(len(data))
-		n += copy(p[n:], data[off+int64(n)-start:])
+		n += copy(p[n:], data[lo:hi])
 	}
 	if n < len(p) {
 		return n, io.EOF
@@ -514,7 +528,7 @@ func (r *clusterReader) Read(p []byte) (int, error) {
 			return 0, io.EOF
 		}
 		b := r.blocks[r.next]
-		data, ok := r.c.readBlock(b)
+		data, ok := r.c.readBlock(b, 0, int(r.offs[r.next+1]-r.offs[r.next]))
 		if !ok {
 			r.err = fmt.Errorf("%w: block %d of %q", ErrBlockUnavailable, b, r.path)
 			return 0, r.err

@@ -12,8 +12,8 @@ import (
 // returns the number of replicas corrupted.
 //
 // The flips bypass the cluster's CRC bookkeeping exactly the way real
-// bit rot bypasses a filesystem: nothing notices until a read verifies
-// the replica against the namenode's golden checksum.
+// bit rot bypasses a filesystem: nothing notices until a read covering
+// the flipped chunk verifies it against the namenode's golden checksum.
 func CorruptReplicas(c *dfs.Cluster, seed int64, n int) int {
 	if n < 1 {
 		n = 1

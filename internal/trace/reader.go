@@ -227,9 +227,10 @@ func (r *Reader) loadIndex() error {
 			return err
 		}
 		var num uint32
-		err = walkIndex(raw, func(name string) {
+		err = walkIndex(raw, func(name string, entries int) {
 			indexed[name] = true
 			num = r.addSegment(name)
+			last = stepCursor{grow: entries}
 		}, func(ent indexEntry) { r.place(ent, num, &last) })
 		if err != nil {
 			return fmt.Errorf("trace: %s: %w", idxPath, err)
@@ -250,6 +251,7 @@ func (r *Reader) loadIndex() error {
 		if err != nil {
 			return fmt.Errorf("trace: %s: %w", name, err)
 		}
+		last = stepCursor{grow: len(ents)}
 		for _, ent := range ents {
 			r.place(ent, num, &last)
 		}
@@ -273,9 +275,12 @@ func (r *Reader) addSegment(name string) uint32 {
 
 // stepCursor is the stepIndex the previous entry went to, under its
 // kind and superstep: a segment's share of a superstep costs one probe.
+// Each segment resets it; the first stepIndex a segment reaches grows by
+// the segment's entry count, as a segment holds about one superstep.
 type stepCursor struct {
-	key recordKey
-	x   *stepIndex
+	key  recordKey
+	x    *stepIndex
+	grow int
 }
 
 func (r *Reader) place(ent indexEntry, seg uint32, last *stepCursor) {
@@ -296,7 +301,9 @@ func (r *Reader) place(ent indexEntry, seg uint32, last *stepCursor) {
 			if m[ent.Step] == nil {
 				m[ent.Step] = &stepIndex{}
 			}
-			*last = stepCursor{key, m[ent.Step]}
+			x := m[ent.Step]
+			x.ents = slices.Grow(x.ents, last.grow)
+			*last = stepCursor{key: key, x: x}
 		}
 		last.x.add(loc)
 	}

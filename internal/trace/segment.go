@@ -103,10 +103,10 @@ func appendIndex(b []byte, segs []segmentIndex) []byte {
 
 // walkIndex parses an index part, or a sidecar of the older
 // one-file-per-lane layout, calling segment with each segment's name and
-// then entry with each of its entries, until the part proves corrupt;
+// entry count, then entry with each entry, until the part proves corrupt;
 // bytes after its last segment are corrupt too. A segment takes at least
 // 2 bytes and an entry at least 5, which bounds each count.
-func walkIndex(raw []byte, segment func(name string), entry func(indexEntry)) error {
+func walkIndex(raw []byte, segment func(name string, entries int), entry func(indexEntry)) error {
 	if len(raw) < len(idxMagic) || string(raw[:len(idxMagic)]) != idxMagic {
 		return ErrBadMagic
 	}
@@ -116,7 +116,7 @@ func walkIndex(raw []byte, segment func(name string), entry func(indexEntry)) er
 		if d.Err() != nil {
 			break
 		}
-		segment(name)
+		segment(name, n)
 		for range n {
 			// No segment holds 2 GiB, and the 31-bit bound keeps
 			// Offset+Length from wrapping.

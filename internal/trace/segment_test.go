@@ -65,7 +65,7 @@ func newTestLane(t testing.TB, fs dfs.FileSystem, segmentSize, batchSize int) *s
 // places entries as the walk decodes them and builds no such slices.
 func decodeIndex(raw []byte) ([]segmentIndex, error) {
 	segs := []segmentIndex{}
-	err := walkIndex(raw, func(name string) {
+	err := walkIndex(raw, func(name string, _ int) {
 		segs = append(segs, segmentIndex{Name: name, Entries: []indexEntry{}})
 	}, func(ent indexEntry) {
 		seg := &segs[len(segs)-1]
