@@ -38,8 +38,8 @@ type Graft struct {
 	// state can be recycled instead of allocated, keeping the
 	// instrumentation overhead near the paper's.
 	workers []workerState
-	// capSlots holds each worker's sampled capture time, which the
-	// engine reads at the barrier.
+	// capSlots holds each worker's capture count and sampled capture
+	// time, which the engine reads at the barrier.
 	capSlots []capSlot
 
 	writeMu  sync.Mutex // serializes error recording only
@@ -51,10 +51,12 @@ type Graft struct {
 	// lock, where Err does. Nil, never ready, for no context.
 	done <-chan struct{}
 
-	// captures, which every worker adds to per capture, is padded off
-	// the lines workers read per vertex (cfg, workerSinks, done).
+	// claimed is the shared budget a finite MaxCaptures claims from,
+	// one per capture; without a limit no worker touches it. It is
+	// padded off the lines workers read per vertex (cfg, workerSinks,
+	// done).
 	_        [128]byte
-	captures atomic.Int64
+	claimed  atomic.Int64
 	limitHit atomic.Bool
 	_        [128]byte
 }
@@ -142,8 +144,16 @@ func selectTargets(graph *pregel.Graph, cfg *DebugConfig) map[pregel.VertexID]tr
 	return m
 }
 
-// Captures returns the number of capture records written so far.
-func (g *Graft) Captures() int64 { return g.captures.Load() }
+// Captures returns the number of capture records written. It sums
+// the workers' own counts, so it is valid once the job's run has
+// returned (or from JobFinished), not while workers still capture.
+func (g *Graft) Captures() int64 {
+	var n int64
+	for i := range g.capSlots {
+		n += g.capSlots[i].captures
+	}
+	return n
+}
 
 // canceled reports whether the session's context is done.
 func (g *Graft) canceled() bool {
@@ -271,7 +281,7 @@ func (g *Graft) JobFinished(stats *pregel.Stats, err error) {
 		g.recordWriteErr(serr)
 	}
 	res := trace.JobResult{
-		Captures:        g.captures.Load(),
+		Captures:        g.Captures(),
 		CaptureLimitHit: g.limitHit.Load(),
 		RuntimeMillis:   time.Since(g.start).Milliseconds(),
 		DroppedRecords:  g.sink.DroppedRecords(),
@@ -307,6 +317,8 @@ const sampleStride = 61
 // capSlot is one worker's capture telemetry. Only its worker writes it,
 // and the pad keeps its fields 128 bytes from the next worker's.
 type capSlot struct {
+	// captures counts the worker's capture records over the job.
+	captures int64
 	// nanos is the estimate: each timed stretch times its record's
 	// weight (0 if untimed); records counts superstep's records so far.
 	nanos, records, weight int64
@@ -652,12 +664,16 @@ func (g *Graft) capture(v *pregel.Vertex, msgs []pregel.Value, rec *record,
 		return
 	}
 
-	max := g.cfg.maxCaptures()
-	if n := g.captures.Add(1); max >= 0 && n > max {
-		g.captures.Add(-1)
-		g.limitHit.Store(true)
-		return
+	// Only a limit needs a count all workers share; the bound stays
+	// exact because a capture claims its place before it is written.
+	if max := g.cfg.maxCaptures(); max >= 0 {
+		if n := g.claimed.Add(1); n > max {
+			g.claimed.Add(-1)
+			g.limitHit.Store(true)
+			return
+		}
 	}
+	g.capSlots[rec.worker].captures++
 
 	if rec.reasons.Has(trace.ReasonVertexConstraint) {
 		rec.violations = append(rec.violations, trace.Violation{

@@ -165,8 +165,9 @@ func TestCapturesExact(t *testing.T) {
 
 // TestPerWorkerFieldsOnOwnLines: what one worker writes while it
 // computes is at least 128 bytes (an adjacent-line prefetch pair) from
-// what the next worker writes, and the counter every worker adds to per
-// capture is that far from the rest of the session.
+// what the next worker writes, and the budget every worker claims from
+// per capture under a finite limit is that far from the rest of the
+// session.
 // A field that eats into a pad fails here instead of false-sharing.
 func TestPerWorkerFieldsOnOwnLines(t *testing.T) {
 	const line = 128
@@ -179,23 +180,23 @@ func TestPerWorkerFieldsOnOwnLines(t *testing.T) {
 	typ := reflect.TypeFor[Graft]()
 	f := namedFields(typ)
 	for i := range f {
-		if f[i].name != "captures" {
+		if f[i].name != "claimed" {
 			continue
 		}
 		if i+1 == len(f) || f[i+1].name != "limitHit" {
-			t.Fatalf("Graft.captures is not followed by limitHit: %v", f)
+			t.Fatalf("Graft.claimed is not followed by limitHit: %v", f)
 		}
 		next := typ.Size()
 		if i+2 < len(f) {
 			next = f[i+2].off
 		}
 		if before, after := f[i].off-f[i-1].end, next-f[i+1].end; before < line || after < line {
-			t.Errorf("Graft.captures/limitHit: %d bytes after the field before, %d before what follows; want >= %d each",
+			t.Errorf("Graft.claimed/limitHit: %d bytes after the field before, %d before what follows; want >= %d each",
 				before, after, line)
 		}
 		return
 	}
-	t.Fatal("Graft has no captures field")
+	t.Fatal("Graft has no claimed field")
 }
 
 type fieldSpan struct {

@@ -161,7 +161,9 @@ func (r *Registry) publish() {
 // final rows, freezes the DFS row and folds the storage layers' fault
 // counters into stats.Faults, the one place they join a job's Stats: it
 // runs after Graft has committed the trace and before the listeners
-// wired after the registry read the stats.
+// wired after the registry read the stats. It then lets go of the fault
+// sources and storage layers: a registry outlives its job, and a Graft
+// session reaches the job's engine and graph.
 func (r *Registry) JobFinished(stats *pregel.Stats, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -170,6 +172,7 @@ func (r *Registry) JobFinished(stats *pregel.Stats, err error) {
 	r.publish()
 	faults, d := r.storage()
 	r.jm.DFS = d
+	r.sources, r.layers = nil, nil
 	if stats != nil {
 		stats.Faults.Add(faults)
 		r.jm.JobEnd = stats.JobEnd

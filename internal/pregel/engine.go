@@ -272,7 +272,10 @@ type engine struct {
 	idCount    int
 	broadcast  map[string]Value
 	superstep  int
-	stats      Stats
+	// stats is allocated on its own: listeners and Run's caller keep it
+	// after the job, and a pointer into engine would keep the engine,
+	// its graph and inboxes with it.
+	stats      *Stats
 	flushBatch int
 	// slotShift is how many low bits of an edge slot column entry name
 	// the destination partition.
@@ -317,7 +320,7 @@ type engine struct {
 }
 
 func newEngine(j *Job) *engine {
-	en := &engine{job: j, cfg: &j.cfg, lastCheckpoint: -1, openRecovery: -1, flushBatch: msgFlushBatch}
+	en := &engine{job: j, cfg: &j.cfg, stats: &Stats{}, lastCheckpoint: -1, openRecovery: -1, flushBatch: msgFlushBatch}
 	w := j.cfg.NumWorkers
 	en.slotShift = uint(bits.Len(uint(w - 1)))
 	vs, ranks := j.graph.ordered()
@@ -444,7 +447,7 @@ func (en *engine) run(start time.Time) (*Stats, error) {
 	}
 	if l := en.cfg.Listener; l != nil {
 		nv, ne := en.totals()
-		l.JobStarted(JobInfo{NumWorkers: len(en.parts), NumVertices: nv, NumEdges: ne, Stats: &en.stats})
+		l.JobStarted(JobInfo{NumWorkers: len(en.parts), NumVertices: nv, NumEdges: ne, Stats: en.stats})
 	}
 	if err := en.cfg.Validate(); err != nil {
 		return en.finish(err)
@@ -523,7 +526,7 @@ func (en *engine) finish(err error) (*Stats, error) {
 		en.gcCheckpoints(0)
 	}
 	if l := en.cfg.Listener; l != nil {
-		l.JobFinished(&en.stats, err)
+		l.JobFinished(en.stats, err)
 	}
 	if err != nil && !canceled {
 		return nil, err
@@ -531,7 +534,7 @@ func (en *engine) finish(err error) (*Stats, error) {
 	// Cancellation is barrier-consistent: everything up to the last
 	// completed superstep is valid, so — unlike a compute failure — the
 	// partial stats are returned with the error.
-	return &en.stats, err
+	return en.stats, err
 }
 
 // checkpointPhase writes the pre-superstep state (graph, undelivered

@@ -57,7 +57,7 @@ func newTestLane(t testing.TB, fs dfs.FileSystem, segmentSize, batchSize int) *s
 	if err != nil {
 		t.Fatal(err)
 	}
-	return js.lanes[0]
+	return &js.lanes[0]
 }
 
 // decodeIndex collects what walkIndex walks: the part's segments, each

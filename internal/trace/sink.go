@@ -101,13 +101,14 @@ func (s *Store) newSink(meta JobMeta, segmentSize, batchSize int) (*jobSink, err
 	if err := dfs.WriteFile(s.FS, dir+"/job.meta", metaJSON); err != nil {
 		return nil, err
 	}
-	js := &jobSink{store: s, dir: dir, segmentSize: segmentSize, batchSize: batchSize}
-	for i := 0; i <= meta.NumWorkers; i++ {
-		name := "master"
+	js := &jobSink{store: s, dir: dir, segmentSize: segmentSize, batchSize: batchSize,
+		lanes: make([]sinkLane, meta.NumWorkers+1)}
+	for i := range js.lanes {
+		l := &js.lanes[i]
+		l.sink, l.name, l.seg = js, "master", []byte(segMagic)
 		if i < meta.NumWorkers {
-			name = fmt.Sprintf("worker_%02d", i)
+			l.name = fmt.Sprintf("worker_%02d", i)
 		}
-		js.lanes = append(js.lanes, &sinkLane{sink: js, name: name, e: pregel.NewEncoder(), seg: []byte(segMagic)})
 	}
 	return js, nil
 }
@@ -118,8 +119,9 @@ type jobSink struct {
 	// segmentSize is the size past which a lane seals its open segment,
 	// checked once every batchSize records.
 	segmentSize, batchSize int
-	// lanes[0..n-1] are the workers, lanes[n] is the master.
-	lanes   []*sinkLane
+	// lanes[0..n-1] are the workers, lanes[n] is the master: one array
+	// of padded lanes, so no two lanes' producers write the same line.
+	lanes   []sinkLane
 	dropped atomic.Int64
 
 	errMu    sync.Mutex
@@ -130,8 +132,8 @@ type jobSink struct {
 	finished    bool
 }
 
-func (js *jobSink) WorkerSink(i int) RecordSink { return js.lanes[i] }
-func (js *jobSink) MasterSink() RecordSink      { return js.lanes[len(js.lanes)-1] }
+func (js *jobSink) WorkerSink(i int) RecordSink { return &js.lanes[i] }
+func (js *jobSink) MasterSink() RecordSink      { return &js.lanes[len(js.lanes)-1] }
 
 func (js *jobSink) DroppedRecords() int64 { return js.dropped.Load() }
 
@@ -157,11 +159,11 @@ func (js *jobSink) BarrierFlush(superstep int) error {
 	_ = superstep // reserved: per-superstep flush bookkeeping
 	errs := make([]error, len(js.lanes))
 	var wg sync.WaitGroup
-	for i, l := range js.lanes {
+	for i := range js.lanes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = l.flush()
+			errs[i] = js.lanes[i].flush()
 		}()
 	}
 	wg.Wait()
@@ -209,13 +211,18 @@ func (js *jobSink) Finish(res JobResult) error {
 // previous part. mu is held by the lane's producer and by BarrierFlush;
 // in the engine the two never overlap, since the barrier runs after the
 // workers have stopped computing.
+//
+// Everything the producer writes per record is inside the lane, its
+// encoder included, and the pad keeps it 128 bytes (an adjacent-line
+// prefetch pair) from the next lane's: two workers capturing at once
+// write no common cache line.
 type sinkLane struct {
 	sink *jobSink
 	name string // the lane's directory, relative to the job's
 
 	mu  sync.Mutex
-	e   *pregel.Encoder // payload scratch
-	seg []byte          // the open segment, magic included
+	e   pregel.Encoder // payload scratch
+	seg []byte         // the open segment, magic included
 	// ents is the lane's one entries array: the pending segments'
 	// entries, then the open segment's from ents[open:]. A committed
 	// part truncates it to zero, so a lane regrows no array per segment.
@@ -231,6 +238,7 @@ type sinkLane struct {
 	idx     []byte // part encoding scratch
 	segSeq  int
 	partSeq int
+	_       [128]byte
 }
 
 // submit frames one record into the open segment.
@@ -238,7 +246,7 @@ func (l *sinkLane) submit(rec any) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.e.Reset()
-	if err := encodeRecordPayload(l.e, rec); err != nil {
+	if err := encodeRecordPayload(&l.e, rec); err != nil {
 		// An unencodable record is the caller's error; it is counted as
 		// lost alongside the structural failures.
 		l.sink.dropped.Add(1)

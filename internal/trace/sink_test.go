@@ -396,6 +396,31 @@ func TestSinkBarrierFlushRace(t *testing.T) {
 	}
 }
 
+// TestSinkLanesOnOwnLines: what one lane's producer writes per record
+// is at least 128 bytes (an adjacent-line prefetch pair) from what the
+// next lane's writes. The lanes are one array of values and each holds
+// its encoder by value: a lane or an encoder allocated on its own lands
+// wherever the allocator puts it, often beside another lane's.
+func TestSinkLanesOnOwnLines(t *testing.T) {
+	const line = 128
+	if f, _ := reflect.TypeFor[jobSink]().FieldByName("lanes"); f.Type != reflect.TypeFor[[]sinkLane]() {
+		t.Errorf("jobSink.lanes is %v, want []sinkLane", f.Type)
+	}
+	typ := reflect.TypeFor[sinkLane]()
+	if f, _ := typ.FieldByName("e"); f.Type != reflect.TypeFor[pregel.Encoder]() {
+		t.Errorf("sinkLane.e is %v, want pregel.Encoder by value", f.Type)
+	}
+	var first, end uintptr = typ.Size(), 0
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Name != "_" {
+			first, end = min(first, f.Offset), max(end, f.Offset+f.Type.Size())
+		}
+	}
+	if gap := typ.Size() - end + first; gap < line {
+		t.Errorf("%d bytes between a lane's fields and the next lane's, want >= %d", gap, line)
+	}
+}
+
 // TestSinkUnindexedSegmentRecovery kills the index parts the way a
 // crash between a seal and the next barrier would, and expects the
 // reader to scan the orphaned segments back into view.

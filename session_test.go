@@ -670,6 +670,42 @@ func TestFinishedJobKeepsItsDFSRow(t *testing.T) {
 	}
 }
 
+// TestFinishedJobReleasesItsEngine: a finished job's handle and result
+// keep its numbers, not its engine. The graph the job ran over, which
+// the engine's partitions reach, is collected while the Job and its
+// RunResult are still held. A Stats inside the engine, or a registry
+// still holding the job's Graft session, would keep it reachable.
+func TestFinishedJobReleasesItsEngine(t *testing.T) {
+	sess, err := NewSession(SessionConfig{Store: NewStore(NewCluster(4, 2, 0), "traces")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	g := graphgen.RegularBipartite(60, 3)
+	released := make(chan struct{})
+	runtime.AddCleanup(g, func(ch chan struct{}) { close(ch) }, released)
+	j, err := sess.SubmitAlgorithm(context.Background(), g, algorithms.NewGraphColoring(1),
+		RunOptions{JobID: "gc", Debug: &DebugConfig{CaptureAllActive: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := j.Wait(context.Background())
+	if err != nil || res.Stats == nil || res.Captures == 0 {
+		t.Fatalf("job: result %+v, err %v; want stats and captures", res, err)
+	}
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-released:
+			runtime.KeepAlive(j)
+			runtime.KeepAlive(res)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Errorf("the job's graph is still reachable after it finished (%d supersteps)", j.Stats().Supersteps)
+}
+
 // TestFailedJobHasItsDocument: a job whose Compute fails still has its
 // metrics document, the one `graft run -metrics-out` writes: the rows
 // up to the failure and the error.
