@@ -137,8 +137,8 @@ const (
 // workers, no superstep limit, no master, no combiner and no
 // checkpointing.
 type Config struct {
-	// NumWorkers is the number of concurrent worker goroutines, each
-	// owning one hash partition of the vertices; at most MaxNumWorkers.
+	// NumWorkers is the number of workers, each owning one partition of
+	// the vertices; at most MaxNumWorkers.
 	NumWorkers int
 	// MaxSupersteps stops the job after this many supersteps; 0 means
 	// unlimited. It is the safety net that surfaces non-converging
@@ -174,8 +174,8 @@ type Config struct {
 	// rounds in arrival order and agrees only to rounding.
 	Partitioner PartitionerMode
 	// WorkerPool, if non-nil, is a global worker budget shared across
-	// jobs: each worker goroutine holds one slot for its superstep scan,
-	// so a session running many jobs concurrently bounds its total
+	// jobs: each partition's superstep scan holds one slot while it
+	// runs, so a session running many jobs concurrently bounds its total
 	// compute parallelism regardless of per-job NumWorkers.
 	WorkerPool *WorkerPool
 }
@@ -317,6 +317,15 @@ type engine struct {
 	ctx context.Context
 	// started is when Run was called, for Stats.Runtime.
 	started time.Time
+
+	// wake[w] hands partition w's share of a phase (share) to its
+	// goroutine, started on first use; run closes wake and waits for
+	// exited. done counts the shares out; results and errs are reused.
+	wake         []chan struct{}
+	share        func(w int)
+	done, exited sync.WaitGroup
+	results      []workerResult
+	errs         []error
 }
 
 func newEngine(j *Job) *engine {
@@ -332,6 +341,7 @@ func newEngine(j *Job) *engine {
 		en.parts[i] = en.newPartition(i)
 	}
 	en.wctx = make([]*workerCtx, w)
+	en.wake, en.results, en.errs = make([]chan struct{}, w), make([]workerResult, w), make([]error, w)
 	if j.cfg.Partitioner == PartitionLocality {
 		// The placement table must exist before the distribution loop
 		// below and before any checkpoint is written, so every consumer
@@ -372,35 +382,66 @@ func (en *engine) partitionFor(id VertexID) int {
 	return hashPartition(id, len(en.parts))
 }
 
-// computeEdgeCut scans every partition's out-edges and counts those
-// whose target routes to a different worker: the edge-cut objective
-// the locality partitioner minimizes. O(E), so it runs once, when a
-// job finishes. An edge with a slot in a current edge slot column
-// reads its partition there; the rest are routed.
-func (en *engine) computeEdgeCut() int64 {
-	var cut int64
+// edgeCut counts p's out-edges whose target routes to a different
+// worker: p's share of the edge-cut objective the locality partitioner
+// minimizes. An edge with a slot in a current edge slot column reads
+// its partition there; the rest are routed.
+func (en *engine) edgeCut(p *partition) (cut int64) {
 	mask := uint32(1)<<en.slotShift - 1
-	for _, p := range en.parts {
-		var col []uint32
-		if current, _ := en.columnCurrent(p); current {
-			col = p.dst
+	var col []uint32
+	if current, _ := en.columnCurrent(p); current {
+		col = p.dst
+	}
+	for _, v := range p.slots {
+		if v == nil {
+			continue
 		}
-		for _, v := range p.slots {
-			if v == nil {
-				continue
-			}
-			for i := range v.edges {
-				if col != nil && col[int(v.dst)+i] != noSlot {
-					if col[int(v.dst)+i]&mask != uint32(p.idx) {
-						cut++
-					}
-				} else if en.partitionFor(v.edges[i].Target) != p.idx {
+		for i := range v.edges {
+			if col != nil && col[int(v.dst)+i] != noSlot {
+				if col[int(v.dst)+i]&mask != uint32(p.idx) {
 					cut++
 				}
+			} else if en.partitionFor(v.edges[i].Target) != p.idx {
+				cut++
 			}
 		}
 	}
 	return cut
+}
+
+// parallel runs fn(w) for every partition w that admit accepts (every
+// one when admit is nil) and returns once all have run: each share but
+// the last on partition w's job-long goroutine, the last on the caller,
+// so a phase with one partition to run wakes no goroutine.
+func (en *engine) parallel(admit func(w int) bool, fn func(w int)) {
+	en.share = fn
+	own := -1 // the last partition admitted so far
+	for w := range en.parts {
+		if admit != nil && !admit(w) {
+			continue
+		}
+		if o := own; o >= 0 { // not the last: hand it off
+			if en.wake[o] == nil {
+				wake := make(chan struct{}, 1)
+				en.wake[o] = wake
+				en.exited.Add(1)
+				go func() { // partition o's worker, until run closes wake
+					defer en.exited.Done()
+					for range wake {
+						en.share(o)
+						en.done.Done()
+					}
+				}()
+			}
+			en.done.Add(1)
+			en.wake[o] <- struct{}{}
+		}
+		own = w
+	}
+	if own >= 0 {
+		fn(own)
+	}
+	en.done.Wait()
 }
 
 // recountActive rebuilds every awake bitmap and partActive from the
@@ -430,18 +471,25 @@ func (en *engine) cloneAggSnapshot() map[string]Value {
 }
 
 // step is what one superstep's phases hand each other: the totals the
-// superstep started with, what its workers returned, and the stats row
-// the barrier builds from them.
+// superstep started with, the worker phase's wall time, and the stats
+// row the barrier builds from what the workers returned (en.results).
 type step struct {
-	start   time.Time
-	nv, ne  int64
-	results []workerResult
-	wall    time.Duration // of the worker phase
-	ss      SuperstepStats
+	start  time.Time
+	nv, ne int64
+	wall   time.Duration // of the worker phase
+	ss     SuperstepStats
 }
 
 func (en *engine) run(start time.Time) (*Stats, error) {
 	en.started = start
+	defer func() {
+		for _, c := range en.wake {
+			if c != nil {
+				close(c)
+			}
+		}
+		en.exited.Wait()
+	}()
 	if en.ctx == nil {
 		en.ctx = context.Background()
 	}
@@ -515,8 +563,12 @@ func (en *engine) finish(err error) (*Stats, error) {
 	for i, p := range en.parts {
 		en.stats.PartitionSizes[i] = int64(p.index.len())
 	}
-	if err == nil {
-		en.stats.EdgeCut = en.computeEdgeCut()
+	if err == nil { // O(E), so counted once, here
+		cuts := make([]int64, len(en.parts))
+		en.parallel(nil, func(w int) { cuts[w] = en.edgeCut(en.parts[w]) })
+		for _, c := range cuts {
+			en.stats.EdgeCut += c
+		}
 	}
 	// A canceled job never resumes, so its checkpoints are dead weight;
 	// GC them before listeners observe the stats, so CheckpointsDeleted
@@ -577,40 +629,31 @@ func (en *engine) masterPhase(st *step) (halted bool, err error) {
 	return false, nil
 }
 
-// workerPhase runs every partition with a non-empty frontier on its own
-// goroutine and waits for all of them.
+// workerPhase runs every partition with a non-empty frontier, in
+// parallel, and waits for all of them.
 func (en *engine) workerPhase(st *step) error {
 	phaseStart := time.Now()
-	st.results = make([]workerResult, len(en.parts))
-	errs := make([]error, len(en.parts))
-	var wg sync.WaitGroup
-	for w := range en.parts {
-		// An empty frontier — nobody awake, nothing pending — yields an
-		// identically zero worker result, so no goroutine is spawned
-		// for it. (Lanes into this shard were merged by mergeLanes at
-		// the previous barrier, so the shard check is complete.)
-		if en.partActive[w] == 0 && !en.cur.hasPending(w) {
-			continue
-		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Under a session-wide budget each worker holds one pool
-			// slot for its scan; a slot is always released at the
-			// barrier, so the gate serializes but cannot deadlock.
-			if pool := en.cfg.WorkerPool; pool != nil {
-				if err := pool.acquire(en.ctx); err != nil {
-					errs[w] = fmt.Errorf("pregel: worker %d canceled awaiting pool slot: %w", w, err)
-					return
-				}
-				defer pool.release()
+	clear(en.results)
+	clear(en.errs)
+	// An empty frontier (nobody awake, nothing pending) yields a zero
+	// result, so it is not run; mergeLanes merged the lanes into this
+	// shard at the previous barrier, so the shard check is complete.
+	live := func(w int) bool { return en.partActive[w] > 0 || en.cur.hasPending(w) }
+	nv, ne := st.nv, st.ne
+	en.parallel(live, func(w int) {
+		// Under a session-wide budget each share, the coordinator's
+		// too, holds one pool slot for its scan (see WorkerPool).
+		if pool := en.cfg.WorkerPool; pool != nil {
+			if err := pool.acquire(en.ctx); err != nil {
+				en.errs[w] = fmt.Errorf("pregel: worker %d canceled awaiting pool slot: %w", w, err)
+				return
 			}
-			st.results[w], errs[w] = en.runWorker(w, st.nv, st.ne)
-		}(w)
-	}
-	wg.Wait()
+			defer pool.release()
+		}
+		en.errs[w] = en.runWorker(w, nv, ne, &en.results[w])
+	})
 	st.wall = time.Since(phaseStart)
-	for _, err := range errs {
+	for _, err := range en.errs {
 		if err != nil {
 			return err
 		}
@@ -623,13 +666,13 @@ func (en *engine) workerPhase(st *step) error {
 // inboxes — and into the superstep's stats row.
 func (en *engine) barrierPhase(st *step) error {
 	var active int64
-	for w := range st.results {
-		active += st.results[w].active
+	for w := range en.results {
+		active += en.results[w].active
 		// Skipped workers report zero, which is exactly their count.
-		en.partActive[w] = st.results[w].active
+		en.partActive[w] = en.results[w].active
 	}
-	en.applyMutations(st.results)
-	en.mergeAggregators(st.results)
+	en.applyMutations(en.results)
+	en.mergeAggregators(en.results)
 	// The traffic matrix must be read before mergeLanes merges
 	// the lanes into the shards (and zeroes the lane counters); at
 	// this point the next store's shards are still empty, so the
@@ -640,7 +683,7 @@ func (en *engine) barrierPhase(st *step) error {
 		return err
 	}
 	st.ss = SuperstepStats{Superstep: en.superstep, ActiveAtEnd: active, Straggler: -1}
-	en.foldTelemetry(&st.ss, st.results, st.wall)
+	en.foldTelemetry(&st.ss, en.results, st.wall)
 	st.ss.MessagesDropped = dropped
 	st.ss.MessagesCombined = en.next.combinedTotal()
 	st.ss.Traffic = traffic
@@ -736,17 +779,16 @@ func (en *engine) workerCtx(w int, nv, ne int64) *workerCtx {
 }
 
 // runWorker runs worker w's superstep: the program's scan of its
-// partition, then what the worker hands the barrier.
-func (en *engine) runWorker(w int, nv, ne int64) (workerResult, error) {
-	var res workerResult
+// partition, then what the worker hands the barrier, in res.
+func (en *engine) runWorker(w int, nv, ne int64, res *workerResult) error {
 	t0 := time.Now()
 	var capBefore int64
 	if en.capTime != nil {
 		capBefore = en.capTime.CaptureNanos(w)
 	}
 	ctx := en.workerCtx(w, nv, ne)
-	if err := en.scan(ctx, en.parts[w], en.cur, &res); err != nil {
-		return res, err
+	if err := en.scan(ctx, en.parts[w], en.cur, res); err != nil {
+		return err
 	}
 	res.MessagesSent = ctx.sentTotal()
 	res.aggPartial = ctx.aggPartial
@@ -756,55 +798,59 @@ func (en *engine) runWorker(w int, nv, ne int64) (workerResult, error) {
 		// A sampled estimate can overshoot the phase it was taken in.
 		res.CaptureTime = min(time.Duration(en.capTime.CaptureNanos(w)-capBefore), res.ComputeTime)
 	}
-	return res, nil
+	return nil
 }
 
 // computeFrontier runs one superstep of vertex computes over part: the
 // vertices that are awake or have mail in inbox's shard, found by
-// walking the set bits of awake|pending a word at a time. Bits come out
-// in ascending slot order, so the visit order is the one a scan of
-// every slot would produce, whatever share of the partition is live.
+// walking the set bits of awake|pending a word at a time, over the words
+// the two summaries mark. Bits come out in ascending slot order, so the
+// visit order is the one a scan of every slot would produce, whatever
+// share of the partition is live.
 func (en *engine) computeFrontier(ctx *workerCtx, part *partition, inbox *messageStore, res *workerResult) error {
 	sh := &inbox.shards[part.idx]
 	inbox.grow(&sh.cells, len(part.slots))
-	for wi := range part.awake {
-		word := part.awake[wi] | sh.pending[wi]
-		if word == 0 {
-			continue
-		}
-		// Poll for cancellation once per live word — at most 64 computes
-		// apart — so a Job.Cancel lands mid-superstep; the coordinator
-		// still drives every worker to the barrier, so the shutdown stays
-		// barrier-consistent.
-		if err := en.ctx.Err(); err != nil {
-			return fmt.Errorf("pregel: worker %d canceled in superstep %d: %w", ctx.worker, ctx.superstep, err)
-		}
-		for ; word != 0; word &= word - 1 {
-			slot := wi<<6 + bits.TrailingZeros64(word)
-			v := part.slots[slot]
-			var msgs []Value
-			if sh.pending.test(slot) {
-				if inbox.scalar == 0 {
-					msgs = inbox.takeCell(&sh.cells, slot)
-				} else { // in the worker's reused box
-					sh.pending.clear(slot)
-					inbox.scalar.setBox(ctx.box, sh.cs[slot])
-					ctx.inbox[0], msgs = ctx.box, ctx.inbox[:]
+	awake, pending := part.awake, sh.pending
+	for si, s := range awake.sum {
+		for s |= pending.sum[si]; s != 0; s &= s - 1 {
+			wi := si<<6 + bits.TrailingZeros64(s)
+			word := awake.w[wi] | pending.w[wi]
+			// Poll for cancellation once per live word — at most 64
+			// computes apart — so a Job.Cancel lands mid-superstep; the
+			// coordinator still drives every worker to the barrier, so
+			// the shutdown stays barrier-consistent.
+			if word != 0 && en.ctx.Err() != nil {
+				return fmt.Errorf("pregel: worker %d canceled in superstep %d: %w", ctx.worker, ctx.superstep, en.ctx.Err())
+			}
+			for ; word != 0; word &= word - 1 {
+				slot := wi<<6 + bits.TrailingZeros64(word)
+				v := part.slots[slot]
+				var msgs []Value
+				if pending.test(slot) {
+					if inbox.scalar == 0 {
+						msgs = inbox.takeCell(&sh.cells, slot)
+					} else { // in the worker's reused box
+						pending.clear(slot)
+						inbox.scalar.setBox(ctx.box, sh.cs[slot])
+						ctx.inbox[0], msgs = ctx.box, ctx.inbox[:]
+					}
+					v.halted = false
 				}
-				v.halted = false
+				res.VerticesProcessed++
+				res.MessagesReceived += int64(len(msgs))
+				ctx.computing = v
+				if err := en.safeCompute(ctx, v, msgs); err != nil {
+					return err
+				}
+				if v.halted {
+					awake.clear(slot)
+				} else {
+					awake.set(slot)
+					res.active++
+				}
 			}
-			res.VerticesProcessed++
-			res.MessagesReceived += int64(len(msgs))
-			ctx.computing = v
-			if err := en.safeCompute(ctx, v, msgs); err != nil {
-				return err
-			}
-			if v.halted {
-				part.awake.clear(slot)
-			} else {
-				part.awake.set(slot)
-				res.active++
-			}
+			awake.tidy(wi)
+			pending.tidy(wi)
 		}
 	}
 	return nil
@@ -880,36 +926,38 @@ func (en *engine) safeCompute(ctx *workerCtx, v *Vertex, msgs []Value) (err erro
 	return nil
 }
 
-// mergeLanes merges each lane-matrix column into its shard, one
-// goroutine per partition — the post-barrier single reader the lane
-// design relies on — and returns how many messages were addressed to
-// vertices that do not exist: those are discarded at the merge. A user
-// combiner that panics while messages meet here fails the job like a
-// panicking Compute does.
+// mergeLanes merges each lane-matrix column that holds mail into its
+// shard, on the partition's worker — the post-barrier single reader the
+// lane design relies on — and returns how many messages were addressed
+// to vertices that do not exist: those are discarded at the merge. A
+// user combiner that panics while messages meet here fails the job like
+// a panicking Compute does.
 func (en *engine) mergeLanes() (int64, error) {
-	errs := make([]error, len(en.parts))
-	var wg sync.WaitGroup
-	for w := range en.parts {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[w] = &ComputeError{
-						VertexID:  en.next.shards[w].merging,
-						Superstep: en.superstep,
-						Worker:    w,
-						Panic:     p,
-						Stack:     string(debug.Stack()),
-					}
-				}
-			}()
-			en.next.mergeLane(en.parts[w])
-		}(w)
+	clear(en.errs)
+	inbound := func(w int) bool {
+		for s := range en.next.lanes {
+			if en.next.lanes[s][w].n != 0 {
+				return true
+			}
+		}
+		return false
 	}
-	wg.Wait()
+	en.parallel(inbound, func(w int) {
+		defer func() {
+			if p := recover(); p != nil {
+				en.errs[w] = &ComputeError{
+					VertexID:  en.next.shards[w].merging,
+					Superstep: en.superstep,
+					Worker:    w,
+					Panic:     p,
+					Stack:     string(debug.Stack()),
+				}
+			}
+		}()
+		en.next.mergeLane(en.parts[w])
+	})
 	var dropped int64
-	for w, err := range errs {
+	for w, err := range en.errs {
 		if err != nil {
 			return 0, err
 		}

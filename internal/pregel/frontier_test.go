@@ -115,7 +115,7 @@ func (c *frontierChecker) check(where string, full, drained *messageStore) {
 		} else if len(sh.cs) != 0 {
 			c.t.Errorf("%s: boxed shard also has %d scalar cells", at, len(sh.cs))
 		}
-		cells := max(len(sh.c), len(sh.m), len(sh.cs), len(sh.pending)<<6)
+		cells := max(len(sh.c), len(sh.m), len(sh.cs), len(sh.pending.w)<<6)
 		pending := 0
 		for s := 0; s < cells; s++ {
 			nonEmpty := false

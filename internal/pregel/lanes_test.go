@@ -241,7 +241,7 @@ func TestDuplicateEdgesMutatingCombiner(t *testing.T) {
 
 // TestCombinerPanicAtBarrierFailsJob: four workers each send vertex 0
 // one message, so nothing meets at a sender and the combiner first runs
-// in the barrier's merge goroutines. A panic there must fail the job
+// in the barrier's lane merge. A panic there must fail the job
 // with a ComputeError, not take the process down.
 func TestCombinerPanicAtBarrierFailsJob(t *testing.T) {
 	g := NewGraph()

@@ -217,7 +217,7 @@ func (s *messageStore) push(ln *msgLane, e msgEntry, batch int) {
 func (s *messageStore) evict(p, slot int, id VertexID) {
 	for sender := range s.lanes {
 		ln := &s.lanes[sender][p]
-		if slot>>6 < len(ln.pending) && ln.pending.test(slot) {
+		if slot>>6 < len(ln.pending.w) && ln.pending.test(slot) {
 			s.push(ln, msgEntry{to: id, msg: s.takeCell(&ln.cells, slot)[0]}, msgFlushBatch)
 		}
 	}
@@ -240,8 +240,8 @@ func (s *messageStore) mergeLane(part *partition) {
 			continue
 		}
 		merged := ln.n
-		for wi, word := range ln.pending {
-			ln.pending[wi] = 0
+		ln.pending.words(func(wi int, word uint64) {
+			ln.pending.w[wi] = 0
 			for ; word != 0; word &= word - 1 {
 				slot := wi<<6 + bits.TrailingZeros64(word)
 				merged--
@@ -257,7 +257,7 @@ func (s *messageStore) mergeLane(part *partition) {
 				}
 				ln.c[slot] = nil
 			}
-		}
+		})
 		for _, b := range ln.batches {
 			for _, en := range b.entries {
 				sh.merging = en.to
@@ -280,15 +280,15 @@ func (s *messageStore) mergeLane(part *partition) {
 // reset empties every shard — every pending cell and the counters — so
 // the store can take the next superstep's messages. After
 // a normal superstep the scan has already drained every pending cell,
-// so this is one pass over the (all-zero) bitmaps. The caller must be
-// the only goroutine touching the store.
+// so this reads only the summaries and the stale bits in them. The
+// caller must be the only goroutine touching the store.
 func (s *messageStore) reset() {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		if s.scalar == 0 { // cs cells hold no pointers and die with their bits
 			sh.pending.forEach(func(slot int) { s.takeCell(&sh.cells, slot) })
 		}
-		clear(sh.pending)
+		sh.pending.reset()
 		sh.n, sh.combined, sh.dropped = 0, 0, 0
 	}
 }
@@ -335,7 +335,7 @@ func (s *messageStore) takeCell(cl *cells, slot int) []Value {
 // barrier and mergeLane.
 func (s *messageStore) take(shard, slot int) []Value {
 	sh := &s.shards[shard]
-	if slot>>6 >= len(sh.pending) || !sh.pending.test(slot) {
+	if slot>>6 >= len(sh.pending.w) || !sh.pending.test(slot) {
 		return nil
 	}
 	return s.takeCell(&sh.cells, slot)
@@ -349,7 +349,7 @@ func (s *messageStore) remap(shard int, perm []int32, newLen int) {
 	for sender := range s.lanes {
 		ln := &s.lanes[sender][shard]
 		old := ln.cells
-		if old.pending == nil {
+		if old.pending.w == nil {
 			continue // no combiner: lanes have no cells
 		}
 		ln.cells = cells{}

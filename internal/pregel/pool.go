@@ -3,11 +3,11 @@ package pregel
 import "context"
 
 // WorkerPool is a global worker budget shared by every engine of a
-// session: each worker goroutine acquires one slot for the duration of
-// its superstep scan, so N concurrent jobs with W workers each never
-// run more than the pool's size of compute goroutines at once. Workers
-// holding a slot always run to the barrier and release it, so the gate
-// cannot deadlock; it only serializes.
+// session: each partition's superstep scan, the one its coordinator
+// runs itself included, holds one slot while it runs, so N concurrent
+// jobs with W workers each never run more than the pool's size of
+// scans at once. A scan holding a slot always runs to the barrier and
+// releases it, so the gate cannot deadlock; it only serializes.
 type WorkerPool struct {
 	sem chan struct{}
 }

@@ -2,46 +2,88 @@ package pregel
 
 import "math/bits"
 
-// bitmap is a bit set over a partition's slots, one word per 64 slots.
-// The superstep scan walks the set bits of awake|pending word by word,
-// so a superstep costs O(slots/64 + frontier) instead of a probe per
-// vertex.
-type bitmap []uint64
+// bitmap is a bit set over a partition's slots in two levels: w has one
+// word per 64 slots, and sum one bit per word that may be non-zero (set
+// keeps it, clear leaves it stale). Every walk starts from sum and drops
+// the bits of words it finds zero, so a walk costs O(slots/4096 + live
+// words), whatever the partition's size.
+type bitmap struct {
+	w, sum []uint64
+}
 
-func (b bitmap) set(i int)       { b[i>>6] |= 1 << (uint(i) & 63) }
-func (b bitmap) clear(i int)     { b[i>>6] &^= 1 << (uint(i) & 63) }
-func (b bitmap) test(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+func (b bitmap) set(i int) {
+	b.w[i>>6] |= 1 << (uint(i) & 63)
+	b.sum[i>>12] |= 1 << (uint(i>>6) & 63)
+}
+func (b bitmap) clear(i int)     { b.w[i>>6] &^= 1 << (uint(i) & 63) }
+func (b bitmap) test(i int) bool { return b.w[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// words calls fn with the index and value of every non-zero word, in
+// ascending order. fn may change that word; a word that is zero once fn
+// returns leaves the summary.
+func (b bitmap) words(fn func(wi int, word uint64)) {
+	for si, s := range b.sum {
+		for ; s != 0; s &= s - 1 {
+			wi := si<<6 + bits.TrailingZeros64(s)
+			if word := b.w[wi]; word != 0 {
+				fn(wi, word)
+			}
+			b.tidy(wi)
+		}
+	}
+}
+
+// tidy drops word wi's summary bit if the word is zero.
+func (b bitmap) tidy(wi int) {
+	if b.w[wi] == 0 {
+		b.sum[wi>>6] &^= 1 << (uint(wi) & 63)
+	}
+}
 
 // count returns the number of set bits.
 func (b bitmap) count() int {
 	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
+	b.words(func(_ int, word uint64) { n += bits.OnesCount64(word) })
 	return n
 }
 
 // any reports whether at least one bit is set.
 func (b bitmap) any() bool {
-	for _, w := range b {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
+	found := false
+	b.words(func(int, uint64) { found = true })
+	return found
 }
 
 // forEach calls fn with the index of every set bit, in ascending order.
 func (b bitmap) forEach(fn func(i int)) {
-	for wi, word := range b {
+	b.words(func(wi int, word uint64) {
 		for ; word != 0; word &= word - 1 {
 			fn(wi<<6 + bits.TrailingZeros64(word))
 		}
-	}
+	})
 }
 
+// reset clears every bit.
+func (b bitmap) reset() { b.words(func(wi int, _ uint64) { b.w[wi] = 0 }) }
+
 // grown returns b extended (never shrunk) to cover nbits bits.
-func (b bitmap) grown(nbits int) bitmap { return grownTo(b, (nbits+63)>>6) }
+func (b bitmap) grown(nbits int) bitmap {
+	n := (nbits + 63) >> 6
+	return bitmap{grownTo(b.w, n), grownTo(b.sum, (n+63)>>6)}
+}
+
+// truncated returns b cut to its first nbits bits.
+func (b bitmap) truncated(nbits int) bitmap {
+	n := (nbits + 63) >> 6
+	b.w, b.sum = b.w[:n], b.sum[:(n+63)>>6]
+	if r := nbits & 63; r != 0 {
+		b.w[n-1] &= 1<<r - 1
+	}
+	if r := n & 63; r != 0 {
+		b.sum[len(b.sum)-1] &= 1<<r - 1
+	}
+	return b
+}
 
 // grownTo returns s extended (never shrunk) to n elements.
 func grownTo[S ~[]T, T any](s S, n int) S {
@@ -138,7 +180,7 @@ func (p *partition) remove(s int) *Vertex {
 // slot-addressed state — the pending inbox shard — to follow.
 func (p *partition) rebuild() []int32 {
 	perm := make([]int32, len(p.slots))
-	clear(p.awake)
+	p.awake.reset()
 	live := p.slots[:0]
 	for s, v := range p.slots {
 		perm[s] = -1
@@ -154,7 +196,7 @@ func (p *partition) rebuild() []int32 {
 		live = append(live, v)
 	}
 	clear(p.slots[len(live):])
-	p.awake = p.awake[:(len(live)+63)>>6]
+	p.awake = p.awake.truncated(len(live))
 	p.slots = live
 	p.removed = 0
 	p.subsDirty = true
@@ -227,7 +269,7 @@ func (p *partition) needsCompaction() bool {
 // are applied per component, recovery swaps whole partitions) — and
 // returns the number of awake vertices.
 func (p *partition) syncAwake() int64 {
-	clear(p.awake)
+	p.awake.reset()
 	var n int64
 	for s, v := range p.slots {
 		if v != nil && !v.halted {
