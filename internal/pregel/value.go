@@ -3,8 +3,10 @@ package pregel
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Value is the interface implemented by every vertex value, edge value,
@@ -43,29 +45,42 @@ type ImmutableValue interface {
 }
 
 // valueRegistry maps type names to factories so traces and checkpoints
-// can reconstruct concrete types.
-var valueRegistry = struct {
-	sync.RWMutex
-	factories map[string]func() Value
-}{factories: map[string]func() Value{}}
+// can reconstruct concrete types. The map is never written once
+// published: RegisterValue swaps in a copy under valueRegistryMu, and
+// readers load the pointer, so decoding a value takes no lock.
+var (
+	valueRegistryMu sync.Mutex
+	valueRegistry   atomic.Pointer[map[string]func() Value]
+)
+
+// registered returns the published registry; nil, and so empty, before
+// the first registration.
+func registered() map[string]func() Value {
+	if m := valueRegistry.Load(); m != nil {
+		return *m
+	}
+	return nil
+}
 
 // RegisterValue registers a factory for the named value type. It is
 // typically called from init. Registering the same name twice panics:
 // a name collision would corrupt every trace that uses it.
 func RegisterValue(name string, factory func() Value) {
-	valueRegistry.Lock()
-	defer valueRegistry.Unlock()
-	if _, dup := valueRegistry.factories[name]; dup {
+	valueRegistryMu.Lock()
+	defer valueRegistryMu.Unlock()
+	old := registered()
+	if _, dup := old[name]; dup {
 		panic("pregel: duplicate value type registration: " + name)
 	}
-	valueRegistry.factories[name] = factory
+	m := make(map[string]func() Value, len(old)+1)
+	maps.Copy(m, old)
+	m[name] = factory
+	valueRegistry.Store(&m)
 }
 
 // NewValueOf constructs a zero value of the named registered type.
 func NewValueOf(name string) (Value, error) {
-	valueRegistry.RLock()
-	f, ok := valueRegistry.factories[name]
-	valueRegistry.RUnlock()
+	f, ok := registered()[name]
 	if !ok {
 		return nil, errUnregistered(name)
 	}
@@ -79,14 +94,7 @@ func errUnregistered(name string) error {
 // RegisteredValueTypes returns the sorted names of all registered value
 // types; used by diagnostics and the GUI.
 func RegisteredValueTypes() []string {
-	valueRegistry.RLock()
-	defer valueRegistry.RUnlock()
-	names := make([]string, 0, len(valueRegistry.factories))
-	for n := range valueRegistry.factories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(registered()))
 }
 
 // EncodeTyped appends a self-describing encoding of v: type name then
@@ -110,10 +118,9 @@ func DecodeTyped(d *Decoder) (Value, error) {
 	if len(name) == 0 {
 		return nil, nil
 	}
-	// Looked up by the name's bytes in place: no string is made per value.
-	valueRegistry.RLock()
-	f, ok := valueRegistry.factories[string(name)]
-	valueRegistry.RUnlock()
+	// Looked up by the name's bytes in place: no string is made, and no
+	// lock taken, per value.
+	f, ok := registered()[string(name)]
 	if !ok {
 		return nil, errUnregistered(string(name))
 	}

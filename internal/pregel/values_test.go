@@ -1,7 +1,12 @@
 package pregel
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -114,6 +119,53 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 		}
 	}()
 	RegisterValue("long", func() Value { return new(LongValue) })
+}
+
+// raceTypes numbers the types TestRegistryConcurrentReads registers, so
+// that each of its runs in one process (-count) registers new names.
+var raceTypes atomic.Int64
+
+// TestRegistryConcurrentReads registers types while other goroutines
+// decode values and list the registry, which read it without a lock.
+// Run under -race. Every decode succeeds, every listing is sorted, and
+// each type is listed and decodable once its registration returns.
+func TestRegistryConcurrentReads(t *testing.T) {
+	e := NewEncoder()
+	EncodeTyped(e, NewLong(7))
+	raw := e.Bytes()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if g%2 == 0 {
+					if v, err := UnmarshalValue(raw); err != nil || v.(*LongValue).Get() != 7 {
+						t.Errorf("decode during registration: %v, %v", v, err)
+						return
+					}
+				} else if names := RegisteredValueTypes(); !sort.StringsAreSorted(names) {
+					t.Errorf("names not sorted: %v", names)
+					return
+				}
+			}
+		}(g)
+	}
+	for range 100 {
+		name := fmt.Sprintf("test.race.%d", raceTypes.Add(1))
+		RegisterValue(name, func() Value { return new(LongValue) })
+		if _, err := NewValueOf(name); err != nil || !slices.Contains(RegisteredValueTypes(), name) {
+			t.Fatalf("%s after its registration: %v", name, err)
+		}
+	}
+	close(done)
+	wg.Wait()
 }
 
 func TestRegisteredValueTypesSorted(t *testing.T) {

@@ -238,11 +238,16 @@ func encodeSuperstepMetaPayload(e *pregel.Encoder, m *SuperstepMeta) {
 // decodeRecordPayload decodes one framed payload (kind byte first)
 // into a *VertexCapture, *MasterCapture or *SuperstepMeta.
 func decodeRecordPayload(payload []byte) (any, error) {
+	return decodeRecord(payload, &captureSlab{})
+}
+
+// decodeRecord is decodeRecordPayload cutting from slab.
+func decodeRecord(payload []byte, slab *captureSlab) (any, error) {
 	pd := pregel.NewDecoder(payload)
 	kind := recordKind(pd.Uvarint())
 	switch kind {
 	case kindVertexCapture:
-		return decodeVertexCapture(pd)
+		return decodeVertexCapture(pd, slab)
 	case kindMasterCapture:
 		return decodeMasterCapture(pd)
 	case kindSuperstepMeta:
@@ -342,8 +347,32 @@ func (r *RecordReader) Next() (any, error) {
 	return decodeRecordPayload(payload)
 }
 
-func decodeVertexCapture(d *pregel.Decoder) (*VertexCapture, error) {
-	c := &VertexCapture{}
+// captureSlab cuts VertexCaptures and their slices from arrays of size
+// elements: a few large allocations per pass, not five per capture. A
+// cut's capacity is its length, so appending to one capture's slice
+// cannot write into the next one's. The zero slab cuts exact sizes.
+type captureSlab struct {
+	size  int
+	caps  []VertexCapture
+	edges []pregel.Edge
+	vals  []pregel.Value
+	outs  []OutMsg
+	viols []Violation
+}
+
+// carve cuts an empty, non-nil slice of capacity n from *buf.
+func carve[T any](buf *[]T, n, size int) []T {
+	if n > len(*buf) || *buf == nil {
+		*buf = make([]T, max(n, size))
+	}
+	s := (*buf)[:0:n]
+	*buf = (*buf)[n:]
+	return s
+}
+
+func decodeVertexCapture(d *pregel.Decoder, slab *captureSlab) (*VertexCapture, error) {
+	caps := carve(&slab.caps, 1, slab.size)[:1]
+	c := &caps[0]
 	c.Superstep = int(d.Uvarint())
 	c.Worker = int(d.Uvarint())
 	c.ID = pregel.VertexID(d.Varint())
@@ -357,7 +386,7 @@ func decodeVertexCapture(d *pregel.Decoder) (*VertexCapture, error) {
 	}
 	c.EdgesPreCompute = d.Bool()
 	nEdges := d.Count(2)
-	c.Edges = make([]pregel.Edge, 0, nEdges)
+	c.Edges = carve(&slab.edges, nEdges, slab.size)
 	for i := 0; i < nEdges; i++ {
 		target := pregel.VertexID(d.Varint())
 		v, err := pregel.DecodeTyped(d)
@@ -367,7 +396,7 @@ func decodeVertexCapture(d *pregel.Decoder) (*VertexCapture, error) {
 		c.Edges = append(c.Edges, pregel.Edge{Target: target, Value: v})
 	}
 	nIn := d.Count(1)
-	c.Incoming = make([]pregel.Value, 0, nIn)
+	c.Incoming = carve(&slab.vals, nIn, slab.size)
 	for i := 0; i < nIn; i++ {
 		v, err := pregel.DecodeTyped(d)
 		if err != nil {
@@ -376,7 +405,7 @@ func decodeVertexCapture(d *pregel.Decoder) (*VertexCapture, error) {
 		c.Incoming = append(c.Incoming, v)
 	}
 	nOut := d.Count(2)
-	c.Outgoing = make([]OutMsg, 0, nOut)
+	c.Outgoing = carve(&slab.outs, nOut, slab.size)
 	for i := 0; i < nOut; i++ {
 		to := pregel.VertexID(d.Varint())
 		v, err := pregel.DecodeTyped(d)
@@ -387,7 +416,7 @@ func decodeVertexCapture(d *pregel.Decoder) (*VertexCapture, error) {
 	}
 	c.HaltedAfter = d.Bool()
 	nViol := d.Count(4)
-	c.Violations = make([]Violation, 0, nViol)
+	c.Violations = carve(&slab.viols, nViol, slab.size)
 	for i := 0; i < nViol; i++ {
 		viol := Violation{
 			Kind:  ViolationKind(d.Uvarint()),

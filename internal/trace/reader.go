@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -33,23 +34,26 @@ type recordLoc struct {
 }
 
 // stepIndex is one superstep's share of the vertex or subgraph index:
-// a flat slice appended in scan order at open, one ascending run per
-// lane. On first use the runs are merged by ID and the last entry of a
-// duplicate key kept — the scan order puts a recovery re-execution's
-// record after the one it replaces. Lookups are binary searches.
+// the ascending pieces of it that the segments hold, kept by reference
+// in scan order. On first use they are joined, their ascending runs
+// merged by ID and the last entry of a duplicate key kept — the scan
+// order puts a recovery re-execution's record after the one it
+// replaces. Lookups are binary searches.
 type stepIndex struct {
-	ents []recordLoc
-	// runs holds where each ascending run after the first starts;
-	// while there is none there is nothing to merge or drop.
-	runs []int
-	once sync.Once
+	pieces [][]recordLoc
+	n      int   // entries in pieces
+	runs   []int // where each run after the first starts in the join
+	ents   []recordLoc
+	once   sync.Once
 }
 
-func (x *stepIndex) add(loc recordLoc) {
-	if n := len(x.ents); n > 0 && loc.id <= x.ents[n-1].id {
-		x.runs = append(x.runs, n)
+// addRun files an ascending piece of the superstep's entries.
+func (x *stepIndex) addRun(run []recordLoc) {
+	if k := len(x.pieces); k > 0 && run[0].id <= x.pieces[k-1][len(x.pieces[k-1])-1].id {
+		x.runs = append(x.runs, x.n)
 	}
-	x.ents = append(x.ents, loc)
+	x.pieces = append(x.pieces, run)
+	x.n += len(run)
 }
 
 // sorted returns the entries in ID order, one per ID. Safe for
@@ -59,6 +63,7 @@ func (x *stepIndex) sorted() []recordLoc {
 		return nil
 	}
 	x.once.Do(func() {
+		x.ents, x.pieces = slices.Concat(x.pieces...), nil
 		if len(x.runs) == 0 {
 			return
 		}
@@ -117,8 +122,8 @@ func (x *stepIndex) find(id pregel.VertexID) (recordLoc, bool) {
 // exactly the record's bytes with a ranged read, after checking the
 // segment's magic once; a scan-shaped view (CapturesAt and everything
 // built on it, SubgraphsAt, Verify) fetches whole segments through a
-// bounded cache, which point views also serve from when the segment is
-// resident.
+// bounded cache, which point views also serve from when resident;
+// CapturesAt and SubgraphsAt decode on up to GOMAXPROCS goroutines.
 //
 // A superstep's index is merged into ID order on first use, and a
 // CapturesAt pass keeps the superstep's status for StatusAt. Reader is
@@ -193,7 +198,8 @@ func (s *Store) OpenReader(jobID string) (*Reader, error) {
 	return r, nil
 }
 
-// loadIndex reads every index part of the job in name order, then
+// loadIndex reads every index part of the job, fetched and parsed on up
+// to GOMAXPROCS goroutines and filed in name order on the caller, then
 // scans any segment files none of them names (committed without their
 // part, by a crash or a failed part write) to synthesize their entries.
 func (r *Reader) loadIndex() error {
@@ -219,25 +225,21 @@ func (r *Reader) loadIndex() error {
 	sort.Strings(segFiles)
 
 	r.indexParts = len(idxFiles)
+	parts := make([][]segLocs, len(idxFiles))
+	errs := make([]error, len(idxFiles))
+	fanOut(len(idxFiles), runtime.GOMAXPROCS(0), func(i int) { parts[i], errs[i] = r.parsePart(idxFiles[i]) })
+	if err := cmp.Or(errs...); err != nil {
+		return err
+	}
 	indexed := map[string]bool{}
-	var last stepCursor
-	for _, idxPath := range idxFiles {
-		raw, err := dfs.ReadFile(r.store.FS, idxPath)
-		if err != nil {
-			return err
-		}
-		var num uint32
-		err = walkIndex(raw, func(name string, entries int) {
-			indexed[name] = true
-			num = r.addSegment(name)
-			last = stepCursor{grow: entries}
-		}, func(ent indexEntry) { r.place(ent, num, &last) })
-		if err != nil {
-			return fmt.Errorf("trace: %s: %w", idxPath, err)
+	for _, segs := range parts {
+		for j := range segs {
+			indexed[segs[j].name] = true
+			r.file(&segs[j], r.addSegment(segs[j].name))
 		}
 	}
 	// Unindexed leftovers, in name (= seal sequence) order per lane:
-	// newer than anything indexed, so they are placed after and win.
+	// newer than anything indexed, so they are filed after and win.
 	for _, name := range segFiles {
 		if indexed[name] {
 			continue
@@ -251,10 +253,11 @@ func (r *Reader) loadIndex() error {
 		if err != nil {
 			return fmt.Errorf("trace: %s: %w", name, err)
 		}
-		last = stepCursor{grow: len(ents)}
+		seg := segLocs{locs: make([]recordLoc, 0, len(ents))}
 		for _, ent := range ents {
-			r.place(ent, num, &last)
+			seg.add(ent)
 		}
+		r.file(&seg, num)
 	}
 	for s := range r.metaLoc {
 		r.steps = append(r.steps, s)
@@ -273,40 +276,96 @@ func (r *Reader) addSegment(name string) uint32 {
 	return uint32(len(r.segOrder) - 1)
 }
 
-// stepCursor is the stepIndex the previous entry went to, under its
-// kind and superstep: a segment's share of a superstep costs one probe.
-// Each segment resets it; the first stepIndex a segment reaches grows by
-// the segment's entry count, as a segment holds about one superstep.
-type stepCursor struct {
-	key  recordKey
-	x    *stepIndex
-	grow int
+// segLocs is one segment's index entries in record order, cut into
+// pieces of one kind and superstep, ascending by ID: usually one piece
+// per kind, as a lane writes a superstep ascending.
+type segLocs struct {
+	name   string
+	locs   []recordLoc
+	pieces []locPiece
 }
 
-func (r *Reader) place(ent indexEntry, seg uint32, last *stepCursor) {
-	// walkIndex lets through no offset or length over MaxInt32,
-	// and a scanned segment's frames were walked in memory.
-	loc := recordLoc{id: pregel.VertexID(ent.ID), seg: seg, off: int64(ent.Offset), ln: uint32(ent.Length)}
-	switch kind := recordKind(ent.Kind); kind {
-	case kindSuperstepMeta:
-		r.metaLoc[ent.Step] = loc
-	case kindMasterCapture:
-		r.masterLoc[ent.Step] = loc
-	case kindVertexCapture, kindSubgraphCapture:
-		if key := (recordKey{kind: kind, step: ent.Step}); last.key != key {
+type locPiece struct {
+	kind   recordKind
+	step   int
+	lo, hi int
+}
+
+// parsePart fetches and parses one index part.
+func (r *Reader) parsePart(path string) ([]segLocs, error) {
+	raw, err := dfs.ReadFile(r.store.FS, path)
+	if err != nil {
+		return nil, err
+	}
+	var segs []segLocs
+	err = walkIndex(raw, func(name string, entries int) {
+		segs = append(segs, segLocs{name: name, locs: make([]recordLoc, 0, entries)})
+	}, func(ent indexEntry) { segs[len(segs)-1].add(ent) })
+	if err != nil {
+		return nil, fmt.Errorf("trace: %s: %w", path, err)
+	}
+	return segs, nil
+}
+
+// add appends an entry, starting a new piece where the kind or
+// superstep changes or the ID does not ascend. walkIndex lets through
+// no offset or length over MaxInt32, and scanned frames are in memory.
+func (s *segLocs) add(ent indexEntry) {
+	loc := recordLoc{id: pregel.VertexID(ent.ID), off: int64(ent.Offset), ln: uint32(ent.Length)}
+	kind, n := recordKind(ent.Kind), len(s.locs)
+	if p := len(s.pieces) - 1; p < 0 || s.pieces[p].kind != kind || s.pieces[p].step != ent.Step || loc.id <= s.locs[n-1].id {
+		s.pieces = append(s.pieces, locPiece{kind: kind, step: ent.Step, lo: n})
+	}
+	s.locs = append(s.locs, loc)
+	s.pieces[len(s.pieces)-1].hi = n + 1
+}
+
+// file numbers a segment's entries num and hands its pieces to the
+// index: metadata and master records by value, the last one winning,
+// and vertex and subgraph pieces by reference.
+func (r *Reader) file(seg *segLocs, num uint32) {
+	for i := range seg.locs {
+		seg.locs[i].seg = num
+	}
+	for _, p := range seg.pieces {
+		run := seg.locs[p.lo:p.hi:p.hi]
+		switch p.kind {
+		case kindSuperstepMeta:
+			r.metaLoc[p.step] = run[len(run)-1]
+		case kindMasterCapture:
+			r.masterLoc[p.step] = run[len(run)-1]
+		case kindVertexCapture, kindSubgraphCapture:
 			m := r.vertexLoc
-			if kind == kindSubgraphCapture {
+			if p.kind == kindSubgraphCapture {
 				m = r.subgraphLoc
 			}
-			if m[ent.Step] == nil {
-				m[ent.Step] = &stepIndex{}
+			if m[p.step] == nil {
+				m[p.step] = &stepIndex{}
 			}
-			x := m[ent.Step]
-			x.ents = slices.Grow(x.ents, last.grow)
-			*last = stepCursor{key: key, x: x}
+			m[p.step].addRun(run)
 		}
-		last.x.add(loc)
 	}
+}
+
+// fanOut calls fn for each of 0..n-1 on up to width goroutines, the
+// caller one of them, and returns when all calls have.
+func fanOut(n, width int, fn func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(n, width) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // segmentBytes returns a whole segment through the bounded cache: the
@@ -345,32 +404,17 @@ func (r *Reader) segmentBytes(seg uint32) ([]byte, error) {
 	return raw, nil
 }
 
-// payload returns the bytes of the record at loc. With whole set (a
-// scan-shaped view, about to ask for the segment's other records too)
-// or when the segment is already resident, they are a slice of the
-// cached segment; otherwise they are fetched with one ranged read,
-// after the segment's magic has been checked once for this Reader.
-func (r *Reader) payload(loc recordLoc, whole bool) ([]byte, error) {
-	name := r.segOrder[loc.seg]
-	var seg []byte
-	var resident bool
-	if whole {
-		var err error
-		if seg, err = r.segmentBytes(loc.seg); err != nil {
-			return nil, err
-		}
-		resident = true
-	} else {
-		r.mu.Lock()
-		seg, resident = r.cache[loc.seg]
-		r.mu.Unlock()
-	}
+// payload returns the bytes of the record at loc: a slice of the
+// cached segment when it is resident, or else one ranged read, after the
+// segment's magic has been checked once for this Reader.
+func (r *Reader) payload(loc recordLoc) ([]byte, error) {
+	r.mu.Lock()
+	seg, resident := r.cache[loc.seg]
+	r.mu.Unlock()
 	if resident {
-		if !loc.within(len(seg)) {
-			return nil, fmt.Errorf("trace: %s: index entry out of range", name)
-		}
-		return seg[loc.off : loc.off+int64(loc.ln)], nil
+		return r.recordIn(seg, loc)
 	}
+	name := r.segOrder[loc.seg]
 	if err := r.checkMagic(loc.seg); err != nil {
 		return nil, fmt.Errorf("trace: %s: %w", name, err)
 	}
@@ -382,6 +426,15 @@ func (r *Reader) payload(loc recordLoc, whole bool) ([]byte, error) {
 		return nil, fmt.Errorf("trace: %s: %w", name, err)
 	}
 	return b, nil
+}
+
+// recordIn returns the bytes of the record at loc inside its whole
+// segment.
+func (r *Reader) recordIn(seg []byte, loc recordLoc) ([]byte, error) {
+	if !loc.within(len(seg)) {
+		return nil, fmt.Errorf("trace: %s: index entry out of range", r.segOrder[loc.seg])
+	}
+	return seg[loc.off : loc.off+int64(loc.ln)], nil
 }
 
 // within reports whether the record lies inside a segment of segLen
@@ -421,20 +474,85 @@ func (r *Reader) readRange(path string, off, n int64) ([]byte, error) {
 	return b, err
 }
 
-// record fetches and decodes the record at loc, recording (not
-// returning) errors so the accessors can stay nil-on-missing.
-func (r *Reader) record(loc recordLoc, whole bool) any {
-	b, err := r.payload(loc, whole)
+// record fetches and decodes the record at loc with a point read,
+// recording (not returning) errors so the accessors can stay
+// nil-on-missing.
+func (r *Reader) record(loc recordLoc) any {
+	b, err := r.payload(loc)
+	if err == nil {
+		var rec any
+		if rec, err = r.decode(b, loc, &captureSlab{}); err == nil {
+			return rec
+		}
+	}
+	r.setErr(err)
+	return nil
+}
+
+func (r *Reader) decode(payload []byte, loc recordLoc, slab *captureSlab) (any, error) {
+	rec, err := decodeRecord(payload, slab)
 	if err != nil {
+		return nil, fmt.Errorf("trace: %s: %w", r.segOrder[loc.seg], err)
+	}
+	return rec, nil
+}
+
+// decodeChunk is the fewest records decodeAll gives a goroutine.
+const decodeChunk = 1024
+
+// decodeAll decodes the records at ents, in order, keeping the T among
+// them; complete reports that all were. On min(GOMAXPROCS,
+// len(ents)/decodeChunk) goroutines, so that a small superstep stays on
+// the caller's, it fetches each segment they name once, then decodes
+// in as many contiguous chunks, each into its own range of out from
+// its own captureSlab of slabSize. The failure earliest in ents goes to
+// Err, as a walk in order would have it.
+func decodeAll[T comparable](r *Reader, ents []recordLoc, slabSize int) (out []T, complete bool) {
+	type fetched struct {
+		raw  []byte
+		err  error
+		want bool
+	}
+	segs := make([]fetched, len(r.segOrder))
+	var need []uint32
+	for _, loc := range ents {
+		if !segs[loc.seg].want {
+			segs[loc.seg].want = true
+			need = append(need, loc.seg)
+		}
+	}
+	chunks := max(1, min(runtime.GOMAXPROCS(0), len(ents)/decodeChunk))
+	fanOut(len(need), chunks, func(i int) {
+		f := &segs[need[i]]
+		f.raw, f.err = r.segmentBytes(need[i])
+	})
+
+	out = make([]T, len(ents))
+	errs := make([]error, chunks)
+	fanOut(chunks, chunks, func(c int) {
+		slab := &captureSlab{size: slabSize}
+		for i := c * len(ents) / chunks; i < (c+1)*len(ents)/chunks; i++ {
+			loc := ents[i]
+			b, err := segs[loc.seg].raw, segs[loc.seg].err
+			if err == nil {
+				b, err = r.recordIn(b, loc)
+			}
+			var rec any
+			if err == nil {
+				rec, err = r.decode(b, loc, slab)
+			}
+			if err != nil && errs[c] == nil {
+				errs[c] = err
+			}
+			out[i], _ = rec.(T)
+		}
+	})
+	if err := cmp.Or(errs...); err != nil {
 		r.setErr(err)
-		return nil
 	}
-	rec, err := decodeRecordPayload(b)
-	if err != nil {
-		r.setErr(fmt.Errorf("trace: %s: %w", r.segOrder[loc.seg], err))
-		return nil
-	}
-	return rec
+	var zero T
+	out = slices.DeleteFunc(out, func(rec T) bool { return rec == zero })
+	return out, len(out) == len(ents)
 }
 
 func (r *Reader) setErr(err error) {
@@ -499,7 +617,7 @@ func (r *Reader) MetaAt(superstep int) *SuperstepMeta {
 	if !ok {
 		return nil
 	}
-	m, _ := r.record(loc, false).(*SuperstepMeta)
+	m, _ := r.record(loc).(*SuperstepMeta)
 	return m
 }
 
@@ -509,7 +627,7 @@ func (r *Reader) MasterAt(superstep int) *MasterCapture {
 	if !ok {
 		return nil
 	}
-	c, _ := r.record(loc, false).(*MasterCapture)
+	c, _ := r.record(loc).(*MasterCapture)
 	return c
 }
 
@@ -520,21 +638,16 @@ func (r *Reader) Capture(superstep int, id pregel.VertexID) *VertexCapture {
 	if !ok {
 		return nil
 	}
-	c, _ := r.record(loc, false).(*VertexCapture)
+	c, _ := r.record(loc).(*VertexCapture)
 	return c
 }
 
-// CapturesAt returns a superstep's captures sorted by vertex ID and,
-// when it decoded every one the index names, keeps their status.
+// CapturesAt returns a superstep's captures sorted by vertex ID, decoded
+// on up to GOMAXPROCS goroutines (decodeAll), and, when it decoded every
+// one the index names, keeps their status.
 func (r *Reader) CapturesAt(superstep int) []*VertexCapture {
-	ents := r.vertexLoc[superstep].sorted()
-	out := make([]*VertexCapture, 0, len(ents))
-	for _, loc := range ents {
-		if c, _ := r.record(loc, true).(*VertexCapture); c != nil {
-			out = append(out, c)
-		}
-	}
-	if len(ents) > 0 && len(out) == len(ents) {
+	out, complete := decodeAll[*VertexCapture](r, r.vertexLoc[superstep].sorted(), 256)
+	if complete && len(out) > 0 {
 		st := StatusOf(out)
 		r.mu.Lock()
 		r.status[superstep] = st
@@ -606,13 +719,7 @@ func (r *Reader) StatusAt(superstep int) Status {
 // SubgraphsAt returns a superstep's subgraph captures sorted by
 // subgraph ID. Empty for vertex-mode jobs.
 func (r *Reader) SubgraphsAt(superstep int) []*SubgraphCapture {
-	ents := r.subgraphLoc[superstep].sorted()
-	out := make([]*SubgraphCapture, 0, len(ents))
-	for _, loc := range ents {
-		if c, _ := r.record(loc, true).(*SubgraphCapture); c != nil {
-			out = append(out, c)
-		}
-	}
+	out, _ := decodeAll[*SubgraphCapture](r, r.subgraphLoc[superstep].sorted(), 0)
 	return out
 }
 
@@ -621,14 +728,16 @@ func (r *Reader) SubgraphsAt(superstep int) []*SubgraphCapture {
 // member costs a scan of the superstep's subgraph captures.
 func (r *Reader) SubgraphAt(superstep int, id pregel.VertexID) *SubgraphCapture {
 	if loc, ok := r.subgraphLoc[superstep].find(id); ok {
-		if c, _ := r.record(loc, false).(*SubgraphCapture); c != nil {
+		if c, _ := r.record(loc).(*SubgraphCapture); c != nil {
 			return c
 		}
 	}
 	return findMemberSubgraph(r.SubgraphsAt(superstep), id)
 }
 
-// Search returns captures matching q in (superstep, vertex) order.
+// Search returns captures matching q in (superstep, vertex) order. A
+// query for one vertex reads its record in each superstep asked for by
+// key, as Capture does; any other query decodes those supersteps whole.
 func (r *Reader) Search(q Query) []*VertexCapture {
 	var out []*VertexCapture
 	steps := r.steps
@@ -636,7 +745,18 @@ func (r *Reader) Search(q Query) []*VertexCapture {
 		steps = []int{q.Superstep}
 	}
 	for _, s := range steps {
-		for _, c := range r.CapturesAt(s) {
+		var caps []*VertexCapture
+		switch {
+		case q.VertexID != nil:
+			if c := r.Capture(s, *q.VertexID); c != nil {
+				caps = []*VertexCapture{c}
+			}
+		case q.NeighborID == nil && q.ValueContains == "" && q.MessageContains == "":
+			caps = r.CapturesAt(s)
+		default: // keeps a few of many, which must not pin shared slabs
+			caps, _ = decodeAll[*VertexCapture](r, r.vertexLoc[s].sorted(), 0)
+		}
+		for _, c := range caps {
 			if q.matches(c) {
 				out = append(out, c)
 			}

@@ -58,6 +58,10 @@ func lastOfEachID(sorted []recordLoc) []recordLoc {
 	return out
 }
 
+// add files one entry as a piece of its own, so that every entry
+// arrives the way a segment's first entry does.
+func (x *stepIndex) add(loc recordLoc) { x.addRun([]recordLoc{loc}) }
+
 // failSegFS fails every Open of the path in fail, while it is set.
 type failSegFS struct {
 	dfs.FileSystem
